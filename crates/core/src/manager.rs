@@ -14,7 +14,7 @@
 use std::fmt;
 
 use crate::alarm::{Alarm, AlarmId, AlarmKind, GRACE_STRETCH_UNIT};
-use crate::audit::PlacementAudit;
+use crate::audit::{CandidateAudit, PlacementAudit};
 use crate::entry::QueueEntry;
 use crate::error::RegisterAlarmError;
 use crate::policy::{AlignmentPolicy, Placement};
@@ -49,8 +49,11 @@ pub struct AlarmManager {
     non_wakeup: AlarmQueue,
     now: SimTime,
     /// When `Some`, every placement decision is recorded here until the
-    /// next [`take_audits`](Self::take_audits) drains it.
+    /// next [`drain_audits`](Self::drain_audits) drains it.
     audit_sink: Option<Vec<PlacementAudit>>,
+    /// Cleared candidate buffers of retired audits, reused by the next
+    /// audited decisions (see [`drain_audits`](Self::drain_audits)).
+    spare_candidates: Vec<Vec<CandidateAudit>>,
     /// The degradation governor's current grace multiplier (millis-style
     /// fixed point; [`GRACE_STRETCH_UNIT`] = no stretch). Stamped onto
     /// every alarm at registration/reinsertion so placement sees the
@@ -67,6 +70,7 @@ impl AlarmManager {
             non_wakeup: AlarmQueue::new(),
             now: SimTime::ZERO,
             audit_sink: None,
+            spare_candidates: Vec::new(),
             grace_stretch: GRACE_STRETCH_UNIT,
         }
     }
@@ -90,6 +94,7 @@ impl AlarmManager {
             non_wakeup,
             now,
             audit_sink: None,
+            spare_candidates: Vec::new(),
             grace_stretch: GRACE_STRETCH_UNIT,
         }
     }
@@ -109,7 +114,7 @@ impl AlarmManager {
     /// [`complete_delivery`](Self::complete_delivery) /
     /// [`set_app_quarantined`](Self::set_app_quarantined) records one
     /// [`PlacementAudit`] per placement decision into an internal sink;
-    /// drain it with [`take_audits`](Self::take_audits). Disabling also
+    /// drain it with [`drain_audits`](Self::drain_audits). Disabling also
     /// discards anything not yet drained. Auditing never changes
     /// placement outcomes.
     pub fn set_audit_enabled(&mut self, enabled: bool) {
@@ -127,12 +132,25 @@ impl AlarmManager {
         self.audit_sink.is_some()
     }
 
-    /// Drains every placement decision recorded since the last drain, in
-    /// decision order. Empty when auditing is disabled.
-    pub fn take_audits(&mut self) -> Vec<PlacementAudit> {
-        match self.audit_sink.as_mut() {
-            Some(sink) => std::mem::take(sink),
-            None => Vec::new(),
+    /// Hands every placement decision recorded since the last drain to
+    /// `ingest`, in decision order; nothing when auditing is disabled.
+    /// The sink keeps its buffer. `ingest` may return an audit it has
+    /// retired (one evicted from a bounded ring, say): the manager keeps
+    /// its cleared candidate buffer for a later decision, so a full ring
+    /// costs no allocation per decision.
+    pub fn drain_audits(
+        &mut self,
+        mut ingest: impl FnMut(PlacementAudit) -> Option<PlacementAudit>,
+    ) {
+        let Some(sink) = self.audit_sink.as_mut() else {
+            return;
+        };
+        for audit in sink.drain(..) {
+            if let Some(retired) = ingest(audit) {
+                let mut candidates = retired.candidates;
+                candidates.clear();
+                self.spare_candidates.push(candidates);
+            }
         }
     }
 
@@ -450,8 +468,11 @@ impl AlarmManager {
         };
         let placement = if let Some(sink) = self.audit_sink.as_mut() {
             // A typical decision weighs only a few candidates; reserve so
-            // the audit costs one allocation, not a growth series.
-            let mut candidates = Vec::with_capacity(4);
+            // a fresh buffer costs one allocation, not a growth series.
+            let mut candidates = self
+                .spare_candidates
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(4));
             let placement = self.policy.place_audited(queue, &alarm, &mut candidates);
             sink.push(PlacementAudit {
                 at: self.now,
@@ -675,7 +696,15 @@ mod tests {
         m.set_audit_enabled(true);
         m.register(wifi_alarm("a", 100, 600, 0.75)).unwrap();
         m.register(wifi_alarm("b", 150, 600, 0.75)).unwrap();
-        let audits = m.take_audits();
+        let drain = |m: &mut AlarmManager| {
+            let mut audits = Vec::new();
+            m.drain_audits(|a| {
+                audits.push(a);
+                None
+            });
+            audits
+        };
+        let audits = drain(&mut m);
         assert_eq!(audits.len(), 2);
         assert_eq!(&*audits[0].app, "a");
         assert_eq!(audits[0].placement, Placement::NewEntry);
@@ -685,10 +714,23 @@ mod tests {
         // the verdict came out to be.
         assert_eq!(audits[1].candidates.len(), 1);
         // Drained; sink refills on the next placement only.
-        assert!(m.take_audits().is_empty());
+        assert!(drain(&mut m).is_empty());
+        // A retired audit's candidate buffer serves the next decision.
+        let mut retired = audits[1].clone();
+        retired.candidates.reserve_exact(64);
+        let capacity = retired.candidates.capacity();
+        let mut handed = Some(retired);
+        m.register(wifi_alarm("c", 160, 600, 0.75)).unwrap();
+        m.drain_audits(|_| handed.take());
+        assert!(handed.is_none());
+        m.register(wifi_alarm("d", 170, 600, 0.75)).unwrap();
+        let reused = drain(&mut m);
+        assert_eq!(reused.len(), 1);
+        assert!(!reused[0].candidates.is_empty());
+        assert_eq!(reused[0].candidates.capacity(), capacity);
         m.set_audit_enabled(false);
-        m.register(wifi_alarm("c", 200, 600, 0.75)).unwrap();
-        assert!(m.take_audits().is_empty());
+        m.register(wifi_alarm("e", 200, 600, 0.75)).unwrap();
+        assert!(drain(&mut m).is_empty());
     }
 
     #[test]

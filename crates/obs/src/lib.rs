@@ -54,9 +54,18 @@ pub use span::{AttrValue, Span, SpanCollector, SpanKind};
 pub use telemetry::{EventKind, ProgressState, TelemetryBus, TelemetryEvent, TelemetrySink};
 pub use traceviz::TraceBuilder;
 
+use std::fmt::Write as _;
+
 /// Renders `s` as a quoted JSON string with the required escapes.
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a quoted JSON string with the required
+/// escapes.
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -65,12 +74,13 @@ pub(crate) fn json_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Renders `v` as a JSON number (`null` for non-finite values).
@@ -79,10 +89,17 @@ pub(crate) fn json_string(s: &str) -> String {
 /// never uses scientific notation, so the output is stable across
 /// platforms and runs.
 pub(crate) fn json_f64(v: f64) -> String {
+    let mut out = String::new();
+    push_json_f64(&mut out, v);
+    out
+}
+
+/// Appends `v` to `out` as a JSON number (see [`json_f64`]).
+pub(crate) fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_owned()
+        out.push_str("null");
     }
 }
 

@@ -8,9 +8,11 @@
 //! `BTreeMap`-backed, so both the [text exposition](MetricsRegistry::expose)
 //! and the [JSON snapshot](MetricsRegistry::to_json) are byte-deterministic.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::{json_f64, json_string};
+use crate::{push_json_f64, push_json_string};
 
 /// Default bucket bounds for histograms observed before an explicit
 /// [`MetricsRegistry::register_histogram`] call.
@@ -156,22 +158,34 @@ impl Histogram {
         self.nonfinite
     }
 
-    fn to_json(&self) -> String {
-        let bounds: Vec<String> = self.bounds.iter().map(|&b| json_f64(b)).collect();
-        let counts: Vec<String> = self.counts.iter().map(|c| c.to_string()).collect();
-        let quantiles = match crate::quantile::QuantileSummary::from_histogram(self) {
-            Some(q) => format!(",\"quantiles\":{}", q.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\"bounds\":[{}],\"counts\":[{}],\"sum\":{},\"count\":{},\"nonfinite\":{}{}}}",
-            bounds.join(","),
-            counts.join(","),
-            json_f64(self.sum),
-            self.count,
-            self.nonfinite,
-            quantiles
-        )
+    /// Appends the histogram's JSON object to `out`.
+    fn push_json(&self, out: &mut String) {
+        out.push_str("{\"bounds\":[");
+        for (i, &b) in self.bounds.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_json_f64(out, b);
+        }
+        out.push_str("],\"counts\":[");
+        for (i, c) in self.counts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{c}");
+        }
+        out.push_str("],\"sum\":");
+        push_json_f64(out, self.sum);
+        let _ = write!(
+            out,
+            ",\"count\":{},\"nonfinite\":{}",
+            self.count, self.nonfinite
+        );
+        if let Some(q) = crate::quantile::QuantileSummary::from_histogram(self) {
+            out.push_str(",\"quantiles\":");
+            q.push_json(out);
+        }
+        out.push('}');
     }
 }
 
@@ -227,7 +241,8 @@ pub struct MetricsRegistry {
     gauge_vals: Vec<f64>,
     hist_slots: BTreeMap<String, usize>,
     hist_vals: Vec<Histogram>,
-    help: BTreeMap<String, String>,
+    /// Family → help text; static text is borrowed, not copied.
+    help: BTreeMap<Cow<'static, str>, Cow<'static, str>>,
 }
 
 /// Logical equality: same names mapped to the same values, regardless
@@ -249,7 +264,11 @@ impl MetricsRegistry {
 
     /// Registers help text for a metric family (the name *without*
     /// labels), shown as `# HELP` in the exposition.
-    pub fn describe(&mut self, family: impl Into<String>, help: impl Into<String>) {
+    pub fn describe(
+        &mut self,
+        family: impl Into<Cow<'static, str>>,
+        help: impl Into<Cow<'static, str>>,
+    ) {
         self.help.insert(family.into(), help.into());
     }
 
@@ -501,29 +520,50 @@ impl MetricsRegistry {
     /// Renders the registry as one deterministic JSON object:
     /// `{"counters":{...},"gauges":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
+        let mut out = String::with_capacity(self.json_len_hint());
+        out.push_str("{\"counters\":{");
         for (i, (name, value)) in self.counters().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{}", json_string(name), value));
+            push_json_string(&mut out, name);
+            let _ = write!(out, ":{value}");
         }
         out.push_str("},\"gauges\":{");
         for (i, (name, value)) in self.gauges().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{}", json_string(name), json_f64(value)));
+            push_json_string(&mut out, name);
+            out.push(':');
+            push_json_f64(&mut out, value);
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{}", json_string(name), h.to_json()));
+            push_json_string(&mut out, name);
+            out.push(':');
+            h.push_json(&mut out);
         }
         out.push_str("}}");
         out
+    }
+
+    /// An estimate of [`to_json`](Self::to_json)'s length, so the
+    /// snapshot renders into one allocation: every name plus room for a
+    /// typical value, and per histogram room for its quantiles and for
+    /// short bounds and counts. A longer rendering only grows the string.
+    fn json_len_hint(&self) -> usize {
+        const SCALAR: usize = 24;
+        let names =
+            |slots: &BTreeMap<String, usize>| slots.keys().map(|k| k.len() + SCALAR).sum::<usize>();
+        let hists: usize = self
+            .histograms()
+            .map(|(name, h)| name.len() + 8 * SCALAR + 16 * h.bounds().len())
+            .sum();
+        64 + names(&self.counter_slots) + names(&self.gauge_slots) + hists
     }
 }
 

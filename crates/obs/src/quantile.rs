@@ -19,7 +19,7 @@
 //!   quantiles from a raw sample slice (used for per-cell `wall_ms`,
 //!   where campaigns hold every sample anyway).
 
-use crate::{json_f64, Histogram};
+use crate::{push_json_f64, Histogram};
 
 /// A p50/p90/p99/max digest, rendered into campaign document headers
 /// and (per histogram family) into the text exposition as
@@ -98,13 +98,22 @@ impl QuantileSummary {
 
     /// Renders the digest as `{"q50":..,"q90":..,"q99":..,"max":..}`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"q50\":{},\"q90\":{},\"q99\":{},\"max\":{}}}",
-            json_f64(self.q50),
-            json_f64(self.q90),
-            json_f64(self.q99),
-            json_f64(self.max)
-        )
+        let mut out = String::new();
+        self.push_json(&mut out);
+        out
+    }
+
+    /// Appends [`to_json`](Self::to_json)'s rendering to `out`.
+    pub(crate) fn push_json(&self, out: &mut String) {
+        out.push_str("{\"q50\":");
+        push_json_f64(out, self.q50);
+        out.push_str(",\"q90\":");
+        push_json_f64(out, self.q90);
+        out.push_str(",\"q99\":");
+        push_json_f64(out, self.q99);
+        out.push_str(",\"max\":");
+        push_json_f64(out, self.max);
+        out.push('}');
     }
 }
 

@@ -10,9 +10,14 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::json_string;
+use crate::push_json_string;
+
+/// The most attributes one span carries: the widest
+/// [`SpanKind::attr_keys`] schema.
+pub const SPAN_ATTR_CAPACITY: usize = 4;
 
 /// The kinds of span the simulator emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,6 +64,18 @@ impl SpanKind {
     pub fn parse(s: &str) -> Option<SpanKind> {
         SpanKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
+
+    /// The kind's attribute schema: the keys its spans carry, in export
+    /// order. A span stores only its values; the keys come from here.
+    pub fn attr_keys(self) -> &'static [&'static str] {
+        match self {
+            SpanKind::WakeCycle | SpanKind::CheckpointWrite => &[],
+            SpanKind::PolicyPlace => &["app", "alarm", "placement", "candidates"],
+            SpanKind::TaskRun => &["app", "entry_size"],
+            SpanKind::WatchdogIntervention => &["app", "kind"],
+            SpanKind::DegradationTransition => &["from", "to", "soc_milli", "restamped"],
+        }
+    }
 }
 
 /// One span attribute value.
@@ -67,20 +84,23 @@ impl SpanKind {
 /// numbers defer their formatting to export time, shared labels bump a
 /// refcount instead of copying, and fixed-vocabulary strings borrow
 /// statics. Every variant renders to exactly the string the plain
-/// `String` representation used to carry, and equality is defined over
+/// string representation used to carry, and equality is defined over
 /// that rendering — a checkpoint restore (which parses everything back
 /// as [`Str`](AttrValue::Str)) compares equal to the live value it
 /// round-tripped.
 #[derive(Debug, Clone, Eq)]
 pub enum AttrValue {
     /// An owned string (checkpoint restore, cold paths).
-    Str(String),
+    Str(Box<str>),
     /// A static string from a fixed vocabulary.
     Static(&'static str),
     /// A label shared with the rest of the simulation.
     Shared(Arc<str>),
     /// An unsigned integer, formatted lazily at export.
     U64(u64),
+    /// A static prefix followed by a number, formatted lazily at export
+    /// (`Indexed("existing:", 3)` renders as `existing:3`).
+    Indexed(&'static str, u32),
 }
 
 impl AttrValue {
@@ -92,6 +112,25 @@ impl AttrValue {
             AttrValue::Static(s) => Cow::Borrowed(s),
             AttrValue::Shared(s) => Cow::Borrowed(s),
             AttrValue::U64(v) => Cow::Owned(v.to_string()),
+            AttrValue::Indexed(prefix, n) => Cow::Owned(format!("{prefix}{n}")),
+        }
+    }
+
+    /// Appends the rendered value to `out` as a JSON string, formatting
+    /// numbers in place.
+    fn push_json(&self, out: &mut String) {
+        match self {
+            AttrValue::U64(v) => {
+                let _ = write!(out, "\"{v}\"");
+            }
+            AttrValue::Indexed(prefix, n) => {
+                // Digits need no escaping: escape the prefix, reopen its
+                // closing quote, and append the number.
+                push_json_string(out, prefix);
+                out.pop();
+                let _ = write!(out, "{n}\"");
+            }
+            other => push_json_string(out, &other.render()),
         }
     }
 }
@@ -104,7 +143,7 @@ impl PartialEq for AttrValue {
 
 impl From<String> for AttrValue {
     fn from(s: String) -> Self {
-        AttrValue::Str(s)
+        AttrValue::Str(s.into_boxed_str())
     }
 }
 
@@ -133,6 +172,10 @@ impl From<usize> for AttrValue {
 }
 
 /// One recorded span.
+///
+/// Its attributes live inline, so recording one allocates nothing. They
+/// follow the kind's schema ([`SpanKind::attr_keys`]): the span keeps
+/// the values in key order and the keys are not stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Monotone sequence number, unique within a collector's lifetime.
@@ -144,35 +187,79 @@ pub struct Span {
     /// Simulated end time, in milliseconds (equal to `start_ms` for
     /// instantaneous events).
     pub end_ms: u64,
-    /// Ordered key/value attributes (insertion order is preserved and
-    /// part of the deterministic export). Keys are `Cow` so the hot
-    /// recording paths borrow static names without allocating, while a
-    /// checkpoint restore can still carry owned keys; values are typed
-    /// (see [`AttrValue`]) for the same reason.
-    pub attrs: Vec<(Cow<'static, str>, AttrValue)>,
+    /// The attribute values in schema order; `None` past the last one.
+    values: [Option<AttrValue>; SPAN_ATTR_CAPACITY],
 }
 
 impl Span {
+    /// A span with `attrs`, which must be `kind`'s schema keys in order
+    /// (or a prefix of them) with their values. Debug builds assert the
+    /// keys; release builds keep the values under the schema's keys and
+    /// drop any past the schema's end.
+    pub fn new(
+        seq: u64,
+        kind: SpanKind,
+        start_ms: u64,
+        end_ms: u64,
+        attrs: impl IntoIterator<Item = (&'static str, AttrValue)>,
+    ) -> Span {
+        let keys = kind.attr_keys();
+        let mut values: [Option<AttrValue>; SPAN_ATTR_CAPACITY] = Default::default();
+        for (i, (key, value)) in attrs.into_iter().enumerate() {
+            debug_assert_eq!(
+                keys.get(i),
+                Some(&key),
+                "attribute {i} of a {} span is off its schema",
+                kind.as_str()
+            );
+            if i < keys.len() {
+                values[i] = Some(value);
+            }
+        }
+        Span {
+            seq,
+            kind,
+            start_ms,
+            end_ms,
+            values,
+        }
+    }
+
+    /// The attributes as ordered `(key, value)` pairs. Insertion order
+    /// is the schema order and part of the deterministic export.
+    pub fn attrs(&self) -> impl Iterator<Item = (&'static str, &AttrValue)> + '_ {
+        self.kind
+            .attr_keys()
+            .iter()
+            .zip(&self.values)
+            .map_while(|(&key, value)| Some((key, value.as_ref()?)))
+    }
+
     /// Renders the span as one JSON object (one JSONL line, no trailing
     /// newline).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"seq\":{},\"kind\":{},\"start_ms\":{},\"end_ms\":{},\"attrs\":{{",
-            self.seq,
-            json_string(self.kind.as_str()),
-            self.start_ms,
-            self.end_ms,
+        let mut out = String::new();
+        self.push_json(&mut out);
+        out
+    }
+
+    fn push_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"seq\":{},\"kind\":", self.seq);
+        push_json_string(out, self.kind.as_str());
+        let _ = write!(
+            out,
+            ",\"start_ms\":{},\"end_ms\":{},\"attrs\":{{",
+            self.start_ms, self.end_ms
         );
-        for (i, (k, v)) in self.attrs.iter().enumerate() {
+        for (i, (k, v)) in self.attrs().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_string(k));
+            push_json_string(out, k);
             out.push(':');
-            out.push_str(&json_string(&v.render()));
+            v.push_json(out);
         }
         out.push_str("}}");
-        out
     }
 }
 
@@ -189,9 +276,7 @@ impl Span {
 /// use simty_obs::{SpanCollector, SpanKind};
 ///
 /// let mut spans = SpanCollector::new(128);
-/// spans.record(SpanKind::TaskRun, 60_000, 62_000, vec![
-///     ("app".into(), "Facebook".into()),
-/// ]);
+/// spans.record(SpanKind::TaskRun, 60_000, 62_000, [("app", "Facebook".into())]);
 /// assert_eq!(spans.len(), 1);
 /// assert!(spans.to_jsonl().contains("\"kind\":\"task_run\""));
 /// ```
@@ -236,13 +321,15 @@ impl SpanCollector {
     }
 
     /// Records a span, returning its sequence number. Evicts the oldest
-    /// span when the ring is full.
+    /// span when the ring is full. `attrs` follow `kind`'s schema (see
+    /// [`Span::new`]); pass an array, so recording allocates nothing once
+    /// the ring has grown to capacity.
     pub fn record(
         &mut self,
         kind: SpanKind,
         start_ms: u64,
         end_ms: u64,
-        attrs: Vec<(Cow<'static, str>, AttrValue)>,
+        attrs: impl IntoIterator<Item = (&'static str, AttrValue)>,
     ) -> u64 {
         debug_assert!(start_ms <= end_ms, "span ends before it starts");
         let seq = self.next_seq;
@@ -251,13 +338,8 @@ impl SpanCollector {
             self.spans.pop_front();
             self.dropped += 1;
         }
-        self.spans.push_back(Span {
-            seq,
-            kind,
-            start_ms,
-            end_ms,
-            attrs,
-        });
+        self.spans
+            .push_back(Span::new(seq, kind, start_ms, end_ms, attrs));
         seq
     }
 
@@ -297,7 +379,7 @@ impl SpanCollector {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for span in &self.spans {
-            out.push_str(&span.to_json());
+            span.push_json(&mut out);
             out.push('\n');
         }
         out
@@ -310,8 +392,12 @@ mod tests {
 
     #[test]
     fn attr_values_compare_and_render_by_content() {
-        assert_eq!(AttrValue::from(5u64), AttrValue::Str("5".to_owned()));
-        assert_eq!(AttrValue::from("x"), AttrValue::Str("x".to_owned()));
+        assert_eq!(AttrValue::from(5u64), AttrValue::from("5".to_owned()));
+        assert_eq!(AttrValue::from("x"), AttrValue::from("x".to_owned()));
+        assert_eq!(
+            AttrValue::Indexed("existing:", 3),
+            AttrValue::from("existing:3")
+        );
         let shared: Arc<str> = "app".into();
         assert_eq!(AttrValue::from(shared), AttrValue::Static("app"));
         assert_ne!(AttrValue::from(5u64), AttrValue::from(6u64));
@@ -319,7 +405,7 @@ mod tests {
     }
 
     fn span_at(c: &mut SpanCollector, ms: u64) -> u64 {
-        c.record(SpanKind::TaskRun, ms, ms + 10, Vec::new())
+        c.record(SpanKind::TaskRun, ms, ms + 10, [])
     }
 
     #[test]
@@ -358,7 +444,11 @@ mod tests {
             SpanKind::PolicyPlace,
             60_000,
             60_000,
-            vec![("app".into(), "a\"b".to_string().into())],
+            [
+                ("app", "a\"b".to_string().into()),
+                ("alarm", 7u64.into()),
+                ("placement", AttrValue::Indexed("existing:", 2)),
+            ],
         );
         span_at(&mut c, 70_000);
         let jsonl = c.to_jsonl();
@@ -367,8 +457,36 @@ mod tests {
         assert_eq!(
             first,
             "{\"seq\":0,\"kind\":\"policy_place\",\"start_ms\":60000,\
-             \"end_ms\":60000,\"attrs\":{\"app\":\"a\\\"b\"}}"
+             \"end_ms\":60000,\"attrs\":{\"app\":\"a\\\"b\",\"alarm\":\"7\",\
+             \"placement\":\"existing:2\"}}"
         );
+    }
+
+    #[test]
+    fn attrs_live_inline_under_their_schema_keys() {
+        // Four inline values keep a retained span within two cache lines.
+        let size = std::mem::size_of::<Span>();
+        assert!(size <= 128, "{size}");
+        for kind in SpanKind::ALL {
+            assert!(kind.attr_keys().len() <= SPAN_ATTR_CAPACITY);
+        }
+        let span = Span::new(
+            0,
+            SpanKind::TaskRun,
+            0,
+            5,
+            [("app", "mail".into()), ("entry_size", 2usize.into())],
+        );
+        let attrs: Vec<(&str, String)> = span
+            .attrs()
+            .map(|(k, v)| (k, v.render().into_owned()))
+            .collect();
+        assert_eq!(
+            attrs,
+            [("app", "mail".to_owned()), ("entry_size", "2".to_owned())]
+        );
+        let bare = Span::new(1, SpanKind::WakeCycle, 0, 1, []);
+        assert_eq!(bare.attrs().count(), 0);
     }
 
     #[test]

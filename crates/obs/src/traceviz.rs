@@ -58,7 +58,7 @@ impl TraceBuilder {
         let ts = span.start_ms * 1000;
         let dur = span.end_ms.saturating_sub(span.start_ms) * 1000;
         let mut args = format!("{{\"seq\":{}", span.seq);
-        for (key, value) in &span.attrs {
+        for (key, value) in span.attrs() {
             args.push_str(&format!(
                 ",{}:{}",
                 json_string(key),
@@ -136,15 +136,12 @@ mod tests {
 
     fn sample_spans() -> SpanCollector {
         let mut c = SpanCollector::new(8);
-        c.record(SpanKind::WakeCycle, 100, 150, Vec::new());
+        c.record(SpanKind::WakeCycle, 100, 150, []);
         c.record(
             SpanKind::PolicyPlace,
             120,
             120,
-            vec![
-                ("app".into(), AttrValue::Static("mail")),
-                ("placement".into(), AttrValue::U64(7)),
-            ],
+            [("app", AttrValue::Static("mail")), ("alarm", AttrValue::U64(7))],
         );
         c
     }
@@ -166,7 +163,7 @@ mod tests {
         assert!(doc.contains(
             "{\"name\":\"policy_place\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"t\",\
              \"pid\":0,\"tid\":1,\"ts\":120000,\
-             \"args\":{\"seq\":1,\"app\":\"mail\",\"placement\":\"7\"}}"
+             \"args\":{\"seq\":1,\"app\":\"mail\",\"alarm\":\"7\"}}"
         ));
         // Track metadata present.
         assert!(doc.contains("\"name\":\"thread_name\""));

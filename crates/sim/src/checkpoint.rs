@@ -1104,9 +1104,9 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
             s.kind.as_str(),
             s.start_ms,
             s.end_ms,
-            s.attrs.len()
+            s.attrs().count()
         );
-        for (k, v) in &s.attrs {
+        for (k, v) in s.attrs() {
             line.push(',');
             line.push_str(&esc(k));
             line.push(',');
@@ -2199,6 +2199,12 @@ pub(crate) fn restore(
     let obs_next_seq = p.kv_u64("obs_next_seq")?;
     let obs_span_dropped = p.kv_u64("obs_span_dropped")?;
     let n = p.count("obs_spans")?;
+    if n > config.span_capacity {
+        return Err(p.err(format!(
+            "{n} spans exceed the ring's capacity {}",
+            config.span_capacity
+        )));
+    }
     let mut spans = Vec::with_capacity(n);
     for _ in 0..n {
         let v = p.kv("os")?;
@@ -2206,7 +2212,19 @@ pub(crate) fn restore(
         if parts.len() < 5 {
             return Err(p.err(format!("span needs at least 5 fields, got {}", parts.len())));
         }
+        let kind = SpanKind::parse(parts[1])
+            .ok_or_else(|| p.err(format!("invalid span kind `{}`", parts[1])))?;
+        // A span's attributes are its kind's schema keys, in order, at
+        // most as many as the inline storage holds.
+        let keys = kind.attr_keys();
         let nattrs = p.usize_of(parts[4])?;
+        if nattrs > keys.len() {
+            return Err(p.err(format!(
+                "{} span carries at most {} attrs, got {nattrs}",
+                kind.as_str(),
+                keys.len()
+            )));
+        }
         if parts.len() != 5 + 2 * nattrs {
             return Err(p.err(format!(
                 "span with {nattrs} attrs expects {} fields, got {}",
@@ -2214,22 +2232,25 @@ pub(crate) fn restore(
                 parts.len()
             )));
         }
-        let kind = SpanKind::parse(parts[1])
-            .ok_or_else(|| p.err(format!("invalid span kind `{}`", parts[1])))?;
-        let mut attrs = Vec::with_capacity(nattrs);
-        for i in 0..nattrs {
-            attrs.push((
-                unesc(parts[5 + 2 * i]).into(),
-                unesc(parts[6 + 2 * i]).into(),
-            ));
+        let keys = &keys[..nattrs];
+        for (i, &key) in keys.iter().enumerate() {
+            // Keys are plain identifiers, which `esc` leaves as they are.
+            let found = parts[5 + 2 * i];
+            if found != key {
+                return Err(p.err(format!(
+                    "{} span attr {i} must be `{key}`, got `{found}`",
+                    kind.as_str()
+                )));
+            }
         }
-        spans.push(Span {
-            seq: p.u64_of(parts[0])?,
+        let values = (0..nattrs).map(|i| unesc(parts[6 + 2 * i]).into());
+        spans.push(Span::new(
+            p.u64_of(parts[0])?,
             kind,
-            start_ms: p.u64_of(parts[2])?,
-            end_ms: p.u64_of(parts[3])?,
-            attrs,
-        });
+            p.u64_of(parts[2])?,
+            p.u64_of(parts[3])?,
+            keys.iter().copied().zip(values),
+        ));
     }
     obs.spans =
         SpanCollector::from_parts(config.span_capacity, obs_next_seq, obs_span_dropped, spans);
@@ -2518,5 +2539,81 @@ mod tests {
         // The temp file never survives a successful write.
         assert!(!dir.join("ckpt-000000.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A SIMTY snapshot whose span ring holds `policy_place` spans, with
+    /// `edit` applied to the first such span line of its body.
+    fn edited_span_snapshot(edit: impl Fn(&str) -> String) -> Checkpoint {
+        use simty_core::policy::SimtyPolicy;
+        let mut sim = Simulation::new(
+            Box::new(SimtyPolicy::new()),
+            SimConfig::new().with_duration(SimDuration::from_mins(10)),
+        );
+        for (label, nominal_s) in [("a", 60), ("b", 90)] {
+            let alarm = Alarm::builder(label)
+                .nominal(SimTime::from_secs(nominal_s))
+                .repeating_static(SimDuration::from_secs(120))
+                .window_fraction(0.5)
+                .grace_fraction(0.9)
+                .build()
+                .unwrap();
+            sim.register(alarm).unwrap();
+        }
+        sim.run_until(SimTime::from_secs(300));
+        let mut snapshot = sim.checkpoint();
+        let line = snapshot
+            .body
+            .lines()
+            .find(|l| l.starts_with("os=") && l.contains(",policy_place,"))
+            .expect("a placement span was captured")
+            .to_owned();
+        snapshot.body = snapshot.body.replacen(&line, &edit(&line), 1);
+        snapshot
+    }
+
+    fn restore_error(snapshot: &Checkpoint) -> String {
+        use simty_core::policy::SimtyPolicy;
+        match restore(Box::new(SimtyPolicy::new()), snapshot) {
+            Err(CheckpointError::Malformed { message, .. }) => message,
+            other => panic!("expected a malformed-body error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn span_lines_must_fit_their_kinds_schema() {
+        // The unedited snapshot restores.
+        let intact = edited_span_snapshot(str::to_owned);
+        assert!(restore(Box::new(simty_core::policy::SimtyPolicy::new()), &intact).is_ok());
+
+        // One attribute more than the inline storage holds.
+        let extra = edited_span_snapshot(|line| {
+            let (head, attrs) = line.split_at(line.find(",4,").unwrap());
+            format!("{head},5{},extra,x", &attrs[2..])
+        });
+        let message = restore_error(&extra);
+        assert!(message.contains("at most 4 attrs, got 5"), "{message}");
+
+        // A count past any capacity is refused before any arithmetic on it.
+        let huge =
+            edited_span_snapshot(|line| line.replacen(",4,", &format!(",{},", usize::MAX), 1));
+        assert!(restore_error(&huge).contains("at most 4 attrs"));
+
+        // A key off the schema.
+        let renamed = edited_span_snapshot(|line| line.replacen(",app,", ",ap,", 1));
+        let message = restore_error(&renamed);
+        assert!(
+            message.contains("attr 0 must be `app`, got `ap`"),
+            "{message}"
+        );
+
+        // More spans than the restored ring holds.
+        let mut crowded = intact.clone();
+        crowded.body = crowded.body.replacen(
+            "\naudit_capacity=4096\n",
+            "\naudit_capacity=4096\nspan_capacity=1\n",
+            1,
+        );
+        let message = restore_error(&crowded);
+        assert!(message.contains("exceed the ring's capacity 1"), "{message}");
     }
 }

@@ -16,6 +16,7 @@
 //! is awake, and external wake events (push messages, the user pressing
 //! the power button) can be injected.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -354,9 +355,9 @@ impl Simulation {
                         SpanKind::WatchdogIntervention,
                         t.as_millis(),
                         t.as_millis(),
-                        vec![
-                            ("app".into(), app.to_string().into()),
-                            ("kind".into(), "admission_demotion".into()),
+                        [
+                            ("app", app.to_string().into()),
+                            ("kind", "admission_demotion".into()),
                         ],
                     );
                 }
@@ -566,7 +567,9 @@ impl Simulation {
     }
 
     /// Processes events up to and including `end` (bounded by the
-    /// configured duration), leaving the simulation resumable.
+    /// configured duration), leaving the simulation resumable. Pausing
+    /// changes nothing: a run paused here and carried on ends
+    /// byte-identical to one never paused.
     pub fn run_until(&mut self, end: SimTime) {
         let end = end.min(SimTime::ZERO + self.config.duration);
         self.arm_clocks();
@@ -576,9 +579,16 @@ impl Simulation {
             self.run_loop::<false>(end);
         }
         self.now = self.now.max(end);
+        if self.now < SimTime::ZERO + self.config.duration {
+            // A pause leaves the open energy segment uncommitted: closing
+            // it here would accrue one segment as two float sums, and the
+            // paused run would end a few ULPs off the run never paused.
+            // The next event, or the end of the run, commits it whole.
+            return;
+        }
         self.device.advance_to(self.now);
         self.ledger.advance_to(self.now, !self.device.is_asleep());
-        if !self.energy_checked && self.now >= SimTime::ZERO + self.config.duration {
+        if !self.energy_checked {
             self.energy_checked = true;
             if let Some(m) = &mut self.monitor {
                 let e = self.device.energy();
@@ -679,8 +689,16 @@ impl Simulation {
         if span.is_zero() {
             return Err(SimError::ReportBeforeRun);
         }
-        let mut report =
-            SimReport::compute(self.manager.policy_name(), span, &self.trace, &self.device);
+        // A paused run has not committed its open energy segment (see
+        // `run_until`): report a copy of the device brought up to `now`.
+        let device = if self.device.clock() < self.now {
+            let mut ahead = self.device.clone();
+            ahead.advance_to(self.now);
+            Cow::Owned(ahead)
+        } else {
+            Cow::Borrowed(&self.device)
+        };
+        let mut report = SimReport::compute(self.manager.policy_name(), span, &self.trace, &device);
         if let Some(m) = &self.monitor {
             report.resilience.invariant_violations = m.violations().len() as u64;
             report.resilience.perceptible_window_misses = m.window_misses();
@@ -705,12 +723,8 @@ impl Simulation {
     /// last drain into the observability layer (a counter bump, a
     /// `policy_place` span, and a slot in the audit ring each).
     fn drain_audits(&mut self) {
-        if !self.manager.audit_enabled() {
-            return;
-        }
-        for audit in self.manager.take_audits() {
-            self.obs.note_placement(audit);
-        }
+        let obs = &mut self.obs;
+        self.manager.drain_audits(|audit| obs.note_placement(audit));
     }
 
     fn handle(&mut self, kind: EventKind, t: SimTime) {
@@ -874,7 +888,7 @@ impl Simulation {
                         SpanKind::CheckpointWrite,
                         t.as_millis(),
                         t.as_millis(),
-                        Vec::new(),
+                        [],
                     );
                     let t0 = Instant::now();
                     let snapshot = crate::checkpoint::capture(self);
@@ -932,11 +946,11 @@ impl Simulation {
                 SpanKind::DegradationTransition,
                 t.as_millis(),
                 t.as_millis(),
-                vec![
-                    ("from".into(), from.name().to_owned().into()),
-                    ("to".into(), target.name().to_owned().into()),
-                    ("soc_milli".into(), soc.to_string().into()),
-                    ("restamped".into(), restamped.to_string().into()),
+                [
+                    ("from", from.name().to_owned().into()),
+                    ("to", target.name().to_owned().into()),
+                    ("soc_milli", soc.to_string().into()),
+                    ("restamped", restamped.to_string().into()),
                 ],
             );
         }
@@ -1083,9 +1097,9 @@ impl Simulation {
                         SpanKind::WatchdogIntervention,
                         t.as_millis(),
                         t.as_millis(),
-                        vec![
-                            ("app".into(), app.to_string().into()),
-                            ("kind".into(), "quarantine".into()),
+                        [
+                            ("app", app.to_string().into()),
+                            ("kind", "quarantine".into()),
                         ],
                     );
                 }
@@ -1124,9 +1138,9 @@ impl Simulation {
                 SpanKind::WatchdogIntervention,
                 (now - held).as_millis(),
                 now.as_millis(),
-                vec![
-                    ("app".into(), app.to_owned().into()),
-                    ("kind".into(), "forced_release".into()),
+                [
+                    ("app", app.to_owned().into()),
+                    ("kind", "forced_release".into()),
                 ],
             );
         }
@@ -1356,9 +1370,9 @@ impl Simulation {
                 SpanKind::TaskRun,
                 t.as_millis(),
                 hold_until.as_millis(),
-                vec![
-                    ("app".into(), Arc::clone(&label).into()),
-                    ("entry_size".into(), entry_size.into()),
+                [
+                    ("app", Arc::clone(&label).into()),
+                    ("entry_size", entry_size.into()),
                 ],
             );
         }

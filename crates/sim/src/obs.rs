@@ -10,9 +10,27 @@
 //! [`StageProfile`](simty_obs::StageProfile), which the engine keeps out
 //! of every deterministic export.
 //!
-//! The layer is on by default: its hot-path cost is a few counter bumps
-//! per delivery plus one ring insertion per placement decision. Runs
-//! that only need the deterministic trace and report can switch it off
+//! The layer is on by default. Its hot-path cost is a few counter bumps
+//! per delivery plus one span and one audit ring insertion per placement
+//! decision, and none of it allocates once the rings are full:
+//!
+//! * a span keeps its attributes inline (see [`simty_obs::Span`]);
+//!   numbers, placements (`existing:{idx}`), and labels are formatted
+//!   only at export;
+//! * counters are bumped through handles resolved once, on first use;
+//! * the manager's audit sink keeps its buffer across drains, and each
+//!   audit the ring evicts hands its candidate buffer back to the
+//!   manager for the next decision;
+//! * the report's metrics snapshot renders into one pre-sized string,
+//!   and the help text of every family is borrowed, not copied.
+//!
+//! What still allocates is growth: the rings, the alias table (once per
+//! new alarm), and the first series of a component. A full-ring run's
+//! second half allocates within a few percent as often as an
+//! uninstrumented run's (`tests/alloc_profile.rs`). The overhead left
+//! is work, not heap churn: stage clock reads, counter and histogram
+//! updates, and rendering the snapshot. Runs that only need the
+//! deterministic trace and report can switch it off
 //! ([`SimConfig::without_obs`](crate::config::SimConfig::without_obs) /
 //! `standby sweep --no-obs`): a [`disabled`](ObsLayer::disabled) layer
 //! records nothing, every export renders empty, and the engine hoists
@@ -68,6 +86,10 @@ pub struct ObsLayer {
     /// Component name → counter handle, filled lazily; the hardware set
     /// is tiny, so a linear scan beats hashing.
     component_keys: Vec<(String, CounterHandle)>,
+    /// The `existing` and `new_entry` placement counters, each resolved
+    /// on its first placement (the series appears exactly when a
+    /// name-keyed increment would have created it).
+    placement_keys: [Option<CounterHandle>; 2],
 }
 
 /// Pre-resolved [`MetricsRegistry`] slots for the metrics touched on
@@ -217,6 +239,7 @@ impl ObsLayer {
             enabled: true,
             hot,
             component_keys: Vec::new(),
+            placement_keys: [None; 2],
         }
     }
 
@@ -245,6 +268,7 @@ impl ObsLayer {
             enabled: false,
             hot,
             component_keys: Vec::new(),
+            placement_keys: [None; 2],
         }
     }
 
@@ -292,39 +316,53 @@ impl ObsLayer {
     }
 
     /// Ingests one placement decision: bumps the placement counter,
-    /// records a `policy_place` span, and retains the audit (evicting the
-    /// oldest when the ring is full).
-    pub(crate) fn note_placement(&mut self, audit: PlacementAudit) {
+    /// records a `policy_place` span, and retains the audit. Returns the
+    /// oldest audit when the full ring evicts it, so its buffers can be
+    /// reused.
+    pub(crate) fn note_placement(&mut self, audit: PlacementAudit) -> Option<PlacementAudit> {
         if !self.enabled {
-            return;
+            return None;
         }
-        let placement = match audit.placement {
-            Placement::Existing(idx) => AttrValue::Str(format!("existing:{idx}")),
-            Placement::NewEntry => AttrValue::Static("new_entry"),
+        let (slot, series, placement) = match audit.placement {
+            Placement::Existing(idx) => (
+                0,
+                "sim_placements_total{placement=\"existing\"}",
+                match u32::try_from(idx) {
+                    Ok(idx) => AttrValue::Indexed("existing:", idx),
+                    Err(_) => AttrValue::from(format!("existing:{idx}")),
+                },
+            ),
+            Placement::NewEntry => (
+                1,
+                "sim_placements_total{placement=\"new_entry\"}",
+                AttrValue::Static("new_entry"),
+            ),
         };
-        let placement_key = match audit.placement {
-            Placement::Existing(_) => "sim_placements_total{placement=\"existing\"}",
-            Placement::NewEntry => "sim_placements_total{placement=\"new_entry\"}",
-        };
-        self.metrics.inc(placement_key);
+        let metrics = &mut self.metrics;
+        let handle =
+            *self.placement_keys[slot].get_or_insert_with(|| metrics.counter_handle(series));
+        self.metrics.inc_counter(handle);
         let ordinal = self.alias(audit.alarm_id);
         let at = audit.at.as_millis();
         self.spans.record(
             SpanKind::PolicyPlace,
             at,
             at,
-            vec![
-                ("app".into(), Arc::clone(&audit.app).into()),
-                ("alarm".into(), ordinal.into()),
-                ("placement".into(), placement),
-                ("candidates".into(), audit.candidates.len().into()),
+            [
+                ("app", Arc::clone(&audit.app).into()),
+                ("alarm", ordinal.into()),
+                ("placement", placement),
+                ("candidates", audit.candidates.len().into()),
             ],
         );
-        if self.audits.len() == self.audit_capacity {
-            self.audits.pop_front();
+        let evicted = if self.audits.len() == self.audit_capacity {
             self.audit_dropped += 1;
-        }
+            self.audits.pop_front()
+        } else {
+            None
+        };
         self.audits.push_back(audit);
+        evicted
     }
 
     /// The device left sleep at `t`: opens a wake cycle and counts it.
@@ -373,7 +411,7 @@ impl ObsLayer {
     pub(crate) fn wake_ended(&mut self, t: SimTime) {
         if let Some(start) = self.wake_open.take() {
             self.spans
-                .record(SpanKind::WakeCycle, start.as_millis(), t.as_millis(), Vec::new());
+                .record(SpanKind::WakeCycle, start.as_millis(), t.as_millis(), []);
         }
     }
 

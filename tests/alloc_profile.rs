@@ -1,0 +1,120 @@
+//! The observability layer's allocation profile.
+//!
+//! A counting global allocator tallies the heap allocations of the
+//! calling thread. Once a fleet-capacity device's span and audit rings
+//! are full, recording a span or retiring an audit must reuse storage
+//! the run already owns, so the instrumented run's second half allocates
+//! about as often as its uninstrumented twin's.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use simty::apps::WorkloadBuilder;
+use simty::core::{SimDuration, SimTime};
+use simty::experiments::PolicyKind;
+use simty::sim::{SimConfig, Simulation};
+use simty_bench::fleet::{FLEET_AUDIT_CAPACITY, FLEET_SPAN_CAPACITY};
+
+/// Forwards to the system allocator, counting this thread's
+/// allocations (reallocations included).
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: allocations made while the thread tears down its
+    // locals go uncounted instead of panicking.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards unchanged to `System`; the counter is a
+// const-initialized thread-local, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+const DURATION: SimDuration = SimDuration::from_hours(3);
+const MID_RUN: SimDuration = SimDuration::from_mins(90);
+
+/// A SIMTY heavy device with the fleet's ring capacities, registered and
+/// run to mid-run.
+fn half_run(obs: bool) -> Simulation {
+    let workload = WorkloadBuilder::heavy()
+        .with_seed(1)
+        .with_beta(0.96)
+        .with_duration(DURATION)
+        .build();
+    let mut config = SimConfig::new()
+        .with_duration(DURATION)
+        .with_span_capacity(FLEET_SPAN_CAPACITY)
+        .with_audit_capacity(FLEET_AUDIT_CAPACITY);
+    if !obs {
+        config = config.without_obs();
+    }
+    let mut sim = Simulation::new(PolicyKind::Simty.build(), config);
+    for alarm in workload.alarms {
+        sim.register(alarm)
+            .expect("workload alarm registers cleanly");
+    }
+    sim.run_until(SimTime::ZERO + MID_RUN);
+    sim
+}
+
+#[test]
+fn a_full_ring_run_allocates_like_its_uninstrumented_twin() {
+    let end = SimTime::ZERO + DURATION;
+    let mut on = half_run(true);
+    assert_eq!(
+        on.obs().spans().len(),
+        FLEET_SPAN_CAPACITY,
+        "span ring full"
+    );
+    assert_eq!(
+        on.obs().audits().count(),
+        FLEET_AUDIT_CAPACITY,
+        "audit ring full"
+    );
+    let mut off = half_run(false);
+    let (spans, audits) = (on.obs().spans().dropped(), on.obs().audit_dropped());
+
+    let on_allocs = allocations(|| on.run_until(end));
+    let off_allocs = allocations(|| off.run_until(end));
+    eprintln!("second half: {on_allocs} allocations instrumented, {off_allocs} not");
+    assert!(
+        on.obs().spans().dropped() > spans && on.obs().audit_dropped() > audits,
+        "the second half evicted from both rings"
+    );
+    assert!(
+        on_allocs as f64 <= off_allocs as f64 * 1.05,
+        "instrumented second half allocated {on_allocs} times, uninstrumented {off_allocs}"
+    );
+}
