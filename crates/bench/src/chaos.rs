@@ -7,24 +7,18 @@
 //! policy × scenario × [fault profile](FaultProfile) × seed cells, each a
 //! full simulation with deterministic fault injection ([`FaultPlan`]),
 //! the online watchdog ([`OnlineWatchdogConfig`]), and the runtime
-//! invariant monitor armed in report mode. The campaign fans out
-//! on the [`Sweep`] executor, so results are byte-identical
+//! invariant monitor armed in report mode. The campaign runs on the
+//! [campaign kernel](crate::campaign), so results are byte-identical
 //! regardless of thread count, and serializes to the
 //! `simty-bench-chaos/v1` document (`BENCH_chaos.json`).
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::io;
-use std::path::Path;
+use std::collections::BTreeSet;
 
 use simty::core::{SimDuration, SimTime};
-use simty::experiments::{PolicyKind, Scenario};
-use simty::obs::QuantileSummary;
-use simty::sim::json::{json_number, json_string, report_to_json};
-use simty::sim::{FaultPlan, OnlineWatchdogConfig, SimConfig, SimReport, Simulation};
+use simty::sim::json::{json_number, json_string};
+use simty::sim::{FaultPlan, OnlineWatchdogConfig, SimConfig, SimReport};
 
-use crate::journal::JournalError;
-use crate::supervisor::{CellStatus, HarnessStats};
-use crate::sweep::{CampaignOptions, Sweep};
+use crate::campaign::{self, json_object, sum, Campaign, CampaignResults, CampaignSpec, Profile};
 
 /// A named bundle of fault-injection knobs: one adversary per campaign
 /// cell.
@@ -53,9 +47,8 @@ pub enum FaultProfile {
     Mixed,
 }
 
-impl FaultProfile {
-    /// Every profile, in campaign order.
-    pub const ALL: [FaultProfile; 9] = [
+impl Profile for FaultProfile {
+    const ALL: &'static [FaultProfile] = &[
         FaultProfile::Baseline,
         FaultProfile::Jitter,
         FaultProfile::Drops,
@@ -67,8 +60,7 @@ impl FaultProfile {
         FaultProfile::Mixed,
     ];
 
-    /// The profile's CLI / report name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             FaultProfile::Baseline => "baseline",
             FaultProfile::Jitter => "jitter",
@@ -81,12 +73,9 @@ impl FaultProfile {
             FaultProfile::Mixed => "mixed",
         }
     }
+}
 
-    /// Parses a profile name (the inverse of [`name`](Self::name)).
-    pub fn parse(name: &str) -> Option<FaultProfile> {
-        FaultProfile::ALL.into_iter().find(|p| p.name() == name)
-    }
-
+impl FaultProfile {
     /// Compiles the profile into a concrete [`FaultPlan`] for a run of
     /// `duration`. `crash_app` is the label sacrificed by crash-bearing
     /// profiles (callers pick it deterministically from the workload).
@@ -128,145 +117,101 @@ impl FaultProfile {
     }
 }
 
-/// One campaign cell: a policy defending a scenario against a fault
-/// profile under a seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosSpec {
-    /// The alignment policy under test.
-    pub policy: PolicyKind,
-    /// The workload scenario.
-    pub scenario: Scenario,
-    /// The adversary.
-    pub profile: FaultProfile,
-    /// RNG seed shared by the workload and the fault plan.
-    pub seed: u64,
-    /// Simulated span.
-    pub duration: SimDuration,
-}
+/// The chaos campaign: every cell defends against a [`FaultProfile`].
+#[derive(Debug, Clone, Copy)]
+pub enum Chaos {}
 
-impl ChaosSpec {
-    /// A compact identity for sweep outputs, e.g.
-    /// `SIMTY/heavy/mixed/seed1/3600s`.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}/{}/seed{}/{}s",
-            self.policy.name(),
-            self.scenario.name(),
-            self.profile.name(),
-            self.seed,
-            self.duration.as_millis() / 1_000
-        )
-    }
+/// One chaos cell.
+pub type ChaosSpec = CampaignSpec<FaultProfile>;
+
+/// A finished chaos campaign.
+pub type ChaosResults = CampaignResults<Chaos>;
+
+impl Campaign for Chaos {
+    type Profile = FaultProfile;
+    type Drill = ();
+    type Aggregate = PolicyResilience;
+
+    const KIND: &'static str = "chaos";
 
     /// Executes the cell: builds the workload, arms the online watchdog
     /// and the invariant monitor (report mode), injects the profile's
     /// fault plan, and runs to the end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a catalogue alarm fails to register, which would be a
-    /// bug in the workload generator.
-    pub fn run(&self) -> SimReport {
-        let workload = self
-            .scenario
-            .builder()
-            .with_seed(self.seed)
-            .with_beta(0.96)
-            .with_duration(self.duration)
-            .build();
+    fn run_cell(spec: &ChaosSpec) -> (SimReport, ()) {
+        let workload = campaign::workload(spec.scenario, spec.seed, spec.duration);
         // Crash-bearing profiles sacrifice one app, picked
         // deterministically from the workload's label set by seed.
         let labels: BTreeSet<&str> = workload.alarms.iter().map(|a| a.label()).collect();
         let crash_app = labels
             .iter()
-            .nth(self.seed as usize % labels.len().max(1))
+            .nth(spec.seed as usize % labels.len().max(1))
             .copied()
             .unwrap_or("none");
-        let plan = self.profile.plan(self.seed, self.duration, crash_app);
+        let plan = spec.profile.plan(spec.seed, spec.duration, crash_app);
         let config = SimConfig::new()
-            .with_duration(self.duration)
+            .with_duration(spec.duration)
             .with_online_watchdog(OnlineWatchdogConfig::default())
             .with_invariants();
-        let mut sim = Simulation::new(self.policy.build(), config);
-        for alarm in workload.alarms {
-            sim.register(alarm).expect("workload alarm registers cleanly");
-        }
+        let mut sim = campaign::simulation(spec.policy, workload, config);
         sim.inject_faults(&plan);
-        sim.run()
+        (sim.run(), ())
     }
-}
 
-/// Builds the full campaign grid in deterministic enqueue order
-/// (policy-major, then scenario, profile, seed 1..=`seeds`).
-pub fn chaos_matrix(
-    policies: &[PolicyKind],
-    scenarios: &[Scenario],
-    profiles: &[FaultProfile],
-    seeds: u64,
-    duration: SimDuration,
-) -> Vec<ChaosSpec> {
-    let mut specs = Vec::new();
-    for &policy in policies {
-        for &scenario in scenarios {
-            for &profile in profiles {
-                for seed in 1..=seeds {
-                    specs.push(ChaosSpec {
-                        policy,
-                        scenario,
-                        profile,
-                        seed,
-                        duration,
-                    });
-                }
-            }
+    fn aggregate(policy: String, cells: &[(&SimReport, ())]) -> PolicyResilience {
+        let n = cells.len() as u64;
+        let recoveries = sum(cells, |r| r.resilience.recoveries);
+        let mttr_weighted: f64 = cells
+            .iter()
+            .map(|(r, _)| r.resilience.mean_time_to_recovery_ms * r.resilience.recoveries as f64)
+            .sum();
+        PolicyResilience {
+            policy,
+            runs: n,
+            invariant_violations: sum(cells, |r| r.resilience.invariant_violations),
+            perceptible_window_misses: sum(cells, |r| r.resilience.perceptible_window_misses),
+            interventions: sum(cells, |r| r.resilience.interventions),
+            forced_releases: sum(cells, |r| r.resilience.forced_releases),
+            activation_retries: sum(cells, |r| r.resilience.activation_retries),
+            quarantines: sum(cells, |r| r.resilience.quarantines),
+            recoveries,
+            mean_time_to_recovery_ms: if recoveries > 0 {
+                mttr_weighted / recoveries as f64
+            } else {
+                0.0
+            },
+            intervention_overhead_mj: cells
+                .iter()
+                .map(|(r, _)| r.resilience.intervention_overhead_mj)
+                .sum(),
+            perceptible_delay_avg: cells
+                .iter()
+                .map(|(r, _)| r.delays.perceptible_avg)
+                .sum::<f64>()
+                / n as f64,
+            perceptible_delay_max: cells
+                .iter()
+                .map(|(r, _)| r.delays.perceptible_max)
+                .fold(0.0, f64::max),
         }
     }
-    specs
-}
 
-/// Runs a campaign on `threads` sweep workers and collects the results
-/// in matrix order (byte-identical across thread counts). Default
-/// supervision, no journal.
-pub fn run_chaos(specs: &[ChaosSpec], threads: usize) -> ChaosResults {
-    run_chaos_with(specs, &CampaignOptions::with_threads(threads))
-        .expect("a journal-less chaos campaign cannot fail to open its journal")
-}
-
-/// Runs a campaign under explicit harness [`CampaignOptions`]: cell
-/// supervision (panicking or hung cells are quarantined, not fatal) and,
-/// when `journal_dir` is set, crash-tolerant resume — cells completed by
-/// a previous interrupted invocation are restored instead of re-run.
-///
-/// # Errors
-///
-/// [`JournalError`] when the journal directory holds a journal for a
-/// different campaign kind or grid, or cannot be opened.
-pub fn run_chaos_with(
-    specs: &[ChaosSpec],
-    options: &CampaignOptions,
-) -> Result<ChaosResults, JournalError> {
-    let mut sweep = Sweep::new();
-    sweep.with_supervisor(options.supervisor);
-    if let Some(dir) = &options.journal_dir {
-        sweep.with_journal(dir, "chaos");
+    fn aggregate_json(agg: &PolicyResilience) -> String {
+        json_object(&[
+            ("policy", json_string(&agg.policy)),
+            ("runs", agg.runs.to_string()),
+            ("invariant_violations", agg.invariant_violations.to_string()),
+            ("perceptible_window_misses", agg.perceptible_window_misses.to_string()),
+            ("interventions", agg.interventions.to_string()),
+            ("forced_releases", agg.forced_releases.to_string()),
+            ("activation_retries", agg.activation_retries.to_string()),
+            ("quarantines", agg.quarantines.to_string()),
+            ("recoveries", agg.recoveries.to_string()),
+            ("mean_time_to_recovery_ms", json_number(agg.mean_time_to_recovery_ms)),
+            ("intervention_overhead_mj", json_number(agg.intervention_overhead_mj)),
+            ("perceptible_delay_avg", json_number(agg.perceptible_delay_avg)),
+            ("perceptible_delay_max", json_number(agg.perceptible_delay_max)),
+        ])
     }
-    if let Some(sink) = &options.telemetry {
-        sweep.with_telemetry(sink.clone());
-    }
-    for &spec in specs {
-        sweep.job(spec.label(), move || spec.run());
-    }
-    let results = sweep.try_run_with_threads(options.threads)?;
-    Ok(ChaosResults {
-        journal_skips: results.journal_skips(),
-        cell_walls: results.cell_walls(),
-        runs: specs
-            .iter()
-            .copied()
-            .zip(results.outcomes().iter())
-            .map(|(spec, o)| (spec, o.status.clone(), o.report.clone()))
-            .collect(),
-    })
 }
 
 /// Per-policy resilience aggregate over every cell the policy defended.
@@ -301,209 +246,13 @@ pub struct PolicyResilience {
     pub perceptible_delay_max: f64,
 }
 
-/// A finished campaign: every cell's supervisor status and report (the
-/// report is `None` for quarantined cells), in matrix order.
-#[derive(Debug, Clone)]
-pub struct ChaosResults {
-    runs: Vec<(ChaosSpec, CellStatus, Option<SimReport>)>,
-    journal_skips: u64,
-    cell_walls: Vec<f64>,
-}
-
-impl ChaosResults {
-    /// The cells, their statuses, and their reports, in matrix order.
-    pub fn runs(&self) -> &[(ChaosSpec, CellStatus, Option<SimReport>)] {
-        &self.runs
-    }
-
-    /// The completed cells (quarantined cells carry no report).
-    fn completed(&self) -> impl Iterator<Item = (&ChaosSpec, &SimReport)> {
-        self.runs
-            .iter()
-            .filter_map(|(spec, _, report)| report.as_ref().map(|r| (spec, r)))
-    }
-
-    /// Cells restored from the campaign journal instead of executed in
-    /// this invocation (zero without `--resume`).
-    pub fn journal_skips(&self) -> u64 {
-        self.journal_skips
-    }
-
-    /// Exact p50/p90/p99/max over the executed cells' wall times (ms);
-    /// `None` when every cell was journal-restored. Wall-clock data:
-    /// surfaced only in the document header, never in the deterministic
-    /// body.
-    pub fn cell_wall_quantiles(&self) -> Option<QuantileSummary> {
-        QuantileSummary::exact(&self.cell_walls)
-    }
-
-    /// Supervisor accounting over the campaign.
-    pub fn harness(&self) -> HarnessStats {
-        let mut stats = HarnessStats::from_statuses(self.runs.iter().map(|(_, s, _)| s));
-        stats.journal_skips = self.journal_skips;
-        stats
-    }
-
-    /// The quarantined cells' `(label, reason)` pairs, in matrix order.
-    pub fn poisoned(&self) -> Vec<(String, String)> {
-        self.runs
-            .iter()
-            .filter_map(|(spec, status, _)| match status {
-                CellStatus::Poisoned { reason, .. } => Some((spec.label(), reason.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Total invariant violations across every completed cell.
-    pub fn total_violations(&self) -> u64 {
-        self.completed()
-            .map(|(_, r)| r.resilience.invariant_violations)
-            .sum()
-    }
-
-    /// Per-policy aggregates over the completed cells, sorted by policy
-    /// name.
-    pub fn aggregates(&self) -> Vec<PolicyResilience> {
-        let mut by_policy: BTreeMap<String, Vec<&SimReport>> = BTreeMap::new();
-        for (spec, report) in self.completed() {
-            by_policy.entry(spec.policy.name()).or_default().push(report);
-        }
-        by_policy
-            .into_iter()
-            .map(|(policy, reports)| {
-                let n = reports.len() as u64;
-                let sum = |f: fn(&SimReport) -> u64| reports.iter().map(|r| f(r)).sum::<u64>();
-                let recoveries = sum(|r| r.resilience.recoveries);
-                let mttr_weighted: f64 = reports
-                    .iter()
-                    .map(|r| {
-                        r.resilience.mean_time_to_recovery_ms
-                            * r.resilience.recoveries as f64
-                    })
-                    .sum();
-                PolicyResilience {
-                    policy,
-                    runs: n,
-                    invariant_violations: sum(|r| r.resilience.invariant_violations),
-                    perceptible_window_misses: sum(|r| r.resilience.perceptible_window_misses),
-                    interventions: sum(|r| r.resilience.interventions),
-                    forced_releases: sum(|r| r.resilience.forced_releases),
-                    activation_retries: sum(|r| r.resilience.activation_retries),
-                    quarantines: sum(|r| r.resilience.quarantines),
-                    recoveries,
-                    mean_time_to_recovery_ms: if recoveries > 0 {
-                        mttr_weighted / recoveries as f64
-                    } else {
-                        0.0
-                    },
-                    intervention_overhead_mj: reports
-                        .iter()
-                        .map(|r| r.resilience.intervention_overhead_mj)
-                        .sum(),
-                    perceptible_delay_avg: reports
-                        .iter()
-                        .map(|r| r.delays.perceptible_avg)
-                        .sum::<f64>()
-                        / n as f64,
-                    perceptible_delay_max: reports
-                        .iter()
-                        .map(|r| r.delays.perceptible_max)
-                        .fold(0.0, f64::max),
-                }
-            })
-            .collect()
-    }
-
-    /// Serializes the campaign as the `simty-bench-chaos/v1` document
-    /// body. Fully deterministic: no wall-clock or per-invocation
-    /// fields, so parallel, sequential, and journal-resumed campaigns
-    /// produce byte-identical bytes (`journal_skips` lives only in
-    /// [`to_json_document`](Self::to_json_document)'s header).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":\"simty-bench-chaos/v1\"");
-        out.push_str(&format!(",\"runs\":{}", self.runs.len()));
-        out.push_str(&format!(",\"harness\":{}", self.harness().to_json()));
-        out.push_str(",\"results\":[");
-        for (i, (spec, status, report)) in self.runs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":{},\"profile\":{},\"seed\":{},\"status\":{},\"report\":{}}}",
-                json_string(&spec.label()),
-                json_string(spec.profile.name()),
-                spec.seed,
-                json_string(&status.token()),
-                report
-                    .as_ref()
-                    .map_or_else(|| "null".to_owned(), report_to_json)
-            ));
-        }
-        out.push_str("],\"policies\":[");
-        for (i, agg) in self.aggregates().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"policy\":{},\"runs\":{},\"invariant_violations\":{},\
-                 \"perceptible_window_misses\":{},\"interventions\":{},\
-                 \"forced_releases\":{},\"activation_retries\":{},\
-                 \"quarantines\":{},\"recoveries\":{},\
-                 \"mean_time_to_recovery_ms\":{},\"intervention_overhead_mj\":{},\
-                 \"perceptible_delay_avg\":{},\"perceptible_delay_max\":{}}}",
-                json_string(&agg.policy),
-                agg.runs,
-                agg.invariant_violations,
-                agg.perceptible_window_misses,
-                agg.interventions,
-                agg.forced_releases,
-                agg.activation_retries,
-                agg.quarantines,
-                agg.recoveries,
-                json_number(agg.mean_time_to_recovery_ms),
-                json_number(agg.intervention_overhead_mj),
-                json_number(agg.perceptible_delay_avg),
-                json_number(agg.perceptible_delay_max),
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// The full on-disk document: [`to_json`](Self::to_json) plus the
-    /// per-invocation headers — `journal_skips` (how many cells this
-    /// invocation restored from the journal instead of running) and the
-    /// executed cells' wall-time quantiles (`null` when every cell was
-    /// restored).
-    pub fn to_json_document(&self) -> String {
-        let quantiles = QuantileSummary::exact(&self.cell_walls)
-            .map_or_else(|| "null".to_owned(), |q| q.to_json());
-        self.to_json().replacen(
-            "{\"schema\":\"simty-bench-chaos/v1\"",
-            &format!(
-                "{{\"schema\":\"simty-bench-chaos/v1\",\"journal_skips\":{},\
-                 \"quantiles\":{{\"cell_wall_ms\":{quantiles}}}",
-                self.journal_skips
-            ),
-            1,
-        )
-    }
-
-    /// Writes [`to_json_document`](Self::to_json_document) to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_json_document())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{matrix, run_campaign};
+    use crate::supervisor::CellStatus;
+    use crate::sweep::CampaignOptions;
+    use simty::experiments::{PolicyKind, Scenario};
 
     fn tiny(profile: FaultProfile, policy: PolicyKind) -> ChaosSpec {
         ChaosSpec {
@@ -517,7 +266,7 @@ mod tests {
 
     #[test]
     fn profile_names_round_trip() {
-        for p in FaultProfile::ALL {
+        for &p in FaultProfile::ALL {
             assert_eq!(FaultProfile::parse(p.name()), Some(p));
         }
         assert_eq!(FaultProfile::parse("bogus"), None);
@@ -525,7 +274,7 @@ mod tests {
 
     #[test]
     fn baseline_cell_is_quiet() {
-        let report = tiny(FaultProfile::Baseline, PolicyKind::Simty).run();
+        let (report, ()) = Chaos::run_cell(&tiny(FaultProfile::Baseline, PolicyKind::Simty));
         assert!(report.resilience.is_quiet(), "{:?}", report.resilience);
     }
 
@@ -534,17 +283,17 @@ mod tests {
         // An hour gives the 2% overrun draw enough deliveries to land.
         let mut spec = tiny(FaultProfile::Overruns, PolicyKind::Simty);
         spec.duration = SimDuration::from_hours(1);
-        let report = spec.run();
+        let (report, ()) = Chaos::run_cell(&spec);
         assert!(report.resilience.forced_releases > 0);
         assert_eq!(report.resilience.invariant_violations, 0);
     }
 
     #[test]
     fn matrix_covers_the_grid_in_order() {
-        let specs = chaos_matrix(
+        let specs = matrix(
             &[PolicyKind::Native, PolicyKind::Simty],
             &[Scenario::Light],
-            &FaultProfile::ALL,
+            FaultProfile::ALL,
             2,
             SimDuration::from_hours(1),
         );
@@ -555,19 +304,19 @@ mod tests {
 
     #[test]
     fn campaign_aggregates_and_serializes() {
-        let specs = chaos_matrix(
+        let specs = matrix(
             &[PolicyKind::Native, PolicyKind::Simty],
             &[Scenario::Light],
             &[FaultProfile::Baseline, FaultProfile::Overruns],
             1,
             SimDuration::from_mins(20),
         );
-        let results = run_chaos(&specs, 2);
+        let results =
+            run_campaign::<Chaos>(&specs, &CampaignOptions::with_threads(2)).expect("no journal");
         assert_eq!(results.runs().len(), 4);
         assert!(results
             .runs()
-            .iter()
-            .all(|(_, status, report)| *status == CellStatus::Ok && report.is_some()));
+            .all(|(_, status, report, _)| *status == CellStatus::Ok && report.is_some()));
         assert!(results.poisoned().is_empty());
         assert_eq!(results.journal_skips(), 0);
         let harness = results.harness();

@@ -17,6 +17,7 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
+pub mod campaign;
 pub mod chaos;
 pub mod diff;
 pub mod fleet;
@@ -26,24 +27,18 @@ pub mod storm;
 pub mod supervisor;
 pub mod sweep;
 
-pub use chaos::{
-    chaos_matrix, run_chaos, run_chaos_with, ChaosResults, ChaosSpec, FaultProfile,
-    PolicyResilience,
+pub use campaign::{
+    matrix, run_campaign, Campaign, CampaignResults, CampaignSpec, Drill, Profile,
 };
+pub use chaos::{Chaos, ChaosResults, ChaosSpec, FaultProfile, PolicyResilience};
 pub use fleet::{
     run_fleet, run_fleet_with, FleetConfig, FleetResults, PolicyAggregate, ShardSpec, FLEET_SCHEMA,
 };
 pub use diff::{diff_documents, DiffReport, DiffThresholds, JsonValue, Regression};
 pub use journal::{CampaignJournal, JournalEntry, JournalError};
 pub use supervisor::{CellStatus, HarnessStats, SupervisorConfig};
-pub use soak::{
-    run_soak, run_soak_with, soak_matrix, PolicyEndurance, SoakProfile, SoakRecovery, SoakResults,
-    SoakSpec,
-};
-pub use storm::{
-    run_storm, run_storm_with, storm_matrix, PolicyOverload, StormProfile, StormRecovery,
-    StormResults, StormSpec,
-};
+pub use soak::{PolicyEndurance, Soak, SoakProfile, SoakRecovery, SoakResults, SoakSpec};
+pub use storm::{PolicyOverload, Storm, StormProfile, StormRecovery, StormResults, StormSpec};
 pub use simty::experiments::{
     motivating_example, motivating_example_report, paper_runs, paper_specs, Averages, PolicyKind,
     RunSpec, Scenario,

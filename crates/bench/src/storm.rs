@@ -11,22 +11,16 @@
 //! byte-identically. Results serialize to the `simty-bench-storm/v1`
 //! document (`BENCH_storm.json`).
 
-use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
-
 use simty::core::admission::AdmissionConfig;
 use simty::core::{SimDuration, SimTime};
-use simty::experiments::{PolicyKind, Scenario};
-use simty::obs::QuantileSummary;
-use simty::sim::json::{json_string, report_to_json};
+use simty::sim::json::json_string;
 use simty::sim::{
     GovernorConfig, RegistrationStormPlan, SimConfig, SimReport, Simulation, StormBurst,
 };
 
-use crate::journal::JournalError;
-use crate::supervisor::{CellStatus, HarnessStats};
-use crate::sweep::{CampaignOptions, JobResult, Sweep};
+use crate::campaign::{
+    self, json_object, sum, Campaign, CampaignResults, CampaignSpec, Drill, Profile,
+};
 
 /// A named overload adversary: what floods the manager and how far the
 /// battery falls.
@@ -50,9 +44,8 @@ pub enum StormProfile {
     Unprotected,
 }
 
-impl StormProfile {
-    /// Every profile, in campaign order.
-    pub const ALL: [StormProfile; 5] = [
+impl Profile for StormProfile {
+    const ALL: &'static [StormProfile] = &[
         StormProfile::QuotaStorm,
         StormProfile::DrainSaver,
         StormProfile::DrainCritical,
@@ -60,8 +53,7 @@ impl StormProfile {
         StormProfile::Unprotected,
     ];
 
-    /// The profile's CLI / report name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             StormProfile::QuotaStorm => "quota-storm",
             StormProfile::DrainSaver => "drain-saver",
@@ -70,12 +62,9 @@ impl StormProfile {
             StormProfile::Unprotected => "unprotected",
         }
     }
+}
 
-    /// Parses a profile name (the inverse of [`name`](Self::name)).
-    pub fn parse(name: &str) -> Option<StormProfile> {
-        StormProfile::ALL.into_iter().find(|p| p.name() == name)
-    }
-
+impl StormProfile {
     /// The admission quota the profile registers under.
     fn admission(self) -> Option<AdmissionConfig> {
         match self {
@@ -104,22 +93,6 @@ impl StormProfile {
     }
 }
 
-/// One campaign cell: a policy enduring a scenario under a storm profile
-/// and seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StormSpec {
-    /// The alignment policy under test.
-    pub policy: PolicyKind,
-    /// The workload scenario beneath the storm.
-    pub scenario: Scenario,
-    /// The overload adversary.
-    pub profile: StormProfile,
-    /// RNG seed shared by the workload and the storm plan.
-    pub seed: u64,
-    /// Simulated span.
-    pub duration: SimDuration,
-}
-
 /// What the resume drill observed for one cell, alongside its
 /// straight-through report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,19 +106,16 @@ pub struct StormRecovery {
     pub restore_ok: bool,
 }
 
-impl StormRecovery {
-    /// Encodes the drill outcome as the campaign journal's `extra`
-    /// payload, so a journal-restored cell keeps its resume digest.
-    fn to_extra(self) -> String {
-        format!(
+impl Drill for StormRecovery {
+    fn to_extra(self) -> Option<String> {
+        Some(format!(
             "{}:{}:{}",
             self.checkpoints,
             u8::from(self.resumed_identical),
             u8::from(self.restore_ok)
-        )
+        ))
     }
 
-    /// Reverses [`to_extra`](Self::to_extra).
     fn from_extra(extra: &str) -> Option<StormRecovery> {
         let fields: Vec<&str> = extra.split(':').collect();
         let [checkpoints, resumed_identical, restore_ok] = fields[..] else {
@@ -157,216 +127,168 @@ impl StormRecovery {
             restore_ok: restore_ok == "1",
         })
     }
+
+    fn cell_fields(rec: Option<StormRecovery>) -> Vec<(&'static str, String)> {
+        let field = |value: fn(StormRecovery) -> String| {
+            rec.map_or_else(|| "null".to_owned(), value)
+        };
+        vec![
+            ("checkpoints", field(|r| r.checkpoints.to_string())),
+            ("restore_ok", field(|r| r.restore_ok.to_string())),
+            ("resumed_identical", field(|r| r.resumed_identical.to_string())),
+        ]
+    }
+
+    fn recovered(self) -> bool {
+        self.restore_ok && self.resumed_identical
+    }
 }
 
-impl StormSpec {
-    /// A compact identity for sweep outputs, e.g.
-    /// `SIMTY/light/quota-storm/seed1/10800s`.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}/{}/seed{}/{}s",
-            self.policy.name(),
-            self.scenario.name(),
-            self.profile.name(),
-            self.seed,
-            self.duration.as_millis() / 1_000
-        )
-    }
+/// The storm campaign: every cell endures a [`StormProfile`], then
+/// proves it resumes from its final snapshot.
+#[derive(Debug, Clone, Copy)]
+pub enum Storm {}
 
-    /// The cell's seeded storm plan: most bursts land in the first two
-    /// thirds of the horizon and are mostly imperceptible (perceptible
-    /// bursts keep the invariant monitor honest in degraded tiers); the
-    /// final burst lands at 85–90 % so drain profiles register into the
-    /// critical tier and exercise the shedder.
-    pub fn plan(&self) -> RegistrationStormPlan {
-        let mut state = self
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(0xd1b5_4a32_d192_ed03);
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
+/// One storm cell.
+pub type StormSpec = CampaignSpec<StormProfile>;
+
+/// A finished storm campaign.
+pub type StormResults = CampaignResults<Storm>;
+
+/// The cell's seeded storm plan: most bursts land in the first two
+/// thirds of the horizon and are mostly imperceptible (perceptible
+/// bursts keep the invariant monitor honest in degraded tiers); the
+/// final burst lands at 85–90 % so drain profiles register into the
+/// critical tier and exercise the shedder.
+fn plan(spec: &StormSpec) -> RegistrationStormPlan {
+    let mut state = spec
+        .seed
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(0xd1b5_4a32_d192_ed03);
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let span = spec.duration.as_millis();
+    let bursts = 2 * spec.profile.storm_scale();
+    let mut plan = RegistrationStormPlan::new();
+    for b in 0..bursts {
+        let start_ms = if b + 1 == bursts {
+            span * 17 / 20 + next() % (span / 20).max(1)
+        } else {
+            span / 10 + next() % (span / 2).max(1)
         };
-        let span = self.duration.as_millis();
-        let bursts = 2 * self.profile.storm_scale();
-        let mut plan = RegistrationStormPlan::new();
-        for b in 0..bursts {
-            let start_ms = if b + 1 == bursts {
-                span * 17 / 20 + next() % (span / 20).max(1)
-            } else {
-                span / 10 + next() % (span / 2).max(1)
-            };
-            plan = plan.burst(StormBurst {
-                app: format!("storm{b}"),
-                start: SimTime::ZERO + SimDuration::from_millis(start_ms),
-                count: (20 + next() % 40) as u32,
-                every: SimDuration::from_millis(500 + next() % 4_500),
-                period: SimDuration::from_secs(60 + next() % 540),
-                perceptible: next() % 4 == 0,
-                task: SimDuration::from_millis(500 + next() % 1_500),
-                window_milli: (next() % 250) as u32,
-                grace_milli: (250 + next() % 700) as u32,
-            });
-        }
-        plan
+        plan = plan.burst(StormBurst {
+            app: format!("storm{b}"),
+            start: SimTime::ZERO + SimDuration::from_millis(start_ms),
+            count: (20 + next() % 40) as u32,
+            every: SimDuration::from_millis(500 + next() % 4_500),
+            period: SimDuration::from_secs(60 + next() % 540),
+            perceptible: next() % 4 == 0,
+            task: SimDuration::from_millis(500 + next() % 1_500),
+            window_milli: (next() % 250) as u32,
+            grace_milli: (250 + next() % 700) as u32,
+        });
     }
+    plan
+}
 
-    fn fingerprint(sim: &Simulation) -> (Vec<u8>, String) {
-        let mut csv = Vec::new();
-        sim.trace()
-            .write_csv(&mut csv)
-            .expect("writing a trace to memory cannot fail");
-        (csv, report_to_json(&sim.report()))
+/// The cell's simulation under the profile's admission quota and, given
+/// a battery `capacity_mj`, its degradation governor. The catalogue apps
+/// register under distinct labels, far below any per-app burst; only
+/// storm apps face pushback.
+fn storm_sim(spec: &StormSpec, capacity_mj: Option<f64>) -> Simulation {
+    let mut config = SimConfig::new()
+        .with_duration(spec.duration)
+        .with_checkpoints(SimDuration::from_millis(
+            (spec.duration.as_millis() / 8).max(1),
+        ))
+        .with_invariants();
+    if let Some(quota) = spec.profile.admission() {
+        config = config.with_admission(quota);
     }
+    if let Some(capacity_mj) = capacity_mj {
+        config = config.with_degradation(GovernorConfig {
+            capacity_mj,
+            check_every: SimDuration::from_millis((spec.duration.as_millis() / 180).max(30_000)),
+            ..GovernorConfig::default()
+        });
+    }
+    let mut sim = spec.simulation(config);
+    sim.inject_storm(&plan(spec));
+    sim
+}
 
-    fn build_sim(&self, capacity_mj: Option<f64>) -> Simulation {
-        let workload = self
-            .scenario
-            .builder()
-            .with_seed(self.seed)
-            .with_beta(0.96)
-            .with_duration(self.duration)
-            .build();
-        let mut config = SimConfig::new()
-            .with_duration(self.duration)
-            .with_checkpoints(SimDuration::from_millis(
-                (self.duration.as_millis() / 8).max(1),
-            ))
-            .with_invariants();
-        if let Some(quota) = self.profile.admission() {
-            config = config.with_admission(quota);
-        }
-        if let Some(capacity_mj) = capacity_mj {
-            config = config.with_degradation(GovernorConfig {
-                capacity_mj,
-                check_every: SimDuration::from_millis((self.duration.as_millis() / 180).max(30_000)),
-                ..GovernorConfig::default()
-            });
-        }
-        let mut sim = Simulation::new(self.policy.build(), config);
-        for alarm in workload.alarms {
-            // The catalogue apps register under distinct labels, far
-            // below any per-app burst; only storm apps face pushback.
-            sim.register(alarm).expect("workload alarm registers cleanly");
-        }
-        sim.inject_storm(&self.plan());
-        sim
-    }
+impl Campaign for Storm {
+    type Profile = StormProfile;
+    type Drill = StormRecovery;
+    type Aggregate = PolicyOverload;
+
+    const KIND: &'static str = "storm";
 
     /// Executes the cell: an ungoverned probe sizes the battery for
     /// drain profiles, the straight-through run produces the report, and
     /// the resume drill restores from the final mid-run snapshot and
     /// compares bytes.
-    pub fn run(&self) -> (SimReport, StormRecovery) {
-        let capacity = self.profile.capacity_factor().map(|factor| {
-            let mut probe = self.build_sim(None);
+    fn run_cell(spec: &StormSpec) -> (SimReport, StormRecovery) {
+        let capacity = spec.profile.capacity_factor().map(|factor| {
+            let mut probe = storm_sim(spec, None);
             probe.run().energy.total_mj() * factor
         });
-        let mut straight = self.build_sim(capacity);
+        let mut straight = storm_sim(spec, capacity);
         let report = straight.run();
-        let expected = Self::fingerprint(&straight);
+        let expected = campaign::fingerprint(&straight);
         let mut recovery = StormRecovery {
             checkpoints: straight.checkpoints().len() as u64,
             ..StormRecovery::default()
         };
         if let Some(snapshot) = straight.checkpoints().last() {
-            match Simulation::restore(self.policy.build(), snapshot) {
-                Ok(mut resumed) => {
-                    resumed.run();
-                    recovery.restore_ok = true;
-                    recovery.resumed_identical = Self::fingerprint(&resumed) == expected;
-                }
-                Err(_) => recovery.restore_ok = false,
+            if let Ok(identical) = campaign::resumes_identically(spec.policy, snapshot, &expected)
+            {
+                recovery.restore_ok = true;
+                recovery.resumed_identical = identical;
             }
         }
         (report, recovery)
     }
-}
 
-/// Builds the full campaign grid in deterministic enqueue order
-/// (policy-major, then scenario, profile, seed 1..=`seeds`).
-pub fn storm_matrix(
-    policies: &[PolicyKind],
-    scenarios: &[Scenario],
-    profiles: &[StormProfile],
-    seeds: u64,
-    duration: SimDuration,
-) -> Vec<StormSpec> {
-    let mut specs = Vec::new();
-    for &policy in policies {
-        for &scenario in scenarios {
-            for &profile in profiles {
-                for seed in 1..=seeds {
-                    specs.push(StormSpec {
-                        policy,
-                        scenario,
-                        profile,
-                        seed,
-                        duration,
-                    });
-                }
-            }
+    fn aggregate(policy: String, cells: &[(&SimReport, StormRecovery)]) -> PolicyOverload {
+        PolicyOverload {
+            policy,
+            runs: cells.len() as u64,
+            storm_registrations: sum(cells, |r| r.overload.storm_registrations),
+            admitted: sum(cells, |r| r.overload.admitted),
+            deferred: sum(cells, |r| r.overload.deferred),
+            rejected: sum(cells, |r| r.overload.rejected),
+            shed: sum(cells, |r| r.overload.shed),
+            demotions: sum(cells, |r| r.overload.demotions),
+            tier_changes: sum(cells, |r| r.overload.tier_changes),
+            invariant_violations: sum(cells, |r| r.resilience.invariant_violations),
+            perceptible_window_misses: sum(cells, |r| r.resilience.perceptible_window_misses),
+            all_resumed_identical: cells.iter().all(|(_, rec)| rec.resumed_identical),
+            all_restores_ok: cells.iter().all(|(_, rec)| rec.restore_ok),
         }
     }
-    specs
-}
 
-/// Runs a campaign on `threads` sweep workers and collects the results
-/// in matrix order (byte-identical across thread counts). Default
-/// supervision, no journal.
-pub fn run_storm(specs: &[StormSpec], threads: usize) -> StormResults {
-    run_storm_with(specs, &CampaignOptions::with_threads(threads))
-        .expect("a journal-less storm campaign cannot fail to open its journal")
-}
-
-/// Runs a campaign under explicit harness [`CampaignOptions`]: cell
-/// supervision (panicking or hung cells are quarantined, not fatal) and,
-/// when `journal_dir` is set, crash-tolerant resume. The per-cell
-/// [`StormRecovery`] digest rides the journal's `extra` payload, so a
-/// restored cell keeps its resume outcome.
-///
-/// # Errors
-///
-/// [`JournalError`] when the journal directory holds a journal for a
-/// different campaign kind or grid, or cannot be opened.
-pub fn run_storm_with(
-    specs: &[StormSpec],
-    options: &CampaignOptions,
-) -> Result<StormResults, JournalError> {
-    let mut sweep = Sweep::new();
-    sweep.with_supervisor(options.supervisor);
-    if let Some(dir) = &options.journal_dir {
-        sweep.with_journal(dir, "storm");
+    fn aggregate_json(agg: &PolicyOverload) -> String {
+        json_object(&[
+            ("policy", json_string(&agg.policy)),
+            ("runs", agg.runs.to_string()),
+            ("storm_registrations", agg.storm_registrations.to_string()),
+            ("admitted", agg.admitted.to_string()),
+            ("deferred", agg.deferred.to_string()),
+            ("rejected", agg.rejected.to_string()),
+            ("shed", agg.shed.to_string()),
+            ("demotions", agg.demotions.to_string()),
+            ("tier_changes", agg.tier_changes.to_string()),
+            ("invariant_violations", agg.invariant_violations.to_string()),
+            ("perceptible_window_misses", agg.perceptible_window_misses.to_string()),
+            ("all_resumed_identical", agg.all_resumed_identical.to_string()),
+            ("all_restores_ok", agg.all_restores_ok.to_string()),
+        ])
     }
-    if let Some(sink) = &options.telemetry {
-        sweep.with_telemetry(sink.clone());
-    }
-    for &spec in specs {
-        sweep.job(spec.label(), move || {
-            let (report, recovery) = spec.run();
-            JobResult {
-                report,
-                stages: None,
-                extra: Some(recovery.to_extra()),
-            }
-        });
-    }
-    let results = sweep.try_run_with_threads(options.threads)?;
-    Ok(StormResults {
-        journal_skips: results.journal_skips(),
-        cell_walls: results.cell_walls(),
-        runs: specs
-            .iter()
-            .copied()
-            .zip(results.outcomes().iter())
-            .map(|(spec, o)| {
-                let recovery = o.extra.as_deref().and_then(StormRecovery::from_extra);
-                (spec, o.status.clone(), o.report.clone(), recovery)
-            })
-            .collect(),
-    })
 }
 
 /// Per-policy overload aggregate across every cell the policy endured.
@@ -401,228 +323,13 @@ pub struct PolicyOverload {
     pub all_restores_ok: bool,
 }
 
-/// A finished campaign: every cell's supervisor status, report, and
-/// resume outcome (both `None` for quarantined cells), in matrix order.
-#[derive(Debug, Clone)]
-pub struct StormResults {
-    runs: Vec<(StormSpec, CellStatus, Option<SimReport>, Option<StormRecovery>)>,
-    journal_skips: u64,
-    cell_walls: Vec<f64>,
-}
-
-impl StormResults {
-    /// The cells, their statuses, reports, and resume outcomes, in
-    /// matrix order.
-    pub fn runs(&self) -> &[(StormSpec, CellStatus, Option<SimReport>, Option<StormRecovery>)] {
-        &self.runs
-    }
-
-    /// The completed cells (quarantined cells carry no report). A
-    /// completed cell missing its resume digest counts as an
-    /// unrecovered default, never a silent success.
-    fn completed(&self) -> impl Iterator<Item = (&StormSpec, &SimReport, StormRecovery)> {
-        self.runs.iter().filter_map(|(spec, _, report, recovery)| {
-            report
-                .as_ref()
-                .map(|r| (spec, r, recovery.unwrap_or_default()))
-        })
-    }
-
-    /// Cells restored from the campaign journal instead of executed in
-    /// this invocation (zero without `--resume`).
-    pub fn journal_skips(&self) -> u64 {
-        self.journal_skips
-    }
-
-    /// Exact p50/p90/p99/max over the executed cells' wall times (ms);
-    /// `None` when every cell was journal-restored. Wall-clock data:
-    /// surfaced only in the document header, never in the deterministic
-    /// body.
-    pub fn cell_wall_quantiles(&self) -> Option<QuantileSummary> {
-        QuantileSummary::exact(&self.cell_walls)
-    }
-
-    /// Supervisor accounting over the campaign.
-    pub fn harness(&self) -> HarnessStats {
-        let mut stats = HarnessStats::from_statuses(self.runs.iter().map(|(_, s, _, _)| s));
-        stats.journal_skips = self.journal_skips;
-        stats
-    }
-
-    /// The quarantined cells' `(label, reason)` pairs, in matrix order.
-    pub fn poisoned(&self) -> Vec<(String, String)> {
-        self.runs
-            .iter()
-            .filter_map(|(spec, status, _, _)| match status {
-                CellStatus::Poisoned { reason, .. } => Some((spec.label(), reason.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Total perceptible-window misses across every completed cell.
-    pub fn total_misses(&self) -> u64 {
-        self.completed()
-            .map(|(_, r, _)| r.resilience.perceptible_window_misses)
-            .sum()
-    }
-
-    /// Total invariant violations across every completed cell.
-    pub fn total_violations(&self) -> u64 {
-        self.completed()
-            .map(|(_, r, _)| r.resilience.invariant_violations)
-            .sum()
-    }
-
-    /// Whether every completed cell's resume drill restored and matched
-    /// bytes (quarantined cells are the harness's concern, not the
-    /// resume drill's).
-    pub fn all_recovered(&self) -> bool {
-        self.completed()
-            .all(|(_, _, rec)| rec.restore_ok && rec.resumed_identical)
-    }
-
-    /// Per-policy aggregates over the completed cells, sorted by policy
-    /// name.
-    pub fn aggregates(&self) -> Vec<PolicyOverload> {
-        let mut by_policy: BTreeMap<String, Vec<(&SimReport, StormRecovery)>> = BTreeMap::new();
-        for (spec, report, rec) in self.completed() {
-            by_policy
-                .entry(spec.policy.name())
-                .or_default()
-                .push((report, rec));
-        }
-        by_policy
-            .into_iter()
-            .map(|(policy, cells)| PolicyOverload {
-                policy,
-                runs: cells.len() as u64,
-                storm_registrations: cells
-                    .iter()
-                    .map(|(r, _)| r.overload.storm_registrations)
-                    .sum(),
-                admitted: cells.iter().map(|(r, _)| r.overload.admitted).sum(),
-                deferred: cells.iter().map(|(r, _)| r.overload.deferred).sum(),
-                rejected: cells.iter().map(|(r, _)| r.overload.rejected).sum(),
-                shed: cells.iter().map(|(r, _)| r.overload.shed).sum(),
-                demotions: cells.iter().map(|(r, _)| r.overload.demotions).sum(),
-                tier_changes: cells.iter().map(|(r, _)| r.overload.tier_changes).sum(),
-                invariant_violations: cells
-                    .iter()
-                    .map(|(r, _)| r.resilience.invariant_violations)
-                    .sum(),
-                perceptible_window_misses: cells
-                    .iter()
-                    .map(|(r, _)| r.resilience.perceptible_window_misses)
-                    .sum(),
-                all_resumed_identical: cells.iter().all(|(_, rec)| rec.resumed_identical),
-                all_restores_ok: cells.iter().all(|(_, rec)| rec.restore_ok),
-            })
-            .collect()
-    }
-
-    /// Serializes the campaign as the `simty-bench-storm/v1` document
-    /// body. Fully deterministic: no wall-clock or per-invocation
-    /// fields, so parallel, sequential, and journal-resumed campaigns
-    /// produce byte-identical bytes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":\"simty-bench-storm/v1\"");
-        out.push_str(&format!(",\"runs\":{}", self.runs.len()));
-        out.push_str(&format!(",\"harness\":{}", self.harness().to_json()));
-        out.push_str(",\"results\":[");
-        for (i, (spec, status, report, recovery)) in self.runs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let rec = recovery.unwrap_or_default();
-            match report {
-                Some(report) => out.push_str(&format!(
-                    "{{\"label\":{},\"profile\":{},\"seed\":{},\"status\":{},\
-                     \"checkpoints\":{},\"restore_ok\":{},\"resumed_identical\":{},\
-                     \"report\":{}}}",
-                    json_string(&spec.label()),
-                    json_string(spec.profile.name()),
-                    spec.seed,
-                    json_string(&status.token()),
-                    rec.checkpoints,
-                    rec.restore_ok,
-                    rec.resumed_identical,
-                    report_to_json(report)
-                )),
-                None => out.push_str(&format!(
-                    "{{\"label\":{},\"profile\":{},\"seed\":{},\"status\":{},\
-                     \"checkpoints\":null,\"restore_ok\":null,\"resumed_identical\":null,\
-                     \"report\":null}}",
-                    json_string(&spec.label()),
-                    json_string(spec.profile.name()),
-                    spec.seed,
-                    json_string(&status.token()),
-                )),
-            }
-        }
-        out.push_str("],\"policies\":[");
-        for (i, agg) in self.aggregates().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"policy\":{},\"runs\":{},\"storm_registrations\":{},\"admitted\":{},\
-                 \"deferred\":{},\"rejected\":{},\"shed\":{},\"demotions\":{},\
-                 \"tier_changes\":{},\"invariant_violations\":{},\
-                 \"perceptible_window_misses\":{},\"all_resumed_identical\":{},\
-                 \"all_restores_ok\":{}}}",
-                json_string(&agg.policy),
-                agg.runs,
-                agg.storm_registrations,
-                agg.admitted,
-                agg.deferred,
-                agg.rejected,
-                agg.shed,
-                agg.demotions,
-                agg.tier_changes,
-                agg.invariant_violations,
-                agg.perceptible_window_misses,
-                agg.all_resumed_identical,
-                agg.all_restores_ok,
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// The full on-disk document: [`to_json`](Self::to_json) plus the
-    /// per-invocation headers — `journal_skips` (how many cells this
-    /// invocation restored from the journal instead of running) and the
-    /// executed cells' wall-time quantiles (`null` when every cell was
-    /// restored).
-    pub fn to_json_document(&self) -> String {
-        let quantiles = QuantileSummary::exact(&self.cell_walls)
-            .map_or_else(|| "null".to_owned(), |q| q.to_json());
-        self.to_json().replacen(
-            "{\"schema\":\"simty-bench-storm/v1\"",
-            &format!(
-                "{{\"schema\":\"simty-bench-storm/v1\",\"journal_skips\":{},\
-                 \"quantiles\":{{\"cell_wall_ms\":{quantiles}}}",
-                self.journal_skips
-            ),
-            1,
-        )
-    }
-
-    /// Writes [`to_json_document`](Self::to_json_document) to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_json_document())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{matrix, run_campaign};
+    use crate::supervisor::CellStatus;
+    use crate::sweep::CampaignOptions;
+    use simty::experiments::{PolicyKind, Scenario};
 
     fn tiny(profile: StormProfile, policy: PolicyKind) -> StormSpec {
         StormSpec {
@@ -634,9 +341,13 @@ mod tests {
         }
     }
 
+    fn run_storm(specs: &[StormSpec], threads: usize) -> StormResults {
+        run_campaign::<Storm>(specs, &CampaignOptions::with_threads(threads)).expect("no journal")
+    }
+
     #[test]
     fn profile_names_round_trip() {
-        for p in StormProfile::ALL {
+        for &p in StormProfile::ALL {
             assert_eq!(StormProfile::parse(p.name()), Some(p));
         }
         assert_eq!(StormProfile::parse("bogus"), None);
@@ -644,10 +355,10 @@ mod tests {
 
     #[test]
     fn matrix_is_policy_major() {
-        let specs = storm_matrix(
+        let specs = matrix(
             &[PolicyKind::Native, PolicyKind::Simty],
             &[Scenario::Light],
-            &StormProfile::ALL,
+            StormProfile::ALL,
             2,
             SimDuration::from_hours(1),
         );
@@ -660,7 +371,7 @@ mod tests {
 
     #[test]
     fn quota_storm_rejects_and_holds_invariants() {
-        let (report, rec) = tiny(StormProfile::QuotaStorm, PolicyKind::Simty).run();
+        let (report, rec) = Storm::run_cell(&tiny(StormProfile::QuotaStorm, PolicyKind::Simty));
         let ov = &report.overload;
         assert!(ov.storm_registrations > 0);
         assert!(ov.rejected > 0, "quota never pushed back: {ov:?}");
@@ -672,10 +383,11 @@ mod tests {
 
     #[test]
     fn drain_profiles_traverse_their_tiers() {
-        let (saver, _) = tiny(StormProfile::DrainSaver, PolicyKind::Simty).run();
+        let (saver, _) = Storm::run_cell(&tiny(StormProfile::DrainSaver, PolicyKind::Simty));
         assert_eq!(saver.overload.final_tier, "saver", "{:?}", saver.overload);
         assert!(saver.overload.time_in_saver_ms > 0);
-        let (critical, rec) = tiny(StormProfile::DrainCritical, PolicyKind::Simty).run();
+        let (critical, rec) =
+            Storm::run_cell(&tiny(StormProfile::DrainCritical, PolicyKind::Simty));
         assert_eq!(
             critical.overload.final_tier, "critical",
             "{:?}",
@@ -688,7 +400,7 @@ mod tests {
 
     #[test]
     fn unprotected_cell_reports_no_pushback() {
-        let (report, _) = tiny(StormProfile::Unprotected, PolicyKind::Native).run();
+        let (report, _) = Storm::run_cell(&tiny(StormProfile::Unprotected, PolicyKind::Native));
         let ov = &report.overload;
         assert!(ov.storm_registrations > 0);
         assert_eq!(ov.rejected + ov.shed + ov.demotions, 0, "{ov:?}");
@@ -698,7 +410,7 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_across_thread_counts() {
-        let specs = storm_matrix(
+        let specs = matrix(
             &[PolicyKind::Native, PolicyKind::Simty],
             &[Scenario::Light],
             &[StormProfile::QuotaStorm, StormProfile::StormAndDrain],
@@ -708,7 +420,6 @@ mod tests {
         let results = run_storm(&specs, 1);
         assert!(results
             .runs()
-            .iter()
             .all(|(_, status, report, recovery)| *status == CellStatus::Ok
                 && report.is_some()
                 && recovery.is_some()));
@@ -735,7 +446,7 @@ mod tests {
             resumed_identical: true,
             restore_ok: true,
         };
-        assert_eq!(StormRecovery::from_extra(&rec.to_extra()), Some(rec));
+        assert_eq!(StormRecovery::from_extra(&rec.to_extra().unwrap()), Some(rec));
         assert_eq!(StormRecovery::from_extra(""), None);
         assert_eq!(StormRecovery::from_extra("1:1"), None);
         assert_eq!(StormRecovery::from_extra("x:1:1"), None);

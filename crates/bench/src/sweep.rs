@@ -395,9 +395,11 @@ impl Sweep {
     }
 }
 
-/// Shared harness options for the campaign runners (`run_chaos_with`,
-/// `run_soak_with`, `run_storm_with`): worker count, cell supervision
-/// policy, and the optional journal directory that enables `--resume`.
+/// Shared harness options for the campaign runners
+/// ([`run_campaign`](crate::campaign::run_campaign) and
+/// [`run_fleet_with`](crate::fleet::run_fleet_with)): worker count, cell
+/// supervision policy, the optional journal directory that enables
+/// `--resume`, and the optional telemetry sink.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Worker threads (defaults to every available core).

@@ -7,8 +7,8 @@
 use simty::core::similarity::HardwareGranularity;
 use simty::core::time::SimDuration;
 use simty_bench::{
-    chaos_matrix, motivating_example_report, run_chaos, FaultProfile, PolicyKind, RunSpec,
-    Scenario, Sweep,
+    matrix, motivating_example_report, run_campaign, CampaignOptions, Chaos, FaultProfile,
+    PolicyKind, Profile, RunSpec, Scenario, Sweep,
 };
 
 /// A mixed grid exercising every spec dimension: policy, scenario, seed,
@@ -69,15 +69,19 @@ fn chaos_campaigns_are_byte_identical_across_thread_counts() {
     // Every fault profile over both headline policies: faults, watchdog
     // interventions, quarantines, and invariant accounting must all be
     // scheduling-independent.
-    let specs = chaos_matrix(
+    let specs = matrix(
         &[PolicyKind::Native, PolicyKind::Simty],
         &[Scenario::Light],
-        &FaultProfile::ALL,
+        FaultProfile::ALL,
         1,
         SimDuration::from_mins(20),
     );
-    let sequential = run_chaos(&specs, 1);
-    let parallel = run_chaos(&specs, 3);
+    let run = |threads| {
+        run_campaign::<Chaos>(&specs, &CampaignOptions::with_threads(threads))
+            .expect("a journal-less campaign opens no journal")
+    };
+    let sequential = run(1);
+    let parallel = run(3);
     assert_eq!(sequential.runs().len(), specs.len());
     assert_eq!(
         sequential.to_json(),

@@ -9,8 +9,10 @@ use simty::experiments::{PolicyKind, Scenario};
 use simty::prelude::*;
 use simty::sim::analysis::{per_app_stats, wakeup_gap_stats, wakeup_timeline, BatchHistogram};
 use simty::sim::report::TextTable;
+use simty_bench::{Chaos, Soak, Storm};
 
 use crate::args::{ParseArgsError, ParsedArgs};
+use crate::campaign_cmd::cmd_campaign;
 
 /// Top-level CLI error.
 #[derive(Debug)]
@@ -384,6 +386,34 @@ fn parse_scenario(name: &str) -> Result<ScenarioChoice, CliError> {
     }
 }
 
+/// Parses `--policies LIST` (default `native,simty`).
+pub(crate) fn parse_policies(args: &ParsedArgs) -> Result<Vec<PolicyKind>, CliError> {
+    args.get("policies")
+        .unwrap_or("native,simty")
+        .split(',')
+        .map(parse_policy)
+        .collect()
+}
+
+/// Parses `--scenarios LIST` (default `light,heavy`). Grids cover only
+/// the paper scenarios; `grid` names the grid in the error for a
+/// synthetic one.
+pub(crate) fn parse_paper_scenarios(
+    args: &ParsedArgs,
+    grid: &str,
+) -> Result<Vec<Scenario>, CliError> {
+    args.get("scenarios")
+        .unwrap_or("light,heavy")
+        .split(',')
+        .map(|name| match parse_scenario(name)? {
+            ScenarioChoice::Paper(s) => Ok(s),
+            ScenarioChoice::Synthetic(_) => Err(CliError::Usage(format!(
+                "{grid} cover the paper scenarios (light|heavy)"
+            ))),
+        })
+        .collect()
+}
+
 struct CommonOpts {
     scenario: ScenarioChoice,
     custom_apps: Option<Vec<AppSpec>>,
@@ -492,9 +522,9 @@ pub fn run_cli<W: Write>(raw_args: &[String], out: &mut W) -> Result<(), CliErro
         "diff" => cmd_diff(&args, out),
         "sweep" => cmd_sweep(&args, out),
         "sweep-beta" => cmd_sweep_beta(&args, out),
-        "chaos" => cmd_chaos(&args, out),
-        "soak" => cmd_soak(&args, out),
-        "storm" => cmd_storm(&args, out),
+        "chaos" => cmd_campaign::<Chaos, W>(&args, out),
+        "soak" => cmd_campaign::<Soak, W>(&args, out),
+        "storm" => cmd_campaign::<Storm, W>(&args, out),
         "fleet" => cmd_fleet(&args, out),
         "explain" => cmd_explain(&args, out),
         "metrics" => cmd_metrics(&args, out),
@@ -691,23 +721,8 @@ fn cmd_sweep<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         "progress",
         "events",
     ])?;
-    let policies: Vec<PolicyKind> = args
-        .get("policies")
-        .unwrap_or("native,simty")
-        .split(',')
-        .map(parse_policy)
-        .collect::<Result<_, _>>()?;
-    let scenarios: Vec<Scenario> = args
-        .get("scenarios")
-        .unwrap_or("light,heavy")
-        .split(',')
-        .map(|name| match parse_scenario(name)? {
-            ScenarioChoice::Paper(s) => Ok(s),
-            ScenarioChoice::Synthetic(_) => Err(CliError::Usage(
-                "sweep grids cover the paper scenarios (light|heavy)".into(),
-            )),
-        })
-        .collect::<Result<_, _>>()?;
+    let policies = parse_policies(args)?;
+    let scenarios = parse_paper_scenarios(args, "sweep grids")?;
     let seeds = args.get_u64("seeds", 3)?;
     let betas: Vec<f64> = match args.get("betas") {
         None => vec![0.96],
@@ -863,7 +878,7 @@ fn parse_cell_index(args: &ParsedArgs, flag: &str) -> Result<Option<usize>, CliE
 }
 
 /// The one-line harness health footer every campaign command prints.
-fn write_harness_summary<W: Write>(
+pub(crate) fn write_harness_summary<W: Write>(
     out: &mut W,
     harness: &simty_bench::HarnessStats,
     journal_skips: u64,
@@ -885,7 +900,7 @@ fn write_harness_summary<W: Write>(
 }
 
 /// Turns quarantined cells into the exit-code-6 harness error.
-fn poisoned_to_error(poisoned: Vec<(String, String)>) -> Result<(), CliError> {
+pub(crate) fn poisoned_to_error(poisoned: Vec<(String, String)>) -> Result<(), CliError> {
     if poisoned.is_empty() {
         return Ok(());
     }
@@ -909,18 +924,14 @@ fn checkpoint_eio_drill(seed: u64) {
     use simty::sim::{CheckpointStore, FaultVfs};
 
     let duration = SimDuration::from_mins(30);
-    let workload = Scenario::Light
-        .builder()
-        .with_seed(seed)
-        .with_duration(duration)
-        .build();
     let config = SimConfig::new()
         .with_duration(duration)
         .with_checkpoints(SimDuration::from_mins(5));
-    let mut sim = Simulation::new(PolicyKind::Simty.build(), config);
-    for alarm in workload.alarms {
-        sim.register(alarm).expect("workload alarm registers cleanly");
-    }
+    let mut sim = simty_bench::campaign::simulation(
+        PolicyKind::Simty,
+        simty_bench::campaign::workload(Scenario::Light, seed, duration),
+        config,
+    );
     sim.run_until(SimTime::ZERO + duration);
 
     let dir = std::env::temp_dir().join(format!(
@@ -950,505 +961,11 @@ fn checkpoint_eio_drill(seed: u64) {
     result.expect("checkpoint EIO drill: load_latest_good must fall back to a good snapshot");
 }
 
-fn cmd_chaos<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "policies",
-        "scenarios",
-        "profiles",
-        "seeds",
-        "hours",
-        "threads",
-        "json",
-        "resume",
-    ])?;
-    let policies: Vec<PolicyKind> = args
-        .get("policies")
-        .unwrap_or("native,simty")
-        .split(',')
-        .map(parse_policy)
-        .collect::<Result<_, _>>()?;
-    let scenarios: Vec<Scenario> = args
-        .get("scenarios")
-        .unwrap_or("light,heavy")
-        .split(',')
-        .map(|name| match parse_scenario(name)? {
-            ScenarioChoice::Paper(s) => Ok(s),
-            ScenarioChoice::Synthetic(_) => Err(CliError::Usage(
-                "chaos campaigns cover the paper scenarios (light|heavy)".into(),
-            )),
-        })
-        .collect::<Result<_, _>>()?;
-    let profiles: Vec<simty_bench::FaultProfile> = match args.get("profiles") {
-        None => simty_bench::FaultProfile::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                simty_bench::FaultProfile::parse(name).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "unknown fault profile `{name}` (see `standby --help`)"
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let seeds = args.get_u64("seeds", 2)?;
-    let hours = args.get_u64("hours", 1)?;
-    let threads = args.get_u64("threads", simty_bench::sweep::available_threads() as u64)?;
-    if seeds == 0 || hours == 0 || threads == 0 {
-        return Err(CliError::Usage(
-            "--seeds, --hours, and --threads must be positive".into(),
-        ));
-    }
-
-    let specs = simty_bench::chaos_matrix(
-        &policies,
-        &scenarios,
-        &profiles,
-        seeds,
-        SimDuration::from_hours(hours),
-    );
-    let options = campaign_options(args, threads as usize);
-    let results = simty_bench::run_chaos_with(&specs, &options)
-        .map_err(|e| CliError::Harness(e.to_string()))?;
-
-    let mut table = TextTable::new([
-        "cell",
-        "status",
-        "total (J)",
-        "violations",
-        "window misses",
-        "interventions",
-        "quarantines",
-    ]);
-    for (spec, status, report) in results.runs() {
-        match report {
-            Some(report) => {
-                let r = &report.resilience;
-                table.row([
-                    spec.label(),
-                    status.token(),
-                    format!("{:.1}", report.energy.total_mj() / 1_000.0),
-                    r.invariant_violations.to_string(),
-                    r.perceptible_window_misses.to_string(),
-                    r.interventions.to_string(),
-                    r.quarantines.to_string(),
-                ]);
-            }
-            None => {
-                table.row([
-                    spec.label(),
-                    "POISONED".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                ]);
-            }
-        }
-    }
-    writeln!(out, "{}", table.render())?;
-    write_harness_summary(out, &results.harness(), results.journal_skips())?;
-
-    let mut summary = TextTable::new([
-        "policy",
-        "cells",
-        "violations",
-        "interventions",
-        "quarantines",
-        "recoveries",
-        "MTTR (s)",
-        "overhead (J)",
-    ]);
-    for agg in results.aggregates() {
-        summary.row([
-            agg.policy.clone(),
-            agg.runs.to_string(),
-            agg.invariant_violations.to_string(),
-            agg.interventions.to_string(),
-            agg.quarantines.to_string(),
-            agg.recoveries.to_string(),
-            format!("{:.1}", agg.mean_time_to_recovery_ms / 1_000.0),
-            format!("{:.3}", agg.intervention_overhead_mj / 1_000.0),
-        ]);
-    }
-    writeln!(out, "\n{}", summary.render())?;
-    writeln!(
-        out,
-        "{} chaos cells, {} invariant violations",
-        results.runs().len(),
-        results.total_violations()
-    )?;
-    if let Some(path) = args.get("json") {
-        results.write_json(path)?;
-        writeln!(out, "chaos document written to {path}")?;
-    }
-    if results.total_violations() > 0 {
-        return Err(CliError::Invariants(results.total_violations()));
-    }
-    poisoned_to_error(results.poisoned())?;
-    Ok(())
-}
-
-/// The shared `--resume`-aware options of the chaos/soak/storm commands.
-fn campaign_options(args: &ParsedArgs, threads: usize) -> simty_bench::CampaignOptions {
+/// The shared `--resume`-aware options of the campaign commands.
+pub(crate) fn campaign_options(args: &ParsedArgs, threads: usize) -> simty_bench::CampaignOptions {
     let mut options = simty_bench::CampaignOptions::with_threads(threads);
     options.journal_dir = args.get("resume").map(std::path::PathBuf::from);
     options
-}
-
-fn cmd_soak<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "policies",
-        "scenarios",
-        "profiles",
-        "seeds",
-        "hours",
-        "threads",
-        "json",
-        "resume",
-    ])?;
-    let policies: Vec<PolicyKind> = args
-        .get("policies")
-        .unwrap_or("native,simty")
-        .split(',')
-        .map(parse_policy)
-        .collect::<Result<_, _>>()?;
-    let scenarios: Vec<Scenario> = args
-        .get("scenarios")
-        .unwrap_or("light,heavy")
-        .split(',')
-        .map(|name| match parse_scenario(name)? {
-            ScenarioChoice::Paper(s) => Ok(s),
-            ScenarioChoice::Synthetic(_) => Err(CliError::Usage(
-                "soak campaigns cover the paper scenarios (light|heavy)".into(),
-            )),
-        })
-        .collect::<Result<_, _>>()?;
-    let profiles: Vec<simty_bench::SoakProfile> = match args.get("profiles") {
-        None => simty_bench::SoakProfile::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                simty_bench::SoakProfile::parse(name).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "unknown soak profile `{name}` (see `standby --help`)"
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let seeds = args.get_u64("seeds", 2)?;
-    let hours = args.get_u64("hours", 48)?;
-    let threads = args.get_u64("threads", simty_bench::sweep::available_threads() as u64)?;
-    if seeds == 0 || hours == 0 || threads == 0 {
-        return Err(CliError::Usage(
-            "--seeds, --hours, and --threads must be positive".into(),
-        ));
-    }
-
-    let specs = simty_bench::soak_matrix(
-        &policies,
-        &scenarios,
-        &profiles,
-        seeds,
-        SimDuration::from_hours(hours),
-    );
-    let options = campaign_options(args, threads as usize);
-    let results = simty_bench::run_soak_with(&specs, &options)
-        .map_err(|e| CliError::Harness(e.to_string()))?;
-
-    let mut table = TextTable::new([
-        "cell",
-        "status",
-        "reboots",
-        "catch-up",
-        "window misses",
-        "snapshots",
-        "skipped",
-        "resume",
-    ]);
-    for (spec, status, report, rec) in results.runs() {
-        match (report, rec) {
-            (Some(report), rec) => {
-                let r = &report.resilience;
-                let rec = rec.unwrap_or_default();
-                table.row([
-                    spec.label(),
-                    status.token(),
-                    r.reboots.to_string(),
-                    r.catch_up_entries.to_string(),
-                    r.perceptible_window_misses.to_string(),
-                    rec.checkpoints.to_string(),
-                    rec.corrupt_skipped.to_string(),
-                    if rec.restore_ok && rec.resumed_identical {
-                        "identical".to_owned()
-                    } else if rec.restore_ok {
-                        "DIVERGED".to_owned()
-                    } else {
-                        "FAILED".to_owned()
-                    },
-                ]);
-            }
-            (None, _) => {
-                table.row([
-                    spec.label(),
-                    "POISONED".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                ]);
-            }
-        }
-    }
-    writeln!(out, "{}", table.render())?;
-    write_harness_summary(out, &results.harness(), results.journal_skips())?;
-
-    let mut summary = TextTable::new([
-        "policy",
-        "cells",
-        "reboots",
-        "recovery (s)",
-        "catch-up",
-        "worst delay (s)",
-        "window misses",
-        "resume",
-    ]);
-    for agg in results.aggregates() {
-        summary.row([
-            agg.policy.clone(),
-            agg.runs.to_string(),
-            agg.reboots.to_string(),
-            format!("{:.1}", agg.mean_recovery_ms / 1_000.0),
-            agg.catch_up_entries.to_string(),
-            format!("{:.1}", agg.worst_catch_up_delay_ms / 1_000.0),
-            agg.perceptible_window_misses.to_string(),
-            if agg.all_resumed_identical && agg.all_restores_ok {
-                "identical".to_owned()
-            } else {
-                "BROKEN".to_owned()
-            },
-        ]);
-    }
-    writeln!(out, "\n{}", summary.render())?;
-    writeln!(
-        out,
-        "{} soak cells, {} perceptible-window misses, recovery {}, resume wall {:.1}s",
-        results.runs().len(),
-        results.total_misses(),
-        if results.all_recovered() { "clean" } else { "BROKEN" },
-        results.resume_wall().as_secs_f64(),
-    )?;
-    if let Some(path) = args.get("json") {
-        results.write_json(path)?;
-        writeln!(out, "soak document written to {path}")?;
-    }
-    let violations: u64 = results
-        .runs()
-        .iter()
-        .filter_map(|(_, _, r, _)| r.as_ref())
-        .map(|r| r.resilience.invariant_violations)
-        .sum();
-    if violations > 0 {
-        return Err(CliError::Invariants(violations));
-    }
-    if !results.all_recovered() {
-        let broken: Vec<String> = results
-            .runs()
-            .iter()
-            .filter(|(_, _, report, rec)| {
-                report.is_some()
-                    && !rec
-                        .as_ref()
-                        .is_some_and(|rec| rec.restore_ok && rec.resumed_identical)
-            })
-            .map(|(spec, _, _, _)| spec.label())
-            .collect();
-        return Err(CliError::Recovery(broken.join(", ")));
-    }
-    poisoned_to_error(results.poisoned())?;
-    Ok(())
-}
-
-fn cmd_storm<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "policies",
-        "scenarios",
-        "profiles",
-        "seeds",
-        "hours",
-        "threads",
-        "json",
-        "resume",
-    ])?;
-    let policies: Vec<PolicyKind> = args
-        .get("policies")
-        .unwrap_or("native,simty")
-        .split(',')
-        .map(parse_policy)
-        .collect::<Result<_, _>>()?;
-    let scenarios: Vec<Scenario> = args
-        .get("scenarios")
-        .unwrap_or("light,heavy")
-        .split(',')
-        .map(|name| match parse_scenario(name)? {
-            ScenarioChoice::Paper(s) => Ok(s),
-            ScenarioChoice::Synthetic(_) => Err(CliError::Usage(
-                "storm campaigns cover the paper scenarios (light|heavy)".into(),
-            )),
-        })
-        .collect::<Result<_, _>>()?;
-    let profiles: Vec<simty_bench::StormProfile> = match args.get("profiles") {
-        None => simty_bench::StormProfile::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                simty_bench::StormProfile::parse(name).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "unknown storm profile `{name}` (see `standby --help`)"
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let seeds = args.get_u64("seeds", 2)?;
-    let hours = args.get_u64("hours", 3)?;
-    let threads = args.get_u64("threads", simty_bench::sweep::available_threads() as u64)?;
-    if seeds == 0 || hours == 0 || threads == 0 {
-        return Err(CliError::Usage(
-            "--seeds, --hours, and --threads must be positive".into(),
-        ));
-    }
-
-    let specs = simty_bench::storm_matrix(
-        &policies,
-        &scenarios,
-        &profiles,
-        seeds,
-        SimDuration::from_hours(hours),
-    );
-    let options = campaign_options(args, threads as usize);
-    let results = simty_bench::run_storm_with(&specs, &options)
-        .map_err(|e| CliError::Harness(e.to_string()))?;
-
-    let mut table = TextTable::new([
-        "cell",
-        "status",
-        "storm regs",
-        "rejected",
-        "shed",
-        "demotions",
-        "final tier",
-        "window misses",
-        "resume",
-    ]);
-    for (spec, status, report, rec) in results.runs() {
-        match (report, rec) {
-            (Some(report), rec) => {
-                let ov = &report.overload;
-                let rec = rec.unwrap_or_default();
-                table.row([
-                    spec.label(),
-                    status.token(),
-                    ov.storm_registrations.to_string(),
-                    ov.rejected.to_string(),
-                    ov.shed.to_string(),
-                    ov.demotions.to_string(),
-                    ov.final_tier.clone(),
-                    report.resilience.perceptible_window_misses.to_string(),
-                    if rec.restore_ok && rec.resumed_identical {
-                        "identical".to_owned()
-                    } else if rec.restore_ok {
-                        "DIVERGED".to_owned()
-                    } else {
-                        "FAILED".to_owned()
-                    },
-                ]);
-            }
-            (None, _) => {
-                table.row([
-                    spec.label(),
-                    "POISONED".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                ]);
-            }
-        }
-    }
-    writeln!(out, "{}", table.render())?;
-    write_harness_summary(out, &results.harness(), results.journal_skips())?;
-
-    let mut summary = TextTable::new([
-        "policy",
-        "cells",
-        "storm regs",
-        "admitted",
-        "deferred",
-        "rejected",
-        "shed",
-        "demotions",
-        "tier changes",
-        "window misses",
-        "resume",
-    ]);
-    for agg in results.aggregates() {
-        summary.row([
-            agg.policy.clone(),
-            agg.runs.to_string(),
-            agg.storm_registrations.to_string(),
-            agg.admitted.to_string(),
-            agg.deferred.to_string(),
-            agg.rejected.to_string(),
-            agg.shed.to_string(),
-            agg.demotions.to_string(),
-            agg.tier_changes.to_string(),
-            agg.perceptible_window_misses.to_string(),
-            if agg.all_resumed_identical && agg.all_restores_ok {
-                "identical".to_owned()
-            } else {
-                "BROKEN".to_owned()
-            },
-        ]);
-    }
-    writeln!(out, "\n{}", summary.render())?;
-    writeln!(
-        out,
-        "{} storm cells, {} perceptible-window misses, resume {}",
-        results.runs().len(),
-        results.total_misses(),
-        if results.all_recovered() { "clean" } else { "BROKEN" },
-    )?;
-    if let Some(path) = args.get("json") {
-        results.write_json(path)?;
-        writeln!(out, "storm document written to {path}")?;
-    }
-    if results.total_violations() > 0 {
-        return Err(CliError::Invariants(results.total_violations()));
-    }
-    if !results.all_recovered() {
-        let broken: Vec<String> = results
-            .runs()
-            .iter()
-            .filter(|(_, _, report, rec)| {
-                report.is_some()
-                    && !rec
-                        .as_ref()
-                        .is_some_and(|rec| rec.restore_ok && rec.resumed_identical)
-            })
-            .map(|(spec, _, _, _)| spec.label())
-            .collect();
-        return Err(CliError::Recovery(broken.join(", ")));
-    }
-    poisoned_to_error(results.poisoned())?;
-    Ok(())
 }
 
 fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
@@ -1470,12 +987,7 @@ fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         "progress",
         "events",
     ])?;
-    let policies: Vec<PolicyKind> = args
-        .get("policies")
-        .unwrap_or("native,simty")
-        .split(',')
-        .map(parse_policy)
-        .collect::<Result<_, _>>()?;
+    let policies = parse_policies(args)?;
     let devices = args.get_u64("devices", 1_000)?;
     let shards = args.get_u64("shards", 4)?;
     let seed = args.get_u64("seed", 1)?;
@@ -1767,12 +1279,7 @@ fn cmd_trace<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         "scenario", "workload", "seed", "hours", "beta", "policies", "out", "span-cap", "stages",
     ])?;
     let opts = CommonOpts::from_args(args)?;
-    let policies: Vec<PolicyKind> = args
-        .get("policies")
-        .unwrap_or("native,simty")
-        .split(',')
-        .map(parse_policy)
-        .collect::<Result<_, _>>()?;
+    let policies = parse_policies(args)?;
     let span_cap = args.get_u64("span-cap", 1 << 20)?;
     if span_cap == 0 {
         return Err(CliError::Usage("--span-cap must be positive".into()));
@@ -2331,21 +1838,6 @@ mod tests {
     }
 
     #[test]
-    fn soak_rejects_bad_grids() {
-        for bad in [
-            vec!["soak", "--profiles", "bogus"],
-            vec!["soak", "--policies", "bogus"],
-            vec!["soak", "--scenarios", "synthetic:5"],
-            vec!["soak", "--seeds", "0"],
-        ] {
-            assert!(
-                matches!(run(&bad), Err(CliError::Usage(_))),
-                "expected usage error for {bad:?}"
-            );
-        }
-    }
-
-    #[test]
     fn storm_runs_a_small_campaign() {
         let dir = std::env::temp_dir();
         let path = dir.join("simty_cli_test_storm.json");
@@ -2379,34 +1871,35 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn storm_rejects_bad_grids() {
+    /// Every campaign rejects the same four malformed grid flags.
+    fn rejects_bad_grids(campaign: &str) {
         for bad in [
-            vec!["storm", "--profiles", "bogus"],
-            vec!["storm", "--policies", "bogus"],
-            vec!["storm", "--scenarios", "synthetic:5"],
-            vec!["storm", "--seeds", "0"],
+            ["--profiles", "bogus"],
+            ["--policies", "bogus"],
+            ["--scenarios", "synthetic:5"],
+            ["--seeds", "0"],
         ] {
+            let args = [campaign, bad[0], bad[1]];
             assert!(
-                matches!(run(&bad), Err(CliError::Usage(_))),
-                "expected usage error for {bad:?}"
+                matches!(run(&args), Err(CliError::Usage(_))),
+                "expected usage error for {args:?}"
             );
         }
     }
 
     #[test]
     fn chaos_rejects_bad_grids() {
-        for bad in [
-            vec!["chaos", "--profiles", "bogus"],
-            vec!["chaos", "--policies", "bogus"],
-            vec!["chaos", "--scenarios", "synthetic:5"],
-            vec!["chaos", "--seeds", "0"],
-        ] {
-            assert!(
-                matches!(run(&bad), Err(CliError::Usage(_))),
-                "expected usage error for {bad:?}"
-            );
-        }
+        rejects_bad_grids("chaos");
+    }
+
+    #[test]
+    fn soak_rejects_bad_grids() {
+        rejects_bad_grids("soak");
+    }
+
+    #[test]
+    fn storm_rejects_bad_grids() {
+        rejects_bad_grids("storm");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 
 pub mod args;
+mod campaign_cmd;
 pub mod commands;
 pub mod serve_cmd;
 
