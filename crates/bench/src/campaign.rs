@@ -26,7 +26,8 @@ use simty::apps::Workload;
 use simty::core::SimDuration;
 use simty::experiments::{PolicyKind, Scenario};
 use simty::obs::QuantileSummary;
-use simty::sim::json::{json_string, report_to_json};
+use simty::obs::json_string;
+use simty::sim::json::report_to_json;
 use simty::sim::{Checkpoint, CheckpointError, SimConfig, SimReport, Simulation};
 
 use crate::journal::JournalError;

@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 
 use simty::core::{SimDuration, SimTime};
-use simty::sim::json::{json_number, json_string};
+use simty::obs::{json_f64, json_string};
 use simty::sim::{FaultPlan, OnlineWatchdogConfig, SimConfig, SimReport};
 
 use crate::campaign::{self, json_object, sum, Campaign, CampaignResults, CampaignSpec, Profile};
@@ -206,10 +206,10 @@ impl Campaign for Chaos {
             ("activation_retries", agg.activation_retries.to_string()),
             ("quarantines", agg.quarantines.to_string()),
             ("recoveries", agg.recoveries.to_string()),
-            ("mean_time_to_recovery_ms", json_number(agg.mean_time_to_recovery_ms)),
-            ("intervention_overhead_mj", json_number(agg.intervention_overhead_mj)),
-            ("perceptible_delay_avg", json_number(agg.perceptible_delay_avg)),
-            ("perceptible_delay_max", json_number(agg.perceptible_delay_max)),
+            ("mean_time_to_recovery_ms", json_f64(agg.mean_time_to_recovery_ms)),
+            ("intervention_overhead_mj", json_f64(agg.intervention_overhead_mj)),
+            ("perceptible_delay_avg", json_f64(agg.perceptible_delay_avg)),
+            ("perceptible_delay_max", json_f64(agg.perceptible_delay_max)),
         ])
     }
 }

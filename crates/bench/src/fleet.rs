@@ -41,7 +41,8 @@ use simty::experiments::PolicyKind;
 use simty::obs::telemetry::{EventKind, TelemetrySink};
 use simty::obs::{Histogram, MetricsRegistry, QuantileSummary};
 use simty::sim::codec::{esc, unesc};
-use simty::sim::json::{json_number, json_string, report_to_json};
+use simty::obs::{json_f64, json_string};
+use simty::sim::json::report_to_json;
 use simty::sim::{
     Checkpoint, CheckpointStore, DelayStats, OverloadStats, ResilienceStats, SimConfig, SimReport,
     Simulation,
@@ -717,8 +718,8 @@ impl FleetResults {
                 .collect::<Vec<_>>()
                 .join(","),
             self.threads(),
-            json_number(self.total_wall().as_secs_f64() * 1_000.0),
-            json_number(self.devices_per_sec()),
+            json_f64(self.total_wall().as_secs_f64() * 1_000.0),
+            json_f64(self.devices_per_sec()),
             self.journal_skips(),
             opt_json(self.sweep.cell_wall_quantiles()),
             opt_json(self.device_power_quantiles()),
@@ -757,7 +758,7 @@ impl FleetResults {
                 json_string(&o.label),
                 json_string(&o.status.token()),
                 devices,
-                json_number(o.wall.as_secs_f64() * 1_000.0),
+                json_f64(o.wall.as_secs_f64() * 1_000.0),
             );
         }
         out.push_str("]}");

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use simty::core::{SimDuration, SimTime};
-use simty::sim::json::{json_number, json_string};
+use simty::obs::{json_f64, json_string};
 use simty::sim::{CheckpointStore, OnlineWatchdogConfig, RebootPlan, SimConfig, SimReport};
 
 use crate::campaign::{
@@ -271,9 +271,9 @@ impl Campaign for Soak {
             ("policy", json_string(&agg.policy)),
             ("runs", agg.runs.to_string()),
             ("reboots", agg.reboots.to_string()),
-            ("mean_recovery_ms", json_number(agg.mean_recovery_ms)),
+            ("mean_recovery_ms", json_f64(agg.mean_recovery_ms)),
             ("catch_up_entries", agg.catch_up_entries.to_string()),
-            ("worst_catch_up_delay_ms", json_number(agg.worst_catch_up_delay_ms)),
+            ("worst_catch_up_delay_ms", json_f64(agg.worst_catch_up_delay_ms)),
             ("invariant_violations", agg.invariant_violations.to_string()),
             ("perceptible_window_misses", agg.perceptible_window_misses.to_string()),
             ("checkpoints", agg.checkpoints.to_string()),
@@ -288,7 +288,7 @@ impl Campaign for Soak {
     fn header_json(results: &SoakResults) -> String {
         format!(
             ",\"resume_wall_ms\":{}",
-            json_number(results.resume_wall().as_secs_f64() * 1_000.0)
+            json_f64(results.resume_wall().as_secs_f64() * 1_000.0)
         )
     }
 }
@@ -482,7 +482,7 @@ mod tests {
             doc.replacen(
                 &format!(
                     ",\"resume_wall_ms\":{},\"journal_skips\":0,\"quantiles\":{{\"cell_wall_ms\":{}}}",
-                    simty::sim::json::json_number(results.resume_wall().as_secs_f64() * 1_000.0),
+                    json_f64(results.resume_wall().as_secs_f64() * 1_000.0),
                     results.cell_wall_quantiles().unwrap().to_json()
                 ),
                 "",

@@ -13,7 +13,7 @@
 
 use simty::core::admission::AdmissionConfig;
 use simty::core::{SimDuration, SimTime};
-use simty::sim::json::json_string;
+use simty::obs::json_string;
 use simty::sim::{
     GovernorConfig, RegistrationStormPlan, SimConfig, SimReport, Simulation, StormBurst,
 };

@@ -24,7 +24,8 @@ use std::time::{Duration, Instant};
 use simty::experiments::RunSpec;
 use simty::obs::telemetry::{EventKind, TelemetrySink};
 use simty::obs::{QuantileSummary, StageProfile};
-use simty::sim::json::{json_number, json_string, report_to_json};
+use simty::obs::{json_f64, json_string};
+use simty::sim::json::report_to_json;
 use simty::sim::{SimReport, Vfs};
 
 use crate::journal::{CampaignJournal, JournalError};
@@ -620,9 +621,9 @@ impl SweepResults {
             json_string("simty-bench-sweep/v1"),
             self.threads,
             self.outcomes.len(),
-            json_number(self.wall.as_secs_f64() * 1_000.0),
-            json_number(self.sequential_wall().as_secs_f64() * 1_000.0),
-            json_number(self.runs_per_sec()),
+            json_f64(self.wall.as_secs_f64() * 1_000.0),
+            json_f64(self.sequential_wall().as_secs_f64() * 1_000.0),
+            json_f64(self.runs_per_sec()),
             self.journal_skips,
             self.harness().to_json(),
             self.stage_profile().to_json(),
@@ -637,7 +638,7 @@ impl SweepResults {
                 "{{\"label\":{},\"status\":{},\"wall_ms\":{},\"report\":{}}}",
                 json_string(&o.label),
                 json_string(&o.status.token()),
-                json_number(o.wall.as_secs_f64() * 1_000.0),
+                json_f64(o.wall.as_secs_f64() * 1_000.0),
                 o.report
                     .as_ref()
                     .map_or_else(|| "null".to_owned(), report_to_json)

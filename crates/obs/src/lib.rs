@@ -57,7 +57,10 @@ pub use traceviz::TraceBuilder;
 use std::fmt::Write as _;
 
 /// Renders `s` as a quoted JSON string with the required escapes.
-pub(crate) fn json_string(s: &str) -> String {
+///
+/// The workspace's one JSON string escaper: simulator reports, BENCH
+/// documents and the live service's responses all render through it.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     push_json_string(&mut out, s);
     out
@@ -65,7 +68,7 @@ pub(crate) fn json_string(s: &str) -> String {
 
 /// Appends `s` to `out` as a quoted JSON string with the required
 /// escapes.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -88,14 +91,14 @@ pub(crate) fn push_json_string(out: &mut String, s: &str) {
 /// Rust's shortest-round-trip `Display` for `f64` is deterministic and
 /// never uses scientific notation, so the output is stable across
 /// platforms and runs.
-pub(crate) fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     let mut out = String::new();
     push_json_f64(&mut out, v);
     out
 }
 
 /// Appends `v` to `out` as a JSON number (see [`json_f64`]).
-pub(crate) fn push_json_f64(out: &mut String, v: f64) {
+pub fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {

@@ -16,6 +16,8 @@
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
+use simty::obs::json_string;
+
 /// Hard caps applied while parsing one request.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
@@ -398,8 +400,8 @@ impl Response {
     pub fn error_json(status: u16, reason: &'static str, code: &str, detail: &str) -> Self {
         let body = format!(
             "{{\"error\":{},\"detail\":{}}}",
-            json_escape(code),
-            json_escape(detail)
+            json_string(code),
+            json_string(detail)
         );
         Response {
             status,
@@ -446,25 +448,6 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-}
-
-/// Renders `s` as a quoted JSON string with the required escapes.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

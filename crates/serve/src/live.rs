@@ -20,19 +20,25 @@
 //!   grouping, raw ids, counters) for graceful-shutdown checkpoints;
 //!   [`LiveScheduler::restore_payload`] rebuilds a scheduler whose
 //!   next snapshot is byte-identical to the one it was restored from.
+//!
+//! Both views are written and read with the alarm, queue and admission
+//! codec in [`simty::sim::codec`], the one the simulator's checkpoints
+//! use. Only the magic lines, the `end` terminator, and the
+//! [`is_valid_tenant`] check on tenant names and alarm labels are this
+//! module's own.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use simty::core::queue::AlarmQueue;
-use simty::core::{
-    AdmissionConfig, AdmissionController, AdmissionDecision, AppAdmission, AppClass, ClassQuota,
-    TokenBucket,
-};
+use simty::core::{AdmissionConfig, AdmissionController, AdmissionDecision, AppClass};
 use simty::experiments::PolicyKind;
 use simty::prelude::{
-    Alarm, AlarmId, AlarmKind, AlarmManager, DeliveryDiscipline, HardwareSet, QueueEntry, Repeat,
-    SimDuration, SimTime,
+    Alarm, AlarmId, AlarmKind, AlarmManager, HardwareSet, QueueEntry, SimDuration, SimTime,
 };
+use simty::sim::codec::{
+    fmt_admission_config, fmt_alarm_attrs, fmt_app_admission, write_queue, Parser,
+};
+use simty::sim::CheckpointError;
 
 /// Magic first line of a full snapshot payload.
 pub const SNAPSHOT_MAGIC: &str = "serve-live/v1";
@@ -492,15 +498,12 @@ impl LiveScheduler {
 
     /// The canonical tenant-visible state (see the module docs).
     pub fn digest(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str(DIGEST_MAGIC);
-        out.push('\n');
-        out.push_str(&format!("policy={}\n", self.policy_token));
-        out.push_str(&format!("clock={}\n", self.manager.now().as_millis()));
-        out.push_str(&format!("tenants={}\n", self.tenants.len()));
+        let mut out = self.head(DIGEST_MAGIC, 1024);
+        let _ = writeln!(out, "tenants={}", self.tenants.len());
         for (name, state) in &self.tenants {
-            out.push_str(&format!(
-                "tenant={name},reg={},def={},rej={},can={},dlv={},demoted={},live={}\n",
+            let _ = writeln!(
+                out,
+                "tenant={name},reg={},def={},rej={},can={},dlv={},demoted={},live={}",
                 state.registered,
                 state.deferred,
                 state.rejected,
@@ -508,18 +511,14 @@ impl LiveScheduler {
                 state.delivered,
                 u8::from(self.admission.is_demoted(name)),
                 state.alarms.len(),
-            ));
+            );
             for (&ordinal, &id) in &state.alarms {
-                let Some(alarm) = self.manager.find_alarm(id) else {
-                    continue;
-                };
-                out.push_str(&format!("alarm={ordinal},{}\n", fmt_alarm_attrs(alarm)));
+                if let Some(alarm) = self.manager.find_alarm(id) {
+                    let _ = writeln!(out, "alarm={ordinal},{}", fmt_alarm_attrs(alarm));
+                }
             }
         }
-        let apps: BTreeMap<&str, &AppAdmission> = self.admission.apps().collect();
-        for (name, app) in apps {
-            out.push_str(&format!("admission={name},{}\n", fmt_app(app)));
-        }
+        self.write_admissions(&mut out);
         out.push_str("end\n");
         out
     }
@@ -528,25 +527,17 @@ impl LiveScheduler {
     /// checkpoint (carried inside a
     /// [`Checkpoint::marker`](simty::sim::Checkpoint::marker) payload).
     pub fn snapshot_payload(&self) -> String {
-        let mut out = String::with_capacity(4 * 1024);
-        out.push_str(SNAPSHOT_MAGIC);
-        out.push('\n');
-        out.push_str(&format!("policy={}\n", self.policy_token));
-        out.push_str(&format!("clock={}\n", self.manager.now().as_millis()));
-        let c = self.admission.config();
-        out.push_str(&format!(
-            "config={},{},{},{},{},{}\n",
-            c.perceptible.replenish_every.as_millis(),
-            c.perceptible.burst,
-            c.deferrable.replenish_every.as_millis(),
-            c.deferrable.burst,
-            c.defer_limit,
-            c.demote_after,
-        ));
-        out.push_str(&format!("tenants={}\n", self.tenants.len()));
+        let mut out = self.head(SNAPSHOT_MAGIC, 4 * 1024);
+        let _ = writeln!(
+            out,
+            "config={}",
+            fmt_admission_config(self.admission.config())
+        );
+        let _ = writeln!(out, "tenants={}", self.tenants.len());
         for (name, state) in &self.tenants {
-            out.push_str(&format!(
-                "tenant={name},{},{},{},{},{},{},{}\n",
+            let _ = writeln!(
+                out,
+                "tenant={name},{},{},{},{},{},{},{}",
                 state.next_ordinal,
                 state.registered,
                 state.deferred,
@@ -554,20 +545,32 @@ impl LiveScheduler {
                 state.cancelled,
                 state.delivered,
                 state.alarms.len(),
-            ));
+            );
             for (&ordinal, &id) in &state.alarms {
-                out.push_str(&format!("map={ordinal},{}\n", id.as_u64()));
+                let _ = writeln!(out, "map={ordinal},{}", id.as_u64());
             }
         }
-        let apps: BTreeMap<&str, &AppAdmission> = self.admission.apps().collect();
-        out.push_str(&format!("admissions={}\n", apps.len()));
-        for (name, app) in apps {
-            out.push_str(&format!("admission={name},{}\n", fmt_app(app)));
-        }
+        let _ = writeln!(out, "admissions={}", self.admission.app_count());
+        self.write_admissions(&mut out);
         write_queue(&mut out, "wakeup", self.manager.wakeup_queue());
         write_queue(&mut out, "nonwakeup", self.manager.non_wakeup_queue());
         out.push_str("end\n");
         out
+    }
+
+    /// The magic, policy and clock lines both views open with.
+    fn head(&self, magic: &str, capacity: usize) -> String {
+        let mut out = String::with_capacity(capacity);
+        let now = self.manager.now().as_millis();
+        let _ = writeln!(out, "{magic}\npolicy={}\nclock={now}", self.policy_token);
+        out
+    }
+
+    /// One `admission=` line per tenant with bucket state, in name order.
+    fn write_admissions(&self, out: &mut String) {
+        for (name, app) in self.admission.apps() {
+            let _ = writeln!(out, "admission={name},{}", fmt_app_admission(app));
+        }
     }
 
     /// Rebuilds a scheduler from [`snapshot_payload`](Self::snapshot_payload)
@@ -578,75 +581,64 @@ impl LiveScheduler {
     ///
     /// Returns a description of the first malformed line.
     pub fn restore_payload(payload: &str) -> Result<Self, String> {
-        let mut lines = payload.lines();
-        if lines.next() != Some(SNAPSHOT_MAGIC) {
-            return Err(format!("payload is not `{SNAPSHOT_MAGIC}`"));
-        }
-        let policy_token = expect_kv(lines.next(), "policy")?.to_owned();
-        let kind = parse_policy_token(&policy_token)
-            .ok_or_else(|| format!("unknown serve policy `{policy_token}`"))?;
-        let clock = SimTime::from_millis(parse_u64(expect_kv(lines.next(), "clock")?)?);
-        let config_fields = split_n(expect_kv(lines.next(), "config")?, 6)?;
-        let config = AdmissionConfig {
-            perceptible: ClassQuota {
-                replenish_every: SimDuration::from_millis(parse_u64(config_fields[0])?),
-                burst: parse_u32(config_fields[1])?,
-            },
-            deferrable: ClassQuota {
-                replenish_every: SimDuration::from_millis(parse_u64(config_fields[2])?),
-                burst: parse_u32(config_fields[3])?,
-            },
-            defer_limit: parse_u32(config_fields[4])?,
-            demote_after: parse_u32(config_fields[5])?,
-        };
+        Self::restore_lines(&mut Parser::new(payload)).map_err(|e| e.to_string())
+    }
 
-        let tenant_count = parse_u64(expect_kv(lines.next(), "tenants")?)? as usize;
+    fn restore_lines(p: &mut Parser<'_>) -> Result<Self, CheckpointError> {
+        if p.line() != Some(SNAPSHOT_MAGIC) {
+            return Err(p.err(format!("payload is not `{SNAPSHOT_MAGIC}`")));
+        }
+        let policy_token = p.kv("policy")?.to_owned();
+        let kind = parse_policy_token(&policy_token)
+            .ok_or_else(|| p.err(format!("unknown serve policy `{policy_token}`")))?;
+        let clock = p.kv_time("clock")?;
+        let config = p.kv_fields("config")?;
+        let config = p.admission_config_of(config)?;
+
+        let tenant_count = p.count("tenants")?;
         let mut tenants = BTreeMap::new();
         let mut index = BTreeMap::new();
         for _ in 0..tenant_count {
-            let line = expect_kv(lines.next(), "tenant")?;
-            let (name, rest) = line
-                .split_once(',')
-                .ok_or_else(|| format!("bad tenant line `{line}`"))?;
-            if !is_valid_tenant(name) {
-                return Err(format!("bad tenant name `{name}`"));
-            }
-            let f = split_n(rest, 7)?;
+            let f = p.kv_fields::<8>("tenant")?;
+            let name = valid_tenant(p, f[0])?;
             let mut state = Tenant {
-                next_ordinal: parse_u64(f[0])?,
+                next_ordinal: p.u64_of(f[1])?,
                 alarms: BTreeMap::new(),
-                registered: parse_u64(f[1])?,
-                deferred: parse_u64(f[2])?,
-                rejected: parse_u64(f[3])?,
-                cancelled: parse_u64(f[4])?,
-                delivered: parse_u64(f[5])?,
+                registered: p.u64_of(f[2])?,
+                deferred: p.u64_of(f[3])?,
+                rejected: p.u64_of(f[4])?,
+                cancelled: p.u64_of(f[5])?,
+                delivered: p.u64_of(f[6])?,
             };
-            let live = parse_u64(f[6])? as usize;
-            for _ in 0..live {
-                let m = split_n(expect_kv(lines.next(), "map")?, 2)?;
-                let ordinal = parse_u64(m[0])?;
-                let raw = parse_u64(m[1])?;
+            for _ in 0..p.count_of(f[7])? {
+                let m = p.kv_fields::<2>("map")?;
+                let (ordinal, raw) = (p.u64_of(m[0])?, p.u64_of(m[1])?);
                 state.alarms.insert(ordinal, AlarmId::from_raw(raw));
                 index.insert(raw, (name.to_owned(), ordinal));
             }
             tenants.insert(name.to_owned(), state);
         }
 
-        let app_count = parse_u64(expect_kv(lines.next(), "admissions")?)? as usize;
+        let app_count = p.count("admissions")?;
         let mut apps = Vec::with_capacity(app_count);
         for _ in 0..app_count {
-            let line = expect_kv(lines.next(), "admission")?;
-            let (name, rest) = line
-                .split_once(',')
-                .ok_or_else(|| format!("bad admission line `{line}`"))?;
-            apps.push((name.to_owned(), parse_app(rest)?));
+            let [name, state @ ..] = p.kv_fields::<8>("admission")?;
+            apps.push((valid_tenant(p, name)?.to_owned(), p.app_admission_of(state)?));
         }
 
-        let mut max_id = 0u64;
-        let wakeup = read_queue(&mut lines, "wakeup", &mut max_id)?;
-        let non_wakeup = read_queue(&mut lines, "nonwakeup", &mut max_id)?;
-        if lines.next() != Some("end") {
-            return Err("missing `end` terminator".into());
+        let wakeup = p.queue("wakeup")?;
+        let non_wakeup = p.queue("nonwakeup")?;
+        if p.line() != Some("end") {
+            return Err(p.err("missing `end` terminator"));
+        }
+        let mut max_id = 0;
+        for alarm in [&wakeup, &non_wakeup]
+            .into_iter()
+            .flat_map(|q| q.entries())
+            .flat_map(QueueEntry::alarms)
+        {
+            valid_tenant(p, alarm.label())?;
+            max_id = max_id.max(alarm.id().as_u64());
         }
         AlarmId::reserve_through(max_id);
 
@@ -660,214 +652,13 @@ impl LiveScheduler {
     }
 }
 
-fn fmt_repeat(r: Repeat) -> String {
-    match r {
-        Repeat::OneShot => "o".to_owned(),
-        Repeat::Static(i) => format!("s:{}", i.as_millis()),
-        Repeat::Dynamic(i) => format!("d:{}", i.as_millis()),
+/// `name` if it is a valid tenant name (see [`is_valid_tenant`]).
+fn valid_tenant<'a>(p: &Parser<'_>, name: &'a str) -> Result<&'a str, CheckpointError> {
+    if is_valid_tenant(name) {
+        Ok(name)
+    } else {
+        Err(p.err(format!("bad tenant name `{name}`")))
     }
-}
-
-fn parse_repeat(s: &str) -> Result<Repeat, String> {
-    match s.split_once(':') {
-        None if s == "o" => Ok(Repeat::OneShot),
-        Some(("s", ms)) => Ok(Repeat::Static(SimDuration::from_millis(parse_u64(ms)?))),
-        Some(("d", ms)) => Ok(Repeat::Dynamic(SimDuration::from_millis(parse_u64(ms)?))),
-        _ => Err(format!("bad repeat `{s}`")),
-    }
-}
-
-/// The attribute tuple shared by the digest (no id) and, prefixed with
-/// the id and label, the snapshot.
-fn fmt_alarm_attrs(alarm: &Alarm) -> String {
-    format!(
-        "{},{},{},{},{},{},{},{},{},{}",
-        alarm.nominal().as_millis(),
-        alarm.window().as_millis(),
-        alarm.grace_base().as_millis(),
-        fmt_repeat(alarm.repeat()),
-        match alarm.kind() {
-            AlarmKind::Wakeup => "w",
-            AlarmKind::NonWakeup => "n",
-        },
-        alarm.hardware().bits(),
-        u8::from(alarm.is_hardware_known()),
-        alarm.task_duration().as_millis(),
-        u8::from(alarm.is_quarantined()),
-        alarm.grace_stretch(),
-    )
-}
-
-fn fmt_app(app: &AppAdmission) -> String {
-    format!(
-        "{},{},{},{},{},{},{}",
-        app.perceptible.tokens,
-        app.perceptible.last_refill.as_millis(),
-        app.deferrable.tokens,
-        app.deferrable.last_refill.as_millis(),
-        app.defer_horizon.as_millis(),
-        app.rejections,
-        u8::from(app.demoted),
-    )
-}
-
-fn parse_app(s: &str) -> Result<AppAdmission, String> {
-    let f = split_n(s, 7)?;
-    Ok(AppAdmission {
-        perceptible: TokenBucket {
-            tokens: parse_u32(f[0])?,
-            last_refill: SimTime::from_millis(parse_u64(f[1])?),
-        },
-        deferrable: TokenBucket {
-            tokens: parse_u32(f[2])?,
-            last_refill: SimTime::from_millis(parse_u64(f[3])?),
-        },
-        defer_horizon: SimTime::from_millis(parse_u64(f[4])?),
-        rejections: parse_u32(f[5])?,
-        demoted: parse_u64(f[6])? != 0,
-    })
-}
-
-fn fmt_discipline(d: DeliveryDiscipline) -> String {
-    match d {
-        DeliveryDiscipline::Window => "window".to_owned(),
-        DeliveryDiscipline::PerceptibilityAware => "perc".to_owned(),
-        DeliveryDiscipline::Quantized { quantum } => format!("quant:{}", quantum.as_millis()),
-        DeliveryDiscipline::Escalating {
-            base,
-            max_quantum,
-            windows_per_level,
-        } => format!(
-            "esc:{}:{}:{windows_per_level}",
-            base.as_millis(),
-            max_quantum.as_millis()
-        ),
-    }
-}
-
-fn parse_discipline(s: &str) -> Result<DeliveryDiscipline, String> {
-    let mut it = s.split(':');
-    match it.next() {
-        Some("window") => Ok(DeliveryDiscipline::Window),
-        Some("perc") => Ok(DeliveryDiscipline::PerceptibilityAware),
-        Some("quant") => Ok(DeliveryDiscipline::Quantized {
-            quantum: SimDuration::from_millis(parse_u64(
-                it.next().ok_or("quant without quantum")?,
-            )?),
-        }),
-        Some("esc") => {
-            let mut next = || it.next().ok_or("esc needs 3 parameters".to_owned());
-            Ok(DeliveryDiscipline::Escalating {
-                base: SimDuration::from_millis(parse_u64(next()?)?),
-                max_quantum: SimDuration::from_millis(parse_u64(next()?)?),
-                windows_per_level: parse_u32(next()?)?,
-            })
-        }
-        _ => Err(format!("bad discipline `{s}`")),
-    }
-}
-
-fn write_queue(out: &mut String, key: &str, queue: &AlarmQueue) {
-    out.push_str(&format!("{key}={}\n", queue.len()));
-    for entry in queue.entries() {
-        out.push_str(&format!(
-            "entry={},{}\n",
-            fmt_discipline(entry.discipline()),
-            entry.len()
-        ));
-        for alarm in entry.alarms() {
-            out.push_str(&format!(
-                "alarm={},{},{}\n",
-                alarm.id().as_u64(),
-                alarm.label(),
-                fmt_alarm_attrs(alarm)
-            ));
-        }
-    }
-}
-
-fn read_queue<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    key: &str,
-    max_id: &mut u64,
-) -> Result<AlarmQueue, String> {
-    let entries = parse_u64(expect_kv(lines.next(), key)?)? as usize;
-    let mut queue = AlarmQueue::new();
-    queue.reserve(entries);
-    for _ in 0..entries {
-        let f = split_n(expect_kv(lines.next(), "entry")?, 2)?;
-        let discipline = parse_discipline(f[0])?;
-        let alarms = parse_u64(f[1])? as usize;
-        if alarms == 0 {
-            return Err("entry with zero alarms".into());
-        }
-        let mut entry: Option<QueueEntry> = None;
-        for _ in 0..alarms {
-            let alarm = parse_alarm_line(expect_kv(lines.next(), "alarm")?, max_id)?;
-            entry = Some(match entry {
-                None => QueueEntry::new(alarm, discipline),
-                Some(mut e) => {
-                    e.push(alarm);
-                    e
-                }
-            });
-        }
-        queue.insert_entry(entry.expect("at least one alarm"));
-    }
-    Ok(queue)
-}
-
-fn parse_alarm_line(s: &str, max_id: &mut u64) -> Result<Alarm, String> {
-    let f = split_n(s, 12)?;
-    let raw = parse_u64(f[0])?;
-    *max_id = (*max_id).max(raw);
-    let label = f[1];
-    if !is_valid_tenant(label) {
-        return Err(format!("bad alarm label `{label}`"));
-    }
-    Ok(Alarm::restore(
-        AlarmId::from_raw(raw),
-        label.into(),
-        SimTime::from_millis(parse_u64(f[2])?),
-        SimDuration::from_millis(parse_u64(f[3])?),
-        SimDuration::from_millis(parse_u64(f[4])?),
-        parse_repeat(f[5])?,
-        match f[6] {
-            "w" => AlarmKind::Wakeup,
-            "n" => AlarmKind::NonWakeup,
-            other => return Err(format!("bad alarm kind `{other}`")),
-        },
-        HardwareSet::from_bits(
-            u16::try_from(parse_u64(f[7])?).map_err(|_| "hardware bits out of range")?,
-        ),
-        parse_u64(f[8])? != 0,
-        SimDuration::from_millis(parse_u64(f[9])?),
-        parse_u64(f[10])? != 0,
-        parse_u32(f[11])?,
-    ))
-}
-
-fn expect_kv<'a>(line: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-    let line = line.ok_or_else(|| format!("missing `{key}` line"))?;
-    line.strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-        .ok_or_else(|| format!("expected `{key}=…`, got `{line}`"))
-}
-
-fn split_n(s: &str, n: usize) -> Result<Vec<&str>, String> {
-    let fields: Vec<&str> = s.splitn(n, ',').collect();
-    if fields.len() != n {
-        return Err(format!("expected {n} fields in `{s}`"));
-    }
-    Ok(fields)
-}
-
-fn parse_u64(s: &str) -> Result<u64, String> {
-    s.parse().map_err(|_| format!("bad number `{s}`"))
-}
-
-fn parse_u32(s: &str) -> Result<u32, String> {
-    s.parse().map_err(|_| format!("bad number `{s}`"))
 }
 
 #[cfg(test)]
@@ -990,6 +781,44 @@ mod tests {
         };
         assert_eq!(ordinal, 1, "ordinals continue from the snapshot");
         assert!(restored.verify().is_empty());
+    }
+
+    /// A count in the payload that would make restore allocate or loop
+    /// for 10^18 items is an error, never an abort.
+    #[test]
+    fn hostile_counts_are_typed_errors() {
+        let mut live = LiveScheduler::new("simty").expect("scheduler");
+        for (i, tenant) in ["a", "b"].into_iter().enumerate() {
+            live.register(&repeating(tenant, 60_000 + i as u64 * 1_000, 600_000));
+        }
+        let payload = live.snapshot_payload();
+        assert!(LiveScheduler::restore_payload(&payload).is_ok());
+        // `(key, field)`: the whole-line counts, then the `live` count of
+        // a `tenant=` line and the alarm count of an `entry=` line.
+        let counted = [
+            ("tenants", 0),
+            ("admissions", 0),
+            ("wakeup", 0),
+            ("nonwakeup", 0),
+            ("tenant", 7),
+            ("entry", 1),
+        ];
+        for (key, field) in counted {
+            for hostile in ["1000000000000000000", "18446744073709551615"] {
+                let prefix = format!("{key}=");
+                let line = payload
+                    .lines()
+                    .find(|l| l.starts_with(&prefix))
+                    .unwrap_or_else(|| panic!("the payload has no `{key}=` line"));
+                let mut fields: Vec<&str> = line[prefix.len()..].split(',').collect();
+                fields[field] = hostile;
+                let bad = payload.replacen(line, &format!("{prefix}{}", fields.join(",")), 1);
+                let err = LiveScheduler::restore_payload(&bad)
+                    .err()
+                    .unwrap_or_else(|| panic!("`{key}` = {hostile} restored"));
+                assert!(err.contains("exceeds the body"), "`{key}`: {err}");
+            }
+        }
     }
 
     #[test]

@@ -30,11 +30,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use simty::obs::telemetry::DEFAULT_BUS_CAPACITY;
-use simty::obs::{EventKind, MetricsRegistry, TelemetryBus, TelemetrySink};
+use simty::obs::{json_string, EventKind, MetricsRegistry, TelemetryBus, TelemetrySink};
 use simty::prelude::{Checkpoint, CheckpointError, CheckpointStore, SimDuration};
 use simty_bench::JsonValue;
 
-use crate::http::{json_escape, HttpConn, Limits, Request, RequestError, Response};
+use crate::http::{HttpConn, Limits, Request, RequestError, Response};
 use crate::live::{LiveScheduler, RegisterOutcome, RegisterRequest};
 use crate::signal;
 use crate::transport::{FaultCounters, FaultPlan};
@@ -576,14 +576,14 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
                                 v.ordinal,
                                 v.nominal_ms,
                                 v.repeat_ms.map_or("null".to_owned(), |m| m.to_string()),
-                                json_escape(v.kind),
+                                json_string(v.kind),
                                 v.quarantined,
                             )
                         })
                         .collect();
                     Response::ok_json(format!(
                         "{{\"tenant\":{},\"registered\":{},\"deferred\":{},\"rejected\":{},\"cancelled\":{},\"delivered\":{},\"live\":{},\"demoted\":{},\"alarms\":[{}]}}",
-                        json_escape(tenant),
+                        json_string(tenant),
                         stats.registered,
                         stats.deferred,
                         stats.rejected,

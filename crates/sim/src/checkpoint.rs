@@ -37,16 +37,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use simty_core::admission::{
-    AdmissionConfig, AdmissionController, AppAdmission, ClassQuota, TokenBucket,
-};
-use simty_core::alarm::{Alarm, AlarmId, AlarmKind, Repeat};
+use simty_core::admission::AdmissionController;
+use simty_core::alarm::{AlarmId, AlarmKind};
 use simty_core::audit::{CandidateAudit, CandidateVerdict, PlacementAudit};
-use simty_core::entry::{DeliveryDiscipline, QueueEntry};
-use simty_core::hardware::{HardwareComponent, HardwareSet};
+use simty_core::hardware::HardwareComponent;
 use simty_core::manager::AlarmManager;
 use simty_core::policy::{AlignmentPolicy, Placement};
-use simty_core::queue::AlarmQueue;
 use simty_core::similarity::{Preferability, TimeSimilarity};
 use simty_core::time::{SimDuration, SimTime};
 use simty_device::device::{Device, DevicePowerState, DeviceSnapshot};
@@ -181,7 +177,10 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-use crate::codec::{esc, f64_hex, fnv1a64, unesc};
+use crate::codec::{
+    esc, f64_hex, fmt_admission_config, fmt_alarm, fmt_app_admission, fnv1a64, unesc, write_queue,
+    Parser,
+};
 
 /// One captured snapshot: the serialized body plus the two fields needed
 /// to identify it without a full parse.
@@ -505,35 +504,6 @@ fn fmt_opt_time(t: Option<SimTime>) -> String {
     t.map_or_else(|| "none".to_owned(), |t| t.as_millis().to_string())
 }
 
-fn fmt_alarm(a: &Alarm) -> String {
-    let repeat = match a.repeat() {
-        Repeat::OneShot => "o".to_owned(),
-        Repeat::Static(i) => format!("s:{}", i.as_millis()),
-        Repeat::Dynamic(i) => format!("d:{}", i.as_millis()),
-    };
-    format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{}",
-        a.id().as_u64(),
-        esc(a.label()),
-        a.nominal().as_millis(),
-        a.window().as_millis(),
-        // The registered base grace: `grace()` reports the effective
-        // (possibly stretched) value, which is re-derived on restore
-        // from the persisted stretch factor below.
-        a.grace_base().as_millis(),
-        repeat,
-        match a.kind() {
-            AlarmKind::Wakeup => "w",
-            AlarmKind::NonWakeup => "n",
-        },
-        a.hardware().bits(),
-        u8::from(a.is_hardware_known()),
-        a.task_duration().as_millis(),
-        u8::from(a.is_quarantined()),
-        a.grace_stretch(),
-    )
-}
-
 fn fmt_event_kind(kind: &EventKind) -> String {
     match kind {
         EventKind::RtcAlarm => "rtc".to_owned(),
@@ -578,23 +548,6 @@ fn fmt_intervention_kind(kind: &InterventionKind) -> String {
     }
 }
 
-fn fmt_discipline(d: DeliveryDiscipline) -> String {
-    match d {
-        DeliveryDiscipline::Window => "window".to_owned(),
-        DeliveryDiscipline::PerceptibilityAware => "perc".to_owned(),
-        DeliveryDiscipline::Quantized { quantum } => format!("quant:{}", quantum.as_millis()),
-        DeliveryDiscipline::Escalating {
-            base,
-            max_quantum,
-            windows_per_level,
-        } => format!(
-            "esc:{}:{}:{windows_per_level}",
-            base.as_millis(),
-            max_quantum.as_millis()
-        ),
-    }
-}
-
 fn fmt_violation(v: &InvariantViolation) -> String {
     match v {
         InvariantViolation::PerceptibleWindowMiss {
@@ -618,21 +571,6 @@ fn fmt_violation(v: &InvariantViolation) -> String {
         } => format!("energy:{}:{}", f64_hex(*ledger_mj), f64_hex(*meter_mj)),
         InvariantViolation::WaveformMismatch { trace_mj, meter_mj } => {
             format!("waveform:{}:{}", f64_hex(*trace_mj), f64_hex(*meter_mj))
-        }
-    }
-}
-
-fn write_queue(body: &mut String, key: &str, queue: &AlarmQueue) {
-    w!(body, "{key}={}", queue.len());
-    for entry in queue.entries() {
-        w!(
-            body,
-            "entry={},{}",
-            fmt_discipline(entry.discipline()),
-            entry.len()
-        );
-        for alarm in entry.alarms() {
-            w!(body, "alarm={}", fmt_alarm(alarm));
         }
     }
 }
@@ -726,16 +664,7 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
     }
     match &sim.config.admission {
         None => w!(body, "admission=none"),
-        Some(a) => w!(
-            body,
-            "admission={},{},{},{},{},{}",
-            a.perceptible.replenish_every.as_millis(),
-            a.perceptible.burst,
-            a.deferrable.replenish_every.as_millis(),
-            a.deferrable.burst,
-            a.defer_limit,
-            a.demote_after
-        ),
+        Some(a) => w!(body, "admission={}", fmt_admission_config(a)),
     }
     match &sim.config.degradation {
         None => w!(body, "degradation=none"),
@@ -1027,18 +956,7 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
         Some(ctl) => {
             w!(body, "adm={}", ctl.app_count());
             for (app, st) in ctl.apps() {
-                w!(
-                    body,
-                    "aa={},{},{},{},{},{},{},{}",
-                    st.perceptible.tokens,
-                    st.perceptible.last_refill.as_millis(),
-                    st.deferrable.tokens,
-                    st.deferrable.last_refill.as_millis(),
-                    st.defer_horizon.as_millis(),
-                    st.rejections,
-                    u8::from(st.demoted),
-                    esc(app)
-                );
+                w!(body, "aa={},{}", fmt_app_admission(st), esc(app));
             }
         }
     }
@@ -1201,248 +1119,9 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
     }
 }
 
-/// A line-oriented `key=value` parser over a checkpoint body.
-struct Parser<'a> {
-    lines: std::str::Lines<'a>,
-    line_no: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(body: &'a str) -> Self {
-        Parser {
-            lines: body.lines(),
-            line_no: 0,
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> CheckpointError {
-        CheckpointError::Malformed {
-            line: self.line_no,
-            message: message.into(),
-        }
-    }
-
-    /// Consumes the next line only if it is `key=...`, returning its
-    /// value; leaves the parser untouched otherwise. For keys newer
-    /// captures may write that older bodies lack.
-    fn opt_kv(&mut self, key: &str) -> Option<&'a str> {
-        let mut look = self.lines.clone();
-        let (k, v) = look.next()?.split_once('=')?;
-        if k != key {
-            return None;
-        }
-        self.lines = look;
-        self.line_no += 1;
-        Some(v)
-    }
-
-    fn kv(&mut self, key: &str) -> Result<&'a str, CheckpointError> {
-        let line = self.lines.next().ok_or_else(|| CheckpointError::Malformed {
-            line: self.line_no + 1,
-            message: format!("unexpected end of body (wanted `{key}`)"),
-        })?;
-        self.line_no += 1;
-        let (k, v) = line
-            .split_once('=')
-            .ok_or_else(|| self.err(format!("expected `{key}=...`, found `{line}`")))?;
-        if k != key {
-            return Err(self.err(format!("expected key `{key}`, found `{k}`")));
-        }
-        Ok(v)
-    }
-
-    fn u64_of(&self, s: &str) -> Result<u64, CheckpointError> {
-        s.parse().map_err(|_| self.err(format!("invalid integer `{s}`")))
-    }
-
-    fn u32_of(&self, s: &str) -> Result<u32, CheckpointError> {
-        s.parse().map_err(|_| self.err(format!("invalid integer `{s}`")))
-    }
-
-    fn usize_of(&self, s: &str) -> Result<usize, CheckpointError> {
-        s.parse().map_err(|_| self.err(format!("invalid integer `{s}`")))
-    }
-
-    fn bool_of(&self, s: &str) -> Result<bool, CheckpointError> {
-        match s {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            _ => Err(self.err(format!("invalid flag `{s}`"))),
-        }
-    }
-
-    fn f64_of(&self, s: &str) -> Result<f64, CheckpointError> {
-        u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|_| self.err(format!("invalid float bits `{s}`")))
-    }
-
-    fn time(&self, s: &str) -> Result<SimTime, CheckpointError> {
-        Ok(SimTime::from_millis(self.u64_of(s)?))
-    }
-
-    fn dur(&self, s: &str) -> Result<SimDuration, CheckpointError> {
-        Ok(SimDuration::from_millis(self.u64_of(s)?))
-    }
-
-    fn opt_time(&self, s: &str) -> Result<Option<SimTime>, CheckpointError> {
-        if s == "none" {
-            Ok(None)
-        } else {
-            Ok(Some(self.time(s)?))
-        }
-    }
-
-    fn count(&mut self, key: &str) -> Result<usize, CheckpointError> {
-        let v = self.kv(key)?;
-        self.usize_of(v)
-    }
-
-    fn kv_time(&mut self, key: &str) -> Result<SimTime, CheckpointError> {
-        let v = self.kv(key)?;
-        self.time(v)
-    }
-
-    fn kv_dur(&mut self, key: &str) -> Result<SimDuration, CheckpointError> {
-        let v = self.kv(key)?;
-        self.dur(v)
-    }
-
-    fn kv_u64(&mut self, key: &str) -> Result<u64, CheckpointError> {
-        let v = self.kv(key)?;
-        self.u64_of(v)
-    }
-
-    fn kv_u32(&mut self, key: &str) -> Result<u32, CheckpointError> {
-        let v = self.kv(key)?;
-        self.u32_of(v)
-    }
-
-    fn kv_bool(&mut self, key: &str) -> Result<bool, CheckpointError> {
-        let v = self.kv(key)?;
-        self.bool_of(v)
-    }
-
-    fn kv_f64(&mut self, key: &str) -> Result<f64, CheckpointError> {
-        let v = self.kv(key)?;
-        self.f64_of(v)
-    }
-
-    fn kv_opt_time(&mut self, key: &str) -> Result<Option<SimTime>, CheckpointError> {
-        let v = self.kv(key)?;
-        self.opt_time(v)
-    }
-
-    /// Splits a comma-separated value into exactly `n` raw fields.
-    fn fields(&self, value: &'a str, n: usize) -> Result<Vec<&'a str>, CheckpointError> {
-        let parts: Vec<&str> = value.split(',').collect();
-        if parts.len() != n {
-            return Err(self.err(format!("expected {n} fields, got {}", parts.len())));
-        }
-        Ok(parts)
-    }
-
-    fn alarm(&mut self) -> Result<Alarm, CheckpointError> {
-        let v = self.kv("alarm")?;
-        let f = self.fields(v, 12)?;
-        let repeat = self.repeat_of(f[5])?;
-        let kind = self.kind_of(f[6])?;
-        Ok(Alarm::restore(
-            AlarmId::from_raw(self.u64_of(f[0])?),
-            unesc(f[1]).into(),
-            self.time(f[2])?,
-            self.dur(f[3])?,
-            self.dur(f[4])?,
-            repeat,
-            kind,
-            self.hardware_of(f[7])?,
-            self.bool_of(f[8])?,
-            self.dur(f[9])?,
-            self.bool_of(f[10])?,
-            self.u32_of(f[11])?,
-        ))
-    }
-
-    fn repeat_of(&self, s: &str) -> Result<Repeat, CheckpointError> {
-        if s == "o" {
-            return Ok(Repeat::OneShot);
-        }
-        let (tag, ms) = s
-            .split_once(':')
-            .ok_or_else(|| self.err(format!("invalid repeat `{s}`")))?;
-        let interval = self.dur(ms)?;
-        match tag {
-            "s" => Ok(Repeat::Static(interval)),
-            "d" => Ok(Repeat::Dynamic(interval)),
-            _ => Err(self.err(format!("invalid repeat `{s}`"))),
-        }
-    }
-
-    fn kind_of(&self, s: &str) -> Result<AlarmKind, CheckpointError> {
-        match s {
-            "w" => Ok(AlarmKind::Wakeup),
-            "n" => Ok(AlarmKind::NonWakeup),
-            _ => Err(self.err(format!("invalid alarm kind `{s}`"))),
-        }
-    }
-
-    fn hardware_of(&self, s: &str) -> Result<HardwareSet, CheckpointError> {
-        let bits: u16 = s
-            .parse()
-            .map_err(|_| self.err(format!("invalid hardware bits `{s}`")))?;
-        Ok(HardwareSet::from_bits(bits))
-    }
-
-    fn discipline_of(&self, s: &str) -> Result<DeliveryDiscipline, CheckpointError> {
-        let mut it = s.split(':');
-        match it.next() {
-            Some("window") => Ok(DeliveryDiscipline::Window),
-            Some("perc") => Ok(DeliveryDiscipline::PerceptibilityAware),
-            Some("quant") => {
-                let q = it.next().ok_or_else(|| self.err("quant without quantum"))?;
-                Ok(DeliveryDiscipline::Quantized {
-                    quantum: self.dur(q)?,
-                })
-            }
-            Some("esc") => {
-                let mut next =
-                    || it.next().ok_or_else(|| self.err("esc needs 3 parameters"));
-                let base = self.dur(next()?)?;
-                let max_quantum = self.dur(next()?)?;
-                let windows_per_level = self.u32_of(next()?)?;
-                Ok(DeliveryDiscipline::Escalating {
-                    base,
-                    max_quantum,
-                    windows_per_level,
-                })
-            }
-            _ => Err(self.err(format!("invalid discipline `{s}`"))),
-        }
-    }
-
-    fn queue(&mut self, key: &str) -> Result<AlarmQueue, CheckpointError> {
-        let entries = self.count(key)?;
-        let mut queue = AlarmQueue::new();
-        queue.reserve(entries);
-        for _ in 0..entries {
-            let v = self.kv("entry")?;
-            let f = self.fields(v, 2)?;
-            let discipline = self.discipline_of(f[0])?;
-            let alarms = self.usize_of(f[1])?;
-            if alarms == 0 {
-                return Err(self.err("entry with zero alarms"));
-            }
-            let mut entry = QueueEntry::new(self.alarm()?, discipline);
-            for _ in 1..alarms {
-                entry.push(self.alarm()?);
-            }
-            // Entries were recorded in queue order and `insert_entry`
-            // appends after equal delivery times, so order is preserved.
-            queue.insert_entry(entry);
-        }
-        Ok(queue)
-    }
-
+/// The readers only the checkpoint body needs; the shared ones live
+/// with the [`Parser`] in [`crate::codec`].
+impl Parser<'_> {
     fn event_kind_of(&self, s: &str) -> Result<EventKind, CheckpointError> {
         let mut it = s.split(':');
         let kind = match it.next() {
@@ -1644,13 +1323,18 @@ pub(crate) fn restore(
             Some(p.dur(v)?)
         }
     };
+    // Both rings need room for one record.
+    let capacity = |p: &Parser<'_>, key: &str, v: &str| match p.usize_of(v)? {
+        0 => Err(p.err(format!("{key} must be positive"))),
+        n => Ok(n),
+    };
     let audit_capacity = {
         let v = p.kv("audit_capacity")?;
-        p.usize_of(v)?
+        capacity(&p, "audit_capacity", v)?
     };
     // Optional: only non-default captures carry it.
     let span_capacity = match p.opt_kv("span_capacity") {
-        Some(v) => p.usize_of(v)?,
+        Some(v) => capacity(&p, "span_capacity", v)?,
         None => SPAN_CAPACITY,
     };
     // Optional: only no-obs captures carry it (absence means "on").
@@ -1665,7 +1349,7 @@ pub(crate) fn restore(
         if v == "none" {
             None
         } else {
-            let f = p.fields(v, 4)?;
+            let f = p.fields::<4>(v)?;
             Some(OnlineWatchdogConfig {
                 policy: WatchdogPolicy {
                     max_task_hold: p.dur(f[0])?,
@@ -1681,19 +1365,7 @@ pub(crate) fn restore(
         if v == "none" {
             None
         } else {
-            let f = p.fields(v, 6)?;
-            Some(AdmissionConfig {
-                perceptible: ClassQuota {
-                    replenish_every: p.dur(f[0])?,
-                    burst: p.u32_of(f[1])?,
-                },
-                deferrable: ClassQuota {
-                    replenish_every: p.dur(f[2])?,
-                    burst: p.u32_of(f[3])?,
-                },
-                defer_limit: p.u32_of(f[4])?,
-                demote_after: p.u32_of(f[5])?,
-            })
+            Some(p.admission_config_of(p.fields(v)?)?)
         }
     };
     let degradation_cfg = {
@@ -1701,7 +1373,7 @@ pub(crate) fn restore(
         if v == "none" {
             None
         } else {
-            let f = p.fields(v, 9)?;
+            let f = p.fields::<9>(v)?;
             Some(GovernorConfig {
                 capacity_mj: p.f64_of(f[0])?,
                 check_every: p.dur(f[1])?,
@@ -1725,8 +1397,7 @@ pub(crate) fn restore(
     power.wake_latency = p.kv_dur("wake_latency_ms")?;
     power.sleep_linger = p.kv_dur("sleep_linger_ms")?;
     for c in HardwareComponent::ALL {
-        let v = p.kv("component")?;
-        let f = p.fields(v, 2)?;
+        let f = p.kv_fields::<2>("component")?;
         power.set_component(
             c,
             ComponentPower {
@@ -1773,12 +1444,10 @@ pub(crate) fn restore(
         }
     };
     let meter = {
-        let v = p.kv("dev_meter")?;
-        let f = p.fields(v, 3)?;
+        let f = p.kv_fields::<3>("dev_meter")?;
         let (sleep_mj, transition_mj, awake_mj) =
             (p.f64_of(f[0])?, p.f64_of(f[1])?, p.f64_of(f[2])?);
-        let v = p.kv("dev_meter_components")?;
-        let f = p.fields(v, N_COMPONENTS)?;
+        let f = p.kv_fields::<N_COMPONENTS>("dev_meter_components")?;
         let mut component_mj = [0.0; N_COMPONENTS];
         for (slot, raw) in component_mj.iter_mut().zip(&f) {
             *slot = p.f64_of(raw)?;
@@ -1786,14 +1455,12 @@ pub(crate) fn restore(
         EnergyMeter::from_parts(sleep_mj, transition_mj, awake_mj, component_mj)
     };
     let locks = {
-        let v = p.kv("dev_locks_expiry")?;
-        let f = p.fields(v, N_COMPONENTS)?;
+        let f = p.kv_fields::<N_COMPONENTS>("dev_locks_expiry")?;
         let mut expiry = [None; N_COMPONENTS];
         for (slot, raw) in expiry.iter_mut().zip(&f) {
             *slot = p.opt_time(raw)?;
         }
-        let v = p.kv("dev_locks_activations")?;
-        let f = p.fields(v, N_COMPONENTS)?;
+        let f = p.kv_fields::<N_COMPONENTS>("dev_locks_activations")?;
         let mut activations = [0u64; N_COMPONENTS];
         for (slot, raw) in activations.iter_mut().zip(&f) {
             *slot = p.u64_of(raw)?;
@@ -1813,15 +1480,13 @@ pub(crate) fn restore(
                 let n = p.count("levels")?;
                 let mut levels = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let v = p.kv("lv")?;
-                    let f = p.fields(v, 2)?;
+                    let f = p.kv_fields::<2>("lv")?;
                     levels.push((p.time(f[0])?, p.f64_of(f[1])?));
                 }
                 let n = p.count("impulses")?;
                 let mut impulses = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let v = p.kv("im")?;
-                    let f = p.fields(v, 2)?;
+                    let f = p.kv_fields::<2>("im")?;
                     impulses.push((p.time(f[0])?, p.f64_of(f[1])?));
                 }
                 Some(PowerTrace::from_parts(levels, impulses))
@@ -1849,8 +1514,7 @@ pub(crate) fn restore(
     let n = p.count("events")?;
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
-        let v = p.kv("ev")?;
-        let f = p.fields(v, 3)?;
+        let f = p.kv_fields::<3>("ev")?;
         events.push(Event {
             time: p.time(f[0])?,
             seq: p.u64_of(f[1])?,
@@ -1862,8 +1526,7 @@ pub(crate) fn restore(
     let mut armed = crate::engine::ArmedSet::default();
     armed.reserve(n);
     for _ in 0..n {
-        let v = p.kv("arm")?;
-        let f = p.fields(v, 2)?;
+        let f = p.kv_fields::<2>("arm")?;
         let tag: u8 = f[0]
             .parse()
             .map_err(|_| p.err(format!("invalid armed tag `{}`", f[0])))?;
@@ -1874,8 +1537,7 @@ pub(crate) fn restore(
     let mut trace = Trace::new();
     let n = p.count("deliveries")?;
     for _ in 0..n {
-        let v = p.kv("d")?;
-        let f = p.fields(v, 12)?;
+        let f = p.kv_fields::<12>("d")?;
         let repeat_ms = p.u64_of(f[6])?;
         trace.record_delivery(DeliveryRecord {
             alarm_id: AlarmId::from_raw(p.u64_of(f[0])?),
@@ -1901,14 +1563,10 @@ pub(crate) fn restore(
         let t = p.kv_time("wk")?;
         trace.record_wakeup(t);
     }
-    let entry_deliveries = p.kv_u64("entry_deliveries")?;
-    for _ in 0..entry_deliveries {
-        trace.record_entry_delivery();
-    }
+    trace.entry_deliveries = p.kv_u64("entry_deliveries")?;
     let n = p.count("interventions")?;
     for _ in 0..n {
-        let v = p.kv("iv")?;
-        let f = p.fields(v, 4)?;
+        let f = p.kv_fields::<4>("iv")?;
         trace.record_intervention(InterventionRecord {
             at: p.time(f[0])?,
             app: unesc(f[1]),
@@ -1921,8 +1579,7 @@ pub(crate) fn restore(
     let n = p.count("ledger_active")?;
     let mut active = Vec::with_capacity(n);
     for _ in 0..n {
-        let v = p.kv("la")?;
-        let f = p.fields(v, 3)?;
+        let f = p.kv_fields::<3>("la")?;
         active.push(ActiveTask {
             app: unesc(f[0]).into(),
             hardware: p.hardware_of(f[1])?,
@@ -1932,15 +1589,13 @@ pub(crate) fn restore(
     let n = p.count("ledger_apps")?;
     let mut per_app = BTreeMap::new();
     for _ in 0..n {
-        let v = p.kv("lp")?;
-        let f = p.fields(v, 2)?;
+        let f = p.kv_fields::<2>("lp")?;
         per_app.insert(unesc(f[0]), p.f64_of(f[1])?);
     }
     let n = p.count("ledger_interventions")?;
     let mut ledger_interventions = BTreeMap::new();
     for _ in 0..n {
-        let v = p.kv("li")?;
-        let f = p.fields(v, 2)?;
+        let f = p.kv_fields::<2>("li")?;
         ledger_interventions.insert(unesc(f[0]), p.u64_of(f[1])?);
     }
     let ledger = AttributionLedger {
@@ -1973,8 +1628,7 @@ pub(crate) fn restore(
             plan.max_attempts = p.kv_u32("f_max_attempts")?;
             let n = p.count("f_crashes")?;
             for _ in 0..n {
-                let v = p.kv("fc")?;
-                let f = p.fields(v, 3)?;
+                let f = p.kv_fields::<3>("fc")?;
                 plan.crashes.push(CrashSpec {
                     at: p.time(f[0])?,
                     restart_after: p.dur(f[1])?,
@@ -1983,8 +1637,7 @@ pub(crate) fn restore(
             }
             let n = p.count("f_storms")?;
             for _ in 0..n {
-                let v = p.kv("fs")?;
-                let f = p.fields(v, 3)?;
+                let f = p.kv_fields::<3>("fs")?;
                 plan.storms.push(StormSpec {
                     start: p.time(f[0])?,
                     duration: p.dur(f[1])?,
@@ -2001,7 +1654,7 @@ pub(crate) fn restore(
                 if v == "none" {
                     None
                 } else {
-                    let f = p.fields(v, 2)?;
+                    let f = p.fields::<2>(v)?;
                     Some((p.time(f[0])?, p.u32_of(f[1])?))
                 }
             };
@@ -2037,8 +1690,7 @@ pub(crate) fn restore(
     let n = p.count("holds")?;
     let mut holds = Vec::with_capacity(n);
     for _ in 0..n {
-        let v = p.kv("h")?;
-        let f = p.fields(v, 4)?;
+        let f = p.kv_fields::<4>("h")?;
         holds.push(TaskHold {
             started: p.time(f[0])?,
             until: p.time(f[1])?,
@@ -2049,22 +1701,19 @@ pub(crate) fn restore(
     let n = p.count("offenses")?;
     let mut offenses = BTreeMap::new();
     for _ in 0..n {
-        let v = p.kv("of")?;
-        let f = p.fields(v, 2)?;
+        let f = p.kv_fields::<2>("of")?;
         offenses.insert(unesc(f[1]), p.u32_of(f[0])?);
     }
     let n = p.count("quarantined")?;
     let mut quarantined = BTreeMap::new();
     for _ in 0..n {
-        let v = p.kv("qa")?;
-        let f = p.fields(v, 3)?;
+        let f = p.kv_fields::<3>("qa")?;
         quarantined.insert(unesc(f[2]), (p.time(f[0])?, p.u32_of(f[1])?));
     }
     let n = p.count("retries")?;
     let mut activation_retries = Vec::with_capacity(n);
     for _ in 0..n {
-        let v = p.kv("rt")?;
-        let f = p.fields(v, 6)?;
+        let f = p.kv_fields::<6>("rt")?;
         activation_retries.push(RetrySlot {
             until: p.time(f[0])?,
             attempt: p.u32_of(f[1])?,
@@ -2077,9 +1726,8 @@ pub(crate) fn restore(
     let n = p.count("stash_apps")?;
     let mut crash_stash = BTreeMap::new();
     for _ in 0..n {
-        let v = p.kv("stash")?;
-        let f = p.fields(v, 2)?;
-        let count = p.usize_of(f[0])?;
+        let f = p.kv_fields::<2>("stash")?;
+        let count = p.count_of(f[0])?;
         let app = unesc(f[1]);
         let mut alarms = Vec::with_capacity(count);
         for _ in 0..count {
@@ -2100,27 +1748,11 @@ pub(crate) fn restore(
             let cfg = config
                 .admission
                 .ok_or_else(|| p.err("admission state without admission config"))?;
-            let n = p.usize_of(v)?;
+            let n = p.count_of(v)?;
             let mut apps = Vec::with_capacity(n);
             for _ in 0..n {
-                let v = p.kv("aa")?;
-                let f = p.fields(v, 8)?;
-                apps.push((
-                    unesc(f[7]),
-                    AppAdmission {
-                        perceptible: TokenBucket {
-                            tokens: p.u32_of(f[0])?,
-                            last_refill: p.time(f[1])?,
-                        },
-                        deferrable: TokenBucket {
-                            tokens: p.u32_of(f[2])?,
-                            last_refill: p.time(f[3])?,
-                        },
-                        defer_horizon: p.time(f[4])?,
-                        rejections: p.u32_of(f[5])?,
-                        demoted: p.bool_of(f[6])?,
-                    },
-                ));
+                let [state @ .., app] = p.kv_fields::<8>("aa")?;
+                apps.push((unesc(app), p.app_admission_of(state)?));
             }
             Some(AdmissionController::restore(cfg, apps))
         }
@@ -2135,7 +1767,7 @@ pub(crate) fn restore(
             let cfg = config
                 .degradation
                 .ok_or_else(|| p.err("governor state without degradation config"))?;
-            let f = p.fields(v, 4)?;
+            let f = p.fields::<4>(v)?;
             let tier = match f[0] {
                 "normal" => DegradationTier::Normal,
                 "saver" => DegradationTier::Saver,
@@ -2156,8 +1788,7 @@ pub(crate) fn restore(
     let n = p.count("storm_bursts")?;
     let mut storm = Vec::with_capacity(n);
     for _ in 0..n {
-        let v = p.kv("sb")?;
-        let f = p.fields(v, 9)?;
+        let f = p.kv_fields::<9>("sb")?;
         storm.push(StormBurst {
             start: p.time(f[0])?,
             count: p.u32_of(f[1])?,
@@ -2173,8 +1804,7 @@ pub(crate) fn restore(
 
     // Overload counters.
     let overload = {
-        let v = p.kv("ov")?;
-        let f = p.fields(v, 7)?;
+        let f = p.kv_fields::<7>("ov")?;
         OverloadStats {
             storm_registrations: p.u64_of(f[0])?,
             admitted: p.u64_of(f[1])?,
@@ -2256,14 +1886,12 @@ pub(crate) fn restore(
         SpanCollector::from_parts(config.span_capacity, obs_next_seq, obs_span_dropped, spans);
     let n = p.count("obs_counters")?;
     for _ in 0..n {
-        let v = p.kv("oc")?;
-        let f = p.fields(v, 2)?;
+        let f = p.kv_fields::<2>("oc")?;
         obs.metrics.set_counter(&unesc(f[1]), p.u64_of(f[0])?);
     }
     let n = p.count("obs_gauges")?;
     for _ in 0..n {
-        let v = p.kv("og")?;
-        let f = p.fields(v, 2)?;
+        let f = p.kv_fields::<2>("og")?;
         obs.metrics.set_gauge(&unesc(f[1]), p.f64_of(f[0])?);
     }
     let n = p.count("obs_hists")?;
@@ -2274,7 +1902,7 @@ pub(crate) fn restore(
             return Err(p.err("histogram needs at least a name and a bound count"));
         }
         let name = unesc(parts[0]);
-        let nb = p.usize_of(parts[1])?;
+        let nb = p.count_of(parts[1])?;
         // name, bound count, bounds, counts (one overflow bucket), sum,
         // count, plus an optional trailing non-finite quarantine count
         // (absent in pre-quantile checkpoints).
@@ -2309,8 +1937,7 @@ pub(crate) fn restore(
     obs.audit_dropped = p.kv_u64("obs_audit_dropped")?;
     let n = p.count("obs_audits")?;
     for _ in 0..n {
-        let v = p.kv("oa")?;
-        let f = p.fields(v, 7)?;
+        let f = p.kv_fields::<7>("oa")?;
         let candidates = if f[6] == "-" {
             Vec::new()
         } else {
@@ -2370,8 +1997,7 @@ pub(crate) fn restore(
     }
     let n = p.count("obs_aliases")?;
     for _ in 0..n {
-        let v = p.kv("ol")?;
-        let f = p.fields(v, 2)?;
+        let f = p.kv_fields::<2>("ol")?;
         obs.aliases.insert(p.u64_of(f[0])?, p.u64_of(f[1])?);
     }
     obs.wake_open = p.kv_opt_time("obs_wake")?;
@@ -2409,6 +2035,7 @@ pub(crate) fn restore(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simty_core::alarm::Alarm;
 
     fn sample() -> Checkpoint {
         Checkpoint {

@@ -2,42 +2,14 @@
 //!
 //! Hand-rolled (the workspace's dependency policy keeps serde out); the
 //! emitter covers exactly what [`SimReport`] needs — objects, arrays,
-//! strings with escaping, and finite numbers.
+//! strings and finite numbers, the last two through `simty_obs`'s
+//! [`json_string`] and [`json_f64`].
 
 use std::fmt::Write as _;
 
+use simty_obs::{json_f64, json_string};
+
 use crate::metrics::SimReport;
-
-/// Escapes a string for inclusion in a JSON document (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a finite `f64` for JSON (`null` for non-finite values, which
-/// JSON cannot represent).
-pub fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
 
 /// Renders a [`SimReport`] as a single JSON object.
 ///
@@ -70,16 +42,16 @@ pub fn report_to_json(report: &SimReport) -> String {
     let _ = write!(
         out,
         "\"energy_mj\":{{\"sleep\":{},\"transitions\":{},\"awake_base\":{},\"hardware\":{},\"total\":{}}},",
-        json_number(e.sleep_mj),
-        json_number(e.transition_mj),
-        json_number(e.awake_base_mj),
-        json_number(e.hardware_mj()),
-        json_number(e.total_mj())
+        json_f64(e.sleep_mj),
+        json_f64(e.transition_mj),
+        json_f64(e.awake_base_mj),
+        json_f64(e.hardware_mj()),
+        json_f64(e.total_mj())
     );
     let _ = write!(
         out,
         "\"average_power_mw\":{},\"cpu_wakeups\":{},\"entry_deliveries\":{},\"total_deliveries\":{},\"awake_ms\":{},",
-        json_number(report.average_power_mw()),
+        json_f64(report.average_power_mw()),
         report.cpu_wakeups,
         report.entry_deliveries,
         report.total_deliveries,
@@ -89,11 +61,11 @@ pub fn report_to_json(report: &SimReport) -> String {
     let _ = write!(
         out,
         "\"delays\":{{\"perceptible_avg\":{},\"perceptible_max\":{},\"perceptible_count\":{},\"imperceptible_avg\":{},\"imperceptible_max\":{},\"imperceptible_count\":{}}},",
-        json_number(d.perceptible_avg),
-        json_number(d.perceptible_max),
+        json_f64(d.perceptible_avg),
+        json_f64(d.perceptible_max),
         d.perceptible_count,
-        json_number(d.imperceptible_avg),
-        json_number(d.imperceptible_max),
+        json_f64(d.imperceptible_avg),
+        json_f64(d.imperceptible_max),
         d.imperceptible_count
     );
     out.push_str("\"wakeups\":[");
@@ -124,12 +96,12 @@ pub fn report_to_json(report: &SimReport) -> String {
         r.recoveries,
         r.app_crashes,
         r.app_restarts,
-        json_number(r.mean_time_to_recovery_ms),
-        json_number(r.intervention_overhead_mj),
+        json_f64(r.mean_time_to_recovery_ms),
+        json_f64(r.intervention_overhead_mj),
         r.reboots,
-        json_number(r.mean_recovery_ms),
+        json_f64(r.mean_recovery_ms),
         r.catch_up_entries,
-        json_number(r.worst_catch_up_delay_ms)
+        json_f64(r.worst_catch_up_delay_ms)
     );
     let o = &report.overload;
     let _ = write!(
@@ -179,9 +151,9 @@ mod tests {
 
     #[test]
     fn numbers() {
-        assert_eq!(json_number(1.5), "1.5");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
+        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
     }
 
     #[test]

@@ -49,7 +49,7 @@ use simty_obs::{
     SpanKind,
 };
 
-use crate::json::json_string;
+use simty_obs::json_string;
 
 /// How many spans the ring retains before evicting the oldest.
 pub const SPAN_CAPACITY: usize = 2048;

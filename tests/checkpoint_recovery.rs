@@ -311,3 +311,151 @@ fn pausing_never_changes_the_result() {
         }
     }
 }
+
+/// A capture an hour into a run with every optional section present:
+/// the waveform monitor, invariants, the watchdog, admission state,
+/// faults, and a crashed app's stashed alarms.
+fn capture_with_every_section() -> Checkpoint {
+    let mut sim = Simulation::new(
+        Box::new(SimtyPolicy::new()),
+        SimConfig::new()
+            .with_duration(SimDuration::from_hours(2))
+            .with_waveform()
+            .with_invariants()
+            .with_online_watchdog(OnlineWatchdogConfig::default())
+            .with_admission(simty::core::AdmissionConfig::default())
+            .with_external_wakes([SimTime::from_secs(700)]),
+    );
+    standard_workload(&mut sim);
+    sim.inject_faults(
+        &FaultPlan::new(0xC0FFEE)
+            .with_dropped_fires(0.05, SimDuration::from_secs(5))
+            .with_app_crash(
+                "WhatsApp",
+                SimTime::from_secs(50 * 60),
+                SimDuration::from_mins(20),
+            ),
+    );
+    sim.run_until(SimTime::from_secs(60 * 60));
+    sim.checkpoint()
+}
+
+/// Re-envelopes `ckpt` with `edit` applied to its body and a fresh
+/// length and checksum, so only the body's content is hostile.
+fn edited(ckpt: &Checkpoint, edit: impl Fn(&str) -> String) -> Checkpoint {
+    let bytes = String::from_utf8(ckpt.to_bytes()).expect("utf-8 checkpoint");
+    let mut parts = bytes.splitn(4, '\n');
+    let magic = parts.next().expect("magic line");
+    let body = edit(parts.nth(2).expect("body"));
+    let envelope = format!(
+        "{magic}\nlen={}\nsum={:016x}\n{body}",
+        body.len(),
+        simty::sim::codec::fnv1a64(body.as_bytes())
+    );
+    Checkpoint::from_bytes(envelope.as_bytes()).expect("re-checksummed envelope")
+}
+
+/// Replaces field `field` of the first `key=` line of `body`.
+fn with_field(body: &str, key: &str, field: usize, value: &str) -> Option<String> {
+    let prefix = format!("{key}=");
+    let mut found = false;
+    let lines: Vec<String> = body
+        .lines()
+        .map(|line| match line.strip_prefix(&prefix) {
+            Some(rest) if !found => {
+                found = true;
+                let mut fields: Vec<&str> = rest.split(',').collect();
+                fields[field] = value;
+                format!("{prefix}{}", fields.join(","))
+            }
+            _ => line.to_owned(),
+        })
+        .collect();
+    found.then(|| lines.join("\n") + "\n")
+}
+
+/// A hostile count in a re-checksummed body — one that would make
+/// restore allocate or loop for 10^18 items — is a typed `Malformed`
+/// error, as is a zero span or audit ring capacity; neither aborts.
+#[test]
+fn hostile_counts_and_zero_capacities_are_typed_errors() {
+    let ckpt = capture_with_every_section();
+    let restore = |c: &Checkpoint| Simulation::restore(Box::new(SimtyPolicy::new()), c);
+    assert!(restore(&ckpt).is_ok(), "the unedited capture restores");
+
+    // `(key, field)`: every count the body carries, whole-line counts
+    // first, then the counts inside `entry=`, `stash=` and `oh=` lines.
+    let mut counted: Vec<(&str, usize)> = [
+        "external_wakes",
+        "wakeup_entries",
+        "non_wakeup_entries",
+        "levels",
+        "impulses",
+        "events",
+        "armed",
+        "deliveries",
+        "wakeups",
+        "interventions",
+        "ledger_active",
+        "ledger_apps",
+        "ledger_interventions",
+        "f_crashes",
+        "f_storms",
+        "m_violations",
+        "holds",
+        "offenses",
+        "quarantined",
+        "retries",
+        "stash_apps",
+        "adm",
+        "storm_bursts",
+        "obs_spans",
+        "obs_counters",
+        "obs_gauges",
+        "obs_hists",
+        "obs_audits",
+        "obs_aliases",
+    ]
+    .into_iter()
+    .map(|key| (key, 0))
+    .collect();
+    counted.extend([("entry", 1), ("stash", 0), ("oh", 1)]);
+    for (key, field) in counted {
+        for hostile in ["1000000000000000000", "18446744073709551615"] {
+            let body = String::from_utf8(ckpt.to_bytes()).unwrap();
+            assert!(
+                with_field(&body, key, field, hostile).is_some(),
+                "the capture has no `{key}=` line"
+            );
+            let bad = edited(&ckpt, |b| with_field(b, key, field, hostile).unwrap());
+            match restore(&bad) {
+                Err(CheckpointError::Malformed { message, .. }) => {
+                    assert!(message.contains("exceeds the body"), "`{key}`: {message}")
+                }
+                other => panic!("`{key}` field {field} = {hostile}: {:?}", other.err()),
+            }
+        }
+    }
+
+    // The capture keeps the default span capacity, so it writes no
+    // `span_capacity=` line; the edit adds one after the audit ring's.
+    let audit_line = |b: &str| {
+        let at = b.find("\naudit_capacity=").expect("audit_capacity line") + 1;
+        b[at..].split_inclusive('\n').next().unwrap().to_owned()
+    };
+    let zero_audit = edited(&ckpt, |b| {
+        b.replacen(&audit_line(b), "audit_capacity=0\n", 1)
+    });
+    let zero_span = edited(&ckpt, |b| {
+        let line = audit_line(b);
+        b.replacen(&line, &format!("{line}span_capacity=0\n"), 1)
+    });
+    for (key, bad) in [("audit_capacity", zero_audit), ("span_capacity", zero_span)] {
+        match restore(&bad) {
+            Err(CheckpointError::Malformed { message, .. }) => {
+                assert!(message.contains(key), "{message}")
+            }
+            other => panic!("{key}=0: {:?}", other.err()),
+        }
+    }
+}
