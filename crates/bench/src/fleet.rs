@@ -44,8 +44,8 @@ use simty::sim::codec::{esc, unesc};
 use simty::obs::{json_f64, json_string};
 use simty::sim::json::report_to_json;
 use simty::sim::{
-    Checkpoint, CheckpointStore, DelayStats, OverloadStats, ResilienceStats, SimConfig, SimReport,
-    Simulation,
+    Checkpoint, CheckpointStore, DelayStats, ObsLevel, OverloadStats, ResilienceStats, SimConfig,
+    SimReport, Simulation,
 };
 
 use crate::journal::JournalError;
@@ -177,6 +177,11 @@ pub struct DeviceRun {
 /// and seed from the catalog, builds the workload, and simulates it
 /// with fleet-bounded observability rings.
 ///
+/// The device runs at [`ObsLevel::Counts`]: the fleet reads only the
+/// two eviction counts and the report, so no span, audit or stage clock
+/// is built, while the report (its `metrics` block included) and both
+/// counts equal a [`ObsLevel::Full`] run's.
+///
 /// Pure in `(config.seed, device)`: the same device produces the same
 /// report no matter which shard or thread runs it.
 ///
@@ -200,7 +205,8 @@ pub fn run_device(config: &FleetConfig, policy: PolicyKind, device: u64) -> Devi
     let sim_config = SimConfig::new()
         .with_duration(config.duration)
         .with_span_capacity(config.span_capacity)
-        .with_audit_capacity(config.audit_capacity);
+        .with_audit_capacity(config.audit_capacity)
+        .with_obs(ObsLevel::Counts);
     let mut sim = Simulation::new(policy.build(), sim_config);
     for alarm in workload.alarms {
         sim.register(alarm)

@@ -91,6 +91,36 @@ pub struct PlacementAudit {
     pub candidates: Vec<CandidateAudit>,
 }
 
+/// How much of each placement decision an
+/// [`AlarmManager`](crate::manager::AlarmManager) records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AuditLevel {
+    /// Nothing.
+    Off,
+    /// Only each decision's outcome, tallied into a [`PlacementTally`].
+    /// The policy places without auditing its candidates.
+    Outcomes,
+    /// One [`PlacementAudit`] per decision, candidates included.
+    Full,
+}
+
+/// Placement outcomes tallied at [`AuditLevel::Outcomes`] since the last
+/// [`take_placement_tally`](crate::manager::AlarmManager::take_placement_tally).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlacementTally {
+    /// Decisions that joined an existing entry.
+    pub existing: u64,
+    /// Decisions that opened a new entry.
+    pub new_entry: u64,
+}
+
+impl PlacementTally {
+    /// Decisions tallied, whatever their outcome.
+    pub fn total(&self) -> u64 {
+        self.existing + self.new_entry
+    }
+}
+
 impl PlacementAudit {
     /// The winning candidate, if an existing entry was chosen by an
     /// auditing policy.

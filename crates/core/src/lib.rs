@@ -77,7 +77,6 @@ pub mod hardware;
 pub mod manager;
 pub mod policy;
 pub mod queue;
-pub mod service;
 pub mod similarity;
 pub mod time;
 
@@ -86,7 +85,7 @@ pub use admission::{
     ClassQuota, TokenBucket,
 };
 pub use alarm::{Alarm, AlarmBuilder, AlarmId, AlarmKind, Repeat, GRACE_STRETCH_UNIT};
-pub use audit::{CandidateAudit, CandidateVerdict, PlacementAudit};
+pub use audit::{AuditLevel, CandidateAudit, CandidateVerdict, PlacementAudit, PlacementTally};
 pub use entry::{DeliveryDiscipline, QueueEntry};
 pub use hardware::{HardwareComponent, HardwareSet};
 pub use manager::AlarmManager;
@@ -94,6 +93,5 @@ pub use policy::{
     AlignmentPolicy, DozePolicy, DurationSimilarityPolicy, ExactPolicy, FixedIntervalPolicy,
     NativePolicy, Placement, SimtyPolicy,
 };
-pub use service::AlarmService;
 pub use similarity::{HardwareGranularity, HardwareSimilarity, Preferability, TimeSimilarity};
 pub use time::{Interval, SimDuration, SimTime};

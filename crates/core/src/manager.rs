@@ -14,7 +14,7 @@
 use std::fmt;
 
 use crate::alarm::{Alarm, AlarmId, AlarmKind, GRACE_STRETCH_UNIT};
-use crate::audit::{CandidateAudit, PlacementAudit};
+use crate::audit::{AuditLevel, CandidateAudit, PlacementAudit, PlacementTally};
 use crate::entry::QueueEntry;
 use crate::error::RegisterAlarmError;
 use crate::policy::{AlignmentPolicy, Placement};
@@ -48,9 +48,9 @@ pub struct AlarmManager {
     wakeup: AlarmQueue,
     non_wakeup: AlarmQueue,
     now: SimTime,
-    /// When `Some`, every placement decision is recorded here until the
-    /// next [`drain_audits`](Self::drain_audits) drains it.
-    audit_sink: Option<Vec<PlacementAudit>>,
+    /// What placement decisions leave behind until the next drain (see
+    /// [`set_audit_level`](Self::set_audit_level)).
+    audit_sink: AuditSink,
     /// Cleared candidate buffers of retired audits, reused by the next
     /// audited decisions (see [`drain_audits`](Self::drain_audits)).
     spare_candidates: Vec<Vec<CandidateAudit>>,
@@ -69,7 +69,7 @@ impl AlarmManager {
             wakeup: AlarmQueue::new(),
             non_wakeup: AlarmQueue::new(),
             now: SimTime::ZERO,
-            audit_sink: None,
+            audit_sink: AuditSink::Off,
             spare_candidates: Vec::new(),
             grace_stretch: GRACE_STRETCH_UNIT,
         }
@@ -93,7 +93,7 @@ impl AlarmManager {
             wakeup,
             non_wakeup,
             now,
-            audit_sink: None,
+            audit_sink: AuditSink::Off,
             spare_candidates: Vec::new(),
             grace_stretch: GRACE_STRETCH_UNIT,
         }
@@ -108,32 +108,49 @@ impl AlarmManager {
         self.grace_stretch = stretch_milli.max(GRACE_STRETCH_UNIT);
     }
 
-    /// Turns placement auditing on or off.
+    /// Sets how much of each placement decision the manager records.
     ///
-    /// While enabled, every [`register`](Self::register) /
+    /// At [`AuditLevel::Full`], every [`register`](Self::register) /
     /// [`complete_delivery`](Self::complete_delivery) /
     /// [`set_app_quarantined`](Self::set_app_quarantined) records one
     /// [`PlacementAudit`] per placement decision into an internal sink;
-    /// drain it with [`drain_audits`](Self::drain_audits). Disabling also
-    /// discards anything not yet drained. Auditing never changes
+    /// drain it with [`drain_audits`](Self::drain_audits). At
+    /// [`AuditLevel::Outcomes`] it only tallies each decision's outcome;
+    /// take the tally with
+    /// [`take_placement_tally`](Self::take_placement_tally). Changing the
+    /// level discards anything not yet drained. Auditing never changes
     /// placement outcomes.
-    pub fn set_audit_enabled(&mut self, enabled: bool) {
-        if enabled {
-            if self.audit_sink.is_none() {
-                self.audit_sink = Some(Vec::new());
-            }
-        } else {
-            self.audit_sink = None;
+    pub fn set_audit_level(&mut self, level: AuditLevel) {
+        if level == self.audit_level() {
+            return;
+        }
+        self.audit_sink = match level {
+            AuditLevel::Off => AuditSink::Off,
+            AuditLevel::Outcomes => AuditSink::Outcomes(PlacementTally::default()),
+            AuditLevel::Full => AuditSink::Full(Vec::new()),
+        };
+    }
+
+    /// How much of each placement decision the manager records.
+    pub fn audit_level(&self) -> AuditLevel {
+        match self.audit_sink {
+            AuditSink::Off => AuditLevel::Off,
+            AuditSink::Outcomes(_) => AuditLevel::Outcomes,
+            AuditSink::Full(_) => AuditLevel::Full,
         }
     }
 
-    /// Whether placement auditing is enabled.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit_sink.is_some()
+    /// The placement outcomes tallied since the last call, resetting the
+    /// tally; all zero unless the level is [`AuditLevel::Outcomes`].
+    pub fn take_placement_tally(&mut self) -> PlacementTally {
+        match &mut self.audit_sink {
+            AuditSink::Outcomes(tally) => std::mem::take(tally),
+            _ => PlacementTally::default(),
+        }
     }
 
     /// Hands every placement decision recorded since the last drain to
-    /// `ingest`, in decision order; nothing when auditing is disabled.
+    /// `ingest`, in decision order; nothing below [`AuditLevel::Full`].
     /// The sink keeps its buffer. `ingest` may return an audit it has
     /// retired (one evicted from a bounded ring, say): the manager keeps
     /// its cleared candidate buffer for a later decision, so a full ring
@@ -142,7 +159,7 @@ impl AlarmManager {
         &mut self,
         mut ingest: impl FnMut(PlacementAudit) -> Option<PlacementAudit>,
     ) {
-        let Some(sink) = self.audit_sink.as_mut() else {
+        let AuditSink::Full(sink) = &mut self.audit_sink else {
             return;
         };
         for audit in sink.drain(..) {
@@ -466,26 +483,36 @@ impl AlarmManager {
             AlarmKind::Wakeup => &self.wakeup,
             AlarmKind::NonWakeup => &self.non_wakeup,
         };
-        let placement = if let Some(sink) = self.audit_sink.as_mut() {
-            // A typical decision weighs only a few candidates; reserve so
-            // a fresh buffer costs one allocation, not a growth series.
-            let mut candidates = self
-                .spare_candidates
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(4));
-            let placement = self.policy.place_audited(queue, &alarm, &mut candidates);
-            sink.push(PlacementAudit {
-                at: self.now,
-                alarm_id: alarm.id(),
-                app: alarm.label_arc(),
-                nominal: alarm.nominal(),
-                perceptible: alarm.is_perceptible(),
-                placement,
-                candidates,
-            });
-            placement
-        } else {
-            self.policy.place(queue, &alarm)
+        let placement = match &mut self.audit_sink {
+            AuditSink::Off => self.policy.place(queue, &alarm),
+            AuditSink::Outcomes(tally) => {
+                let placement = self.policy.place(queue, &alarm);
+                match placement {
+                    Placement::Existing(_) => tally.existing += 1,
+                    Placement::NewEntry => tally.new_entry += 1,
+                }
+                placement
+            }
+            AuditSink::Full(sink) => {
+                // A typical decision weighs only a few candidates; reserve
+                // so a fresh buffer costs one allocation, not a growth
+                // series.
+                let mut candidates = self
+                    .spare_candidates
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(4));
+                let placement = self.policy.place_audited(queue, &alarm, &mut candidates);
+                sink.push(PlacementAudit {
+                    at: self.now,
+                    alarm_id: alarm.id(),
+                    app: alarm.label_arc(),
+                    nominal: alarm.nominal(),
+                    perceptible: alarm.is_perceptible(),
+                    placement,
+                    candidates,
+                });
+                placement
+            }
         };
         let discipline = self.policy.discipline();
         match placement {
@@ -493,6 +520,14 @@ impl AlarmManager {
             Placement::NewEntry => self.queue_mut(kind).insert_new_entry(alarm, discipline),
         }
     }
+}
+
+/// The manager's record of placement decisions, one shape per
+/// [`AuditLevel`].
+enum AuditSink {
+    Off,
+    Outcomes(PlacementTally),
+    Full(Vec<PlacementAudit>),
 }
 
 impl fmt::Debug for AlarmManager {
@@ -692,8 +727,8 @@ mod tests {
     #[test]
     fn audit_sink_records_one_decision_per_placement() {
         let mut m = AlarmManager::new(Box::new(SimtyPolicy::new()));
-        assert!(!m.audit_enabled());
-        m.set_audit_enabled(true);
+        assert_eq!(m.audit_level(), AuditLevel::Off);
+        m.set_audit_level(AuditLevel::Full);
         m.register(wifi_alarm("a", 100, 600, 0.75)).unwrap();
         m.register(wifi_alarm("b", 150, 600, 0.75)).unwrap();
         let drain = |m: &mut AlarmManager| {
@@ -728,9 +763,31 @@ mod tests {
         assert_eq!(reused.len(), 1);
         assert!(!reused[0].candidates.is_empty());
         assert_eq!(reused[0].candidates.capacity(), capacity);
-        m.set_audit_enabled(false);
+        m.set_audit_level(AuditLevel::Off);
         m.register(wifi_alarm("e", 200, 600, 0.75)).unwrap();
         assert!(drain(&mut m).is_empty());
+    }
+
+    #[test]
+    fn outcome_level_tallies_without_audits() {
+        let mut m = AlarmManager::new(Box::new(SimtyPolicy::new()));
+        m.set_audit_level(AuditLevel::Outcomes);
+        m.register(wifi_alarm("a", 100, 600, 0.75)).unwrap();
+        m.register(wifi_alarm("b", 150, 600, 0.75)).unwrap();
+        m.register(wifi_alarm("c", 5_000, 600, 0.75)).unwrap();
+        let mut audited = 0;
+        m.drain_audits(|_| {
+            audited += 1;
+            None
+        });
+        assert_eq!(audited, 0, "the outcome level builds no audit");
+        let tally = m.take_placement_tally();
+        assert_eq!(m.wakeup_queue().entries().len() as u64, tally.new_entry);
+        assert_eq!(tally.total(), 3);
+        assert_eq!(m.take_placement_tally(), PlacementTally::default());
+        m.set_audit_level(AuditLevel::Off);
+        m.register(wifi_alarm("d", 170, 600, 0.75)).unwrap();
+        assert_eq!(m.take_placement_tally().total(), 0);
     }
 
     #[test]
@@ -747,10 +804,10 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        for audited in [false, true] {
+        for level in [AuditLevel::Off, AuditLevel::Outcomes, AuditLevel::Full] {
             let mut plain = AlarmManager::new(Box::new(SimtyPolicy::new()));
             let mut subject = AlarmManager::new(Box::new(SimtyPolicy::new()));
-            subject.set_audit_enabled(audited);
+            subject.set_audit_level(level);
             for (label, nominal, repeat) in
                 [("a", 100, 600), ("b", 150, 600), ("c", 500, 900), ("d", 160, 600)]
             {

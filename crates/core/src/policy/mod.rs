@@ -58,9 +58,8 @@ pub enum Placement {
 /// Implementations must be deterministic: given the same queue and alarm
 /// they must return the same [`Placement`], because experiment runs are
 /// replayed bit-for-bit. Policies must also be [`Send`] + [`Sync`] so a
-/// manager can be shared across threads via
-/// [`AlarmService`](crate::service::AlarmService); the built-in policies
-/// are stateless, which satisfies this trivially.
+/// manager can be shared across threads; the built-in policies are
+/// stateless, which satisfies this trivially.
 ///
 /// # Examples
 ///

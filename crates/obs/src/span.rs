@@ -270,6 +270,11 @@ impl Span {
 /// recent window of activity. Eviction is a pure function of the record
 /// sequence, which keeps the surviving contents deterministic.
 ///
+/// A [`counting`](Self::counting) collector keeps the same books without
+/// the ring: it builds and retains no span, and after `n` records it
+/// reports `n - capacity` evictions (floored at zero), exactly what a
+/// retaining collector of that capacity would report.
+///
 /// # Examples
 ///
 /// ```
@@ -286,6 +291,8 @@ pub struct SpanCollector {
     spans: VecDeque<Span>,
     next_seq: u64,
     dropped: u64,
+    /// Count records and evictions only; never build or retain a span.
+    counting: bool,
 }
 
 impl SpanCollector {
@@ -301,6 +308,26 @@ impl SpanCollector {
             spans: VecDeque::new(),
             next_seq: 0,
             dropped: 0,
+            counting: false,
+        }
+    }
+
+    /// A collector that counts `recorded` records so far, and every later
+    /// one, without building or retaining any span. Its
+    /// [`dropped`](Self::dropped) is `recorded - capacity`, floored at
+    /// zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn counting(capacity: usize, recorded: u64) -> Self {
+        assert!(capacity > 0, "a span ring needs room for at least one span");
+        SpanCollector {
+            capacity,
+            spans: VecDeque::new(),
+            next_seq: recorded,
+            dropped: recorded.saturating_sub(capacity as u64),
+            counting: true,
         }
     }
 
@@ -317,6 +344,7 @@ impl SpanCollector {
             spans: spans.into(),
             next_seq,
             dropped,
+            counting: false,
         }
     }
 
@@ -333,6 +361,10 @@ impl SpanCollector {
     ) -> u64 {
         debug_assert!(start_ms <= end_ms, "span ends before it starts");
         let seq = self.next_seq;
+        if self.counting {
+            self.count(1);
+            return seq;
+        }
         self.next_seq += 1;
         if self.spans.len() == self.capacity {
             self.spans.pop_front();
@@ -341,6 +373,24 @@ impl SpanCollector {
         self.spans
             .push_back(Span::new(seq, kind, start_ms, end_ms, attrs));
         seq
+    }
+
+    /// Counts `n` records on a [`counting`](Self::counting) collector,
+    /// with the evictions they imply, and builds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the collector retains spans: its evictions depend on
+    /// the ring, not on a count.
+    pub fn count(&mut self, n: u64) {
+        assert!(
+            self.counting,
+            "only a counting collector counts without recording"
+        );
+        let cap = self.capacity as u64;
+        let before = self.next_seq.saturating_sub(cap);
+        self.next_seq += n;
+        self.dropped += self.next_seq.saturating_sub(cap) - before;
     }
 
     /// Number of retained spans.
@@ -435,6 +485,28 @@ mod tests {
         assert_eq!(c.dropped(), 1);
         let seqs: Vec<u64> = c.iter().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![1, 2]);
+    }
+
+    #[test]
+    fn counting_collector_keeps_a_retaining_rings_books() {
+        for capacity in [1, 3, 8] {
+            let mut ring = SpanCollector::new(capacity);
+            let mut counts = SpanCollector::counting(capacity, 0);
+            for ms in 0..12 {
+                assert_eq!(span_at(&mut counts, ms), span_at(&mut ring, ms));
+                assert_eq!(counts.dropped(), ring.dropped(), "capacity {capacity}");
+            }
+            assert!(counts.is_empty() && counts.to_jsonl().is_empty());
+            let mut batched = SpanCollector::counting(capacity, 0);
+            batched.count(5);
+            batched.count(7);
+            assert_eq!(
+                (batched.next_seq(), batched.dropped()),
+                (12, ring.dropped())
+            );
+            let resumed = SpanCollector::counting(capacity, 12);
+            assert_eq!(resumed, counts);
+        }
     }
 
     #[test]

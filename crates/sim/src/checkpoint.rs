@@ -60,7 +60,7 @@ use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{CrashSpec, FaultPlan, FaultState, StormSpec};
 use crate::invariant::{InvariantMonitor, InvariantViolation};
 use crate::metrics::OverloadStats;
-use crate::obs::{ObsLayer, SPAN_CAPACITY};
+use crate::obs::{ObsLayer, ObsLevel, SPAN_CAPACITY};
 use crate::vfs::{RealVfs, Vfs};
 use crate::overload::StormBurst;
 use crate::trace::{DeliveryRecord, InterventionKind, InterventionRecord, Trace};
@@ -642,10 +642,12 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
     if sim.config.span_capacity != SPAN_CAPACITY {
         w!(body, "span_capacity={}", sim.config.span_capacity);
     }
-    // Written only when observability is off: instrumented captures keep
-    // the original byte layout, and restore treats absence as "on".
-    if !sim.config.obs {
-        w!(body, "obs=0");
+    // Written only below the full level: full captures keep the
+    // original byte layout, and restore treats absence as "full".
+    match sim.config.obs {
+        ObsLevel::Full => {}
+        ObsLevel::Counts => w!(body, "obs=counts"),
+        ObsLevel::Off => w!(body, "obs=0"),
     }
     w!(body, "external_wakes={}", sim.config.external_wakes.len());
     for t in &sim.config.external_wakes {
@@ -1063,6 +1065,10 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
         w!(body, "{line}");
     }
     w!(body, "obs_audit_dropped={}", obs.audit_dropped);
+    // A counts-level layer retains no audit; its ring is this count.
+    if obs.level == ObsLevel::Counts {
+        w!(body, "obs_audits_counted={}", obs.audits_counted);
+    }
     w!(body, "obs_audits={}", obs.audits.len());
     for a in &obs.audits {
         let cands = if a.candidates.is_empty() {
@@ -1337,8 +1343,13 @@ pub(crate) fn restore(
         Some(v) => capacity(&p, "span_capacity", v)?,
         None => SPAN_CAPACITY,
     };
-    // Optional: only no-obs captures carry it (absence means "on").
-    let obs_enabled = p.opt_kv("obs").is_none_or(|v| v != "0");
+    // Optional: only captures below the full level carry it.
+    let obs_level = match p.opt_kv("obs") {
+        None => ObsLevel::Full,
+        Some("counts") => ObsLevel::Counts,
+        Some("0") => ObsLevel::Off,
+        Some(other) => return Err(p.err(format!("invalid obs level `{other}`"))),
+    };
     let n = p.count("external_wakes")?;
     let mut external_wakes = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1419,7 +1430,7 @@ pub(crate) fn restore(
         span_capacity,
         admission: admission_cfg,
         degradation: degradation_cfg,
-        obs: obs_enabled,
+        obs: obs_level,
     };
 
     // Alarm manager.
@@ -1429,7 +1440,7 @@ pub(crate) fn restore(
     let non_wakeup = p.queue("non_wakeup_entries")?;
     let mut manager = AlarmManager::restore(policy, wakeup, non_wakeup, mgr_clock);
     manager.restore_grace_stretch(mgr_stretch);
-    manager.set_audit_enabled(obs_enabled);
+    manager.set_audit_level(obs_level.audit_level());
 
     // Device.
     let state = {
@@ -1821,11 +1832,12 @@ pub(crate) fn restore(
     // counters, histogram bounds), then overwrite with the captured
     // state — the union is byte-identical to the straight-through run.
     // A no-obs capture recorded an empty layer; rebuild it empty too.
-    let mut obs = if config.obs {
-        ObsLayer::new(&checkpoint.policy, config.audit_capacity, config.span_capacity)
-    } else {
-        ObsLayer::disabled(&checkpoint.policy, config.audit_capacity, config.span_capacity)
-    };
+    let mut obs = ObsLayer::new(
+        config.obs,
+        &checkpoint.policy,
+        config.audit_capacity,
+        config.span_capacity,
+    );
     let obs_next_seq = p.kv_u64("obs_next_seq")?;
     let obs_span_dropped = p.kv_u64("obs_span_dropped")?;
     let n = p.count("obs_spans")?;
@@ -1882,8 +1894,19 @@ pub(crate) fn restore(
             keys.iter().copied().zip(values),
         ));
     }
-    obs.spans =
-        SpanCollector::from_parts(config.span_capacity, obs_next_seq, obs_span_dropped, spans);
+    obs.spans = if config.obs == ObsLevel::Counts {
+        let counted = SpanCollector::counting(config.span_capacity, obs_next_seq);
+        if !spans.is_empty() || counted.dropped() != obs_span_dropped {
+            return Err(p.err(format!(
+                "a counts-level span ring of {obs_next_seq} records retains nothing and \
+                 drops {}",
+                counted.dropped()
+            )));
+        }
+        counted
+    } else {
+        SpanCollector::from_parts(config.span_capacity, obs_next_seq, obs_span_dropped, spans)
+    };
     let n = p.count("obs_counters")?;
     for _ in 0..n {
         let f = p.kv_fields::<2>("oc")?;
@@ -1935,7 +1958,20 @@ pub(crate) fn restore(
         );
     }
     obs.audit_dropped = p.kv_u64("obs_audit_dropped")?;
+    if config.obs == ObsLevel::Counts {
+        obs.audits_counted = p.kv_u64("obs_audits_counted")?;
+        let dropped = obs.audits_counted.saturating_sub(config.audit_capacity as u64);
+        if obs.audit_dropped != dropped {
+            return Err(p.err(format!(
+                "a counts-level audit ring of {} records drops {dropped}",
+                obs.audits_counted
+            )));
+        }
+    }
     let n = p.count("obs_audits")?;
+    if config.obs == ObsLevel::Counts && n > 0 {
+        return Err(p.err("a counts-level audit ring retains nothing"));
+    }
     for _ in 0..n {
         let f = p.kv_fields::<7>("oa")?;
         let candidates = if f[6] == "-" {

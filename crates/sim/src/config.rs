@@ -5,6 +5,7 @@ use simty_core::time::{SimDuration, SimTime};
 use simty_device::power::PowerModel;
 
 use crate::degrade::GovernorConfig;
+use crate::obs::ObsLevel;
 use crate::watchdog::OnlineWatchdogConfig;
 
 /// How the runtime [`InvariantMonitor`](crate::invariant::InvariantMonitor)
@@ -68,13 +69,15 @@ pub struct SimConfig {
     /// The battery-aware degradation governor; `None` keeps the run at
     /// full fidelity regardless of the modeled state of charge.
     pub degradation: Option<GovernorConfig>,
-    /// Whether the observability layer (spans, metrics, placement
-    /// audits) and the wall-clock stage profile record anything. On by
-    /// default; switch off with [`without_obs`](SimConfig::without_obs)
-    /// for uninstrumented campaign runs — traces and reports stay
-    /// byte-identical, only the `metrics` block of the report JSON
-    /// renders as `null`.
-    pub obs: bool,
+    /// How much the observability layer (spans, metrics, placement
+    /// audits) and the wall-clock stage profile record;
+    /// [`Full`](ObsLevel::Full) by default. Traces stay byte-identical
+    /// at every level, and so do reports outside their `metrics` block.
+    /// [`Counts`](ObsLevel::Counts) keeps that block byte-identical too
+    /// and only stops building the spans, audits and stage clocks that
+    /// fleet devices never read; [`Off`](ObsLevel::Off) (see
+    /// [`without_obs`](SimConfig::without_obs)) renders it as `null`.
+    pub obs: ObsLevel,
 }
 
 impl Default for SimConfig {
@@ -91,7 +94,7 @@ impl Default for SimConfig {
             span_capacity: crate::obs::SPAN_CAPACITY,
             admission: None,
             degradation: None,
-            obs: true,
+            obs: ObsLevel::Full,
         }
     }
 }
@@ -200,14 +203,20 @@ impl SimConfig {
         self
     }
 
+    /// Sets how much the observability layer and the stage profile
+    /// record (see [`ObsLevel`]).
+    pub fn with_obs(mut self, level: ObsLevel) -> Self {
+        self.obs = level;
+        self
+    }
+
     /// Switches the observability layer and the stage profile off: the
     /// engine's no-obs fast path skips every span, metric, audit, and
     /// wall-clock probe. The deterministic outputs (trace, report,
     /// checkpoints) are unaffected except that the report's `metrics`
     /// JSON block renders as `null`.
-    pub fn without_obs(mut self) -> Self {
-        self.obs = false;
-        self
+    pub fn without_obs(self) -> Self {
+        self.with_obs(ObsLevel::Off)
     }
 
     /// Attaches the battery-aware degradation governor: as the modeled
@@ -244,5 +253,18 @@ mod tests {
             .with_external_wakes([SimTime::from_secs(5)]);
         assert_eq!(c.duration, SimDuration::from_mins(10));
         assert_eq!(c.external_wakes, vec![SimTime::from_secs(5)]);
+    }
+
+    #[test]
+    fn obs_level_defaults_to_full_and_has_one_setter() {
+        assert_eq!(SimConfig::new().obs, ObsLevel::Full);
+        assert_eq!(
+            SimConfig::new().with_obs(ObsLevel::Counts).obs,
+            ObsLevel::Counts
+        );
+        assert_eq!(
+            SimConfig::new().without_obs(),
+            SimConfig::new().with_obs(ObsLevel::Off)
+        );
     }
 }

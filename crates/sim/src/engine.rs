@@ -42,7 +42,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultPlan, FaultState, RebootPlan};
 use crate::invariant::InvariantMonitor;
 use crate::metrics::{OverloadStats, SimReport};
-use crate::obs::ObsLayer;
+use crate::obs::{ObsLayer, ObsLevel};
 use crate::overload::{RegistrationStormPlan, StormBurst};
 use crate::trace::{DeliveryRecord, InterventionKind, InterventionRecord, Trace};
 use crate::watchdog::OnlineWatchdogConfig;
@@ -186,14 +186,14 @@ impl Simulation {
         let watchdog = config.online_watchdog;
         let admission = config.admission.map(AdmissionController::new);
         let governor = config.degradation.map(DegradationGovernor::new);
-        let obs = if config.obs {
-            ObsLayer::new(policy.name(), config.audit_capacity, config.span_capacity)
-        } else {
-            ObsLayer::disabled(policy.name(), config.audit_capacity, config.span_capacity)
-        };
-        let audit_enabled = config.obs;
+        let obs = ObsLayer::new(
+            config.obs,
+            policy.name(),
+            config.audit_capacity,
+            config.span_capacity,
+        );
         let mut manager = AlarmManager::new(policy);
-        manager.set_audit_enabled(audit_enabled);
+        manager.set_audit_level(config.obs.audit_level());
         let mut sim = Simulation {
             manager,
             device: Device::new(config.power.clone()),
@@ -386,7 +386,7 @@ impl Simulation {
                 }
             }
         }
-        let id = if self.obs.on() {
+        let id = if self.clocked() {
             let t0 = Instant::now();
             let id = self.manager.register(alarm)?;
             self.stages.add(Stage::Selection, t0.elapsed());
@@ -395,7 +395,7 @@ impl Simulation {
             self.manager.register(alarm)?
         };
         self.arm_clocks();
-        self.drain_audits();
+        self.drain_placements();
         Ok(id)
     }
 
@@ -573,10 +573,10 @@ impl Simulation {
     pub fn run_until(&mut self, end: SimTime) {
         let end = end.min(SimTime::ZERO + self.config.duration);
         self.arm_clocks();
-        if self.obs.on() {
-            self.run_loop::<true>(end);
-        } else {
-            self.run_loop::<false>(end);
+        match self.obs.level() {
+            ObsLevel::Full => self.run_loop::<{ ObsLevel::Full as u8 }>(end),
+            ObsLevel::Counts => self.run_loop::<{ ObsLevel::Counts as u8 }>(end),
+            ObsLevel::Off => self.run_loop::<{ ObsLevel::Off as u8 }>(end),
         }
         self.now = self.now.max(end);
         if self.now < SimTime::ZERO + self.config.duration {
@@ -609,15 +609,17 @@ impl Simulation {
         }
     }
 
-    /// The batched event loop, monomorphized over whether the
-    /// observability layer is on so the uninstrumented path compiles with
-    /// no clock reads at all. Same-instant events are delivered as one
-    /// batch: the clock and attribution ledger advance once per distinct
-    /// timestamp instead of once per event. The intermediate per-event
-    /// `ledger.advance_to` calls of the old loop were zero-elapsed at a
-    /// shared timestamp (they only refreshed the awake flag, which the
-    /// final same-instant call re-syncs identically), so the trace and
-    /// ledger stay byte-identical. Audits still drain per event — span
+    /// The batched event loop, monomorphized over the observability
+    /// level (`ObsLevel as u8`) so only the full level compiles stage
+    /// clock reads, and only the full level drains placement audits: the
+    /// counts level drains a tally instead, and the off level nothing.
+    /// Same-instant events are delivered as one batch: the clock and
+    /// attribution ledger advance once per distinct timestamp instead of
+    /// once per event. The intermediate per-event `ledger.advance_to`
+    /// calls of the old loop were zero-elapsed at a shared timestamp
+    /// (they only refreshed the awake flag, which the final same-instant
+    /// call re-syncs identically), so the trace and ledger stay
+    /// byte-identical. Audits still drain per event — span
     /// order is part of the deterministic obs stream.
     ///
     /// `EventDispatch` is recorded as *self* time: handlers time their
@@ -627,21 +629,25 @@ impl Simulation {
     /// the whole batch as dispatch, which made `event_dispatch` a
     /// monolith covering >90% of stage time and hid where the loop
     /// actually spent it.
-    fn run_loop<const OBS: bool>(&mut self, end: SimTime) {
+    fn run_loop<const LEVEL: u8>(&mut self, end: SimTime) {
+        const FULL: u8 = ObsLevel::Full as u8;
+        const COUNTS: u8 = ObsLevel::Counts as u8;
         while let Some(t) = self.events.next_due(end) {
             self.now = self.now.max(t);
             // Close the attribution segment up to this instant under the
             // state that held during it, then process the whole batch and
             // re-sync.
             self.ledger.advance_to(self.now, !self.device.is_asleep());
-            let t0 = if OBS { Some(Instant::now()) } else { None };
-            let nested0 = if OBS { self.nested_stage_nanos() } else { 0 };
+            let t0 = if LEVEL == FULL { Some(Instant::now()) } else { None };
+            let nested0 = if LEVEL == FULL { self.nested_stage_nanos() } else { 0 };
             let mut dispatched = 0u64;
             while let Some(event) = self.events.pop_at(t) {
                 self.disarm(&event.kind, event.time);
                 self.handle(event.kind, event.time);
-                if OBS {
+                if LEVEL == FULL {
                     self.drain_audits();
+                } else if LEVEL == COUNTS {
+                    self.drain_tally();
                 }
                 dispatched += 1;
             }
@@ -719,12 +725,39 @@ impl Simulation {
         Ok(report)
     }
 
+    /// Whether the wall-clock stage profile runs (only at
+    /// [`ObsLevel::Full`]).
+    fn clocked(&self) -> bool {
+        self.obs.level() == ObsLevel::Full
+    }
+
     /// Moves every placement decision the manager recorded since the
-    /// last drain into the observability layer (a counter bump, a
-    /// `policy_place` span, and a slot in the audit ring each).
+    /// last drain into the observability layer, at whatever level it
+    /// records.
+    fn drain_placements(&mut self) {
+        match self.obs.level() {
+            ObsLevel::Full => self.drain_audits(),
+            ObsLevel::Counts => self.drain_tally(),
+            ObsLevel::Off => {}
+        }
+    }
+
+    /// [`drain_placements`](Self::drain_placements) at
+    /// [`ObsLevel::Full`]: a counter bump, a `policy_place` span, and a
+    /// slot in the audit ring per decision.
     fn drain_audits(&mut self) {
         let obs = &mut self.obs;
         self.manager.drain_audits(|audit| obs.note_placement(audit));
+    }
+
+    /// [`drain_placements`](Self::drain_placements) at
+    /// [`ObsLevel::Counts`]: the same counter bumps, and the spans and
+    /// audits counted, not built.
+    fn drain_tally(&mut self) {
+        let tally = self.manager.take_placement_tally();
+        if tally.total() > 0 {
+            self.obs.note_tally(tally);
+        }
     }
 
     fn handle(&mut self, kind: EventKind, t: SimTime) {
@@ -890,6 +923,8 @@ impl Simulation {
                         t.as_millis(),
                         [],
                     );
+                }
+                if self.clocked() {
                     let t0 = Instant::now();
                     let snapshot = crate::checkpoint::capture(self);
                     self.stages.add(Stage::CheckpointIo, t0.elapsed());
@@ -956,7 +991,7 @@ impl Simulation {
         }
         // Restamping re-placed every queued imperceptible alarm; the
         // wakeup head may have moved either direction.
-        self.drain_audits();
+        self.drain_placements();
         self.arm_clocks();
     }
 
@@ -1283,7 +1318,7 @@ impl Simulation {
             // zero or one entry, so a fresh Vec per round is pure churn.
             let mut entries = std::mem::take(&mut self.due_buffer);
             entries.clear();
-            if self.obs.on() {
+            if self.clocked() {
                 let t0 = Instant::now();
                 self.manager.pop_due_wakeup_into(t, &mut entries);
                 self.manager.pop_due_non_wakeup_into(t, &mut entries);
@@ -1296,7 +1331,7 @@ impl Simulation {
                 self.due_buffer = entries;
                 break;
             }
-            let t0 = if self.obs.on() { Some(Instant::now()) } else { None };
+            let t0 = if self.clocked() { Some(Instant::now()) } else { None };
             let batch = entries.len() as u64;
             for entry in entries.drain(..) {
                 self.trace.record_entry_delivery();

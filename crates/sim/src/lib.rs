@@ -69,7 +69,7 @@ pub use fault::{FaultPlan, RebootPlan};
 pub use invariant::{InvariantMonitor, InvariantViolation};
 pub use metrics::{DelayStats, OverloadStats, ResilienceStats, SimReport, WakeupRow};
 pub use overload::{RegistrationStormPlan, StormBurst};
-pub use obs::ObsLayer;
+pub use obs::{ObsLayer, ObsLevel};
 pub use trace::{DeliveryRecord, InterventionKind, InterventionRecord, Trace};
 pub use vfs::{FaultKind, FaultVfs, RealVfs, RecordingVfs, Vfs};
 pub use watchdog::OnlineWatchdogConfig;

@@ -10,9 +10,44 @@
 //! [`StageProfile`](simty_obs::StageProfile), which the engine keeps out
 //! of every deterministic export.
 //!
-//! The layer is on by default. Its hot-path cost is a few counter bumps
-//! per delivery plus one span and one audit ring insertion per placement
-//! decision, and none of it allocates once the rings are full:
+//! # Levels
+//!
+//! [`SimConfig::obs`](crate::config::SimConfig::obs) picks one of three
+//! [`ObsLevel`]s:
+//!
+//! * **Full** (the default) records everything. Per delivery: the
+//!   wakeup, entry and alarm counters, the entry-size, delay and hold
+//!   histograms, each hardware component's active time, and one
+//!   `task_run` span. Per wake cycle: a `wake_cycle` span. Per placement
+//!   decision: the placement counter, a `policy_place` span, an alarm
+//!   alias, and a [`PlacementAudit`] with every candidate the policy
+//!   weighed. On top of that the engine reads the wall clock around
+//!   each stage (queue search, selection, dispatch, delivery, checkpoint
+//!   I/O) for the [`StageProfile`](simty_obs::StageProfile).
+//! * **Counts** updates every metric exactly as Full does, so the report
+//!   (its `metrics` block included) is byte-identical, and counts the
+//!   spans and audits Full would record, with their ring evictions. It
+//!   builds no span, audit, candidate list or alarm alias, and reads no
+//!   stage clock. Fleet devices run here: a fleet reads only the report
+//!   and the two eviction counts.
+//! * **Off** records nothing: every export renders empty, the report's
+//!   `metrics` block renders as `null`, and the engine hoists the
+//!   instrumentation branches out of its hot loop
+//!   ([`SimConfig::without_obs`](crate::config::SimConfig::without_obs) /
+//!   `standby sweep --no-obs`).
+//!
+//! What each level costs a 10-minute paper-mix fleet device: devices
+//! `[0, 1024)` under NATIVE and SIMTY, each device's time its best of 9
+//! runs at each level, the levels interleaved; two passes on a shared
+//! 2-vCPU x86-64 Linux container:
+//!
+//! | level | µs per device |
+//! |---|---|
+//! | Full | 136–143 |
+//! | Counts | 88–94 |
+//! | Off | 74–78 |
+//!
+//! At Full the hot paths allocate nothing once the rings are full:
 //!
 //! * a span keeps its attributes inline (see [`simty_obs::Span`]);
 //!   numbers, placements (`existing:{idx}`), and labels are formatted
@@ -27,21 +62,17 @@
 //! What still allocates is growth: the rings, the alias table (once per
 //! new alarm), and the first series of a component. A full-ring run's
 //! second half allocates within a few percent as often as an
-//! uninstrumented run's (`tests/alloc_profile.rs`). The overhead left
-//! is work, not heap churn: stage clock reads, counter and histogram
-//! updates, and rendering the snapshot. Runs that only need the
-//! deterministic trace and report can switch it off
-//! ([`SimConfig::without_obs`](crate::config::SimConfig::without_obs) /
-//! `standby sweep --no-obs`): a [`disabled`](ObsLayer::disabled) layer
-//! records nothing, every export renders empty, and the engine hoists
-//! the instrumentation branches out of its hot loop.
+//! uninstrumented run's, and a Counts run no more often than a Full one
+//! (`tests/alloc_profile.rs`). The overhead left at Full is work, not
+//! heap churn: stage clock reads, span and audit construction, counter
+//! and histogram updates, and rendering the snapshot.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use simty_core::alarm::AlarmId;
-use simty_core::audit::PlacementAudit;
+use simty_core::audit::{AuditLevel, PlacementAudit, PlacementTally};
 use simty_core::policy::Placement;
 use simty_core::time::SimTime;
 use simty_obs::{
@@ -58,6 +89,35 @@ pub const SPAN_CAPACITY: usize = 2048;
 /// [`SimConfig::with_audit_capacity`](crate::config::SimConfig::with_audit_capacity)).
 pub const DEFAULT_AUDIT_CAPACITY: usize = 4096;
 
+/// How much a run's observability layer records (see the
+/// [module docs](self) for what each level costs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ObsLevel {
+    /// Nothing: every export renders empty, and the report's `metrics`
+    /// block renders as `null`.
+    Off,
+    /// Every metric, exactly as at [`Full`](ObsLevel::Full), plus the
+    /// number of spans and placement audits recorded and evicted. No
+    /// span, audit, candidate list or alarm alias is built, and no stage
+    /// clock is read.
+    Counts,
+    /// Metrics, the span and audit rings, and the wall-clock stage
+    /// profile. The default.
+    Full,
+}
+
+impl ObsLevel {
+    /// What the alarm manager records about each placement at this
+    /// level.
+    pub fn audit_level(self) -> AuditLevel {
+        match self {
+            ObsLevel::Off => AuditLevel::Off,
+            ObsLevel::Counts => AuditLevel::Outcomes,
+            ObsLevel::Full => AuditLevel::Full,
+        }
+    }
+}
+
 /// Spans + metrics + decision audits for one simulation.
 ///
 /// Owned by [`Simulation`](crate::engine::Simulation); read it via
@@ -69,6 +129,10 @@ pub struct ObsLayer {
     pub(crate) audits: VecDeque<PlacementAudit>,
     pub(crate) audit_capacity: usize,
     pub(crate) audit_dropped: u64,
+    /// Placement audits counted, retained or evicted, at
+    /// [`ObsLevel::Counts`] (which retains none); zero at the other
+    /// levels.
+    pub(crate) audits_counted: u64,
     /// When the current wake cycle began (device asleep → awake), if one
     /// is open.
     pub(crate) wake_open: Option<SimTime>,
@@ -77,9 +141,8 @@ pub struct ObsLayer {
     /// between runs in one process, so exports must never contain them:
     /// every export renders the ordinal instead.
     pub(crate) aliases: BTreeMap<u64, u64>,
-    /// Whether the layer records anything at all (see
-    /// [`ObsLayer::disabled`]).
-    pub(crate) enabled: bool,
+    /// How much the layer records.
+    pub(crate) level: ObsLevel,
     /// Slot handles for every per-delivery metric, resolved once at
     /// construction so the hot path performs no name lookups at all.
     hot: HotHandles,
@@ -121,161 +184,167 @@ impl HotHandles {
     }
 }
 
+/// Registers every metric family the engine records, with its help
+/// text, zeroed counters and gauges, and histogram bounds.
+fn register_families(metrics: &mut MetricsRegistry, policy: &str) {
+    metrics.describe("sim_wakeups_total", "Device sleep-to-awake transitions.");
+    metrics.describe(
+        "sim_entry_deliveries_total",
+        "Queue-entry (batch) deliveries.",
+    );
+    metrics.describe("sim_alarm_deliveries_total", "Individual alarm deliveries.");
+    metrics.describe(
+        "sim_placements_total",
+        "Placement decisions by outcome (existing entry vs new entry).",
+    );
+    metrics.describe(
+        "sim_watchdog_forced_releases_total",
+        "Offender wakelock sets cut loose by the watchdog.",
+    );
+    metrics.describe(
+        "sim_watchdog_quarantines_total",
+        "Apps quarantined by the online watchdog.",
+    );
+    metrics.describe(
+        "sim_watchdog_recoveries_total",
+        "Apps recovered from quarantine after clean probation.",
+    );
+    metrics.describe("sim_checkpoints_total", "Crash-consistent checkpoints captured.");
+    metrics.describe(
+        "sim_component_active_ms_total",
+        "Milliseconds each hardware component was held by delivered tasks.",
+    );
+    metrics.describe(
+        "sim_wakeup_queue_depth",
+        "Entries in the wakeup queue after the latest delivery round.",
+    );
+    metrics.describe(
+        "sim_quarantined_apps",
+        "Apps currently quarantined by the online watchdog.",
+    );
+    metrics.describe(
+        "sim_entry_size",
+        "Alarms per delivered queue entry (batching effectiveness).",
+    );
+    metrics.describe(
+        "sim_normalized_delay",
+        "Normalized delivery delay of repeating alarms (the paper's Fig. 4 metric).",
+    );
+    metrics.describe(
+        "sim_task_hold_ms",
+        "Milliseconds each delivered task held its wakelocks.",
+    );
+    metrics.describe(
+        "sim_admission_decisions_total",
+        "Registration front-door decisions by outcome (admit/defer/reject).",
+    );
+    metrics.describe(
+        "sim_admission_demotions_total",
+        "Apps demoted (quarantined) by the admission controller.",
+    );
+    metrics.describe(
+        "sim_registrations_shed_total",
+        "Deferrable registrations shed by the critical degradation tier.",
+    );
+    metrics.describe(
+        "sim_storm_registrations_total",
+        "Registrations attempted by an injected registration storm.",
+    );
+    metrics.describe(
+        "sim_degradation_transitions_total",
+        "Degradation-governor tier transitions.",
+    );
+    metrics.describe(
+        "sim_degradation_tier",
+        "Current degradation tier (0=normal, 1=saver, 2=critical).",
+    );
+    metrics.describe(
+        "sim_battery_soc_milli",
+        "Modeled battery state of charge in permille, at the latest governor tick.",
+    );
+    metrics.set_counter(&format!("sim_wakeups_total{{policy=\"{policy}\"}}"), 0);
+    metrics.set_counter("sim_entry_deliveries_total", 0);
+    metrics.set_counter("sim_alarm_deliveries_total", 0);
+    metrics.set_counter("sim_admission_demotions_total", 0);
+    metrics.set_counter("sim_registrations_shed_total", 0);
+    metrics.set_counter("sim_storm_registrations_total", 0);
+    metrics.set_counter("sim_degradation_transitions_total", 0);
+    metrics.set_gauge("sim_wakeup_queue_depth", 0.0);
+    metrics.set_gauge("sim_quarantined_apps", 0.0);
+    metrics.set_gauge("sim_degradation_tier", 0.0);
+    metrics.set_gauge("sim_battery_soc_milli", 1_000.0);
+    metrics.register_histogram(
+        "sim_entry_size",
+        vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+    );
+    metrics.register_histogram(
+        "sim_normalized_delay",
+        vec![0.05, 0.1, 0.2, 0.4, 0.8, 1.6],
+    );
+    metrics.register_histogram(
+        "sim_task_hold_ms",
+        vec![10.0, 100.0, 1_000.0, 10_000.0, 60_000.0, 300_000.0],
+    );
+}
+
 impl ObsLayer {
-    /// Creates the layer for a run under `policy`, registering every
-    /// metric family with its help text so the exposition is
-    /// self-describing even before anything is observed.
-    pub fn new(policy: &str, audit_capacity: usize, span_capacity: usize) -> Self {
+    /// Creates the layer for a run under `policy` at `level`.
+    ///
+    /// Above [`ObsLevel::Off`] it registers every metric family with its
+    /// help text, so the exposition is self-describing even before
+    /// anything is observed. At `Off` nothing is registered, every
+    /// recording method returns immediately, and every export renders
+    /// empty; the engine pairs this with hoisting its instrumentation
+    /// branches out of the hot loop, so an uninstrumented run pays
+    /// nothing for observability while its traces and reports stay
+    /// byte-identical to an instrumented run's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either capacity is zero.
+    pub fn new(level: ObsLevel, policy: &str, audit_capacity: usize, span_capacity: usize) -> Self {
         assert!(audit_capacity > 0, "the audit ring needs room for one decision");
         assert!(span_capacity > 0, "the span ring needs room for one span");
         let mut metrics = MetricsRegistry::new();
-        metrics.describe("sim_wakeups_total", "Device sleep-to-awake transitions.");
-        metrics.describe(
-            "sim_entry_deliveries_total",
-            "Queue-entry (batch) deliveries.",
-        );
-        metrics.describe("sim_alarm_deliveries_total", "Individual alarm deliveries.");
-        metrics.describe(
-            "sim_placements_total",
-            "Placement decisions by outcome (existing entry vs new entry).",
-        );
-        metrics.describe(
-            "sim_watchdog_forced_releases_total",
-            "Offender wakelock sets cut loose by the watchdog.",
-        );
-        metrics.describe(
-            "sim_watchdog_quarantines_total",
-            "Apps quarantined by the online watchdog.",
-        );
-        metrics.describe(
-            "sim_watchdog_recoveries_total",
-            "Apps recovered from quarantine after clean probation.",
-        );
-        metrics.describe("sim_checkpoints_total", "Crash-consistent checkpoints captured.");
-        metrics.describe(
-            "sim_component_active_ms_total",
-            "Milliseconds each hardware component was held by delivered tasks.",
-        );
-        metrics.describe(
-            "sim_wakeup_queue_depth",
-            "Entries in the wakeup queue after the latest delivery round.",
-        );
-        metrics.describe(
-            "sim_quarantined_apps",
-            "Apps currently quarantined by the online watchdog.",
-        );
-        metrics.describe(
-            "sim_entry_size",
-            "Alarms per delivered queue entry (batching effectiveness).",
-        );
-        metrics.describe(
-            "sim_normalized_delay",
-            "Normalized delivery delay of repeating alarms (the paper's Fig. 4 metric).",
-        );
-        metrics.describe(
-            "sim_task_hold_ms",
-            "Milliseconds each delivered task held its wakelocks.",
-        );
-        metrics.describe(
-            "sim_admission_decisions_total",
-            "Registration front-door decisions by outcome (admit/defer/reject).",
-        );
-        metrics.describe(
-            "sim_admission_demotions_total",
-            "Apps demoted (quarantined) by the admission controller.",
-        );
-        metrics.describe(
-            "sim_registrations_shed_total",
-            "Deferrable registrations shed by the critical degradation tier.",
-        );
-        metrics.describe(
-            "sim_storm_registrations_total",
-            "Registrations attempted by an injected registration storm.",
-        );
-        metrics.describe(
-            "sim_degradation_transitions_total",
-            "Degradation-governor tier transitions.",
-        );
-        metrics.describe(
-            "sim_degradation_tier",
-            "Current degradation tier (0=normal, 1=saver, 2=critical).",
-        );
-        metrics.describe(
-            "sim_battery_soc_milli",
-            "Modeled battery state of charge in permille, at the latest governor tick.",
-        );
-        metrics.set_counter(&format!("sim_wakeups_total{{policy=\"{policy}\"}}"), 0);
-        metrics.set_counter("sim_entry_deliveries_total", 0);
-        metrics.set_counter("sim_alarm_deliveries_total", 0);
-        metrics.set_counter("sim_admission_demotions_total", 0);
-        metrics.set_counter("sim_registrations_shed_total", 0);
-        metrics.set_counter("sim_storm_registrations_total", 0);
-        metrics.set_counter("sim_degradation_transitions_total", 0);
-        metrics.set_gauge("sim_wakeup_queue_depth", 0.0);
-        metrics.set_gauge("sim_quarantined_apps", 0.0);
-        metrics.set_gauge("sim_degradation_tier", 0.0);
-        metrics.set_gauge("sim_battery_soc_milli", 1_000.0);
-        metrics.register_histogram(
-            "sim_entry_size",
-            vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-        );
-        metrics.register_histogram(
-            "sim_normalized_delay",
-            vec![0.05, 0.1, 0.2, 0.4, 0.8, 1.6],
-        );
-        metrics.register_histogram(
-            "sim_task_hold_ms",
-            vec![10.0, 100.0, 1_000.0, 10_000.0, 60_000.0, 300_000.0],
-        );
-        let hot = HotHandles::resolve(&mut metrics, policy);
+        let hot = if level == ObsLevel::Off {
+            // Resolve the hot handles against a scratch registry so the
+            // real (exported) registry stays empty; every recording
+            // method checks the level before touching a handle.
+            HotHandles::resolve(&mut MetricsRegistry::new(), policy)
+        } else {
+            register_families(&mut metrics, policy);
+            HotHandles::resolve(&mut metrics, policy)
+        };
+        let spans = if level == ObsLevel::Counts {
+            SpanCollector::counting(span_capacity, 0)
+        } else {
+            SpanCollector::new(span_capacity)
+        };
         ObsLayer {
-            spans: SpanCollector::new(span_capacity),
+            spans,
             metrics,
             audits: VecDeque::new(),
             audit_capacity,
             audit_dropped: 0,
+            audits_counted: 0,
             wake_open: None,
             aliases: BTreeMap::new(),
-            enabled: true,
+            level,
             hot,
             component_keys: Vec::new(),
             placement_keys: [None; 2],
         }
     }
 
-    /// Creates a switched-off layer: nothing is registered, every
-    /// recording method returns immediately, and every export renders
-    /// empty. The engine pairs this with hoisting its instrumentation
-    /// branches out of the hot loop, so an uninstrumented run pays
-    /// nothing for observability while its traces and reports stay
-    /// byte-identical to an instrumented run's.
-    pub fn disabled(policy: &str, audit_capacity: usize, span_capacity: usize) -> Self {
-        assert!(audit_capacity > 0, "the audit ring needs room for one decision");
-        assert!(span_capacity > 0, "the span ring needs room for one span");
-        // Resolve the hot handles against a scratch registry so the real
-        // (exported) registry stays empty; every recording method checks
-        // `enabled` before touching a handle.
-        let mut scratch = MetricsRegistry::new();
-        let hot = HotHandles::resolve(&mut scratch, policy);
-        ObsLayer {
-            spans: SpanCollector::new(span_capacity),
-            metrics: MetricsRegistry::new(),
-            audits: VecDeque::new(),
-            audit_capacity,
-            audit_dropped: 0,
-            wake_open: None,
-            aliases: BTreeMap::new(),
-            enabled: false,
-            hot,
-            component_keys: Vec::new(),
-            placement_keys: [None; 2],
-        }
+    /// How much the layer records.
+    pub fn level(&self) -> ObsLevel {
+        self.level
     }
 
-    /// Whether the layer is recording (`false` for a
-    /// [`disabled`](ObsLayer::disabled) layer).
+    /// Whether the layer records metrics (every level but
+    /// [`ObsLevel::Off`]).
     pub fn on(&self) -> bool {
-        self.enabled
+        self.level != ObsLevel::Off
     }
 
     /// The span ring.
@@ -315,32 +384,38 @@ impl ObsLayer {
         *self.aliases.entry(id.as_u64()).or_insert(next)
     }
 
+    /// The `sim_placements_total` counter of one outcome (slot 0:
+    /// existing entry, 1: new entry), resolved on its first placement, so
+    /// the series appears exactly when a name-keyed increment would have
+    /// created it.
+    fn placement_counter(&mut self, slot: usize) -> CounterHandle {
+        const SERIES: [&str; 2] = [
+            "sim_placements_total{placement=\"existing\"}",
+            "sim_placements_total{placement=\"new_entry\"}",
+        ];
+        let metrics = &mut self.metrics;
+        *self.placement_keys[slot].get_or_insert_with(|| metrics.counter_handle(SERIES[slot]))
+    }
+
     /// Ingests one placement decision: bumps the placement counter,
     /// records a `policy_place` span, and retains the audit. Returns the
     /// oldest audit when the full ring evicts it, so its buffers can be
     /// reused.
     pub(crate) fn note_placement(&mut self, audit: PlacementAudit) -> Option<PlacementAudit> {
-        if !self.enabled {
+        if !self.on() {
             return None;
         }
-        let (slot, series, placement) = match audit.placement {
+        let (slot, placement) = match audit.placement {
             Placement::Existing(idx) => (
                 0,
-                "sim_placements_total{placement=\"existing\"}",
                 match u32::try_from(idx) {
                     Ok(idx) => AttrValue::Indexed("existing:", idx),
                     Err(_) => AttrValue::from(format!("existing:{idx}")),
                 },
             ),
-            Placement::NewEntry => (
-                1,
-                "sim_placements_total{placement=\"new_entry\"}",
-                AttrValue::Static("new_entry"),
-            ),
+            Placement::NewEntry => (1, AttrValue::Static("new_entry")),
         };
-        let metrics = &mut self.metrics;
-        let handle =
-            *self.placement_keys[slot].get_or_insert_with(|| metrics.counter_handle(series));
+        let handle = self.placement_counter(slot);
         self.metrics.inc_counter(handle);
         let ordinal = self.alias(audit.alarm_id);
         let at = audit.at.as_millis();
@@ -365,9 +440,29 @@ impl ObsLayer {
         evicted
     }
 
+    /// Ingests the placement decisions tallied at [`ObsLevel::Counts`]:
+    /// the placement counters move exactly as
+    /// [`note_placement`](Self::note_placement) would move them, and the
+    /// `policy_place` spans and audits are counted, with their evictions,
+    /// but never built.
+    pub(crate) fn note_tally(&mut self, tally: PlacementTally) {
+        for (slot, n) in [(0, tally.existing), (1, tally.new_entry)] {
+            if n > 0 {
+                let handle = self.placement_counter(slot);
+                self.metrics.add_counter(handle, n);
+            }
+        }
+        let n = tally.total();
+        self.spans.count(n);
+        let cap = self.audit_capacity as u64;
+        let before = self.audits_counted.saturating_sub(cap);
+        self.audits_counted += n;
+        self.audit_dropped += self.audits_counted.saturating_sub(cap) - before;
+    }
+
     /// The device left sleep at `t`: opens a wake cycle and counts it.
     pub(crate) fn wake_started(&mut self, t: SimTime) {
-        if !self.enabled {
+        if !self.on() {
             return;
         }
         self.metrics.inc_counter(self.hot.wakeups);
@@ -378,7 +473,7 @@ impl ObsLayer {
 
     /// One queue entry carrying `entry_size` alarms was delivered.
     pub(crate) fn entry_delivered(&mut self, entry_size: usize) {
-        if !self.enabled {
+        if !self.on() {
             return;
         }
         self.metrics.inc_counter(self.hot.entry_deliveries);
@@ -388,7 +483,7 @@ impl ObsLayer {
     /// One alarm was delivered: counts it and records its normalized
     /// delay (if the alarm repeats) and its task's wakelock hold time.
     pub(crate) fn alarm_delivered(&mut self, normalized_delay: Option<f64>, hold_ms: u64) {
-        if !self.enabled {
+        if !self.on() {
             return;
         }
         self.metrics.inc_counter(self.hot.alarm_deliveries);
@@ -400,7 +495,7 @@ impl ObsLayer {
 
     /// Records the wakeup-queue depth after a delivery round.
     pub(crate) fn queue_depth(&mut self, depth: usize) {
-        if !self.enabled {
+        if !self.on() {
             return;
         }
         self.metrics.set_gauge_value(self.hot.queue_depth, depth as f64);
@@ -420,7 +515,7 @@ impl ObsLayer {
     /// name (the series is created lazily, exactly when the string API
     /// would have created it).
     pub(crate) fn component_active(&mut self, component: &str, ms: u64) {
-        if !self.enabled {
+        if !self.on() {
             return;
         }
         let handle = match self.component_keys.iter().find(|(n, _)| n == component) {
@@ -534,7 +629,7 @@ mod tests {
 
     #[test]
     fn placement_feeds_counter_span_and_ring() {
-        let mut obs = ObsLayer::new("SIMTY", 2, SPAN_CAPACITY);
+        let mut obs = ObsLayer::new(ObsLevel::Full, "SIMTY", 2, SPAN_CAPACITY);
         obs.note_placement(sample_audit(10));
         obs.note_placement(sample_audit(20));
         obs.note_placement(sample_audit(30));
@@ -554,8 +649,31 @@ mod tests {
     }
 
     #[test]
+    fn counts_level_keeps_the_full_levels_books_without_records() {
+        let mut full = ObsLayer::new(ObsLevel::Full, "SIMTY", 2, 3);
+        let mut counts = ObsLayer::new(ObsLevel::Counts, "SIMTY", 2, 3);
+        for at in [10, 20, 30, 40] {
+            full.note_placement(sample_audit(at));
+        }
+        counts.note_tally(PlacementTally {
+            existing: 3,
+            new_entry: 0,
+        });
+        counts.note_tally(PlacementTally {
+            existing: 1,
+            new_entry: 0,
+        });
+        assert_eq!(counts.metrics_json(), full.metrics_json());
+        assert_eq!(counts.spans().dropped(), full.spans().dropped());
+        assert_eq!(counts.audit_dropped(), full.audit_dropped());
+        assert_eq!((counts.audit_dropped(), counts.spans().dropped()), (2, 1));
+        assert!(counts.spans_jsonl().is_empty() && counts.audits_jsonl().is_empty());
+        assert_eq!(counts.alarm_ordinal(AlarmId::from_raw(3)), None);
+    }
+
+    #[test]
     fn wake_cycle_opens_and_closes_once() {
-        let mut obs = ObsLayer::new("EXACT", 8, SPAN_CAPACITY);
+        let mut obs = ObsLayer::new(ObsLevel::Full, "EXACT", 8, SPAN_CAPACITY);
         obs.wake_started(SimTime::from_secs(5));
         obs.wake_started(SimTime::from_secs(5)); // merged wake: cycle stays open
         obs.wake_ended(SimTime::from_secs(9));
@@ -572,7 +690,7 @@ mod tests {
 
     #[test]
     fn exposition_is_self_describing_before_any_event() {
-        let obs = ObsLayer::new("SIMTY", 4, SPAN_CAPACITY);
+        let obs = ObsLayer::new(ObsLevel::Full, "SIMTY", 4, SPAN_CAPACITY);
         let text = obs.metrics_exposition();
         for family in [
             "sim_wakeups_total",

@@ -4,7 +4,9 @@
 //! calling thread. Once a fleet-capacity device's span and audit rings
 //! are full, recording a span or retiring an audit must reuse storage
 //! the run already owns, so the instrumented run's second half allocates
-//! about as often as its uninstrumented twin's.
+//! about as often as its uninstrumented twin's. A counts-level run,
+//! which builds no span or audit at all, must allocate no more often
+//! than a full-level one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,7 +14,7 @@ use std::cell::Cell;
 use simty::apps::WorkloadBuilder;
 use simty::core::{SimDuration, SimTime};
 use simty::experiments::PolicyKind;
-use simty::sim::{SimConfig, Simulation};
+use simty::sim::{ObsLevel, SimConfig, Simulation};
 use simty_bench::fleet::{FLEET_AUDIT_CAPACITY, FLEET_SPAN_CAPACITY};
 
 /// Forwards to the system allocator, counting this thread's
@@ -65,21 +67,19 @@ fn allocations(f: impl FnOnce()) -> u64 {
 const DURATION: SimDuration = SimDuration::from_hours(3);
 const MID_RUN: SimDuration = SimDuration::from_mins(90);
 
-/// A SIMTY heavy device with the fleet's ring capacities, registered and
-/// run to mid-run.
-fn half_run(obs: bool) -> Simulation {
+/// A SIMTY heavy device with the fleet's ring capacities at `level`,
+/// registered and run to mid-run.
+fn half_run(level: ObsLevel) -> Simulation {
     let workload = WorkloadBuilder::heavy()
         .with_seed(1)
         .with_beta(0.96)
         .with_duration(DURATION)
         .build();
-    let mut config = SimConfig::new()
+    let config = SimConfig::new()
         .with_duration(DURATION)
         .with_span_capacity(FLEET_SPAN_CAPACITY)
-        .with_audit_capacity(FLEET_AUDIT_CAPACITY);
-    if !obs {
-        config = config.without_obs();
-    }
+        .with_audit_capacity(FLEET_AUDIT_CAPACITY)
+        .with_obs(level);
     let mut sim = Simulation::new(PolicyKind::Simty.build(), config);
     for alarm in workload.alarms {
         sim.register(alarm)
@@ -92,7 +92,7 @@ fn half_run(obs: bool) -> Simulation {
 #[test]
 fn a_full_ring_run_allocates_like_its_uninstrumented_twin() {
     let end = SimTime::ZERO + DURATION;
-    let mut on = half_run(true);
+    let mut on = half_run(ObsLevel::Full);
     assert_eq!(
         on.obs().spans().len(),
         FLEET_SPAN_CAPACITY,
@@ -103,7 +103,7 @@ fn a_full_ring_run_allocates_like_its_uninstrumented_twin() {
         FLEET_AUDIT_CAPACITY,
         "audit ring full"
     );
-    let mut off = half_run(false);
+    let mut off = half_run(ObsLevel::Off);
     let (spans, audits) = (on.obs().spans().dropped(), on.obs().audit_dropped());
 
     let on_allocs = allocations(|| on.run_until(end));
@@ -116,5 +116,31 @@ fn a_full_ring_run_allocates_like_its_uninstrumented_twin() {
     assert!(
         on_allocs as f64 <= off_allocs as f64 * 1.05,
         "instrumented second half allocated {on_allocs} times, uninstrumented {off_allocs}"
+    );
+}
+
+#[test]
+fn a_counts_level_run_allocates_no_more_than_a_full_one() {
+    let end = SimTime::ZERO + DURATION;
+    let [full, counts, off] = [ObsLevel::Full, ObsLevel::Counts, ObsLevel::Off].map(|level| {
+        let mut sim = None;
+        let allocs = allocations(|| {
+            let mut half = half_run(level);
+            half.run_until(end);
+            sim = Some(half);
+        });
+        (allocs, sim.expect("the run finished"))
+    });
+    eprintln!(
+        "whole run: {} allocations full, {} counts, {} off",
+        full.0, counts.0, off.0
+    );
+    let evictions = |sim: &Simulation| (sim.obs().spans().dropped(), sim.obs().audit_dropped());
+    assert_eq!(evictions(&counts.1), evictions(&full.1));
+    assert!(
+        counts.0 <= full.0,
+        "counts-level run allocated {} times, full-level {}",
+        counts.0,
+        full.0
     );
 }

@@ -459,3 +459,69 @@ fn hostile_counts_and_zero_capacities_are_typed_errors() {
         }
     }
 }
+
+/// A counts-level run survives a checkpoint: capture → restore →
+/// capture is byte-identical at every pause, both eviction counts
+/// included, and each resumed run ends exactly as the straight one. The
+/// level is part of the body, so a foreign level or counts that break
+/// the ring's books are typed errors.
+#[test]
+fn counts_level_captures_round_trip_byte_identically() {
+    use simty::sim::ObsLevel;
+    let mut straight = Simulation::new(
+        Box::new(SimtyPolicy::new()),
+        SimConfig::new()
+            .with_duration(SimDuration::from_hours(3))
+            .with_span_capacity(16)
+            .with_audit_capacity(8)
+            .with_obs(ObsLevel::Counts),
+    );
+    standard_workload(&mut straight);
+    let mut pauses = Vec::new();
+    for secs in [1, 45 * 60, 100 * 60] {
+        straight.run_until(SimTime::from_secs(secs));
+        pauses.push((
+            straight.checkpoint(),
+            straight.obs().spans().dropped(),
+            straight.obs().audit_dropped(),
+        ));
+    }
+    straight.run();
+    let evictions = |sim: &Simulation| (sim.obs().spans().dropped(), sim.obs().audit_dropped());
+    let (spans, audits) = evictions(&straight);
+    assert!(
+        spans > 0 && audits > 0,
+        "both rings evicted: {spans} {audits}"
+    );
+    assert_eq!(
+        (pauses[0].1, pauses[0].2),
+        (0, 0),
+        "the first pause precedes every eviction"
+    );
+    let expected = fingerprint(&straight);
+    for (ckpt, span_dropped, audit_dropped) in &pauses {
+        let body = String::from_utf8(ckpt.to_bytes()).unwrap();
+        assert!(body.contains("\nobs=counts\n"), "the level is captured");
+        let mut resumed = Simulation::restore(Box::new(SimtyPolicy::new()), ckpt).expect("restore");
+        assert_eq!(resumed.obs().level(), ObsLevel::Counts);
+        assert_eq!(evictions(&resumed), (*span_dropped, *audit_dropped));
+        assert_eq!(resumed.checkpoint().to_bytes(), ckpt.to_bytes());
+        resumed.run();
+        assert_eq!(fingerprint(&resumed), expected);
+        assert_eq!(evictions(&resumed), (spans, audits));
+    }
+
+    let (late, _, _) = &pauses[2];
+    let restore = |c: &Checkpoint| Simulation::restore(Box::new(SimtyPolicy::new()), c);
+    for (from, to) in [
+        ("\nobs=counts\n", "\nobs=1\n"),
+        ("\nobs_audits_counted=", "\nobs_audits_counted=1"),
+        ("\nobs_next_seq=", "\nobs_next_seq=1"),
+    ] {
+        let bad = edited(late, |b| b.replacen(from, to, 1));
+        match restore(&bad) {
+            Err(CheckpointError::Malformed { .. }) => {}
+            other => panic!("`{to}` edit: {:?}", other.err()),
+        }
+    }
+}
