@@ -42,11 +42,9 @@ impl Histogram {
     /// Panics if `bounds` is empty, non-finite, or not strictly
     /// increasing.
     pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "a histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
-            "histogram bounds must be finite and strictly increasing"
-        );
+        if let Err(why) = Histogram::check_bounds(&bounds) {
+            panic!("{why}");
+        }
         let counts = vec![0; bounds.len() + 1];
         Histogram {
             bounds,
@@ -54,6 +52,23 @@ impl Histogram {
             sum: 0.0,
             count: 0,
             nonfinite: 0,
+        }
+    }
+
+    /// Whether `bounds` can bucket a histogram: they must be non-empty,
+    /// finite and strictly increasing. Callers rebuilding a histogram
+    /// from untrusted bytes check here before [`from_parts`](Self::from_parts).
+    ///
+    /// # Errors
+    ///
+    /// Why the bounds cannot bucket a histogram.
+    pub fn check_bounds(bounds: &[f64]) -> Result<(), &'static str> {
+        if bounds.is_empty() {
+            Err("a histogram needs at least one bound")
+        } else if bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()) {
+            Ok(())
+        } else {
+            Err("histogram bounds must be finite and strictly increasing")
         }
     }
 

@@ -85,12 +85,13 @@ impl SpanKind {
 /// refcount instead of copying, and fixed-vocabulary strings borrow
 /// statics. Every variant renders to exactly the string the plain
 /// string representation used to carry, and equality is defined over
-/// that rendering — a checkpoint restore (which parses everything back
-/// as [`Str`](AttrValue::Str)) compares equal to the live value it
+/// that rendering — a checkpoint restore (which reads canonical
+/// decimals back as [`U64`](AttrValue::U64) and everything else as
+/// [`Shared`](AttrValue::Shared)) compares equal to the live value it
 /// round-tripped.
 #[derive(Debug, Clone, Eq)]
 pub enum AttrValue {
-    /// An owned string (checkpoint restore, cold paths).
+    /// An owned string (cold paths).
     Str(Box<str>),
     /// A static string from a fixed vocabulary.
     Static(&'static str),

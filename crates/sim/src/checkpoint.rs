@@ -29,6 +29,37 @@
 //! version skew, truncation, and corruption (checksum mismatch) and the
 //! [`CheckpointStore`] falls back to the newest older snapshot that
 //! still validates.
+//!
+//! # Restore
+//!
+//! [`Simulation::restore`] rebuilds the state in the forms a straight
+//! run holds it, so its work grows with the body's lines rather than
+//! with heap allocations:
+//!
+//! * each value is cut into fields by one byte scan
+//!   ([`Parser::fields`], and [`Parser::fields_upto`] for the
+//!   variable-arity `os=` span lines and audit candidates), not
+//!   collected into a `Vec`;
+//! * every label (alarm and delivery labels, audit apps, and the
+//!   ledger, hold and retry apps) goes through the parser's interner
+//!   ([`Parser::label`]): one shared `Arc<str>` per distinct label, as
+//!   in the live run, unescaped only when the field holds a `%`;
+//! * a span attribute that is a canonical decimal (digits only, no
+//!   sign, no leading zero unless it is `0`, within `u64`) comes back
+//!   as [`AttrValue::U64`], any other value as an interned
+//!   [`AttrValue::Shared`]. Both render as the captured text, so
+//!   exports and recaptures are byte-identical by construction; `007`,
+//!   `+5` and 20-digit values stay strings;
+//! * the counts the body leads each section with presize the trace's
+//!   deliveries and wakeups, the span ring, the audit ring and each
+//!   audit's candidate list.
+//!
+//! Restoring a SIMTY heavy snapshot 2.5 h into its run (2 048 span and
+//! 988 delivery lines) allocates about 1 250 times, where it allocated
+//! about 25 000 times when every line built owned strings
+//! (`tests/alloc_profile.rs`). Restore also validates what the ring
+//! and metric types assume: no more spans or audits than their rings
+//! hold, and histogram bounds that are finite and strictly increasing.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -50,7 +81,8 @@ use simty_device::energy::EnergyMeter;
 use simty_device::monsoon::PowerTrace;
 use simty_device::power::{ComponentPower, PowerModel};
 use simty_device::wakelock::WakeLockTable;
-use simty_obs::{Histogram, Span, SpanCollector, SpanKind, StageProfile};
+use simty_obs::span::SPAN_ATTR_CAPACITY;
+use simty_obs::{AttrValue, Histogram, Span, SpanCollector, SpanKind, StageProfile};
 
 use crate::attribution::{ActiveTask, AttributionLedger};
 use crate::config::{InvariantMode, SimConfig};
@@ -1290,6 +1322,21 @@ impl Parser<'_> {
     }
 }
 
+/// A restored span value in the form a live run holds it: a canonical
+/// decimal (digits only, no sign, no leading zero unless it is `0`,
+/// within `u64`) as [`AttrValue::U64`], anything else as a shared label.
+/// Either renders as the field's exact unescaped text, so exports and
+/// recaptures are byte-identical to the run that was captured.
+fn attr_value<'a>(p: &mut Parser<'a>, raw: &'a str) -> AttrValue {
+    let canonical = !raw.is_empty()
+        && raw.bytes().all(|b| b.is_ascii_digit())
+        && (raw == "0" || !raw.starts_with('0'));
+    match raw.parse() {
+        Ok(v) if canonical => AttrValue::U64(v),
+        _ => AttrValue::Shared(p.label(raw)),
+    }
+}
+
 /// Rebuilds a [`Simulation`] from `checkpoint` under `policy`.
 ///
 /// Policies are stateless, so the caller supplies one; it is validated
@@ -1547,12 +1594,13 @@ pub(crate) fn restore(
     // Trace.
     let mut trace = Trace::new();
     let n = p.count("deliveries")?;
+    trace.deliveries.reserve(n);
     for _ in 0..n {
         let f = p.kv_fields::<12>("d")?;
         let repeat_ms = p.u64_of(f[6])?;
         trace.record_delivery(DeliveryRecord {
             alarm_id: AlarmId::from_raw(p.u64_of(f[0])?),
-            label: unesc(f[1]).into(),
+            label: p.label(f[1]),
             nominal: p.time(f[2])?,
             window_end: p.time(f[3])?,
             grace_end: p.time(f[4])?,
@@ -1570,6 +1618,7 @@ pub(crate) fn restore(
         });
     }
     let n = p.count("wakeups")?;
+    trace.wakeups.reserve(n);
     for _ in 0..n {
         let t = p.kv_time("wk")?;
         trace.record_wakeup(t);
@@ -1592,7 +1641,7 @@ pub(crate) fn restore(
     for _ in 0..n {
         let f = p.kv_fields::<3>("la")?;
         active.push(ActiveTask {
-            app: unesc(f[0]).into(),
+            app: p.label(f[0]),
             hardware: p.hardware_of(f[1])?,
             until: p.time(f[2])?,
         });
@@ -1706,7 +1755,7 @@ pub(crate) fn restore(
             started: p.time(f[0])?,
             until: p.time(f[1])?,
             hardware: p.hardware_of(f[2])?,
-            app: unesc(f[3]).into(),
+            app: p.label(f[3]),
         });
     }
     let n = p.count("offenses")?;
@@ -1731,7 +1780,7 @@ pub(crate) fn restore(
             done: p.bool_of(f[2])?,
             overhead_mj: p.f64_of(f[3])?,
             hardware: p.hardware_of(f[4])?,
-            app: unesc(f[5]).into(),
+            app: p.label(f[5]),
         });
     }
     let n = p.count("stash_apps")?;
@@ -1850,9 +1899,9 @@ pub(crate) fn restore(
     let mut spans = Vec::with_capacity(n);
     for _ in 0..n {
         let v = p.kv("os")?;
-        let parts: Vec<&str> = v.split(',').collect();
-        if parts.len() < 5 {
-            return Err(p.err(format!("span needs at least 5 fields, got {}", parts.len())));
+        let (parts, nparts) = Parser::fields_upto::<{ 5 + 2 * SPAN_ATTR_CAPACITY }>(v, b',');
+        if nparts < 5 {
+            return Err(p.err(format!("span needs at least 5 fields, got {nparts}")));
         }
         let kind = SpanKind::parse(parts[1])
             .ok_or_else(|| p.err(format!("invalid span kind `{}`", parts[1])))?;
@@ -1867,11 +1916,10 @@ pub(crate) fn restore(
                 keys.len()
             )));
         }
-        if parts.len() != 5 + 2 * nattrs {
+        if nparts != 5 + 2 * nattrs {
             return Err(p.err(format!(
-                "span with {nattrs} attrs expects {} fields, got {}",
+                "span with {nattrs} attrs expects {} fields, got {nparts}",
                 5 + 2 * nattrs,
-                parts.len()
             )));
         }
         let keys = &keys[..nattrs];
@@ -1885,14 +1933,16 @@ pub(crate) fn restore(
                 )));
             }
         }
-        let values = (0..nattrs).map(|i| unesc(parts[6 + 2 * i]).into());
-        spans.push(Span::new(
+        let (seq, start_ms, end_ms) = (
             p.u64_of(parts[0])?,
-            kind,
             p.u64_of(parts[2])?,
             p.u64_of(parts[3])?,
-            keys.iter().copied().zip(values),
-        ));
+        );
+        let attrs = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &key)| (key, attr_value(&mut p, parts[6 + 2 * i])));
+        spans.push(Span::new(seq, kind, start_ms, end_ms, attrs));
     }
     obs.spans = if config.obs == ObsLevel::Counts {
         let counted = SpanCollector::counting(config.span_capacity, obs_next_seq);
@@ -1941,6 +1991,7 @@ pub(crate) fn restore(
         for raw in &parts[2..2 + nb] {
             bounds.push(p.f64_of(raw)?);
         }
+        Histogram::check_bounds(&bounds).map_err(|why| p.err(format!("`{name}`: {why}")))?;
         let mut counts = Vec::with_capacity(nb + 1);
         for raw in &parts[2 + nb..2 + nb + nb + 1] {
             counts.push(p.u64_of(raw)?);
@@ -1972,15 +2023,24 @@ pub(crate) fn restore(
     if config.obs == ObsLevel::Counts && n > 0 {
         return Err(p.err("a counts-level audit ring retains nothing"));
     }
+    // An overfull ring would never evict again (it evicts at exactly its
+    // capacity), and its drop count would be wrong from then on.
+    if n > config.audit_capacity {
+        return Err(p.err(format!(
+            "{n} audits exceed the ring's capacity {}",
+            config.audit_capacity
+        )));
+    }
+    obs.audits.reserve(n);
     for _ in 0..n {
         let f = p.kv_fields::<7>("oa")?;
         let candidates = if f[6] == "-" {
             Vec::new()
         } else {
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(f[6].bytes().filter(|&b| b == b';').count() + 1);
             for c in f[6].split(';') {
-                let cf: Vec<&str> = c.split('.').collect();
-                if cf.len() != 5 {
+                let (cf, nf) = Parser::fields_upto::<5>(c, b'.');
+                if nf != 5 {
                     return Err(p.err(format!("candidate needs 5 fields, got `{c}`")));
                 }
                 let time = match cf[2] {
@@ -2024,7 +2084,7 @@ pub(crate) fn restore(
         obs.audits.push_back(PlacementAudit {
             at: p.time(f[0])?,
             alarm_id: AlarmId::from_raw(p.u64_of(f[1])?),
-            app: unesc(f[5]).into(),
+            app: p.label(f[5]),
             nominal: p.time(f[2])?,
             perceptible: p.bool_of(f[3])?,
             placement,
@@ -2278,5 +2338,41 @@ mod tests {
         );
         let message = restore_error(&crowded);
         assert!(message.contains("exceed the ring's capacity 1"), "{message}");
+
+        // More audits than the restored ring holds.
+        let mut crowded = intact.clone();
+        crowded.body = crowded
+            .body
+            .replacen("\naudit_capacity=4096\n", "\naudit_capacity=1\n", 1);
+        let message = restore_error(&crowded);
+        assert!(
+            message.contains("audits exceed the ring's capacity 1"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn span_values_restore_typed_only_when_they_render_the_same() {
+        let mut p = Parser::new("");
+        for (raw, want) in [("0", 0), ("42", 42), ("18446744073709551615", u64::MAX)] {
+            assert!(
+                matches!(attr_value(&mut p, raw), AttrValue::U64(v) if v == want),
+                "{raw}"
+            );
+        }
+        for (raw, rendered) in [
+            ("007", "007"),
+            ("00", "00"),
+            ("+5", "+5"),
+            ("-1", "-1"),
+            ("18446744073709551616", "18446744073709551616"),
+            ("", ""),
+            ("existing%3A3", "existing:3"),
+            ("new_entry", "new_entry"),
+        ] {
+            let value = attr_value(&mut p, raw);
+            assert!(matches!(value, AttrValue::Shared(_)), "{raw}");
+            assert_eq!(value.render(), rendered);
+        }
     }
 }

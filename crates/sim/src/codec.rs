@@ -19,7 +19,9 @@
 //! ([`fmt_app_admission`], [`Parser::app_admission_of`]). One writer and
 //! one reader per concept keeps every consumer byte-compatible.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use simty_core::admission::{AdmissionConfig, AppAdmission, ClassQuota, TokenBucket};
 use simty_core::alarm::{Alarm, AlarmId, AlarmKind, Repeat};
@@ -219,10 +221,17 @@ pub fn fmt_app_admission(st: &AppAdmission) -> String {
 /// was found on. Counts go through [`count_of`](Self::count_of), which
 /// bounds them by the body's length, so hostile bytes yield an error
 /// rather than a huge allocation.
+///
+/// Fields are cut by one byte scan per value ([`fields`](Self::fields),
+/// [`fields_upto`](Self::fields_upto)), and labels go through a
+/// per-parser interner ([`label`](Self::label)), so a label that recurs
+/// on many lines is one shared allocation, as it is in the live run.
 pub struct Parser<'a> {
     lines: std::str::Lines<'a>,
     line_no: usize,
     body_len: usize,
+    /// Raw (escaped) label field → its unescaped shared form.
+    labels: HashMap<&'a str, Arc<str>>,
 }
 
 impl<'a> Parser<'a> {
@@ -233,6 +242,7 @@ impl<'a> Parser<'a> {
             lines: body.lines(),
             line_no: 0,
             body_len: body.len(),
+            labels: HashMap::new(),
         }
     }
 
@@ -389,18 +399,48 @@ impl<'a> Parser<'a> {
 
     /// Splits a comma-separated value into exactly `N` raw fields.
     pub fn fields<const N: usize>(&self, value: &'a str) -> Result<[&'a str; N], CheckpointError> {
+        match Self::fields_upto::<N>(value, b',') {
+            (out, n) if n == N => Ok(out),
+            (_, n) => Err(self.err(format!("expected {N} fields, got {n}"))),
+        }
+    }
+
+    /// Splits `value` at every `sep` byte in one scan: the first `N`
+    /// fields (empty past the last one) and the true field count, which
+    /// may exceed `N`. For lines whose arity a field of their own
+    /// declares. `sep` must be ASCII, so every cut falls on a char
+    /// boundary.
+    pub fn fields_upto<const N: usize>(value: &'a str, sep: u8) -> ([&'a str; N], usize) {
+        debug_assert!(sep.is_ascii(), "separator {sep:#x} is not ASCII");
         let mut out = [""; N];
         let mut n = 0;
-        for part in value.split(',') {
-            if let Some(slot) = out.get_mut(n) {
-                *slot = part;
+        let mut start = 0;
+        for (i, &b) in value.as_bytes().iter().enumerate() {
+            if b == sep {
+                if let Some(slot) = out.get_mut(n) {
+                    *slot = &value[start..i];
+                }
+                n += 1;
+                start = i + 1;
             }
-            n += 1;
         }
-        if n != N {
-            return Err(self.err(format!("expected {N} fields, got {n}")));
+        if let Some(slot) = out.get_mut(n) {
+            *slot = &value[start..];
         }
-        Ok(out)
+        (out, n + 1)
+    }
+
+    /// The unescaped label of a raw field, shared with every earlier
+    /// field of the same bytes: one allocation per distinct label (two
+    /// when it holds an escape), none for a repeat.
+    pub fn label(&mut self, raw: &'a str) -> Arc<str> {
+        Arc::clone(self.labels.entry(raw).or_insert_with(|| {
+            if raw.contains('%') {
+                unesc(raw).into()
+            } else {
+                raw.into()
+            }
+        }))
     }
 
     /// Reads a `key=` line whose value has exactly `N` fields.
@@ -418,7 +458,7 @@ impl<'a> Parser<'a> {
         let kind = self.kind_of(f[6])?;
         Ok(Alarm::restore(
             AlarmId::from_raw(self.u64_of(f[0])?),
-            unesc(f[1]).into(),
+            self.label(f[1]),
             self.time(f[2])?,
             self.dur(f[3])?,
             self.dur(f[4])?,
@@ -577,6 +617,41 @@ mod tests {
         }
         assert!(f64_from_hex(&f64_hex(f64::NAN)).unwrap().is_nan());
         assert_eq!(f64_from_hex("zz"), None);
+    }
+
+    #[test]
+    fn the_byte_splitter_counts_every_field_and_keeps_the_first_n() {
+        for value in ["", "a", "a,b", ",", "a,,b,", "β,ü,✓", "1,2,3,4,5,6"] {
+            let want: Vec<&str> = value.split(',').collect();
+            let (got, n) = Parser::fields_upto::<3>(value, b',');
+            assert_eq!(n, want.len(), "{value:?}");
+            for (i, field) in got.iter().enumerate() {
+                assert_eq!(*field, want.get(i).copied().unwrap_or(""), "{value:?}");
+            }
+        }
+        assert_eq!(
+            Parser::fields_upto::<5>("1.2.h.-.w", b'.'),
+            (["1", "2", "h", "-", "w"], 5)
+        );
+        let p = Parser::new("");
+        assert_eq!(p.fields::<2>("a,b").unwrap(), ["a", "b"]);
+        for (value, got) in [("a", 1), ("a,b,c", 3)] {
+            match p.fields::<2>(value) {
+                Err(CheckpointError::Malformed { message, .. }) => {
+                    assert_eq!(message, format!("expected 2 fields, got {got}"));
+                }
+                other => panic!("{value}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn labels_are_unescaped_and_shared() {
+        let mut p = Parser::new("");
+        let a = p.label("a%2Cb");
+        assert_eq!(&*a, "a,b");
+        assert!(Arc::ptr_eq(&a, &p.label("a%2Cb")));
+        assert_eq!(&*p.label("naïve"), "naïve");
     }
 
     #[test]

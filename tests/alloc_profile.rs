@@ -6,7 +6,9 @@
 //! the run already owns, so the instrumented run's second half allocates
 //! about as often as its uninstrumented twin's. A counts-level run,
 //! which builds no span or audit at all, must allocate no more often
-//! than a full-level one.
+//! than a full-level one. Restoring a checkpoint rebuilds its span
+//! values, delivery labels and audits without a heap allocation per
+//! line.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,7 +16,7 @@ use std::cell::Cell;
 use simty::apps::WorkloadBuilder;
 use simty::core::{SimDuration, SimTime};
 use simty::experiments::PolicyKind;
-use simty::sim::{ObsLevel, SimConfig, Simulation};
+use simty::sim::{Checkpoint, ObsLevel, SimConfig, Simulation};
 use simty_bench::fleet::{FLEET_AUDIT_CAPACITY, FLEET_SPAN_CAPACITY};
 
 /// Forwards to the system allocator, counting this thread's
@@ -142,5 +144,50 @@ fn a_counts_level_run_allocates_no_more_than_a_full_one() {
         "counts-level run allocated {} times, full-level {}",
         counts.0,
         full.0
+    );
+}
+
+#[test]
+fn restoring_a_heavy_snapshot_allocates_less_than_once_per_line() {
+    let workload = WorkloadBuilder::heavy()
+        .with_seed(1)
+        .with_beta(0.96)
+        .with_duration(DURATION)
+        .build();
+    let mut sim = Simulation::new(
+        PolicyKind::Simty.build(),
+        SimConfig::new().with_duration(DURATION),
+    );
+    for alarm in workload.alarms {
+        sim.register(alarm)
+            .expect("workload alarm registers cleanly");
+    }
+    sim.run_until(SimTime::ZERO + SimDuration::from_mins(150));
+    let snapshot =
+        Checkpoint::from_bytes(&sim.checkpoint().to_bytes()).expect("a fresh capture validates");
+    let body = String::from_utf8(snapshot.to_bytes()).expect("utf-8 checkpoint");
+    let lines = |key: &str| body.lines().filter(|l| l.starts_with(key)).count() as u64;
+    let (spans, deliveries) = (lines("os="), lines("d="));
+    assert!(
+        spans > 1_000 && deliveries > 500,
+        "a heavy snapshot: {spans} spans, {deliveries} deliveries"
+    );
+
+    let mut restored = None;
+    let allocs = allocations(|| {
+        restored = Some(
+            Simulation::restore(PolicyKind::Simty.build(), &snapshot)
+                .expect("the snapshot restores"),
+        );
+    });
+    eprintln!("restore: {allocs} allocations for {spans} span and {deliveries} delivery lines");
+    let restored = restored.expect("restore ran");
+    assert!(
+        restored.checkpoint().to_bytes() == snapshot.to_bytes(),
+        "the restored run recaptures the snapshot"
+    );
+    assert!(
+        allocs < spans + deliveries,
+        "restore allocated {allocs} times for {spans} span and {deliveries} delivery lines"
     );
 }

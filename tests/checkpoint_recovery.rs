@@ -6,6 +6,9 @@
 //! reboots. And after a reboot, boot catch-up delivers every missed
 //! alarm inside the (outage-widened) perceptible window.
 
+mod common;
+
+use proptest::prelude::*;
 use simty::prelude::*;
 use simty::sim::json::report_to_json;
 
@@ -458,6 +461,35 @@ fn hostile_counts_and_zero_capacities_are_typed_errors() {
             other => panic!("{key}=0: {:?}", other.err()),
         }
     }
+
+    // Histogram bounds that cannot bucket anything: none at all, out of
+    // order, or infinite. Each line keeps the field count its bound
+    // count implies, so only the bounds themselves are hostile.
+    let body = String::from_utf8(ckpt.to_bytes()).unwrap();
+    let hist = body
+        .lines()
+        .find(|l| l.starts_with("oh="))
+        .expect("an `oh=` line")
+        .to_owned();
+    let fields: Vec<&str> = hist.split(',').collect();
+    let no_bounds = format!("{},0,0,{},0", fields[0], fields[fields.len() - 3]);
+    let mut unsorted = fields.clone();
+    unsorted.swap(2, 3);
+    let mut infinite = fields.clone();
+    infinite[2] = "7ff0000000000000";
+    for (edit, want) in [
+        (no_bounds, "a histogram needs at least one bound"),
+        (unsorted.join(","), "finite and strictly increasing"),
+        (infinite.join(","), "finite and strictly increasing"),
+    ] {
+        let bad = edited(&ckpt, |b| b.replacen(&hist, &edit, 1));
+        match restore(&bad) {
+            Err(CheckpointError::Malformed { message, .. }) => {
+                assert!(message.contains(want), "`{edit}`: {message}")
+            }
+            other => panic!("`{edit}`: {:?}", other.err()),
+        }
+    }
 }
 
 /// A counts-level run survives a checkpoint: capture → restore →
@@ -522,6 +554,197 @@ fn counts_level_captures_round_trip_byte_identically() {
         match restore(&bad) {
             Err(CheckpointError::Malformed { .. }) => {}
             other => panic!("`{to}` edit: {:?}", other.err()),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The round-trip oracle: at any pause of a run with every optional
+    /// subsystem on, capture → restore → capture is byte-identical, and
+    /// the resumed run ends with the straight run's report and
+    /// observability exports. The run's labels need escaping or look
+    /// like numbers, so a restore that re-types a value (`"007"` read
+    /// back as the number 7) or unescapes it wrongly fails here.
+    #[test]
+    fn any_pause_round_trips_and_resumes_like_the_straight_run(
+        seed in any::<u64>(),
+        pause_ms in 1u64..3_600_000,
+    ) {
+        let mut straight = common::every_subsystem_sim(seed);
+        straight.run_until(SimTime::from_millis(pause_ms));
+        let snapshot = straight.checkpoint();
+        let mut resumed = Simulation::restore(Box::new(SimtyPolicy::new()), &snapshot)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert!(
+            resumed.checkpoint().to_bytes() == snapshot.to_bytes(),
+            "the recapture differs from the capture"
+        );
+        straight.run();
+        resumed.run();
+        prop_assert_eq!(report_to_json(&resumed.report()), report_to_json(&straight.report()));
+        let exports = ["span JSONL", "metrics JSON", "audit JSONL", "Chrome trace"];
+        let (got, want) = (common::obs_exports(&resumed), common::obs_exports(&straight));
+        for (name, (got, want)) in exports.iter().zip(got.iter().zip(&want)) {
+            prop_assert!(got == want, "the resumed {} differs from the straight run's", name);
+        }
+    }
+}
+
+/// One hostile edit of a checkpoint body. Positions are raw draws,
+/// reduced modulo the body's lines, a line's bytes or its fields.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// Flips one bit of one byte.
+    FlipBit(u64, u8),
+    /// Cuts a line short.
+    Truncate(u64, u64),
+    /// Writes a line twice.
+    Duplicate(u64),
+    /// Drops a line.
+    Delete(u64),
+    /// Swaps two fields of a line.
+    SwapFields(u64, u64, u64),
+    /// Appends a field to a line.
+    ExtraField(u64, u64),
+    /// Replaces a field of a line with a hostile value.
+    Replace(u64, u64, u64),
+}
+
+/// Field values that sit on a boundary of some reader.
+const HOSTILE: [&str; 10] = [
+    "",
+    "0",
+    "-1",
+    "18446744073709551615",
+    "7ff0000000000000",
+    "fff8000000000000",
+    "none",
+    "%",
+    "x",
+    "e18446744073709551615",
+];
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (any::<u64>(), 0u8..8).prop_map(|(at, bit)| Mutation::FlipBit(at, bit)),
+        (any::<u64>(), any::<u64>()).prop_map(|(line, cut)| Mutation::Truncate(line, cut)),
+        any::<u64>().prop_map(Mutation::Duplicate),
+        any::<u64>().prop_map(Mutation::Delete),
+        (any::<u64>(), any::<u64>(), any::<u64>())
+            .prop_map(|(line, a, b)| Mutation::SwapFields(line, a, b)),
+        (any::<u64>(), any::<u64>()).prop_map(|(line, v)| Mutation::ExtraField(line, v)),
+        (any::<u64>(), any::<u64>(), any::<u64>())
+            .prop_map(|(line, field, v)| Mutation::Replace(line, field, v)),
+    ]
+}
+
+/// `n` reduced to an index below `len` (which must be nonzero).
+fn pick(n: u64, len: usize) -> usize {
+    (n % len as u64) as usize
+}
+
+impl Mutation {
+    fn apply(&self, body: &mut Vec<u8>) {
+        if let Mutation::FlipBit(at, bit) = *self {
+            if !body.is_empty() {
+                let at = pick(at, body.len());
+                body[at] ^= 1 << bit;
+            }
+            return;
+        }
+        let text = String::from_utf8_lossy(body).into_owned();
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        if lines.is_empty() {
+            return;
+        }
+        let field_edit = |line: &mut String, edit: &dyn Fn(&mut Vec<String>)| {
+            let Some((key, value)) = line.split_once('=') else {
+                return;
+            };
+            let mut fields: Vec<String> = value.split(',').map(str::to_owned).collect();
+            edit(&mut fields);
+            *line = format!("{key}={}", fields.join(","));
+        };
+        match *self {
+            Mutation::FlipBit(..) => unreachable!("handled above"),
+            Mutation::Truncate(line, cut) => {
+                let at = pick(line, lines.len());
+                let line = &mut lines[at];
+                let mut at = pick(cut, line.len() + 1);
+                while !line.is_char_boundary(at) {
+                    at -= 1;
+                }
+                line.truncate(at);
+            }
+            Mutation::Duplicate(line) => {
+                let at = pick(line, lines.len());
+                lines.insert(at, lines[at].clone());
+            }
+            Mutation::Delete(line) => {
+                lines.remove(pick(line, lines.len()));
+            }
+            Mutation::SwapFields(line, a, b) => {
+                let at = pick(line, lines.len());
+                field_edit(&mut lines[at], &|f| {
+                    let (a, b) = (pick(a, f.len()), pick(b, f.len()));
+                    f.swap(a, b);
+                });
+            }
+            Mutation::ExtraField(line, v) => {
+                let at = pick(line, lines.len());
+                field_edit(&mut lines[at], &|f| {
+                    f.push(HOSTILE[pick(v, HOSTILE.len())].to_owned())
+                });
+            }
+            Mutation::Replace(line, field, v) => {
+                let at = pick(line, lines.len());
+                field_edit(&mut lines[at], &|f| {
+                    let field = pick(field, f.len());
+                    f[field] = HOSTILE[pick(v, HOSTILE.len())].to_owned();
+                });
+            }
+        }
+        *body = (lines.join("\n") + "\n").into_bytes();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile bytes under a valid envelope: mutated bodies of a real
+    /// capture, re-checksummed, decode and restore to a value or a typed
+    /// error, never a panic.
+    #[test]
+    fn mutated_bodies_restore_or_fail_typed(
+        pause_s in 60u64..3_600,
+        mutations in prop::collection::vec(arb_mutation(), 1..4),
+    ) {
+        let mut sim = common::every_subsystem_sim(7);
+        sim.run_until(SimTime::from_secs(pause_s));
+        let bytes = sim.checkpoint().to_bytes();
+        let header = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .nth(2)
+            .map(|(i, _)| i + 1)
+            .expect("a three-line envelope");
+        let mut body = bytes[header..].to_vec();
+        for m in &mutations {
+            m.apply(&mut body);
+        }
+        let mut envelope = format!(
+            "{}\nlen={}\nsum={:016x}\n",
+            simty::sim::checkpoint::MAGIC,
+            body.len(),
+            simty::sim::codec::fnv1a64(&body)
+        )
+        .into_bytes();
+        envelope.extend_from_slice(&body);
+        if let Ok(ckpt) = Checkpoint::from_bytes(&envelope) {
+            let _ = Simulation::restore(Box::new(SimtyPolicy::new()), &ckpt);
         }
     }
 }
