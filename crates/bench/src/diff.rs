@@ -31,7 +31,8 @@
 //!   `latency_ms` quantiles gate on the wall-clock ratio.
 //!
 //! The module carries its own ~150-line recursive-descent JSON reader
-//! so the bench crate stays dependency-free.
+//! so the bench crate stays dependency-free. Its nesting depth is
+//! bounded, so hostile input is an error, never a stack overflow.
 
 use std::fmt;
 
@@ -63,6 +64,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -109,9 +111,17 @@ impl JsonValue {
     }
 }
 
+/// How deeply arrays and objects may nest. The reader recurses once per
+/// level, so an unbounded depth would let a small hostile body (serve
+/// parses request bodies with it) overflow the thread's stack; the
+/// documents it reads nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -153,8 +163,15 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", JsonValue::Bool(true)),
             Some(b'f') => self.lit("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(&open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(_) => self.number(),
             None => Err(self.err("unexpected end of input")),
         }
@@ -627,6 +644,19 @@ mod tests {
         assert_eq!(v.get("n").unwrap(), &JsonValue::Null);
         assert!(JsonValue::parse("{\"a\":}").is_err());
         assert!(JsonValue::parse("[1,2] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_so_deep_input_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        assert!(JsonValue::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // Far deeper than any stack holds, on a thread with the default
+        // 2 MiB stack: unbounded recursion would abort the process.
+        let deep = std::thread::spawn(|| JsonValue::parse(&"[".repeat(65_536)).is_err());
+        assert!(deep.join().expect("the parser returns instead of overflowing"));
     }
 
     fn doc(runs_per_sec: f64, dispatch_ns: u64, energy: f64, poisoned: u64) -> String {

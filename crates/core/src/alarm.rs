@@ -64,9 +64,12 @@ impl AlarmId {
 
     /// Advances the process-wide id counter past `max_seen`, guaranteeing
     /// that every subsequently [`fresh`](Self::fresh) identifier is
-    /// strictly greater than `max_seen`.
+    /// strictly greater than `max_seen` — unless `max_seen` is
+    /// `u64::MAX`, past which no identifier is left. The counter then
+    /// stops at `u64::MAX`; callers restoring persisted ids refuse that
+    /// watermark before calling.
     pub fn reserve_through(max_seen: u64) {
-        NEXT_ALARM_ID.fetch_max(max_seen + 1, Ordering::Relaxed);
+        NEXT_ALARM_ID.fetch_max(max_seen.saturating_add(1), Ordering::Relaxed);
     }
 
     /// The raw numeric value (for traces and reports).

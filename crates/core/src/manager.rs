@@ -88,15 +88,17 @@ impl AlarmManager {
         non_wakeup: AlarmQueue,
         now: SimTime,
     ) -> Self {
-        AlarmManager {
-            policy,
-            wakeup,
-            non_wakeup,
-            now,
-            audit_sink: AuditSink::Off,
-            spare_candidates: Vec::new(),
-            grace_stretch: GRACE_STRETCH_UNIT,
-        }
+        let mut manager = AlarmManager::new(policy);
+        manager.restore_queues(wakeup, non_wakeup, now);
+        manager
+    }
+
+    /// Replaces both queues and the clock with persisted ones, keeping
+    /// the policy (checkpoint restore; see [`restore`](Self::restore)).
+    pub fn restore_queues(&mut self, wakeup: AlarmQueue, non_wakeup: AlarmQueue, now: SimTime) {
+        self.wakeup = wakeup;
+        self.non_wakeup = non_wakeup;
+        self.now = now;
     }
 
     /// Restores the degradation grace multiplier without re-placing any

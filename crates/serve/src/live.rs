@@ -35,9 +35,7 @@ use simty::experiments::PolicyKind;
 use simty::prelude::{
     Alarm, AlarmId, AlarmKind, AlarmManager, HardwareSet, QueueEntry, SimDuration, SimTime,
 };
-use simty::sim::codec::{
-    fmt_admission_config, fmt_alarm_attrs, fmt_app_admission, write_queue, Parser,
-};
+use simty::sim::codec::{line, put, put_alarm_attrs, write_queue, Cursor, Parser};
 use simty::sim::CheckpointError;
 
 /// Magic first line of a full snapshot payload.
@@ -514,7 +512,10 @@ impl LiveScheduler {
             );
             for (&ordinal, &id) in &state.alarms {
                 if let Some(alarm) = self.manager.find_alarm(id) {
-                    let _ = writeln!(out, "alarm={ordinal},{}", fmt_alarm_attrs(alarm));
+                    line(&mut out, "alarm", |w| {
+                        put_alarm_attrs(w.f(&ordinal), alarm);
+                        w
+                    });
                 }
             }
         }
@@ -528,29 +529,19 @@ impl LiveScheduler {
     /// [`Checkpoint::marker`](simty::sim::Checkpoint::marker) payload).
     pub fn snapshot_payload(&self) -> String {
         let mut out = self.head(SNAPSHOT_MAGIC, 4 * 1024);
-        let _ = writeln!(
-            out,
-            "config={}",
-            fmt_admission_config(self.admission.config())
-        );
-        let _ = writeln!(out, "tenants={}", self.tenants.len());
+        put(&mut out, "config", self.admission.config());
+        put(&mut out, "tenants", &self.tenants.len());
         for (name, state) in &self.tenants {
-            let _ = writeln!(
-                out,
-                "tenant={name},{},{},{},{},{},{},{}",
-                state.next_ordinal,
-                state.registered,
-                state.deferred,
-                state.rejected,
-                state.cancelled,
-                state.delivered,
-                state.alarms.len(),
-            );
+            line(&mut out, "tenant", |w| {
+                w.raw(name).f(&state.next_ordinal).f(&state.registered);
+                w.f(&state.deferred).f(&state.rejected).f(&state.cancelled);
+                w.f(&state.delivered).f(&state.alarms.len())
+            });
             for (&ordinal, &id) in &state.alarms {
-                let _ = writeln!(out, "map={ordinal},{}", id.as_u64());
+                put(&mut out, "map", &(ordinal, id));
             }
         }
-        let _ = writeln!(out, "admissions={}", self.admission.app_count());
+        put(&mut out, "admissions", &self.admission.app_count());
         self.write_admissions(&mut out);
         write_queue(&mut out, "wakeup", self.manager.wakeup_queue());
         write_queue(&mut out, "nonwakeup", self.manager.non_wakeup_queue());
@@ -569,7 +560,7 @@ impl LiveScheduler {
     /// One `admission=` line per tenant with bucket state, in name order.
     fn write_admissions(&self, out: &mut String) {
         for (name, app) in self.admission.apps() {
-            let _ = writeln!(out, "admission={name},{}", fmt_app_admission(app));
+            line(out, "admission", |w| w.raw(name).f(app));
         }
     }
 
@@ -591,30 +582,28 @@ impl LiveScheduler {
         let policy_token = p.kv("policy")?.to_owned();
         let kind = parse_policy_token(&policy_token)
             .ok_or_else(|| p.err(format!("unknown serve policy `{policy_token}`")))?;
-        let clock = p.kv_time("clock")?;
-        let config = p.kv_fields("config")?;
-        let config = p.admission_config_of(config)?;
+        let clock = p.take("clock")?;
+        let config = p.take("config")?;
 
         let tenant_count = p.count("tenants")?;
         let mut tenants = BTreeMap::new();
         let mut index = BTreeMap::new();
         for _ in 0..tenant_count {
-            let f = p.kv_fields::<8>("tenant")?;
-            let name = valid_tenant(p, f[0])?;
+            let mut r = p.rec("tenant", 8)?;
+            let name = tenant(&mut r)?;
             let mut state = Tenant {
-                next_ordinal: p.u64_of(f[1])?,
+                next_ordinal: r.take()?,
                 alarms: BTreeMap::new(),
-                registered: p.u64_of(f[2])?,
-                deferred: p.u64_of(f[3])?,
-                rejected: p.u64_of(f[4])?,
-                cancelled: p.u64_of(f[5])?,
-                delivered: p.u64_of(f[6])?,
+                registered: r.take()?,
+                deferred: r.take()?,
+                rejected: r.take()?,
+                cancelled: r.take()?,
+                delivered: r.take()?,
             };
-            for _ in 0..p.count_of(f[7])? {
-                let m = p.kv_fields::<2>("map")?;
-                let (ordinal, raw) = (p.u64_of(m[0])?, p.u64_of(m[1])?);
-                state.alarms.insert(ordinal, AlarmId::from_raw(raw));
-                index.insert(raw, (name.to_owned(), ordinal));
+            for _ in 0..r.count()? {
+                let (ordinal, id): (u64, AlarmId) = p.take("map")?;
+                state.alarms.insert(ordinal, id);
+                index.insert(id.as_u64(), (name.to_owned(), ordinal));
             }
             tenants.insert(name.to_owned(), state);
         }
@@ -622,8 +611,9 @@ impl LiveScheduler {
         let app_count = p.count("admissions")?;
         let mut apps = Vec::with_capacity(app_count);
         for _ in 0..app_count {
-            let [name, state @ ..] = p.kv_fields::<8>("admission")?;
-            apps.push((valid_tenant(p, name)?.to_owned(), p.app_admission_of(state)?));
+            let mut r = p.rec("admission", 8)?;
+            let name = tenant(&mut r)?;
+            apps.push((name.to_owned(), r.take()?));
         }
 
         let wakeup = p.queue("wakeup")?;
@@ -637,8 +627,13 @@ impl LiveScheduler {
             .flat_map(|q| q.entries())
             .flat_map(QueueEntry::alarms)
         {
-            valid_tenant(p, alarm.label())?;
+            if !is_valid_tenant(alarm.label()) {
+                return Err(p.err(format!("bad tenant name `{}`", alarm.label())));
+            }
             max_id = max_id.max(alarm.id().as_u64());
+        }
+        if max_id == u64::MAX {
+            return Err(p.err(format!("alarm id {max_id} leaves no alarm id to mint")));
         }
         AlarmId::reserve_through(max_id);
 
@@ -652,12 +647,14 @@ impl LiveScheduler {
     }
 }
 
-/// `name` if it is a valid tenant name (see [`is_valid_tenant`]).
-fn valid_tenant<'a>(p: &Parser<'_>, name: &'a str) -> Result<&'a str, CheckpointError> {
+/// The cursor's next field, which must be a valid tenant name (see
+/// [`is_valid_tenant`]).
+fn tenant<'a>(r: &mut Cursor<'_, 'a>) -> Result<&'a str, CheckpointError> {
+    let name = r.raw()?;
     if is_valid_tenant(name) {
         Ok(name)
     } else {
-        Err(p.err(format!("bad tenant name `{name}`")))
+        Err(r.err(format!("bad tenant name `{name}`")))
     }
 }
 
@@ -828,5 +825,14 @@ mod tests {
         let payload = live.snapshot_payload();
         let truncated = &payload[..payload.len() / 2];
         assert!(LiveScheduler::restore_payload(truncated).is_err());
+        // An alarm id past which no fresh id is left to mint.
+        let mut live = LiveScheduler::new("simty").expect("scheduler");
+        live.register(&repeating("app", 60_000, 600_000));
+        let payload = live.snapshot_payload();
+        let line = payload.lines().find(|l| l.starts_with("alarm=")).expect("an alarm");
+        let id = line["alarm=".len()..].split(',').next().expect("an id");
+        let hostile = line.replacen(id, &u64::MAX.to_string(), 1);
+        let err = LiveScheduler::restore_payload(&payload.replacen(line, &hostile, 1)).unwrap_err();
+        assert!(err.contains("no alarm id to mint"), "{err}");
     }
 }

@@ -218,6 +218,13 @@ fn oversized_and_malformed_requests_get_typed_errors() {
     );
     assert_eq!(status_of(&exchange(&addr, &huge_head)), 431);
 
+    // A body nested far deeper than any stack holds (10 000 levels, well
+    // under the body limit) is a typed 400, and the server keeps serving.
+    let deep = post(&addr, "/v1/register", &"[".repeat(10_000));
+    assert_eq!(status_of(&deep), 400, "{deep}");
+    assert!(deep.contains("nesting deeper than"), "{deep}");
+    assert_eq!(status_of(&get(&addr, "/healthz")), 200);
+
     // A connection torn mid-request must not disturb the next one.
     {
         let mut stream = TcpStream::connect(&addr).expect("connect");

@@ -30,16 +30,38 @@
 //! [`CheckpointStore`] falls back to the newest older snapshot that
 //! still validates.
 //!
+//! # The body, section by section
+//!
+//! Each subsystem persists one section of the body, in the order the
+//! `SECTIONS` table lists them: identity, config, power model, alarm
+//! manager, device, event queue, trace, attribution ledger, faults,
+//! invariant monitor, engine runtime state, admission, degradation
+//! governor, storm bursts, overload counters and observability. A
+//! section is one `impl Section`, whose `put` writes its lines and whose
+//! `take` reads them back right below, through the typed layers of
+//! [`crate::codec`]: every value is a [`Field`] with both halves in one
+//! impl, and a struct written field by field is declared once with the
+//! codec's `record!` macro.
+//!
+//! To persist a new field, add it where its section's `put` writes that
+//! line and at the same place in `take`; when it sits inside a record
+//! declared with `record!` (a `d=`-style line), add its name to the
+//! declaration and both halves follow. A new type needs one `Field` impl.
+//! Bodies an older build wrote must keep restoring, so a new line is
+//! written only when it differs from a default, read with
+//! [`Parser::take_opt`], and treated as the default when absent, as
+//! `span_capacity=` and `obs=` are.
+//!
 //! # Restore
 //!
-//! [`Simulation::restore`] rebuilds the state in the forms a straight
-//! run holds it, so its work grows with the body's lines rather than
-//! with heap allocations:
+//! [`Simulation::restore`] builds a bare simulation and lets each
+//! section overwrite its part, so its work grows with the body's lines
+//! rather than with heap allocations:
 //!
-//! * each value is cut into fields by one byte scan
-//!   ([`Parser::fields`], and [`Parser::fields_upto`] for the
-//!   variable-arity `os=` span lines and audit candidates), not
-//!   collected into a `Vec`;
+//! * each value is cut into fields by byte scans, never collected into
+//!   a `Vec`, and each field is read by type, in order, through a
+//!   [`Cursor`]; a line with a missing or extra
+//!   field is an error naming both counts;
 //! * every label (alarm and delivery labels, audit apps, and the
 //!   ledger, hold and retry apps) goes through the parser's interner
 //!   ([`Parser::label`]): one shared `Arc<str>` per distinct label, as
@@ -59,17 +81,18 @@
 //! about 25 000 times when every line built owned strings
 //! (`tests/alloc_profile.rs`). Restore also validates what the ring
 //! and metric types assume: no more spans or audits than their rings
-//! hold, and histogram bounds that are finite and strictly increasing.
+//! hold, histogram bounds that are finite and strictly increasing, and
+//! an alarm-id watermark below `u64::MAX`, so a fresh id is left to
+//! mint.
 
-use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use simty_core::admission::AdmissionController;
-use simty_core::alarm::{AlarmId, AlarmKind};
+use simty_core::admission::{AdmissionController, AppAdmission};
+use simty_core::alarm::AlarmId;
 use simty_core::audit::{CandidateAudit, CandidateVerdict, PlacementAudit};
 use simty_core::hardware::HardwareComponent;
 use simty_core::manager::AlarmManager;
@@ -82,9 +105,13 @@ use simty_device::monsoon::PowerTrace;
 use simty_device::power::{ComponentPower, PowerModel};
 use simty_device::wakelock::WakeLockTable;
 use simty_obs::span::SPAN_ATTR_CAPACITY;
-use simty_obs::{AttrValue, Histogram, Span, SpanCollector, SpanKind, StageProfile};
+use simty_obs::{AttrValue, Histogram, Span, SpanCollector, SpanKind};
 
 use crate::attribution::{ActiveTask, AttributionLedger};
+use crate::codec::{
+    fnv1a64, line, names, put, put_list, record, tagged, unesc, write_queue, Cursor, Field, Parser,
+    Put,
+};
 use crate::config::{InvariantMode, SimConfig};
 use crate::degrade::{DegradationGovernor, DegradationTier, GovernorConfig};
 use crate::engine::{RetrySlot, Simulation, TaskHold};
@@ -93,16 +120,14 @@ use crate::fault::{CrashSpec, FaultPlan, FaultState, StormSpec};
 use crate::invariant::{InvariantMonitor, InvariantViolation};
 use crate::metrics::OverloadStats;
 use crate::obs::{ObsLayer, ObsLevel, SPAN_CAPACITY};
-use crate::vfs::{RealVfs, Vfs};
 use crate::overload::StormBurst;
 use crate::trace::{DeliveryRecord, InterventionKind, InterventionRecord, Trace};
+use crate::vfs::{RealVfs, Vfs};
 use crate::watchdog::{OnlineWatchdogConfig, WatchdogPolicy};
 
 /// The format magic and version, first line of every persisted
 /// checkpoint.
 pub const MAGIC: &str = "simty-checkpoint/v1";
-
-const N_COMPONENTS: usize = HardwareComponent::ALL.len();
 
 /// Why a checkpoint could not be captured, persisted, or restored.
 #[derive(Debug)]
@@ -209,11 +234,6 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-use crate::codec::{
-    esc, f64_hex, fmt_admission_config, fmt_alarm, fmt_app_admission, fnv1a64, unesc, write_queue,
-    Parser,
-};
-
 /// One captured snapshot: the serialized body plus the two fields needed
 /// to identify it without a full parse.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,9 +264,9 @@ impl Checkpoint {
     /// snapshots. A marker cannot be passed to `Simulation::restore`.
     pub fn marker(at: SimTime, policy: &str, payload: &str) -> Checkpoint {
         let mut body = String::new();
-        let _ = writeln!(body, "at={}", at.as_millis());
-        let _ = writeln!(body, "policy={}", esc(policy));
-        let _ = writeln!(body, "payload={}", esc(payload));
+        put(&mut body, "at", &at);
+        line(&mut body, "policy", |w| w.esc(policy));
+        line(&mut body, "payload", |w| w.esc(payload));
         Checkpoint {
             captured_at: at,
             policy: policy.to_owned(),
@@ -341,8 +361,8 @@ impl Checkpoint {
         // The body leads with `at=` and `policy=`; parse just those two
         // here so the snapshot is identifiable without a full restore.
         let mut p = Parser::new(body);
-        let at = p.kv_time("at")?;
-        let policy = unesc(p.kv("policy")?);
+        let at = p.take("at")?;
+        let policy = p.take("policy")?;
         Ok(Checkpoint {
             captured_at: at,
             policy,
@@ -381,7 +401,10 @@ impl Checkpoint {
             _ => {
                 return Err(CheckpointError::Io(io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    format!("checkpoint path `{}` has no parent/file name", path.display()),
+                    format!(
+                        "checkpoint path `{}` has no parent/file name",
+                        path.display()
+                    ),
                 )))
             }
         };
@@ -528,84 +551,43 @@ impl CheckpointStore {
     }
 }
 
-macro_rules! w {
-    ($dst:expr, $($arg:tt)*) => {{ let _ = writeln!($dst, $($arg)*); }};
+/// One section of the body: the lines one subsystem persists, its
+/// writer and its reader side by side. [`SECTIONS`] fixes the order.
+trait Section {
+    /// Appends the section's lines for `sim`.
+    fn put(sim: &Simulation, out: &mut String);
+
+    /// Reads the section's lines into `sim`, which already holds every
+    /// earlier section.
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError>;
 }
 
-fn fmt_opt_time(t: Option<SimTime>) -> String {
-    t.map_or_else(|| "none".to_owned(), |t| t.as_millis().to_string())
+type Writer = fn(&Simulation, &mut String);
+type Reader = fn(&mut Simulation, &mut Parser<'_>) -> Result<(), CheckpointError>;
+
+const fn section<S: Section>() -> (Writer, Reader) {
+    (S::put, S::take)
 }
 
-fn fmt_event_kind(kind: &EventKind) -> String {
-    match kind {
-        EventKind::RtcAlarm => "rtc".to_owned(),
-        EventKind::WakeComplete => "wake".to_owned(),
-        EventKind::TaskEnd => "taskend".to_owned(),
-        EventKind::TrySleep => "trysleep".to_owned(),
-        EventKind::NonWakeupCheck => "nonwakeup".to_owned(),
-        EventKind::ExternalWake => "extwake".to_owned(),
-        EventKind::Reregister { id } => format!("rereg:{}", id.as_u64()),
-        EventKind::WatchdogCheck => "watchdog".to_owned(),
-        EventKind::ActivationRetry { slot } => format!("actretry:{slot}"),
-        EventKind::AppCrash { app, restart_after } => {
-            format!("crash:{}:{}", restart_after.as_millis(), esc(app))
-        }
-        EventKind::AppRestart { app } => format!("apprestart:{}", esc(app)),
-        EventKind::Reboot { outage } => format!("reboot:{}", outage.as_millis()),
-        EventKind::BootComplete => "boot".to_owned(),
-        EventKind::Checkpoint => "checkpoint".to_owned(),
-        EventKind::GovernorTick => "govtick".to_owned(),
-        EventKind::StormRegister { burst, k } => format!("storm:{burst}:{k}"),
-    }
-}
-
-fn fmt_intervention_kind(kind: &InterventionKind) -> String {
-    match kind {
-        InterventionKind::ForcedRelease { held } => format!("forced:{}", held.as_millis()),
-        InterventionKind::ActivationRetry { attempt } => format!("actretry:{attempt}"),
-        InterventionKind::DroppedFireRetry { delay } => {
-            format!("dropped:{}", delay.as_millis())
-        }
-        InterventionKind::Quarantine => "quarantine".to_owned(),
-        InterventionKind::Recovery { quarantined_for } => {
-            format!("recovery:{}", quarantined_for.as_millis())
-        }
-        InterventionKind::AppCrash { cancelled } => format!("crash:{cancelled}"),
-        InterventionKind::AppRestart { reregistered } => format!("restart:{reregistered}"),
-        InterventionKind::Reboot { outage } => format!("reboot:{}", outage.as_millis()),
-        InterventionKind::BootCatchUp {
-            caught_up,
-            worst_delay,
-        } => format!("catchup:{caught_up}:{}", worst_delay.as_millis()),
-    }
-}
-
-fn fmt_violation(v: &InvariantViolation) -> String {
-    match v {
-        InvariantViolation::PerceptibleWindowMiss {
-            label,
-            delivered_at,
-            window_end,
-            allowed_slack,
-        } => format!(
-            "miss:{}:{}:{}:{}",
-            delivered_at.as_millis(),
-            window_end.as_millis(),
-            allowed_slack.as_millis(),
-            esc(label)
-        ),
-        InvariantViolation::QueueOrderBroken { earlier, later } => {
-            format!("order:{}:{}", earlier.as_millis(), later.as_millis())
-        }
-        InvariantViolation::EnergyNotConserved {
-            ledger_mj,
-            meter_mj,
-        } => format!("energy:{}:{}", f64_hex(*ledger_mj), f64_hex(*meter_mj)),
-        InvariantViolation::WaveformMismatch { trace_mj, meter_mj } => {
-            format!("waveform:{}:{}", f64_hex(*trace_mj), f64_hex(*meter_mj))
-        }
-    }
-}
+/// Every section, in body order.
+const SECTIONS: [(Writer, Reader); 16] = [
+    section::<Checkpoint>(),
+    section::<SimConfig>(),
+    section::<PowerModel>(),
+    section::<AlarmManager>(),
+    section::<Device>(),
+    section::<EventQueue>(),
+    section::<Trace>(),
+    section::<AttributionLedger>(),
+    section::<FaultState>(),
+    section::<InvariantMonitor>(),
+    section::<EngineState>(),
+    section::<AdmissionController>(),
+    section::<DegradationGovernor>(),
+    section::<StormBurst>(),
+    section::<OverloadStats>(),
+    section::<ObsLayer>(),
+];
 
 /// Serializes the complete resumable state of `sim` (see the
 /// [module docs](self) for the format). Called by the engine both for
@@ -617,723 +599,13 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
         "capture must happen at an event boundary"
     );
     let mut body = String::with_capacity(16 * 1024);
-
-    // Identity.
-    w!(body, "at={}", sim.now.as_millis());
-    w!(body, "policy={}", esc(sim.manager.policy_name()));
-
-    // The id-counter watermark: the largest alarm id anywhere in the
-    // captured state, so restore can reserve past it.
-    let mut max_id = 0u64;
-    let mut see = |id: AlarmId| max_id = max_id.max(id.as_u64());
-    for queue in [sim.manager.wakeup_queue(), sim.manager.non_wakeup_queue()] {
-        for entry in queue.entries() {
-            for alarm in entry.alarms() {
-                see(alarm.id());
-            }
-        }
+    for (put, _) in SECTIONS {
+        put(sim, &mut body);
     }
-    for alarms in sim.crash_stash.values() {
-        for alarm in alarms {
-            see(alarm.id());
-        }
-    }
-    for d in &sim.trace.deliveries {
-        see(d.alarm_id);
-    }
-    let (events, next_seq) = sim.events.snapshot();
-    for ev in &events {
-        if let EventKind::Reregister { id } = ev.kind {
-            see(id);
-        }
-    }
-    w!(body, "max_alarm_id={max_id}");
-
-    // Config.
-    w!(body, "duration={}", sim.config.duration.as_millis());
-    w!(body, "record_waveform={}", u8::from(sim.config.record_waveform));
-    w!(
-        body,
-        "invariants={}",
-        match sim.config.invariants {
-            InvariantMode::Off => "off",
-            InvariantMode::Report => "report",
-            InvariantMode::Strict => "strict",
-        }
-    );
-    w!(
-        body,
-        "checkpoint_every={}",
-        sim.config
-            .checkpoint_every
-            .map_or_else(|| "none".to_owned(), |d| d.as_millis().to_string())
-    );
-    w!(body, "audit_capacity={}", sim.config.audit_capacity);
-    // Written only when overridden: default-capacity captures keep the
-    // original byte layout, and restore treats absence as the default.
-    if sim.config.span_capacity != SPAN_CAPACITY {
-        w!(body, "span_capacity={}", sim.config.span_capacity);
-    }
-    // Written only below the full level: full captures keep the
-    // original byte layout, and restore treats absence as "full".
-    match sim.config.obs {
-        ObsLevel::Full => {}
-        ObsLevel::Counts => w!(body, "obs=counts"),
-        ObsLevel::Off => w!(body, "obs=0"),
-    }
-    w!(body, "external_wakes={}", sim.config.external_wakes.len());
-    for t in &sim.config.external_wakes {
-        w!(body, "xw={}", t.as_millis());
-    }
-    match &sim.config.online_watchdog {
-        None => w!(body, "watchdog=none"),
-        Some(wd) => w!(
-            body,
-            "watchdog={},{},{},{}",
-            wd.policy.max_task_hold.as_millis(),
-            f64_hex(wd.policy.max_duty_cycle),
-            wd.quarantine_after,
-            wd.probation
-        ),
-    }
-    match &sim.config.admission {
-        None => w!(body, "admission=none"),
-        Some(a) => w!(body, "admission={}", fmt_admission_config(a)),
-    }
-    match &sim.config.degradation {
-        None => w!(body, "degradation=none"),
-        Some(g) => w!(
-            body,
-            "degradation={},{},{},{},{},{},{},{},{}",
-            f64_hex(g.capacity_mj),
-            g.check_every.as_millis(),
-            g.saver_enter_milli,
-            g.saver_exit_milli,
-            g.critical_enter_milli,
-            g.critical_exit_milli,
-            g.saver_stretch_milli,
-            g.critical_stretch_milli,
-            u8::from(g.shed_in_critical)
-        ),
-    }
-
-    // Power model.
-    let power = &sim.config.power;
-    w!(body, "sleep_mw={}", f64_hex(power.sleep_power_mw));
-    w!(body, "awake_mw={}", f64_hex(power.awake_base_power_mw));
-    w!(body, "transition_mj={}", f64_hex(power.wake_transition_energy_mj));
-    w!(body, "wake_latency_ms={}", power.wake_latency.as_millis());
-    w!(body, "sleep_linger_ms={}", power.sleep_linger.as_millis());
-    for c in HardwareComponent::ALL {
-        let p = power.component(c);
-        w!(
-            body,
-            "component={},{}",
-            f64_hex(p.activation_energy_mj),
-            f64_hex(p.active_power_mw)
-        );
-    }
-
-    // Alarm manager.
-    w!(body, "mgr_clock={}", sim.manager.now().as_millis());
-    w!(body, "mgr_stretch={}", sim.manager.grace_stretch());
-    write_queue(&mut body, "wakeup_entries", sim.manager.wakeup_queue());
-    write_queue(&mut body, "non_wakeup_entries", sim.manager.non_wakeup_queue());
-
-    // Device.
-    let dev = sim.device.snapshot();
-    w!(
-        body,
-        "dev_state={}",
-        match dev.state {
-            DevicePowerState::Asleep => "asleep".to_owned(),
-            DevicePowerState::Waking { until } => format!("waking:{}", until.as_millis()),
-            DevicePowerState::Awake => "awake".to_owned(),
-        }
-    );
-    let (sleep_mj, transition_mj, awake_mj, component_mj) = dev.meter.parts();
-    w!(
-        body,
-        "dev_meter={},{},{}",
-        f64_hex(sleep_mj),
-        f64_hex(transition_mj),
-        f64_hex(awake_mj)
-    );
-    w!(
-        body,
-        "dev_meter_components={}",
-        component_mj.iter().map(|v| f64_hex(*v)).collect::<Vec<_>>().join(",")
-    );
-    let (expiry, activations) = dev.locks.parts();
-    w!(
-        body,
-        "dev_locks_expiry={}",
-        expiry.iter().map(|e| fmt_opt_time(*e)).collect::<Vec<_>>().join(",")
-    );
-    w!(
-        body,
-        "dev_locks_activations={}",
-        activations.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
-    );
-    w!(body, "dev_clock={}", dev.clock.as_millis());
-    w!(body, "dev_cpu_busy={}", dev.cpu_busy_until.as_millis());
-    w!(body, "dev_idle_since={}", fmt_opt_time(dev.idle_since));
-    w!(body, "dev_wake_count={}", dev.wake_count);
-    w!(body, "dev_awake_time={}", dev.awake_time.as_millis());
-    match &dev.monitor {
-        None => w!(body, "dev_monitor=none"),
-        Some(trace) => {
-            w!(body, "dev_monitor=present");
-            w!(body, "levels={}", trace.levels().len());
-            for (t, mw) in trace.levels() {
-                w!(body, "lv={},{}", t.as_millis(), f64_hex(*mw));
-            }
-            w!(body, "impulses={}", trace.impulses().len());
-            for (t, mj) in trace.impulses() {
-                w!(body, "im={},{}", t.as_millis(), f64_hex(*mj));
-            }
-        }
-    }
-
-    // Event queue (snapshot preserves exact sequence numbers).
-    w!(body, "next_seq={next_seq}");
-    w!(body, "events={}", events.len());
-    for ev in &events {
-        w!(
-            body,
-            "ev={},{},{}",
-            ev.time.as_millis(),
-            ev.seq,
-            fmt_event_kind(&ev.kind)
-        );
-    }
-    let mut armed: Vec<(u8, u64)> = sim.armed.iter().copied().collect();
-    armed.sort_unstable();
-    w!(body, "armed={}", armed.len());
-    for (tag, ms) in armed {
-        w!(body, "arm={tag},{ms}");
-    }
-
-    // Trace.
-    w!(body, "deliveries={}", sim.trace.deliveries.len());
-    for d in &sim.trace.deliveries {
-        w!(
-            body,
-            "d={},{},{},{},{},{},{},{},{},{},{},{}",
-            d.alarm_id.as_u64(),
-            esc(&d.label),
-            d.nominal.as_millis(),
-            d.window_end.as_millis(),
-            d.grace_end.as_millis(),
-            d.delivered_at.as_millis(),
-            d.repeat_interval.map_or(0, SimDuration::as_millis),
-            d.hardware.bits(),
-            u8::from(d.perceptible),
-            match d.kind {
-                AlarmKind::Wakeup => "w",
-                AlarmKind::NonWakeup => "n",
-            },
-            d.entry_size,
-            d.task_duration.as_millis()
-        );
-    }
-    w!(body, "wakeups={}", sim.trace.wakeups.len());
-    for t in &sim.trace.wakeups {
-        w!(body, "wk={}", t.as_millis());
-    }
-    w!(body, "entry_deliveries={}", sim.trace.entry_deliveries);
-    w!(body, "interventions={}", sim.trace.interventions.len());
-    for i in &sim.trace.interventions {
-        w!(
-            body,
-            "iv={},{},{},{}",
-            i.at.as_millis(),
-            esc(&i.app),
-            f64_hex(i.overhead_mj),
-            fmt_intervention_kind(&i.kind)
-        );
-    }
-
-    // Attribution ledger (its power model is config.power; not repeated).
-    w!(body, "ledger_active={}", sim.ledger.active.len());
-    for t in &sim.ledger.active {
-        w!(
-            body,
-            "la={},{},{}",
-            esc(&t.app),
-            t.hardware.bits(),
-            t.until.as_millis()
-        );
-    }
-    w!(body, "ledger_apps={}", sim.ledger.per_app.len());
-    for (app, mj) in &sim.ledger.per_app {
-        w!(body, "lp={},{}", esc(app), f64_hex(*mj));
-    }
-    w!(body, "ledger_interventions={}", sim.ledger.interventions.len());
-    for (app, n) in &sim.ledger.interventions {
-        w!(body, "li={},{n}", esc(app));
-    }
-    w!(body, "ledger_overhead={}", f64_hex(sim.ledger.overhead_mj));
-    w!(body, "ledger_pending={}", f64_hex(sim.ledger.pending_transition_mj));
-    w!(body, "ledger_last={}", sim.ledger.last.as_millis());
-    w!(body, "ledger_awake={}", u8::from(sim.ledger.awake));
-
-    // Fault-injection runtime.
-    match &sim.faults {
-        None => w!(body, "faults=none"),
-        Some(fs) => {
-            w!(body, "faults=present");
-            let plan = &fs.plan;
-            w!(body, "f_seed={}", plan.seed);
-            w!(body, "f_jitter={}", plan.rtc_jitter.as_millis());
-            w!(body, "f_drop_p={}", f64_hex(plan.drop_fire_p));
-            w!(body, "f_drop_retry={}", plan.drop_retry.as_millis());
-            w!(body, "f_drop_cap={}", plan.drop_cap);
-            w!(body, "f_overrun_p={}", f64_hex(plan.overrun_p));
-            w!(body, "f_overrun={}", plan.overrun.as_millis());
-            w!(body, "f_leak_p={}", f64_hex(plan.leak_p));
-            w!(body, "f_leak={}", plan.leak.as_millis());
-            w!(body, "f_act_p={}", f64_hex(plan.activation_failure_p));
-            w!(body, "f_backoff_base={}", plan.backoff_base.as_millis());
-            w!(body, "f_backoff_cap={}", plan.backoff_cap.as_millis());
-            w!(body, "f_max_attempts={}", plan.max_attempts);
-            w!(body, "f_crashes={}", plan.crashes.len());
-            for c in &plan.crashes {
-                w!(
-                    body,
-                    "fc={},{},{}",
-                    c.at.as_millis(),
-                    c.restart_after.as_millis(),
-                    esc(&c.app)
-                );
-            }
-            w!(body, "f_storms={}", plan.storms.len());
-            for s in &plan.storms {
-                w!(
-                    body,
-                    "fs={},{},{}",
-                    s.start.as_millis(),
-                    s.duration.as_millis(),
-                    s.mean_interval.as_millis()
-                );
-            }
-            w!(body, "f_rng={:016x}", fs.rng.state());
-            match fs.dropping {
-                None => w!(body, "f_dropping=none"),
-                Some((t, n)) => w!(body, "f_dropping={},{n}", t.as_millis()),
-            }
-        }
-    }
-
-    // Invariant monitor (slack may have been widened after construction).
-    match &sim.monitor {
-        None => w!(body, "monitor=none"),
-        Some(m) => {
-            w!(body, "monitor=present");
-            w!(body, "m_slack={}", m.slack.as_millis());
-            w!(body, "m_panic={}", u8::from(m.panic_on_violation));
-            w!(body, "m_misses={}", m.window_misses);
-            w!(body, "m_violations={}", m.violations.len());
-            for v in &m.violations {
-                w!(body, "mv={}", fmt_violation(v));
-            }
-        }
-    }
-
-    // Watchdog runtime state.
-    w!(body, "holds={}", sim.holds.len());
-    for h in &sim.holds {
-        w!(
-            body,
-            "h={},{},{},{}",
-            h.started.as_millis(),
-            h.until.as_millis(),
-            h.hardware.bits(),
-            esc(&h.app)
-        );
-    }
-    w!(body, "offenses={}", sim.offenses.len());
-    for (app, n) in &sim.offenses {
-        w!(body, "of={n},{}", esc(app));
-    }
-    w!(body, "quarantined={}", sim.quarantined.len());
-    for (app, (since, clean)) in &sim.quarantined {
-        w!(body, "qa={},{clean},{}", since.as_millis(), esc(app));
-    }
-    w!(body, "retries={}", sim.activation_retries.len());
-    for r in &sim.activation_retries {
-        w!(
-            body,
-            "rt={},{},{},{},{},{}",
-            r.until.as_millis(),
-            r.attempt,
-            u8::from(r.done),
-            f64_hex(r.overhead_mj),
-            r.hardware.bits(),
-            esc(&r.app)
-        );
-    }
-    w!(body, "stash_apps={}", sim.crash_stash.len());
-    for (app, alarms) in &sim.crash_stash {
-        w!(body, "stash={},{}", alarms.len(), esc(app));
-        for alarm in alarms {
-            w!(body, "alarm={}", fmt_alarm(alarm));
-        }
-    }
-    w!(body, "energy_checked={}", u8::from(sim.energy_checked));
-    w!(body, "down_until={}", fmt_opt_time(sim.down_until));
-
-    // Admission controller: per-app bucket state in BTreeMap order, so
-    // the rendering is deterministic. The escaped app label goes last.
-    match &sim.admission {
-        None => w!(body, "adm=none"),
-        Some(ctl) => {
-            w!(body, "adm={}", ctl.app_count());
-            for (app, st) in ctl.apps() {
-                w!(body, "aa={},{}", fmt_app_admission(st), esc(app));
-            }
-        }
-    }
-
-    // Degradation governor runtime state (config is captured above).
-    match &sim.governor {
-        None => w!(body, "gov=none"),
-        Some(g) => w!(
-            body,
-            "gov={},{},{},{}",
-            g.tier.name(),
-            g.tier_since.as_millis(),
-            g.in_saver.as_millis(),
-            g.in_critical.as_millis()
-        ),
-    }
-
-    // Registration-storm bursts (needed so pending StormRegister events
-    // can rebuild their alarms after restore).
-    w!(body, "storm_bursts={}", sim.storm.len());
-    for b in &sim.storm {
-        w!(
-            body,
-            "sb={},{},{},{},{},{},{},{},{}",
-            b.start.as_millis(),
-            b.count,
-            b.every.as_millis(),
-            b.period.as_millis(),
-            u8::from(b.perceptible),
-            b.task.as_millis(),
-            b.window_milli,
-            b.grace_milli,
-            esc(&b.app)
-        );
-    }
-
-    // Overload counters. Time-in-tier and the final tier are derived
-    // from the governor at report time, so only counters persist.
-    let ov = &sim.overload;
-    w!(
-        body,
-        "ov={},{},{},{},{},{},{}",
-        ov.storm_registrations,
-        ov.admitted,
-        ov.deferred,
-        ov.rejected,
-        ov.shed,
-        ov.demotions,
-        ov.tier_changes
-    );
-
-    // Observability layer. Help text and the span-ring capacity are not
-    // captured: `ObsLayer::new` re-creates both identically on restore,
-    // so only the mutable state needs to round-trip.
-    let obs = &sim.obs;
-    w!(body, "obs_next_seq={}", obs.spans.next_seq());
-    w!(body, "obs_span_dropped={}", obs.spans.dropped());
-    w!(body, "obs_spans={}", obs.spans.len());
-    for s in obs.spans.iter() {
-        let mut line = format!(
-            "os={},{},{},{},{}",
-            s.seq,
-            s.kind.as_str(),
-            s.start_ms,
-            s.end_ms,
-            s.attrs().count()
-        );
-        for (k, v) in s.attrs() {
-            line.push(',');
-            line.push_str(&esc(k));
-            line.push(',');
-            line.push_str(&esc(&v.render()));
-        }
-        w!(body, "{line}");
-    }
-    let counters: Vec<_> = obs.metrics.counters().collect();
-    w!(body, "obs_counters={}", counters.len());
-    for (name, value) in counters {
-        w!(body, "oc={value},{}", esc(name));
-    }
-    let gauges: Vec<_> = obs.metrics.gauges().collect();
-    w!(body, "obs_gauges={}", gauges.len());
-    for (name, value) in gauges {
-        w!(body, "og={},{}", f64_hex(value), esc(name));
-    }
-    let hists: Vec<_> = obs.metrics.histograms().collect();
-    w!(body, "obs_hists={}", hists.len());
-    for (name, h) in hists {
-        let mut line = format!("oh={},{}", esc(name), h.bounds().len());
-        for b in h.bounds() {
-            line.push(',');
-            line.push_str(&f64_hex(*b));
-        }
-        for c in h.counts() {
-            line.push(',');
-            line.push_str(&c.to_string());
-        }
-        line.push(',');
-        line.push_str(&f64_hex(h.sum()));
-        line.push(',');
-        line.push_str(&h.count().to_string());
-        line.push(',');
-        line.push_str(&h.nonfinite().to_string());
-        w!(body, "{line}");
-    }
-    w!(body, "obs_audit_dropped={}", obs.audit_dropped);
-    // A counts-level layer retains no audit; its ring is this count.
-    if obs.level == ObsLevel::Counts {
-        w!(body, "obs_audits_counted={}", obs.audits_counted);
-    }
-    w!(body, "obs_audits={}", obs.audits.len());
-    for a in &obs.audits {
-        let cands = if a.candidates.is_empty() {
-            "-".to_owned()
-        } else {
-            a.candidates
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{}.{}.{}.{}.{}",
-                        c.index,
-                        c.delivery_time.as_millis(),
-                        match c.time {
-                            TimeSimilarity::High => "h",
-                            TimeSimilarity::Medium => "m",
-                            TimeSimilarity::Low => "l",
-                        },
-                        c.hw_rank.map_or_else(|| "-".to_owned(), |r| r.to_string()),
-                        match c.verdict {
-                            CandidateVerdict::Won => "w",
-                            CandidateVerdict::Outranked => "o",
-                            CandidateVerdict::NotApplicable => "n",
-                            CandidateVerdict::PastCutoff => "c",
-                        }
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(";")
-        };
-        w!(
-            body,
-            "oa={},{},{},{},{},{},{cands}",
-            a.at.as_millis(),
-            a.alarm_id.as_u64(),
-            a.nominal.as_millis(),
-            u8::from(a.perceptible),
-            match a.placement {
-                Placement::Existing(i) => format!("e{i}"),
-                Placement::NewEntry => "n".to_owned(),
-            },
-            esc(&a.app)
-        );
-    }
-    w!(body, "obs_aliases={}", obs.aliases.len());
-    for (raw, ordinal) in &obs.aliases {
-        w!(body, "ol={raw},{ordinal}");
-    }
-    w!(body, "obs_wake={}", fmt_opt_time(obs.wake_open));
-
     Checkpoint {
         captured_at: sim.now,
         policy: sim.manager.policy_name().to_owned(),
         body,
-    }
-}
-
-/// The readers only the checkpoint body needs; the shared ones live
-/// with the [`Parser`] in [`crate::codec`].
-impl Parser<'_> {
-    fn event_kind_of(&self, s: &str) -> Result<EventKind, CheckpointError> {
-        let mut it = s.split(':');
-        let kind = match it.next() {
-            Some("rtc") => EventKind::RtcAlarm,
-            Some("wake") => EventKind::WakeComplete,
-            Some("taskend") => EventKind::TaskEnd,
-            Some("trysleep") => EventKind::TrySleep,
-            Some("nonwakeup") => EventKind::NonWakeupCheck,
-            Some("extwake") => EventKind::ExternalWake,
-            Some("watchdog") => EventKind::WatchdogCheck,
-            Some("boot") => EventKind::BootComplete,
-            Some("checkpoint") => EventKind::Checkpoint,
-            Some("rereg") => {
-                let id = it.next().ok_or_else(|| self.err("rereg without id"))?;
-                EventKind::Reregister {
-                    id: AlarmId::from_raw(self.u64_of(id)?),
-                }
-            }
-            Some("actretry") => {
-                let slot = it.next().ok_or_else(|| self.err("actretry without slot"))?;
-                EventKind::ActivationRetry {
-                    slot: self.usize_of(slot)?,
-                }
-            }
-            Some("crash") => {
-                let ms = it.next().ok_or_else(|| self.err("crash without delay"))?;
-                let app = it.next().ok_or_else(|| self.err("crash without app"))?;
-                EventKind::AppCrash {
-                    app: unesc(app),
-                    restart_after: self.dur(ms)?,
-                }
-            }
-            Some("apprestart") => {
-                let app = it.next().ok_or_else(|| self.err("apprestart without app"))?;
-                EventKind::AppRestart { app: unesc(app) }
-            }
-            Some("reboot") => {
-                let ms = it.next().ok_or_else(|| self.err("reboot without outage"))?;
-                EventKind::Reboot {
-                    outage: self.dur(ms)?,
-                }
-            }
-            Some("govtick") => EventKind::GovernorTick,
-            Some("storm") => {
-                let burst = it.next().ok_or_else(|| self.err("storm without burst"))?;
-                let k = it.next().ok_or_else(|| self.err("storm without index"))?;
-                EventKind::StormRegister {
-                    burst: self.usize_of(burst)?,
-                    k: self.u32_of(k)?,
-                }
-            }
-            _ => return Err(self.err(format!("invalid event kind `{s}`"))),
-        };
-        Ok(kind)
-    }
-
-    fn intervention_kind_of(&self, s: &str) -> Result<InterventionKind, CheckpointError> {
-        let mut it = s.split(':');
-        let kind = match it.next() {
-            Some("quarantine") => InterventionKind::Quarantine,
-            Some("forced") => {
-                let ms = it.next().ok_or_else(|| self.err("forced without hold"))?;
-                InterventionKind::ForcedRelease {
-                    held: self.dur(ms)?,
-                }
-            }
-            Some("actretry") => {
-                let n = it.next().ok_or_else(|| self.err("actretry without attempt"))?;
-                InterventionKind::ActivationRetry {
-                    attempt: self.u32_of(n)?,
-                }
-            }
-            Some("dropped") => {
-                let ms = it.next().ok_or_else(|| self.err("dropped without delay"))?;
-                InterventionKind::DroppedFireRetry {
-                    delay: self.dur(ms)?,
-                }
-            }
-            Some("recovery") => {
-                let ms = it.next().ok_or_else(|| self.err("recovery without span"))?;
-                InterventionKind::Recovery {
-                    quarantined_for: self.dur(ms)?,
-                }
-            }
-            Some("crash") => {
-                let n = it.next().ok_or_else(|| self.err("crash without count"))?;
-                InterventionKind::AppCrash {
-                    cancelled: self.usize_of(n)?,
-                }
-            }
-            Some("restart") => {
-                let n = it.next().ok_or_else(|| self.err("restart without count"))?;
-                InterventionKind::AppRestart {
-                    reregistered: self.usize_of(n)?,
-                }
-            }
-            Some("reboot") => {
-                let ms = it.next().ok_or_else(|| self.err("reboot without outage"))?;
-                InterventionKind::Reboot {
-                    outage: self.dur(ms)?,
-                }
-            }
-            Some("catchup") => {
-                let n = it.next().ok_or_else(|| self.err("catchup without count"))?;
-                let ms = it.next().ok_or_else(|| self.err("catchup without delay"))?;
-                InterventionKind::BootCatchUp {
-                    caught_up: self.usize_of(n)?,
-                    worst_delay: self.dur(ms)?,
-                }
-            }
-            _ => return Err(self.err(format!("invalid intervention kind `{s}`"))),
-        };
-        Ok(kind)
-    }
-
-    fn violation_of(&self, s: &str) -> Result<InvariantViolation, CheckpointError> {
-        let mut it = s.split(':');
-        let v = match it.next() {
-            Some("miss") => {
-                let mut next =
-                    || it.next().ok_or_else(|| self.err("miss needs 4 parameters"));
-                let delivered_at = self.time(next()?)?;
-                let window_end = self.time(next()?)?;
-                let allowed_slack = self.dur(next()?)?;
-                let label = unesc(next()?);
-                InvariantViolation::PerceptibleWindowMiss {
-                    label,
-                    delivered_at,
-                    window_end,
-                    allowed_slack,
-                }
-            }
-            Some("order") => {
-                let mut next =
-                    || it.next().ok_or_else(|| self.err("order needs 2 parameters"));
-                InvariantViolation::QueueOrderBroken {
-                    earlier: self.time(next()?)?,
-                    later: self.time(next()?)?,
-                }
-            }
-            Some("energy") => {
-                let mut next =
-                    || it.next().ok_or_else(|| self.err("energy needs 2 parameters"));
-                InvariantViolation::EnergyNotConserved {
-                    ledger_mj: self.f64_of(next()?)?,
-                    meter_mj: self.f64_of(next()?)?,
-                }
-            }
-            Some("waveform") => {
-                let mut next =
-                    || it.next().ok_or_else(|| self.err("waveform needs 2 parameters"));
-                InvariantViolation::WaveformMismatch {
-                    trace_mj: self.f64_of(next()?)?,
-                    meter_mj: self.f64_of(next()?)?,
-                }
-            }
-            _ => return Err(self.err(format!("invalid violation `{s}`"))),
-        };
-        Ok(v)
-    }
-}
-
-/// A restored span value in the form a live run holds it: a canonical
-/// decimal (digits only, no sign, no leading zero unless it is `0`,
-/// within `u64`) as [`AttrValue::U64`], anything else as a shared label.
-/// Either renders as the field's exact unescaped text, so exports and
-/// recaptures are byte-identical to the run that was captured.
-fn attr_value<'a>(p: &mut Parser<'a>, raw: &'a str) -> AttrValue {
-    let canonical = !raw.is_empty()
-        && raw.bytes().all(|b| b.is_ascii_digit())
-        && (raw == "0" || !raw.starts_with('0'));
-    match raw.parse() {
-        Ok(v) if canonical => AttrValue::U64(v),
-        _ => AttrValue::Shared(p.label(raw)),
     }
 }
 
@@ -1352,785 +624,959 @@ pub(crate) fn restore(
             provided: policy.name().to_owned(),
         });
     }
+    // Every section overwrites what it persists, so the skeleton's own
+    // state never survives; an off observability layer keeps it cheap.
+    let mut sim = Simulation::bare(policy, SimConfig::new().with_obs(ObsLevel::Off));
     let mut p = Parser::new(&checkpoint.body);
-
-    let now = p.kv_time("at")?;
-    let _policy_name = p.kv("policy")?;
-    let max_id = p.kv_u64("max_alarm_id")?;
-    AlarmId::reserve_through(max_id);
-
-    // Config.
-    let duration = p.kv_dur("duration")?;
-    let record_waveform = p.kv_bool("record_waveform")?;
-    let invariants = match p.kv("invariants")? {
-        "off" => InvariantMode::Off,
-        "report" => InvariantMode::Report,
-        "strict" => InvariantMode::Strict,
-        other => return Err(p.err(format!("invalid invariant mode `{other}`"))),
-    };
-    let checkpoint_every = {
-        let v = p.kv("checkpoint_every")?;
-        if v == "none" {
-            None
-        } else {
-            Some(p.dur(v)?)
-        }
-    };
-    // Both rings need room for one record.
-    let capacity = |p: &Parser<'_>, key: &str, v: &str| match p.usize_of(v)? {
-        0 => Err(p.err(format!("{key} must be positive"))),
-        n => Ok(n),
-    };
-    let audit_capacity = {
-        let v = p.kv("audit_capacity")?;
-        capacity(&p, "audit_capacity", v)?
-    };
-    // Optional: only non-default captures carry it.
-    let span_capacity = match p.opt_kv("span_capacity") {
-        Some(v) => capacity(&p, "span_capacity", v)?,
-        None => SPAN_CAPACITY,
-    };
-    // Optional: only captures below the full level carry it.
-    let obs_level = match p.opt_kv("obs") {
-        None => ObsLevel::Full,
-        Some("counts") => ObsLevel::Counts,
-        Some("0") => ObsLevel::Off,
-        Some(other) => return Err(p.err(format!("invalid obs level `{other}`"))),
-    };
-    let n = p.count("external_wakes")?;
-    let mut external_wakes = Vec::with_capacity(n);
-    for _ in 0..n {
-        external_wakes.push(p.kv_time("xw")?);
+    for (_, take) in SECTIONS {
+        take(&mut sim, &mut p)?;
     }
-    let online_watchdog = {
-        let v = p.kv("watchdog")?;
-        if v == "none" {
-            None
-        } else {
-            let f = p.fields::<4>(v)?;
-            Some(OnlineWatchdogConfig {
-                policy: WatchdogPolicy {
-                    max_task_hold: p.dur(f[0])?,
-                    max_duty_cycle: p.f64_of(f[1])?,
-                },
-                quarantine_after: p.u32_of(f[2])?,
-                probation: p.u32_of(f[3])?,
-            })
-        }
-    };
-    let admission_cfg = {
-        let v = p.kv("admission")?;
-        if v == "none" {
-            None
-        } else {
-            Some(p.admission_config_of(p.fields(v)?)?)
-        }
-    };
-    let degradation_cfg = {
-        let v = p.kv("degradation")?;
-        if v == "none" {
-            None
-        } else {
-            let f = p.fields::<9>(v)?;
-            Some(GovernorConfig {
-                capacity_mj: p.f64_of(f[0])?,
-                check_every: p.dur(f[1])?,
-                saver_enter_milli: p.u32_of(f[2])?,
-                saver_exit_milli: p.u32_of(f[3])?,
-                critical_enter_milli: p.u32_of(f[4])?,
-                critical_exit_milli: p.u32_of(f[5])?,
-                saver_stretch_milli: p.u32_of(f[6])?,
-                critical_stretch_milli: p.u32_of(f[7])?,
-                shed_in_critical: p.bool_of(f[8])?,
-            })
-        }
-    };
+    Ok(sim)
+}
 
-    // Power model: start from the calibrated default, then overwrite
-    // every field from the recorded values.
-    let mut power = PowerModel::nexus5();
-    power.sleep_power_mw = p.kv_f64("sleep_mw")?;
-    power.awake_base_power_mw = p.kv_f64("awake_mw")?;
-    power.wake_transition_energy_mj = p.kv_f64("transition_mj")?;
-    power.wake_latency = p.kv_dur("wake_latency_ms")?;
-    power.sleep_linger = p.kv_dur("sleep_linger_ms")?;
-    for c in HardwareComponent::ALL {
-        let f = p.kv_fields::<2>("component")?;
-        power.set_component(
-            c,
-            ComponentPower {
-                activation_energy_mj: p.f64_of(f[0])?,
-                active_power_mw: p.f64_of(f[1])?,
-            },
+/// Writes `key=present` and `v`'s lines, or `key=none`.
+fn put_present<T>(out: &mut String, key: &str, v: Option<&T>, lines: impl FnOnce(&mut String, &T)) {
+    line(out, key, |w| {
+        w.raw(if v.is_some() { "present" } else { "none" })
+    });
+    if let Some(v) = v {
+        lines(out, v);
+    }
+}
+
+/// Reads what [`put_present`] wrote.
+fn take_present<'a, T>(
+    p: &mut Parser<'a>,
+    key: &str,
+    lines: impl FnOnce(&mut Parser<'a>) -> Result<T, CheckpointError>,
+) -> Result<Option<T>, CheckpointError> {
+    match p.kv(key)? {
+        "none" => Ok(None),
+        "present" => lines(p).map(Some),
+        v => Err(p.err(format!("invalid {key} flag `{v}`"))),
+    }
+}
+
+/// Identity: the capture instant, the policy, and the alarm-id
+/// watermark restore reserves past.
+impl Section for Checkpoint {
+    fn put(sim: &Simulation, out: &mut String) {
+        put(out, "at", &sim.now);
+        line(out, "policy", |w| w.esc(sim.manager.policy_name()));
+        // The largest alarm id anywhere in the captured state.
+        let queues = [sim.manager.wakeup_queue(), sim.manager.non_wakeup_queue()];
+        let queued = queues
+            .into_iter()
+            .flat_map(|q| q.entries())
+            .flat_map(|e| e.alarms());
+        let alarms = queued
+            .chain(sim.crash_stash.values().flatten())
+            .map(|a| a.id());
+        let delivered = sim.trace.deliveries.iter().map(|d| d.alarm_id);
+        let (events, _) = sim.events.snapshot();
+        let reregistered = events.iter().filter_map(|ev| match ev.kind {
+            EventKind::Reregister { id } => Some(id),
+            _ => None,
+        });
+        let ids = alarms.chain(delivered).chain(reregistered);
+        let max_id = ids.map(AlarmId::as_u64).max().unwrap_or(0);
+        put(out, "max_alarm_id", &max_id);
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        sim.now = p.take("at")?;
+        p.kv("policy")?;
+        let max_id: u64 = p.take("max_alarm_id")?;
+        if max_id == u64::MAX {
+            return Err(p.err(format!("max_alarm_id {max_id} leaves no alarm id to mint")));
+        }
+        AlarmId::reserve_through(max_id);
+        Ok(())
+    }
+}
+
+names!(InvariantMode, "invariant mode" { Off = "off", Report = "report", Strict = "strict" });
+// Full is never written: a full-level capture has no `obs=` line.
+names!(ObsLevel, "obs level" { Off = "0", Counts = "counts", Full = "full" });
+record!(WatchdogPolicy: max_task_hold, max_duty_cycle);
+record!(OnlineWatchdogConfig: policy: WatchdogPolicy, quarantine_after, probation);
+record!(GovernorConfig: capacity_mj, check_every, saver_enter_milli, saver_exit_milli,
+    critical_enter_milli, critical_exit_milli, saver_stretch_milli, critical_stretch_milli,
+    shed_in_critical);
+
+/// The run's configuration, but for its power model.
+impl Section for SimConfig {
+    fn put(sim: &Simulation, out: &mut String) {
+        let c = &sim.config;
+        put(out, "duration", &c.duration);
+        put(out, "record_waveform", &c.record_waveform);
+        put(out, "invariants", &c.invariants);
+        put(out, "checkpoint_every", &c.checkpoint_every);
+        put(out, "audit_capacity", &c.audit_capacity);
+        // Written only when overridden: default-capacity captures keep
+        // the original byte layout, and restore treats absence as the
+        // default.
+        if c.span_capacity != SPAN_CAPACITY {
+            put(out, "span_capacity", &c.span_capacity);
+        }
+        // Written only below the full level, likewise.
+        if c.obs != ObsLevel::Full {
+            put(out, "obs", &c.obs);
+        }
+        put_list(out, "external_wakes", "xw", c.external_wakes.iter());
+        put(out, "watchdog", &c.online_watchdog);
+        put(out, "admission", &c.admission);
+        put(out, "degradation", &c.degradation);
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        // Both rings need room for one record.
+        let capacity = |p: &Parser<'_>, key: &str, n: usize| match n {
+            0 => Err(p.err(format!("{key} must be positive"))),
+            n => Ok(n),
+        };
+        let c = &mut sim.config;
+        c.duration = p.take("duration")?;
+        c.record_waveform = p.take("record_waveform")?;
+        c.invariants = p.take("invariants")?;
+        c.checkpoint_every = p.take("checkpoint_every")?;
+        let n = p.take("audit_capacity")?;
+        c.audit_capacity = capacity(p, "audit_capacity", n)?;
+        c.span_capacity = match p.take_opt("span_capacity")? {
+            Some(n) => capacity(p, "span_capacity", n)?,
+            None => SPAN_CAPACITY,
+        };
+        c.obs = p.take_opt("obs")?.unwrap_or(ObsLevel::Full);
+        c.external_wakes = p.list("external_wakes", "xw")?;
+        c.online_watchdog = p.take("watchdog")?;
+        c.admission = p.take("admission")?;
+        c.degradation = p.take("degradation")?;
+        sim.watchdog = sim.config.online_watchdog;
+        Ok(())
+    }
+}
+
+record!(ComponentPower: activation_energy_mj, active_power_mw);
+
+/// The power model, field by field.
+impl Section for PowerModel {
+    fn put(sim: &Simulation, out: &mut String) {
+        let m = &sim.config.power;
+        put(out, "sleep_mw", &m.sleep_power_mw);
+        put(out, "awake_mw", &m.awake_base_power_mw);
+        put(out, "transition_mj", &m.wake_transition_energy_mj);
+        put(out, "wake_latency_ms", &m.wake_latency);
+        put(out, "sleep_linger_ms", &m.sleep_linger);
+        for c in HardwareComponent::ALL {
+            put(out, "component", &m.component(c));
+        }
+    }
+
+    /// Overwrites every persisted field of the calibrated default.
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        let m = &mut sim.config.power;
+        m.sleep_power_mw = p.take("sleep_mw")?;
+        m.awake_base_power_mw = p.take("awake_mw")?;
+        m.wake_transition_energy_mj = p.take("transition_mj")?;
+        m.wake_latency = p.take("wake_latency_ms")?;
+        m.sleep_linger = p.take("sleep_linger_ms")?;
+        for c in HardwareComponent::ALL {
+            m.set_component(c, p.take("component")?);
+        }
+        Ok(())
+    }
+}
+
+/// The alarm manager: its clock, grace stretch and both queues.
+impl Section for AlarmManager {
+    fn put(sim: &Simulation, out: &mut String) {
+        put(out, "mgr_clock", &sim.manager.now());
+        put(out, "mgr_stretch", &sim.manager.grace_stretch());
+        write_queue(out, "wakeup_entries", sim.manager.wakeup_queue());
+        write_queue(out, "non_wakeup_entries", sim.manager.non_wakeup_queue());
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        let clock = p.take("mgr_clock")?;
+        let stretch = p.take("mgr_stretch")?;
+        let wakeup = p.queue("wakeup_entries")?;
+        let non_wakeup = p.queue("non_wakeup_entries")?;
+        let manager = &mut sim.manager;
+        manager.restore_queues(wakeup, non_wakeup, clock);
+        manager.restore_grace_stretch(stretch);
+        manager.set_audit_level(sim.config.obs.audit_level());
+        Ok(())
+    }
+}
+
+tagged!(DevicePowerState, "device state" {
+    Asleep = "asleep",
+    Waking { until } = "waking",
+    Awake = "awake",
+});
+
+/// The device: power state, energy meter, wakelocks, clocks and the
+/// optional waveform monitor.
+impl Section for Device {
+    fn put(sim: &Simulation, out: &mut String) {
+        let dev = sim.device.snapshot();
+        put(out, "dev_state", &dev.state);
+        let (sleep_mj, transition_mj, awake_mj, component_mj) = dev.meter.parts();
+        put(out, "dev_meter", &(sleep_mj, transition_mj, awake_mj));
+        put(out, "dev_meter_components", &component_mj);
+        let (expiry, activations) = dev.locks.parts();
+        put(out, "dev_locks_expiry", &expiry);
+        put(out, "dev_locks_activations", &activations);
+        put(out, "dev_clock", &dev.clock);
+        put(out, "dev_cpu_busy", &dev.cpu_busy_until);
+        put(out, "dev_idle_since", &dev.idle_since);
+        put(out, "dev_wake_count", &dev.wake_count);
+        put(out, "dev_awake_time", &dev.awake_time);
+        put_present(out, "dev_monitor", dev.monitor.as_ref(), |out, trace| {
+            put_list(out, "levels", "lv", trace.levels().iter());
+            put_list(out, "impulses", "im", trace.impulses().iter());
+        });
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        let state = p.take("dev_state")?;
+        let (sleep_mj, transition_mj, awake_mj) = p.take("dev_meter")?;
+        let component_mj = p.take("dev_meter_components")?;
+        let meter = EnergyMeter::from_parts(sleep_mj, transition_mj, awake_mj, component_mj);
+        let locks = WakeLockTable::from_parts(
+            p.take("dev_locks_expiry")?,
+            p.take("dev_locks_activations")?,
         );
-    }
-
-    let config = SimConfig {
-        duration,
-        power: power.clone(),
-        external_wakes,
-        record_waveform,
-        online_watchdog,
-        invariants,
-        checkpoint_every,
-        audit_capacity,
-        span_capacity,
-        admission: admission_cfg,
-        degradation: degradation_cfg,
-        obs: obs_level,
-    };
-
-    // Alarm manager.
-    let mgr_clock = p.kv_time("mgr_clock")?;
-    let mgr_stretch = p.kv_u32("mgr_stretch")?;
-    let wakeup = p.queue("wakeup_entries")?;
-    let non_wakeup = p.queue("non_wakeup_entries")?;
-    let mut manager = AlarmManager::restore(policy, wakeup, non_wakeup, mgr_clock);
-    manager.restore_grace_stretch(mgr_stretch);
-    manager.set_audit_level(obs_level.audit_level());
-
-    // Device.
-    let state = {
-        let v = p.kv("dev_state")?;
-        match v.split_once(':') {
-            None if v == "asleep" => DevicePowerState::Asleep,
-            None if v == "awake" => DevicePowerState::Awake,
-            Some(("waking", ms)) => DevicePowerState::Waking {
-                until: p.time(ms)?,
-            },
-            _ => return Err(p.err(format!("invalid device state `{v}`"))),
-        }
-    };
-    let meter = {
-        let f = p.kv_fields::<3>("dev_meter")?;
-        let (sleep_mj, transition_mj, awake_mj) =
-            (p.f64_of(f[0])?, p.f64_of(f[1])?, p.f64_of(f[2])?);
-        let f = p.kv_fields::<N_COMPONENTS>("dev_meter_components")?;
-        let mut component_mj = [0.0; N_COMPONENTS];
-        for (slot, raw) in component_mj.iter_mut().zip(&f) {
-            *slot = p.f64_of(raw)?;
-        }
-        EnergyMeter::from_parts(sleep_mj, transition_mj, awake_mj, component_mj)
-    };
-    let locks = {
-        let f = p.kv_fields::<N_COMPONENTS>("dev_locks_expiry")?;
-        let mut expiry = [None; N_COMPONENTS];
-        for (slot, raw) in expiry.iter_mut().zip(&f) {
-            *slot = p.opt_time(raw)?;
-        }
-        let f = p.kv_fields::<N_COMPONENTS>("dev_locks_activations")?;
-        let mut activations = [0u64; N_COMPONENTS];
-        for (slot, raw) in activations.iter_mut().zip(&f) {
-            *slot = p.u64_of(raw)?;
-        }
-        WakeLockTable::from_parts(expiry, activations)
-    };
-    let dev_clock = p.kv_time("dev_clock")?;
-    let cpu_busy_until = p.kv_time("dev_cpu_busy")?;
-    let idle_since = p.kv_opt_time("dev_idle_since")?;
-    let wake_count = p.kv_u64("dev_wake_count")?;
-    let awake_time = p.kv_dur("dev_awake_time")?;
-    let monitor_trace = {
-        let v = p.kv("dev_monitor")?;
-        match v {
-            "none" => None,
-            "present" => {
-                let n = p.count("levels")?;
-                let mut levels = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let f = p.kv_fields::<2>("lv")?;
-                    levels.push((p.time(f[0])?, p.f64_of(f[1])?));
-                }
-                let n = p.count("impulses")?;
-                let mut impulses = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let f = p.kv_fields::<2>("im")?;
-                    impulses.push((p.time(f[0])?, p.f64_of(f[1])?));
-                }
-                Some(PowerTrace::from_parts(levels, impulses))
-            }
-            _ => return Err(p.err(format!("invalid monitor flag `{v}`"))),
-        }
-    };
-    let device = Device::restore(
-        power,
-        DeviceSnapshot {
+        let snapshot = DeviceSnapshot {
             state,
             meter,
             locks,
-            clock: dev_clock,
-            cpu_busy_until,
-            idle_since,
-            wake_count,
-            awake_time,
-            monitor: monitor_trace,
-        },
-    );
+            clock: p.take("dev_clock")?,
+            cpu_busy_until: p.take("dev_cpu_busy")?,
+            idle_since: p.take("dev_idle_since")?,
+            wake_count: p.take("dev_wake_count")?,
+            awake_time: p.take("dev_awake_time")?,
+            monitor: take_present(p, "dev_monitor", |p| {
+                Ok(PowerTrace::from_parts(
+                    p.list("levels", "lv")?,
+                    p.list("impulses", "im")?,
+                ))
+            })?,
+        };
+        sim.device = Device::restore(sim.config.power.clone(), snapshot);
+        Ok(())
+    }
+}
 
-    // Event queue.
-    let next_seq = p.kv_u64("next_seq")?;
-    let n = p.count("events")?;
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        let f = p.kv_fields::<3>("ev")?;
-        events.push(Event {
-            time: p.time(f[0])?,
-            seq: p.u64_of(f[1])?,
-            kind: p.event_kind_of(f[2])?,
-        });
-    }
-    let events = EventQueue::restore(events, next_seq);
-    let n = p.count("armed")?;
-    let mut armed = crate::engine::ArmedSet::default();
-    armed.reserve(n);
-    for _ in 0..n {
-        let f = p.kv_fields::<2>("arm")?;
-        let tag: u8 = f[0]
-            .parse()
-            .map_err(|_| p.err(format!("invalid armed tag `{}`", f[0])))?;
-        armed.insert((tag, p.u64_of(f[1])?));
-    }
+// An app name goes last: it is escaped, so it holds no `:`.
+tagged!(EventKind, "event kind" {
+    RtcAlarm = "rtc",
+    WakeComplete = "wake",
+    TaskEnd = "taskend",
+    TrySleep = "trysleep",
+    NonWakeupCheck = "nonwakeup",
+    ExternalWake = "extwake",
+    Reregister { id } = "rereg",
+    WatchdogCheck = "watchdog",
+    ActivationRetry { slot } = "actretry",
+    AppCrash { restart_after, app } = "crash",
+    AppRestart { app } = "apprestart",
+    Reboot { outage } = "reboot",
+    BootComplete = "boot",
+    Checkpoint = "checkpoint",
+    GovernorTick = "govtick",
+    StormRegister { burst, k } = "storm",
+});
+record!(Event: time, seq, kind);
 
-    // Trace.
-    let mut trace = Trace::new();
-    let n = p.count("deliveries")?;
-    trace.deliveries.reserve(n);
-    for _ in 0..n {
-        let f = p.kv_fields::<12>("d")?;
-        let repeat_ms = p.u64_of(f[6])?;
-        trace.record_delivery(DeliveryRecord {
-            alarm_id: AlarmId::from_raw(p.u64_of(f[0])?),
-            label: p.label(f[1]),
-            nominal: p.time(f[2])?,
-            window_end: p.time(f[3])?,
-            grace_end: p.time(f[4])?,
-            delivered_at: p.time(f[5])?,
-            repeat_interval: if repeat_ms == 0 {
-                None
-            } else {
-                Some(SimDuration::from_millis(repeat_ms))
-            },
-            hardware: p.hardware_of(f[7])?,
-            perceptible: p.bool_of(f[8])?,
-            kind: p.kind_of(f[9])?,
-            entry_size: p.usize_of(f[10])?,
-            task_duration: p.dur(f[11])?,
-        });
-    }
-    let n = p.count("wakeups")?;
-    trace.wakeups.reserve(n);
-    for _ in 0..n {
-        let t = p.kv_time("wk")?;
-        trace.record_wakeup(t);
-    }
-    trace.entry_deliveries = p.kv_u64("entry_deliveries")?;
-    let n = p.count("interventions")?;
-    for _ in 0..n {
-        let f = p.kv_fields::<4>("iv")?;
-        trace.record_intervention(InterventionRecord {
-            at: p.time(f[0])?,
-            app: unesc(f[1]),
-            overhead_mj: p.f64_of(f[2])?,
-            kind: p.intervention_kind_of(f[3])?,
-        });
+/// The event queue, with its exact sequence numbers, and the armed
+/// fire set.
+impl Section for EventQueue {
+    fn put(sim: &Simulation, out: &mut String) {
+        let (events, next_seq) = sim.events.snapshot();
+        put(out, "next_seq", &next_seq);
+        put_list(out, "events", "ev", events.iter());
+        let mut armed: Vec<(u8, u64)> = sim.armed.iter().copied().collect();
+        armed.sort_unstable();
+        put_list(out, "armed", "arm", armed.iter());
     }
 
-    // Attribution ledger.
-    let n = p.count("ledger_active")?;
-    let mut active = Vec::with_capacity(n);
-    for _ in 0..n {
-        let f = p.kv_fields::<3>("la")?;
-        active.push(ActiveTask {
-            app: p.label(f[0]),
-            hardware: p.hardware_of(f[1])?,
-            until: p.time(f[2])?,
-        });
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        let next_seq = p.take("next_seq")?;
+        sim.events = EventQueue::restore(p.list("events", "ev")?, next_seq);
+        sim.armed = p.list::<(u8, u64)>("armed", "arm")?.into_iter().collect();
+        Ok(())
     }
-    let n = p.count("ledger_apps")?;
-    let mut per_app = BTreeMap::new();
-    for _ in 0..n {
-        let f = p.kv_fields::<2>("lp")?;
-        per_app.insert(unesc(f[0]), p.f64_of(f[1])?);
-    }
-    let n = p.count("ledger_interventions")?;
-    let mut ledger_interventions = BTreeMap::new();
-    for _ in 0..n {
-        let f = p.kv_fields::<2>("li")?;
-        ledger_interventions.insert(unesc(f[0]), p.u64_of(f[1])?);
-    }
-    let ledger = AttributionLedger {
-        model: config.power.clone(),
-        active,
-        per_app,
-        interventions: ledger_interventions,
-        overhead_mj: p.kv_f64("ledger_overhead")?,
-        pending_transition_mj: p.kv_f64("ledger_pending")?,
-        last: p.kv_time("ledger_last")?,
-        awake: p.kv_bool("ledger_awake")?,
-    };
+}
 
-    // Fault runtime.
-    let faults = match p.kv("faults")? {
-        "none" => None,
-        "present" => {
-            let mut plan = FaultPlan::new(p.kv_u64("f_seed")?);
-            plan.rtc_jitter = p.kv_dur("f_jitter")?;
-            plan.drop_fire_p = p.kv_f64("f_drop_p")?;
-            plan.drop_retry = p.kv_dur("f_drop_retry")?;
-            plan.drop_cap = p.kv_u32("f_drop_cap")?;
-            plan.overrun_p = p.kv_f64("f_overrun_p")?;
-            plan.overrun = p.kv_dur("f_overrun")?;
-            plan.leak_p = p.kv_f64("f_leak_p")?;
-            plan.leak = p.kv_dur("f_leak")?;
-            plan.activation_failure_p = p.kv_f64("f_act_p")?;
-            plan.backoff_base = p.kv_dur("f_backoff_base")?;
-            plan.backoff_cap = p.kv_dur("f_backoff_cap")?;
-            plan.max_attempts = p.kv_u32("f_max_attempts")?;
-            let n = p.count("f_crashes")?;
-            for _ in 0..n {
-                let f = p.kv_fields::<3>("fc")?;
-                plan.crashes.push(CrashSpec {
-                    at: p.time(f[0])?,
-                    restart_after: p.dur(f[1])?,
-                    app: unesc(f[2]),
-                });
-            }
-            let n = p.count("f_storms")?;
-            for _ in 0..n {
-                let f = p.kv_fields::<3>("fs")?;
-                plan.storms.push(StormSpec {
-                    start: p.time(f[0])?,
-                    duration: p.dur(f[1])?,
-                    mean_interval: p.dur(f[2])?,
-                });
-            }
-            let rng_state = {
-                let v = p.kv("f_rng")?;
-                u64::from_str_radix(v, 16)
-                    .map_err(|_| p.err(format!("invalid rng state `{v}`")))?
-            };
-            let dropping = {
-                let v = p.kv("f_dropping")?;
-                if v == "none" {
-                    None
-                } else {
-                    let f = p.fields::<2>(v)?;
-                    Some((p.time(f[0])?, p.u32_of(f[1])?))
-                }
-            };
-            Some(FaultState::restore(plan, rng_state, dropping))
+/// A `d=` line: the alarm and its windows, then the delivery; a
+/// one-shot's repeat interval is `0`.
+impl Field for DeliveryRecord {
+    const ARITY: usize = 12;
+
+    fn put(&self, w: &mut Put<'_>) {
+        w.f(&self.alarm_id)
+            .f(&self.label)
+            .f(&self.nominal)
+            .f(&self.window_end)
+            .f(&self.grace_end)
+            .f(&self.delivered_at)
+            .f(&self.repeat_interval.map_or(0, SimDuration::as_millis))
+            .f(&self.hardware)
+            .f(&self.perceptible)
+            .f(&self.kind)
+            .f(&self.entry_size)
+            .f(&self.task_duration);
+    }
+
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        Ok(DeliveryRecord {
+            alarm_id: r.take()?,
+            label: r.take()?,
+            nominal: r.take()?,
+            window_end: r.take()?,
+            grace_end: r.take()?,
+            delivered_at: r.take()?,
+            repeat_interval: Some(r.take()?).filter(|d: &SimDuration| d.as_millis() != 0),
+            hardware: r.take()?,
+            perceptible: r.take()?,
+            kind: r.take()?,
+            entry_size: r.take()?,
+            task_duration: r.take()?,
+        })
+    }
+}
+
+tagged!(InterventionKind, "intervention kind" {
+    ForcedRelease { held } = "forced",
+    ActivationRetry { attempt } = "actretry",
+    DroppedFireRetry { delay } = "dropped",
+    Quarantine = "quarantine",
+    Recovery { quarantined_for } = "recovery",
+    AppCrash { cancelled } = "crash",
+    AppRestart { reregistered } = "restart",
+    Reboot { outage } = "reboot",
+    BootCatchUp { caught_up, worst_delay } = "catchup",
+});
+record!(InterventionRecord: at, app, overhead_mj, kind);
+
+/// The delivery trace.
+impl Section for Trace {
+    fn put(sim: &Simulation, out: &mut String) {
+        let t = &sim.trace;
+        put_list(out, "deliveries", "d", t.deliveries.iter());
+        put_list(out, "wakeups", "wk", t.wakeups.iter());
+        put(out, "entry_deliveries", &t.entry_deliveries);
+        put_list(out, "interventions", "iv", t.interventions.iter());
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        sim.trace = Trace {
+            deliveries: p.list("deliveries", "d")?,
+            wakeups: p.list("wakeups", "wk")?,
+            entry_deliveries: p.take("entry_deliveries")?,
+            interventions: p.list("interventions", "iv")?,
+        };
+        Ok(())
+    }
+}
+
+record!(ActiveTask: app, hardware, until);
+
+/// The attribution ledger; its power model is the config's.
+impl Section for AttributionLedger {
+    fn put(sim: &Simulation, out: &mut String) {
+        let l = &sim.ledger;
+        put_list(out, "ledger_active", "la", l.active.iter());
+        put(out, "ledger_apps", &l.per_app.len());
+        for (app, mj) in &l.per_app {
+            line(out, "lp", |w| w.f(app).f(mj));
         }
-        other => return Err(p.err(format!("invalid faults flag `{other}`"))),
-    };
+        put(out, "ledger_interventions", &l.interventions.len());
+        for (app, n) in &l.interventions {
+            line(out, "li", |w| w.f(app).f(n));
+        }
+        put(out, "ledger_overhead", &l.overhead_mj);
+        put(out, "ledger_pending", &l.pending_transition_mj);
+        put(out, "ledger_last", &l.last);
+        put(out, "ledger_awake", &l.awake);
+    }
 
-    // Invariant monitor.
-    let monitor = match p.kv("monitor")? {
-        "none" => None,
-        "present" => {
-            let slack = p.kv_dur("m_slack")?;
-            let panic_on_violation = p.kv_bool("m_panic")?;
-            let window_misses = p.kv_u64("m_misses")?;
-            let n = p.count("m_violations")?;
-            let mut violations = Vec::with_capacity(n);
-            for _ in 0..n {
-                let v = p.kv("mv")?;
-                violations.push(p.violation_of(v)?);
-            }
-            Some(InvariantMonitor {
-                slack,
-                panic_on_violation,
-                violations,
-                window_misses,
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        sim.ledger = AttributionLedger {
+            model: sim.config.power.clone(),
+            active: p.list("ledger_active", "la")?,
+            per_app: p.list("ledger_apps", "lp")?.into_iter().collect(),
+            interventions: p.list("ledger_interventions", "li")?.into_iter().collect(),
+            overhead_mj: p.take("ledger_overhead")?,
+            pending_transition_mj: p.take("ledger_pending")?,
+            last: p.take("ledger_last")?,
+            awake: p.take("ledger_awake")?,
+        };
+        Ok(())
+    }
+}
+
+record!(CrashSpec: at, restart_after, app);
+record!(StormSpec: start, duration, mean_interval);
+
+/// The fault-injection runtime: the plan, the RNG's state word and the
+/// in-flight drop bookkeeping.
+impl Section for FaultState {
+    fn put(sim: &Simulation, out: &mut String) {
+        put_present(out, "faults", sim.faults.as_ref(), |out, fs| {
+            let plan = &fs.plan;
+            put(out, "f_seed", &plan.seed);
+            put(out, "f_jitter", &plan.rtc_jitter);
+            put(out, "f_drop_p", &plan.drop_fire_p);
+            put(out, "f_drop_retry", &plan.drop_retry);
+            put(out, "f_drop_cap", &plan.drop_cap);
+            put(out, "f_overrun_p", &plan.overrun_p);
+            put(out, "f_overrun", &plan.overrun);
+            put(out, "f_leak_p", &plan.leak_p);
+            put(out, "f_leak", &plan.leak);
+            put(out, "f_act_p", &plan.activation_failure_p);
+            put(out, "f_backoff_base", &plan.backoff_base);
+            put(out, "f_backoff_cap", &plan.backoff_cap);
+            put(out, "f_max_attempts", &plan.max_attempts);
+            put_list(out, "f_crashes", "fc", plan.crashes.iter());
+            put_list(out, "f_storms", "fs", plan.storms.iter());
+            line(out, "f_rng", |w| w.raw(&format!("{:016x}", fs.rng.state())));
+            put(out, "f_dropping", &fs.dropping);
+        });
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        sim.faults = take_present(p, "faults", |p| {
+            let mut plan = FaultPlan::new(p.take("f_seed")?);
+            plan.rtc_jitter = p.take("f_jitter")?;
+            plan.drop_fire_p = p.take("f_drop_p")?;
+            plan.drop_retry = p.take("f_drop_retry")?;
+            plan.drop_cap = p.take("f_drop_cap")?;
+            plan.overrun_p = p.take("f_overrun_p")?;
+            plan.overrun = p.take("f_overrun")?;
+            plan.leak_p = p.take("f_leak_p")?;
+            plan.leak = p.take("f_leak")?;
+            plan.activation_failure_p = p.take("f_act_p")?;
+            plan.backoff_base = p.take("f_backoff_base")?;
+            plan.backoff_cap = p.take("f_backoff_cap")?;
+            plan.max_attempts = p.take("f_max_attempts")?;
+            plan.crashes = p.list("f_crashes", "fc")?;
+            plan.storms = p.list("f_storms", "fs")?;
+            let rng = p.kv("f_rng")?;
+            let rng = u64::from_str_radix(rng, 16)
+                .map_err(|_| p.err(format!("invalid rng state `{rng}`")))?;
+            Ok(FaultState::restore(plan, rng, p.take("f_dropping")?))
+        })?;
+        Ok(())
+    }
+}
+
+// A label goes last: it is escaped, so it holds no `:`.
+tagged!(InvariantViolation, "violation" {
+    PerceptibleWindowMiss { delivered_at, window_end, allowed_slack, label } = "miss",
+    QueueOrderBroken { earlier, later } = "order",
+    EnergyNotConserved { ledger_mj, meter_mj } = "energy",
+    WaveformMismatch { trace_mj, meter_mj } = "waveform",
+});
+
+/// The invariant monitor (its slack may have been widened after
+/// construction).
+impl Section for InvariantMonitor {
+    fn put(sim: &Simulation, out: &mut String) {
+        put_present(out, "monitor", sim.monitor.as_ref(), |out, m| {
+            put(out, "m_slack", &m.slack);
+            put(out, "m_panic", &m.panic_on_violation);
+            put(out, "m_misses", &m.window_misses);
+            put_list(out, "m_violations", "mv", m.violations.iter());
+        });
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        sim.monitor = take_present(p, "monitor", |p| {
+            Ok(InvariantMonitor {
+                slack: p.take("m_slack")?,
+                panic_on_violation: p.take("m_panic")?,
+                window_misses: p.take("m_misses")?,
+                violations: p.list("m_violations", "mv")?,
             })
-        }
-        other => return Err(p.err(format!("invalid monitor flag `{other}`"))),
-    };
+        })?;
+        Ok(())
+    }
+}
 
-    // Watchdog runtime state.
-    let n = p.count("holds")?;
-    let mut holds = Vec::with_capacity(n);
-    for _ in 0..n {
-        let f = p.kv_fields::<4>("h")?;
-        holds.push(TaskHold {
-            started: p.time(f[0])?,
-            until: p.time(f[1])?,
-            hardware: p.hardware_of(f[2])?,
-            app: p.label(f[3]),
-        });
-    }
-    let n = p.count("offenses")?;
-    let mut offenses = BTreeMap::new();
-    for _ in 0..n {
-        let f = p.kv_fields::<2>("of")?;
-        offenses.insert(unesc(f[1]), p.u32_of(f[0])?);
-    }
-    let n = p.count("quarantined")?;
-    let mut quarantined = BTreeMap::new();
-    for _ in 0..n {
-        let f = p.kv_fields::<3>("qa")?;
-        quarantined.insert(unesc(f[2]), (p.time(f[0])?, p.u32_of(f[1])?));
-    }
-    let n = p.count("retries")?;
-    let mut activation_retries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let f = p.kv_fields::<6>("rt")?;
-        activation_retries.push(RetrySlot {
-            until: p.time(f[0])?,
-            attempt: p.u32_of(f[1])?,
-            done: p.bool_of(f[2])?,
-            overhead_mj: p.f64_of(f[3])?,
-            hardware: p.hardware_of(f[4])?,
-            app: p.label(f[5]),
-        });
-    }
-    let n = p.count("stash_apps")?;
-    let mut crash_stash = BTreeMap::new();
-    for _ in 0..n {
-        let f = p.kv_fields::<2>("stash")?;
-        let count = p.count_of(f[0])?;
-        let app = unesc(f[1]);
-        let mut alarms = Vec::with_capacity(count);
-        for _ in 0..count {
-            alarms.push(p.alarm()?);
-        }
-        crash_stash.insert(app, alarms);
-    }
-    let energy_checked = p.kv_bool("energy_checked")?;
-    let down_until = p.kv_opt_time("down_until")?;
-    let watchdog = config.online_watchdog;
+record!(TaskHold: started, until, hardware, app);
+record!(RetrySlot: until, attempt, done, overhead_mj, hardware, app);
 
-    // Admission controller runtime state.
-    let admission = {
+/// The engine's runtime state: the watchdog's holds, offenses,
+/// quarantines and activation retries, the crash stash, and the reboot
+/// outage.
+struct EngineState;
+
+impl Section for EngineState {
+    fn put(sim: &Simulation, out: &mut String) {
+        put_list(out, "holds", "h", sim.holds.iter());
+        put(out, "offenses", &sim.offenses.len());
+        for (app, n) in &sim.offenses {
+            line(out, "of", |w| w.f(n).f(app));
+        }
+        put(out, "quarantined", &sim.quarantined.len());
+        for (app, (since, clean)) in &sim.quarantined {
+            line(out, "qa", |w| w.f(since).f(clean).f(app));
+        }
+        put_list(out, "retries", "rt", sim.activation_retries.iter());
+        put(out, "stash_apps", &sim.crash_stash.len());
+        for (app, alarms) in &sim.crash_stash {
+            line(out, "stash", |w| w.f(&alarms.len()).f(app));
+            for alarm in alarms {
+                put(out, "alarm", alarm);
+            }
+        }
+        put(out, "energy_checked", &sim.energy_checked);
+        put(out, "down_until", &sim.down_until);
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        sim.holds = p.list("holds", "h")?;
+        let offenses = p.list::<(u32, String)>("offenses", "of")?;
+        sim.offenses = offenses.into_iter().map(|(n, app)| (app, n)).collect();
+        let quarantined = p.list::<(SimTime, u32, String)>("quarantined", "qa")?;
+        sim.quarantined = quarantined
+            .into_iter()
+            .map(|(since, clean, app)| (app, (since, clean)))
+            .collect();
+        sim.activation_retries = p.list("retries", "rt")?;
+        for _ in 0..p.count("stash_apps")? {
+            let mut r = p.rec("stash", 2)?;
+            let (n, app) = (r.count()?, r.take()?);
+            let mut alarms = Vec::with_capacity(n);
+            for _ in 0..n {
+                alarms.push(p.take("alarm")?);
+            }
+            sim.crash_stash.insert(app, alarms);
+        }
+        sim.energy_checked = p.take("energy_checked")?;
+        sim.down_until = p.take("down_until")?;
+        Ok(())
+    }
+}
+
+/// The admission controller's per-app bucket state, in app order; the
+/// escaped app label goes last.
+impl Section for AdmissionController {
+    fn put(sim: &Simulation, out: &mut String) {
+        let Some(ctl) = &sim.admission else {
+            return line(out, "adm", |w| w.raw("none"));
+        };
+        put(out, "adm", &ctl.app_count());
+        for (app, st) in ctl.apps() {
+            line(out, "aa", |w| w.f(st).esc(app));
+        }
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
         let v = p.kv("adm")?;
-        if v == "none" {
+        sim.admission = if v == "none" {
             None
         } else {
-            let cfg = config
+            let config = sim
+                .config
                 .admission
                 .ok_or_else(|| p.err("admission state without admission config"))?;
             let n = p.count_of(v)?;
             let mut apps = Vec::with_capacity(n);
             for _ in 0..n {
-                let [state @ .., app] = p.kv_fields::<8>("aa")?;
-                apps.push((unesc(app), p.app_admission_of(state)?));
+                let (st, app) = p.take::<(AppAdmission, String)>("aa")?;
+                apps.push((app, st));
             }
-            Some(AdmissionController::restore(cfg, apps))
-        }
-    };
+            Some(AdmissionController::restore(config, apps))
+        };
+        Ok(())
+    }
+}
 
-    // Degradation governor runtime state.
-    let governor = {
-        let v = p.kv("gov")?;
-        if v == "none" {
-            None
-        } else {
-            let cfg = config
-                .degradation
-                .ok_or_else(|| p.err("governor state without degradation config"))?;
-            let f = p.fields::<4>(v)?;
-            let tier = match f[0] {
-                "normal" => DegradationTier::Normal,
-                "saver" => DegradationTier::Saver,
-                "critical" => DegradationTier::Critical,
-                other => return Err(p.err(format!("invalid tier `{other}`"))),
-            };
-            Some(DegradationGovernor::restore(
-                cfg,
-                tier,
-                p.time(f[1])?,
-                p.dur(f[2])?,
-                p.dur(f[3])?,
-            ))
-        }
-    };
+names!(DegradationTier, "tier" { Normal = "normal", Saver = "saver", Critical = "critical" });
 
-    // Storm bursts.
-    let n = p.count("storm_bursts")?;
-    let mut storm = Vec::with_capacity(n);
-    for _ in 0..n {
-        let f = p.kv_fields::<9>("sb")?;
-        storm.push(StormBurst {
-            start: p.time(f[0])?,
-            count: p.u32_of(f[1])?,
-            every: p.dur(f[2])?,
-            period: p.dur(f[3])?,
-            perceptible: p.bool_of(f[4])?,
-            task: p.dur(f[5])?,
-            window_milli: p.u32_of(f[6])?,
-            grace_milli: p.u32_of(f[7])?,
-            app: unesc(f[8]),
-        });
+/// The degradation governor's runtime state (its config is the
+/// config's).
+impl Section for DegradationGovernor {
+    fn put(sim: &Simulation, out: &mut String) {
+        let state = sim
+            .governor
+            .as_ref()
+            .map(|g| (g.tier, g.tier_since, g.in_saver, g.in_critical));
+        put(out, "gov", &state);
     }
 
-    // Overload counters.
-    let overload = {
-        let f = p.kv_fields::<7>("ov")?;
-        OverloadStats {
-            storm_registrations: p.u64_of(f[0])?,
-            admitted: p.u64_of(f[1])?,
-            deferred: p.u64_of(f[2])?,
-            rejected: p.u64_of(f[3])?,
-            shed: p.u64_of(f[4])?,
-            demotions: p.u64_of(f[5])?,
-            tier_changes: p.u64_of(f[6])?,
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        sim.governor = match p.take("gov")? {
+            None => None,
+            Some((tier, since, in_saver, in_critical)) => {
+                let config = sim
+                    .config
+                    .degradation
+                    .ok_or_else(|| p.err("governor state without degradation config"))?;
+                let g = DegradationGovernor::restore(config, tier, since, in_saver, in_critical);
+                Some(g)
+            }
+        };
+        Ok(())
+    }
+}
+
+record!(StormBurst: start, count, every, period, perceptible, task, window_milli, grace_milli, app);
+
+/// The registration-storm bursts, which pending `StormRegister` events
+/// rebuild their alarms from.
+impl Section for StormBurst {
+    fn put(sim: &Simulation, out: &mut String) {
+        put_list(out, "storm_bursts", "sb", sim.storm.iter());
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        sim.storm = p.list("storm_bursts", "sb")?;
+        Ok(())
+    }
+}
+
+/// The overload counters. Time-in-tier and the final tier are derived
+/// from the governor at report time, so only counters persist.
+impl Section for OverloadStats {
+    fn put(sim: &Simulation, out: &mut String) {
+        let o = &sim.overload;
+        let counters = [
+            o.storm_registrations,
+            o.admitted,
+            o.deferred,
+            o.rejected,
+            o.shed,
+            o.demotions,
+            o.tier_changes,
+        ];
+        put(out, "ov", &counters);
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        let [storm_registrations, admitted, deferred, rejected, shed, demotions, tier_changes] =
+            p.take("ov")?;
+        sim.overload = OverloadStats {
+            storm_registrations,
+            admitted,
+            deferred,
+            rejected,
+            shed,
+            demotions,
+            tier_changes,
             ..OverloadStats::default()
-        }
-    };
-
-    // Observability layer: re-register the families (help text, zeroed
-    // counters, histogram bounds), then overwrite with the captured
-    // state — the union is byte-identical to the straight-through run.
-    // A no-obs capture recorded an empty layer; rebuild it empty too.
-    let mut obs = ObsLayer::new(
-        config.obs,
-        &checkpoint.policy,
-        config.audit_capacity,
-        config.span_capacity,
-    );
-    let obs_next_seq = p.kv_u64("obs_next_seq")?;
-    let obs_span_dropped = p.kv_u64("obs_span_dropped")?;
-    let n = p.count("obs_spans")?;
-    if n > config.span_capacity {
-        return Err(p.err(format!(
-            "{n} spans exceed the ring's capacity {}",
-            config.span_capacity
-        )));
+        };
+        Ok(())
     }
-    let mut spans = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = p.kv("os")?;
-        let (parts, nparts) = Parser::fields_upto::<{ 5 + 2 * SPAN_ATTR_CAPACITY }>(v, b',');
-        if nparts < 5 {
-            return Err(p.err(format!("span needs at least 5 fields, got {nparts}")));
+}
+
+names!(TimeSimilarity, "time similarity" { High = "h", Medium = "m", Low = "l" });
+names!(CandidateVerdict, "verdict" { Won = "w", Outranked = "o", NotApplicable = "n", PastCutoff = "c" });
+
+/// `n` for a new entry, `e<index>` for an existing one.
+impl Field for Placement {
+    fn put(&self, w: &mut Put<'_>) {
+        match self {
+            Placement::NewEntry => _ = w.raw("n"),
+            Placement::Existing(i) => _ = write!(w.field(), "e{i}"),
         }
-        let kind = SpanKind::parse(parts[1])
-            .ok_or_else(|| p.err(format!("invalid span kind `{}`", parts[1])))?;
-        // A span's attributes are its kind's schema keys, in order, at
-        // most as many as the inline storage holds.
-        let keys = kind.attr_keys();
-        let nattrs = p.usize_of(parts[4])?;
-        if nattrs > keys.len() {
+    }
+
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        let raw = r.raw()?;
+        match raw.strip_prefix('e').map(str::parse) {
+            _ if raw == "n" => Ok(Placement::NewEntry),
+            Some(Ok(i)) => Ok(Placement::Existing(i)),
+            _ => Err(r.err(format!("invalid placement `{raw}`"))),
+        }
+    }
+}
+
+/// `-` for none, else `;`-separated `index.delivery.time.rank.verdict`
+/// candidates, with rank `-` when unranked. The preferability is
+/// derived from the ranks, not stored.
+impl Field for Vec<CandidateAudit> {
+    fn put(&self, w: &mut Put<'_>) {
+        if self.is_empty() {
+            w.raw("-");
+            return;
+        }
+        let mut list = w.nested(';');
+        for c in self {
+            let mut f = list.nested('.');
+            f.f(&c.index).f(&c.delivery_time).f(&c.time);
+            match c.hw_rank {
+                Some(rank) => f.f(&rank),
+                None => f.raw("-"),
+            };
+            f.f(&c.verdict);
+        }
+    }
+
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        let raw = r.raw()?;
+        if raw == "-" {
+            return Ok(Vec::new());
+        }
+        let mut out = Vec::with_capacity(raw.bytes().filter(|&b| b == b';').count() + 1);
+        for candidate in raw.split(';') {
+            let mut f = r.parser().cut(candidate, '.', 5)?;
+            let (index, delivery_time, time) = (f.take()?, f.take()?, f.take()?);
+            let hw_rank = match f.peek() {
+                Some("-") => f.raw().map(|_| None)?,
+                _ => Some(f.take()?),
+            };
+            out.push(CandidateAudit {
+                index,
+                delivery_time,
+                time,
+                hw_rank,
+                preferability: hw_rank.map(|r| Preferability::from_ranks(r, time)),
+                verdict: f.take()?,
+            });
+        }
+        Ok(out)
+    }
+}
+
+record!(PlacementAudit: at, alarm_id, nominal, perceptible, placement, app, candidates);
+
+/// The observability layer's mutable state. Help text and the span-ring
+/// capacity are not captured: `ObsLayer::new` re-creates both
+/// identically on restore, and the captured state overwrites the rest.
+impl Section for ObsLayer {
+    fn put(sim: &Simulation, out: &mut String) {
+        let obs = &sim.obs;
+        put(out, "obs_next_seq", &obs.spans.next_seq());
+        put(out, "obs_span_dropped", &obs.spans.dropped());
+        put(out, "obs_spans", &obs.spans.len());
+        for s in obs.spans.iter() {
+            line(out, "os", |w| {
+                w.f(&s.seq).raw(s.kind.as_str()).f(&s.start_ms).f(&s.end_ms);
+                w.f(&s.attrs().count());
+                for (k, v) in s.attrs() {
+                    w.esc(k).esc(&v.render());
+                }
+                w
+            });
+        }
+        let counters: Vec<_> = obs.metrics.counters().collect();
+        put(out, "obs_counters", &counters.len());
+        for (name, value) in counters {
+            line(out, "oc", |w| w.f(&value).esc(name));
+        }
+        let gauges: Vec<_> = obs.metrics.gauges().collect();
+        put(out, "obs_gauges", &gauges.len());
+        for (name, value) in gauges {
+            line(out, "og", |w| w.f(&value).esc(name));
+        }
+        let hists: Vec<_> = obs.metrics.histograms().collect();
+        put(out, "obs_hists", &hists.len());
+        for (name, h) in hists {
+            line(out, "oh", |w| {
+                w.esc(name).f(&h.bounds().len());
+                h.bounds().iter().for_each(|b| _ = w.f(b));
+                h.counts().iter().for_each(|c| _ = w.f(c));
+                w.f(&h.sum()).f(&h.count()).f(&h.nonfinite())
+            });
+        }
+        put(out, "obs_audit_dropped", &obs.audit_dropped);
+        // A counts-level layer retains no audit; its ring is this count.
+        if obs.level == ObsLevel::Counts {
+            put(out, "obs_audits_counted", &obs.audits_counted);
+        }
+        put_list(out, "obs_audits", "oa", obs.audits.iter());
+        put(out, "obs_aliases", &obs.aliases.len());
+        for (raw, ordinal) in &obs.aliases {
+            line(out, "ol", |w| w.f(raw).f(ordinal));
+        }
+        put(out, "obs_wake", &obs.wake_open);
+    }
+
+    fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        let c = &sim.config;
+        let policy = sim.manager.policy_name();
+        let mut obs = ObsLayer::new(c.obs, policy, c.audit_capacity, c.span_capacity);
+        let next_seq = p.take("obs_next_seq")?;
+        let dropped = p.take("obs_span_dropped")?;
+        let n = p.count("obs_spans")?;
+        if n > c.span_capacity {
             return Err(p.err(format!(
-                "{} span carries at most {} attrs, got {nattrs}",
-                kind.as_str(),
-                keys.len()
+                "{n} spans exceed the ring's capacity {}",
+                c.span_capacity
             )));
         }
-        if nparts != 5 + 2 * nattrs {
-            return Err(p.err(format!(
-                "span with {nattrs} attrs expects {} fields, got {nparts}",
-                5 + 2 * nattrs,
-            )));
+        let mut spans = Vec::with_capacity(n);
+        for _ in 0..n {
+            spans.push(take_span(p)?);
         }
-        let keys = &keys[..nattrs];
-        for (i, &key) in keys.iter().enumerate() {
-            // Keys are plain identifiers, which `esc` leaves as they are.
-            let found = parts[5 + 2 * i];
-            if found != key {
+        obs.spans = if c.obs == ObsLevel::Counts {
+            let counted = SpanCollector::counting(c.span_capacity, next_seq);
+            if !spans.is_empty() || counted.dropped() != dropped {
                 return Err(p.err(format!(
-                    "{} span attr {i} must be `{key}`, got `{found}`",
-                    kind.as_str()
+                    "a counts-level span ring of {next_seq} records retains nothing and \
+                     drops {}",
+                    counted.dropped()
+                )));
+            }
+            counted
+        } else {
+            SpanCollector::from_parts(c.span_capacity, next_seq, dropped, spans)
+        };
+        for _ in 0..p.count("obs_counters")? {
+            let (value, name) = p.take::<(u64, String)>("oc")?;
+            obs.metrics.set_counter(&name, value);
+        }
+        for _ in 0..p.count("obs_gauges")? {
+            let (value, name) = p.take::<(f64, String)>("og")?;
+            obs.metrics.set_gauge(&name, value);
+        }
+        for _ in 0..p.count("obs_hists")? {
+            let (name, histogram) = take_histogram(p)?;
+            obs.metrics.insert_histogram(&name, histogram);
+        }
+        obs.audit_dropped = p.take("obs_audit_dropped")?;
+        if c.obs == ObsLevel::Counts {
+            obs.audits_counted = p.take("obs_audits_counted")?;
+            let dropped = obs.audits_counted.saturating_sub(c.audit_capacity as u64);
+            if obs.audit_dropped != dropped {
+                return Err(p.err(format!(
+                    "a counts-level audit ring of {} records drops {dropped}",
+                    obs.audits_counted
                 )));
             }
         }
-        let (seq, start_ms, end_ms) = (
-            p.u64_of(parts[0])?,
-            p.u64_of(parts[2])?,
-            p.u64_of(parts[3])?,
-        );
-        let attrs = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &key)| (key, attr_value(&mut p, parts[6 + 2 * i])));
-        spans.push(Span::new(seq, kind, start_ms, end_ms, attrs));
-    }
-    obs.spans = if config.obs == ObsLevel::Counts {
-        let counted = SpanCollector::counting(config.span_capacity, obs_next_seq);
-        if !spans.is_empty() || counted.dropped() != obs_span_dropped {
+        let n = p.count("obs_audits")?;
+        if c.obs == ObsLevel::Counts && n > 0 {
+            return Err(p.err("a counts-level audit ring retains nothing"));
+        }
+        // An overfull ring would never evict again (it evicts at exactly
+        // its capacity), and its drop count would be wrong from then on.
+        if n > c.audit_capacity {
             return Err(p.err(format!(
-                "a counts-level span ring of {obs_next_seq} records retains nothing and \
-                 drops {}",
-                counted.dropped()
+                "{n} audits exceed the ring's capacity {}",
+                c.audit_capacity
             )));
         }
-        counted
-    } else {
-        SpanCollector::from_parts(config.span_capacity, obs_next_seq, obs_span_dropped, spans)
-    };
-    let n = p.count("obs_counters")?;
-    for _ in 0..n {
-        let f = p.kv_fields::<2>("oc")?;
-        obs.metrics.set_counter(&unesc(f[1]), p.u64_of(f[0])?);
-    }
-    let n = p.count("obs_gauges")?;
-    for _ in 0..n {
-        let f = p.kv_fields::<2>("og")?;
-        obs.metrics.set_gauge(&unesc(f[1]), p.f64_of(f[0])?);
-    }
-    let n = p.count("obs_hists")?;
-    for _ in 0..n {
-        let v = p.kv("oh")?;
-        let parts: Vec<&str> = v.split(',').collect();
-        if parts.len() < 2 {
-            return Err(p.err("histogram needs at least a name and a bound count"));
+        obs.audits.reserve(n);
+        for _ in 0..n {
+            obs.audits.push_back(p.take("oa")?);
         }
-        let name = unesc(parts[0]);
-        let nb = p.count_of(parts[1])?;
-        // name, bound count, bounds, counts (one overflow bucket), sum,
-        // count, plus an optional trailing non-finite quarantine count
-        // (absent in pre-quantile checkpoints).
-        let want = 2 + nb + (nb + 1) + 2;
-        if parts.len() != want && parts.len() != want + 1 {
-            return Err(p.err(format!(
-                "histogram with {nb} bounds expects {want} or {} fields, got {}",
-                want + 1,
-                parts.len()
-            )));
+        for _ in 0..p.count("obs_aliases")? {
+            let (raw, ordinal) = p.take("ol")?;
+            obs.aliases.insert(raw, ordinal);
         }
-        let mut bounds = Vec::with_capacity(nb);
-        for raw in &parts[2..2 + nb] {
-            bounds.push(p.f64_of(raw)?);
-        }
-        Histogram::check_bounds(&bounds).map_err(|why| p.err(format!("`{name}`: {why}")))?;
-        let mut counts = Vec::with_capacity(nb + 1);
-        for raw in &parts[2 + nb..2 + nb + nb + 1] {
-            counts.push(p.u64_of(raw)?);
-        }
-        let sum = p.f64_of(parts[want - 2])?;
-        let count = p.u64_of(parts[want - 1])?;
-        let nonfinite = if parts.len() == want + 1 {
-            p.u64_of(parts[want])?
-        } else {
-            0
-        };
-        obs.metrics.insert_histogram(
-            &name,
-            Histogram::from_parts(bounds, counts, sum, count).with_nonfinite(nonfinite),
-        );
+        obs.wake_open = p.take("obs_wake")?;
+        sim.obs = obs;
+        Ok(())
     }
-    obs.audit_dropped = p.kv_u64("obs_audit_dropped")?;
-    if config.obs == ObsLevel::Counts {
-        obs.audits_counted = p.kv_u64("obs_audits_counted")?;
-        let dropped = obs.audits_counted.saturating_sub(config.audit_capacity as u64);
-        if obs.audit_dropped != dropped {
-            return Err(p.err(format!(
-                "a counts-level audit ring of {} records drops {dropped}",
-                obs.audits_counted
-            )));
-        }
+}
+
+/// Reads an `os=` line: seq, kind, start, end, the attribute count,
+/// then that many key/value pairs, whose keys must be the kind's schema
+/// keys in order.
+fn take_span(p: &mut Parser<'_>) -> Result<Span, CheckpointError> {
+    let v = p.kv("os")?;
+    let (parts, nparts) = Parser::fields_upto::<{ 5 + 2 * SPAN_ATTR_CAPACITY }>(v, b',');
+    if nparts < 5 {
+        return Err(p.err(format!("span needs at least 5 fields, got {nparts}")));
     }
-    let n = p.count("obs_audits")?;
-    if config.obs == ObsLevel::Counts && n > 0 {
-        return Err(p.err("a counts-level audit ring retains nothing"));
-    }
-    // An overfull ring would never evict again (it evicts at exactly its
-    // capacity), and its drop count would be wrong from then on.
-    if n > config.audit_capacity {
+    let kind = parts[1];
+    let kind = SpanKind::parse(kind).ok_or_else(|| p.err(format!("invalid span kind `{kind}`")))?;
+    let nattrs: usize = p.value(parts[4])?;
+    // A span's attributes are its kind's schema keys, in order, at most
+    // as many as the inline storage holds.
+    let keys = kind.attr_keys();
+    if nattrs > keys.len() {
         return Err(p.err(format!(
-            "{n} audits exceed the ring's capacity {}",
-            config.audit_capacity
+            "{} span carries at most {} attrs, got {nattrs}",
+            kind.as_str(),
+            keys.len()
         )));
     }
-    obs.audits.reserve(n);
-    for _ in 0..n {
-        let f = p.kv_fields::<7>("oa")?;
-        let candidates = if f[6] == "-" {
-            Vec::new()
-        } else {
-            let mut out = Vec::with_capacity(f[6].bytes().filter(|&b| b == b';').count() + 1);
-            for c in f[6].split(';') {
-                let (cf, nf) = Parser::fields_upto::<5>(c, b'.');
-                if nf != 5 {
-                    return Err(p.err(format!("candidate needs 5 fields, got `{c}`")));
-                }
-                let time = match cf[2] {
-                    "h" => TimeSimilarity::High,
-                    "m" => TimeSimilarity::Medium,
-                    "l" => TimeSimilarity::Low,
-                    other => return Err(p.err(format!("invalid time similarity `{other}`"))),
-                };
-                let hw_rank = if cf[3] == "-" {
-                    None
-                } else {
-                    Some(cf[3].parse::<u8>().map_err(|_| {
-                        p.err(format!("invalid hardware rank `{}`", cf[3]))
-                    })?)
-                };
-                let verdict = match cf[4] {
-                    "w" => CandidateVerdict::Won,
-                    "o" => CandidateVerdict::Outranked,
-                    "n" => CandidateVerdict::NotApplicable,
-                    "c" => CandidateVerdict::PastCutoff,
-                    other => return Err(p.err(format!("invalid verdict `{other}`"))),
-                };
-                out.push(CandidateAudit {
-                    index: p.usize_of(cf[0])?,
-                    delivery_time: p.time(cf[1])?,
-                    time,
-                    hw_rank,
-                    preferability: hw_rank.map(|r| Preferability::from_ranks(r, time)),
-                    verdict,
-                });
-            }
-            out
-        };
-        let placement = if f[4] == "n" {
-            Placement::NewEntry
-        } else if let Some(idx) = f[4].strip_prefix('e') {
-            Placement::Existing(p.usize_of(idx)?)
-        } else {
-            return Err(p.err(format!("invalid placement `{}`", f[4])));
-        };
-        obs.audits.push_back(PlacementAudit {
-            at: p.time(f[0])?,
-            alarm_id: AlarmId::from_raw(p.u64_of(f[1])?),
-            app: p.label(f[5]),
-            nominal: p.time(f[2])?,
-            perceptible: p.bool_of(f[3])?,
-            placement,
-            candidates,
-        });
+    if nparts != 5 + 2 * nattrs {
+        return Err(p.err(format!(
+            "span with {nattrs} attrs expects {} fields, got {nparts}",
+            5 + 2 * nattrs,
+        )));
     }
-    let n = p.count("obs_aliases")?;
-    for _ in 0..n {
-        let f = p.kv_fields::<2>("ol")?;
-        obs.aliases.insert(p.u64_of(f[0])?, p.u64_of(f[1])?);
+    let keys = &keys[..nattrs];
+    for (i, &key) in keys.iter().enumerate() {
+        // Keys are plain identifiers, which `esc` leaves as they are.
+        let found = parts[5 + 2 * i];
+        if found != key {
+            return Err(p.err(format!(
+                "{} span attr {i} must be `{key}`, got `{found}`",
+                kind.as_str()
+            )));
+        }
     }
-    obs.wake_open = p.kv_opt_time("obs_wake")?;
+    let (seq, start_ms, end_ms) = (p.value(parts[0])?, p.value(parts[2])?, p.value(parts[3])?);
+    let attrs = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &key)| (key, attr_value(p, parts[6 + 2 * i])));
+    Ok(Span::new(seq, kind, start_ms, end_ms, attrs))
+}
 
-    Ok(Simulation {
-        manager,
-        device,
-        events,
-        trace,
-        ledger,
-        config,
-        now,
-        armed,
-        due_buffer: Vec::new(),
-        faults,
-        monitor,
-        watchdog,
-        holds,
-        offenses,
-        quarantined,
-        activation_retries,
-        crash_stash,
-        energy_checked,
-        down_until,
-        admission,
-        governor,
-        storm,
-        overload,
-        checkpoints: Vec::new(),
-        obs,
-        stages: StageProfile::new(),
-    })
+/// Reads an `oh=` line: name, bound count, the bounds, one count per
+/// bucket plus the overflow bucket, sum, count, and an optional
+/// trailing non-finite quarantine count (absent in pre-quantile
+/// checkpoints).
+fn take_histogram(p: &mut Parser<'_>) -> Result<(String, Histogram), CheckpointError> {
+    let v = p.kv("oh")?;
+    let (head, found) = Parser::fields_upto::<2>(v, b',');
+    if found < 2 {
+        return Err(p.err("histogram needs at least a name and a bound count"));
+    }
+    let nb = p.count_of(head[1])?;
+    let want = 2 + nb + (nb + 1) + 2;
+    if found != want && found != want + 1 {
+        return Err(p.err(format!(
+            "histogram with {nb} bounds expects {want} or {} fields, got {found}",
+            want + 1
+        )));
+    }
+    let mut r = p.cut(v, ',', found)?;
+    let name: String = r.take()?;
+    r.raw()?;
+    let mut bounds = Vec::with_capacity(nb);
+    for _ in 0..nb {
+        bounds.push(r.take()?);
+    }
+    Histogram::check_bounds(&bounds).map_err(|why| r.err(format!("`{name}`: {why}")))?;
+    let mut counts = Vec::with_capacity(nb + 1);
+    for _ in 0..=nb {
+        counts.push(r.take()?);
+    }
+    let (sum, count) = (r.take()?, r.take()?);
+    let nonfinite = if found == want + 1 { r.take()? } else { 0 };
+    let histogram = Histogram::from_parts(bounds, counts, sum, count).with_nonfinite(nonfinite);
+    Ok((name, histogram))
+}
+
+/// A restored span value in the form a live run holds it: a canonical
+/// decimal (digits only, no sign, no leading zero unless it is `0`,
+/// within `u64`) as [`AttrValue::U64`], anything else as a shared label.
+/// Either renders as the field's exact unescaped text, so exports and
+/// recaptures are byte-identical to the run that was captured.
+fn attr_value<'a>(p: &mut Parser<'a>, raw: &'a str) -> AttrValue {
+    let canonical = !raw.is_empty()
+        && raw.bytes().all(|b| b.is_ascii_digit())
+        && (raw == "0" || !raw.starts_with('0'));
+    match raw.parse() {
+        Ok(v) if canonical => AttrValue::U64(v),
+        _ => AttrValue::Shared(p.label(raw)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::esc;
     use simty_core::alarm::Alarm;
 
     fn sample() -> Checkpoint {
@@ -2188,7 +1634,14 @@ mod tests {
 
     #[test]
     fn escaping_round_trips() {
-        for s in ["plain", "with,comma", "col:on", "pct%25", "nl\nline", "%,:%"] {
+        for s in [
+            "plain",
+            "with,comma",
+            "col:on",
+            "pct%25",
+            "nl\nline",
+            "%,:%",
+        ] {
             assert_eq!(unesc(&esc(s)), s, "round trip of {s:?}");
         }
     }
@@ -2196,8 +1649,11 @@ mod tests {
     #[test]
     fn f64_hex_is_exact() {
         for v in [0.0, -0.0, 1.5, 1.0 / 3.0, f64::MAX, 1e-300] {
-            let p = Parser::new("");
-            assert_eq!(p.f64_of(&f64_hex(v)).unwrap().to_bits(), v.to_bits());
+            let mut body = String::new();
+            put(&mut body, "v", &v);
+            assert_eq!(body, format!("v={:016x}\n", v.to_bits()));
+            let mut p = Parser::new(&body);
+            assert_eq!(p.take::<f64>("v").unwrap().to_bits(), v.to_bits());
         }
     }
 
@@ -2337,7 +1793,10 @@ mod tests {
             1,
         );
         let message = restore_error(&crowded);
-        assert!(message.contains("exceed the ring's capacity 1"), "{message}");
+        assert!(
+            message.contains("exceed the ring's capacity 1"),
+            "{message}"
+        );
 
         // More audits than the restored ring holds.
         let mut crowded = intact.clone();
@@ -2373,6 +1832,245 @@ mod tests {
             let value = attr_value(&mut p, raw);
             assert!(matches!(value, AttrValue::Shared(_)), "{raw}");
             assert_eq!(value.render(), rendered);
+        }
+    }
+
+    /// Every tagged encoding of the body, pinned to the text the format
+    /// has always written: each value is planted in a simulation, then
+    /// captured (encode → the string) and restored (decode → the value).
+    #[test]
+    fn every_tagged_encoding_is_pinned() {
+        use crate::degrade::GovernorConfig;
+        use simty_core::audit::{CandidateAudit, CandidateVerdict as V, PlacementAudit};
+        use simty_core::policy::{Placement, SimtyPolicy};
+        use simty_core::similarity::{Preferability, TimeSimilarity as T};
+        use simty_device::device::DevicePowerState as S;
+        use InterventionKind as I;
+        use InvariantViolation as M;
+        let (t, d) = (SimTime::from_millis, SimDuration::from_millis);
+        let events = [
+            (EventKind::RtcAlarm, "rtc"),
+            (EventKind::WakeComplete, "wake"),
+            (EventKind::TaskEnd, "taskend"),
+            (EventKind::TrySleep, "trysleep"),
+            (EventKind::NonWakeupCheck, "nonwakeup"),
+            (EventKind::ExternalWake, "extwake"),
+            (
+                EventKind::Reregister {
+                    id: AlarmId::from_raw(7),
+                },
+                "rereg:7",
+            ),
+            (EventKind::WatchdogCheck, "watchdog"),
+            (EventKind::ActivationRetry { slot: 3 }, "actretry:3"),
+            (
+                EventKind::AppCrash {
+                    app: "a:b,c".into(),
+                    restart_after: d(1500),
+                },
+                "crash:1500:a%3Ab%2Cc",
+            ),
+            (
+                EventKind::AppRestart { app: "x%".into() },
+                "apprestart:x%25",
+            ),
+            (EventKind::Reboot { outage: d(60_000) }, "reboot:60000"),
+            (EventKind::BootComplete, "boot"),
+            (EventKind::Checkpoint, "checkpoint"),
+            (EventKind::GovernorTick, "govtick"),
+            (EventKind::StormRegister { burst: 2, k: 9 }, "storm:2:9"),
+        ];
+        let interventions = [
+            (I::ForcedRelease { held: d(1200) }, "forced:1200"),
+            (I::ActivationRetry { attempt: 2 }, "actretry:2"),
+            (I::DroppedFireRetry { delay: d(30) }, "dropped:30"),
+            (I::Quarantine, "quarantine"),
+            (
+                I::Recovery {
+                    quarantined_for: d(9000),
+                },
+                "recovery:9000",
+            ),
+            (I::AppCrash { cancelled: 4 }, "crash:4"),
+            (I::AppRestart { reregistered: 5 }, "restart:5"),
+            (I::Reboot { outage: d(2000) }, "reboot:2000"),
+            (
+                I::BootCatchUp {
+                    caught_up: 3,
+                    worst_delay: d(700),
+                },
+                "catchup:3:700",
+            ),
+        ];
+        let violations = [
+            (
+                M::PerceptibleWindowMiss {
+                    label: "m,a:p".into(),
+                    delivered_at: t(5),
+                    window_end: t(4),
+                    allowed_slack: d(1),
+                },
+                "miss:5:4:1:m%2Ca%3Ap",
+            ),
+            (
+                M::QueueOrderBroken {
+                    earlier: t(9),
+                    later: t(8),
+                },
+                "order:9:8",
+            ),
+            (
+                M::EnergyNotConserved {
+                    ledger_mj: 1.5,
+                    meter_mj: -0.0,
+                },
+                "energy:3ff8000000000000:8000000000000000",
+            ),
+            (
+                M::WaveformMismatch {
+                    trace_mj: 2.0,
+                    meter_mj: 0.25,
+                },
+                "waveform:4000000000000000:3fd0000000000000",
+            ),
+        ];
+        let states = [
+            (S::Asleep, "asleep"),
+            (S::Waking { until: t(1234) }, "waking:1234"),
+            (S::Awake, "awake"),
+        ];
+        let tiers = [
+            (DegradationTier::Normal, "normal"),
+            (DegradationTier::Saver, "saver"),
+            (DegradationTier::Critical, "critical"),
+        ];
+        let placements = [(Placement::Existing(3), "e3"), (Placement::NewEntry, "n")];
+        // One candidate per verdict, cycling through the time
+        // similarities, ranked and unranked.
+        let candidates = [
+            (T::High, Some(1), V::Won),
+            (T::Medium, None, V::Outranked),
+            (T::Low, Some(0), V::NotApplicable),
+            (T::High, None, V::PastCutoff),
+        ];
+        let candidate_text = "0.10.h.1.w;1.20.m.-.o;2.30.l.0.n;3.40.h.-.c";
+        let candidates: Vec<CandidateAudit> = candidates
+            .iter()
+            .enumerate()
+            .map(|(i, &(time, hw_rank, verdict))| CandidateAudit {
+                index: i,
+                delivery_time: t(10 * (i as u64 + 1)),
+                time,
+                hw_rank,
+                preferability: hw_rank.map(|r| Preferability::from_ranks(r, time)),
+                verdict,
+            })
+            .collect();
+
+        // The value field `at` of every `key=` line, split at commas.
+        fn values<'b>(body: &'b str, key: &str, n: usize, at: usize) -> Vec<&'b str> {
+            let prefix = format!("{key}=");
+            body.lines()
+                .filter_map(|l| l.strip_prefix(prefix.as_str()))
+                .map(|v| v.splitn(n, ',').nth(at).unwrap())
+                .collect()
+        }
+        for (i, ((state, state_text), (tier, tier_text))) in states.iter().zip(&tiers).enumerate() {
+            let mut sim = Simulation::new(
+                Box::new(SimtyPolicy::new()),
+                SimConfig::new().with_degradation(GovernorConfig::default()),
+            );
+            let planted: Vec<Event> = events
+                .iter()
+                .enumerate()
+                .map(|(seq, (kind, _))| Event {
+                    time: t(1000),
+                    seq: seq as u64,
+                    kind: kind.clone(),
+                })
+                .collect();
+            sim.events = EventQueue::restore(planted, 100);
+            for (kind, _) in &interventions {
+                sim.trace.record_intervention(InterventionRecord {
+                    at: t(1),
+                    app: "app".into(),
+                    overhead_mj: 0.0,
+                    kind: kind.clone(),
+                });
+            }
+            let mut monitor = InvariantMonitor::new(d(0), false);
+            monitor.violations = violations.iter().map(|(v, _)| v.clone()).collect();
+            sim.monitor = Some(monitor);
+            let mut dev = sim.device.snapshot();
+            dev.state = *state;
+            sim.device = Device::restore(sim.config.power.clone(), dev);
+            sim.governor = Some(DegradationGovernor::restore(
+                GovernorConfig::default(),
+                *tier,
+                t(0),
+                d(0),
+                d(0),
+            ));
+            for (k, (placement, _)) in placements.iter().enumerate() {
+                sim.obs.audits.push_back(PlacementAudit {
+                    at: t(1),
+                    alarm_id: AlarmId::from_raw(1),
+                    app: "app".into(),
+                    nominal: t(2),
+                    perceptible: true,
+                    placement: *placement,
+                    candidates: if k == 0 {
+                        candidates.clone()
+                    } else {
+                        Vec::new()
+                    },
+                });
+            }
+
+            let ckpt = sim.checkpoint();
+            let body = &ckpt.body;
+            let want: Vec<&str> = events.iter().map(|(_, s)| *s).collect();
+            assert_eq!(values(body, "ev", 3, 2), want);
+            let want: Vec<&str> = interventions.iter().map(|(_, s)| *s).collect();
+            assert_eq!(values(body, "iv", 4, 3), want);
+            let want: Vec<&str> = violations.iter().map(|(_, s)| *s).collect();
+            assert_eq!(values(body, "mv", 1, 0), want);
+            assert_eq!(values(body, "dev_state", 1, 0), [*state_text]);
+            assert_eq!(values(body, "gov", 4, 0), [*tier_text]);
+            let want: Vec<&str> = placements.iter().map(|(_, s)| *s).collect();
+            assert_eq!(values(body, "oa", 7, 4), want);
+            assert_eq!(values(body, "oa", 7, 6), [candidate_text, "-"]);
+
+            let back = restore(Box::new(SimtyPolicy::new()), &ckpt).unwrap();
+            let kinds: Vec<EventKind> = back
+                .events
+                .snapshot()
+                .0
+                .into_iter()
+                .map(|e| e.kind)
+                .collect();
+            assert_eq!(
+                kinds,
+                events.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>()
+            );
+            let kinds: Vec<&InterventionKind> =
+                back.trace.interventions.iter().map(|r| &r.kind).collect();
+            assert_eq!(
+                kinds,
+                interventions.iter().map(|(k, _)| k).collect::<Vec<_>>()
+            );
+            let monitor = back.monitor.as_ref().unwrap();
+            assert_eq!(
+                monitor.violations,
+                violations
+                    .iter()
+                    .map(|(v, _)| v.clone())
+                    .collect::<Vec<_>>()
+            );
+            assert_eq!(back.device.snapshot().state, *state, "state {i}");
+            assert_eq!(back.governor.as_ref().unwrap().tier, *tier, "tier {i}");
+            let audits: Vec<&PlacementAudit> = back.obs.audits.iter().collect();
+            assert_eq!(audits, sim.obs.audits.iter().collect::<Vec<_>>());
         }
     }
 }

@@ -9,15 +9,25 @@
 //! characters percent-escaped, `f64`s persisted as their exact
 //! 16-hex-digit bit patterns, and bodies checksummed with FNV-1a 64.
 //!
-//! This module is the single home of those primitives and of the codec
-//! for the state the checkpoint and the live snapshot share: the alarm
-//! line ([`fmt_alarm`], [`fmt_alarm_attrs`], [`Parser::alarm`]), queue
-//! blocks of `entry=` lines ([`write_queue`], [`Parser::queue`]),
-//! delivery disciplines ([`fmt_discipline`], [`Parser::discipline_of`]),
-//! the admission config ([`fmt_admission_config`],
-//! [`Parser::admission_config_of`]) and per-app bucket state
-//! ([`fmt_app_admission`], [`Parser::app_admission_of`]). One writer and
-//! one reader per concept keeps every consumer byte-compatible.
+//! Every value is written and read through two typed layers, so one impl
+//! holds both halves of each wire form:
+//!
+//! * **Fields.** A [`Field`] appends its text through a [`Put`] and reads
+//!   it back from a [`Cursor`]: integers, `0`/`1` flags, hex-bit `f64`s,
+//!   millisecond times and durations, `none`-able options, escaped and
+//!   interned strings, hardware bits, alarm kinds, and tagged enums
+//!   (`tag:param:param`, [`Put::tag`] / [`Cursor::tag`]).
+//! * **Records.** A struct written as its fields in order is declared once
+//!   with `record!`: flat records spread over a line's commas, nested
+//!   ones sit in one field with their own separator. A line is
+//!   [`put`] / [`Parser::take`]; a counted list (`key=N`, then N item
+//!   lines) is [`put_list`] / [`Parser::list`]. A line whose field
+//!   count differs from the record's [`Field::ARITY`] is an error naming
+//!   both counts, whichever field the reader stumbled on.
+//!
+//! The alarm ([`Alarm`]), queue-block ([`write_queue`],
+//! [`Parser::queue`]), discipline and admission codecs live here because
+//! the checkpoint and the live snapshot share them.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -47,6 +57,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[must_use]
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    esc_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, percent-escaped as by [`esc`].
+fn esc_into(out: &mut String, s: &str) {
     for ch in s.chars() {
         match ch {
             '%' => out.push_str("%25"),
@@ -57,7 +73,11 @@ pub fn esc(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+}
+
+/// How many `sep`-separated fields `value` holds.
+fn fields_in(value: &str, sep: u8) -> usize {
+    value.bytes().filter(|&b| b == sep).count() + 1
 }
 
 fn hex_val(b: u8) -> Option<u8> {
@@ -91,128 +111,533 @@ pub fn unesc(s: &str) -> String {
     out
 }
 
-/// An `f64` as its exact 16-hex-digit bit pattern: round-trips every
-/// value (NaN payloads included) with no formatting loss.
-#[must_use]
-pub fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// One value's wire form: [`put`](Self::put) writes it, and
+/// [`take`](Self::take) reads back exactly what `put` wrote.
+pub trait Field: Sized {
+    /// How many separated fields the form spans on its line: one for a
+    /// value or a nested record, the sum of its fields for a flat one.
+    const ARITY: usize = 1;
+
+    /// Appends the form, one [`Put::field`] per separated field.
+    fn put(&self, w: &mut Put<'_>);
+
+    /// Reads the form from the cursor's next [`ARITY`](Self::ARITY)
+    /// fields; a field that does not parse is an error.
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError>;
 }
 
-/// Reverses [`f64_hex`].
-#[must_use]
-pub fn f64_from_hex(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+/// Declares a struct's wire form as its named fields, in order, so the
+/// writer and the reader cannot disagree.
+///
+/// `record!(Ty: a, b: Sub, c)` is a flat record spread over its line's
+/// fields (a field naming its type may itself be a flat record);
+/// `record!(Ty in ':': a, b)` nests the fields in one field, separated by
+/// `':'`.
+macro_rules! record {
+    (@arity) => { 1 };
+    (@arity $ty:ty) => { <$ty as $crate::codec::Field>::ARITY };
+    ($ty:ident: $($f:ident $(: $fty:ty)?),+) => {
+        impl $crate::codec::Field for $ty {
+            const ARITY: usize = 0 $(+ $crate::codec::record!(@arity $($fty)?))+;
+            fn put(&self, w: &mut $crate::codec::Put<'_>) {
+                $(self.$f.put(w);)+
+            }
+            fn take(
+                r: &mut $crate::codec::Cursor<'_, '_>,
+            ) -> Result<Self, $crate::checkpoint::CheckpointError> {
+                Ok(Self { $($f: r.take()?,)+ })
+            }
+        }
+    };
+    ($ty:ident in $sep:literal: $($f:ident),+) => {
+        impl $crate::codec::Field for $ty {
+            fn put(&self, w: &mut $crate::codec::Put<'_>) {
+                let mut w = w.nested($sep);
+                $(self.$f.put(&mut w);)+
+            }
+            fn take(
+                r: &mut $crate::codec::Cursor<'_, '_>,
+            ) -> Result<Self, $crate::checkpoint::CheckpointError> {
+                let mut r = r.nested($sep, [$(stringify!($f)),+].len())?;
+                Ok(Self { $($f: r.take()?,)+ })
+            }
+        }
+    };
+}
+pub(crate) use record;
+
+/// Declares a fieldless enum's wire form, one name per variant:
+/// `names!(Ty "what" { A = "a", B = "b" })`; an unknown name is an
+/// `invalid what` error.
+macro_rules! names {
+    ($ty:ident, $what:literal { $($v:ident = $name:literal),+ $(,)? }) => {
+        impl $crate::codec::Field for $ty {
+            fn put(&self, w: &mut $crate::codec::Put<'_>) {
+                w.raw(match self { $(Self::$v => $name),+ });
+            }
+            fn take(
+                r: &mut $crate::codec::Cursor<'_, '_>,
+            ) -> Result<Self, $crate::checkpoint::CheckpointError> {
+                match r.raw()? {
+                    $($name => Ok(Self::$v),)+
+                    raw => Err(r.err(format!(concat!("invalid ", $what, " `{}`"), raw))),
+                }
+            }
+        }
+    };
+}
+pub(crate) use names;
+
+/// Declares an enum's tagged wire form, `tag:param:param`, one variant
+/// per entry: `tagged!(Ty, "what" { A = "a", B(x) = "b", C { x, y } =
+/// "c" })` writes a variant's fields in the listed order and reads them
+/// back in it; an unknown tag is an `invalid what` error.
+macro_rules! tagged {
+    ($ty:ident, $what:literal {
+        $($v:ident $(($t:ident))? $({ $($f:ident),+ })? = $tag:literal),+ $(,)?
+    }) => {
+        impl $crate::codec::Field for $ty {
+            fn put(&self, w: &mut $crate::codec::Put<'_>) {
+                match self {
+                    $(Self::$v $(($t))? $({ $($f),+ })? => {
+                        w.tag($tag)$(.f($t))?$($(.f($f))+)?;
+                    })+
+                }
+            }
+            fn take(
+                r: &mut $crate::codec::Cursor<'_, '_>,
+            ) -> Result<Self, $crate::checkpoint::CheckpointError> {
+                let (tag, mut a) = r.tag()?;
+                Ok(match tag {
+                    $($tag => Self::$v $(({ let $t = a.take()?; $t }))? $({ $($f: a.take()?),+ })?,)+
+                    _ => return Err(a.err(format!(concat!("invalid ", $what, " `{}`"), tag))),
+                })
+            }
+        }
+    };
+}
+pub(crate) use tagged;
+
+/// The writer half: appends separated fields to a body.
+pub struct Put<'o> {
+    out: &'o mut String,
+    sep: char,
+    lead: bool,
 }
 
-/// The ten fields of an alarm line after its id and label: nominal,
+impl<'o> Put<'o> {
+    /// A writer whose fields are separated by `sep`.
+    pub fn new(out: &'o mut String, sep: char) -> Self {
+        Put {
+            out,
+            sep,
+            lead: false,
+        }
+    }
+
+    /// Starts the next field (after a separator unless it is the first)
+    /// and returns the buffer to write it into.
+    pub fn field(&mut self) -> &mut String {
+        if self.lead {
+            self.out.push(self.sep);
+        }
+        self.lead = true;
+        self.out
+    }
+
+    /// Writes `v` as the next field(s).
+    pub fn f<T: Field>(&mut self, v: &T) -> &mut Self {
+        v.put(self);
+        self
+    }
+
+    /// Writes `s`, as it is, as the next field.
+    pub fn raw(&mut self, s: &str) -> &mut Self {
+        self.field().push_str(s);
+        self
+    }
+
+    /// Writes `s`, escaped, as the next field.
+    pub fn esc(&mut self, s: &str) -> &mut Self {
+        esc_into(self.field(), s);
+        self
+    }
+
+    /// Writes `key=` and `v` as the next field ([`Cursor::named`]).
+    pub fn named<T: Field>(&mut self, key: &str, v: &T) -> &mut Self {
+        let out = self.field();
+        out.push_str(key);
+        out.push('=');
+        v.put(&mut Put::new(out, ','));
+        self
+    }
+
+    /// A writer for one field made of `sep`-separated parts.
+    pub fn nested(&mut self, sep: char) -> Put<'_> {
+        Put::new(self.field(), sep)
+    }
+
+    /// A writer for one tagged field: `tag`, then `:`-separated
+    /// parameters ([`Cursor::tag`]).
+    pub fn tag(&mut self, tag: &str) -> Put<'_> {
+        let mut w = self.nested(':');
+        w.field().push_str(tag);
+        w
+    }
+}
+
+/// Appends a `key=` line holding `v` ([`Parser::take`]).
+pub fn put<T: Field>(out: &mut String, key: &str, v: &T) {
+    line(out, key, |w| w.f(v));
+}
+
+/// Appends a `key=` line whose fields `fields` writes.
+pub fn line(
+    out: &mut String,
+    key: &str,
+    fields: impl for<'w, 'o> FnOnce(&'w mut Put<'o>) -> &'w mut Put<'o>,
+) {
+    out.push_str(key);
+    out.push('=');
+    fields(&mut Put::new(out, ','));
+    out.push('\n');
+}
+
+/// Appends a counted list: `key={n}`, then one `item=` line per value
+/// ([`Parser::list`]).
+pub fn put_list<'i, T: Field + 'i>(
+    out: &mut String,
+    key: &str,
+    item: &str,
+    items: impl ExactSizeIterator<Item = &'i T>,
+) {
+    put(out, key, &items.len());
+    for v in items {
+        put(out, item, v);
+    }
+}
+
+/// The reader half: the fields of one value, taken in order.
+pub struct Cursor<'p, 'a> {
+    p: &'p mut Parser<'a>,
+    /// The fields not taken yet, or `None` once the last one is.
+    rest: Option<&'a str>,
+    /// The ASCII separator between fields.
+    sep: u8,
+    /// The whole value, for error messages.
+    raw: &'a str,
+    /// The field count the reader expects, or 0 for a tag's parameters.
+    expected: usize,
+}
+
+impl<'p, 'a> Cursor<'p, 'a> {
+    fn new(p: &'p mut Parser<'a>, raw: &'a str, sep: char, expected: usize) -> Self {
+        debug_assert!(sep.is_ascii(), "separator {sep:?} is not ASCII");
+        Cursor {
+            p,
+            rest: Some(raw),
+            sep: sep as u8,
+            raw,
+            expected,
+        }
+    }
+
+    /// The next raw field, or an error once every field is taken.
+    #[inline]
+    pub fn raw(&mut self) -> Result<&'a str, CheckpointError> {
+        let Some(rest) = self.rest else {
+            return Err(self.missing());
+        };
+        // The separator is ASCII, so both cuts fall on char boundaries.
+        Ok(match rest.bytes().position(|b| b == self.sep) {
+            Some(i) => {
+                self.rest = Some(&rest[i + 1..]);
+                &rest[..i]
+            }
+            None => {
+                self.rest = None;
+                rest
+            }
+        })
+    }
+
+    #[cold]
+    fn missing(&self) -> CheckpointError {
+        if self.expected == 0 {
+            self.err(format!("`{}` is missing a parameter", self.raw))
+        } else {
+            self.p.arity_err(self.raw, self.sep, self.expected)
+        }
+    }
+
+    /// Reads the next value.
+    pub fn take<T: Field>(&mut self) -> Result<T, CheckpointError> {
+        T::take(self)
+    }
+
+    /// Reads the next field as a count ([`Parser::count_of`]).
+    pub fn count(&mut self) -> Result<usize, CheckpointError> {
+        let raw = self.raw()?;
+        self.p.count_of(raw)
+    }
+
+    /// Reads a `key=` field written by [`Put::named`].
+    pub fn named<T: Field>(&mut self, key: &str) -> Result<T, CheckpointError> {
+        let raw = self.raw()?;
+        let value = raw
+            .strip_prefix(key)
+            .and_then(|v| v.strip_prefix('='))
+            .ok_or_else(|| self.err(format!("expected `{key}=`, found `{raw}`")))?;
+        self.p.value(value)
+    }
+
+    /// A cursor over the next field's `sep`-separated parts, of which
+    /// there must be `arity`.
+    pub fn nested(&mut self, sep: char, arity: usize) -> Result<Cursor<'_, 'a>, CheckpointError> {
+        let raw = self.raw()?;
+        self.p.cut(raw, sep, arity)
+    }
+
+    /// The next field's tag and a cursor over its `:`-separated
+    /// parameters ([`Put::tag`]).
+    pub fn tag(&mut self) -> Result<(&'a str, Cursor<'_, 'a>), CheckpointError> {
+        let raw = self.raw()?;
+        let mut params = Cursor::new(self.p, raw, ':', 0);
+        let tag = params.raw()?;
+        Ok((tag, params))
+    }
+
+    /// The next field without consuming it.
+    pub fn peek(&self) -> Option<&'a str> {
+        let rest = self.rest?;
+        Some(rest.split(self.sep as char).next().unwrap_or(rest))
+    }
+
+    /// The parser underneath, for its interner.
+    pub fn parser(&mut self) -> &mut Parser<'a> {
+        self.p
+    }
+
+    /// A [`CheckpointError::Malformed`] at the current line.
+    pub fn err(&self, message: impl Into<String>) -> CheckpointError {
+        self.p.err(message)
+    }
+}
+
+macro_rules! int_fields {
+    ($($t:ty),+) => {$(
+        impl Field for $t {
+            fn put(&self, w: &mut Put<'_>) {
+                let _ = write!(w.field(), "{self}");
+            }
+            #[inline]
+            fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+                let raw = r.raw()?;
+                raw.parse().map_err(|_| r.err(format!("invalid integer `{raw}`")))
+            }
+        }
+    )+};
+}
+int_fields!(u8, u16, u32, u64, usize);
+
+impl Field for bool {
+    fn put(&self, w: &mut Put<'_>) {
+        w.field().push(if *self { '1' } else { '0' });
+    }
+    #[inline]
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        match r.raw()? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            raw => Err(r.err(format!("invalid flag `{raw}`"))),
+        }
+    }
+}
+
+/// The exact 16-hex-digit bit pattern, which round-trips every value
+/// (NaN payloads included) with no formatting loss.
+impl Field for f64 {
+    fn put(&self, w: &mut Put<'_>) {
+        let _ = write!(w.field(), "{:016x}", self.to_bits());
+    }
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        let raw = r.raw()?;
+        let bits = u64::from_str_radix(raw, 16);
+        bits.map(f64::from_bits)
+            .map_err(|_| r.err(format!("invalid float bits `{raw}`")))
+    }
+}
+
+/// Values written as one of their integers.
+macro_rules! int_mapped_fields {
+    ($($t:ty: $to:path, $from:path);+) => {$(
+        impl Field for $t {
+            fn put(&self, w: &mut Put<'_>) {
+                $to(*self).put(w);
+            }
+            #[inline]
+            fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+                r.take().map($from)
+            }
+        }
+    )+};
+}
+int_mapped_fields!(
+    SimTime: SimTime::as_millis, SimTime::from_millis;
+    SimDuration: SimDuration::as_millis, SimDuration::from_millis;
+    AlarmId: AlarmId::as_u64, AlarmId::from_raw;
+    HardwareSet: HardwareSet::bits, HardwareSet::from_bits
+);
+
+/// `none`, or the value.
+impl<T: Field> Field for Option<T> {
+    const ARITY: usize = T::ARITY;
+    fn put(&self, w: &mut Put<'_>) {
+        match self {
+            None => w.field().push_str("none"),
+            Some(v) => v.put(w),
+        }
+    }
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        if r.peek() == Some("none") {
+            r.raw()?;
+            return Ok(None);
+        }
+        T::take(r).map(Some)
+    }
+}
+
+/// Escaped; unescaped on read.
+impl Field for String {
+    fn put(&self, w: &mut Put<'_>) {
+        w.esc(self);
+    }
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        r.raw().map(unesc)
+    }
+}
+
+/// Escaped; read through the parser's interner ([`Parser::label`]).
+impl Field for Arc<str> {
+    fn put(&self, w: &mut Put<'_>) {
+        w.esc(self);
+    }
+    #[inline]
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        let raw = r.raw()?;
+        Ok(r.p.label(raw))
+    }
+}
+
+macro_rules! tuple_fields {
+    ($(($($t:ident $i:tt),+)),+) => {$(
+        /// The values, one after the other.
+        impl<$($t: Field),+> Field for ($($t,)+) {
+            const ARITY: usize = 0 $(+ $t::ARITY)+;
+            fn put(&self, w: &mut Put<'_>) {
+                $(self.$i.put(w);)+
+            }
+            fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+                Ok(($(r.take::<$t>()?,)+))
+            }
+        }
+    )+};
+}
+tuple_fields!((A 0, B 1), (A 0, B 1, C 2), (A 0, B 1, C 2, D 3));
+
+/// `N` values, one after the other.
+impl<T: Field + Copy + Default, const N: usize> Field for [T; N] {
+    const ARITY: usize = N * T::ARITY;
+    fn put(&self, w: &mut Put<'_>) {
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        let mut out = [T::default(); N];
+        for slot in &mut out {
+            *slot = r.take()?;
+        }
+        Ok(out)
+    }
+}
+
+names!(AlarmKind, "alarm kind" { Wakeup = "w", NonWakeup = "n" });
+
+tagged!(Repeat, "repeat" {
+    OneShot = "o",
+    Static(interval) = "s",
+    Dynamic(interval) = "d",
+});
+
+tagged!(DeliveryDiscipline, "discipline" {
+    Window = "window",
+    PerceptibilityAware = "perc",
+    Quantized { quantum } = "quant",
+    Escalating { base, max_quantum, windows_per_level } = "esc",
+});
+
+/// Writes the ten fields of an alarm after its id and label: nominal,
 /// window, base grace, repeat, kind, hardware bits, hardware-known flag,
 /// task duration, quarantine flag and grace stretch.
-#[must_use]
-pub fn fmt_alarm_attrs(a: &Alarm) -> String {
-    let repeat = match a.repeat() {
-        Repeat::OneShot => "o".to_owned(),
-        Repeat::Static(i) => format!("s:{}", i.as_millis()),
-        Repeat::Dynamic(i) => format!("d:{}", i.as_millis()),
-    };
-    format!(
-        "{},{},{},{repeat},{},{},{},{},{},{}",
-        a.nominal().as_millis(),
-        a.window().as_millis(),
+pub fn put_alarm_attrs(w: &mut Put<'_>, a: &Alarm) {
+    w.f(&a.nominal())
+        .f(&a.window())
         // The registered base grace: `grace()` reports the effective
         // (possibly stretched) value, which is re-derived on restore
         // from the persisted stretch factor below.
-        a.grace_base().as_millis(),
-        match a.kind() {
-            AlarmKind::Wakeup => "w",
-            AlarmKind::NonWakeup => "n",
-        },
-        a.hardware().bits(),
-        u8::from(a.is_hardware_known()),
-        a.task_duration().as_millis(),
-        u8::from(a.is_quarantined()),
-        a.grace_stretch(),
-    )
+        .f(&a.grace_base())
+        .f(&a.repeat())
+        .f(&a.kind())
+        .f(&a.hardware())
+        .f(&a.is_hardware_known())
+        .f(&a.task_duration())
+        .f(&a.is_quarantined())
+        .f(&a.grace_stretch());
 }
 
-/// The value of an `alarm=` line: id, escaped label, then
-/// [`fmt_alarm_attrs`]. [`Parser::alarm`] reads it back.
-#[must_use]
-pub fn fmt_alarm(a: &Alarm) -> String {
-    format!(
-        "{},{},{}",
-        a.id().as_u64(),
-        esc(a.label()),
-        fmt_alarm_attrs(a)
-    )
-}
-
-/// A delivery discipline as one field; [`Parser::discipline_of`] reads
-/// it back.
-#[must_use]
-pub fn fmt_discipline(d: DeliveryDiscipline) -> String {
-    match d {
-        DeliveryDiscipline::Window => "window".to_owned(),
-        DeliveryDiscipline::PerceptibilityAware => "perc".to_owned(),
-        DeliveryDiscipline::Quantized { quantum } => format!("quant:{}", quantum.as_millis()),
-        DeliveryDiscipline::Escalating {
-            base,
-            max_quantum,
-            windows_per_level,
-        } => format!(
-            "esc:{}:{}:{windows_per_level}",
-            base.as_millis(),
-            max_quantum.as_millis()
-        ),
+/// An `alarm=` line's value: id, escaped label, then
+/// [`put_alarm_attrs`].
+impl Field for Alarm {
+    const ARITY: usize = 12;
+    fn put(&self, w: &mut Put<'_>) {
+        w.f(&self.id()).esc(self.label());
+        put_alarm_attrs(w, self);
+    }
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        Ok(Alarm::restore(
+            r.take()?,
+            r.take()?,
+            r.take()?,
+            r.take()?,
+            r.take()?,
+            r.take()?,
+            r.take()?,
+            r.take()?,
+            r.take()?,
+            r.take()?,
+            r.take()?,
+            r.take()?,
+        ))
     }
 }
+
+record!(ClassQuota: replenish_every, burst);
+record!(TokenBucket: tokens, last_refill);
+record!(AdmissionConfig: perceptible: ClassQuota, deferrable: ClassQuota, defer_limit, demote_after);
+record!(AppAdmission: perceptible: TokenBucket, deferrable: TokenBucket, defer_horizon, rejections, demoted);
 
 /// Appends a queue block: `{key}={entries}`, then per entry one
 /// `entry={discipline},{alarms}` line followed by its `alarm=` lines, in
 /// queue order. [`Parser::queue`] reads it back.
 pub fn write_queue(out: &mut String, key: &str, queue: &AlarmQueue) {
-    let _ = writeln!(out, "{key}={}", queue.len());
+    put(out, key, &queue.len());
     for entry in queue.entries() {
-        let _ = writeln!(
-            out,
-            "entry={},{}",
-            fmt_discipline(entry.discipline()),
-            entry.len()
-        );
+        line(out, "entry", |w| w.f(&entry.discipline()).f(&entry.len()));
         for alarm in entry.alarms() {
-            let _ = writeln!(out, "alarm={}", fmt_alarm(alarm));
+            put(out, "alarm", alarm);
         }
     }
-}
-
-/// An admission budget as six fields, in declaration order;
-/// [`Parser::admission_config_of`] reads it back.
-#[must_use]
-pub fn fmt_admission_config(c: &AdmissionConfig) -> String {
-    format!(
-        "{},{},{},{},{},{}",
-        c.perceptible.replenish_every.as_millis(),
-        c.perceptible.burst,
-        c.deferrable.replenish_every.as_millis(),
-        c.deferrable.burst,
-        c.defer_limit,
-        c.demote_after
-    )
-}
-
-/// One app's admission state as seven fields, in declaration order (the
-/// app name is the caller's); [`Parser::app_admission_of`] reads it back.
-#[must_use]
-pub fn fmt_app_admission(st: &AppAdmission) -> String {
-    format!(
-        "{},{},{},{},{},{},{}",
-        st.perceptible.tokens,
-        st.perceptible.last_refill.as_millis(),
-        st.deferrable.tokens,
-        st.deferrable.last_refill.as_millis(),
-        st.defer_horizon.as_millis(),
-        st.rejections,
-        u8::from(st.demoted)
-    )
 }
 
 /// A line-oriented `key=value` parser over a body in the shared dialect.
@@ -222,10 +647,10 @@ pub fn fmt_app_admission(st: &AppAdmission) -> String {
 /// bounds them by the body's length, so hostile bytes yield an error
 /// rather than a huge allocation.
 ///
-/// Fields are cut by one byte scan per value ([`fields`](Self::fields),
-/// [`fields_upto`](Self::fields_upto)), and labels go through a
-/// per-parser interner ([`label`](Self::label)), so a label that recurs
-/// on many lines is one shared allocation, as it is in the live run.
+/// Fields are cut by byte scans, never collected into a `Vec`, and
+/// labels go through a per-parser interner ([`label`](Self::label)), so
+/// a label that recurs on many lines is one shared allocation, as it is
+/// in the live run.
 pub struct Parser<'a> {
     lines: std::str::Lines<'a>,
     line_no: usize,
@@ -261,22 +686,9 @@ impl<'a> Parser<'a> {
         Some(line)
     }
 
-    /// Consumes the next line only if it is `key=...`, returning its
-    /// value; leaves the parser untouched otherwise. For keys newer
-    /// captures may write that older bodies lack.
-    pub fn opt_kv(&mut self, key: &str) -> Option<&'a str> {
-        let mut look = self.lines.clone();
-        let (k, v) = look.next()?.split_once('=')?;
-        if k != key {
-            return None;
-        }
-        self.lines = look;
-        self.line_no += 1;
-        Some(v)
-    }
-
     /// Consumes the next line, which must be `key=...`, returning its
     /// value.
+    #[inline]
     pub fn kv(&mut self, key: &str) -> Result<&'a str, CheckpointError> {
         let line = self.line().ok_or_else(|| CheckpointError::Malformed {
             line: self.line_no + 1,
@@ -291,30 +703,14 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    /// Parses a decimal `u64`.
-    pub fn u64_of(&self, s: &str) -> Result<u64, CheckpointError> {
-        s.parse()
-            .map_err(|_| self.err(format!("invalid integer `{s}`")))
-    }
-
-    /// Parses a decimal `u32`.
-    pub fn u32_of(&self, s: &str) -> Result<u32, CheckpointError> {
-        s.parse()
-            .map_err(|_| self.err(format!("invalid integer `{s}`")))
-    }
-
-    /// Parses a decimal `usize`.
-    pub fn usize_of(&self, s: &str) -> Result<usize, CheckpointError> {
-        s.parse()
-            .map_err(|_| self.err(format!("invalid integer `{s}`")))
-    }
-
     /// Parses the count of the items that follow. Every counted item
     /// takes at least one line or field of the body, so a count larger
     /// than the body's byte length cannot be honest and is refused
     /// before anything loops or allocates on it.
     pub fn count_of(&self, s: &str) -> Result<usize, CheckpointError> {
-        let n = self.usize_of(s)?;
+        let n: usize = s
+            .parse()
+            .map_err(|_| self.err(format!("invalid integer `{s}`")))?;
         if n > self.body_len {
             return Err(self.err(format!(
                 "count {n} exceeds the body's {} bytes",
@@ -324,85 +720,88 @@ impl<'a> Parser<'a> {
         Ok(n)
     }
 
-    /// Parses a `0`/`1` flag.
-    pub fn bool_of(&self, s: &str) -> Result<bool, CheckpointError> {
-        match s {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            _ => Err(self.err(format!("invalid flag `{s}`"))),
-        }
-    }
-
-    /// Parses an `f64` written by [`f64_hex`].
-    pub fn f64_of(&self, s: &str) -> Result<f64, CheckpointError> {
-        f64_from_hex(s).ok_or_else(|| self.err(format!("invalid float bits `{s}`")))
-    }
-
-    /// Parses a time in milliseconds.
-    pub fn time(&self, s: &str) -> Result<SimTime, CheckpointError> {
-        Ok(SimTime::from_millis(self.u64_of(s)?))
-    }
-
-    /// Parses a duration in milliseconds.
-    pub fn dur(&self, s: &str) -> Result<SimDuration, CheckpointError> {
-        Ok(SimDuration::from_millis(self.u64_of(s)?))
-    }
-
-    /// Parses a time in milliseconds, or `none`.
-    pub fn opt_time(&self, s: &str) -> Result<Option<SimTime>, CheckpointError> {
-        if s == "none" {
-            Ok(None)
-        } else {
-            Ok(Some(self.time(s)?))
-        }
-    }
-
     /// Reads a `key=<count>` line (see [`count_of`](Self::count_of)).
     pub fn count(&mut self, key: &str) -> Result<usize, CheckpointError> {
         self.kv(key).and_then(|v| self.count_of(v))
     }
 
-    /// Reads a `key=<time>` line.
-    pub fn kv_time(&mut self, key: &str) -> Result<SimTime, CheckpointError> {
-        self.kv(key).and_then(|v| self.time(v))
-    }
-
-    /// Reads a `key=<duration>` line.
-    pub fn kv_dur(&mut self, key: &str) -> Result<SimDuration, CheckpointError> {
-        self.kv(key).and_then(|v| self.dur(v))
-    }
-
-    /// Reads a `key=<u64>` line.
-    pub fn kv_u64(&mut self, key: &str) -> Result<u64, CheckpointError> {
-        self.kv(key).and_then(|v| self.u64_of(v))
-    }
-
-    /// Reads a `key=<u32>` line.
-    pub fn kv_u32(&mut self, key: &str) -> Result<u32, CheckpointError> {
-        self.kv(key).and_then(|v| self.u32_of(v))
-    }
-
-    /// Reads a `key=<flag>` line.
-    pub fn kv_bool(&mut self, key: &str) -> Result<bool, CheckpointError> {
-        self.kv(key).and_then(|v| self.bool_of(v))
-    }
-
-    /// Reads a `key=<f64 bits>` line.
-    pub fn kv_f64(&mut self, key: &str) -> Result<f64, CheckpointError> {
-        self.kv(key).and_then(|v| self.f64_of(v))
-    }
-
-    /// Reads a `key=<time or none>` line.
-    pub fn kv_opt_time(&mut self, key: &str) -> Result<Option<SimTime>, CheckpointError> {
-        self.kv(key).and_then(|v| self.opt_time(v))
-    }
-
-    /// Splits a comma-separated value into exactly `N` raw fields.
-    pub fn fields<const N: usize>(&self, value: &'a str) -> Result<[&'a str; N], CheckpointError> {
-        match Self::fields_upto::<N>(value, b',') {
-            (out, n) if n == N => Ok(out),
-            (_, n) => Err(self.err(format!("expected {N} fields, got {n}"))),
+    /// A cursor over `value`'s `sep`-separated fields, of which there
+    /// must be `arity` — or the one field `none`, the form of an absent
+    /// optional record.
+    #[inline]
+    pub fn cut<'p>(
+        &'p mut self,
+        value: &'a str,
+        sep: char,
+        arity: usize,
+    ) -> Result<Cursor<'p, 'a>, CheckpointError> {
+        if fields_in(value, sep as u8) != arity && value != "none" {
+            return Err(self.arity_err(value, sep as u8, arity));
         }
+        Ok(Cursor::new(self, value, sep, arity))
+    }
+
+    #[cold]
+    fn arity_err(&self, value: &str, sep: u8, arity: usize) -> CheckpointError {
+        let found = fields_in(value, sep);
+        self.err(format!("expected {arity} fields, got {found}"))
+    }
+
+    /// A cursor over the fields of a `key=` line, of which there must
+    /// be `arity`.
+    #[inline]
+    pub fn rec(&mut self, key: &str, arity: usize) -> Result<Cursor<'_, 'a>, CheckpointError> {
+        let value = self.kv(key)?;
+        self.cut(value, ',', arity)
+    }
+
+    /// Reads a `key=` line written by [`put`].
+    pub fn take<T: Field>(&mut self, key: &str) -> Result<T, CheckpointError> {
+        let value = self.kv(key)?;
+        self.value(value)
+    }
+
+    /// Reads `value`, a line's fields or one field already cut from
+    /// them, as a `T`. The fields are counted only when the read fails
+    /// or leaves some over, so the hot path reads each byte once; a
+    /// count other than `T::ARITY` then wins over whatever error a
+    /// shifted field gave.
+    pub fn value<T: Field>(&mut self, value: &'a str) -> Result<T, CheckpointError> {
+        let mut r = Cursor::new(self, value, ',', T::ARITY);
+        let read = T::take(&mut r);
+        if read.is_ok() && r.rest.is_none() {
+            return read;
+        }
+        if fields_in(value, b',') != T::ARITY && value != "none" {
+            return Err(self.arity_err(value, b',', T::ARITY));
+        }
+        read
+    }
+
+    /// Reads a `key=` line written by [`put`] if the next line has that
+    /// key, leaving the parser untouched otherwise: for keys newer
+    /// captures may write that older bodies lack.
+    pub fn take_opt<T: Field>(&mut self, key: &str) -> Result<Option<T>, CheckpointError> {
+        let mut look = self.lines.clone();
+        let Some(v) = look
+            .next()
+            .and_then(|l| l.strip_prefix(key)?.strip_prefix('='))
+        else {
+            return Ok(None);
+        };
+        self.lines = look;
+        self.line_no += 1;
+        self.value(v).map(Some)
+    }
+
+    /// Reads a counted list written by [`put_list`].
+    pub fn list<T: Field>(&mut self, key: &str, item: &str) -> Result<Vec<T>, CheckpointError> {
+        let n = self.count(key)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.take(item)?);
+        }
+        Ok(out)
     }
 
     /// Splits `value` at every `sep` byte in one scan: the first `N`
@@ -443,149 +842,27 @@ impl<'a> Parser<'a> {
         }))
     }
 
-    /// Reads a `key=` line whose value has exactly `N` fields.
-    pub fn kv_fields<const N: usize>(
-        &mut self,
-        key: &str,
-    ) -> Result<[&'a str; N], CheckpointError> {
-        self.kv(key).and_then(|v| self.fields(v))
-    }
-
-    /// Reads an `alarm=` line written by [`fmt_alarm`].
-    pub fn alarm(&mut self) -> Result<Alarm, CheckpointError> {
-        let f = self.kv_fields::<12>("alarm")?;
-        let repeat = self.repeat_of(f[5])?;
-        let kind = self.kind_of(f[6])?;
-        Ok(Alarm::restore(
-            AlarmId::from_raw(self.u64_of(f[0])?),
-            self.label(f[1]),
-            self.time(f[2])?,
-            self.dur(f[3])?,
-            self.dur(f[4])?,
-            repeat,
-            kind,
-            self.hardware_of(f[7])?,
-            self.bool_of(f[8])?,
-            self.dur(f[9])?,
-            self.bool_of(f[10])?,
-            self.u32_of(f[11])?,
-        ))
-    }
-
-    /// Parses a repeat field: `o`, `s:<ms>` or `d:<ms>`.
-    pub fn repeat_of(&self, s: &str) -> Result<Repeat, CheckpointError> {
-        if s == "o" {
-            return Ok(Repeat::OneShot);
-        }
-        let (tag, ms) = s
-            .split_once(':')
-            .ok_or_else(|| self.err(format!("invalid repeat `{s}`")))?;
-        let interval = self.dur(ms)?;
-        match tag {
-            "s" => Ok(Repeat::Static(interval)),
-            "d" => Ok(Repeat::Dynamic(interval)),
-            _ => Err(self.err(format!("invalid repeat `{s}`"))),
-        }
-    }
-
-    /// Parses an alarm kind: `w` or `n`.
-    pub fn kind_of(&self, s: &str) -> Result<AlarmKind, CheckpointError> {
-        match s {
-            "w" => Ok(AlarmKind::Wakeup),
-            "n" => Ok(AlarmKind::NonWakeup),
-            _ => Err(self.err(format!("invalid alarm kind `{s}`"))),
-        }
-    }
-
-    /// Parses a hardware set's component bits.
-    pub fn hardware_of(&self, s: &str) -> Result<HardwareSet, CheckpointError> {
-        let bits: u16 = s
-            .parse()
-            .map_err(|_| self.err(format!("invalid hardware bits `{s}`")))?;
-        Ok(HardwareSet::from_bits(bits))
-    }
-
-    /// Parses a field written by [`fmt_discipline`].
-    pub fn discipline_of(&self, s: &str) -> Result<DeliveryDiscipline, CheckpointError> {
-        let mut it = s.split(':');
-        match it.next() {
-            Some("window") => Ok(DeliveryDiscipline::Window),
-            Some("perc") => Ok(DeliveryDiscipline::PerceptibilityAware),
-            Some("quant") => {
-                let q = it.next().ok_or_else(|| self.err("quant without quantum"))?;
-                Ok(DeliveryDiscipline::Quantized {
-                    quantum: self.dur(q)?,
-                })
-            }
-            Some("esc") => {
-                let mut next = || it.next().ok_or_else(|| self.err("esc needs 3 parameters"));
-                let base = self.dur(next()?)?;
-                let max_quantum = self.dur(next()?)?;
-                let windows_per_level = self.u32_of(next()?)?;
-                Ok(DeliveryDiscipline::Escalating {
-                    base,
-                    max_quantum,
-                    windows_per_level,
-                })
-            }
-            _ => Err(self.err(format!("invalid discipline `{s}`"))),
-        }
-    }
-
     /// Reads a queue block written by [`write_queue`] under `key`.
     pub fn queue(&mut self, key: &str) -> Result<AlarmQueue, CheckpointError> {
         let entries = self.count(key)?;
         let mut queue = AlarmQueue::new();
         queue.reserve(entries);
         for _ in 0..entries {
-            let f = self.kv_fields::<2>("entry")?;
-            let discipline = self.discipline_of(f[0])?;
-            let alarms = self.count_of(f[1])?;
+            let mut r = self.rec("entry", 2)?;
+            let discipline = r.take()?;
+            let alarms = r.count()?;
             if alarms == 0 {
                 return Err(self.err("entry with zero alarms"));
             }
-            let mut entry = QueueEntry::new(self.alarm()?, discipline);
+            let mut entry = QueueEntry::new(self.take("alarm")?, discipline);
             for _ in 1..alarms {
-                entry.push(self.alarm()?);
+                entry.push(self.take("alarm")?);
             }
             // Entries were recorded in queue order and `insert_entry`
             // appends after equal delivery times, so order is preserved.
             queue.insert_entry(entry);
         }
         Ok(queue)
-    }
-
-    /// Parses the six fields written by [`fmt_admission_config`].
-    pub fn admission_config_of(&self, f: [&str; 6]) -> Result<AdmissionConfig, CheckpointError> {
-        Ok(AdmissionConfig {
-            perceptible: ClassQuota {
-                replenish_every: self.dur(f[0])?,
-                burst: self.u32_of(f[1])?,
-            },
-            deferrable: ClassQuota {
-                replenish_every: self.dur(f[2])?,
-                burst: self.u32_of(f[3])?,
-            },
-            defer_limit: self.u32_of(f[4])?,
-            demote_after: self.u32_of(f[5])?,
-        })
-    }
-
-    /// Parses the seven fields written by [`fmt_app_admission`].
-    pub fn app_admission_of(&self, f: [&str; 7]) -> Result<AppAdmission, CheckpointError> {
-        Ok(AppAdmission {
-            perceptible: TokenBucket {
-                tokens: self.u32_of(f[0])?,
-                last_refill: self.time(f[1])?,
-            },
-            deferrable: TokenBucket {
-                tokens: self.u32_of(f[2])?,
-                last_refill: self.time(f[3])?,
-            },
-            defer_horizon: self.time(f[4])?,
-            rejections: self.u32_of(f[5])?,
-            demoted: self.bool_of(f[6])?,
-        })
     }
 }
 
@@ -611,12 +888,15 @@ mod tests {
 
     #[test]
     fn f64_hex_round_trips_exactly() {
-        for v in [0.0, -0.0, 1.5, f64::MAX, f64::MIN_POSITIVE, 1.0 / 3.0] {
-            let back = f64_from_hex(&f64_hex(v)).unwrap();
+        let nan = f64::from_bits(0x7ff8_0000_0000_0abc);
+        for v in [0.0, -0.0, 1.5, f64::MAX, f64::MIN_POSITIVE, 1.0 / 3.0, nan] {
+            let mut body = String::new();
+            put(&mut body, "v", &v);
+            assert_eq!(body, format!("v={:016x}\n", v.to_bits()));
+            let back: f64 = Parser::new(&body).take("v").unwrap();
             assert_eq!(back.to_bits(), v.to_bits());
         }
-        assert!(f64_from_hex(&f64_hex(f64::NAN)).unwrap().is_nan());
-        assert_eq!(f64_from_hex("zz"), None);
+        assert!(Parser::new("v=zz").take::<f64>("v").is_err());
     }
 
     #[test]
@@ -633,14 +913,26 @@ mod tests {
             Parser::fields_upto::<5>("1.2.h.-.w", b'.'),
             (["1", "2", "h", "-", "w"], 5)
         );
-        let p = Parser::new("");
-        assert_eq!(p.fields::<2>("a,b").unwrap(), ["a", "b"]);
+        let mut p = Parser::new("");
+        let mut r = p.cut("a,b", ',', 2).unwrap();
+        assert_eq!((r.raw().unwrap(), r.raw().unwrap()), ("a", "b"));
         for (value, got) in [("a", 1), ("a,b,c", 3)] {
-            match p.fields::<2>(value) {
+            match p.cut(value, ',', 2) {
                 Err(CheckpointError::Malformed { message, .. }) => {
                     assert_eq!(message, format!("expected 2 fields, got {got}"));
                 }
-                other => panic!("{value}: {other:?}"),
+                Ok(_) => panic!("{value} cut into 2 fields"),
+                Err(other) => panic!("{value}: {other:?}"),
+            }
+        }
+        // A whole line read by type counts its fields only on failure; a
+        // wrong count still wins over the error of a shifted field.
+        for (line, got) in ["v=0,5", "v=0,1,2,3"].into_iter().zip([2, 4]) {
+            match Parser::new(line).take::<(bool, bool, u64)>("v") {
+                Err(CheckpointError::Malformed { message, .. }) => {
+                    assert_eq!(message, format!("expected 3 fields, got {got}"));
+                }
+                other => panic!("{line}: {other:?}"),
             }
         }
     }

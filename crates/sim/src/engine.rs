@@ -178,6 +178,28 @@ pub struct Simulation {
 impl Simulation {
     /// Creates a simulation with the given policy and configuration.
     pub fn new(policy: Box<dyn AlignmentPolicy>, config: SimConfig) -> Self {
+        let mut sim = Self::bare(policy, config);
+        if sim.config.record_waveform {
+            sim.device.attach_monitor();
+        }
+        let wakes = sim.config.external_wakes.clone();
+        for t in wakes {
+            sim.schedule_once(EventKind::ExternalWake, t);
+        }
+        if let Some(every) = sim.config.checkpoint_every {
+            sim.schedule_once(EventKind::Checkpoint, SimTime::ZERO + every);
+        }
+        if let Some(g) = &sim.governor {
+            let first = SimTime::ZERO + g.config().check_every;
+            sim.schedule_once(EventKind::GovernorTick, first);
+        }
+        sim
+    }
+
+    /// A simulation at time zero with nothing scheduled: [`new`](Self::new)
+    /// schedules its config's events on top, and checkpoint restore
+    /// overwrites every persisted part.
+    pub(crate) fn bare(policy: Box<dyn AlignmentPolicy>, config: SimConfig) -> Self {
         let monitor = match config.invariants {
             InvariantMode::Off => None,
             InvariantMode::Report => Some(InvariantMonitor::new(config.power.wake_latency, false)),
@@ -194,7 +216,7 @@ impl Simulation {
         );
         let mut manager = AlarmManager::new(policy);
         manager.set_audit_level(config.obs.audit_level());
-        let mut sim = Simulation {
+        Simulation {
             manager,
             device: Device::new(config.power.clone()),
             events: EventQueue::new(),
@@ -221,22 +243,7 @@ impl Simulation {
             checkpoints: Vec::new(),
             obs,
             stages: StageProfile::new(),
-        };
-        if sim.config.record_waveform {
-            sim.device.attach_monitor();
         }
-        let wakes = sim.config.external_wakes.clone();
-        for t in wakes {
-            sim.schedule_once(EventKind::ExternalWake, t);
-        }
-        if let Some(every) = sim.config.checkpoint_every {
-            sim.schedule_once(EventKind::Checkpoint, SimTime::ZERO + every);
-        }
-        if let Some(g) = &sim.governor {
-            let first = SimTime::ZERO + g.config().check_every;
-            sim.schedule_once(EventKind::GovernorTick, first);
-        }
-        sim
     }
 
     /// The alarm manager under test.

@@ -10,8 +10,10 @@ use std::fmt;
 use simty_core::hardware::HardwareComponent;
 use simty_core::time::SimDuration;
 use simty_device::device::Device;
-use simty_device::energy::EnergyBreakdown;
+use simty_device::energy::{EnergyBreakdown, EnergyMeter};
 
+use crate::checkpoint::CheckpointError;
+use crate::codec::{record, Cursor, Field, Parser, Put};
 use crate::trace::{InterventionKind, Trace};
 
 /// Normalized-delivery-delay statistics, split by ground-truth
@@ -433,6 +435,72 @@ impl fmt::Display for SimReport {
     }
 }
 
+record!(DelayStats in ':': perceptible_avg, perceptible_max, perceptible_count,
+    imperceptible_avg, imperceptible_max, imperceptible_count);
+record!(ResilienceStats in ':': invariant_violations, perceptible_window_misses, interventions,
+    forced_releases, activation_retries, dropped_fire_retries, quarantines, recoveries,
+    app_crashes, app_restarts, mean_time_to_recovery_ms, intervention_overhead_mj, reboots,
+    mean_recovery_ms, catch_up_entries, worst_catch_up_delay_ms);
+record!(OverloadStats in ':': storm_registrations, admitted, deferred, rejected, shed, demotions,
+    tier_changes, time_in_saver_ms, time_in_critical_ms, final_tier, grace_stretch_milli);
+
+/// The `:`-separated accumulators: sleep, transition, awake base, then
+/// one per component.
+impl Field for EnergyBreakdown {
+    fn put(&self, w: &mut Put<'_>) {
+        let mut w = w.nested(':');
+        w.f(&self.sleep_mj)
+            .f(&self.transition_mj)
+            .f(&self.awake_base_mj);
+        for c in HardwareComponent::ALL {
+            w.f(&self.component_mj(c));
+        }
+    }
+
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        let mut r = r.nested(':', 3 + HardwareComponent::ALL.len())?;
+        let (sleep_mj, transition_mj, awake_mj) = r.take()?;
+        Ok(EnergyMeter::from_parts(sleep_mj, transition_mj, awake_mj, r.take()?).breakdown())
+    }
+}
+
+/// `/`-separated `component:actual:expected` rows, each component as
+/// its index in [`HardwareComponent::ALL`].
+impl Field for Vec<WakeupRow> {
+    fn put(&self, w: &mut Put<'_>) {
+        let mut rows = w.nested('/');
+        for row in self {
+            let index = HardwareComponent::ALL
+                .iter()
+                .position(|c| *c == row.component)
+                .expect("component is in ALL");
+            rows.nested(':').f(&index).f(&row.actual).f(&row.expected);
+        }
+    }
+
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        let raw = r.raw()?;
+        if raw.is_empty() {
+            return Ok(Vec::new());
+        }
+        let p = r.parser();
+        raw.split('/')
+            .map(|row| {
+                let mut f = p.cut(row, ':', 3)?;
+                let index: usize = f.take()?;
+                let component = *HardwareComponent::ALL
+                    .get(index)
+                    .ok_or_else(|| f.err(format!("invalid component index {index}")))?;
+                Ok(WakeupRow {
+                    component,
+                    actual: f.take()?,
+                    expected: f.take()?,
+                })
+            })
+            .collect()
+    }
+}
+
 impl SimReport {
     /// Serializes the report as one line of the shared
     /// [`codec`](crate::codec) dialect — comma-separated `key=value`
@@ -442,86 +510,21 @@ impl SimReport {
     /// `from_record(&r.to_record()) == Some(r)`.
     #[must_use]
     pub fn to_record(&self) -> String {
-        use crate::codec::{esc, f64_hex};
-        let energy: Vec<String> = {
-            let mut parts = vec![
-                f64_hex(self.energy.sleep_mj),
-                f64_hex(self.energy.transition_mj),
-                f64_hex(self.energy.awake_base_mj),
-            ];
-            for c in HardwareComponent::ALL {
-                parts.push(f64_hex(self.energy.component_mj(c)));
-            }
-            parts
-        };
-        let rows: Vec<String> = self
-            .wakeup_rows
-            .iter()
-            .map(|r| {
-                let idx = HardwareComponent::ALL
-                    .iter()
-                    .position(|c| *c == r.component)
-                    .expect("component is in ALL");
-                format!("{idx}:{}:{}", r.actual, r.expected)
-            })
-            .collect();
-        let d = &self.delays;
-        let rs = &self.resilience;
-        let ov = &self.overload;
-        [
-            format!("policy={}", esc(&self.policy)),
-            format!("dur={}", self.duration.as_millis()),
-            format!("energy={}", energy.join(":")),
-            format!("cw={}", self.cpu_wakeups),
-            format!("ed={}", self.entry_deliveries),
-            format!("td={}", self.total_deliveries),
-            format!("awake={}", self.awake_time.as_millis()),
-            format!("rows={}", rows.join("/")),
-            format!(
-                "delays={}:{}:{}:{}:{}:{}",
-                f64_hex(d.perceptible_avg),
-                f64_hex(d.perceptible_max),
-                d.perceptible_count,
-                f64_hex(d.imperceptible_avg),
-                f64_hex(d.imperceptible_max),
-                d.imperceptible_count
-            ),
-            format!(
-                "res={}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}",
-                rs.invariant_violations,
-                rs.perceptible_window_misses,
-                rs.interventions,
-                rs.forced_releases,
-                rs.activation_retries,
-                rs.dropped_fire_retries,
-                rs.quarantines,
-                rs.recoveries,
-                rs.app_crashes,
-                rs.app_restarts,
-                f64_hex(rs.mean_time_to_recovery_ms),
-                f64_hex(rs.intervention_overhead_mj),
-                rs.reboots,
-                f64_hex(rs.mean_recovery_ms),
-                rs.catch_up_entries,
-                f64_hex(rs.worst_catch_up_delay_ms)
-            ),
-            format!(
-                "over={}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}",
-                ov.storm_registrations,
-                ov.admitted,
-                ov.deferred,
-                ov.rejected,
-                ov.shed,
-                ov.demotions,
-                ov.tier_changes,
-                ov.time_in_saver_ms,
-                ov.time_in_critical_ms,
-                esc(&ov.final_tier),
-                ov.grace_stretch_milli
-            ),
-            format!("metrics={}", esc(&self.metrics_json)),
-        ]
-        .join(",")
+        let mut out = String::new();
+        Put::new(&mut out, ',')
+            .named("policy", &self.policy)
+            .named("dur", &self.duration)
+            .named("energy", &self.energy)
+            .named("cw", &self.cpu_wakeups)
+            .named("ed", &self.entry_deliveries)
+            .named("td", &self.total_deliveries)
+            .named("awake", &self.awake_time)
+            .named("rows", &self.wakeup_rows)
+            .named("delays", &self.delays)
+            .named("res", &self.resilience)
+            .named("over", &self.overload)
+            .named("metrics", &self.metrics_json);
+        out
     }
 
     /// Reverses [`to_record`](Self::to_record). `None` on any malformed
@@ -529,117 +532,25 @@ impl SimReport {
     /// and simply re-run it.
     #[must_use]
     pub fn from_record(record: &str) -> Option<SimReport> {
-        use crate::codec::{f64_from_hex, unesc};
-        let mut fields = std::collections::BTreeMap::new();
-        for part in record.split(',') {
-            let (k, v) = part.split_once('=')?;
-            fields.insert(k, v);
-        }
-        let u64_field = |k: &str| fields.get(k).and_then(|v| v.parse::<u64>().ok());
-        let energy = {
-            let parts: Vec<f64> = fields
-                .get("energy")?
-                .split(':')
-                .map(f64_from_hex)
-                .collect::<Option<Vec<_>>>()?;
-            let n = HardwareComponent::ALL.len();
-            if parts.len() != 3 + n {
-                return None;
-            }
-            let mut component = [0.0; HardwareComponent::ALL.len()];
-            component.copy_from_slice(&parts[3..]);
-            simty_device::energy::EnergyMeter::from_parts(parts[0], parts[1], parts[2], component)
-                .breakdown()
+        let mut p = Parser::new(record);
+        let mut r = p.cut(record, ',', 12).ok()?;
+        let mut read = || {
+            Ok::<_, CheckpointError>(SimReport {
+                policy: r.named("policy")?,
+                duration: r.named("dur")?,
+                energy: r.named("energy")?,
+                cpu_wakeups: r.named("cw")?,
+                entry_deliveries: r.named("ed")?,
+                total_deliveries: r.named("td")?,
+                awake_time: r.named("awake")?,
+                wakeup_rows: r.named("rows")?,
+                delays: r.named("delays")?,
+                resilience: r.named("res")?,
+                overload: r.named("over")?,
+                metrics_json: r.named("metrics")?,
+            })
         };
-        let mut wakeup_rows = Vec::new();
-        let rows = fields.get("rows")?;
-        if !rows.is_empty() {
-            for triple in rows.split('/') {
-                let mut it = triple.split(':');
-                let idx: usize = it.next()?.parse().ok()?;
-                let actual = it.next()?.parse().ok()?;
-                let expected = it.next()?.parse().ok()?;
-                if it.next().is_some() {
-                    return None;
-                }
-                wakeup_rows.push(WakeupRow {
-                    component: *HardwareComponent::ALL.get(idx)?,
-                    actual,
-                    expected,
-                });
-            }
-        }
-        let delays = {
-            let p: Vec<&str> = fields.get("delays")?.split(':').collect();
-            if p.len() != 6 {
-                return None;
-            }
-            DelayStats {
-                perceptible_avg: f64_from_hex(p[0])?,
-                perceptible_max: f64_from_hex(p[1])?,
-                perceptible_count: p[2].parse().ok()?,
-                imperceptible_avg: f64_from_hex(p[3])?,
-                imperceptible_max: f64_from_hex(p[4])?,
-                imperceptible_count: p[5].parse().ok()?,
-            }
-        };
-        let resilience = {
-            let p: Vec<&str> = fields.get("res")?.split(':').collect();
-            if p.len() != 16 {
-                return None;
-            }
-            ResilienceStats {
-                invariant_violations: p[0].parse().ok()?,
-                perceptible_window_misses: p[1].parse().ok()?,
-                interventions: p[2].parse().ok()?,
-                forced_releases: p[3].parse().ok()?,
-                activation_retries: p[4].parse().ok()?,
-                dropped_fire_retries: p[5].parse().ok()?,
-                quarantines: p[6].parse().ok()?,
-                recoveries: p[7].parse().ok()?,
-                app_crashes: p[8].parse().ok()?,
-                app_restarts: p[9].parse().ok()?,
-                mean_time_to_recovery_ms: f64_from_hex(p[10])?,
-                intervention_overhead_mj: f64_from_hex(p[11])?,
-                reboots: p[12].parse().ok()?,
-                mean_recovery_ms: f64_from_hex(p[13])?,
-                catch_up_entries: p[14].parse().ok()?,
-                worst_catch_up_delay_ms: f64_from_hex(p[15])?,
-            }
-        };
-        let overload = {
-            let p: Vec<&str> = fields.get("over")?.split(':').collect();
-            if p.len() != 11 {
-                return None;
-            }
-            OverloadStats {
-                storm_registrations: p[0].parse().ok()?,
-                admitted: p[1].parse().ok()?,
-                deferred: p[2].parse().ok()?,
-                rejected: p[3].parse().ok()?,
-                shed: p[4].parse().ok()?,
-                demotions: p[5].parse().ok()?,
-                tier_changes: p[6].parse().ok()?,
-                time_in_saver_ms: p[7].parse().ok()?,
-                time_in_critical_ms: p[8].parse().ok()?,
-                final_tier: unesc(p[9]),
-                grace_stretch_milli: p[10].parse().ok()?,
-            }
-        };
-        Some(SimReport {
-            policy: unesc(fields.get("policy")?),
-            duration: SimDuration::from_millis(u64_field("dur")?),
-            energy,
-            cpu_wakeups: u64_field("cw")?,
-            entry_deliveries: u64_field("ed")?,
-            total_deliveries: u64_field("td")?,
-            awake_time: SimDuration::from_millis(u64_field("awake")?),
-            wakeup_rows,
-            delays,
-            resilience,
-            overload,
-            metrics_json: unesc(fields.get("metrics")?),
-        })
+        read().ok()
     }
 }
 
@@ -906,5 +817,32 @@ mod tests {
         ] {
             assert_eq!(SimReport::from_record(bad), None, "decoded {bad:?}");
         }
+    }
+
+    /// A record an earlier build wrote (a SIMTY run with faults, a
+    /// storm and the governor on, with an escaped metrics field) still
+    /// decodes, and re-encodes byte for byte: journals written before
+    /// a codec change must resume.
+    #[test]
+    fn an_earlier_builds_record_decodes_and_re_encodes_byte_for_byte() {
+        let record: String = [
+            "policy=SIMTY,dur=3600000,energy=410538d000000000:40a4500000000000:40d33800000000",
+            "00:40d093c000000000:40b5720000000000:0000000000000000:40b8308000000000:4076d0000",
+            "0000000:0000000000000000:0000000000000000:0000000000000000,cw=26,ed=23,td=144,aw",
+            "ake=123000,rows=0:17:110/1:11:16/3:8:8/4:4:4,delays=0000000000000000:00000000000",
+            "00000:0:3fa5d725283af08b:3fdcf678502c20a9:144,res=0:0:32:12:5:2:5:4:1:1:411cd060",
+            "00000000:0000000000000000:1:40e3880000000000:0:0000000000000000,over=12:18:1:0:0",
+            ":0:2:900000:1140000:critical:2500,metrics={\"sim_wakeups_total\"%3A12%2C\"tier\"%3A\"",
+            "saver%3Ax%2Cy%25\"}",
+        ]
+        .concat();
+        let report = SimReport::from_record(&record).expect("the record decodes");
+        assert_eq!(report.total_deliveries, 144);
+        assert_eq!(report.overload.final_tier, "critical");
+        assert_eq!(
+            report.metrics_json,
+            r#"{"sim_wakeups_total":12,"tier":"saver:x,y%"}"#
+        );
+        assert_eq!(report.to_record(), record);
     }
 }

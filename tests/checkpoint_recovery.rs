@@ -379,7 +379,8 @@ fn with_field(body: &str, key: &str, field: usize, value: &str) -> Option<String
 
 /// A hostile count in a re-checksummed body — one that would make
 /// restore allocate or loop for 10^18 items — is a typed `Malformed`
-/// error, as is a zero span or audit ring capacity; neither aborts.
+/// error, as is a zero span or audit ring capacity or an alarm-id
+/// watermark of `u64::MAX`; none aborts.
 #[test]
 fn hostile_counts_and_zero_capacities_are_typed_errors() {
     let ckpt = capture_with_every_section();
@@ -453,7 +454,15 @@ fn hostile_counts_and_zero_capacities_are_typed_errors() {
         let line = audit_line(b);
         b.replacen(&line, &format!("{line}span_capacity=0\n"), 1)
     });
-    for (key, bad) in [("audit_capacity", zero_audit), ("span_capacity", zero_span)] {
+    // An alarm-id watermark past which no fresh id is left to mint.
+    let no_id_left = edited(&ckpt, |b| {
+        with_field(b, "max_alarm_id", 0, "18446744073709551615").unwrap()
+    });
+    for (key, bad) in [
+        ("audit_capacity", zero_audit),
+        ("span_capacity", zero_span),
+        ("max_alarm_id", no_id_left),
+    ] {
         match restore(&bad) {
             Err(CheckpointError::Malformed { message, .. }) => {
                 assert!(message.contains(key), "{message}")
