@@ -1,33 +1,48 @@
 //! The `chaos`, `soak` and `storm` subcommands: one generic command over the
-//! campaign kernel, with each campaign supplying only its table columns,
-//! its summary line, and its default `--hours`.
+//! campaign kernel, with each campaign supplying only its table columns
+//! and its summary line.
 
 use std::io::Write;
 
 use simty::prelude::*;
 use simty::sim::report::TextTable;
 use simty_bench::{
-    run_campaign, Campaign, CampaignResults, Chaos, PolicyEndurance, PolicyOverload,
+    run_campaign, Campaign, CampaignResults, CellStatus, Chaos, PolicyEndurance, PolicyOverload,
     PolicyResilience, Profile, Soak, SoakRecovery, Storm, StormRecovery,
 };
 
 use crate::args::ParsedArgs;
 use crate::commands::{
-    campaign_options, parse_paper_scenarios, parse_policies, poisoned_to_error,
+    campaign_options, duration, parse_paper_scenarios, parse_policies, poisoned_to_error, threads,
     write_harness_summary, CliError,
 };
 
 /// A per-cell table column: its header and how a completed cell fills it.
-type CellColumn<D> = (&'static str, fn(&SimReport, D) -> String);
+pub(crate) type CellColumn<D> = (&'static str, fn(&SimReport, D) -> String);
 
 /// A per-policy table column: its header and how an aggregate fills it.
 type PolicyColumn<A> = (&'static str, fn(&A) -> String);
 
+/// One supervised cell's row: its label, its status, then `columns`; a
+/// quarantined cell (no report) reads `POISONED` and a dash per column.
+pub(crate) fn cell_row<D: Copy>(
+    columns: &[CellColumn<D>],
+    label: String,
+    status: &CellStatus,
+    report: Option<&SimReport>,
+    drill: D,
+) -> Vec<String> {
+    let status = report.map_or_else(|| "POISONED".to_owned(), |_| status.token());
+    let cells = columns
+        .iter()
+        .map(|(_, cell)| report.map_or_else(|| "-".to_owned(), |r| cell(r, drill)));
+    [label, status].into_iter().chain(cells).collect()
+}
+
 /// What the CLI shows of a campaign beyond the shared cell, harness and
-/// exit-code handling.
+/// exit-code handling. Its flags are declared in
+/// [`COMMANDS`](crate::args::COMMANDS).
 pub(crate) trait CampaignCommand: Campaign {
-    /// `--hours` when the flag is absent.
-    const DEFAULT_HOURS: u64;
     /// The noun naming a profile in the unknown-profile error.
     const PROFILE_NOUN: &'static str;
     /// The per-cell table's columns after `cell` and `status`.
@@ -43,20 +58,10 @@ pub(crate) trait CampaignCommand: Campaign {
 /// harness footer, the per-policy table, the summary line, the optional
 /// document, and the exit-code mapping (4 on invariant violations, 5 on
 /// a failed resume drill, 6 on quarantined cells).
-pub(crate) fn cmd_campaign<C: CampaignCommand, W: Write>(
+pub(crate) fn cmd_campaign<C: CampaignCommand>(
     args: &ParsedArgs,
-    out: &mut W,
+    out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "policies",
-        "scenarios",
-        "profiles",
-        "seeds",
-        "hours",
-        "threads",
-        "json",
-        "resume",
-    ])?;
     let policies = parse_policies(args)?;
     let scenarios = parse_paper_scenarios(args, &format!("{} campaigns", C::KIND))?;
     let profiles: Vec<C::Profile> = match args.get("profiles") {
@@ -73,22 +78,17 @@ pub(crate) fn cmd_campaign<C: CampaignCommand, W: Write>(
             })
             .collect::<Result<_, _>>()?,
     };
-    let seeds = args.get_u64("seeds", 2)?;
-    let hours = args.get_u64("hours", C::DEFAULT_HOURS)?;
-    let threads = args.get_u64("threads", simty_bench::sweep::available_threads() as u64)?;
+    let seeds = args.u64("seeds")?;
+    let hours = args.u64("hours")?;
+    let threads = threads(args)?;
     if seeds == 0 || hours == 0 || threads == 0 {
         return Err(CliError::Usage(
             "--seeds, --hours, and --threads must be positive".into(),
         ));
     }
 
-    let specs = simty_bench::matrix(
-        &policies,
-        &scenarios,
-        &profiles,
-        seeds,
-        SimDuration::from_hours(hours),
-    );
+    let duration = duration(hours, SimDuration::from_hours(1), "hours")?;
+    let specs = simty_bench::matrix(&policies, &scenarios, &profiles, seeds, duration);
     let results = run_campaign::<C>(&specs, &campaign_options(args, threads as usize))
         .map_err(|e| CliError::Harness(e.to_string()))?;
 
@@ -96,20 +96,16 @@ pub(crate) fn cmd_campaign<C: CampaignCommand, W: Write>(
     let mut table = TextTable::new(["cell", "status"].into_iter().chain(headers));
     for (spec, status, report, drill) in results.runs() {
         let drill = drill.unwrap_or_default();
-        let (status, cells): (String, Vec<String>) = match report {
-            Some(report) => (
-                status.token(),
-                C::CELL_COLUMNS.iter().map(|(_, cell)| cell(report, drill)).collect(),
-            ),
-            None => (
-                "POISONED".to_owned(),
-                C::CELL_COLUMNS.iter().map(|_| "-".to_owned()).collect(),
-            ),
-        };
-        table.row([spec.label(), status].into_iter().chain(cells));
+        table.row(cell_row(
+            C::CELL_COLUMNS,
+            spec.label(),
+            status,
+            report,
+            drill,
+        ));
     }
     writeln!(out, "{}", table.render())?;
-    write_harness_summary(out, &results.harness(), results.journal_skips())?;
+    write_harness_summary(out, &results.harness())?;
 
     let mut summary = TextTable::new(C::POLICY_COLUMNS.iter().map(|(header, _)| *header));
     for aggregate in results.aggregates() {
@@ -152,13 +148,20 @@ fn resume_policy(all_restores_ok: bool, all_resumed_identical: bool) -> String {
 }
 
 impl CampaignCommand for Chaos {
-    const DEFAULT_HOURS: u64 = 1;
     const PROFILE_NOUN: &'static str = "fault";
     const CELL_COLUMNS: &'static [CellColumn<()>] = &[
-        ("total (J)", |r, ()| format!("{:.1}", r.energy.total_mj() / 1_000.0)),
-        ("violations", |r, ()| r.resilience.invariant_violations.to_string()),
-        ("window misses", |r, ()| r.resilience.perceptible_window_misses.to_string()),
-        ("interventions", |r, ()| r.resilience.interventions.to_string()),
+        ("total (J)", |r, ()| {
+            format!("{:.1}", r.energy.total_mj() / 1_000.0)
+        }),
+        ("violations", |r, ()| {
+            r.resilience.invariant_violations.to_string()
+        }),
+        ("window misses", |r, ()| {
+            r.resilience.perceptible_window_misses.to_string()
+        }),
+        ("interventions", |r, ()| {
+            r.resilience.interventions.to_string()
+        }),
         ("quarantines", |r, ()| r.resilience.quarantines.to_string()),
     ];
     const POLICY_COLUMNS: &'static [PolicyColumn<PolicyResilience>] = &[
@@ -168,8 +171,12 @@ impl CampaignCommand for Chaos {
         ("interventions", |a| a.interventions.to_string()),
         ("quarantines", |a| a.quarantines.to_string()),
         ("recoveries", |a| a.recoveries.to_string()),
-        ("MTTR (s)", |a| format!("{:.1}", a.mean_time_to_recovery_ms / 1_000.0)),
-        ("overhead (J)", |a| format!("{:.3}", a.intervention_overhead_mj / 1_000.0)),
+        ("MTTR (s)", |a| {
+            format!("{:.1}", a.mean_time_to_recovery_ms / 1_000.0)
+        }),
+        ("overhead (J)", |a| {
+            format!("{:.3}", a.intervention_overhead_mj / 1_000.0)
+        }),
     ];
 
     fn summary(results: &CampaignResults<Chaos>) -> String {
@@ -182,25 +189,34 @@ impl CampaignCommand for Chaos {
 }
 
 impl CampaignCommand for Soak {
-    const DEFAULT_HOURS: u64 = 48;
     const PROFILE_NOUN: &'static str = "soak";
     const CELL_COLUMNS: &'static [CellColumn<SoakRecovery>] = &[
         ("reboots", |r, _| r.resilience.reboots.to_string()),
         ("catch-up", |r, _| r.resilience.catch_up_entries.to_string()),
-        ("window misses", |r, _| r.resilience.perceptible_window_misses.to_string()),
+        ("window misses", |r, _| {
+            r.resilience.perceptible_window_misses.to_string()
+        }),
         ("snapshots", |_, rec| rec.checkpoints.to_string()),
         ("skipped", |_, rec| rec.corrupt_skipped.to_string()),
-        ("resume", |_, rec| resume_cell(rec.restore_ok, rec.resumed_identical)),
+        ("resume", |_, rec| {
+            resume_cell(rec.restore_ok, rec.resumed_identical)
+        }),
     ];
     const POLICY_COLUMNS: &'static [PolicyColumn<PolicyEndurance>] = &[
         ("policy", |a| a.policy.clone()),
         ("cells", |a| a.runs.to_string()),
         ("reboots", |a| a.reboots.to_string()),
-        ("recovery (s)", |a| format!("{:.1}", a.mean_recovery_ms / 1_000.0)),
+        ("recovery (s)", |a| {
+            format!("{:.1}", a.mean_recovery_ms / 1_000.0)
+        }),
         ("catch-up", |a| a.catch_up_entries.to_string()),
-        ("worst delay (s)", |a| format!("{:.1}", a.worst_catch_up_delay_ms / 1_000.0)),
+        ("worst delay (s)", |a| {
+            format!("{:.1}", a.worst_catch_up_delay_ms / 1_000.0)
+        }),
         ("window misses", |a| a.perceptible_window_misses.to_string()),
-        ("resume", |a| resume_policy(a.all_restores_ok, a.all_resumed_identical)),
+        ("resume", |a| {
+            resume_policy(a.all_restores_ok, a.all_resumed_identical)
+        }),
     ];
 
     fn summary(results: &CampaignResults<Soak>) -> String {
@@ -208,23 +224,32 @@ impl CampaignCommand for Soak {
             "{} soak cells, {} perceptible-window misses, recovery {}, resume wall {:.1}s",
             results.runs().len(),
             results.total_misses(),
-            if results.all_recovered() { "clean" } else { "BROKEN" },
+            if results.all_recovered() {
+                "clean"
+            } else {
+                "BROKEN"
+            },
             results.resume_wall().as_secs_f64(),
         )
     }
 }
 
 impl CampaignCommand for Storm {
-    const DEFAULT_HOURS: u64 = 3;
     const PROFILE_NOUN: &'static str = "storm";
     const CELL_COLUMNS: &'static [CellColumn<StormRecovery>] = &[
-        ("storm regs", |r, _| r.overload.storm_registrations.to_string()),
+        ("storm regs", |r, _| {
+            r.overload.storm_registrations.to_string()
+        }),
         ("rejected", |r, _| r.overload.rejected.to_string()),
         ("shed", |r, _| r.overload.shed.to_string()),
         ("demotions", |r, _| r.overload.demotions.to_string()),
         ("final tier", |r, _| r.overload.final_tier.clone()),
-        ("window misses", |r, _| r.resilience.perceptible_window_misses.to_string()),
-        ("resume", |_, rec| resume_cell(rec.restore_ok, rec.resumed_identical)),
+        ("window misses", |r, _| {
+            r.resilience.perceptible_window_misses.to_string()
+        }),
+        ("resume", |_, rec| {
+            resume_cell(rec.restore_ok, rec.resumed_identical)
+        }),
     ];
     const POLICY_COLUMNS: &'static [PolicyColumn<PolicyOverload>] = &[
         ("policy", |a| a.policy.clone()),
@@ -237,7 +262,9 @@ impl CampaignCommand for Storm {
         ("demotions", |a| a.demotions.to_string()),
         ("tier changes", |a| a.tier_changes.to_string()),
         ("window misses", |a| a.perceptible_window_misses.to_string()),
-        ("resume", |a| resume_policy(a.all_restores_ok, a.all_resumed_identical)),
+        ("resume", |a| {
+            resume_policy(a.all_restores_ok, a.all_resumed_identical)
+        }),
     ];
 
     fn summary(results: &CampaignResults<Storm>) -> String {
@@ -245,7 +272,11 @@ impl CampaignCommand for Storm {
             "{} storm cells, {} perceptible-window misses, resume {}",
             results.runs().len(),
             results.total_misses(),
-            if results.all_recovered() { "clean" } else { "BROKEN" },
+            if results.all_recovered() {
+                "clean"
+            } else {
+                "BROKEN"
+            },
         )
     }
 }

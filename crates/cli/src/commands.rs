@@ -1,4 +1,6 @@
-//! The `standby` subcommands.
+//! The `standby` subcommands. Each one's flags are declared once, in
+//! the command table in `args.rs`; the bodies read them through the
+//! typed getters, which fall back to the declared defaults.
 
 use std::error::Error;
 use std::fmt;
@@ -9,10 +11,11 @@ use simty::experiments::{PolicyKind, Scenario};
 use simty::prelude::*;
 use simty::sim::analysis::{per_app_stats, wakeup_gap_stats, wakeup_timeline, BatchHistogram};
 use simty::sim::report::TextTable;
-use simty_bench::{Chaos, Soak, Storm};
+use simty::sim::watchdog::{self, WatchdogPolicy};
+use simty_bench::Outcome;
 
-use crate::args::{ParseArgsError, ParsedArgs};
-use crate::campaign_cmd::cmd_campaign;
+use crate::args::{self, ParseArgsError, ParsedArgs};
+use crate::campaign_cmd::{cell_row, CellColumn};
 
 /// Top-level CLI error.
 #[derive(Debug)]
@@ -89,259 +92,32 @@ impl From<io::Error> for CliError {
     }
 }
 
-/// Usage text printed by `standby --help` (and on usage errors).
-pub const USAGE: &str = "\
-standby — similarity-based wakeup management explorer (SIMTY, DAC'16)
+/// A flag error reported as a usage error: the class in which the
+/// cell-index flags, `--deadline` and `bench`'s thresholds report a bad
+/// value (both classes exit 2).
+fn usage_error(e: ParseArgsError) -> CliError {
+    CliError::Usage(e.to_string())
+}
 
-USAGE:
-    standby <command> [flags]
-
-COMMANDS:
-    run         simulate one scenario under one policy
-    compare     run every policy on the same scenario, side by side
-    diff        per-app comparison of two policies on the same workload
-    sweep       run a policy x scenario x seed x beta grid in parallel
-    sweep-beta  sweep the grace fraction under SIMTY
-    chaos       fault-injection resilience campaign (policy x scenario x
-                fault profile x seed), with online watchdog + invariants
-    soak        long-horizon endurance campaign with reboots, checkpoint
-                corruption, and resume-vs-straight-through byte checks
-    storm       registration-storm overload campaign: per-app admission
-                quotas and battery-aware degradation tiers under flood
-    fleet       fleet-scale population campaign: simulate N devices with
-                per-device workload mixes, sharded into supervised,
-                checkpointed, resumable cells with streaming aggregation
-    explain     audit every placement decision of a run: the candidates
-                weighed, their Table 1 hardware/time similarity ranks,
-                and why each won or lost
-    metrics     run one scenario and print its metrics registry
-                (Prometheus-style exposition, JSON snapshot, or spans)
-    trace       run one scenario under each policy and export the span
-                ring as a Chrome Trace Event Format file (--out FILE;
-                load it in chrome://tracing or Perfetto)
-    serve       run the standby scheduler as a multi-tenant HTTP service:
-                register/cancel/query alarms per tenant with admission
-                control as real rate limiting (429 + Retry-After), live
-                /metrics, bounded queues that shed with 503, per-request
-                deadlines (408), and graceful SIGTERM drain that
-                checkpoints live state for byte-identical restart
-    serve-load  seeded open-loop load generator for `serve`: fires
-                register/query/cancel/advance traffic (optionally through
-                a network-fault drill), emits the simty-serve/v1 document
-    bench diff  schema-aware perf gate: `standby bench diff OLD.json
-                NEW.json` compares two campaign documents of the same
-                schema and exits 7 on regression or drift
-    analyze     offline analysis of a delivery-trace CSV (--trace FILE)
-    estimate    closed-form energy envelope of a workload (no simulation)
-    catalog     print the paper's Table 3 app catalogue
-
-COMMON FLAGS:
-    --scenario S               light|heavy|synthetic:<n> [default: heavy]
-    --workload FILE            custom workload spec (overrides --scenario;
-                               see simty_apps::spec for the format)
-    --seed N                   RNG seed                 [default: 1]
-    --hours N                  simulated hours          [default: 3]
-    --beta X                   grace fraction           [default: 0.96]
-
-RUN FLAGS:
-    --policy P                 exact|native|native-norealign|simty|
-                               simty2|simty4|dursim|fixed:<secs>|doze
-                               [default: simty]
-    --trace FILE               write the delivery trace as CSV
-    --waveform FILE            write the transient power waveform as CSV
-    --attribution              print per-app energy attribution
-    --timeline                 print an ASCII wakeup timeline
-    --apps                     print per-app delivery statistics
-    --watchdog                 scan the run for no-sleep wakelock anomalies
-    --json                     emit the report as a JSON object and exit
-
-DIFF FLAGS:
-    --policy-a P --policy-b P  the two policies          [default: native, simty]
-
-EXPLAIN FLAGS:
-    --policy P                 as for run               [default: simty]
-    --jsonl                    emit one JSON object per decision instead
-                               of the readable rendering
-
-METRICS FLAGS:
-    --policy P                 as for run               [default: simty]
-    --format F                 expose|json|spans        [default: expose]
-
-TRACE FLAGS:
-    --policies LIST            comma-separated policy names (see --policy)
-                               [default: native,simty]; one trace track
-                               per policy, timestamps on the sim clock
-    --out FILE                 trace file to write (required)
-    --span-cap N               per-run span-ring capacity [default: 1048576]
-    --stages                   append per-policy wall-clock stage-profile
-                               tracks (non-deterministic timings)
-
-BENCH DIFF FLAGS:
-    --max-ratio X              wall-clock metrics may grow (throughput may
-                               shrink) up to this ratio   [default: 5.0]
-    --max-delta-pct X          deterministic values may differ up to this
-                               many percent               [default: 0.5]
-
-SWEEP FLAGS:
-    --policies LIST            comma-separated policy names (see --policy)
-                               [default: native,simty]
-    --scenarios LIST           comma-separated light|heavy  [default: light,heavy]
-    --seeds N                  run seeds 1..=N              [default: 3]
-    --betas LIST               comma-separated grace fractions [default: 0.96]
-    --threads N                worker threads               [default: all cores]
-    --json FILE                write the sweep document (BENCH_sweep.json schema)
-    --no-obs                   run uninstrumented (observability layer off),
-                               then rerun instrumented and print the
-                               observability overhead delta
-    --resume DIR               journal completed cells to DIR/campaign.journal
-                               and restore cells a previous interrupted
-                               invocation already finished
-    --inject-panic N           replace cell N with a panicking cell (harness
-                               smoke: the cell is quarantined, the campaign
-                               completes)
-    --inject-ckpt-eio N        make cell N run a checkpoint drill against a
-                               fault-injecting filesystem (fsync EIO): the
-                               last-good fallback must still recover
-    --progress                 live one-line progress on stderr, fed by the
-                               telemetry bus (auto-off when stderr is not
-                               a terminal)
-    --events FILE              append structured telemetry events (cell
-                               started/finished, journal writes, warnings)
-                               to FILE as JSON lines
-
-SWEEP-BETA FLAGS:
-    --from X --to Y --steps N  sweep range               [default: 0.75..0.96, 5]
-
-CHAOS FLAGS:
-    --policies LIST            comma-separated policy names [default: native,simty]
-    --scenarios LIST           comma-separated light|heavy  [default: light,heavy]
-    --profiles LIST            comma-separated fault profiles: baseline|jitter|
-                               drops|overruns|leaks|flaky|crashes|storm|mixed
-                               [default: all]
-    --seeds N                  run seeds 1..=N              [default: 2]
-    --hours N                  simulated hours per cell     [default: 1]
-    --threads N                worker threads               [default: all cores]
-    --json FILE                write the campaign document (BENCH_chaos.json schema)
-    --resume DIR               journal/restore cells (as for sweep)
-
-SOAK FLAGS:
-    --policies LIST            comma-separated policy names [default: native,simty]
-    --scenarios LIST           comma-separated light|heavy  [default: light,heavy]
-    --profiles LIST            comma-separated soak profiles: steady|
-                               single-reboot|reboot-storm|bitflip|torn-stale
-                               [default: all]
-    --seeds N                  run seeds 1..=N              [default: 2]
-    --hours N                  simulated hours per cell     [default: 48]
-    --threads N                worker threads               [default: all cores]
-    --json FILE                write the campaign document (BENCH_soak.json schema)
-    --resume DIR               journal/restore cells (as for sweep)
-
-STORM FLAGS:
-    --policies LIST            comma-separated policy names [default: native,simty]
-    --scenarios LIST           comma-separated light|heavy  [default: light,heavy]
-    --profiles LIST            comma-separated storm profiles: quota-storm|
-                               drain-saver|drain-critical|storm-and-drain|
-                               unprotected              [default: all]
-    --seeds N                  run seeds 1..=N              [default: 2]
-    --hours N                  simulated hours per cell     [default: 3]
-    --threads N                worker threads               [default: all cores]
-    --json FILE                write the campaign document (BENCH_storm.json schema)
-    --resume DIR               journal/restore cells (as for sweep)
-
-FLEET FLAGS:
-    --devices N                device population per policy [default: 1000]
-    --shards N                 supervised cells per policy  [default: 4]
-    --policies LIST            comma-separated policy names [default: native,simty]
-    --seed N                   fleet seed: every device's workload mix and
-                               RNG seed derive from (seed, device) [default: 1]
-    --minutes N                simulated minutes per device [default: 10]
-    --beta X                   grace fraction               [default: 0.96]
-    --threads N                worker threads               [default: all cores]
-    --span-cap N               per-device span-ring capacity  [default: 128]
-    --audit-cap N              per-device audit-ring capacity [default: 64]
-    --ckpt-stride N            devices between mid-shard checkpoint markers
-                               (0 disables; needs --resume)   [default: 1000]
-    --deadline SECS            per-shard watchdog deadline: a shard that
-                               exceeds it is quarantined, not waited on
-    --json FILE                write the fleet document (BENCH_fleet.json schema)
-    --resume DIR               journal completed shards to DIR and restore
-                               them (plus mid-shard checkpoints) on rerun
-    --inject-panic N           replace shard cell N with a panicking cell
-                               (harness smoke: the shard is quarantined,
-                               the fleet completes, exit code 6)
-    --progress                 live progress line on stderr (as for sweep),
-                               including per-shard heartbeats with
-                               devices/sec and the checkpoint cursor
-    --events FILE              append telemetry events to FILE (as for
-                               sweep, plus shard heartbeats)
-
-SERVE FLAGS:
-    --addr A                   bind address             [default: 127.0.0.1:8377]
-    --workers N                worker threads           [default: 4]
-    --queue-depth N            bounded work queue; a full queue sheds new
-                               connections with 503     [default: 64]
-    --deadline-ms N            per-request deadline (slowloris gets 408)
-                               [default: 2000]
-    --policy P                 live-scheduler policy: exact|native|simty|
-                               dursim|doze              [default: simty]
-    --state-dir DIR            checkpoint directory: drain snapshots live
-                               state here and a restarted server resumes
-                               tenants byte-identically
-    --fault PROFILE            server-side network-fault drill: none|
-                               torn-read|short-write|stall|disconnect|
-                               mixed                    [default: none]
-    --seed N                   seed for the fault drill [default: 1]
-    --telemetry-capacity N     bounded telemetry bus capacity [default: 1024]
-    --max-run-minutes N        cap on POST /run simulated minutes
-                               [default: 1440]
-    --drain-after-ms N         auto-drain after N ms (scripted runs;
-                               0 = run until SIGTERM)   [default: 0]
-
-SERVE-LOAD FLAGS:
-    --addr HOST:PORT           target an already-running server (without
-                               it the harness spawns one in-process and
-                               folds its drain report into the document)
-    --connections N            total connections        [default: 200]
-    --concurrency N            client threads           [default: 8]
-    --tenants N                distinct tenants         [default: 4]
-    --seed N                   per-connection schedule seed [default: 1]
-    --fault PROFILE            client-side fault drill (as for serve)
-    --deadline-ms N            client per-request deadline  [default: 2000]
-    --workers/--queue-depth/--policy/--state-dir
-                               in-process server knobs (as for serve)
-    --server-fault PROFILE     in-process server-side drill [default: none]
-    --server-seed N            in-process server drill seed [default: 1]
-    --json FILE                write the simty-serve/v1 document to FILE
-                               instead of stdout
-
-EXIT CODES (uniform across run/sweep/chaos/soak/storm/fleet):
-    0   success
-    2   argument or usage error
-    3   i/o error
-    4   runtime invariant violation(s) detected in a campaign
-    5   a checkpoint recovery drill failed (restore error or byte
-        divergence between the resumed and straight-through runs)
-    6   harness degraded: campaign cells were quarantined (panic or
-        deadline overrun), or a --resume journal could not be opened
-    7   `bench diff` found a perf regression or schema drift between
-        the two campaign documents
-    8   the scheduler service failed: bind error, unusable state
-        directory, or corrupted live-scheduler state on restore
-
-Campaign cells run supervised: a panicking or hung cell is quarantined
-(status `poisoned`) and the campaign completes without it, exiting with
-code 6. With --resume DIR, completed cells are journaled and an
-interrupted campaign picks up where it left off, producing a document
-byte-identical to an uninterrupted run; fleet shards additionally
-checkpoint mid-range every --ckpt-stride devices.
-";
+/// `n` units of `unit` as a duration. Zero is a usage error, and so is
+/// a count whose milliseconds do not fit the simulated clock (rather
+/// than a clock that silently wraps).
+pub(crate) fn duration(n: u64, unit: SimDuration, flag: &str) -> Result<SimDuration, CliError> {
+    match n.checked_mul(unit.as_millis()) {
+        Some(0) => Err(CliError::Usage(format!("--{flag} must be positive"))),
+        Some(ms) => Ok(SimDuration::from_millis(ms)),
+        None => Err(CliError::Usage(format!(
+            "--{flag} {n} overflows the simulated clock"
+        ))),
+    }
+}
 
 /// Parses a policy name.
 fn parse_policy(name: &str) -> Result<PolicyKind, CliError> {
     if let Some(secs) = name.strip_prefix("fixed:") {
-        let secs: u64 = secs.parse().map_err(|_| {
-            CliError::Usage(format!("invalid fixed-interval seconds in `{name}`"))
-        })?;
+        let secs: u64 = secs
+            .parse()
+            .map_err(|_| CliError::Usage(format!("invalid fixed-interval seconds in `{name}`")))?;
         if secs == 0 {
             return Err(CliError::Usage("fixed interval must be positive".into()));
         }
@@ -369,11 +145,13 @@ enum ScenarioChoice {
 
 fn parse_scenario(name: &str) -> Result<ScenarioChoice, CliError> {
     if let Some(n) = name.strip_prefix("synthetic:") {
-        let n: usize = n.parse().map_err(|_| {
-            CliError::Usage(format!("invalid synthetic app count in `{name}`"))
-        })?;
+        let n: usize = n
+            .parse()
+            .map_err(|_| CliError::Usage(format!("invalid synthetic app count in `{name}`")))?;
         if n == 0 {
-            return Err(CliError::Usage("synthetic app count must be positive".into()));
+            return Err(CliError::Usage(
+                "synthetic app count must be positive".into(),
+            ));
         }
         return Ok(ScenarioChoice::Synthetic(n));
     }
@@ -386,24 +164,21 @@ fn parse_scenario(name: &str) -> Result<ScenarioChoice, CliError> {
     }
 }
 
-/// Parses `--policies LIST` (default `native,simty`).
+/// Parses `--policies LIST`.
 pub(crate) fn parse_policies(args: &ParsedArgs) -> Result<Vec<PolicyKind>, CliError> {
-    args.get("policies")
-        .unwrap_or("native,simty")
+    args.value("policies")
         .split(',')
         .map(parse_policy)
         .collect()
 }
 
-/// Parses `--scenarios LIST` (default `light,heavy`). Grids cover only
-/// the paper scenarios; `grid` names the grid in the error for a
-/// synthetic one.
+/// Parses `--scenarios LIST`. Grids cover only the paper scenarios;
+/// `grid` names the grid in the error for a synthetic one.
 pub(crate) fn parse_paper_scenarios(
     args: &ParsedArgs,
     grid: &str,
 ) -> Result<Vec<Scenario>, CliError> {
-    args.get("scenarios")
-        .unwrap_or("light,heavy")
+    args.value("scenarios")
         .split(',')
         .map(|name| match parse_scenario(name)? {
             ScenarioChoice::Paper(s) => Ok(s),
@@ -414,17 +189,24 @@ pub(crate) fn parse_paper_scenarios(
         .collect()
 }
 
+/// `--threads N`, every core when absent.
+pub(crate) fn threads(args: &ParsedArgs) -> Result<u64, CliError> {
+    let all = simty_bench::sweep::available_threads() as u64;
+    Ok(args.opt_u64("threads")?.unwrap_or(all))
+}
+
 struct CommonOpts {
     scenario: ScenarioChoice,
     custom_apps: Option<Vec<AppSpec>>,
     seed: u64,
     hours: u64,
+    duration: SimDuration,
     beta: f64,
 }
 
 impl CommonOpts {
     fn from_args(args: &ParsedArgs) -> Result<Self, CliError> {
-        let scenario = parse_scenario(args.get("scenario").unwrap_or("heavy"))?;
+        let scenario = parse_scenario(args.value("scenario"))?;
         let custom_apps = match args.get("workload") {
             None => None,
             Some(path) => {
@@ -439,12 +221,14 @@ impl CommonOpts {
                 Some(apps)
             }
         };
-        let seed = args.get_u64("seed", 1)?;
-        let hours = args.get_u64("hours", 3)?;
-        let beta = args.get_f64("beta", 0.96)?;
-        if hours == 0 {
-            return Err(CliError::Usage("--hours must be positive".into()));
-        }
+        let seed = args.u64("seed")?;
+        let hours = args.u64("hours")?;
+        // sweep-beta sets beta per step and takes no --beta.
+        let beta = if args.takes("beta") {
+            args.f64("beta")?
+        } else {
+            0.0
+        };
         if !(0.0..1.0).contains(&beta) {
             return Err(CliError::Usage("--beta must lie in [0, 1)".into()));
         }
@@ -453,8 +237,20 @@ impl CommonOpts {
             custom_apps,
             seed,
             hours,
+            duration: duration(hours, SimDuration::from_hours(1), "hours")?,
             beta,
         })
+    }
+
+    /// `<workload> workload, <hours> h, seed <seed>`, the first words of
+    /// every single-run report.
+    fn header(&self) -> String {
+        format!(
+            "{} workload, {} h, seed {}",
+            self.workload_name(),
+            self.hours,
+            self.seed
+        )
     }
 
     fn workload_name(&self) -> String {
@@ -476,27 +272,16 @@ impl CommonOpts {
         };
         base.with_seed(self.seed)
             .with_beta(self.beta)
-            .with_duration(SimDuration::from_hours(self.hours))
+            .with_duration(self.duration)
     }
-}
 
-/// Builds and runs a full simulation under the given options.
-fn simulate(opts: &CommonOpts, policy: PolicyKind) -> Simulation {
-    simulate_with(opts, policy, false)
-}
-
-fn simulate_with(opts: &CommonOpts, policy: PolicyKind, waveform: bool) -> Simulation {
-    let workload = opts.builder().build();
-    let mut config = SimConfig::new().with_duration(SimDuration::from_hours(opts.hours));
-    if waveform {
-        config = config.with_waveform();
+    /// Runs `policy` over this workload to the end, under `config`.
+    fn simulate(&self, policy: PolicyKind, config: SimConfig) -> Simulation {
+        let config = config.with_duration(self.duration);
+        let mut sim = simty_bench::campaign::simulation(policy, self.builder().build(), config);
+        sim.run_until(SimTime::ZERO + self.duration);
+        sim
     }
-    let mut sim = Simulation::new(policy.build(), config);
-    for alarm in workload.alarms {
-        sim.register(alarm).expect("workload alarm registers cleanly");
-    }
-    sim.run_until(SimTime::ZERO + SimDuration::from_hours(opts.hours));
-    sim
 }
 
 /// Executes the CLI and writes its output to `out`.
@@ -506,61 +291,22 @@ fn simulate_with(opts: &CommonOpts, policy: PolicyKind, waveform: bool) -> Simul
 /// Returns [`CliError`] for unknown commands, invalid flags, or I/O
 /// failures; the binary maps these to a nonzero exit code.
 pub fn run_cli<W: Write>(raw_args: &[String], out: &mut W) -> Result<(), CliError> {
-    // `bench diff OLD NEW` takes positional file operands, which the
-    // flag parser rejects by design; intercept it before parsing.
-    if raw_args.first().map(String::as_str) == Some("bench") {
-        return cmd_bench(&raw_args[1..], out);
-    }
-    let args = ParsedArgs::parse(raw_args.iter().cloned())?;
-    if args.has_switch("help") || args.command().is_none() {
-        writeln!(out, "{USAGE}")?;
-        return Ok(());
-    }
-    match args.command().expect("command presence checked") {
-        "run" => cmd_run(&args, out),
-        "compare" => cmd_compare(&args, out),
-        "diff" => cmd_diff(&args, out),
-        "sweep" => cmd_sweep(&args, out),
-        "sweep-beta" => cmd_sweep_beta(&args, out),
-        "chaos" => cmd_campaign::<Chaos, W>(&args, out),
-        "soak" => cmd_campaign::<Soak, W>(&args, out),
-        "storm" => cmd_campaign::<Storm, W>(&args, out),
-        "fleet" => cmd_fleet(&args, out),
-        "explain" => cmd_explain(&args, out),
-        "metrics" => cmd_metrics(&args, out),
-        "trace" => cmd_trace(&args, out),
-        "serve" => crate::serve_cmd::cmd_serve(&args, out),
-        "serve-load" => crate::serve_cmd::cmd_serve_load(&args, out),
-        "analyze" => cmd_analyze(&args, out),
-        "estimate" => cmd_estimate(&args, out),
-        "catalog" => cmd_catalog(&args, out),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}` (see `standby --help`)"
-        ))),
+    match args::parse(raw_args)? {
+        Some(args) => (args.command().run)(&args, out),
+        None => Ok(writeln!(out, "{}", args::usage())?),
     }
 }
 
-fn cmd_run<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "scenario",
-        "workload",
-        "seed",
-        "hours",
-        "beta",
-        "policy",
-        "trace",
-        "waveform",
-        "attribution",
-        "timeline",
-        "apps",
-        "watchdog",
-        "json",
-    ])?;
+pub(crate) fn cmd_run(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = CommonOpts::from_args(args)?;
-    let policy = parse_policy(args.get("policy").unwrap_or("simty"))?;
-    let sim = simulate_with(&opts, policy, args.get("waveform").is_some());
+    let policy = parse_policy(args.value("policy"))?;
+    let mut config = SimConfig::new();
+    if args.get("waveform").is_some() {
+        config = config.with_waveform();
+    }
+    let sim = opts.simulate(policy, config);
     let report = sim.report();
-    if args.has_switch("json") {
+    if args.switch("json") {
         writeln!(out, "{}", simty::sim::json::report_to_json(&report))?;
         return Ok(());
     }
@@ -576,38 +322,21 @@ fn cmd_run<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         )?;
     }
 
-    if args.has_switch("attribution") {
+    if args.switch("attribution") {
         writeln!(out, "\n{}", sim.attribution())?;
     }
-    if args.has_switch("watchdog") {
-        let report = simty::sim::watchdog::scan(
-            sim.trace(),
-            SimDuration::from_hours(opts.hours),
-            simty::sim::watchdog::WatchdogPolicy::default(),
-        );
+    if args.switch("watchdog") {
+        let report = watchdog::scan(sim.trace(), opts.duration, WatchdogPolicy::default());
         writeln!(out, "\n{report}")?;
     }
-    if args.has_switch("apps") {
-        let mut table = TextTable::new(["app", "deliveries", "mean delay", "max delay"]);
-        for s in per_app_stats(sim.trace()) {
-            table.row([
-                s.app.clone(),
-                s.deliveries.to_string(),
-                format!("{:.1}%", s.mean_normalized_delay * 100.0),
-                format!("{:.1}%", s.max_normalized_delay * 100.0),
-            ]);
-        }
-        writeln!(out, "\n{}", table.render())?;
+    if args.switch("apps") {
+        writeln!(out, "\n{}", app_table(sim.trace(), false))?;
     }
-    if args.has_switch("timeline") {
+    if args.switch("timeline") {
         writeln!(
             out,
             "\nwakeup timeline (5-minute buckets):\n{}",
-            wakeup_timeline(
-                sim.trace(),
-                SimDuration::from_hours(opts.hours),
-                SimDuration::from_mins(5)
-            )
+            wakeup_timeline(sim.trace(), opts.duration, SimDuration::from_mins(5))
         )?;
     }
     if let Some(path) = args.get("trace") {
@@ -630,8 +359,7 @@ fn cmd_run<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_compare<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&["scenario", "seed", "hours", "beta", "workload"])?;
+pub(crate) fn cmd_compare(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = CommonOpts::from_args(args)?;
     let mut table = TextTable::new([
         "policy",
@@ -648,8 +376,7 @@ fn cmd_compare<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError>
         PolicyKind::Dursim,
         PolicyKind::FixedInterval(60),
     ] {
-        let sim = simulate(&opts, policy);
-        let r = sim.report();
+        let r = opts.simulate(policy, SimConfig::new()).report();
         table.row([
             r.policy.clone(),
             format!("{:.1}", r.energy.total_mj() / 1_000.0),
@@ -659,41 +386,23 @@ fn cmd_compare<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError>
             format!("{:.1}%", r.delays.imperceptible_avg * 100.0),
         ]);
     }
-    writeln!(
-        out,
-        "{} workload, {} h, seed {}, beta {}\n",
-        opts.workload_name(),
-        opts.hours,
-        opts.seed,
-        opts.beta
-    )?;
+    writeln!(out, "{}, beta {}\n", opts.header(), opts.beta)?;
     writeln!(out, "{}", table.render())?;
     Ok(())
 }
 
-fn cmd_diff<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "scenario",
-        "workload",
-        "seed",
-        "hours",
-        "beta",
-        "policy-a",
-        "policy-b",
-    ])?;
+pub(crate) fn cmd_diff(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = CommonOpts::from_args(args)?;
-    let policy_a = parse_policy(args.get("policy-a").unwrap_or("native"))?;
-    let policy_b = parse_policy(args.get("policy-b").unwrap_or("simty"))?;
-    let sim_a = simulate(&opts, policy_a);
-    let sim_b = simulate(&opts, policy_b);
+    let policy_a = parse_policy(args.value("policy-a"))?;
+    let policy_b = parse_policy(args.value("policy-b"))?;
+    let sim_a = opts.simulate(policy_a, SimConfig::new());
+    let sim_b = opts.simulate(policy_b, SimConfig::new());
     let report_a = sim_a.report();
     let report_b = sim_b.report();
     writeln!(
         out,
-        "{} workload, {} h, seed {}: {} ({:.1} J) → {} ({:.1} J), {:.1}% saved\n",
-        opts.workload_name(),
-        opts.hours,
-        opts.seed,
+        "{}: {} ({:.1} J) → {} ({:.1} J), {:.1}% saved\n",
+        opts.header(),
         report_a.policy,
         report_a.energy.total_mj() / 1_000.0,
         report_b.policy,
@@ -705,38 +414,52 @@ fn cmd_diff<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_sweep<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "policies",
-        "scenarios",
-        "seeds",
-        "betas",
-        "hours",
-        "threads",
-        "json",
-        "no-obs",
-        "resume",
-        "inject-panic",
-        "inject-ckpt-eio",
-        "progress",
-        "events",
-    ])?;
+/// The sweep and fleet cell table: `first`, `status`, `columns`, then
+/// each cell's wall clock (shown for a quarantined cell too).
+fn outcome_table(first: &str, columns: &[CellColumn<()>], outcomes: &[Outcome]) -> String {
+    let headers = columns.iter().map(|(header, _)| *header);
+    let mut table = TextTable::new(
+        [first, "status"]
+            .into_iter()
+            .chain(headers)
+            .chain(["wall (ms)"]),
+    );
+    for o in outcomes {
+        let wall = format!("{:.1}", o.wall.as_secs_f64() * 1_000.0);
+        let row = cell_row(columns, o.label.clone(), &o.status, o.report.as_ref(), ());
+        table.row(row.into_iter().chain([wall]));
+    }
+    table.render()
+}
+
+/// The sweep table's columns between `status` and `wall (ms)`.
+const SWEEP_COLUMNS: &[CellColumn<()>] = &[
+    ("total (J)", |r, ()| {
+        format!("{:.1}", r.energy.total_mj() / 1_000.0)
+    }),
+    ("awake (J)", |r, ()| {
+        format!("{:.1}", r.energy.awake_related_mj() / 1_000.0)
+    }),
+    ("batch deliveries", |r, ()| r.entry_deliveries.to_string()),
+    ("impercept. delay", |r, ()| {
+        format!("{:.1}%", r.delays.imperceptible_avg * 100.0)
+    }),
+];
+
+pub(crate) fn cmd_sweep(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let policies = parse_policies(args)?;
     let scenarios = parse_paper_scenarios(args, "sweep grids")?;
-    let seeds = args.get_u64("seeds", 3)?;
-    let betas: Vec<f64> = match args.get("betas") {
-        None => vec![0.96],
-        Some(list) => list
-            .split(',')
-            .map(|v| {
-                v.parse().map_err(|_| {
-                    CliError::Usage(format!("invalid grace fraction `{v}` in --betas"))
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let hours = args.get_u64("hours", 3)?;
-    let threads = args.get_u64("threads", simty_bench::sweep::available_threads() as u64)?;
+    let seeds = args.u64("seeds")?;
+    let betas: Vec<f64> = args
+        .value("betas")
+        .split(',')
+        .map(|v| {
+            v.parse()
+                .map_err(|_| CliError::Usage(format!("invalid grace fraction `{v}` in --betas")))
+        })
+        .collect::<Result<_, _>>()?;
+    let hours = args.u64("hours")?;
+    let threads = threads(args)?;
     if seeds == 0 || hours == 0 || threads == 0 {
         return Err(CliError::Usage(
             "--seeds, --hours, and --threads must be positive".into(),
@@ -745,24 +468,24 @@ fn cmd_sweep<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     if betas.iter().any(|b| !(0.0..1.0).contains(b)) {
         return Err(CliError::Usage("--betas values must lie in [0, 1)".into()));
     }
+    let duration = duration(hours, SimDuration::from_hours(1), "hours")?;
 
-    let no_obs = args.has_switch("no-obs");
-    let resume = args.get("resume").map(std::path::PathBuf::from);
-    let inject_panic = parse_cell_index(args, "inject-panic")?;
-    let inject_ckpt_eio = parse_cell_index(args, "inject-ckpt-eio")?;
+    let no_obs = args.switch("no-obs");
+    let inject_panic = args.opt_u64("inject-panic").map_err(usage_error)?;
+    let inject_ckpt_eio = args.opt_u64("inject-ckpt-eio").map_err(usage_error)?;
     let grid = |uninstrumented: bool| {
         let mut sweep = simty_bench::Sweep::new();
         if uninstrumented {
             sweep.no_obs();
         }
-        let mut cell = 0usize;
+        let mut cell = 0u64;
         for &scenario in &scenarios {
             for &policy in &policies {
                 for seed in 1..=seeds {
                     for &beta in &betas {
                         let spec = simty_bench::RunSpec::paper(policy, scenario, seed)
                             .with_beta(beta)
-                            .with_duration(SimDuration::from_hours(hours));
+                            .with_duration(duration);
                         if Some(cell) == inject_panic {
                             sweep.job(spec.label(), move || -> simty_bench::JobResult {
                                 panic!("injected panic (--inject-panic {cell})")
@@ -787,55 +510,21 @@ fn cmd_sweep<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         sweep
     };
     let mut sweep = grid(no_obs);
-    if let Some(dir) = &resume {
+    if let Some(dir) = args.get("resume") {
         sweep.with_journal(dir, "sweep");
     }
     let total = sweep.len();
     let pipe = TelemetryPipe::from_args(args, total as u64)?;
-    if let Some(sink) = pipe.sink() {
+    if let Some(sink) = pipe.sink.clone() {
         sweep.with_telemetry(sink);
     }
     let run = sweep.try_run_with_threads(threads as usize);
     pipe.finish()?;
     let results = run.map_err(|e| CliError::Harness(e.to_string()))?;
 
-    let mut table = TextTable::new([
-        "run",
-        "status",
-        "total (J)",
-        "awake (J)",
-        "batch deliveries",
-        "impercept. delay",
-        "wall (ms)",
-    ]);
-    for outcome in results.outcomes() {
-        match &outcome.report {
-            Some(r) => {
-                table.row([
-                    outcome.label.clone(),
-                    outcome.status.token(),
-                    format!("{:.1}", r.energy.total_mj() / 1_000.0),
-                    format!("{:.1}", r.energy.awake_related_mj() / 1_000.0),
-                    r.entry_deliveries.to_string(),
-                    format!("{:.1}%", r.delays.imperceptible_avg * 100.0),
-                    format!("{:.1}", outcome.wall.as_secs_f64() * 1_000.0),
-                ]);
-            }
-            None => {
-                table.row([
-                    outcome.label.clone(),
-                    "POISONED".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    format!("{:.1}", outcome.wall.as_secs_f64() * 1_000.0),
-                ]);
-            }
-        }
-    }
-    writeln!(out, "{}", table.render())?;
-    write_harness_summary(out, &results.harness(), results.journal_skips())?;
+    let table = outcome_table("run", SWEEP_COLUMNS, results.outcomes());
+    writeln!(out, "{table}")?;
+    write_harness_summary(out, &results.harness())?;
     writeln!(
         out,
         "{total} runs on {} threads in {:.1} ms ({:.1} runs/sec; sequential sum {:.1} ms)",
@@ -851,7 +540,11 @@ fn cmd_sweep<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         let instrumented = grid(false).run_with_threads(threads as usize);
         let on = instrumented.sequential_wall().as_secs_f64() * 1_000.0;
         let off = results.sequential_wall().as_secs_f64() * 1_000.0;
-        let pct = if off > 0.0 { (on - off) / off * 100.0 } else { 0.0 };
+        let pct = if off > 0.0 {
+            (on - off) / off * 100.0
+        } else {
+            0.0
+        };
         writeln!(
             out,
             "observability overhead: {on:.1} ms instrumented vs {off:.1} ms uninstrumented \
@@ -866,22 +559,10 @@ fn cmd_sweep<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses `--inject-panic N` / `--inject-ckpt-eio N` cell indices.
-fn parse_cell_index(args: &ParsedArgs, flag: &str) -> Result<Option<usize>, CliError> {
-    match args.get(flag) {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<usize>()
-            .map(Some)
-            .map_err(|_| CliError::Usage(format!("invalid cell index `{v}` in --{flag}"))),
-    }
-}
-
 /// The one-line harness health footer every campaign command prints.
-pub(crate) fn write_harness_summary<W: Write>(
-    out: &mut W,
+pub(crate) fn write_harness_summary(
+    out: &mut dyn Write,
     harness: &simty_bench::HarnessStats,
-    journal_skips: u64,
 ) -> Result<(), CliError> {
     writeln!(
         out,
@@ -894,7 +575,7 @@ pub(crate) fn write_harness_summary<W: Write>(
         harness.panics,
         harness.timeouts,
         harness.retries,
-        journal_skips,
+        harness.journal_skips,
     )?;
     Ok(())
 }
@@ -934,10 +615,7 @@ fn checkpoint_eio_drill(seed: u64) {
     );
     sim.run_until(SimTime::ZERO + duration);
 
-    let dir = std::env::temp_dir().join(format!(
-        "simty-eio-drill-{}-{seed}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("simty-eio-drill-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let vfs = std::sync::Arc::new(FaultVfs::new(seed).with_eio_on_sync(0.5));
     let drill = || -> Result<usize, Box<dyn Error>> {
@@ -968,38 +646,40 @@ pub(crate) fn campaign_options(args: &ParsedArgs, threads: usize) -> simty_bench
     options
 }
 
-fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "devices",
-        "shards",
-        "policies",
-        "seed",
-        "minutes",
-        "beta",
-        "threads",
-        "span-cap",
-        "audit-cap",
-        "ckpt-stride",
-        "deadline",
-        "json",
-        "resume",
-        "inject-panic",
-        "progress",
-        "events",
-    ])?;
+/// The fleet shard table's columns between `status` and `wall (ms)`.
+const FLEET_COLUMNS: &[CellColumn<()>] = &[
+    ("devices", |r, ()| {
+        metrics_counter(&r.metrics_json, "fleet_devices_total").to_string()
+    }),
+    ("total (J)", |r, ()| {
+        format!("{:.1}", r.energy.total_mj() / 1_000.0)
+    }),
+    ("wakeups", |r, ()| r.cpu_wakeups.to_string()),
+    ("evictions", |r, ()| {
+        ["fleet_span_evictions_total", "fleet_audit_evictions_total"]
+            .iter()
+            .map(|name| metrics_counter(&r.metrics_json, name))
+            .sum::<u64>()
+            .to_string()
+    }),
+];
+
+pub(crate) fn cmd_fleet(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let policies = parse_policies(args)?;
-    let devices = args.get_u64("devices", 1_000)?;
-    let shards = args.get_u64("shards", 4)?;
-    let seed = args.get_u64("seed", 1)?;
-    let minutes = args.get_u64("minutes", 10)?;
-    let beta = args.get_f64("beta", 0.96)?;
-    let threads = args.get_u64("threads", simty_bench::sweep::available_threads() as u64)?;
-    let span_cap = args.get_u64("span-cap", simty_bench::fleet::FLEET_SPAN_CAPACITY as u64)?;
-    let audit_cap = args.get_u64("audit-cap", simty_bench::fleet::FLEET_AUDIT_CAPACITY as u64)?;
-    let stride = args.get_u64("ckpt-stride", 1_000)?;
-    if devices == 0 || shards == 0 || minutes == 0 || threads == 0 {
+    let devices = args.u64("devices")?;
+    let shards = args.u64("shards")?;
+    let seed = args.u64("seed")?;
+    let minutes = args.u64("minutes")?;
+    let beta = args.f64("beta")?;
+    let threads = threads(args)?;
+    let span_cap = args.u64("span-cap")?;
+    let audit_cap = args.u64("audit-cap")?;
+    let stride = args.u64("ckpt-stride")?;
+    if [devices, shards, minutes, threads, span_cap, audit_cap].contains(&0) {
         return Err(CliError::Usage(
-            "--devices, --shards, --minutes, and --threads must be positive".into(),
+            "--devices, --shards, --minutes, --threads, --span-cap and --audit-cap \
+             must be positive"
+                .into(),
         ));
     }
     if shards > devices {
@@ -1010,83 +690,36 @@ fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     if !(0.0..1.0).contains(&beta) {
         return Err(CliError::Usage("--beta must lie in [0, 1)".into()));
     }
-    if span_cap == 0 || audit_cap == 0 {
-        return Err(CliError::Usage(
-            "--span-cap and --audit-cap must be positive".into(),
-        ));
-    }
-    let inject_panic = parse_cell_index(args, "inject-panic")?;
+    let inject_panic = args.opt_u64("inject-panic").map_err(usage_error)?;
 
     let mut config = simty_bench::FleetConfig::new(devices);
     config.shards = shards as usize;
     config.policies = policies;
     config.seed = seed;
-    config.duration = SimDuration::from_mins(minutes);
+    config.duration = duration(minutes, SimDuration::from_mins(1), "minutes")?;
     config.beta = beta;
     config.span_capacity = span_cap as usize;
     config.audit_capacity = audit_cap as usize;
     config.checkpoint_stride = stride;
-    config.inject_panic = inject_panic;
+    config.inject_panic = inject_panic.map(|cell| cell as usize);
 
     let mut options = campaign_options(args, threads as usize);
-    if let Some(secs) = args.get("deadline") {
-        let secs: u64 = secs.parse().map_err(|_| {
-            CliError::Usage(format!("invalid deadline seconds `{secs}` in --deadline"))
-        })?;
+    if let Some(secs) = args.opt_u64("deadline").map_err(usage_error)? {
         if secs == 0 {
             return Err(CliError::Usage("--deadline must be positive".into()));
         }
         options.supervisor.deadline = Some(std::time::Duration::from_secs(secs));
     }
     let pipe = TelemetryPipe::from_args(args, shards * config.policies.len() as u64)?;
-    options.telemetry = pipe.sink();
+    options.telemetry = pipe.sink.clone();
     let run = simty_bench::run_fleet_with(&config, &options);
     drop(options);
     pipe.finish()?;
     let results = run.map_err(|e| CliError::Harness(e.to_string()))?;
 
-    let mut table = TextTable::new([
-        "shard",
-        "status",
-        "devices",
-        "total (J)",
-        "wakeups",
-        "evictions",
-        "wall (ms)",
-    ]);
-    for outcome in results.outcomes() {
-        match &outcome.report {
-            Some(r) => {
-                let m = r.metrics_json.clone();
-                let evictions = ["fleet_span_evictions_total", "fleet_audit_evictions_total"]
-                    .iter()
-                    .map(|name| metrics_counter(&m, name))
-                    .sum::<u64>();
-                table.row([
-                    outcome.label.clone(),
-                    outcome.status.token(),
-                    metrics_counter(&m, "fleet_devices_total").to_string(),
-                    format!("{:.1}", r.energy.total_mj() / 1_000.0),
-                    r.cpu_wakeups.to_string(),
-                    evictions.to_string(),
-                    format!("{:.1}", outcome.wall.as_secs_f64() * 1_000.0),
-                ]);
-            }
-            None => {
-                table.row([
-                    outcome.label.clone(),
-                    "POISONED".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    format!("{:.1}", outcome.wall.as_secs_f64() * 1_000.0),
-                ]);
-            }
-        }
-    }
-    writeln!(out, "{}", table.render())?;
-    write_harness_summary(out, &results.harness(), results.journal_skips())?;
+    let table = outcome_table("shard", FLEET_COLUMNS, results.outcomes());
+    writeln!(out, "{table}")?;
+    write_harness_summary(out, &results.harness())?;
 
     let mut summary = TextTable::new([
         "policy",
@@ -1098,31 +731,21 @@ fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         "window misses",
     ]);
     for agg in results.aggregates() {
-        match &agg.report {
+        let shards = format!("{}/{}", agg.shards_ok, agg.shards_ok + agg.shards_poisoned);
+        let cells = match &agg.report {
             Some(r) if agg.devices > 0 => {
                 let per_device = |v: f64| v / agg.devices as f64;
-                summary.row([
-                    agg.policy.clone(),
-                    format!("{}/{}", agg.shards_ok, agg.shards_ok + agg.shards_poisoned),
+                [
                     agg.devices.to_string(),
                     format!("{:.2}", per_device(r.energy.total_mj()) / 1_000.0),
                     format!("{:.1}", per_device(r.cpu_wakeups as f64)),
                     format!("{:.1}%", r.delays.imperceptible_avg * 100.0),
                     r.resilience.perceptible_window_misses.to_string(),
-                ]);
+                ]
             }
-            _ => {
-                summary.row([
-                    agg.policy.clone(),
-                    format!("{}/{}", agg.shards_ok, agg.shards_ok + agg.shards_poisoned),
-                    "0".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                ]);
-            }
-        }
+            _ => ["0", "-", "-", "-", "-"].map(str::to_owned),
+        };
+        summary.row([agg.policy.clone(), shards].into_iter().chain(cells));
     }
     writeln!(out, "\n{}", summary.render())?;
     writeln!(
@@ -1166,67 +789,49 @@ fn metrics_counter(metrics_json: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Like [`simulate`], but with the audit ring widened so every placement
-/// decision of the run survives for export.
-fn simulate_audited(opts: &CommonOpts, policy: PolicyKind) -> Simulation {
-    let workload = opts.builder().build();
-    let config = SimConfig::new()
-        .with_duration(SimDuration::from_hours(opts.hours))
-        .with_audit_capacity(1 << 20);
-    let mut sim = Simulation::new(policy.build(), config);
-    for alarm in workload.alarms {
-        sim.register(alarm).expect("workload alarm registers cleanly");
-    }
-    sim.run_until(SimTime::ZERO + SimDuration::from_hours(opts.hours));
-    sim
-}
-
-fn cmd_explain<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
+pub(crate) fn cmd_explain(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     use simty::core::policy::Placement;
 
-    args.ensure_known(&[
-        "scenario", "workload", "seed", "hours", "beta", "policy", "jsonl",
-    ])?;
     let opts = CommonOpts::from_args(args)?;
-    let policy = parse_policy(args.get("policy").unwrap_or("simty"))?;
-    let sim = simulate_audited(&opts, policy);
+    let policy = parse_policy(args.value("policy"))?;
+    // A widened audit ring keeps every placement decision for export.
+    let sim = opts.simulate(policy, SimConfig::new().with_audit_capacity(1 << 20));
     let obs = sim.obs();
-    if args.has_switch("jsonl") {
+    if args.switch("jsonl") {
         write!(out, "{}", obs.audits_jsonl())?;
         return Ok(());
     }
     writeln!(
         out,
-        "{} workload, {} h, seed {}, beta {}: placement decisions under {}\n",
-        opts.workload_name(),
-        opts.hours,
-        opts.seed,
+        "{}, beta {}: placement decisions under {}\n",
+        opts.header(),
         opts.beta,
         policy.name(),
     )?;
     let mut batched = 0u64;
     let mut fresh = 0u64;
     for a in obs.audits() {
-        let flavor = if a.perceptible { "perceptible" } else { "imperceptible" };
+        let flavor = if a.perceptible {
+            "perceptible"
+        } else {
+            "imperceptible"
+        };
         let ordinal = obs.alarm_ordinal(a.alarm_id).unwrap_or(0);
-        match a.placement {
+        let target = match a.placement {
             Placement::Existing(idx) => {
                 batched += 1;
-                writeln!(
-                    out,
-                    "[{}] {} (alarm #{ordinal}, nominal {}, {flavor}) -> batched into entry #{idx}",
-                    a.at, a.app, a.nominal,
-                )?;
+                format!("batched into entry #{idx}")
             }
             Placement::NewEntry => {
                 fresh += 1;
-                writeln!(
-                    out,
-                    "[{}] {} (alarm #{ordinal}, nominal {}, {flavor}) -> new entry",
-                    a.at, a.app, a.nominal,
-                )?;
+                "new entry".to_owned()
             }
-        }
+        };
+        writeln!(
+            out,
+            "[{}] {} (alarm #{ordinal}, nominal {}, {flavor}) -> {target}",
+            a.at, a.app, a.nominal,
+        )?;
         for c in &a.candidates {
             writeln!(
                 out,
@@ -1253,15 +858,12 @@ fn cmd_explain<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError>
     Ok(())
 }
 
-fn cmd_metrics<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "scenario", "workload", "seed", "hours", "beta", "policy", "format",
-    ])?;
+pub(crate) fn cmd_metrics(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = CommonOpts::from_args(args)?;
-    let policy = parse_policy(args.get("policy").unwrap_or("simty"))?;
-    let sim = simulate(&opts, policy);
+    let policy = parse_policy(args.value("policy"))?;
+    let sim = opts.simulate(policy, SimConfig::new());
     let obs = sim.obs();
-    match args.get("format").unwrap_or("expose") {
+    match args.value("format") {
         "expose" => write!(out, "{}", obs.metrics_exposition())?,
         "json" => writeln!(out, "{}", obs.metrics_json())?,
         "spans" => write!(out, "{}", obs.spans_jsonl())?,
@@ -1274,36 +876,27 @@ fn cmd_metrics<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError>
     Ok(())
 }
 
-fn cmd_trace<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "scenario", "workload", "seed", "hours", "beta", "policies", "out", "span-cap", "stages",
-    ])?;
+pub(crate) fn cmd_trace(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = CommonOpts::from_args(args)?;
     let policies = parse_policies(args)?;
-    let span_cap = args.get_u64("span-cap", 1 << 20)?;
+    let span_cap = args.u64("span-cap")?;
     if span_cap == 0 {
         return Err(CliError::Usage("--span-cap must be positive".into()));
     }
     let path = args
         .get("out")
         .ok_or_else(|| CliError::Usage("trace needs --out FILE".into()))?;
-    let with_stages = args.has_switch("stages");
+    let with_stages = args.switch("stages");
 
     // One track (tid) per policy, timestamps on the sim clock, so the
     // file is deterministic for a given grid; the optional stage tracks
     // carry wall-clock self-times and are off by default.
     let mut trace = simty::obs::TraceBuilder::new("standby");
     for (i, &policy) in policies.iter().enumerate() {
-        let workload = opts.builder().build();
-        let config = SimConfig::new()
-            .with_duration(SimDuration::from_hours(opts.hours))
-            .with_span_capacity(span_cap as usize);
-        let mut sim = Simulation::new(policy.build(), config);
-        for alarm in workload.alarms {
-            sim.register(alarm).expect("workload alarm registers cleanly");
-        }
-        sim.run_until(SimTime::ZERO + SimDuration::from_hours(opts.hours));
-
+        let sim = opts.simulate(
+            policy,
+            SimConfig::new().with_span_capacity(span_cap as usize),
+        );
         let tid = i as u64;
         trace.add_track(tid, &policy.name());
         trace.add_spans(tid, sim.obs().spans().iter());
@@ -1325,56 +918,24 @@ fn cmd_trace<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `standby bench <subcommand>`: document-level tooling. Takes its
-/// operands positionally (`bench diff OLD.json NEW.json`), so it is
-/// dispatched before the flag parser.
-fn cmd_bench<W: Write>(rest: &[String], out: &mut W) -> Result<(), CliError> {
-    match rest.first().map(String::as_str) {
-        Some("diff") => {}
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "unknown bench subcommand `{other}` (expected `diff`)"
-            )))
-        }
-        None => {
+/// `standby bench diff OLD.json NEW.json`: the schema-aware perf gate
+/// between two campaign documents.
+pub(crate) fn cmd_bench(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+    let (old_path, new_path) = match &args.operands[..] {
+        [diff, old, new] if diff == "diff" => (old, new),
+        _ => {
             return Err(CliError::Usage(
-                "bench needs a subcommand: `standby bench diff OLD.json NEW.json`".into(),
+                "usage: standby bench diff OLD.json NEW.json".into(),
             ))
         }
-    }
-    let mut paths: Vec<&String> = Vec::new();
-    let mut thresholds = simty_bench::DiffThresholds::default();
-    let mut iter = rest[1..].iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--max-ratio" | "--max-delta-pct" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage(format!("{arg} needs a value")))?;
-                let parsed: f64 = value.parse().map_err(|_| {
-                    CliError::Usage(format!("invalid value `{value}` for {arg}"))
-                })?;
-                if !parsed.is_finite() || parsed <= 0.0 {
-                    return Err(CliError::Usage(format!("{arg} must be positive")));
-                }
-                if arg == "--max-ratio" {
-                    thresholds.max_wall_ratio = parsed;
-                } else {
-                    thresholds.max_delta_pct = parsed;
-                }
-            }
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!(
-                    "unknown bench diff flag `{flag}`"
-                )))
-            }
-            _ => paths.push(arg),
-        }
-    }
-    let [old_path, new_path] = paths[..] else {
-        return Err(CliError::Usage(
-            "bench diff takes exactly two documents: OLD.json NEW.json".into(),
-        ));
+    };
+    let positive = |flag: &str| match args.f64(flag).map_err(usage_error)? {
+        x if x.is_finite() && x > 0.0 => Ok(x),
+        _ => Err(CliError::Usage(format!("--{flag} must be positive"))),
+    };
+    let thresholds = simty_bench::DiffThresholds {
+        max_wall_ratio: positive("max-ratio")?,
+        max_delta_pct: positive("max-delta-pct")?,
     };
     let old = std::fs::read_to_string(old_path)?;
     let new = std::fs::read_to_string(new_path)?;
@@ -1394,14 +955,19 @@ fn cmd_bench<W: Write>(rest: &[String], out: &mut W) -> Result<(), CliError> {
             report.regressions.len()
         )));
     }
-    writeln!(out, "no regressions: {new_path} is within thresholds of {old_path}")?;
+    writeln!(
+        out,
+        "no regressions: {new_path} is within thresholds of {old_path}"
+    )?;
     Ok(())
 }
 
 /// Where `--progress`/`--events` telemetry goes: a drain thread that
 /// consumes the campaign's bus, rendering a live progress line on
 /// stderr and appending JSON lines to the events file, until every sink
-/// clone is dropped.
+/// clone is dropped. `sink` is `None` when neither flag asked for
+/// telemetry; the campaign publishes into clones of it.
+#[derive(Default)]
 struct TelemetryPipe {
     sink: Option<simty::obs::TelemetrySink>,
     drain: Option<std::thread::JoinHandle<io::Result<()>>>,
@@ -1414,7 +980,7 @@ impl TelemetryPipe {
     fn from_args(args: &ParsedArgs, cells_total: u64) -> Result<Self, CliError> {
         use std::io::IsTerminal;
 
-        let progress = args.has_switch("progress") && io::stderr().is_terminal();
+        let progress = args.switch("progress") && io::stderr().is_terminal();
         let events = match args.get("events") {
             None => None,
             Some(path) => Some(BufWriter::new(
@@ -1422,10 +988,7 @@ impl TelemetryPipe {
             )),
         };
         if !progress && events.is_none() {
-            return Ok(TelemetryPipe {
-                sink: None,
-                drain: None,
-            });
+            return Ok(TelemetryPipe::default());
         }
         let (bus, sink) =
             simty::obs::TelemetryBus::new(simty::obs::telemetry::DEFAULT_BUS_CAPACITY);
@@ -1455,12 +1018,6 @@ impl TelemetryPipe {
         })
     }
 
-    /// A sink clone for the campaign to publish into (None when neither
-    /// flag asked for telemetry).
-    fn sink(&self) -> Option<simty::obs::TelemetrySink> {
-        self.sink.clone()
-    }
-
     /// Drops the CLI's sink and joins the drain thread; the thread ends
     /// once the campaign's own sink clones are gone too, so callers
     /// must drop those (the run consuming them suffices) before this.
@@ -1470,24 +1027,20 @@ impl TelemetryPipe {
     /// final warn event on the bus itself (best-effort — the tail of a
     /// saturated bus may shed the warning too) and as a note on stderr
     /// once the drain is done.
-    fn finish(mut self) -> Result<(), CliError> {
-        let dropped = match self.sink.take() {
-            Some(sink) => {
-                let dropped = sink.dropped();
-                if dropped > 0 {
-                    sink.warn(format!(
-                        "telemetry bus dropped {dropped} event(s); raise the bus capacity or slow the campaign"
-                    ));
-                }
-                dropped
-            }
-            None => 0,
+    fn finish(self) -> Result<(), CliError> {
+        let (Some(sink), Some(drain)) = (self.sink, self.drain) else {
+            return Ok(());
         };
-        if let Some(handle) = self.drain.take() {
-            handle
-                .join()
-                .map_err(|_| CliError::Harness("telemetry drain thread panicked".into()))??;
+        let dropped = sink.dropped();
+        if dropped > 0 {
+            sink.warn(format!(
+                "telemetry bus dropped {dropped} event(s); raise the bus capacity or slow the campaign"
+            ));
         }
+        drop(sink);
+        drain
+            .join()
+            .map_err(|_| CliError::Harness("telemetry drain thread panicked".into()))??;
         if dropped > 0 {
             eprintln!("warning: telemetry bus dropped {dropped} event(s)");
         }
@@ -1495,12 +1048,11 @@ impl TelemetryPipe {
     }
 }
 
-fn cmd_sweep_beta<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&["scenario", "seed", "hours", "from", "to", "steps", "workload"])?;
+pub(crate) fn cmd_sweep_beta(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let mut opts = CommonOpts::from_args(args)?;
-    let from = args.get_f64("from", 0.75)?;
-    let to = args.get_f64("to", 0.96)?;
-    let steps = args.get_u64("steps", 5)?;
+    let from = args.f64("from")?;
+    let to = args.f64("to")?;
+    let steps = args.u64("steps")?;
     if steps < 2 || !(0.0..1.0).contains(&from) || !(0.0..1.0).contains(&to) || from > to {
         return Err(CliError::Usage(
             "sweep needs 0 <= from <= to < 1 and steps >= 2".into(),
@@ -1510,8 +1062,7 @@ fn cmd_sweep_beta<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliErr
     for i in 0..steps {
         let beta = from + (to - from) * i as f64 / (steps - 1) as f64;
         opts.beta = beta;
-        let sim = simulate(&opts, PolicyKind::Simty);
-        let r = sim.report();
+        let r = opts.simulate(PolicyKind::Simty, SimConfig::new()).report();
         table.row([
             format!("{beta:.3}"),
             format!("{:.1}", r.energy.total_mj() / 1_000.0),
@@ -1523,15 +1074,10 @@ fn cmd_sweep_beta<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliErr
     Ok(())
 }
 
-fn cmd_estimate<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&["scenario", "workload", "seed", "hours", "beta"])?;
+pub(crate) fn cmd_estimate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = CommonOpts::from_args(args)?;
     let workload = opts.builder().build();
-    let e = simty::sim::estimate::estimate(
-        &workload.alarms,
-        SimDuration::from_hours(opts.hours),
-        &PowerModel::nexus5(),
-    );
+    let e = simty::sim::estimate::estimate(&workload.alarms, opts.duration, &PowerModel::nexus5());
     writeln!(
         out,
         "{} workload over {} h ({} alarms), closed-form envelope:\n",
@@ -1539,17 +1085,21 @@ fn cmd_estimate<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError
         opts.hours,
         workload.alarms.len()
     )?;
-    writeln!(out, "  sleep floor          {:>9.1} J", e.sleep_mj / 1_000.0)?;
-    writeln!(
-        out,
-        "  awake, no alignment  {:>9.1} J  (upper bound; ~EXACT)",
-        e.unaligned_awake_mj / 1_000.0
-    )?;
-    writeln!(
-        out,
-        "  awake, perfect align {:>9.1} J  (lower bound)",
-        e.best_case_awake_mj / 1_000.0
-    )?;
+    for (label, mj, note) in [
+        ("sleep floor", e.sleep_mj, ""),
+        (
+            "awake, no alignment",
+            e.unaligned_awake_mj,
+            "  (upper bound; ~EXACT)",
+        ),
+        (
+            "awake, perfect align",
+            e.best_case_awake_mj,
+            "  (lower bound)",
+        ),
+    ] {
+        writeln!(out, "  {label:<20} {:>9.1} J{note}", mj / 1_000.0)?;
+    }
     writeln!(
         out,
         "  max achievable total saving: {:.1}%",
@@ -1558,31 +1108,40 @@ fn cmd_estimate<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError
     Ok(())
 }
 
-fn cmd_analyze<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&["trace"])?;
+pub(crate) fn cmd_analyze(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args
         .get("trace")
         .ok_or_else(|| CliError::Usage("analyze requires --trace FILE".into()))?;
     let text = std::fs::read_to_string(path)?;
     let trace = simty::sim::Trace::read_csv(&text).map_err(|e| CliError::Usage(e.to_string()))?;
-    writeln!(out, "{} deliveries loaded from {path}\n", trace.deliveries().len())?;
+    let loaded = trace.deliveries().len();
+    writeln!(out, "{loaded} deliveries loaded from {path}\n")?;
     writeln!(out, "{}", BatchHistogram::from_trace(&trace))?;
-    let mut table = TextTable::new(["app", "deliveries", "mean delay", "max delay", "mean gap"]);
-    for s in per_app_stats(&trace) {
-        table.row([
+    writeln!(out, "\n{}", app_table(&trace, true))?;
+    Ok(())
+}
+
+/// Per-app delivery statistics of a trace, with the mean gap between
+/// deliveries when `gaps` is set.
+fn app_table(trace: &simty::sim::Trace, gaps: bool) -> String {
+    let headers = ["app", "deliveries", "mean delay", "max delay", "mean gap"];
+    let mut table = TextTable::new(headers[..4 + usize::from(gaps)].iter().copied());
+    for s in per_app_stats(trace) {
+        let mut row = vec![
             s.app.clone(),
             s.deliveries.to_string(),
             format!("{:.1}%", s.mean_normalized_delay * 100.0),
             format!("{:.1}%", s.max_normalized_delay * 100.0),
-            s.mean_gap.map(|g| g.to_string()).unwrap_or_else(|| "-".into()),
-        ]);
+        ];
+        if gaps {
+            row.push(s.mean_gap.map_or_else(|| "-".to_owned(), |g| g.to_string()));
+        }
+        table.row(row);
     }
-    writeln!(out, "\n{}", table.render())?;
-    Ok(())
+    table.render()
 }
 
-fn cmd_catalog<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[])?;
+pub(crate) fn cmd_catalog(_args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let mut table = TextTable::new(["app", "ReIn (s)", "alpha", "S/D", "hardware", "workloads"]);
     let light = simty::apps::catalog::light_workload_apps();
     let light_names: Vec<&str> = light.iter().map(|a| a.name.as_str()).collect();
@@ -1763,6 +1322,7 @@ mod tests {
             vec!["sweep", "--betas", "1.5"],
             vec!["sweep", "--betas", "abc"],
             vec!["sweep", "--threads", "0"],
+            vec!["sweep", "--hours", "5124095576031"],
         ] {
             assert!(
                 matches!(run(&bad), Err(CliError::Usage(_))),
@@ -1878,6 +1438,7 @@ mod tests {
             ["--policies", "bogus"],
             ["--scenarios", "synthetic:5"],
             ["--seeds", "0"],
+            ["--hours", "5124095576031"],
         ] {
             let args = [campaign, bad[0], bad[1]];
             assert!(
@@ -1957,7 +1518,10 @@ mod tests {
         .unwrap();
         assert!(!text.is_empty());
         for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "bad line {line}");
+            assert!(
+                line.starts_with('{') && line.ends_with('}'),
+                "bad line {line}"
+            );
         }
         assert!(text.contains("\"preferability\""));
         assert!(text.contains("\"verdict\":\"won\""));
@@ -1980,7 +1544,13 @@ mod tests {
         assert!(expose.contains("sim_entry_size"));
 
         let json = run(&[
-            "metrics", "--scenario", "light", "--hours", "1", "--format", "json",
+            "metrics",
+            "--scenario",
+            "light",
+            "--hours",
+            "1",
+            "--format",
+            "json",
         ])
         .unwrap();
         assert!(json.trim().starts_with('{') && json.trim().ends_with('}'));
@@ -1988,7 +1558,13 @@ mod tests {
         assert!(json.contains("\"histograms\""));
 
         let spans = run(&[
-            "metrics", "--scenario", "light", "--hours", "1", "--format", "spans",
+            "metrics",
+            "--scenario",
+            "light",
+            "--hours",
+            "1",
+            "--format",
+            "spans",
         ])
         .unwrap();
         assert!(spans.contains("\"kind\":\"wake_cycle\""));
@@ -2094,7 +1670,13 @@ mod tests {
     #[test]
     fn missing_workload_file_is_an_io_error() {
         assert!(matches!(
-            run(&["run", "--workload", "/nonexistent/simty.spec", "--hours", "1"]),
+            run(&[
+                "run",
+                "--workload",
+                "/nonexistent/simty.spec",
+                "--hours",
+                "1"
+            ]),
             Err(CliError::Io(_))
         ));
     }
@@ -2102,10 +1684,7 @@ mod tests {
     #[test]
     fn exit_codes_distinguish_failure_classes() {
         assert_eq!(CliError::Usage("x".into()).exit_code(), 2);
-        assert_eq!(
-            CliError::Io(io::Error::other("x")).exit_code(),
-            3
-        );
+        assert_eq!(CliError::Io(io::Error::other("x")).exit_code(), 3);
         assert_eq!(CliError::Invariants(1).exit_code(), 4);
         assert_eq!(CliError::Recovery("x".into()).exit_code(), 5);
         assert_eq!(CliError::Harness("x".into()).exit_code(), 6);
@@ -2117,25 +1696,31 @@ mod tests {
     fn serve_load_emits_the_serve_document() {
         let text = run(&[
             "serve-load",
-            "--connections", "30",
-            "--concurrency", "4",
-            "--tenants", "2",
-            "--seed", "3",
-            "--workers", "2",
-            "--queue-depth", "2",
+            "--connections",
+            "30",
+            "--concurrency",
+            "4",
+            "--tenants",
+            "2",
+            "--seed",
+            "3",
+            "--workers",
+            "2",
+            "--queue-depth",
+            "2",
         ])
         .unwrap();
         assert!(text.contains("\"schema\": \"simty-serve/v1\""), "{text}");
-        assert!(text.contains("\"server\""), "self-hosted run must fold in the drain report");
+        assert!(
+            text.contains("\"server\""),
+            "self-hosted run must fold in the drain report"
+        );
         assert!(text.contains("\"invariant_violations\": 0"), "{text}");
     }
 
     #[test]
     fn serve_drains_on_schedule_and_rejects_bad_flags() {
-        let text = run(&[
-            "serve", "--addr", "127.0.0.1:0", "--drain-after-ms", "150",
-        ])
-        .unwrap();
+        let text = run(&["serve", "--addr", "127.0.0.1:0", "--drain-after-ms", "150"]).unwrap();
         assert!(text.contains("listening on 127.0.0.1:"), "{text}");
         assert!(text.contains("\"invariant_violations\": 0"), "{text}");
         assert!(matches!(
@@ -2159,8 +1744,15 @@ mod tests {
         let path = dir.join("t.json");
         let path_str = path.to_str().unwrap();
         let text = run(&[
-            "trace", "--policies", "native,simty", "--scenario", "light", "--hours", "1",
-            "--out", path_str,
+            "trace",
+            "--policies",
+            "native,simty",
+            "--scenario",
+            "light",
+            "--hours",
+            "1",
+            "--out",
+            path_str,
         ])
         .unwrap();
         assert!(text.contains("trace written to"), "{text}");
@@ -2185,8 +1777,17 @@ mod tests {
         let doc = dir.join("sweep.json");
         let doc_str = doc.to_str().unwrap().to_owned();
         run(&[
-            "sweep", "--policies", "simty", "--scenarios", "light", "--seeds", "1",
-            "--hours", "1", "--json", &doc_str,
+            "sweep",
+            "--policies",
+            "simty",
+            "--scenarios",
+            "light",
+            "--seeds",
+            "1",
+            "--hours",
+            "1",
+            "--json",
+            &doc_str,
         ])
         .unwrap();
 
@@ -2238,8 +1839,17 @@ mod tests {
         let new_str = new.to_str().unwrap().to_owned();
         for path in [&old_str, &new_str] {
             run(&[
-                "serve-load", "--connections", "20", "--concurrency", "4",
-                "--tenants", "2", "--seed", "11", "--json", path,
+                "serve-load",
+                "--connections",
+                "20",
+                "--concurrency",
+                "4",
+                "--tenants",
+                "2",
+                "--seed",
+                "11",
+                "--json",
+                path,
             ])
             .unwrap();
         }
@@ -2252,9 +1862,11 @@ mod tests {
         assert!(text.contains("no regressions"), "{text}");
 
         // A doctored invariant violation trips the gate.
-        let doctored = std::fs::read_to_string(&new)
-            .unwrap()
-            .replacen("\"invariant_violations\": 0", "\"invariant_violations\": 2", 1);
+        let doctored = std::fs::read_to_string(&new).unwrap().replacen(
+            "\"invariant_violations\": 0",
+            "\"invariant_violations\": 2",
+            1,
+        );
         std::fs::write(&new, doctored).unwrap();
         assert!(matches!(
             run(&["bench", "diff", &old_str, &new_str]),
@@ -2272,8 +1884,19 @@ mod tests {
         let json = dir.join("sweep.json");
         let json_str = json.to_str().unwrap().to_owned();
         run(&[
-            "sweep", "--policies", "native,simty", "--scenarios", "light", "--seeds",
-            "1", "--hours", "1", "--events", &events_str, "--json", &json_str,
+            "sweep",
+            "--policies",
+            "native,simty",
+            "--scenarios",
+            "light",
+            "--seeds",
+            "1",
+            "--hours",
+            "1",
+            "--events",
+            &events_str,
+            "--json",
+            &json_str,
         ])
         .unwrap();
         let lines: Vec<String> = std::fs::read_to_string(&events)
@@ -2283,12 +1906,18 @@ mod tests {
             .collect();
         // Two cells: started + finished for each.
         assert_eq!(
-            lines.iter().filter(|l| l.contains("\"kind\":\"cell_started\"")).count(),
+            lines
+                .iter()
+                .filter(|l| l.contains("\"kind\":\"cell_started\""))
+                .count(),
             2,
             "{lines:?}"
         );
         assert_eq!(
-            lines.iter().filter(|l| l.contains("\"kind\":\"cell_finished\"")).count(),
+            lines
+                .iter()
+                .filter(|l| l.contains("\"kind\":\"cell_finished\""))
+                .count(),
             2,
             "{lines:?}"
         );
@@ -2300,8 +1929,17 @@ mod tests {
         let json2 = dir.join("sweep2.json");
         let json2_str = json2.to_str().unwrap().to_owned();
         run(&[
-            "sweep", "--policies", "native,simty", "--scenarios", "light", "--seeds",
-            "1", "--hours", "1", "--json", &json2_str,
+            "sweep",
+            "--policies",
+            "native,simty",
+            "--scenarios",
+            "light",
+            "--seeds",
+            "1",
+            "--hours",
+            "1",
+            "--json",
+            &json2_str,
         ])
         .unwrap();
         let payload = |doc: &str| doc[doc.find("\"results\":").unwrap()..].to_owned();
@@ -2330,8 +1968,15 @@ mod tests {
     #[test]
     fn sweep_prints_the_harness_summary() {
         let text = run(&[
-            "sweep", "--policies", "simty", "--scenarios", "light", "--seeds", "1",
-            "--hours", "1",
+            "sweep",
+            "--policies",
+            "simty",
+            "--scenarios",
+            "light",
+            "--seeds",
+            "1",
+            "--hours",
+            "1",
         ])
         .unwrap();
         assert!(text.contains("harness: 1 cells (1 ok, 0 retried, 0 poisoned)"));
@@ -2341,8 +1986,17 @@ mod tests {
     #[test]
     fn sweep_quarantines_an_injected_panic() {
         let err = run(&[
-            "sweep", "--policies", "native,simty", "--scenarios", "light", "--seeds",
-            "1", "--hours", "1", "--inject-panic", "0",
+            "sweep",
+            "--policies",
+            "native,simty",
+            "--scenarios",
+            "light",
+            "--seeds",
+            "1",
+            "--hours",
+            "1",
+            "--inject-panic",
+            "0",
         ])
         .unwrap_err();
         let CliError::Harness(msg) = err else {
@@ -2358,8 +2012,17 @@ mod tests {
         // load a good snapshot; success leaves the cell's report equal
         // to the uninjected run's, so the campaign stays green.
         let text = run(&[
-            "sweep", "--policies", "simty", "--scenarios", "light", "--seeds", "1",
-            "--hours", "1", "--inject-ckpt-eio", "0",
+            "sweep",
+            "--policies",
+            "simty",
+            "--scenarios",
+            "light",
+            "--seeds",
+            "1",
+            "--hours",
+            "1",
+            "--inject-ckpt-eio",
+            "0",
         ])
         .unwrap();
         assert!(text.contains("harness: 1 cells (1 ok"));
@@ -2367,10 +2030,8 @@ mod tests {
 
     #[test]
     fn sweep_resume_restores_journaled_cells() {
-        let dir = std::env::temp_dir().join(format!(
-            "simty_cli_test_resume_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("simty_cli_test_resume_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let dir_str = dir.to_str().unwrap().to_owned();
         let json_a = dir.join("a.json");
@@ -2434,8 +2095,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let dir_str = dir.to_str().unwrap().to_owned();
         let args = [
-            "chaos", "--policies", "simty", "--scenarios", "light", "--profiles",
-            "baseline", "--seeds", "1", "--hours", "1", "--resume", &dir_str,
+            "chaos",
+            "--policies",
+            "simty",
+            "--scenarios",
+            "light",
+            "--profiles",
+            "baseline",
+            "--seeds",
+            "1",
+            "--hours",
+            "1",
+            "--resume",
+            &dir_str,
         ];
         let first = run(&args).unwrap();
         assert!(first.contains("harness: 1 cells (1 ok"));
@@ -2451,8 +2123,19 @@ mod tests {
         let path = dir.join("simty_cli_test_fleet.json");
         let path_str = path.to_str().unwrap().to_owned();
         let text = run(&[
-            "fleet", "--devices", "6", "--shards", "2", "--policies", "simty",
-            "--minutes", "5", "--threads", "2", "--json", &path_str,
+            "fleet",
+            "--devices",
+            "6",
+            "--shards",
+            "2",
+            "--policies",
+            "simty",
+            "--minutes",
+            "5",
+            "--threads",
+            "2",
+            "--json",
+            &path_str,
         ])
         .unwrap();
         assert!(text.contains("SIMTY/shard00"), "{text}");
@@ -2470,8 +2153,17 @@ mod tests {
     #[test]
     fn fleet_quarantines_an_injected_panic() {
         let err = run(&[
-            "fleet", "--devices", "4", "--shards", "2", "--policies", "simty",
-            "--minutes", "5", "--inject-panic", "0",
+            "fleet",
+            "--devices",
+            "4",
+            "--shards",
+            "2",
+            "--policies",
+            "simty",
+            "--minutes",
+            "5",
+            "--inject-panic",
+            "0",
         ])
         .unwrap_err();
         let CliError::Harness(msg) = err else {
@@ -2493,6 +2185,7 @@ mod tests {
             vec!["fleet", "--span-cap", "0"],
             vec!["fleet", "--deadline", "0"],
             vec!["fleet", "--inject-panic", "abc"],
+            vec!["fleet", "--minutes", "307445734561826"],
         ] {
             assert!(
                 matches!(run(&bad), Err(CliError::Usage(_))),
@@ -2510,8 +2203,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let dir_str = dir.to_str().unwrap().to_owned();
         let args = [
-            "fleet", "--devices", "6", "--shards", "2", "--policies", "simty",
-            "--minutes", "5", "--ckpt-stride", "2", "--resume", &dir_str,
+            "fleet",
+            "--devices",
+            "6",
+            "--shards",
+            "2",
+            "--policies",
+            "simty",
+            "--minutes",
+            "5",
+            "--ckpt-stride",
+            "2",
+            "--resume",
+            &dir_str,
         ];
         let first = run(&args).unwrap();
         assert!(first.contains("0 journal-restored"), "{first}");
@@ -2555,5 +2259,60 @@ mod tests {
             run(&["run", "--policy", "fixed:0"]),
             Err(CliError::Usage(_))
         ));
+        // Hours whose milliseconds overflow the clock are refused, not
+        // wrapped into a short run.
+        assert!(matches!(
+            run(&["run", "--hours", "5124095576031"]),
+            Err(CliError::Usage(_))
+        ));
+    }
+
+    #[test]
+    fn flags_are_typed_by_their_declaration() {
+        // A value flag needs a value, and a switch takes none: each of
+        // these once ran with the flag silently ignored or misread.
+        for bad in [
+            vec!["run", "--policy", "--json"],
+            vec!["run", "--json", "out.json"],
+            vec!["run", "--timeline", "yes"],
+            vec!["run", "--waveform"],
+            vec![
+                "sweep",
+                "--policies",
+                "simty",
+                "--scenarios",
+                "light",
+                "--seeds",
+                "1",
+                "--hours",
+                "1",
+                "--json",
+            ],
+            vec![
+                "fleet",
+                "--devices",
+                "2",
+                "--shards",
+                "1",
+                "--policies",
+                "simty",
+                "--minutes",
+                "1",
+                "--resume",
+            ],
+        ] {
+            let err = run(&bad).expect_err("a mistyped flag is rejected");
+            assert!(
+                matches!(
+                    err,
+                    CliError::Args(
+                        ParseArgsError::MissingValue { .. }
+                            | ParseArgsError::UnexpectedPositional { .. }
+                    )
+                ),
+                "{bad:?}: {err:?}"
+            );
+            assert_eq!(err.exit_code(), 2);
+        }
     }
 }

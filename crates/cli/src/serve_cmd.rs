@@ -14,8 +14,9 @@ use simty_serve::transport::FaultPlan;
 use crate::args::ParsedArgs;
 use crate::commands::CliError;
 
-fn parse_fault(args: &ParsedArgs) -> Result<FaultPlan, CliError> {
-    let name = args.get("fault").unwrap_or("none");
+/// The fault drill named by the flag `flag`.
+fn parse_fault(args: &ParsedArgs, flag: &str) -> Result<FaultPlan, CliError> {
+    let name = args.value(flag);
     FaultPlan::named(name).ok_or_else(|| {
         CliError::Usage(format!(
             "unknown fault profile `{name}` (expected one of {})",
@@ -24,22 +25,18 @@ fn parse_fault(args: &ParsedArgs) -> Result<FaultPlan, CliError> {
     })
 }
 
-fn server_config(args: &ParsedArgs) -> Result<ServeConfig, CliError> {
-    let defaults = ServeConfig::default();
+/// The server flags shared by `serve` and `serve-load`'s in-process
+/// server, with the fault drill named by `fault` and seeded by `seed`.
+fn server_config(args: &ParsedArgs, fault: &str, seed: &str) -> Result<ServeConfig, CliError> {
     Ok(ServeConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:8377").to_owned(),
-        workers: args.get_u64("workers", defaults.workers as u64)? as usize,
-        queue_depth: args.get_u64("queue-depth", defaults.queue_depth as u64)? as usize,
-        deadline: Duration::from_millis(args.get_u64("deadline-ms", 2_000)?),
-        limits: defaults.limits,
-        policy: args.get("policy").unwrap_or("simty").to_owned(),
+        workers: args.u64("workers")? as usize,
+        queue_depth: args.u64("queue-depth")? as usize,
+        policy: args.value("policy").to_owned(),
         state_dir: args.get("state-dir").map(PathBuf::from),
-        fault: parse_fault(args)?,
-        seed: args.get_u64("seed", 1)?,
-        telemetry_capacity: args
-            .get_u64("telemetry-capacity", defaults.telemetry_capacity as u64)?
-            as usize,
-        max_run_minutes: args.get_u64("max-run-minutes", defaults.max_run_minutes)?,
+        fault: parse_fault(args, fault)?,
+        seed: args.u64(seed)?,
+        telemetry_capacity: args.u64("telemetry-capacity")? as usize,
+        ..ServeConfig::default()
     })
 }
 
@@ -65,22 +62,16 @@ fn drain_to_json(drain: &DrainReport) -> String {
 /// `standby serve`: run the scheduler service until SIGTERM/ctrl-c (or
 /// `--drain-after-ms` for scripted runs), then drain gracefully and
 /// print the drain report.
-pub fn cmd_serve<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "addr",
-        "workers",
-        "queue-depth",
-        "deadline-ms",
-        "policy",
-        "state-dir",
-        "fault",
-        "seed",
-        "telemetry-capacity",
-        "max-run-minutes",
-        "drain-after-ms",
-    ])?;
-    let config = server_config(args)?;
-    let drain_after = args.get_u64("drain-after-ms", 0)?;
+pub(crate) fn cmd_serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+    let deadline = Duration::from_millis(args.u64("deadline-ms")?);
+    let server = server_config(args, "fault", "seed")?;
+    let config = ServeConfig {
+        addr: args.value("addr").to_owned(),
+        deadline,
+        max_run_minutes: args.u64("max-run-minutes")?,
+        ..server
+    };
+    let drain_after = args.u64("drain-after-ms")?;
 
     signal::install_handlers();
     let handle = spawn(config).map_err(CliError::Serve)?;
@@ -107,65 +98,26 @@ pub fn cmd_serve<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliErro
 /// target is an already-running server; without it the harness spawns a
 /// server in-process, drains it afterwards, and folds the server's
 /// drain report into the emitted `simty-serve/v1` document.
-pub fn cmd_serve_load<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
-    args.ensure_known(&[
-        "addr",
-        "connections",
-        "concurrency",
-        "tenants",
-        "seed",
-        "fault",
-        "deadline-ms",
-        "workers",
-        "queue-depth",
-        "policy",
-        "state-dir",
-        "server-fault",
-        "server-seed",
-        "telemetry-capacity",
-        "json",
-    ])?;
-    let fault = parse_fault(args)?;
-    let profile = args.get("fault").unwrap_or("none").to_owned();
+pub(crate) fn cmd_serve_load(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+    let profile = args.value("fault");
     let spec = LoadSpec {
-        addr: args.get("addr").unwrap_or("").to_owned(),
-        connections: args.get_u64("connections", 200)?,
-        concurrency: args.get_u64("concurrency", 8)? as usize,
-        tenants: args.get_u64("tenants", 4)? as usize,
-        seed: args.get_u64("seed", 1)?,
-        fault,
-        deadline: Duration::from_millis(args.get_u64("deadline-ms", 2_000)?),
+        addr: args.value("addr").to_owned(),
+        fault: parse_fault(args, "fault")?,
+        connections: args.u64("connections")?,
+        concurrency: args.u64("concurrency")? as usize,
+        tenants: args.u64("tenants")? as usize,
+        seed: args.u64("seed")?,
+        deadline: Duration::from_millis(args.u64("deadline-ms")?),
     };
 
     let (document, violations) = if spec.addr.is_empty() {
         // Self-hosted: spawn, load, drain, merge the server's view.
-        let defaults = ServeConfig::default();
-        let server = ServeConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            workers: args.get_u64("workers", defaults.workers as u64)? as usize,
-            queue_depth: args.get_u64("queue-depth", defaults.queue_depth as u64)? as usize,
-            policy: args.get("policy").unwrap_or("simty").to_owned(),
-            state_dir: args.get("state-dir").map(PathBuf::from),
-            fault: FaultPlan::named(args.get("server-fault").unwrap_or("none")).ok_or_else(
-                || {
-                    CliError::Usage(format!(
-                        "unknown fault profile `{}`",
-                        args.get("server-fault").unwrap_or("none")
-                    ))
-                },
-            )?,
-            seed: args.get_u64("server-seed", 1)?,
-            telemetry_capacity: args
-                .get_u64("telemetry-capacity", defaults.telemetry_capacity as u64)?
-                as usize,
-            ..defaults
-        };
-        let (_report, drain, json) =
-            load::drive(server, spec, &profile).map_err(CliError::Serve)?;
+        let server = server_config(args, "server-fault", "server-seed")?;
+        let (_report, drain, json) = load::drive(server, spec, profile).map_err(CliError::Serve)?;
         (json, drain.invariant_violations)
     } else {
         let report = load::run(&spec);
-        (report.to_json(&spec, &profile, None), 0)
+        (report.to_json(&spec, profile, None), 0)
     };
 
     match args.get("json") {
@@ -173,9 +125,7 @@ pub fn cmd_serve_load<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), Cl
             std::fs::write(path, &document)?;
             writeln!(out, "wrote {path}")?;
         }
-        None => {
-            write!(out, "{document}")?;
-        }
+        None => write!(out, "{document}")?,
     }
     if violations > 0 {
         return Err(CliError::Invariants(violations));

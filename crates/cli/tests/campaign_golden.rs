@@ -16,16 +16,33 @@ use simty_cli::run_cli;
 /// `(campaign, profiles, hours, body digest)`; every grid is NATIVE and
 /// SIMTY on the light scenario with one seed.
 const GRIDS: [(&str, &str, &str, u64); 3] = [
-    ("chaos", "baseline,overruns,mixed", "1", 0x026d_1257_c93c_5037),
-    ("soak", "single-reboot,bitflip,torn-stale", "2", 0xdcbd_6974_96f7_a892),
-    ("storm", "quota-storm,drain-critical,storm-and-drain", "1", 0xdf75_9c14_7272_1107),
+    (
+        "chaos",
+        "baseline,overruns,mixed",
+        "1",
+        0x026d_1257_c93c_5037,
+    ),
+    (
+        "soak",
+        "single-reboot,bitflip,torn-stale",
+        "2",
+        0xdcbd_6974_96f7_a892,
+    ),
+    (
+        "storm",
+        "quota-storm,drain-critical,storm-and-drain",
+        "1",
+        0xdf75_9c14_7272_1107,
+    ),
 ];
 
 /// The document with its per-invocation header cut out: everything
 /// between the schema field and `,"runs":`.
 fn deterministic_body(document: &str) -> String {
     let schema_end = document.find("/v1\"").expect("document has a schema") + 4;
-    let runs = document.find(",\"runs\":").expect("document has a run count");
+    let runs = document
+        .find(",\"runs\":")
+        .expect("document has a run count");
     format!("{}{}", &document[..schema_end], &document[runs..])
 }
 
@@ -61,9 +78,14 @@ fn campaign_documents_match_their_goldens() {
         let document = std::fs::read_to_string(&path).expect("campaign document written");
         let digest = fnv1a64(deterministic_body(&document).as_bytes());
         if digest != golden {
-            failures.push(format!("{campaign}: {digest:#018x} != golden {golden:#018x}"));
+            failures.push(format!(
+                "{campaign}: {digest:#018x} != golden {golden:#018x}"
+            ));
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(failures.is_empty(), "campaign documents drifted: {failures:?}");
+    assert!(
+        failures.is_empty(),
+        "campaign documents drifted: {failures:?}"
+    );
 }

@@ -643,6 +643,94 @@ mod tests {
         assert_eq!(err.status(), Some((408, "Request Timeout")));
     }
 
+    /// Hostile bytes, torn at arbitrary points and read as one pipelined
+    /// stream under small limits, give requests or typed errors and
+    /// never a panic. Each case strings together request-shaped parts
+    /// drawn from valid and hostile pieces, then overwrites random bytes.
+    #[test]
+    fn hostile_bytes_give_requests_or_typed_errors() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const METHODS: [&[u8]; 4] = [b"GET ", b"POST ", b"PUT ", b" "];
+        const TARGETS: [&[u8]; 4] = [b"/a?b=c", b"/", b"x", b"/\xff"];
+        const VERSIONS: [&[u8]; 4] = [b" HTTP/1.1\r\n", b" HTTP/1.0\r\n", b" HTTP/2\r\n", b"\r\n"];
+        const HEADERS: [&[u8]; 8] = [
+            b"content-length: 3\r\n",
+            b"content-length: 40\r\n",
+            b"content-length: 18446744073709551616\r\n",
+            b"content-length: -1\r\n",
+            b"transfer-encoding: chunked\r\n",
+            b"host:x\r\n",
+            b"no colon\r\n",
+            b": empty name\r\n",
+        ];
+        fn pick(rng: &mut StdRng, pieces: &[&'static [u8]]) -> &'static [u8] {
+            pieces[rng.gen_range(0..pieces.len())]
+        }
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut outcomes = BTreeMap::new();
+        for case in 0..4_000 {
+            let mut bytes = Vec::new();
+            for _ in 0..rng.gen_range(0..4usize) {
+                bytes.extend_from_slice(pick(&mut rng, &METHODS));
+                bytes.extend_from_slice(pick(&mut rng, &TARGETS));
+                bytes.extend_from_slice(pick(&mut rng, &VERSIONS));
+                for _ in 0..rng.gen_range(0..4usize) {
+                    bytes.extend_from_slice(pick(&mut rng, &HEADERS));
+                }
+                bytes.extend_from_slice(b"\r\n");
+                for _ in 0..rng.gen_range(0..8usize) {
+                    bytes.push(rng.next_u64() as u8);
+                }
+            }
+            for _ in 0..rng.gen_range(0..3usize).min(bytes.len()) {
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] = rng.next_u64() as u8;
+            }
+            let mut chunks = Vec::new();
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rng.gen_range(1..=rest.len()));
+                chunks.push(chunk.to_vec());
+                rest = tail;
+            }
+            let limits = Limits {
+                max_head: rng.gen_range(16..128usize),
+                max_body: rng.gen_range(0..48usize),
+            };
+            let mut conn = HttpConn::new(Scripted::new(chunks), limits);
+            // Every request consumes bytes, so the stream ends in an error.
+            for _ in 0..=bytes.len() {
+                match conn.read_request() {
+                    Ok(req) => {
+                        assert!(req.path.starts_with('/'), "case {case}: {req:?}");
+                        assert!(req.body.len() <= limits.max_body, "case {case}");
+                        *outcomes.entry("ok").or_insert(0) += 1;
+                    }
+                    Err(e) => {
+                        assert!(!e.to_string().is_empty(), "case {case}");
+                        *outcomes.entry(e.code()).or_insert(0) += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        // The mix reaches requests that parse and every error that bytes
+        // alone can cause (a timeout or transport error needs the wire).
+        let reached: Vec<&str> = outcomes.keys().copied().collect();
+        let every = [
+            "body-too-large",
+            "closed",
+            "head-too-large",
+            "malformed",
+            "method-not-allowed",
+            "ok",
+            "truncated",
+        ];
+        assert_eq!(reached, every, "{outcomes:?}");
+    }
+
     #[test]
     fn cursor_roundtrip_via_write_response() {
         let mut conn = HttpConn::new(Cursor::new(Vec::new()), Limits::default());
