@@ -28,7 +28,12 @@
 //!   increase, and the overload counters `shed`/`rejected`/`deferred`
 //!   fail when a committed nonzero value collapses to zero — the drill
 //!   stopped exercising backpressure, which is itself a regression. The
-//!   `latency_ms` quantiles gate on the wall-clock ratio.
+//!   `latency_ms` quantiles gate on the wall-clock ratio;
+//! * **stage call counts** (`stages.*.calls`) gate on the wall-clock
+//!   ratio, and also fail when a committed nonzero count collapses to
+//!   zero: the engine stopped reading its stage clocks. Journal-restored
+//!   cells carry no profile, so a NEW document with nonzero
+//!   `journal_skips` is exempt from the collapse rule.
 //!
 //! The module carries its own ~150-line recursive-descent JSON reader
 //! so the bench crate stays dependency-free. Its nesting depth is
@@ -397,6 +402,9 @@ pub fn diff_documents(
     }
     let mut diff = Differ {
         thresholds: *thresholds,
+        journal_restored: new
+            .get("journal_skips")
+            .is_some_and(|n| *n != JsonValue::Num(0.0)),
         checks: 0,
         regressions: Vec::new(),
     };
@@ -431,6 +439,9 @@ const WALL_FLOOR_NS: f64 = 10.0 * 1e6;
 
 struct Differ {
     thresholds: DiffThresholds,
+    /// Whether NEW restored cells from a journal (nonzero
+    /// `journal_skips`); those cells carry no stage profile.
+    journal_restored: bool,
     checks: u64,
     regressions: Vec<Regression>,
 }
@@ -585,6 +596,17 @@ impl Differ {
             "ns" if ctx == Context::Wall => {
                 self.wall_ratio(old, new, WALL_FLOOR_NS, path);
             }
+            // Stage call counts: a profile that vanishes means the stage
+            // clocks stopped being read.
+            "calls" if ctx == Context::Wall => {
+                if old > 0.0 && new == 0.0 && !self.journal_restored {
+                    self.fail(
+                        path,
+                        format!("stage profile collapsed to zero calls: {old} -> {new}"),
+                    );
+                }
+                self.wall_ratio(old, new, WALL_FLOOR_MS, path);
+            }
             _ => match ctx {
                 Context::Wall => self.wall_ratio(old, new, WALL_FLOOR_MS, path),
                 // Traffic tallies vary run to run; only the keys named
@@ -702,6 +724,26 @@ mod tests {
         let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
         assert!(report.is_regression());
         assert!(report.regressions[0].path.ends_with("event_dispatch.ns"));
+    }
+
+    #[test]
+    fn a_vanished_stage_profile_fails() {
+        let old = doc(400.0, 50_000_000, 1234.5, 0);
+        let new = doc(400.0, 0, 1234.5, 0).replacen("\"calls\":10", "\"calls\":0", 1);
+        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
+        assert!(report.regressions[0].path.ends_with("event_dispatch.calls"));
+        assert!(report.regressions[0].detail.contains("collapsed to zero"));
+    }
+
+    #[test]
+    fn a_journal_restored_sweep_may_carry_no_stage_profile() {
+        let old = doc(400.0, 50_000_000, 1234.5, 0);
+        let new = doc(400.0, 0, 1234.5, 0)
+            .replacen("\"calls\":10", "\"calls\":0", 1)
+            .replacen("\"journal_skips\":0", "\"journal_skips\":2", 1);
+        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        assert!(!report.is_regression(), "{:?}", report.regressions);
     }
 
     #[test]

@@ -180,7 +180,9 @@ pub struct DeviceRun {
 /// The device runs at [`ObsLevel::Counts`]: the fleet reads only the
 /// two eviction counts and the report, so no span, audit or stage clock
 /// is built, while the report (its `metrics` block included) and both
-/// counts equal a [`ObsLevel::Full`] run's.
+/// counts equal a [`ObsLevel::Full`] run's. Not at
+/// [`ObsLevel::Timed`]: a fleet document carries no stage profile, and
+/// reading the clocks on every device would cost throughput.
 ///
 /// Pure in `(config.seed, device)`: the same device produces the same
 /// report no matter which shard or thread runs it.

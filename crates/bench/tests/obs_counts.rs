@@ -1,18 +1,28 @@
-//! Differential oracle: fleet devices at the counts observability level
-//! against the same devices at the full level.
+//! Differential oracles: runs below the full observability level
+//! against the same runs at the full level.
 //!
 //! `fleet::run_device` runs every device at `ObsLevel::Counts`, which
 //! builds no span, audit or stage clock. Everything the fleet reads must
 //! still equal a full-level run of the same device: the report JSON
 //! bytes (its `metrics` block included) and both ring eviction counts.
-//! The oracle below builds each device's workload itself and simulates
+//! The first oracle builds each device's workload itself and simulates
 //! it at the default (full) level, over 2 000 `(fleet_seed, device)`
 //! pairs under both NATIVE and SIMTY.
+//!
+//! `RunSpec::run` runs at `ObsLevel::Counts` too, and
+//! `RunSpec::run_instrumented` at `ObsLevel::Timed`, which also reads
+//! the stage clocks. The second oracle checks both against a full-level
+//! run of each spec of a paper-shaped grid: the same report bytes, and
+//! a timed stage profile with time in it and the full run's call count
+//! in every stage.
 
 use std::thread;
 
 use simty::apps::{DeviceMix, ScenarioCatalog, WorkloadBuilder};
-use simty::experiments::PolicyKind;
+use simty::core::{HardwareComponent, HardwareGranularity, SimDuration};
+use simty::device::PowerModel;
+use simty::experiments::{PolicyKind, RunSpec, Scenario};
+use simty::obs::{Stage, StageProfile};
 use simty::sim::json::report_to_json;
 use simty::sim::{ObsLevel, SimConfig, Simulation};
 use simty_bench::fleet::{run_device, FleetConfig};
@@ -126,6 +136,122 @@ fn counts_level_fleet_devices_match_full_level_runs() {
         "{} of {} device runs differ, first: {:?}",
         mismatches.len(),
         2 * FLEET_SEEDS.len() as u64 * DEVICES_PER_SEED,
+        mismatches.first()
+    );
+}
+
+/// Every policy kind × both scenarios × 4 seeds × β ∈ {0.5, 0.96} over
+/// 3 h, then a power-model override and a 1 h run.
+fn paper_specs() -> Vec<RunSpec> {
+    let policies = [
+        PolicyKind::Exact,
+        PolicyKind::Native,
+        PolicyKind::NativeNoRealign,
+        PolicyKind::Simty,
+        PolicyKind::SimtyGranularity(HardwareGranularity::Four),
+        PolicyKind::Dursim,
+        PolicyKind::FixedInterval(300),
+        PolicyKind::Doze,
+    ];
+    let mut specs = Vec::new();
+    for policy in policies {
+        for scenario in [Scenario::Light, Scenario::Heavy] {
+            for seed in 1..=4 {
+                for beta in [0.5, 0.96] {
+                    specs.push(RunSpec::paper(policy, scenario, seed).with_beta(beta));
+                }
+            }
+        }
+    }
+    let mut power = PowerModel::nexus5();
+    power.wake_transition_energy_mj *= 2.0;
+    let mut wifi = power.component(HardwareComponent::Wifi);
+    wifi.active_power_mw *= 0.5;
+    power.set_component(HardwareComponent::Wifi, wifi);
+    specs.push(RunSpec::paper(PolicyKind::Simty, Scenario::Heavy, 5).with_power(power));
+    specs.push(
+        RunSpec::paper(PolicyKind::Native, Scenario::Light, 6)
+            .with_duration(SimDuration::from_hours(1)),
+    );
+    specs
+}
+
+/// `spec` simulated at the full level, its configuration built here
+/// rather than by `RunSpec`: the report JSON and the stage profile.
+fn full_level_spec(spec: &RunSpec) -> (String, StageProfile) {
+    let workload = spec
+        .scenario
+        .builder()
+        .with_seed(spec.seed)
+        .with_beta(spec.beta)
+        .with_duration(spec.duration)
+        .build();
+    let mut config = SimConfig::new().with_duration(spec.duration);
+    if let Some(power) = &spec.power {
+        config = config.with_power(power.clone());
+    }
+    assert_eq!(config.obs, ObsLevel::Full);
+    let mut sim = Simulation::new(spec.policy.build(), config);
+    for alarm in workload.alarms {
+        sim.register(alarm)
+            .expect("workload alarm registers cleanly");
+    }
+    let report = sim.run();
+    (report_to_json(&report), *sim.stage_profile())
+}
+
+/// What differs between `spec`'s counts-, timed- and off-level runs and
+/// its full-level run, if anything.
+fn compare_spec(spec: &RunSpec) -> Option<String> {
+    let (full, full_stages) = full_level_spec(spec);
+    let counts = report_to_json(&spec.run());
+    let (timed, stages) = spec.run_instrumented();
+    let timed = report_to_json(&timed);
+    let off = spec.clone().with_no_obs().run_instrumented().1;
+    let calls = |p: &StageProfile| Stage::ALL.map(|s| p.calls(s));
+    let verdicts = [
+        ("run() report", counts == full),
+        ("run_instrumented() report", timed == full),
+        ("timed profile has time", stages.total_nanos() > 0),
+        ("stage calls", calls(&stages) == calls(&full_stages)),
+        ("no-obs profile empty", off.is_empty()),
+    ];
+    let failed: Vec<_> = verdicts
+        .iter()
+        .filter(|(_, ok)| !ok)
+        .map(|(what, _)| *what)
+        .collect();
+    (!failed.is_empty()).then(|| format!("{}: {failed:?}", spec.label()))
+}
+
+#[test]
+fn paper_runs_at_counts_and_timed_levels_match_full_level_runs() {
+    let specs = paper_specs();
+    // Two workers, each taking every other spec.
+    let mismatches: Vec<String> = thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|w| {
+                let specs = &specs;
+                s.spawn(move || {
+                    specs
+                        .iter()
+                        .skip(w)
+                        .step_by(2)
+                        .filter_map(compare_spec)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} specs differ, first: {:?}",
+        mismatches.len(),
+        specs.len(),
         mismatches.first()
     );
 }

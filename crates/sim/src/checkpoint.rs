@@ -697,7 +697,7 @@ impl Section for Checkpoint {
 
 names!(InvariantMode, "invariant mode" { Off = "off", Report = "report", Strict = "strict" });
 // Full is never written: a full-level capture has no `obs=` line.
-names!(ObsLevel, "obs level" { Off = "0", Counts = "counts", Full = "full" });
+names!(ObsLevel, "obs level" { Off = "0", Counts = "counts", Timed = "timed", Full = "full" });
 record!(WatchdogPolicy: max_task_hold, max_duty_cycle);
 record!(OnlineWatchdogConfig: policy: WatchdogPolicy, quarantine_after, probation);
 record!(GovernorConfig: capacity_mj, check_every, saver_enter_milli, saver_exit_milli,
@@ -1384,8 +1384,9 @@ impl Section for ObsLayer {
             });
         }
         put(out, "obs_audit_dropped", &obs.audit_dropped);
-        // A counts-level layer retains no audit; its ring is this count.
-        if obs.level == ObsLevel::Counts {
+        // A layer that counts records retains no audit; its ring is this
+        // count.
+        if obs.level.counts_records() {
             put(out, "obs_audits_counted", &obs.audits_counted);
         }
         put_list(out, "obs_audits", "oa", obs.audits.iter());
@@ -1413,7 +1414,7 @@ impl Section for ObsLayer {
         for _ in 0..n {
             spans.push(take_span(p)?);
         }
-        obs.spans = if c.obs == ObsLevel::Counts {
+        obs.spans = if c.obs.counts_records() {
             let counted = SpanCollector::counting(c.span_capacity, next_seq);
             if !spans.is_empty() || counted.dropped() != dropped {
                 return Err(p.err(format!(
@@ -1439,7 +1440,7 @@ impl Section for ObsLayer {
             obs.metrics.insert_histogram(&name, histogram);
         }
         obs.audit_dropped = p.take("obs_audit_dropped")?;
-        if c.obs == ObsLevel::Counts {
+        if c.obs.counts_records() {
             obs.audits_counted = p.take("obs_audits_counted")?;
             let dropped = obs.audits_counted.saturating_sub(c.audit_capacity as u64);
             if obs.audit_dropped != dropped {
@@ -1450,7 +1451,7 @@ impl Section for ObsLayer {
             }
         }
         let n = p.count("obs_audits")?;
-        if c.obs == ObsLevel::Counts && n > 0 {
+        if c.obs.counts_records() && n > 0 {
             return Err(p.err("a counts-level audit ring retains nothing"));
         }
         // An overfull ring would never evict again (it evicts at exactly

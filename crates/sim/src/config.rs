@@ -73,9 +73,11 @@ pub struct SimConfig {
     /// audits) and the wall-clock stage profile record;
     /// [`Full`](ObsLevel::Full) by default. Traces stay byte-identical
     /// at every level, and so do reports outside their `metrics` block.
-    /// [`Counts`](ObsLevel::Counts) keeps that block byte-identical too
-    /// and only stops building the spans, audits and stage clocks that
-    /// fleet devices never read; [`Off`](ObsLevel::Off) (see
+    /// [`Timed`](ObsLevel::Timed) keeps that block byte-identical too and
+    /// only stops building the spans and audits that paper runs and
+    /// sweeps never read; [`Counts`](ObsLevel::Counts) also stops reading
+    /// the stage clocks, which fleet devices and reports alone never
+    /// read; [`Off`](ObsLevel::Off) (see
     /// [`without_obs`](SimConfig::without_obs)) renders it as `null`.
     pub obs: ObsLevel,
 }

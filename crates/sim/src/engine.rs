@@ -24,6 +24,7 @@ use std::time::Instant;
 
 use simty_core::admission::{AdmissionController, AdmissionDecision, AppClass};
 use simty_core::alarm::{Alarm, AlarmId, AlarmKind};
+use simty_core::audit::AuditLevel;
 use simty_core::entry::QueueEntry;
 use simty_core::error::RegisterAlarmError;
 use simty_core::hardware::HardwareSet;
@@ -278,9 +279,10 @@ impl Simulation {
     }
 
     /// Wall-clock self-profiling per engine stage (queue search,
-    /// selection, event dispatch, checkpoint I/O). Not deterministic —
-    /// never compare it across runs; aggregate it, as the sweep harness
-    /// does.
+    /// selection, event dispatch, delivery, checkpoint I/O), read only
+    /// at a level that [reads stage clocks](ObsLevel::reads_stage_clocks)
+    /// and empty otherwise. Not deterministic — never compare it across
+    /// runs; aggregate it, as the sweep harness does.
     pub fn stage_profile(&self) -> &StageProfile {
         &self.stages
     }
@@ -582,6 +584,7 @@ impl Simulation {
         self.arm_clocks();
         match self.obs.level() {
             ObsLevel::Full => self.run_loop::<{ ObsLevel::Full as u8 }>(end),
+            ObsLevel::Timed => self.run_loop::<{ ObsLevel::Timed as u8 }>(end),
             ObsLevel::Counts => self.run_loop::<{ ObsLevel::Counts as u8 }>(end),
             ObsLevel::Off => self.run_loop::<{ ObsLevel::Off as u8 }>(end),
         }
@@ -617,9 +620,11 @@ impl Simulation {
     }
 
     /// The batched event loop, monomorphized over the observability
-    /// level (`ObsLevel as u8`) so only the full level compiles stage
-    /// clock reads, and only the full level drains placement audits: the
-    /// counts level drains a tally instead, and the off level nothing.
+    /// level (`ObsLevel as u8`) so only the levels that
+    /// [read stage clocks](ObsLevel::reads_stage_clocks) compile them,
+    /// and each level compiles only its own placement drain: audits at
+    /// the full level, a tally at the levels that
+    /// [count records](ObsLevel::counts_records), nothing when off.
     /// Same-instant events are delivered as one batch: the clock and
     /// attribution ledger advance once per distinct timestamp instead of
     /// once per event. The intermediate per-event `ledger.advance_to`
@@ -637,25 +642,21 @@ impl Simulation {
     /// monolith covering >90% of stage time and hid where the loop
     /// actually spent it.
     fn run_loop<const LEVEL: u8>(&mut self, end: SimTime) {
-        const FULL: u8 = ObsLevel::Full as u8;
-        const COUNTS: u8 = ObsLevel::Counts as u8;
+        let clocked = const { ObsLevel::from_repr(LEVEL).reads_stage_clocks() };
+        let audits = const { ObsLevel::from_repr(LEVEL).audit_level() };
         while let Some(t) = self.events.next_due(end) {
             self.now = self.now.max(t);
             // Close the attribution segment up to this instant under the
             // state that held during it, then process the whole batch and
             // re-sync.
             self.ledger.advance_to(self.now, !self.device.is_asleep());
-            let t0 = if LEVEL == FULL { Some(Instant::now()) } else { None };
-            let nested0 = if LEVEL == FULL { self.nested_stage_nanos() } else { 0 };
+            let t0 = if clocked { Some(Instant::now()) } else { None };
+            let nested0 = if clocked { self.nested_stage_nanos() } else { 0 };
             let mut dispatched = 0u64;
             while let Some(event) = self.events.pop_at(t) {
                 self.disarm(&event.kind, event.time);
                 self.handle(event.kind, event.time);
-                if LEVEL == FULL {
-                    self.drain_audits();
-                } else if LEVEL == COUNTS {
-                    self.drain_tally();
-                }
+                self.drain_at(audits);
                 dispatched += 1;
             }
             if let Some(t0) = t0 {
@@ -732,20 +733,28 @@ impl Simulation {
         Ok(report)
     }
 
-    /// Whether the wall-clock stage profile runs (only at
-    /// [`ObsLevel::Full`]).
+    /// Whether the wall-clock stage profile runs (see
+    /// [`ObsLevel::reads_stage_clocks`]).
     fn clocked(&self) -> bool {
-        self.obs.level() == ObsLevel::Full
+        self.obs.level().reads_stage_clocks()
     }
 
     /// Moves every placement decision the manager recorded since the
     /// last drain into the observability layer, at whatever level it
     /// records.
     fn drain_placements(&mut self) {
-        match self.obs.level() {
-            ObsLevel::Full => self.drain_audits(),
-            ObsLevel::Counts => self.drain_tally(),
-            ObsLevel::Off => {}
+        self.drain_at(self.obs.level().audit_level());
+    }
+
+    /// [`drain_placements`](Self::drain_placements) at a known audit
+    /// level. Inlined, so the event loop's constant level folds the
+    /// match away.
+    #[inline(always)]
+    fn drain_at(&mut self, level: AuditLevel) {
+        match level {
+            AuditLevel::Full => self.drain_audits(),
+            AuditLevel::Outcomes => self.drain_tally(),
+            AuditLevel::Off => {}
         }
     }
 
@@ -757,9 +766,9 @@ impl Simulation {
         self.manager.drain_audits(|audit| obs.note_placement(audit));
     }
 
-    /// [`drain_placements`](Self::drain_placements) at
-    /// [`ObsLevel::Counts`]: the same counter bumps, and the spans and
-    /// audits counted, not built.
+    /// [`drain_placements`](Self::drain_placements) at a level that
+    /// [counts records](ObsLevel::counts_records): the same counter
+    /// bumps, and the spans and audits counted, not built.
     fn drain_tally(&mut self) {
         let tally = self.manager.take_placement_tally();
         if tally.total() > 0 {

@@ -12,40 +12,51 @@
 //!
 //! # Levels
 //!
-//! [`SimConfig::obs`](crate::config::SimConfig::obs) picks one of three
-//! [`ObsLevel`]s:
+//! [`SimConfig::obs`](crate::config::SimConfig::obs) picks one of four
+//! [`ObsLevel`]s. Each records what the one before it does, and more:
 //!
-//! * **Full** (the default) records everything. Per delivery: the
-//!   wakeup, entry and alarm counters, the entry-size, delay and hold
-//!   histograms, each hardware component's active time, and one
-//!   `task_run` span. Per wake cycle: a `wake_cycle` span. Per placement
-//!   decision: the placement counter, a `policy_place` span, an alarm
-//!   alias, and a [`PlacementAudit`] with every candidate the policy
-//!   weighed. On top of that the engine reads the wall clock around
-//!   each stage (queue search, selection, dispatch, delivery, checkpoint
-//!   I/O) for the [`StageProfile`](simty_obs::StageProfile).
-//! * **Counts** updates every metric exactly as Full does, so the report
-//!   (its `metrics` block included) is byte-identical, and counts the
-//!   spans and audits Full would record, with their ring evictions. It
-//!   builds no span, audit, candidate list or alarm alias, and reads no
-//!   stage clock. Fleet devices run here: a fleet reads only the report
-//!   and the two eviction counts.
 //! * **Off** records nothing: every export renders empty, the report's
 //!   `metrics` block renders as `null`, and the engine hoists the
 //!   instrumentation branches out of its hot loop
 //!   ([`SimConfig::without_obs`](crate::config::SimConfig::without_obs) /
 //!   `standby sweep --no-obs`).
+//! * **Counts** updates every metric exactly as Full does, so the report
+//!   (its `metrics` block included) is byte-identical, and counts the
+//!   spans and audits Full would record, with their ring evictions. It
+//!   builds no span, audit, candidate list or alarm alias, and reads no
+//!   stage clock. Fleet devices and `RunSpec::run` run here: they read
+//!   only the report and the two eviction counts.
+//! * **Timed** is Counts plus the wall clock read around each stage
+//!   (queue search, selection, dispatch, delivery, checkpoint I/O) for
+//!   the [`StageProfile`](simty_obs::StageProfile).
+//!   `RunSpec::run_instrumented`, and so every sweep cell, runs here.
+//! * **Full** (the default) is Timed plus the records themselves. Per
+//!   delivery: the wakeup, entry and alarm counters, the entry-size,
+//!   delay and hold histograms, each hardware component's active time,
+//!   and one `task_run` span. Per wake cycle: a `wake_cycle` span. Per
+//!   placement decision: the placement counter, a `policy_place` span,
+//!   an alarm alias, and a [`PlacementAudit`] with every candidate the
+//!   policy weighed.
 //!
-//! What each level costs a 10-minute paper-mix fleet device: devices
-//! `[0, 1024)` under NATIVE and SIMTY, each device's time its best of 9
-//! runs at each level, the levels interleaved; two passes on a shared
-//! 2-vCPU x86-64 Linux container:
+//! Two predicates say what a level records, and the engine and the
+//! checkpoint codec ask only them:
+//! [`counts_records`](ObsLevel::counts_records) and
+//! [`reads_stage_clocks`](ObsLevel::reads_stage_clocks).
 //!
-//! | level | µs per device |
-//! |---|---|
-//! | Full | 136–143 |
-//! | Counts | 88–94 |
-//! | Off | 74–78 |
+//! What each level costs a run: building its workload and simulation,
+//! and running it. Each run's time is its best of 9 at each level, the
+//! levels interleaved; two passes on a shared 2-vCPU x86-64 Linux
+//! container. A fleet device is a 10-minute paper-mix device,
+//! devices `[0, 1024)` under NATIVE and SIMTY; a paper run is a 3 h run
+//! of the paper's 18-run grid (EXACT, NATIVE and SIMTY, light and heavy,
+//! three seeds, β = 0.96):
+//!
+//! | level | µs per fleet device | µs per 3 h paper run |
+//! |---|---|---|
+//! | Full | 153–154 | 1 948–2 050 |
+//! | Timed | 121–122 | 1 530–1 589 |
+//! | Counts | 95–96 | 1 131–1 178 |
+//! | Off | 81–82 | 1 037–1 089 |
 //!
 //! At Full the hot paths allocate nothing once the rings are full:
 //!
@@ -62,7 +73,8 @@
 //! What still allocates is growth: the rings, the alias table (once per
 //! new alarm), and the first series of a component. A full-ring run's
 //! second half allocates within a few percent as often as an
-//! uninstrumented run's, and a Counts run no more often than a Full one
+//! uninstrumented run's, a Counts run no more often than a Full one, and
+//! a Timed run exactly as often as a Counts one
 //! (`tests/alloc_profile.rs`). The overhead left at Full is work, not
 //! heap churn: stage clock reads, span and audit construction, counter
 //! and histogram updates, and rendering the snapshot.
@@ -90,7 +102,8 @@ pub const SPAN_CAPACITY: usize = 2048;
 pub const DEFAULT_AUDIT_CAPACITY: usize = 4096;
 
 /// How much a run's observability layer records (see the
-/// [module docs](self) for what each level costs).
+/// [module docs](self) for what each level costs). Each level records
+/// what the one before it does, and more: Off < Counts < Timed < Full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsLevel {
     /// Nothing: every export renders empty, and the report's `metrics`
@@ -101,19 +114,47 @@ pub enum ObsLevel {
     /// span, audit, candidate list or alarm alias is built, and no stage
     /// clock is read.
     Counts,
-    /// Metrics, the span and audit rings, and the wall-clock stage
-    /// profile. The default.
+    /// [`Counts`](ObsLevel::Counts), and the wall-clock stage profile.
+    Timed,
+    /// [`Timed`](ObsLevel::Timed), with every span and placement audit
+    /// built and kept in its ring. The default.
     Full,
 }
 
 impl ObsLevel {
+    /// Whether spans and placement audits are counted, with their ring
+    /// evictions, but never built ([`Counts`](ObsLevel::Counts) and
+    /// [`Timed`](ObsLevel::Timed)).
+    pub const fn counts_records(self) -> bool {
+        matches!(self, ObsLevel::Counts | ObsLevel::Timed)
+    }
+
+    /// Whether the engine reads the wall clock around each stage for the
+    /// [`StageProfile`](simty_obs::StageProfile)
+    /// ([`Timed`](ObsLevel::Timed) and [`Full`](ObsLevel::Full)).
+    pub const fn reads_stage_clocks(self) -> bool {
+        matches!(self, ObsLevel::Timed | ObsLevel::Full)
+    }
+
     /// What the alarm manager records about each placement at this
     /// level.
-    pub fn audit_level(self) -> AuditLevel {
+    pub const fn audit_level(self) -> AuditLevel {
         match self {
             ObsLevel::Off => AuditLevel::Off,
-            ObsLevel::Counts => AuditLevel::Outcomes,
-            ObsLevel::Full => AuditLevel::Full,
+            _ if self.counts_records() => AuditLevel::Outcomes,
+            _ => AuditLevel::Full,
+        }
+    }
+
+    /// The level whose `as u8` is `repr`: the engine monomorphises its
+    /// event loop over that number.
+    pub(crate) const fn from_repr(repr: u8) -> ObsLevel {
+        match repr {
+            0 => ObsLevel::Off,
+            1 => ObsLevel::Counts,
+            2 => ObsLevel::Timed,
+            3 => ObsLevel::Full,
+            _ => panic!("no observability level has this number"),
         }
     }
 }
@@ -129,9 +170,9 @@ pub struct ObsLayer {
     pub(crate) audits: VecDeque<PlacementAudit>,
     pub(crate) audit_capacity: usize,
     pub(crate) audit_dropped: u64,
-    /// Placement audits counted, retained or evicted, at
-    /// [`ObsLevel::Counts`] (which retains none); zero at the other
-    /// levels.
+    /// Placement audits counted, retained or evicted, at a level that
+    /// [counts records](ObsLevel::counts_records) (and retains none);
+    /// zero at the other levels.
     pub(crate) audits_counted: u64,
     /// When the current wake cycle began (device asleep → awake), if one
     /// is open.
@@ -315,7 +356,7 @@ impl ObsLayer {
             register_families(&mut metrics, policy);
             HotHandles::resolve(&mut metrics, policy)
         };
-        let spans = if level == ObsLevel::Counts {
+        let spans = if level.counts_records() {
             SpanCollector::counting(span_capacity, 0)
         } else {
             SpanCollector::new(span_capacity)
@@ -440,7 +481,8 @@ impl ObsLayer {
         evicted
     }
 
-    /// Ingests the placement decisions tallied at [`ObsLevel::Counts`]:
+    /// Ingests the placement decisions tallied at a level that
+    /// [counts records](ObsLevel::counts_records):
     /// the placement counters move exactly as
     /// [`note_placement`](Self::note_placement) would move them, and the
     /// `policy_place` spans and audits are counted, with their evictions,
@@ -651,24 +693,26 @@ mod tests {
     #[test]
     fn counts_level_keeps_the_full_levels_books_without_records() {
         let mut full = ObsLayer::new(ObsLevel::Full, "SIMTY", 2, 3);
-        let mut counts = ObsLayer::new(ObsLevel::Counts, "SIMTY", 2, 3);
         for at in [10, 20, 30, 40] {
             full.note_placement(sample_audit(at));
         }
-        counts.note_tally(PlacementTally {
-            existing: 3,
-            new_entry: 0,
-        });
-        counts.note_tally(PlacementTally {
-            existing: 1,
-            new_entry: 0,
-        });
-        assert_eq!(counts.metrics_json(), full.metrics_json());
-        assert_eq!(counts.spans().dropped(), full.spans().dropped());
-        assert_eq!(counts.audit_dropped(), full.audit_dropped());
-        assert_eq!((counts.audit_dropped(), counts.spans().dropped()), (2, 1));
-        assert!(counts.spans_jsonl().is_empty() && counts.audits_jsonl().is_empty());
-        assert_eq!(counts.alarm_ordinal(AlarmId::from_raw(3)), None);
+        for level in [ObsLevel::Counts, ObsLevel::Timed] {
+            let mut counts = ObsLayer::new(level, "SIMTY", 2, 3);
+            counts.note_tally(PlacementTally {
+                existing: 3,
+                new_entry: 0,
+            });
+            counts.note_tally(PlacementTally {
+                existing: 1,
+                new_entry: 0,
+            });
+            assert_eq!(counts.metrics_json(), full.metrics_json(), "{level:?}");
+            assert_eq!(counts.spans().dropped(), full.spans().dropped());
+            assert_eq!(counts.audit_dropped(), full.audit_dropped());
+            assert_eq!((counts.audit_dropped(), counts.spans().dropped()), (2, 1));
+            assert!(counts.spans_jsonl().is_empty() && counts.audits_jsonl().is_empty());
+            assert_eq!(counts.alarm_ordinal(AlarmId::from_raw(3)), None);
+        }
     }
 
     #[test]

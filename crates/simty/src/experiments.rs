@@ -16,6 +16,7 @@ use simty_obs::StageProfile;
 use simty_sim::config::SimConfig;
 use simty_sim::engine::Simulation;
 use simty_sim::metrics::SimReport;
+use simty_sim::obs::ObsLevel;
 
 /// The alignment policies an experiment can run under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,10 +118,11 @@ pub struct RunSpec {
     /// Power-model override (`None` = the calibrated Nexus 5 model); used
     /// by the sensitivity study's perturbation grid.
     pub power: Option<PowerModel>,
-    /// Run without the observability layer (spans, metrics, audits,
-    /// stage profile); the report's metrics block renders as `null` and
-    /// the returned [`StageProfile`] is empty. Everything deterministic
-    /// is unchanged.
+    /// Run without the observability layer (metrics, the span and audit
+    /// counts, stage profile) in both [`run`](Self::run) and
+    /// [`run_instrumented`](Self::run_instrumented): the report's metrics
+    /// block renders as `null` and the returned [`StageProfile`] is
+    /// empty. Everything deterministic is unchanged.
     pub no_obs: bool,
 }
 
@@ -157,7 +159,8 @@ impl RunSpec {
     }
 
     /// Switches the observability layer off (the engine's no-obs fast
-    /// path).
+    /// path) for both [`run`](Self::run) and
+    /// [`run_instrumented`](Self::run_instrumented).
     pub fn with_no_obs(mut self) -> Self {
         self.no_obs = true;
         self
@@ -184,12 +187,16 @@ impl RunSpec {
 
     /// Executes the run and returns its report.
     ///
+    /// The run records at [`ObsLevel::Counts`]: the report, its `metrics`
+    /// block included, is byte-identical to a full-level run's, but no
+    /// span, audit or stage clock is built or read.
+    ///
     /// # Panics
     ///
     /// Panics if a catalogue alarm fails to register, which would be a
     /// bug in the workload generator.
     pub fn run(&self) -> SimReport {
-        self.run_instrumented().0
+        self.simulate(ObsLevel::Counts).run()
     }
 
     /// Executes the run and returns its report together with the
@@ -197,11 +204,23 @@ impl RunSpec {
     /// — it varies run to run and must never enter deterministic
     /// outputs; sweep executors aggregate it into benchmark documents.
     ///
+    /// The run records at [`ObsLevel::Timed`]: the report is
+    /// [`run`](Self::run)'s, and the stage clocks are read, but no span
+    /// or audit is built.
+    ///
     /// # Panics
     ///
     /// Panics if a catalogue alarm fails to register, which would be a
     /// bug in the workload generator.
     pub fn run_instrumented(&self) -> (SimReport, StageProfile) {
+        let mut sim = self.simulate(ObsLevel::Timed);
+        let report = sim.run();
+        (report, *sim.stage_profile())
+    }
+
+    /// The run's simulation, its workload registered, recording at
+    /// `level` ([`ObsLevel::Off`] under [`no_obs`](Self::no_obs)).
+    fn simulate(&self, level: ObsLevel) -> Simulation {
         let workload = self
             .scenario
             .builder()
@@ -209,19 +228,17 @@ impl RunSpec {
             .with_beta(self.beta)
             .with_duration(self.duration)
             .build();
-        let mut config = SimConfig::new().with_duration(self.duration);
+        let mut config = SimConfig::new()
+            .with_duration(self.duration)
+            .with_obs(if self.no_obs { ObsLevel::Off } else { level });
         if let Some(power) = &self.power {
             config = config.with_power(power.clone());
-        }
-        if self.no_obs {
-            config = config.without_obs();
         }
         let mut sim = Simulation::new(self.policy.build(), config);
         for alarm in workload.alarms {
             sim.register(alarm).expect("workload alarm registers cleanly");
         }
-        let report = sim.run();
-        (report, *sim.stage_profile())
+        sim
     }
 }
 

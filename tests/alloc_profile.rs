@@ -6,7 +6,8 @@
 //! the run already owns, so the instrumented run's second half allocates
 //! about as often as its uninstrumented twin's. A counts-level run,
 //! which builds no span or audit at all, must allocate no more often
-//! than a full-level one. Restoring a checkpoint rebuilds its span
+//! than a full-level one, and a timed-level run exactly as often as a
+//! counts-level one. Restoring a checkpoint rebuilds its span
 //! values, delivery labels and audits without a heap allocation per
 //! line.
 
@@ -124,7 +125,13 @@ fn a_full_ring_run_allocates_like_its_uninstrumented_twin() {
 #[test]
 fn a_counts_level_run_allocates_no_more_than_a_full_one() {
     let end = SimTime::ZERO + DURATION;
-    let [full, counts, off] = [ObsLevel::Full, ObsLevel::Counts, ObsLevel::Off].map(|level| {
+    let levels = [
+        ObsLevel::Full,
+        ObsLevel::Timed,
+        ObsLevel::Counts,
+        ObsLevel::Off,
+    ];
+    let [full, timed, counts, off] = levels.map(|level| {
         let mut sim = None;
         let allocs = allocations(|| {
             let mut half = half_run(level);
@@ -134,8 +141,8 @@ fn a_counts_level_run_allocates_no_more_than_a_full_one() {
         (allocs, sim.expect("the run finished"))
     });
     eprintln!(
-        "whole run: {} allocations full, {} counts, {} off",
-        full.0, counts.0, off.0
+        "whole run: {} allocations full, {} timed, {} counts, {} off",
+        full.0, timed.0, counts.0, off.0
     );
     let evictions = |sim: &Simulation| (sim.obs().spans().dropped(), sim.obs().audit_dropped());
     assert_eq!(evictions(&counts.1), evictions(&full.1));
@@ -145,6 +152,12 @@ fn a_counts_level_run_allocates_no_more_than_a_full_one() {
         counts.0,
         full.0
     );
+    // Reading the stage clocks allocates nothing.
+    assert_eq!(
+        timed.0, counts.0,
+        "timed-level and counts-level allocations"
+    );
+    assert_eq!(evictions(&timed.1), evictions(&counts.1));
 }
 
 #[test]
