@@ -20,16 +20,12 @@ fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_heavy_workload");
     group.sample_size(10);
     for minutes in [30u64, 180] {
-        group.bench_with_input(
-            BenchmarkId::new("native", minutes),
-            &minutes,
-            |b, &m| b.iter(|| run_scenario(Box::new(NativePolicy::new()), m)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("simty", minutes),
-            &minutes,
-            |b, &m| b.iter(|| run_scenario(Box::new(SimtyPolicy::new()), m)),
-        );
+        group.bench_with_input(BenchmarkId::new("native", minutes), &minutes, |b, &m| {
+            b.iter(|| run_scenario(Box::new(NativePolicy::new()), m))
+        });
+        group.bench_with_input(BenchmarkId::new("simty", minutes), &minutes, |b, &m| {
+            b.iter(|| run_scenario(Box::new(SimtyPolicy::new()), m))
+        });
     }
     group.finish();
 }

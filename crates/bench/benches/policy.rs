@@ -47,7 +47,10 @@ fn bench_place(c: &mut Criterion) {
     let mut group = c.benchmark_group("policy_place");
     for n in [8usize, 64, 256] {
         for (name, policy) in [
-            ("native", Box::new(NativePolicy::new()) as Box<dyn AlignmentPolicy>),
+            (
+                "native",
+                Box::new(NativePolicy::new()) as Box<dyn AlignmentPolicy>,
+            ),
             ("simty", Box::new(SimtyPolicy::new())),
             ("dursim", Box::new(DurationSimilarityPolicy::new())),
         ] {
@@ -73,8 +76,7 @@ fn boxed_simty() -> Box<dyn AlignmentPolicy> {
 fn bench_register(c: &mut Criterion) {
     let mut group = c.benchmark_group("manager_register");
     type PolicyCtor = fn() -> Box<dyn AlignmentPolicy>;
-    let policies: [(&str, PolicyCtor); 2] =
-        [("native", boxed_native), ("simty", boxed_simty)];
+    let policies: [(&str, PolicyCtor); 2] = [("native", boxed_native), ("simty", boxed_simty)];
     for (name, make) in policies {
         group.bench_function(name, |b| {
             b.iter_batched(

@@ -129,7 +129,9 @@ fn spread_times(n: usize) -> Vec<SimTime> {
     let mut x: u64 = 0x9e3779b97f4a7c15;
     (0..n)
         .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             SimTime::from_millis(1 + (x >> 38)) // 0..~67e6 ms
         })
         .collect()
@@ -147,21 +149,25 @@ fn spread_times(n: usize) -> Vec<SimTime> {
 /// feeds on, where the wheel must preserve FIFO `seq` order.
 macro_rules! bench_event_queue {
     ($group:expr, $name:literal, $queue:ty, $n:expr, $times:expr) => {{
-        $group.bench_with_input(BenchmarkId::new(concat!($name, "_insert"), $n), &$n, |b, _| {
-            b.iter_custom(|iters| {
-                let mut q = <$queue>::new();
-                let mut total = std::time::Duration::ZERO;
-                for _ in 0..iters {
-                    let start = std::time::Instant::now();
-                    for &t in $times {
-                        q.schedule(t, EventKind::RtcAlarm);
+        $group.bench_with_input(
+            BenchmarkId::new(concat!($name, "_insert"), $n),
+            &$n,
+            |b, _| {
+                b.iter_custom(|iters| {
+                    let mut q = <$queue>::new();
+                    let mut total = std::time::Duration::ZERO;
+                    for _ in 0..iters {
+                        let start = std::time::Instant::now();
+                        for &t in $times {
+                            q.schedule(t, EventKind::RtcAlarm);
+                        }
+                        total += start.elapsed();
+                        while q.pop().is_some() {}
                     }
-                    total += start.elapsed();
-                    while q.pop().is_some() {}
-                }
-                total
-            });
-        });
+                    total
+                });
+            },
+        );
         $group.bench_with_input(BenchmarkId::new(concat!($name, "_pop"), $n), &$n, |b, _| {
             b.iter_custom(|iters| {
                 let mut q = <$queue>::new();
@@ -179,24 +185,28 @@ macro_rules! bench_event_queue {
                 total
             });
         });
-        $group.bench_with_input(BenchmarkId::new(concat!($name, "_push_storm"), $n), &$n, |b, _| {
-            b.iter_custom(|iters| {
-                let mut q = <$queue>::new();
-                let t = SimTime::from_secs(1);
-                let mut total = std::time::Duration::ZERO;
-                for _ in 0..iters {
-                    let start = std::time::Instant::now();
-                    for _ in 0..$n {
-                        q.schedule(t, EventKind::RtcAlarm);
+        $group.bench_with_input(
+            BenchmarkId::new(concat!($name, "_push_storm"), $n),
+            &$n,
+            |b, _| {
+                b.iter_custom(|iters| {
+                    let mut q = <$queue>::new();
+                    let t = SimTime::from_secs(1);
+                    let mut total = std::time::Duration::ZERO;
+                    for _ in 0..iters {
+                        let start = std::time::Instant::now();
+                        for _ in 0..$n {
+                            q.schedule(t, EventKind::RtcAlarm);
+                        }
+                        while let Some(e) = q.pop() {
+                            std::hint::black_box(e.seq);
+                        }
+                        total += start.elapsed();
                     }
-                    while let Some(e) = q.pop() {
-                        std::hint::black_box(e.seq);
-                    }
-                    total += start.elapsed();
-                }
-                total
-            });
-        });
+                    total
+                });
+            },
+        );
     }};
 }
 

@@ -95,7 +95,13 @@ fn main() {
     ];
     let gran_handles: Vec<_> = granularities
         .iter()
-        .map(|&g| sweep.spec(RunSpec::paper(PolicyKind::SimtyGranularity(g), Scenario::Heavy, 1)))
+        .map(|&g| {
+            sweep.spec(RunSpec::paper(
+                PolicyKind::SimtyGranularity(g),
+                Scenario::Heavy,
+                1,
+            ))
+        })
         .collect();
     let dur_policies = [PolicyKind::Simty, PolicyKind::Dursim];
     let dur_handles: Vec<_> = dur_policies
@@ -121,7 +127,9 @@ fn main() {
         .into_iter()
         .map(|dursim| {
             let name = if dursim { "DURSIM" } else { "SIMTY" };
-            sweep.job(format!("duration-mix/{name}"), move || duration_mix_run(dursim))
+            sweep.job(format!("duration-mix/{name}"), move || {
+                duration_mix_run(dursim)
+            })
         })
         .collect();
 

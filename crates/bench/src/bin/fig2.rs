@@ -27,9 +27,18 @@ fn main() {
     let results = sweep.run_with_threads(threads_from_args(&args));
     let energy = |i: usize| results.report(handles[i]).energy.awake_related_mj();
     let (native, simty, exact) = (energy(0), energy(1), energy(2));
-    println!("{}", paper_vs_measured("NATIVE (Fig. 2b)", 7_520.0, native, "mJ"));
-    println!("{}", paper_vs_measured("SIMTY  (Fig. 2c)", 4_050.0, simty, "mJ"));
-    println!("{}", paper_vs_measured("no alignment (for reference)", 7_700.0, exact, "mJ"));
+    println!(
+        "{}",
+        paper_vs_measured("NATIVE (Fig. 2b)", 7_520.0, native, "mJ")
+    );
+    println!(
+        "{}",
+        paper_vs_measured("SIMTY  (Fig. 2c)", 4_050.0, simty, "mJ")
+    );
+    println!(
+        "{}",
+        paper_vs_measured("no alignment (for reference)", 7_700.0, exact, "mJ")
+    );
     println!(
         "\nSIMTY saves {:.0}% of the energy NATIVE spends on the snapshot \
          (paper: {:.0}%).",

@@ -63,7 +63,10 @@ fn main() {
                 total.format(1),
                 format!("{:.2}", avg.power_mw),
             ]);
-            bars.push((format!("{} {}", scenario.name(), name), avg.total_mj / 1_000.0));
+            bars.push((
+                format!("{} {}", scenario.name(), name),
+                avg.total_mj / 1_000.0,
+            ));
         }
         let awake_saving = 1.0 - simty.awake_mj / native.awake_mj;
         let total_saving = 1.0 - simty.total_mj / native.total_mj;
@@ -74,7 +77,11 @@ fn main() {
             scenario.name(),
             fmt_percent(awake_saving),
             fmt_percent(total_saving),
-            if scenario == Scenario::Light { "20%" } else { "25%" },
+            if scenario == Scenario::Light {
+                "20%"
+            } else {
+                "25%"
+            },
             fmt_percent(extension),
         );
     }

@@ -56,7 +56,10 @@ fn main() {
         ));
     }
     println!("{}", table.render());
-    println!("imperceptible normalized delay (%):\n{}", bar_chart(&bars, 48));
+    println!(
+        "imperceptible normalized delay (%):\n{}",
+        bar_chart(&bars, 48)
+    );
     println!(
         "Perceptible alarms are never postponed beyond their windows under either\n\
          policy; SIMTY's imperceptible delay is smaller under the heavy workload\n\

@@ -58,9 +58,8 @@ fn main() {
     let handles: Vec<(RunHandle, RunHandle)> = rows
         .iter()
         .map(|(_, model)| {
-            let spec = |policy| {
-                RunSpec::paper(policy, Scenario::Heavy, 1).with_power(model.clone())
-            };
+            let spec =
+                |policy| RunSpec::paper(policy, Scenario::Heavy, 1).with_power(model.clone());
             (
                 sweep.spec(spec(PolicyKind::Native)),
                 sweep.spec(spec(PolicyKind::Simty)),
@@ -74,8 +73,7 @@ fn main() {
         let native = results.report(*native_h);
         let simty = results.report(*simty_h);
         let total = 1.0 - simty.energy.total_mj() / native.energy.total_mj();
-        let awake =
-            1.0 - simty.energy.awake_related_mj() / native.energy.awake_related_mj();
+        let awake = 1.0 - simty.energy.awake_related_mj() / native.energy.awake_related_mj();
         table.row([label.clone(), fmt_percent(total), fmt_percent(awake)]);
     }
 

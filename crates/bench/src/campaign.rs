@@ -25,8 +25,8 @@ use std::path::Path;
 use simty::apps::Workload;
 use simty::core::SimDuration;
 use simty::experiments::{PolicyKind, Scenario};
-use simty::obs::QuantileSummary;
 use simty::obs::json_string;
+use simty::obs::QuantileSummary;
 use simty::sim::json::report_to_json;
 use simty::sim::{Checkpoint, CheckpointError, SimConfig, SimReport, Simulation};
 
@@ -206,7 +206,8 @@ pub fn workload(scenario: Scenario, seed: u64, duration: SimDuration) -> Workloa
 pub fn simulation(policy: PolicyKind, workload: Workload, config: SimConfig) -> Simulation {
     let mut sim = Simulation::new(policy.build(), config);
     for alarm in workload.alarms {
-        sim.register(alarm).expect("workload alarm registers cleanly");
+        sim.register(alarm)
+            .expect("workload alarm registers cleanly");
     }
     sim
 }
@@ -311,10 +312,13 @@ impl<C: Campaign> CampaignResults<C> {
     /// The cells, their statuses, reports, and drill payloads, in
     /// matrix order.
     pub fn runs(&self) -> impl ExactSizeIterator<Item = CellRun<'_, C>> {
-        self.specs.iter().zip(self.sweep.outcomes()).map(|(spec, o)| {
-            let drill = C::Drill::from_extra(o.extra.as_deref().unwrap_or_default());
-            (spec, &o.status, o.report.as_ref(), drill)
-        })
+        self.specs
+            .iter()
+            .zip(self.sweep.outcomes())
+            .map(|(spec, o)| {
+                let drill = C::Drill::from_extra(o.extra.as_deref().unwrap_or_default());
+                (spec, &o.status, o.report.as_ref(), drill)
+            })
     }
 
     /// The completed cells (quarantined cells carry no report). A
@@ -443,8 +447,13 @@ impl<C: Campaign> CampaignResults<C> {
                     ("seed", spec.seed.to_string()),
                     ("status", json_string(&status.token())),
                 ];
-                fields.extend(C::Drill::cell_fields(report.map(|_| drill.unwrap_or_default())));
-                fields.push(("report", report.map_or_else(|| "null".to_owned(), report_to_json)));
+                fields.extend(C::Drill::cell_fields(
+                    report.map(|_| drill.unwrap_or_default()),
+                ));
+                fields.push((
+                    "report",
+                    report.map_or_else(|| "null".to_owned(), report_to_json),
+                ));
                 json_object(&fields)
             })
             .collect();

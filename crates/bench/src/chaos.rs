@@ -88,9 +88,7 @@ impl FaultProfile {
             FaultProfile::Baseline => plan,
             FaultProfile::Jitter => plan.with_rtc_jitter(SimDuration::from_secs(2)),
             FaultProfile::Drops => plan.with_dropped_fires(0.05, SimDuration::from_secs(1)),
-            FaultProfile::Overruns => {
-                plan.with_task_overruns(0.02, SimDuration::from_secs(300))
-            }
+            FaultProfile::Overruns => plan.with_task_overruns(0.02, SimDuration::from_secs(300)),
             FaultProfile::Leaks => plan.with_wakelock_leaks(0.02, SimDuration::from_secs(180)),
             FaultProfile::Flaky => plan.with_activation_failures(0.05),
             FaultProfile::Crashes => {
@@ -200,14 +198,23 @@ impl Campaign for Chaos {
             ("policy", json_string(&agg.policy)),
             ("runs", agg.runs.to_string()),
             ("invariant_violations", agg.invariant_violations.to_string()),
-            ("perceptible_window_misses", agg.perceptible_window_misses.to_string()),
+            (
+                "perceptible_window_misses",
+                agg.perceptible_window_misses.to_string(),
+            ),
             ("interventions", agg.interventions.to_string()),
             ("forced_releases", agg.forced_releases.to_string()),
             ("activation_retries", agg.activation_retries.to_string()),
             ("quarantines", agg.quarantines.to_string()),
             ("recoveries", agg.recoveries.to_string()),
-            ("mean_time_to_recovery_ms", json_f64(agg.mean_time_to_recovery_ms)),
-            ("intervention_overhead_mj", json_f64(agg.intervention_overhead_mj)),
+            (
+                "mean_time_to_recovery_ms",
+                json_f64(agg.mean_time_to_recovery_ms),
+            ),
+            (
+                "intervention_overhead_mj",
+                json_f64(agg.intervention_overhead_mj),
+            ),
             ("perceptible_delay_avg", json_f64(agg.perceptible_delay_avg)),
             ("perceptible_delay_max", json_f64(agg.perceptible_delay_max)),
         ])
@@ -299,7 +306,11 @@ mod tests {
         );
         assert_eq!(specs.len(), 2 * 9 * 2);
         assert_eq!(specs[0].label(), "NATIVE/light/baseline/seed1/3600s");
-        assert!(specs.last().unwrap().label().starts_with("SIMTY/light/mixed"));
+        assert!(specs
+            .last()
+            .unwrap()
+            .label()
+            .starts_with("SIMTY/light/mixed"));
     }
 
     #[test]
@@ -333,14 +344,15 @@ mod tests {
         assert!(json.contains("\"status\":\"ok\""));
         assert!(json.contains("\"harness\":{\"cells\":4"));
         assert!(json.contains("\"policies\":["));
-        assert!(!json.contains("wall"), "chaos documents must be deterministic");
+        assert!(
+            !json.contains("wall"),
+            "chaos documents must be deterministic"
+        );
         assert!(
             !json.contains("journal_skips"),
             "per-invocation counters must stay out of the deterministic body"
         );
         let doc = results.to_json_document();
-        assert!(doc.starts_with(
-            "{\"schema\":\"simty-bench-chaos/v1\",\"journal_skips\":0"
-        ));
+        assert!(doc.starts_with("{\"schema\":\"simty-bench-chaos/v1\",\"journal_skips\":0"));
     }
 }

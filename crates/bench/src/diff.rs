@@ -173,7 +173,11 @@ impl Parser<'_> {
                     return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
                 }
                 self.depth += 1;
-                let v = if open == b'[' { self.array() } else { self.object() };
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
                 self.depth -= 1;
                 v
             }
@@ -656,11 +660,14 @@ mod tests {
             "{\"a\":[1,2.5,-3e2],\"s\":\"x\\\"y\\u0041\",\"b\":true,\"n\":null,\"o\":{}}",
         )
         .unwrap();
-        assert_eq!(v.get("a").unwrap(), &JsonValue::Arr(vec![
-            JsonValue::Num(1.0),
-            JsonValue::Num(2.5),
-            JsonValue::Num(-300.0),
-        ]));
+        assert_eq!(
+            v.get("a").unwrap(),
+            &JsonValue::Arr(vec![
+                JsonValue::Num(1.0),
+                JsonValue::Num(2.5),
+                JsonValue::Num(-300.0),
+            ])
+        );
         assert_eq!(v.get("s").unwrap().as_str(), Some("x\"yA"));
         assert_eq!(v.get("b").unwrap(), &JsonValue::Bool(true));
         assert_eq!(v.get("n").unwrap(), &JsonValue::Null);
@@ -678,7 +685,9 @@ mod tests {
         // Far deeper than any stack holds, on a thread with the default
         // 2 MiB stack: unbounded recursion would abort the process.
         let deep = std::thread::spawn(|| JsonValue::parse(&"[".repeat(65_536)).is_err());
-        assert!(deep.join().expect("the parser returns instead of overflowing"));
+        assert!(deep
+            .join()
+            .expect("the parser returns instead of overflowing"));
     }
 
     fn doc(runs_per_sec: f64, dispatch_ns: u64, energy: f64, poisoned: u64) -> String {

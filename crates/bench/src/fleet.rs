@@ -39,9 +39,9 @@ use simty::core::{HardwareComponent, SimDuration, SimTime};
 use simty::device::energy::EnergyMeter;
 use simty::experiments::PolicyKind;
 use simty::obs::telemetry::{EventKind, TelemetrySink};
+use simty::obs::{json_f64, json_string};
 use simty::obs::{Histogram, MetricsRegistry, QuantileSummary};
 use simty::sim::codec::{esc, unesc};
-use simty::obs::{json_f64, json_string};
 use simty::sim::json::report_to_json;
 use simty::sim::{
     Checkpoint, CheckpointStore, DelayStats, ObsLevel, OverloadStats, ResilienceStats, SimConfig,
@@ -61,9 +61,7 @@ pub const FLEET_SCHEMA: &str = "simty-fleet/v1";
 /// range spans idle light devices (~60 mW) through heavy long-tail
 /// synthetic mixes. Partials merge only across identical bounds, so
 /// this is a fleet-wide constant.
-pub const POWER_BOUNDS: [f64; 8] = [
-    60.0, 75.0, 90.0, 105.0, 120.0, 150.0, 200.0, 300.0,
-];
+pub const POWER_BOUNDS: [f64; 8] = [60.0, 75.0, 90.0, 105.0, 120.0, 150.0, 200.0, 300.0];
 
 /// Per-shard observability caps: spans and audits kept per device run.
 /// Fleets shrink these far below the interactive defaults so 100k-device
@@ -586,7 +584,11 @@ fn run_shard(
                     shard: spec.label.clone(),
                     devices_done: progress.devices,
                     devices_total: spec.end - spec.start,
-                    devices_per_sec: if secs > 0.0 { done_here as f64 / secs } else { 0.0 },
+                    devices_per_sec: if secs > 0.0 {
+                        done_here as f64 / secs
+                    } else {
+                        0.0
+                    },
                     cursor: progress.cursor,
                 });
             }

@@ -320,16 +320,17 @@ mod tests {
     use std::fs;
 
     fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "simty-journal-{name}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("simty-journal-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
 
     fn labels() -> Vec<String> {
-        vec!["cell-a".to_owned(), "cell-b".to_owned(), "cell-c".to_owned()]
+        vec![
+            "cell-a".to_owned(),
+            "cell-b".to_owned(),
+            "cell-c".to_owned(),
+        ]
     }
 
     fn sample_report() -> SimReport {
@@ -421,7 +422,9 @@ mod tests {
             let (journal, replay) =
                 CampaignJournal::open_with(&dir, "sweep", &labels(), vfs).unwrap();
             assert_eq!(replay.entries.len(), 1);
-            let err = journal.record(1, &CellStatus::Ok, &report, None).unwrap_err();
+            let err = journal
+                .record(1, &CellStatus::Ok, &report, None)
+                .unwrap_err();
             assert!(err.to_string().contains("ENOSPC"), "{err}");
         }
         let (journal, replay) = CampaignJournal::open(&dir, "sweep", &labels()).unwrap();
@@ -470,7 +473,9 @@ mod tests {
         let dir = scratch("mismatch");
         {
             let (journal, _) = CampaignJournal::open(&dir, "sweep", &labels()).unwrap();
-            journal.record(0, &CellStatus::Ok, &sample_report(), None).unwrap();
+            journal
+                .record(0, &CellStatus::Ok, &sample_report(), None)
+                .unwrap();
         }
         let err = CampaignJournal::open(&dir, "chaos", &labels()).unwrap_err();
         assert!(matches!(err, JournalError::Mismatch { .. }), "{err}");

@@ -27,22 +27,20 @@ pub mod storm;
 pub mod supervisor;
 pub mod sweep;
 
-pub use campaign::{
-    matrix, run_campaign, Campaign, CampaignResults, CampaignSpec, Drill, Profile,
-};
+pub use campaign::{matrix, run_campaign, Campaign, CampaignResults, CampaignSpec, Drill, Profile};
 pub use chaos::{Chaos, ChaosResults, ChaosSpec, FaultProfile, PolicyResilience};
+pub use diff::{diff_documents, DiffReport, DiffThresholds, JsonValue, Regression};
 pub use fleet::{
     run_fleet, run_fleet_with, FleetConfig, FleetResults, PolicyAggregate, ShardSpec, FLEET_SCHEMA,
 };
-pub use diff::{diff_documents, DiffReport, DiffThresholds, JsonValue, Regression};
 pub use journal::{CampaignJournal, JournalEntry, JournalError};
-pub use supervisor::{CellStatus, HarnessStats, SupervisorConfig};
-pub use soak::{PolicyEndurance, Soak, SoakProfile, SoakRecovery, SoakResults, SoakSpec};
-pub use storm::{PolicyOverload, Storm, StormProfile, StormRecovery, StormResults, StormSpec};
 pub use simty::experiments::{
     motivating_example, motivating_example_report, paper_runs, paper_specs, Averages, PolicyKind,
     RunSpec, Scenario,
 };
+pub use soak::{PolicyEndurance, Soak, SoakProfile, SoakRecovery, SoakResults, SoakSpec};
+pub use storm::{PolicyOverload, Storm, StormProfile, StormRecovery, StormResults, StormSpec};
+pub use supervisor::{CellStatus, HarnessStats, SupervisorConfig};
 pub use sweep::{CampaignOptions, JobResult, Outcome, RunHandle, Sweep, SweepResults};
 
 /// Renders one "paper vs measured" line for the experiment binaries.

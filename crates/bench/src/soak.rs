@@ -146,14 +146,16 @@ impl Drill for SoakRecovery {
     }
 
     fn cell_fields(rec: Option<SoakRecovery>) -> Vec<(&'static str, String)> {
-        let field = |value: fn(SoakRecovery) -> String| {
-            rec.map_or_else(|| "null".to_owned(), value)
-        };
+        let field =
+            |value: fn(SoakRecovery) -> String| rec.map_or_else(|| "null".to_owned(), value);
         vec![
             ("checkpoints", field(|r| r.checkpoints.to_string())),
             ("corrupt_skipped", field(|r| r.corrupt_skipped.to_string())),
             ("restore_ok", field(|r| r.restore_ok.to_string())),
-            ("resumed_identical", field(|r| r.resumed_identical.to_string())),
+            (
+                "resumed_identical",
+                field(|r| r.resumed_identical.to_string()),
+            ),
         ]
     }
 
@@ -273,12 +275,21 @@ impl Campaign for Soak {
             ("reboots", agg.reboots.to_string()),
             ("mean_recovery_ms", json_f64(agg.mean_recovery_ms)),
             ("catch_up_entries", agg.catch_up_entries.to_string()),
-            ("worst_catch_up_delay_ms", json_f64(agg.worst_catch_up_delay_ms)),
+            (
+                "worst_catch_up_delay_ms",
+                json_f64(agg.worst_catch_up_delay_ms),
+            ),
             ("invariant_violations", agg.invariant_violations.to_string()),
-            ("perceptible_window_misses", agg.perceptible_window_misses.to_string()),
+            (
+                "perceptible_window_misses",
+                agg.perceptible_window_misses.to_string(),
+            ),
             ("checkpoints", agg.checkpoints.to_string()),
             ("corrupt_skipped", agg.corrupt_skipped.to_string()),
-            ("all_resumed_identical", agg.all_resumed_identical.to_string()),
+            (
+                "all_resumed_identical",
+                agg.all_resumed_identical.to_string(),
+            ),
             ("all_restores_ok", agg.all_restores_ok.to_string()),
         ])
     }
@@ -324,7 +335,11 @@ fn corrupt_newest(dir: &Path, n: usize) -> io::Result<()> {
         let damaged = match i % 3 {
             0 => bytes[..bytes.len() / 2].to_vec(),
             1 => {
-                let body = bytes.splitn(2, |&b| b == b'\n').nth(1).unwrap_or(&[]).to_vec();
+                let body = bytes
+                    .splitn(2, |&b| b == b'\n')
+                    .nth(1)
+                    .unwrap_or(&[])
+                    .to_vec();
                 let mut out = b"simty-checkpoint/v0\n".to_vec();
                 out.extend_from_slice(&body);
                 out
@@ -433,7 +448,11 @@ mod tests {
         );
         assert_eq!(specs.len(), 2 * 5 * 2);
         assert_eq!(specs[0].label(), "NATIVE/light/steady/seed1/86400s");
-        assert!(specs.last().unwrap().label().starts_with("SIMTY/light/torn-stale"));
+        assert!(specs
+            .last()
+            .unwrap()
+            .label()
+            .starts_with("SIMTY/light/torn-stale"));
     }
 
     #[test]
@@ -462,7 +481,9 @@ mod tests {
         assert_eq!(aggs.len(), 2);
         assert_eq!(aggs[0].policy, "NATIVE");
         assert!(aggs.iter().all(|a| a.reboots == 2));
-        assert!(aggs.iter().all(|a| a.all_resumed_identical && a.all_restores_ok));
+        assert!(aggs
+            .iter()
+            .all(|a| a.all_resumed_identical && a.all_restores_ok));
         assert!(aggs.iter().all(|a| a.corrupt_skipped == 1));
         let json = results.to_json();
         assert!(json.starts_with("{\"schema\":\"simty-bench-soak/v1\""));
@@ -470,7 +491,10 @@ mod tests {
         assert!(json.contains("\"status\":\"ok\""));
         assert!(json.contains("\"harness\":{\"cells\":4"));
         assert!(json.contains("\"resumed_identical\":true"));
-        assert!(!json.contains("wall"), "soak documents must be deterministic");
+        assert!(
+            !json.contains("wall"),
+            "soak documents must be deterministic"
+        );
         assert!(!json.contains("journal_skips"));
         // The committed document adds only per-invocation header fields
         // on top of the deterministic body.
@@ -501,7 +525,10 @@ mod tests {
             restore_ok: true,
             resume_wall: Duration::from_millis(1234),
         };
-        assert_eq!(SoakRecovery::from_extra(&rec.to_extra().unwrap()), Some(rec));
+        assert_eq!(
+            SoakRecovery::from_extra(&rec.to_extra().unwrap()),
+            Some(rec)
+        );
         assert_eq!(SoakRecovery::from_extra(""), None);
         assert_eq!(SoakRecovery::from_extra("1:2:3"), None);
         assert_eq!(SoakRecovery::from_extra("a:0:1:1:0"), None);
@@ -551,9 +578,15 @@ mod tests {
                     start.wait();
                     run_soak(&long, 2).all_recovered()
                 });
-                (a.join().expect("short campaign"), b.join().expect("long campaign"))
+                (
+                    a.join().expect("short campaign"),
+                    b.join().expect("long campaign"),
+                )
             });
-            assert!(a && b, "round {round}: a concurrent campaign lost its snapshots");
+            assert!(
+                a && b,
+                "round {round}: a concurrent campaign lost its snapshots"
+            );
         }
     }
 }

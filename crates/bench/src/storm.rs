@@ -129,13 +129,15 @@ impl Drill for StormRecovery {
     }
 
     fn cell_fields(rec: Option<StormRecovery>) -> Vec<(&'static str, String)> {
-        let field = |value: fn(StormRecovery) -> String| {
-            rec.map_or_else(|| "null".to_owned(), value)
-        };
+        let field =
+            |value: fn(StormRecovery) -> String| rec.map_or_else(|| "null".to_owned(), value);
         vec![
             ("checkpoints", field(|r| r.checkpoints.to_string())),
             ("restore_ok", field(|r| r.restore_ok.to_string())),
-            ("resumed_identical", field(|r| r.resumed_identical.to_string())),
+            (
+                "resumed_identical",
+                field(|r| r.resumed_identical.to_string()),
+            ),
         ]
     }
 
@@ -245,8 +247,7 @@ impl Campaign for Storm {
             ..StormRecovery::default()
         };
         if let Some(snapshot) = straight.checkpoints().last() {
-            if let Ok(identical) = campaign::resumes_identically(spec.policy, snapshot, &expected)
-            {
+            if let Ok(identical) = campaign::resumes_identically(spec.policy, snapshot, &expected) {
                 recovery.restore_ok = true;
                 recovery.resumed_identical = identical;
             }
@@ -284,8 +285,14 @@ impl Campaign for Storm {
             ("demotions", agg.demotions.to_string()),
             ("tier_changes", agg.tier_changes.to_string()),
             ("invariant_violations", agg.invariant_violations.to_string()),
-            ("perceptible_window_misses", agg.perceptible_window_misses.to_string()),
-            ("all_resumed_identical", agg.all_resumed_identical.to_string()),
+            (
+                "perceptible_window_misses",
+                agg.perceptible_window_misses.to_string(),
+            ),
+            (
+                "all_resumed_identical",
+                agg.all_resumed_identical.to_string(),
+            ),
             ("all_restores_ok", agg.all_restores_ok.to_string()),
         ])
     }
@@ -446,7 +453,10 @@ mod tests {
             resumed_identical: true,
             restore_ok: true,
         };
-        assert_eq!(StormRecovery::from_extra(&rec.to_extra().unwrap()), Some(rec));
+        assert_eq!(
+            StormRecovery::from_extra(&rec.to_extra().unwrap()),
+            Some(rec)
+        );
         assert_eq!(StormRecovery::from_extra(""), None);
         assert_eq!(StormRecovery::from_extra("1:1"), None);
         assert_eq!(StormRecovery::from_extra("x:1:1"), None);

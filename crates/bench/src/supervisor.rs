@@ -290,10 +290,7 @@ mod tests {
 
     #[test]
     fn clean_cell_is_ok() {
-        let (result, status) = supervise(
-            &SupervisorConfig::default(),
-            Arc::new(quick_result),
-        );
+        let (result, status) = supervise(&SupervisorConfig::default(), Arc::new(quick_result));
         assert!(result.is_some());
         assert_eq!(status, CellStatus::Ok);
     }
@@ -463,7 +460,10 @@ mod tests {
             json,
             "{\"cells\":5,\"ok\":2,\"retried\":1,\"retries\":3,\"panics\":4,\"timeouts\":1,\"poisoned\":2}"
         );
-        assert!(!json.contains("journal_skips"), "nondeterministic counter leaked");
+        assert!(
+            !json.contains("journal_skips"),
+            "nondeterministic counter leaked"
+        );
         let mut registry = MetricsRegistry::new();
         stats.publish(&mut registry);
         assert_eq!(registry.counter("harness.cells"), 5);

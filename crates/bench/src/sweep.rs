@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use simty::experiments::RunSpec;
 use simty::obs::telemetry::{EventKind, TelemetrySink};
-use simty::obs::{QuantileSummary, StageProfile};
 use simty::obs::{json_f64, json_string};
+use simty::obs::{QuantileSummary, StageProfile};
 use simty::sim::json::report_to_json;
 use simty::sim::{SimReport, Vfs};
 
@@ -176,7 +176,11 @@ impl Sweep {
     /// specs: an identical spec returns the existing handle and the run
     /// executes once.
     pub fn spec(&mut self, spec: RunSpec) -> RunHandle {
-        let spec = if self.no_obs { spec.with_no_obs() } else { spec };
+        let spec = if self.no_obs {
+            spec.with_no_obs()
+        } else {
+            spec
+        };
         if let Some((_, handle)) = self.specs.iter().find(|(s, _)| *s == spec) {
             return *handle;
         }
@@ -331,7 +335,10 @@ impl Sweep {
                         match journal.record(idx, &status, report, extra.as_deref()) {
                             Ok(()) => {
                                 if let Some(sink) = telemetry {
-                                    sink.publish(EventKind::JournalWrite { index: idx, ok: true });
+                                    sink.publish(EventKind::JournalWrite {
+                                        index: idx,
+                                        ok: true,
+                                    });
                                 }
                             }
                             Err(e) => {
@@ -709,8 +716,7 @@ mod tests {
     use simty::experiments::{PolicyKind, Scenario};
 
     fn quick(policy: PolicyKind, seed: u64) -> RunSpec {
-        RunSpec::paper(policy, Scenario::Light, seed)
-            .with_duration(SimDuration::from_mins(5))
+        RunSpec::paper(policy, Scenario::Light, seed).with_duration(SimDuration::from_mins(5))
     }
 
     #[test]

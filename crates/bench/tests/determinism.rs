@@ -38,7 +38,9 @@ fn grid() -> Sweep {
         )
         .with_duration(short),
     );
-    sweep.job("fig2/SIMTY", || motivating_example_report(PolicyKind::Simty));
+    sweep.job("fig2/SIMTY", || {
+        motivating_example_report(PolicyKind::Simty)
+    });
     sweep
 }
 

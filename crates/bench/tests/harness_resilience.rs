@@ -39,7 +39,10 @@ fn a_panicking_cell_is_quarantined_and_the_campaign_continues() {
     let outcomes = results.outcomes();
     assert_eq!(outcomes.len(), 3);
     assert!(outcomes[0].report.is_some(), "healthy cells must complete");
-    assert!(outcomes[2].report.is_some(), "cells after the panic must complete");
+    assert!(
+        outcomes[2].report.is_some(),
+        "cells after the panic must complete"
+    );
     assert!(outcomes[1].report.is_none());
     assert!(outcomes[1].status.is_poisoned());
 
@@ -74,9 +77,15 @@ fn transient_panics_retry_and_then_succeed() {
     assert_eq!(attempts.load(Ordering::SeqCst), 2, "exactly one retry");
     let outcomes = results.outcomes();
     assert!(outcomes[0].report.is_some());
-    assert!(matches!(outcomes[0].status, CellStatus::Retried { retries: 1 }));
+    assert!(matches!(
+        outcomes[0].status,
+        CellStatus::Retried { retries: 1 }
+    ));
     let stats = results.harness();
-    assert_eq!((stats.retried_cells, stats.retries, stats.panics), (1, 1, 1));
+    assert_eq!(
+        (stats.retried_cells, stats.retries, stats.panics),
+        (1, 1, 1)
+    );
     assert_eq!(stats.poisoned, 0);
 }
 
@@ -95,7 +104,11 @@ fn transient_panics_poison_once_retries_are_exhausted() {
     let outcomes = results.outcomes();
     assert!(matches!(
         outcomes[0].status,
-        CellStatus::Poisoned { retries: 2, timed_out: false, .. }
+        CellStatus::Poisoned {
+            retries: 2,
+            timed_out: false,
+            ..
+        }
     ));
     let stats = results.harness();
     assert_eq!((stats.poisoned, stats.retries, stats.panics), (1, 2, 3));
@@ -118,7 +131,10 @@ fn a_hung_cell_is_killed_by_the_deadline_watchdog() {
     let outcomes = results.outcomes();
     assert!(matches!(
         outcomes[0].status,
-        CellStatus::Poisoned { timed_out: true, .. }
+        CellStatus::Poisoned {
+            timed_out: true,
+            ..
+        }
     ));
     assert!(outcomes[1].report.is_some(), "the campaign must continue");
     let stats = results.harness();
@@ -218,9 +234,7 @@ fn poisoned_cells_rerun_on_resume() {
     let campaign = |dir: &std::path::Path| {
         let mut sweep = Sweep::new();
         sweep.spec(short_spec(PolicyKind::Native, 1));
-        sweep.job("cursed/cell", || -> JobResult {
-            panic!("still broken")
-        });
+        sweep.job("cursed/cell", || -> JobResult { panic!("still broken") });
         sweep.with_journal(dir, "poison");
         sweep
     };
@@ -229,7 +243,15 @@ fn poisoned_cells_rerun_on_resume() {
     assert_eq!(first.journal_skips(), 0);
 
     let second = campaign(&dir).run_with_threads(1);
-    assert_eq!(second.journal_skips(), 1, "only the healthy cell is restored");
-    assert_eq!(second.poisoned().len(), 1, "the cursed cell ran (and failed) again");
+    assert_eq!(
+        second.journal_skips(),
+        1,
+        "only the healthy cell is restored"
+    );
+    assert_eq!(
+        second.poisoned().len(),
+        1,
+        "the cursed cell ran (and failed) again"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
