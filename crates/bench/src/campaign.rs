@@ -1,43 +1,52 @@
-//! The campaign kernel shared by the chaos, soak and storm campaigns.
+//! The campaign kernel shared by the chaos, soak, storm and fleet
+//! campaigns.
 //!
-//! All three campaigns test the paper's guarantee — perceptible alarms
-//! never slip past their windows — against a different adversary: a
-//! faulty device ([`crate::chaos`]), long horizons with reboots and
-//! rotting snapshots ([`crate::soak`]), and registration overload
-//! ([`crate::storm`]). They share everything else: a policy × scenario ×
-//! profile × seed grid ([`matrix`]) of [`CampaignSpec`] cells, fanned out
-//! on the supervised, journaled [`Sweep`] executor by [`run_campaign`],
-//! and collected into a [`CampaignResults`] that serializes to the
-//! campaign's `simty-bench-<kind>/v1` document. Results are
-//! byte-identical regardless of thread count and of how many cells a
-//! `--resume` journal restored.
+//! The first three test the paper's guarantee — perceptible alarms never
+//! slip past their windows — against a different adversary: a faulty
+//! device ([`crate::chaos`]), long horizons with reboots and rotting
+//! snapshots ([`crate::soak`]), and registration overload
+//! ([`crate::storm`]); their cells are a policy × scenario × profile ×
+//! seed grid ([`matrix`]) of [`CampaignSpec`]s. The fourth,
+//! [`crate::fleet`], measures the paper's energy saving over a device
+//! population, one cell per shard. All four share everything else: their
+//! [`Cell`]s fan out on the supervised, journaled [`Sweep`] executor by
+//! [`run_campaign`] and are collected into a [`CampaignResults`] that
+//! aggregates them per policy and serializes to the campaign's document.
+//! Results are byte-identical regardless of thread count and of how many
+//! cells a `--resume` journal restored.
 //!
 //! A campaign supplies only what differs, through the [`Campaign`]
-//! trait: its [`Profile`] enum, how a profile builds and runs a cell,
-//! the per-cell [`Drill`] payload the cell reports beside its
-//! [`SimReport`], and its per-policy aggregate.
+//! trait: its cell type, how a cell runs, the per-cell [`Drill`] payload
+//! the cell reports beside its [`SimReport`] (journaled through the
+//! [`Field`] codec), and its per-policy aggregate.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
+use std::time::Duration;
 
 use simty::apps::Workload;
 use simty::core::SimDuration;
 use simty::experiments::{PolicyKind, Scenario};
-use simty::obs::json_string;
 use simty::obs::QuantileSummary;
+use simty::obs::{json_f64, json_string};
+use simty::sim::codec::{self, Field};
 use simty::sim::json::report_to_json;
 use simty::sim::{Checkpoint, CheckpointError, SimConfig, SimReport, Simulation};
 
 use crate::journal::JournalError;
 use crate::supervisor::{CellStatus, HarnessStats};
-use crate::sweep::{CampaignOptions, JobResult, Sweep, SweepResults};
+use crate::sweep::{CampaignOptions, JobResult, Outcome, Sweep, SweepResults};
 
 /// A campaign's named adversaries: one profile per grid column.
 pub trait Profile: Copy + PartialEq + fmt::Debug + Send + Sync + 'static {
     /// Every profile, in campaign order.
     const ALL: &'static [Self];
+
+    /// What one profile is called in messages (`fault`, `soak`, ...).
+    const NOUN: &'static str;
 
     /// The profile's CLI / report name.
     fn name(self) -> &'static str;
@@ -48,49 +57,45 @@ pub trait Profile: Copy + PartialEq + fmt::Debug + Send + Sync + 'static {
     }
 }
 
-/// What a cell's drill observed beside its straight-through report
-/// (`()` for campaigns without one). The payload rides the campaign
-/// journal's `extra` field, so a journal-restored cell keeps it.
-pub trait Drill: Copy + Default + Send + Sync + 'static {
-    /// Encodes the payload as the journal's `extra` field (`None` when
-    /// there is nothing to keep).
-    fn to_extra(self) -> Option<String>;
+/// One cell of a campaign: what the kernel labels, journals and groups
+/// by policy.
+pub trait Cell: Clone + fmt::Debug + Send + Sync + 'static {
+    /// The cell's label, as journaled and reported.
+    fn label(&self) -> String;
 
-    /// Reverses [`to_extra`](Self::to_extra); `None` on a malformed
-    /// payload.
-    fn from_extra(extra: &str) -> Option<Self>;
+    /// The alignment policy the cell runs.
+    fn policy(&self) -> PolicyKind;
 
-    /// The payload's per-cell document fields as `(key, JSON value)`
-    /// pairs; `drill` is `None` for a quarantined cell, whose fields are
-    /// `null`.
-    fn cell_fields(drill: Option<Self>) -> Vec<(&'static str, String)>;
-
-    /// Whether the drill restored and matched bytes.
-    fn recovered(self) -> bool;
+    /// The fields that lead the cell's document row, as `(key, JSON
+    /// value)` pairs.
+    fn row(&self) -> Vec<(&'static str, String)>;
 }
 
-impl Drill for () {
-    fn to_extra(self) -> Option<String> {
-        None
-    }
-
-    fn from_extra(_extra: &str) -> Option<()> {
-        Some(())
-    }
-
-    fn cell_fields(_drill: Option<()>) -> Vec<(&'static str, String)> {
+/// What a cell's drill observed beside its straight-through report
+/// (`()` for campaigns without one). The payload rides the campaign
+/// journal's `extra` field in its [`Field`] form, so a journal-restored
+/// cell keeps it.
+pub trait Drill: Field + Clone + Default + Send + Sync + 'static {
+    /// The payload's per-cell document fields as `(key, JSON value)`
+    /// pairs; `drill` is `None` for a quarantined cell, whose fields are
+    /// `null`. None by default.
+    fn cell_fields(_drill: Option<&Self>) -> Vec<(&'static str, String)> {
         Vec::new()
     }
 
-    fn recovered(self) -> bool {
+    /// Whether the drill restored and matched bytes (it did, by
+    /// default).
+    fn recovered(&self) -> bool {
         true
     }
 }
 
+impl Drill for () {}
+
 /// What differs between campaigns; the kernel does the rest.
 pub trait Campaign: Sized + 'static {
-    /// The campaign's adversaries.
-    type Profile: Profile;
+    /// The campaign's cell.
+    type Cell: Cell;
     /// The per-cell drill payload.
     type Drill: Drill;
     /// The per-policy aggregate over completed cells.
@@ -100,8 +105,9 @@ pub trait Campaign: Sized + 'static {
     /// `simty-bench-<kind>/v1` document schema.
     const KIND: &'static str;
 
-    /// Builds and runs one cell to the end, then its drill.
-    fn run_cell(spec: &CampaignSpec<Self::Profile>) -> (SimReport, Self::Drill);
+    /// Builds and runs one cell to the end, then its drill, under the
+    /// campaign's harness `options`.
+    fn run_cell(cell: &Self::Cell, options: &CampaignOptions) -> (SimReport, Self::Drill);
 
     /// Folds one policy's completed cells into its aggregate.
     fn aggregate(policy: String, cells: &[(&SimReport, Self::Drill)]) -> Self::Aggregate;
@@ -113,6 +119,54 @@ pub trait Campaign: Sized + 'static {
     /// `,"key":value` (none by default).
     fn header_json(_results: &CampaignResults<Self>) -> String {
         String::new()
+    }
+
+    /// What, beyond the cell labels, decides the cells' bytes: the
+    /// journal's identity ([`Sweep::with_journal_identity`]). Nothing by
+    /// default.
+    fn journal_identity(_cells: &[Self::Cell]) -> String {
+        String::new()
+    }
+
+    /// The per-policy aggregates: by default one per policy over its
+    /// completed cells ([`aggregate`](Self::aggregate)), sorted by
+    /// policy name.
+    fn aggregates(results: &CampaignResults<Self>) -> Vec<Self::Aggregate> {
+        let mut by_policy: BTreeMap<String, Vec<(&SimReport, Self::Drill)>> = BTreeMap::new();
+        for (cell, report, drill) in results.completed() {
+            by_policy
+                .entry(cell.policy().name())
+                .or_default()
+                .push((report, drill));
+        }
+        by_policy
+            .into_iter()
+            .map(|(policy, cells)| Self::aggregate(policy, &cells))
+            .collect()
+    }
+
+    /// The deterministic document body: by default the
+    /// `simty-bench-<kind>/v1` document without its per-invocation
+    /// header.
+    fn body(results: &CampaignResults<Self>) -> String {
+        results.render("")
+    }
+
+    /// The full on-disk document: by default the body plus the
+    /// per-invocation header — the campaign's own fields
+    /// ([`header_json`](Self::header_json)), `journal_skips` (how many
+    /// cells this invocation restored from the journal instead of
+    /// running), and the executed cells' wall-time quantiles (`null`
+    /// when every cell was restored).
+    fn document(results: &CampaignResults<Self>) -> String {
+        let quantiles = results
+            .cell_wall_quantiles()
+            .map_or_else(|| "null".to_owned(), |q| q.to_json());
+        results.render(&format!(
+            "{},\"journal_skips\":{},\"quantiles\":{{\"cell_wall_ms\":{quantiles}}}",
+            Self::header_json(results),
+            results.journal_skips()
+        ))
     }
 }
 
@@ -132,10 +186,10 @@ pub struct CampaignSpec<P> {
     pub duration: SimDuration,
 }
 
-impl<P: Profile> CampaignSpec<P> {
+impl<P: Profile> Cell for CampaignSpec<P> {
     /// A compact identity for sweep outputs, e.g.
     /// `SIMTY/heavy/mixed/seed1/3600s`.
-    pub fn label(&self) -> String {
+    fn label(&self) -> String {
         format!(
             "{}/{}/{}/seed{}/{}s",
             self.policy.name(),
@@ -146,6 +200,20 @@ impl<P: Profile> CampaignSpec<P> {
         )
     }
 
+    fn policy(&self) -> PolicyKind {
+        self.policy
+    }
+
+    fn row(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("label", json_string(&self.label())),
+            ("profile", json_string(self.profile.name())),
+            ("seed", self.seed.to_string()),
+        ]
+    }
+}
+
+impl<P: Profile> CampaignSpec<P> {
     /// The cell's simulation: its scenario's workload registered on a
     /// fresh simulation of its policy under `config`.
     pub fn simulation(&self, config: SimConfig) -> Simulation {
@@ -217,6 +285,56 @@ pub(crate) fn sum<D>(cells: &[(&SimReport, D)], counter: fn(&SimReport) -> u64) 
     cells.iter().map(|(report, _)| counter(report)).sum()
 }
 
+/// A value's form in a campaign document.
+pub(crate) trait ToJson {
+    /// The value as JSON.
+    fn to_json(&self) -> String;
+}
+
+macro_rules! display_json {
+    ($($t:ty),+) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> String {
+                self.to_string()
+            }
+        }
+    )+};
+}
+display_json!(u64, usize, bool);
+
+impl ToJson for f64 {
+    fn to_json(&self) -> String {
+        json_f64(*self)
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> String {
+        json_string(self)
+    }
+}
+
+impl ToJson for Option<SimReport> {
+    fn to_json(&self) -> String {
+        self.as_ref()
+            .map_or_else(|| "null".to_owned(), report_to_json)
+    }
+}
+
+/// `json_pairs!(value; a, b)`: the named fields of `value` (an `Option`
+/// of a reference) as `(key, JSON value)` pairs, in the listed order;
+/// every one is `null` when `value` is `None`.
+macro_rules! json_pairs {
+    ($v:expr; $($f:ident),+ $(,)?) => {{
+        let v = $v;
+        vec![$((
+            stringify!($f),
+            v.map_or_else(|| "null".to_owned(), |v| $crate::campaign::ToJson::to_json(&v.$f)),
+        )),+]
+    }};
+}
+pub(crate) use json_pairs;
+
 /// Renders `(key, JSON value)` pairs, in order, as a JSON object.
 pub(crate) fn json_object(fields: &[(&str, String)]) -> String {
     let fields: Vec<String> = fields
@@ -252,7 +370,7 @@ pub(crate) fn resumes_identically(
 }
 
 /// Runs a campaign under harness [`CampaignOptions`] and collects the
-/// results in matrix order (byte-identical across thread counts). Cells
+/// results in cell order (byte-identical across thread counts). Cells
 /// run supervised: a panicking or hung cell is quarantined, not fatal.
 /// When `journal_dir` is set, cells completed by a previous interrupted
 /// invocation are restored instead of re-run, drill payload included.
@@ -262,74 +380,82 @@ pub(crate) fn resumes_identically(
 /// [`JournalError`] when the journal directory holds a journal for a
 /// different campaign kind or grid, or cannot be opened.
 pub fn run_campaign<C: Campaign>(
-    specs: &[CampaignSpec<C::Profile>],
+    cells: &[C::Cell],
     options: &CampaignOptions,
 ) -> Result<CampaignResults<C>, JournalError> {
     let mut sweep = Sweep::new();
     sweep.with_supervisor(options.supervisor);
     if let Some(dir) = &options.journal_dir {
-        sweep.with_journal(dir, C::KIND);
+        sweep
+            .with_journal(dir, C::KIND)
+            .with_journal_identity(C::journal_identity(cells));
     }
     if let Some(sink) = &options.telemetry {
         sweep.with_telemetry(sink.clone());
     }
-    for &spec in specs {
-        sweep.job(spec.label(), move || {
-            let (report, drill) = C::run_cell(&spec);
+    let shared = Arc::new(options.clone());
+    for cell in cells {
+        let (cell, options) = (cell.clone(), Arc::clone(&shared));
+        sweep.job(cell.label(), move || {
+            let (report, drill) = C::run_cell(&cell, &options);
             JobResult {
                 report,
                 stages: None,
-                extra: drill.to_extra(),
+                extra: Some(codec::encode(&drill)).filter(|extra| !extra.is_empty()),
             }
         });
     }
     Ok(CampaignResults {
-        specs: specs.to_vec(),
+        cells: cells.to_vec(),
         sweep: sweep.try_run_with_threads(options.threads)?,
     })
 }
 
-/// One cell of a finished campaign: its spec, its supervisor status, its
+/// One cell of a finished campaign: the cell, its supervisor status, its
 /// report (`None` for a quarantined cell), and its drill payload (`None`
 /// when the cell carries none or it did not decode).
 pub type CellRun<'a, C> = (
-    &'a CampaignSpec<<C as Campaign>::Profile>,
+    &'a <C as Campaign>::Cell,
     &'a CellStatus,
     Option<&'a SimReport>,
     Option<<C as Campaign>::Drill>,
 );
 
-/// A finished campaign: every cell's spec beside the [`SweepResults`]
-/// that ran it (status, report — `None` for quarantined cells — and
-/// drill payload), in matrix order.
+/// A finished campaign: every cell beside the [`SweepResults`] that ran
+/// it (status, report — `None` for quarantined cells — and drill
+/// payload), in cell order.
 #[derive(Debug, Clone)]
 pub struct CampaignResults<C: Campaign> {
-    specs: Vec<CampaignSpec<C::Profile>>,
+    cells: Vec<C::Cell>,
     sweep: SweepResults,
 }
 
 impl<C: Campaign> CampaignResults<C> {
-    /// The cells, their statuses, reports, and drill payloads, in
-    /// matrix order.
+    /// The cells, their statuses, reports, and drill payloads, in cell
+    /// order.
     pub fn runs(&self) -> impl ExactSizeIterator<Item = CellRun<'_, C>> {
-        self.specs
+        self.cells
             .iter()
             .zip(self.sweep.outcomes())
-            .map(|(spec, o)| {
-                let drill = C::Drill::from_extra(o.extra.as_deref().unwrap_or_default());
-                (spec, &o.status, o.report.as_ref(), drill)
+            .map(|(cell, o)| {
+                let drill = codec::decode(o.extra.as_deref().unwrap_or_default()).ok();
+                (cell, &o.status, o.report.as_ref(), drill)
             })
     }
 
     /// The completed cells (quarantined cells carry no report). A
     /// completed cell missing its drill payload counts as an
     /// unrecovered default, never a silent success.
-    pub(crate) fn completed(
-        &self,
-    ) -> impl Iterator<Item = (&CampaignSpec<C::Profile>, &SimReport, C::Drill)> + '_ {
-        self.runs().filter_map(|(spec, _, report, drill)| {
-            report.map(|r| (spec, r, drill.unwrap_or_default()))
+    pub(crate) fn completed(&self) -> impl Iterator<Item = (&C::Cell, &SimReport, C::Drill)> + '_ {
+        self.runs().filter_map(|(cell, _, report, drill)| {
+            report.map(|r| (cell, r, drill.unwrap_or_default()))
         })
+    }
+
+    /// The executor's per-cell outcomes (label, status, report, wall
+    /// clock, journaled payload), in cell order.
+    pub fn outcomes(&self) -> &[Outcome] {
+        self.sweep.outcomes()
     }
 
     /// Cells restored from the campaign journal instead of executed in
@@ -346,12 +472,22 @@ impl<C: Campaign> CampaignResults<C> {
         self.sweep.cell_wall_quantiles()
     }
 
+    /// Worker threads used.
+    pub fn threads(&self) -> usize {
+        self.sweep.threads()
+    }
+
+    /// Wall-clock time of the whole campaign.
+    pub fn total_wall(&self) -> Duration {
+        self.sweep.total_wall()
+    }
+
     /// Supervisor accounting over the campaign.
     pub fn harness(&self) -> HarnessStats {
         self.sweep.harness()
     }
 
-    /// The quarantined cells' `(label, reason)` pairs, in matrix order.
+    /// The quarantined cells' `(label, reason)` pairs, in cell order.
     pub fn poisoned(&self) -> Vec<(String, String)> {
         self.sweep.poisoned()
     }
@@ -376,7 +512,7 @@ impl<C: Campaign> CampaignResults<C> {
     pub fn unrecovered(&self) -> Vec<String> {
         self.completed()
             .filter(|(_, _, drill)| !drill.recovered())
-            .map(|(spec, _, _)| spec.label())
+            .map(|(cell, _, _)| cell.label())
             .collect()
     }
 
@@ -385,46 +521,21 @@ impl<C: Campaign> CampaignResults<C> {
         self.unrecovered().is_empty()
     }
 
-    /// Per-policy aggregates over the completed cells, sorted by policy
-    /// name.
+    /// The per-policy aggregates ([`Campaign::aggregates`]).
     pub fn aggregates(&self) -> Vec<C::Aggregate> {
-        let mut by_policy: BTreeMap<String, Vec<(&SimReport, C::Drill)>> = BTreeMap::new();
-        for (spec, report, drill) in self.completed() {
-            by_policy
-                .entry(spec.policy.name())
-                .or_default()
-                .push((report, drill));
-        }
-        by_policy
-            .into_iter()
-            .map(|(policy, cells)| C::aggregate(policy, &cells))
-            .collect()
+        C::aggregates(self)
     }
 
-    /// Serializes the campaign as the `simty-bench-<kind>/v1` document
-    /// body. Fully deterministic: no wall-clock or per-invocation
-    /// fields, so parallel, sequential, and journal-resumed campaigns
-    /// produce byte-identical bytes (the per-invocation fields live
-    /// only in [`to_json_document`](Self::to_json_document)'s header).
+    /// The deterministic document body ([`Campaign::body`]): no
+    /// wall-clock or per-invocation fields, so parallel, sequential, and
+    /// journal-resumed campaigns produce byte-identical bytes.
     pub fn to_json(&self) -> String {
-        self.render("")
+        C::body(self)
     }
 
-    /// The full on-disk document: [`to_json`](Self::to_json) plus the
-    /// per-invocation header — the campaign's own fields (soak's
-    /// `resume_wall_ms`), `journal_skips` (how many cells this
-    /// invocation restored from the journal instead of running), and
-    /// the executed cells' wall-time quantiles (`null` when every cell
-    /// was restored).
+    /// The full on-disk document ([`Campaign::document`]).
     pub fn to_json_document(&self) -> String {
-        let quantiles = self
-            .cell_wall_quantiles()
-            .map_or_else(|| "null".to_owned(), |q| q.to_json());
-        self.render(&format!(
-            "{},\"journal_skips\":{},\"quantiles\":{{\"cell_wall_ms\":{quantiles}}}",
-            C::header_json(self),
-            self.journal_skips()
-        ))
+        C::document(self)
     }
 
     /// Writes [`to_json_document`](Self::to_json_document) to a file.
@@ -436,20 +547,16 @@ impl<C: Campaign> CampaignResults<C> {
         std::fs::write(path, self.to_json_document())
     }
 
-    /// The document with `header` spliced in after the schema.
+    /// The `simty-bench-<kind>/v1` document with `header` spliced in
+    /// after the schema.
     fn render(&self, header: &str) -> String {
         let results: Vec<String> = self
             .runs()
-            .map(|(spec, status, report, drill)| {
-                let mut fields = vec![
-                    ("label", json_string(&spec.label())),
-                    ("profile", json_string(spec.profile.name())),
-                    ("seed", spec.seed.to_string()),
-                    ("status", json_string(&status.token())),
-                ];
-                fields.extend(C::Drill::cell_fields(
-                    report.map(|_| drill.unwrap_or_default()),
-                ));
+            .map(|(cell, status, report, drill)| {
+                let mut fields = cell.row();
+                fields.push(("status", json_string(&status.token())));
+                let drill = report.map(|_| drill.unwrap_or_default());
+                fields.extend(C::Drill::cell_fields(drill.as_ref()));
                 fields.push((
                     "report",
                     report.map_or_else(|| "null".to_owned(), report_to_json),
@@ -462,7 +569,7 @@ impl<C: Campaign> CampaignResults<C> {
             "{{\"schema\":\"simty-bench-{}/v1\"{header},\"runs\":{},\"harness\":{},\
              \"results\":[{}],\"policies\":[{}]}}",
             C::KIND,
-            self.specs.len(),
+            self.cells.len(),
             self.harness().to_json(),
             results.join(","),
             policies.join(",")
@@ -480,7 +587,7 @@ mod tests {
     /// Runs `profiles` twice on one journal directory: the second run
     /// must restore every cell, drill payload included, into a
     /// byte-identical document body.
-    fn resume_restores_every_cell<C: Campaign>(profiles: &[C::Profile]) {
+    fn resume_restores_every_cell<C: Campaign<Cell = CampaignSpec<P>>, P: Profile>(profiles: &[P]) {
         let dir = std::env::temp_dir().join(format!(
             "simty-campaign-resume-{}-{}",
             C::KIND,
@@ -507,9 +614,9 @@ mod tests {
 
     #[test]
     fn resume_restores_every_cell_byte_identically() {
-        resume_restores_every_cell::<Chaos>(&[FaultProfile::Baseline, FaultProfile::Mixed]);
-        resume_restores_every_cell::<Soak>(&[SoakProfile::SingleReboot, SoakProfile::TornStale]);
-        resume_restores_every_cell::<Storm>(&[
+        resume_restores_every_cell::<Chaos, _>(&[FaultProfile::Baseline, FaultProfile::Mixed]);
+        resume_restores_every_cell::<Soak, _>(&[SoakProfile::SingleReboot, SoakProfile::TornStale]);
+        resume_restores_every_cell::<Storm, _>(&[
             StormProfile::QuotaStorm,
             StormProfile::DrainCritical,
         ]);

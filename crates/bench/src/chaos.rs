@@ -15,10 +15,12 @@
 use std::collections::BTreeSet;
 
 use simty::core::{SimDuration, SimTime};
-use simty::obs::{json_f64, json_string};
 use simty::sim::{FaultPlan, OnlineWatchdogConfig, SimConfig, SimReport};
 
-use crate::campaign::{self, json_object, sum, Campaign, CampaignResults, CampaignSpec, Profile};
+use crate::campaign::{
+    self, json_object, json_pairs, sum, Campaign, CampaignResults, CampaignSpec, Profile,
+};
+use crate::sweep::CampaignOptions;
 
 /// A named bundle of fault-injection knobs: one adversary per campaign
 /// cell.
@@ -59,6 +61,8 @@ impl Profile for FaultProfile {
         FaultProfile::Storm,
         FaultProfile::Mixed,
     ];
+
+    const NOUN: &'static str = "fault";
 
     fn name(self) -> &'static str {
         match self {
@@ -126,7 +130,7 @@ pub type ChaosSpec = CampaignSpec<FaultProfile>;
 pub type ChaosResults = CampaignResults<Chaos>;
 
 impl Campaign for Chaos {
-    type Profile = FaultProfile;
+    type Cell = ChaosSpec;
     type Drill = ();
     type Aggregate = PolicyResilience;
 
@@ -135,7 +139,7 @@ impl Campaign for Chaos {
     /// Executes the cell: builds the workload, arms the online watchdog
     /// and the invariant monitor (report mode), injects the profile's
     /// fault plan, and runs to the end.
-    fn run_cell(spec: &ChaosSpec) -> (SimReport, ()) {
+    fn run_cell(spec: &ChaosSpec, _options: &CampaignOptions) -> (SimReport, ()) {
         let workload = campaign::workload(spec.scenario, spec.seed, spec.duration);
         // Crash-bearing profiles sacrifice one app, picked
         // deterministically from the workload's label set by seed.
@@ -194,30 +198,11 @@ impl Campaign for Chaos {
     }
 
     fn aggregate_json(agg: &PolicyResilience) -> String {
-        json_object(&[
-            ("policy", json_string(&agg.policy)),
-            ("runs", agg.runs.to_string()),
-            ("invariant_violations", agg.invariant_violations.to_string()),
-            (
-                "perceptible_window_misses",
-                agg.perceptible_window_misses.to_string(),
-            ),
-            ("interventions", agg.interventions.to_string()),
-            ("forced_releases", agg.forced_releases.to_string()),
-            ("activation_retries", agg.activation_retries.to_string()),
-            ("quarantines", agg.quarantines.to_string()),
-            ("recoveries", agg.recoveries.to_string()),
-            (
-                "mean_time_to_recovery_ms",
-                json_f64(agg.mean_time_to_recovery_ms),
-            ),
-            (
-                "intervention_overhead_mj",
-                json_f64(agg.intervention_overhead_mj),
-            ),
-            ("perceptible_delay_avg", json_f64(agg.perceptible_delay_avg)),
-            ("perceptible_delay_max", json_f64(agg.perceptible_delay_max)),
-        ])
+        json_object(&json_pairs!(Some(agg);
+            policy, runs, invariant_violations, perceptible_window_misses, interventions,
+            forced_releases, activation_retries, quarantines, recoveries,
+            mean_time_to_recovery_ms, intervention_overhead_mj, perceptible_delay_avg,
+            perceptible_delay_max))
     }
 }
 
@@ -256,7 +241,7 @@ pub struct PolicyResilience {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{matrix, run_campaign};
+    use crate::campaign::{matrix, run_campaign, Cell};
     use crate::supervisor::CellStatus;
     use crate::sweep::CampaignOptions;
     use simty::experiments::{PolicyKind, Scenario};
@@ -281,7 +266,10 @@ mod tests {
 
     #[test]
     fn baseline_cell_is_quiet() {
-        let (report, ()) = Chaos::run_cell(&tiny(FaultProfile::Baseline, PolicyKind::Simty));
+        let (report, ()) = Chaos::run_cell(
+            &tiny(FaultProfile::Baseline, PolicyKind::Simty),
+            &CampaignOptions::default(),
+        );
         assert!(report.resilience.is_quiet(), "{:?}", report.resilience);
     }
 
@@ -290,7 +278,7 @@ mod tests {
         // An hour gives the 2% overrun draw enough deliveries to land.
         let mut spec = tiny(FaultProfile::Overruns, PolicyKind::Simty);
         spec.duration = SimDuration::from_hours(1);
-        let (report, ()) = Chaos::run_cell(&spec);
+        let (report, ()) = Chaos::run_cell(&spec, &CampaignOptions::default());
         assert!(report.resilience.forced_releases > 0);
         assert_eq!(report.resilience.invariant_violations, 0);
     }

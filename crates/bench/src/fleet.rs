@@ -7,32 +7,30 @@
 //! from `(fleet_seed, device_index)` through a shared
 //! [`ScenarioCatalog`], so the population is identical no matter how it
 //! is sharded or how many threads run it. Devices are split into
-//! `shards` contiguous ranges per policy; each shard is one supervised
-//! [`Sweep`] cell that runs its devices **sequentially in index order**
-//! and folds every [`SimReport`] into a single running aggregate — fleet
-//! memory is O(shards), not O(devices).
+//! `shards` contiguous ranges per policy; each shard is one [`ShardSpec`]
+//! cell of the [`Fleet`] campaign that runs its devices **sequentially in
+//! index order** and folds every [`SimReport`] into a single running
+//! aggregate — fleet memory is O(shards), not O(devices).
 //!
 //! Because every `SimReport` field is mergeable (energies and counters
 //! sum, delay means re-weight by count, maxima take the max), a shard's
-//! aggregate *is* a `SimReport` — which lets fleets reuse the campaign
-//! journal, the supervisor, and the deterministic result plumbing of
-//! [`Sweep`] unchanged:
+//! aggregate *is* a `SimReport`, and its device count, ring evictions and
+//! power histogram are its [`ShardDrill`] — so a fleet is a campaign like
+//! any other on the [campaign kernel](crate::campaign):
 //!
 //! * a panicking device poisons only its own shard (the supervisor
 //!   captures the payload; the rest of the fleet completes);
-//! * completed shards are journaled (`kind = "fleet"`) and restored by
-//!   `--resume` instead of re-run;
+//! * completed shards are journaled (`kind = "fleet"`, pinned to the
+//!   population by [`FleetConfig::identity`]) and restored by `--resume`
+//!   instead of re-run;
 //! * shards additionally checkpoint mid-range through the Vfs-backed
 //!   [`CheckpointStore`] every `checkpoint_stride` devices, so a killed
 //!   campaign resumes from the last device stride, not the shard start;
-//! * the deterministic payload ([`FleetResults::deterministic_json`])
-//!   is byte-identical on any thread count, after any interruption.
+//! * the deterministic payload ([`CampaignResults::to_json`]) is
+//!   byte-identical on any thread count, after any interruption.
 
-use std::fmt::Write as _;
-use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use simty::apps::{DeviceMix, ScenarioCatalog, WorkloadBuilder};
 use simty::core::{HardwareComponent, SimDuration, SimTime};
@@ -41,16 +39,15 @@ use simty::experiments::PolicyKind;
 use simty::obs::telemetry::{EventKind, TelemetrySink};
 use simty::obs::{json_f64, json_string};
 use simty::obs::{Histogram, MetricsRegistry, QuantileSummary};
-use simty::sim::codec::{esc, unesc};
-use simty::sim::json::report_to_json;
+use simty::sim::codec::{self, record, Cursor, Field, Put};
 use simty::sim::{
-    Checkpoint, CheckpointStore, DelayStats, ObsLevel, OverloadStats, ResilienceStats, SimConfig,
-    SimReport, Simulation,
+    Checkpoint, CheckpointError, CheckpointStore, DelayStats, ObsLevel, OverloadStats,
+    ResilienceStats, SimConfig, SimReport, Simulation,
 };
 
+use crate::campaign::{json_object, json_pairs, Campaign, CampaignResults, Cell, Drill};
 use crate::journal::JournalError;
-use crate::supervisor::HarnessStats;
-use crate::sweep::{CampaignOptions, JobResult, Outcome, Sweep, SweepResults};
+use crate::sweep::CampaignOptions;
 
 /// Schema tag of the fleet JSON document.
 pub const FLEET_SCHEMA: &str = "simty-fleet/v1";
@@ -120,16 +117,46 @@ impl FleetConfig {
     }
 
     /// The device range of shard `k` (half-open, even split with the
-    /// remainder spread over the leading shards).
+    /// remainder spread over the leading shards), exact for every
+    /// population size.
     pub fn shard_range(&self, k: usize) -> (u64, u64) {
-        let shards = self.shards as u64;
-        let k = k as u64;
-        (self.devices * k / shards, self.devices * (k + 1) / shards)
+        let bound = |k: usize| {
+            let cut = u128::from(self.devices) * k as u128 / self.shards as u128;
+            u64::try_from(cut).expect("a cut never exceeds the population")
+        };
+        (bound(k), bound(k + 1))
+    }
+
+    /// Everything beyond the shard labels that decides a shard's bytes:
+    /// the population, the seed, the device horizon, β, the ring caps and
+    /// the catalog. The fleet journal is pinned to it, so resuming a
+    /// journal of another population is a [`JournalError::Mismatch`].
+    pub fn identity(&self) -> String {
+        format!(
+            "devices={} seed={} duration_ms={} beta={:016x} span_cap={} audit_cap={} catalog={:?}",
+            self.devices,
+            self.seed,
+            self.duration.as_millis(),
+            self.beta.to_bits(),
+            self.span_capacity,
+            self.audit_capacity,
+            self.catalog,
+        )
     }
 
     /// The campaign's cells, policy-major: for each policy, one
     /// [`ShardSpec`] per shard, in cell-index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fleet has no policy or no shard: a fleet document
+    /// describes its population through its cells.
     pub fn specs(&self) -> Vec<ShardSpec> {
+        assert!(
+            !self.policies.is_empty() && self.shards > 0,
+            "a fleet needs at least one policy and one shard"
+        );
+        let config = Arc::new(self.clone());
         let mut specs = Vec::with_capacity(self.policies.len() * self.shards);
         for &policy in &self.policies {
             for k in 0..self.shards {
@@ -139,6 +166,8 @@ impl FleetConfig {
                     label: format!("{}/shard{k:02}", policy.name()),
                     start,
                     end,
+                    index: specs.len(),
+                    config: Arc::clone(&config),
                 });
             }
         }
@@ -157,6 +186,25 @@ pub struct ShardSpec {
     pub start: u64,
     /// Past-the-end device index of the shard.
     pub end: u64,
+    /// The cell's index in the campaign: its mid-shard checkpoint
+    /// directory and the [`FleetConfig::inject_panic`] target.
+    pub index: usize,
+    /// The fleet the shard belongs to.
+    pub config: Arc<FleetConfig>,
+}
+
+impl Cell for ShardSpec {
+    fn label(&self) -> String {
+        self.label.clone()
+    }
+
+    fn policy(&self) -> PolicyKind {
+        self.policy
+    }
+
+    fn row(&self) -> Vec<(&'static str, String)> {
+        vec![("label", json_string(&self.label))]
+    }
 }
 
 /// One device run's outputs: the report plus the instrumentation-ring
@@ -377,82 +425,114 @@ where
     acc
 }
 
+/// A shard's per-device average-power histogram over [`POWER_BOUNDS`],
+/// journaled as its bucket counts (overflow last) and then its sum's
+/// exact bits, so a round trip reproduces it byte for byte.
+#[derive(Debug, Clone)]
+pub struct PowerHistogram(pub Histogram);
+
+impl Default for PowerHistogram {
+    fn default() -> Self {
+        PowerHistogram(Histogram::new(POWER_BOUNDS.to_vec()))
+    }
+}
+
+impl Field for PowerHistogram {
+    const ARITY: usize = POWER_BOUNDS.len() + 2;
+
+    fn put(&self, w: &mut Put<'_>) {
+        for count in self.0.counts() {
+            w.f(count);
+        }
+        w.f(&self.0.sum());
+    }
+
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        let counts: [u64; POWER_BOUNDS.len() + 1] = r.take()?;
+        let sum = r.take()?;
+        let count = counts
+            .iter()
+            .try_fold(0_u64, |total, &n| total.checked_add(n))
+            .ok_or_else(|| r.err("power histogram counts overflow"))?;
+        let bounds = POWER_BOUNDS.to_vec();
+        Ok(PowerHistogram(Histogram::from_parts(
+            bounds,
+            counts.to_vec(),
+            sum,
+            count,
+        )))
+    }
+}
+
+/// What a shard observed beside its folded report: how many devices it
+/// ran, the evictions their bounded rings made, and their power
+/// histogram. Journaled with the shard, so the fleet document and
+/// registry are rebuilt from it after `--resume`.
+#[derive(Debug, Clone, Default)]
+pub struct ShardDrill {
+    /// Devices folded into the shard.
+    pub devices: u64,
+    /// Spans evicted by the devices' bounded span rings.
+    pub span_evictions: u64,
+    /// Audits evicted by the devices' bounded audit rings.
+    pub audit_evictions: u64,
+    /// The devices' average power (mW).
+    pub power: PowerHistogram,
+}
+
+record!(ShardDrill: devices, span_evictions, audit_evictions, power: PowerHistogram);
+
+impl Drill for ShardDrill {}
+
 /// A shard's running aggregation state — everything that must survive a
-/// mid-shard checkpoint to keep the resumed fold byte-identical.
-struct ShardProgress {
+/// mid-shard checkpoint marker to keep the resumed fold byte-identical.
+#[derive(Debug)]
+pub(crate) struct ShardProgress {
     /// The next device index to run.
     cursor: u64,
+    drill: ShardDrill,
     report: SimReport,
-    devices: u64,
-    span_evictions: u64,
-    audit_evictions: u64,
-    power_hist: Histogram,
 }
+
+record!(ShardProgress: cursor, drill: ShardDrill, report);
 
 impl ShardProgress {
     fn fresh(spec: &ShardSpec) -> Self {
         ShardProgress {
             cursor: spec.start,
+            drill: ShardDrill::default(),
             report: empty_report(&spec.label),
-            devices: 0,
-            span_evictions: 0,
-            audit_evictions: 0,
-            power_hist: Histogram::new(POWER_BOUNDS.to_vec()),
         }
     }
 
-    /// Checkpoint-marker payload: newline-separated `key=value` lines
-    /// with the partial report's exact-bits record escaped inline.
-    fn encode(&self) -> String {
-        format!(
-            "cursor={}\ndevices={}\nspan_evict={}\naudit_evict={}\nehist={}\nreport={}",
-            self.cursor,
-            self.devices,
-            self.span_evictions,
-            self.audit_evictions,
-            esc(&encode_hist(&self.power_hist)),
-            esc(&self.report.to_record()),
-        )
-    }
-
-    fn decode(payload: &str, spec: &ShardSpec) -> Option<Self> {
-        let mut cursor = None;
-        let mut devices = None;
-        let mut span_evictions = None;
-        let mut audit_evictions = None;
-        let mut power_hist = None;
-        let mut report = None;
-        for line in payload.lines() {
-            let (key, value) = line.split_once('=')?;
-            match key {
-                "cursor" => cursor = value.parse::<u64>().ok(),
-                "devices" => devices = value.parse::<u64>().ok(),
-                "span_evict" => span_evictions = value.parse::<u64>().ok(),
-                "audit_evict" => audit_evictions = value.parse::<u64>().ok(),
-                "ehist" => power_hist = decode_hist(&unesc(value)),
-                "report" => report = SimReport::from_record(&unesc(value)),
-                _ => return None,
-            }
+    /// Reads a marker payload written for `spec`.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Malformed`] when the payload does not decode
+    /// or does not continue `spec`'s range (a marker from another shard
+    /// layout must not be trusted).
+    pub(crate) fn decode(payload: &str, spec: &ShardSpec) -> Result<Self, CheckpointError> {
+        let progress: ShardProgress = codec::decode(payload)?;
+        let done = progress.cursor.checked_sub(spec.start);
+        if progress.cursor > spec.end || done != Some(progress.drill.devices) {
+            return Err(CheckpointError::Malformed {
+                line: 1,
+                message: format!(
+                    "marker at device {} is not {}'s",
+                    progress.cursor, spec.label
+                ),
+            });
         }
-        let progress = ShardProgress {
-            cursor: cursor?,
-            report: report?,
-            devices: devices?,
-            span_evictions: span_evictions?,
-            audit_evictions: audit_evictions?,
-            power_hist: power_hist?,
-        };
-        // A marker from another shard layout (or another fleet entirely)
-        // must not be trusted.
-        (progress.cursor >= spec.start && progress.cursor <= spec.end).then_some(progress)
+        Ok(progress)
     }
 
     fn fold_device(&mut self, run: &DeviceRun) {
         fold_report(&mut self.report, &run.report);
-        self.devices += 1;
-        self.span_evictions += run.span_evictions;
-        self.audit_evictions += run.audit_evictions;
-        self.power_hist.observe(run.report.average_power_mw());
+        self.drill.devices += 1;
+        self.drill.span_evictions += run.span_evictions;
+        self.drill.audit_evictions += run.audit_evictions;
+        self.drill.power.0.observe(run.report.average_power_mw());
         self.cursor += 1;
     }
 
@@ -461,82 +541,12 @@ impl ShardProgress {
     fn registry(&self) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
         registry.describe("fleet", "fleet shard aggregation");
-        registry.add("fleet_devices_total", self.devices);
-        registry.add("fleet_span_evictions_total", self.span_evictions);
-        registry.add("fleet_audit_evictions_total", self.audit_evictions);
-        registry.insert_histogram("fleet_device_power_mw", self.power_hist.clone());
+        registry.add("fleet_devices_total", self.drill.devices);
+        registry.add("fleet_span_evictions_total", self.drill.span_evictions);
+        registry.add("fleet_audit_evictions_total", self.drill.audit_evictions);
+        registry.insert_histogram("fleet_device_power_mw", self.drill.power.0.clone());
         registry
     }
-
-    /// The journaled per-cell payload the fleet document is rebuilt
-    /// from after `--resume` (colons inside `ehist` are esc-protected).
-    fn extra(&self) -> String {
-        format!(
-            "devices={},span_evict={},audit_evict={},ehist={}",
-            self.devices,
-            self.span_evictions,
-            self.audit_evictions,
-            esc(&encode_hist(&self.power_hist)),
-        )
-    }
-}
-
-/// `counts:…:overflow|sum-bits-hex` — exact-bits so a journal round
-/// trip reproduces the histogram byte-for-byte.
-fn encode_hist(h: &Histogram) -> String {
-    let counts: Vec<String> = h.counts().iter().map(u64::to_string).collect();
-    format!("{}|{:016x}", counts.join(":"), h.sum().to_bits())
-}
-
-fn decode_hist(s: &str) -> Option<Histogram> {
-    let (counts, sum) = s.split_once('|')?;
-    let counts: Vec<u64> = counts
-        .split(':')
-        .map(str::parse)
-        .collect::<Result<_, _>>()
-        .ok()?;
-    if counts.len() != POWER_BOUNDS.len() + 1 {
-        return None;
-    }
-    let sum = f64::from_bits(u64::from_str_radix(sum, 16).ok()?);
-    let count = counts.iter().sum();
-    Some(Histogram::from_parts(
-        POWER_BOUNDS.to_vec(),
-        counts,
-        sum,
-        count,
-    ))
-}
-
-/// Per-cell `extra` payload parsed back out of the journal/outcomes.
-struct ShardExtra {
-    devices: u64,
-    span_evictions: u64,
-    audit_evictions: u64,
-    power_hist: Histogram,
-}
-
-fn parse_extra(extra: &str) -> Option<ShardExtra> {
-    let mut devices = None;
-    let mut span = None;
-    let mut audit = None;
-    let mut hist = None;
-    for field in extra.split(',') {
-        let (key, value) = field.split_once('=')?;
-        match key {
-            "devices" => devices = value.parse().ok(),
-            "span_evict" => span = value.parse().ok(),
-            "audit_evict" => audit = value.parse().ok(),
-            "ehist" => hist = decode_hist(&unesc(value)),
-            _ => return None,
-        }
-    }
-    Some(ShardExtra {
-        devices: devices?,
-        span_evictions: span?,
-        audit_evictions: audit?,
-        power_hist: hist?,
-    })
 }
 
 /// Runs one shard: restore mid-shard progress if a valid marker exists,
@@ -546,17 +556,17 @@ fn parse_extra(extra: &str) -> Option<ShardExtra> {
 /// devices/sec, checkpoint cursor) — wall-clock observability only,
 /// never part of the deterministic payload.
 fn run_shard(
-    config: &FleetConfig,
     spec: &ShardSpec,
     ckpt_dir: Option<&Path>,
     telemetry: Option<&TelemetrySink>,
-) -> JobResult {
+) -> (SimReport, ShardDrill) {
+    let config = &spec.config;
     let mut store = ckpt_dir.and_then(|dir| CheckpointStore::open(dir).ok());
     let mut progress = store
         .as_ref()
         .and_then(|s| s.load_latest_good().ok())
         .and_then(|(ckpt, _)| ckpt.marker_payload())
-        .and_then(|payload| ShardProgress::decode(&payload, spec))
+        .and_then(|payload| ShardProgress::decode(&payload, spec).ok())
         .unwrap_or_else(|| ShardProgress::fresh(spec));
     let mut since_marker = 0_u64;
     let started = std::time::Instant::now();
@@ -571,7 +581,7 @@ fn run_shard(
                 let marker = Checkpoint::marker(
                     SimTime::from_millis(progress.cursor),
                     &spec.label,
-                    &progress.encode(),
+                    &codec::encode(&progress),
                 );
                 // A failed marker save costs re-simulation on resume,
                 // not correctness — keep the shard going.
@@ -582,7 +592,7 @@ fn run_shard(
                 let done_here = progress.cursor - resumed_from;
                 sink.publish(EventKind::ShardHeartbeat {
                     shard: spec.label.clone(),
-                    devices_done: progress.devices,
+                    devices_done: progress.drill.devices,
                     devices_total: spec.end - spec.start,
                     devices_per_sec: if secs > 0.0 {
                         done_here as f64 / secs
@@ -595,11 +605,7 @@ fn run_shard(
         }
     }
     progress.report.metrics_json = progress.registry().to_json();
-    JobResult {
-        extra: Some(progress.extra()),
-        report: progress.report,
-        stages: None,
-    }
+    (progress.report, progress.drill)
 }
 
 /// Per-policy fold of every completed shard.
@@ -618,74 +624,165 @@ pub struct PolicyAggregate {
     pub report: Option<SimReport>,
 }
 
-/// The results of a fleet campaign.
-#[derive(Debug, Clone)]
-pub struct FleetResults {
-    sweep: SweepResults,
-    config_devices: u64,
-    shards: usize,
-    seed: u64,
-    duration: SimDuration,
-    policy_names: Vec<String>,
-    aggregates: Vec<PolicyAggregate>,
-    registry: MetricsRegistry,
+/// The fleet campaign: one [`ShardSpec`] cell per shard and policy.
+#[derive(Debug, Clone, Copy)]
+pub enum Fleet {}
+
+impl Campaign for Fleet {
+    type Cell = ShardSpec;
+    type Drill = ShardDrill;
+    type Aggregate = PolicyAggregate;
+
+    const KIND: &'static str = "fleet";
+
+    /// Runs the shard, checkpointing mid-range into
+    /// `<journal_dir>/shard-<index>/` when the campaign journals; the
+    /// cell at [`FleetConfig::inject_panic`] panics instead.
+    fn run_cell(spec: &ShardSpec, options: &CampaignOptions) -> (SimReport, ShardDrill) {
+        if spec.config.inject_panic == Some(spec.index) {
+            panic!("injected fleet shard panic (cell {})", spec.index);
+        }
+        let ckpt_dir = options
+            .journal_dir
+            .as_ref()
+            .map(|dir| dir.join(format!("shard-{:03}", spec.index)));
+        run_shard(spec, ckpt_dir.as_deref(), options.telemetry.as_ref())
+    }
+
+    fn aggregate(policy: String, cells: &[(&SimReport, ShardDrill)]) -> PolicyAggregate {
+        let mut report = empty_report(&policy);
+        for (shard, _) in cells {
+            fold_report(&mut report, shard);
+        }
+        PolicyAggregate {
+            policy,
+            shards_ok: cells.len(),
+            shards_poisoned: 0,
+            devices: cells.iter().map(|(_, drill)| drill.devices).sum(),
+            report: (!cells.is_empty()).then_some(report),
+        }
+    }
+
+    /// One aggregate per entry of [`FleetConfig::policies`], in that
+    /// order, counting its quarantined shards too.
+    fn aggregates(results: &CampaignResults<Fleet>) -> Vec<PolicyAggregate> {
+        let runs: Vec<_> = results.runs().collect();
+        let shards = results.config().shards;
+        runs.chunks(shards)
+            .map(|cells| {
+                let completed: Vec<(&SimReport, ShardDrill)> = cells
+                    .iter()
+                    .filter_map(|(_, _, report, drill)| {
+                        Some((*report)?).map(|r| (r, drill.clone().unwrap_or_default()))
+                    })
+                    .collect();
+                let mut aggregate = Fleet::aggregate(cells[0].0.policy.name(), &completed);
+                aggregate.shards_poisoned = cells.len() - completed.len();
+                aggregate
+            })
+            .collect()
+    }
+
+    fn aggregate_json(agg: &PolicyAggregate) -> String {
+        json_object(&json_pairs!(Some(agg); policy, shards_ok, shards_poisoned, devices, report))
+    }
+
+    fn journal_identity(cells: &[ShardSpec]) -> String {
+        cells
+            .first()
+            .map_or_else(String::new, |spec| spec.config.identity())
+    }
+
+    /// The document without its per-invocation fields (`threads`,
+    /// `total_wall_ms`, `devices_per_sec`, `journal_skips`,
+    /// `quantiles.cell_wall_ms`, `cells[].wall_ms`).
+    fn body(results: &CampaignResults<Fleet>) -> String {
+        results.fleet_json(false)
+    }
+
+    /// The `simty-fleet/v1` document: population shape, throughput, the
+    /// supervisor's `harness` block, the merged fleet metrics,
+    /// per-policy aggregates, and per-shard status lines.
+    fn document(results: &CampaignResults<Fleet>) -> String {
+        results.fleet_json(true)
+    }
 }
 
-impl FleetResults {
-    /// Per-shard outcomes in enqueue order (policy-major).
-    pub fn outcomes(&self) -> &[Outcome] {
-        self.sweep.outcomes()
+impl CampaignResults<Fleet> {
+    /// The fleet the cells belong to.
+    fn config(&self) -> &FleetConfig {
+        let (spec, ..) = self.runs().next().expect("a fleet has cells");
+        &spec.config
     }
 
-    /// Per-policy folds.
-    pub fn aggregates(&self) -> &[PolicyAggregate] {
-        &self.aggregates
+    /// The completed shards' drills (a shard whose drill did not decode
+    /// contributes nothing).
+    fn drills(&self) -> impl Iterator<Item = ShardDrill> + '_ {
+        self.runs()
+            .filter_map(|(_, _, report, drill)| report.and(drill))
     }
 
-    /// The fleet-wide metrics registry: merged shard partials plus the
-    /// supervisor's harness counters.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Supervisor statistics over every shard.
-    pub fn harness(&self) -> HarnessStats {
-        self.sweep.harness()
-    }
-
-    /// `(label, reason)` for each quarantined shard.
-    pub fn poisoned(&self) -> Vec<(String, String)> {
-        self.sweep.poisoned()
-    }
-
-    /// Shards restored from the campaign journal instead of re-run.
-    pub fn journal_skips(&self) -> u64 {
-        self.sweep.journal_skips()
-    }
-
-    /// Worker threads used.
-    pub fn threads(&self) -> usize {
-        self.sweep.threads()
-    }
-
-    /// Wall-clock time of the whole campaign.
-    pub fn total_wall(&self) -> Duration {
-        self.sweep.total_wall()
+    /// The fleet document; `full` adds the per-invocation fields.
+    fn fleet_json(&self, full: bool) -> String {
+        let config = self.config();
+        let opt_json =
+            |q: Option<QuantileSummary>| q.map_or_else(|| "null".to_owned(), |q| q.to_json());
+        let list = |items: Vec<String>| format!("[{}]", items.join(","));
+        let policies = config.policies.iter().map(|p| json_string(&p.name()));
+        let mut fields = vec![
+            ("schema", json_string(FLEET_SCHEMA)),
+            ("devices", config.devices.to_string()),
+            ("shards", config.shards.to_string()),
+            ("seed", config.seed.to_string()),
+            ("duration_ms", config.duration.as_millis().to_string()),
+            ("policies", list(policies.collect())),
+        ];
+        let mut quantiles = Vec::new();
+        if full {
+            fields.extend([
+                ("threads", self.threads().to_string()),
+                (
+                    "total_wall_ms",
+                    json_f64(self.total_wall().as_secs_f64() * 1_000.0),
+                ),
+                ("devices_per_sec", json_f64(self.devices_per_sec())),
+                ("journal_skips", self.journal_skips().to_string()),
+            ]);
+            quantiles.push(("cell_wall_ms", opt_json(self.cell_wall_quantiles())));
+        }
+        quantiles.push(("device_power_mw", opt_json(self.device_power_quantiles())));
+        let aggregates = self
+            .aggregates()
+            .iter()
+            .map(Fleet::aggregate_json)
+            .collect();
+        let cells = self
+            .runs()
+            .zip(self.outcomes())
+            .map(|((spec, status, _, drill), o)| {
+                let mut cell = vec![
+                    ("label", json_string(&spec.label)),
+                    ("status", json_string(&status.token())),
+                    ("devices", drill.map_or(0, |d| d.devices).to_string()),
+                ];
+                if full {
+                    cell.push(("wall_ms", json_f64(o.wall.as_secs_f64() * 1_000.0)));
+                }
+                json_object(&cell)
+            });
+        fields.extend([
+            ("quantiles", json_object(&quantiles)),
+            ("harness", self.harness().to_json()),
+            ("metrics", self.registry().to_json()),
+            ("aggregates", list(aggregates)),
+            ("cells", list(cells.collect())),
+        ]);
+        json_object(&fields)
     }
 
     /// Devices aggregated across every completed shard (all policies).
     pub fn devices_completed(&self) -> u64 {
-        self.aggregates.iter().map(|a| a.devices).sum()
-    }
-
-    /// Bucket-estimated p50/p90/p99/max of per-device mean power (mW),
-    /// from the merged `fleet_device_power_mw` histogram; `None` when no
-    /// device completed. Deterministic (pure function of the merged
-    /// histogram) and merge-stable across shard groupings.
-    pub fn device_power_quantiles(&self) -> Option<QuantileSummary> {
-        self.registry
-            .histogram("fleet_device_power_mw")
-            .and_then(QuantileSummary::from_histogram)
+        self.drills().map(|drill| drill.devices).sum()
     }
 
     /// Completed device-simulations per wall-clock second.
@@ -698,245 +795,53 @@ impl FleetResults {
         }
     }
 
-    /// Serializes the `BENCH_fleet.json` document: population shape,
-    /// throughput, the supervisor's `harness` block, the merged fleet
-    /// metrics, per-policy aggregates, and per-shard status lines.
-    ///
-    /// The timing fields, `journal_skips`, `devices_per_sec`, and the
-    /// `cell_wall_ms` quantiles vary run to run; determinism tests
-    /// compare [`deterministic_json`](Self::deterministic_json) instead.
-    pub fn to_json(&self) -> String {
-        let opt_json =
-            |q: Option<QuantileSummary>| q.map_or_else(|| "null".to_owned(), |q| q.to_json());
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(
-            out,
-            "\"schema\":{},\"devices\":{},\"shards\":{},\"seed\":{},\"duration_ms\":{},\
-             \"policies\":[{}],\"threads\":{},\"total_wall_ms\":{},\"devices_per_sec\":{},\
-             \"journal_skips\":{},\
-             \"quantiles\":{{\"cell_wall_ms\":{},\"device_power_mw\":{}}},\
-             \"harness\":{},\"metrics\":{},\"aggregates\":[",
-            json_string(FLEET_SCHEMA),
-            self.config_devices,
-            self.shards,
-            self.seed,
-            self.duration.as_millis(),
-            self.policy_names
-                .iter()
-                .map(|n| json_string(n))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.threads(),
-            json_f64(self.total_wall().as_secs_f64() * 1_000.0),
-            json_f64(self.devices_per_sec()),
-            self.journal_skips(),
-            opt_json(self.sweep.cell_wall_quantiles()),
-            opt_json(self.device_power_quantiles()),
-            self.harness().to_json(),
-            self.registry.to_json(),
-        );
-        for (i, agg) in self.aggregates.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"policy\":{},\"shards_ok\":{},\"shards_poisoned\":{},\"devices\":{},\"report\":{}}}",
-                json_string(&agg.policy),
-                agg.shards_ok,
-                agg.shards_poisoned,
-                agg.devices,
-                agg.report
-                    .as_ref()
-                    .map_or_else(|| "null".to_owned(), report_to_json),
-            );
+    /// The fleet-wide metrics registry: the completed shards' counters
+    /// and merged power histogram, plus the supervisor's harness
+    /// counters (`journal_skips` zeroed, so the registry stays
+    /// byte-identical across interruptions — the document reports the
+    /// real value separately).
+    pub fn registry(&self) -> MetricsRegistry {
+        let mut registry = MetricsRegistry::new();
+        registry.describe("fleet", "fleet-wide aggregation");
+        registry.register_histogram("fleet_device_power_mw", POWER_BOUNDS.to_vec());
+        let mut power = Histogram::new(POWER_BOUNDS.to_vec());
+        for drill in self.drills() {
+            registry.add("fleet_devices_total", drill.devices);
+            registry.add("fleet_span_evictions_total", drill.span_evictions);
+            registry.add("fleet_audit_evictions_total", drill.audit_evictions);
+            power.merge(&drill.power.0);
         }
-        out.push_str("],\"cells\":[");
-        for (i, o) in self.outcomes().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let devices = o
-                .extra
-                .as_deref()
-                .and_then(parse_extra)
-                .map_or(0, |e| e.devices);
-            let _ = write!(
-                out,
-                "{{\"label\":{},\"status\":{},\"devices\":{},\"wall_ms\":{}}}",
-                json_string(&o.label),
-                json_string(&o.status.token()),
-                devices,
-                json_f64(o.wall.as_secs_f64() * 1_000.0),
-            );
-        }
-        out.push_str("]}");
-        out
+        registry.insert_histogram("fleet_device_power_mw", power);
+        let mut harness = self.harness();
+        harness.journal_skips = 0;
+        harness.publish(&mut registry);
+        registry
     }
 
-    /// Serializes only the deterministic payload: population shape plus
-    /// per-shard `{label, status, extra, report}` in enqueue order and
-    /// the merged fleet metrics. Byte-identical on any thread count,
-    /// whether or not the campaign was interrupted and resumed.
-    pub fn deterministic_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"devices\":{},\"shards\":{},\"seed\":{},\"duration_ms\":{},\"cells\":[",
-            self.config_devices,
-            self.shards,
-            self.seed,
-            self.duration.as_millis(),
-        );
-        for (i, o) in self.outcomes().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"label\":{},\"status\":{},\"extra\":{},\"report\":{}}}",
-                json_string(&o.label),
-                json_string(&o.status.token()),
-                o.extra
-                    .as_deref()
-                    .map_or_else(|| "null".to_owned(), json_string),
-                o.report
-                    .as_ref()
-                    .map_or_else(|| "null".to_owned(), report_to_json),
-            );
-        }
-        let _ = write!(out, "],\"metrics\":{}}}", self.registry.to_json());
-        out
-    }
-
-    /// Writes [`to_json`](Self::to_json) to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// Bucket-estimated p50/p90/p99/max of per-device mean power (mW),
+    /// from the merged `fleet_device_power_mw` histogram; `None` when no
+    /// device completed. Deterministic (pure function of the merged
+    /// histogram) and merge-stable across shard groupings.
+    pub fn device_power_quantiles(&self) -> Option<QuantileSummary> {
+        self.registry()
+            .histogram("fleet_device_power_mw")
+            .and_then(QuantileSummary::from_histogram)
     }
 }
 
-/// Runs a fleet with default campaign options (every core, default
-/// supervision, no journal).
-///
-/// # Panics
-///
-/// Panics on journal errors — impossible without a journal directory.
-pub fn run_fleet(config: &FleetConfig) -> FleetResults {
-    match run_fleet_with(config, &CampaignOptions::default()) {
-        Ok(results) => results,
-        Err(e) => panic!("fleet journal failed: {e}"),
-    }
-}
-
-/// Runs a fleet under explicit [`CampaignOptions`].
-///
-/// With `options.journal_dir` set, completed shards are journaled
-/// (`kind = "fleet"`) and a re-invocation over the same directory
-/// restores them instead of re-running; shards additionally checkpoint
-/// mid-range into `<journal_dir>/shard-<index>/` every
-/// `config.checkpoint_stride` devices.
+/// Runs a fleet under explicit [`CampaignOptions`] on the campaign
+/// kernel ([`run_campaign`](crate::campaign::run_campaign) over
+/// [`FleetConfig::specs`]).
 ///
 /// # Errors
 ///
 /// [`JournalError`] when the journal directory cannot be opened or
-/// belongs to a different campaign.
+/// belongs to a different campaign or population.
 pub fn run_fleet_with(
     config: &FleetConfig,
     options: &CampaignOptions,
-) -> Result<FleetResults, JournalError> {
-    let specs = config.specs();
-    let shared = Arc::new(config.clone());
-    let mut sweep = Sweep::new();
-    sweep.with_supervisor(options.supervisor);
-    if let Some(dir) = &options.journal_dir {
-        sweep.with_journal(dir, "fleet");
-    }
-    if let Some(sink) = &options.telemetry {
-        sweep.with_telemetry(sink.clone());
-    }
-    for (index, spec) in specs.iter().enumerate() {
-        let config = Arc::clone(&shared);
-        let spec = spec.clone();
-        let ckpt_dir = options
-            .journal_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("shard-{index:03}")));
-        let telemetry = options.telemetry.clone();
-        sweep.job(spec.label.clone(), move || {
-            if config.inject_panic == Some(index) {
-                panic!("injected fleet shard panic (cell {index})");
-            }
-            run_shard(&config, &spec, ckpt_dir.as_deref(), telemetry.as_ref())
-        });
-    }
-    let sweep_results = sweep.try_run_with_threads(options.threads)?;
-
-    let mut aggregates = Vec::with_capacity(config.policies.len());
-    let mut registry = MetricsRegistry::new();
-    registry.describe("fleet", "fleet-wide aggregation");
-    registry.register_histogram("fleet_device_power_mw", POWER_BOUNDS.to_vec());
-    for (pi, &policy) in config.policies.iter().enumerate() {
-        let cells = &sweep_results.outcomes()[pi * config.shards..(pi + 1) * config.shards];
-        let mut agg = PolicyAggregate {
-            policy: policy.name(),
-            shards_ok: 0,
-            shards_poisoned: 0,
-            devices: 0,
-            report: None,
-        };
-        for outcome in cells {
-            let Some(report) = &outcome.report else {
-                agg.shards_poisoned += 1;
-                continue;
-            };
-            agg.shards_ok += 1;
-            match agg.report.as_mut() {
-                Some(acc) => fold_report(acc, report),
-                None => {
-                    let mut acc = empty_report(&policy.name());
-                    fold_report(&mut acc, report);
-                    agg.report = Some(acc);
-                }
-            }
-            if let Some(extra) = outcome.extra.as_deref().and_then(parse_extra) {
-                agg.devices += extra.devices;
-                registry.add("fleet_devices_total", extra.devices);
-                registry.add("fleet_span_evictions_total", extra.span_evictions);
-                registry.add("fleet_audit_evictions_total", extra.audit_evictions);
-            }
-        }
-        aggregates.push(agg);
-    }
-    let mut power = Histogram::new(POWER_BOUNDS.to_vec());
-    for outcome in sweep_results.outcomes() {
-        if let Some(extra) = outcome.extra.as_deref().and_then(parse_extra) {
-            power.merge(&extra.power_hist);
-        }
-    }
-    registry.insert_histogram("fleet_device_power_mw", power);
-    // The harness counters are deterministic except journal_skips (how
-    // many shards a *this* invocation restored); zero it so the merged
-    // registry stays byte-identical across interruptions — the full
-    // document reports the real value separately.
-    let mut harness = sweep_results.harness();
-    harness.journal_skips = 0;
-    harness.publish(&mut registry);
-
-    Ok(FleetResults {
-        config_devices: config.devices,
-        shards: config.shards,
-        seed: config.seed,
-        duration: config.duration,
-        policy_names: config.policies.iter().map(|p| p.name()).collect(),
-        aggregates,
-        registry,
-        sweep: sweep_results,
-    })
+) -> Result<CampaignResults<Fleet>, JournalError> {
+    crate::campaign::run_campaign::<Fleet>(&config.specs(), options)
 }
 
 #[cfg(test)]
@@ -982,16 +887,17 @@ mod tests {
         for d in spec.start..spec.end {
             progress.fold_device(&run_device(&config, spec.policy, d));
         }
-        let decoded = ShardProgress::decode(&progress.encode(), spec).unwrap();
+        let payload = codec::encode(&progress);
+        let decoded = ShardProgress::decode(&payload, spec).unwrap();
         assert_eq!(decoded.cursor, progress.cursor);
-        assert_eq!(decoded.devices, progress.devices);
+        assert_eq!(decoded.drill.devices, progress.drill.devices);
         assert_eq!(decoded.report.to_record(), progress.report.to_record());
         assert_eq!(
-            encode_hist(&decoded.power_hist),
-            encode_hist(&progress.power_hist)
+            codec::encode(&decoded.drill),
+            codec::encode(&progress.drill)
         );
         // A marker for a different shard layout is rejected.
-        assert!(ShardProgress::decode(&progress.encode(), &config.specs()[2]).is_none());
+        assert!(ShardProgress::decode(&payload, &config.specs()[2]).is_err());
     }
 
     #[test]
@@ -999,7 +905,7 @@ mod tests {
         let config = tiny(7);
         let one = run_fleet_with(&config, &CampaignOptions::with_threads(1)).unwrap();
         let three = run_fleet_with(&config, &CampaignOptions::with_threads(3)).unwrap();
-        assert_eq!(one.deterministic_json(), three.deterministic_json());
+        assert_eq!(one.to_json(), three.to_json());
         assert_eq!(one.devices_completed(), 7);
     }
 
@@ -1032,9 +938,9 @@ mod tests {
         assert!(scratch.join("shard-000").is_dir());
         let second = run_fleet_with(&config, &options).unwrap();
         assert_eq!(second.journal_skips(), 3);
-        assert_eq!(first.deterministic_json(), second.deterministic_json());
+        assert_eq!(first.to_json(), second.to_json());
         let clean = run_fleet_with(&config, &CampaignOptions::with_threads(2)).unwrap();
-        assert_eq!(clean.deterministic_json(), second.deterministic_json());
+        assert_eq!(clean.to_json(), second.to_json());
         std::fs::remove_dir_all(&scratch).ok();
     }
 

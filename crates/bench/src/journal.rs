@@ -1,8 +1,8 @@
 //! The `simty-campaign/v1` journal: crash-tolerant campaign resume.
 //!
-//! A campaign (sweep/chaos/soak/storm) appends one checksummed record
-//! to `<dir>/campaign.journal` for every cell that **completes** — the
-//! cell's status (`ok`/`retried:<n>`), its full
+//! A campaign (sweep, chaos, soak, storm or fleet) appends one
+//! checksummed record to `<dir>/campaign.journal` for every cell that
+//! **completes** — the cell's status (`ok`/`retried:<n>`), its full
 //! [`SimReport`] as a [`to_record`](SimReport::to_record) line, and the
 //! campaign-specific extra payload (e.g. soak's recovery digest). On
 //! `--resume <dir>` the journal is replayed: completed cells are
@@ -21,20 +21,22 @@
 //! ...
 //! ```
 //!
-//! `grid-digest` is the FNV-1a-64 of the cell labels joined by `\n`, so
-//! a journal can never be replayed against a *different* grid — that is
-//! a hard [`JournalError::Mismatch`], not a silent wrong answer. Each
-//! line's `<sum>` covers everything before it; a record that fails its
-//! checksum (a torn append) ends the replay, and the file is truncated
-//! back to the last valid record before appending resumes.
+//! `grid-digest` ([`grid_digest`]) covers the cell labels and, for a
+//! campaign whose cells depend on more than their labels (a fleet's
+//! population, an uninstrumented sweep), that identity too, so a journal
+//! can never be replayed against a *different* grid — that is a hard
+//! [`JournalError::Mismatch`], not a silent wrong answer. Each line's
+//! `<sum>` covers everything before it; a record that fails its checksum
+//! (a torn append) or does not decode ends the replay, and the file is
+//! truncated back to the last valid record before appending resumes.
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use simty::sim::codec::{esc, fnv1a64, unesc};
-use simty::sim::{RealVfs, SimReport, Vfs};
+use simty::sim::codec::{self, fnv1a64, record, Cursor, Field, Parser, Put};
+use simty::sim::{CheckpointError, RealVfs, SimReport, Vfs};
 
 use crate::supervisor::CellStatus;
 
@@ -93,56 +95,68 @@ pub struct JournalEntry {
     /// The cell's report, decoded from the journaled record.
     pub report: SimReport,
     /// The campaign-specific payload journaled alongside the report
-    /// (`None` when the cell had none).
-    pub extra: Option<String>,
+    /// (empty when the cell had none).
+    pub extra: String,
 }
+
+record!(JournalEntry: index, status, report, extra);
 
 /// The digest that pins a journal to one grid: FNV-1a-64 of the cell
-/// labels joined by newlines (labels cannot contain newlines).
+/// labels joined by newlines (labels cannot contain newlines), then,
+/// when the campaign has one, a blank line and its `identity` —
+/// whatever beyond the labels decides a cell's bytes.
 #[must_use]
-pub fn grid_digest(labels: &[String]) -> u64 {
-    fnv1a64(labels.join("\n").as_bytes())
-}
-
-fn meta_line(kind: &str, cells: usize, digest: u64) -> String {
-    let body = format!("meta={},{cells},{digest:016x}", esc(kind));
-    let sum = fnv1a64(body.as_bytes());
-    format!("{body},{sum:016x}")
-}
-
-fn cell_line(index: usize, status: &CellStatus, report: &SimReport, extra: Option<&str>) -> String {
-    let body = format!(
-        "cell={index},{},{},{}",
-        status.token(),
-        esc(&report.to_record()),
-        esc(extra.unwrap_or_default())
-    );
-    let sum = fnv1a64(body.as_bytes());
-    format!("{body},{sum:016x}")
-}
-
-fn checked_body(line: &str) -> Option<&str> {
-    let (body, sum) = line.rsplit_once(',')?;
-    let expected = u64::from_str_radix(sum, 16).ok()?;
-    if sum.len() != 16 || fnv1a64(body.as_bytes()) != expected {
-        return None;
+pub fn grid_digest(labels: &[String], identity: &str) -> u64 {
+    let mut grid = labels.join("\n");
+    if !identity.is_empty() {
+        grid = format!("{grid}\n\n{identity}");
     }
-    Some(body)
+    fnv1a64(grid.as_bytes())
 }
 
-fn parse_cell(line: &str) -> Option<JournalEntry> {
-    let body = checked_body(line)?;
-    let fields: Vec<&str> = body.strip_prefix("cell=")?.split(',').collect();
-    let [index, status, report, extra] = fields[..] else {
-        return None;
-    };
-    let extra = unesc(extra);
-    Some(JournalEntry {
-        index: index.parse().ok()?,
-        status: CellStatus::from_token(status)?,
-        report: SimReport::from_record(&unesc(report))?,
-        extra: (!extra.is_empty()).then_some(extra),
-    })
+/// `body` and its checksum, as one line.
+fn checked_line(body: String) -> String {
+    let sum = fnv1a64(body.as_bytes());
+    format!("{body},{sum:016x}")
+}
+
+/// The journalable statuses, as their document tokens.
+impl Field for CellStatus {
+    fn put(&self, w: &mut Put<'_>) {
+        w.raw(&self.token());
+    }
+
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        let raw = r.raw()?;
+        CellStatus::from_token(raw).ok_or_else(|| r.err(format!("invalid cell status `{raw}`")))
+    }
+}
+
+/// The body of a checksummed line.
+fn checked_body(line: &str) -> Result<&str, CheckpointError> {
+    let (body, sum) = line.rsplit_once(',').unwrap_or(("", line));
+    let actual = fnv1a64(body.as_bytes());
+    match u64::from_str_radix(sum, 16) {
+        Ok(expected) if sum.len() == 16 && expected == actual => Ok(body),
+        Ok(expected) if sum.len() == 16 => {
+            Err(CheckpointError::ChecksumMismatch { expected, actual })
+        }
+        _ => Err(CheckpointError::Malformed {
+            line: 1,
+            message: format!("invalid checksum `{sum}`"),
+        }),
+    }
+}
+
+/// Reads one checksummed `cell=` line.
+///
+/// # Errors
+///
+/// [`CheckpointError::ChecksumMismatch`] when the line fails its
+/// checksum (a torn append), [`CheckpointError::Malformed`] when it has
+/// none or its record does not decode.
+pub fn parse_cell(line: &str) -> Result<JournalEntry, CheckpointError> {
+    Parser::new(checked_body(line)?).take("cell")
 }
 
 /// What [`CampaignJournal::open`] replayed from an existing journal.
@@ -186,11 +200,13 @@ impl CampaignJournal {
         kind: &str,
         labels: &[String],
     ) -> Result<(CampaignJournal, Replay), JournalError> {
-        CampaignJournal::open_with(dir, kind, labels, Arc::new(RealVfs))
+        CampaignJournal::open_with(dir, kind, labels, "", Arc::new(RealVfs))
     }
 
-    /// [`open`](CampaignJournal::open) with an explicit [`Vfs`], so
-    /// tests can inject ENOSPC/short-write faults into journal I/O.
+    /// [`open`](CampaignJournal::open) for a grid whose cells' bytes
+    /// depend on more than their labels, which `identity` names (see
+    /// [`grid_digest`]), with an explicit [`Vfs`] so tests can inject
+    /// ENOSPC/short-write faults into journal I/O.
     ///
     /// # Errors
     ///
@@ -199,6 +215,7 @@ impl CampaignJournal {
         dir: &Path,
         kind: &str,
         labels: &[String],
+        identity: &str,
         vfs: Arc<dyn Vfs>,
     ) -> Result<(CampaignJournal, Replay), JournalError> {
         vfs.create_dir_all(dir)?;
@@ -209,7 +226,12 @@ impl CampaignJournal {
             Err(e) => return Err(e.into()),
         };
 
-        let expected_meta = meta_line(kind, labels.len(), grid_digest(labels));
+        let expected_meta = checked_line(format!(
+            "meta={},{},{:016x}",
+            codec::esc(kind),
+            labels.len(),
+            grid_digest(labels, identity)
+        ));
         let mut replay = Replay::default();
         if text.is_empty() {
             vfs.append(&path, format!("{MAGIC}\n{expected_meta}\n").as_bytes())?;
@@ -238,7 +260,7 @@ impl CampaignJournal {
                 return Err(mismatch("missing meta line".to_owned()));
             };
             let meta = meta.trim_end_matches('\n');
-            if checked_body(meta).is_none() {
+            if checked_body(meta).is_err() {
                 return Err(mismatch("corrupt meta line".to_owned()));
             }
             if meta != expected_meta {
@@ -254,7 +276,7 @@ impl CampaignJournal {
                 if !line.ends_with('\n') {
                     break;
                 }
-                let Some(entry) = parse_cell(line.trim_end_matches('\n')) else {
+                let Ok(entry) = parse_cell(line.trim_end_matches('\n')) else {
                     break;
                 };
                 replay.entries.push(entry);
@@ -303,7 +325,16 @@ impl CampaignJournal {
             !status.is_poisoned(),
             "poisoned cells are re-run on resume, never journaled"
         );
-        let mut line = cell_line(index, status, report, extra);
+        let mut body = String::new();
+        let record = JournalEntry {
+            index,
+            status: status.clone(),
+            report: report.clone(),
+            extra: extra.unwrap_or_default().to_owned(),
+        };
+        codec::put(&mut body, "cell", &record);
+        body.pop(); // the checksum ends the line
+        let mut line = checked_line(body);
         line.push('\n');
         let _guard = self.write.lock().expect("journal write lock");
         self.vfs.append(&self.path, line.as_bytes())?;
@@ -371,13 +402,10 @@ mod tests {
         assert_eq!(replay.entries[0].index, 0);
         assert_eq!(replay.entries[0].status, CellStatus::Ok);
         assert_eq!(replay.entries[0].report, report);
-        assert_eq!(replay.entries[0].extra, None);
+        assert_eq!(replay.entries[0].extra, "");
         assert_eq!(replay.entries[1].index, 2);
         assert_eq!(replay.entries[1].status, CellStatus::Retried { retries: 1 });
-        assert_eq!(
-            replay.entries[1].extra.as_deref(),
-            Some("extra,with:reserved\nchars")
-        );
+        assert_eq!(replay.entries[1].extra, "extra,with:reserved\nchars");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -420,7 +448,7 @@ mod tests {
         {
             let vfs = Arc::new(FaultVfs::new(5).with_enospc(1.0).with_fault_budget(1));
             let (journal, replay) =
-                CampaignJournal::open_with(&dir, "sweep", &labels(), vfs).unwrap();
+                CampaignJournal::open_with(&dir, "sweep", &labels(), "", vfs).unwrap();
             assert_eq!(replay.entries.len(), 1);
             let err = journal
                 .record(1, &CellStatus::Ok, &report, None)
@@ -498,10 +526,11 @@ mod tests {
 
     #[test]
     fn grid_digest_tracks_labels() {
-        let a = grid_digest(&labels());
-        assert_eq!(a, grid_digest(&labels()));
+        let a = grid_digest(&labels(), "");
+        assert_eq!(a, grid_digest(&labels(), ""));
         let mut reordered = labels();
         reordered.reverse();
-        assert_ne!(a, grid_digest(&reordered));
+        assert_ne!(a, grid_digest(&reordered, ""));
+        assert_ne!(a, grid_digest(&labels(), "no-obs"));
     }
 }

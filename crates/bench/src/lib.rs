@@ -27,11 +27,14 @@ pub mod storm;
 pub mod supervisor;
 pub mod sweep;
 
-pub use campaign::{matrix, run_campaign, Campaign, CampaignResults, CampaignSpec, Drill, Profile};
+pub use campaign::{
+    matrix, run_campaign, Campaign, CampaignResults, CampaignSpec, Cell, Drill, Profile,
+};
 pub use chaos::{Chaos, ChaosResults, ChaosSpec, FaultProfile, PolicyResilience};
 pub use diff::{diff_documents, DiffReport, DiffThresholds, JsonValue, Regression};
 pub use fleet::{
-    run_fleet, run_fleet_with, FleetConfig, FleetResults, PolicyAggregate, ShardSpec, FLEET_SCHEMA,
+    run_fleet_with, Fleet, FleetConfig, PolicyAggregate, PowerHistogram, ShardDrill, ShardSpec,
+    FLEET_SCHEMA,
 };
 pub use journal::{CampaignJournal, JournalEntry, JournalError};
 pub use simty::experiments::{

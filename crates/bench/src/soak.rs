@@ -18,12 +18,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use simty::core::{SimDuration, SimTime};
-use simty::obs::{json_f64, json_string};
+use simty::obs::json_f64;
+use simty::sim::codec::record;
 use simty::sim::{CheckpointStore, OnlineWatchdogConfig, RebootPlan, SimConfig, SimReport};
 
 use crate::campaign::{
-    self, json_object, sum, Campaign, CampaignResults, CampaignSpec, Drill, Profile,
+    self, json_object, json_pairs, sum, Campaign, CampaignResults, CampaignSpec, Drill, Profile,
 };
+use crate::sweep::CampaignOptions;
 
 /// A named endurance adversary: how the device dies and how its
 /// snapshots rot.
@@ -51,6 +53,8 @@ impl Profile for SoakProfile {
         SoakProfile::BitFlip,
         SoakProfile::TornStale,
     ];
+
+    const NOUN: &'static str = "soak";
 
     fn name(self) -> &'static str {
         match self {
@@ -118,48 +122,15 @@ pub struct SoakRecovery {
     pub resume_wall: Duration,
 }
 
+// Journaled as `checkpoints:corrupt_skipped:resumed_identical:restore_ok:resume_wall_ms`.
+record!(SoakRecovery in ':': checkpoints, corrupt_skipped, resumed_identical, restore_ok, resume_wall);
+
 impl Drill for SoakRecovery {
-    fn to_extra(self) -> Option<String> {
-        Some(format!(
-            "{}:{}:{}:{}:{}",
-            self.checkpoints,
-            self.corrupt_skipped,
-            u8::from(self.resumed_identical),
-            u8::from(self.restore_ok),
-            self.resume_wall.as_millis()
-        ))
+    fn cell_fields(rec: Option<&SoakRecovery>) -> Vec<(&'static str, String)> {
+        json_pairs!(rec; checkpoints, corrupt_skipped, restore_ok, resumed_identical)
     }
 
-    fn from_extra(extra: &str) -> Option<SoakRecovery> {
-        let fields: Vec<&str> = extra.split(':').collect();
-        let [checkpoints, corrupt_skipped, resumed_identical, restore_ok, wall_ms] = fields[..]
-        else {
-            return None;
-        };
-        Some(SoakRecovery {
-            checkpoints: checkpoints.parse().ok()?,
-            corrupt_skipped: corrupt_skipped.parse().ok()?,
-            resumed_identical: resumed_identical == "1",
-            restore_ok: restore_ok == "1",
-            resume_wall: Duration::from_millis(wall_ms.parse().ok()?),
-        })
-    }
-
-    fn cell_fields(rec: Option<SoakRecovery>) -> Vec<(&'static str, String)> {
-        let field =
-            |value: fn(SoakRecovery) -> String| rec.map_or_else(|| "null".to_owned(), value);
-        vec![
-            ("checkpoints", field(|r| r.checkpoints.to_string())),
-            ("corrupt_skipped", field(|r| r.corrupt_skipped.to_string())),
-            ("restore_ok", field(|r| r.restore_ok.to_string())),
-            (
-                "resumed_identical",
-                field(|r| r.resumed_identical.to_string()),
-            ),
-        ]
-    }
-
-    fn recovered(self) -> bool {
+    fn recovered(&self) -> bool {
         self.restore_ok && self.resumed_identical
     }
 }
@@ -180,7 +151,7 @@ pub type SoakResults = CampaignResults<Soak>;
 static NEXT_DRILL_DIR: AtomicU64 = AtomicU64::new(0);
 
 impl Campaign for Soak {
-    type Profile = SoakProfile;
+    type Cell = SoakSpec;
     type Drill = SoakRecovery;
     type Aggregate = PolicyEndurance;
 
@@ -191,7 +162,7 @@ impl Campaign for Soak {
     /// own under the system temp dir, corrupt the newest ones per the
     /// profile, restore from the last good snapshot, run to the end, and
     /// compare bytes. The drill directory is wiped afterwards.
-    fn run_cell(spec: &SoakSpec) -> (SimReport, SoakRecovery) {
+    fn run_cell(spec: &SoakSpec, _options: &CampaignOptions) -> (SimReport, SoakRecovery) {
         let config = SimConfig::new()
             .with_duration(spec.duration)
             .with_checkpoints(SimDuration::from_millis(
@@ -269,29 +240,10 @@ impl Campaign for Soak {
     }
 
     fn aggregate_json(agg: &PolicyEndurance) -> String {
-        json_object(&[
-            ("policy", json_string(&agg.policy)),
-            ("runs", agg.runs.to_string()),
-            ("reboots", agg.reboots.to_string()),
-            ("mean_recovery_ms", json_f64(agg.mean_recovery_ms)),
-            ("catch_up_entries", agg.catch_up_entries.to_string()),
-            (
-                "worst_catch_up_delay_ms",
-                json_f64(agg.worst_catch_up_delay_ms),
-            ),
-            ("invariant_violations", agg.invariant_violations.to_string()),
-            (
-                "perceptible_window_misses",
-                agg.perceptible_window_misses.to_string(),
-            ),
-            ("checkpoints", agg.checkpoints.to_string()),
-            ("corrupt_skipped", agg.corrupt_skipped.to_string()),
-            (
-                "all_resumed_identical",
-                agg.all_resumed_identical.to_string(),
-            ),
-            ("all_restores_ok", agg.all_restores_ok.to_string()),
-        ])
+        json_object(&json_pairs!(Some(agg);
+            policy, runs, reboots, mean_recovery_ms, catch_up_entries, worst_catch_up_delay_ms,
+            invariant_violations, perceptible_window_misses, checkpoints, corrupt_skipped,
+            all_resumed_identical, all_restores_ok))
     }
 
     /// `resume_wall_ms`: the campaign's total checkpoint-resume
@@ -390,10 +342,11 @@ pub struct PolicyEndurance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{matrix, run_campaign};
+    use crate::campaign::{matrix, run_campaign, Cell};
     use crate::supervisor::CellStatus;
     use crate::sweep::CampaignOptions;
     use simty::experiments::{PolicyKind, Scenario};
+    use simty::sim::codec;
 
     fn tiny(profile: SoakProfile, policy: PolicyKind) -> SoakSpec {
         SoakSpec {
@@ -419,7 +372,10 @@ mod tests {
 
     #[test]
     fn steady_cell_resumes_identically_with_no_reboots() {
-        let (report, rec) = Soak::run_cell(&tiny(SoakProfile::Steady, PolicyKind::Simty));
+        let (report, rec) = Soak::run_cell(
+            &tiny(SoakProfile::Steady, PolicyKind::Simty),
+            &CampaignOptions::default(),
+        );
         assert_eq!(report.resilience.reboots, 0);
         assert!(rec.checkpoints >= 7, "{rec:?}");
         assert_eq!(rec.corrupt_skipped, 0);
@@ -428,11 +384,17 @@ mod tests {
 
     #[test]
     fn corruption_profiles_fall_back_to_the_last_good_snapshot() {
-        let (report, rec) = Soak::run_cell(&tiny(SoakProfile::BitFlip, PolicyKind::Native));
+        let (report, rec) = Soak::run_cell(
+            &tiny(SoakProfile::BitFlip, PolicyKind::Native),
+            &CampaignOptions::default(),
+        );
         assert_eq!(report.resilience.reboots, 1);
         assert_eq!(rec.corrupt_skipped, 1, "{rec:?}");
         assert!(rec.restore_ok && rec.resumed_identical, "{rec:?}");
-        let (_, rec) = Soak::run_cell(&tiny(SoakProfile::TornStale, PolicyKind::Simty));
+        let (_, rec) = Soak::run_cell(
+            &tiny(SoakProfile::TornStale, PolicyKind::Simty),
+            &CampaignOptions::default(),
+        );
         assert_eq!(rec.corrupt_skipped, 2, "{rec:?}");
         assert!(rec.restore_ok && rec.resumed_identical, "{rec:?}");
     }
@@ -525,13 +487,14 @@ mod tests {
             restore_ok: true,
             resume_wall: Duration::from_millis(1234),
         };
+        assert_eq!(codec::encode(&rec), "9:2:1:1:1234");
         assert_eq!(
-            SoakRecovery::from_extra(&rec.to_extra().unwrap()),
+            codec::decode::<SoakRecovery>("9:2:1:1:1234").ok(),
             Some(rec)
         );
-        assert_eq!(SoakRecovery::from_extra(""), None);
-        assert_eq!(SoakRecovery::from_extra("1:2:3"), None);
-        assert_eq!(SoakRecovery::from_extra("a:0:1:1:0"), None);
+        for hostile in ["", "1:2:3", "a:0:1:1:0"] {
+            assert!(codec::decode::<SoakRecovery>(hostile).is_err(), "{hostile}");
+        }
     }
 
     #[test]

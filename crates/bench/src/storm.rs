@@ -13,14 +13,15 @@
 
 use simty::core::admission::AdmissionConfig;
 use simty::core::{SimDuration, SimTime};
-use simty::obs::json_string;
+use simty::sim::codec::record;
 use simty::sim::{
     GovernorConfig, RegistrationStormPlan, SimConfig, SimReport, Simulation, StormBurst,
 };
 
 use crate::campaign::{
-    self, json_object, sum, Campaign, CampaignResults, CampaignSpec, Drill, Profile,
+    self, json_object, json_pairs, sum, Campaign, CampaignResults, CampaignSpec, Drill, Profile,
 };
+use crate::sweep::CampaignOptions;
 
 /// A named overload adversary: what floods the manager and how far the
 /// battery falls.
@@ -52,6 +53,8 @@ impl Profile for StormProfile {
         StormProfile::StormAndDrain,
         StormProfile::Unprotected,
     ];
+
+    const NOUN: &'static str = "storm";
 
     fn name(self) -> &'static str {
         match self {
@@ -106,42 +109,15 @@ pub struct StormRecovery {
     pub restore_ok: bool,
 }
 
+// Journaled as `checkpoints:resumed_identical:restore_ok`.
+record!(StormRecovery in ':': checkpoints, resumed_identical, restore_ok);
+
 impl Drill for StormRecovery {
-    fn to_extra(self) -> Option<String> {
-        Some(format!(
-            "{}:{}:{}",
-            self.checkpoints,
-            u8::from(self.resumed_identical),
-            u8::from(self.restore_ok)
-        ))
+    fn cell_fields(rec: Option<&StormRecovery>) -> Vec<(&'static str, String)> {
+        json_pairs!(rec; checkpoints, restore_ok, resumed_identical)
     }
 
-    fn from_extra(extra: &str) -> Option<StormRecovery> {
-        let fields: Vec<&str> = extra.split(':').collect();
-        let [checkpoints, resumed_identical, restore_ok] = fields[..] else {
-            return None;
-        };
-        Some(StormRecovery {
-            checkpoints: checkpoints.parse().ok()?,
-            resumed_identical: resumed_identical == "1",
-            restore_ok: restore_ok == "1",
-        })
-    }
-
-    fn cell_fields(rec: Option<StormRecovery>) -> Vec<(&'static str, String)> {
-        let field =
-            |value: fn(StormRecovery) -> String| rec.map_or_else(|| "null".to_owned(), value);
-        vec![
-            ("checkpoints", field(|r| r.checkpoints.to_string())),
-            ("restore_ok", field(|r| r.restore_ok.to_string())),
-            (
-                "resumed_identical",
-                field(|r| r.resumed_identical.to_string()),
-            ),
-        ]
-    }
-
-    fn recovered(self) -> bool {
+    fn recovered(&self) -> bool {
         self.restore_ok && self.resumed_identical
     }
 }
@@ -224,7 +200,7 @@ fn storm_sim(spec: &StormSpec, capacity_mj: Option<f64>) -> Simulation {
 }
 
 impl Campaign for Storm {
-    type Profile = StormProfile;
+    type Cell = StormSpec;
     type Drill = StormRecovery;
     type Aggregate = PolicyOverload;
 
@@ -234,7 +210,7 @@ impl Campaign for Storm {
     /// drain profiles, the straight-through run produces the report, and
     /// the resume drill restores from the final mid-run snapshot and
     /// compares bytes.
-    fn run_cell(spec: &StormSpec) -> (SimReport, StormRecovery) {
+    fn run_cell(spec: &StormSpec, _options: &CampaignOptions) -> (SimReport, StormRecovery) {
         let capacity = spec.profile.capacity_factor().map(|factor| {
             let mut probe = storm_sim(spec, None);
             probe.run().energy.total_mj() * factor
@@ -274,27 +250,10 @@ impl Campaign for Storm {
     }
 
     fn aggregate_json(agg: &PolicyOverload) -> String {
-        json_object(&[
-            ("policy", json_string(&agg.policy)),
-            ("runs", agg.runs.to_string()),
-            ("storm_registrations", agg.storm_registrations.to_string()),
-            ("admitted", agg.admitted.to_string()),
-            ("deferred", agg.deferred.to_string()),
-            ("rejected", agg.rejected.to_string()),
-            ("shed", agg.shed.to_string()),
-            ("demotions", agg.demotions.to_string()),
-            ("tier_changes", agg.tier_changes.to_string()),
-            ("invariant_violations", agg.invariant_violations.to_string()),
-            (
-                "perceptible_window_misses",
-                agg.perceptible_window_misses.to_string(),
-            ),
-            (
-                "all_resumed_identical",
-                agg.all_resumed_identical.to_string(),
-            ),
-            ("all_restores_ok", agg.all_restores_ok.to_string()),
-        ])
+        json_object(&json_pairs!(Some(agg);
+            policy, runs, storm_registrations, admitted, deferred, rejected, shed, demotions,
+            tier_changes, invariant_violations, perceptible_window_misses, all_resumed_identical,
+            all_restores_ok))
     }
 }
 
@@ -337,6 +296,7 @@ mod tests {
     use crate::supervisor::CellStatus;
     use crate::sweep::CampaignOptions;
     use simty::experiments::{PolicyKind, Scenario};
+    use simty::sim::codec;
 
     fn tiny(profile: StormProfile, policy: PolicyKind) -> StormSpec {
         StormSpec {
@@ -378,7 +338,10 @@ mod tests {
 
     #[test]
     fn quota_storm_rejects_and_holds_invariants() {
-        let (report, rec) = Storm::run_cell(&tiny(StormProfile::QuotaStorm, PolicyKind::Simty));
+        let (report, rec) = Storm::run_cell(
+            &tiny(StormProfile::QuotaStorm, PolicyKind::Simty),
+            &CampaignOptions::default(),
+        );
         let ov = &report.overload;
         assert!(ov.storm_registrations > 0);
         assert!(ov.rejected > 0, "quota never pushed back: {ov:?}");
@@ -390,11 +353,16 @@ mod tests {
 
     #[test]
     fn drain_profiles_traverse_their_tiers() {
-        let (saver, _) = Storm::run_cell(&tiny(StormProfile::DrainSaver, PolicyKind::Simty));
+        let (saver, _) = Storm::run_cell(
+            &tiny(StormProfile::DrainSaver, PolicyKind::Simty),
+            &CampaignOptions::default(),
+        );
         assert_eq!(saver.overload.final_tier, "saver", "{:?}", saver.overload);
         assert!(saver.overload.time_in_saver_ms > 0);
-        let (critical, rec) =
-            Storm::run_cell(&tiny(StormProfile::DrainCritical, PolicyKind::Simty));
+        let (critical, rec) = Storm::run_cell(
+            &tiny(StormProfile::DrainCritical, PolicyKind::Simty),
+            &CampaignOptions::default(),
+        );
         assert_eq!(
             critical.overload.final_tier, "critical",
             "{:?}",
@@ -407,7 +375,10 @@ mod tests {
 
     #[test]
     fn unprotected_cell_reports_no_pushback() {
-        let (report, _) = Storm::run_cell(&tiny(StormProfile::Unprotected, PolicyKind::Native));
+        let (report, _) = Storm::run_cell(
+            &tiny(StormProfile::Unprotected, PolicyKind::Native),
+            &CampaignOptions::default(),
+        );
         let ov = &report.overload;
         assert!(ov.storm_registrations > 0);
         assert_eq!(ov.rejected + ov.shed + ov.demotions, 0, "{ov:?}");
@@ -453,12 +424,13 @@ mod tests {
             resumed_identical: true,
             restore_ok: true,
         };
-        assert_eq!(
-            StormRecovery::from_extra(&rec.to_extra().unwrap()),
-            Some(rec)
-        );
-        assert_eq!(StormRecovery::from_extra(""), None);
-        assert_eq!(StormRecovery::from_extra("1:1"), None);
-        assert_eq!(StormRecovery::from_extra("x:1:1"), None);
+        assert_eq!(codec::encode(&rec), "7:1:1");
+        assert_eq!(codec::decode::<StormRecovery>("7:1:1").ok(), Some(rec));
+        for hostile in ["", "1:1", "x:1:1"] {
+            assert!(
+                codec::decode::<StormRecovery>(hostile).is_err(),
+                "{hostile}"
+            );
+        }
     }
 }

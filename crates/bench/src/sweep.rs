@@ -26,7 +26,7 @@ use simty::obs::telemetry::{EventKind, TelemetrySink};
 use simty::obs::{json_f64, json_string};
 use simty::obs::{QuantileSummary, StageProfile};
 use simty::sim::json::report_to_json;
-use simty::sim::{SimReport, Vfs};
+use simty::sim::{RealVfs, SimReport, Vfs};
 
 use crate::journal::{CampaignJournal, JournalError};
 use crate::supervisor::{supervise, CellStatus, HarnessStats, SupervisorConfig};
@@ -106,6 +106,7 @@ pub struct Sweep {
     no_obs: bool,
     supervisor: SupervisorConfig,
     journal: Option<(PathBuf, String)>,
+    journal_identity: String,
     journal_vfs: Option<Arc<dyn Vfs>>,
     telemetry: Option<TelemetrySink>,
 }
@@ -129,6 +130,15 @@ impl Sweep {
     /// previous (interrupted) invocation are restored instead of re-run.
     pub fn with_journal(&mut self, dir: impl Into<PathBuf>, kind: impl Into<String>) -> &mut Self {
         self.journal = Some((dir.into(), kind.into()));
+        self
+    }
+
+    /// Pins the attached journal to what, beyond the cell labels, decides
+    /// the cells' bytes (see [`crate::journal::grid_digest`]), so a
+    /// journal of another population is a [`JournalError::Mismatch`].
+    /// An uninstrumented sweep ([`no_obs`](Self::no_obs)) adds its own.
+    pub fn with_journal_identity(&mut self, identity: impl Into<String>) -> &mut Self {
+        self.journal_identity = identity.into();
         self
     }
 
@@ -276,10 +286,16 @@ impl Sweep {
         let mut journal_skips = 0u64;
         if let Some((dir, kind)) = &self.journal {
             let labels: Vec<String> = self.jobs.iter().map(|j| j.label.clone()).collect();
-            let (handle, replay) = match &self.journal_vfs {
-                Some(vfs) => CampaignJournal::open_with(dir, kind, &labels, Arc::clone(vfs))?,
-                None => CampaignJournal::open(dir, kind, &labels)?,
+            let identity = if self.no_obs {
+                format!("no-obs\n{}", self.journal_identity)
+            } else {
+                self.journal_identity.clone()
             };
+            let vfs = self
+                .journal_vfs
+                .clone()
+                .unwrap_or_else(|| Arc::new(RealVfs));
+            let (handle, replay) = CampaignJournal::open_with(dir, kind, &labels, &identity, vfs)?;
             for entry in replay.entries {
                 let Some(slot) = outcomes.get(entry.index) else {
                     continue;
@@ -294,7 +310,7 @@ impl Sweep {
                     stages: None,
                     wall: Duration::ZERO,
                     status: entry.status,
-                    extra: entry.extra,
+                    extra: (!entry.extra.is_empty()).then_some(entry.extra),
                 });
                 journal_skips += 1;
             }

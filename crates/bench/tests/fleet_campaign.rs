@@ -72,7 +72,7 @@ fn killed_campaign_resumes_byte_identical_across_thread_counts() {
     let config = small_fleet(10, 3, 42);
     let reference = run_fleet_with(&config, &CampaignOptions::with_threads(1))
         .unwrap()
-        .deterministic_json();
+        .to_json();
 
     for threads in [1usize, 3] {
         let dir = unique_dir(&format!("kill-{threads}"));
@@ -96,7 +96,7 @@ fn killed_campaign_resumes_byte_identical_across_thread_counts() {
         assert_eq!(resumed.journal_skips(), 2, "threads={threads}");
         assert_eq!(resumed.harness().poisoned, 0, "threads={threads}");
         assert_eq!(
-            resumed.deterministic_json(),
+            resumed.to_json(),
             reference,
             "resume must be byte-identical on {threads} thread(s)"
         );
@@ -122,6 +122,6 @@ fn a_still_faulty_resume_re_poisons_the_same_shard() {
     assert_eq!(second.harness().poisoned, 1);
     assert!(second.outcomes()[2].report.is_none());
     assert_eq!(second.journal_skips(), 3);
-    assert_eq!(first.deterministic_json(), second.deterministic_json());
+    assert_eq!(first.to_json(), second.to_json());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -204,17 +204,17 @@ pub(crate) const COMMANDS: &[Command] = commands! {
         "to" X = "0.96": "last grace fraction";
         "steps" N = "5": "grace fractions from --from to --to";
     }
-    "chaos" cmd_campaign::<Chaos> [POLICIES, SCENARIOS, HARNESS, CAMPAIGN]:
+    "chaos" cmd_campaign::<Chaos, _> [POLICIES, SCENARIOS, HARNESS, CAMPAIGN]:
         "fault-injection campaign with online watchdog and invariants" {
         "profiles" LIST = "all": "baseline|jitter|drops|overruns|leaks|flaky|crashes|storm|mixed";
         "hours" N = "1": "simulated hours per cell";
     }
-    "soak" cmd_campaign::<Soak> [POLICIES, SCENARIOS, HARNESS, CAMPAIGN]:
+    "soak" cmd_campaign::<Soak, _> [POLICIES, SCENARIOS, HARNESS, CAMPAIGN]:
         "endurance campaign: reboots, corrupt checkpoints, resume checks" {
         "profiles" LIST = "all": "steady|single-reboot|reboot-storm|bitflip|torn-stale";
         "hours" N = "48": "simulated hours per cell";
     }
-    "storm" cmd_campaign::<Storm> [POLICIES, SCENARIOS, HARNESS, CAMPAIGN]:
+    "storm" cmd_campaign::<Storm, _> [POLICIES, SCENARIOS, HARNESS, CAMPAIGN]:
         "registration storms against admission quotas and degradation tiers" {
         "profiles" LIST = "all": "quota-storm|drain-saver|drain-critical|storm-and-drain|unprotected";
         "hours" N = "3": "simulated hours per cell";

@@ -1,14 +1,16 @@
-//! The `chaos`, `soak` and `storm` subcommands: one generic command over the
-//! campaign kernel, with each campaign supplying only its table columns
-//! and its summary line.
+//! The `chaos`, `soak`, `storm` and `fleet` subcommands: one generic
+//! report over the campaign kernel, with each campaign supplying only its
+//! table columns and its summary line.
 
 use std::io::Write;
+use std::time::Duration;
 
 use simty::prelude::*;
 use simty::sim::report::TextTable;
 use simty_bench::{
-    run_campaign, Campaign, CampaignResults, CellStatus, Chaos, PolicyEndurance, PolicyOverload,
-    PolicyResilience, Profile, Soak, SoakRecovery, Storm, StormRecovery,
+    run_campaign, Campaign, CampaignResults, CampaignSpec, Cell, CellStatus, Chaos, Fleet,
+    PolicyAggregate, PolicyEndurance, PolicyOverload, PolicyResilience, Profile, ShardDrill, Soak,
+    SoakRecovery, Storm, StormRecovery,
 };
 
 use crate::args::ParsedArgs;
@@ -18,34 +20,58 @@ use crate::commands::{
 };
 
 /// A per-cell table column: its header and how a completed cell fills it.
-pub(crate) type CellColumn<D> = (&'static str, fn(&SimReport, D) -> String);
+pub(crate) type CellColumn<D> = (&'static str, fn(&SimReport, &D) -> String);
 
 /// A per-policy table column: its header and how an aggregate fills it.
 type PolicyColumn<A> = (&'static str, fn(&A) -> String);
 
-/// One supervised cell's row: its label, its status, then `columns`; a
-/// quarantined cell (no report) reads `POISONED` and a dash per column.
-pub(crate) fn cell_row<D: Copy>(
+/// One table row: the cell's label, status, report (`None` when
+/// quarantined), drill, and wall clock (`None` when not shown).
+pub(crate) type CellLine<'a, D> = (
+    String,
+    &'a CellStatus,
+    Option<&'a SimReport>,
+    D,
+    Option<Duration>,
+);
+
+/// A cell table: `first`, `status`, `columns`, and with `walls` each
+/// cell's wall clock (shown for a quarantined cell too). A quarantined
+/// cell reads `POISONED` and a dash per column.
+pub(crate) fn cell_table<'a, D: 'a>(
+    first: &str,
     columns: &[CellColumn<D>],
-    label: String,
-    status: &CellStatus,
-    report: Option<&SimReport>,
-    drill: D,
-) -> Vec<String> {
-    let status = report.map_or_else(|| "POISONED".to_owned(), |_| status.token());
-    let cells = columns
-        .iter()
-        .map(|(_, cell)| report.map_or_else(|| "-".to_owned(), |r| cell(r, drill)));
-    [label, status].into_iter().chain(cells).collect()
+    walls: bool,
+    rows: impl Iterator<Item = CellLine<'a, D>>,
+) -> String {
+    let headers = columns.iter().map(|(header, _)| *header);
+    let wall_header = walls.then_some("wall (ms)");
+    let mut table = TextTable::new(
+        [first, "status"]
+            .into_iter()
+            .chain(headers)
+            .chain(wall_header),
+    );
+    for (label, status, report, drill, wall) in rows {
+        let status = report.map_or_else(|| "POISONED".to_owned(), |_| status.token());
+        let cells = columns
+            .iter()
+            .map(|(_, cell)| report.map_or_else(|| "-".to_owned(), |r| cell(r, &drill)));
+        let wall = wall.map(|w| format!("{:.1}", w.as_secs_f64() * 1_000.0));
+        table.row([label, status].into_iter().chain(cells).chain(wall));
+    }
+    table.render()
 }
 
 /// What the CLI shows of a campaign beyond the shared cell, harness and
 /// exit-code handling. Its flags are declared in
 /// [`COMMANDS`](crate::args::COMMANDS).
 pub(crate) trait CampaignCommand: Campaign {
-    /// The noun naming a profile in the unknown-profile error.
-    const PROFILE_NOUN: &'static str;
-    /// The per-cell table's columns after `cell` and `status`.
+    /// The cell table's first header.
+    const CELL_NOUN: &'static str = "cell";
+    /// Whether the cell table ends with each cell's wall clock.
+    const CELL_WALLS: bool = false;
+    /// The per-cell table's columns after the label and `status`.
     const CELL_COLUMNS: &'static [CellColumn<Self::Drill>];
     /// The per-policy table's columns.
     const POLICY_COLUMNS: &'static [PolicyColumn<Self::Aggregate>];
@@ -54,25 +80,24 @@ pub(crate) trait CampaignCommand: Campaign {
     fn summary(results: &CampaignResults<Self>) -> String;
 }
 
-/// Runs a campaign subcommand: grid flags, the per-cell table, the
-/// harness footer, the per-policy table, the summary line, the optional
-/// document, and the exit-code mapping (4 on invariant violations, 5 on
-/// a failed resume drill, 6 on quarantined cells).
-pub(crate) fn cmd_campaign<C: CampaignCommand>(
-    args: &ParsedArgs,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
+/// Runs a campaign subcommand over a policy × scenario × profile × seed
+/// grid: grid flags, then [`report_campaign`].
+pub(crate) fn cmd_campaign<C, P>(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError>
+where
+    C: CampaignCommand<Cell = CampaignSpec<P>>,
+    P: Profile,
+{
     let policies = parse_policies(args)?;
     let scenarios = parse_paper_scenarios(args, &format!("{} campaigns", C::KIND))?;
-    let profiles: Vec<C::Profile> = match args.get("profiles") {
-        None => C::Profile::ALL.to_vec(),
+    let profiles: Vec<P> = match args.get("profiles") {
+        None => P::ALL.to_vec(),
         Some(list) => list
             .split(',')
             .map(|name| {
-                C::Profile::parse(name).ok_or_else(|| {
+                P::parse(name).ok_or_else(|| {
                     CliError::Usage(format!(
                         "unknown {} profile `{name}` (see `standby --help`)",
-                        C::PROFILE_NOUN
+                        P::NOUN
                     ))
                 })
             })
@@ -91,20 +116,34 @@ pub(crate) fn cmd_campaign<C: CampaignCommand>(
     let specs = simty_bench::matrix(&policies, &scenarios, &profiles, seeds, duration);
     let results = run_campaign::<C>(&specs, &campaign_options(args, threads as usize))
         .map_err(|e| CliError::Harness(e.to_string()))?;
+    report_campaign(&results, args, out)
+}
 
-    let headers = C::CELL_COLUMNS.iter().map(|(header, _)| *header);
-    let mut table = TextTable::new(["cell", "status"].into_iter().chain(headers));
-    for (spec, status, report, drill) in results.runs() {
-        let drill = drill.unwrap_or_default();
-        table.row(cell_row(
-            C::CELL_COLUMNS,
-            spec.label(),
-            status,
-            report,
-            drill,
-        ));
-    }
-    writeln!(out, "{}", table.render())?;
+/// Prints a finished campaign — the per-cell table, the harness footer,
+/// the per-policy table, the summary line — writes the optional
+/// document, and maps the outcome to an exit code (4 on invariant
+/// violations, 5 on a failed resume drill, 6 on quarantined cells).
+pub(crate) fn report_campaign<C: CampaignCommand>(
+    results: &CampaignResults<C>,
+    args: &ParsedArgs,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    let rows =
+        results
+            .runs()
+            .zip(results.outcomes())
+            .map(|((cell, status, report, drill), outcome)| {
+                let wall = C::CELL_WALLS.then_some(outcome.wall);
+                (
+                    cell.label(),
+                    status,
+                    report,
+                    drill.unwrap_or_default(),
+                    wall,
+                )
+            });
+    let table = cell_table(C::CELL_NOUN, C::CELL_COLUMNS, C::CELL_WALLS, rows);
+    writeln!(out, "{table}")?;
     write_harness_summary(out, &results.harness())?;
 
     let mut summary = TextTable::new(C::POLICY_COLUMNS.iter().map(|(header, _)| *header));
@@ -112,7 +151,7 @@ pub(crate) fn cmd_campaign<C: CampaignCommand>(
         summary.row(C::POLICY_COLUMNS.iter().map(|(_, cell)| cell(&aggregate)));
     }
     writeln!(out, "\n{}", summary.render())?;
-    writeln!(out, "{}", C::summary(&results))?;
+    writeln!(out, "{}", C::summary(results))?;
     if let Some(path) = args.get("json") {
         results.write_json(path)?;
         writeln!(out, "{} document written to {path}", C::KIND)?;
@@ -148,7 +187,6 @@ fn resume_policy(all_restores_ok: bool, all_resumed_identical: bool) -> String {
 }
 
 impl CampaignCommand for Chaos {
-    const PROFILE_NOUN: &'static str = "fault";
     const CELL_COLUMNS: &'static [CellColumn<()>] = &[
         ("total (J)", |r, ()| {
             format!("{:.1}", r.energy.total_mj() / 1_000.0)
@@ -189,7 +227,6 @@ impl CampaignCommand for Chaos {
 }
 
 impl CampaignCommand for Soak {
-    const PROFILE_NOUN: &'static str = "soak";
     const CELL_COLUMNS: &'static [CellColumn<SoakRecovery>] = &[
         ("reboots", |r, _| r.resilience.reboots.to_string()),
         ("catch-up", |r, _| r.resilience.catch_up_entries.to_string()),
@@ -235,7 +272,6 @@ impl CampaignCommand for Soak {
 }
 
 impl CampaignCommand for Storm {
-    const PROFILE_NOUN: &'static str = "storm";
     const CELL_COLUMNS: &'static [CellColumn<StormRecovery>] = &[
         ("storm regs", |r, _| {
             r.overload.storm_registrations.to_string()
@@ -277,6 +313,64 @@ impl CampaignCommand for Storm {
             } else {
                 "BROKEN"
             },
+        )
+    }
+}
+
+/// A policy aggregate's per-device figure, or a dash when no device
+/// completed.
+fn per_device(a: &PolicyAggregate, cell: fn(&SimReport, f64) -> String) -> String {
+    match &a.report {
+        Some(r) if a.devices > 0 => cell(r, a.devices as f64),
+        _ => "-".to_owned(),
+    }
+}
+
+impl CampaignCommand for Fleet {
+    const CELL_NOUN: &'static str = "shard";
+    const CELL_WALLS: bool = true;
+    const CELL_COLUMNS: &'static [CellColumn<ShardDrill>] = &[
+        ("devices", |_, drill| drill.devices.to_string()),
+        ("total (J)", |r, _| {
+            format!("{:.1}", r.energy.total_mj() / 1_000.0)
+        }),
+        ("wakeups", |r, _| r.cpu_wakeups.to_string()),
+        ("evictions", |_, drill| {
+            (drill.span_evictions + drill.audit_evictions).to_string()
+        }),
+    ];
+    const POLICY_COLUMNS: &'static [PolicyColumn<PolicyAggregate>] = &[
+        ("policy", |a| a.policy.clone()),
+        ("shards ok", |a| {
+            format!("{}/{}", a.shards_ok, a.shards_ok + a.shards_poisoned)
+        }),
+        ("devices", |a| a.devices.to_string()),
+        ("J/device", |a| {
+            per_device(a, |r, n| {
+                format!("{:.2}", r.energy.total_mj() / n / 1_000.0)
+            })
+        }),
+        ("wakeups/device", |a| {
+            per_device(a, |r, n| format!("{:.1}", r.cpu_wakeups as f64 / n))
+        }),
+        ("impercept. delay", |a| {
+            per_device(a, |r, _| {
+                format!("{:.1}%", r.delays.imperceptible_avg * 100.0)
+            })
+        }),
+        ("window misses", |a| {
+            per_device(a, |r, _| r.resilience.perceptible_window_misses.to_string())
+        }),
+    ];
+
+    fn summary(results: &CampaignResults<Fleet>) -> String {
+        format!(
+            "{} devices across {} shards on {} threads in {:.1} ms ({:.1} devices/sec)",
+            results.devices_completed(),
+            results.runs().len(),
+            results.threads(),
+            results.total_wall().as_secs_f64() * 1_000.0,
+            results.devices_per_sec(),
         )
     }
 }

@@ -12,10 +12,9 @@ use simty::prelude::*;
 use simty::sim::analysis::{per_app_stats, wakeup_gap_stats, wakeup_timeline, BatchHistogram};
 use simty::sim::report::TextTable;
 use simty::sim::watchdog::{self, WatchdogPolicy};
-use simty_bench::Outcome;
 
 use crate::args::{self, ParseArgsError, ParsedArgs};
-use crate::campaign_cmd::{cell_row, CellColumn};
+use crate::campaign_cmd::{cell_table, report_campaign, CellColumn};
 
 /// Top-level CLI error.
 #[derive(Debug)]
@@ -414,24 +413,6 @@ pub(crate) fn cmd_diff(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cli
     Ok(())
 }
 
-/// The sweep and fleet cell table: `first`, `status`, `columns`, then
-/// each cell's wall clock (shown for a quarantined cell too).
-fn outcome_table(first: &str, columns: &[CellColumn<()>], outcomes: &[Outcome]) -> String {
-    let headers = columns.iter().map(|(header, _)| *header);
-    let mut table = TextTable::new(
-        [first, "status"]
-            .into_iter()
-            .chain(headers)
-            .chain(["wall (ms)"]),
-    );
-    for o in outcomes {
-        let wall = format!("{:.1}", o.wall.as_secs_f64() * 1_000.0);
-        let row = cell_row(columns, o.label.clone(), &o.status, o.report.as_ref(), ());
-        table.row(row.into_iter().chain([wall]));
-    }
-    table.render()
-}
-
 /// The sweep table's columns between `status` and `wall (ms)`.
 const SWEEP_COLUMNS: &[CellColumn<()>] = &[
     ("total (J)", |r, ()| {
@@ -522,8 +503,11 @@ pub(crate) fn cmd_sweep(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
     pipe.finish()?;
     let results = run.map_err(|e| CliError::Harness(e.to_string()))?;
 
-    let table = outcome_table("run", SWEEP_COLUMNS, results.outcomes());
-    writeln!(out, "{table}")?;
+    let rows = results.outcomes().iter().map(|o| {
+        let (status, report) = (&o.status, o.report.as_ref());
+        (o.label.clone(), status, report, (), Some(o.wall))
+    });
+    writeln!(out, "{}", cell_table("run", SWEEP_COLUMNS, true, rows))?;
     write_harness_summary(out, &results.harness())?;
     writeln!(
         out,
@@ -646,24 +630,6 @@ pub(crate) fn campaign_options(args: &ParsedArgs, threads: usize) -> simty_bench
     options
 }
 
-/// The fleet shard table's columns between `status` and `wall (ms)`.
-const FLEET_COLUMNS: &[CellColumn<()>] = &[
-    ("devices", |r, ()| {
-        metrics_counter(&r.metrics_json, "fleet_devices_total").to_string()
-    }),
-    ("total (J)", |r, ()| {
-        format!("{:.1}", r.energy.total_mj() / 1_000.0)
-    }),
-    ("wakeups", |r, ()| r.cpu_wakeups.to_string()),
-    ("evictions", |r, ()| {
-        ["fleet_span_evictions_total", "fleet_audit_evictions_total"]
-            .iter()
-            .map(|name| metrics_counter(&r.metrics_json, name))
-            .sum::<u64>()
-            .to_string()
-    }),
-];
-
 pub(crate) fn cmd_fleet(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let policies = parse_policies(args)?;
     let devices = args.u64("devices")?;
@@ -716,77 +682,7 @@ pub(crate) fn cmd_fleet(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
     drop(options);
     pipe.finish()?;
     let results = run.map_err(|e| CliError::Harness(e.to_string()))?;
-
-    let table = outcome_table("shard", FLEET_COLUMNS, results.outcomes());
-    writeln!(out, "{table}")?;
-    write_harness_summary(out, &results.harness())?;
-
-    let mut summary = TextTable::new([
-        "policy",
-        "shards ok",
-        "devices",
-        "J/device",
-        "wakeups/device",
-        "impercept. delay",
-        "window misses",
-    ]);
-    for agg in results.aggregates() {
-        let shards = format!("{}/{}", agg.shards_ok, agg.shards_ok + agg.shards_poisoned);
-        let cells = match &agg.report {
-            Some(r) if agg.devices > 0 => {
-                let per_device = |v: f64| v / agg.devices as f64;
-                [
-                    agg.devices.to_string(),
-                    format!("{:.2}", per_device(r.energy.total_mj()) / 1_000.0),
-                    format!("{:.1}", per_device(r.cpu_wakeups as f64)),
-                    format!("{:.1}%", r.delays.imperceptible_avg * 100.0),
-                    r.resilience.perceptible_window_misses.to_string(),
-                ]
-            }
-            _ => ["0", "-", "-", "-", "-"].map(str::to_owned),
-        };
-        summary.row([agg.policy.clone(), shards].into_iter().chain(cells));
-    }
-    writeln!(out, "\n{}", summary.render())?;
-    writeln!(
-        out,
-        "{} devices across {} shards on {} threads in {:.1} ms ({:.1} devices/sec)",
-        results.devices_completed(),
-        results.outcomes().len(),
-        results.threads(),
-        results.total_wall().as_secs_f64() * 1_000.0,
-        results.devices_per_sec(),
-    )?;
-    if let Some(path) = args.get("json") {
-        results.write_json(path)?;
-        writeln!(out, "fleet document written to {path}")?;
-    }
-    let violations: u64 = results
-        .aggregates()
-        .iter()
-        .filter_map(|a| a.report.as_ref())
-        .map(|r| r.resilience.invariant_violations)
-        .sum();
-    if violations > 0 {
-        return Err(CliError::Invariants(violations));
-    }
-    poisoned_to_error(results.poisoned())?;
-    Ok(())
-}
-
-/// Pulls one counter out of a registry JSON snapshot (the shard reports
-/// embed their metrics as JSON; a full parser would be overkill for the
-/// table rendering).
-fn metrics_counter(metrics_json: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    metrics_json
-        .find(&needle)
-        .map(|i| &metrics_json[i + needle.len()..])
-        .and_then(|rest| {
-            let end = rest.find([',', '}'])?;
-            rest[..end].trim().parse().ok()
-        })
-        .unwrap_or(0)
+    report_campaign(&results, args, out)
 }
 
 pub(crate) fn cmd_explain(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {

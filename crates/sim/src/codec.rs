@@ -32,6 +32,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::Duration;
 
 use simty_core::admission::{AdmissionConfig, AppAdmission, ClassQuota, TokenBucket};
 use simty_core::alarm::{Alarm, AlarmId, AlarmKind, Repeat};
@@ -133,7 +134,9 @@ pub trait Field: Sized {
 /// fields (a field naming its type may itself be a flat record);
 /// `record!(Ty in ':': a, b)` nests the fields in one field, separated by
 /// `':'`.
-macro_rules! record {
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __codec_record {
     (@arity) => { 1 };
     (@arity $ty:ty) => { <$ty as $crate::codec::Field>::ARITY };
     ($ty:ident: $($f:ident $(: $fty:ty)?),+) => {
@@ -164,12 +167,15 @@ macro_rules! record {
         }
     };
 }
-pub(crate) use record;
+#[doc(inline)]
+pub use crate::__codec_record as record;
 
 /// Declares a fieldless enum's wire form, one name per variant:
 /// `names!(Ty "what" { A = "a", B = "b" })`; an unknown name is an
 /// `invalid what` error.
-macro_rules! names {
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __codec_names {
     ($ty:ident, $what:literal { $($v:ident = $name:literal),+ $(,)? }) => {
         impl $crate::codec::Field for $ty {
             fn put(&self, w: &mut $crate::codec::Put<'_>) {
@@ -186,13 +192,16 @@ macro_rules! names {
         }
     };
 }
-pub(crate) use names;
+#[doc(inline)]
+pub use crate::__codec_names as names;
 
 /// Declares an enum's tagged wire form, `tag:param:param`, one variant
 /// per entry: `tagged!(Ty, "what" { A = "a", B(x) = "b", C { x, y } =
 /// "c" })` writes a variant's fields in the listed order and reads them
 /// back in it; an unknown tag is an `invalid what` error.
-macro_rules! tagged {
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __codec_tagged {
     ($ty:ident, $what:literal {
         $($v:ident $(($t:ident))? $({ $($f:ident),+ })? = $tag:literal),+ $(,)?
     }) => {
@@ -216,7 +225,8 @@ macro_rules! tagged {
         }
     };
 }
-pub(crate) use tagged;
+#[doc(inline)]
+pub use crate::__codec_tagged as tagged;
 
 /// The writer half: appends separated fields to a body.
 pub struct Put<'o> {
@@ -284,6 +294,23 @@ impl<'o> Put<'o> {
         w.field().push_str(tag);
         w
     }
+}
+
+/// `v` as one value of `,`-separated fields, for a record that travels
+/// inside another format's field ([`decode`]).
+pub fn encode<T: Field>(v: &T) -> String {
+    let mut out = String::new();
+    v.put(&mut Put::new(&mut out, ','));
+    out
+}
+
+/// Reads a value written by [`encode`].
+///
+/// # Errors
+///
+/// [`CheckpointError::Malformed`] when `value` is not a `T`.
+pub fn decode<T: Field>(value: &str) -> Result<T, CheckpointError> {
+    Parser::new(value).value(value)
 }
 
 /// Appends a `key=` line holding `v` ([`Parser::take`]).
@@ -486,8 +513,27 @@ int_mapped_fields!(
     SimTime: SimTime::as_millis, SimTime::from_millis;
     SimDuration: SimDuration::as_millis, SimDuration::from_millis;
     AlarmId: AlarmId::as_u64, AlarmId::from_raw;
-    HardwareSet: HardwareSet::bits, HardwareSet::from_bits
+    HardwareSet: HardwareSet::bits, HardwareSet::from_bits;
+    Duration: whole_millis, Duration::from_millis
 );
+
+/// A host duration's whole milliseconds, saturating.
+fn whole_millis(d: Duration) -> u64 {
+    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
+}
+
+/// Nothing: one empty field.
+impl Field for () {
+    fn put(&self, w: &mut Put<'_>) {
+        w.field();
+    }
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        match r.raw()? {
+            "" => Ok(()),
+            raw => Err(r.err(format!("expected an empty field, found `{raw}`"))),
+        }
+    }
+}
 
 /// `none`, or the value.
 impl<T: Field> Field for Option<T> {

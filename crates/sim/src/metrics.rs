@@ -13,7 +13,7 @@ use simty_device::device::Device;
 use simty_device::energy::{EnergyBreakdown, EnergyMeter};
 
 use crate::checkpoint::CheckpointError;
-use crate::codec::{record, Cursor, Field, Parser, Put};
+use crate::codec::{record, unesc, Cursor, Field, Parser, Put};
 use crate::trace::{InterventionKind, Trace};
 
 /// Normalized-delivery-delay statistics, split by ground-truth
@@ -528,29 +528,42 @@ impl SimReport {
     }
 
     /// Reverses [`to_record`](Self::to_record). `None` on any malformed
-    /// field — callers treat an undecodable record as "cell not done"
-    /// and simply re-run it.
+    /// field.
     #[must_use]
     pub fn from_record(record: &str) -> Option<SimReport> {
+        Self::parse_record(record).ok()
+    }
+
+    fn parse_record(record: &str) -> Result<SimReport, CheckpointError> {
         let mut p = Parser::new(record);
-        let mut r = p.cut(record, ',', 12).ok()?;
-        let mut read = || {
-            Ok::<_, CheckpointError>(SimReport {
-                policy: r.named("policy")?,
-                duration: r.named("dur")?,
-                energy: r.named("energy")?,
-                cpu_wakeups: r.named("cw")?,
-                entry_deliveries: r.named("ed")?,
-                total_deliveries: r.named("td")?,
-                awake_time: r.named("awake")?,
-                wakeup_rows: r.named("rows")?,
-                delays: r.named("delays")?,
-                resilience: r.named("res")?,
-                overload: r.named("over")?,
-                metrics_json: r.named("metrics")?,
-            })
-        };
-        read().ok()
+        let mut r = p.cut(record, ',', 12)?;
+        Ok(SimReport {
+            policy: r.named("policy")?,
+            duration: r.named("dur")?,
+            energy: r.named("energy")?,
+            cpu_wakeups: r.named("cw")?,
+            entry_deliveries: r.named("ed")?,
+            total_deliveries: r.named("td")?,
+            awake_time: r.named("awake")?,
+            wakeup_rows: r.named("rows")?,
+            delays: r.named("delays")?,
+            resilience: r.named("res")?,
+            overload: r.named("over")?,
+            metrics_json: r.named("metrics")?,
+        })
+    }
+}
+
+/// A report as one field: its [`to_record`](SimReport::to_record) line,
+/// escaped.
+impl Field for SimReport {
+    fn put(&self, w: &mut Put<'_>) {
+        w.esc(&self.to_record());
+    }
+
+    fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
+        let record = unesc(r.raw()?);
+        SimReport::parse_record(&record)
     }
 }
 
