@@ -30,13 +30,14 @@ use std::time::Duration;
 use simty::apps::Workload;
 use simty::core::SimDuration;
 use simty::experiments::{PolicyKind, Scenario};
+use simty::obs::json_string;
 use simty::obs::QuantileSummary;
-use simty::obs::{json_f64, json_string};
 use simty::sim::codec::{self, Field};
 use simty::sim::json::report_to_json;
 use simty::sim::{Checkpoint, CheckpointError, SimConfig, SimReport, Simulation};
 
 use crate::journal::JournalError;
+use crate::json::{json_array, json_object, ToJson};
 use crate::supervisor::{CellStatus, HarnessStats};
 use crate::sweep::{CampaignOptions, JobResult, Outcome, Sweep, SweepResults};
 
@@ -56,6 +57,24 @@ pub trait Profile: Copy + PartialEq + fmt::Debug + Send + Sync + 'static {
         Self::ALL.iter().copied().find(|p| p.name() == name)
     }
 }
+
+/// Declares a campaign's profiles once, in campaign order:
+/// `profiles!(Ty, "noun" { A = "a", B = "b" })` implements [`Profile`]
+/// with `ALL` as listed and each variant's name.
+macro_rules! profiles {
+    ($ty:ident, $noun:literal { $($v:ident = $name:literal),+ $(,)? }) => {
+        impl $crate::campaign::Profile for $ty {
+            const ALL: &'static [Self] = &[$(Self::$v),+];
+            const NOUN: &'static str = $noun;
+            fn name(self) -> &'static str {
+                match self {
+                    $(Self::$v => $name),+
+                }
+            }
+        }
+    };
+}
+pub(crate) use profiles;
 
 /// One cell of a campaign: what the kernel labels, journals and groups
 /// by policy.
@@ -159,11 +178,9 @@ pub trait Campaign: Sized + 'static {
     /// running), and the executed cells' wall-time quantiles (`null`
     /// when every cell was restored).
     fn document(results: &CampaignResults<Self>) -> String {
-        let quantiles = results
-            .cell_wall_quantiles()
-            .map_or_else(|| "null".to_owned(), |q| q.to_json());
+        let quantiles = json_object(&[("cell_wall_ms", results.cell_wall_quantiles().to_json())]);
         results.render(&format!(
-            "{},\"journal_skips\":{},\"quantiles\":{{\"cell_wall_ms\":{quantiles}}}",
+            "{},\"journal_skips\":{},\"quantiles\":{quantiles}",
             Self::header_json(results),
             results.journal_skips()
         ))
@@ -283,65 +300,6 @@ pub fn simulation(policy: PolicyKind, workload: Workload, config: SimConfig) -> 
 /// Sums one report counter over a policy's completed cells.
 pub(crate) fn sum<D>(cells: &[(&SimReport, D)], counter: fn(&SimReport) -> u64) -> u64 {
     cells.iter().map(|(report, _)| counter(report)).sum()
-}
-
-/// A value's form in a campaign document.
-pub(crate) trait ToJson {
-    /// The value as JSON.
-    fn to_json(&self) -> String;
-}
-
-macro_rules! display_json {
-    ($($t:ty),+) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> String {
-                self.to_string()
-            }
-        }
-    )+};
-}
-display_json!(u64, usize, bool);
-
-impl ToJson for f64 {
-    fn to_json(&self) -> String {
-        json_f64(*self)
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> String {
-        json_string(self)
-    }
-}
-
-impl ToJson for Option<SimReport> {
-    fn to_json(&self) -> String {
-        self.as_ref()
-            .map_or_else(|| "null".to_owned(), report_to_json)
-    }
-}
-
-/// `json_pairs!(value; a, b)`: the named fields of `value` (an `Option`
-/// of a reference) as `(key, JSON value)` pairs, in the listed order;
-/// every one is `null` when `value` is `None`.
-macro_rules! json_pairs {
-    ($v:expr; $($f:ident),+ $(,)?) => {{
-        let v = $v;
-        vec![$((
-            stringify!($f),
-            v.map_or_else(|| "null".to_owned(), |v| $crate::campaign::ToJson::to_json(&v.$f)),
-        )),+]
-    }};
-}
-pub(crate) use json_pairs;
-
-/// Renders `(key, JSON value)` pairs, in order, as a JSON object.
-pub(crate) fn json_object(fields: &[(&str, String)]) -> String {
-    let fields: Vec<String> = fields
-        .iter()
-        .map(|(key, value)| format!("{}:{value}", json_string(key)))
-        .collect();
-    format!("{{{}}}", fields.join(","))
 }
 
 /// A finished run's bytes: its trace CSV and its report JSON.
@@ -550,29 +508,27 @@ impl<C: Campaign> CampaignResults<C> {
     /// The `simty-bench-<kind>/v1` document with `header` spliced in
     /// after the schema.
     fn render(&self, header: &str) -> String {
-        let results: Vec<String> = self
-            .runs()
-            .map(|(cell, status, report, drill)| {
-                let mut fields = cell.row();
-                fields.push(("status", json_string(&status.token())));
-                let drill = report.map(|_| drill.unwrap_or_default());
-                fields.extend(C::Drill::cell_fields(drill.as_ref()));
-                fields.push((
-                    "report",
-                    report.map_or_else(|| "null".to_owned(), report_to_json),
-                ));
-                json_object(&fields)
-            })
-            .collect();
-        let policies: Vec<String> = self.aggregates().iter().map(C::aggregate_json).collect();
+        let results = self.runs().map(|(cell, status, report, drill)| {
+            let mut fields = cell.row();
+            fields.push(("status", status.token().to_json()));
+            let drill = report.map(|_| drill.unwrap_or_default());
+            fields.extend(C::Drill::cell_fields(drill.as_ref()));
+            fields.push(("report", report.to_json()));
+            json_object(&fields)
+        });
+        let policies = self
+            .aggregates()
+            .iter()
+            .map(C::aggregate_json)
+            .collect::<Vec<_>>();
         format!(
             "{{\"schema\":\"simty-bench-{}/v1\"{header},\"runs\":{},\"harness\":{},\
-             \"results\":[{}],\"policies\":[{}]}}",
+             \"results\":{},\"policies\":{}}}",
             C::KIND,
             self.cells.len(),
             self.harness().to_json(),
-            results.join(","),
-            policies.join(",")
+            json_array(results),
+            json_array(policies)
         )
     }
 }

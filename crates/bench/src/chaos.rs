@@ -17,9 +17,8 @@ use std::collections::BTreeSet;
 use simty::core::{SimDuration, SimTime};
 use simty::sim::{FaultPlan, OnlineWatchdogConfig, SimConfig, SimReport};
 
-use crate::campaign::{
-    self, json_object, json_pairs, sum, Campaign, CampaignResults, CampaignSpec, Profile,
-};
+use crate::campaign::{self, profiles, sum, Campaign, CampaignResults, CampaignSpec};
+use crate::json::{json_object, json_pairs};
 use crate::sweep::CampaignOptions;
 
 /// A named bundle of fault-injection knobs: one adversary per campaign
@@ -49,35 +48,17 @@ pub enum FaultProfile {
     Mixed,
 }
 
-impl Profile for FaultProfile {
-    const ALL: &'static [FaultProfile] = &[
-        FaultProfile::Baseline,
-        FaultProfile::Jitter,
-        FaultProfile::Drops,
-        FaultProfile::Overruns,
-        FaultProfile::Leaks,
-        FaultProfile::Flaky,
-        FaultProfile::Crashes,
-        FaultProfile::Storm,
-        FaultProfile::Mixed,
-    ];
-
-    const NOUN: &'static str = "fault";
-
-    fn name(self) -> &'static str {
-        match self {
-            FaultProfile::Baseline => "baseline",
-            FaultProfile::Jitter => "jitter",
-            FaultProfile::Drops => "drops",
-            FaultProfile::Overruns => "overruns",
-            FaultProfile::Leaks => "leaks",
-            FaultProfile::Flaky => "flaky",
-            FaultProfile::Crashes => "crashes",
-            FaultProfile::Storm => "storm",
-            FaultProfile::Mixed => "mixed",
-        }
-    }
-}
+profiles!(FaultProfile, "fault" {
+    Baseline = "baseline",
+    Jitter = "jitter",
+    Drops = "drops",
+    Overruns = "overruns",
+    Leaks = "leaks",
+    Flaky = "flaky",
+    Crashes = "crashes",
+    Storm = "storm",
+    Mixed = "mixed",
+});
 
 impl FaultProfile {
     /// Compiles the profile into a concrete [`FaultPlan`] for a run of
@@ -241,7 +222,7 @@ pub struct PolicyResilience {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{matrix, run_campaign, Cell};
+    use crate::campaign::{matrix, run_campaign, Cell, Profile};
     use crate::supervisor::CellStatus;
     use crate::sweep::CampaignOptions;
     use simty::experiments::{PolicyKind, Scenario};

@@ -36,8 +36,8 @@ use simty::apps::{DeviceMix, ScenarioCatalog, WorkloadBuilder};
 use simty::core::{HardwareComponent, SimDuration, SimTime};
 use simty::device::energy::EnergyMeter;
 use simty::experiments::PolicyKind;
+use simty::obs::json_string;
 use simty::obs::telemetry::{EventKind, TelemetrySink};
-use simty::obs::{json_f64, json_string};
 use simty::obs::{Histogram, MetricsRegistry, QuantileSummary};
 use simty::sim::codec::{self, record, Cursor, Field, Put};
 use simty::sim::{
@@ -45,8 +45,9 @@ use simty::sim::{
     ResilienceStats, SimConfig, SimReport, Simulation,
 };
 
-use crate::campaign::{json_object, json_pairs, Campaign, CampaignResults, Cell, Drill};
+use crate::campaign::{Campaign, CampaignResults, Cell, Drill};
 use crate::journal::JournalError;
+use crate::json::{json_array, json_object, json_pairs, ToJson};
 use crate::sweep::CampaignOptions;
 
 /// Schema tag of the fleet JSON document.
@@ -484,6 +485,21 @@ record!(ShardDrill: devices, span_evictions, audit_evictions, power: PowerHistog
 
 impl Drill for ShardDrill {}
 
+impl ShardDrill {
+    /// The shard's metrics: its device and eviction counters and its
+    /// power histogram (what lands in the shard report's
+    /// `metrics_json`, and what the fleet registry merges).
+    fn registry(&self) -> MetricsRegistry {
+        let mut registry = MetricsRegistry::new();
+        registry.describe("fleet", "fleet shard aggregation");
+        registry.add("fleet_devices_total", self.devices);
+        registry.add("fleet_span_evictions_total", self.span_evictions);
+        registry.add("fleet_audit_evictions_total", self.audit_evictions);
+        registry.insert_histogram("fleet_device_power_mw", self.power.0.clone());
+        registry
+    }
+}
+
 /// A shard's running aggregation state — everything that must survive a
 /// mid-shard checkpoint marker to keep the resumed fold byte-identical.
 #[derive(Debug)]
@@ -534,18 +550,6 @@ impl ShardProgress {
         self.drill.audit_evictions += run.audit_evictions;
         self.drill.power.0.observe(run.report.average_power_mw());
         self.cursor += 1;
-    }
-
-    /// The shard's own metrics snapshot (what lands in the shard
-    /// report's `metrics_json`).
-    fn registry(&self) -> MetricsRegistry {
-        let mut registry = MetricsRegistry::new();
-        registry.describe("fleet", "fleet shard aggregation");
-        registry.add("fleet_devices_total", self.drill.devices);
-        registry.add("fleet_span_evictions_total", self.drill.span_evictions);
-        registry.add("fleet_audit_evictions_total", self.drill.audit_evictions);
-        registry.insert_histogram("fleet_device_power_mw", self.drill.power.0.clone());
-        registry
     }
 }
 
@@ -604,7 +608,7 @@ fn run_shard(
             }
         }
     }
-    progress.report.metrics_json = progress.registry().to_json();
+    progress.report.metrics_json = progress.drill.registry().to_json();
     (progress.report, progress.drill)
 }
 
@@ -650,16 +654,13 @@ impl Campaign for Fleet {
     }
 
     fn aggregate(policy: String, cells: &[(&SimReport, ShardDrill)]) -> PolicyAggregate {
-        let mut report = empty_report(&policy);
-        for (shard, _) in cells {
-            fold_report(&mut report, shard);
-        }
+        let report = fold_reports(&policy, cells.iter().map(|(shard, _)| *shard));
         PolicyAggregate {
-            policy,
             shards_ok: cells.len(),
             shards_poisoned: 0,
             devices: cells.iter().map(|(_, drill)| drill.devices).sum(),
             report: (!cells.is_empty()).then_some(report),
+            policy,
         }
     }
 
@@ -673,7 +674,7 @@ impl Campaign for Fleet {
                 let completed: Vec<(&SimReport, ShardDrill)> = cells
                     .iter()
                     .filter_map(|(_, _, report, drill)| {
-                        Some((*report)?).map(|r| (r, drill.clone().unwrap_or_default()))
+                        Some(((*report)?, drill.clone().unwrap_or_default()))
                     })
                     .collect();
                 let mut aggregate = Fleet::aggregate(cells[0].0.policy.name(), &completed);
@@ -688,9 +689,8 @@ impl Campaign for Fleet {
     }
 
     fn journal_identity(cells: &[ShardSpec]) -> String {
-        cells
-            .first()
-            .map_or_else(String::new, |spec| spec.config.identity())
+        let config = cells.first().map(|spec| &spec.config);
+        config.map(|config| config.identity()).unwrap_or_default()
     }
 
     /// The document without its per-invocation fields (`threads`,
@@ -725,48 +725,45 @@ impl CampaignResults<Fleet> {
     /// The fleet document; `full` adds the per-invocation fields.
     fn fleet_json(&self, full: bool) -> String {
         let config = self.config();
-        let opt_json =
-            |q: Option<QuantileSummary>| q.map_or_else(|| "null".to_owned(), |q| q.to_json());
-        let list = |items: Vec<String>| format!("[{}]", items.join(","));
-        let policies = config.policies.iter().map(|p| json_string(&p.name()));
+        let policies = config.policies.iter().map(|p| p.name().to_json());
         let mut fields = vec![
-            ("schema", json_string(FLEET_SCHEMA)),
-            ("devices", config.devices.to_string()),
-            ("shards", config.shards.to_string()),
-            ("seed", config.seed.to_string()),
+            ("schema", FLEET_SCHEMA.to_json()),
+            ("devices", config.devices.to_json()),
+            ("shards", config.shards.to_json()),
+            ("seed", config.seed.to_json()),
             ("duration_ms", config.duration.as_millis().to_string()),
-            ("policies", list(policies.collect())),
+            ("policies", json_array(policies)),
         ];
         let mut quantiles = Vec::new();
         if full {
             fields.extend([
-                ("threads", self.threads().to_string()),
+                ("threads", self.threads().to_json()),
                 (
                     "total_wall_ms",
-                    json_f64(self.total_wall().as_secs_f64() * 1_000.0),
+                    (self.total_wall().as_secs_f64() * 1_000.0).to_json(),
                 ),
-                ("devices_per_sec", json_f64(self.devices_per_sec())),
-                ("journal_skips", self.journal_skips().to_string()),
+                ("devices_per_sec", self.devices_per_sec().to_json()),
+                ("journal_skips", self.journal_skips().to_json()),
             ]);
-            quantiles.push(("cell_wall_ms", opt_json(self.cell_wall_quantiles())));
+            quantiles.push(("cell_wall_ms", self.cell_wall_quantiles().to_json()));
         }
-        quantiles.push(("device_power_mw", opt_json(self.device_power_quantiles())));
+        quantiles.push(("device_power_mw", self.device_power_quantiles().to_json()));
         let aggregates = self
             .aggregates()
             .iter()
             .map(Fleet::aggregate_json)
-            .collect();
+            .collect::<Vec<_>>();
         let cells = self
             .runs()
             .zip(self.outcomes())
             .map(|((spec, status, _, drill), o)| {
                 let mut cell = vec![
-                    ("label", json_string(&spec.label)),
-                    ("status", json_string(&status.token())),
-                    ("devices", drill.map_or(0, |d| d.devices).to_string()),
+                    ("label", spec.label.to_json()),
+                    ("status", status.token().to_json()),
+                    ("devices", drill.map_or(0, |d| d.devices).to_json()),
                 ];
                 if full {
-                    cell.push(("wall_ms", json_f64(o.wall.as_secs_f64() * 1_000.0)));
+                    cell.push(("wall_ms", (o.wall.as_secs_f64() * 1_000.0).to_json()));
                 }
                 json_object(&cell)
             });
@@ -774,8 +771,8 @@ impl CampaignResults<Fleet> {
             ("quantiles", json_object(&quantiles)),
             ("harness", self.harness().to_json()),
             ("metrics", self.registry().to_json()),
-            ("aggregates", list(aggregates)),
-            ("cells", list(cells.collect())),
+            ("aggregates", json_array(aggregates)),
+            ("cells", json_array(cells)),
         ]);
         json_object(&fields)
     }
@@ -804,14 +801,9 @@ impl CampaignResults<Fleet> {
         let mut registry = MetricsRegistry::new();
         registry.describe("fleet", "fleet-wide aggregation");
         registry.register_histogram("fleet_device_power_mw", POWER_BOUNDS.to_vec());
-        let mut power = Histogram::new(POWER_BOUNDS.to_vec());
         for drill in self.drills() {
-            registry.add("fleet_devices_total", drill.devices);
-            registry.add("fleet_span_evictions_total", drill.span_evictions);
-            registry.add("fleet_audit_evictions_total", drill.audit_evictions);
-            power.merge(&drill.power.0);
+            registry.merge(&drill.registry());
         }
-        registry.insert_histogram("fleet_device_power_mw", power);
         let mut harness = self.harness();
         harness.journal_skips = 0;
         harness.publish(&mut registry);

@@ -237,50 +237,37 @@ impl CampaignJournal {
             vfs.append(&path, format!("{MAGIC}\n{expected_meta}\n").as_bytes())?;
             vfs.sync_file(&path)?;
         } else {
-            let mismatch = |reason: String| JournalError::Mismatch {
-                path: path.clone(),
-                reason,
+            let mut lines = text.split_inclusive('\n');
+            let (magic, meta) = (
+                lines.next().unwrap_or_default(),
+                lines.next().unwrap_or_default(),
+            );
+            let mut valid_end = magic.len() + meta.len();
+            let (magic, meta) = (magic.trim_end_matches('\n'), meta.trim_end_matches('\n'));
+            let reason = if magic != MAGIC {
+                Some(format!("bad magic `{magic}` (expected `{MAGIC}`)"))
+            } else if checked_body(meta).is_err() {
+                Some("corrupt or missing meta line".to_owned())
+            } else {
+                (meta != expected_meta).then(|| {
+                    format!(
+                        "journaled campaign is `{meta}`, this campaign is `{expected_meta}` \
+                         (different kind or grid)"
+                    )
+                })
             };
-            let mut offset = 0usize;
-            let mut lines = Vec::new();
-            for line in text.split_inclusive('\n') {
-                lines.push((offset, line));
-                offset += line.len();
+            if let Some(reason) = reason {
+                return Err(JournalError::Mismatch { path, reason });
             }
-            let Some((_, magic)) = lines.first() else {
-                return Err(mismatch("empty journal".to_owned()));
-            };
-            if magic.trim_end_matches('\n') != MAGIC {
-                return Err(mismatch(format!(
-                    "bad magic `{}` (expected `{MAGIC}`)",
-                    magic.trim_end()
-                )));
-            }
-            let Some((_, meta)) = lines.get(1) else {
-                return Err(mismatch("missing meta line".to_owned()));
-            };
-            let meta = meta.trim_end_matches('\n');
-            if checked_body(meta).is_err() {
-                return Err(mismatch("corrupt meta line".to_owned()));
-            }
-            if meta != expected_meta {
-                return Err(mismatch(format!(
-                    "journaled campaign is `{meta}`, this campaign is `{expected_meta}` \
-                     (different kind or grid)"
-                )));
-            }
-            // Replay records until the first invalid line (a torn
-            // append); truncate the tail so appends restart cleanly.
-            let mut valid_end = lines[1].0 + lines[1].1.len();
-            for (start, line) in &lines[2..] {
-                if !line.ends_with('\n') {
-                    break;
-                }
-                let Ok(entry) = parse_cell(line.trim_end_matches('\n')) else {
+            // Replay records until the first invalid line (a torn or
+            // undecodable append); truncate the tail so appends restart
+            // cleanly.
+            for line in lines {
+                let Some(Ok(entry)) = line.strip_suffix('\n').map(parse_cell) else {
                     break;
                 };
                 replay.entries.push(entry);
-                valid_end = start + line.len();
+                valid_end += line.len();
             }
             replay.dropped_bytes = (text.len() - valid_end) as u64;
             if replay.dropped_bytes > 0 {

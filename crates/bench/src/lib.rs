@@ -22,6 +22,7 @@ pub mod chaos;
 pub mod diff;
 pub mod fleet;
 pub mod journal;
+mod json;
 pub mod soak;
 pub mod storm;
 pub mod supervisor;

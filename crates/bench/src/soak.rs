@@ -22,9 +22,8 @@ use simty::obs::json_f64;
 use simty::sim::codec::record;
 use simty::sim::{CheckpointStore, OnlineWatchdogConfig, RebootPlan, SimConfig, SimReport};
 
-use crate::campaign::{
-    self, json_object, json_pairs, sum, Campaign, CampaignResults, CampaignSpec, Drill, Profile,
-};
+use crate::campaign::{self, profiles, sum, Campaign, CampaignResults, CampaignSpec, Drill};
+use crate::json::{json_object, json_pairs};
 use crate::sweep::CampaignOptions;
 
 /// A named endurance adversary: how the device dies and how its
@@ -45,27 +44,13 @@ pub enum SoakProfile {
     TornStale,
 }
 
-impl Profile for SoakProfile {
-    const ALL: &'static [SoakProfile] = &[
-        SoakProfile::Steady,
-        SoakProfile::SingleReboot,
-        SoakProfile::RebootStorm,
-        SoakProfile::BitFlip,
-        SoakProfile::TornStale,
-    ];
-
-    const NOUN: &'static str = "soak";
-
-    fn name(self) -> &'static str {
-        match self {
-            SoakProfile::Steady => "steady",
-            SoakProfile::SingleReboot => "single-reboot",
-            SoakProfile::RebootStorm => "reboot-storm",
-            SoakProfile::BitFlip => "bitflip",
-            SoakProfile::TornStale => "torn-stale",
-        }
-    }
-}
+profiles!(SoakProfile, "soak" {
+    Steady = "steady",
+    SingleReboot = "single-reboot",
+    RebootStorm = "reboot-storm",
+    BitFlip = "bitflip",
+    TornStale = "torn-stale",
+});
 
 impl SoakProfile {
     /// The profile's reboot schedule for a run of `duration`. Outages
@@ -342,7 +327,7 @@ pub struct PolicyEndurance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{matrix, run_campaign, Cell};
+    use crate::campaign::{matrix, run_campaign, Cell, Profile};
     use crate::supervisor::CellStatus;
     use crate::sweep::CampaignOptions;
     use simty::experiments::{PolicyKind, Scenario};

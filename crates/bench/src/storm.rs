@@ -18,9 +18,8 @@ use simty::sim::{
     GovernorConfig, RegistrationStormPlan, SimConfig, SimReport, Simulation, StormBurst,
 };
 
-use crate::campaign::{
-    self, json_object, json_pairs, sum, Campaign, CampaignResults, CampaignSpec, Drill, Profile,
-};
+use crate::campaign::{self, profiles, sum, Campaign, CampaignResults, CampaignSpec, Drill};
+use crate::json::{json_object, json_pairs};
 use crate::sweep::CampaignOptions;
 
 /// A named overload adversary: what floods the manager and how far the
@@ -45,27 +44,13 @@ pub enum StormProfile {
     Unprotected,
 }
 
-impl Profile for StormProfile {
-    const ALL: &'static [StormProfile] = &[
-        StormProfile::QuotaStorm,
-        StormProfile::DrainSaver,
-        StormProfile::DrainCritical,
-        StormProfile::StormAndDrain,
-        StormProfile::Unprotected,
-    ];
-
-    const NOUN: &'static str = "storm";
-
-    fn name(self) -> &'static str {
-        match self {
-            StormProfile::QuotaStorm => "quota-storm",
-            StormProfile::DrainSaver => "drain-saver",
-            StormProfile::DrainCritical => "drain-critical",
-            StormProfile::StormAndDrain => "storm-and-drain",
-            StormProfile::Unprotected => "unprotected",
-        }
-    }
-}
+profiles!(StormProfile, "storm" {
+    QuotaStorm = "quota-storm",
+    DrainSaver = "drain-saver",
+    DrainCritical = "drain-critical",
+    StormAndDrain = "storm-and-drain",
+    Unprotected = "unprotected",
+});
 
 impl StormProfile {
     /// The admission quota the profile registers under.
@@ -292,7 +277,7 @@ pub struct PolicyOverload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{matrix, run_campaign};
+    use crate::campaign::{matrix, run_campaign, Profile};
     use crate::supervisor::CellStatus;
     use crate::sweep::CampaignOptions;
     use simty::experiments::{PolicyKind, Scenario};

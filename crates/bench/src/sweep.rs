@@ -23,12 +23,11 @@ use std::time::{Duration, Instant};
 
 use simty::experiments::RunSpec;
 use simty::obs::telemetry::{EventKind, TelemetrySink};
-use simty::obs::{json_f64, json_string};
 use simty::obs::{QuantileSummary, StageProfile};
-use simty::sim::json::report_to_json;
-use simty::sim::{RealVfs, SimReport, Vfs};
+use simty::sim::{RealVfs, SimReport};
 
 use crate::journal::{CampaignJournal, JournalError};
+use crate::json::{json_array, json_object, ToJson};
 use crate::supervisor::{supervise, CellStatus, HarnessStats, SupervisorConfig};
 
 /// A cell's task: re-runnable (the supervisor may retry it) and
@@ -107,7 +106,6 @@ pub struct Sweep {
     supervisor: SupervisorConfig,
     journal: Option<(PathBuf, String)>,
     journal_identity: String,
-    journal_vfs: Option<Arc<dyn Vfs>>,
     telemetry: Option<TelemetrySink>,
 }
 
@@ -139,14 +137,6 @@ impl Sweep {
     /// An uninstrumented sweep ([`no_obs`](Self::no_obs)) adds its own.
     pub fn with_journal_identity(&mut self, identity: impl Into<String>) -> &mut Self {
         self.journal_identity = identity.into();
-        self
-    }
-
-    /// Routes the attached journal's I/O through an explicit [`Vfs`]
-    /// (e.g. [`simty::sim::FaultVfs`]), so tests can kill journal
-    /// appends mid-flight.
-    pub fn with_journal_vfs(&mut self, vfs: Arc<dyn Vfs>) -> &mut Self {
-        self.journal_vfs = Some(vfs);
         self
     }
 
@@ -291,10 +281,7 @@ impl Sweep {
             } else {
                 self.journal_identity.clone()
             };
-            let vfs = self
-                .journal_vfs
-                .clone()
-                .unwrap_or_else(|| Arc::new(RealVfs));
+            let vfs = Arc::new(RealVfs);
             let (handle, replay) = CampaignJournal::open_with(dir, kind, &labels, &identity, vfs)?;
             for entry in replay.entries {
                 let Some(slot) = outcomes.get(entry.index) else {
@@ -637,38 +624,34 @@ impl SweepResults {
     /// determinism regression test compares
     /// [`reports_json`](Self::reports_json) instead).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        out.push_str(&format!(
-            "\"schema\":{},\"threads\":{},\"runs\":{},\"total_wall_ms\":{},\"sequential_wall_ms\":{},\"runs_per_sec\":{},\"journal_skips\":{},\"harness\":{},\"stages\":{},\"quantiles\":{{\"cell_wall_ms\":{}}},\"results\":[",
-            json_string("simty-bench-sweep/v1"),
-            self.threads,
-            self.outcomes.len(),
-            json_f64(self.wall.as_secs_f64() * 1_000.0),
-            json_f64(self.sequential_wall().as_secs_f64() * 1_000.0),
-            json_f64(self.runs_per_sec()),
-            self.journal_skips,
-            self.harness().to_json(),
-            self.stage_profile().to_json(),
-            self.cell_wall_quantiles()
-                .map_or_else(|| "null".to_owned(), |q| q.to_json()),
-        ));
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":{},\"status\":{},\"wall_ms\":{},\"report\":{}}}",
-                json_string(&o.label),
-                json_string(&o.status.token()),
-                json_f64(o.wall.as_secs_f64() * 1_000.0),
-                o.report
-                    .as_ref()
-                    .map_or_else(|| "null".to_owned(), report_to_json)
-            ));
-        }
-        out.push_str("]}");
-        out
+        let results = self.outcomes.iter().map(|o| {
+            json_object(&[
+                ("label", o.label.to_json()),
+                ("status", o.status.token().to_json()),
+                ("wall_ms", (o.wall.as_secs_f64() * 1_000.0).to_json()),
+                ("report", o.report.to_json()),
+            ])
+        });
+        let quantiles = json_object(&[("cell_wall_ms", self.cell_wall_quantiles().to_json())]);
+        json_object(&[
+            ("schema", "simty-bench-sweep/v1".to_json()),
+            ("threads", self.threads.to_json()),
+            ("runs", self.outcomes.len().to_json()),
+            (
+                "total_wall_ms",
+                (self.wall.as_secs_f64() * 1_000.0).to_json(),
+            ),
+            (
+                "sequential_wall_ms",
+                (self.sequential_wall().as_secs_f64() * 1_000.0).to_json(),
+            ),
+            ("runs_per_sec", self.runs_per_sec().to_json()),
+            ("journal_skips", self.journal_skips.to_json()),
+            ("harness", self.harness().to_json()),
+            ("stages", self.stage_profile().to_json()),
+            ("quantiles", quantiles),
+            ("results", json_array(results)),
+        ])
     }
 
     /// Serializes only the deterministic payload: a JSON array of
@@ -677,23 +660,13 @@ impl SweepResults {
     /// thread count — and regardless of how many cells were restored
     /// from a campaign journal.
     pub fn reports_json(&self) -> String {
-        let mut out = String::new();
-        out.push('[');
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":{},\"status\":{},\"report\":{}}}",
-                json_string(&o.label),
-                json_string(&o.status.token()),
-                o.report
-                    .as_ref()
-                    .map_or_else(|| "null".to_owned(), report_to_json)
-            ));
-        }
-        out.push(']');
-        out
+        json_array(self.outcomes.iter().map(|o| {
+            json_object(&[
+                ("label", o.label.to_json()),
+                ("status", o.status.token().to_json()),
+                ("report", o.report.to_json()),
+            ])
+        }))
     }
 
     /// Writes [`to_json`](Self::to_json) to `path`.
