@@ -839,7 +839,14 @@ pub fn run_fleet_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{parse_cell, JournalEntry};
+    use crate::soak::SoakRecovery;
+    use crate::storm::StormRecovery;
+    use crate::supervisor::CellStatus;
+    use proptest::prelude::*;
+    use simty::sim::codec::fnv1a64;
     use std::path::PathBuf;
+    use std::sync::OnceLock;
 
     fn tiny(devices: u64) -> FleetConfig {
         let mut config = FleetConfig::new(devices);
@@ -855,6 +862,33 @@ mod tests {
         let config = tiny(10);
         let ranges: Vec<(u64, u64)> = (0..config.shards).map(|k| config.shard_range(k)).collect();
         assert_eq!(ranges, vec![(0, 3), (3, 6), (6, 10)]);
+    }
+
+    #[test]
+    fn shard_ranges_partition_the_largest_population() {
+        for shards in [2, 3, 7, 64] {
+            let mut config = FleetConfig::new(u64::MAX);
+            config.shards = shards;
+            let mut next = 0;
+            for k in 0..shards {
+                let (start, end) = config.shard_range(k);
+                assert_eq!(start, next, "shard {k} of {shards}");
+                assert!(end > start, "shard {k} of {shards}");
+                next = end;
+            }
+            assert_eq!(next, u64::MAX, "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn overflowing_power_counts_are_a_typed_error() {
+        let max = u64::MAX;
+        let drill = format!("2,0,0,{max},1,0,0,0,0,0,0,0,{:016x}", 1.0_f64.to_bits());
+        assert!(codec::decode::<ShardDrill>(&drill).is_err());
+        let mut progress = ShardProgress::fresh(&tiny(4).specs()[0]);
+        progress.drill = codec::decode(&drill.replace(&max.to_string(), "1")).unwrap();
+        let marker = codec::encode(&progress).replacen(",1,1,", &format!(",{max},1,"), 1);
+        assert!(codec::decode::<ShardProgress>(&marker).is_err());
     }
 
     #[test]
@@ -934,6 +968,119 @@ mod tests {
         let clean = run_fleet_with(&config, &CampaignOptions::with_threads(2)).unwrap();
         assert_eq!(clean.to_json(), second.to_json());
         std::fs::remove_dir_all(&scratch).ok();
+    }
+
+    /// Values no honest writer produces, for the fuzz's field swaps.
+    const HOSTILE: [&str; 16] = [
+        "",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "none",
+        "ffffffffffffffff",
+        "nan",
+        "ok",
+        "retried:x",
+        "poisoned: x",
+        "%",
+        "%3A%2C",
+        "1:2",
+        "β",
+        "+1",
+        "cell=0",
+    ];
+
+    /// One payload of each bench-side format, from a real device run:
+    /// a journal `cell=` body, a fleet marker, and the fleet, soak and
+    /// storm drill extras.
+    fn payloads() -> &'static [String; 5] {
+        static PAYLOADS: OnceLock<[String; 5]> = OnceLock::new();
+        PAYLOADS.get_or_init(|| {
+            let config = tiny(4);
+            let spec = &config.specs()[0];
+            let mut progress = ShardProgress::fresh(spec);
+            progress.fold_device(&run_device(&config, spec.policy, spec.start));
+            let entry = JournalEntry {
+                index: 3,
+                status: CellStatus::Retried { retries: 2 },
+                report: progress.report.clone(),
+                extra: codec::encode(&progress.drill),
+            };
+            let soak = SoakRecovery {
+                checkpoints: 8,
+                resumed_identical: true,
+                ..SoakRecovery::default()
+            };
+            [
+                format!("cell={}", codec::encode(&entry)),
+                codec::encode(&progress),
+                codec::encode(&progress.drill),
+                codec::encode(&soak),
+                codec::encode(&StormRecovery::default()),
+            ]
+        })
+    }
+
+    /// `n` reduced to an index below `len` (which must be nonzero).
+    fn pick(n: usize, len: usize) -> usize {
+        n % len
+    }
+
+    /// One edit of a payload: a bit flip, a cut, or a field (split at
+    /// `,` or `:`) replaced by a hostile value, duplicated or deleted.
+    fn mutate(payload: &str, (kind, at, value): (u8, usize, usize)) -> String {
+        let sep = if value % 2 == 0 { ',' } else { ':' };
+        let mut fields: Vec<String> = payload.split(sep).map(str::to_owned).collect();
+        let field = pick(at, fields.len());
+        match kind % 5 {
+            0 => {
+                let mut bytes = payload.as_bytes().to_vec();
+                if !bytes.is_empty() {
+                    let i = pick(at, bytes.len());
+                    bytes[i] ^= 1 << (value % 8);
+                }
+                return String::from_utf8_lossy(&bytes).into_owned();
+            }
+            1 => {
+                let cut = (0..=pick(at, payload.len() + 1))
+                    .rev()
+                    .find(|&i| payload.is_char_boundary(i))
+                    .unwrap_or(0);
+                return payload[..cut].to_owned();
+            }
+            2 => fields[field] = HOSTILE[pick(value, HOSTILE.len())].to_owned(),
+            3 => fields.insert(field, fields[field].clone()),
+            _ => {
+                fields.remove(field);
+            }
+        }
+        fields.join(&sep.to_string())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hostile bytes: mutated payloads of every bench-side format
+        /// (the journal line re-checksummed, so its record is read) decode
+        /// to a value or a typed error, never a panic.
+        #[test]
+        fn hostile_payloads_decode_or_fail_typed(
+            format in 0usize..5,
+            edits in prop::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..4),
+        ) {
+            let payload = edits
+                .iter()
+                .fold(payloads()[format].clone(), |p, &edit| mutate(&p, edit));
+            let spec = &tiny(4).specs()[0];
+            let _ = match format {
+                0 => parse_cell(&format!("{payload},{:016x}", fnv1a64(payload.as_bytes())))
+                    .map(drop),
+                1 => ShardProgress::decode(&payload, spec).map(drop),
+                2 => codec::decode::<ShardDrill>(&payload).map(drop),
+                3 => codec::decode::<SoakRecovery>(&payload).map(drop),
+                _ => codec::decode::<StormRecovery>(&payload).map(drop),
+            };
+        }
     }
 
     fn tempdir(tag: &str) -> PathBuf {

@@ -2120,6 +2120,52 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Resumes `first`'s journal with `second`: a journal of another
+    /// grid must be a harness error (exit 6), never restored cells.
+    fn resume_mismatch(tag: &str, first: &[&str], second: &[&str]) -> CliError {
+        let dir = std::env::temp_dir().join(format!(
+            "simty_cli_test_resume_{tag}_{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_str = dir.to_str().unwrap().to_owned();
+        let with_resume = |args: &[&str]| {
+            let mut args = args.to_vec();
+            args.extend(["--resume", &dir_str]);
+            run(&args)
+        };
+        with_resume(first).unwrap();
+        let err = with_resume(second).expect_err("a journal of another grid restored");
+        std::fs::remove_dir_all(&dir).ok();
+        err
+    }
+
+    #[test]
+    fn fleet_resume_over_another_population_is_a_harness_error() {
+        let fleet = [
+            "fleet",
+            "--devices",
+            "20",
+            "--shards",
+            "2",
+            "--minutes",
+            "5",
+        ];
+        let other = [&fleet[..], &["--devices", "40", "--seed", "9"]].concat();
+        let err = resume_mismatch("fleet", &fleet, &other);
+        assert_eq!(err.exit_code(), 6, "{err}");
+        assert!(err.to_string().contains("different kind or grid"), "{err}");
+    }
+
+    #[test]
+    fn uninstrumented_sweep_resume_over_an_instrumented_journal_is_a_harness_error() {
+        let sweep = ["sweep", "--policies", "native", "--scenarios", "light"];
+        let sweep = [&sweep[..], &["--seeds", "1", "--hours", "1"]].concat();
+        let no_obs = [&sweep[..], &["--no-obs"]].concat();
+        let err = resume_mismatch("no_obs", &sweep, &no_obs);
+        assert_eq!(err.exit_code(), 6, "{err}");
+    }
+
     #[test]
     fn campaign_flags_reject_bad_injection_indices() {
         assert!(matches!(
