@@ -30,7 +30,6 @@ use std::time::Duration;
 use simty::apps::Workload;
 use simty::core::SimDuration;
 use simty::experiments::{PolicyKind, Scenario};
-use simty::obs::json_string;
 use simty::obs::QuantileSummary;
 use simty::sim::codec::{self, Field};
 use simty::sim::json::report_to_json;
@@ -85,9 +84,11 @@ pub trait Cell: Clone + fmt::Debug + Send + Sync + 'static {
     /// The alignment policy the cell runs.
     fn policy(&self) -> PolicyKind;
 
-    /// The fields that lead the cell's document row, as `(key, JSON
-    /// value)` pairs.
-    fn row(&self) -> Vec<(&'static str, String)>;
+    /// The fields that lead the cell's row in a `simty-bench-<kind>/v1`
+    /// document, as `(key, JSON value)` pairs: its label by default.
+    fn row(&self) -> Vec<(&'static str, String)> {
+        vec![("label", self.label().to_json())]
+    }
 }
 
 /// What a cell's drill observed beside its straight-through report
@@ -223,9 +224,9 @@ impl<P: Profile> Cell for CampaignSpec<P> {
 
     fn row(&self) -> Vec<(&'static str, String)> {
         vec![
-            ("label", json_string(&self.label())),
-            ("profile", json_string(self.profile.name())),
-            ("seed", self.seed.to_string()),
+            ("label", self.label().to_json()),
+            ("profile", self.profile.name().to_json()),
+            ("seed", self.seed.to_json()),
         ]
     }
 }

@@ -36,7 +36,6 @@ use simty::apps::{DeviceMix, ScenarioCatalog, WorkloadBuilder};
 use simty::core::{HardwareComponent, SimDuration, SimTime};
 use simty::device::energy::EnergyMeter;
 use simty::experiments::PolicyKind;
-use simty::obs::json_string;
 use simty::obs::telemetry::{EventKind, TelemetrySink};
 use simty::obs::{Histogram, MetricsRegistry, QuantileSummary};
 use simty::sim::codec::{self, record, Cursor, Field, Put};
@@ -201,10 +200,6 @@ impl Cell for ShardSpec {
 
     fn policy(&self) -> PolicyKind {
         self.policy
-    }
-
-    fn row(&self) -> Vec<(&'static str, String)> {
-        vec![("label", json_string(&self.label))]
     }
 }
 

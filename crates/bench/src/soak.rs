@@ -107,7 +107,6 @@ pub struct SoakRecovery {
     pub resume_wall: Duration,
 }
 
-// Journaled as `checkpoints:corrupt_skipped:resumed_identical:restore_ok:resume_wall_ms`.
 record!(SoakRecovery in ':': checkpoints, corrupt_skipped, resumed_identical, restore_ok, resume_wall);
 
 impl Drill for SoakRecovery {

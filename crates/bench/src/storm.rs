@@ -94,7 +94,6 @@ pub struct StormRecovery {
     pub restore_ok: bool,
 }
 
-// Journaled as `checkpoints:resumed_identical:restore_ok`.
 record!(StormRecovery in ':': checkpoints, resumed_identical, restore_ok);
 
 impl Drill for StormRecovery {

@@ -3,14 +3,13 @@
 //! table columns and its summary line.
 
 use std::io::Write;
-use std::time::Duration;
 
 use simty::prelude::*;
 use simty::sim::report::TextTable;
 use simty_bench::{
-    run_campaign, Campaign, CampaignResults, CampaignSpec, Cell, CellStatus, Chaos, Fleet,
-    PolicyAggregate, PolicyEndurance, PolicyOverload, PolicyResilience, Profile, ShardDrill, Soak,
-    SoakRecovery, Storm, StormRecovery,
+    run_campaign, Campaign, CampaignResults, CampaignSpec, Chaos, Fleet, Outcome, PolicyAggregate,
+    PolicyEndurance, PolicyOverload, PolicyResilience, Profile, ShardDrill, Soak, SoakRecovery,
+    Storm, StormRecovery,
 };
 
 use crate::args::ParsedArgs;
@@ -25,24 +24,15 @@ pub(crate) type CellColumn<D> = (&'static str, fn(&SimReport, &D) -> String);
 /// A per-policy table column: its header and how an aggregate fills it.
 type PolicyColumn<A> = (&'static str, fn(&A) -> String);
 
-/// One table row: the cell's label, status, report (`None` when
-/// quarantined), drill, and wall clock (`None` when not shown).
-pub(crate) type CellLine<'a, D> = (
-    String,
-    &'a CellStatus,
-    Option<&'a SimReport>,
-    D,
-    Option<Duration>,
-);
-
 /// A cell table: `first`, `status`, `columns`, and with `walls` each
-/// cell's wall clock (shown for a quarantined cell too). A quarantined
-/// cell reads `POISONED` and a dash per column.
+/// cell's wall clock (shown for a quarantined cell too), one row per
+/// executor outcome and its drill. A quarantined cell reads `POISONED`
+/// and a dash per column.
 pub(crate) fn cell_table<'a, D: 'a>(
     first: &str,
     columns: &[CellColumn<D>],
     walls: bool,
-    rows: impl Iterator<Item = CellLine<'a, D>>,
+    rows: impl Iterator<Item = (&'a Outcome, D)>,
 ) -> String {
     let headers = columns.iter().map(|(header, _)| *header);
     let wall_header = walls.then_some("wall (ms)");
@@ -52,13 +42,19 @@ pub(crate) fn cell_table<'a, D: 'a>(
             .chain(headers)
             .chain(wall_header),
     );
-    for (label, status, report, drill, wall) in rows {
-        let status = report.map_or_else(|| "POISONED".to_owned(), |_| status.token());
+    for (o, drill) in rows {
+        let report = o.report.as_ref();
+        let status = report.map_or_else(|| "POISONED".to_owned(), |_| o.status.token());
         let cells = columns
             .iter()
             .map(|(_, cell)| report.map_or_else(|| "-".to_owned(), |r| cell(r, &drill)));
-        let wall = wall.map(|w| format!("{:.1}", w.as_secs_f64() * 1_000.0));
-        table.row([label, status].into_iter().chain(cells).chain(wall));
+        let wall = walls.then(|| format!("{:.1}", o.wall.as_secs_f64() * 1_000.0));
+        table.row(
+            [o.label.clone(), status]
+                .into_iter()
+                .chain(cells)
+                .chain(wall),
+        );
     }
     table.render()
 }
@@ -128,20 +124,8 @@ pub(crate) fn report_campaign<C: CampaignCommand>(
     args: &ParsedArgs,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let rows =
-        results
-            .runs()
-            .zip(results.outcomes())
-            .map(|((cell, status, report, drill), outcome)| {
-                let wall = C::CELL_WALLS.then_some(outcome.wall);
-                (
-                    cell.label(),
-                    status,
-                    report,
-                    drill.unwrap_or_default(),
-                    wall,
-                )
-            });
+    let drills = results.runs().map(|(.., drill)| drill.unwrap_or_default());
+    let rows = results.outcomes().iter().zip(drills);
     let table = cell_table(C::CELL_NOUN, C::CELL_COLUMNS, C::CELL_WALLS, rows);
     writeln!(out, "{table}")?;
     write_harness_summary(out, &results.harness())?;

@@ -503,10 +503,7 @@ pub(crate) fn cmd_sweep(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
     pipe.finish()?;
     let results = run.map_err(|e| CliError::Harness(e.to_string()))?;
 
-    let rows = results.outcomes().iter().map(|o| {
-        let (status, report) = (&o.status, o.report.as_ref());
-        (o.label.clone(), status, report, (), Some(o.wall))
-    });
+    let rows = results.outcomes().iter().map(|o| (o, ()));
     writeln!(out, "{}", cell_table("run", SWEEP_COLUMNS, true, rows))?;
     write_harness_summary(out, &results.harness())?;
     writeln!(
