@@ -142,7 +142,7 @@ pub trait Campaign: Sized + 'static {
     }
 
     /// What, beyond the cell labels, decides the cells' bytes: the
-    /// journal's identity ([`Sweep::with_journal_identity`]). Nothing by
+    /// journal's identity ([`Sweep::with_journal_grid`]). Nothing by
     /// default.
     fn journal_identity(_cells: &[Self::Cell]) -> String {
         String::new()
@@ -347,7 +347,9 @@ pub fn run_campaign<C: Campaign>(
     if let Some(dir) = &options.journal_dir {
         sweep
             .with_journal(dir, C::KIND)
-            .with_journal_identity(C::journal_identity(cells));
+            .with_journal_grid(C::journal_identity(cells), |extra| {
+                codec::decode::<C::Drill>(extra).is_ok()
+            });
     }
     if let Some(sink) = &options.telemetry {
         sweep.with_telemetry(sink.clone());

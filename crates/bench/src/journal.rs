@@ -200,13 +200,15 @@ impl CampaignJournal {
         kind: &str,
         labels: &[String],
     ) -> Result<(CampaignJournal, Replay), JournalError> {
-        CampaignJournal::open_with(dir, kind, labels, "", Arc::new(RealVfs))
+        CampaignJournal::open_with(dir, kind, labels, "", |_| true, Arc::new(RealVfs))
     }
 
     /// [`open`](CampaignJournal::open) for a grid whose cells' bytes
     /// depend on more than their labels, which `identity` names (see
-    /// [`grid_digest`]), with an explicit [`Vfs`] so tests can inject
-    /// ENOSPC/short-write faults into journal I/O.
+    /// [`grid_digest`]), and whose cells' `extra` payloads `valid_extra`
+    /// checks — a record it rejects ends the replay, as a torn one does —
+    /// with an explicit [`Vfs`] so tests can inject ENOSPC/short-write
+    /// faults into journal I/O.
     ///
     /// # Errors
     ///
@@ -216,6 +218,7 @@ impl CampaignJournal {
         kind: &str,
         labels: &[String],
         identity: &str,
+        valid_extra: fn(&str) -> bool,
         vfs: Arc<dyn Vfs>,
     ) -> Result<(CampaignJournal, Replay), JournalError> {
         vfs.create_dir_all(dir)?;
@@ -266,6 +269,9 @@ impl CampaignJournal {
                 let Some(Ok(entry)) = line.strip_suffix('\n').map(parse_cell) else {
                     break;
                 };
+                if !valid_extra(&entry.extra) {
+                    break;
+                }
                 replay.entries.push(entry);
                 valid_end += line.len();
             }
@@ -435,7 +441,7 @@ mod tests {
         {
             let vfs = Arc::new(FaultVfs::new(5).with_enospc(1.0).with_fault_budget(1));
             let (journal, replay) =
-                CampaignJournal::open_with(&dir, "sweep", &labels(), "", vfs).unwrap();
+                CampaignJournal::open_with(&dir, "sweep", &labels(), "", |_| true, vfs).unwrap();
             assert_eq!(replay.entries.len(), 1);
             let err = journal
                 .record(1, &CellStatus::Ok, &report, None)
@@ -479,6 +485,26 @@ mod tests {
             replay.entries.is_empty(),
             "a corrupt record and everything after it must re-run"
         );
+        assert!(replay.dropped_bytes > 0);
+        // A checksummed record whose payload the campaign rejects ends
+        // the replay the same way.
+        {
+            let (journal, _) = CampaignJournal::open(&dir, "soak", &labels()).unwrap();
+            journal
+                .record(0, &CellStatus::Ok, &report, Some("good"))
+                .unwrap();
+            journal
+                .record(1, &CellStatus::Ok, &report, Some("bad"))
+                .unwrap();
+            journal
+                .record(2, &CellStatus::Ok, &report, Some("good"))
+                .unwrap();
+        }
+        let vfs = Arc::new(RealVfs);
+        let only_good: fn(&str) -> bool = |extra| extra == "good";
+        let (_, replay) =
+            CampaignJournal::open_with(&dir, "soak", &labels(), "", only_good, vfs).unwrap();
+        assert_eq!(replay.entries.len(), 1);
         assert!(replay.dropped_bytes > 0);
         let _ = fs::remove_dir_all(&dir);
     }

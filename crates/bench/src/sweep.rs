@@ -106,6 +106,7 @@ pub struct Sweep {
     supervisor: SupervisorConfig,
     journal: Option<(PathBuf, String)>,
     journal_identity: String,
+    journal_extra: Option<fn(&str) -> bool>,
     telemetry: Option<TelemetrySink>,
 }
 
@@ -131,12 +132,20 @@ impl Sweep {
         self
     }
 
-    /// Pins the attached journal to what, beyond the cell labels, decides
-    /// the cells' bytes (see [`crate::journal::grid_digest`]), so a
-    /// journal of another population is a [`JournalError::Mismatch`].
-    /// An uninstrumented sweep ([`no_obs`](Self::no_obs)) adds its own.
-    pub fn with_journal_identity(&mut self, identity: impl Into<String>) -> &mut Self {
+    /// Pins the attached journal to its grid: `identity` is what, beyond
+    /// the cell labels, decides the cells' bytes (see
+    /// [`crate::journal::grid_digest`]), so a journal of another
+    /// population is a [`JournalError::Mismatch`], and a journaled cell
+    /// whose `extra` payload `valid_extra` rejects ends the replay (it
+    /// and the cells after it re-run). An uninstrumented sweep
+    /// ([`no_obs`](Self::no_obs)) adds its own identity.
+    pub fn with_journal_grid(
+        &mut self,
+        identity: impl Into<String>,
+        valid_extra: fn(&str) -> bool,
+    ) -> &mut Self {
         self.journal_identity = identity.into();
+        self.journal_extra = Some(valid_extra);
         self
     }
 
@@ -282,7 +291,9 @@ impl Sweep {
                 self.journal_identity.clone()
             };
             let vfs = Arc::new(RealVfs);
-            let (handle, replay) = CampaignJournal::open_with(dir, kind, &labels, &identity, vfs)?;
+            let valid_extra = self.journal_extra.unwrap_or(|_| true);
+            let (handle, replay) =
+                CampaignJournal::open_with(dir, kind, &labels, &identity, valid_extra, vfs)?;
             for entry in replay.entries {
                 let Some(slot) = outcomes.get(entry.index) else {
                     continue;
