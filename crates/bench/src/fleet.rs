@@ -498,7 +498,7 @@ impl ShardDrill {
 /// A shard's running aggregation state — everything that must survive a
 /// mid-shard checkpoint marker to keep the resumed fold byte-identical.
 #[derive(Debug)]
-pub(crate) struct ShardProgress {
+struct ShardProgress {
     /// The next device index to run.
     cursor: u64,
     drill: ShardDrill,
@@ -523,7 +523,7 @@ impl ShardProgress {
     /// [`CheckpointError::Malformed`] when the payload does not decode
     /// or does not continue `spec`'s range (a marker from another shard
     /// layout must not be trusted).
-    pub(crate) fn decode(payload: &str, spec: &ShardSpec) -> Result<Self, CheckpointError> {
+    fn decode(payload: &str, spec: &ShardSpec) -> Result<Self, CheckpointError> {
         let progress: ShardProgress = codec::decode(payload)?;
         let done = progress.cursor.checked_sub(spec.start);
         if progress.cursor > spec.end || done != Some(progress.drill.devices) {
