@@ -84,11 +84,9 @@ pub trait Cell: Clone + fmt::Debug + Send + Sync + 'static {
     /// The alignment policy the cell runs.
     fn policy(&self) -> PolicyKind;
 
-    /// The fields that lead the cell's row in a `simty-bench-<kind>/v1`
-    /// document, as `(key, JSON value)` pairs: its label by default.
-    fn row(&self) -> Vec<(&'static str, String)> {
-        vec![("label", self.label().to_json())]
-    }
+    /// The fields that lead the cell's row in the campaign's document,
+    /// as `(key, JSON value)` pairs.
+    fn row(&self) -> Vec<(&'static str, String)>;
 }
 
 /// What a cell's drill observed beside its straight-through report
@@ -135,12 +133,6 @@ pub trait Campaign: Sized + 'static {
     /// Serializes one aggregate as a JSON object.
     fn aggregate_json(aggregate: &Self::Aggregate) -> String;
 
-    /// Campaign-specific per-invocation document header fields, each as
-    /// `,"key":value` (none by default).
-    fn header_json(_results: &CampaignResults<Self>) -> String {
-        String::new()
-    }
-
     /// What, beyond the cell labels, decides the cells' bytes: the
     /// journal's identity ([`Sweep::with_journal_grid`]). Nothing by
     /// default.
@@ -165,26 +157,13 @@ pub trait Campaign: Sized + 'static {
             .collect()
     }
 
-    /// The deterministic document body: by default the
-    /// `simty-bench-<kind>/v1` document without its per-invocation
-    /// header.
-    fn body(results: &CampaignResults<Self>) -> String {
-        results.render("")
-    }
-
-    /// The full on-disk document: by default the body plus the
-    /// per-invocation header — the campaign's own fields
-    /// ([`header_json`](Self::header_json)), `journal_skips` (how many
-    /// cells this invocation restored from the journal instead of
-    /// running), and the executed cells' wall-time quantiles (`null`
-    /// when every cell was restored).
-    fn document(results: &CampaignResults<Self>) -> String {
-        let quantiles = json_object(&[("cell_wall_ms", results.cell_wall_quantiles().to_json())]);
-        results.render(&format!(
-            "{},\"journal_skips\":{},\"quantiles\":{quantiles}",
-            Self::header_json(results),
-            results.journal_skips()
-        ))
+    /// The campaign's document. Without its per-invocation fields
+    /// (`full` false) its bytes are deterministic: the same on any thread
+    /// count and after any resume. By default the
+    /// `simty-bench-<kind>/v1` grid document with no per-invocation
+    /// fields of its own.
+    fn document(results: &CampaignResults<Self>, full: bool) -> String {
+        results.grid_document(full.then_some(""))
     }
 }
 
@@ -487,16 +466,16 @@ impl<C: Campaign> CampaignResults<C> {
         C::aggregates(self)
     }
 
-    /// The deterministic document body ([`Campaign::body`]): no
-    /// wall-clock or per-invocation fields, so parallel, sequential, and
-    /// journal-resumed campaigns produce byte-identical bytes.
+    /// The deterministic document ([`Campaign::document`] without its
+    /// per-invocation fields): parallel, sequential, and journal-resumed
+    /// campaigns produce byte-identical bytes.
     pub fn to_json(&self) -> String {
-        C::body(self)
+        C::document(self, false)
     }
 
     /// The full on-disk document ([`Campaign::document`]).
     pub fn to_json_document(&self) -> String {
-        C::document(self)
+        C::document(self, true)
     }
 
     /// Writes [`to_json_document`](Self::to_json_document) to a file.
@@ -508,9 +487,20 @@ impl<C: Campaign> CampaignResults<C> {
         std::fs::write(path, self.to_json_document())
     }
 
-    /// The `simty-bench-<kind>/v1` document with `header` spliced in
-    /// after the schema.
-    fn render(&self, header: &str) -> String {
+    /// The `simty-bench-<kind>/v1` document. With a `header` (the
+    /// campaign's own per-invocation fields, each as `,"key":value`) it
+    /// is the full document: that header, then `journal_skips` (how many
+    /// cells this invocation restored from the journal instead of
+    /// running) and the executed cells' wall-time quantiles (`null` when
+    /// every cell was restored), spliced in after the schema.
+    pub(crate) fn grid_document(&self, header: Option<&str>) -> String {
+        let header = header.map_or_else(String::new, |own| {
+            let quantiles = json_object(&[("cell_wall_ms", self.cell_wall_quantiles().to_json())]);
+            format!(
+                "{own},\"journal_skips\":{},\"quantiles\":{quantiles}",
+                self.journal_skips()
+            )
+        });
         let results = self.runs().map(|(cell, status, report, drill)| {
             let mut fields = cell.row();
             fields.push(("status", status.token().to_json()));
@@ -519,11 +509,7 @@ impl<C: Campaign> CampaignResults<C> {
             fields.push(("report", report.to_json()));
             json_object(&fields)
         });
-        let policies = self
-            .aggregates()
-            .iter()
-            .map(C::aggregate_json)
-            .collect::<Vec<_>>();
+        let aggregates = self.aggregates();
         format!(
             "{{\"schema\":\"simty-bench-{}/v1\"{header},\"runs\":{},\"harness\":{},\
              \"results\":{},\"policies\":{}}}",
@@ -531,7 +517,7 @@ impl<C: Campaign> CampaignResults<C> {
             self.cells.len(),
             self.harness().to_json(),
             json_array(results),
-            json_array(policies)
+            json_array(aggregates.iter().map(C::aggregate_json))
         )
     }
 }

@@ -201,6 +201,10 @@ impl Cell for ShardSpec {
     fn policy(&self) -> PolicyKind {
         self.policy
     }
+
+    fn row(&self) -> Vec<(&'static str, String)> {
+        vec![("label", self.label.to_json())]
+    }
 }
 
 /// One device run's outputs: the report plus the instrumentation-ring
@@ -481,6 +485,16 @@ record!(ShardDrill: devices, span_evictions, audit_evictions, power: PowerHistog
 impl Drill for ShardDrill {}
 
 impl ShardDrill {
+    /// `self` and `other` summed, saturating: journaled drills each
+    /// decode on their own, but their sum need not fit.
+    fn absorb(mut self, other: ShardDrill) -> ShardDrill {
+        self.devices = self.devices.saturating_add(other.devices);
+        self.span_evictions = self.span_evictions.saturating_add(other.span_evictions);
+        self.audit_evictions = self.audit_evictions.saturating_add(other.audit_evictions);
+        self.power.0.merge(&other.power.0);
+        self
+    }
+
     /// The shard's metrics: its device and eviction counters and its
     /// power histogram (what lands in the shard report's
     /// `metrics_json`, and what the fleet registry merges).
@@ -653,7 +667,9 @@ impl Campaign for Fleet {
         PolicyAggregate {
             shards_ok: cells.len(),
             shards_poisoned: 0,
-            devices: cells.iter().map(|(_, drill)| drill.devices).sum(),
+            devices: cells
+                .iter()
+                .fold(0, |n, (_, drill)| n.saturating_add(drill.devices)),
             report: (!cells.is_empty()).then_some(report),
             policy,
         }
@@ -685,41 +701,18 @@ impl Campaign for Fleet {
 
     fn journal_identity(cells: &[ShardSpec]) -> String {
         let config = cells.first().map(|spec| &spec.config);
-        config.map(|config| config.identity()).unwrap_or_default()
-    }
-
-    /// The document without its per-invocation fields (`threads`,
-    /// `total_wall_ms`, `devices_per_sec`, `journal_skips`,
-    /// `quantiles.cell_wall_ms`, `cells[].wall_ms`).
-    fn body(results: &CampaignResults<Fleet>) -> String {
-        results.fleet_json(false)
+        config.map_or_else(String::new, |config| config.identity())
     }
 
     /// The `simty-fleet/v1` document: population shape, throughput, the
     /// supervisor's `harness` block, the merged fleet metrics,
-    /// per-policy aggregates, and per-shard status lines.
-    fn document(results: &CampaignResults<Fleet>) -> String {
-        results.fleet_json(true)
-    }
-}
-
-impl CampaignResults<Fleet> {
-    /// The fleet the cells belong to.
-    fn config(&self) -> &FleetConfig {
-        let (spec, ..) = self.runs().next().expect("a fleet has cells");
-        &spec.config
-    }
-
-    /// The completed shards' drills (a shard whose drill did not decode
-    /// contributes nothing).
-    fn drills(&self) -> impl Iterator<Item = ShardDrill> + '_ {
-        self.runs()
-            .filter_map(|(_, _, report, drill)| report.and(drill))
-    }
-
-    /// The fleet document; `full` adds the per-invocation fields.
-    fn fleet_json(&self, full: bool) -> String {
-        let config = self.config();
+    /// per-policy aggregates, and per-shard status lines. Its
+    /// per-invocation fields are `threads`, `total_wall_ms`,
+    /// `devices_per_sec`, `journal_skips`, `quantiles.cell_wall_ms` and
+    /// `cells[].wall_ms`.
+    fn document(results: &CampaignResults<Fleet>, full: bool) -> String {
+        let config = results.config();
+        let ms = |wall: std::time::Duration| (wall.as_secs_f64() * 1_000.0).to_json();
         let policies = config.policies.iter().map(|p| p.name().to_json());
         let mut fields = vec![
             ("schema", FLEET_SCHEMA.to_json()),
@@ -732,49 +725,61 @@ impl CampaignResults<Fleet> {
         let mut quantiles = Vec::new();
         if full {
             fields.extend([
-                ("threads", self.threads().to_json()),
-                (
-                    "total_wall_ms",
-                    (self.total_wall().as_secs_f64() * 1_000.0).to_json(),
-                ),
-                ("devices_per_sec", self.devices_per_sec().to_json()),
-                ("journal_skips", self.journal_skips().to_json()),
+                ("threads", results.threads().to_json()),
+                ("total_wall_ms", ms(results.total_wall())),
+                ("devices_per_sec", results.devices_per_sec().to_json()),
+                ("journal_skips", results.journal_skips().to_json()),
             ]);
-            quantiles.push(("cell_wall_ms", self.cell_wall_quantiles().to_json()));
+            quantiles.push(("cell_wall_ms", results.cell_wall_quantiles().to_json()));
         }
-        quantiles.push(("device_power_mw", self.device_power_quantiles().to_json()));
-        let aggregates = self
-            .aggregates()
-            .iter()
-            .map(Fleet::aggregate_json)
-            .collect::<Vec<_>>();
-        let cells = self
+        quantiles.push((
+            "device_power_mw",
+            results.device_power_quantiles().to_json(),
+        ));
+        let aggregates = json_array(results.aggregates().iter().map(Fleet::aggregate_json));
+        let cells = results
             .runs()
-            .zip(self.outcomes())
+            .zip(results.outcomes())
             .map(|((spec, status, _, drill), o)| {
-                let mut cell = vec![
-                    ("label", spec.label.to_json()),
+                let mut cell = spec.row();
+                cell.extend([
                     ("status", status.token().to_json()),
                     ("devices", drill.map_or(0, |d| d.devices).to_json()),
-                ];
+                ]);
                 if full {
-                    cell.push(("wall_ms", (o.wall.as_secs_f64() * 1_000.0).to_json()));
+                    cell.push(("wall_ms", ms(o.wall)));
                 }
                 json_object(&cell)
             });
         fields.extend([
             ("quantiles", json_object(&quantiles)),
-            ("harness", self.harness().to_json()),
-            ("metrics", self.registry().to_json()),
-            ("aggregates", json_array(aggregates)),
+            ("harness", results.harness().to_json()),
+            ("metrics", results.registry().to_json()),
+            ("aggregates", aggregates),
             ("cells", json_array(cells)),
         ]);
         json_object(&fields)
     }
+}
+
+impl CampaignResults<Fleet> {
+    /// The fleet the cells belong to.
+    fn config(&self) -> &FleetConfig {
+        let (spec, ..) = self.runs().next().expect("a fleet has cells");
+        &spec.config
+    }
+
+    /// The sum of the completed shards' drills (a shard whose drill did
+    /// not decode contributes nothing); `None` when none completed.
+    fn total(&self) -> Option<ShardDrill> {
+        self.runs()
+            .filter_map(|(_, _, report, drill)| report.and(drill))
+            .reduce(ShardDrill::absorb)
+    }
 
     /// Devices aggregated across every completed shard (all policies).
     pub fn devices_completed(&self) -> u64 {
-        self.drills().map(|drill| drill.devices).sum()
+        self.total().map_or(0, |total| total.devices)
     }
 
     /// Completed device-simulations per wall-clock second.
@@ -796,8 +801,8 @@ impl CampaignResults<Fleet> {
         let mut registry = MetricsRegistry::new();
         registry.describe("fleet", "fleet-wide aggregation");
         registry.register_histogram("fleet_device_power_mw", POWER_BOUNDS.to_vec());
-        for drill in self.drills() {
-            registry.merge(&drill.registry());
+        if let Some(total) = self.total() {
+            registry.merge(&total.registry());
         }
         let mut harness = self.harness();
         harness.journal_skips = 0;
@@ -852,6 +857,22 @@ mod tests {
         config
     }
 
+    /// Every shard as the executor holds it: label, status token, report
+    /// record and journaled drill payload (the document folds these per
+    /// policy, where a swapped or altered shard can cancel out).
+    fn shards(
+        results: &CampaignResults<Fleet>,
+    ) -> Vec<(String, String, Option<String>, Option<String>)> {
+        results
+            .outcomes()
+            .iter()
+            .map(|o| {
+                let report = o.report.as_ref().map(SimReport::to_record);
+                (o.label.clone(), o.status.token(), report, o.extra.clone())
+            })
+            .collect()
+    }
+
     #[test]
     fn shard_ranges_partition_the_population() {
         let config = tiny(10);
@@ -884,6 +905,52 @@ mod tests {
         progress.drill = codec::decode(&drill.replace(&max.to_string(), "1")).unwrap();
         let marker = codec::encode(&progress).replacen(",1,1,", &format!(",{max},1,"), 1);
         assert!(codec::decode::<ShardProgress>(&marker).is_err());
+    }
+
+    /// Journal records are checked one at a time, so three shards that
+    /// each decode can still hold counts whose sum overflows: the fleet
+    /// saturates them instead of panicking (or wrapping in release).
+    #[test]
+    fn journaled_drills_that_overflow_together_saturate() {
+        let scratch = tempdir("fleet-forged");
+        let config = tiny(4);
+        let options = CampaignOptions {
+            threads: 1,
+            journal_dir: Some(scratch.clone()),
+            ..CampaignOptions::default()
+        };
+        run_fleet_with(&config, &options).unwrap();
+        let (max, half) = (u64::MAX, 1_u64 << 63);
+        let drill = format!(
+            "{max},{max},0,{half},0,0,0,0,0,0,0,0,{:016x}",
+            1.0_f64.to_bits()
+        );
+        let path = scratch.join(crate::journal::JOURNAL_FILE);
+        let forged: String = std::fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .map(|line| match parse_cell(line) {
+                Ok(mut entry) => {
+                    entry.extra = drill.clone();
+                    let body = format!("cell={}", codec::encode(&entry));
+                    format!("{body},{:016x}\n", fnv1a64(body.as_bytes()))
+                }
+                Err(_) => format!("{line}\n"),
+            })
+            .collect();
+        std::fs::write(&path, forged).unwrap();
+        let resumed = run_fleet_with(&config, &options).unwrap();
+        std::fs::remove_dir_all(&scratch).ok();
+        assert_eq!(resumed.journal_skips(), 3);
+        assert_eq!(resumed.devices_completed(), max);
+        assert_eq!(resumed.aggregates()[0].devices, max);
+        let registry = resumed.registry();
+        assert_eq!(registry.counter("fleet_span_evictions_total"), max);
+        let power = registry.histogram("fleet_device_power_mw").unwrap();
+        assert_eq!((power.counts()[0], power.count()), (max, max));
+        assert!(resumed
+            .to_json_document()
+            .contains("\"devices\":18446744073709551615"));
     }
 
     #[test]
@@ -927,6 +994,7 @@ mod tests {
         let one = run_fleet_with(&config, &CampaignOptions::with_threads(1)).unwrap();
         let three = run_fleet_with(&config, &CampaignOptions::with_threads(3)).unwrap();
         assert_eq!(one.to_json(), three.to_json());
+        assert_eq!(shards(&one), shards(&three));
         assert_eq!(one.devices_completed(), 7);
     }
 
@@ -960,8 +1028,10 @@ mod tests {
         let second = run_fleet_with(&config, &options).unwrap();
         assert_eq!(second.journal_skips(), 3);
         assert_eq!(first.to_json(), second.to_json());
+        assert_eq!(shards(&first), shards(&second));
         let clean = run_fleet_with(&config, &CampaignOptions::with_threads(2)).unwrap();
         assert_eq!(clean.to_json(), second.to_json());
+        assert_eq!(shards(&clean), shards(&second));
         std::fs::remove_dir_all(&scratch).ok();
     }
 

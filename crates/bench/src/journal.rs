@@ -155,7 +155,7 @@ fn checked_body(line: &str) -> Result<&str, CheckpointError> {
 /// [`CheckpointError::ChecksumMismatch`] when the line fails its
 /// checksum (a torn append), [`CheckpointError::Malformed`] when it has
 /// none or its record does not decode.
-pub fn parse_cell(line: &str) -> Result<JournalEntry, CheckpointError> {
+pub(crate) fn parse_cell(line: &str) -> Result<JournalEntry, CheckpointError> {
     Parser::new(checked_body(line)?).take("cell")
 }
 

@@ -230,13 +230,15 @@ impl Campaign for Soak {
             all_resumed_identical, all_restores_ok))
     }
 
-    /// `resume_wall_ms`: the campaign's total checkpoint-resume
+    /// The grid document; its per-invocation fields lead with
+    /// `resume_wall_ms`, the campaign's total checkpoint-resume
     /// wall-clock.
-    fn header_json(results: &SoakResults) -> String {
-        format!(
+    fn document(results: &SoakResults, full: bool) -> String {
+        let resume_wall = format!(
             ",\"resume_wall_ms\":{}",
             json_f64(results.resume_wall().as_secs_f64() * 1_000.0)
-        )
+        );
+        results.grid_document(full.then_some(resume_wall.as_str()))
     }
 }
 

@@ -8,8 +8,11 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 use simty::core::time::SimDuration;
+use simty::sim::SimReport;
 use simty_bench::fleet::{fold_reports, run_device};
-use simty_bench::{run_fleet_with, CampaignOptions, FleetConfig, PolicyKind};
+use simty_bench::{
+    run_fleet_with, CampaignOptions, CampaignResults, Fleet, FleetConfig, PolicyKind,
+};
 
 fn unique_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -29,6 +32,23 @@ fn small_fleet(devices: u64, shards: usize, seed: u64) -> FleetConfig {
     config.duration = SimDuration::from_mins(5);
     config.checkpoint_stride = 2;
     config
+}
+
+/// Every shard as the executor holds it: label, status token, report
+/// record and journaled drill payload. The document folds these per
+/// policy, so a swapped or altered shard can cancel out there; compared
+/// beside it, no shard can.
+fn shards(
+    results: &CampaignResults<Fleet>,
+) -> Vec<(String, String, Option<String>, Option<String>)> {
+    results
+        .outcomes()
+        .iter()
+        .map(|o| {
+            let report = o.report.as_ref().map(SimReport::to_record);
+            (o.label.clone(), o.status.token(), report, o.extra.clone())
+        })
+        .collect()
 }
 
 proptest! {
@@ -70,9 +90,7 @@ proptest! {
 #[test]
 fn killed_campaign_resumes_byte_identical_across_thread_counts() {
     let config = small_fleet(10, 3, 42);
-    let reference = run_fleet_with(&config, &CampaignOptions::with_threads(1))
-        .unwrap()
-        .to_json();
+    let reference = run_fleet_with(&config, &CampaignOptions::with_threads(1)).unwrap();
 
     for threads in [1usize, 3] {
         let dir = unique_dir(&format!("kill-{threads}"));
@@ -97,9 +115,10 @@ fn killed_campaign_resumes_byte_identical_across_thread_counts() {
         assert_eq!(resumed.harness().poisoned, 0, "threads={threads}");
         assert_eq!(
             resumed.to_json(),
-            reference,
+            reference.to_json(),
             "resume must be byte-identical on {threads} thread(s)"
         );
+        assert_eq!(shards(&resumed), shards(&reference), "threads={threads}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -123,5 +142,6 @@ fn a_still_faulty_resume_re_poisons_the_same_shard() {
     assert!(second.outcomes()[2].report.is_none());
     assert_eq!(second.journal_skips(), 3);
     assert_eq!(first.to_json(), second.to_json());
+    assert_eq!(shards(&first), shards(&second));
     std::fs::remove_dir_all(&dir).ok();
 }

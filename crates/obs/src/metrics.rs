@@ -117,7 +117,9 @@ impl Histogram {
     /// Folds `other` into `self`: element-wise bucket addition plus
     /// sum/count accumulation. The fleet executor uses this to stream
     /// per-shard partials into one registry without holding per-device
-    /// state.
+    /// state. Counts saturate at `u64::MAX` instead of overflowing: the
+    /// partials may come from a journal, and two records that each
+    /// decode can still hold counts whose sum does not fit.
     ///
     /// # Panics
     ///
@@ -130,11 +132,11 @@ impl Histogram {
             "histogram partials must share bucket bounds to merge"
         );
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
+            *mine = mine.saturating_add(*theirs);
         }
         self.sum += other.sum;
-        self.count += other.count;
-        self.nonfinite += other.nonfinite;
+        self.count = self.count.saturating_add(other.count);
+        self.nonfinite = self.nonfinite.saturating_add(other.nonfinite);
     }
 
     /// The bucket index `v` lands in: the first bound with `v <= bound`,
@@ -737,6 +739,16 @@ h_max 2
         let h = left.histogram("h").unwrap();
         assert_eq!(h.count(), 3);
         assert_eq!(h.counts(), &[1, 1, 1]);
+    }
+
+    #[test]
+    fn merge_saturates_instead_of_overflowing() {
+        let big = Histogram::from_parts(vec![1.0], vec![1 << 63, 0], 1.0, 1 << 63);
+        let mut merged = big.clone();
+        merged.merge(&big);
+        assert_eq!(merged.counts(), &[u64::MAX, 0]);
+        assert_eq!(merged.count(), u64::MAX);
+        assert_eq!(merged.sum(), 2.0);
     }
 
     #[test]
