@@ -18,8 +18,8 @@ pub use simty_apps::{
     WorkloadBuilder,
 };
 pub use simty_core::{
-    Alarm, AlarmId, AlarmKind, AlarmManager, AlignmentPolicy, DeliveryDiscipline,
-    DozePolicy, DurationSimilarityPolicy, ExactPolicy, FixedIntervalPolicy, HardwareComponent,
+    Alarm, AlarmId, AlarmKind, AlarmManager, AlignmentPolicy, DeliveryDiscipline, DozePolicy,
+    DurationSimilarityPolicy, ExactPolicy, FixedIntervalPolicy, HardwareComponent,
     HardwareGranularity, HardwareSet, HardwareSimilarity, Interval, NativePolicy, Placement,
     Preferability, QueueEntry, Repeat, SimDuration, SimTime, SimtyPolicy, TimeSimilarity,
 };

@@ -10,7 +10,10 @@ use std::io::BufWriter;
 use simty::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let workload = WorkloadBuilder::heavy().with_seed(1).with_beta(0.96).build();
+    let workload = WorkloadBuilder::heavy()
+        .with_seed(1)
+        .with_beta(0.96)
+        .build();
     println!(
         "registering {} alarms ({} workload)",
         workload.alarms.len(),
@@ -37,15 +40,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Battery projection vs a NATIVE run of the same workload.
     let mut native = Simulation::new(Box::new(NativePolicy::new()), SimConfig::new());
-    for alarm in WorkloadBuilder::heavy().with_seed(1).with_beta(0.96).build().alarms {
+    for alarm in WorkloadBuilder::heavy()
+        .with_seed(1)
+        .with_beta(0.96)
+        .build()
+        .alarms
+    {
         native.register(alarm)?;
     }
     let native_report = native.run();
     let battery = Battery::nexus5();
-    let extension = battery.standby_extension(
-        native_report.average_power_mw(),
-        report.average_power_mw(),
-    );
+    let extension =
+        battery.standby_extension(native_report.average_power_mw(), report.average_power_mw());
     println!(
         "\nNATIVE {:.2} mW vs SIMTY {:.2} mW -> standby prolonged by {:.0}%",
         native_report.average_power_mw(),

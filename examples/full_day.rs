@@ -65,9 +65,8 @@ fn main() {
     let s = simty.report();
     // Screen energy is identical under both policies (the user is the
     // user); the *standby* savings live in everything else.
-    let non_screen = |r: &SimReport| {
-        r.energy.total_mj() - r.energy.component_mj(HardwareComponent::Screen)
-    };
+    let non_screen =
+        |r: &SimReport| r.energy.total_mj() - r.energy.component_mj(HardwareComponent::Screen);
     println!(
         "\nexcluding the screen, SIMTY saves {:.0}% of the day's energy \
          (perceptible delay: NATIVE {:.2}%, SIMTY {:.2}%)",

@@ -84,8 +84,7 @@ fn resume_from_any_checkpoint_is_byte_identical() {
         checkpoints.len()
     );
     for (i, ckpt) in checkpoints.iter().enumerate() {
-        let mut resumed =
-            Simulation::restore(Box::new(SimtyPolicy::new()), ckpt).expect("restore");
+        let mut resumed = Simulation::restore(Box::new(SimtyPolicy::new()), ckpt).expect("restore");
         assert_eq!(resumed.now(), ckpt.captured_at());
         resumed.run();
         let got = fingerprint(&resumed);
@@ -172,8 +171,7 @@ fn resume_through_the_store_is_byte_identical() {
     }
     let (latest, skipped) = store.load_latest_good().unwrap();
     assert_eq!(skipped, 0);
-    let mut resumed =
-        Simulation::restore(Box::new(SimtyPolicy::new()), &latest).expect("restore");
+    let mut resumed = Simulation::restore(Box::new(SimtyPolicy::new()), &latest).expect("restore");
     resumed.run();
     assert_eq!(fingerprint(&resumed), expected);
     let _ = std::fs::remove_dir_all(&dir);
@@ -186,13 +184,12 @@ fn resume_through_the_store_is_byte_identical() {
 fn reboot_recovery_meets_the_widened_perceptible_window() {
     // The outage covers the shortest alarm period, so every reboot is
     // guaranteed to strand at least one overdue entry for boot catch-up.
-    let reboots = RebootPlan::new(11)
-        .with_periodic(
-            SimDuration::from_mins(40),
-            SimDuration::from_mins(5),
-            SimDuration::from_secs(310),
-            SimDuration::from_hours(3),
-        );
+    let reboots = RebootPlan::new(11).with_periodic(
+        SimDuration::from_mins(40),
+        SimDuration::from_mins(5),
+        SimDuration::from_secs(310),
+        SimDuration::from_hours(3),
+    );
     for policy in [
         Box::new(NativePolicy::new()) as Box<dyn AlignmentPolicy>,
         Box::new(SimtyPolicy::new()),
@@ -529,8 +526,7 @@ fn counts_level_captures_round_trip_byte_identically() {
             ));
         }
         straight.run();
-        let evictions =
-            |sim: &Simulation| (sim.obs().spans().dropped(), sim.obs().audit_dropped());
+        let evictions = |sim: &Simulation| (sim.obs().spans().dropped(), sim.obs().audit_dropped());
         let (spans, audits) = evictions(&straight);
         assert!(
             spans > 0 && audits > 0,

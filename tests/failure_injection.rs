@@ -206,7 +206,11 @@ fn quarantine_and_recovery_round_trip_end_to_end() {
         .iter()
         .all(|i| i.app == "greedy"));
     // The honest bystander kept delivering throughout.
-    assert!(sim.trace().deliveries().iter().any(|d| &*d.label == "honest"));
+    assert!(sim
+        .trace()
+        .deliveries()
+        .iter()
+        .any(|d| &*d.label == "honest"));
 }
 
 #[test]

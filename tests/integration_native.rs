@@ -38,12 +38,33 @@ const LATENCY: SimDuration = SimDuration::from_millis(250);
 #[test]
 fn every_delivery_lands_within_its_window_plus_wake_latency() {
     let mut sim = hour_sim();
-    sim.register(alarm("a", 60, 60, 0.0, HardwareComponent::Wifi.into(), true))
-        .unwrap();
-    sim.register(alarm("b", 90, 120, 0.75, HardwareComponent::Wifi.into(), false))
-        .unwrap();
-    sim.register(alarm("c", 300, 300, 0.5, HardwareComponent::Wps.into(), false))
-        .unwrap();
+    sim.register(alarm(
+        "a",
+        60,
+        60,
+        0.0,
+        HardwareComponent::Wifi.into(),
+        true,
+    ))
+    .unwrap();
+    sim.register(alarm(
+        "b",
+        90,
+        120,
+        0.75,
+        HardwareComponent::Wifi.into(),
+        false,
+    ))
+    .unwrap();
+    sim.register(alarm(
+        "c",
+        300,
+        300,
+        0.5,
+        HardwareComponent::Wps.into(),
+        false,
+    ))
+    .unwrap();
     sim.run();
     assert!(!sim.trace().deliveries().is_empty());
     for d in sim.trace().deliveries() {
@@ -61,10 +82,24 @@ fn overlapping_windows_batch_into_shared_wakeups() {
     // Two alarms with identical periods and overlapping windows must share
     // wakeups after the first round.
     let mut sim = hour_sim();
-    sim.register(alarm("a", 100, 300, 0.75, HardwareComponent::Wifi.into(), false))
-        .unwrap();
-    sim.register(alarm("b", 150, 300, 0.75, HardwareComponent::Wifi.into(), false))
-        .unwrap();
+    sim.register(alarm(
+        "a",
+        100,
+        300,
+        0.75,
+        HardwareComponent::Wifi.into(),
+        false,
+    ))
+    .unwrap();
+    sim.register(alarm(
+        "b",
+        150,
+        300,
+        0.75,
+        HardwareComponent::Wifi.into(),
+        false,
+    ))
+    .unwrap();
     let report = sim.run();
     // 12 two-alarm periods in the hour: without batching 24 wakeups, with
     // batching 12.
@@ -78,10 +113,24 @@ fn overlapping_windows_batch_into_shared_wakeups() {
 #[test]
 fn disjoint_windows_never_batch() {
     let mut sim = hour_sim();
-    sim.register(alarm("a", 100, 600, 0.1, HardwareComponent::Wifi.into(), false))
-        .unwrap();
-    sim.register(alarm("b", 400, 600, 0.1, HardwareComponent::Wifi.into(), false))
-        .unwrap();
+    sim.register(alarm(
+        "a",
+        100,
+        600,
+        0.1,
+        HardwareComponent::Wifi.into(),
+        false,
+    ))
+    .unwrap();
+    sim.register(alarm(
+        "b",
+        400,
+        600,
+        0.1,
+        HardwareComponent::Wifi.into(),
+        false,
+    ))
+    .unwrap();
     let report = sim.run();
     assert_eq!(report.cpu_wakeups, report.total_deliveries);
 }
@@ -91,12 +140,33 @@ fn native_ignores_hardware_similarity() {
     // A WPS alarm joins the first window-overlapping entry even when a
     // hardware-identical entry also overlaps later in the queue.
     let mut sim = hour_sim();
-    sim.register(alarm("wifi", 100, 900, 0.75, HardwareComponent::Wifi.into(), false))
-        .unwrap();
-    sim.register(alarm("wps1", 150, 900, 0.75, HardwareComponent::Wps.into(), false))
-        .unwrap();
-    sim.register(alarm("wps2", 200, 900, 0.75, HardwareComponent::Wps.into(), false))
-        .unwrap();
+    sim.register(alarm(
+        "wifi",
+        100,
+        900,
+        0.75,
+        HardwareComponent::Wifi.into(),
+        false,
+    ))
+    .unwrap();
+    sim.register(alarm(
+        "wps1",
+        150,
+        900,
+        0.75,
+        HardwareComponent::Wps.into(),
+        false,
+    ))
+    .unwrap();
+    sim.register(alarm(
+        "wps2",
+        200,
+        900,
+        0.75,
+        HardwareComponent::Wps.into(),
+        false,
+    ))
+    .unwrap();
     sim.run();
     // All three overlap pairwise -> one batch of three per period.
     for d in sim.trace().deliveries() {
@@ -194,8 +264,15 @@ fn realignment_differs_from_no_realignment() {
 #[test]
 fn energy_breakdown_is_internally_consistent() {
     let mut sim = hour_sim();
-    sim.register(alarm("a", 60, 60, 0.0, HardwareComponent::Wifi.into(), true))
-        .unwrap();
+    sim.register(alarm(
+        "a",
+        60,
+        60,
+        0.0,
+        HardwareComponent::Wifi.into(),
+        true,
+    ))
+    .unwrap();
     let report = sim.run();
     let e = &report.energy;
     let sum = e.sleep_mj + e.transition_mj + e.awake_base_mj + e.hardware_mj();

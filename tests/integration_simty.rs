@@ -176,14 +176,46 @@ fn hardware_similar_alarms_group_together() {
     // Two WPS trackers and two Wi-Fi messengers with interleaved timing:
     // SIMTY should group WPS with WPS and Wi-Fi with Wi-Fi.
     let mut sim = simty_sim(SimDuration::from_hours(2));
-    sim.register(alarm("wps-a", 300, 300, 0.75, 0.9, HardwareComponent::Wps.into(), false))
-        .unwrap();
-    sim.register(alarm("wps-b", 450, 300, 0.75, 0.9, HardwareComponent::Wps.into(), false))
-        .unwrap();
-    sim.register(alarm("wifi-a", 280, 300, 0.75, 0.9, HardwareComponent::Wifi.into(), false))
-        .unwrap();
-    sim.register(alarm("wifi-b", 430, 300, 0.75, 0.9, HardwareComponent::Wifi.into(), false))
-        .unwrap();
+    sim.register(alarm(
+        "wps-a",
+        300,
+        300,
+        0.75,
+        0.9,
+        HardwareComponent::Wps.into(),
+        false,
+    ))
+    .unwrap();
+    sim.register(alarm(
+        "wps-b",
+        450,
+        300,
+        0.75,
+        0.9,
+        HardwareComponent::Wps.into(),
+        false,
+    ))
+    .unwrap();
+    sim.register(alarm(
+        "wifi-a",
+        280,
+        300,
+        0.75,
+        0.9,
+        HardwareComponent::Wifi.into(),
+        false,
+    ))
+    .unwrap();
+    sim.register(alarm(
+        "wifi-b",
+        430,
+        300,
+        0.75,
+        0.9,
+        HardwareComponent::Wifi.into(),
+        false,
+    ))
+    .unwrap();
     let report = sim.run();
     // After the first learning round, WPS activations should be about half
     // the WPS deliveries (two trackers per activation).
@@ -200,7 +232,15 @@ fn hardware_similar_alarms_group_together() {
 fn unknown_hardware_is_learned_after_first_delivery() {
     let mut sim = simty_sim(SimDuration::from_mins(30));
     let id = sim
-        .register(alarm("a", 300, 300, 0.5, 0.9, HardwareComponent::Wifi.into(), false))
+        .register(alarm(
+            "a",
+            300,
+            300,
+            0.5,
+            0.9,
+            HardwareComponent::Wifi.into(),
+            false,
+        ))
         .unwrap();
     sim.run_until(SimTime::from_secs(400));
     let entry = &sim.manager().wakeup_queue().entries()[0];

@@ -20,7 +20,8 @@ fn heavy_sim(audit_capacity: usize) -> Simulation {
             .with_audit_capacity(audit_capacity),
     );
     for alarm in workload.alarms {
-        sim.register(alarm).expect("workload alarm registers cleanly");
+        sim.register(alarm)
+            .expect("workload alarm registers cleanly");
     }
     sim
 }
@@ -56,7 +57,8 @@ fn every_simty_delivery_has_exactly_one_placement_decision() {
             .filter(|a| a.alarm_id == rec.alarm_id && a.nominal == rec.nominal)
             .count();
         assert_eq!(
-            matching, 1,
+            matching,
+            1,
             "delivery of alarm #{} (nominal {}) has {matching} audits",
             rec.alarm_id.as_u64(),
             rec.nominal
@@ -112,7 +114,8 @@ fn exports_are_byte_identical_across_checkpoint_resume() {
                 .with_invariants(),
         );
         for alarm in workload.alarms {
-            sim.register(alarm).expect("workload alarm registers cleanly");
+            sim.register(alarm)
+                .expect("workload alarm registers cleanly");
         }
         sim
     };
@@ -120,10 +123,13 @@ fn exports_are_byte_identical_across_checkpoint_resume() {
     straight.run();
     let expected = obs_fingerprint(&straight);
     let checkpoints = straight.checkpoints();
-    assert!(checkpoints.len() >= 4, "got {} checkpoints", checkpoints.len());
+    assert!(
+        checkpoints.len() >= 4,
+        "got {} checkpoints",
+        checkpoints.len()
+    );
     for (i, ckpt) in checkpoints.iter().enumerate() {
-        let mut resumed =
-            Simulation::restore(Box::new(SimtyPolicy::new()), ckpt).expect("restore");
+        let mut resumed = Simulation::restore(Box::new(SimtyPolicy::new()), ckpt).expect("restore");
         resumed.run();
         assert_eq!(
             obs_fingerprint(&resumed),
@@ -208,7 +214,8 @@ fn chrome_trace_is_byte_identical_across_checkpoint_resume() {
                 .with_audit_capacity(1 << 20),
         );
         for alarm in workload.alarms {
-            sim.register(alarm).expect("workload alarm registers cleanly");
+            sim.register(alarm)
+                .expect("workload alarm registers cleanly");
         }
         sim
     };
@@ -216,10 +223,13 @@ fn chrome_trace_is_byte_identical_across_checkpoint_resume() {
     straight.run();
     let expected = trace_of(&straight);
     let checkpoints = straight.checkpoints();
-    assert!(checkpoints.len() >= 4, "got {} checkpoints", checkpoints.len());
+    assert!(
+        checkpoints.len() >= 4,
+        "got {} checkpoints",
+        checkpoints.len()
+    );
     for (i, ckpt) in checkpoints.iter().enumerate() {
-        let mut resumed =
-            Simulation::restore(Box::new(SimtyPolicy::new()), ckpt).expect("restore");
+        let mut resumed = Simulation::restore(Box::new(SimtyPolicy::new()), ckpt).expect("restore");
         resumed.run();
         assert_eq!(
             trace_of(&resumed),
@@ -240,8 +250,14 @@ fn metrics_registry_agrees_with_the_report() {
         m.counter("sim_wakeups_total{policy=\"SIMTY\"}"),
         report.cpu_wakeups
     );
-    assert_eq!(m.counter("sim_entry_deliveries_total"), report.entry_deliveries);
-    assert_eq!(m.counter("sim_alarm_deliveries_total"), report.total_deliveries);
+    assert_eq!(
+        m.counter("sim_entry_deliveries_total"),
+        report.entry_deliveries
+    );
+    assert_eq!(
+        m.counter("sim_alarm_deliveries_total"),
+        report.total_deliveries
+    );
     let placements = m.counter("sim_placements_total{placement=\"existing\"}")
         + m.counter("sim_placements_total{placement=\"new_entry\"}");
     assert_eq!(placements as usize, sim.obs().audits().count());

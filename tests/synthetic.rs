@@ -54,7 +54,10 @@ fn simty_beats_native_on_synthetic_populations() {
             simty.energy.awake_related_mj(),
             native.energy.awake_related_mj()
         );
-        assert!(simty.entry_deliveries < native.entry_deliveries, "seed {seed}");
+        assert!(
+            simty.entry_deliveries < native.entry_deliveries,
+            "seed {seed}"
+        );
         // Perceptible alarms stay on time under both.
         assert!(native.delays.perceptible_avg < 1e-3);
         assert!(simty.delays.perceptible_avg < 1e-3);

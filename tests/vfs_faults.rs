@@ -15,9 +15,7 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 
 use simty::prelude::*;
-use simty::sim::{
-    Checkpoint, CheckpointError, CheckpointStore, FaultKind, FaultVfs, RecordingVfs,
-};
+use simty::sim::{Checkpoint, CheckpointError, CheckpointStore, FaultKind, FaultVfs, RecordingVfs};
 
 fn unique_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -123,7 +121,11 @@ fn every_fault_kind_falls_back_to_the_last_good_snapshot() {
         let faulty = Arc::new(single_fault_vfs(kind));
         let mut store = CheckpointStore::open_with(&dir, faulty.clone()).expect("open faulty");
         let second = store.save(&snaps[1]);
-        assert!(second.is_err(), "{} must surface the injected error", kind.name());
+        assert!(
+            second.is_err(),
+            "{} must surface the injected error",
+            kind.name()
+        );
         assert_eq!(faulty.injected(kind), 1, "{} must have fired", kind.name());
 
         let (loaded, _skipped) = store
@@ -155,7 +157,10 @@ fn a_failed_save_never_reuses_its_sequence_slot() {
     let _ = std::fs::remove_dir_all(&dir);
     let vfs = Arc::new(FaultVfs::new(3).with_enospc(1.0).with_fault_budget(1));
     let mut store = CheckpointStore::open_with(&dir, vfs).expect("open");
-    assert!(store.save(&snaps[0]).is_err(), "first save must die of ENOSPC");
+    assert!(
+        store.save(&snaps[0]).is_err(),
+        "first save must die of ENOSPC"
+    );
     let path = store.save(&snaps[1]).expect("second save is clean");
     // Slot 0 was consumed by the dead write; the good snapshot lands in
     // slot 1 and recovery sees exactly it.
