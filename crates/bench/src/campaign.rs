@@ -277,9 +277,11 @@ pub fn simulation(policy: PolicyKind, workload: Workload, config: SimConfig) -> 
     sim
 }
 
-/// Sums one report counter over a policy's completed cells.
-pub(crate) fn sum<D>(cells: &[(&SimReport, D)], counter: fn(&SimReport) -> u64) -> u64 {
-    cells.iter().map(|(report, _)| counter(report)).sum()
+/// Sums one counter of a policy's completed cells (report and drill),
+/// saturating: journal records are checked one at a time, so restored
+/// counters that each fit can still overflow together.
+pub(crate) fn sum<D>(cells: &[(&SimReport, D)], counter: fn(&(&SimReport, D)) -> u64) -> u64 {
+    cells.iter().map(counter).fold(0, u64::saturating_add)
 }
 
 /// A finished run's bytes: its trace CSV and its report JSON.
@@ -432,18 +434,20 @@ impl<C: Campaign> CampaignResults<C> {
         self.sweep.poisoned()
     }
 
-    /// Total invariant violations across every completed cell.
+    /// Total invariant violations across every completed cell
+    /// (saturating: restored counters may overflow together).
     pub fn total_violations(&self) -> u64 {
         self.completed()
             .map(|(_, r, _)| r.resilience.invariant_violations)
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
-    /// Total perceptible-window misses across every completed cell.
+    /// Total perceptible-window misses across every completed cell
+    /// (saturating: restored counters may overflow together).
     pub fn total_misses(&self) -> u64 {
         self.completed()
             .map(|(_, r, _)| r.resilience.perceptible_window_misses)
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
     /// The labels of the completed cells whose drill did not restore and

@@ -142,7 +142,7 @@ impl Campaign for Chaos {
 
     fn aggregate(policy: String, cells: &[(&SimReport, ())]) -> PolicyResilience {
         let n = cells.len() as u64;
-        let recoveries = sum(cells, |r| r.resilience.recoveries);
+        let recoveries = sum(cells, |(r, _)| r.resilience.recoveries);
         let mttr_weighted: f64 = cells
             .iter()
             .map(|(r, _)| r.resilience.mean_time_to_recovery_ms * r.resilience.recoveries as f64)
@@ -150,12 +150,12 @@ impl Campaign for Chaos {
         PolicyResilience {
             policy,
             runs: n,
-            invariant_violations: sum(cells, |r| r.resilience.invariant_violations),
-            perceptible_window_misses: sum(cells, |r| r.resilience.perceptible_window_misses),
-            interventions: sum(cells, |r| r.resilience.interventions),
-            forced_releases: sum(cells, |r| r.resilience.forced_releases),
-            activation_retries: sum(cells, |r| r.resilience.activation_retries),
-            quarantines: sum(cells, |r| r.resilience.quarantines),
+            invariant_violations: sum(cells, |(r, _)| r.resilience.invariant_violations),
+            perceptible_window_misses: sum(cells, |(r, _)| r.resilience.perceptible_window_misses),
+            interventions: sum(cells, |(r, _)| r.resilience.interventions),
+            forced_releases: sum(cells, |(r, _)| r.resilience.forced_releases),
+            activation_retries: sum(cells, |(r, _)| r.resilience.activation_retries),
+            quarantines: sum(cells, |(r, _)| r.resilience.quarantines),
             recoveries,
             mean_time_to_recovery_ms: if recoveries > 0 {
                 mttr_weighted / recoveries as f64
@@ -323,5 +323,37 @@ mod tests {
         );
         let doc = results.to_json_document();
         assert!(doc.starts_with("{\"schema\":\"simty-bench-chaos/v1\",\"journal_skips\":0"));
+    }
+
+    #[test]
+    fn journaled_counters_that_overflow_together_saturate() {
+        let scratch =
+            std::env::temp_dir().join(format!("simty-chaos-forged-{}", std::process::id()));
+        std::fs::remove_dir_all(&scratch).ok();
+        let specs = matrix(
+            &[PolicyKind::Native],
+            &[Scenario::Light],
+            &[FaultProfile::Baseline],
+            2,
+            SimDuration::from_mins(10),
+        );
+        let options = CampaignOptions {
+            threads: 1,
+            journal_dir: Some(scratch.clone()),
+            ..CampaignOptions::default()
+        };
+        run_campaign::<Chaos>(&specs, &options).unwrap();
+        crate::journal::forge_records(&scratch, |entry| {
+            entry.report.resilience.invariant_violations = 1 << 63;
+            entry.report.resilience.perceptible_window_misses = 1 << 63;
+        });
+        let resumed = run_campaign::<Chaos>(&specs, &options).unwrap();
+        std::fs::remove_dir_all(&scratch).ok();
+        assert_eq!(resumed.journal_skips(), 2);
+        assert_eq!(resumed.total_violations(), u64::MAX);
+        assert_eq!(resumed.total_misses(), u64::MAX);
+        let aggregate = &resumed.aggregates()[0];
+        assert_eq!(aggregate.invariant_violations, u64::MAX);
+        assert_eq!(aggregate.perceptible_window_misses, u64::MAX);
     }
 }

@@ -290,7 +290,7 @@ pub fn empty_report(policy: &str) -> SimReport {
 }
 
 fn weighted_mean(a: f64, an: u64, b: f64, bn: u64) -> f64 {
-    let n = an + bn;
+    let n = an.saturating_add(bn);
     if n == 0 {
         0.0
     } else {
@@ -298,18 +298,25 @@ fn weighted_mean(a: f64, an: u64, b: f64, bn: u64) -> f64 {
     }
 }
 
+/// Adds each named counter of `$r` into `$acc`'s, saturating.
+macro_rules! add {
+    ($acc:expr, $r:expr; $($field:ident),*) => { $($acc.$field = $acc.$field.saturating_add($r.$field);)* };
+}
+
 /// Folds `r` into the running aggregate `acc`.
 ///
 /// Every field merges: energy components and counters sum, delay means
 /// re-weight by delivery count, maxima take the max, and the resilience
-/// means re-weight by their event counts. `acc.policy` and
-/// `acc.metrics_json` are left untouched (the shard assigns its own).
+/// means re-weight by their event counts. Counts and durations saturate:
+/// journaled shards and mid-shard markers are checked one record at a
+/// time, so restored counters that each fit can overflow together.
+/// `acc.policy` and `acc.metrics_json` are left untouched (the shard
+/// assigns its own).
 /// Folding is associative over disjoint device sets, which is what
 /// makes a shard aggregate equal to the fold of its devices' individual
 /// reports — the property the fleet proptest pins down.
 pub fn fold_report(acc: &mut SimReport, r: &SimReport) {
-    acc.duration += r.duration;
-    acc.awake_time += r.awake_time;
+    add!(acc, r; duration, awake_time, cpu_wakeups, entry_deliveries, total_deliveries);
 
     let mut components = [0.0_f64; HardwareComponent::ALL.len()];
     for (i, c) in HardwareComponent::ALL.into_iter().enumerate() {
@@ -323,10 +330,6 @@ pub fn fold_report(acc: &mut SimReport, r: &SimReport) {
     )
     .breakdown();
 
-    acc.cpu_wakeups += r.cpu_wakeups;
-    acc.entry_deliveries += r.entry_deliveries;
-    acc.total_deliveries += r.total_deliveries;
-
     for row in &r.wakeup_rows {
         match acc
             .wakeup_rows
@@ -334,8 +337,7 @@ pub fn fold_report(acc: &mut SimReport, r: &SimReport) {
             .find(|a| a.component == row.component)
         {
             Some(a) => {
-                a.actual += row.actual;
-                a.expected += row.expected;
+                add!(a, row; actual, expected);
             }
             None => acc.wakeup_rows.push(*row),
         }
@@ -356,7 +358,7 @@ pub fn fold_report(acc: &mut SimReport, r: &SimReport) {
         r.delays.perceptible_count,
     );
     d.perceptible_max = d.perceptible_max.max(r.delays.perceptible_max);
-    d.perceptible_count += r.delays.perceptible_count;
+    add!(d, r.delays; perceptible_count);
     d.imperceptible_avg = weighted_mean(
         d.imperceptible_avg,
         d.imperceptible_count,
@@ -364,7 +366,7 @@ pub fn fold_report(acc: &mut SimReport, r: &SimReport) {
         r.delays.imperceptible_count,
     );
     d.imperceptible_max = d.imperceptible_max.max(r.delays.imperceptible_max);
-    d.imperceptible_count += r.delays.imperceptible_count;
+    add!(d, r.delays; imperceptible_count);
 
     let res = &mut acc.resilience;
     res.mean_time_to_recovery_ms = weighted_mean(
@@ -379,33 +381,17 @@ pub fn fold_report(acc: &mut SimReport, r: &SimReport) {
         r.resilience.mean_recovery_ms,
         r.resilience.reboots,
     );
-    res.invariant_violations += r.resilience.invariant_violations;
-    res.perceptible_window_misses += r.resilience.perceptible_window_misses;
-    res.interventions += r.resilience.interventions;
-    res.forced_releases += r.resilience.forced_releases;
-    res.activation_retries += r.resilience.activation_retries;
-    res.dropped_fire_retries += r.resilience.dropped_fire_retries;
-    res.quarantines += r.resilience.quarantines;
-    res.recoveries += r.resilience.recoveries;
-    res.app_crashes += r.resilience.app_crashes;
-    res.app_restarts += r.resilience.app_restarts;
+    add!(res, r.resilience; invariant_violations, perceptible_window_misses, interventions,
+        forced_releases, activation_retries, dropped_fire_retries, quarantines, recoveries,
+        app_crashes, app_restarts, reboots, catch_up_entries);
     res.intervention_overhead_mj += r.resilience.intervention_overhead_mj;
-    res.reboots += r.resilience.reboots;
-    res.catch_up_entries += r.resilience.catch_up_entries;
     res.worst_catch_up_delay_ms = res
         .worst_catch_up_delay_ms
         .max(r.resilience.worst_catch_up_delay_ms);
 
     let over = &mut acc.overload;
-    over.storm_registrations += r.overload.storm_registrations;
-    over.admitted += r.overload.admitted;
-    over.deferred += r.overload.deferred;
-    over.rejected += r.overload.rejected;
-    over.shed += r.overload.shed;
-    over.demotions += r.overload.demotions;
-    over.tier_changes += r.overload.tier_changes;
-    over.time_in_saver_ms += r.overload.time_in_saver_ms;
-    over.time_in_critical_ms += r.overload.time_in_critical_ms;
+    add!(over, r.overload; storm_registrations, admitted, deferred, rejected, shed, demotions,
+        tier_changes, time_in_saver_ms, time_in_critical_ms);
     if over.final_tier == "normal" && r.overload.final_tier != "normal" {
         over.final_tier = r.overload.final_tier.clone();
     }
@@ -839,7 +825,7 @@ pub fn run_fleet_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{parse_cell, JournalEntry};
+    use crate::journal::{forge_records, parse_cell, JournalEntry};
     use crate::soak::SoakRecovery;
     use crate::storm::StormRecovery;
     use crate::supervisor::CellStatus;
@@ -925,20 +911,7 @@ mod tests {
             "{max},{max},0,{half},0,0,0,0,0,0,0,0,{:016x}",
             1.0_f64.to_bits()
         );
-        let path = scratch.join(crate::journal::JOURNAL_FILE);
-        let forged: String = std::fs::read_to_string(&path)
-            .unwrap()
-            .lines()
-            .map(|line| match parse_cell(line) {
-                Ok(mut entry) => {
-                    entry.extra = drill.clone();
-                    let body = format!("cell={}", codec::encode(&entry));
-                    format!("{body},{:016x}\n", fnv1a64(body.as_bytes()))
-                }
-                Err(_) => format!("{line}\n"),
-            })
-            .collect();
-        std::fs::write(&path, forged).unwrap();
+        forge_records(&scratch, |entry| entry.extra = drill.clone());
         let resumed = run_fleet_with(&config, &options).unwrap();
         std::fs::remove_dir_all(&scratch).ok();
         assert_eq!(resumed.journal_skips(), 3);
@@ -951,6 +924,38 @@ mod tests {
         assert!(resumed
             .to_json_document()
             .contains("\"devices\":18446744073709551615"));
+    }
+
+    #[test]
+    fn journaled_reports_that_overflow_together_saturate() {
+        let scratch = tempdir("fleet-forged-reports");
+        let config = tiny(4);
+        let options = CampaignOptions {
+            threads: 1,
+            journal_dir: Some(scratch.clone()),
+            ..CampaignOptions::default()
+        };
+        run_fleet_with(&config, &options).unwrap();
+        let half = 1_u64 << 63;
+        forge_records(&scratch, |entry| {
+            let r = &mut entry.report;
+            r.cpu_wakeups = half;
+            r.duration = SimDuration::from_millis(half);
+            r.delays.perceptible_count = half;
+            r.resilience.invariant_violations = half;
+            r.overload.time_in_saver_ms = half;
+            r.wakeup_rows[0].expected = half;
+        });
+        let resumed = run_fleet_with(&config, &options).unwrap();
+        std::fs::remove_dir_all(&scratch).ok();
+        assert_eq!(resumed.journal_skips(), 3);
+        let folded = resumed.aggregates()[0].report.clone().unwrap();
+        assert_eq!(folded.cpu_wakeups, u64::MAX);
+        assert_eq!(folded.duration.as_millis(), u64::MAX);
+        assert_eq!(folded.delays.perceptible_count, u64::MAX);
+        assert_eq!(folded.resilience.invariant_violations, u64::MAX);
+        assert_eq!(folded.overload.time_in_saver_ms, u64::MAX);
+        assert_eq!(folded.wakeup_rows[0].expected, u64::MAX);
     }
 
     #[test]

@@ -335,6 +335,27 @@ impl CampaignJournal {
     }
 }
 
+/// Rewrites every `cell=` record of the journal in `dir` through `edit`
+/// and re-checksums it: a forged journal whose records each pass the
+/// per-record checks.
+#[cfg(test)]
+pub(crate) fn forge_records(dir: &Path, edit: impl Fn(&mut JournalEntry)) {
+    let path = dir.join(JOURNAL_FILE);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let forged: String = text
+        .lines()
+        .map(|line| match parse_cell(line) {
+            Ok(mut entry) => {
+                edit(&mut entry);
+                let body = format!("cell={}", codec::encode(&entry));
+                format!("{body},{:016x}\n", fnv1a64(body.as_bytes()))
+            }
+            Err(_) => format!("{line}\n"),
+        })
+        .collect();
+    std::fs::write(&path, forged).unwrap();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

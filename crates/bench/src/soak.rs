@@ -195,7 +195,7 @@ impl Campaign for Soak {
     }
 
     fn aggregate(policy: String, cells: &[(&SimReport, SoakRecovery)]) -> PolicyEndurance {
-        let reboots = sum(cells, |r| r.resilience.reboots);
+        let reboots = sum(cells, |(r, _)| r.resilience.reboots);
         let recovery_weighted: f64 = cells
             .iter()
             .map(|(r, _)| r.resilience.mean_recovery_ms * r.resilience.reboots as f64)
@@ -209,15 +209,15 @@ impl Campaign for Soak {
             } else {
                 0.0
             },
-            catch_up_entries: sum(cells, |r| r.resilience.catch_up_entries),
+            catch_up_entries: sum(cells, |(r, _)| r.resilience.catch_up_entries),
             worst_catch_up_delay_ms: cells
                 .iter()
                 .map(|(r, _)| r.resilience.worst_catch_up_delay_ms)
                 .fold(0.0, f64::max),
-            invariant_violations: sum(cells, |r| r.resilience.invariant_violations),
-            perceptible_window_misses: sum(cells, |r| r.resilience.perceptible_window_misses),
-            checkpoints: cells.iter().map(|(_, rec)| rec.checkpoints).sum(),
-            corrupt_skipped: cells.iter().map(|(_, rec)| rec.corrupt_skipped).sum(),
+            invariant_violations: sum(cells, |(r, _)| r.resilience.invariant_violations),
+            perceptible_window_misses: sum(cells, |(r, _)| r.resilience.perceptible_window_misses),
+            checkpoints: sum(cells, |(_, rec)| rec.checkpoints),
+            corrupt_skipped: sum(cells, |(_, rec)| rec.corrupt_skipped),
             all_resumed_identical: cells.iter().all(|(_, rec)| rec.resumed_identical),
             all_restores_ok: cells.iter().all(|(_, rec)| rec.restore_ok),
         }

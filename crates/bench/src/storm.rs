@@ -219,15 +219,15 @@ impl Campaign for Storm {
         PolicyOverload {
             policy,
             runs: cells.len() as u64,
-            storm_registrations: sum(cells, |r| r.overload.storm_registrations),
-            admitted: sum(cells, |r| r.overload.admitted),
-            deferred: sum(cells, |r| r.overload.deferred),
-            rejected: sum(cells, |r| r.overload.rejected),
-            shed: sum(cells, |r| r.overload.shed),
-            demotions: sum(cells, |r| r.overload.demotions),
-            tier_changes: sum(cells, |r| r.overload.tier_changes),
-            invariant_violations: sum(cells, |r| r.resilience.invariant_violations),
-            perceptible_window_misses: sum(cells, |r| r.resilience.perceptible_window_misses),
+            storm_registrations: sum(cells, |(r, _)| r.overload.storm_registrations),
+            admitted: sum(cells, |(r, _)| r.overload.admitted),
+            deferred: sum(cells, |(r, _)| r.overload.deferred),
+            rejected: sum(cells, |(r, _)| r.overload.rejected),
+            shed: sum(cells, |(r, _)| r.overload.shed),
+            demotions: sum(cells, |(r, _)| r.overload.demotions),
+            tier_changes: sum(cells, |(r, _)| r.overload.tier_changes),
+            invariant_violations: sum(cells, |(r, _)| r.resilience.invariant_violations),
+            perceptible_window_misses: sum(cells, |(r, _)| r.resilience.perceptible_window_misses),
             all_resumed_identical: cells.iter().all(|(_, rec)| rec.resumed_identical),
             all_restores_ok: cells.iter().all(|(_, rec)| rec.restore_ok),
         }

@@ -227,6 +227,11 @@ impl SimDuration {
         self.0 as f64 / other.0 as f64
     }
 
+    /// Saturating addition.
+    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(rhs.0))
+    }
+
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
