@@ -1,16 +1,15 @@
 //! # simty-bench — experiment harness
 //!
-//! Binaries regenerating every table and figure of the paper's
-//! evaluation, plus criterion micro-benchmarks of the alignment policies
-//! and the simulation engine:
+//! The parallel sweep executor and the supervised, resumable campaigns
+//! (chaos, soak, storm, fleet) behind `standby`, two study binaries, and
+//! criterion micro-benchmarks of the alignment policies and the engine.
+//! The paper's figures and tables are `standby repro` (see
+//! [`simty::paper`]).
 //!
-//! * `cargo run --release -p simty-bench --bin fig2` — the motivating
-//!   example energies (Fig. 2);
-//! * `... --bin fig3` — energy under NATIVE vs SIMTY (Fig. 3);
-//! * `... --bin fig4` — normalized delivery delay (Fig. 4);
-//! * `... --bin table4` — the wakeup breakdown (Table 4);
-//! * `... --bin ablation` — β sweep, hardware-similarity granularity,
-//!   the DURSIM extension, and NATIVE realignment on/off;
+//! * `cargo run --release -p simty-bench --bin ablation` — β sweep,
+//!   hardware-similarity granularity, the DURSIM extension, and NATIVE
+//!   realignment on/off;
+//! * `... --bin sensitivity` — the power-model calibration perturbations;
 //! * `cargo bench -p simty-bench` — policy/engine micro-benchmarks.
 
 #![warn(missing_docs)]
@@ -39,27 +38,9 @@ pub use fleet::{
 };
 pub use journal::{CampaignJournal, JournalEntry, JournalError};
 pub use simty::experiments::{
-    motivating_example, motivating_example_report, paper_runs, paper_specs, Averages, PolicyKind,
-    RunSpec, Scenario,
+    motivating_example_report, paper_specs, Averages, PolicyKind, RunSpec, Scenario,
 };
 pub use soak::{PolicyEndurance, Soak, SoakProfile, SoakRecovery, SoakResults, SoakSpec};
 pub use storm::{PolicyOverload, Storm, StormProfile, StormRecovery, StormResults, StormSpec};
 pub use supervisor::{CellStatus, HarnessStats, SupervisorConfig};
 pub use sweep::{CampaignOptions, JobResult, Outcome, RunHandle, Sweep, SweepResults};
-
-/// Renders one "paper vs measured" line for the experiment binaries.
-pub fn paper_vs_measured(label: &str, paper: f64, measured: f64, unit: &str) -> String {
-    format!("{label:<42} paper {paper:>10.1} {unit:<4} measured {measured:>10.1} {unit}")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn formats_comparison_lines() {
-        let s = paper_vs_measured("CPU wakeups (light)", 733.0, 700.0, "");
-        assert!(s.contains("733"));
-        assert!(s.contains("700"));
-    }
-}

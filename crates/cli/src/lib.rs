@@ -2,7 +2,7 @@
 //!
 //! A CLI over the `simty` reproduction. `standby --help` is the full
 //! reference; it is derived from the same command table the parser uses.
-//! The commands fall into four groups:
+//! The commands fall into five groups:
 //!
 //! - single runs: `run` one scenario under one policy, `compare` every
 //!   policy side by side, `diff` two policies app by app, `sweep-beta`
@@ -13,6 +13,7 @@
 //! - supervised, resumable campaigns: the `sweep` grid, the `chaos`,
 //!   `soak` and `storm` guarantee campaigns, and the sharded `fleet`;
 //! - the scheduler as a service: `serve`, and `serve-load` to drill it;
+//! - the paper: `repro` checks every figure and table against its band;
 //! - the perf gate: `bench diff` between two campaign documents.
 //!
 //! Every command's flags, defaults and help line are declared once, in

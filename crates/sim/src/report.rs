@@ -1,7 +1,8 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! The bench binaries print each paper figure/table as an aligned ASCII
-//! table; this module is the tiny formatting layer they share.
+//! `standby`'s commands and the study binaries print their results as
+//! aligned ASCII tables; this module is the tiny formatting layer they
+//! share.
 
 use std::fmt::Write as _;
 
@@ -100,42 +101,6 @@ impl TextTable {
     }
 }
 
-/// Renders a horizontal ASCII bar chart, one row per item, scaled to the
-/// largest value. Used by the figure binaries to echo the paper's bar
-/// plots (Figs. 3–4).
-///
-/// # Examples
-///
-/// ```
-/// use simty_sim::report::bar_chart;
-///
-/// let chart = bar_chart(&[("NATIVE".into(), 1018.0), ("SIMTY".into(), 752.0)], 40);
-/// assert!(chart.lines().count() == 2);
-/// ```
-pub fn bar_chart(items: &[(String, f64)], width: usize) -> String {
-    let label_w = items
-        .iter()
-        .map(|(l, _)| l.chars().count())
-        .max()
-        .unwrap_or(0);
-    let max = items.iter().map(|(_, v)| *v).fold(0.0_f64, f64::max);
-    let mut out = String::new();
-    for (label, value) in items {
-        let bar = if max > 0.0 {
-            ((value / max) * width as f64).round() as usize
-        } else {
-            0
-        };
-        let _ = writeln!(
-            out,
-            "{label:<label_w$}  {}{} {value:.1}",
-            "█".repeat(bar),
-            " ".repeat(width.saturating_sub(bar)),
-        );
-    }
-    out
-}
-
 /// Formats millijoules as joules with one decimal.
 pub fn fmt_joules(mj: f64) -> String {
     format!("{:.1}", mj / 1_000.0)
@@ -177,24 +142,5 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(fmt_joules(12_345.0), "12.3");
         assert_eq!(fmt_percent(0.336), "33.6%");
-    }
-
-    #[test]
-    fn bar_chart_scales_to_the_maximum() {
-        let chart = bar_chart(&[("a".into(), 10.0), ("bb".into(), 5.0)], 10);
-        let lines: Vec<&str> = chart.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].matches('█').count(), 10);
-        assert_eq!(lines[1].matches('█').count(), 5);
-        // Labels are padded to the widest.
-        assert!(lines[0].starts_with("a "));
-        assert!(lines[1].starts_with("bb"));
-    }
-
-    #[test]
-    fn bar_chart_handles_zeroes_and_empty() {
-        assert_eq!(bar_chart(&[], 10), "");
-        let chart = bar_chart(&[("z".into(), 0.0)], 10);
-        assert_eq!(chart.lines().next().unwrap().matches('█').count(), 0);
     }
 }

@@ -9,7 +9,9 @@
 //!
 //! This crate is the facade: it re-exports the component crates
 //! ([`simty_core`], [`simty_device`], [`simty_sim`], [`simty_apps`]) and
-//! hosts the shared [`experiments`] harness.
+//! hosts the shared [`experiments`] harness and the [`paper`]'s results as
+//! data: every headline number with the band it must stay in, checked by
+//! `standby repro`.
 //!
 //! # Quick start
 //!
@@ -41,6 +43,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod paper;
 pub mod prelude;
 
 pub use simty_apps as apps;
