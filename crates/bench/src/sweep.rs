@@ -520,11 +520,6 @@ impl SweepResults {
         self.outcomes[handle.0].report.as_ref()
     }
 
-    /// Reports for a batch of handles (e.g. one per seed), in order.
-    pub fn reports(&self, handles: &[RunHandle]) -> Vec<SimReport> {
-        handles.iter().map(|h| self.report(*h).clone()).collect()
-    }
-
     /// All outcomes in enqueue order.
     pub fn outcomes(&self) -> &[Outcome] {
         &self.outcomes
