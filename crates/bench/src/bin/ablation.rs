@@ -12,12 +12,13 @@
 //! spec-shaped and bespoke alike — is enqueued into one parallel sweep;
 //! the shared NATIVE and SIMTY baselines appearing in several sections
 //! execute once thanks to spec deduplication. Accepts `--threads N` and
-//! `--json PATH`.
+//! `--json PATH` ([`StudyArgs`]); any other argument, a missing value or a
+//! `--threads` that is not a positive integer exits 2.
 
 use simty::core::similarity::HardwareGranularity;
 use simty::prelude::*;
 use simty::sim::report::{fmt_joules, fmt_percent, TextTable};
-use simty_bench::sweep::{json_path_from_args, threads_from_args};
+use simty_bench::sweep::StudyArgs;
 use simty_bench::{PolicyKind, RunSpec, Scenario, Sweep};
 
 /// Ablation 4's bespoke run: heavy workload plus push-message traffic, so
@@ -74,7 +75,7 @@ fn duration_mix_run(use_dursim: bool) -> SimReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = StudyArgs::from_env("ablation");
 
     // Enqueue the entire study up front; the NATIVE baseline (used by the
     // saving column of ablation 1) and the SIMTY baseline (appearing in
@@ -133,7 +134,7 @@ fn main() {
         })
         .collect();
 
-    let results = sweep.run_with_threads(threads_from_args(&args));
+    let results = sweep.run_with_threads(args.threads);
     let native_awake = results.report(native).energy.awake_related_mj();
 
     println!("Ablation 1 — grace fraction β (heavy workload, SIMTY)\n");
@@ -262,8 +263,8 @@ fn main() {
     }
     println!("{}", mix_table.render());
 
-    if let Some(path) = json_path_from_args(&args) {
-        results.write_json(&path).expect("writes sweep json");
+    if let Some(path) = &args.json {
+        results.write_json(path).expect("writes sweep json");
         println!("wrote {path}");
     }
 }

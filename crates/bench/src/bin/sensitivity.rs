@@ -12,11 +12,12 @@
 //! so the calibrated NATIVE/SIMTY baselines run exactly once no matter
 //! how many rows reference them (previously each row re-ran its own
 //! NATIVE from scratch, sequentially). Accepts `--threads N` and
-//! `--json PATH`.
+//! `--json PATH` ([`StudyArgs`]); any other argument, a missing value or a
+//! `--threads` that is not a positive integer exits 2.
 
 use simty::prelude::*;
 use simty::sim::report::{fmt_percent, TextTable};
-use simty_bench::sweep::{json_path_from_args, threads_from_args, RunHandle};
+use simty_bench::sweep::{RunHandle, StudyArgs};
 use simty_bench::{PolicyKind, RunSpec, Scenario, Sweep};
 
 fn perturbations() -> Vec<(String, PowerModel)> {
@@ -50,7 +51,7 @@ fn perturbations() -> Vec<(String, PowerModel)> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = StudyArgs::from_env("sensitivity");
     println!("Sensitivity of SIMTY's saving to the power calibration (heavy, 3 h, seed 1)\n");
 
     let rows = perturbations();
@@ -66,7 +67,7 @@ fn main() {
             )
         })
         .collect();
-    let results = sweep.run_with_threads(threads_from_args(&args));
+    let results = sweep.run_with_threads(args.threads);
 
     let mut table = TextTable::new(["perturbation", "total saving", "awake saving"]);
     for ((label, _), (native_h, simty_h)) in rows.iter().zip(&handles) {
@@ -84,8 +85,8 @@ fn main() {
          is the part alignment cannot touch (the paper makes the same point\n\
          about low-power hardware design, §4.2)."
     );
-    if let Some(path) = json_path_from_args(&args) {
-        results.write_json(&path).expect("writes sweep json");
+    if let Some(path) = &args.json {
+        results.write_json(path).expect("writes sweep json");
         println!("wrote {path}");
     }
 }

@@ -127,6 +127,11 @@ pub trait Campaign: Sized + 'static {
     /// campaign's harness `options`.
     fn run_cell(cell: &Self::Cell, options: &CampaignOptions) -> (SimReport, Self::Drill);
 
+    /// Called once `cell`'s journal record has been appended (never
+    /// without a journal or when the append fails): drops what only a
+    /// resume in the middle of the cell could use. Nothing by default.
+    fn journaled(_cell: &Self::Cell, _options: &CampaignOptions) {}
+
     /// Folds one policy's completed cells into its aggregate.
     fn aggregate(policy: String, cells: &[(&SimReport, Self::Drill)]) -> Self::Aggregate;
 
@@ -337,15 +342,17 @@ pub fn run_campaign<C: Campaign>(
     }
     let shared = Arc::new(options.clone());
     for cell in cells {
-        let (cell, options) = (cell.clone(), Arc::clone(&shared));
-        sweep.job(cell.label(), move || {
-            let (report, drill) = C::run_cell(&cell, &options);
+        let (run, options) = (cell.clone(), Arc::clone(&shared));
+        let handle = sweep.job(cell.label(), move || {
+            let (report, drill) = C::run_cell(&run, &options);
             JobResult {
                 report,
                 stages: None,
                 extra: Some(codec::encode(&drill)).filter(|extra| !extra.is_empty()),
             }
         });
+        let (cell, options) = (cell.clone(), Arc::clone(&shared));
+        sweep.on_journaled(handle, move || C::journaled(&cell, &options));
     }
     Ok(CampaignResults {
         cells: cells.to_vec(),

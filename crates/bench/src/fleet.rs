@@ -29,7 +29,7 @@
 //! * the deterministic payload ([`CampaignResults::to_json`]) is
 //!   byte-identical on any thread count, after any interruption.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use simty::apps::{DeviceMix, ScenarioCatalog, WorkloadBuilder};
@@ -607,6 +607,13 @@ fn run_shard(
     (progress.report, progress.drill)
 }
 
+/// Where a journaled campaign keeps `spec`'s mid-shard markers:
+/// `<journal_dir>/shard-<index>/`.
+fn shard_dir(spec: &ShardSpec, options: &CampaignOptions) -> Option<PathBuf> {
+    let dir = options.journal_dir.as_ref()?;
+    Some(dir.join(format!("shard-{:03}", spec.index)))
+}
+
 /// Per-policy fold of every completed shard.
 #[derive(Debug, Clone)]
 pub struct PolicyAggregate {
@@ -641,11 +648,18 @@ impl Campaign for Fleet {
         if spec.config.inject_panic == Some(spec.index) {
             panic!("injected fleet shard panic (cell {})", spec.index);
         }
-        let ckpt_dir = options
-            .journal_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("shard-{:03}", spec.index)));
+        let ckpt_dir = shard_dir(spec, options);
         run_shard(spec, ckpt_dir.as_deref(), options.telemetry.as_ref())
+    }
+
+    /// Deletes the shard's markers: once its cell is journaled, a resume
+    /// restores the whole shard and never reads them again.
+    fn journaled(spec: &ShardSpec, options: &CampaignOptions) {
+        if let Some(dir) = shard_dir(spec, options) {
+            // A leftover directory only costs disk space; never fail the
+            // campaign over it.
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     fn aggregate(policy: String, cells: &[(&SimReport, ShardDrill)]) -> PolicyAggregate {
@@ -831,7 +845,6 @@ mod tests {
     use crate::supervisor::CellStatus;
     use proptest::prelude::*;
     use simty::sim::codec::fnv1a64;
-    use std::path::PathBuf;
     use std::sync::OnceLock;
 
     fn tiny(devices: u64) -> FleetConfig {
@@ -1028,8 +1041,9 @@ mod tests {
             ..CampaignOptions::default()
         };
         let first = run_fleet_with(&config, &options).unwrap();
-        // Mid-shard markers were written (stride 2, shard size 3).
-        assert!(scratch.join("shard-000").is_dir());
+        // Every shard's cell is journaled, so its mid-shard markers
+        // (stride 2, shard size 3) are deleted.
+        assert!(!scratch.join("shard-000").exists());
         let second = run_fleet_with(&config, &options).unwrap();
         assert_eq!(second.journal_skips(), 3);
         assert_eq!(first.to_json(), second.to_json());
@@ -1037,6 +1051,25 @@ mod tests {
         let clean = run_fleet_with(&config, &CampaignOptions::with_threads(2)).unwrap();
         assert_eq!(clean.to_json(), second.to_json());
         assert_eq!(shards(&clean), shards(&second));
+        std::fs::remove_dir_all(&scratch).ok();
+    }
+
+    /// A shard that stops before its cell is journaled leaves its
+    /// markers behind, and the next run of the shard resumes from the
+    /// last one to the same aggregate.
+    #[test]
+    fn an_unjournaled_shard_resumes_from_its_marker() {
+        let scratch = tempdir("fleet-marker");
+        let config = tiny(9);
+        let spec = &config.specs()[0];
+        let (report, drill) = run_shard(spec, Some(&scratch), None);
+        let store = CheckpointStore::open(&scratch).unwrap();
+        let (marker, _) = store.load_latest_good().unwrap();
+        let progress = ShardProgress::decode(&marker.marker_payload().unwrap(), spec).unwrap();
+        assert_eq!(progress.cursor, spec.start + 2);
+        let (resumed, resumed_drill) = run_shard(spec, Some(&scratch), None);
+        assert_eq!(resumed.to_record(), report.to_record());
+        assert_eq!(codec::encode(&resumed_drill), codec::encode(&drill));
         std::fs::remove_dir_all(&scratch).ok();
     }
 

@@ -15,6 +15,7 @@
 //! to compute its NATIVE/SIMTY baselines once instead of once per
 //! perturbation point.
 
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,6 +76,9 @@ impl From<(SimReport, StageProfile)> for JobResult {
 struct Job {
     label: String,
     task: TaskFn,
+    /// Runs once the cell's journal record is appended (see
+    /// [`Sweep::on_journaled`]).
+    on_journaled: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
 /// Handle to an enqueued run; index into [`SweepResults`].
@@ -226,8 +230,24 @@ impl Sweep {
         self.jobs.push(Job {
             label,
             task: Arc::new(move || task().into()),
+            on_journaled: None,
         });
         handle
+    }
+
+    /// Runs `cleanup` right after `handle`'s cell is appended to the
+    /// attached journal: the place to drop state that only a resume in
+    /// the middle of that cell could use. It never runs without a
+    /// journal, for a quarantined cell, when the append fails (the cell
+    /// re-runs on resume and may still use that state), or for a cell
+    /// restored from the journal.
+    pub fn on_journaled(
+        &mut self,
+        handle: RunHandle,
+        cleanup: impl Fn() + Send + Sync + 'static,
+    ) -> &mut Self {
+        self.jobs[handle.0].on_journaled = Some(Box::new(cleanup));
+        self
     }
 
     /// Executes the batch on every available core (see
@@ -348,6 +368,9 @@ impl Sweep {
                     if let (Some(journal), Some(report)) = (journal, &report) {
                         match journal.record(idx, &status, report, extra.as_deref()) {
                             Ok(()) => {
+                                if let Some(cleanup) = &job.on_journaled {
+                                    cleanup();
+                                }
                                 if let Some(sink) = telemetry {
                                     sink.publish(EventKind::JournalWrite {
                                         index: idx,
@@ -685,23 +708,88 @@ impl SweepResults {
     }
 }
 
-/// Parses a `--threads N` override from raw binary arguments, falling
-/// back to all cores. Shared by the experiment binaries.
-pub fn threads_from_args(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(available_threads)
+/// The experiment binaries' options: `--threads N` (default: every
+/// core) and `--json PATH` (write the sweep document there).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StudyArgs {
+    /// Worker threads for the sweep.
+    pub threads: usize,
+    /// Where to write the sweep document, if anywhere.
+    pub json: Option<String>,
 }
 
-/// Parses a `--json PATH` override from raw binary arguments.
-pub fn json_path_from_args(args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Why an experiment binary's arguments were rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StudyArgsError {
+    /// An argument that is not `--threads` or `--json`.
+    UnknownFlag(String),
+    /// A flag given last, or followed by another flag, with no value.
+    MissingValue(&'static str),
+    /// A `--threads` value that is not a positive integer.
+    BadThreads(String),
+}
+
+impl fmt::Display for StudyArgsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StudyArgsError::UnknownFlag(flag) => write!(f, "unknown argument `{flag}`"),
+            StudyArgsError::MissingValue(flag) => write!(f, "`{flag}` needs a value"),
+            StudyArgsError::BadThreads(v) => {
+                write!(f, "`--threads` must be a positive integer, got `{v}`")
+            }
+        }
+    }
+}
+
+impl std::error::Error for StudyArgsError {}
+
+impl StudyArgs {
+    /// Parses raw binary arguments (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// Any argument other than `--threads N` and `--json PATH`, a flag
+    /// without its value, and a `--threads` value that is not a positive
+    /// integer.
+    pub fn parse(args: &[String]) -> Result<Self, StudyArgsError> {
+        let mut parsed = StudyArgs {
+            threads: available_threads(),
+            json: None,
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = match arg.as_str() {
+                "--threads" => "--threads",
+                "--json" => "--json",
+                _ => return Err(StudyArgsError::UnknownFlag(arg.clone())),
+            };
+            let value = args
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or(StudyArgsError::MissingValue(flag))?;
+            if flag == "--json" {
+                parsed.json = Some(value.clone());
+            } else {
+                parsed.threads = value
+                    .parse()
+                    .ok()
+                    .filter(|&n: &usize| n > 0)
+                    .ok_or_else(|| StudyArgsError::BadThreads(value.clone()))?;
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Parses the process's arguments; on an error, prints it with a
+    /// usage line to stderr and exits with status 2.
+    pub fn from_env(program: &str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        StudyArgs::parse(&args).unwrap_or_else(|e| {
+            eprintln!("{program}: {e}");
+            eprintln!("usage: {program} [--threads N] [--json PATH]");
+            std::process::exit(2)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -782,15 +870,39 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
+    fn study_args(args: &[&str]) -> Result<StudyArgs, StudyArgsError> {
+        StudyArgs::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
     #[test]
-    fn arg_parsing_helpers() {
-        let args: Vec<String> = ["--threads", "3", "--json", "out.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(threads_from_args(&args), 3);
-        assert_eq!(json_path_from_args(&args), Some("out.json".into()));
-        assert!(json_path_from_args(&[]).is_none());
-        assert!(threads_from_args(&[]) >= 1);
+    fn study_args_parse_both_flags_and_default_to_every_core() {
+        let args = study_args(&["--threads", "3", "--json", "out.json"]).unwrap();
+        assert_eq!(args.threads, 3);
+        assert_eq!(args.json.as_deref(), Some("out.json"));
+        let default = study_args(&[]).unwrap();
+        assert_eq!(default.threads, available_threads());
+        assert_eq!(default.json, None);
+    }
+
+    #[test]
+    fn study_args_reject_unknown_missing_and_bad_values() {
+        use StudyArgsError::*;
+        let bad = |v: &str| Err(BadThreads(v.into()));
+        assert_eq!(
+            study_args(&["--thread", "2"]),
+            Err(UnknownFlag("--thread".into()))
+        );
+        assert_eq!(study_args(&["stray"]), Err(UnknownFlag("stray".into())));
+        assert_eq!(study_args(&["--json"]), Err(MissingValue("--json")));
+        assert_eq!(study_args(&["--threads"]), Err(MissingValue("--threads")));
+        assert_eq!(
+            study_args(&["--json", "--threads", "2"]),
+            Err(MissingValue("--json"))
+        );
+        assert_eq!(study_args(&["--threads", "abc", "--json", "x"]), bad("abc"));
+        assert_eq!(study_args(&["--threads", "0"]), bad("0"));
+        assert_eq!(study_args(&["--threads", "-1"]), bad("-1"));
+        assert_eq!(study_args(&["--threads", "2.5"]), bad("2.5"));
+        assert_eq!(MissingValue("--json").to_string(), "`--json` needs a value");
     }
 }

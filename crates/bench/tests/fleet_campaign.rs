@@ -4,7 +4,7 @@
 //! poisoned shard resumes from its journal to a document byte-identical
 //! to an uninterrupted run, on any thread count.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use simty::core::time::SimDuration;
@@ -107,8 +107,9 @@ fn killed_campaign_resumes_byte_identical_across_thread_counts() {
         assert!(first.outcomes()[1].report.is_none());
         assert!(first.outcomes()[0].report.is_some());
         assert!(first.outcomes()[2].report.is_some());
-        // The surviving shards wrote mid-range checkpoint markers.
-        assert!(dir.join("shard-000").is_dir());
+        // The surviving shards are journaled, so their mid-range
+        // checkpoint markers are gone.
+        assert_eq!(markers_under(&dir), 0, "threads={threads}");
 
         let resumed = run_fleet_with(&config, &options).unwrap();
         assert_eq!(resumed.journal_skips(), 2, "threads={threads}");
@@ -119,6 +120,46 @@ fn killed_campaign_resumes_byte_identical_across_thread_counts() {
             "resume must be byte-identical on {threads} thread(s)"
         );
         assert_eq!(shards(&resumed), shards(&reference), "threads={threads}");
+        assert_eq!(markers_under(&dir), 0, "threads={threads}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// How many `ckpt-*` snapshot files lie anywhere under `dir`.
+fn markers_under(dir: &Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .map(|e| {
+            let path = e.path();
+            if path.is_dir() {
+                markers_under(&path)
+            } else {
+                usize::from(e.file_name().to_string_lossy().starts_with("ckpt-"))
+            }
+        })
+        .sum()
+}
+
+/// A journaled fleet whose shards each write several mid-shard markers
+/// leaves none behind once every cell is journaled, on one thread and
+/// on three.
+#[test]
+fn a_journaled_fleet_leaves_no_markers() {
+    let config = small_fleet(12, 3, 5);
+    for threads in [1usize, 3] {
+        let dir = unique_dir(&format!("markers-{threads}"));
+        let options = CampaignOptions {
+            threads,
+            journal_dir: Some(dir.clone()),
+            ..CampaignOptions::default()
+        };
+        let results = run_fleet_with(&config, &options).unwrap();
+        assert_eq!(results.devices_completed(), 12);
+        assert!(dir.is_dir(), "the journal stays");
+        assert_eq!(markers_under(&dir), 0, "threads={threads}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -446,6 +446,14 @@ impl AlarmManager {
     /// its next nominal delivery time. Returns the id if it was
     /// reinserted, `None` for one-shot alarms.
     ///
+    /// The alarm must have come out of
+    /// [`pop_due_wakeup`](Self::pop_due_wakeup) /
+    /// [`pop_due_non_wakeup`](Self::pop_due_non_wakeup) (or their `_into`
+    /// variants), so no stale copy of it is queued: unlike
+    /// [`register`](Self::register), the reinsertion validates, stamps
+    /// the grace stretch and places the alarm without searching the queue
+    /// for one. Debug builds check this precondition.
+    ///
     /// # Panics
     ///
     /// Panics if the computed next nominal time is in the past, which the
@@ -453,14 +461,19 @@ impl AlarmManager {
     pub fn complete_delivery(&mut self, mut alarm: Alarm, delivered_at: SimTime) -> Option<AlarmId> {
         self.advance_clock(delivered_at);
         alarm.mark_hardware_known();
-        if alarm.advance_after_delivery(delivered_at) {
-            let id = self
-                .register(alarm)
-                .expect("next nominal delivery time must be in the future");
-            Some(id)
-        } else {
-            None
+        if !alarm.advance_after_delivery(delivered_at) {
+            return None;
         }
+        let id = alarm.id();
+        debug_assert!(
+            !self.queue(alarm.kind()).contains_alarm(id),
+            "alarm {id:?} completed while still queued"
+        );
+        self.validate(&alarm)
+            .expect("next nominal delivery time must be in the future");
+        alarm.set_grace_stretch(self.grace_stretch);
+        self.place(alarm);
+        Some(id)
     }
 
     fn queue(&self, kind: AlarmKind) -> &AlarmQueue {
@@ -604,6 +617,16 @@ mod tests {
         }
         assert_eq!(m.alarm_count(), 1);
         assert_eq!(m.next_wakeup_time(), Some(SimTime::from_secs(700)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "completed while still queued")]
+    fn completing_a_still_queued_alarm_trips_the_debug_check() {
+        let mut m = AlarmManager::new(Box::new(SimtyPolicy::new()));
+        let a = wifi_alarm("a", 100, 600, 0.75);
+        m.register(a.clone()).unwrap();
+        m.complete_delivery(a, SimTime::from_secs(100));
     }
 
     #[test]

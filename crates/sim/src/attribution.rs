@@ -32,7 +32,8 @@ use simty_device::power::PowerModel;
 /// A task currently holding the device awake.
 #[derive(Debug, Clone)]
 pub(crate) struct ActiveTask {
-    pub(crate) app: Arc<str>,
+    /// The task's app: an index into the ledger's `names`/`totals`.
+    pub(crate) slot: u32,
     pub(crate) hardware: HardwareSet,
     pub(crate) until: SimTime,
 }
@@ -42,11 +43,16 @@ pub(crate) struct ActiveTask {
 /// Driven by the [`Simulation`](crate::engine::Simulation) engine; read
 /// it after a run via
 /// [`Simulation::attribution`](crate::engine::Simulation::attribution).
+///
+/// Each app owns one dense slot (`names[i]`, `totals[i]`, in first-seen
+/// order), resolved once per delivered task; every charge after that is
+/// an indexed add, with no string key and no refcount traffic.
 #[derive(Debug, Clone)]
 pub struct AttributionLedger {
     pub(crate) model: PowerModel,
     pub(crate) active: Vec<ActiveTask>,
-    pub(crate) per_app: BTreeMap<String, f64>,
+    pub(crate) names: Vec<Arc<str>>,
+    pub(crate) totals: Vec<f64>,
     pub(crate) interventions: BTreeMap<String, u64>,
     pub(crate) overhead_mj: f64,
     pub(crate) pending_transition_mj: f64,
@@ -60,7 +66,8 @@ impl AttributionLedger {
         AttributionLedger {
             model,
             active: Vec::new(),
-            per_app: BTreeMap::new(),
+            names: Vec::new(),
+            totals: Vec::new(),
             interventions: BTreeMap::new(),
             overhead_mj: 0.0,
             pending_transition_mj: 0.0,
@@ -119,17 +126,42 @@ impl AttributionLedger {
                 self.pending_transition_mj = 0.0;
             }
         }
-        bump(&mut self.per_app, app, charge);
+        let slot = self.slot_of(app);
+        self.totals[slot as usize] += charge;
         self.active.push(ActiveTask {
-            app: Arc::clone(app),
+            slot,
             hardware,
             until,
         });
     }
 
+    /// `app`'s slot, added (at 0 mJ) on first sight. The engine hands in
+    /// the alarm's own label, so the pointer comparison almost always
+    /// hits before any string is compared.
+    fn slot_of(&mut self, app: &Arc<str>) -> u32 {
+        let found = self
+            .names
+            .iter()
+            .position(|n| Arc::ptr_eq(n, app))
+            .or_else(|| self.names.iter().position(|n| **n == **app));
+        let slot = found.unwrap_or_else(|| {
+            self.names.push(Arc::clone(app));
+            self.totals.push(0.0);
+            self.names.len() - 1
+        });
+        u32::try_from(slot).expect("fewer than 2^32 apps")
+    }
+
     /// Energy attributed to each app so far, in mJ, sorted by app name.
-    pub fn per_app_mj(&self) -> &BTreeMap<String, f64> {
-        &self.per_app
+    ///
+    /// Built on each call from the ledger's dense slots; read it once
+    /// per report, not per event.
+    pub fn per_app_mj(&self) -> BTreeMap<String, f64> {
+        self.names
+            .iter()
+            .zip(&self.totals)
+            .map(|(name, mj)| (name.to_string(), *mj))
+            .collect()
     }
 
     /// Awake energy not attributable to any app: wake latency and sleep
@@ -138,9 +170,10 @@ impl AttributionLedger {
         self.overhead_mj + self.pending_transition_mj
     }
 
-    /// Total attributed energy (excluding overhead), in mJ.
+    /// Total attributed energy (excluding overhead), in mJ, summed in app
+    /// name order.
     pub fn attributed_mj(&self) -> f64 {
-        self.per_app.values().sum()
+        self.per_app_mj().values().sum()
     }
 
     /// Drops every active task immediately (mirrors the device's forced
@@ -156,7 +189,8 @@ impl AttributionLedger {
     /// `now` on. Also counts one watchdog intervention against the app.
     pub fn drop_app_tasks(&mut self, app: &str, now: SimTime) {
         self.advance_to(now, self.awake);
-        self.active.retain(|t| *t.app != *app);
+        let names = &self.names;
+        self.active.retain(|t| *names[t.slot as usize] != *app);
         *self.interventions.entry(app.to_owned()).or_insert(0) += 1;
     }
 
@@ -167,21 +201,27 @@ impl AttributionLedger {
 
     /// Apps ranked by attributed energy, highest first.
     pub fn ranking(&self) -> Vec<(String, f64)> {
-        let mut v: Vec<(String, f64)> = self
-            .per_app
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
+        let mut v: Vec<(String, f64)> = self.per_app_mj().into_iter().collect();
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("energies are finite"));
         v
     }
 
+    /// Charges the awake segment `[last, last + dt]` to the running
+    /// tasks.
+    ///
+    /// The engine's run loop closes almost every segment through the
+    /// [`advance_to`](Self::advance_to) calls before and after each
+    /// same-instant batch, outside the batch's dispatch clock, so this
+    /// runs outside every stage clock: its cost shows in a run's total
+    /// time, not in any stage's. Only a forced release
+    /// ([`drop_app_tasks`](Self::drop_app_tasks),
+    /// [`drop_all_tasks`](Self::drop_all_tasks)) closes one inside it.
     fn accrue_awake_segment(&mut self, dt: SimDuration) {
         let secs = dt.as_secs_f64();
         // This runs once per event-loop batch, so it must not allocate:
-        // tasks are scanned by index (two passes: count, then charge)
-        // and apps are charged through `bump`, which only allocates the
-        // first time an app appears in the ledger.
+        // tasks are scanned twice (count, then charge), and each charge
+        // is an indexed add into the task's slot, in the same task order
+        // as ever, so every app's float sum is reproducible.
         let last = self.last;
         let running = |t: &ActiveTask| t.until > last;
         let n_running = self.active.iter().filter(|t| running(t)).count();
@@ -191,11 +231,8 @@ impl AttributionLedger {
             self.overhead_mj += base;
         } else {
             let share = base / n_running as f64;
-            for i in 0..self.active.len() {
-                if running(&self.active[i]) {
-                    let app = Arc::clone(&self.active[i].app);
-                    bump(&mut self.per_app, &app, share);
-                }
+            for t in self.active.iter().filter(|t| running(t)) {
+                self.totals[t.slot as usize] += share;
             }
         }
         // Component power: split among the tasks holding each component.
@@ -207,23 +244,10 @@ impl AttributionLedger {
             }
             let energy = self.model.component(c).active_power_mw * secs;
             let share = energy / n_holders as f64;
-            for i in 0..self.active.len() {
-                if holds(&self.active[i]) {
-                    let app = Arc::clone(&self.active[i].app);
-                    bump(&mut self.per_app, &app, share);
-                }
+            for t in self.active.iter().filter(|t| holds(t)) {
+                self.totals[t.slot as usize] += share;
             }
         }
-    }
-}
-
-/// Adds `amt` to `app`'s total, copying the key only on first sight —
-/// the steady-state charge path performs no allocation.
-fn bump(per_app: &mut BTreeMap<String, f64>, app: &str, amt: f64) {
-    if let Some(v) = per_app.get_mut(app) {
-        *v += amt;
-    } else {
-        per_app.insert(app.to_owned(), amt);
     }
 }
 
@@ -240,7 +264,229 @@ impl fmt::Display for AttributionLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simty_core::hardware::HardwareComponent;
+
+    /// The ledger as it was before dense slots: every charge a string-keyed
+    /// map update. The differential oracle below holds the slot ledger to
+    /// its exact bits.
+    struct ReferenceLedger {
+        model: PowerModel,
+        active: Vec<(Arc<str>, HardwareSet, SimTime)>,
+        per_app: BTreeMap<String, f64>,
+        interventions: BTreeMap<String, u64>,
+        overhead_mj: f64,
+        pending_transition_mj: f64,
+        last: SimTime,
+        awake: bool,
+    }
+
+    impl ReferenceLedger {
+        fn new(model: PowerModel) -> Self {
+            ReferenceLedger {
+                model,
+                active: Vec::new(),
+                per_app: BTreeMap::new(),
+                interventions: BTreeMap::new(),
+                overhead_mj: 0.0,
+                pending_transition_mj: 0.0,
+                last: SimTime::ZERO,
+                awake: false,
+            }
+        }
+
+        fn advance_to(&mut self, now: SimTime, awake_after: bool) {
+            let dt = now.saturating_since(self.last);
+            if !dt.is_zero() && self.awake {
+                self.accrue_awake_segment(dt);
+            }
+            self.active.retain(|t| t.2 > now);
+            self.last = self.last.max(now);
+            self.awake = awake_after;
+        }
+
+        fn note_wake_transition(&mut self) {
+            self.overhead_mj += self.pending_transition_mj;
+            self.pending_transition_mj = self.model.wake_transition_energy_mj;
+        }
+
+        fn start_task(
+            &mut self,
+            app: &Arc<str>,
+            hardware: HardwareSet,
+            until: SimTime,
+            newly_activated: HardwareSet,
+            batch_size: usize,
+        ) {
+            let mut charge = 0.0;
+            for c in newly_activated {
+                charge += self.model.component(c).activation_energy_mj;
+            }
+            if self.pending_transition_mj > 0.0 && batch_size > 0 {
+                let share = self.model.wake_transition_energy_mj / batch_size as f64;
+                let claimed = share.min(self.pending_transition_mj);
+                charge += claimed;
+                self.pending_transition_mj -= claimed;
+                if self.pending_transition_mj < 1e-9 {
+                    self.pending_transition_mj = 0.0;
+                }
+            }
+            bump(&mut self.per_app, app, charge);
+            self.active.push((Arc::clone(app), hardware, until));
+        }
+
+        fn drop_all_tasks(&mut self, now: SimTime) {
+            self.advance_to(now, self.awake);
+            self.active.clear();
+        }
+
+        fn drop_app_tasks(&mut self, app: &str, now: SimTime) {
+            self.advance_to(now, self.awake);
+            self.active.retain(|t| *t.0 != *app);
+            *self.interventions.entry(app.to_owned()).or_insert(0) += 1;
+        }
+
+        fn accrue_awake_segment(&mut self, dt: SimDuration) {
+            let secs = dt.as_secs_f64();
+            let last = self.last;
+            let running = |t: &(Arc<str>, HardwareSet, SimTime)| t.2 > last;
+            let n_running = self.active.iter().filter(|t| running(t)).count();
+            let base = self.model.awake_base_power_mw * secs;
+            if n_running == 0 {
+                self.overhead_mj += base;
+            } else {
+                let share = base / n_running as f64;
+                for i in 0..self.active.len() {
+                    if running(&self.active[i]) {
+                        let app = Arc::clone(&self.active[i].0);
+                        bump(&mut self.per_app, &app, share);
+                    }
+                }
+            }
+            for c in HardwareComponent::ALL {
+                let holds = |t: &(Arc<str>, HardwareSet, SimTime)| running(t) && t.1.contains(c);
+                let n_holders = self.active.iter().filter(|t| holds(t)).count();
+                if n_holders == 0 {
+                    continue;
+                }
+                let energy = self.model.component(c).active_power_mw * secs;
+                let share = energy / n_holders as f64;
+                for i in 0..self.active.len() {
+                    if holds(&self.active[i]) {
+                        let app = Arc::clone(&self.active[i].0);
+                        bump(&mut self.per_app, &app, share);
+                    }
+                }
+            }
+        }
+    }
+
+    fn bump(per_app: &mut BTreeMap<String, f64>, app: &str, amt: f64) {
+        if let Some(v) = per_app.get_mut(app) {
+            *v += amt;
+        } else {
+            per_app.insert(app.to_owned(), amt);
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum LedgerOp {
+        /// App index, hardware bits, hold (ms), newly-activated bits,
+        /// batch size, and whether the label is a fresh allocation.
+        Start(usize, u8, u64, u8, usize, bool),
+        /// Advance by ms, awake after.
+        Advance(u64, bool),
+        Wake,
+        /// Drop one app's tasks after ms.
+        DropApp(usize, u64),
+        /// Drop every task after ms.
+        DropAll(u64),
+    }
+
+    fn arb_ledger_op() -> impl Strategy<Value = LedgerOp> {
+        prop_oneof![
+            (
+                0usize..5,
+                any::<u8>(),
+                0u64..20_000,
+                any::<u8>(),
+                0usize..4,
+                any::<bool>()
+            )
+                .prop_map(|(a, hw, hold, newly, batch, fresh)| {
+                    LedgerOp::Start(a, hw, hold, newly, batch, fresh)
+                }),
+            (0u64..8_000, any::<bool>()).prop_map(|(dt, awake)| LedgerOp::Advance(dt, awake)),
+            Just(LedgerOp::Wake),
+            (0usize..5, 0u64..3_000).prop_map(|(a, dt)| LedgerOp::DropApp(a, dt)),
+            (0u64..3_000).prop_map(LedgerOp::DropAll),
+        ]
+    }
+
+    fn hardware_of(bits: u8) -> HardwareSet {
+        let mut set = HardwareSet::empty();
+        for (i, c) in HardwareComponent::ALL.into_iter().enumerate() {
+            if bits & (1 << (i % 8)) != 0 {
+                set |= HardwareSet::from(c);
+            }
+        }
+        set
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Dense slots charge every app exactly the bits the string-keyed
+        /// ledger did, under any interleaving of tasks over overlapping
+        /// apps and hardware, wakes, awake and asleep segments, and
+        /// forced releases.
+        #[test]
+        fn slot_ledger_matches_string_keyed_reference(ops in prop::collection::vec(arb_ledger_op(), 1..120)) {
+            const APPS: [&str; 5] = ["mail", "chat", "news", "gps%2C", "mail2"];
+            let shared: Vec<Arc<str>> = APPS.iter().map(|a| Arc::from(*a)).collect();
+            let mut fast = ledger();
+            let mut reference = ReferenceLedger::new(PowerModel::nexus5());
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                match op {
+                    LedgerOp::Start(a, hw, hold, newly, batch, fresh) => {
+                        let app = if fresh { Arc::from(APPS[a]) } else { Arc::clone(&shared[a]) };
+                        let until = now + SimDuration::from_millis(hold);
+                        let (hw, newly) = (hardware_of(hw), hardware_of(newly));
+                        fast.start_task(&app, hw, until, newly, batch);
+                        reference.start_task(&app, hw, until, newly, batch);
+                    }
+                    LedgerOp::Advance(dt, awake) => {
+                        now += SimDuration::from_millis(dt);
+                        fast.advance_to(now, awake);
+                        reference.advance_to(now, awake);
+                    }
+                    LedgerOp::Wake => {
+                        fast.note_wake_transition();
+                        reference.note_wake_transition();
+                    }
+                    LedgerOp::DropApp(a, dt) => {
+                        now += SimDuration::from_millis(dt);
+                        fast.drop_app_tasks(APPS[a], now);
+                        reference.drop_app_tasks(APPS[a], now);
+                    }
+                    LedgerOp::DropAll(dt) => {
+                        now += SimDuration::from_millis(dt);
+                        fast.drop_all_tasks(now);
+                        reference.drop_all_tasks(now);
+                    }
+                }
+                let bits = |m: &BTreeMap<String, f64>| -> Vec<(String, u64)> {
+                    m.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&fast.per_app_mj()), bits(&reference.per_app));
+                prop_assert_eq!(fast.overhead_mj().to_bits(), (reference.overhead_mj + reference.pending_transition_mj).to_bits());
+                let reference_attributed: f64 = reference.per_app.values().sum();
+                prop_assert_eq!(fast.attributed_mj().to_bits(), reference_attributed.to_bits());
+                prop_assert_eq!(fast.interventions_per_app(), &reference.interventions);
+            }
+        }
+    }
 
     fn ledger() -> AttributionLedger {
         AttributionLedger::new(PowerModel::nexus5())

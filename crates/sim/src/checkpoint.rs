@@ -85,6 +85,7 @@
 //! an alarm-id watermark below `u64::MAX`, so a fresh id is left to
 //! mint.
 
+use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
@@ -94,7 +95,7 @@ use std::sync::Arc;
 use simty_core::admission::{AdmissionController, AppAdmission};
 use simty_core::alarm::AlarmId;
 use simty_core::audit::{CandidateAudit, CandidateVerdict, PlacementAudit};
-use simty_core::hardware::HardwareComponent;
+use simty_core::hardware::{HardwareComponent, HardwareSet};
 use simty_core::manager::AlarmManager;
 use simty_core::policy::{AlignmentPolicy, Placement};
 use simty_core::similarity::{Preferability, TimeSimilarity};
@@ -981,15 +982,22 @@ impl Section for Trace {
     }
 }
 
-record!(ActiveTask: app, hardware, until);
-
-/// The attribution ledger; its power model is the config's.
+/// The attribution ledger; its power model is the config's. Each
+/// active task's line names its app (`la=app,hardware,until`), and the
+/// per-app totals are written in name order, so the body does not
+/// depend on the order in which the ledger first saw its apps.
 impl Section for AttributionLedger {
     fn put(sim: &Simulation, out: &mut String) {
         let l = &sim.ledger;
-        put_list(out, "ledger_active", "la", l.active.iter());
-        put(out, "ledger_apps", &l.per_app.len());
-        for (app, mj) in &l.per_app {
+        put(out, "ledger_active", &l.active.len());
+        for t in &l.active {
+            line(out, "la", |w| {
+                w.f(&l.names[t.slot as usize]).f(&t.hardware).f(&t.until)
+            });
+        }
+        let per_app = l.per_app_mj();
+        put(out, "ledger_apps", &per_app.len());
+        for (app, mj) in &per_app {
             line(out, "lp", |w| w.f(app).f(mj));
         }
         put(out, "ledger_interventions", &l.interventions.len());
@@ -1003,10 +1011,36 @@ impl Section for AttributionLedger {
     }
 
     fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+        let active: Vec<(Arc<str>, HardwareSet, SimTime)> = p.list("ledger_active", "la")?;
+        // A later line of the same app wins, as it would in a map.
+        let per_app: BTreeMap<Arc<str>, f64> = p.list("ledger_apps", "lp")?.into_iter().collect();
+        let (names, totals): (Vec<Arc<str>>, Vec<f64>) = per_app.into_iter().unzip();
+        let active = active
+            .into_iter()
+            .map(|(app, hardware, until)| {
+                // A task starts by charging its app, so every active
+                // task's app has a total line.
+                let slot = names
+                    .iter()
+                    .position(|n| *n == app)
+                    .and_then(|slot| u32::try_from(slot).ok())
+                    .ok_or_else(|| {
+                        p.err(format!(
+                            "active ledger task of `{app}` has no ledger_apps line"
+                        ))
+                    })?;
+                Ok(ActiveTask {
+                    slot,
+                    hardware,
+                    until,
+                })
+            })
+            .collect::<Result<_, CheckpointError>>()?;
         sim.ledger = AttributionLedger {
             model: sim.config.power.clone(),
-            active: p.list("ledger_active", "la")?,
-            per_app: p.list("ledger_apps", "lp")?.into_iter().collect(),
+            active,
+            names,
+            totals,
             interventions: p.list("ledger_interventions", "li")?.into_iter().collect(),
             overhead_mj: p.take("ledger_overhead")?,
             pending_transition_mj: p.take("ledger_pending")?,

@@ -53,10 +53,10 @@
 //!
 //! | level | µs per fleet device | µs per 3 h paper run |
 //! |---|---|---|
-//! | Full | 153–154 | 1 948–2 050 |
-//! | Timed | 121–122 | 1 530–1 589 |
-//! | Counts | 95–96 | 1 131–1 178 |
-//! | Off | 81–82 | 1 037–1 089 |
+//! | Full | 139–149 | 1 846–2 086 |
+//! | Timed | 108–115 | 1 454–1 582 |
+//! | Counts | 86–91 | 1 033–1 111 |
+//! | Off | 72–77 | 944–992 |
 //!
 //! At Full the hot paths allocate nothing once the rings are full:
 //!

@@ -758,3 +758,28 @@ proptest! {
         }
     }
 }
+
+/// Every task that starts charges its app, so an active ledger task
+/// whose app has no `lp=` total line comes only from a forged body: a
+/// typed `Malformed` error, not a task charged to a missing slot.
+#[test]
+fn an_active_ledger_task_without_an_app_total_is_a_typed_error() {
+    let ckpt = capture_with_every_section();
+    // One Wi-Fi task of `ghost` holding the device until t = 1 h.
+    let bad = edited(&ckpt, |b| {
+        let at = b.find("\nledger_active=").expect("ledger_active line") + 1;
+        let line = b[at..].split_inclusive('\n').next().unwrap();
+        let count: usize = line["ledger_active=".len()..].trim().parse().unwrap();
+        let forged = format!("ledger_active={}\nla=ghost,1,3600000\n", count + 1);
+        b.replacen(line, &forged, 1)
+    });
+    match Simulation::restore(Box::new(SimtyPolicy::new()), &bad) {
+        Err(CheckpointError::Malformed { message, .. }) => {
+            assert!(
+                message.contains("`ghost` has no ledger_apps line"),
+                "{message}"
+            )
+        }
+        other => panic!("forged ledger task: {:?}", other.err()),
+    }
+}

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use simty::experiments::PolicyKind;
 use simty::prelude::*;
 use simty_device::WakeLockTable;
 
@@ -267,6 +268,194 @@ proptest! {
         }
         for id in ids {
             prop_assert!(seen.contains(&id));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// complete_delivery's scan-free requeue vs reinsertion through register
+// ---------------------------------------------------------------------------
+
+/// Every policy the experiments build, each variant's parameters
+/// included.
+const EVERY_POLICY: [PolicyKind; 11] = [
+    PolicyKind::Exact,
+    PolicyKind::Native,
+    PolicyKind::NativeNoRealign,
+    PolicyKind::Simty,
+    PolicyKind::SimtyGranularity(HardwareGranularity::Two),
+    PolicyKind::SimtyGranularity(HardwareGranularity::Three),
+    PolicyKind::SimtyGranularity(HardwareGranularity::Four),
+    PolicyKind::Dursim,
+    PolicyKind::FixedInterval(60),
+    PolicyKind::FixedInterval(300),
+    PolicyKind::Doze,
+];
+
+#[derive(Debug, Clone)]
+enum RequeueOp {
+    /// Register a fresh alarm `delay` seconds from now.
+    Register {
+        delay_s: u64,
+        repeat_s: u64,
+        alpha_pct: u8,
+        hardware: u8,
+        wakeup: bool,
+        dynamic: bool,
+        one_shot: bool,
+        label: u8,
+    },
+    /// Advance the clock, pop everything due and complete each delivery.
+    Deliver(u64),
+    /// Apply a degradation grace multiplier (millis fixed point).
+    Stretch(u32),
+}
+
+fn arb_requeue_op() -> impl Strategy<Value = RequeueOp> {
+    prop_oneof![
+        (
+            0u64..900,
+            60u64..900,
+            0u8..96,
+            0u8..8,
+            any::<bool>(),
+            any::<bool>(),
+            0u8..6,
+            0u8..4,
+        )
+            .prop_map(
+                |(delay_s, repeat_s, alpha_pct, hardware, wakeup, dynamic, kind, label)| {
+                    RequeueOp::Register {
+                        delay_s,
+                        repeat_s,
+                        alpha_pct,
+                        hardware,
+                        wakeup,
+                        dynamic,
+                        one_shot: kind == 0,
+                        label,
+                    }
+                }
+            ),
+        (1u64..600).prop_map(RequeueOp::Deliver),
+        prop_oneof![Just(1_000u32), Just(1_500), Just(2_000)].prop_map(RequeueOp::Stretch),
+    ]
+}
+
+/// One queue as comparable data: per entry its delivery time and
+/// discipline, per alarm its id, nominal time and placement-relevant
+/// state, in queue order.
+#[allow(clippy::type_complexity)]
+fn queue_shape(
+    queue: &simty::core::queue::AlarmQueue,
+) -> Vec<(
+    SimTime,
+    DeliveryDiscipline,
+    Vec<(AlarmId, SimTime, u32, bool, HardwareSet)>,
+)> {
+    queue
+        .iter()
+        .map(|e| {
+            let alarms = e
+                .alarms()
+                .iter()
+                .map(|a| {
+                    (
+                        a.id(),
+                        a.nominal(),
+                        a.grace_stretch(),
+                        a.is_perceptible(),
+                        a.known_hardware(),
+                    )
+                })
+                .collect();
+            (e.delivery_time(), e.discipline(), alarms)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `complete_delivery` reinserts without searching for a stale copy;
+    /// a manager that reinserts through `register` (which searches, and
+    /// re-places a stale copy's entry-mates under NATIVE) must end every
+    /// step with the same queues, entry for entry, under every policy.
+    #[test]
+    fn scan_free_requeue_matches_register(
+        policy in 0usize..EVERY_POLICY.len(),
+        ops in prop::collection::vec(arb_requeue_op(), 1..80),
+    ) {
+        let kind = EVERY_POLICY[policy];
+        let mut fast = AlarmManager::new(kind.build());
+        let mut reference = AlarmManager::new(kind.build());
+        let mut now = SimTime::ZERO;
+        for op in ops {
+            match op {
+                RequeueOp::Register { delay_s, repeat_s, alpha_pct, hardware, wakeup, dynamic, one_shot, label } => {
+                    let alpha = alpha_pct as f64 / 100.0;
+                    let mut hw = HardwareSet::empty();
+                    for (bit, c) in [HardwareComponent::Wifi, HardwareComponent::Gps, HardwareComponent::Cellular]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        if hardware & (1 << bit) != 0 {
+                            hw |= HardwareSet::from(c);
+                        }
+                    }
+                    let builder = Alarm::builder(["a", "b", "c", "d"][label as usize])
+                        .nominal(now + SimDuration::from_secs(delay_s))
+                        .kind(if wakeup { AlarmKind::Wakeup } else { AlarmKind::NonWakeup })
+                        .hardware(hw)
+                        .task_duration(SimDuration::from_secs(2));
+                    let builder = if one_shot {
+                        // Fractions need a repeating interval.
+                        let window = SimDuration::from_secs(repeat_s * alpha_pct as u64 / 100);
+                        builder.one_shot().window(window).grace(window.max(SimDuration::from_secs(60)))
+                    } else {
+                        let repeat = SimDuration::from_secs(repeat_s);
+                        let builder = if dynamic {
+                            builder.repeating_dynamic(repeat)
+                        } else {
+                            builder.repeating_static(repeat)
+                        };
+                        builder.window_fraction(alpha).grace_fraction(alpha.max(0.9))
+                    };
+                    let alarm = builder.build().expect("valid alarm");
+                    let id = fast.register(alarm.clone()).expect("registers");
+                    prop_assert_eq!(reference.register(alarm).expect("registers"), id);
+                }
+                RequeueOp::Deliver(dt) => {
+                    now += SimDuration::from_secs(dt);
+                    let mut due = fast.pop_due_wakeup(now);
+                    due.extend(fast.pop_due_non_wakeup(now));
+                    let mut due_ref = reference.pop_due_wakeup(now);
+                    due_ref.extend(reference.pop_due_non_wakeup(now));
+                    let ids = |d: &[QueueEntry]| -> Vec<AlarmId> {
+                        d.iter().flat_map(|e| e.alarms().iter().map(Alarm::id)).collect()
+                    };
+                    prop_assert_eq!(ids(&due), ids(&due_ref));
+                    for (entry, entry_ref) in due.into_iter().zip(due_ref) {
+                        for (alarm, mut alarm_ref) in entry.into_alarms().into_iter().zip(entry_ref.into_alarms()) {
+                            let requeued = fast.complete_delivery(alarm, now);
+                            // complete_delivery as it was: through register.
+                            reference.advance_clock(now);
+                            alarm_ref.mark_hardware_known();
+                            let requeued_ref = if alarm_ref.advance_after_delivery(now) {
+                                Some(reference.register(alarm_ref).expect("future nominal"))
+                            } else {
+                                None
+                            };
+                            prop_assert_eq!(requeued, requeued_ref);
+                        }
+                    }
+                }
+                RequeueOp::Stretch(milli) => {
+                    prop_assert_eq!(fast.set_grace_stretch(milli), reference.set_grace_stretch(milli));
+                }
+            }
+            prop_assert_eq!(queue_shape(fast.wakeup_queue()), queue_shape(reference.wakeup_queue()));
+            prop_assert_eq!(queue_shape(fast.non_wakeup_queue()), queue_shape(reference.non_wakeup_queue()));
         }
     }
 }
