@@ -264,7 +264,7 @@ fn main() {
     println!("{}", mix_table.render());
 
     if let Some(path) = &args.json {
-        results.write_json(path).expect("writes sweep json");
+        std::fs::write(path, results.to_json()).expect("writes sweep json");
         println!("wrote {path}");
     }
 }

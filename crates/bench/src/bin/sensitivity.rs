@@ -86,7 +86,7 @@ fn main() {
          about low-power hardware design, §4.2)."
     );
     if let Some(path) = &args.json {
-        results.write_json(path).expect("writes sweep json");
+        std::fs::write(path, results.to_json()).expect("writes sweep json");
         println!("wrote {path}");
     }
 }

@@ -22,8 +22,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -162,13 +160,11 @@ pub trait Campaign: Sized + 'static {
             .collect()
     }
 
-    /// The campaign's document. Without its per-invocation fields
-    /// (`full` false) its bytes are deterministic: the same on any thread
-    /// count and after any resume. By default the
-    /// `simty-bench-<kind>/v1` grid document with no per-invocation
-    /// fields of its own.
-    fn document(results: &CampaignResults<Self>, full: bool) -> String {
-        results.grid_document(full.then_some(""))
+    /// The campaign's document, whose fields [`crate::schema`] declares.
+    /// By default the `simty-bench-<kind>/v1` grid document with no
+    /// per-invocation fields of its own.
+    fn document(results: &CampaignResults<Self>) -> String {
+        results.grid_document("")
     }
 }
 
@@ -477,41 +473,20 @@ impl<C: Campaign> CampaignResults<C> {
         C::aggregates(self)
     }
 
-    /// The deterministic document ([`Campaign::document`] without its
-    /// per-invocation fields): parallel, sequential, and journal-resumed
-    /// campaigns produce byte-identical bytes.
+    /// The campaign's document ([`Campaign::document`]). Its
+    /// [`deterministic_view`](crate::deterministic_view) is the same for
+    /// parallel, sequential and journal-resumed campaigns.
     pub fn to_json(&self) -> String {
-        C::document(self, false)
+        C::document(self)
     }
 
-    /// The full on-disk document ([`Campaign::document`]).
-    pub fn to_json_document(&self) -> String {
-        C::document(self, true)
-    }
-
-    /// Writes [`to_json_document`](Self::to_json_document) to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_json_document())
-    }
-
-    /// The `simty-bench-<kind>/v1` document. With a `header` (the
-    /// campaign's own per-invocation fields, each as `,"key":value`) it
-    /// is the full document: that header, then `journal_skips` (how many
-    /// cells this invocation restored from the journal instead of
-    /// running) and the executed cells' wall-time quantiles (`null` when
-    /// every cell was restored), spliced in after the schema.
-    pub(crate) fn grid_document(&self, header: Option<&str>) -> String {
-        let header = header.map_or_else(String::new, |own| {
-            let quantiles = json_object(&[("cell_wall_ms", self.cell_wall_quantiles().to_json())]);
-            format!(
-                "{own},\"journal_skips\":{},\"quantiles\":{quantiles}",
-                self.journal_skips()
-            )
-        });
+    /// The `simty-bench-<kind>/v1` document. After the schema come the
+    /// campaign's own per-invocation fields (`header`, each as
+    /// `,"key":value`), `journal_skips` (how many cells this invocation
+    /// restored from the journal instead of running) and the executed
+    /// cells' wall-time quantiles (`null` when every cell was restored).
+    pub(crate) fn grid_document(&self, header: &str) -> String {
+        let quantiles = json_object(&[("cell_wall_ms", self.cell_wall_quantiles().to_json())]);
         let results = self.runs().map(|(cell, status, report, drill)| {
             let mut fields = cell.row();
             fields.push(("status", status.token().to_json()));
@@ -522,9 +497,11 @@ impl<C: Campaign> CampaignResults<C> {
         });
         let aggregates = self.aggregates();
         format!(
-            "{{\"schema\":\"simty-bench-{}/v1\"{header},\"runs\":{},\"harness\":{},\
-             \"results\":{},\"policies\":{}}}",
+            "{{\"schema\":\"simty-bench-{}/v1\"{header},\"journal_skips\":{},\
+             \"quantiles\":{quantiles},\"runs\":{},\"harness\":{},\"results\":{},\
+             \"policies\":{}}}",
             C::KIND,
+            self.journal_skips(),
             self.cells.len(),
             self.harness().to_json(),
             json_array(results),
@@ -565,7 +542,8 @@ mod tests {
         assert_eq!(first.journal_skips(), 0);
         assert_eq!(second.journal_skips(), specs.len() as u64, "{}", C::KIND);
         assert!(second.all_recovered(), "{}", C::KIND);
-        assert_eq!(first.to_json(), second.to_json(), "{}", C::KIND);
+        let view = |results: &CampaignResults<C>| crate::deterministic_view(&results.to_json());
+        assert_eq!(view(&first), view(&second), "{}", C::KIND);
     }
 
     #[test]

@@ -1,45 +1,38 @@
-//! `bench diff`: a schema-aware regression differ over committed
-//! campaign documents.
+//! `bench diff`: the regression gate between two campaign documents
+//! of one kind, and the JSON reader it (and serve) parse with.
 //!
-//! Compares two campaign JSON documents of the same kind (any of the
-//! six committed schemas — sweep, chaos, soak, storm, fleet, serve) and
-//! reports *regressions*, classified by how each field is allowed to
-//! move:
+//! Each field is compared by the [`Class`] its document kind declares in
+//! [`crate::schema`]; no rule here looks at a key's name:
 //!
-//! * **wall-clock metrics** (`*_wall_ms`, stage `ns`, `cell_wall_ms`
-//!   quantiles) may drift run-to-run; they fail only past a
-//!   configurable ratio ([`DiffThresholds::max_wall_ratio`]) and only
-//!   above a noise floor;
-//! * **throughput metrics** (`runs_per_sec`, `devices_per_sec`) fail
-//!   when they *shrink* past the same ratio;
-//! * **harness counters** (`poisoned`, `panics`, `timeouts`,
-//!   `retries`) and histogram `nonfinite` quarantine counts fail on any
-//!   increase;
-//! * **deterministic payload** (reports, aggregates, statuses, labels,
-//!   quantile estimates over sim-clock histograms) must agree within
-//!   [`DiffThresholds::max_delta_pct`] percent (strings and shapes
-//!   exactly) — a mismatch is either a real behavior change or schema
-//!   drift, and both should stop CI;
-//! * **per-invocation bookkeeping** (`journal_skips`, `threads`) is
-//!   ignored;
-//! * **service traffic tallies** (the `load` and `server` sections of a
-//!   `simty-serve/v1` document) vary run to run and are mostly free,
-//!   except: `invariant_violations` and `telemetry_dropped` fail on any
-//!   increase, and the overload counters `shed`/`rejected`/`deferred`
-//!   fail when a committed nonzero value collapses to zero — the drill
-//!   stopped exercising backpressure, which is itself a regression. The
-//!   `latency_ms` quantiles gate on the wall-clock ratio;
-//! * **stage call counts** (`stages.*.calls`) gate on the wall-clock
-//!   ratio, and also fail when a committed nonzero count collapses to
-//!   zero: the engine stopped reading its stage clocks. Journal-restored
-//!   cells carry no profile, so a NEW document with nonzero
-//!   `journal_skips` is exempt from the collapse rule.
+//! * **deterministic** fields (simulation reports, aggregates, labels,
+//!   statuses, the harness's accounting) must be equal, shape and value;
+//! * **wall** fields (durations, stage nanoseconds, latency quantiles)
+//!   fail only when they grow past [`CRASH_RATIO`] above a 10 ms noise
+//!   floor, and **throughput** fields only when they shrink past it. A
+//!   document is one sample, and one 24-run sweep's runs/s spreads
+//!   467–889 over runs of one build, so these are crash bounds;
+//!   perfbench's medians over repeated trials, gated at 0.25, are the
+//!   measured gate;
+//! * **counter** fields (serve's `invariant_violations`,
+//!   `telemetry_dropped`) fail on any increase;
+//! * **drill** fields (serve's overload counters, stage `calls`) fail
+//!   when a nonzero value collapses to zero: the drill stopped
+//!   exercising what it drills, or the engine stopped reading its stage
+//!   clocks. A NEW sweep with nonzero `journal_skips` is exempt, because
+//!   journal-restored cells carry no profile;
+//! * **free** fields (`threads`, `journal_skips`, serve's traffic
+//!   tallies) are not compared.
 //!
-//! The module carries its own ~150-line recursive-descent JSON reader
-//! so the bench crate stays dependency-free. Its nesting depth is
-//! bounded, so hostile input is an error, never a stack overflow.
+//! A key missing from one side, or declared nowhere, is schema drift.
+//!
+//! The JSON reader is a ~150-line recursive descent, so the bench crate
+//! stays dependency-free. Its nesting depth is bounded, so hostile input
+//! is an error, never a stack overflow.
 
 use std::fmt;
+
+use crate::json::{json_array, json_object, ToJson};
+use crate::schema::{Class, Schema};
 
 /// A parsed JSON value. Object member order is preserved (the campaign
 /// documents are deterministic, so order is meaningful for diffs).
@@ -113,6 +106,27 @@ impl JsonValue {
             JsonValue::Arr(_) => "array",
             JsonValue::Obj(_) => "object",
         }
+    }
+}
+
+/// Compact JSON through the campaign documents' own writer: a [`deterministic_view`](crate::deterministic_view)
+/// of a writer's document renders to the bytes the writer gave it.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&match self {
+            JsonValue::Null => "null".to_owned(),
+            JsonValue::Bool(b) => b.to_json(),
+            JsonValue::Num(n) => n.to_json(),
+            JsonValue::Str(s) => s.to_json(),
+            JsonValue::Arr(items) => json_array(items.iter().map(JsonValue::to_string)),
+            JsonValue::Obj(members) => {
+                let members: Vec<_> = members
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.to_string()))
+                    .collect();
+                json_object(&members)
+            }
+        })
     }
 }
 
@@ -308,27 +322,11 @@ impl Parser<'_> {
     }
 }
 
-/// The configurable gates of a diff.
-#[derive(Debug, Clone, Copy)]
-pub struct DiffThresholds {
-    /// Wall-clock metrics fail when they grow (or throughput shrinks)
-    /// past this ratio. Default 5.0 — loose enough for CI-runner noise,
-    /// tight enough to catch a real perf cliff.
-    pub max_wall_ratio: f64,
-    /// Deterministic numbers fail past this relative difference, in
-    /// percent. Default 0.5 — campaign payloads are deterministic, so
-    /// this mostly absorbs shortest-round-trip float formatting.
-    pub max_delta_pct: f64,
-}
-
-impl Default for DiffThresholds {
-    fn default() -> Self {
-        DiffThresholds {
-            max_wall_ratio: 5.0,
-            max_delta_pct: 0.5,
-        }
-    }
-}
+/// The growth of a wall-clock field, and the shrinkage of a throughput,
+/// that fails the gate. A crash bound, not a measurement: one sweep's
+/// runs/s spreads ~2× over runs of one build, so only perfbench's
+/// medians over repeated trials can gate a smaller change.
+pub const CRASH_RATIO: f64 = 5.0;
 
 /// One gate failure.
 #[derive(Debug, Clone)]
@@ -363,86 +361,43 @@ impl DiffReport {
     }
 }
 
-/// The six campaign schemas `bench diff` understands.
-pub const KNOWN_SCHEMAS: [&str; 6] = [
-    "simty-bench-sweep/v1",
-    "simty-bench-chaos/v1",
-    "simty-bench-soak/v1",
-    "simty-bench-storm/v1",
-    "simty-fleet/v1",
-    "simty-serve/v1",
-];
-
-/// Diffs two campaign documents of the same schema.
+/// Diffs two campaign documents of the same schema, each field by its
+/// declared [`Class`].
 ///
 /// # Errors
 ///
-/// A parse failure, a missing/unknown `schema` field, or a schema
+/// A parse failure, a missing or unknown `schema` field, or a schema
 /// mismatch between the two documents (that last one is drift, not a
 /// measurable regression, so it is an error rather than a report).
-pub fn diff_documents(
-    old: &str,
-    new: &str,
-    thresholds: &DiffThresholds,
-) -> Result<DiffReport, String> {
+pub fn diff_documents(old: &str, new: &str) -> Result<DiffReport, String> {
     let old = JsonValue::parse(old).map_err(|e| format!("OLD document: {e}"))?;
     let new = JsonValue::parse(new).map_err(|e| format!("NEW document: {e}"))?;
-    let schema_of = |doc: &JsonValue, which: &str| -> Result<String, String> {
-        let schema = doc
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("{which} document carries no `schema` field"))?;
-        if !KNOWN_SCHEMAS.contains(&schema) {
-            return Err(format!("{which} document has unknown schema `{schema}`"));
-        }
-        Ok(schema.to_owned())
-    };
-    let old_schema = schema_of(&old, "OLD")?;
-    let new_schema = schema_of(&new, "NEW")?;
-    if old_schema != new_schema {
+    let schema = Schema::of(&old).map_err(|e| format!("OLD {e}"))?;
+    let new_schema = Schema::of(&new).map_err(|e| format!("NEW {e}"))?;
+    if schema.tag != new_schema.tag {
         return Err(format!(
-            "schema drift: OLD is `{old_schema}`, NEW is `{new_schema}`"
+            "schema drift: OLD is `{}`, NEW is `{}`",
+            schema.tag, new_schema.tag
         ));
     }
     let mut diff = Differ {
-        thresholds: *thresholds,
+        schema,
         journal_restored: new
             .get("journal_skips")
             .is_some_and(|n| *n != JsonValue::Num(0.0)),
         checks: 0,
         regressions: Vec::new(),
     };
-    diff.walk(&old, &new, &mut Vec::new(), Context::Deterministic);
+    diff.walk(&old, &new, &mut Vec::new());
     Ok(DiffReport {
-        schema: old_schema,
+        schema: schema.tag.to_owned(),
         checks: diff.checks,
         regressions: diff.regressions,
     })
 }
 
-/// How the current subtree's numbers are allowed to move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Context {
-    /// Byte-deterministic payload: tight relative tolerance.
-    Deterministic,
-    /// Wall-clock subtree (`stages`, `cell_wall_ms`, `latency_ms`):
-    /// ratio gate, bigger is worse.
-    Wall,
-    /// Supervisor counters: increases are failures.
-    Harness,
-    /// Service traffic tallies (`load`/`server` in a serve document):
-    /// free-moving except the keys called out by name in
-    /// [`Differ::number`].
-    Service,
-}
-
-/// Noise floor for wall-clock ratio checks: ignore blips where both
-/// sides are under 10 ms (or, for `ns` fields, 10 ms in nanoseconds).
-const WALL_FLOOR_MS: f64 = 10.0;
-const WALL_FLOOR_NS: f64 = 10.0 * 1e6;
-
 struct Differ {
-    thresholds: DiffThresholds,
+    schema: &'static Schema,
     /// Whether NEW restored cells from a journal (nonzero
     /// `journal_skips`); those cells carry no stage profile.
     journal_restored: bool,
@@ -462,190 +417,75 @@ impl Differ {
         });
     }
 
-    fn walk(&mut self, old: &JsonValue, new: &JsonValue, path: &mut Vec<String>, ctx: Context) {
+    fn walk(&mut self, old: &JsonValue, new: &JsonValue, path: &mut Vec<String>) {
+        let class = match self.schema.class(path) {
+            Ok(class) => class.unwrap_or(Class::Deterministic),
+            Err(undeclared) => return self.fail(path, format!("schema drift: {undeclared}")),
+        };
         match (old, new) {
             (JsonValue::Obj(old_members), JsonValue::Obj(new_members)) => {
-                let old_keys: Vec<&str> = old_members.iter().map(|(k, _)| k.as_str()).collect();
-                let new_keys: Vec<&str> = new_members.iter().map(|(k, _)| k.as_str()).collect();
+                let keys = |members: &[(String, JsonValue)]| -> Vec<String> {
+                    members.iter().map(|(k, _)| k.clone()).collect()
+                };
+                let (old_keys, new_keys) = (keys(old_members), keys(new_members));
                 if old_keys != new_keys {
-                    let missing: Vec<&&str> =
+                    let missing: Vec<_> =
                         old_keys.iter().filter(|k| !new_keys.contains(k)).collect();
-                    let added: Vec<&&str> =
-                        new_keys.iter().filter(|k| !old_keys.contains(k)).collect();
-                    self.fail(
+                    let added: Vec<_> = new_keys.iter().filter(|k| !old_keys.contains(k)).collect();
+                    return self.fail(
                         path,
                         format!("schema drift: keys removed {missing:?}, added {added:?}"),
                     );
-                    return;
                 }
-                for (key, old_value) in old_members {
-                    let new_value = new.get(key).expect("key sets verified equal");
-                    if matches!(key.as_str(), "journal_skips" | "threads" | "resume_wall_ms") {
-                        continue; // per-invocation bookkeeping
-                    }
-                    let child_ctx = match key.as_str() {
-                        "stages" | "cell_wall_ms" | "latency_ms" => Context::Wall,
-                        "harness" => Context::Harness,
-                        "load" | "server" => Context::Service,
-                        _ => ctx,
-                    };
+                for ((key, o), (_, n)) in old_members.iter().zip(new_members) {
                     path.push(key.clone());
-                    self.member(key, old_value, new_value, path, child_ctx);
+                    self.walk(o, n, path);
                     path.pop();
                 }
             }
             (JsonValue::Arr(old_items), JsonValue::Arr(new_items)) => {
                 if old_items.len() != new_items.len() {
-                    self.fail(
-                        path,
-                        format!(
-                            "schema drift: array length {} -> {}",
-                            old_items.len(),
-                            new_items.len()
-                        ),
-                    );
-                    return;
+                    let (o, n) = (old_items.len(), new_items.len());
+                    return self.fail(path, format!("schema drift: array length {o} -> {n}"));
                 }
                 for (i, (o, n)) in old_items.iter().zip(new_items).enumerate() {
                     path.push(i.to_string());
-                    self.walk(o, n, path, ctx);
+                    self.walk(o, n, path);
                     path.pop();
                 }
             }
-            (JsonValue::Num(o), JsonValue::Num(n)) => {
-                self.checks += 1;
-                let key = path.last().map(String::as_str).unwrap_or("");
-                self.number(key, *o, *n, path, ctx);
-            }
-            (JsonValue::Str(o), JsonValue::Str(n)) => {
-                self.checks += 1;
-                if o != n {
-                    self.fail(path, format!("`{o}` -> `{n}`"));
-                }
-            }
-            (JsonValue::Bool(o), JsonValue::Bool(n)) => {
-                self.checks += 1;
-                if o != n {
-                    self.fail(path, format!("{o} -> {n}"));
-                }
-            }
-            (JsonValue::Null, JsonValue::Null) => {}
-            _ => {
-                self.fail(
-                    path,
-                    format!("schema drift: {} -> {}", old.kind(), new.kind()),
-                );
-            }
+            _ => self.leaf(class, old, new, path),
         }
     }
 
-    /// Dispatches one object member, handling the keys whose *name*
-    /// picks the rule regardless of surrounding context.
-    fn member(
-        &mut self,
-        key: &str,
-        old: &JsonValue,
-        new: &JsonValue,
-        path: &mut Vec<String>,
-        ctx: Context,
-    ) {
-        match (old, new) {
-            (JsonValue::Num(o), JsonValue::Num(n)) => {
-                self.checks += 1;
-                self.number(key, *o, *n, path, ctx);
-            }
-            _ => self.walk(old, new, path, ctx),
-        }
-    }
-
-    fn number(&mut self, key: &str, old: f64, new: f64, path: &[String], ctx: Context) {
-        let ratio = self.thresholds.max_wall_ratio;
-        match key {
-            // Throughput: shrinking past the ratio is the regression.
-            "runs_per_sec" | "devices_per_sec" | "rps" => {
-                if new.is_finite() && old.is_finite() && old > 0.0 && new < old / ratio {
-                    self.fail(
-                        path,
-                        format!("throughput fell more than {ratio}x: {old:.2} -> {new:.2}"),
-                    );
-                }
-            }
-            // Wall-clock durations anywhere in the header.
-            "total_wall_ms" | "sequential_wall_ms" | "wall_ms" | "drain_ms" => {
-                self.wall_ratio(old, new, WALL_FLOOR_MS, path);
-            }
-            // Service health counters: any increase is a failure.
-            "invariant_violations" | "telemetry_dropped" if ctx == Context::Service => {
-                if new > old {
-                    self.fail(path, format!("counter increased: {old} -> {new}"));
-                }
-            }
-            // Overload drill counters: the drill must keep exercising
-            // backpressure, so a committed nonzero value may not
-            // collapse to zero.
-            "shed" | "rejected" | "deferred" if ctx == Context::Service => {
-                if old > 0.0 && new == 0.0 {
-                    self.fail(
-                        path,
-                        format!("overload counter collapsed to zero: {old} -> {new}"),
-                    );
-                }
-            }
-            // Harness-and-quarantine counters: monotone gates.
-            "poisoned" | "panics" | "timeouts" | "retries" | "retried" | "nonfinite" => {
-                if new > old {
-                    self.fail(path, format!("counter increased: {old} -> {new}"));
-                }
-            }
-            "ns" if ctx == Context::Wall => {
-                self.wall_ratio(old, new, WALL_FLOOR_NS, path);
-            }
-            // Stage call counts: a profile that vanishes means the stage
-            // clocks stopped being read.
-            "calls" if ctx == Context::Wall => {
-                if old > 0.0 && new == 0.0 && !self.journal_restored {
-                    self.fail(
-                        path,
-                        format!("stage profile collapsed to zero calls: {old} -> {new}"),
-                    );
-                }
-                self.wall_ratio(old, new, WALL_FLOOR_MS, path);
-            }
-            _ => match ctx {
-                Context::Wall => self.wall_ratio(old, new, WALL_FLOOR_MS, path),
-                // Traffic tallies vary run to run; only the keys named
-                // above are gated.
-                Context::Service => {}
-                Context::Harness | Context::Deterministic => {
-                    let tolerance = self.thresholds.max_delta_pct / 100.0;
-                    let scale = old.abs().max(new.abs());
-                    if scale > 0.0 && (new - old).abs() / scale > tolerance {
-                        self.fail(
-                            path,
-                            format!(
-                                "deterministic value moved more than {}%: {old} -> {new}",
-                                self.thresholds.max_delta_pct
-                            ),
-                        );
-                    }
-                }
-            },
-        }
-    }
-
-    fn wall_ratio(&mut self, old: f64, new: f64, floor: f64, path: &[String]) {
-        if !old.is_finite() || !new.is_finite() {
+    fn leaf(&mut self, class: Class, old: &JsonValue, new: &JsonValue, path: &[String]) {
+        if class == Class::Free {
             return;
         }
-        if old.max(new) < floor {
-            return; // sub-noise-floor blip
+        self.checks += 1;
+        if old.kind() != new.kind() {
+            let detail = format!("schema drift: {} -> {}", old.kind(), new.kind());
+            return self.fail(path, detail);
         }
-        let ratio = self.thresholds.max_wall_ratio;
-        if new > old.max(floor) * ratio {
-            self.fail(
-                path,
-                format!("wall time grew more than {ratio}x: {old:.2} -> {new:.2}"),
-            );
+        let (Some(o), Some(n)) = (old.as_num(), new.as_num()) else {
+            if old != new {
+                self.fail(path, format!("{old} -> {new}"));
+            }
+            return;
+        };
+        let finite = o.is_finite() && n.is_finite();
+        let detail = match class {
+            Class::Wall(floor) => (finite && n > o.max(floor) * CRASH_RATIO)
+                .then(|| format!("wall time grew more than {CRASH_RATIO}x: {o:.2} -> {n:.2}")),
+            Class::Throughput => (finite && o > 0.0 && n < o / CRASH_RATIO)
+                .then(|| format!("throughput fell more than {CRASH_RATIO}x: {o:.2} -> {n:.2}")),
+            Class::Counter => (n > o).then(|| format!("counter increased: {o} -> {n}")),
+            Class::Drill => (o > 0.0 && n == 0.0 && !self.journal_restored)
+                .then(|| format!("nonzero value collapsed to zero: {o} -> {n}")),
+            Class::Deterministic | Class::Free => (o != n).then(|| format!("{old} -> {new}")),
+        };
+        if let Some(detail) = detail {
+            self.fail(path, detail);
         }
     }
 }
@@ -653,6 +493,7 @@ impl Differ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parser_round_trips_document_shapes() {
@@ -703,7 +544,7 @@ mod tests {
     #[test]
     fn identical_documents_pass() {
         let d = doc(400.0, 50_000_000, 1234.5, 0);
-        let report = diff_documents(&d, &d, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&d, &d).unwrap();
         assert!(!report.is_regression(), "{:?}", report.regressions);
         assert_eq!(report.schema, "simty-bench-sweep/v1");
         assert!(report.checks > 5);
@@ -713,7 +554,7 @@ mod tests {
     fn wall_noise_within_ratio_passes() {
         let old = doc(400.0, 50_000_000, 1234.5, 0);
         let new = doc(150.0, 120_000_000, 1234.5, 0);
-        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &new).unwrap();
         assert!(!report.is_regression(), "{:?}", report.regressions);
     }
 
@@ -721,7 +562,7 @@ mod tests {
     fn throughput_cliff_fails() {
         let old = doc(400.0, 50_000_000, 1234.5, 0);
         let new = doc(40.0, 50_000_000, 1234.5, 0);
-        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &new).unwrap();
         assert!(report.is_regression());
         assert!(report.regressions[0].path.contains("runs_per_sec"));
     }
@@ -730,7 +571,7 @@ mod tests {
     fn stage_time_blowup_fails() {
         let old = doc(400.0, 50_000_000, 1234.5, 0);
         let new = doc(400.0, 500_000_000, 1234.5, 0);
-        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &new).unwrap();
         assert!(report.is_regression());
         assert!(report.regressions[0].path.ends_with("event_dispatch.ns"));
     }
@@ -739,7 +580,7 @@ mod tests {
     fn a_vanished_stage_profile_fails() {
         let old = doc(400.0, 50_000_000, 1234.5, 0);
         let new = doc(400.0, 0, 1234.5, 0).replacen("\"calls\":10", "\"calls\":0", 1);
-        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &new).unwrap();
         assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
         assert!(report.regressions[0].path.ends_with("event_dispatch.calls"));
         assert!(report.regressions[0].detail.contains("collapsed to zero"));
@@ -751,7 +592,7 @@ mod tests {
         let new = doc(400.0, 0, 1234.5, 0)
             .replacen("\"calls\":10", "\"calls\":0", 1)
             .replacen("\"journal_skips\":0", "\"journal_skips\":2", 1);
-        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &new).unwrap();
         assert!(!report.is_regression(), "{:?}", report.regressions);
     }
 
@@ -759,7 +600,7 @@ mod tests {
     fn deterministic_drift_fails() {
         let old = doc(400.0, 50_000_000, 1234.5, 0);
         let new = doc(400.0, 50_000_000, 1300.0, 0);
-        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &new).unwrap();
         assert!(report.is_regression());
         assert!(report.regressions[0].path.ends_with("energy_mj"));
     }
@@ -768,7 +609,7 @@ mod tests {
     fn new_poisoned_cell_fails() {
         let old = doc(400.0, 50_000_000, 1234.5, 0);
         let new = doc(400.0, 50_000_000, 1234.5, 1);
-        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &new).unwrap();
         assert!(report.is_regression());
         assert!(report.regressions[0].path.ends_with("harness.poisoned"));
     }
@@ -777,10 +618,10 @@ mod tests {
     fn schema_mismatch_is_an_error() {
         let sweep = doc(400.0, 50_000_000, 1234.5, 0);
         let chaos = sweep.replacen("simty-bench-sweep/v1", "simty-bench-chaos/v1", 1);
-        assert!(diff_documents(&sweep, &chaos, &DiffThresholds::default())
+        assert!(diff_documents(&sweep, &chaos)
             .unwrap_err()
             .contains("schema drift"));
-        assert!(diff_documents("{}", &sweep, &DiffThresholds::default()).is_err());
+        assert!(diff_documents("{}", &sweep).is_err());
     }
 
     fn serve_doc(rps: f64, q99: f64, shed: u64, timed_out: u64, violations: u64) -> String {
@@ -801,13 +642,13 @@ mod tests {
         let old = serve_doc(1300.0, 25.0, 18, 3, 0);
         // Tallies wobble, latency drifts under the ratio: all fine.
         let new = serve_doc(1100.0, 60.0, 9, 11, 0);
-        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &new).unwrap();
         assert!(!report.is_regression(), "{:?}", report.regressions);
         assert_eq!(report.schema, "simty-serve/v1");
 
         // A new invariant violation is always a regression.
         let broken = serve_doc(1300.0, 25.0, 18, 3, 1);
-        let report = diff_documents(&old, &broken, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &broken).unwrap();
         assert!(report.is_regression());
         assert!(report.regressions[0]
             .path
@@ -818,17 +659,17 @@ mod tests {
     fn serve_shed_collapse_and_latency_blowup_fail() {
         let old = serve_doc(1300.0, 25.0, 18, 3, 0);
         let collapsed = serve_doc(1300.0, 25.0, 0, 3, 0);
-        let report = diff_documents(&old, &collapsed, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &collapsed).unwrap();
         assert!(report.is_regression());
         assert!(report.regressions.iter().all(|r| r.path.ends_with("shed")));
 
         let slow = serve_doc(1300.0, 250.0, 18, 3, 0);
-        let report = diff_documents(&old, &slow, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &slow).unwrap();
         assert!(report.is_regression());
         assert!(report.regressions[0].path.ends_with("latency_ms.q99"));
 
         let stalled = serve_doc(100.0, 25.0, 18, 3, 0);
-        let report = diff_documents(&old, &stalled, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &stalled).unwrap();
         assert!(report.is_regression());
         assert!(report.regressions[0].detail.contains("throughput fell"));
     }
@@ -837,8 +678,105 @@ mod tests {
     fn key_drift_is_reported() {
         let old = doc(400.0, 50_000_000, 1234.5, 0);
         let new = old.replacen("\"threads\":8", "\"workers\":8", 1);
-        let report = diff_documents(&old, &new, &DiffThresholds::default()).unwrap();
+        let report = diff_documents(&old, &new).unwrap();
         assert!(report.is_regression());
         assert!(report.regressions[0].detail.contains("schema drift"));
+    }
+
+    #[test]
+    fn an_undeclared_field_is_drift_even_against_itself() {
+        let doc = doc(400.0, 50_000_000, 1234.5, 0).replacen("\"runs\"", "\"runs_total\"", 1);
+        let report = diff_documents(&doc, &doc).unwrap();
+        assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
+        assert_eq!(report.regressions[0].path, "runs_total");
+        assert!(report.regressions[0].detail.contains("undeclared"));
+    }
+
+    /// The committed documents, each cut to its first two `results` or
+    /// `cells` rows: every field kind stays, and a case parses in
+    /// microseconds (the reader revalidates a string's remaining input
+    /// per character, so a whole 200 kB document takes a second).
+    fn committed() -> &'static [String] {
+        static DOCS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        DOCS.get_or_init(|| {
+            [
+                include_str!("../../../BENCH_sweep.json"),
+                include_str!("../../../BENCH_chaos.json"),
+                include_str!("../../../BENCH_soak.json"),
+                include_str!("../../../BENCH_storm.json"),
+                include_str!("../../../BENCH_fleet.json"),
+                include_str!("../../../BENCH_serve.json"),
+            ]
+            .iter()
+            .map(|text| {
+                let mut doc = JsonValue::parse(text).expect("a committed document parses");
+                if let JsonValue::Obj(members) = &mut doc {
+                    for (key, rows) in members {
+                        if let (JsonValue::Arr(rows), "results" | "cells") = (rows, key.as_str()) {
+                            rows.truncate(2);
+                        }
+                    }
+                }
+                doc.to_string()
+            })
+            .collect()
+        })
+    }
+
+    /// One edit of a document: a bit flip, a cut, a renamed key, or a
+    /// key's value replaced by one of another type.
+    fn mutate(doc: &str, (kind, at, pick): (u8, usize, usize)) -> String {
+        let key_ends: Vec<usize> = doc.match_indices("\":").map(|(i, _)| i).collect();
+        let key_end = key_ends.get(at % key_ends.len().max(1)).copied();
+        match (kind % 4, key_end) {
+            (0, _) if !doc.is_empty() => {
+                let mut bytes = doc.as_bytes().to_vec();
+                bytes[at % doc.len()] ^= 1 << (pick % 8);
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+            (1, _) => {
+                let cut = (0..=at % (doc.len() + 1))
+                    .rev()
+                    .find(|&i| doc.is_char_boundary(i))
+                    .unwrap_or(0);
+                doc[..cut].to_owned()
+            }
+            (2, Some(end)) => format!("{}_renamed{}", &doc[..end], &doc[end..]),
+            (3, Some(end)) => {
+                let (head, rest) = doc.split_at(end + 2);
+                let len = rest.find([',', '}', ']']).unwrap_or(rest.len());
+                let value = ["null", "true", "7", "\"s\"", "[]", "{}"][pick % 6];
+                format!("{head}{value}{}", &rest[len..])
+            }
+            _ => doc.to_owned(),
+        }
+    }
+
+    #[test]
+    fn the_cut_committed_documents_diff_clean() {
+        for doc in committed() {
+            let report = diff_documents(doc, doc).unwrap();
+            assert!(!report.is_regression(), "{:?}", report.regressions);
+            assert!(crate::deterministic_view(doc).is_ok());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hostile documents: mutated committed documents diff to a
+        /// report or an error, either way round, and never panic; so
+        /// does their deterministic view.
+        #[test]
+        fn mutated_committed_documents_diff_or_fail_typed(
+            which in 0usize..6,
+            edits in prop::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..4),
+        ) {
+            let committed = &committed()[which];
+            let mutated = edits.iter().fold(committed.clone(), |doc, &edit| mutate(&doc, edit));
+            let _ = diff_documents(committed, &mutated);
+            let _ = diff_documents(&mutated, committed);
+            let _ = crate::deterministic_view(&mutated);
+        }
     }
 }

@@ -706,11 +706,8 @@ impl Campaign for Fleet {
 
     /// The `simty-fleet/v1` document: population shape, throughput, the
     /// supervisor's `harness` block, the merged fleet metrics,
-    /// per-policy aggregates, and per-shard status lines. Its
-    /// per-invocation fields are `threads`, `total_wall_ms`,
-    /// `devices_per_sec`, `journal_skips`, `quantiles.cell_wall_ms` and
-    /// `cells[].wall_ms`.
-    fn document(results: &CampaignResults<Fleet>, full: bool) -> String {
+    /// per-policy aggregates, and per-shard status lines.
+    fn document(results: &CampaignResults<Fleet>) -> String {
         let config = results.config();
         let ms = |wall: std::time::Duration| (wall.as_secs_f64() * 1_000.0).to_json();
         let policies = config.policies.iter().map(|p| p.name().to_json());
@@ -721,21 +718,18 @@ impl Campaign for Fleet {
             ("seed", config.seed.to_json()),
             ("duration_ms", config.duration.as_millis().to_string()),
             ("policies", json_array(policies)),
+            ("threads", results.threads().to_json()),
+            ("total_wall_ms", ms(results.total_wall())),
+            ("devices_per_sec", results.devices_per_sec().to_json()),
+            ("journal_skips", results.journal_skips().to_json()),
         ];
-        let mut quantiles = Vec::new();
-        if full {
-            fields.extend([
-                ("threads", results.threads().to_json()),
-                ("total_wall_ms", ms(results.total_wall())),
-                ("devices_per_sec", results.devices_per_sec().to_json()),
-                ("journal_skips", results.journal_skips().to_json()),
-            ]);
-            quantiles.push(("cell_wall_ms", results.cell_wall_quantiles().to_json()));
-        }
-        quantiles.push((
-            "device_power_mw",
-            results.device_power_quantiles().to_json(),
-        ));
+        let quantiles = [
+            ("cell_wall_ms", results.cell_wall_quantiles().to_json()),
+            (
+                "device_power_mw",
+                results.device_power_quantiles().to_json(),
+            ),
+        ];
         let aggregates = json_array(results.aggregates().iter().map(Fleet::aggregate_json));
         let cells = results
             .runs()
@@ -745,10 +739,8 @@ impl Campaign for Fleet {
                 cell.extend([
                     ("status", status.token().to_json()),
                     ("devices", drill.map_or(0, |d| d.devices).to_json()),
+                    ("wall_ms", ms(o.wall)),
                 ]);
-                if full {
-                    cell.push(("wall_ms", ms(o.wall)));
-                }
                 json_object(&cell)
             });
         fields.extend([
@@ -856,6 +848,10 @@ mod tests {
         config
     }
 
+    fn view(results: &CampaignResults<Fleet>) -> crate::JsonValue {
+        crate::deterministic_view(&results.to_json()).expect("a fleet document's view")
+    }
+
     /// Every shard as the executor holds it: label, status token, report
     /// record and journaled drill payload (the document folds these per
     /// policy, where a swapped or altered shard can cancel out).
@@ -935,7 +931,7 @@ mod tests {
         let power = registry.histogram("fleet_device_power_mw").unwrap();
         assert_eq!((power.counts()[0], power.count()), (max, max));
         assert!(resumed
-            .to_json_document()
+            .to_json()
             .contains("\"devices\":18446744073709551615"));
     }
 
@@ -1011,7 +1007,7 @@ mod tests {
         let config = tiny(7);
         let one = run_fleet_with(&config, &CampaignOptions::with_threads(1)).unwrap();
         let three = run_fleet_with(&config, &CampaignOptions::with_threads(3)).unwrap();
-        assert_eq!(one.to_json(), three.to_json());
+        assert_eq!(view(&one), view(&three));
         assert_eq!(shards(&one), shards(&three));
         assert_eq!(one.devices_completed(), 7);
     }
@@ -1046,10 +1042,10 @@ mod tests {
         assert!(!scratch.join("shard-000").exists());
         let second = run_fleet_with(&config, &options).unwrap();
         assert_eq!(second.journal_skips(), 3);
-        assert_eq!(first.to_json(), second.to_json());
+        assert_eq!(view(&first), view(&second));
         assert_eq!(shards(&first), shards(&second));
         let clean = run_fleet_with(&config, &CampaignOptions::with_threads(2)).unwrap();
-        assert_eq!(clean.to_json(), second.to_json());
+        assert_eq!(view(&clean), view(&second));
         assert_eq!(shards(&clean), shards(&second));
         std::fs::remove_dir_all(&scratch).ok();
     }

@@ -22,6 +22,7 @@ pub mod diff;
 pub mod fleet;
 pub mod journal;
 mod json;
+pub mod schema;
 pub mod soak;
 pub mod storm;
 pub mod supervisor;
@@ -31,12 +32,13 @@ pub use campaign::{
     matrix, run_campaign, Campaign, CampaignResults, CampaignSpec, Cell, Drill, Profile,
 };
 pub use chaos::{Chaos, ChaosResults, ChaosSpec, FaultProfile, PolicyResilience};
-pub use diff::{diff_documents, DiffReport, DiffThresholds, JsonValue, Regression};
+pub use diff::{diff_documents, DiffReport, JsonValue, Regression};
 pub use fleet::{
     run_fleet_with, Fleet, FleetConfig, PolicyAggregate, PowerHistogram, ShardDrill, ShardSpec,
     FLEET_SCHEMA,
 };
 pub use journal::{CampaignJournal, JournalEntry, JournalError};
+pub use schema::deterministic_view;
 pub use simty::experiments::{
     motivating_example_report, paper_specs, Averages, PolicyKind, RunSpec, Scenario,
 };

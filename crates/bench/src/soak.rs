@@ -233,12 +233,9 @@ impl Campaign for Soak {
     /// The grid document; its per-invocation fields lead with
     /// `resume_wall_ms`, the campaign's total checkpoint-resume
     /// wall-clock.
-    fn document(results: &SoakResults, full: bool) -> String {
-        let resume_wall = format!(
-            ",\"resume_wall_ms\":{}",
-            json_f64(results.resume_wall().as_secs_f64() * 1_000.0)
-        );
-        results.grid_document(full.then_some(resume_wall.as_str()))
+    fn document(results: &SoakResults) -> String {
+        let resume_wall = results.resume_wall().as_secs_f64() * 1_000.0;
+        results.grid_document(&format!(",\"resume_wall_ms\":{}", json_f64(resume_wall)))
     }
 }
 
@@ -433,8 +430,9 @@ mod tests {
             .iter()
             .all(|a| a.all_resumed_identical && a.all_restores_ok));
         assert!(aggs.iter().all(|a| a.corrupt_skipped == 1));
-        let json = results.to_json();
-        assert!(json.starts_with("{\"schema\":\"simty-bench-soak/v1\""));
+        let doc = results.to_json();
+        let json = crate::deterministic_view(&doc).unwrap().to_string();
+        assert!(json.starts_with("{\"schema\":\"simty-bench-soak/v1\",\"runs\":4"));
         assert!(json.contains("\"profile\":\"bitflip\""));
         assert!(json.contains("\"status\":\"ok\""));
         assert!(json.contains("\"harness\":{\"cells\":4"));
@@ -444,11 +442,8 @@ mod tests {
             "soak documents must be deterministic"
         );
         assert!(!json.contains("journal_skips"));
-        // The committed document adds only per-invocation header fields
-        // on top of the deterministic body.
-        let doc = results.to_json_document();
-        assert!(doc.starts_with("{\"schema\":\"simty-bench-soak/v1\",\"resume_wall_ms\":"));
-        assert!(doc.contains("\"journal_skips\":0"));
+        // The document adds only per-invocation header fields on top of
+        // the deterministic body.
         assert!(results.resume_wall() > Duration::ZERO);
         assert_eq!(
             doc.replacen(
@@ -492,9 +487,8 @@ mod tests {
             2,
             SimDuration::from_hours(1),
         );
-        let a = run_soak(&specs, 1).to_json();
-        let b = run_soak(&specs, 4).to_json();
-        assert_eq!(a, b);
+        let view = |threads| crate::deterministic_view(&run_soak(&specs, threads).to_json());
+        assert_eq!(view(1).unwrap(), view(4).unwrap());
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! perturbation point.
 
 use std::fmt;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -645,13 +644,10 @@ impl SweepResults {
     /// Serializes the sweep as the `BENCH_sweep.json` document: batch
     /// timing, the aggregated per-stage self-profile, the supervisor's
     /// `harness` block, and, per run, its label, status, wall-clock, and
-    /// full report (`null` for poisoned cells).
-    ///
-    /// Only the `results[*].label`/`status`/`report` fields and the
-    /// `harness` block are deterministic; the timing fields,
-    /// `journal_skips`, and the `stages` block vary run to run (the
-    /// determinism regression test compares
-    /// [`reports_json`](Self::reports_json) instead).
+    /// full report (`null` for poisoned cells). [`crate::schema`]
+    /// declares which of its fields vary run to run; two sweeps over one
+    /// grid, on any thread count and after any resume, have the same
+    /// [`deterministic_view`](crate::deterministic_view).
     pub fn to_json(&self) -> String {
         let results = self.outcomes.iter().map(|o| {
             json_object(&[
@@ -681,30 +677,6 @@ impl SweepResults {
             ("quantiles", quantiles),
             ("results", json_array(results)),
         ])
-    }
-
-    /// Serializes only the deterministic payload: a JSON array of
-    /// `{label, status, report}` in enqueue order. Two sweeps over the
-    /// same grid must produce byte-identical output regardless of
-    /// thread count — and regardless of how many cells were restored
-    /// from a campaign journal.
-    pub fn reports_json(&self) -> String {
-        json_array(self.outcomes.iter().map(|o| {
-            json_object(&[
-                ("label", o.label.to_json()),
-                ("status", o.status.token().to_json()),
-                ("report", o.report.to_json()),
-            ])
-        }))
-    }
-
-    /// Writes [`to_json`](Self::to_json) to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
     }
 }
 
@@ -826,7 +798,8 @@ mod tests {
         };
         let sequential = grid().run_with_threads(1);
         let parallel = grid().run_with_threads(4);
-        assert_eq!(sequential.reports_json(), parallel.reports_json());
+        let view = |results: &SweepResults| crate::deterministic_view(&results.to_json());
+        assert_eq!(view(&sequential).unwrap(), view(&parallel).unwrap());
         assert_eq!(sequential.len(), 4);
     }
 

@@ -7,9 +7,16 @@
 use simty::core::similarity::HardwareGranularity;
 use simty::core::time::SimDuration;
 use simty_bench::{
-    matrix, motivating_example_report, run_campaign, CampaignOptions, Chaos, FaultProfile,
-    PolicyKind, Profile, RunSpec, Scenario, Sweep,
+    deterministic_view, matrix, motivating_example_report, run_campaign, CampaignOptions, Chaos,
+    FaultProfile, PolicyKind, Profile, RunSpec, Scenario, Sweep,
 };
+
+/// A document's deterministic view: its bytes across thread counts.
+fn view(document: &str) -> String {
+    deterministic_view(document)
+        .expect("a campaign document's view")
+        .to_string()
+}
 
 /// A mixed grid exercising every spec dimension: policy, scenario, seed,
 /// β, granularity, and a closure job — 14 runs, kept short.
@@ -53,8 +60,8 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
     assert!(sequential.len() >= 11, "grid should be non-trivial");
     assert_eq!(sequential.len(), parallel.len());
     assert_eq!(
-        sequential.reports_json(),
-        parallel.reports_json(),
+        view(&sequential.to_json()),
+        view(&parallel.to_json()),
         "parallel sweep diverged from sequential"
     );
 }
@@ -63,7 +70,7 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
 fn repeated_parallel_sweeps_are_byte_identical() {
     let first = grid().run_with_threads(3);
     let second = grid().run_with_threads(3);
-    assert_eq!(first.reports_json(), second.reports_json());
+    assert_eq!(view(&first.to_json()), view(&second.to_json()));
 }
 
 #[test]
@@ -86,8 +93,8 @@ fn chaos_campaigns_are_byte_identical_across_thread_counts() {
     let parallel = run(3);
     assert_eq!(sequential.runs().len(), specs.len());
     assert_eq!(
-        sequential.to_json(),
-        parallel.to_json(),
+        view(&sequential.to_json()),
+        view(&parallel.to_json()),
         "parallel chaos campaign diverged from sequential"
     );
 }

@@ -14,7 +14,8 @@
 //! the stage clocks. The second oracle checks both against a full-level
 //! run of each spec of a paper-shaped grid: the same report bytes, and
 //! a timed stage profile with time in it and the full run's call count
-//! in every stage.
+//! in every stage. The spec run with no observability at all must leave
+//! an empty profile and the full run's report but for its `metrics`.
 
 use std::thread;
 
@@ -26,6 +27,7 @@ use simty::obs::{Stage, StageProfile};
 use simty::sim::json::report_to_json;
 use simty::sim::{ObsLevel, SimConfig, Simulation};
 use simty_bench::fleet::{run_device, FleetConfig};
+use simty_bench::JsonValue;
 
 const FLEET_SEEDS: [u64; 8] = [1, 2, 3, 7, 42, 901, 0x5eed, u64::MAX];
 const DEVICES_PER_SEED: u64 = 250;
@@ -202,12 +204,22 @@ fn full_level_spec(spec: &RunSpec) -> (String, StageProfile) {
 
 /// What differs between `spec`'s counts-, timed- and off-level runs and
 /// its full-level run, if anything.
+/// A report's JSON without its `metrics` block: what an uninstrumented
+/// run must still equal.
+fn without_metrics(report: &str) -> JsonValue {
+    let mut report = JsonValue::parse(report).expect("a report parses");
+    if let JsonValue::Obj(members) = &mut report {
+        members.retain(|(key, _)| key != "metrics");
+    }
+    report
+}
+
 fn compare_spec(spec: &RunSpec) -> Option<String> {
     let (full, full_stages) = full_level_spec(spec);
     let counts = report_to_json(&spec.run());
     let (timed, stages) = spec.run_instrumented();
     let timed = report_to_json(&timed);
-    let off = spec.clone().with_no_obs().run_instrumented().1;
+    let (off_report, off) = spec.clone().with_no_obs().run_instrumented();
     let calls = |p: &StageProfile| Stage::ALL.map(|s| p.calls(s));
     let verdicts = [
         ("run() report", counts == full),
@@ -215,6 +227,10 @@ fn compare_spec(spec: &RunSpec) -> Option<String> {
         ("timed profile has time", stages.total_nanos() > 0),
         ("stage calls", calls(&stages) == calls(&full_stages)),
         ("no-obs profile empty", off.is_empty()),
+        (
+            "no-obs report but its metrics",
+            without_metrics(&report_to_json(&off_report)) == without_metrics(&full),
+        ),
     ];
     let failed: Vec<_> = verdicts
         .iter()

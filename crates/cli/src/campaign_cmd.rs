@@ -137,7 +137,7 @@ pub(crate) fn report_campaign<C: CampaignCommand>(
     writeln!(out, "\n{}", summary.render())?;
     writeln!(out, "{}", C::summary(results))?;
     if let Some(path) = args.get("json") {
-        results.write_json(path)?;
+        std::fs::write(path, results.to_json())?;
         writeln!(out, "{} document written to {path}", C::KIND)?;
     }
     if results.total_violations() > 0 {

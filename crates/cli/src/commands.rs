@@ -61,6 +61,17 @@ impl CliError {
             CliError::Serve(_) => 8,
         }
     }
+
+    /// What `standby` prints to stderr for this error: the message, and
+    /// for a usage error (exit 2), where the usage is.
+    pub fn message(&self) -> String {
+        let hint = if self.exit_code() == 2 {
+            "\nrun `standby --help` for usage"
+        } else {
+            ""
+        };
+        format!("standby: {self}{hint}")
+    }
 }
 
 impl fmt::Display for CliError {
@@ -95,8 +106,8 @@ impl From<io::Error> for CliError {
 }
 
 /// A flag error reported as a usage error: the class in which the
-/// cell-index flags, `--deadline` and `bench`'s thresholds report a bad
-/// value (both classes exit 2).
+/// cell-index flags and `--deadline` report a bad value (both classes
+/// exit 2).
 fn usage_error(e: ParseArgsError) -> CliError {
     CliError::Usage(e.to_string())
 }
@@ -536,7 +547,7 @@ pub(crate) fn cmd_sweep(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
         )?;
     }
     if let Some(path) = args.get("json") {
-        results.write_json(path)?;
+        std::fs::write(path, results.to_json())?;
         writeln!(out, "sweep document written to {path}")?;
     }
     poisoned_to_error(results.poisoned())?;
@@ -814,8 +825,8 @@ pub(crate) fn cmd_trace(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
     Ok(())
 }
 
-/// `standby bench diff OLD.json NEW.json`: the schema-aware perf gate
-/// between two campaign documents.
+/// `standby bench diff OLD.json NEW.json`: the gate between two campaign
+/// documents, each field compared by its declared class.
 pub(crate) fn cmd_bench(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let (old_path, new_path) = match &args.operands[..] {
         [diff, old, new] if diff == "diff" => (old, new),
@@ -825,22 +836,15 @@ pub(crate) fn cmd_bench(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
             ))
         }
     };
-    let positive = |flag: &str| match args.f64(flag).map_err(usage_error)? {
-        x if x.is_finite() && x > 0.0 => Ok(x),
-        _ => Err(CliError::Usage(format!("--{flag} must be positive"))),
-    };
-    let thresholds = simty_bench::DiffThresholds {
-        max_wall_ratio: positive("max-ratio")?,
-        max_delta_pct: positive("max-delta-pct")?,
-    };
     let old = std::fs::read_to_string(old_path)?;
     let new = std::fs::read_to_string(new_path)?;
-    let report =
-        simty_bench::diff_documents(&old, &new, &thresholds).map_err(CliError::Regression)?;
+    let report = simty_bench::diff_documents(&old, &new).map_err(CliError::Regression)?;
     writeln!(
         out,
-        "bench diff {}: {} fields compared (wall ratio <= {}x, deterministic delta <= {}%)",
-        report.schema, report.checks, thresholds.max_wall_ratio, thresholds.max_delta_pct,
+        "bench diff {}: {} fields compared (deterministic exact, wall ratio <= {}x)",
+        report.schema,
+        report.checks,
+        simty_bench::diff::CRASH_RATIO,
     )?;
     if report.is_regression() {
         for regression in &report.regressions {
@@ -851,10 +855,7 @@ pub(crate) fn cmd_bench(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
             report.regressions.len()
         )));
     }
-    writeln!(
-        out,
-        "no regressions: {new_path} is within thresholds of {old_path}"
-    )?;
+    writeln!(out, "no regressions: {new_path} matches {old_path}")?;
     Ok(())
 }
 
@@ -1075,6 +1076,13 @@ pub(crate) fn cmd_catalog(_args: &ParsedArgs, out: &mut dyn Write) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simty_bench::JsonValue;
+
+    /// The deterministic view of the campaign document at `path`.
+    fn view(path: &std::path::Path) -> JsonValue {
+        let document = std::fs::read_to_string(path).unwrap();
+        simty_bench::deterministic_view(&document).unwrap()
+    }
 
     fn run(args: &[&str]) -> Result<String, CliError> {
         let raw: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
@@ -1434,6 +1442,19 @@ mod tests {
         }
         assert!(text.contains("\"preferability\""));
         assert!(text.contains("\"verdict\":\"won\""));
+        // Some candidate carried both Table 1 ranks and won.
+        let ranked_win = |candidate: &JsonValue| {
+            let ranked = |key| candidate.get(key).is_some_and(|v| *v != JsonValue::Null);
+            ranked("hw_rank")
+                && ranked("preferability")
+                && candidate.get("verdict").and_then(JsonValue::as_str) == Some("won")
+        };
+        assert!(text.lines().any(|line| {
+            match JsonValue::parse(line).unwrap().get("candidates") {
+                Some(JsonValue::Arr(candidates)) => candidates.iter().any(ranked_win),
+                _ => false,
+            }
+        }));
     }
 
     #[test]
@@ -1449,8 +1470,9 @@ mod tests {
         ])
         .unwrap();
         assert!(expose.contains("# HELP sim_wakeups_total"));
+        assert!(expose.contains("sim_entry_deliveries_total"));
         assert!(expose.contains("sim_placements_total"));
-        assert!(expose.contains("sim_entry_size"));
+        assert!(expose.contains("sim_entry_size_bucket"));
 
         let json = run(&[
             "metrics",
@@ -1477,6 +1499,7 @@ mod tests {
         ])
         .unwrap();
         assert!(spans.contains("\"kind\":\"wake_cycle\""));
+        assert!(spans.contains("\"kind\":\"policy_place\""));
 
         assert!(matches!(
             run(&["metrics", "--format", "bogus", "--hours", "1"]),
@@ -1602,6 +1625,26 @@ mod tests {
     }
 
     #[test]
+    fn only_usage_errors_point_at_the_help() {
+        let hint = "\nrun `standby --help` for usage";
+        let unknown_flag = run(&["run", "--polcy", "simty"]).unwrap_err();
+        for (error, usage) in [
+            (unknown_flag, true),
+            (CliError::Usage("x".into()), true),
+            (CliError::Io(io::Error::other("x")), false),
+            (CliError::Invariants(1), false),
+            (CliError::Recovery("x".into()), false),
+            (CliError::Harness("x".into()), false),
+            (CliError::Regression("x".into()), false),
+            (CliError::Serve("x".into()), false),
+        ] {
+            let message = error.message();
+            assert!(message.starts_with("standby: "), "{message}");
+            assert_eq!(message.ends_with(hint), usage, "{message}");
+        }
+    }
+
+    #[test]
     fn serve_load_emits_the_serve_document() {
         let text = run(&[
             "serve-load",
@@ -1671,6 +1714,23 @@ mod tests {
         assert!(trace.contains("NATIVE"));
         assert!(trace.contains("SIMTY"));
         assert!(trace.contains("\"ph\":\"X\""));
+        let trace = JsonValue::parse(&trace).unwrap();
+        fn str_of<'e>(event: &'e JsonValue, key: &str) -> Option<&'e str> {
+            event.get(key).and_then(JsonValue::as_str)
+        }
+        assert_eq!(str_of(&trace, "displayTimeUnit"), Some("ms"));
+        let Some(JsonValue::Arr(events)) = trace.get("traceEvents") else {
+            panic!("no traceEvents array");
+        };
+        let metadata: Vec<_> = events
+            .iter()
+            .filter(|event| str_of(event, "ph") == Some("M"))
+            .filter_map(|event| str_of(event, "name"))
+            .collect();
+        assert!(metadata.contains(&"process_name") && metadata.contains(&"thread_name"));
+        assert!(events
+            .iter()
+            .all(|event| event.get("pid") == Some(&JsonValue::Num(0.0))));
         // --out is mandatory.
         assert!(matches!(
             run(&["trace", "--hours", "1"]),
@@ -1724,7 +1784,24 @@ mod tests {
             Err(CliError::Regression(_))
         ));
 
-        // Usage errors: unknown subcommand, wrong arity, bad flag value.
+        // Printing the regressions into a closed pipe still fails.
+        struct Closed;
+        impl Write for Closed {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let args: Vec<String> = ["bench", "diff", &doc_str, &bad_str]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert!(matches!(run_cli(&args, &mut Closed), Err(CliError::Io(_))));
+
+        // Usage errors: unknown subcommand, wrong arity, and the
+        // threshold flags, which are gone.
         assert!(matches!(run(&["bench"]), Err(CliError::Usage(_))));
         assert!(matches!(run(&["bench", "prof"]), Err(CliError::Usage(_))));
         assert!(matches!(
@@ -1733,7 +1810,7 @@ mod tests {
         ));
         assert!(matches!(
             run(&["bench", "diff", &doc_str, &doc_str, "--max-ratio", "zero"]),
-            Err(CliError::Usage(_))
+            Err(CliError::Args(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1833,8 +1910,7 @@ mod tests {
         assert!(lines.iter().all(|l| l.starts_with("{\"wall_ms\":")));
 
         // The telemetry stream must not perturb the deterministic
-        // document payload: rerun without --events and compare from the
-        // results stream onward (headers carry wall clocks).
+        // document payload: rerun without --events and compare the views.
         let json2 = dir.join("sweep2.json");
         let json2_str = json2.to_str().unwrap().to_owned();
         run(&[
@@ -1851,24 +1927,9 @@ mod tests {
             &json2_str,
         ])
         .unwrap();
-        let payload = |doc: &str| doc[doc.find("\"results\":").unwrap()..].to_owned();
-        let with_telemetry = std::fs::read_to_string(&json).unwrap();
-        let without = std::fs::read_to_string(&json2).unwrap();
-        let strip_walls = |doc: &str| {
-            let mut out = String::new();
-            let mut rest = doc;
-            while let Some(i) = rest.find("\"wall_ms\":") {
-                out.push_str(&rest[..i]);
-                let after = &rest[i + "\"wall_ms\":".len()..];
-                let end = after.find(',').unwrap();
-                rest = &after[end + 1..];
-            }
-            out.push_str(rest);
-            out
-        };
         assert_eq!(
-            strip_walls(&payload(&with_telemetry)),
-            strip_walls(&payload(&without)),
+            view(&json),
+            view(&json2),
             "telemetry must not change the deterministic payload"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1969,27 +2030,11 @@ mod tests {
         let args_b = sweep_args(&json_b);
         let second = run(&args_b.iter().map(String::as_str).collect::<Vec<_>>()).unwrap();
         assert!(second.contains("2 journal-restored"));
-        let a = std::fs::read_to_string(&json_a).unwrap();
-        let b = std::fs::read_to_string(&json_b).unwrap();
-        // The document headers carry wall-clock timings (and the
-        // restored run's per-cell wall is zero), so compare the
-        // deterministic results stream with the walls stripped.
-        let deterministic = |doc: &str| {
-            let results = &doc[doc.find("\"results\":").unwrap()..];
-            let mut out = String::new();
-            let mut rest = results;
-            while let Some(i) = rest.find("\"wall_ms\":") {
-                out.push_str(&rest[..i]);
-                let after = &rest[i + "\"wall_ms\":".len()..];
-                let end = after.find(',').unwrap();
-                rest = &after[end + 1..];
-            }
-            out.push_str(rest);
-            out
-        };
+        // The documents carry wall-clock timings (and the restored
+        // run's per-cell wall is zero), so compare their views.
         assert_eq!(
-            deterministic(&a),
-            deterministic(&b),
+            view(&json_a),
+            view(&json_b),
             "resumed results must be byte-identical"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -10,8 +10,7 @@ fn main() -> ExitCode {
     match run_cli(&args, &mut stdout) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("standby: {e}");
-            eprintln!("run `standby --help` for usage");
+            eprintln!("{}", e.message());
             ExitCode::from(e.exit_code())
         }
     }

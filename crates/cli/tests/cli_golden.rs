@@ -1,5 +1,6 @@
 //! Byte-identity goldens for `standby`'s deterministic stdout, and the
-//! exit code of every input the command tests reject.
+//! exit code of every input the command tests reject, and of `bench
+//! diff` over doctored copies of the committed sweep document.
 //!
 //! Each argument set runs through [`run_cli`] and its stdout is digested
 //! with [`fnv1a64`](simty::sim::codec::fnv1a64). The constants were taken
@@ -254,4 +255,51 @@ fn repro_prints_the_experiments_block() {
         String::from_utf8(out).unwrap() == block,
         "EXPERIMENTS.md's repro block differs from `standby repro`; paste its output there"
     );
+}
+
+/// The committed sweep document with the first value of `key` replaced
+/// by `edit` of it.
+fn doctored(key: &str, edit: impl Fn(&str) -> String) -> String {
+    let doc = include_str!("../../../BENCH_sweep.json");
+    let needle = format!("\"{key}\":");
+    let at = doc.find(&needle).expect("a committed field") + needle.len();
+    let end = at + doc[at..].find([',', '}']).expect("a scalar value");
+    format!("{}{}{}", &doc[..at], edit(&doc[at..end]), &doc[end..])
+}
+
+/// `bench diff` gates the committed sweep document: a deterministic
+/// field moved or a field declared nowhere exits 7, and a wall-clock
+/// field doubled (inside the crash bound) passes.
+#[test]
+fn doctored_sweep_documents_keep_their_bench_diff_exit_codes() {
+    let plus_one = |v: &str| (v.parse::<u64>().unwrap() + 1).to_string();
+    let cases = [
+        ("unchanged", doctored("runs", str::to_owned), 0),
+        ("harness.poisoned + 1", doctored("poisoned", plus_one), 7),
+        ("one report digit", doctored("cpu_wakeups", plus_one), 7),
+        (
+            "an undeclared key",
+            doctored("schema", |v| format!("{v},\"bogus\":1")),
+            7,
+        ),
+        (
+            "a wall field x2",
+            doctored("total_wall_ms", |v| {
+                (v.parse::<f64>().unwrap() * 2.0).to_string()
+            }),
+            0,
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("simty-doctored-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let old = dir.join("old.json");
+    let new = dir.join("new.json");
+    std::fs::write(&old, include_str!("../../../BENCH_sweep.json")).unwrap();
+    let (old, new_str) = (old.to_str().unwrap(), new.to_str().unwrap());
+    for (what, doc, code) in cases {
+        std::fs::write(&new, doc).unwrap();
+        let (result, _) = run(&["bench", "diff", old, new_str]);
+        assert_eq!(result.err().unwrap_or(0), code, "{what}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
