@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the end-to-end simulation engine: how fast a
-//! full paper-scale experiment replays. This bounds the cost of the
-//! sweeps in the `ablation` binary and of the property-based test suite.
+//! full paper-scale experiment replays. This bounds the cost of
+//! `standby repro`'s grid and of the property-based test suite.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -59,11 +59,7 @@ impl JsonValue {
     ///
     /// A human-readable message with the byte offset of the failure.
     pub fn parse(s: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Parser::new(s);
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -137,13 +133,23 @@ impl fmt::Display for JsonValue {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -259,12 +265,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash at
+                    // once: both are ASCII, so the run is whole UTF-8.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'));
+                    self.pos = run.map_or(self.bytes.len(), |n| start + n);
+                    let run = self.text.get(start..self.pos);
+                    out.push_str(run.ok_or_else(|| self.err("invalid UTF-8"))?);
                 }
             }
         }
@@ -495,6 +504,110 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The decoder [`Parser::string`] replaced, which re-validated the
+    /// rest of the input for every character: the reference it must
+    /// agree with.
+    impl Parser<'_> {
+        fn reference_string(&mut self) -> Result<String, String> {
+            self.eat(b'"', "expected `\"`")?;
+            let mut out = String::new();
+            loop {
+                match self.bytes.get(self.pos) {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        let esc = *self
+                            .bytes
+                            .get(self.pos)
+                            .ok_or_else(|| self.err("unterminated escape"))?;
+                        self.pos += 1;
+                        match esc {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'n' => out.push('\n'),
+                            b'r' => out.push('\r'),
+                            b't' => out.push('\t'),
+                            b'b' => out.push('\u{8}'),
+                            b'f' => out.push('\u{c}'),
+                            b'u' => {
+                                let hex = self
+                                    .bytes
+                                    .get(self.pos..self.pos + 4)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                                let code = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| self.err("invalid \\u escape"))?;
+                                self.pos += 4;
+                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            }
+                            _ => return Err(self.err("unknown escape")),
+                        }
+                    }
+                    Some(_) => {
+                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                            .map_err(|_| self.err("invalid UTF-8"))?;
+                        let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Decodes every string of `doc` with both decoders, asserting equal
+    /// results and end positions; returns how many there were.
+    fn decoders_agree(doc: &str) -> usize {
+        let mut p = Parser::new(doc);
+        let mut strings = 0;
+        while p.pos < doc.len() {
+            if p.bytes[p.pos] != b'"' {
+                p.pos += 1;
+                continue;
+            }
+            let mut reference = Parser::new(doc);
+            reference.pos = p.pos;
+            let (want, got) = (reference.reference_string(), p.string());
+            assert_eq!(got, want, "string at byte {}", reference.pos);
+            if got.is_err() {
+                return strings;
+            }
+            assert_eq!(p.pos, reference.pos);
+            strings += 1;
+        }
+        strings
+    }
+
+    #[test]
+    fn string_decoder_agrees_with_the_reference_on_every_committed_document() {
+        for doc in COMMITTED {
+            assert!(decoders_agree(doc) > 10);
+        }
+    }
+
+    #[test]
+    fn string_decoder_agrees_with_the_reference_on_escapes_and_multibyte_text() {
+        for doc in [
+            r#""plain" "h\u00e9llo → ✓ 𝄞 ünïcödé""#,
+            r#""a\"b\\c\/d\n\r\t\b\f" "\u0041\u00e9\u2713\ud834x" "é\"é""#,
+            r#""""#,
+            r#""unterminated"#,
+            r#""tail\"#,
+            r#""short \u12"#,
+            r#""bad \uZZZZ""#,
+            r#""bad \x""#,
+            r#""split \u00é""#,
+        ] {
+            decoders_agree(doc);
+        }
+        assert_eq!(decoders_agree(r#"["é", "\u00e9", "\"→\""]"#), 3);
+    }
+
     #[test]
     fn parser_round_trips_document_shapes() {
         let v = JsonValue::parse(
@@ -696,30 +809,34 @@ mod tests {
     /// `cells` rows: every field kind stays, and a case parses in
     /// microseconds (the reader revalidates a string's remaining input
     /// per character, so a whole 200 kB document takes a second).
+    const COMMITTED: [&str; 6] = [
+        include_str!("../../../BENCH_sweep.json"),
+        include_str!("../../../BENCH_chaos.json"),
+        include_str!("../../../BENCH_soak.json"),
+        include_str!("../../../BENCH_storm.json"),
+        include_str!("../../../BENCH_fleet.json"),
+        include_str!("../../../BENCH_serve.json"),
+    ];
+
     fn committed() -> &'static [String] {
         static DOCS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
         DOCS.get_or_init(|| {
-            [
-                include_str!("../../../BENCH_sweep.json"),
-                include_str!("../../../BENCH_chaos.json"),
-                include_str!("../../../BENCH_soak.json"),
-                include_str!("../../../BENCH_storm.json"),
-                include_str!("../../../BENCH_fleet.json"),
-                include_str!("../../../BENCH_serve.json"),
-            ]
-            .iter()
-            .map(|text| {
-                let mut doc = JsonValue::parse(text).expect("a committed document parses");
-                if let JsonValue::Obj(members) = &mut doc {
-                    for (key, rows) in members {
-                        if let (JsonValue::Arr(rows), "results" | "cells") = (rows, key.as_str()) {
-                            rows.truncate(2);
+            COMMITTED
+                .iter()
+                .map(|text| {
+                    let mut doc = JsonValue::parse(text).expect("a committed document parses");
+                    if let JsonValue::Obj(members) = &mut doc {
+                        for (key, rows) in members {
+                            if let (JsonValue::Arr(rows), "results" | "cells") =
+                                (rows, key.as_str())
+                            {
+                                rows.truncate(2);
+                            }
                         }
                     }
-                }
-                doc.to_string()
-            })
-            .collect()
+                    doc.to_string()
+                })
+                .collect()
         })
     }
 
@@ -766,7 +883,8 @@ mod tests {
 
         /// Hostile documents: mutated committed documents diff to a
         /// report or an error, either way round, and never panic; so
-        /// does their deterministic view.
+        /// does their deterministic view. Both string decoders agree on
+        /// them.
         #[test]
         fn mutated_committed_documents_diff_or_fail_typed(
             which in 0usize..6,
@@ -777,6 +895,7 @@ mod tests {
             let _ = diff_documents(committed, &mutated);
             let _ = diff_documents(&mutated, committed);
             let _ = crate::deterministic_view(&mutated);
+            decoders_agree(&mutated);
         }
     }
 }

@@ -1,16 +1,11 @@
 //! # simty-bench — experiment harness
 //!
 //! The parallel sweep executor and the supervised, resumable campaigns
-//! (chaos, soak, storm, fleet) behind `standby`, two study binaries, and
-//! criterion micro-benchmarks of the alignment policies and the engine.
-//! The paper's figures and tables are `standby repro` (see
-//! [`simty::paper`]).
-//!
-//! * `cargo run --release -p simty-bench --bin ablation` — β sweep,
-//!   hardware-similarity granularity, the DURSIM extension, and NATIVE
-//!   realignment on/off;
-//! * `... --bin sensitivity` — the power-model calibration perturbations;
-//! * `cargo bench -p simty-bench` — policy/engine micro-benchmarks.
+//! (chaos, soak, storm, fleet) behind `standby`, and criterion
+//! micro-benchmarks of the alignment policies and the engine
+//! (`cargo bench -p simty-bench`). The paper's figures and tables, and
+//! its ablation and calibration-sensitivity studies, are `standby repro`
+//! (see [`simty::paper`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

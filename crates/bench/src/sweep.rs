@@ -1,8 +1,8 @@
 //! `SweepRunner`: deterministic parallel batch execution of simulation
 //! runs.
 //!
-//! Every paper-facing binary runs a grid of full simulations (policy ×
-//! scenario × seed × β × granularity × power perturbation). Each
+//! `standby sweep` and the campaigns run grids of full simulations
+//! (policy × scenario × seed × β, or × fault profile). Each
 //! [`Simulation`](simty::sim::Simulation) is seed-deterministic and
 //! independent, so the grid is embarrassingly parallel. A [`Sweep`]
 //! collects jobs up front, fans them out over `std::thread` workers, and
@@ -11,11 +11,8 @@
 //! completion order.
 //!
 //! Identical [`RunSpec`]s are deduplicated at enqueue time: both handles
-//! resolve to the single shared run. The sensitivity study leans on this
-//! to compute its NATIVE/SIMTY baselines once instead of once per
-//! perturbation point.
+//! resolve to the single shared run.
 
-use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -210,7 +207,7 @@ impl Sweep {
     }
 
     /// Enqueues an arbitrary labelled job (for runs that need bespoke
-    /// setup, e.g. the ablation's push-storm and DURSIM scenarios). No
+    /// setup, e.g. a campaign cell's fault drill). No
     /// deduplication is attempted for closure jobs.
     pub fn job<R: Into<JobResult>>(
         &mut self,
@@ -680,90 +677,6 @@ impl SweepResults {
     }
 }
 
-/// The experiment binaries' options: `--threads N` (default: every
-/// core) and `--json PATH` (write the sweep document there).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StudyArgs {
-    /// Worker threads for the sweep.
-    pub threads: usize,
-    /// Where to write the sweep document, if anywhere.
-    pub json: Option<String>,
-}
-
-/// Why an experiment binary's arguments were rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StudyArgsError {
-    /// An argument that is not `--threads` or `--json`.
-    UnknownFlag(String),
-    /// A flag given last, or followed by another flag, with no value.
-    MissingValue(&'static str),
-    /// A `--threads` value that is not a positive integer.
-    BadThreads(String),
-}
-
-impl fmt::Display for StudyArgsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StudyArgsError::UnknownFlag(flag) => write!(f, "unknown argument `{flag}`"),
-            StudyArgsError::MissingValue(flag) => write!(f, "`{flag}` needs a value"),
-            StudyArgsError::BadThreads(v) => {
-                write!(f, "`--threads` must be a positive integer, got `{v}`")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StudyArgsError {}
-
-impl StudyArgs {
-    /// Parses raw binary arguments (without the program name).
-    ///
-    /// # Errors
-    ///
-    /// Any argument other than `--threads N` and `--json PATH`, a flag
-    /// without its value, and a `--threads` value that is not a positive
-    /// integer.
-    pub fn parse(args: &[String]) -> Result<Self, StudyArgsError> {
-        let mut parsed = StudyArgs {
-            threads: available_threads(),
-            json: None,
-        };
-        let mut args = args.iter();
-        while let Some(arg) = args.next() {
-            let flag = match arg.as_str() {
-                "--threads" => "--threads",
-                "--json" => "--json",
-                _ => return Err(StudyArgsError::UnknownFlag(arg.clone())),
-            };
-            let value = args
-                .next()
-                .filter(|v| !v.starts_with("--"))
-                .ok_or(StudyArgsError::MissingValue(flag))?;
-            if flag == "--json" {
-                parsed.json = Some(value.clone());
-            } else {
-                parsed.threads = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| StudyArgsError::BadThreads(value.clone()))?;
-            }
-        }
-        Ok(parsed)
-    }
-
-    /// Parses the process's arguments; on an error, prints it with a
-    /// usage line to stderr and exits with status 2.
-    pub fn from_env(program: &str) -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        StudyArgs::parse(&args).unwrap_or_else(|e| {
-            eprintln!("{program}: {e}");
-            eprintln!("usage: {program} [--threads N] [--json PATH]");
-            std::process::exit(2)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,41 +754,5 @@ mod tests {
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    fn study_args(args: &[&str]) -> Result<StudyArgs, StudyArgsError> {
-        StudyArgs::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn study_args_parse_both_flags_and_default_to_every_core() {
-        let args = study_args(&["--threads", "3", "--json", "out.json"]).unwrap();
-        assert_eq!(args.threads, 3);
-        assert_eq!(args.json.as_deref(), Some("out.json"));
-        let default = study_args(&[]).unwrap();
-        assert_eq!(default.threads, available_threads());
-        assert_eq!(default.json, None);
-    }
-
-    #[test]
-    fn study_args_reject_unknown_missing_and_bad_values() {
-        use StudyArgsError::*;
-        let bad = |v: &str| Err(BadThreads(v.into()));
-        assert_eq!(
-            study_args(&["--thread", "2"]),
-            Err(UnknownFlag("--thread".into()))
-        );
-        assert_eq!(study_args(&["stray"]), Err(UnknownFlag("stray".into())));
-        assert_eq!(study_args(&["--json"]), Err(MissingValue("--json")));
-        assert_eq!(study_args(&["--threads"]), Err(MissingValue("--threads")));
-        assert_eq!(
-            study_args(&["--json", "--threads", "2"]),
-            Err(MissingValue("--json"))
-        );
-        assert_eq!(study_args(&["--threads", "abc", "--json", "x"]), bad("abc"));
-        assert_eq!(study_args(&["--threads", "0"]), bad("0"));
-        assert_eq!(study_args(&["--threads", "-1"]), bad("-1"));
-        assert_eq!(study_args(&["--threads", "2.5"]), bad("2.5"));
-        assert_eq!(MissingValue("--json").to_string(), "`--json` needs a value");
     }
 }

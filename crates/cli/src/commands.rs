@@ -859,9 +859,10 @@ pub(crate) fn cmd_bench(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
     Ok(())
 }
 
-/// `standby repro`: the §4.1 grid, and every paper target with its band.
+/// `standby repro`: the §4.1 grid and the ablation and sensitivity
+/// studies, and every paper target with its band.
 pub(crate) fn cmd_repro(_args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    report_repro(&paper::evaluate(&PaperGrid::run(PaperGrid::specs())), out)
+    report_repro(&paper::evaluate(&PaperGrid::run()), out)
 }
 
 /// Prints the evaluation; a target outside its band is a regression.
@@ -1076,6 +1077,7 @@ pub(crate) fn cmd_catalog(_args: &ParsedArgs, out: &mut dyn Write) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simty::experiments::GridRun;
     use simty_bench::JsonValue;
 
     /// The deterministic view of the campaign document at `path`.
@@ -2238,16 +2240,34 @@ mod tests {
 
     #[test]
     fn repro_exits_7_when_simty_runs_at_beta_zero() {
-        let doctor = |s: simty::experiments::RunSpec| match s.policy {
-            PolicyKind::Simty => s.with_beta(0.0),
-            _ => s,
-        };
-        let grid = PaperGrid::run(PaperGrid::specs().into_iter().map(doctor).collect());
+        let grid = PaperGrid::run_with(|run| match run {
+            GridRun::Spec(s) if s.policy == PolicyKind::Simty => GridRun::Spec(s.with_beta(0.0)),
+            run => run,
+        });
         let outcomes = paper::evaluate(&grid);
         let failed = paper::failures(&outcomes);
         for id in ["fig3.light.total_saving", "table4.light.cpu_cut"] {
             assert!(failed.contains(&id), "{id} holds at beta 0: {failed:?}");
         }
+        let mut out = Vec::new();
+        let err = report_repro(&outcomes, &mut out).expect_err("gates fail");
+        assert_eq!(err.exit_code(), 7);
+        assert!(String::from_utf8(out).unwrap().contains("**FAIL**"));
+    }
+
+    #[test]
+    fn repro_exits_7_when_simty_stands_in_for_dursim_on_the_duration_mix() {
+        let grid = PaperGrid::run_with(|run| match run {
+            GridRun::DurationMix(PolicyKind::Dursim) => GridRun::DurationMix(PolicyKind::Simty),
+            run => run,
+        });
+        let outcomes = paper::evaluate(&grid);
+        let failed = paper::failures(&outcomes);
+        let mix = [
+            "ablation.mix.dursim_over_simty.wifi",
+            "ablation.mix.dursim_over_simty.wifi_hold",
+        ];
+        assert_eq!(failed, mix, "only the duration-mix gates fail");
         let mut out = Vec::new();
         let err = report_repro(&outcomes, &mut out).expect_err("gates fail");
         assert_eq!(err.exit_code(), 7);

@@ -3,6 +3,7 @@
 //! sweeps and campaigns, and the integration test suite.
 
 use simty_apps::workload::WorkloadBuilder;
+use simty_apps::PushPlan;
 use simty_core::alarm::Alarm;
 use simty_core::hardware::{HardwareComponent, HardwareSet};
 use simty_core::policy::{
@@ -101,8 +102,8 @@ impl Scenario {
 
 /// Parameters of one experiment run.
 ///
-/// `PartialEq` lets sweep executors deduplicate identical runs (the
-/// sensitivity study shares one NATIVE baseline across perturbations).
+/// `PartialEq` lets sweep executors deduplicate identical runs, and the
+/// paper grid find the run a target reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// The alignment policy.
@@ -116,7 +117,7 @@ pub struct RunSpec {
     /// Simulated span (the paper uses 3 h).
     pub duration: SimDuration,
     /// Power-model override (`None` = the calibrated Nexus 5 model); used
-    /// by the sensitivity study's perturbation grid.
+    /// by the calibration-sensitivity rows of the paper grid.
     pub power: Option<PowerModel>,
     /// Run without the observability layer (metrics, the span and audit
     /// counts, stage profile) in both [`run`](Self::run) and
@@ -152,7 +153,7 @@ impl RunSpec {
         self
     }
 
-    /// Overrides the power model (sensitivity perturbations).
+    /// Overrides the power model (calibration perturbations).
     pub fn with_power(mut self, power: PowerModel) -> Self {
         self.power = Some(power);
         self
@@ -241,6 +242,95 @@ impl RunSpec {
         }
         sim
     }
+}
+
+/// One run of the paper grid ([`PaperGrid`](crate::paper::PaperGrid)): a
+/// [`RunSpec`], or one of the two setups the ablations build by hand.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GridRun {
+    /// A spec-shaped run.
+    Spec(RunSpec),
+    /// The heavy workload of a seed plus push messages to its four
+    /// messengers over 3 h: each push re-registers a still-queued alarm,
+    /// the only path on which NATIVE's realignment on reinsert (§2.1)
+    /// fires.
+    PushTraffic(PolicyKind, u64),
+    /// Two short-task and two long-task Wi-Fi alarms whose windows all
+    /// overlap (§5); it has no seed.
+    DurationMix(PolicyKind),
+}
+
+impl GridRun {
+    /// The run's seed; the duration mix has none.
+    pub fn seed(&self) -> Option<u64> {
+        match self {
+            GridRun::Spec(spec) => Some(spec.seed),
+            GridRun::PushTraffic(_, seed) => Some(*seed),
+            GridRun::DurationMix(_) => None,
+        }
+    }
+
+    /// Executes the run at [`ObsLevel::Counts`] and returns its report.
+    pub fn run(&self) -> SimReport {
+        match self {
+            GridRun::Spec(spec) => spec.run(),
+            GridRun::PushTraffic(policy, seed) => push_traffic_run(*policy, *seed),
+            GridRun::DurationMix(policy) => duration_mix_run(*policy),
+        }
+    }
+}
+
+/// The messengers of the heavy workload that receive push messages.
+const MESSENGERS: [&str; 4] = ["Facebook", "Line", "KakaoTalk", "WeChat"];
+
+fn push_traffic_run(policy: PolicyKind, seed: u64) -> SimReport {
+    let workload = Scenario::Heavy.builder().with_seed(seed).build();
+    let config = SimConfig::new().with_obs(ObsLevel::Counts);
+    let mut sim = Simulation::new(policy.build(), config);
+    // The arrivals are the same for every seed.
+    let mut plan = PushPlan::new(17);
+    for alarm in workload.alarms {
+        let messenger = MESSENGERS.contains(&alarm.label());
+        let id = sim.register(alarm).expect("registers");
+        if messenger {
+            plan = plan.subscribe(id, SimDuration::from_mins(10));
+        }
+    }
+    plan.apply(&mut sim, SimDuration::from_hours(3));
+    sim.run()
+}
+
+/// SIMTY ties on (hardware, time) similarity and takes the first entry it
+/// finds, pairing a short task with a long one and keeping the radio up
+/// for the long one twice; DURSIM's duration rank pairs short with short
+/// and long with long (§5). Each entry holds two alarms because the
+/// second candidate's window no longer overlaps the first merged entry's
+/// narrowed window.
+fn duration_mix_run(policy: PolicyKind) -> SimReport {
+    let config = SimConfig::new().with_obs(ObsLevel::Counts);
+    let mut sim = Simulation::new(policy.build(), config);
+    // (label, nominal, window seconds, task seconds): the short A and the
+    // long B anchor two entries with disjoint windows; the long C and the
+    // short D overlap both and must choose.
+    for (label, nominal_s, window_s, task_s) in [
+        ("short-a", 600, 15, 1),
+        ("long-b", 630, 15, 25),
+        ("long-c", 612, 33, 25),
+        ("short-d", 614, 32, 1),
+    ] {
+        let mut alarm = Alarm::builder(label)
+            .nominal(SimTime::from_secs(nominal_s))
+            .repeating_static(SimDuration::from_secs(600))
+            .window(SimDuration::from_secs(window_s))
+            .grace(SimDuration::from_secs(window_s))
+            .hardware(HardwareComponent::Wifi.into())
+            .task_duration(SimDuration::from_secs(task_s))
+            .build()
+            .expect("valid alarm");
+        alarm.mark_hardware_known();
+        sim.register(alarm).expect("registers");
+    }
+    sim.run()
 }
 
 /// Scalar summary averaged over several runs (the paper averages three

@@ -1,5 +1,6 @@
 //! The paper's headline results as data: one line of [`TARGETS`] per
-//! number of Fig. 2, Fig. 3, Fig. 4 and Table 4, read off the §4.1 grid
+//! number of Fig. 2, Fig. 3, Fig. 4 and Table 4, and of the ablation and
+//! calibration-sensitivity studies, read off one grid of runs
 //! ([`PaperGrid`]) and rendered as the markdown block that
 //! `standby repro` prints and EXPERIMENTS.md embeds.
 //!
@@ -12,43 +13,78 @@ use simty_apps::{AppSpec, SystemAlarms, WorkloadBuilder};
 use simty_core::alarm::Alarm;
 use simty_core::bounds::least_component_wakeups;
 use simty_core::hardware::HardwareComponent::{self, Accelerometer, Speaker, Wifi, Wps};
+use simty_core::similarity::HardwareGranularity;
 use simty_core::time::SimDuration;
 use simty_device::{Battery, PowerModel};
 use simty_sim::estimate::{estimate, EnergyEstimate};
 use simty_sim::metrics::SimReport;
 
-use crate::experiments::PolicyKind::{self, Exact, Native, Simty};
+use crate::experiments::GridRun::{self, DurationMix, PushTraffic};
+use crate::experiments::PolicyKind::{
+    self, Doze, Dursim, Exact, FixedInterval, Native, NativeNoRealign, Simty, SimtyGranularity,
+};
 use crate::experiments::Scenario::{self, Heavy, Light};
 use crate::experiments::{motivating_example_report, paper_specs, Averages, RunSpec};
 
 /// The simulated span of every grid run (§4.1).
 const SPAN: SimDuration = SimDuration::from_hours(3);
 
-/// The runs the seeded targets read: EXACT, NATIVE and SIMTY × light and
-/// heavy × seeds 1–3.
+/// The runs the targets read, each with the report of the run that
+/// stood in for it: see [`PaperGrid::runs`].
 #[derive(Debug, Clone)]
 pub struct PaperGrid {
-    runs: Vec<(RunSpec, SimReport)>,
+    runs: Vec<(GridRun, SimReport)>,
 }
 
 impl PaperGrid {
-    /// The 18 runs of the §4.1 protocol.
-    pub fn specs() -> Vec<RunSpec> {
+    /// The 18 runs of the §4.1 protocol (EXACT, NATIVE and SIMTY × light
+    /// and heavy × seeds 1–3), then the ablation and sensitivity studies:
+    /// seeds 1–3 of each heavy variant, and the duration mix once.
+    pub fn runs() -> Vec<GridRun> {
         let cell = |p| [Light, Heavy].map(|s| paper_specs(p, s)).concat();
-        [Exact, Native, Simty].map(cell).concat()
+        let mut specs = [Exact, Native, Simty].map(cell).concat();
+        specs.extend(BETAS.iter().flat_map(|&b| seeds(move |s| simty_at(s, b))));
+        specs.extend(STUDIED.iter().flat_map(|&p| paper_specs(p, Heavy)));
+        let tuned = |k| [Native, Simty].map(|p| seeds(move |s| tuned_spec(p, k, s)));
+        specs.extend(KNOBS.iter().flat_map(|&k| tuned(k).into_iter().flatten()));
+        let mut runs: Vec<GridRun> = specs.into_iter().map(GridRun::Spec).collect();
+        let pushed = |p| seeds(move |s| PushTraffic(p, s));
+        runs.extend([Native, NativeNoRealign].into_iter().flat_map(pushed));
+        runs.extend([Simty, Dursim].map(DurationMix));
+        runs
     }
 
-    /// Runs `specs` one after another.
-    pub fn run(specs: Vec<RunSpec>) -> PaperGrid {
-        let runs = specs.into_iter().map(|s| (s.clone(), s.run())).collect();
-        PaperGrid { runs }
+    /// Runs every run of [`runs`](Self::runs) one after another.
+    pub fn run() -> PaperGrid {
+        PaperGrid::run_with(|run| run)
     }
 
-    /// The same grid restricted to seed 1.
+    /// Runs `doctor`'s rewrite of each run of [`runs`](Self::runs); the
+    /// targets read each rewritten run's report in place of the listed
+    /// run's.
+    pub fn run_with(doctor: impl Fn(GridRun) -> GridRun) -> PaperGrid {
+        let run = |listed: GridRun| (listed.clone(), doctor(listed).run());
+        PaperGrid {
+            runs: PaperGrid::runs().into_iter().map(run).collect(),
+        }
+    }
+
+    /// The same grid restricted to seed 1 (and the unseeded duration mix).
     fn seed_one(&self) -> PaperGrid {
         let mut grid = self.clone();
-        grid.runs.retain(|(spec, _)| spec.seed == 1);
+        grid.runs
+            .retain(|(run, _)| run.seed().is_none_or(|s| s == 1));
         grid
+    }
+
+    /// The reports of the runs listed as `listed(seed)`.
+    fn reports(&self, listed: impl Fn(u64) -> GridRun) -> impl Iterator<Item = &SimReport> {
+        let hit = move |(run, _): &&(GridRun, _)| run.seed().is_some_and(|s| *run == listed(s));
+        self.runs.iter().filter(hit).map(|(_, r)| r)
+    }
+
+    fn cell(&self, p: PolicyKind, s: Scenario) -> impl Iterator<Item = &SimReport> {
+        self.reports(move |seed| GridRun::Spec(RunSpec::paper(p, s, seed)))
     }
 
     fn avg(&self, p: PolicyKind, s: Scenario) -> Averages {
@@ -58,11 +94,6 @@ impl PaperGrid {
     /// Mean actual and expected activations of `c`.
     fn hw(&self, p: PolicyKind, s: Scenario, c: HardwareComponent) -> (f64, f64) {
         Averages::wakeup_counts(self.cell(p, s), c)
-    }
-
-    fn cell(&self, p: PolicyKind, s: Scenario) -> impl Iterator<Item = &SimReport> {
-        let cell = move |(spec, _): &&(RunSpec, _)| spec.policy == p && spec.scenario == s;
-        self.runs.iter().filter(cell).map(|(_, r)| r)
     }
 
     /// Percent of NATIVE's `metric` that SIMTY saves.
@@ -75,6 +106,126 @@ impl PaperGrid {
         let (native, simty) = (self.avg(Native, s).power_mw, self.avg(Simty, s).power_mw);
         100.0 * Battery::nexus5().standby_extension(native, simty)
     }
+
+    /// SIMTY on the heavy workload at grace fraction `beta`.
+    fn beta(&self, beta: f64) -> Averages {
+        Averages::of(self.reports(|seed| GridRun::Spec(simty_at(seed, beta))))
+    }
+
+    /// Percent of heavy NATIVE's awake energy that SIMTY saves at `beta`.
+    fn beta_saving(&self, beta: f64) -> f64 {
+        100.0 * (1.0 - self.beta(beta).awake_mj / self.avg(Native, Heavy).awake_mj)
+    }
+
+    /// The largest ratio of `metric` between two neighbouring βs.
+    fn beta_step(&self, metric: fn(&Averages) -> f64) -> f64 {
+        let all: Vec<f64> = BETAS
+            .iter()
+            .chain([&0.96])
+            .map(|&b| metric(&self.beta(b)))
+            .collect();
+        all.windows(2).map(|w| w[1] / w[0]).fold(f64::MIN, f64::max)
+    }
+
+    /// Percent of NATIVE's `metric` that SIMTY saves on the heavy workload
+    /// under the power model `knob` perturbs.
+    fn tuned_saving(&self, knob: Knob, metric: fn(&Averages) -> f64) -> f64 {
+        let avg = |p| Averages::of(self.reports(|seed| GridRun::Spec(tuned_spec(p, knob, seed))));
+        100.0 * (1.0 - metric(&avg(Simty)) / metric(&avg(Native)))
+    }
+
+    /// The awake savings under the calibrated model and every knob.
+    fn awake_savings(&self) -> impl Iterator<Item = f64> + '_ {
+        let tuned = KNOBS.iter().map(|&k| self.tuned_saving(k, |a| a.awake_mj));
+        tuned.chain([self.saving(Heavy, |a| a.awake_mj)])
+    }
+
+    /// `p` on the heavy workload under push traffic.
+    fn pushed(&self, p: PolicyKind) -> Averages {
+        Averages::of(self.reports(|seed| PushTraffic(p, seed)))
+    }
+
+    /// The duration mix under `p`.
+    fn mix(&self, p: PolicyKind) -> &SimReport {
+        let listed = self.runs.iter().find(|(run, _)| *run == DurationMix(p));
+        &listed
+            .expect("the duration mix runs under SIMTY and DURSIM")
+            .1
+    }
+}
+
+/// The β values of the ablation below the paper's 0.96.
+const BETAS: [f64; 4] = [0.05, 0.25, 0.5, 0.75];
+
+/// SIMTY on the heavy workload of `seed` at grace fraction `beta`.
+fn simty_at(seed: u64, beta: f64) -> RunSpec {
+    RunSpec::paper(Simty, Heavy, seed).with_beta(beta)
+}
+
+/// SIMTY with 2- and 4-level hardware similarity; SIMTY itself is 3-level.
+const TWO_LEVEL: PolicyKind = SimtyGranularity(HardwareGranularity::Two);
+const FOUR_LEVEL: PolicyKind = SimtyGranularity(HardwareGranularity::Four);
+
+/// The policies the ablations run on the heavy workload besides the
+/// §4.1 three.
+const STUDIED: [PolicyKind; 6] = [
+    TWO_LEVEL,
+    FOUR_LEVEL,
+    Dursim,
+    FixedInterval(60),
+    FixedInterval(300),
+    Doze,
+];
+
+/// A perturbation of one inferred parameter of the calibrated model.
+type Knob = fn(&mut PowerModel);
+const SLEEP_HALF: Knob = |m| m.sleep_power_mw *= 0.5;
+const SLEEP_DOUBLE: Knob = |m| m.sleep_power_mw *= 2.0;
+const TRANSITION_HALF: Knob = |m| m.wake_transition_energy_mj *= 0.5;
+const TRANSITION_DOUBLE: Knob = |m| m.wake_transition_energy_mj *= 2.0;
+const COMPONENTS_HALF: Knob = |m| scale_components(m, 0.5);
+const COMPONENTS_DOUBLE: Knob = |m| scale_components(m, 2.0);
+const LATENCY_50MS: Knob = |m| m.wake_latency = SimDuration::from_millis(50);
+const LATENCY_1000MS: Knob = |m| m.wake_latency = SimDuration::from_millis(1_000);
+const KNOBS: [Knob; 8] = [
+    SLEEP_HALF,
+    SLEEP_DOUBLE,
+    TRANSITION_HALF,
+    TRANSITION_DOUBLE,
+    COMPONENTS_HALF,
+    COMPONENTS_DOUBLE,
+    LATENCY_50MS,
+    LATENCY_1000MS,
+];
+
+/// Scales every component's activation energy and active power.
+fn scale_components(m: &mut PowerModel, factor: f64) {
+    for c in HardwareComponent::ALL {
+        let mut p = m.component(c);
+        p.active_power_mw *= factor;
+        p.activation_energy_mj *= factor;
+        m.set_component(c, p);
+    }
+}
+
+/// `p` on the heavy workload of `seed` under the model `knob` perturbs.
+fn tuned_spec(p: PolicyKind, knob: Knob, seed: u64) -> RunSpec {
+    let mut model = PowerModel::nexus5();
+    knob(&mut model);
+    RunSpec::paper(p, Heavy, seed).with_power(model)
+}
+
+/// `run` of each of the seeds 1–3.
+fn seeds<T>(run: impl Fn(u64) -> T) -> impl Iterator<Item = T> {
+    (1..=3).map(run)
+}
+
+/// Mean seconds the Wi-Fi radio stays up per activation.
+fn wifi_hold(r: &SimReport) -> f64 {
+    let wifi = PowerModel::nexus5().component(Wifi);
+    let activations = r.wakeup_row(Wifi).map_or(0, |row| row.actual) as f64;
+    let active_mj = r.energy.component_mj(Wifi) - activations * wifi.activation_energy_mj;
+    active_mj / wifi.active_power_mw / activations
 }
 
 /// Fig. 2: the awake-related energy of `p`'s snapshot.
@@ -117,6 +268,9 @@ const J: Unit = (" J", 0);
 const PCT: Unit = (" %", 1);
 const COUNT: Unit = ("", 0);
 const RATIO: Unit = ("", 2);
+const COUNT1: Unit = ("", 1);
+const PTS: Unit = (" pts", 1);
+const SECS: Unit = (" s", 1);
 
 /// The values a gate admits.
 #[derive(Debug, Clone, Copy)]
@@ -269,6 +423,80 @@ pub const TARGETS: &[Target] = targets! {
     "estimate.light.exact_over_unaligned" "—" RATIO |g| g.avg(Exact, Light).awake_mj / envelope(Light).unaligned_awake_mj, (0.55..=1.02): "the closed form charges each delivery a solo cost and ignores dynamic drift";
     "estimate.light.simty_over_unaligned" "—" RATIO |g| g.avg(Simty, Light).awake_mj / envelope(Light).unaligned_awake_mj, (|x| x <= 1.0): "no policy costs more than no alignment at all";
     "estimate.light.simty_over_best_case" "—" RATIO |g| g.avg(Simty, Light).awake_mj / envelope(Light).best_case_awake_mj, (|x| 0.5 <= x): "the best case stacks every task perfectly; SIMTY stays within 2×";
+    "ablation.beta_0.05.wakes" "—" COUNT |g| g.beta(0.05).cpu_wakeups;
+    "ablation.beta_0.05.awake" "—" J |g| g.beta(0.05).awake_mj / 1e3;
+    "ablation.beta_0.05.awake_saving" "—" PCT |g| g.beta_saving(0.05);
+    "ablation.beta_0.05.imperceptible" "—" PCT |g| 100.0 * g.beta(0.05).imperceptible_delay;
+    "ablation.beta_0.25.wakes" "—" COUNT |g| g.beta(0.25).cpu_wakeups;
+    "ablation.beta_0.25.awake" "—" J |g| g.beta(0.25).awake_mj / 1e3;
+    "ablation.beta_0.25.awake_saving" "—" PCT |g| g.beta_saving(0.25);
+    "ablation.beta_0.25.imperceptible" "—" PCT |g| 100.0 * g.beta(0.25).imperceptible_delay;
+    "ablation.beta_0.50.wakes" "—" COUNT |g| g.beta(0.5).cpu_wakeups;
+    "ablation.beta_0.50.awake" "—" J |g| g.beta(0.5).awake_mj / 1e3;
+    "ablation.beta_0.50.awake_saving" "—" PCT |g| g.beta_saving(0.5);
+    "ablation.beta_0.50.imperceptible" "—" PCT |g| 100.0 * g.beta(0.5).imperceptible_delay;
+    "ablation.beta_0.75.wakes" "—" COUNT |g| g.beta(0.75).cpu_wakeups;
+    "ablation.beta_0.75.awake" "—" J |g| g.beta(0.75).awake_mj / 1e3;
+    "ablation.beta_0.75.awake_saving" "—" PCT |g| g.beta_saving(0.75);
+    "ablation.beta_0.75.imperceptible" "—" PCT |g| 100.0 * g.beta(0.75).imperceptible_delay;
+    "ablation.beta.wakes_step" "—" RATIO |g| g.beta_step(|a| a.cpu_wakeups), (|x| x < 1.0): "every step up in β cuts CPU wakeups: a wider grace interval lets more alarms join an entry";
+    "ablation.beta.awake_step" "—" RATIO |g| g.beta_step(|a| a.awake_mj), (|x| x < 1.0): "every step up in β saves awake energy, 0.75 → 0.96 included";
+    "ablation.beta.saving_past_0.75" "—" PTS |g| g.beta_saving(0.96) - g.beta_saving(0.75);
+    "ablation.granularity_2.wakes" "—" COUNT |g| g.avg(TWO_LEVEL, Heavy).cpu_wakeups;
+    "ablation.granularity_2.awake" "—" J |g| g.avg(TWO_LEVEL, Heavy).awake_mj / 1e3;
+    "ablation.granularity_4.wakes" "—" COUNT |g| g.avg(FOUR_LEVEL, Heavy).cpu_wakeups;
+    "ablation.granularity_4.awake" "—" J |g| g.avg(FOUR_LEVEL, Heavy).awake_mj / 1e3;
+    "ablation.granularity_2_over_3.awake" "—" RATIO |g| g.avg(TWO_LEVEL, Heavy).awake_mj / g.avg(Simty, Heavy).awake_mj;
+    "ablation.granularity_4_over_3.awake" "—" RATIO |g| g.avg(FOUR_LEVEL, Heavy).awake_mj / g.avg(Simty, Heavy).awake_mj, (1.0..=1.0): "splitting medium similarity by energy-hungry components never changes a choice on Table 3's workload";
+    "ablation.dursim.wakes" "—" COUNT |g| g.avg(Dursim, Heavy).cpu_wakeups;
+    "ablation.dursim.awake" "—" J |g| g.avg(Dursim, Heavy).awake_mj / 1e3;
+    "ablation.dursim_over_simty.awake" "—" RATIO |g| g.avg(Dursim, Heavy).awake_mj / g.avg(Simty, Heavy).awake_mj, (0.97..=1.03): "±3 %: Table 3's tasks of one hardware class last about as long, so the duration rank rarely changes a choice";
+    "ablation.push.native.batches" "—" COUNT |g| g.pushed(Native).entry_deliveries;
+    "ablation.push.native_no_realign.batches" "—" COUNT |g| g.pushed(NativeNoRealign).entry_deliveries;
+    "ablation.push.native.awake" "—" J |g| g.pushed(Native).awake_mj / 1e3;
+    "ablation.push.native_no_realign.awake" "—" J |g| g.pushed(NativeNoRealign).awake_mj / 1e3;
+    "ablation.push.realign_minus_no_realign.batches" "—" COUNT1 |g| g.pushed(Native).entry_deliveries - g.pushed(NativeNoRealign).entry_deliveries;
+    "ablation.fixed_60s.batches" "—" COUNT |g| g.avg(FixedInterval(60), Heavy).entry_deliveries;
+    "ablation.fixed_60s.awake" "—" J |g| g.avg(FixedInterval(60), Heavy).awake_mj / 1e3;
+    "ablation.fixed_60s.perceptible" "—" PCT |g| 100.0 * g.avg(FixedInterval(60), Heavy).perceptible_delay, (|x| 0.0 < x): "a fixed grid delays perceptible alarms too; SIMTY's search phase does not (§1, §3.2.1)";
+    "ablation.fixed_60s.imperceptible" "—" PCT |g| 100.0 * g.avg(FixedInterval(60), Heavy).imperceptible_delay;
+    "ablation.fixed_300s.batches" "—" COUNT |g| g.avg(FixedInterval(300), Heavy).entry_deliveries;
+    "ablation.fixed_300s.awake" "—" J |g| g.avg(FixedInterval(300), Heavy).awake_mj / 1e3;
+    "ablation.fixed_300s.perceptible" "—" PCT |g| 100.0 * g.avg(FixedInterval(300), Heavy).perceptible_delay, (|x| 0.0 < x): "a fixed grid delays perceptible alarms too; SIMTY's search phase does not (§1, §3.2.1)";
+    "ablation.fixed_300s.imperceptible" "—" PCT |g| 100.0 * g.avg(FixedInterval(300), Heavy).imperceptible_delay;
+    "ablation.doze.batches" "—" COUNT |g| g.avg(Doze, Heavy).entry_deliveries;
+    "ablation.doze.awake" "—" J |g| g.avg(Doze, Heavy).awake_mj / 1e3;
+    "ablation.doze.perceptible" "—" PCT |g| 100.0 * g.avg(Doze, Heavy).perceptible_delay, (|x| 0.0 < x): "Doze's maintenance windows delay perceptible alarms too";
+    "ablation.doze.imperceptible" "—" PCT |g| 100.0 * g.avg(Doze, Heavy).imperceptible_delay, (|x| 100.0 < x): "escalating windows slip alarms by whole periods";
+    "ablation.fixed_60s_over_simty.batches" "—" RATIO |g| g.avg(FixedInterval(60), Heavy).entry_deliveries / g.avg(Simty, Heavy).entry_deliveries, (|x| x < 1.0): "a 60 s grid merges every alarm due in the same minute, window or not";
+    "ablation.fixed_60s_over_simty.awake" "—" RATIO |g| g.avg(FixedInterval(60), Heavy).awake_mj / g.avg(Simty, Heavy).awake_mj;
+    "ablation.mix.simty.wifi" "—" J |g| g.mix(Simty).energy.component_mj(Wifi) / 1e3;
+    "ablation.mix.dursim.wifi" "—" J |g| g.mix(Dursim).energy.component_mj(Wifi) / 1e3;
+    "ablation.mix.simty.awake" "—" J |g| g.mix(Simty).energy.awake_related_mj() / 1e3;
+    "ablation.mix.dursim.awake" "—" J |g| g.mix(Dursim).energy.awake_related_mj() / 1e3;
+    "ablation.mix.simty.wifi_hold" "—" SECS |g| wifi_hold(g.mix(Simty));
+    "ablation.mix.dursim.wifi_hold" "—" SECS |g| wifi_hold(g.mix(Dursim));
+    "ablation.mix.dursim_over_simty.wifi" "—" RATIO |g| g.mix(Dursim).energy.component_mj(Wifi) / g.mix(Simty).energy.component_mj(Wifi), (|x| x < 0.7): "over 30 % off: DURSIM pairs short with short and long with long, so the radio stays up for a long task once, not twice (§5)";
+    "ablation.mix.dursim_over_simty.wifi_hold" "—" RATIO |g| wifi_hold(g.mix(Dursim)) / wifi_hold(g.mix(Simty)), (|x| x < 0.5): "under half: the short pair's activation holds the radio for one second, not for a long task";
+    "sensitivity.sleep_x0.5.total_saving" "—" PCT |g| g.tuned_saving(SLEEP_HALF, |a| a.total_mj);
+    "sensitivity.sleep_x0.5.awake_saving" "—" PCT |g| g.tuned_saving(SLEEP_HALF, |a| a.awake_mj);
+    "sensitivity.sleep_x2.total_saving" "—" PCT |g| g.tuned_saving(SLEEP_DOUBLE, |a| a.total_mj);
+    "sensitivity.sleep_x2.awake_saving" "—" PCT |g| g.tuned_saving(SLEEP_DOUBLE, |a| a.awake_mj);
+    "sensitivity.wake_transition_x0.5.total_saving" "—" PCT |g| g.tuned_saving(TRANSITION_HALF, |a| a.total_mj);
+    "sensitivity.wake_transition_x0.5.awake_saving" "—" PCT |g| g.tuned_saving(TRANSITION_HALF, |a| a.awake_mj);
+    "sensitivity.wake_transition_x2.total_saving" "—" PCT |g| g.tuned_saving(TRANSITION_DOUBLE, |a| a.total_mj);
+    "sensitivity.wake_transition_x2.awake_saving" "—" PCT |g| g.tuned_saving(TRANSITION_DOUBLE, |a| a.awake_mj);
+    "sensitivity.components_x0.5.total_saving" "—" PCT |g| g.tuned_saving(COMPONENTS_HALF, |a| a.total_mj);
+    "sensitivity.components_x0.5.awake_saving" "—" PCT |g| g.tuned_saving(COMPONENTS_HALF, |a| a.awake_mj);
+    "sensitivity.components_x2.total_saving" "—" PCT |g| g.tuned_saving(COMPONENTS_DOUBLE, |a| a.total_mj);
+    "sensitivity.components_x2.awake_saving" "—" PCT |g| g.tuned_saving(COMPONENTS_DOUBLE, |a| a.awake_mj);
+    "sensitivity.wake_latency_50ms.total_saving" "—" PCT |g| g.tuned_saving(LATENCY_50MS, |a| a.total_mj);
+    "sensitivity.wake_latency_50ms.awake_saving" "—" PCT |g| g.tuned_saving(LATENCY_50MS, |a| a.awake_mj);
+    "sensitivity.wake_latency_1000ms.total_saving" "—" PCT |g| g.tuned_saving(LATENCY_1000MS, |a| a.total_mj);
+    "sensitivity.wake_latency_1000ms.awake_saving" "—" PCT |g| g.tuned_saving(LATENCY_1000MS, |a| a.awake_mj);
+    "sensitivity.awake_saving_min" "> 33 %" PCT |g| g.awake_savings().fold(f64::MAX, f64::min), (|x| 33.0 < x): "the paper's awake claim survives halving or doubling every inferred parameter";
+    "sensitivity.awake_saving_max" "—" PCT |g| g.awake_savings().fold(f64::MIN, f64::max);
+    "sensitivity.sleep_x2_over_x0.5.total_saving" "—" RATIO |g| g.tuned_saving(SLEEP_DOUBLE, |a| a.total_mj) / g.tuned_saving(SLEEP_HALF, |a| a.total_mj), (|x| x < 1.0): "a higher sleep floor is a larger share of the total, and alignment cannot touch it (§4.2)";
 };
 
 /// One target's values on the two grids.
@@ -351,6 +579,15 @@ mod tests {
         for t in TARGETS {
             assert_eq!(t.band.is_some(), !t.why.is_empty(), "{}", t.id);
         }
+    }
+
+    #[test]
+    fn each_run_is_listed_once() {
+        let runs = PaperGrid::runs();
+        for (i, run) in runs.iter().enumerate() {
+            assert!(!runs[..i].contains(run), "{run:?} is listed twice");
+        }
+        assert_eq!(runs.len(), 18 + 4 * 3 + 6 * 3 + 8 * 2 * 3 + 2 * 3 + 2);
     }
 
     #[test]
