@@ -1,14 +1,16 @@
-//! The campaign kernel shared by the chaos, soak, storm and fleet
+//! The campaign kernel shared by the sweep, chaos, soak, storm and fleet
 //! campaigns.
 //!
-//! The first three test the paper's guarantee — perceptible alarms never
-//! slip past their windows — against a different adversary: a faulty
-//! device ([`crate::chaos`]), long horizons with reboots and rotting
-//! snapshots ([`crate::soak`]), and registration overload
-//! ([`crate::storm`]); their cells are a policy × scenario × profile ×
-//! seed grid ([`matrix`]) of [`CampaignSpec`]s. The fourth,
+//! The sweep, [`crate::sweep::Grid`], runs the paper's evaluation grid:
+//! one [`RunSpec`](simty::experiments::RunSpec) cell per scenario ×
+//! policy × seed × β. The next three test the paper's guarantee —
+//! perceptible alarms never slip past their windows — against a
+//! different adversary: a faulty device ([`crate::chaos`]), long horizons
+//! with reboots and rotting snapshots ([`crate::soak`]), and registration
+//! overload ([`crate::storm`]); their cells are a policy × scenario ×
+//! profile × seed grid ([`matrix`]) of [`CampaignSpec`]s. The fifth,
 //! [`crate::fleet`], measures the paper's energy saving over a device
-//! population, one cell per shard. All four share everything else: their
+//! population, one cell per shard. All five share everything else: their
 //! [`Cell`]s fan out on the supervised, journaled [`Sweep`] executor by
 //! [`run_campaign`] and are collected into a [`CampaignResults`] that
 //! aggregates them per policy and serializes to the campaign's document.
@@ -28,7 +30,7 @@ use std::time::Duration;
 use simty::apps::Workload;
 use simty::core::SimDuration;
 use simty::experiments::{PolicyKind, Scenario};
-use simty::obs::QuantileSummary;
+use simty::obs::{QuantileSummary, StageProfile};
 use simty::sim::codec::{self, Field};
 use simty::sim::json::report_to_json;
 use simty::sim::{Checkpoint, CheckpointError, SimConfig, SimReport, Simulation};
@@ -124,6 +126,17 @@ pub trait Campaign: Sized + 'static {
     /// Builds and runs one cell to the end, then its drill, under the
     /// campaign's harness `options`.
     fn run_cell(cell: &Self::Cell, options: &CampaignOptions) -> (SimReport, Self::Drill);
+
+    /// Runs one cell as [`run_cell`](Self::run_cell) does, with the
+    /// engine's per-stage profile when the campaign keeps one (none by
+    /// default).
+    fn run_profiled(
+        cell: &Self::Cell,
+        options: &CampaignOptions,
+    ) -> (SimReport, Self::Drill, Option<StageProfile>) {
+        let (report, drill) = Self::run_cell(cell, options);
+        (report, drill, None)
+    }
 
     /// Called once `cell`'s journal record has been appended (never
     /// without a journal or when the append fails): drops what only a
@@ -312,9 +325,11 @@ pub(crate) fn resumes_identically(
 
 /// Runs a campaign under harness [`CampaignOptions`] and collects the
 /// results in cell order (byte-identical across thread counts). Cells
-/// run supervised: a panicking or hung cell is quarantined, not fatal.
-/// When `journal_dir` is set, cells completed by a previous interrupted
-/// invocation are restored instead of re-run, drill payload included.
+/// run supervised: a panicking or hung cell is quarantined, not fatal,
+/// and the cell at [`CampaignOptions::inject_panic`] panics instead of
+/// running. When `journal_dir` is set, cells completed by a previous
+/// interrupted invocation are restored instead of re-run, drill payload
+/// included.
 ///
 /// # Errors
 ///
@@ -337,13 +352,16 @@ pub fn run_campaign<C: Campaign>(
         sweep.with_telemetry(sink.clone());
     }
     let shared = Arc::new(options.clone());
-    for cell in cells {
+    for (index, cell) in cells.iter().enumerate() {
         let (run, options) = (cell.clone(), Arc::clone(&shared));
         let handle = sweep.job(cell.label(), move || {
-            let (report, drill) = C::run_cell(&run, &options);
+            if options.inject_panic == Some(index) {
+                panic!("injected panic (cell {index})");
+            }
+            let (report, drill, stages) = C::run_profiled(&run, &options);
             JobResult {
                 report,
-                stages: None,
+                stages,
                 extra: Some(codec::encode(&drill)).filter(|extra| !extra.is_empty()),
             }
         });
@@ -425,6 +443,33 @@ impl<C: Campaign> CampaignResults<C> {
     /// Wall-clock time of the whole campaign.
     pub fn total_wall(&self) -> Duration {
         self.sweep.total_wall()
+    }
+
+    /// Sum of the executed cells' wall times: what a sequential run would
+    /// have cost (modulo scheduling overhead).
+    pub fn sequential_wall(&self) -> Duration {
+        self.outcomes().iter().map(|o| o.wall).sum()
+    }
+
+    /// Cells per second of the campaign's wall clock.
+    pub fn runs_per_sec(&self) -> f64 {
+        let secs = self.total_wall().as_secs_f64();
+        if secs > 0.0 {
+            self.cells.len() as f64 / secs
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// The per-stage self-profiles of the cells that kept one, folded
+    /// (wall-clock nanoseconds and call counts; host timing, not
+    /// deterministic).
+    pub fn stage_profile(&self) -> StageProfile {
+        let mut total = StageProfile::new();
+        for stages in self.outcomes().iter().filter_map(|o| o.stages.as_ref()) {
+            total.merge(stages);
+        }
+        total
     }
 
     /// Supervisor accounting over the campaign.
@@ -554,5 +599,44 @@ mod tests {
             StormProfile::QuotaStorm,
             StormProfile::DrainCritical,
         ]);
+    }
+
+    #[test]
+    fn an_injected_panic_poisons_exactly_its_cell() {
+        let specs = matrix(
+            &[PolicyKind::Native, PolicyKind::Simty],
+            &[Scenario::Light],
+            &[FaultProfile::Baseline, FaultProfile::Mixed],
+            1,
+            SimDuration::from_hours(1),
+        );
+        let options = CampaignOptions::with_threads(2);
+        let clean = run_campaign::<Chaos>(&specs, &options).expect("no journal to open");
+        let injected = CampaignOptions {
+            inject_panic: Some(1),
+            ..options
+        };
+        let wounded = run_campaign::<Chaos>(&specs, &injected).expect("no journal to open");
+        assert_eq!(wounded.harness().poisoned, 1);
+        let poisoned = wounded.poisoned();
+        assert_eq!(poisoned[0].0, specs[1].label());
+        assert!(
+            poisoned[0].1.contains("injected panic (cell 1)"),
+            "{poisoned:?}"
+        );
+        let reports = |results: &CampaignResults<Chaos>| -> Vec<Option<String>> {
+            results
+                .runs()
+                .map(|(.., report, _)| report.map(report_to_json))
+                .collect()
+        };
+        let (clean, wounded) = (reports(&clean), reports(&wounded));
+        assert!(clean.iter().all(Option::is_some));
+        for (index, (clean, wounded)) in clean.iter().zip(&wounded).enumerate() {
+            match index {
+                1 => assert_eq!(*wounded, None),
+                _ => assert_eq!(wounded, clean, "cell {index}"),
+            }
+        }
     }
 }

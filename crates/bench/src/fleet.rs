@@ -91,9 +91,6 @@ pub struct FleetConfig {
     pub checkpoint_stride: u64,
     /// The weighted scenario catalog every shard samples from.
     pub catalog: Arc<ScenarioCatalog>,
-    /// Harness-test hook: the cell at this enqueue index panics instead
-    /// of running, exercising shard quarantine end to end.
-    pub inject_panic: Option<usize>,
 }
 
 impl FleetConfig {
@@ -112,7 +109,6 @@ impl FleetConfig {
             audit_capacity: FLEET_AUDIT_CAPACITY,
             checkpoint_stride: 0,
             catalog: Arc::new(ScenarioCatalog::paper_mix()),
-            inject_panic: None,
         }
     }
 
@@ -187,7 +183,7 @@ pub struct ShardSpec {
     /// Past-the-end device index of the shard.
     pub end: u64,
     /// The cell's index in the campaign: its mid-shard checkpoint
-    /// directory and the [`FleetConfig::inject_panic`] target.
+    /// directory.
     pub index: usize,
     /// The fleet the shard belongs to.
     pub config: Arc<FleetConfig>,
@@ -642,12 +638,8 @@ impl Campaign for Fleet {
     const KIND: &'static str = "fleet";
 
     /// Runs the shard, checkpointing mid-range into
-    /// `<journal_dir>/shard-<index>/` when the campaign journals; the
-    /// cell at [`FleetConfig::inject_panic`] panics instead.
+    /// `<journal_dir>/shard-<index>/` when the campaign journals.
     fn run_cell(spec: &ShardSpec, options: &CampaignOptions) -> (SimReport, ShardDrill) {
-        if spec.config.inject_panic == Some(spec.index) {
-            panic!("injected fleet shard panic (cell {})", spec.index);
-        }
         let ckpt_dir = shard_dir(spec, options);
         run_shard(spec, ckpt_dir.as_deref(), options.telemetry.as_ref())
     }
@@ -1014,9 +1006,11 @@ mod tests {
 
     #[test]
     fn injected_panic_poisons_only_its_shard() {
-        let mut config = tiny(6);
-        config.inject_panic = Some(1);
-        let results = run_fleet_with(&config, &CampaignOptions::with_threads(2)).unwrap();
+        let options = CampaignOptions {
+            inject_panic: Some(1),
+            ..CampaignOptions::with_threads(2)
+        };
+        let results = run_fleet_with(&tiny(6), &options).unwrap();
         assert_eq!(results.harness().poisoned, 1);
         assert!(results.outcomes()[1].report.is_none());
         assert!(results.outcomes()[0].report.is_some());

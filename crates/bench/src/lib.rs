@@ -1,7 +1,7 @@
 //! # simty-bench — experiment harness
 //!
-//! The parallel sweep executor and the supervised, resumable campaigns
-//! (chaos, soak, storm, fleet) behind `standby`, and criterion
+//! The parallel executor and the five supervised, resumable campaigns
+//! (sweep, chaos, soak, storm, fleet) behind `standby`, and criterion
 //! micro-benchmarks of the alignment policies and the engine
 //! (`cargo bench -p simty-bench`). The paper's figures and tables, and
 //! its ablation and calibration-sensitivity studies, are `standby repro`
@@ -40,4 +40,4 @@ pub use simty::experiments::{
 pub use soak::{PolicyEndurance, Soak, SoakProfile, SoakRecovery, SoakResults, SoakSpec};
 pub use storm::{PolicyOverload, Storm, StormProfile, StormRecovery, StormResults, StormSpec};
 pub use supervisor::{CellStatus, HarnessStats, SupervisorConfig};
-pub use sweep::{CampaignOptions, JobResult, Outcome, RunHandle, Sweep, SweepResults};
+pub use sweep::{CampaignOptions, Grid, JobResult, Outcome, RunHandle, Sweep, SweepResults};

@@ -1,28 +1,28 @@
-//! `SweepRunner`: deterministic parallel batch execution of simulation
-//! runs.
+//! The sweep campaign and the executor every campaign runs on.
 //!
-//! `standby sweep` and the campaigns run grids of full simulations
-//! (policy × scenario × seed × β, or × fault profile). Each
-//! [`Simulation`](simty::sim::Simulation) is seed-deterministic and
-//! independent, so the grid is embarrassingly parallel. A [`Sweep`]
-//! collects jobs up front, fans them out over `std::thread` workers, and
-//! returns results keyed by enqueue order — so a parallel sweep yields
-//! **byte-identical reports** to a sequential one, independent of
-//! completion order.
+//! `standby sweep` runs the paper's §4.1 evaluation as a grid: one
+//! [`RunSpec`] per scenario × policy × seed × β. That grid is the fifth
+//! campaign on the [campaign kernel](crate::campaign), [`Grid`], whose
+//! cells are the specs themselves, each run instrumented so the
+//! `BENCH_sweep.json` document carries the engine's per-stage profile.
 //!
-//! Identical [`RunSpec`]s are deduplicated at enqueue time: both handles
-//! resolve to the single shared run.
+//! Every campaign fans its cells out on a [`Sweep`]: it collects labelled
+//! jobs up front, runs them on `std::thread` workers under the
+//! [supervisor](crate::supervisor), and returns the outcomes keyed by
+//! enqueue order — so a parallel run yields **byte-identical reports** to
+//! a sequential one, independent of completion order.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use simty::experiments::RunSpec;
+use simty::experiments::{PolicyKind, RunSpec};
 use simty::obs::telemetry::{EventKind, TelemetrySink};
 use simty::obs::{QuantileSummary, StageProfile};
 use simty::sim::{RealVfs, SimReport};
 
+use crate::campaign::{Campaign, CampaignResults, Cell};
 use crate::journal::{CampaignJournal, JournalError};
 use crate::json::{json_array, json_object, ToJson};
 use crate::supervisor::{supervise, CellStatus, HarnessStats, SupervisorConfig};
@@ -59,16 +59,6 @@ impl From<SimReport> for JobResult {
     }
 }
 
-impl From<(SimReport, StageProfile)> for JobResult {
-    fn from((report, stages): (SimReport, StageProfile)) -> Self {
-        JobResult {
-            report,
-            stages: Some(stages),
-            extra: None,
-        }
-    }
-}
-
 struct Job {
     label: String,
     task: TaskFn,
@@ -77,11 +67,11 @@ struct Job {
     on_journaled: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
-/// Handle to an enqueued run; index into [`SweepResults`].
+/// Handle to an enqueued job (see [`Sweep::on_journaled`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunHandle(usize);
 
-/// A batch of simulation runs executed across worker threads.
+/// A batch of labelled jobs executed across worker threads.
 ///
 /// # Examples
 ///
@@ -90,19 +80,17 @@ pub struct RunHandle(usize);
 /// use simty_bench::{PolicyKind, RunSpec, Scenario};
 /// use simty::core::SimDuration;
 ///
+/// let spec = RunSpec::paper(PolicyKind::Native, Scenario::Light, 1)
+///     .with_duration(SimDuration::from_mins(5));
 /// let mut sweep = Sweep::new();
-/// let native = sweep.spec(
-///     RunSpec::paper(PolicyKind::Native, Scenario::Light, 1)
-///         .with_duration(SimDuration::from_mins(5)),
-/// );
-/// let results = sweep.run_with_threads(2);
-/// assert!(results.report(native).total_deliveries > 0);
+/// sweep.job(spec.label(), move || spec.run());
+/// let results = sweep.try_run_with_threads(2).expect("no journal to open");
+/// let report = results.outcomes()[0].report.as_ref().expect("the cell completed");
+/// assert!(report.total_deliveries > 0);
 /// ```
 #[derive(Default)]
 pub struct Sweep {
     jobs: Vec<Job>,
-    specs: Vec<(RunSpec, RunHandle)>,
-    no_obs: bool,
     supervisor: SupervisorConfig,
     journal: Option<(PathBuf, String)>,
     journal_identity: String,
@@ -137,8 +125,7 @@ impl Sweep {
     /// [`crate::journal::grid_digest`]), so a journal of another
     /// population is a [`JournalError::Mismatch`], and a journaled cell
     /// whose `extra` payload `valid_extra` rejects ends the replay (it
-    /// and the cells after it re-run). An uninstrumented sweep
-    /// ([`no_obs`](Self::no_obs)) adds its own identity.
+    /// and the cells after it re-run).
     pub fn with_journal_grid(
         &mut self,
         identity: impl Into<String>,
@@ -161,70 +148,16 @@ impl Sweep {
         self
     }
 
-    /// Makes every subsequently enqueued spec run uninstrumented (the
-    /// engine's no-obs fast path): reports carry a `null` metrics block
-    /// and the aggregated stage profile stays empty, but labels and
-    /// every deterministic report field are unchanged — so instrumented
-    /// and uninstrumented sweeps of one grid stay comparable.
-    pub fn no_obs(&mut self) -> &mut Self {
-        self.no_obs = true;
-        self
-    }
-
-    /// Number of enqueued (deduplicated) jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether no jobs are enqueued.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Enqueues a [`RunSpec`], deduplicating against previously enqueued
-    /// specs: an identical spec returns the existing handle and the run
-    /// executes once.
-    pub fn spec(&mut self, spec: RunSpec) -> RunHandle {
-        let spec = if self.no_obs {
-            spec.with_no_obs()
-        } else {
-            spec
-        };
-        if let Some((_, handle)) = self.specs.iter().find(|(s, _)| *s == spec) {
-            return *handle;
-        }
-        let label = spec.label();
-        let run = spec.clone();
-        let handle = self.push(label, move || run.run_instrumented());
-        self.specs.push((spec, handle));
-        handle
-    }
-
-    /// Enqueues every spec in order, returning one handle per spec
-    /// (duplicates share handles).
-    pub fn specs<I: IntoIterator<Item = RunSpec>>(&mut self, specs: I) -> Vec<RunHandle> {
-        specs.into_iter().map(|s| self.spec(s)).collect()
-    }
-
-    /// Enqueues an arbitrary labelled job (for runs that need bespoke
-    /// setup, e.g. a campaign cell's fault drill). No
-    /// deduplication is attempted for closure jobs.
+    /// Enqueues a labelled job (a campaign cell, or any run that needs
+    /// bespoke setup).
     pub fn job<R: Into<JobResult>>(
         &mut self,
         label: impl Into<String>,
         task: impl Fn() -> R + Send + Sync + 'static,
     ) -> RunHandle {
-        self.push(label.into(), task)
-    }
-
-    fn push<R: Into<JobResult>>(
-        &mut self,
-        label: String,
-        task: impl Fn() -> R + Send + Sync + 'static,
-    ) -> RunHandle {
         let handle = RunHandle(self.jobs.len());
         self.jobs.push(Job {
-            label,
+            label: label.into(),
             task: Arc::new(move || task().into()),
             on_journaled: None,
         });
@@ -244,29 +177,6 @@ impl Sweep {
     ) -> &mut Self {
         self.jobs[handle.0].on_journaled = Some(Box::new(cleanup));
         self
-    }
-
-    /// Executes the batch on every available core (see
-    /// [`run_with_threads`](Self::run_with_threads)).
-    pub fn run(self) -> SweepResults {
-        let threads = available_threads();
-        self.run_with_threads(threads)
-    }
-
-    /// Executes the batch on `threads` workers and collects the results
-    /// in enqueue order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero, if a worker thread fails to join, or
-    /// if an attached journal cannot be opened (use
-    /// [`try_run_with_threads`](Self::try_run_with_threads) to handle
-    /// journal errors).
-    pub fn run_with_threads(self, threads: usize) -> SweepResults {
-        match self.try_run_with_threads(threads) {
-            Ok(results) => results,
-            Err(e) => panic!("campaign journal failed: {e}"),
-        }
     }
 
     /// Executes the batch on `threads` workers and collects the results
@@ -301,15 +211,11 @@ impl Sweep {
         let mut journal_skips = 0u64;
         if let Some((dir, kind)) = &self.journal {
             let labels: Vec<String> = self.jobs.iter().map(|j| j.label.clone()).collect();
-            let identity = if self.no_obs {
-                format!("no-obs\n{}", self.journal_identity)
-            } else {
-                self.journal_identity.clone()
-            };
+            let identity = &self.journal_identity;
             let vfs = Arc::new(RealVfs);
             let valid_extra = self.journal_extra.unwrap_or(|_| true);
             let (handle, replay) =
-                CampaignJournal::open_with(dir, kind, &labels, &identity, valid_extra, vfs)?;
+                CampaignJournal::open_with(dir, kind, &labels, identity, valid_extra, vfs)?;
             for entry in replay.entries {
                 let Some(slot) = outcomes.get(entry.index) else {
                     continue;
@@ -440,7 +346,8 @@ impl Sweep {
 /// ([`run_campaign`](crate::campaign::run_campaign) and
 /// [`run_fleet_with`](crate::fleet::run_fleet_with)): worker count, cell
 /// supervision policy, the optional journal directory that enables
-/// `--resume`, and the optional telemetry sink.
+/// `--resume`, the optional telemetry sink, and the optional cell that
+/// panics instead of running.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Worker threads (defaults to every available core).
@@ -454,6 +361,10 @@ pub struct CampaignOptions {
     /// to (see [`Sweep::with_telemetry`]); `None` keeps the campaign
     /// silent.
     pub telemetry: Option<TelemetrySink>,
+    /// Harness drill (`--inject-panic N`): the cell at this index panics
+    /// instead of running, so the supervisor quarantines it and the
+    /// campaign completes degraded.
+    pub inject_panic: Option<usize>,
 }
 
 impl Default for CampaignOptions {
@@ -463,6 +374,7 @@ impl Default for CampaignOptions {
             supervisor: SupervisorConfig::default(),
             journal_dir: None,
             telemetry: None,
+            inject_panic: None,
         }
     }
 }
@@ -478,7 +390,7 @@ impl CampaignOptions {
     }
 }
 
-/// The number of workers [`Sweep::run`] uses: all available cores.
+/// The default worker count: all available cores.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -488,13 +400,12 @@ pub fn available_threads() -> usize {
 /// One finished (or quarantined, or journal-restored) run.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    /// The label given at enqueue time (the spec label for spec jobs).
+    /// The label given at enqueue time.
     pub label: String,
     /// The run's report; `None` when the cell was poisoned.
     pub report: Option<SimReport>,
-    /// Per-stage self-profiling, when the job captured one (spec jobs
-    /// always do; closure jobs may not, and journal-restored cells
-    /// never do).
+    /// Per-stage self-profiling, when the job captured one (a sweep
+    /// cell does; journal-restored cells never do).
     pub stages: Option<StageProfile>,
     /// Wall-clock time of this run alone (zero for journal-restored
     /// cells).
@@ -516,42 +427,9 @@ pub struct SweepResults {
 }
 
 impl SweepResults {
-    /// The report for a handle returned at enqueue time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell was poisoned — callers that must survive
-    /// quarantined cells use [`try_report`](Self::try_report).
-    pub fn report(&self, handle: RunHandle) -> &SimReport {
-        let o = &self.outcomes[handle.0];
-        match &o.report {
-            Some(report) => report,
-            None => panic!(
-                "cell `{}` was quarantined ({}) and has no report",
-                o.label,
-                o.status.token()
-            ),
-        }
-    }
-
-    /// The report for a handle, or `None` if the cell was poisoned.
-    pub fn try_report(&self, handle: RunHandle) -> Option<&SimReport> {
-        self.outcomes[handle.0].report.as_ref()
-    }
-
     /// All outcomes in enqueue order.
     pub fn outcomes(&self) -> &[Outcome] {
         &self.outcomes
-    }
-
-    /// Number of runs executed.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Whether the sweep held no runs.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
     }
 
     /// Worker threads used.
@@ -591,25 +469,6 @@ impl SweepResults {
         self.wall
     }
 
-    /// Sum of the individual run times — what a sequential execution
-    /// would have cost (modulo scheduling overhead).
-    pub fn sequential_wall(&self) -> Duration {
-        self.outcomes.iter().map(|o| o.wall).sum()
-    }
-
-    /// The per-stage self-profiling folded across every run that
-    /// captured one (wall-clock nanoseconds and call counts; host
-    /// timing, not deterministic).
-    pub fn stage_profile(&self) -> StageProfile {
-        let mut total = StageProfile::new();
-        for o in &self.outcomes {
-            if let Some(stages) = &o.stages {
-                total.merge(stages);
-            }
-        }
-        total
-    }
-
     /// Wall times (ms) of the cells that actually executed in this
     /// invocation. Journal-restored cells (wall zero) are excluded —
     /// they cost this invocation nothing.
@@ -627,52 +486,89 @@ impl SweepResults {
     pub fn cell_wall_quantiles(&self) -> Option<QuantileSummary> {
         QuantileSummary::exact(&self.cell_walls())
     }
+}
 
-    /// Completed runs per second of wall-clock time.
-    pub fn runs_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.outcomes.len() as f64 / secs
-        } else {
-            f64::INFINITY
-        }
+impl Cell for RunSpec {
+    fn label(&self) -> String {
+        RunSpec::label(self)
     }
 
-    /// Serializes the sweep as the `BENCH_sweep.json` document: batch
-    /// timing, the aggregated per-stage self-profile, the supervisor's
-    /// `harness` block, and, per run, its label, status, wall-clock, and
-    /// full report (`null` for poisoned cells). [`crate::schema`]
-    /// declares which of its fields vary run to run; two sweeps over one
-    /// grid, on any thread count and after any resume, have the same
-    /// [`deterministic_view`](crate::deterministic_view).
-    pub fn to_json(&self) -> String {
-        let results = self.outcomes.iter().map(|o| {
+    fn policy(&self) -> PolicyKind {
+        self.policy
+    }
+
+    fn row(&self) -> Vec<(&'static str, String)> {
+        vec![("label", self.label().to_json())]
+    }
+}
+
+/// The sweep campaign: one [`RunSpec`] cell per grid point, run
+/// instrumented, with no drill and no per-policy aggregate.
+#[derive(Debug, Clone, Copy)]
+pub enum Grid {}
+
+impl Campaign for Grid {
+    type Cell = RunSpec;
+    type Drill = ();
+    type Aggregate = ();
+
+    const KIND: &'static str = "sweep";
+
+    fn run_cell(spec: &RunSpec, _options: &CampaignOptions) -> (SimReport, ()) {
+        (spec.run_instrumented().0, ())
+    }
+
+    /// Runs the spec at [`ObsLevel::Timed`](simty::sim::ObsLevel), keeping
+    /// its stage profile for the document.
+    fn run_profiled(
+        spec: &RunSpec,
+        _options: &CampaignOptions,
+    ) -> (SimReport, (), Option<StageProfile>) {
+        let (report, stages) = spec.run_instrumented();
+        (report, (), Some(stages))
+    }
+
+    fn aggregate(_policy: String, _cells: &[(&SimReport, ())]) {}
+
+    fn aggregate_json((): &()) -> String {
+        String::new()
+    }
+
+    /// `no-obs` for an uninstrumented grid: its reports carry no
+    /// metrics, so it must not restore an instrumented journal's cells.
+    fn journal_identity(cells: &[RunSpec]) -> String {
+        let no_obs = cells.iter().any(|spec| spec.no_obs);
+        if no_obs { "no-obs\n" } else { "" }.to_owned()
+    }
+
+    /// The `simty-bench-sweep/v1` document: batch timing, the folded
+    /// per-stage self-profile, the supervisor's `harness` block, and, per
+    /// run, its label, status, wall clock and full report (`null` for a
+    /// quarantined cell). [`crate::schema`] declares which of its fields
+    /// vary run to run.
+    fn document(results: &CampaignResults<Grid>) -> String {
+        let ms = |wall: Duration| (wall.as_secs_f64() * 1_000.0).to_json();
+        let runs = results.outcomes().iter().map(|o| {
             json_object(&[
                 ("label", o.label.to_json()),
                 ("status", o.status.token().to_json()),
-                ("wall_ms", (o.wall.as_secs_f64() * 1_000.0).to_json()),
+                ("wall_ms", ms(o.wall)),
                 ("report", o.report.to_json()),
             ])
         });
-        let quantiles = json_object(&[("cell_wall_ms", self.cell_wall_quantiles().to_json())]);
+        let quantiles = json_object(&[("cell_wall_ms", results.cell_wall_quantiles().to_json())]);
         json_object(&[
             ("schema", "simty-bench-sweep/v1".to_json()),
-            ("threads", self.threads.to_json()),
-            ("runs", self.outcomes.len().to_json()),
-            (
-                "total_wall_ms",
-                (self.wall.as_secs_f64() * 1_000.0).to_json(),
-            ),
-            (
-                "sequential_wall_ms",
-                (self.sequential_wall().as_secs_f64() * 1_000.0).to_json(),
-            ),
-            ("runs_per_sec", self.runs_per_sec().to_json()),
-            ("journal_skips", self.journal_skips.to_json()),
-            ("harness", self.harness().to_json()),
-            ("stages", self.stage_profile().to_json()),
+            ("threads", results.threads().to_json()),
+            ("runs", results.outcomes().len().to_json()),
+            ("total_wall_ms", ms(results.total_wall())),
+            ("sequential_wall_ms", ms(results.sequential_wall())),
+            ("runs_per_sec", results.runs_per_sec().to_json()),
+            ("journal_skips", results.journal_skips().to_json()),
+            ("harness", results.harness().to_json()),
+            ("stages", results.stage_profile().to_json()),
             ("quantiles", quantiles),
-            ("results", json_array(results)),
+            ("results", json_array(runs)),
         ])
     }
 }
@@ -680,74 +576,79 @@ impl SweepResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_campaign;
     use simty::core::SimDuration;
-    use simty::experiments::{PolicyKind, Scenario};
+    use simty::experiments::Scenario;
 
     fn quick(policy: PolicyKind, seed: u64) -> RunSpec {
         RunSpec::paper(policy, Scenario::Light, seed).with_duration(SimDuration::from_mins(5))
     }
 
-    #[test]
-    fn spec_dedup_shares_handles() {
-        let mut sweep = Sweep::new();
-        let a = sweep.spec(quick(PolicyKind::Native, 1));
-        let b = sweep.spec(quick(PolicyKind::Simty, 1));
-        let c = sweep.spec(quick(PolicyKind::Native, 1));
-        assert_eq!(a, c);
-        assert_ne!(a, b);
-        assert_eq!(sweep.len(), 2);
+    fn grid(specs: &[RunSpec], threads: usize) -> CampaignResults<Grid> {
+        run_campaign::<Grid>(specs, &CampaignOptions::with_threads(threads))
+            .expect("a journal-less sweep opens no journal")
     }
 
     #[test]
     fn parallel_matches_sequential_byte_for_byte() {
-        let grid = || {
-            let mut sweep = Sweep::new();
-            for policy in [PolicyKind::Native, PolicyKind::Simty] {
-                for seed in 1..=2 {
-                    sweep.spec(quick(policy, seed));
-                }
+        let mut specs = Vec::new();
+        for policy in [PolicyKind::Native, PolicyKind::Simty] {
+            for seed in 1..=2 {
+                specs.push(quick(policy, seed));
             }
-            sweep
-        };
-        let sequential = grid().run_with_threads(1);
-        let parallel = grid().run_with_threads(4);
-        let view = |results: &SweepResults| crate::deterministic_view(&results.to_json());
+        }
+        let sequential = grid(&specs, 1);
+        let parallel = grid(&specs, 4);
+        let view = |results: &CampaignResults<Grid>| crate::deterministic_view(&results.to_json());
         assert_eq!(view(&sequential).unwrap(), view(&parallel).unwrap());
-        assert_eq!(sequential.len(), 4);
+        assert_eq!(sequential.runs().len(), 4);
     }
 
     #[test]
     fn handles_resolve_in_enqueue_order() {
         let mut sweep = Sweep::new();
-        let native = sweep.spec(quick(PolicyKind::Native, 1));
-        let simty = sweep.spec(quick(PolicyKind::Simty, 1));
-        let job = sweep.job("custom", || quick(PolicyKind::Exact, 1).run());
-        let results = sweep.run_with_threads(3);
-        assert_eq!(results.report(native).policy, "NATIVE");
-        assert_eq!(results.report(simty).policy, "SIMTY");
-        assert_eq!(results.report(job).policy, "EXACT");
-        assert_eq!(results.outcomes()[2].label, "custom");
-        assert!(results.runs_per_sec() > 0.0);
+        for policy in [PolicyKind::Native, PolicyKind::Simty, PolicyKind::Exact] {
+            let spec = quick(policy, 1);
+            sweep.job(policy.name(), move || spec.run());
+        }
+        let results = sweep.try_run_with_threads(3).expect("no journal to open");
+        let order: Vec<(&str, Option<&str>)> = results
+            .outcomes()
+            .iter()
+            .map(|o| {
+                (
+                    o.label.as_str(),
+                    o.report.as_ref().map(|r| r.policy.as_str()),
+                )
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                ("NATIVE", Some("NATIVE")),
+                ("SIMTY", Some("SIMTY")),
+                ("EXACT", Some("EXACT"))
+            ]
+        );
     }
 
     #[test]
     fn json_document_shape() {
-        let mut sweep = Sweep::new();
-        sweep.spec(quick(PolicyKind::Native, 1));
-        let results = sweep.run_with_threads(1);
+        let results = grid(&[quick(PolicyKind::Native, 1)], 1);
+        assert!(results.runs_per_sec() > 0.0);
         let json = results.to_json();
         for key in [
-            "\"schema\":\"simty-bench-sweep/v1\"",
-            "\"threads\":1",
-            "\"runs\":1",
-            "\"total_wall_ms\"",
+            "{\"schema\":\"simty-bench-sweep/v1\",\"threads\":1,\"runs\":1,\"total_wall_ms\"",
+            "\"sequential_wall_ms\"",
             "\"runs_per_sec\"",
+            "\"journal_skips\":0,\"harness\":{",
             "\"stages\":{\"queue_search\":{\"ns\":",
             "\"selection\":{",
             "\"event_dispatch\":{",
             "\"checkpoint_io\":{",
-            "\"results\":[",
-            "\"label\":\"NATIVE/light/seed1/b0.96/300s\"",
+            "\"quantiles\":{\"cell_wall_ms\":{",
+            "\"results\":[{\"label\":\"NATIVE/light/seed1/b0.96/300s\",\"status\":\"ok\"",
+            "\"wall_ms\"",
             "\"report\":{",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

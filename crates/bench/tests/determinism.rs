@@ -7,8 +7,8 @@
 use simty::core::similarity::HardwareGranularity;
 use simty::core::time::SimDuration;
 use simty_bench::{
-    deterministic_view, matrix, motivating_example_report, run_campaign, CampaignOptions, Chaos,
-    FaultProfile, PolicyKind, Profile, RunSpec, Scenario, Sweep,
+    deterministic_view, matrix, run_campaign, CampaignOptions, CampaignResults, Chaos,
+    FaultProfile, Grid, PolicyKind, Profile, RunSpec, Scenario,
 };
 
 /// A document's deterministic view: its bytes across thread counts.
@@ -18,26 +18,26 @@ fn view(document: &str) -> String {
         .to_string()
 }
 
-/// A mixed grid exercising every spec dimension: policy, scenario, seed,
-/// β, granularity, and a closure job — 14 runs, kept short.
-fn grid() -> Sweep {
-    let mut sweep = Sweep::new();
+/// A mixed sweep exercising every spec dimension: policy, scenario,
+/// seed, β and granularity — 11 runs, kept short — on `threads` workers.
+fn grid(threads: usize) -> CampaignResults<Grid> {
+    let mut cells = Vec::new();
     let short = SimDuration::from_mins(20);
     for scenario in [Scenario::Light, Scenario::Heavy] {
         for policy in [PolicyKind::Native, PolicyKind::Simty] {
             for seed in 1..=2 {
-                sweep.spec(RunSpec::paper(policy, scenario, seed).with_duration(short));
+                cells.push(RunSpec::paper(policy, scenario, seed).with_duration(short));
             }
         }
     }
-    for beta in [0.5, 0.96] {
-        sweep.spec(
+    for beta in [0.5, 0.75] {
+        cells.push(
             RunSpec::paper(PolicyKind::Simty, Scenario::Heavy, 1)
                 .with_beta(beta)
                 .with_duration(short),
         );
     }
-    sweep.spec(
+    cells.push(
         RunSpec::paper(
             PolicyKind::SimtyGranularity(HardwareGranularity::Two),
             Scenario::Heavy,
@@ -45,20 +45,16 @@ fn grid() -> Sweep {
         )
         .with_duration(short),
     );
-    sweep.job("fig2/SIMTY", || {
-        motivating_example_report(PolicyKind::Simty)
-    });
-    sweep
+    run_campaign::<Grid>(&cells, &CampaignOptions::with_threads(threads))
+        .expect("a journal-less sweep opens no journal")
 }
 
 #[test]
 fn parallel_sweep_is_byte_identical_to_sequential() {
-    let sequential = grid().run_with_threads(1);
-    let parallel = grid().run_with_threads(4);
-    // 8 policy×scenario×seed specs + β 0.5 + 2-level granularity + the
-    // closure job; β 0.96 deduplicates against the seed-1 heavy SIMTY spec.
-    assert!(sequential.len() >= 11, "grid should be non-trivial");
-    assert_eq!(sequential.len(), parallel.len());
+    let sequential = grid(1);
+    let parallel = grid(4);
+    assert_eq!(sequential.runs().len(), 11, "grid should be non-trivial");
+    assert_eq!(sequential.runs().len(), parallel.runs().len());
     assert_eq!(
         view(&sequential.to_json()),
         view(&parallel.to_json()),
@@ -68,8 +64,8 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
 
 #[test]
 fn repeated_parallel_sweeps_are_byte_identical() {
-    let first = grid().run_with_threads(3);
-    let second = grid().run_with_threads(3);
+    let first = grid(3);
+    let second = grid(3);
     assert_eq!(view(&first.to_json()), view(&second.to_json()));
 }
 
@@ -101,9 +97,9 @@ fn chaos_campaigns_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn labels_preserve_enqueue_order_across_thread_counts() {
-    let sequential = grid().run_with_threads(1);
-    let parallel = grid().run_with_threads(8);
-    let labels = |r: &simty_bench::SweepResults| -> Vec<String> {
+    let sequential = grid(1);
+    let parallel = grid(8);
+    let labels = |r: &CampaignResults<Grid>| -> Vec<String> {
         r.outcomes().iter().map(|o| o.label.clone()).collect()
     };
     assert_eq!(labels(&sequential), labels(&parallel));

@@ -106,9 +106,11 @@ fn killed_campaign_resumes_byte_identical_across_thread_counts() {
             ..CampaignOptions::default()
         };
 
-        let mut wounded = config.clone();
-        wounded.inject_panic = Some(1);
-        let first = run_fleet_with(&wounded, &options).unwrap();
+        let wounded = CampaignOptions {
+            inject_panic: Some(1),
+            ..options.clone()
+        };
+        let first = run_fleet_with(&config, &wounded).unwrap();
         assert_eq!(first.harness().poisoned, 1, "threads={threads}");
         assert!(first.outcomes()[1].report.is_none());
         assert!(first.outcomes()[0].report.is_some());
@@ -175,12 +177,12 @@ fn a_journaled_fleet_leaves_no_markers() {
 /// instead of silently healing, and the two wounded documents agree.
 #[test]
 fn a_still_faulty_resume_re_poisons_the_same_shard() {
-    let mut config = small_fleet(8, 4, 7);
-    config.inject_panic = Some(2);
+    let config = small_fleet(8, 4, 7);
     let dir = unique_dir("still-faulty");
     let options = CampaignOptions {
         threads: 2,
         journal_dir: Some(dir.clone()),
+        inject_panic: Some(2),
         ..CampaignOptions::default()
     };
     let first = run_fleet_with(&config, &options).unwrap();

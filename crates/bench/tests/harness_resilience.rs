@@ -11,8 +11,9 @@ use std::time::Duration;
 use simty::core::time::SimDuration;
 use simty_bench::journal::JOURNAL_FILE;
 use simty_bench::{
-    deterministic_view, CellStatus, JobResult, JournalError, JsonValue, PolicyKind, RunSpec,
-    Scenario, SupervisorConfig, Sweep, SweepResults,
+    deterministic_view, run_campaign, CampaignOptions, CampaignResults, CellStatus, Grid,
+    JobResult, JournalError, JsonValue, PolicyKind, RunSpec, Scenario, SupervisorConfig, Sweep,
+    SweepResults,
 };
 
 fn unique_dir(tag: &str) -> PathBuf {
@@ -24,7 +25,7 @@ fn unique_dir(tag: &str) -> PathBuf {
 }
 
 /// The sweep document's deterministic view: what a resume must restore.
-fn view(results: &SweepResults) -> JsonValue {
+fn view(results: &CampaignResults<Grid>) -> JsonValue {
     deterministic_view(&results.to_json()).expect("a sweep document's view")
 }
 
@@ -32,15 +33,27 @@ fn short_spec(policy: PolicyKind, seed: u64) -> RunSpec {
     RunSpec::paper(policy, Scenario::Light, seed).with_duration(SimDuration::from_mins(20))
 }
 
+/// Enqueues `spec` as a plain job labelled as the sweep labels it.
+fn push(sweep: &mut Sweep, spec: RunSpec) {
+    sweep.job(spec.label(), move || spec.run());
+}
+
+/// Runs a journal-less executor batch.
+fn run(sweep: Sweep, threads: usize) -> SweepResults {
+    sweep
+        .try_run_with_threads(threads)
+        .expect("the journal opens")
+}
+
 #[test]
 fn a_panicking_cell_is_quarantined_and_the_campaign_continues() {
     let mut sweep = Sweep::new();
-    sweep.spec(short_spec(PolicyKind::Native, 1));
+    push(&mut sweep, short_spec(PolicyKind::Native, 1));
     sweep.job("exploding/cell", || -> JobResult {
         panic!("synthetic harness failure")
     });
-    sweep.spec(short_spec(PolicyKind::Simty, 1));
-    let results = sweep.run_with_threads(2);
+    push(&mut sweep, short_spec(PolicyKind::Simty, 1));
+    let results = run(sweep, 2);
 
     let outcomes = results.outcomes();
     assert_eq!(outcomes.len(), 3);
@@ -76,9 +89,9 @@ fn transient_panics_retry_and_then_succeed() {
         if probe.fetch_add(1, Ordering::SeqCst) == 0 {
             panic!("transient scratch-volume hiccup");
         }
-        short_spec(PolicyKind::Simty, 1).run_instrumented()
+        short_spec(PolicyKind::Simty, 1).run()
     });
-    let results = sweep.run_with_threads(1);
+    let results = run(sweep, 1);
 
     assert_eq!(attempts.load(Ordering::SeqCst), 2, "exactly one retry");
     let outcomes = results.outcomes();
@@ -105,7 +118,7 @@ fn transient_panics_poison_once_retries_are_exhausted() {
     sweep.job("always-flaky/cell", || -> JobResult {
         panic!("transient but actually permanent")
     });
-    let results = sweep.run_with_threads(1);
+    let results = run(sweep, 1);
 
     let outcomes = results.outcomes();
     assert!(matches!(
@@ -131,8 +144,8 @@ fn a_hung_cell_is_killed_by_the_deadline_watchdog() {
         std::thread::sleep(Duration::from_secs(5));
         panic!("unreachable: the watchdog fires first")
     });
-    sweep.spec(short_spec(PolicyKind::Native, 1));
-    let results = sweep.run_with_threads(2);
+    push(&mut sweep, short_spec(PolicyKind::Native, 1));
+    let results = run(sweep, 2);
 
     let outcomes = results.outcomes();
     assert!(matches!(
@@ -147,15 +160,24 @@ fn a_hung_cell_is_killed_by_the_deadline_watchdog() {
     assert_eq!((stats.timeouts, stats.poisoned), (1, 1));
 }
 
-fn journaled_grid(dir: &std::path::Path) -> Sweep {
-    let mut sweep = Sweep::new();
+/// The 2 × 2 sweep grid the resume tests journal.
+fn cells() -> Vec<RunSpec> {
+    let mut cells = Vec::new();
     for policy in [PolicyKind::Native, PolicyKind::Simty] {
         for seed in 1..=2 {
-            sweep.spec(short_spec(policy, seed));
+            cells.push(short_spec(policy, seed));
         }
     }
-    sweep.with_journal(dir, "resilience");
-    sweep
+    cells
+}
+
+/// Runs the sweep grid, journaled in `dir` when given.
+fn journaled_grid(dir: Option<&std::path::Path>, threads: usize) -> CampaignResults<Grid> {
+    let options = CampaignOptions {
+        journal_dir: dir.map(std::path::Path::to_path_buf),
+        ..CampaignOptions::with_threads(threads)
+    };
+    run_campaign::<Grid>(&cells(), &options).expect("the journal opens")
 }
 
 /// Kill-and-resume: truncate the journal after K cells (exactly what an
@@ -164,20 +186,14 @@ fn journaled_grid(dir: &std::path::Path) -> Sweep {
 /// and on 3.
 #[test]
 fn interrupted_campaign_resumes_byte_identical() {
-    let mut straight = Sweep::new();
-    for policy in [PolicyKind::Native, PolicyKind::Simty] {
-        for seed in 1..=2 {
-            straight.spec(short_spec(policy, seed));
-        }
-    }
-    let expected = view(&straight.run_with_threads(1));
+    let expected = view(&journaled_grid(None, 1));
 
     for threads in [1usize, 3] {
         let dir = unique_dir(&format!("resume-{threads}"));
         let _ = std::fs::remove_dir_all(&dir);
 
         // First invocation completes everything...
-        let full = journaled_grid(&dir).run_with_threads(threads);
+        let full = journaled_grid(Some(&dir), threads);
         assert_eq!(full.journal_skips(), 0);
         assert_eq!(view(&full), expected);
 
@@ -189,7 +205,7 @@ fn interrupted_campaign_resumes_byte_identical() {
         assert!(keep.len() == 4, "journal too short: {text}");
         std::fs::write(&journal, format!("{}\ncell=2,ok,torn", keep.join("\n"))).unwrap();
 
-        let resumed = journaled_grid(&dir).run_with_threads(threads);
+        let resumed = journaled_grid(Some(&dir), threads);
         assert_eq!(
             resumed.journal_skips(),
             2,
@@ -208,22 +224,26 @@ fn interrupted_campaign_resumes_byte_identical() {
 fn a_journal_from_a_different_grid_is_rejected() {
     let dir = unique_dir("mismatch");
     let _ = std::fs::remove_dir_all(&dir);
-    journaled_grid(&dir).run_with_threads(1);
+    journaled_grid(Some(&dir), 1);
 
     // Same kind, different cells: the grid digest disagrees.
-    let mut other = Sweep::new();
-    other.spec(short_spec(PolicyKind::Native, 9));
-    other.with_journal(&dir, "resilience");
-    match other.try_run_with_threads(1) {
+    let options = CampaignOptions {
+        journal_dir: Some(dir.clone()),
+        ..CampaignOptions::with_threads(1)
+    };
+    match run_campaign::<Grid>(&[short_spec(PolicyKind::Native, 9)], &options) {
         Err(JournalError::Mismatch { reason, .. }) => {
             assert!(!reason.is_empty());
         }
-        other => panic!("expected a journal mismatch, got {other:?}"),
+        other => panic!("expected a journal mismatch, got {:?}", other.err()),
     }
 
-    // Different campaign kind over the same grid: also rejected.
-    let mut wrong_kind = journaled_grid(&dir);
-    wrong_kind.with_journal(&dir, "sweep");
+    // Different campaign kind over the same cells: also rejected.
+    let mut wrong_kind = Sweep::new();
+    for spec in cells() {
+        push(&mut wrong_kind, spec);
+    }
+    wrong_kind.with_journal(&dir, "resilience");
     assert!(matches!(
         wrong_kind.try_run_with_threads(1),
         Err(JournalError::Mismatch { .. })
@@ -239,16 +259,16 @@ fn poisoned_cells_rerun_on_resume() {
     let _ = std::fs::remove_dir_all(&dir);
     let campaign = |dir: &std::path::Path| {
         let mut sweep = Sweep::new();
-        sweep.spec(short_spec(PolicyKind::Native, 1));
+        push(&mut sweep, short_spec(PolicyKind::Native, 1));
         sweep.job("cursed/cell", || -> JobResult { panic!("still broken") });
         sweep.with_journal(dir, "poison");
-        sweep
+        run(sweep, 1)
     };
-    let first = campaign(&dir).run_with_threads(1);
+    let first = campaign(&dir);
     assert_eq!(first.poisoned().len(), 1);
     assert_eq!(first.journal_skips(), 0);
 
-    let second = campaign(&dir).run_with_threads(1);
+    let second = campaign(&dir);
     assert_eq!(
         second.journal_skips(),
         1,

@@ -19,7 +19,7 @@ use std::str::FromStr;
 
 use simty_bench::{Chaos, Soak, Storm};
 
-use crate::campaign_cmd::cmd_campaign;
+use crate::campaign_cmd::{cmd_campaign, cmd_fleet, cmd_sweep};
 use crate::commands::*;
 use crate::serve_cmd::{cmd_serve, cmd_serve_load};
 
@@ -197,7 +197,6 @@ pub(crate) const COMMANDS: &[Command] = commands! {
         "betas" LIST = "0.96": "comma-separated grace fractions";
         "hours" N = "3": "simulated hours per cell";
         "no-obs": "run uninstrumented, rerun instrumented, print the overhead";
-        "inject-ckpt-eio" N: "cell N checkpoints through failing fsyncs and must recover";
     }
     "sweep-beta" cmd_sweep_beta [WORKLOAD]: "sweep the grace fraction under SIMTY" {
         "from" X = "0.75": "first grace fraction";

@@ -1,25 +1,26 @@
-//! The `chaos`, `soak`, `storm` and `fleet` subcommands: one generic
-//! report over the campaign kernel, with each campaign supplying only its
+//! The five campaign subcommands — `sweep`, `chaos`, `soak`, `storm` and
+//! `fleet` — on the campaign kernel: one grid-flag parser, one runner
+//! (with `--inject-panic` and `--progress`/`--events` where the command
+//! declares them) and one report, with each campaign supplying only its
 //! table columns and its summary line.
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 
+use simty::experiments::{PolicyKind, Scenario};
 use simty::prelude::*;
 use simty::sim::report::TextTable;
 use simty_bench::{
-    run_campaign, Campaign, CampaignResults, CampaignSpec, Chaos, Fleet, Outcome, PolicyAggregate,
-    PolicyEndurance, PolicyOverload, PolicyResilience, Profile, ShardDrill, Soak, SoakRecovery,
-    Storm, StormRecovery,
+    run_campaign, Campaign, CampaignOptions, CampaignResults, CampaignSpec, Chaos, Fleet, Grid,
+    HarnessStats, Outcome, PolicyAggregate, PolicyEndurance, PolicyOverload, PolicyResilience,
+    Profile, RunSpec, ShardDrill, Soak, SoakRecovery, Storm, StormRecovery,
 };
 
-use crate::args::ParsedArgs;
-use crate::commands::{
-    campaign_options, duration, parse_paper_scenarios, parse_policies, poisoned_to_error, threads,
-    write_harness_summary, CliError,
-};
+use crate::args::{ParseArgsError, ParsedArgs};
+use crate::commands::{duration, parse_paper_scenarios, parse_policies, threads, CliError};
 
 /// A per-cell table column: its header and how a completed cell fills it.
-pub(crate) type CellColumn<D> = (&'static str, fn(&SimReport, &D) -> String);
+type CellColumn<D> = (&'static str, fn(&SimReport, &D) -> String);
 
 /// A per-policy table column: its header and how an aggregate fills it.
 type PolicyColumn<A> = (&'static str, fn(&A) -> String);
@@ -28,7 +29,7 @@ type PolicyColumn<A> = (&'static str, fn(&A) -> String);
 /// cell's wall clock (shown for a quarantined cell too), one row per
 /// executor outcome and its drill. A quarantined cell reads `POISONED`
 /// and a dash per column.
-pub(crate) fn cell_table<'a, D: 'a>(
+fn cell_table<'a, D: 'a>(
     first: &str,
     columns: &[CellColumn<D>],
     walls: bool,
@@ -76,6 +77,72 @@ pub(crate) trait CampaignCommand: Campaign {
     fn summary(results: &CampaignResults<Self>) -> String;
 }
 
+/// The grid flags every grid campaign shares: policies, paper
+/// scenarios, seeds `1..=N`, hours per cell and worker threads.
+struct GridFlags {
+    policies: Vec<PolicyKind>,
+    scenarios: Vec<Scenario>,
+    seeds: u64,
+    duration: SimDuration,
+    threads: usize,
+}
+
+impl GridFlags {
+    /// Parses the grid flags; `grid` names the grid in the error for a
+    /// synthetic scenario.
+    fn parse(args: &ParsedArgs, grid: &str) -> Result<Self, CliError> {
+        let policies = distinct("policies", parse_policies(args)?)?;
+        let scenarios = distinct("scenarios", parse_paper_scenarios(args, grid)?)?;
+        let seeds = args.u64("seeds")?;
+        let hours = args.u64("hours")?;
+        let threads = threads(args)?;
+        if seeds == 0 || hours == 0 || threads == 0 {
+            return Err(CliError::Usage(
+                "--seeds, --hours, and --threads must be positive".into(),
+            ));
+        }
+        Ok(GridFlags {
+            policies,
+            scenarios,
+            seeds,
+            duration: duration(hours, SimDuration::from_hours(1), "hours")?,
+            threads: threads as usize,
+        })
+    }
+}
+
+/// `values`, read from the list flag `--flag`; a repeated value is a
+/// usage error, since it would run the same cells twice.
+fn distinct<T: PartialEq + std::fmt::Debug>(
+    flag: &str,
+    values: Vec<T>,
+) -> Result<Vec<T>, CliError> {
+    match values
+        .iter()
+        .enumerate()
+        .find(|(i, v)| values[..*i].contains(v))
+    {
+        Some((_, repeated)) => Err(CliError::Usage(format!(
+            "--{flag} lists {repeated:?} more than once"
+        ))),
+        None => Ok(values),
+    }
+}
+
+/// A flag error reported as a usage error: the class in which the
+/// cell-index flags and `--deadline` report a bad value (both classes
+/// exit 2).
+fn usage_error(e: ParseArgsError) -> CliError {
+    CliError::Usage(e.to_string())
+}
+
+/// The shared `--resume`-aware options of the campaign commands.
+fn campaign_options(args: &ParsedArgs, threads: usize) -> CampaignOptions {
+    let mut options = CampaignOptions::with_threads(threads);
+    options.journal_dir = args.get("resume").map(std::path::PathBuf::from);
+    options
+}
+
 /// Runs a campaign subcommand over a policy × scenario × profile × seed
 /// grid: grid flags, then [`report_campaign`].
 pub(crate) fn cmd_campaign<C, P>(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError>
@@ -83,8 +150,7 @@ where
     C: CampaignCommand<Cell = CampaignSpec<P>>,
     P: Profile,
 {
-    let policies = parse_policies(args)?;
-    let scenarios = parse_paper_scenarios(args, &format!("{} campaigns", C::KIND))?;
+    let grid = GridFlags::parse(args, &format!("{} campaigns", C::KIND))?;
     let profiles: Vec<P> = match args.get("profiles") {
         None => P::ALL.to_vec(),
         Some(list) => list
@@ -99,24 +165,142 @@ where
             })
             .collect::<Result<_, _>>()?,
     };
-    let seeds = args.u64("seeds")?;
-    let hours = args.u64("hours")?;
-    let threads = threads(args)?;
-    if seeds == 0 || hours == 0 || threads == 0 {
-        return Err(CliError::Usage(
-            "--seeds, --hours, and --threads must be positive".into(),
-        ));
-    }
-
-    let duration = duration(hours, SimDuration::from_hours(1), "hours")?;
-    let specs = simty_bench::matrix(&policies, &scenarios, &profiles, seeds, duration);
-    let results = run_campaign::<C>(&specs, &campaign_options(args, threads as usize))
+    let profiles = distinct("profiles", profiles)?;
+    let (policies, scenarios) = (&grid.policies, &grid.scenarios);
+    let specs = simty_bench::matrix(policies, scenarios, &profiles, grid.seeds, grid.duration);
+    let results = run_campaign::<C>(&specs, &campaign_options(args, grid.threads))
         .map_err(|e| CliError::Harness(e.to_string()))?;
     report_campaign(&results, args, out)
 }
 
+/// `standby sweep`: the paper's scenario × policy × seed × β grid. With
+/// `--no-obs` the cells run uninstrumented, then the grid reruns
+/// instrumented (no journal, no injection) to print the observability
+/// layer's overhead.
+pub(crate) fn cmd_sweep(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+    let grid = GridFlags::parse(args, "sweep grids")?;
+    let betas = args
+        .value("betas")
+        .split(',')
+        .map(|v| match v.parse::<f64>() {
+            Ok(beta) if (0.0..1.0).contains(&beta) => Ok(beta),
+            Ok(_) => Err(CliError::Usage("--betas values must lie in [0, 1)".into())),
+            Err(_) => Err(CliError::Usage(format!(
+                "invalid grace fraction `{v}` in --betas"
+            ))),
+        });
+    let betas = distinct("betas", betas.collect::<Result<_, _>>()?)?;
+    let cells = |no_obs: bool| {
+        let mut cells = Vec::new();
+        for &scenario in &grid.scenarios {
+            for &policy in &grid.policies {
+                for seed in 1..=grid.seeds {
+                    for &beta in &betas {
+                        cells.push(RunSpec {
+                            no_obs,
+                            ..RunSpec::paper(policy, scenario, seed)
+                                .with_beta(beta)
+                                .with_duration(grid.duration)
+                        });
+                    }
+                }
+            }
+        }
+        cells
+    };
+    let no_obs = args.switch("no-obs");
+    let options = campaign_options(args, grid.threads);
+    let results = run_observed::<Grid>(&cells(no_obs), options, args)?;
+    let verdict = report_campaign(&results, args, out);
+    if no_obs {
+        let options = CampaignOptions::with_threads(grid.threads);
+        let instrumented = run_campaign::<Grid>(&cells(false), &options)
+            .map_err(|e| CliError::Harness(e.to_string()))?;
+        let on = instrumented.sequential_wall().as_secs_f64() * 1_000.0;
+        let off = results.sequential_wall().as_secs_f64() * 1_000.0;
+        let pct = if off > 0.0 {
+            (on - off) / off * 100.0
+        } else {
+            0.0
+        };
+        writeln!(
+            out,
+            "observability overhead: {on:.1} ms instrumented vs {off:.1} ms uninstrumented \
+             (sequential sums; +{pct:.1}%)",
+        )?;
+    }
+    verdict
+}
+
+pub(crate) fn cmd_fleet(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
+    let policies = distinct("policies", parse_policies(args)?)?;
+    let devices = args.u64("devices")?;
+    let shards = args.u64("shards")?;
+    let seed = args.u64("seed")?;
+    let minutes = args.u64("minutes")?;
+    let beta = args.f64("beta")?;
+    let threads = threads(args)?;
+    let span_cap = args.u64("span-cap")?;
+    let audit_cap = args.u64("audit-cap")?;
+    let stride = args.u64("ckpt-stride")?;
+    if [devices, shards, minutes, threads, span_cap, audit_cap].contains(&0) {
+        return Err(CliError::Usage(
+            "--devices, --shards, --minutes, --threads, --span-cap and --audit-cap \
+             must be positive"
+                .into(),
+        ));
+    }
+    if shards > devices {
+        return Err(CliError::Usage(
+            "--shards must not exceed --devices (empty shards aggregate nothing)".into(),
+        ));
+    }
+    if !(0.0..1.0).contains(&beta) {
+        return Err(CliError::Usage("--beta must lie in [0, 1)".into()));
+    }
+
+    let mut config = simty_bench::FleetConfig::new(devices);
+    config.shards = shards as usize;
+    config.policies = policies;
+    config.seed = seed;
+    config.duration = duration(minutes, SimDuration::from_mins(1), "minutes")?;
+    config.beta = beta;
+    config.span_capacity = span_cap as usize;
+    config.audit_capacity = audit_cap as usize;
+    config.checkpoint_stride = stride;
+
+    let mut options = campaign_options(args, threads as usize);
+    if let Some(secs) = args.opt_u64("deadline").map_err(usage_error)? {
+        if secs == 0 {
+            return Err(CliError::Usage("--deadline must be positive".into()));
+        }
+        options.supervisor.deadline = Some(std::time::Duration::from_secs(secs));
+    }
+    let results = run_observed::<Fleet>(&config.specs(), options, args)?;
+    report_campaign(&results, args, out)
+}
+
+/// Runs `cells` under `options` and the command's `--inject-panic`
+/// target, streaming `--progress`/`--events` telemetry as it goes (the
+/// commands that declare those flags: sweep and fleet).
+fn run_observed<C: Campaign>(
+    cells: &[C::Cell],
+    mut options: CampaignOptions,
+    args: &ParsedArgs,
+) -> Result<CampaignResults<C>, CliError> {
+    let inject_panic = args.opt_u64("inject-panic").map_err(usage_error)?;
+    options.inject_panic = inject_panic.map(|cell| cell as usize);
+    let pipe = TelemetryPipe::from_args(args, cells.len() as u64)?;
+    options.telemetry = pipe.sink.clone();
+    let run = run_campaign::<C>(cells, &options);
+    drop(options);
+    pipe.finish()?;
+    run.map_err(|e| CliError::Harness(e.to_string()))
+}
+
 /// Prints a finished campaign — the per-cell table, the harness footer,
-/// the per-policy table, the summary line — writes the optional
+/// the per-policy table (if the campaign has one), the summary line —
+/// writes the optional
 /// document, and maps the outcome to an exit code (4 on invariant
 /// violations, 5 on a failed resume drill, 6 on quarantined cells).
 pub(crate) fn report_campaign<C: CampaignCommand>(
@@ -130,11 +314,13 @@ pub(crate) fn report_campaign<C: CampaignCommand>(
     writeln!(out, "{table}")?;
     write_harness_summary(out, &results.harness())?;
 
-    let mut summary = TextTable::new(C::POLICY_COLUMNS.iter().map(|(header, _)| *header));
-    for aggregate in results.aggregates() {
-        summary.row(C::POLICY_COLUMNS.iter().map(|(_, cell)| cell(&aggregate)));
+    if !C::POLICY_COLUMNS.is_empty() {
+        let mut summary = TextTable::new(C::POLICY_COLUMNS.iter().map(|(header, _)| *header));
+        for aggregate in results.aggregates() {
+            summary.row(C::POLICY_COLUMNS.iter().map(|(_, cell)| cell(&aggregate)));
+        }
+        writeln!(out, "\n{}", summary.render())?;
     }
-    writeln!(out, "\n{}", summary.render())?;
     writeln!(out, "{}", C::summary(results))?;
     if let Some(path) = args.get("json") {
         std::fs::write(path, results.to_json())?;
@@ -148,6 +334,126 @@ pub(crate) fn report_campaign<C: CampaignCommand>(
         return Err(CliError::Recovery(unrecovered.join(", ")));
     }
     poisoned_to_error(results.poisoned())
+}
+
+/// The one-line harness health footer every campaign command prints.
+fn write_harness_summary(out: &mut dyn Write, harness: &HarnessStats) -> Result<(), CliError> {
+    writeln!(
+        out,
+        "harness: {} cells ({} ok, {} retried, {} poisoned), {} panics, \
+         {} timeouts, {} retries, {} journal-restored",
+        harness.cells,
+        harness.ok,
+        harness.retried_cells,
+        harness.poisoned,
+        harness.panics,
+        harness.timeouts,
+        harness.retries,
+        harness.journal_skips,
+    )?;
+    Ok(())
+}
+
+/// Turns quarantined cells into the exit-code-6 harness error.
+fn poisoned_to_error(poisoned: Vec<(String, String)>) -> Result<(), CliError> {
+    if poisoned.is_empty() {
+        return Ok(());
+    }
+    let cells: Vec<String> = poisoned
+        .into_iter()
+        .map(|(label, reason)| format!("{label} ({reason})"))
+        .collect();
+    Err(CliError::Harness(format!(
+        "{} cell(s) quarantined: {}",
+        cells.len(),
+        cells.join(", ")
+    )))
+}
+
+/// Where `--progress`/`--events` telemetry goes: a drain thread that
+/// consumes the campaign's bus, rendering a live progress line on
+/// stderr and appending JSON lines to the events file, until every sink
+/// clone is dropped. `sink` is `None` when neither flag asked for
+/// telemetry; the campaign publishes into clones of it.
+#[derive(Default)]
+struct TelemetryPipe {
+    sink: Option<simty::obs::TelemetrySink>,
+    drain: Option<std::thread::JoinHandle<io::Result<()>>>,
+}
+
+impl TelemetryPipe {
+    /// Builds the pipe from `--progress`/`--events`. Progress is
+    /// auto-disabled when stderr is not a terminal, so redirected runs
+    /// never capture carriage-return control characters.
+    fn from_args(args: &ParsedArgs, cells_total: u64) -> Result<Self, CliError> {
+        use std::io::IsTerminal;
+
+        let progress = args.switch("progress") && io::stderr().is_terminal();
+        let events = match args.get("events") {
+            None => None,
+            Some(path) => Some(BufWriter::new(
+                File::options().create(true).append(true).open(path)?,
+            )),
+        };
+        if !progress && events.is_none() {
+            return Ok(TelemetryPipe::default());
+        }
+        let (bus, sink) =
+            simty::obs::TelemetryBus::new(simty::obs::telemetry::DEFAULT_BUS_CAPACITY);
+        let drain = std::thread::spawn(move || -> io::Result<()> {
+            let mut events = events;
+            let mut state = simty::obs::ProgressState::new(cells_total);
+            for event in bus.drain() {
+                if let Some(w) = events.as_mut() {
+                    writeln!(w, "{}", event.to_json())?;
+                }
+                if progress {
+                    state.update(&event);
+                    eprint!("\r{}", state.render());
+                }
+            }
+            if progress {
+                eprintln!();
+            }
+            if let Some(mut w) = events {
+                w.flush()?;
+            }
+            Ok(())
+        });
+        Ok(TelemetryPipe {
+            sink: Some(sink),
+            drain: Some(drain),
+        })
+    }
+
+    /// Drops the CLI's sink and joins the drain thread; the thread ends
+    /// once the campaign's own sink clones are gone too, so callers
+    /// must drop those (the run consuming them suffices) before this.
+    ///
+    /// A full bus sheds events rather than stalling the campaign;
+    /// shedding is lossy observability, so it is surfaced twice: as a
+    /// final warn event on the bus itself (best-effort — the tail of a
+    /// saturated bus may shed the warning too) and as a note on stderr
+    /// once the drain is done.
+    fn finish(self) -> Result<(), CliError> {
+        let (Some(sink), Some(drain)) = (self.sink, self.drain) else {
+            return Ok(());
+        };
+        let dropped = sink.dropped();
+        if dropped > 0 {
+            sink.warn(format!(
+                "telemetry bus dropped {dropped} event(s); raise the bus capacity or slow the campaign"
+            ));
+        }
+        drop(sink);
+        drain
+            .join()
+            .map_err(|_| CliError::Harness("telemetry drain thread panicked".into()))??;
+        if dropped > 0 {
+            eprintln!("warning: telemetry bus dropped {dropped} event(s)");
+        }
+        Ok(())
+    }
 }
 
 /// A resume drill's verdict for one cell.
@@ -168,6 +474,35 @@ fn resume_policy(all_restores_ok: bool, all_resumed_identical: bool) -> String {
         "BROKEN"
     }
     .to_owned()
+}
+
+impl CampaignCommand for Grid {
+    const CELL_NOUN: &'static str = "run";
+    const CELL_WALLS: bool = true;
+    const CELL_COLUMNS: &'static [CellColumn<()>] = &[
+        ("total (J)", |r, ()| {
+            format!("{:.1}", r.energy.total_mj() / 1_000.0)
+        }),
+        ("awake (J)", |r, ()| {
+            format!("{:.1}", r.energy.awake_related_mj() / 1_000.0)
+        }),
+        ("batch deliveries", |r, ()| r.entry_deliveries.to_string()),
+        ("impercept. delay", |r, ()| {
+            format!("{:.1}%", r.delays.imperceptible_avg * 100.0)
+        }),
+    ];
+    const POLICY_COLUMNS: &'static [PolicyColumn<()>] = &[];
+
+    fn summary(results: &CampaignResults<Grid>) -> String {
+        format!(
+            "{} runs on {} threads in {:.1} ms ({:.1} runs/sec; sequential sum {:.1} ms)",
+            results.runs().len(),
+            results.threads(),
+            results.total_wall().as_secs_f64() * 1_000.0,
+            results.runs_per_sec(),
+            results.sequential_wall().as_secs_f64() * 1_000.0,
+        )
+    }
 }
 
 impl CampaignCommand for Chaos {

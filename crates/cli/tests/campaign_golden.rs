@@ -165,6 +165,49 @@ fn fleet_document_matches_its_golden() {
     assert_eq!(digest, golden, "fleet document drifted: {digest:#018x}");
 }
 
+/// The sweep grid's arguments (NATIVE and SIMTY on the light scenario,
+/// one seed, two grace fractions) and the digest of its document's view,
+/// top-level key order and per-stage call counts. The constant was taken
+/// before the sweep joined the campaign kernel.
+const SWEEP: (&[&str], u64) = (
+    &[
+        "sweep",
+        "--policies",
+        "native,simty",
+        "--scenarios",
+        "light",
+        "--seeds",
+        "1",
+        "--betas",
+        "0.5,0.96",
+        "--hours",
+        "1",
+        "--threads",
+        "2",
+    ],
+    0x3383_83fc_d8f2_49c1,
+);
+
+#[test]
+fn sweep_document_matches_its_golden() {
+    let (args, golden) = SWEEP;
+    let document = document("sweep", args);
+    let view = deterministic_view(&document).expect("a sweep document's view");
+    let Ok(JsonValue::Obj(members)) = JsonValue::parse(&document) else {
+        panic!("a sweep document is an object");
+    };
+    let keys: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
+    let Some((_, JsonValue::Obj(stages))) = members.iter().find(|(key, _)| key == "stages") else {
+        panic!("a sweep document has a stage profile");
+    };
+    let calls: Vec<(&str, Option<&JsonValue>)> = stages
+        .iter()
+        .map(|(stage, profile)| (stage.as_str(), profile.get("calls")))
+        .collect();
+    let digest = fnv1a64(format!("{view}\n{keys:?}\n{calls:?}").as_bytes());
+    assert_eq!(digest, golden, "sweep document drifted: {digest:#018x}");
+}
+
 /// A fresh document of each of the six kinds declares every field it
 /// writes: it diffs clean against itself and has a deterministic view.
 #[test]

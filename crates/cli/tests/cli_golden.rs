@@ -133,7 +133,8 @@ const REJECTED: &[(&[&str], u8)] = &[
     (&["sweep", "--betas", "abc"], 2),
     (&["sweep", "--threads", "0"], 2),
     (&["sweep", "--inject-panic", "abc"], 2),
-    (&["sweep", "--inject-ckpt-eio", "-1"], 2),
+    (&["sweep", "--betas", "0.5,0.5"], 2),
+    (&["sweep", "--scenarios", "light,light"], 2),
     (
         &[
             "sweep",
@@ -154,6 +155,7 @@ const REJECTED: &[(&[&str], u8)] = &[
     (&["chaos", "--policies", "bogus"], 2),
     (&["chaos", "--scenarios", "synthetic:5"], 2),
     (&["chaos", "--seeds", "0"], 2),
+    (&["chaos", "--policies", "native,native"], 2),
     (&["soak", "--profiles", "bogus"], 2),
     (&["soak", "--policies", "bogus"], 2),
     (&["soak", "--scenarios", "synthetic:5"], 2),
@@ -162,10 +164,12 @@ const REJECTED: &[(&[&str], u8)] = &[
     (&["storm", "--policies", "bogus"], 2),
     (&["storm", "--scenarios", "synthetic:5"], 2),
     (&["storm", "--seeds", "0"], 2),
+    (&["storm", "--profiles", "quota-storm,quota-storm"], 2),
     (&["fleet", "--devices", "0"], 2),
     (&["fleet", "--shards", "0"], 2),
     (&["fleet", "--devices", "2", "--shards", "4"], 2),
     (&["fleet", "--policies", "bogus"], 2),
+    (&["fleet", "--policies", "simty,simty"], 2),
     (&["fleet", "--beta", "1.5"], 2),
     (&["fleet", "--minutes", "0"], 2),
     (&["fleet", "--span-cap", "0"], 2),

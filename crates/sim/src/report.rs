@@ -101,16 +101,6 @@ impl TextTable {
     }
 }
 
-/// Formats millijoules as joules with one decimal.
-pub fn fmt_joules(mj: f64) -> String {
-    format!("{:.1}", mj / 1_000.0)
-}
-
-/// Formats a ratio as a percentage with one decimal.
-pub fn fmt_percent(fraction: f64) -> String {
-    format!("{:.1}%", fraction * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,11 +126,5 @@ mod tests {
         assert!(s.contains('3'));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_joules(12_345.0), "12.3");
-        assert_eq!(fmt_percent(0.336), "33.6%");
     }
 }

@@ -102,8 +102,7 @@ impl Scenario {
 
 /// Parameters of one experiment run.
 ///
-/// `PartialEq` lets sweep executors deduplicate identical runs, and the
-/// paper grid find the run a target reads.
+/// `PartialEq` lets the paper grid find the run a target reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// The alignment policy.
