@@ -1,17 +1,21 @@
-//! Criterion micro-benchmarks of the two hot paths every registration
+//! Criterion micro-benchmarks of the hot paths every registration
 //! exercises: `AlarmQueue::insert_entry` (binary-search insert into the
-//! delivery-ordered queue) and the SIMTY search/selection scan
-//! (`SimtyPolicy::place`), at queue depths 10 / 100 / 1 000 / 10 000.
+//! delivery-ordered queue), `add_to_entry` (joining an entry that then
+//! moves), `position_of` on a fresh id, and the SIMTY search/selection
+//! scan (`SimtyPolicy::place`), at queue depths 10 / 100 / 1 000 / 10 000.
 //!
 //! `insert_entry` should scale sublinearly in the queue depth (the
 //! `partition_point` search is O(log n); the `Vec` shift dominates only
 //! at the deepest sizes), and `place` should stay flat for candidates
 //! whose window closes early thanks to the delivery-time early-exit.
+//! The join and lookup cases run beside the pre-rotation queue
+//! ([`oracle::ShiftingAlarmQueue`]) to show what rotation and the id
+//! high-water mark save.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use simty::core::entry::{DeliveryDiscipline, QueueEntry};
-use simty::core::queue::AlarmQueue;
+use simty::core::queue::{oracle::ShiftingAlarmQueue, AlarmQueue};
 use simty::prelude::*;
 use simty::sim::event::{oracle::HeapEventQueue, EventKind, EventQueue};
 
@@ -47,6 +51,15 @@ fn preloaded_queue(n: usize) -> AlarmQueue {
         ));
     }
     queue
+}
+
+/// The same entries in the pre-rotation reference queue.
+fn shifting_copy(queue: &AlarmQueue) -> ShiftingAlarmQueue {
+    let mut shifting = ShiftingAlarmQueue::new();
+    for entry in queue.entries() {
+        shifting.insert_entry(entry.clone());
+    }
+    shifting
 }
 
 /// A candidate delivering at the given fraction of the preloaded span —
@@ -98,6 +111,68 @@ fn bench_insert_entry(c: &mut Criterion) {
                 );
             });
         }
+    }
+    group.finish();
+}
+
+/// `add_to_entry` on the mid-queue entry with an alarm whose nominal time
+/// lies past the next `k` entries: the two windows no longer intersect,
+/// so the entry delivers at the joiner's nominal and moves `k` slots
+/// back. Rotation shifts only those `k` entries; the shifting reference
+/// removes the entry and re-inserts it, moving the queue's tail twice.
+fn bench_join_moves(c: &mut Criterion) {
+    let mut group = c.benchmark_group("queue_join_moves");
+    group.sample_size(10);
+    for n in DEPTHS {
+        let rotating = preloaded_queue(n);
+        let shifting = shifting_copy(&rotating);
+        let index = n / 2;
+        for k in [1, 4] {
+            let joiner = candidate_at(n, (index + k) as f64 / n as f64);
+            let mut moved = rotating.clone();
+            moved.add_to_entry(index, joiner.clone());
+            assert_eq!(moved.position_of(joiner.id()), Some(index + k));
+            group.bench_with_input(BenchmarkId::new(format!("rotating_k{k}"), n), &n, |b, _| {
+                b.iter_batched(
+                    || (rotating.clone(), joiner.clone()),
+                    |(mut queue, alarm)| {
+                        queue.add_to_entry(index, alarm);
+                        queue
+                    },
+                    BatchSize::SmallInput,
+                );
+            });
+            group.bench_with_input(BenchmarkId::new(format!("shifting_k{k}"), n), &n, |b, _| {
+                b.iter_batched(
+                    || (shifting.clone(), joiner.clone()),
+                    |(mut queue, alarm)| {
+                        queue.add_to_entry(index, alarm);
+                        queue
+                    },
+                    BatchSize::SmallInput,
+                );
+            });
+        }
+    }
+    group.finish();
+}
+
+/// `position_of` for an id minted after the queue was filled, the lookup
+/// every registration makes: the high-water mark answers at once, the
+/// shifting reference scans every entry.
+fn bench_position_of_miss(c: &mut Criterion) {
+    let mut group = c.benchmark_group("queue_position_of_miss");
+    group.sample_size(10);
+    for n in DEPTHS {
+        let rotating = preloaded_queue(n);
+        let shifting = shifting_copy(&rotating);
+        let fresh = AlarmId::fresh();
+        group.bench_with_input(BenchmarkId::new("rotating", n), &n, |b, _| {
+            b.iter(|| std::hint::black_box(&rotating).position_of(fresh));
+        });
+        group.bench_with_input(BenchmarkId::new("shifting", n), &n, |b, _| {
+            b.iter(|| std::hint::black_box(&shifting).position_of(fresh));
+        });
     }
     group.finish();
 }
@@ -230,6 +305,8 @@ fn bench_event_queues(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_insert_entry,
+    bench_join_moves,
+    bench_position_of_miss,
     bench_simty_place,
     bench_event_queues
 );

@@ -451,11 +451,17 @@ impl<C: Campaign> CampaignResults<C> {
         self.outcomes().iter().map(|o| o.wall).sum()
     }
 
-    /// Cells per second of the campaign's wall clock.
+    /// Cells executed in this invocation per second of the campaign's
+    /// wall clock; 0 when every cell was restored from the journal
+    /// (restored cells cost no time, so counting them would inflate the
+    /// rate).
     pub fn runs_per_sec(&self) -> f64 {
+        let executed = (self.cells.len() as u64).saturating_sub(self.journal_skips());
         let secs = self.total_wall().as_secs_f64();
-        if secs > 0.0 {
-            self.cells.len() as f64 / secs
+        if executed == 0 {
+            0.0
+        } else if secs > 0.0 {
+            executed as f64 / secs
         } else {
             f64::INFINITY
         }
@@ -586,6 +592,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(first.journal_skips(), 0);
         assert_eq!(second.journal_skips(), specs.len() as u64, "{}", C::KIND);
+        assert!(first.runs_per_sec() > 0.0, "{}", C::KIND);
+        assert_eq!(second.runs_per_sec(), 0.0, "nothing ran: {}", C::KIND);
         assert!(second.all_recovered(), "{}", C::KIND);
         let view = |results: &CampaignResults<C>| crate::deterministic_view(&results.to_json());
         assert_eq!(view(&first), view(&second), "{}", C::KIND);

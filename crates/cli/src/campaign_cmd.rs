@@ -6,6 +6,7 @@
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
+use std::time::Duration;
 
 use simty::experiments::{PolicyKind, Scenario};
 use simty::prelude::*;
@@ -216,20 +217,40 @@ pub(crate) fn cmd_sweep(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
         let options = CampaignOptions::with_threads(grid.threads);
         let instrumented = run_campaign::<Grid>(&cells(false), &options)
             .map_err(|e| CliError::Harness(e.to_string()))?;
-        let on = instrumented.sequential_wall().as_secs_f64() * 1_000.0;
-        let off = results.sequential_wall().as_secs_f64() * 1_000.0;
-        let pct = if off > 0.0 {
-            (on - off) / off * 100.0
-        } else {
-            0.0
-        };
-        writeln!(
-            out,
-            "observability overhead: {on:.1} ms instrumented vs {off:.1} ms uninstrumented \
-             (sequential sums; +{pct:.1}%)",
-        )?;
+        writeln!(out, "{}", overhead_line(&instrumented, &results))?;
     }
     verdict
+}
+
+/// The `--no-obs` overhead line: the instrumented rerun's sequential sum
+/// against the uninstrumented one, over the cells the uninstrumented
+/// run executed (a journal-restored cell has no wall time to compare).
+fn overhead_line(instrumented: &CampaignResults<Grid>, plain: &CampaignResults<Grid>) -> String {
+    let ms = |wall: Duration| wall.as_secs_f64() * 1_000.0;
+    let (mut on, mut off, mut ran) = (0.0, 0.0, 0usize);
+    for (with, without) in instrumented.outcomes().iter().zip(plain.outcomes()) {
+        if without.wall > Duration::ZERO {
+            on += ms(with.wall);
+            off += ms(without.wall);
+            ran += 1;
+        }
+    }
+    if ran == 0 {
+        return format!(
+            "observability overhead: unmeasured ({} cells restored from the journal)",
+            plain.journal_skips()
+        );
+    }
+    let scope = if plain.journal_skips() > 0 {
+        format!(" over the {ran} executed cells")
+    } else {
+        String::new()
+    };
+    let pct = (on - off) / off * 100.0;
+    format!(
+        "observability overhead: {on:.1} ms instrumented vs {off:.1} ms uninstrumented \
+         (sequential sums{scope}; {pct:+.1}%)"
+    )
 }
 
 pub(crate) fn cmd_fleet(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
@@ -494,12 +515,16 @@ impl CampaignCommand for Grid {
     const POLICY_COLUMNS: &'static [PolicyColumn<()>] = &[];
 
     fn summary(results: &CampaignResults<Grid>) -> String {
+        let cells = results.runs().len();
+        let rate = if results.journal_skips() >= cells as u64 {
+            format!("{} journal-restored", results.journal_skips())
+        } else {
+            format!("{:.1} runs/sec", results.runs_per_sec())
+        };
         format!(
-            "{} runs on {} threads in {:.1} ms ({:.1} runs/sec; sequential sum {:.1} ms)",
-            results.runs().len(),
+            "{cells} runs on {} threads in {:.1} ms ({rate}; sequential sum {:.1} ms)",
             results.threads(),
             results.total_wall().as_secs_f64() * 1_000.0,
-            results.runs_per_sec(),
             results.sequential_wall().as_secs_f64() * 1_000.0,
         )
     }

@@ -1665,6 +1665,57 @@ mod tests {
     }
 
     #[test]
+    fn a_fully_journaled_sweep_reports_no_rate_and_no_overhead() {
+        for (no_obs, tag) in [(false, "obs"), (true, "no_obs")] {
+            let dir = std::env::temp_dir().join(format!(
+                "simty_cli_test_full_resume_{tag}_{}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let dir_str = dir.to_str().unwrap().to_owned();
+            let mut args = vec![
+                "sweep",
+                "--policies",
+                "native,simty",
+                "--scenarios",
+                "light",
+                "--seeds",
+                "1",
+                "--hours",
+                "1",
+                "--resume",
+                &dir_str,
+            ];
+            if no_obs {
+                args.push("--no-obs");
+            }
+            let first = run(&args).unwrap();
+            let second = run(&args).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            assert!(first.contains("runs/sec;"), "{first}");
+            assert!(second.contains("2 journal-restored"), "{second}");
+            assert!(second.contains("(2 journal-restored; "), "{second}");
+            assert!(!second.contains("runs/sec"), "{second}");
+            let overhead = |text: &str| {
+                text.lines()
+                    .find(|l| l.starts_with("observability overhead:"))
+                    .map(str::to_owned)
+            };
+            if no_obs {
+                let measured = overhead(&first).expect("overhead line");
+                assert!(measured.contains("(sequential sums; "), "{measured}");
+                assert!(!measured.contains("+-"), "{measured}");
+                assert_eq!(
+                    overhead(&second).as_deref(),
+                    Some("observability overhead: unmeasured (2 cells restored from the journal)")
+                );
+            } else {
+                assert_eq!(overhead(&second), None);
+            }
+        }
+    }
+
+    #[test]
     fn chaos_resume_restores_journaled_cells() {
         let dir = std::env::temp_dir().join(format!(
             "simty_cli_test_chaos_resume_{}",

@@ -4,6 +4,27 @@
 //! increasing order of their delivery times" (§2.1). Alignment policies
 //! scan this order in their *search phase*, and the simulator pops due
 //! entries from the front.
+//!
+//! Every delivery of a repeating alarm re-places it (§2.1, §3.2.1), and
+//! most re-placements join an existing entry, so two operations carry the
+//! queue's cost:
+//!
+//! * **Reposition.** An entry whose membership changed
+//!   ([`AlarmQueue::add_to_entry`], [`AlarmQueue::remove_alarm`]) is
+//!   rotated from its old slot to its new one, so only the entries it
+//!   crosses shift. The final order is the one removing it and
+//!   re-inserting it through [`AlarmQueue::insert_entry`] gives: after
+//!   every other entry delivering at or before it.
+//! * **Id high-water mark.** The queue remembers the highest alarm id it
+//!   has ever held. [`AlarmQueue::position_of`] and
+//!   [`AlarmQueue::contains_alarm`] answer `None`/`false` at once for any
+//!   id above it, which is every freshly minted id a registration looks
+//!   up. Entries enter only through `insert_entry` and `add_to_entry`
+//!   (checkpoint restore included), and both raise the mark.
+//!
+//! The pre-rotation queue, which removed and re-inserted the whole entry
+//! and scanned every entry for every lookup, is kept in [`oracle`] as the
+//! differential-testing reference.
 
 use std::fmt;
 
@@ -39,6 +60,9 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Default)]
 pub struct AlarmQueue {
     entries: Vec<QueueEntry>,
+    /// The highest alarm id ever queued (`None` before the first entry);
+    /// no entry holds an id above it.
+    max_id: Option<AlarmId>,
 }
 
 impl AlarmQueue {
@@ -74,12 +98,22 @@ impl AlarmQueue {
 
     /// Whether any entry contains the alarm.
     pub fn contains_alarm(&self, id: AlarmId) -> bool {
-        self.entries.iter().any(|e| e.contains(id))
+        self.position_of(id).is_some()
     }
 
-    /// Finds the queue position of the entry holding `id`.
+    /// Finds the queue position of the entry holding `id`: `None` at once
+    /// for an id above the high-water mark, a scan of the entries
+    /// otherwise.
     pub fn position_of(&self, id: AlarmId) -> Option<usize> {
+        if self.max_id.is_none_or(|max| id > max) {
+            return None;
+        }
         self.entries.iter().position(|e| e.contains(id))
+    }
+
+    /// Raises the id high-water mark to cover `id`.
+    fn note_id(&mut self, id: AlarmId) {
+        self.max_id = self.max_id.max(Some(id));
     }
 
     /// Wraps `alarm` in a fresh entry and inserts it in delivery-time
@@ -97,6 +131,9 @@ impl AlarmQueue {
     /// Inserts a prepared entry in delivery-time order (after any existing
     /// entries with the same delivery time).
     pub fn insert_entry(&mut self, entry: QueueEntry) {
+        for alarm in entry.alarms() {
+            self.note_id(alarm.id());
+        }
         let t = entry.delivery_time();
         let pos = self.entries.partition_point(|e| e.delivery_time() <= t);
         self.entries.insert(pos, entry);
@@ -109,21 +146,38 @@ impl AlarmQueue {
     ///
     /// Panics if `index` is out of bounds.
     pub fn add_to_entry(&mut self, index: usize, alarm: Alarm) {
-        let mut entry = self.entries.remove(index);
-        entry.push(alarm);
-        self.insert_entry(entry);
+        self.note_id(alarm.id());
+        self.entries[index].push(alarm);
+        self.reposition(index);
     }
 
     /// Removes the alarm with `id` from whichever entry holds it; drops
     /// the entry if it becomes empty, repositions it otherwise.
     pub fn remove_alarm(&mut self, id: AlarmId) -> Option<Alarm> {
         let idx = self.position_of(id)?;
-        let mut entry = self.entries.remove(idx);
-        let alarm = entry.remove(id);
-        if !entry.is_empty() {
-            self.insert_entry(entry);
+        let alarm = self.entries[idx].remove(id);
+        if self.entries[idx].is_empty() {
+            self.entries.remove(idx);
+        } else {
+            self.reposition(idx);
         }
         alarm
+    }
+
+    /// Moves the entry at `index`, whose delivery time may have changed,
+    /// to the slot [`insert_entry`](Self::insert_entry) would give it
+    /// among the other entries (after every one delivering at or before
+    /// it), shifting only the entries in between.
+    fn reposition(&mut self, index: usize) {
+        let t = self.entries[index].delivery_time();
+        let (before, after) = self.entries.split_at(index);
+        if before.last().is_some_and(|e| e.delivery_time() > t) {
+            let to = before.partition_point(|e| e.delivery_time() <= t);
+            self.entries[to..=index].rotate_right(1);
+        } else {
+            let to = index + after[1..].partition_point(|e| e.delivery_time() <= t);
+            self.entries[index..=to].rotate_left(1);
+        }
     }
 
     /// Removes and returns the entry at `index` (used by NATIVE's
@@ -180,10 +234,101 @@ impl fmt::Display for AlarmQueue {
     }
 }
 
+/// The queue as it was before repositioning by rotation and the id
+/// high-water mark: a membership change removes the entry and
+/// re-inserts it (shifting the queue's tail twice), and every lookup
+/// scans all entries. The differential test drives random operation
+/// sequences through both queues and asserts identical entry orders,
+/// members and lookups, and the queue microbenchmarks use it as the
+/// baseline. The manager itself never constructs one.
+pub mod oracle {
+    use crate::alarm::{Alarm, AlarmId};
+    use crate::entry::QueueEntry;
+    use crate::time::SimTime;
+
+    /// A delivery-time-ordered queue with stable ties, repositioning by
+    /// remove and re-insert (the pre-rotation implementation).
+    #[derive(Debug, Clone, Default)]
+    pub struct ShiftingAlarmQueue {
+        entries: Vec<QueueEntry>,
+    }
+
+    impl ShiftingAlarmQueue {
+        /// Creates an empty queue.
+        pub fn new() -> Self {
+            ShiftingAlarmQueue::default()
+        }
+
+        /// The entries in increasing delivery-time order.
+        pub fn entries(&self) -> &[QueueEntry] {
+            &self.entries
+        }
+
+        /// Finds the queue position of the entry holding `id`.
+        pub fn position_of(&self, id: AlarmId) -> Option<usize> {
+            self.entries.iter().position(|e| e.contains(id))
+        }
+
+        /// Inserts a prepared entry after any existing entries with the
+        /// same delivery time.
+        pub fn insert_entry(&mut self, entry: QueueEntry) {
+            let t = entry.delivery_time();
+            let pos = self.entries.partition_point(|e| e.delivery_time() <= t);
+            self.entries.insert(pos, entry);
+        }
+
+        /// Adds `alarm` to the entry at `index`, then removes and
+        /// re-inserts that entry.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `index` is out of bounds.
+        pub fn add_to_entry(&mut self, index: usize, alarm: Alarm) {
+            let mut entry = self.entries.remove(index);
+            entry.push(alarm);
+            self.insert_entry(entry);
+        }
+
+        /// Removes the alarm with `id`; drops its entry if it becomes
+        /// empty, removes and re-inserts it otherwise.
+        pub fn remove_alarm(&mut self, id: AlarmId) -> Option<Alarm> {
+            let idx = self.position_of(id)?;
+            let mut entry = self.entries.remove(idx);
+            let alarm = entry.remove(id);
+            if !entry.is_empty() {
+                self.insert_entry(entry);
+            }
+            alarm
+        }
+
+        /// Removes and returns the entry at `index`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `index` is out of bounds.
+        pub fn take_entry(&mut self, index: usize) -> QueueEntry {
+            self.entries.remove(index)
+        }
+
+        /// Appends every entry due at or before `now` to `out`, in
+        /// delivery order.
+        pub fn pop_due_into(&mut self, now: SimTime, out: &mut Vec<QueueEntry>) {
+            let cut = self.entries.partition_point(|e| e.delivery_time() <= now);
+            out.extend(self.entries.drain(..cut));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::ShiftingAlarmQueue;
     use super::*;
+    use crate::hardware::HardwareSet;
+    use crate::policy::{
+        AlignmentPolicy, DurationSimilarityPolicy, NativePolicy, Placement, SimtyPolicy,
+    };
     use crate::time::SimDuration;
+    use proptest::prelude::*;
 
     fn alarm_at(label: &str, nominal_s: u64) -> Alarm {
         Alarm::builder(label)
@@ -264,5 +409,303 @@ mod tests {
         assert_eq!(q.alarm_count(), 2);
         assert_eq!(q.position_of(id), Some(0));
         assert_eq!((&q).into_iter().count(), 2);
+    }
+
+    /// One step of a differential script.
+    #[derive(Debug, Clone)]
+    enum QueueOp {
+        /// Place an alarm where the policy says: nominal slot, shape,
+        /// hardware bits, id choice (see [`Script::alarm`]).
+        Place(u64, u8, u16, u64),
+        /// Add an alarm to the entry at `pick % len`, whatever the policy
+        /// would say (a new entry when the queue is empty).
+        Join(usize, u64, u8, u64),
+        /// Remove the `pick`-th id the script has used, queued or not.
+        Remove(usize),
+        /// Take the entry at `pick % len`, re-inserting it when `true`
+        /// (NATIVE's realignment takes and re-places entries).
+        Take(usize, bool),
+        /// Pop every entry due at the slot's time.
+        Pop(u64),
+        /// Rebuild both queues entry by entry through `insert_entry`, as
+        /// a checkpoint restore does.
+        Rebuild,
+    }
+
+    fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+        let place = || {
+            (0..6u64, 0..6u8, 0..8u16, 0..128u64)
+                .prop_map(|(slot, shape, hw, id)| QueueOp::Place(slot, shape, hw, id))
+        };
+        prop_oneof![
+            place(),
+            place(),
+            place(),
+            (any::<usize>(), 0..6u64, 0..6u8, 0..128u64)
+                .prop_map(|(pick, slot, shape, id)| QueueOp::Join(pick, slot, shape, id)),
+            any::<usize>().prop_map(QueueOp::Remove),
+            (any::<usize>(), any::<bool>()).prop_map(|(pick, back)| QueueOp::Take(pick, back)),
+            (0..3u64).prop_map(QueueOp::Pop),
+            Just(QueueOp::Rebuild),
+        ]
+    }
+
+    /// Restored ids sit far above every id the process mints, so a
+    /// restored alarm raises the high-water mark past later fresh ids.
+    const RESTORED_BASE: u64 = 1 << 50;
+
+    /// What a script exercised, summed over scripts to check the
+    /// generator reaches the cases the rotation and the mark must get
+    /// right.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Adjacent entries with equal delivery times, summed over steps.
+        ties: u64,
+        /// Joins and removals after which the entry changed position.
+        moves: u64,
+        /// Probes answered by the high-water mark alone.
+        above_mark: u64,
+        /// Restored ids found queued below the mark.
+        restored_found: u64,
+    }
+
+    /// The fast queue and the reference, driven in lockstep.
+    struct Script {
+        fast: AlarmQueue,
+        reference: ShiftingAlarmQueue,
+        /// Every id the script has used, in first-use order.
+        ids: Vec<AlarmId>,
+        coverage: Coverage,
+    }
+
+    impl Script {
+        /// A 600 s repeating alarm at `slot` minutes with one of six
+        /// window/grace shapes; hardware bits make some perceptible.
+        /// `id < 64` restores id `RESTORED_BASE + id` (a fresh id if the
+        /// script used that one already), `id >= 64` mints a fresh one.
+        fn alarm(&mut self, slot: u64, shape: u8, hw: u16, id: u64) -> Alarm {
+            let builder = Alarm::builder(format!("app{}", shape % 3))
+                .nominal(SimTime::from_secs(60 * slot))
+                .repeating_static(SimDuration::from_secs(600))
+                .hardware(HardwareSet::from_bits(hw));
+            let builder = match shape % 3 {
+                0 => builder.window(SimDuration::ZERO),
+                1 => builder.window_fraction(0.25),
+                _ => builder.window_fraction(0.75),
+            };
+            let grace = if shape < 3 { 0.75 } else { 0.96 };
+            let mut alarm = builder.grace_fraction(grace).build().unwrap();
+            if hw.is_multiple_of(2) {
+                alarm.mark_hardware_known();
+            }
+            let restored = AlarmId::from_raw(RESTORED_BASE + id);
+            if id < 64 && !self.ids.contains(&restored) {
+                alarm = Alarm::restore(
+                    restored,
+                    alarm.label_arc(),
+                    alarm.nominal(),
+                    alarm.window(),
+                    alarm.grace_base(),
+                    alarm.repeat(),
+                    alarm.kind(),
+                    alarm.hardware(),
+                    alarm.is_hardware_known(),
+                    alarm.task_duration(),
+                    alarm.is_quarantined(),
+                    alarm.grace_stretch(),
+                );
+            }
+            self.ids.push(alarm.id());
+            alarm
+        }
+
+        fn step(
+            &mut self,
+            policy: &dyn AlignmentPolicy,
+            op: &QueueOp,
+        ) -> Result<(), TestCaseError> {
+            let len = self.fast.len();
+            match *op {
+                QueueOp::Place(slot, shape, hw, id) => {
+                    let alarm = self.alarm(slot, shape, hw, id);
+                    match policy.place(&self.fast, &alarm) {
+                        Placement::Existing(index) => self.join(index, alarm),
+                        Placement::NewEntry => {
+                            let entry = QueueEntry::new(alarm, policy.discipline());
+                            self.reference.insert_entry(entry.clone());
+                            self.fast.insert_entry(entry);
+                        }
+                    }
+                }
+                QueueOp::Join(pick, slot, shape, id) => {
+                    let alarm = self.alarm(slot, shape, 1, id);
+                    if len == 0 {
+                        let entry = QueueEntry::new(alarm, policy.discipline());
+                        self.reference.insert_entry(entry.clone());
+                        self.fast.insert_entry(entry);
+                    } else {
+                        self.join(pick % len, alarm);
+                    }
+                }
+                QueueOp::Remove(pick) => {
+                    if let Some(&id) = self.ids.get(pick % self.ids.len().max(1)) {
+                        let before = self.fast.position_of(id);
+                        let fast = self.fast.remove_alarm(id).map(|a| a.id());
+                        let reference = self.reference.remove_alarm(id).map(|a| a.id());
+                        prop_assert_eq!(fast, reference);
+                        let mate = before
+                            .filter(|&i| i < self.fast.len())
+                            .and_then(|i| self.reference.entries().get(i))
+                            .map(|e| e.alarms()[0].id());
+                        if let (Some(i), Some(mate)) = (before, mate) {
+                            if self.fast.position_of(mate) != Some(i) {
+                                self.coverage.moves += 1;
+                            }
+                        }
+                    }
+                }
+                QueueOp::Take(pick, back) => {
+                    if len > 0 {
+                        let fast = self.fast.take_entry(pick % len);
+                        let reference = self.reference.take_entry(pick % len);
+                        prop_assert_eq!(members(&fast), members(&reference));
+                        if back {
+                            self.fast.insert_entry(fast);
+                            self.reference.insert_entry(reference);
+                        }
+                    }
+                }
+                QueueOp::Pop(slot) => {
+                    let now = SimTime::from_secs(60 * slot);
+                    let (mut fast, mut reference) = (Vec::new(), Vec::new());
+                    self.fast.pop_due_into(now, &mut fast);
+                    self.reference.pop_due_into(now, &mut reference);
+                    prop_assert_eq!(
+                        fast.iter().map(members).collect::<Vec<_>>(),
+                        reference.iter().map(members).collect::<Vec<_>>()
+                    );
+                }
+                QueueOp::Rebuild => {
+                    let mut fast = AlarmQueue::new();
+                    let mut reference = ShiftingAlarmQueue::new();
+                    for entry in self.fast.iter() {
+                        fast.insert_entry(entry.clone());
+                        reference.insert_entry(entry.clone());
+                    }
+                    self.fast = fast;
+                    self.reference = reference;
+                }
+            }
+            self.check()
+        }
+
+        fn join(&mut self, index: usize, alarm: Alarm) {
+            let id = alarm.id();
+            self.reference.add_to_entry(index, alarm.clone());
+            self.fast.add_to_entry(index, alarm);
+            if self.fast.position_of(id) != Some(index) {
+                self.coverage.moves += 1;
+            }
+        }
+
+        /// Same entry order, same members per entry, same lookups.
+        fn check(&mut self) -> Result<(), TestCaseError> {
+            let fast: Vec<_> = self.fast.iter().map(members).collect();
+            let reference: Vec<_> = self.reference.entries().iter().map(members).collect();
+            prop_assert_eq!(fast, reference);
+            let times: Vec<SimTime> = self.fast.iter().map(QueueEntry::delivery_time).collect();
+            self.coverage.ties += times.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+            let never_queued = [
+                AlarmId::fresh(),
+                AlarmId::from_raw(0),
+                AlarmId::from_raw(RESTORED_BASE + 1_000),
+                AlarmId::from_raw(u64::MAX),
+            ];
+            for &id in self.ids.iter().chain(&never_queued) {
+                let found = self.fast.position_of(id);
+                prop_assert_eq!(found, self.reference.position_of(id), "id {}", id);
+                prop_assert_eq!(self.fast.contains_alarm(id), found.is_some());
+                if self.fast.max_id.is_none_or(|max| id > max) {
+                    self.coverage.above_mark += 1;
+                } else if found.is_some() && id.as_u64() >= RESTORED_BASE {
+                    self.coverage.restored_found += 1;
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// An entry's delivery time and member ids, in member order.
+    fn members(entry: &QueueEntry) -> (SimTime, Vec<AlarmId>) {
+        (
+            entry.delivery_time(),
+            entry.alarms().iter().map(Alarm::id).collect(),
+        )
+    }
+
+    /// SIMTY, NATIVE and DURSIM: the placements the differential scripts
+    /// run under.
+    fn placements() -> [Box<dyn AlignmentPolicy>; 3] {
+        [
+            Box::new(SimtyPolicy::new()),
+            Box::new(NativePolicy::new()),
+            Box::new(DurationSimilarityPolicy::new()),
+        ]
+    }
+
+    fn run_script(
+        policy: &dyn AlignmentPolicy,
+        ops: &[QueueOp],
+    ) -> Result<Coverage, TestCaseError> {
+        let mut script = Script {
+            fast: AlarmQueue::new(),
+            reference: ShiftingAlarmQueue::new(),
+            ids: Vec::new(),
+            coverage: Coverage::default(),
+        };
+        for op in ops {
+            script.step(policy, op)?;
+        }
+        Ok(script.coverage)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Rotation and the high-water mark change nothing a caller can
+        /// see: after every step of a random script, both queues hold
+        /// the same entries in the same order with the same members, and
+        /// answer `position_of` alike for every id the script used and
+        /// for ids never queued.
+        #[test]
+        fn rotating_queue_matches_shifting_reference(ops in prop::collection::vec(arb_queue_op(), 1..160)) {
+            for policy in placements() {
+                run_script(policy.as_ref(), &ops)?;
+            }
+        }
+    }
+
+    /// The script generator reaches what the differential test must
+    /// cover: ties in delivery time, entries that move when they gain or
+    /// lose a member, lookups the mark answers alone, and restored ids
+    /// found below the mark.
+    #[test]
+    fn differential_scripts_reach_ties_moves_and_both_sides_of_the_mark() {
+        let strategy = prop::collection::vec(arb_queue_op(), 1..160);
+        let mut total = Coverage::default();
+        for case in 0..64 {
+            let ops = strategy.new_value(&mut TestRng::for_case(case));
+            for policy in placements() {
+                let c = run_script(policy.as_ref(), &ops).expect("queues agree");
+                total.ties += c.ties;
+                total.moves += c.moves;
+                total.above_mark += c.above_mark;
+                total.restored_found += c.restored_found;
+            }
+        }
+        assert!(total.ties > 1_000, "{total:?}");
+        assert!(total.moves > 100, "{total:?}");
+        assert!(total.above_mark > 1_000, "{total:?}");
+        assert!(total.restored_found > 100, "{total:?}");
     }
 }

@@ -154,13 +154,34 @@ impl std::fmt::Display for RequestError {
     }
 }
 
+/// Buffered response bytes past which [`HttpConn::write_response`]
+/// sends at once, so a client that pipelines many requests without
+/// reading cannot grow the output buffer without bound.
+pub const MAX_BUFFERED_OUTPUT: usize = 64 * 1024;
+
 /// One HTTP connection: a transport plus the carry-over buffer that
 /// keep-alive pipelining requires (bytes after one request's body are
-/// the next request's prefix).
+/// the next request's prefix), and an output buffer of responses not
+/// yet sent.
+///
+/// [`write_response`](Self::write_response) only appends to the output
+/// buffer. The buffer goes to the transport (one `write_all`, then one
+/// `flush`) when:
+///
+/// * the connection is about to block on a read (so every response to a
+///   pipelined batch that arrived in one read leaves in one write);
+/// * it passes [`MAX_BUFFERED_OUTPUT`];
+/// * the owner calls [`flush`](Self::flush), which the server does when
+///   it closes the connection and after answering an error.
+///
+/// A client that sends one request and waits for its answer sees the
+/// same transport calls as an unbuffered writer: the response is written
+/// and flushed right before the next read.
 #[derive(Debug)]
 pub struct HttpConn<S> {
     stream: S,
     buf: Vec<u8>,
+    out: Vec<u8>,
     limits: Limits,
 }
 
@@ -170,6 +191,7 @@ impl<S: Read + Write> HttpConn<S> {
         HttpConn {
             stream,
             buf: Vec::with_capacity(1024),
+            out: Vec::new(),
             limits,
         }
     }
@@ -180,6 +202,7 @@ impl<S: Read + Write> HttpConn<S> {
     }
 
     fn fill(&mut self) -> Result<usize, RequestError> {
+        self.flush().map_err(RequestError::Io)?;
         let mut chunk = [0u8; 2048];
         match self.stream.read(&mut chunk) {
             Ok(0) => Ok(0),
@@ -325,15 +348,38 @@ impl<S: Read + Write> HttpConn<S> {
         })
     }
 
-    /// Writes `response` to the transport.
+    /// Appends `response` to the output buffer, sending the buffer if
+    /// it passed [`MAX_BUFFERED_OUTPUT`] (see the flush rule on
+    /// [`HttpConn`]).
     ///
     /// # Errors
     ///
-    /// Propagates the transport's write error.
+    /// Propagates the transport's write error when the buffer is sent.
     pub fn write_response(&mut self, response: &Response) -> io::Result<()> {
-        let bytes = response.to_bytes();
-        self.stream.write_all(&bytes)?;
-        self.stream.flush()
+        response.write_to(&mut self.out);
+        if self.out.len() >= MAX_BUFFERED_OUTPUT {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Sends the buffered responses: one `write_all` and one `flush` of
+    /// the transport, nothing when the buffer is empty. The buffer is
+    /// emptied even when the write fails (the wire is gone).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the transport's write or flush error.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let sent = self
+            .stream
+            .write_all(&self.out)
+            .and_then(|()| self.stream.flush());
+        self.out.clear();
+        sent
     }
 }
 
@@ -429,7 +475,16 @@ impl Response {
 
     /// Serializes head + body.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut head = format!(
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends head + body to `out`.
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            out,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
             self.status,
             self.reason,
@@ -437,16 +492,14 @@ impl Response {
             self.body.len()
         );
         if let Some(secs) = self.retry_after_secs {
-            head.push_str(&format!("retry-after: {secs}\r\n"));
+            let _ = write!(out, "retry-after: {secs}\r\n");
         }
-        head.push_str(if self.close {
-            "connection: close\r\n\r\n"
+        out.extend_from_slice(if self.close {
+            b"connection: close\r\n\r\n"
         } else {
-            "connection: keep-alive\r\n\r\n"
+            b"connection: keep-alive\r\n\r\n"
         });
-        let mut out = head.into_bytes();
         out.extend_from_slice(&self.body);
-        out
     }
 }
 
@@ -455,13 +508,23 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// A transport call, as [`Scripted`] logs it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Call {
+        /// A read and how many bytes it returned.
+        Read(usize),
+        /// One `write` call's bytes.
+        Write(Vec<u8>),
+        Flush,
+    }
+
     /// A scripted transport: reads deliver the canned chunks one at a
-    /// time (so torn delivery is reproducible byte-for-byte), writes are
-    /// collected.
+    /// time (so torn delivery is reproducible byte-for-byte), and every
+    /// call is logged in order.
     struct Scripted {
         chunks: Vec<Vec<u8>>,
         next: usize,
-        wrote: Vec<u8>,
+        log: Vec<Call>,
     }
 
     impl Scripted {
@@ -469,15 +532,13 @@ mod tests {
             Scripted {
                 chunks,
                 next: 0,
-                wrote: Vec::new(),
+                log: Vec::new(),
             }
         }
-    }
 
-    impl Read for Scripted {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        fn read_chunk(&mut self, buf: &mut [u8]) -> usize {
             if self.next >= self.chunks.len() {
-                return Ok(0);
+                return 0;
             }
             let chunk = &self.chunks[self.next];
             let n = chunk.len().min(buf.len());
@@ -488,18 +549,104 @@ mod tests {
                 let rest = chunk[n..].to_vec();
                 self.chunks[self.next] = rest;
             }
+            n
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.read_chunk(buf);
+            self.log.push(Call::Read(n));
             Ok(n)
         }
     }
 
     impl Write for Scripted {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.wrote.extend_from_slice(buf);
+            self.log.push(Call::Write(buf.to_vec()));
             Ok(buf.len())
         }
         fn flush(&mut self) -> io::Result<()> {
+            self.log.push(Call::Flush);
             Ok(())
         }
+    }
+
+    /// Answers every request on `conn` with a response naming its path,
+    /// until the stream ends; returns the responses' bytes in order.
+    fn echo_paths(conn: &mut HttpConn<Scripted>) -> Vec<u8> {
+        let mut sent = Vec::new();
+        while let Ok(req) = conn.read_request() {
+            let response = Response::ok_text(req.path);
+            sent.extend_from_slice(&response.to_bytes());
+            conn.write_response(&response).expect("write");
+        }
+        sent
+    }
+
+    #[test]
+    fn a_pipelined_batch_is_answered_in_one_write() {
+        let wire = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\nGET /c HTTP/1.1\r\n\r\n";
+        let mut conn = one(wire);
+        let sent = echo_paths(&mut conn);
+        let text = String::from_utf8(sent.clone()).expect("utf8");
+        let order: Vec<usize> = ["/a", "/b", "/c"]
+            .iter()
+            .map(|p| text.find(&format!("\r\n\r\n{p}")).expect("answered"))
+            .collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{text}");
+        assert_eq!(
+            conn.stream_mut().log,
+            vec![
+                Call::Read(wire.len()),
+                Call::Write(sent),
+                Call::Flush,
+                Call::Read(0)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_lone_request_is_answered_before_the_next_read() {
+        let first = b"GET /a HTTP/1.1\r\n\r\n".to_vec();
+        let second = b"GET /b HTTP/1.1\r\n\r\n".to_vec();
+        let (a, b) = (first.len(), second.len());
+        let mut conn = HttpConn::new(Scripted::new(vec![first, second]), Limits::default());
+        echo_paths(&mut conn);
+        let answer = |path: &str| Call::Write(Response::ok_text(path.into()).to_bytes());
+        assert_eq!(
+            conn.stream_mut().log,
+            vec![
+                Call::Read(a),
+                answer("/a"),
+                Call::Flush,
+                Call::Read(b),
+                answer("/b"),
+                Call::Flush,
+                Call::Read(0),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_output_cap_sends_before_any_read() {
+        let mut conn = one(b"");
+        let big = Response::ok_text("x".repeat(MAX_BUFFERED_OUTPUT / 2));
+        conn.write_response(&big).expect("write");
+        assert!(
+            conn.stream_mut().log.is_empty(),
+            "half the cap stays buffered"
+        );
+        conn.write_response(&big).expect("write");
+        let mut both = big.to_bytes();
+        both.extend_from_slice(&big.to_bytes());
+        assert_eq!(conn.stream_mut().log, vec![Call::Write(both), Call::Flush]);
+        conn.flush().expect("flush");
+        assert_eq!(
+            conn.stream_mut().log.len(),
+            2,
+            "an empty buffer sends nothing"
+        );
     }
 
     fn one(bytes: &[u8]) -> HttpConn<Scripted> {
@@ -736,6 +883,7 @@ mod tests {
         let mut conn = HttpConn::new(Cursor::new(Vec::new()), Limits::default());
         conn.write_response(&Response::ok_json("{}".into()))
             .expect("write");
+        conn.flush().expect("flush");
         let wrote = conn.stream_mut().get_ref().clone();
         assert!(String::from_utf8(wrote).expect("utf8").contains("200 OK"));
     }

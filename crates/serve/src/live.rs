@@ -269,6 +269,15 @@ impl LiveScheduler {
         self.manager.now()
     }
 
+    /// The tenant's state, created on its first appearance (the only
+    /// time its name is copied).
+    fn tenant_mut(&mut self, name: &str) -> &mut Tenant {
+        if !self.tenants.contains_key(name) {
+            self.tenants.insert(name.to_owned(), Tenant::default());
+        }
+        self.tenants.get_mut(name).expect("inserted above")
+    }
+
     /// Registers an alarm for a tenant, running admission first.
     pub fn register(&mut self, req: &RegisterRequest) -> RegisterOutcome {
         if !is_valid_tenant(&req.tenant) {
@@ -329,7 +338,7 @@ impl LiveScheduler {
         }
         let deferred_to_ms = match admission.decision {
             AdmissionDecision::Reject { retry_after } => {
-                self.tenants.entry(req.tenant.clone()).or_default().rejected += 1;
+                self.tenant_mut(&req.tenant).rejected += 1;
                 return RegisterOutcome::Rejected {
                     retry_after_ms: retry_after.as_millis(),
                 };
@@ -350,7 +359,7 @@ impl LiveScheduler {
                 }
             }
         };
-        let tenant = self.tenants.entry(req.tenant.clone()).or_default();
+        let tenant = self.tenant_mut(&req.tenant);
         let ordinal = tenant.next_ordinal;
         tenant.next_ordinal += 1;
         tenant.alarms.insert(ordinal, id);
@@ -399,8 +408,8 @@ impl LiveScheduler {
         for entry in due {
             for alarm in entry.into_alarms() {
                 let raw = alarm.id().as_u64();
-                if let Some((tenant, _)) = self.index.get(&raw).cloned() {
-                    if let Some(state) = self.tenants.get_mut(&tenant) {
+                if let Some((tenant, _)) = self.index.get(&raw) {
+                    if let Some(state) = self.tenants.get_mut(tenant) {
                         state.delivered += 1;
                     }
                 }

@@ -11,7 +11,13 @@
 //! 2. a worker thread picks it up, arms the per-request deadline
 //!    (socket read timeout), optionally wraps the stream in the seeded
 //!    [`FaultTransport`](crate::transport::FaultTransport) drill, and
-//!    serves keep-alive requests until close, error, or drain;
+//!    serves keep-alive requests until close, error, or drain. Responses
+//!    collect in the connection's output buffer, which is sent before
+//!    the worker blocks on the next read, once it passes
+//!    [`MAX_BUFFERED_OUTPUT`](crate::http::MAX_BUFFERED_OUTPUT), and
+//!    when the connection closes or answers an error: a pipelined batch
+//!    that arrived in one read is answered in one write, and a client
+//!    that waits for each answer gets each one in its own write;
 //! 3. on drain (SIGTERM, ctrl-c, `POST /admin/drain`, or
 //!    [`ServerHandle::shutdown`]) the accept thread stops accepting and
 //!    closes the queue; workers finish **every** connection already
@@ -498,8 +504,11 @@ fn serve_requests<S: Read + Write>(mut conn: HttpConn<S>, shared: &Shared) {
                     }
                 }
                 shared.reconcile_telemetry_drops();
-                let closing = response.close;
-                if conn.write_response(&response).is_err() || closing {
+                if conn.write_response(&response).is_err() {
+                    return;
+                }
+                if response.close {
+                    let _ = conn.flush();
                     return;
                 }
             }
@@ -518,6 +527,7 @@ fn serve_requests<S: Read + Write>(mut conn: HttpConn<S>, shared: &Shared) {
                             .with_close();
                     let _ = conn.write_response(&response);
                 }
+                let _ = conn.flush();
                 return;
             }
         }

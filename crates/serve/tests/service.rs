@@ -283,6 +283,123 @@ fn drain_finishes_in_flight_and_restart_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The 20 requests of one pipelined batch: registrations for three
+/// tenants, queries, clock advances that deliver, a cancel, the state
+/// digest and an unknown path, the last asking to close.
+fn batch_requests() -> Vec<String> {
+    let post_wire = |path: &str, body: &str| {
+        format!(
+            "POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let get_wire = |path: &str| format!("GET {path} HTTP/1.1\r\n\r\n");
+    let mut wire = Vec::new();
+    for k in 0..9u64 {
+        let tenant = ["mail", "chat", "news"][k as usize % 3];
+        wire.push(post_wire(
+            "/v1/register",
+            &register_body(tenant, 60_000 + k * 7_000),
+        ));
+    }
+    wire.push(get_wire("/v1/next"));
+    wire.push(post_wire("/v1/advance", "{\"now_ms\":90000}"));
+    wire.push(get_wire("/v1/query?tenant=mail"));
+    wire.push(post_wire(
+        "/v1/cancel",
+        "{\"tenant\":\"chat\",\"ordinal\":1}",
+    ));
+    wire.push(post_wire("/v1/advance", "{\"now_ms\":700000}"));
+    wire.push(get_wire("/v1/query?tenant=chat"));
+    wire.push(get_wire("/healthz"));
+    wire.push(get_wire("/nope"));
+    wire.push(post_wire("/v1/register", "not json"));
+    wire.push(get_wire("/v1/next"));
+    wire.push("GET /v1/state HTTP/1.1\r\nconnection: close\r\n\r\n".to_owned());
+    wire
+}
+
+/// Reads one response (head and `content-length` body) off `stream`.
+fn read_one_response(stream: &mut TcpStream) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut byte = [0u8; 1];
+    while !out.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("response head");
+        out.push(byte[0]);
+    }
+    let head = String::from_utf8(out.clone()).expect("utf8 head");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("content-length");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("response body");
+    out.extend_from_slice(&body);
+    out
+}
+
+#[test]
+fn a_pipelined_batch_gets_the_bytes_sequential_requests_get() {
+    let requests = batch_requests();
+    assert_eq!(requests.len(), 20);
+    let connect = |addr: &str| {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream
+    };
+
+    let pipelined = spawn(ServeConfig::default()).expect("spawn");
+    let mut stream = connect(&pipelined.addr().to_string());
+    stream
+        .write_all(requests.concat().as_bytes())
+        .expect("write batch");
+    let mut at_once = Vec::new();
+    stream.read_to_end(&mut at_once).expect("read batch");
+    pipelined.shutdown();
+    assert_eq!(pipelined.join().invariant_violations, 0);
+
+    let sequential = spawn(ServeConfig::default()).expect("spawn");
+    let mut stream = connect(&sequential.addr().to_string());
+    let mut one_by_one = Vec::new();
+    for request in &requests {
+        stream.write_all(request.as_bytes()).expect("write");
+        one_by_one.extend_from_slice(&read_one_response(&mut stream));
+    }
+    let mut rest = Vec::new();
+    stream
+        .read_to_end(&mut rest)
+        .expect("closed after the last answer");
+    assert!(rest.is_empty());
+    sequential.shutdown();
+    assert_eq!(sequential.join().invariant_violations, 0);
+
+    // A registration answers with its raw alarm id, which comes from a
+    // process-wide counter, so the id and the length of its body differ
+    // between the two servers; both runs must agree on every other byte.
+    let masked = |bytes: Vec<u8>| {
+        let mut text = String::from_utf8(bytes).expect("utf8");
+        for key in ["\"id\":", "content-length: "] {
+            let mut parts = text.split(key);
+            let mut out = parts.next().unwrap_or_default().to_owned();
+            for part in parts {
+                out.push_str(key);
+                out.push('#');
+                out.push_str(part.trim_start_matches(|c: char| c.is_ascii_digit()));
+            }
+            text = out;
+        }
+        text
+    };
+    let (at_once, one_by_one) = (masked(at_once), masked(one_by_one));
+    assert_eq!(at_once.matches("HTTP/1.1 ").count(), 20, "{at_once}");
+    assert_eq!(at_once.matches("\"id\":#,").count(), 9, "{at_once}");
+    assert!(at_once.contains("\"delivered\":"), "{at_once}");
+    assert_eq!(at_once, one_by_one);
+}
+
 /// Runs `tenants` concurrent client threads, each with a deterministic
 /// per-tenant request sequence, and returns the final digest body.
 fn concurrent_tenant_run(tenants: usize) -> String {
