@@ -1,13 +1,15 @@
-//! Criterion benchmarks of the `simty-checkpoint/v1` codec on a heavy
+//! Criterion benchmarks of the `simty-checkpoint/v2` codec on a heavy
 //! snapshot: a SIMTY heavy run paused at 2.5 h, whose span ring is full
 //! and whose body carries about a thousand deliveries and audits.
-//! `encode` and `decode` are the envelope (the FNV-1a checksum over the
-//! body dominates both); `restore` rebuilds the simulation from the
-//! decoded body.
+//! `encode` and `decode` are the envelope (the body's checksum, a copy
+//! of the body and, for decode, its UTF-8 check); `checksum` is the v2
+//! body checksum alone and `checksum_fnv1a64` the v1 one it replaced;
+//! `restore` rebuilds the simulation from the decoded body.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use simty::prelude::*;
+use simty::sim::codec::{fnv1a64, wordsum64};
 
 fn heavy_snapshot() -> Checkpoint {
     let duration = SimDuration::from_hours(3);
@@ -35,6 +37,12 @@ fn bench_checkpoint(c: &mut Criterion) {
     group.bench_function("decode", |b| {
         b.iter(|| Checkpoint::from_bytes(black_box(&bytes)).expect("decodes"))
     });
+    let body = bytes
+        .splitn(4, |&b| b == b'\n')
+        .nth(3)
+        .expect("a three-line envelope");
+    group.bench_function("checksum", |b| b.iter(|| wordsum64(black_box(body))));
+    group.bench_function("checksum_fnv1a64", |b| b.iter(|| fnv1a64(black_box(body))));
     group.bench_function("restore", |b| {
         b.iter(|| {
             Simulation::restore(Box::new(SimtyPolicy::new()), black_box(&snapshot))

@@ -20,6 +20,10 @@
 //!   exercising what it drills, or the engine stopped reading its stage
 //!   clocks. A NEW sweep with nonzero `journal_skips` is exempt, because
 //!   journal-restored cells carry no profile;
+//! * when NEW restored **every** cell from a journal (`journal_skips`
+//!   equals `runs`), no cell ran, so a `null` wall field (the quantiles
+//!   of no cells) and a zero throughput are not measurements and are
+//!   skipped; a document with any cell run still gates both;
 //! * **free** fields (`threads`, `journal_skips`, serve's traffic
 //!   tallies) are not compared.
 //!
@@ -389,11 +393,11 @@ pub fn diff_documents(old: &str, new: &str) -> Result<DiffReport, String> {
             schema.tag, new_schema.tag
         ));
     }
+    let journal_skips = new.get("journal_skips");
     let mut diff = Differ {
         schema,
-        journal_restored: new
-            .get("journal_skips")
-            .is_some_and(|n| *n != JsonValue::Num(0.0)),
+        journal_restored: journal_skips.is_some_and(|n| *n != JsonValue::Num(0.0)),
+        all_restored: journal_skips.is_some() && journal_skips == new.get("runs"),
         checks: 0,
         regressions: Vec::new(),
     };
@@ -410,6 +414,9 @@ struct Differ {
     /// Whether NEW restored cells from a journal (nonzero
     /// `journal_skips`); those cells carry no stage profile.
     journal_restored: bool,
+    /// Whether NEW restored every cell from a journal (`journal_skips`
+    /// equals `runs`): it ran nothing, so has no wall time or throughput.
+    all_restored: bool,
     checks: u64,
     regressions: Vec<Regression>,
 }
@@ -469,6 +476,14 @@ impl Differ {
 
     fn leaf(&mut self, class: Class, old: &JsonValue, new: &JsonValue, path: &[String]) {
         if class == Class::Free {
+            return;
+        }
+        let never_ran = match (class, new) {
+            (Class::Wall(_), JsonValue::Null) => true,
+            (Class::Throughput, JsonValue::Num(n)) => *n == 0.0,
+            _ => false,
+        };
+        if never_ran && self.all_restored {
             return;
         }
         self.checks += 1;
@@ -707,6 +722,50 @@ mod tests {
             .replacen("\"journal_skips\":0", "\"journal_skips\":2", 1);
         let report = diff_documents(&old, &new).unwrap();
         assert!(!report.is_regression(), "{:?}", report.regressions);
+    }
+
+    /// `doc` as a run that restored `skipped` of its 2 cells from a
+    /// journal and ran the rest: with every cell restored, the
+    /// wall-time quantiles are `null` and the throughput is 0.
+    fn restored(skipped: u64, runs_per_sec: f64) -> String {
+        let quantiles = if skipped == 2 {
+            "null"
+        } else {
+            "{\"q50\":4.0,\"max\":5.0}"
+        };
+        doc(runs_per_sec, 50_000_000, 1234.5, 0)
+            .replacen(
+                "\"journal_skips\":0",
+                &format!("\"journal_skips\":{skipped}"),
+                1,
+            )
+            .replacen(
+                "\"harness\"",
+                &format!("\"quantiles\":{{\"cell_wall_ms\":{quantiles}}},\"harness\""),
+                1,
+            )
+    }
+
+    #[test]
+    fn a_sweep_whose_every_cell_was_restored_diffs_clean() {
+        let fresh = restored(0, 400.0);
+        let report = diff_documents(&fresh, &restored(2, 0.0)).unwrap();
+        assert!(!report.is_regression(), "{:?}", report.regressions);
+    }
+
+    #[test]
+    fn a_fresh_null_wall_or_a_partly_restored_zero_throughput_still_fails() {
+        let fresh = restored(0, 400.0);
+        // A document that ran its cells and lost their wall times.
+        let lost = fresh.replacen("{\"q50\":4.0,\"max\":5.0}", "null", 1);
+        let report = diff_documents(&fresh, &lost).unwrap();
+        assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
+        assert_eq!(report.regressions[0].path, "quantiles.cell_wall_ms");
+        assert!(report.regressions[0].detail.contains("schema drift"));
+        // A document that ran one cell and reports no throughput.
+        let report = diff_documents(&fresh, &restored(1, 0.0)).unwrap();
+        assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
+        assert_eq!(report.regressions[0].path, "runs_per_sec");
     }
 
     #[test]

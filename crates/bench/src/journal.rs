@@ -10,9 +10,12 @@
 //! torn tail of an interrupted append are re-run, and the final
 //! document comes out byte-identical to an uninterrupted campaign.
 //!
-//! The envelope reuses the `simty-checkpoint/v1` dialect from
-//! [`simty::sim::codec`]: line-oriented text, percent-escaped fields,
-//! FNV-1a-64 checksums. Layout:
+//! The envelope reuses the checkpoint's line dialect from
+//! [`simty::sim::codec`]: line-oriented text and percent-escaped
+//! fields. Each record keeps its FNV-1a-64 checksum ([`fnv1a64`]). The
+//! checkpoint's `v2` envelope moved its body to the word-wise
+//! [`codec::wordsum64`] because a body is hundreds of kilobytes; a
+//! record is one line, where the byte-serial hash costs little. Layout:
 //!
 //! ```text
 //! simty-campaign/v1

@@ -307,3 +307,37 @@ fn doctored_sweep_documents_keep_their_bench_diff_exit_codes() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// CI's harness grid resumed a second time restores every cell from its
+/// journal and runs none; its document still `bench diff`s clean
+/// against a fresh run.
+#[test]
+fn a_sweep_restored_wholly_from_its_journal_diffs_clean() {
+    let dir = std::env::temp_dir().join(format!("simty-restored-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (journal, fresh, resumed) = (path("journal"), path("fresh.json"), path("resumed.json"));
+    let grid = [
+        "sweep",
+        "--policies",
+        "native,simty",
+        "--scenarios",
+        "light",
+        "--seeds",
+        "2",
+        "--hours",
+        "1",
+        "--threads",
+        "1",
+    ];
+    let sweep = |extra: &[&str]| run(&[&grid[..], extra].concat()).0;
+    assert_eq!(sweep(&["--json", &fresh]), Ok(()));
+    for _ in 0..2 {
+        assert_eq!(sweep(&["--resume", &journal, "--json", &resumed]), Ok(()));
+    }
+    let doc = std::fs::read_to_string(&resumed).unwrap();
+    assert!(doc.contains("\"journal_skips\":4,"), "every cell restored");
+    assert_eq!(run(&["bench", "diff", &fresh, &resumed]).0, Ok(()));
+    let _ = std::fs::remove_dir_all(&dir);
+}

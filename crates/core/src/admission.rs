@@ -14,7 +14,7 @@
 //!
 //! All bucket arithmetic is integer millisecond math on the simulation
 //! clock — no floats, no wall clock — so decisions replay bit-for-bit and
-//! the whole controller round-trips through `simty-checkpoint/v1`.
+//! the whole controller round-trips through the checkpoint body.
 //!
 //! Bucket state is keyed by app *label* and never forgotten: cancelling
 //! every alarm and re-registering under the same label continues from the

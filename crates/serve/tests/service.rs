@@ -242,7 +242,31 @@ fn oversized_and_malformed_requests_get_typed_errors() {
 
 #[test]
 fn drain_finishes_in_flight_and_restart_resumes_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("serve-drain-{}", std::process::id()));
+    drain_and_restart("serve-drain", |_| {});
+}
+
+/// A state dir an earlier build drained into: the drain checkpoint,
+/// re-sealed as `simty-checkpoint/v1`, resumes just the same.
+#[test]
+fn a_restart_resumes_a_drain_checkpoint_sealed_as_v1() {
+    drain_and_restart("serve-drain-v1", |path| {
+        let text = String::from_utf8(std::fs::read(path).expect("read checkpoint")).unwrap();
+        let (magic, rest) = text.split_once('\n').expect("an envelope");
+        assert_eq!(magic, "simty-checkpoint/v2");
+        let body = rest.splitn(3, '\n').nth(2).expect("a three-line envelope");
+        let v1 = format!(
+            "simty-checkpoint/v1\nlen={}\nsum={:016x}\n{body}",
+            body.len(),
+            simty::sim::codec::fnv1a64(body.as_bytes())
+        );
+        std::fs::write(path, v1).expect("re-seal checkpoint");
+    });
+}
+
+/// Drains a server with state, applies `edit` to its drain checkpoint,
+/// and restarts it from that state dir.
+fn drain_and_restart(tag: &str, edit: impl Fn(&std::path::Path)) {
+    let dir = std::env::temp_dir().join(format!("{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = ServeConfig {
         state_dir: Some(dir.clone()),
@@ -265,6 +289,7 @@ fn drain_finishes_in_flight_and_restart_resumes_byte_identically() {
     assert_eq!(drain.invariant_violations, 0);
     let ckpt = drain.checkpoint.expect("drain must checkpoint");
     assert!(ckpt.exists(), "checkpoint file must exist");
+    edit(&ckpt);
 
     // Kill-and-restart: the resumed server reports the same
     // tenant-visible state, byte for byte, and keeps working.

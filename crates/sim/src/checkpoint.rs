@@ -10,17 +10,27 @@
 //! and report to the straight-through run (the engine's tests assert
 //! this).
 //!
-//! # Persistence format (`simty-checkpoint/v1`)
+//! # Persistence format (`simty-checkpoint/v2`)
 //!
 //! A persisted checkpoint is a UTF-8 text file with a three-line
 //! envelope followed by the body:
 //!
 //! ```text
-//! simty-checkpoint/v1
+//! simty-checkpoint/v2
 //! len=<body length in bytes>
-//! sum=<FNV-1a-64 checksum of the body, 16 hex digits>
+//! sum=<wordsum64 checksum of the body, 16 hex digits>
 //! <body: one `key=value` line per field>
 //! ```
+//!
+//! The checksum is [`wordsum64`], which reads the body a 64-bit word at
+//! a time in four independent lanes. Earlier builds wrote
+//! `simty-checkpoint/v1`, whose `sum=` line is the byte-serial
+//! [`fnv1a64`] of the same body; everything else, the body included, is
+//! identical. [`Checkpoint::from_bytes`] reads both, and the magic line
+//! alone picks the checksum; only v2 is ever written. Downgrade is not
+//! supported: a build that knows only v1 reports a v2 file as
+//! [`CheckpointError::VersionSkew`], and its store skips it as it skips
+//! any snapshot that does not validate.
 //!
 //! Floating-point values are serialized as the 16-hex-digit IEEE-754 bit
 //! pattern, so round-trips are exact. Writes go through a temp file and
@@ -110,8 +120,8 @@ use simty_obs::{AttrValue, Histogram, Span, SpanCollector, SpanKind};
 
 use crate::attribution::{ActiveTask, AttributionLedger};
 use crate::codec::{
-    fnv1a64, line, names, put, put_list, record, tagged, unesc, write_queue, Cursor, Field, Parser,
-    Put,
+    fnv1a64, line, names, put, put_list, record, tagged, unesc, wordsum64, write_queue, Cursor,
+    Field, Parser, Put,
 };
 use crate::config::{InvariantMode, SimConfig};
 use crate::degrade::{DegradationGovernor, DegradationTier, GovernorConfig};
@@ -126,9 +136,13 @@ use crate::trace::{DeliveryRecord, InterventionKind, InterventionRecord, Trace};
 use crate::vfs::{RealVfs, Vfs};
 use crate::watchdog::{OnlineWatchdogConfig, WatchdogPolicy};
 
-/// The format magic and version, first line of every persisted
-/// checkpoint.
-pub const MAGIC: &str = "simty-checkpoint/v1";
+/// The format magic and version, first line of every checkpoint this
+/// build writes.
+pub const MAGIC: &str = "simty-checkpoint/v2";
+
+/// The magic of the earlier format, whose body is sealed with
+/// [`fnv1a64`]; read, never written.
+const MAGIC_V1: &str = "simty-checkpoint/v1";
 
 /// Why a checkpoint could not be captured, persisted, or restored.
 #[derive(Debug)]
@@ -154,8 +168,8 @@ pub enum CheckpointError {
         /// Bytes actually present.
         actual: usize,
     },
-    /// The body's FNV-1a-64 checksum does not match the envelope —
-    /// bit rot or tampering.
+    /// The body's checksum does not match the envelope — bit rot or
+    /// tampering.
     ChecksumMismatch {
         /// Checksum the envelope declares.
         expected: u64,
@@ -195,7 +209,10 @@ impl fmt::Display for CheckpointError {
                 write!(f, "not a checkpoint (first line `{found}`)")
             }
             CheckpointError::VersionSkew { found } => {
-                write!(f, "unsupported checkpoint version `{found}` (expected `{MAGIC}`)")
+                write!(
+                    f,
+                    "unsupported checkpoint version `{found}` (expected `{MAGIC}` or `{MAGIC_V1}`)"
+                )
             }
             CheckpointError::Truncated { expected, actual } => {
                 write!(f, "truncated: body is {actual} bytes, envelope declares {expected}")
@@ -285,21 +302,25 @@ impl Checkpoint {
         Some(unesc(payload))
     }
 
-    /// Serializes the checkpoint in the persisted `simty-checkpoint/v1`
-    /// format (envelope + body).
+    /// Serializes the checkpoint in the persisted `simty-checkpoint/v2`
+    /// format (envelope + body), into one buffer of its final size.
     pub fn to_bytes(&self) -> Vec<u8> {
         let body = self.body.as_bytes();
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC}");
-        let _ = writeln!(out, "len={}", body.len());
-        let _ = writeln!(out, "sum={:016x}", fnv1a64(body));
-        let mut bytes = out.into_bytes();
+        let header = format!(
+            "{MAGIC}\nlen={}\nsum={:016x}\n",
+            body.len(),
+            wordsum64(body)
+        );
+        let mut bytes = Vec::with_capacity(header.len() + body.len());
+        bytes.extend_from_slice(header.as_bytes());
         bytes.extend_from_slice(body);
         bytes
     }
 
     /// Parses and validates a persisted checkpoint: magic, version,
-    /// declared length (truncation), and checksum (corruption).
+    /// declared length (truncation), and checksum (corruption). Both
+    /// `simty-checkpoint/v2` and the earlier `simty-checkpoint/v1` are
+    /// read; the magic line picks the checksum.
     ///
     /// # Errors
     ///
@@ -314,16 +335,20 @@ impl Checkpoint {
         let (magic_line, rest) = text.split_once('\n').ok_or(CheckpointError::BadMagic {
             found: text.chars().take(64).collect(),
         })?;
-        if magic_line != MAGIC {
-            if magic_line.starts_with("simty-checkpoint/") {
+        let checksum: fn(&[u8]) -> u64 = match magic_line {
+            MAGIC => wordsum64,
+            MAGIC_V1 => fnv1a64,
+            _ if magic_line.starts_with("simty-checkpoint/") => {
                 return Err(CheckpointError::VersionSkew {
                     found: magic_line.to_owned(),
-                });
+                })
             }
-            return Err(CheckpointError::BadMagic {
-                found: magic_line.to_owned(),
-            });
-        }
+            _ => {
+                return Err(CheckpointError::BadMagic {
+                    found: magic_line.to_owned(),
+                })
+            }
+        };
         let (len_line, rest) = rest.split_once('\n').ok_or(CheckpointError::Truncated {
             expected: 0,
             actual: 0,
@@ -352,7 +377,7 @@ impl Checkpoint {
                 actual: body.len(),
             });
         }
-        let actual_sum = fnv1a64(body.as_bytes());
+        let actual_sum = checksum(body.as_bytes());
         if actual_sum != expected_sum {
             return Err(CheckpointError::ChecksumMismatch {
                 expected: expected_sum,
@@ -1612,6 +1637,7 @@ fn attr_value<'a>(p: &mut Parser<'a>, raw: &'a str) -> AttrValue {
 mod tests {
     use super::*;
     use crate::codec::esc;
+    use proptest::prelude::*;
     use simty_core::alarm::Alarm;
 
     fn sample() -> Checkpoint {
@@ -1642,6 +1668,94 @@ mod tests {
         }
     }
 
+    /// `c` sealed as an earlier build wrote it: `simty-checkpoint/v1`,
+    /// the body's [`fnv1a64`].
+    fn sealed_v1(c: &Checkpoint) -> Vec<u8> {
+        let body = c.body.as_bytes();
+        let mut bytes = format!(
+            "{MAGIC_V1}\nlen={}\nsum={:016x}\n",
+            body.len(),
+            fnv1a64(body)
+        )
+        .into_bytes();
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    #[test]
+    fn a_v1_envelope_still_loads() {
+        let c = sample();
+        assert!(c.to_bytes().starts_with(b"simty-checkpoint/v2\n"));
+        assert_eq!(Checkpoint::from_bytes(&sealed_v1(&c)).unwrap(), c);
+        // The magic line picks the checksum: a v1 body sealed with the v2
+        // sum, or the reverse, does not validate.
+        let text = String::from_utf8(c.to_bytes()).unwrap();
+        let crossed = text.replace(MAGIC, MAGIC_V1);
+        assert!(matches!(
+            Checkpoint::from_bytes(crossed.as_bytes()),
+            Err(CheckpointError::ChecksumMismatch { .. })
+        ));
+        let text = String::from_utf8(sealed_v1(&c)).unwrap();
+        let crossed = text.replace(MAGIC_V1, MAGIC);
+        assert!(matches!(
+            Checkpoint::from_bytes(crossed.as_bytes()),
+            Err(CheckpointError::ChecksumMismatch { .. })
+        ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Under both envelopes, every single-bit flip of a body fails
+        /// its checksum (or, where it breaks UTF-8, which is checked
+        /// first, is malformed), and every truncation or extension of it
+        /// fails its length. Bodies cross the checksum's 32-byte block
+        /// boundary and its tail.
+        #[test]
+        fn every_flip_truncation_and_extension_of_a_body_fails(
+            raw in prop::collection::vec(any::<u8>(), 0..200),
+            extra in prop::collection::vec(any::<u8>(), 1..40),
+        ) {
+            let ascii = |bytes: &[u8]| -> String {
+                bytes.iter().map(|&b| char::from(b & 0x7f)).collect()
+            };
+            let c = Checkpoint {
+                captured_at: SimTime::ZERO,
+                policy: String::new(),
+                body: ascii(&raw),
+            };
+            for bytes in [c.to_bytes(), sealed_v1(&c)] {
+                let header = bytes.len() - raw.len();
+                for bit in 0..raw.len() * 8 {
+                    let mut flipped = bytes.clone();
+                    flipped[header + bit / 8] ^= 1 << (bit % 8);
+                    let broke_utf8 = std::str::from_utf8(&flipped).is_err();
+                    match Checkpoint::from_bytes(&flipped) {
+                        Err(CheckpointError::ChecksumMismatch { .. }) if !broke_utf8 => {}
+                        Err(CheckpointError::Malformed { line: 0, .. }) if broke_utf8 => {}
+                        other => prop_assert!(false, "flip of bit {bit}: {other:?}"),
+                    }
+                }
+                for len in 0..raw.len() {
+                    let result = Checkpoint::from_bytes(&bytes[..header + len]);
+                    prop_assert!(
+                        matches!(result, Err(CheckpointError::Truncated { .. })),
+                        "cut to {len} bytes: {result:?}"
+                    );
+                }
+                for n in 1..=extra.len() {
+                    let mut longer = bytes.clone();
+                    longer.extend_from_slice(ascii(&extra[..n]).as_bytes());
+                    let result = Checkpoint::from_bytes(&longer);
+                    prop_assert!(
+                        matches!(result, Err(CheckpointError::Truncated { .. })),
+                        "extended by {n} bytes: {result:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn truncation_is_detected() {
         let bytes = sample().to_bytes();
@@ -1654,7 +1768,7 @@ mod tests {
     #[test]
     fn version_skew_is_detected() {
         let text = String::from_utf8(sample().to_bytes()).unwrap();
-        let skewed = text.replace("simty-checkpoint/v1", "simty-checkpoint/v9");
+        let skewed = text.replace(MAGIC, "simty-checkpoint/v9");
         match Checkpoint::from_bytes(skewed.as_bytes()) {
             Err(CheckpointError::VersionSkew { found }) => {
                 assert!(found.ends_with("v9"));
@@ -1734,6 +1848,40 @@ mod tests {
         let mut reopened = CheckpointStore::open(&dir).unwrap();
         let p2 = reopened.save(&good).unwrap();
         assert!(p2.file_name().unwrap().to_str().unwrap().contains("000002"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A store written across the format change: an earlier build's v1
+    /// snapshot, then this build's v2 one.
+    #[test]
+    fn store_falls_back_from_v2_to_an_earlier_builds_v1() {
+        let dir = std::env::temp_dir().join(format!(
+            "simty-ckpt-v1-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let older = sample();
+        let p0 = store.save(&older).unwrap();
+        fs::write(&p0, sealed_v1(&older)).unwrap();
+        let newer = Checkpoint {
+            captured_at: SimTime::from_secs(120),
+            body: "at=120000\npolicy=SIMTY\nrest=payload\n".to_owned(),
+            ..sample()
+        };
+        let p1 = store.save(&newer).unwrap();
+        assert!(fs::read(&p1).unwrap().starts_with(MAGIC.as_bytes()));
+
+        let (loaded, skipped) = store.load_latest_good().unwrap();
+        assert_eq!((loaded, skipped), (newer, 0));
+
+        let mut bytes = fs::read(&p1).unwrap();
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0x01;
+        fs::write(&p1, bytes).unwrap();
+        let (loaded, skipped) = store.load_latest_good().unwrap();
+        assert_eq!((loaded, skipped), (older, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 

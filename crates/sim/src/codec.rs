@@ -1,13 +1,20 @@
 //! Shared line-format primitives for the persisted envelopes.
 //!
-//! Four formats speak the same dialect: the `simty-checkpoint/v1`
+//! Four formats speak the same dialect: the `simty-checkpoint/v2`
 //! snapshot ([`crate::checkpoint`]), the `simty-campaign/v1` journal (in
 //! `simty-bench`), the [`SimReport`](crate::metrics::SimReport) record
 //! codec, and the live scheduler's `serve-live/v1` drain snapshot and
 //! `serve-live-digest/v1` state digest (in `simty-serve`). The dialect is
 //! line-oriented `key=value` text, comma-separated fields, reserved
-//! characters percent-escaped, `f64`s persisted as their exact
-//! 16-hex-digit bit patterns, and bodies checksummed with FNV-1a 64.
+//! characters percent-escaped, and `f64`s persisted as their exact
+//! 16-hex-digit bit patterns.
+//!
+//! Two checksums seal what is persisted. [`wordsum64`] is the
+//! word-wise sum of a `simty-checkpoint/v2` body, whose hundreds of
+//! kilobytes a byte-serial hash would spend most of encode and decode
+//! on. [`fnv1a64`] seals the journal's small records and the
+//! `simty-checkpoint/v1` bodies older builds wrote, and is the digest
+//! the golden tests pin.
 //!
 //! Every value is written and read through two typed layers, so one impl
 //! holds both halves of each wire form:
@@ -43,7 +50,8 @@ use simty_core::time::{SimDuration, SimTime};
 
 use crate::checkpoint::CheckpointError;
 
-/// FNV-1a 64-bit, the body/record checksum.
+/// FNV-1a 64-bit: the journal's record checksum, the `simty-checkpoint/v1`
+/// body checksum, and the digest every golden test pins.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -52,6 +60,62 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The odd multiplier of [`wordsum64`]'s step.
+const WORDSUM_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One [`wordsum64`] step: a bijection of `lane` for a fixed `word` and
+/// of `word` for a fixed `lane` (xor, a multiply by an odd constant and a
+/// rotation each invert).
+fn wordsum_step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(WORDSUM_K).rotate_left(31)
+}
+
+/// The little-endian word of `bytes` (at most 8), zero-padded.
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// The word-wise checksum of a `simty-checkpoint/v2` body.
+///
+/// Four independent lanes each take every fourth little-endian 64-bit
+/// word of the 32-byte blocks, so a large body costs a small fraction of
+/// the byte-serial [`fnv1a64`], which waits on one multiply per byte.
+/// The lanes are then folded into one, and
+/// the < 32-byte tail (as zero-padded words), the length and a final
+/// xorshift-multiply are folded in after them, each through a bijective
+/// step. Every step maps distinct inputs to distinct outputs, so a change
+/// confined to one aligned 8-byte word, and with it every single-bit
+/// flip, always changes the sum. Little-endian words make the value the
+/// same on every host.
+#[must_use]
+pub fn wordsum64(bytes: &[u8]) -> u64 {
+    let mut lanes: [u64; 4] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = wordsum_step(*lane, le_word(word));
+        }
+    }
+    let mut sum = lanes[0];
+    for &lane in &lanes[1..] {
+        sum = wordsum_step(sum, lane);
+    }
+    for word in blocks.remainder().chunks(8) {
+        sum = wordsum_step(sum, le_word(word));
+    }
+    sum = wordsum_step(sum, bytes.len() as u64);
+    sum ^= sum >> 32;
+    sum = sum.wrapping_mul(WORDSUM_K);
+    sum ^ (sum >> 29)
 }
 
 /// Percent-escapes the characters the line format reserves.
@@ -915,6 +979,25 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A silent change of [`wordsum64`] would make every v2 checkpoint
+    /// unreadable, so its value is pinned on both sides of the 32-byte
+    /// block and of the tail.
+    #[test]
+    fn wordsum64_is_pinned() {
+        let bytes: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        let pinned: [(usize, u64); 6] = [
+            (0, 0x6504_fe0c_c315_2207),
+            (1, 0xdde9_ee9a_65d6_2985),
+            (31, 0xd2a4_fe56_b3a2_b1b8),
+            (32, 0xe4c0_eedf_3261_fc51),
+            (33, 0x3b64_cdeb_6af3_9617),
+            (100, 0x644f_b1e9_2c6a_fffb),
+        ];
+        for (n, sum) in pinned {
+            assert_eq!(wordsum64(&bytes[..n]), sum, "wordsum64 of {n} bytes");
+        }
+    }
 
     #[test]
     fn escaping_round_trips_reserved_characters() {

@@ -28,8 +28,8 @@
 //!
 //! All arithmetic is driven by the simulation clock and the
 //! deterministic energy meter, so tier transitions replay bit-for-bit
-//! and the governor's runtime state round-trips through
-//! `simty-checkpoint/v1`.
+//! and the governor's runtime state round-trips through the checkpoint
+//! body.
 
 use simty_core::alarm::GRACE_STRETCH_UNIT;
 use simty_core::time::{SimDuration, SimTime};

@@ -3,9 +3,11 @@
 //! `tests/fixtures/every_section.ckpt` is the `simty-checkpoint/v1`
 //! capture of [`common::every_subsystem_sim`] (fault seed `0x5EED`)
 //! paused at 40 simulated minutes, written before restore was rebuilt to allocate less (typed
-//! span values and shared labels instead of owned strings). Restoring it
-//! must recapture the file byte for byte, and the resumed run must end
-//! at the digests that build pinned.
+//! span values and shared labels instead of owned strings), and before
+//! the envelope moved to `simty-checkpoint/v2`. It must still load, as
+//! the snapshot this build captures at that instant; this build's v2
+//! captures, straight and restored, must carry its body byte for byte;
+//! and the resumed run must end at the digests that build pinned.
 //!
 //! Checkpoints and the trace CSV carry raw alarm ids, which come from a
 //! process-global counter, so this file holds one test: it mints its ids
@@ -48,20 +50,36 @@ fn digests(sim: &Simulation) -> [u64; 6] {
     ]
 }
 
+/// What follows the three envelope lines: the body, which the envelope's
+/// version leaves as it is.
+fn body(bytes: &[u8]) -> &[u8] {
+    bytes
+        .splitn(4, |&b| b == b'\n')
+        .nth(3)
+        .expect("a three-line envelope")
+}
+
 #[test]
 fn a_fixture_checkpoint_restores_and_resumes_byte_identically() {
+    assert!(FIXTURE.starts_with(b"simty-checkpoint/v1\n"));
     let mut straight = common::every_subsystem_sim(0x5EED);
     straight.run_until(PAUSE);
+    let ckpt = Checkpoint::from_bytes(FIXTURE).expect("the fixture validates");
     assert!(
-        straight.checkpoint().to_bytes() == FIXTURE,
+        ckpt == straight.checkpoint(),
         "the builder no longer captures the fixture"
     );
+    let captured = straight.checkpoint().to_bytes();
+    assert!(captured.starts_with(b"simty-checkpoint/v2\n"));
+    assert!(
+        body(&captured) == body(FIXTURE),
+        "a v2 capture's body differs from the file's"
+    );
 
-    let ckpt = Checkpoint::from_bytes(FIXTURE).expect("the fixture validates");
     let mut resumed =
         Simulation::restore(Box::new(SimtyPolicy::new()), &ckpt).expect("the fixture restores");
     assert!(
-        resumed.checkpoint().to_bytes() == FIXTURE,
+        body(&resumed.checkpoint().to_bytes()) == body(FIXTURE),
         "a recapture of the restored fixture differs from the file"
     );
     resumed.run();

@@ -10,6 +10,8 @@ mod common;
 
 use proptest::prelude::*;
 use simty::prelude::*;
+use simty::sim::checkpoint::MAGIC;
+use simty::sim::codec::wordsum64;
 use simty::sim::json::report_to_json;
 
 fn wifi(label: &str, nominal_s: u64, repeat_s: u64) -> Alarm {
@@ -344,13 +346,11 @@ fn capture_with_every_section() -> Checkpoint {
 /// length and checksum, so only the body's content is hostile.
 fn edited(ckpt: &Checkpoint, edit: impl Fn(&str) -> String) -> Checkpoint {
     let bytes = String::from_utf8(ckpt.to_bytes()).expect("utf-8 checkpoint");
-    let mut parts = bytes.splitn(4, '\n');
-    let magic = parts.next().expect("magic line");
-    let body = edit(parts.nth(2).expect("body"));
+    let body = edit(bytes.splitn(4, '\n').nth(3).expect("body"));
     let envelope = format!(
-        "{magic}\nlen={}\nsum={:016x}\n{body}",
+        "{MAGIC}\nlen={}\nsum={:016x}\n{body}",
         body.len(),
-        simty::sim::codec::fnv1a64(body.as_bytes())
+        wordsum64(body.as_bytes())
     );
     Checkpoint::from_bytes(envelope.as_bytes()).expect("re-checksummed envelope")
 }
@@ -725,7 +725,8 @@ proptest! {
 
     /// Hostile bytes under a valid envelope: mutated bodies of a real
     /// capture, re-checksummed, decode and restore to a value or a typed
-    /// error, never a panic.
+    /// error, never a panic. The envelope itself always validates, so
+    /// every case reaches the body's decoder.
     #[test]
     fn mutated_bodies_restore_or_fail_typed(
         pause_s in 60u64..3_600,
@@ -746,15 +747,23 @@ proptest! {
             m.apply(&mut body);
         }
         let mut envelope = format!(
-            "{}\nlen={}\nsum={:016x}\n",
-            simty::sim::checkpoint::MAGIC,
+            "{MAGIC}\nlen={}\nsum={:016x}\n",
             body.len(),
-            simty::sim::codec::fnv1a64(&body)
+            wordsum64(&body)
         )
         .into_bytes();
         envelope.extend_from_slice(&body);
-        if let Ok(ckpt) = Checkpoint::from_bytes(&envelope) {
-            let _ = Simulation::restore(Box::new(SimtyPolicy::new()), &ckpt);
+        match Checkpoint::from_bytes(&envelope) {
+            Ok(ckpt) => {
+                let _ = Simulation::restore(Box::new(SimtyPolicy::new()), &ckpt);
+            }
+            Err(
+                e @ (CheckpointError::ChecksumMismatch { .. }
+                | CheckpointError::Truncated { .. }
+                | CheckpointError::BadMagic { .. }
+                | CheckpointError::VersionSkew { .. }),
+            ) => prop_assert!(false, "the re-sealed envelope failed: {e}"),
+            Err(_) => {}
         }
     }
 }

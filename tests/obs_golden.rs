@@ -5,8 +5,10 @@
 //! JSONL, the audit JSONL, the metrics exposition, and the end-of-run
 //! checkpoint bytes. The constants were taken from the code before the
 //! observability layer was made allocation-free, so they pin that a
-//! cheaper instrumentation path still writes the same bytes. Two sets of
-//! runs cover both ring regimes:
+//! cheaper instrumentation path still writes the same bytes. The
+//! checkpoint digests were re-pinned when the envelope moved to
+//! `simty-checkpoint/v2`, whose bodies were checked equal to the v1
+//! captures' byte for byte. Two sets of runs cover both ring regimes:
 //!
 //! * SIMTY and NATIVE heavy 3 h runs, seed 1, default ring capacities
 //!   (the audit ring never fills);
@@ -37,7 +39,7 @@ const HEAVY: [(PolicyKind, [u64; 5]); 2] = [
             0x749718506ef83898,
             0x9422db4089dd95ab,
             0x706d9d7e7ac886f6,
-            0x6b75b857a5bd6caf,
+            0x3e45157c91bcd01a,
         ],
     ),
     (
@@ -47,7 +49,7 @@ const HEAVY: [(PolicyKind, [u64; 5]); 2] = [
             0xff04658a9189b3de,
             0x0d747972b20c2e2e,
             0xd3b9ec293e78a06e,
-            0xfd3249562806b246,
+            0xe04662cb72fb188a,
         ],
     ),
 ];
@@ -62,7 +64,7 @@ const FLEET: [(PolicyKind, [u64; 5]); 2] = [
             0x21a2409b99fe12c0,
             0xa8d86ea75616e831,
             0xe56d5f56055f54f2,
-            0xe9e1bf7123f93eb2,
+            0x82c2dd75edbcfb3e,
         ],
     ),
     (
@@ -72,7 +74,7 @@ const FLEET: [(PolicyKind, [u64; 5]); 2] = [
             0xa9270d5903a86e4a,
             0x3d1b75ce9f2920e7,
             0xd254eddfa08a201d,
-            0x01df5c6c94c27af7,
+            0x86fc68375dc8b394,
         ],
     ),
 ];
