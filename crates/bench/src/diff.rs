@@ -21,9 +21,9 @@
 //!   clocks. A NEW sweep with nonzero `journal_skips` is exempt, because
 //!   journal-restored cells carry no profile;
 //! * when NEW restored **every** cell from a journal (`journal_skips`
-//!   equals `runs`), no cell ran, so a `null` wall field (the quantiles
-//!   of no cells) and a zero throughput are not measurements and are
-//!   skipped; a document with any cell run still gates both;
+//!   equals `harness.cells`), no cell ran, so a `null` wall field (the
+//!   quantiles of no cells) and a zero throughput are not measurements
+//!   and are skipped; a document with any cell run still gates both;
 //! * **free** fields (`threads`, `journal_skips`, serve's traffic
 //!   tallies) are not compared.
 //!
@@ -397,7 +397,8 @@ pub fn diff_documents(old: &str, new: &str) -> Result<DiffReport, String> {
     let mut diff = Differ {
         schema,
         journal_restored: journal_skips.is_some_and(|n| *n != JsonValue::Num(0.0)),
-        all_restored: journal_skips.is_some() && journal_skips == new.get("runs"),
+        all_restored: journal_skips.is_some()
+            && journal_skips == new.get("harness").and_then(|h| h.get("cells")),
         checks: 0,
         regressions: Vec::new(),
     };
@@ -415,7 +416,8 @@ struct Differ {
     /// `journal_skips`); those cells carry no stage profile.
     journal_restored: bool,
     /// Whether NEW restored every cell from a journal (`journal_skips`
-    /// equals `runs`): it ran nothing, so has no wall time or throughput.
+    /// equals `harness.cells`, which every campaign document carries):
+    /// it ran nothing, so has no wall time or throughput.
     all_restored: bool,
     checks: u64,
     regressions: Vec<Regression>,
@@ -766,6 +768,36 @@ mod tests {
         let report = diff_documents(&fresh, &restored(1, 0.0)).unwrap();
         assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
         assert_eq!(report.regressions[0].path, "runs_per_sec");
+    }
+
+    /// A fleet document, which has no `runs`, that restored `skipped`
+    /// of its 2 shard cells from a journal and ran the rest.
+    fn fleet(skipped: u64, devices_per_sec: f64) -> String {
+        let cell_wall_ms = if skipped == 2 {
+            "null"
+        } else {
+            "{\"q50\":4.0,\"max\":5.0}"
+        };
+        format!(
+            "{{\"schema\":\"simty-fleet/v1\",\"devices\":8,\"shards\":2,\"seed\":1,\
+             \"duration_ms\":60000,\"policies\":[\"NATIVE\"],\"threads\":2,\
+             \"total_wall_ms\":10,\"devices_per_sec\":{devices_per_sec},\
+             \"journal_skips\":{skipped},\"quantiles\":{{\"cell_wall_ms\":{cell_wall_ms},\
+             \"device_power_mw\":{{\"q50\":87.5}}}},\
+             \"harness\":{{\"cells\":2,\"ok\":2,\"poisoned\":0}},\"metrics\":{{}},\
+             \"aggregates\":[],\"cells\":[{{\"label\":\"NATIVE/shard00\",\"status\":\"ok\"}}]}}"
+        )
+    }
+
+    #[test]
+    fn a_fleet_whose_every_cell_was_restored_diffs_clean() {
+        let fresh = fleet(0, 400.0);
+        let report = diff_documents(&fresh, &fleet(2, 0.0)).unwrap();
+        assert!(!report.is_regression(), "{:?}", report.regressions);
+        // One shard cell ran, so its missing throughput is a regression.
+        let report = diff_documents(&fresh, &fleet(1, 0.0)).unwrap();
+        assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
+        assert_eq!(report.regressions[0].path, "devices_per_sec");
     }
 
     #[test]

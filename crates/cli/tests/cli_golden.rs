@@ -341,3 +341,42 @@ fn a_sweep_restored_wholly_from_its_journal_diffs_clean() {
     assert_eq!(run(&["bench", "diff", &fresh, &resumed]).0, Ok(()));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// CI's fleet grid resumed a second time restores every shard cell from
+/// its journal; its document has no `runs`, yet still `bench diff`s clean
+/// against a fresh run.
+#[test]
+fn a_fleet_restored_wholly_from_its_journal_diffs_clean() {
+    let dir = std::env::temp_dir().join(format!("simty-restored-fleet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (journal, fresh, resumed) = (path("journal"), path("fresh.json"), path("resumed.json"));
+    let grid = [
+        "fleet",
+        "--devices",
+        "60",
+        "--shards",
+        "4",
+        "--policies",
+        "native,simty",
+        "--minutes",
+        "5",
+        "--ckpt-stride",
+        "5",
+        "--threads",
+        "1",
+    ];
+    let fleet = |extra: &[&str]| run(&[&grid[..], extra].concat()).0;
+    assert_eq!(fleet(&["--json", &fresh]), Ok(()));
+    for _ in 0..2 {
+        assert_eq!(fleet(&["--resume", &journal, "--json", &resumed]), Ok(()));
+    }
+    let doc = std::fs::read_to_string(&resumed).unwrap();
+    assert!(
+        doc.contains("\"journal_skips\":8,"),
+        "every shard cell restored"
+    );
+    assert_eq!(run(&["bench", "diff", &fresh, &resumed]).0, Ok(()));
+    let _ = std::fs::remove_dir_all(&dir);
+}

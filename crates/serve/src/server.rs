@@ -4,8 +4,9 @@
 //!
 //! Life of a connection:
 //!
-//! 1. the accept thread pulls it off the listener and `try_send`s it
-//!    into a **bounded** work queue — a full queue sheds the connection
+//! 1. the accept thread, blocked in `accept()` on a blocking listener,
+//!    takes it the moment it arrives and `try_send`s it into a
+//!    **bounded** work queue — a full queue sheds the connection
 //!    immediately with `503 {"error":"overloaded"}` instead of queueing
 //!    unboundedly;
 //! 2. a worker thread picks it up, arms the per-request deadline
@@ -25,9 +26,18 @@
 //!    live-scheduler state is snapshotted through the existing
 //!    [`CheckpointStore`] so a restarted server resumes tenants
 //!    byte-identically.
+//!
+//! The accept thread sleeps in `accept()` until a connection arrives, so
+//! a drain trigger has to wake it: the thread that starts the drain sets
+//! the drain flag, then opens one connection to the listener, which the
+//! accept loop drops unserved and uncounted. `shutdown` and
+//! `POST /admin/drain` wake it themselves. A signal handler may only
+//! store the signal flag, so [`ServerHandle::join`] sees that flag and
+//! wakes the accept on the signal's behalf (`standby serve` calls
+//! `join` as soon as its 25 ms wait loop sees the flag).
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -47,6 +57,17 @@ use crate::transport::{FaultCounters, FaultPlan};
 
 /// The checkpoint policy tag live-scheduler snapshots are filed under.
 pub const CHECKPOINT_POLICY: &str = "serve-live";
+
+/// How often [`ServerHandle::join`] on an un-drained server looks for
+/// the signal flag, which nothing can wake it for.
+const TRIGGER_POLL: Duration = Duration::from_millis(25);
+
+/// How long a drain trigger's wake connection may take to connect.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The pause after a hard accept error (EMFILE, ENFILE, ENOBUFS), which
+/// would otherwise repeat at once and spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Everything `standby serve` can configure.
 #[derive(Debug, Clone)]
@@ -129,6 +150,9 @@ struct Shared {
     fault_counters: Arc<FaultCounters>,
     draining: AtomicBool,
     drain_started: Mutex<Option<Instant>>,
+    /// Where a drain trigger connects to wake the blocked accept: the
+    /// bound address, an unspecified IP mapped to loopback.
+    wake_addr: SocketAddr,
     accepted: AtomicU64,
     completed: AtomicU64,
     shed: AtomicU64,
@@ -138,10 +162,26 @@ struct Shared {
 }
 
 impl Shared {
-    fn start_drain(&self) {
-        if !self.draining.swap(true, Ordering::SeqCst) {
-            *self.drain_started.lock() = Some(Instant::now());
-            self.warn_event("drain requested: refusing new connections".to_owned());
+    /// Sets the drain flag and stamps the drain clock. Returns whether
+    /// this call set it: only the first trigger starts the drain.
+    fn start_drain(&self) -> bool {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        *self.drain_started.lock() = Some(Instant::now());
+        self.warn_event("drain requested: refusing new connections".to_owned());
+        true
+    }
+
+    /// Starts the drain from any thread but the accept thread and, if
+    /// this call started it, wakes the accept thread out of `accept()`
+    /// with one connection that the accept loop drops. A trigger that
+    /// finds the drain already started leaves the waking to the one
+    /// that started it (or to the accept thread, which saw the drain
+    /// itself and is already leaving).
+    fn drain_and_wake(&self) {
+        if self.start_drain() {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_CONNECT_TIMEOUT);
         }
     }
 
@@ -198,9 +238,11 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Requests a graceful drain (same path as SIGTERM).
+    /// Requests a graceful drain (same path as SIGTERM). Returns once the
+    /// drain flag is set and the accept thread has been woken: the
+    /// listener takes no new connection after that.
     pub fn shutdown(&self) {
-        self.shared.start_drain();
+        self.shared.drain_and_wake();
     }
 
     /// Whether a drain has been requested (by any trigger).
@@ -213,8 +255,15 @@ impl ServerHandle {
     ///
     /// Call [`shutdown`](Self::shutdown) first (or send the process a
     /// SIGTERM) — joining an un-drained server blocks until one of the
-    /// triggers fires.
+    /// triggers fires. `shutdown` and `POST /admin/drain` wake the
+    /// accept thread themselves; a signal only sets the signal flag, so
+    /// `join` looks for that flag every 25 ms and, once any trigger has
+    /// fired, starts the drain and wakes the accept thread itself.
     pub fn join(mut self) -> DrainReport {
+        while !self.shared.is_draining() {
+            thread::sleep(TRIGGER_POLL);
+        }
+        self.shared.drain_and_wake();
         self.accept.join().expect("accept thread");
         for worker in self.workers.drain(..) {
             worker.join().expect("worker thread");
@@ -319,9 +368,13 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, String> {
     let listener = TcpListener::bind(&config.addr)
         .map_err(|e| format!("bind {}: {e}", config.addr))?;
     let addr = listener.local_addr().map_err(|e| format!("local addr: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking listener: {e}"))?;
+    let mut wake_addr = addr;
+    if addr.ip().is_unspecified() {
+        wake_addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
 
     let (bus, sink) = TelemetryBus::new(config.telemetry_capacity.max(1));
     let mut metrics = MetricsRegistry::new();
@@ -358,6 +411,7 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, String> {
         fault_counters: FaultCounters::new(),
         draining: AtomicBool::new(false),
         drain_started: Mutex::new(None),
+        wake_addr,
         accepted: AtomicU64::new(0),
         completed: AtomicU64::new(0),
         shed: AtomicU64::new(0),
@@ -428,11 +482,15 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, String> {
 
 fn accept_loop(listener: &TcpListener, tx: mpsc::SyncSender<TcpStream>, shared: &Shared) {
     loop {
+        let accepted = listener.accept();
         if shared.is_draining() {
-            shared.start_drain(); // stamp the drain clock if a signal beat us to it
+            // A trigger's wake connection, or a client that raced the
+            // drain: dropped unserved and uncounted. A signal seen here
+            // first starts the drain clock.
+            shared.start_drain();
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => match tx.try_send(stream) {
                 Ok(()) => {
                     shared.accepted.fetch_add(1, Ordering::SeqCst);
@@ -442,10 +500,9 @@ fn accept_loop(listener: &TcpListener, tx: mpsc::SyncSender<TcpStream>, shared: 
                 }
                 Err(mpsc::TrySendError::Disconnected(_)) => break,
             },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
+            // The peer gave up before it was taken: nothing to back off.
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
+            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
     // Dropping the sender closes the queue; workers finish what was
@@ -611,7 +668,7 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
         ("POST", "/v1/advance") => handle_advance(req, shared),
         ("POST", "/run") => handle_run(req, shared),
         ("POST", "/admin/drain") => {
-            shared.start_drain();
+            shared.drain_and_wake();
             Response::ok_json("{\"draining\":true}".to_owned()).with_close()
         }
         _ => Response::error_json(

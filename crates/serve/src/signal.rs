@@ -6,7 +6,9 @@
 //! but store into a static `AtomicBool` — the one operation that is
 //! async-signal-safe by construction. Everything else (draining
 //! requests, refusing new connections, snapshotting state) happens on
-//! ordinary threads that poll [`shutdown_requested`].
+//! ordinary threads: [`ServerHandle::join`](crate::server::ServerHandle::join)
+//! polls [`shutdown_requested`] and, once it reads true, starts the drain
+//! and wakes the accept thread out of its blocking `accept()`.
 //!
 //! On non-Unix targets the module compiles to a no-op: the drain path
 //! is still reachable through `POST /admin/drain` and
@@ -22,7 +24,7 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Requests shutdown programmatically (tests, `/admin/drain`).
+/// Sets the flag as a trapped signal would (tests).
 pub fn request_shutdown() {
     SHUTDOWN.store(true, Ordering::SeqCst);
 }
