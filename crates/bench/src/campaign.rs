@@ -1,5 +1,5 @@
-//! The campaign kernel shared by the sweep, chaos, soak, storm and fleet
-//! campaigns.
+//! The campaign kernel: the one executor behind the sweep, chaos, soak,
+//! storm and fleet campaigns.
 //!
 //! The sweep, [`crate::sweep::Grid`], runs the paper's evaluation grid:
 //! one [`RunSpec`](simty::experiments::RunSpec) cell per scenario ×
@@ -10,12 +10,14 @@
 //! overload ([`crate::storm`]); their cells are a policy × scenario ×
 //! profile × seed grid ([`matrix`]) of [`CampaignSpec`]s. The fifth,
 //! [`crate::fleet`], measures the paper's energy saving over a device
-//! population, one cell per shard. All five share everything else: their
-//! [`Cell`]s fan out on the supervised, journaled [`Sweep`] executor by
-//! [`run_campaign`] and are collected into a [`CampaignResults`] that
-//! aggregates them per policy and serializes to the campaign's document.
-//! Results are byte-identical regardless of thread count and of how many
-//! cells a `--resume` journal restored.
+//! population, one cell per shard. All five share everything else:
+//! [`run_campaign`] fans their [`Cell`]s out on `std::thread` workers
+//! under the [supervisor](crate::supervisor), journals each completed
+//! cell, and collects the [`Outcome`]s in cell order into a
+//! [`CampaignResults`] that aggregates them per policy and serializes to
+//! the campaign's document. Results are byte-identical regardless of
+//! thread count, completion order, and how many cells a `--resume`
+//! journal restored.
 //!
 //! A campaign supplies only what differs, through the [`Campaign`]
 //! trait: its cell type, how a cell runs, the per-cell [`Drill`] payload
@@ -24,21 +26,23 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use simty::apps::Workload;
 use simty::core::SimDuration;
 use simty::experiments::{PolicyKind, Scenario};
+use simty::obs::telemetry::{EventKind, TelemetrySink};
 use simty::obs::{QuantileSummary, StageProfile};
 use simty::sim::codec::{self, Field};
 use simty::sim::json::report_to_json;
-use simty::sim::{Checkpoint, CheckpointError, SimConfig, SimReport, Simulation};
+use simty::sim::{Checkpoint, CheckpointError, RealVfs, SimConfig, SimReport, Simulation};
 
-use crate::journal::JournalError;
+use crate::journal::{CampaignJournal, JournalError};
 use crate::json::{json_array, json_object, ToJson};
-use crate::supervisor::{CellStatus, HarnessStats};
-use crate::sweep::{CampaignOptions, JobResult, Outcome, Sweep, SweepResults};
+use crate::supervisor::{supervise, CellStatus, HarnessStats, SupervisorConfig};
 
 /// A campaign's named adversaries: one profile per grid column.
 pub trait Profile: Copy + PartialEq + fmt::Debug + Send + Sync + 'static {
@@ -93,7 +97,7 @@ pub trait Cell: Clone + fmt::Debug + Send + Sync + 'static {
 /// (`()` for campaigns without one). The payload rides the campaign
 /// journal's `extra` field in its [`Field`] form, so a journal-restored
 /// cell keeps it.
-pub trait Drill: Field + Clone + Default + Send + Sync + 'static {
+pub trait Drill: Field + Clone + Default + fmt::Debug + Send + Sync + 'static {
     /// The payload's per-cell document fields as `(key, JSON value)`
     /// pairs; `drill` is `None` for a quarantined cell, whose fields are
     /// `null`. None by default.
@@ -150,8 +154,9 @@ pub trait Campaign: Sized + 'static {
     fn aggregate_json(aggregate: &Self::Aggregate) -> String;
 
     /// What, beyond the cell labels, decides the cells' bytes: the
-    /// journal's identity ([`Sweep::with_journal_grid`]). Nothing by
-    /// default.
+    /// journal's identity (see [`crate::journal::grid_digest`]), so a
+    /// journal of another grid is a [`JournalError::Mismatch`]. Nothing
+    /// by default.
     fn journal_identity(_cells: &[Self::Cell]) -> String {
         String::new()
     }
@@ -323,74 +328,301 @@ pub(crate) fn resumes_identically(
     Ok(fingerprint(&resumed) == *expected)
 }
 
+/// Shared harness options for [`run_campaign`]: worker count, cell
+/// supervision policy, the optional journal directory that enables
+/// `--resume`, the optional telemetry sink, and the optional cell that
+/// panics instead of running.
+#[derive(Debug, Clone)]
+pub struct CampaignOptions {
+    /// Worker threads (defaults to every available core).
+    pub threads: usize,
+    /// Cell supervision policy (retry budget, deadline).
+    pub supervisor: SupervisorConfig,
+    /// Campaign journal directory; `Some` enables crash-tolerant
+    /// resume (completed cells are restored instead of re-run).
+    pub journal_dir: Option<PathBuf>,
+    /// Telemetry sink the workers publish each executed cell's start,
+    /// journal write and finish to, and journal-append warnings that
+    /// would otherwise interleave on stderr. Publishing never blocks (a
+    /// slow drainer drops events), so the campaign's payload is
+    /// unaffected; `None` keeps the campaign silent.
+    pub telemetry: Option<TelemetrySink>,
+    /// Harness drill (`--inject-panic N`): the cell at this index panics
+    /// instead of running, so the supervisor quarantines it and the
+    /// campaign completes degraded.
+    pub inject_panic: Option<usize>,
+}
+
+impl Default for CampaignOptions {
+    fn default() -> Self {
+        CampaignOptions {
+            threads: available_threads(),
+            supervisor: SupervisorConfig::default(),
+            journal_dir: None,
+            telemetry: None,
+            inject_panic: None,
+        }
+    }
+}
+
+impl CampaignOptions {
+    /// Default options with an explicit worker count.
+    #[must_use]
+    pub fn with_threads(threads: usize) -> Self {
+        CampaignOptions {
+            threads,
+            ..CampaignOptions::default()
+        }
+    }
+}
+
+/// The default worker count: all available cores.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// One cell of a finished campaign: executed, quarantined, or restored
+/// from the journal.
+#[derive(Debug, Clone)]
+pub struct Outcome<D> {
+    /// The cell's label.
+    pub label: String,
+    /// The run's report; `None` when the cell was quarantined.
+    pub report: Option<SimReport>,
+    /// Per-stage self-profiling, when the campaign keeps one (a sweep
+    /// cell does; journal-restored cells never do).
+    pub stages: Option<StageProfile>,
+    /// Wall-clock time of this cell alone (zero for journal-restored
+    /// cells).
+    pub wall: Duration,
+    /// What the supervisor observed for this cell.
+    pub status: CellStatus,
+    /// The cell's drill payload, decoded from the bytes the journal
+    /// holds for it, so an executed and a restored cell carry the same
+    /// value; `None` for a quarantined cell.
+    pub drill: Option<D>,
+}
+
 /// Runs a campaign under harness [`CampaignOptions`] and collects the
-/// results in cell order (byte-identical across thread counts). Cells
-/// run supervised: a panicking or hung cell is quarantined, not fatal,
-/// and the cell at [`CampaignOptions::inject_panic`] panics instead of
-/// running. When `journal_dir` is set, cells completed by a previous
-/// interrupted invocation are restored instead of re-run, drill payload
-/// included.
+/// outcomes in cell order.
+///
+/// Workers claim cells from a shared index, so scheduling is dynamic,
+/// but each outcome lands at its cell's index: the results are
+/// byte-identical regardless of thread count or completion order. Cells
+/// run supervised: a panicking or hung cell is retried or quarantined
+/// (status [`CellStatus::Poisoned`]), not fatal, and the cell at
+/// [`CampaignOptions::inject_panic`] panics instead of running. When
+/// `journal_dir` is set, each completed cell is appended to the journal
+/// (then [`Campaign::journaled`] runs), and cells completed by a
+/// previous interrupted invocation are restored instead of re-run,
+/// drill payload included.
+///
+/// # Examples
+///
+/// ```
+/// use simty_bench::{run_campaign, CampaignOptions, Grid, PolicyKind, RunSpec, Scenario};
+/// use simty::core::SimDuration;
+///
+/// let spec = RunSpec::paper(PolicyKind::Native, Scenario::Light, 1)
+///     .with_duration(SimDuration::from_mins(5));
+/// let results = run_campaign::<Grid>(&[spec], &CampaignOptions::with_threads(2))
+///     .expect("no journal to open");
+/// let report = results.outcomes()[0].report.as_ref().expect("the cell completed");
+/// assert!(report.total_deliveries > 0);
+/// ```
 ///
 /// # Errors
 ///
 /// [`JournalError`] when the journal directory holds a journal for a
-/// different campaign kind or grid, or cannot be opened.
+/// different campaign kind or grid, or cannot be opened. Journal
+/// *append* failures do not fail the campaign: the cell re-runs on
+/// resume, and a warning goes to the telemetry sink or, without one,
+/// to stderr.
+///
+/// # Panics
+///
+/// Panics if `options.threads` is zero or a worker thread fails to
+/// join.
 pub fn run_campaign<C: Campaign>(
     cells: &[C::Cell],
     options: &CampaignOptions,
 ) -> Result<CampaignResults<C>, JournalError> {
-    let mut sweep = Sweep::new();
-    sweep.with_supervisor(options.supervisor);
-    if let Some(dir) = &options.journal_dir {
-        sweep
-            .with_journal(dir, C::KIND)
-            .with_journal_grid(C::journal_identity(cells), |extra| {
-                codec::decode::<C::Drill>(extra).is_ok()
-            });
-    }
-    if let Some(sink) = &options.telemetry {
-        sweep.with_telemetry(sink.clone());
-    }
+    assert!(options.threads > 0, "a campaign needs at least one worker");
+    let started = Instant::now();
+    let labels: Vec<String> = cells.iter().map(Cell::label).collect();
+    let mut outcomes: Vec<Option<Outcome<C::Drill>>> = cells.iter().map(|_| None).collect();
+    let mut journal_skips = 0;
+    let journal = match &options.journal_dir {
+        None => None,
+        Some(dir) => {
+            let identity = C::journal_identity(cells);
+            let valid_extra = |extra: &str| codec::decode::<C::Drill>(extra).is_ok();
+            let (journal, replay) = CampaignJournal::open_with(
+                dir,
+                C::KIND,
+                &labels,
+                &identity,
+                valid_extra,
+                Arc::new(RealVfs),
+            )?;
+            for entry in replay.entries {
+                let Some(slot) = outcomes.get_mut(entry.index) else {
+                    continue;
+                };
+                if slot.is_some() {
+                    continue; // duplicate record; first wins
+                }
+                *slot = Some(Outcome {
+                    label: labels[entry.index].clone(),
+                    report: Some(entry.report),
+                    stages: None,
+                    wall: Duration::ZERO,
+                    status: entry.status,
+                    drill: codec::decode(&entry.extra).ok(),
+                });
+                journal_skips += 1;
+            }
+            Some(journal)
+        }
+    };
+
+    let pending: Vec<usize> = (0..cells.len())
+        .filter(|&index| outcomes[index].is_none())
+        .collect();
     let shared = Arc::new(options.clone());
-    for (index, cell) in cells.iter().enumerate() {
-        let (run, options) = (cell.clone(), Arc::clone(&shared));
-        let handle = sweep.job(cell.label(), move || {
-            if options.inject_panic == Some(index) {
-                panic!("injected panic (cell {index})");
-            }
-            let (report, drill, stages) = C::run_profiled(&run, &options);
-            JobResult {
-                report,
-                stages,
-                extra: Some(codec::encode(&drill)).filter(|extra| !extra.is_empty()),
-            }
-        });
-        let (cell, options) = (cell.clone(), Arc::clone(&shared));
-        sweep.on_journaled(handle, move || C::journaled(&cell, &options));
+    let next = AtomicUsize::new(0);
+    let executed: Vec<(usize, Outcome<C::Drill>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..options.threads.min(pending.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some(&index) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let (cell, label) = (&cells[index], labels[index].as_str());
+                        let journal = journal.as_ref();
+                        done.push((index, execute::<C>(index, cell, label, &shared, journal)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| worker.join().expect("campaign worker panicked"))
+            .collect()
+    });
+    for (index, outcome) in executed {
+        outcomes[index] = Some(outcome);
     }
     Ok(CampaignResults {
         cells: cells.to_vec(),
-        sweep: sweep.try_run_with_threads(options.threads)?,
+        outcomes: outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("every cell has an outcome"))
+            .collect(),
+        wall: started.elapsed(),
+        threads: options.threads,
+        journal_skips,
     })
+}
+
+/// Runs cell `index` under the supervisor, journals it when it
+/// completed, and publishes its lifecycle to the telemetry sink.
+fn execute<C: Campaign>(
+    index: usize,
+    cell: &C::Cell,
+    label: &str,
+    options: &Arc<CampaignOptions>,
+    journal: Option<&CampaignJournal>,
+) -> Outcome<C::Drill> {
+    let telemetry = options.telemetry.as_ref();
+    if let Some(sink) = telemetry {
+        sink.publish(EventKind::CellStarted {
+            index,
+            label: label.to_owned(),
+        });
+    }
+    let started = Instant::now();
+    let task = {
+        let (cell, options) = (cell.clone(), Arc::clone(options));
+        move || {
+            if options.inject_panic == Some(index) {
+                panic!("injected panic (cell {index})");
+            }
+            C::run_profiled(&cell, &options)
+        }
+    };
+    let (result, status) = supervise(&options.supervisor, task);
+    let (report, stages, extra) = match result {
+        Some((report, drill, stages)) => (Some(report), stages, Some(codec::encode(&drill))),
+        None => (None, None, None),
+    };
+    if let (Some(journal), Some(report), Some(extra)) = (journal, &report, &extra) {
+        match journal.record(index, &status, report, extra) {
+            Ok(()) => {
+                C::journaled(cell, options);
+                if let Some(sink) = telemetry {
+                    sink.publish(EventKind::JournalWrite { index, ok: true });
+                }
+            }
+            Err(e) => {
+                let warning = format!(
+                    "campaign journal append failed for cell {index} (`{label}`): {e}; \
+                     the cell will re-run on resume"
+                );
+                // With a bus attached the warning travels as a structured
+                // event; otherwise fall back to the (interleaving) stderr
+                // line.
+                match telemetry {
+                    Some(sink) => {
+                        sink.publish(EventKind::JournalWrite { index, ok: false });
+                        sink.warn(warning);
+                    }
+                    None => eprintln!("warning: {warning}"),
+                }
+            }
+        }
+    }
+    let wall = started.elapsed();
+    if let Some(sink) = telemetry {
+        sink.publish(EventKind::CellFinished {
+            index,
+            label: label.to_owned(),
+            status: status.token(),
+            cell_wall_ms: wall.as_secs_f64() * 1e3,
+        });
+    }
+    Outcome {
+        label: label.to_owned(),
+        report,
+        stages,
+        wall,
+        status,
+        drill: extra.and_then(|extra| codec::decode(&extra).ok()),
+    }
 }
 
 /// One cell of a finished campaign: the cell, its supervisor status, its
 /// report (`None` for a quarantined cell), and its drill payload (`None`
-/// when the cell carries none or it did not decode).
+/// for a quarantined cell).
 pub type CellRun<'a, C> = (
     &'a <C as Campaign>::Cell,
     &'a CellStatus,
     Option<&'a SimReport>,
-    Option<<C as Campaign>::Drill>,
+    Option<&'a <C as Campaign>::Drill>,
 );
 
-/// A finished campaign: every cell beside the [`SweepResults`] that ran
-/// it (status, report — `None` for quarantined cells — and drill
-/// payload), in cell order.
+/// A finished campaign: every cell beside its [`Outcome`], in cell
+/// order, with the campaign's wall clock, worker count and journal
+/// restores.
 #[derive(Debug, Clone)]
 pub struct CampaignResults<C: Campaign> {
     cells: Vec<C::Cell>,
-    sweep: SweepResults,
+    outcomes: Vec<Outcome<C::Drill>>,
+    wall: Duration,
+    threads: usize,
+    journal_skips: u64,
 }
 
 impl<C: Campaign> CampaignResults<C> {
@@ -399,11 +631,8 @@ impl<C: Campaign> CampaignResults<C> {
     pub fn runs(&self) -> impl ExactSizeIterator<Item = CellRun<'_, C>> {
         self.cells
             .iter()
-            .zip(self.sweep.outcomes())
-            .map(|(cell, o)| {
-                let drill = codec::decode(o.extra.as_deref().unwrap_or_default()).ok();
-                (cell, &o.status, o.report.as_ref(), drill)
-            })
+            .zip(&self.outcomes)
+            .map(|(cell, o)| (cell, &o.status, o.report.as_ref(), o.drill.as_ref()))
     }
 
     /// The completed cells (quarantined cells carry no report). A
@@ -411,44 +640,49 @@ impl<C: Campaign> CampaignResults<C> {
     /// unrecovered default, never a silent success.
     pub(crate) fn completed(&self) -> impl Iterator<Item = (&C::Cell, &SimReport, C::Drill)> + '_ {
         self.runs().filter_map(|(cell, _, report, drill)| {
-            report.map(|r| (cell, r, drill.unwrap_or_default()))
+            report.map(|r| (cell, r, drill.cloned().unwrap_or_default()))
         })
     }
 
-    /// The executor's per-cell outcomes (label, status, report, wall
-    /// clock, journaled payload), in cell order.
-    pub fn outcomes(&self) -> &[Outcome] {
-        self.sweep.outcomes()
+    /// The per-cell outcomes, in cell order.
+    pub fn outcomes(&self) -> &[Outcome<C::Drill>] {
+        &self.outcomes
     }
 
     /// Cells restored from the campaign journal instead of executed in
     /// this invocation (zero without `--resume`).
     pub fn journal_skips(&self) -> u64 {
-        self.sweep.journal_skips()
+        self.journal_skips
     }
 
     /// Exact p50/p90/p99/max over the executed cells' wall times (ms);
-    /// `None` when every cell was journal-restored. Wall-clock data:
-    /// surfaced only in the document header, never in the deterministic
-    /// body.
+    /// `None` when every cell was journal-restored (a restored cell, wall
+    /// zero, cost this invocation nothing). Wall-clock data: surfaced
+    /// only in the document header, never in the deterministic body.
     pub fn cell_wall_quantiles(&self) -> Option<QuantileSummary> {
-        self.sweep.cell_wall_quantiles()
+        let walls: Vec<f64> = self
+            .outcomes
+            .iter()
+            .filter(|o| o.wall > Duration::ZERO)
+            .map(|o| o.wall.as_secs_f64() * 1_000.0)
+            .collect();
+        QuantileSummary::exact(&walls)
     }
 
     /// Worker threads used.
     pub fn threads(&self) -> usize {
-        self.sweep.threads()
+        self.threads
     }
 
     /// Wall-clock time of the whole campaign.
     pub fn total_wall(&self) -> Duration {
-        self.sweep.total_wall()
+        self.wall
     }
 
     /// Sum of the executed cells' wall times: what a sequential run would
     /// have cost (modulo scheduling overhead).
     pub fn sequential_wall(&self) -> Duration {
-        self.outcomes().iter().map(|o| o.wall).sum()
+        self.outcomes.iter().map(|o| o.wall).sum()
     }
 
     /// Cells executed in this invocation per second of the campaign's
@@ -456,8 +690,8 @@ impl<C: Campaign> CampaignResults<C> {
     /// (restored cells cost no time, so counting them would inflate the
     /// rate).
     pub fn runs_per_sec(&self) -> f64 {
-        let executed = (self.cells.len() as u64).saturating_sub(self.journal_skips());
-        let secs = self.total_wall().as_secs_f64();
+        let executed = (self.cells.len() as u64).saturating_sub(self.journal_skips);
+        let secs = self.wall.as_secs_f64();
         if executed == 0 {
             0.0
         } else if secs > 0.0 {
@@ -472,20 +706,30 @@ impl<C: Campaign> CampaignResults<C> {
     /// deterministic).
     pub fn stage_profile(&self) -> StageProfile {
         let mut total = StageProfile::new();
-        for stages in self.outcomes().iter().filter_map(|o| o.stages.as_ref()) {
+        for stages in self.outcomes.iter().filter_map(|o| o.stages.as_ref()) {
             total.merge(stages);
         }
         total
     }
 
-    /// Supervisor accounting over the campaign.
+    /// Supervisor accounting over the campaign: derived from the per-cell
+    /// statuses (identical for an executed and a journal-restored cell)
+    /// plus this invocation's `journal_skips`.
     pub fn harness(&self) -> HarnessStats {
-        self.sweep.harness()
+        let mut stats = HarnessStats::from_statuses(self.outcomes.iter().map(|o| &o.status));
+        stats.journal_skips = self.journal_skips;
+        stats
     }
 
     /// The quarantined cells' `(label, reason)` pairs, in cell order.
     pub fn poisoned(&self) -> Vec<(String, String)> {
-        self.sweep.poisoned()
+        self.outcomes
+            .iter()
+            .filter_map(|o| match &o.status {
+                CellStatus::Poisoned { reason, .. } => Some((o.label.clone(), reason.clone())),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Total invariant violations across every completed cell
@@ -541,7 +785,7 @@ impl<C: Campaign> CampaignResults<C> {
         let results = self.runs().map(|(cell, status, report, drill)| {
             let mut fields = cell.row();
             fields.push(("status", status.token().to_json()));
-            let drill = report.map(|_| drill.unwrap_or_default());
+            let drill = report.map(|_| drill.cloned().unwrap_or_default());
             fields.extend(C::Drill::cell_fields(drill.as_ref()));
             fields.push(("report", report.to_json()));
             json_object(&fields)
@@ -607,6 +851,126 @@ mod tests {
             StormProfile::QuotaStorm,
             StormProfile::DrainCritical,
         ]);
+    }
+
+    /// A cell of [`Probes`]: a one-minute run, or a panic when `panics`,
+    /// logging each [`Campaign::journaled`] call into `journaled`.
+    #[derive(Debug, Clone)]
+    struct Probe {
+        index: usize,
+        panics: bool,
+        journaled: Arc<std::sync::Mutex<Vec<usize>>>,
+    }
+
+    impl Cell for Probe {
+        fn label(&self) -> String {
+            format!("probe/{}", self.index)
+        }
+
+        fn policy(&self) -> PolicyKind {
+            PolicyKind::Native
+        }
+
+        fn row(&self) -> Vec<(&'static str, String)> {
+            vec![("label", self.label().to_json())]
+        }
+    }
+
+    /// A test campaign of [`Probe`] cells.
+    #[derive(Debug, Clone, Copy)]
+    enum Probes {}
+
+    impl Campaign for Probes {
+        type Cell = Probe;
+        type Drill = ();
+        type Aggregate = ();
+
+        const KIND: &'static str = "probe";
+
+        fn run_cell(probe: &Probe, _options: &CampaignOptions) -> (SimReport, ()) {
+            assert!(!probe.panics, "probe cell {} panics", probe.index);
+            let spec = simty::experiments::RunSpec::paper(PolicyKind::Native, Scenario::Light, 1);
+            (spec.with_duration(SimDuration::from_mins(1)).run(), ())
+        }
+
+        fn journaled(probe: &Probe, _options: &CampaignOptions) {
+            probe.journaled.lock().expect("log lock").push(probe.index);
+        }
+
+        fn aggregate(_policy: String, _cells: &[(&SimReport, ())]) {}
+
+        fn aggregate_json((): &()) -> String {
+            String::new()
+        }
+    }
+
+    /// A fresh journaled run publishes each cell's start, journal write
+    /// and finish once and calls `journaled` once per journaled cell; a
+    /// resumed run is silent about the cells it restores and calls
+    /// `journaled` for none of them. The poisoned cell is never journaled.
+    #[test]
+    fn restored_cells_publish_nothing_and_skip_the_journaled_hook() {
+        use simty::obs::telemetry::{EventKind, TelemetryBus};
+
+        let dir = std::env::temp_dir().join(format!("simty-kernel-events-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let cells: Vec<Probe> = (0..4)
+            .map(|index| Probe {
+                index,
+                panics: index == 2,
+                journaled: Arc::clone(&log),
+            })
+            .collect();
+        let run = || {
+            let (bus, sink) = TelemetryBus::new(256);
+            let options = CampaignOptions {
+                journal_dir: Some(dir.clone()),
+                telemetry: Some(sink),
+                ..CampaignOptions::with_threads(2)
+            };
+            let results = run_campaign::<Probes>(&cells, &options).expect("the journal opens");
+            drop(options);
+            let events: Vec<EventKind> = bus.drain().map(|event| event.kind).collect();
+            let journaled = std::mem::take(&mut *log.lock().expect("log lock"));
+            (results, events, journaled)
+        };
+        let count = |events: &[EventKind], index: usize| {
+            let (mut started, mut written, mut finished) = (0, 0, 0);
+            for event in events {
+                match event {
+                    EventKind::CellStarted { index: i, .. } if *i == index => started += 1,
+                    EventKind::JournalWrite { index: i, ok } if *i == index => {
+                        assert!(ok, "cell {index}'s append failed");
+                        written += 1;
+                    }
+                    EventKind::CellFinished { index: i, .. } if *i == index => finished += 1,
+                    _ => {}
+                }
+            }
+            (started, written, finished)
+        };
+
+        let (fresh, events, mut journaled) = run();
+        assert_eq!(fresh.journal_skips(), 0);
+        for index in 0..4 {
+            let written = usize::from(index != 2);
+            assert_eq!(count(&events, index), (1, written, 1), "fresh cell {index}");
+        }
+        assert_eq!(events.len(), 4 + 3 + 4, "{events:?}");
+        journaled.sort_unstable();
+        assert_eq!(journaled, [0, 1, 3]);
+
+        let (resumed, events, journaled) = run();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(resumed.journal_skips(), 3);
+        assert_eq!(resumed.harness().poisoned, 1);
+        for index in [0, 1, 3] {
+            assert_eq!(count(&events, index), (0, 0, 0), "restored cell {index}");
+        }
+        assert_eq!(count(&events, 2), (1, 0, 1), "the poisoned cell re-runs");
+        assert_eq!(events.len(), 2, "{events:?}");
+        assert!(journaled.is_empty(), "{journaled:?}");
     }
 
     #[test]

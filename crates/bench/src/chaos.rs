@@ -17,9 +17,10 @@ use std::collections::BTreeSet;
 use simty::core::{SimDuration, SimTime};
 use simty::sim::{FaultPlan, OnlineWatchdogConfig, SimConfig, SimReport};
 
-use crate::campaign::{self, profiles, sum, Campaign, CampaignResults, CampaignSpec};
+use crate::campaign::{
+    self, profiles, sum, Campaign, CampaignOptions, CampaignResults, CampaignSpec,
+};
 use crate::json::{json_object, json_pairs};
-use crate::sweep::CampaignOptions;
 
 /// A named bundle of fault-injection knobs: one adversary per campaign
 /// cell.
@@ -224,7 +225,6 @@ mod tests {
     use super::*;
     use crate::campaign::{matrix, run_campaign, Cell, Profile};
     use crate::supervisor::CellStatus;
-    use crate::sweep::CampaignOptions;
     use simty::experiments::{PolicyKind, Scenario};
 
     fn tiny(profile: FaultProfile, policy: PolicyKind) -> ChaosSpec {

@@ -44,10 +44,8 @@ use simty::sim::{
     ResilienceStats, SimConfig, SimReport, Simulation,
 };
 
-use crate::campaign::{Campaign, CampaignResults, Cell, Drill};
-use crate::journal::JournalError;
+use crate::campaign::{Campaign, CampaignOptions, CampaignResults, Cell, Drill};
 use crate::json::{json_array, json_object, json_pairs, ToJson};
-use crate::sweep::CampaignOptions;
 
 /// Schema tag of the fleet JSON document.
 pub const FLEET_SCHEMA: &str = "simty-fleet/v1";
@@ -126,7 +124,8 @@ impl FleetConfig {
     /// Everything beyond the shard labels that decides a shard's bytes:
     /// the population, the seed, the device horizon, β, the ring caps and
     /// the catalog. The fleet journal is pinned to it, so resuming a
-    /// journal of another population is a [`JournalError::Mismatch`].
+    /// journal of another population is a
+    /// [`crate::journal::JournalError::Mismatch`].
     pub fn identity(&self) -> String {
         format!(
             "devices={} seed={} duration_ms={} beta={:016x} span_cap={} audit_cap={} catalog={:?}",
@@ -677,7 +676,7 @@ impl Campaign for Fleet {
                 let completed: Vec<(&SimReport, ShardDrill)> = cells
                     .iter()
                     .filter_map(|(_, _, report, drill)| {
-                        Some(((*report)?, drill.clone().unwrap_or_default()))
+                        Some(((*report)?, drill.cloned().unwrap_or_default()))
                     })
                     .collect();
                 let mut aggregate = Fleet::aggregate(cells[0].0.policy.name(), &completed);
@@ -757,7 +756,7 @@ impl CampaignResults<Fleet> {
     /// not decode contributes nothing); `None` when none completed.
     fn total(&self) -> Option<ShardDrill> {
         self.runs()
-            .filter_map(|(_, _, report, drill)| report.and(drill))
+            .filter_map(|(_, _, report, drill)| report.and(drill).cloned())
             .reduce(ShardDrill::absorb)
     }
 
@@ -805,21 +804,6 @@ impl CampaignResults<Fleet> {
     }
 }
 
-/// Runs a fleet under explicit [`CampaignOptions`] on the campaign
-/// kernel ([`run_campaign`](crate::campaign::run_campaign) over
-/// [`FleetConfig::specs`]).
-///
-/// # Errors
-///
-/// [`JournalError`] when the journal directory cannot be opened or
-/// belongs to a different campaign or population.
-pub fn run_fleet_with(
-    config: &FleetConfig,
-    options: &CampaignOptions,
-) -> Result<CampaignResults<Fleet>, JournalError> {
-    crate::campaign::run_campaign::<Fleet>(&config.specs(), options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,12 +824,17 @@ mod tests {
         config
     }
 
+    /// Runs `config`'s fleet on the campaign kernel.
+    fn run(config: &FleetConfig, options: &CampaignOptions) -> CampaignResults<Fleet> {
+        crate::campaign::run_campaign::<Fleet>(&config.specs(), options).expect("the journal opens")
+    }
+
     fn view(results: &CampaignResults<Fleet>) -> crate::JsonValue {
         crate::deterministic_view(&results.to_json()).expect("a fleet document's view")
     }
 
-    /// Every shard as the executor holds it: label, status token, report
-    /// record and journaled drill payload (the document folds these per
+    /// Every shard as the kernel holds it: label, status token, report
+    /// record and encoded drill payload (the document folds these per
     /// policy, where a swapped or altered shard can cancel out).
     fn shards(
         results: &CampaignResults<Fleet>,
@@ -855,7 +844,8 @@ mod tests {
             .iter()
             .map(|o| {
                 let report = o.report.as_ref().map(SimReport::to_record);
-                (o.label.clone(), o.status.token(), report, o.extra.clone())
+                let drill = o.drill.as_ref().map(codec::encode);
+                (o.label.clone(), o.status.token(), report, drill)
             })
             .collect()
     }
@@ -906,14 +896,14 @@ mod tests {
             journal_dir: Some(scratch.clone()),
             ..CampaignOptions::default()
         };
-        run_fleet_with(&config, &options).unwrap();
+        run(&config, &options);
         let (max, half) = (u64::MAX, 1_u64 << 63);
         let drill = format!(
             "{max},{max},0,{half},0,0,0,0,0,0,0,0,{:016x}",
             1.0_f64.to_bits()
         );
         forge_records(&scratch, |entry| entry.extra = drill.clone());
-        let resumed = run_fleet_with(&config, &options).unwrap();
+        let resumed = run(&config, &options);
         std::fs::remove_dir_all(&scratch).ok();
         assert_eq!(resumed.journal_skips(), 3);
         assert_eq!(resumed.devices_completed(), max);
@@ -936,7 +926,7 @@ mod tests {
             journal_dir: Some(scratch.clone()),
             ..CampaignOptions::default()
         };
-        run_fleet_with(&config, &options).unwrap();
+        run(&config, &options);
         let half = 1_u64 << 63;
         forge_records(&scratch, |entry| {
             let r = &mut entry.report;
@@ -947,7 +937,7 @@ mod tests {
             r.overload.time_in_saver_ms = half;
             r.wakeup_rows[0].expected = half;
         });
-        let resumed = run_fleet_with(&config, &options).unwrap();
+        let resumed = run(&config, &options);
         std::fs::remove_dir_all(&scratch).ok();
         assert_eq!(resumed.journal_skips(), 3);
         let folded = resumed.aggregates()[0].report.clone().unwrap();
@@ -962,7 +952,7 @@ mod tests {
     #[test]
     fn shard_aggregate_equals_fold_of_devices() {
         let config = tiny(6);
-        let results = run_fleet_with(&config, &CampaignOptions::with_threads(1)).unwrap();
+        let results = run(&config, &CampaignOptions::with_threads(1));
         let spec = &config.specs()[1];
         let devices: Vec<SimReport> = (spec.start..spec.end)
             .map(|d| run_device(&config, spec.policy, d).report)
@@ -997,8 +987,8 @@ mod tests {
     #[test]
     fn fleet_is_thread_count_invariant() {
         let config = tiny(7);
-        let one = run_fleet_with(&config, &CampaignOptions::with_threads(1)).unwrap();
-        let three = run_fleet_with(&config, &CampaignOptions::with_threads(3)).unwrap();
+        let one = run(&config, &CampaignOptions::with_threads(1));
+        let three = run(&config, &CampaignOptions::with_threads(3));
         assert_eq!(view(&one), view(&three));
         assert_eq!(shards(&one), shards(&three));
         assert_eq!(one.devices_completed(), 7);
@@ -1010,7 +1000,7 @@ mod tests {
             inject_panic: Some(1),
             ..CampaignOptions::with_threads(2)
         };
-        let results = run_fleet_with(&tiny(6), &options).unwrap();
+        let results = run(&tiny(6), &options);
         assert_eq!(results.harness().poisoned, 1);
         assert!(results.outcomes()[1].report.is_none());
         assert!(results.outcomes()[0].report.is_some());
@@ -1030,15 +1020,15 @@ mod tests {
             journal_dir: Some(scratch.clone()),
             ..CampaignOptions::default()
         };
-        let first = run_fleet_with(&config, &options).unwrap();
+        let first = run(&config, &options);
         // Every shard's cell is journaled, so its mid-shard markers
         // (stride 2, shard size 3) are deleted.
         assert!(!scratch.join("shard-000").exists());
-        let second = run_fleet_with(&config, &options).unwrap();
+        let second = run(&config, &options);
         assert_eq!(second.journal_skips(), 3);
         assert_eq!(view(&first), view(&second));
         assert_eq!(shards(&first), shards(&second));
-        let clean = run_fleet_with(&config, &CampaignOptions::with_threads(2)).unwrap();
+        let clean = run(&config, &CampaignOptions::with_threads(2));
         assert_eq!(view(&clean), view(&second));
         assert_eq!(shards(&clean), shards(&second));
         std::fs::remove_dir_all(&scratch).ok();

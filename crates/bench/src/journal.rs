@@ -299,9 +299,9 @@ impl CampaignJournal {
         &self.path
     }
 
-    /// Durably appends one completed cell. Poisoned cells must not be
-    /// journaled (they are re-run on resume); attempting to is a logic
-    /// error.
+    /// Durably appends one completed cell with its encoded drill payload
+    /// `extra` (empty for none). Poisoned cells must not be journaled
+    /// (they are re-run on resume); attempting to is a logic error.
     ///
     /// # Errors
     ///
@@ -315,7 +315,7 @@ impl CampaignJournal {
         index: usize,
         status: &CellStatus,
         report: &SimReport,
-        extra: Option<&str>,
+        extra: &str,
     ) -> io::Result<()> {
         assert!(
             !status.is_poisoned(),
@@ -326,7 +326,7 @@ impl CampaignJournal {
             index,
             status: status.clone(),
             report: report.clone(),
-            extra: extra.unwrap_or_default().to_owned(),
+            extra: extra.to_owned(),
         };
         codec::put(&mut body, "cell", &record);
         body.pop(); // the checksum ends the line
@@ -403,13 +403,13 @@ mod tests {
         let report = sample_report();
         {
             let (journal, _) = CampaignJournal::open(&dir, "sweep", &labels()).unwrap();
-            journal.record(0, &CellStatus::Ok, &report, None).unwrap();
+            journal.record(0, &CellStatus::Ok, &report, "").unwrap();
             journal
                 .record(
                     2,
                     &CellStatus::Retried { retries: 1 },
                     &report,
-                    Some("extra,with:reserved\nchars"),
+                    "extra,with:reserved\nchars",
                 )
                 .unwrap();
         }
@@ -432,8 +432,8 @@ mod tests {
         let report = sample_report();
         let path = {
             let (journal, _) = CampaignJournal::open(&dir, "chaos", &labels()).unwrap();
-            journal.record(0, &CellStatus::Ok, &report, None).unwrap();
-            journal.record(1, &CellStatus::Ok, &report, None).unwrap();
+            journal.record(0, &CellStatus::Ok, &report, "").unwrap();
+            journal.record(1, &CellStatus::Ok, &report, "").unwrap();
             journal.path().to_path_buf()
         };
         // Tear the last record mid-line, as a crash mid-append would.
@@ -445,7 +445,7 @@ mod tests {
         assert!(replay.dropped_bytes > 0);
         // The truncation leaves a cleanly appendable file.
         let (journal, _) = CampaignJournal::open(&dir, "chaos", &labels()).unwrap();
-        journal.record(1, &CellStatus::Ok, &report, None).unwrap();
+        journal.record(1, &CellStatus::Ok, &report, "").unwrap();
         let (_, replay) = CampaignJournal::open(&dir, "chaos", &labels()).unwrap();
         assert_eq!(replay.entries.len(), 2);
         let _ = fs::remove_dir_all(&dir);
@@ -460,16 +460,14 @@ mod tests {
         let report = sample_report();
         {
             let (journal, _) = CampaignJournal::open(&dir, "sweep", &labels()).unwrap();
-            journal.record(0, &CellStatus::Ok, &report, None).unwrap();
+            journal.record(0, &CellStatus::Ok, &report, "").unwrap();
         }
         {
             let vfs = Arc::new(FaultVfs::new(5).with_enospc(1.0).with_fault_budget(1));
             let (journal, replay) =
                 CampaignJournal::open_with(&dir, "sweep", &labels(), "", |_| true, vfs).unwrap();
             assert_eq!(replay.entries.len(), 1);
-            let err = journal
-                .record(1, &CellStatus::Ok, &report, None)
-                .unwrap_err();
+            let err = journal.record(1, &CellStatus::Ok, &report, "").unwrap_err();
             assert!(err.to_string().contains("ENOSPC"), "{err}");
         }
         let (journal, replay) = CampaignJournal::open(&dir, "sweep", &labels()).unwrap();
@@ -477,7 +475,7 @@ mod tests {
         assert_eq!(replay.entries[0].index, 0);
         assert!(replay.dropped_bytes > 0, "torn tail should be dropped");
         // The truncated journal accepts the re-run's record cleanly.
-        journal.record(1, &CellStatus::Ok, &report, None).unwrap();
+        journal.record(1, &CellStatus::Ok, &report, "").unwrap();
         let (_, replay) = CampaignJournal::open(&dir, "sweep", &labels()).unwrap();
         assert_eq!(replay.entries.len(), 2);
         let _ = fs::remove_dir_all(&dir);
@@ -489,8 +487,8 @@ mod tests {
         let report = sample_report();
         let path = {
             let (journal, _) = CampaignJournal::open(&dir, "soak", &labels()).unwrap();
-            journal.record(0, &CellStatus::Ok, &report, None).unwrap();
-            journal.record(1, &CellStatus::Ok, &report, None).unwrap();
+            journal.record(0, &CellStatus::Ok, &report, "").unwrap();
+            journal.record(1, &CellStatus::Ok, &report, "").unwrap();
             journal.path().to_path_buf()
         };
         // Flip a byte inside the first record's payload.
@@ -514,15 +512,9 @@ mod tests {
         // the replay the same way.
         {
             let (journal, _) = CampaignJournal::open(&dir, "soak", &labels()).unwrap();
-            journal
-                .record(0, &CellStatus::Ok, &report, Some("good"))
-                .unwrap();
-            journal
-                .record(1, &CellStatus::Ok, &report, Some("bad"))
-                .unwrap();
-            journal
-                .record(2, &CellStatus::Ok, &report, Some("good"))
-                .unwrap();
+            journal.record(0, &CellStatus::Ok, &report, "good").unwrap();
+            journal.record(1, &CellStatus::Ok, &report, "bad").unwrap();
+            journal.record(2, &CellStatus::Ok, &report, "good").unwrap();
         }
         let vfs = Arc::new(RealVfs);
         let only_good: fn(&str) -> bool = |extra| extra == "good";
@@ -539,7 +531,7 @@ mod tests {
         {
             let (journal, _) = CampaignJournal::open(&dir, "sweep", &labels()).unwrap();
             journal
-                .record(0, &CellStatus::Ok, &sample_report(), None)
+                .record(0, &CellStatus::Ok, &sample_report(), "")
                 .unwrap();
         }
         let err = CampaignJournal::open(&dir, "chaos", &labels()).unwrap_err();

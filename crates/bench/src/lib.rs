@@ -1,7 +1,7 @@
 //! # simty-bench — experiment harness
 //!
-//! The parallel executor and the five supervised, resumable campaigns
-//! (sweep, chaos, soak, storm, fleet) behind `standby`, and criterion
+//! The campaign kernel and the five supervised, resumable campaigns it
+//! runs (sweep, chaos, soak, storm, fleet) behind `standby`, and criterion
 //! micro-benchmarks of the alignment policies and the engine
 //! (`cargo bench -p simty-bench`). The paper's figures and tables, and
 //! its ablation and calibration-sensitivity studies, are `standby repro`
@@ -24,13 +24,13 @@ pub mod supervisor;
 pub mod sweep;
 
 pub use campaign::{
-    matrix, run_campaign, Campaign, CampaignResults, CampaignSpec, Cell, Drill, Profile,
+    matrix, run_campaign, Campaign, CampaignOptions, CampaignResults, CampaignSpec, Cell, Drill,
+    Outcome, Profile,
 };
 pub use chaos::{Chaos, ChaosResults, ChaosSpec, FaultProfile, PolicyResilience};
 pub use diff::{diff_documents, DiffReport, JsonValue, Regression};
 pub use fleet::{
-    run_fleet_with, Fleet, FleetConfig, PolicyAggregate, PowerHistogram, ShardDrill, ShardSpec,
-    FLEET_SCHEMA,
+    Fleet, FleetConfig, PolicyAggregate, PowerHistogram, ShardDrill, ShardSpec, FLEET_SCHEMA,
 };
 pub use journal::{CampaignJournal, JournalEntry, JournalError};
 pub use schema::deterministic_view;
@@ -40,4 +40,4 @@ pub use simty::experiments::{
 pub use soak::{PolicyEndurance, Soak, SoakProfile, SoakRecovery, SoakResults, SoakSpec};
 pub use storm::{PolicyOverload, Storm, StormProfile, StormRecovery, StormResults, StormSpec};
 pub use supervisor::{CellStatus, HarnessStats, SupervisorConfig};
-pub use sweep::{CampaignOptions, Grid, JobResult, Outcome, RunHandle, Sweep, SweepResults};
+pub use sweep::Grid;

@@ -22,9 +22,10 @@ use simty::obs::json_f64;
 use simty::sim::codec::record;
 use simty::sim::{CheckpointStore, OnlineWatchdogConfig, RebootPlan, SimConfig, SimReport};
 
-use crate::campaign::{self, profiles, sum, Campaign, CampaignResults, CampaignSpec, Drill};
+use crate::campaign::{
+    self, profiles, sum, Campaign, CampaignOptions, CampaignResults, CampaignSpec, Drill,
+};
 use crate::json::{json_object, json_pairs};
-use crate::sweep::CampaignOptions;
 
 /// A named endurance adversary: how the device dies and how its
 /// snapshots rot.
@@ -327,7 +328,6 @@ mod tests {
     use super::*;
     use crate::campaign::{matrix, run_campaign, Cell, Profile};
     use crate::supervisor::CellStatus;
-    use crate::sweep::CampaignOptions;
     use simty::experiments::{PolicyKind, Scenario};
     use simty::sim::codec;
 

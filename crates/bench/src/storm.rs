@@ -18,9 +18,10 @@ use simty::sim::{
     GovernorConfig, RegistrationStormPlan, SimConfig, SimReport, Simulation, StormBurst,
 };
 
-use crate::campaign::{self, profiles, sum, Campaign, CampaignResults, CampaignSpec, Drill};
+use crate::campaign::{
+    self, profiles, sum, Campaign, CampaignOptions, CampaignResults, CampaignSpec, Drill,
+};
 use crate::json::{json_object, json_pairs};
-use crate::sweep::CampaignOptions;
 
 /// A named overload adversary: what floods the manager and how far the
 /// battery falls.
@@ -278,7 +279,6 @@ mod tests {
     use super::*;
     use crate::campaign::{matrix, run_campaign, Profile};
     use crate::supervisor::CellStatus;
-    use crate::sweep::CampaignOptions;
     use simty::experiments::{PolicyKind, Scenario};
     use simty::sim::codec;
 

@@ -2,7 +2,7 @@
 //!
 //! A campaign cell is one deterministic simulation run. Before this
 //! module, one panicking or hung cell aborted the entire campaign
-//! (`handle.join().expect(...)` in the sweep executor). The supervisor
+//! (`handle.join().expect(...)` in the campaign executor). The supervisor
 //! instead wraps every cell in `catch_unwind`, optionally races it
 //! against a wall-clock deadline, retries panics that self-identify as
 //! transient, and — when all else fails — **quarantines** the cell with
@@ -15,12 +15,10 @@
 //! cell that hung once would hang again, so retrying is pointless).
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use simty::obs::MetricsRegistry;
-
-use crate::sweep::{JobResult, TaskFn};
 
 /// The marker a panic payload must contain to be classified retryable.
 pub const TRANSIENT_MARKER: &str = "transient";
@@ -133,7 +131,7 @@ pub struct HarnessStats {
 
 impl HarnessStats {
     /// Derives the deterministic counters from per-cell statuses
-    /// (`journal_skips` stays zero; the executor fills it in).
+    /// (`journal_skips` stays zero; the campaign kernel fills it in).
     pub fn from_statuses<'a, I: IntoIterator<Item = &'a CellStatus>>(statuses: I) -> Self {
         let mut stats = HarnessStats::default();
         for status in statuses {
@@ -187,8 +185,8 @@ impl HarnessStats {
     }
 }
 
-enum Attempt {
-    Done(Box<JobResult>),
+enum Attempt<T> {
+    Done(T),
     Panicked(String),
     TimedOut(Duration),
 }
@@ -203,46 +201,53 @@ fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn run_attempt(deadline: Option<Duration>, task: TaskFn) -> Attempt {
-    match deadline {
-        None => match panic::catch_unwind(AssertUnwindSafe(|| task())) {
-            Ok(result) => Attempt::Done(Box::new(result)),
-            Err(payload) => Attempt::Panicked(describe_panic(payload)),
-        },
-        Some(limit) => {
-            let (tx, rx) = mpsc::channel();
-            // Detached, not scoped: if the cell hangs, the watchdog
-            // abandons it — a scoped spawn would block scope exit on
-            // the hung thread forever.
-            std::thread::spawn(move || {
-                let attempt = match panic::catch_unwind(AssertUnwindSafe(|| task())) {
-                    Ok(result) => Attempt::Done(Box::new(result)),
-                    Err(payload) => Attempt::Panicked(describe_panic(payload)),
-                };
-                let _ = tx.send(attempt);
-            });
-            match rx.recv_timeout(limit) {
-                Ok(attempt) => attempt,
-                Err(_) => Attempt::TimedOut(limit),
-            }
-        }
+/// One attempt at `task`, its panic caught.
+fn attempt<T>(task: &impl Fn() -> T) -> Attempt<T> {
+    match panic::catch_unwind(AssertUnwindSafe(task)) {
+        Ok(result) => Attempt::Done(result),
+        Err(payload) => Attempt::Panicked(describe_panic(payload)),
     }
+}
+
+fn run_attempt<T, F>(deadline: Option<Duration>, task: &Arc<F>) -> Attempt<T>
+where
+    T: Send + 'static,
+    F: Fn() -> T + Send + Sync + 'static,
+{
+    let Some(limit) = deadline else {
+        return attempt(task.as_ref());
+    };
+    let (tx, rx) = mpsc::channel();
+    let task = Arc::clone(task);
+    // Detached, not scoped: if the cell hangs, the watchdog abandons it —
+    // a scoped spawn would block scope exit on the hung thread forever.
+    std::thread::spawn(move || {
+        let _ = tx.send(attempt(task.as_ref()));
+    });
+    rx.recv_timeout(limit).unwrap_or(Attempt::TimedOut(limit))
 }
 
 /// Runs one cell under supervision: catch panics, enforce the optional
 /// deadline, retry transient panics, and classify the outcome. Returns
 /// the result (if any attempt succeeded) and the cell's final status.
-pub fn supervise(config: &SupervisorConfig, task: TaskFn) -> (Option<JobResult>, CellStatus) {
+/// `task` may run more than once, and with a deadline on a detached
+/// watchdog thread, hence its bounds.
+pub fn supervise<T, F>(config: &SupervisorConfig, task: F) -> (Option<T>, CellStatus)
+where
+    T: Send + 'static,
+    F: Fn() -> T + Send + Sync + 'static,
+{
+    let task = Arc::new(task);
     let mut retries = 0u32;
     loop {
-        match run_attempt(config.deadline, task.clone()) {
+        match run_attempt(config.deadline, &task) {
             Attempt::Done(result) => {
                 let status = if retries == 0 {
                     CellStatus::Ok
                 } else {
                     CellStatus::Retried { retries }
                 };
-                return (Some(*result), status);
+                return (Some(result), status);
             }
             Attempt::Panicked(reason) => {
                 if reason.contains(TRANSIENT_MARKER) && retries < config.max_retries {
@@ -276,21 +281,20 @@ pub fn supervise(config: &SupervisorConfig, task: TaskFn) -> (Option<JobResult>,
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
 
     use simty::core::SimDuration;
     use simty::experiments::{PolicyKind, RunSpec, Scenario};
+    use simty::sim::SimReport;
 
-    fn quick_result() -> JobResult {
+    fn quick_result() -> SimReport {
         RunSpec::paper(PolicyKind::Native, Scenario::Light, 1)
             .with_duration(SimDuration::from_mins(1))
             .run()
-            .into()
     }
 
     #[test]
     fn clean_cell_is_ok() {
-        let (result, status) = supervise(&SupervisorConfig::default(), Arc::new(quick_result));
+        let (result, status) = supervise(&SupervisorConfig::default(), quick_result);
         assert!(result.is_some());
         assert_eq!(status, CellStatus::Ok);
     }
@@ -299,13 +303,10 @@ mod tests {
     fn non_transient_panic_poisons_without_retry() {
         let attempts = Arc::new(AtomicU32::new(0));
         let seen = attempts.clone();
-        let (result, status) = supervise(
-            &SupervisorConfig::default(),
-            Arc::new(move || {
-                seen.fetch_add(1, Ordering::SeqCst);
-                panic!("hard failure");
-            }),
-        );
+        let (result, status) = supervise(&SupervisorConfig::default(), move || {
+            seen.fetch_add(1, Ordering::SeqCst);
+            panic!("hard failure");
+        });
         assert!(result.is_none());
         assert_eq!(attempts.load(Ordering::SeqCst), 1);
         match status {
@@ -331,12 +332,12 @@ mod tests {
                 max_retries: 3,
                 deadline: None,
             },
-            Arc::new(move || {
+            move || {
                 if seen.fetch_add(1, Ordering::SeqCst) < 2 {
                     panic!("transient flake");
                 }
                 quick_result()
-            }),
+            },
         );
         assert!(result.is_some());
         assert_eq!(status, CellStatus::Retried { retries: 2 });
@@ -350,7 +351,7 @@ mod tests {
                 max_retries: 2,
                 deadline: None,
             },
-            Arc::new(|| panic!("transient forever")),
+            || panic!("transient forever"),
         );
         assert!(result.is_none());
         assert_eq!(
@@ -370,10 +371,10 @@ mod tests {
                 max_retries: 3,
                 deadline: Some(Duration::from_millis(30)),
             },
-            Arc::new(|| {
+            || {
                 std::thread::sleep(Duration::from_secs(30));
                 quick_result()
-            }),
+            },
         );
         assert!(result.is_none());
         match status {
@@ -397,7 +398,7 @@ mod tests {
                 max_retries: 1,
                 deadline: Some(Duration::from_secs(120)),
             },
-            Arc::new(quick_result),
+            quick_result,
         );
         assert!(result.is_some());
         assert_eq!(status, CellStatus::Ok);

@@ -8,10 +8,10 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use simty::core::time::SimDuration;
-use simty::sim::SimReport;
+use simty::sim::{codec, SimReport};
 use simty_bench::fleet::{fold_reports, run_device};
 use simty_bench::{
-    deterministic_view, run_fleet_with, CampaignOptions, CampaignResults, Fleet, FleetConfig,
+    deterministic_view, run_campaign, CampaignOptions, CampaignResults, Fleet, FleetConfig,
     JsonValue, PolicyKind,
 };
 
@@ -35,13 +35,18 @@ fn small_fleet(devices: u64, shards: usize, seed: u64) -> FleetConfig {
     config
 }
 
+/// Runs `config`'s fleet on the campaign kernel.
+fn run_fleet(config: &FleetConfig, options: &CampaignOptions) -> CampaignResults<Fleet> {
+    run_campaign::<Fleet>(&config.specs(), options).expect("the journal opens")
+}
+
 /// The fleet document's deterministic view.
 fn view(results: &CampaignResults<Fleet>) -> JsonValue {
     deterministic_view(&results.to_json()).expect("a fleet document's view")
 }
 
-/// Every shard as the executor holds it: label, status token, report
-/// record and journaled drill payload. The document folds these per
+/// Every shard as the kernel holds it: label, status token, report
+/// record and encoded drill payload. The document folds these per
 /// policy, so a swapped or altered shard can cancel out there; compared
 /// beside it, no shard can.
 fn shards(
@@ -52,7 +57,8 @@ fn shards(
         .iter()
         .map(|o| {
             let report = o.report.as_ref().map(SimReport::to_record);
-            (o.label.clone(), o.status.token(), report, o.extra.clone())
+            let drill = o.drill.as_ref().map(codec::encode);
+            (o.label.clone(), o.status.token(), report, drill)
         })
         .collect()
 }
@@ -72,7 +78,7 @@ proptest! {
     ) {
         let config = small_fleet(devices, shards.min(devices as usize), seed);
         let results =
-            run_fleet_with(&config, &CampaignOptions::with_threads(2)).unwrap();
+            run_fleet(&config, &CampaignOptions::with_threads(2));
         prop_assert_eq!(results.devices_completed(), devices);
         for (index, spec) in config.specs().iter().enumerate() {
             let folded: Vec<_> = (spec.start..spec.end)
@@ -96,7 +102,7 @@ proptest! {
 #[test]
 fn killed_campaign_resumes_byte_identical_across_thread_counts() {
     let config = small_fleet(10, 3, 42);
-    let reference = run_fleet_with(&config, &CampaignOptions::with_threads(1)).unwrap();
+    let reference = run_fleet(&config, &CampaignOptions::with_threads(1));
 
     for threads in [1usize, 3] {
         let dir = unique_dir(&format!("kill-{threads}"));
@@ -110,7 +116,7 @@ fn killed_campaign_resumes_byte_identical_across_thread_counts() {
             inject_panic: Some(1),
             ..options.clone()
         };
-        let first = run_fleet_with(&config, &wounded).unwrap();
+        let first = run_fleet(&config, &wounded);
         assert_eq!(first.harness().poisoned, 1, "threads={threads}");
         assert!(first.outcomes()[1].report.is_none());
         assert!(first.outcomes()[0].report.is_some());
@@ -119,7 +125,7 @@ fn killed_campaign_resumes_byte_identical_across_thread_counts() {
         // checkpoint markers are gone.
         assert_eq!(markers_under(&dir), 0, "threads={threads}");
 
-        let resumed = run_fleet_with(&config, &options).unwrap();
+        let resumed = run_fleet(&config, &options);
         assert_eq!(resumed.journal_skips(), 2, "threads={threads}");
         assert_eq!(resumed.harness().poisoned, 0, "threads={threads}");
         assert_eq!(
@@ -164,7 +170,7 @@ fn a_journaled_fleet_leaves_no_markers() {
             journal_dir: Some(dir.clone()),
             ..CampaignOptions::default()
         };
-        let results = run_fleet_with(&config, &options).unwrap();
+        let results = run_fleet(&config, &options);
         assert_eq!(results.devices_completed(), 12);
         assert!(dir.is_dir(), "the journal stays");
         assert_eq!(markers_under(&dir), 0, "threads={threads}");
@@ -185,8 +191,8 @@ fn a_still_faulty_resume_re_poisons_the_same_shard() {
         inject_panic: Some(2),
         ..CampaignOptions::default()
     };
-    let first = run_fleet_with(&config, &options).unwrap();
-    let second = run_fleet_with(&config, &options).unwrap();
+    let first = run_fleet(&config, &options);
+    let second = run_fleet(&config, &options);
     assert_eq!(second.harness().poisoned, 1);
     assert!(second.outcomes()[2].report.is_none());
     assert_eq!(second.journal_skips(), 3);

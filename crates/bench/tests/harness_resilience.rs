@@ -9,11 +9,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use simty::core::time::SimDuration;
+use simty::sim::SimReport;
 use simty_bench::journal::JOURNAL_FILE;
 use simty_bench::{
-    deterministic_view, run_campaign, CampaignOptions, CampaignResults, CellStatus, Grid,
-    JobResult, JournalError, JsonValue, PolicyKind, RunSpec, Scenario, SupervisorConfig, Sweep,
-    SweepResults,
+    deterministic_view, run_campaign, Campaign, CampaignOptions, CampaignResults, Cell, CellStatus,
+    Grid, JournalError, JsonValue, PolicyKind, RunSpec, Scenario, SupervisorConfig,
 };
 
 fn unique_dir(tag: &str) -> PathBuf {
@@ -33,27 +33,104 @@ fn short_spec(policy: PolicyKind, seed: u64) -> RunSpec {
     RunSpec::paper(policy, Scenario::Light, seed).with_duration(SimDuration::from_mins(20))
 }
 
-/// Enqueues `spec` as a plain job labelled as the sweep labels it.
-fn push(sweep: &mut Sweep, spec: RunSpec) {
-    sweep.job(spec.label(), move || spec.run());
+/// A cell of the [`Probes`] campaign: what it does when the kernel runs
+/// it.
+#[derive(Debug, Clone)]
+enum Probe {
+    /// Runs the spec, labelled as the sweep labels it.
+    Run(Box<RunSpec>),
+    /// Panics with this payload on every attempt.
+    Panic(&'static str),
+    /// Counts its attempts; the first panics transiently, the next runs.
+    Flaky(Arc<AtomicUsize>),
+    /// Sleeps far past any test deadline.
+    Hang,
 }
 
-/// Runs a journal-less executor batch.
-fn run(sweep: Sweep, threads: usize) -> SweepResults {
-    sweep
-        .try_run_with_threads(threads)
-        .expect("the journal opens")
+impl Cell for Probe {
+    fn label(&self) -> String {
+        match self {
+            Probe::Run(spec) => spec.label(),
+            Probe::Panic(_) => "panicking/cell".to_owned(),
+            Probe::Flaky(_) => "flaky/cell".to_owned(),
+            Probe::Hang => "hung/cell".to_owned(),
+        }
+    }
+
+    fn policy(&self) -> PolicyKind {
+        match self {
+            Probe::Run(spec) => spec.policy,
+            _ => PolicyKind::Native,
+        }
+    }
+
+    fn row(&self) -> Vec<(&'static str, String)> {
+        vec![("label", format!("{:?}", self.label()))]
+    }
+}
+
+/// A probe cell that runs `spec`.
+fn healthy(spec: RunSpec) -> Probe {
+    Probe::Run(Box::new(spec))
+}
+
+/// A campaign of [`Probe`] cells, with no drill and no aggregate.
+#[derive(Debug, Clone, Copy)]
+enum Probes {}
+
+impl Campaign for Probes {
+    type Cell = Probe;
+    type Drill = ();
+    type Aggregate = ();
+
+    const KIND: &'static str = "probe";
+
+    fn run_cell(probe: &Probe, _options: &CampaignOptions) -> (SimReport, ()) {
+        let report = match probe {
+            Probe::Run(spec) => spec.run(),
+            Probe::Panic(payload) => panic!("{payload}"),
+            Probe::Flaky(attempts) => {
+                if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("transient scratch-volume hiccup");
+                }
+                short_spec(PolicyKind::Simty, 1).run()
+            }
+            Probe::Hang => {
+                std::thread::sleep(Duration::from_secs(5));
+                panic!("unreachable: the watchdog fires first")
+            }
+        };
+        (report, ())
+    }
+
+    fn aggregate(_policy: String, _cells: &[(&SimReport, ())]) {}
+
+    fn aggregate_json((): &()) -> String {
+        String::new()
+    }
+}
+
+/// Runs a journal-less probe campaign under `supervisor`.
+fn probes(
+    cells: &[Probe],
+    supervisor: SupervisorConfig,
+    threads: usize,
+) -> CampaignResults<Probes> {
+    let options = CampaignOptions {
+        supervisor,
+        ..CampaignOptions::with_threads(threads)
+    };
+    run_campaign::<Probes>(cells, &options).expect("no journal to open")
 }
 
 #[test]
 fn a_panicking_cell_is_quarantined_and_the_campaign_continues() {
-    let mut sweep = Sweep::new();
-    push(&mut sweep, short_spec(PolicyKind::Native, 1));
-    sweep.job("exploding/cell", || -> JobResult {
-        panic!("synthetic harness failure")
-    });
-    push(&mut sweep, short_spec(PolicyKind::Simty, 1));
-    let results = run(sweep, 2);
+    let cells = [
+        healthy(short_spec(PolicyKind::Native, 1)),
+        Probe::Panic("synthetic harness failure"),
+        healthy(short_spec(PolicyKind::Simty, 1)),
+    ];
+    let results = probes(&cells, SupervisorConfig::default(), 2);
 
     let outcomes = results.outcomes();
     assert_eq!(outcomes.len(), 3);
@@ -67,7 +144,7 @@ fn a_panicking_cell_is_quarantined_and_the_campaign_continues() {
 
     let poisoned = results.poisoned();
     assert_eq!(poisoned.len(), 1);
-    assert_eq!(poisoned[0].0, "exploding/cell");
+    assert_eq!(poisoned[0].0, "panicking/cell");
     assert!(
         poisoned[0].1.contains("synthetic harness failure"),
         "the panic payload must be captured, got `{}`",
@@ -83,15 +160,8 @@ fn a_panicking_cell_is_quarantined_and_the_campaign_continues() {
 #[test]
 fn transient_panics_retry_and_then_succeed() {
     let attempts = Arc::new(AtomicUsize::new(0));
-    let probe = Arc::clone(&attempts);
-    let mut sweep = Sweep::new();
-    sweep.job("flaky/cell", move || {
-        if probe.fetch_add(1, Ordering::SeqCst) == 0 {
-            panic!("transient scratch-volume hiccup");
-        }
-        short_spec(PolicyKind::Simty, 1).run()
-    });
-    let results = run(sweep, 1);
+    let cells = [Probe::Flaky(Arc::clone(&attempts))];
+    let results = probes(&cells, SupervisorConfig::default(), 1);
 
     assert_eq!(attempts.load(Ordering::SeqCst), 2, "exactly one retry");
     let outcomes = results.outcomes();
@@ -110,15 +180,15 @@ fn transient_panics_retry_and_then_succeed() {
 
 #[test]
 fn transient_panics_poison_once_retries_are_exhausted() {
-    let mut sweep = Sweep::new();
-    sweep.with_supervisor(SupervisorConfig {
+    let supervisor = SupervisorConfig {
         max_retries: 2,
         ..SupervisorConfig::default()
-    });
-    sweep.job("always-flaky/cell", || -> JobResult {
-        panic!("transient but actually permanent")
-    });
-    let results = run(sweep, 1);
+    };
+    let results = probes(
+        &[Probe::Panic("transient but actually permanent")],
+        supervisor,
+        1,
+    );
 
     let outcomes = results.outcomes();
     assert!(matches!(
@@ -135,17 +205,12 @@ fn transient_panics_poison_once_retries_are_exhausted() {
 
 #[test]
 fn a_hung_cell_is_killed_by_the_deadline_watchdog() {
-    let mut sweep = Sweep::new();
-    sweep.with_supervisor(SupervisorConfig {
+    let supervisor = SupervisorConfig {
         max_retries: 0,
         deadline: Some(Duration::from_millis(50)),
-    });
-    sweep.job("hung/cell", || -> JobResult {
-        std::thread::sleep(Duration::from_secs(5));
-        panic!("unreachable: the watchdog fires first")
-    });
-    push(&mut sweep, short_spec(PolicyKind::Native, 1));
-    let results = run(sweep, 2);
+    };
+    let cells = [Probe::Hang, healthy(short_spec(PolicyKind::Native, 1))];
+    let results = probes(&cells, supervisor, 2);
 
     let outcomes = results.outcomes();
     assert!(matches!(
@@ -238,14 +303,10 @@ fn a_journal_from_a_different_grid_is_rejected() {
         other => panic!("expected a journal mismatch, got {:?}", other.err()),
     }
 
-    // Different campaign kind over the same cells: also rejected.
-    let mut wrong_kind = Sweep::new();
-    for spec in cells() {
-        push(&mut wrong_kind, spec);
-    }
-    wrong_kind.with_journal(&dir, "resilience");
+    // Different campaign kind over the same cell labels: also rejected.
+    let same_labels: Vec<Probe> = cells().into_iter().map(healthy).collect();
     assert!(matches!(
-        wrong_kind.try_run_with_threads(1),
+        run_campaign::<Probes>(&same_labels, &options),
         Err(JournalError::Mismatch { .. })
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -257,18 +318,20 @@ fn a_journal_from_a_different_grid_is_rejected() {
 fn poisoned_cells_rerun_on_resume() {
     let dir = unique_dir("poison-rerun");
     let _ = std::fs::remove_dir_all(&dir);
-    let campaign = |dir: &std::path::Path| {
-        let mut sweep = Sweep::new();
-        push(&mut sweep, short_spec(PolicyKind::Native, 1));
-        sweep.job("cursed/cell", || -> JobResult { panic!("still broken") });
-        sweep.with_journal(dir, "poison");
-        run(sweep, 1)
+    let cells = [
+        healthy(short_spec(PolicyKind::Native, 1)),
+        Probe::Panic("still broken"),
+    ];
+    let options = CampaignOptions {
+        journal_dir: Some(dir.clone()),
+        ..CampaignOptions::with_threads(1)
     };
-    let first = campaign(&dir);
+    let campaign = || run_campaign::<Probes>(&cells, &options).expect("the journal opens");
+    let first = campaign();
     assert_eq!(first.poisoned().len(), 1);
     assert_eq!(first.journal_skips(), 0);
 
-    let second = campaign(&dir);
+    let second = campaign();
     assert_eq!(
         second.journal_skips(),
         1,

@@ -28,13 +28,13 @@ type PolicyColumn<A> = (&'static str, fn(&A) -> String);
 
 /// A cell table: `first`, `status`, `columns`, and with `walls` each
 /// cell's wall clock (shown for a quarantined cell too), one row per
-/// executor outcome and its drill. A quarantined cell reads `POISONED`
-/// and a dash per column.
-fn cell_table<'a, D: 'a>(
+/// cell outcome. A quarantined cell reads `POISONED` and a dash per
+/// column; a completed cell missing its drill reads the default drill.
+fn cell_table<D: Clone + Default>(
     first: &str,
     columns: &[CellColumn<D>],
     walls: bool,
-    rows: impl Iterator<Item = (&'a Outcome, D)>,
+    outcomes: &[Outcome<D>],
 ) -> String {
     let headers = columns.iter().map(|(header, _)| *header);
     let wall_header = walls.then_some("wall (ms)");
@@ -44,9 +44,10 @@ fn cell_table<'a, D: 'a>(
             .chain(headers)
             .chain(wall_header),
     );
-    for (o, drill) in rows {
+    for o in outcomes {
         let report = o.report.as_ref();
         let status = report.map_or_else(|| "POISONED".to_owned(), |_| o.status.token());
+        let drill = o.drill.clone().unwrap_or_default();
         let cells = columns
             .iter()
             .map(|(_, cell)| report.map_or_else(|| "-".to_owned(), |r| cell(r, &drill)));
@@ -303,14 +304,23 @@ pub(crate) fn cmd_fleet(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
 
 /// Runs `cells` under `options` and the command's `--inject-panic`
 /// target, streaming `--progress`/`--events` telemetry as it goes (the
-/// commands that declare those flags: sweep and fleet).
+/// commands that declare those flags: sweep and fleet). A target past
+/// the last cell is a usage error: it would inject nothing.
 fn run_observed<C: Campaign>(
     cells: &[C::Cell],
     mut options: CampaignOptions,
     args: &ParsedArgs,
 ) -> Result<CampaignResults<C>, CliError> {
-    let inject_panic = args.opt_u64("inject-panic").map_err(usage_error)?;
-    options.inject_panic = inject_panic.map(|cell| cell as usize);
+    if let Some(cell) = args.opt_u64("inject-panic").map_err(usage_error)? {
+        if cell >= cells.len() as u64 {
+            return Err(CliError::Usage(format!(
+                "--inject-panic {cell} is past the last cell: the campaign's {} cell(s) \
+                 are numbered from 0",
+                cells.len()
+            )));
+        }
+        options.inject_panic = Some(cell as usize);
+    }
     let pipe = TelemetryPipe::from_args(args, cells.len() as u64)?;
     options.telemetry = pipe.sink.clone();
     let run = run_campaign::<C>(cells, &options);
@@ -329,9 +339,8 @@ pub(crate) fn report_campaign<C: CampaignCommand>(
     args: &ParsedArgs,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let drills = results.runs().map(|(.., drill)| drill.unwrap_or_default());
-    let rows = results.outcomes().iter().zip(drills);
-    let table = cell_table(C::CELL_NOUN, C::CELL_COLUMNS, C::CELL_WALLS, rows);
+    let outcomes = results.outcomes();
+    let table = cell_table(C::CELL_NOUN, C::CELL_COLUMNS, C::CELL_WALLS, outcomes);
     writeln!(out, "{table}")?;
     write_harness_summary(out, &results.harness())?;
 

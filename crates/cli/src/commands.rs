@@ -196,7 +196,7 @@ pub(crate) fn parse_paper_scenarios(
 
 /// `--threads N`, every core when absent.
 pub(crate) fn threads(args: &ParsedArgs) -> Result<u64, CliError> {
-    let all = simty_bench::sweep::available_threads() as u64;
+    let all = simty_bench::campaign::available_threads() as u64;
     Ok(args.opt_u64("threads")?.unwrap_or(all))
 }
 
@@ -1906,6 +1906,34 @@ mod tests {
             run(&["sweep", "--inject-panic", "abc"]),
             Err(CliError::Usage(_))
         ));
+        // A target past the last cell would inject nothing and pass the
+        // drill vacuously: the sweep has 1 cell and the fleet 2 shards.
+        let sweep = ["sweep", "--policies", "native", "--scenarios", "light"];
+        let sweep = [
+            &sweep[..],
+            &["--seeds", "1", "--hours", "1", "--betas", "0.5"],
+        ]
+        .concat();
+        let fleet = [
+            "fleet",
+            "--devices",
+            "4",
+            "--shards",
+            "2",
+            "--policies",
+            "simty",
+        ];
+        let fleet = [&fleet[..], &["--minutes", "5"]].concat();
+        for (grid, past_the_end) in [(&sweep, "1"), (&sweep, "5"), (&fleet, "2")] {
+            let args = [&grid[..], &["--inject-panic", past_the_end]].concat();
+            match run(&args) {
+                Err(err @ CliError::Usage(_)) => {
+                    assert_eq!(err.exit_code(), 2);
+                    assert!(err.to_string().contains("past the last cell"), "{err}");
+                }
+                other => panic!("expected a usage error for {args:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -202,7 +202,7 @@ impl RunSpec {
     /// Executes the run and returns its report together with the
     /// engine's per-stage wall-clock profile. The profile is host timing
     /// — it varies run to run and must never enter deterministic
-    /// outputs; sweep executors aggregate it into benchmark documents.
+    /// outputs; the sweep campaign folds it into its benchmark document.
     ///
     /// The run records at [`ObsLevel::Timed`]: the report is
     /// [`run`](Self::run)'s, and the stage clocks are read, but no span
@@ -399,7 +399,7 @@ impl Averages {
 }
 
 /// The paper's three seeded repetitions (seeds `1..=3`) of one
-/// configuration, as specs — feed these to a sweep executor to run them
+/// configuration, as specs — feed these to a sweep campaign to run them
 /// in parallel with other configurations.
 pub fn paper_specs(policy: PolicyKind, scenario: Scenario) -> Vec<RunSpec> {
     (1..=3)
