@@ -544,8 +544,19 @@ fn execute<C: Campaign>(
         });
     }
     let started = Instant::now();
+    // The cell publishes through a scope of its own, closed once its
+    // supervision ends: an attempt abandoned past the deadline keeps
+    // running, but publishes nothing after the cell's finish.
+    let scope = telemetry.map(TelemetrySink::scoped);
     let task = {
-        let (cell, options) = (cell.clone(), Arc::clone(options));
+        let cell = cell.clone();
+        let options = match &scope {
+            Some(sink) => Arc::new(CampaignOptions {
+                telemetry: Some(sink.clone()),
+                ..CampaignOptions::clone(options)
+            }),
+            None => Arc::clone(options),
+        };
         move || {
             if options.inject_panic == Some(index) {
                 panic!("injected panic (cell {index})");
@@ -554,6 +565,9 @@ fn execute<C: Campaign>(
         }
     };
     let (result, status) = supervise(&options.supervisor, task);
+    if let Some(sink) = &scope {
+        sink.close();
+    }
     let (report, stages, extra) = match result {
         Some((report, drill, stages)) => (Some(report), stages, Some(codec::encode(&drill))),
         None => (None, None, None),
@@ -971,6 +985,97 @@ mod tests {
         assert_eq!(count(&events, 2), (1, 0, 1), "the poisoned cell re-runs");
         assert_eq!(events.len(), 2, "{events:?}");
         assert!(journaled.is_empty(), "{journaled:?}");
+    }
+
+    /// Set once [`a_cell_past_its_deadline_neither_holds_the_drain_nor_publishes_after_its_finish`]
+    /// is done with the attempt it abandoned, which then returns.
+    static RELEASE_HUNG: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+    /// [`Probe`] cells whose cell 0 hangs, publishing a warning every
+    /// 5 ms, until [`RELEASE_HUNG`] is set, and whose other cells take
+    /// 50 ms, long enough for the hung one to publish meanwhile.
+    #[derive(Debug, Clone, Copy)]
+    enum Hangs {}
+
+    impl Campaign for Hangs {
+        type Cell = Probe;
+        type Drill = ();
+        type Aggregate = ();
+
+        const KIND: &'static str = "hangs";
+
+        fn run_cell(probe: &Probe, options: &CampaignOptions) -> (SimReport, ()) {
+            while probe.index == 0 && !RELEASE_HUNG.load(Ordering::Acquire) {
+                if let Some(sink) = &options.telemetry {
+                    sink.warn("the hung cell still runs");
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            Probes::run_cell(probe, options)
+        }
+
+        fn aggregate(_policy: String, _cells: &[(&SimReport, ())]) {}
+
+        fn aggregate_json((): &()) -> String {
+            String::new()
+        }
+    }
+
+    /// A cell that overruns its deadline is quarantined while its attempt
+    /// runs on: the stream still ends as soon as the campaign does, and
+    /// nothing the attempt publishes lands after its cell's finish.
+    #[test]
+    fn a_cell_past_its_deadline_neither_holds_the_drain_nor_publishes_after_its_finish() {
+        use simty::obs::telemetry::TelemetryBus;
+
+        let cells: Vec<Probe> = (0..2)
+            .map(|index| Probe {
+                index,
+                panics: false,
+                journaled: Arc::default(),
+            })
+            .collect();
+        let (bus, sink) = TelemetryBus::new(256);
+        let (done, drained) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(bus.drain().collect::<Vec<_>>()));
+        let options = CampaignOptions {
+            supervisor: SupervisorConfig {
+                max_retries: 0,
+                deadline: Some(Duration::from_millis(200)),
+            },
+            telemetry: Some(sink.clone()),
+            ..CampaignOptions::with_threads(1)
+        };
+        let results = run_campaign::<Hangs>(&cells, &options).expect("no journal to open");
+        drop(options);
+        sink.end();
+        let events = drained.recv_timeout(Duration::from_secs(2));
+        RELEASE_HUNG.store(true, Ordering::Release);
+        let events = events.expect("the drain ends while the abandoned attempt runs");
+        assert_eq!(results.harness().poisoned, 1);
+        assert_eq!(results.harness().timeouts, 1);
+        let kinds: Vec<&EventKind> = events.iter().map(|event| &event.kind).collect();
+        let finished = kinds
+            .iter()
+            .position(|kind| matches!(kind, EventKind::CellFinished { index: 0, .. }))
+            .expect("the hung cell finishes");
+        assert!(
+            kinds[..finished]
+                .iter()
+                .any(|kind| matches!(kind, EventKind::Warn { .. })),
+            "the hung cell published while it ran: {kinds:?}"
+        );
+        assert!(
+            !kinds[finished..]
+                .iter()
+                .any(|kind| matches!(kind, EventKind::Warn { .. })),
+            "the hung cell published after its finish: {kinds:?}"
+        );
+        assert!(
+            matches!(kinds.last(), Some(EventKind::CellFinished { index: 1, .. })),
+            "{kinds:?}"
+        );
     }
 
     #[test]

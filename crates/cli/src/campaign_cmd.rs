@@ -402,9 +402,10 @@ fn poisoned_to_error(poisoned: Vec<(String, String)>) -> Result<(), CliError> {
 
 /// Where `--progress`/`--events` telemetry goes: a drain thread that
 /// consumes the campaign's bus, rendering a live progress line on
-/// stderr and appending JSON lines to the events file, until every sink
-/// clone is dropped. `sink` is `None` when neither flag asked for
-/// telemetry; the campaign publishes into clones of it.
+/// stderr and appending JSON lines to the events file, until
+/// [`finish`](Self::finish) ends the stream. `sink` is `None` when
+/// neither flag asked for telemetry; the campaign publishes into clones
+/// of it.
 #[derive(Default)]
 struct TelemetryPipe {
     sink: Option<simty::obs::TelemetrySink>,
@@ -456,9 +457,10 @@ impl TelemetryPipe {
         })
     }
 
-    /// Drops the CLI's sink and joins the drain thread; the thread ends
-    /// once the campaign's own sink clones are gone too, so callers
-    /// must drop those (the run consuming them suffices) before this.
+    /// Ends the stream and joins the drain thread. The drain stops at
+    /// the end marker, so a cell abandoned past `--deadline`, whose
+    /// attempt still holds a sink clone, cannot hold it open; whatever
+    /// that attempt publishes later is dropped.
     ///
     /// A full bus sheds events rather than stalling the campaign;
     /// shedding is lossy observability, so it is surfaced twice: as a
@@ -475,7 +477,7 @@ impl TelemetryPipe {
                 "telemetry bus dropped {dropped} event(s); raise the bus capacity or slow the campaign"
             ));
         }
-        drop(sink);
+        sink.end();
         drain
             .join()
             .map_err(|_| CliError::Harness("telemetry drain thread panicked".into()))??;

@@ -226,6 +226,30 @@ impl Span {
         }
     }
 
+    /// A span whose attribute values are already laid out in `kind`'s
+    /// schema order, `None` past the last one: what a checkpoint restore
+    /// reads back after checking each key against the schema.
+    pub fn from_values(
+        seq: u64,
+        kind: SpanKind,
+        start_ms: u64,
+        end_ms: u64,
+        values: [Option<AttrValue>; SPAN_ATTR_CAPACITY],
+    ) -> Span {
+        debug_assert!(
+            values[kind.attr_keys().len()..].iter().all(Option::is_none),
+            "a {} span holds values past its schema",
+            kind.as_str()
+        );
+        Span {
+            seq,
+            kind,
+            start_ms,
+            end_ms,
+            values,
+        }
+    }
+
     /// The attributes as ordered `(key, value)` pairs. Insertion order
     /// is the schema order and part of the deterministic export.
     pub fn attrs(&self) -> impl Iterator<Item = (&'static str, &AttrValue)> + '_ {

@@ -10,6 +10,11 @@
 //!   with `try_send`; a slow (or absent) drainer drops events and
 //!   counts them in [`TelemetrySink::dropped`] instead of stalling the
 //!   campaign.
+//! * **Never wait for a worker.** Whoever drains the bus ends the
+//!   stream with [`TelemetrySink::end`], whose marker stops the drain
+//!   even while a worker abandoned past its deadline still holds a sink;
+//!   a sink [`closed`](TelemetrySink::close) by its scope's owner, and
+//!   every sink once the stream has ended, drops what it publishes.
 //! * **Wall clock stays out of the deterministic payload.** Events
 //!   carry a `wall_ms` stamp exactly like the campaign documents'
 //!   `stages` block: useful to a human, excluded from everything that
@@ -18,7 +23,7 @@
 //!   tokens (`ok`, `retried:2`, `poisoned: …`), so the obs crate stays
 //!   dependency-free.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
@@ -155,27 +160,64 @@ impl TelemetryEvent {
 }
 
 /// The publishing half: clone one per worker. All clones share the
-/// bounded channel, the epoch, and the dropped-event counter.
+/// bounded channel, the epoch, the dropped-event counter and the switch
+/// [`close`](Self::close) throws; [`scoped`](Self::scoped) makes a sink
+/// with a switch of its own.
 #[derive(Debug, Clone)]
 pub struct TelemetrySink {
-    tx: SyncSender<TelemetryEvent>,
+    /// Events, then `None`: the marker that ends the stream.
+    tx: SyncSender<Option<TelemetryEvent>>,
     epoch: Instant,
     dropped: Arc<AtomicU64>,
+    closed: Arc<AtomicBool>,
 }
 
 impl TelemetrySink {
     /// Publishes an event, stamping it with the bus-relative wall
-    /// clock. Never blocks: if the bus is full or the drainer is gone,
-    /// the event is dropped and counted.
+    /// clock. Never blocks: if the sink is closed, the bus full or the
+    /// drainer gone, the event is dropped and counted.
     pub fn publish(&self, kind: EventKind) {
+        if self.closed.load(Ordering::Acquire) {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         let event = TelemetryEvent {
             wall_ms: self.epoch.elapsed().as_millis() as u64,
             kind,
         };
-        if let Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) = self.tx.try_send(event)
+        if let Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) =
+            self.tx.try_send(Some(event))
         {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// A sink on the same bus with a [`close`](Self::close) switch of its
+    /// own: a campaign hands one to each cell and closes it when the
+    /// cell's supervision ends, so an attempt abandoned past its
+    /// deadline publishes nothing after its cell's finish.
+    #[must_use]
+    pub fn scoped(&self) -> TelemetrySink {
+        TelemetrySink {
+            closed: Arc::new(AtomicBool::new(false)),
+            ..self.clone()
+        }
+    }
+
+    /// Closes this sink and its clones: what they publish from now on is
+    /// dropped and counted.
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+    }
+
+    /// Ends the stream: closes this sink, then sends the marker that
+    /// ends [`TelemetryBus::drain`] after every event published before
+    /// it. The send blocks until the bus has room, so a full bus cannot
+    /// shed the marker; the drain ends there even while other sinks
+    /// live, and what they publish afterwards is dropped and counted.
+    pub fn end(self) {
+        self.close();
+        let _ = self.tx.send(None);
     }
 
     /// Convenience for [`EventKind::Warn`].
@@ -193,29 +235,42 @@ impl TelemetrySink {
 
 /// The draining half of the bus. Create with [`TelemetryBus::new`],
 /// hand [`TelemetrySink`] clones to workers, then iterate the receiver
-/// (typically from a dedicated drain thread) until every sink is
-/// dropped.
+/// (typically from a dedicated drain thread) until the stream ends.
 #[derive(Debug)]
 pub struct TelemetryBus {
-    rx: Receiver<TelemetryEvent>,
+    rx: Receiver<Option<TelemetryEvent>>,
+    dropped: Arc<AtomicU64>,
 }
 
 impl TelemetryBus {
     /// A bounded bus and its first sink.
     pub fn new(capacity: usize) -> (TelemetryBus, TelemetrySink) {
         let (tx, rx) = sync_channel(capacity.max(1));
+        let dropped = Arc::new(AtomicU64::new(0));
         let sink = TelemetrySink {
             tx,
             epoch: Instant::now(),
-            dropped: Arc::new(AtomicU64::new(0)),
+            dropped: Arc::clone(&dropped),
+            closed: Arc::new(AtomicBool::new(false)),
         };
-        (TelemetryBus { rx }, sink)
+        (TelemetryBus { rx, dropped }, sink)
     }
 
-    /// Blocking iterator over published events; ends once every sink
-    /// clone has been dropped.
+    /// Blocking iterator over published events; ends at the marker
+    /// [`TelemetrySink::end`] sends, or once every sink clone has been
+    /// dropped. Events a live sink queued behind the marker are counted
+    /// as dropped when the drain ends, and the bus is gone with it.
     pub fn drain(self) -> impl Iterator<Item = TelemetryEvent> {
-        self.rx.into_iter()
+        let TelemetryBus { rx, dropped } = self;
+        let mut rx = Some(rx);
+        std::iter::from_fn(move || {
+            let event = rx.as_ref()?.recv().ok().flatten();
+            if event.is_none() {
+                let late = rx.take().map_or(0, |rx| rx.try_iter().count());
+                dropped.fetch_add(late as u64, Ordering::Relaxed);
+            }
+            event
+        })
     }
 }
 
@@ -333,6 +388,24 @@ mod tests {
         assert_eq!(sink.dropped(), 1);
         drop(sink);
         assert_eq!(bus.drain().count(), 1);
+    }
+
+    /// The end marker stops the drain while a sink still lives; what
+    /// that sink publishes later, and what a closed scope publishes, is
+    /// dropped and counted.
+    #[test]
+    fn the_end_marker_stops_the_drain_while_a_sink_lives() {
+        let (bus, sink) = TelemetryBus::new(4);
+        let (straggler, cell) = (sink.clone(), sink.scoped());
+        cell.warn("from the cell");
+        cell.close();
+        cell.warn("after its scope closed");
+        straggler.warn("before the end");
+        sink.end();
+        let drain = std::thread::spawn(move || bus.drain().count());
+        assert_eq!(drain.join().expect("the drain ends"), 2);
+        straggler.warn("after the end");
+        assert_eq!(straggler.dropped(), 2);
     }
 
     #[test]

@@ -68,10 +68,10 @@
 //! section overwrite its part, so its work grows with the body's lines
 //! rather than with heap allocations:
 //!
-//! * each value is cut into fields by byte scans, never collected into
-//!   a `Vec`, and each field is read by type, in order, through a
-//!   [`Cursor`]; a line with a missing or extra
-//!   field is an error naming both counts;
+//! * the body is read in one pass: each line is taken by its `key=`
+//!   prefix and its fields are read in place, by type, in order,
+//!   through a [`Cursor`], a number in the scan that finds its end; a
+//!   line with a missing or extra field is an error naming both counts;
 //! * every label (alarm and delivery labels, audit apps, and the
 //!   ledger, hold and retry apps) goes through the parser's interner
 //!   ([`Parser::label`]): one shared `Arc<str>` per distinct label, as
@@ -83,17 +83,20 @@
 //!   exports and recaptures are byte-identical by construction; `007`,
 //!   `+5` and 20-digit values stay strings;
 //! * the counts the body leads each section with presize the trace's
-//!   deliveries and wakeups, the span ring, the audit ring and each
-//!   audit's candidate list.
+//!   deliveries and wakeups, the span ring and the audit ring, and
+//!   each audit's candidates are moved into a list of their exact size.
 //!
 //! Restoring a SIMTY heavy snapshot 2.5 h into its run (2 048 span and
-//! 988 delivery lines) allocates about 1 250 times, where it allocated
-//! about 25 000 times when every line built owned strings
-//! (`tests/alloc_profile.rs`). Restore also validates what the ring
-//! and metric types assume: no more spans or audits than their rings
-//! hold, histogram bounds that are finite and strictly increasing, and
-//! an alarm-id watermark below `u64::MAX`, so a fresh id is left to
-//! mint.
+//! 988 delivery lines) allocates 1 218 times, where it allocated about
+//! 25 000 times when every line built owned strings
+//! (`tests/alloc_profile.rs` pins the count), and takes less time than
+//! re-running the simulation from t = 0 (EXPERIMENTS.md, "Restore
+//! cost"). Which bodies restore, and to what, is pinned over a thousand
+//! hostile mutants of that snapshot (`tests/reader_golden.rs`). Restore
+//! also validates what the ring and metric types assume: no more spans
+//! or audits than their rings hold, histogram bounds that are finite and
+//! strictly increasing, and an alarm-id watermark below `u64::MAX`, so a
+//! fresh id is left to mint.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -120,8 +123,8 @@ use simty_obs::{AttrValue, Histogram, Span, SpanCollector, SpanKind};
 
 use crate::attribution::{ActiveTask, AttributionLedger};
 use crate::codec::{
-    fnv1a64, line, names, put, put_list, record, tagged, unesc, wordsum64, write_queue, Cursor,
-    Field, Parser, Put,
+    fnv1a64, line, names, put, put_list, record, same, tagged, unesc, wordsum64, write_queue,
+    Cursor, Field, Parser, Put,
 };
 use crate::config::{InvariantMode, SimConfig};
 use crate::degrade::{DegradationGovernor, DegradationTier, GovernorConfig};
@@ -1376,29 +1379,50 @@ impl Field for Vec<CandidateAudit> {
     }
 
     fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
-        let raw = r.raw()?;
-        if raw == "-" {
+        if r.next_is("-") {
+            r.raw()?;
             return Ok(Vec::new());
         }
-        let mut out = Vec::with_capacity(raw.bytes().filter(|&b| b == b';').count() + 1);
-        for candidate in raw.split(';') {
-            let mut f = r.parser().cut(candidate, '.', 5)?;
-            let (index, delivery_time, time) = (f.take()?, f.take()?, f.take()?);
-            let hw_rank = match f.peek() {
-                Some("-") => f.raw().map(|_| None)?,
-                _ => Some(f.take()?),
-            };
-            out.push(CandidateAudit {
-                index,
-                delivery_time,
-                time,
-                hw_rank,
-                preferability: hw_rank.map(|r| Preferability::from_ranks(r, time)),
-                verdict: f.take()?,
-            });
-        }
-        Ok(out)
+        r.within(';', 0, |list| {
+            // Most audits weigh a few candidates. Up to eight wait on the
+            // stack, so their list is allocated once, at its exact size,
+            // without counting the field first.
+            let mut first = [None; 8];
+            for n in 1..=first.len() {
+                first[n - 1] = Some(list.within('.', 5, take_candidate)?);
+                if list.done() {
+                    let mut out = Vec::with_capacity(n);
+                    out.extend(first.into_iter().flatten());
+                    return Ok(out);
+                }
+            }
+            let mut out = Vec::with_capacity(list.count_fields());
+            out.extend(first.into_iter().flatten());
+            loop {
+                out.push(list.within('.', 5, take_candidate)?);
+                if list.done() {
+                    return Ok(out);
+                }
+            }
+        })
     }
+}
+
+/// One candidate's `index.delivery.time.rank.verdict`.
+fn take_candidate(f: &mut Cursor<'_, '_>) -> Result<CandidateAudit, CheckpointError> {
+    let (index, delivery_time, time) = (f.take()?, f.take()?, f.take()?);
+    let hw_rank = match f.next_is("-") {
+        true => f.raw().map(|_| None)?,
+        false => Some(f.take()?),
+    };
+    Ok(CandidateAudit {
+        index,
+        delivery_time,
+        time,
+        hw_rank,
+        preferability: hw_rank.map(|r| Preferability::from_ranks(r, time)),
+        verdict: f.take()?,
+    })
 }
 
 record!(PlacementAudit: at, alarm_id, nominal, perceptible, placement, app, candidates);
@@ -1471,7 +1495,7 @@ impl Section for ObsLayer {
         }
         let mut spans = Vec::with_capacity(n);
         for _ in 0..n {
-            spans.push(take_span(p)?);
+            take_span(p, &mut spans)?;
         }
         obs.spans = if c.obs.counts_records() {
             let counted = SpanCollector::counting(c.span_capacity, next_seq);
@@ -1535,51 +1559,60 @@ impl Section for ObsLayer {
     }
 }
 
-/// Reads an `os=` line: seq, kind, start, end, the attribute count,
-/// then that many key/value pairs, whose keys must be the kind's schema
-/// keys in order.
-fn take_span(p: &mut Parser<'_>) -> Result<Span, CheckpointError> {
-    let v = p.kv("os")?;
-    let (parts, nparts) = Parser::fields_upto::<{ 5 + 2 * SPAN_ATTR_CAPACITY }>(v, b',');
-    if nparts < 5 {
-        return Err(p.err(format!("span needs at least 5 fields, got {nparts}")));
-    }
-    let kind = parts[1];
-    let kind = SpanKind::parse(kind).ok_or_else(|| p.err(format!("invalid span kind `{kind}`")))?;
-    let nattrs: usize = p.value(parts[4])?;
-    // A span's attributes are its kind's schema keys, in order, at most
-    // as many as the inline storage holds.
-    let keys = kind.attr_keys();
-    if nattrs > keys.len() {
-        return Err(p.err(format!(
-            "{} span carries at most {} attrs, got {nattrs}",
-            kind.as_str(),
-            keys.len()
-        )));
-    }
-    if nparts != 5 + 2 * nattrs {
-        return Err(p.err(format!(
-            "span with {nattrs} attrs expects {} fields, got {nparts}",
-            5 + 2 * nattrs,
-        )));
-    }
-    let keys = &keys[..nattrs];
-    for (i, &key) in keys.iter().enumerate() {
-        // Keys are plain identifiers, which `esc` leaves as they are.
-        let found = parts[5 + 2 * i];
-        if found != key {
-            return Err(p.err(format!(
-                "{} span attr {i} must be `{key}`, got `{found}`",
-                kind.as_str()
+/// Reads an `os=` line onto `spans`: seq, kind, start, end, the
+/// attribute count, then that many key/value pairs, whose keys must be
+/// the kind's schema keys in order. The span is built in the push, not
+/// moved out through the reader's result.
+fn take_span(p: &mut Parser<'_>, spans: &mut Vec<Span>) -> Result<(), CheckpointError> {
+    p.read_line("os", |r| {
+        let (seq, kind, start_ms, end_ms, nattrs) =
+            span_head(r).map_err(|e| match r.count_fields() {
+                n if n < 5 => r.err(format!("span needs at least 5 fields, got {n}")),
+                _ => e,
+            })?;
+        // A span's attributes are its kind's schema keys, in order, at
+        // most as many as the inline storage holds.
+        let keys = kind.attr_keys();
+        if nattrs > keys.len() {
+            return Err(r.err(format!(
+                "{} span carries at most {} attrs, got {nattrs}",
+                kind.as_str(),
+                keys.len()
             )));
         }
-    }
-    let (seq, start_ms, end_ms) = (p.value(parts[0])?, p.value(parts[2])?, p.value(parts[3])?);
-    let attrs = keys
-        .iter()
-        .enumerate()
-        .map(|(i, &key)| (key, attr_value(p, parts[6 + 2 * i])));
-    Ok(Span::new(seq, kind, start_ms, end_ms, attrs))
+        let keys = &keys[..nattrs];
+        let short = |r: &Cursor<'_, '_>| {
+            let (want, got) = (5 + 2 * nattrs, r.count_fields());
+            r.err(format!(
+                "span with {nattrs} attrs expects {want} fields, got {got}"
+            ))
+        };
+        let mut values: [Option<AttrValue>; SPAN_ATTR_CAPACITY] = Default::default();
+        for (i, (&key, value)) in keys.iter().zip(&mut values).enumerate() {
+            // Keys are plain identifiers, which `esc` leaves as they are.
+            let found = r.raw().map_err(|_| short(r))?;
+            if !same(found.as_bytes(), key.as_bytes()) {
+                return Err(r.err(format!(
+                    "{} span attr {i} must be `{key}`, got `{found}`",
+                    kind.as_str()
+                )));
+            }
+            *value = Some(attr_value(r).map_err(|_| short(r))?);
+        }
+        if !r.done() {
+            return Err(short(r));
+        }
+        spans.push(Span::from_values(seq, kind, start_ms, end_ms, values));
+        Ok(())
+    })
+}
+
+/// The five fields an `os=` line leads with.
+fn span_head(r: &mut Cursor<'_, '_>) -> Result<(u64, SpanKind, u64, u64, usize), CheckpointError> {
+    let seq = r.take()?;
+    let kind = r.raw()?;
+    let kind = SpanKind::parse(kind).ok_or_else(|| r.err(format!("invalid span kind `{kind}`")))?;
+    Ok((seq, kind, r.take()?, r.take()?, r.take()?))
 }
 
 /// Reads an `oh=` line: name, bound count, the bounds, one count per
@@ -1587,35 +1620,31 @@ fn take_span(p: &mut Parser<'_>) -> Result<Span, CheckpointError> {
 /// trailing non-finite quarantine count (absent in pre-quantile
 /// checkpoints).
 fn take_histogram(p: &mut Parser<'_>) -> Result<(String, Histogram), CheckpointError> {
-    let v = p.kv("oh")?;
-    let (head, found) = Parser::fields_upto::<2>(v, b',');
-    if found < 2 {
-        return Err(p.err("histogram needs at least a name and a bound count"));
-    }
-    let nb = p.count_of(head[1])?;
-    let want = 2 + nb + (nb + 1) + 2;
-    if found != want && found != want + 1 {
-        return Err(p.err(format!(
-            "histogram with {nb} bounds expects {want} or {} fields, got {found}",
-            want + 1
-        )));
-    }
-    let mut r = p.cut(v, ',', found)?;
-    let name: String = r.take()?;
-    r.raw()?;
-    let mut bounds = Vec::with_capacity(nb);
-    for _ in 0..nb {
-        bounds.push(r.take()?);
-    }
-    Histogram::check_bounds(&bounds).map_err(|why| r.err(format!("`{name}`: {why}")))?;
-    let mut counts = Vec::with_capacity(nb + 1);
-    for _ in 0..=nb {
-        counts.push(r.take()?);
-    }
-    let (sum, count) = (r.take()?, r.take()?);
-    let nonfinite = if found == want + 1 { r.take()? } else { 0 };
-    let histogram = Histogram::from_parts(bounds, counts, sum, count).with_nonfinite(nonfinite);
-    Ok((name, histogram))
+    p.read_line("oh", |r| {
+        let name: String = r.take()?;
+        let nb = r.count()?;
+        let mut bounds = Vec::with_capacity(nb);
+        for _ in 0..nb {
+            bounds.push(r.take()?);
+        }
+        Histogram::check_bounds(&bounds).map_err(|why| r.err(format!("`{name}`: {why}")))?;
+        let mut counts = Vec::with_capacity(nb + 1);
+        for _ in 0..=nb {
+            counts.push(r.take()?);
+        }
+        let (sum, count) = (r.take()?, r.take()?);
+        let nonfinite = if r.done() { 0 } else { r.take()? };
+        if !r.done() {
+            let want = 2 + nb + (nb + 1) + 2;
+            return Err(r.err(format!(
+                "histogram with {nb} bounds expects {want} or {} fields, got {}",
+                want + 1,
+                r.count_fields()
+            )));
+        }
+        let histogram = Histogram::from_parts(bounds, counts, sum, count).with_nonfinite(nonfinite);
+        Ok((name, histogram))
+    })
 }
 
 /// A restored span value in the form a live run holds it: a canonical
@@ -1623,14 +1652,11 @@ fn take_histogram(p: &mut Parser<'_>) -> Result<(String, Histogram), CheckpointE
 /// within `u64`) as [`AttrValue::U64`], anything else as a shared label.
 /// Either renders as the field's exact unescaped text, so exports and
 /// recaptures are byte-identical to the run that was captured.
-fn attr_value<'a>(p: &mut Parser<'a>, raw: &'a str) -> AttrValue {
-    let canonical = !raw.is_empty()
-        && raw.bytes().all(|b| b.is_ascii_digit())
-        && (raw == "0" || !raw.starts_with('0'));
-    match raw.parse() {
-        Ok(v) if canonical => AttrValue::U64(v),
-        _ => AttrValue::Shared(p.label(raw)),
-    }
+fn attr_value(r: &mut Cursor<'_, '_>) -> Result<AttrValue, CheckpointError> {
+    Ok(match r.decimal_or_raw()? {
+        Ok(v) => AttrValue::U64(v),
+        Err(raw) => AttrValue::Shared(r.parser().label(raw)),
+    })
 }
 
 #[cfg(test)]
@@ -1996,9 +2022,10 @@ mod tests {
     #[test]
     fn span_values_restore_typed_only_when_they_render_the_same() {
         let mut p = Parser::new("");
+        let mut attr_value = |raw| attr_value(&mut p.cut(raw, ',', 1).unwrap()).unwrap();
         for (raw, want) in [("0", 0), ("42", 42), ("18446744073709551615", u64::MAX)] {
             assert!(
-                matches!(attr_value(&mut p, raw), AttrValue::U64(v) if v == want),
+                matches!(attr_value(raw), AttrValue::U64(v) if v == want),
                 "{raw}"
             );
         }
@@ -2012,7 +2039,7 @@ mod tests {
             ("existing%3A3", "existing:3"),
             ("new_entry", "new_entry"),
         ] {
-            let value = attr_value(&mut p, raw);
+            let value = attr_value(raw);
             assert!(matches!(value, AttrValue::Shared(_)), "{raw}");
             assert_eq!(value.render(), rendered);
         }

@@ -23,7 +23,7 @@
 //!   it back from a [`Cursor`]: integers, `0`/`1` flags, hex-bit `f64`s,
 //!   millisecond times and durations, `none`-able options, escaped and
 //!   interned strings, hardware bits, alarm kinds, and tagged enums
-//!   (`tag:param:param`, [`Put::tag`] / [`Cursor::tag`]).
+//!   (`tag:param:param`, [`Put::tag`] / [`Cursor::with_tag`]).
 //! * **Records.** A struct written as its fields in order is declared once
 //!   with `record!`: flat records spread over a line's commas, nested
 //!   ones sit in one field with their own separator. A line is
@@ -31,6 +31,15 @@
 //!   lines) is [`put_list`] / [`Parser::list`]. A line whose field
 //!   count differs from the record's [`Field::ARITY`] is an error naming
 //!   both counts, whichever field the reader stumbled on.
+//!
+//! The reader is one pass. A [`Parser`] walks one offset through the
+//! body and takes a line by matching `key=` at that offset; a [`Cursor`]
+//! reads the line's fields in place from there, each in the scan that
+//! finds its end (a number's digits are folded into its value in that
+//! loop), and nested records and tag parameters are read in place the
+//! same way. Fields are counted only when a read goes wrong, to name
+//! both counts. A byte goes through one scan, where cutting the line,
+//! then the field, then parsing the digits went through three or four.
 //!
 //! The alarm ([`Alarm`]), queue-block ([`write_queue`],
 //! [`Parser::queue`]), discipline and admission codecs live here because
@@ -72,11 +81,14 @@ fn wordsum_step(lane: u64, word: u64) -> u64 {
     (lane ^ word).wrapping_mul(WORDSUM_K).rotate_left(31)
 }
 
-/// The little-endian word of `bytes` (at most 8), zero-padded.
+/// The little-endian word of `bytes` (at most 8), zero-padded, read
+/// without a call to `memcpy`, which short labels would otherwise pay.
+#[inline]
 fn le_word(bytes: &[u8]) -> u64 {
-    let mut word = [0u8; 8];
-    word[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(word)
+    match <[u8; 8]>::try_from(bytes) {
+        Ok(word) => u64::from_le_bytes(word),
+        Err(_) => bytes.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)),
+    }
 }
 
 /// The word-wise checksum of a `simty-checkpoint/v2` body.
@@ -225,8 +237,9 @@ macro_rules! __codec_record {
             fn take(
                 r: &mut $crate::codec::Cursor<'_, '_>,
             ) -> Result<Self, $crate::checkpoint::CheckpointError> {
-                let mut r = r.nested($sep, [$(stringify!($f)),+].len())?;
-                Ok(Self { $($f: r.take()?,)+ })
+                r.within($sep, [$(stringify!($f)),+].len(), |r| {
+                    Ok(Self { $($f: r.take()?,)+ })
+                })
             }
         }
     };
@@ -245,6 +258,7 @@ macro_rules! __codec_names {
             fn put(&self, w: &mut $crate::codec::Put<'_>) {
                 w.raw(match self { $(Self::$v => $name),+ });
             }
+            #[inline]
             fn take(
                 r: &mut $crate::codec::Cursor<'_, '_>,
             ) -> Result<Self, $crate::checkpoint::CheckpointError> {
@@ -280,11 +294,10 @@ macro_rules! __codec_tagged {
             fn take(
                 r: &mut $crate::codec::Cursor<'_, '_>,
             ) -> Result<Self, $crate::checkpoint::CheckpointError> {
-                let (tag, mut a) = r.tag()?;
-                Ok(match tag {
+                r.with_tag(|tag, a| Ok(match tag {
                     $($tag => Self::$v $(({ let $t = a.take()?; $t }))? $({ $($f: a.take()?),+ })?,)+
                     _ => return Err(a.err(format!(concat!("invalid ", $what, " `{}`"), tag))),
-                })
+                }))
             }
         }
     };
@@ -352,7 +365,7 @@ impl<'o> Put<'o> {
     }
 
     /// A writer for one tagged field: `tag`, then `:`-separated
-    /// parameters ([`Cursor::tag`]).
+    /// parameters ([`Cursor::with_tag`]).
     pub fn tag(&mut self, tag: &str) -> Put<'_> {
         let mut w = self.nested(':');
         w.field().push_str(tag);
@@ -408,68 +421,397 @@ pub fn put_list<'i, T: Field + 'i>(
     }
 }
 
-/// The reader half: the fields of one value, taken in order.
+/// Why [`Cursor::scan_number`] read no number.
+#[derive(Clone, Copy)]
+enum Fault {
+    /// Every field was already taken.
+    Missing,
+    /// The field is not a number the reader accepts.
+    Invalid,
+    /// A strict cursor's last expected field is followed by another.
+    Overrun,
+}
+
+/// The bit that stands for byte `b` in a set of stops, or 0 for a byte
+/// no set holds: stops are ASCII bytes below `@`, which every separator
+/// and line end of the dialect is.
+const fn bit(b: u8) -> u64 {
+    if b < 64 {
+        1 << b
+    } else {
+        0
+    }
+}
+
+/// The stops of a line read in place from the body: its `\n`, or a `\r`
+/// right before it.
+const LINE_END: u64 = bit(b'\n') | bit(b'\r');
+
+/// A separator that never matches: the byte `0xff` never occurs in UTF-8.
+const NO_SEP: u8 = 0xff;
+
+/// `sep` as the byte a cursor compares.
+fn sep_byte(sep: char) -> u8 {
+    assert!(
+        (sep as u32) < 64,
+        "separator {sep:?} is not an ASCII byte below `@`"
+    );
+    sep as u8
+}
+
+/// Whether the byte at `at` (or the end of `src`) ends a field under
+/// `stops`. A `\r` ends one only right before a `\n`: `str::lines`, which
+/// earlier readers cut the body with, strips a `\r` only there.
+#[inline(always)]
+fn stops_at(src: &[u8], at: usize, stops: u64) -> bool {
+    match src.get(at) {
+        None => true,
+        Some(&b) => bit(b) & stops != 0 && (b != b'\r' || src.get(at + 1) == Some(&b'\n')),
+    }
+}
+
+/// The first offset at or after `at` that ends a field under `stops`.
+#[inline(always)]
+fn field_end(src: &[u8], mut at: usize, stops: u64) -> usize {
+    while !stops_at(src, at, stops) {
+        at += 1;
+    }
+    at
+}
+
+/// The digits of `radix` (10 or 16) from `at` on, folded into a value
+/// that wraps past `u64` ([`fits`] tells), and where they end.
+#[inline(always)]
+fn digits(src: &[u8], mut at: usize, radix: u64) -> (u64, usize) {
+    let mut value: u64 = 0;
+    while let Some(&b) = src.get(at) {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' if radix == 16 => b - b'a' + 10,
+            b'A'..=b'F' if radix == 16 => b - b'A' + 10,
+            _ => break,
+        };
+        value = value.wrapping_mul(radix).wrapping_add(u64::from(digit));
+        at += 1;
+    }
+    (value, at)
+}
+
+/// Whether `digits` of `radix` (10 or 16) hold a value within `u64`:
+/// at most 19 decimal or 16 hex digits always do, and only longer runs
+/// are read again with checked arithmetic.
+#[inline(always)]
+fn fits(digits: &[u8], radix: u64) -> bool {
+    let safe = if radix == 16 { 16 } else { 19 };
+    digits.len() <= safe || fits_checked(digits, radix)
+}
+
+#[cold]
+fn fits_checked(digits: &[u8], radix: u64) -> bool {
+    digits
+        .iter()
+        .try_fold(0u64, |v, &b| {
+            let digit = char::from(b).to_digit(radix as u32)?;
+            v.checked_mul(radix)?.checked_add(u64::from(digit))
+        })
+        .is_some()
+}
+
+/// Where the line that ends at `end` (a line end or the end of `body`)
+/// is followed by the next one.
+fn line_after(body: &[u8], end: usize) -> usize {
+    match body.get(end) {
+        None => end,
+        Some(b'\r') => end + 2,
+        Some(_) => end + 1,
+    }
+}
+
+/// The reader half: the fields of one value, taken in order, each in the
+/// scan that finds its end.
+///
+/// A cursor walks one offset through its source: the body itself for a
+/// line read in place, whose end ends its last field, or a value already
+/// cut from a line. A nested record's or a tag's cursor reads the same
+/// bytes in place, from where its field starts, with its own separator
+/// added to the bytes that end a field. A field is a separator-free run
+/// of bytes, so a number's digits are folded into its value in the loop
+/// that finds its end, and nothing is cut twice. Fields are counted only
+/// to report an error: a read that fails, or one that leaves fields
+/// over, counts the value's fields, and a count other than the expected
+/// one wins over whatever error a shifted field gave.
 pub struct Cursor<'p, 'a> {
     p: &'p mut Parser<'a>,
-    /// The fields not taken yet, or `None` once the last one is.
-    rest: Option<&'a str>,
-    /// The ASCII separator between fields.
+    /// The bytes the cursor reads.
+    src: &'a str,
+    /// The start of the first field, then the end of the last one taken
+    /// (or, after a tag whose parameters were not all read, a byte before
+    /// it).
+    at: usize,
+    /// Where the cursor's first field starts.
+    start: usize,
+    /// The ASCII separator between fields, or [`NO_SEP`].
     sep: u8,
-    /// The whole value, for error messages.
-    raw: &'a str,
-    /// The field count the reader expects, or 0 for a tag's parameters.
+    /// The bytes that end a field: the separator, every enclosing
+    /// cursor's, and for a line read in place the line's end.
+    stops: u64,
+    /// The field count the reader expects, or 0 when it is open (a tag's
+    /// parameters, a list).
     expected: usize,
+    /// The fields begun so far.
+    taken: usize,
+    /// Whether a field past the expected ones is an error as soon as the
+    /// last expected one ends (nested records, [`Parser::cut`]); a line
+    /// read whole is checked once, at its end.
+    strict: bool,
 }
 
 impl<'p, 'a> Cursor<'p, 'a> {
-    fn new(p: &'p mut Parser<'a>, raw: &'a str, sep: char, expected: usize) -> Self {
-        debug_assert!(sep.is_ascii(), "separator {sep:?} is not ASCII");
+    fn new(
+        p: &'p mut Parser<'a>,
+        src: &'a str,
+        at: usize,
+        sep: u8,
+        region: u64,
+        expected: usize,
+    ) -> Self {
         Cursor {
             p,
-            rest: Some(raw),
-            sep: sep as u8,
-            raw,
+            src,
+            at,
+            start: at,
+            sep,
+            stops: region | bit(sep),
             expected,
+            taken: 0,
+            strict: false,
         }
     }
 
-    /// The next raw field, or an error once every field is taken.
-    #[inline]
-    pub fn raw(&mut self) -> Result<&'a str, CheckpointError> {
-        let Some(rest) = self.rest else {
+    /// Moves to the start of the next field, past the separator that
+    /// ends the last one, or fails once every field is taken.
+    #[inline(always)]
+    fn begin(&mut self) -> Result<usize, CheckpointError> {
+        if !self.begin_quietly() {
             return Err(self.missing());
+        }
+        Ok(self.at)
+    }
+
+    /// [`begin`](Self::begin), answering only whether a field was left.
+    #[inline(always)]
+    fn begin_quietly(&mut self) -> bool {
+        if self.taken > 0 {
+            if self.src.as_bytes().get(self.at) == Some(&self.sep) {
+                self.at += 1;
+            } else if !self.step_over() {
+                return false;
+            }
+        }
+        self.taken += 1;
+        true
+    }
+
+    /// Moves past the separator that ends the last field when the offset
+    /// stopped short of it (a tag's parameters left unread); false when
+    /// that field was the last.
+    #[inline(never)]
+    fn step_over(&mut self) -> bool {
+        let src = self.src.as_bytes();
+        self.at = field_end(src, self.at, self.stops);
+        if src.get(self.at) != Some(&self.sep) {
+            return false;
+        }
+        self.at += 1;
+        true
+    }
+
+    /// Whether a field that ends at `end` overruns a strict cursor: its
+    /// last expected field must end its fields.
+    #[inline(always)]
+    fn overruns(&self, end: usize) -> bool {
+        self.strict
+            && self.taken == self.expected
+            && self.src.as_bytes().get(end) == Some(&self.sep)
+    }
+
+    /// Ends the field taken at `end` ([`overruns`](Self::overruns)).
+    #[inline(always)]
+    fn end_field(&mut self, end: usize) -> Result<(), CheckpointError> {
+        self.at = end;
+        if self.overruns(end) {
+            return Err(self.arity_mismatch());
+        }
+        Ok(())
+    }
+
+    /// The next raw field, or an error once every field is taken.
+    #[inline(always)]
+    pub fn raw(&mut self) -> Result<&'a str, CheckpointError> {
+        let from = self.begin()?;
+        let end = field_end(self.src.as_bytes(), from, self.stops);
+        self.end_field(end)?;
+        Ok(&self.src[from..end])
+    }
+
+    /// Reads the next field as an unsigned number in `radix` (10 or 16)
+    /// no larger than `max`, its digits folded in by the scan that finds
+    /// its end. Accepts what [`u64::from_str_radix`] does (an optional
+    /// `+`, then at least one digit, within `u64`); any other field is an
+    /// `invalid {what}` error.
+    #[inline]
+    fn number(&mut self, radix: u64, max: u64, what: &str) -> Result<u64, CheckpointError> {
+        match self.scan_number(radix, max) {
+            Ok(value) => Ok(value),
+            Err(fault) => Err(self.fault(fault, what)),
+        }
+    }
+
+    /// The scan behind [`number`](Self::number), shared by every number
+    /// field and kept out of line: it returns in registers, and its
+    /// caller builds the error only when there is one.
+    #[inline(never)]
+    fn scan_number(&mut self, radix: u64, max: u64) -> Result<u64, Fault> {
+        if !self.begin_quietly() {
+            return Err(Fault::Missing);
+        }
+        let src = self.src.as_bytes();
+        let from = self.at;
+        let first = from + usize::from(src.get(from) == Some(&b'+'));
+        let (value, at) = digits(src, first, radix);
+        if at == first
+            || !stops_at(src, at, self.stops)
+            || value > max
+            || !fits(&src[first..at], radix)
+        {
+            return Err(Fault::Invalid);
+        }
+        self.at = at;
+        if self.overruns(at) {
+            return Err(Fault::Overrun);
+        }
+        Ok(value)
+    }
+
+    /// The error a [`Fault`] stands for, built where a read reports it.
+    #[cold]
+    fn fault(&self, fault: Fault, what: &str) -> CheckpointError {
+        match fault {
+            Fault::Missing => self.missing(),
+            Fault::Invalid => self.invalid(what, self.at),
+            Fault::Overrun => self.arity_mismatch(),
+        }
+    }
+
+    /// Reads the next field as a canonical decimal (digits only, no
+    /// leading zero unless it is `0`, within `u64`), or returns it raw.
+    pub(crate) fn decimal_or_raw(&mut self) -> Result<Result<u64, &'a str>, CheckpointError> {
+        let from = self.begin()?;
+        let src = self.src.as_bytes();
+        let (value, at) = digits(src, from, 10);
+        let canonical = at == from + 1 || (at > from && src[from] != b'0');
+        if canonical && stops_at(src, at, self.stops) && fits(&src[from..at], 10) {
+            self.end_field(at)?;
+            return Ok(Ok(value));
+        }
+        let end = field_end(src, at, self.stops);
+        self.end_field(end)?;
+        Ok(Err(&self.src[from..end]))
+    }
+
+    /// Whether the next field is exactly `s` (which holds no separator),
+    /// without taking it.
+    pub fn next_is(&self, s: &str) -> bool {
+        let src = self.src.as_bytes();
+        let from = if self.taken == 0 {
+            self.at
+        } else {
+            let end = field_end(src, self.at, self.stops);
+            if src.get(end) != Some(&self.sep) {
+                return false;
+            }
+            end + 1
         };
-        // The separator is ASCII, so both cuts fall on char boundaries.
-        Ok(match rest.bytes().position(|b| b == self.sep) {
-            Some(i) => {
-                self.rest = Some(&rest[i + 1..]);
-                &rest[..i]
+        src[from..].starts_with(s.as_bytes()) && stops_at(src, from + s.len(), self.stops)
+    }
+
+    /// Whether every field is taken: the last one ends the cursor's
+    /// fields.
+    pub fn done(&self) -> bool {
+        let src = self.src.as_bytes();
+        self.taken > 0 && src.get(field_end(src, self.at, self.stops)) != Some(&self.sep)
+    }
+
+    /// The cursor's fields as one string, from the first one's start to
+    /// the last one's end.
+    fn fields(&self) -> &'a str {
+        let end = field_end(self.src.as_bytes(), self.start, self.stops & !bit(self.sep));
+        &self.src[self.start..end]
+    }
+
+    /// How many fields the cursor holds, taken or not.
+    pub fn count_fields(&self) -> usize {
+        let src = self.src.as_bytes();
+        let (mut at, mut n) = (self.start, 1);
+        loop {
+            at = field_end(src, at, self.stops);
+            if src.get(at) != Some(&self.sep) {
+                return n;
             }
-            None => {
-                self.rest = None;
-                rest
-            }
-        })
+            (at, n) = (at + 1, n + 1);
+        }
     }
 
     #[cold]
     fn missing(&self) -> CheckpointError {
-        if self.expected == 0 {
-            self.err(format!("`{}` is missing a parameter", self.raw))
+        if self.expected > 0 {
+            return self.arity_mismatch();
+        }
+        let what = if self.sep == b':' {
+            "parameter"
         } else {
-            self.p.arity_err(self.raw, self.sep, self.expected)
+            "field"
+        };
+        self.err(format!("`{}` is missing a {what}", self.fields()))
+    }
+
+    #[cold]
+    fn arity_mismatch(&self) -> CheckpointError {
+        self.p.arity_err(self.fields(), self.sep, self.expected)
+    }
+
+    /// `e`, unless the cursor holds other than the fields it expects:
+    /// then the count wins, as it does over a shifted field's error.
+    #[cold]
+    fn recount(&self, e: CheckpointError) -> CheckpointError {
+        let fields = self.fields();
+        if self.expected == 0 || fields_in(fields, self.sep) == self.expected || fields == "none" {
+            e
+        } else {
+            self.arity_mismatch()
         }
     }
 
+    /// An `invalid {what}` error naming the field that starts at `from`.
+    #[cold]
+    fn invalid(&self, what: &str, from: usize) -> CheckpointError {
+        let end = field_end(self.src.as_bytes(), from, self.stops);
+        self.err(format!("invalid {what} `{}`", &self.src[from..end]))
+    }
+
     /// Reads the next value.
+    #[inline(always)]
     pub fn take<T: Field>(&mut self) -> Result<T, CheckpointError> {
-        T::take(self)
+        match T::take(self) {
+            Ok(v) => Ok(v),
+            Err(e) => Err(self.recount(e)),
+        }
     }
 
     /// Reads the next field as a count ([`Parser::count_of`]).
     pub fn count(&mut self) -> Result<usize, CheckpointError> {
-        let raw = self.raw()?;
-        self.p.count_of(raw)
+        let n = self.number(10, usize::MAX as u64, "integer")?;
+        self.p.bounded(n as usize)
     }
 
     /// Reads a `key=` field written by [`Put::named`].
@@ -482,26 +824,46 @@ impl<'p, 'a> Cursor<'p, 'a> {
         self.p.value(value)
     }
 
-    /// A cursor over the next field's `sep`-separated parts, of which
-    /// there must be `arity`.
-    pub fn nested(&mut self, sep: char, arity: usize) -> Result<Cursor<'_, 'a>, CheckpointError> {
-        let raw = self.raw()?;
-        self.p.cut(raw, sep, arity)
+    /// Reads the next field's `sep`-separated parts in place with `read`,
+    /// of which there must be `arity` (any number for 0), and goes on
+    /// from where `read` stopped.
+    #[inline]
+    pub fn within<T>(
+        &mut self,
+        sep: char,
+        arity: usize,
+        read: impl FnOnce(&mut Cursor<'_, 'a>) -> Result<T, CheckpointError>,
+    ) -> Result<T, CheckpointError> {
+        let mut r = self.child(sep_byte(sep), arity)?;
+        let out = read(&mut r);
+        self.at = r.at;
+        out
     }
 
-    /// The next field's tag and a cursor over its `:`-separated
-    /// parameters ([`Put::tag`]).
-    pub fn tag(&mut self) -> Result<(&'a str, Cursor<'_, 'a>), CheckpointError> {
-        let raw = self.raw()?;
-        let mut params = Cursor::new(self.p, raw, ':', 0);
+    #[inline]
+    fn child(&mut self, sep: u8, expected: usize) -> Result<Cursor<'_, 'a>, CheckpointError> {
+        let from = self.begin()?;
+        let region = self.stops;
+        // A separator that already ends the field leaves it one part.
+        let sep = if region & bit(sep) == 0 { sep } else { NO_SEP };
+        let mut r = Cursor::new(&mut *self.p, self.src, from, sep, region, expected);
+        r.strict = expected > 0;
+        Ok(r)
+    }
+
+    /// Reads the next field, written by [`Put::tag`], with `read`: its
+    /// tag, and a cursor over its `:`-separated parameters, read in place.
+    /// Parameters left unread are skipped.
+    #[inline]
+    pub fn with_tag<T>(
+        &mut self,
+        read: impl FnOnce(&'a str, &mut Cursor<'_, 'a>) -> Result<T, CheckpointError>,
+    ) -> Result<T, CheckpointError> {
+        let mut params = self.child(b':', 0)?;
         let tag = params.raw()?;
-        Ok((tag, params))
-    }
-
-    /// The next field without consuming it.
-    pub fn peek(&self) -> Option<&'a str> {
-        let rest = self.rest?;
-        Some(rest.split(self.sep as char).next().unwrap_or(rest))
+        let out = read(tag, &mut params);
+        self.at = params.at;
+        out
     }
 
     /// The parser underneath, for its interner.
@@ -523,8 +885,7 @@ macro_rules! int_fields {
             }
             #[inline]
             fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
-                let raw = r.raw()?;
-                raw.parse().map_err(|_| r.err(format!("invalid integer `{raw}`")))
+                r.number(10, <$t>::MAX as u64, "integer").map(|v| v as $t)
             }
         }
     )+};
@@ -537,10 +898,14 @@ impl Field for bool {
     }
     #[inline]
     fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
-        match r.raw()? {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            raw => Err(r.err(format!("invalid flag `{raw}`"))),
+        let from = r.begin()?;
+        let src = r.src.as_bytes();
+        match src.get(from) {
+            Some(&b @ (b'0' | b'1')) if stops_at(src, from + 1, r.stops) => {
+                r.end_field(from + 1)?;
+                Ok(b == b'1')
+            }
+            _ => Err(r.invalid("flag", from)),
         }
     }
 }
@@ -551,11 +916,9 @@ impl Field for f64 {
     fn put(&self, w: &mut Put<'_>) {
         let _ = write!(w.field(), "{:016x}", self.to_bits());
     }
+    #[inline]
     fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
-        let raw = r.raw()?;
-        let bits = u64::from_str_radix(raw, 16);
-        bits.map(f64::from_bits)
-            .map_err(|_| r.err(format!("invalid float bits `{raw}`")))
+        r.number(16, u64::MAX, "float bits").map(f64::from_bits)
     }
 }
 
@@ -609,7 +972,7 @@ impl<T: Field> Field for Option<T> {
         }
     }
     fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
-        if r.peek() == Some("none") {
+        if r.next_is("none") {
             r.raw()?;
             return Ok(None);
         }
@@ -757,16 +1120,72 @@ pub fn write_queue(out: &mut String, key: &str, queue: &AlarmQueue) {
 /// bounds them by the body's length, so hostile bytes yield an error
 /// rather than a huge allocation.
 ///
-/// Fields are cut by byte scans, never collected into a `Vec`, and
-/// labels go through a per-parser interner ([`label`](Self::label)), so
-/// a label that recurs on many lines is one shared allocation, as it is
-/// in the live run.
+/// The parser walks one offset through the body. A line is taken by
+/// matching `key=` as a prefix at that offset, and its fields are read in
+/// place by a [`Cursor`] that stops at the line's end, so each byte is
+/// scanned once: no line, field or digit string is cut out and read
+/// again, nothing is collected into a `Vec`, and lines are counted as
+/// their ends are passed. Labels go through a per-parser interner
+/// ([`label`](Self::label)), so a label that recurs on many lines is one
+/// shared allocation, as it is in the live run. Nothing the parser holds
+/// outlives it.
 pub struct Parser<'a> {
-    lines: std::str::Lines<'a>,
+    body: &'a str,
+    /// Where the next line starts.
+    next: usize,
     line_no: usize,
-    body_len: usize,
     /// Raw (escaped) label field → its unescaped shared form.
     labels: HashMap<&'a str, Arc<str>>,
+    /// The label last interned in each slot of a cheap hash of its
+    /// bytes ([`LabelKey`]): a label that recurs is found here without
+    /// hashing it for the map. Two labels that share a slot only cost
+    /// map lookups.
+    recent: [Option<(LabelKey, &'a str, Arc<str>)>; RECENT_LABELS],
+}
+
+/// Slots of [`Parser`]'s recent-label cache.
+const RECENT_LABELS: usize = 256;
+
+/// Whether `rest` starts with `key=`.
+#[inline]
+fn is_key(rest: &[u8], key: &str) -> bool {
+    rest.get(key.len()) == Some(&b'=') && same(&rest[..key.len()], key.as_bytes())
+}
+
+/// Whether `a` and `b` hold the same bytes, compared one by one: keys
+/// and labels are short, and a `memcmp` call for each costs more than
+/// the compare.
+#[inline]
+pub(crate) fn same(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
+}
+
+/// A label as the recent-label cache compares it: its length and its
+/// first and last eight bytes, which hold the whole of a label of up to
+/// 16 bytes (and tell `existing%3A0` from `existing%3A1`).
+#[derive(Clone, Copy, PartialEq)]
+struct LabelKey {
+    len: usize,
+    head: u64,
+    tail: u64,
+}
+
+impl LabelKey {
+    fn of(raw: &str) -> Self {
+        let bytes = raw.as_bytes();
+        let len = bytes.len();
+        LabelKey {
+            len,
+            head: le_word(&bytes[..len.min(8)]),
+            tail: le_word(&bytes[len.saturating_sub(8)..]),
+        }
+    }
+
+    /// The key's slot in the cache.
+    fn slot(self) -> usize {
+        let word = self.head ^ self.tail.rotate_left(29) ^ self.len as u64;
+        (word.wrapping_mul(WORDSUM_K) >> (64 - RECENT_LABELS.trailing_zeros())) as usize
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -774,10 +1193,11 @@ impl<'a> Parser<'a> {
     #[must_use]
     pub fn new(body: &'a str) -> Self {
         Parser {
-            lines: body.lines(),
+            body,
+            next: 0,
             line_no: 0,
-            body_len: body.len(),
             labels: HashMap::new(),
+            recent: [const { None }; RECENT_LABELS],
         }
     }
 
@@ -791,26 +1211,55 @@ impl<'a> Parser<'a> {
 
     /// Consumes the next line as it is, whatever its shape.
     pub fn line(&mut self) -> Option<&'a str> {
-        let line = self.lines.next()?;
+        let from = self.next;
+        if from >= self.body.len() {
+            return None;
+        }
         self.line_no += 1;
-        Some(line)
+        Some(self.rest_of_line(from))
+    }
+
+    /// The line from `from` to its end, moving past it.
+    fn rest_of_line(&mut self, from: usize) -> &'a str {
+        let body = self.body.as_bytes();
+        let end = field_end(body, from, LINE_END);
+        self.next = line_after(body, end);
+        &self.body[from..end]
+    }
+
+    /// Starts the next line, which must be `key=...`, returning where
+    /// its value starts.
+    #[inline]
+    fn open(&mut self, key: &str) -> Result<usize, CheckpointError> {
+        let rest = &self.body.as_bytes()[self.next..];
+        if rest.is_empty() {
+            return Err(CheckpointError::Malformed {
+                line: self.line_no + 1,
+                message: format!("unexpected end of body (wanted `{key}`)"),
+            });
+        }
+        self.line_no += 1;
+        if is_key(rest, key) {
+            Ok(self.next + key.len() + 1)
+        } else {
+            Err(self.wrong_key(key))
+        }
+    }
+
+    #[cold]
+    fn wrong_key(&mut self, key: &str) -> CheckpointError {
+        let line = self.rest_of_line(self.next);
+        match line.split_once('=') {
+            None => self.err(format!("expected `{key}=...`, found `{line}`")),
+            Some((k, _)) => self.err(format!("expected key `{key}`, found `{k}`")),
+        }
     }
 
     /// Consumes the next line, which must be `key=...`, returning its
     /// value.
-    #[inline]
     pub fn kv(&mut self, key: &str) -> Result<&'a str, CheckpointError> {
-        let line = self.line().ok_or_else(|| CheckpointError::Malformed {
-            line: self.line_no + 1,
-            message: format!("unexpected end of body (wanted `{key}`)"),
-        })?;
-        let (k, v) = line
-            .split_once('=')
-            .ok_or_else(|| self.err(format!("expected `{key}=...`, found `{line}`")))?;
-        if k != key {
-            return Err(self.err(format!("expected key `{key}`, found `{k}`")));
-        }
-        Ok(v)
+        let from = self.open(key)?;
+        Ok(self.rest_of_line(from))
     }
 
     /// Parses the count of the items that follow. Every counted item
@@ -818,13 +1267,18 @@ impl<'a> Parser<'a> {
     /// than the body's byte length cannot be honest and is refused
     /// before anything loops or allocates on it.
     pub fn count_of(&self, s: &str) -> Result<usize, CheckpointError> {
-        let n: usize = s
+        let n = s
             .parse()
             .map_err(|_| self.err(format!("invalid integer `{s}`")))?;
-        if n > self.body_len {
+        self.bounded(n)
+    }
+
+    /// `n`, if it is an honest count ([`count_of`](Self::count_of)).
+    fn bounded(&self, n: usize) -> Result<usize, CheckpointError> {
+        if n > self.body.len() {
             return Err(self.err(format!(
                 "count {n} exceeds the body's {} bytes",
-                self.body_len
+                self.body.len()
             )));
         }
         Ok(n)
@@ -837,18 +1291,17 @@ impl<'a> Parser<'a> {
 
     /// A cursor over `value`'s `sep`-separated fields, of which there
     /// must be `arity` — or the one field `none`, the form of an absent
-    /// optional record.
-    #[inline]
+    /// optional record. The fields are counted only when a read fails,
+    /// stops short or goes past the last one.
     pub fn cut<'p>(
         &'p mut self,
         value: &'a str,
         sep: char,
         arity: usize,
     ) -> Result<Cursor<'p, 'a>, CheckpointError> {
-        if fields_in(value, sep as u8) != arity && value != "none" {
-            return Err(self.arity_err(value, sep as u8, arity));
-        }
-        Ok(Cursor::new(self, value, sep, arity))
+        let mut r = Cursor::new(self, value, 0, sep_byte(sep), 0, arity);
+        r.strict = true;
+        Ok(r)
     }
 
     #[cold]
@@ -859,49 +1312,94 @@ impl<'a> Parser<'a> {
 
     /// A cursor over the fields of a `key=` line, of which there must
     /// be `arity`.
-    #[inline]
     pub fn rec(&mut self, key: &str, arity: usize) -> Result<Cursor<'_, 'a>, CheckpointError> {
         let value = self.kv(key)?;
         self.cut(value, ',', arity)
     }
 
-    /// Reads a `key=` line written by [`put`].
+    /// Reads a `key=` line written by [`put`], in place.
     pub fn take<T: Field>(&mut self, key: &str) -> Result<T, CheckpointError> {
-        let value = self.kv(key)?;
-        self.value(value)
+        let from = self.open(key)?;
+        self.read(self.body, from, LINE_END)
     }
 
     /// Reads `value`, a line's fields or one field already cut from
-    /// them, as a `T`. The fields are counted only when the read fails
-    /// or leaves some over, so the hot path reads each byte once; a
-    /// count other than `T::ARITY` then wins over whatever error a
-    /// shifted field gave.
+    /// them, as a `T`.
     pub fn value<T: Field>(&mut self, value: &'a str) -> Result<T, CheckpointError> {
-        let mut r = Cursor::new(self, value, ',', T::ARITY);
+        self.read(value, 0, 0)
+    }
+
+    /// Reads a `T` from the `,`-separated fields of `src` that start at
+    /// `from` and end at a stop of `region` (or the end of `src`). A line
+    /// read in place from the body is passed, whichever way it ends. The
+    /// fields are counted only when the read fails or leaves some over;
+    /// a count other than `T::ARITY` then wins over the read's error.
+    fn read<T: Field>(
+        &mut self,
+        src: &'a str,
+        from: usize,
+        region: u64,
+    ) -> Result<T, CheckpointError> {
+        let mut r = Cursor::new(self, src, from, b',', region, T::ARITY);
         let read = T::take(&mut r);
-        if read.is_ok() && r.rest.is_none() {
+        let stops = r.stops;
+        let end = field_end(src.as_bytes(), r.at, stops);
+        if read.is_ok() && src.as_bytes().get(end) != Some(&b',') {
+            if region == LINE_END {
+                self.next = line_after(src.as_bytes(), end);
+            }
             return read;
         }
-        if fields_in(value, b',') != T::ARITY && value != "none" {
-            return Err(self.arity_err(value, b',', T::ARITY));
+        match self.recount(src, from, region, T::ARITY) {
+            Some(wrong) => Err(wrong),
+            None => read,
         }
-        read
+    }
+
+    /// The cold end of [`read`](Self::read): the value's fields counted,
+    /// and an arity error when there are other than `arity` of them.
+    #[cold]
+    fn recount(
+        &mut self,
+        src: &'a str,
+        from: usize,
+        region: u64,
+        arity: usize,
+    ) -> Option<CheckpointError> {
+        let end = field_end(src.as_bytes(), from, region);
+        if region == LINE_END {
+            self.next = line_after(src.as_bytes(), end);
+        }
+        let value = &src[from..end];
+        (fields_in(value, b',') != arity && value != "none")
+            .then(|| self.arity_err(value, b',', arity))
+    }
+
+    /// Reads the fields of a `key=` line in place with `fields`, which
+    /// must take them all and say what it found when it cannot: for a
+    /// line whose field count one of its fields declares.
+    pub fn read_line<T>(
+        &mut self,
+        key: &str,
+        fields: impl FnOnce(&mut Cursor<'_, 'a>) -> Result<T, CheckpointError>,
+    ) -> Result<T, CheckpointError> {
+        let from = self.open(key)?;
+        let body = self.body;
+        let mut r = Cursor::new(self, body, from, b',', LINE_END, 0);
+        let read = fields(&mut r)?;
+        let end = field_end(body.as_bytes(), r.at, LINE_END);
+        self.next = line_after(body.as_bytes(), end);
+        Ok(read)
     }
 
     /// Reads a `key=` line written by [`put`] if the next line has that
     /// key, leaving the parser untouched otherwise: for keys newer
     /// captures may write that older bodies lack.
     pub fn take_opt<T: Field>(&mut self, key: &str) -> Result<Option<T>, CheckpointError> {
-        let mut look = self.lines.clone();
-        let Some(v) = look
-            .next()
-            .and_then(|l| l.strip_prefix(key)?.strip_prefix('='))
-        else {
+        if !is_key(&self.body.as_bytes()[self.next..], key) {
             return Ok(None);
-        };
-        self.lines = look;
-        self.line_no += 1;
-        self.value(v).map(Some)
+        }
+        self.take(key).map(Some)
     }
 
     /// Reads a counted list written by [`put_list`].
@@ -914,42 +1412,26 @@ impl<'a> Parser<'a> {
         Ok(out)
     }
 
-    /// Splits `value` at every `sep` byte in one scan: the first `N`
-    /// fields (empty past the last one) and the true field count, which
-    /// may exceed `N`. For lines whose arity a field of their own
-    /// declares. `sep` must be ASCII, so every cut falls on a char
-    /// boundary.
-    pub fn fields_upto<const N: usize>(value: &'a str, sep: u8) -> ([&'a str; N], usize) {
-        debug_assert!(sep.is_ascii(), "separator {sep:#x} is not ASCII");
-        let mut out = [""; N];
-        let mut n = 0;
-        let mut start = 0;
-        for (i, &b) in value.as_bytes().iter().enumerate() {
-            if b == sep {
-                if let Some(slot) = out.get_mut(n) {
-                    *slot = &value[start..i];
-                }
-                n += 1;
-                start = i + 1;
-            }
-        }
-        if let Some(slot) = out.get_mut(n) {
-            *slot = &value[start..];
-        }
-        (out, n + 1)
-    }
-
     /// The unescaped label of a raw field, shared with every earlier
     /// field of the same bytes: one allocation per distinct label (two
     /// when it holds an escape), none for a repeat.
     pub fn label(&mut self, raw: &'a str) -> Arc<str> {
-        Arc::clone(self.labels.entry(raw).or_insert_with(|| {
+        let key = LabelKey::of(raw);
+        let recent = &mut self.recent[key.slot()];
+        if let Some((seen, seen_raw, label)) = recent {
+            if *seen == key && (key.len <= 16 || same(seen_raw.as_bytes(), raw.as_bytes())) {
+                return Arc::clone(label);
+            }
+        }
+        let label = Arc::clone(self.labels.entry(raw).or_insert_with(|| {
             if raw.contains('%') {
                 unesc(raw).into()
             } else {
                 raw.into()
             }
-        }))
+        }));
+        *recent = Some((key, raw, Arc::clone(&label)));
+        label
     }
 
     /// Reads a queue block written by [`write_queue`] under `key`.
@@ -1028,30 +1510,25 @@ mod tests {
         assert!(Parser::new("v=zz").take::<f64>("v").is_err());
     }
 
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        a: u64,
+        b: u64,
+    }
+    record!(Pair in ':': a, b);
+
     #[test]
-    fn the_byte_splitter_counts_every_field_and_keeps_the_first_n() {
-        for value in ["", "a", "a,b", ",", "a,,b,", "β,ü,✓", "1,2,3,4,5,6"] {
-            let want: Vec<&str> = value.split(',').collect();
-            let (got, n) = Parser::fields_upto::<3>(value, b',');
-            assert_eq!(n, want.len(), "{value:?}");
-            for (i, field) in got.iter().enumerate() {
-                assert_eq!(*field, want.get(i).copied().unwrap_or(""), "{value:?}");
-            }
-        }
-        assert_eq!(
-            Parser::fields_upto::<5>("1.2.h.-.w", b'.'),
-            (["1", "2", "h", "-", "w"], 5)
-        );
+    fn fields_are_read_in_place_and_counted_only_when_a_read_goes_wrong() {
         let mut p = Parser::new("");
         let mut r = p.cut("a,b", ',', 2).unwrap();
         assert_eq!((r.raw().unwrap(), r.raw().unwrap()), ("a", "b"));
         for (value, got) in [("a", 1), ("a,b,c", 3)] {
-            match p.cut(value, ',', 2) {
+            let mut r = p.cut(value, ',', 2).unwrap();
+            match r.raw().and_then(|_| r.raw()) {
                 Err(CheckpointError::Malformed { message, .. }) => {
                     assert_eq!(message, format!("expected 2 fields, got {got}"));
                 }
-                Ok(_) => panic!("{value} cut into 2 fields"),
-                Err(other) => panic!("{value}: {other:?}"),
+                other => panic!("{value}: {other:?}"),
             }
         }
         // A whole line read by type counts its fields only on failure; a
@@ -1062,6 +1539,46 @@ mod tests {
                     assert_eq!(message, format!("expected 3 fields, got {got}"));
                 }
                 other => panic!("{line}: {other:?}"),
+            }
+        }
+
+        // Nested records and tag parameters are read in place, a tag's
+        // unread parameters are skipped, and a line ends at `\n` or at a
+        // `\r` right before it.
+        let mut p = Parser::new("v=1:2,s:5:x,+7\r\nw=007,fF\nend\r");
+        let (pair, repeat, n): (Pair, Repeat, u64) = p.take("v").unwrap();
+        assert_eq!(pair, Pair { a: 1, b: 2 });
+        assert_eq!(repeat, Repeat::Static(SimDuration::from_millis(5)));
+        assert_eq!(n, 7);
+        let (n, bits): (u64, f64) = p.take("w").unwrap();
+        assert_eq!((n, bits.to_bits()), (7, 0xff));
+        assert_eq!((p.line(), p.line()), (Some("end\r"), None));
+
+        // A nested record's count wins too, and errors name their line.
+        for (body, line, message) in [
+            ("v=1:2:3", 1, "expected 2 fields, got 3"),
+            ("v=1", 1, "expected 2 fields, got 1"),
+            ("w=0\r\nv=1:z", 2, "invalid integer `z`"),
+            ("v=1:-1", 1, "invalid integer `-1`"),
+            (
+                "v=2:99999999999999999999",
+                1,
+                "invalid integer `99999999999999999999`",
+            ),
+            ("w=0\nw=1\nv=1:2\r\r\n", 3, "invalid integer `2\r`"),
+            ("w=0\n", 2, "unexpected end of body (wanted `v`)"),
+            ("v:1:2", 1, "expected `v=...`, found `v:1:2`"),
+        ] {
+            let mut p = Parser::new(body);
+            while p.take_opt::<u64>("w").unwrap().is_some() {}
+            match p.take::<Pair>("v") {
+                Err(CheckpointError::Malformed {
+                    line: at,
+                    message: m,
+                }) => {
+                    assert_eq!((at, m.as_str()), (line, message), "{body:?}");
+                }
+                other => panic!("{body:?}: {other:?}"),
             }
         }
     }

@@ -458,9 +458,10 @@ impl Field for EnergyBreakdown {
     }
 
     fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
-        let mut r = r.nested(':', 3 + HardwareComponent::ALL.len())?;
-        let (sleep_mj, transition_mj, awake_mj) = r.take()?;
-        Ok(EnergyMeter::from_parts(sleep_mj, transition_mj, awake_mj, r.take()?).breakdown())
+        r.within(':', 3 + HardwareComponent::ALL.len(), |r| {
+            let (sleep_mj, transition_mj, awake_mj) = r.take()?;
+            Ok(EnergyMeter::from_parts(sleep_mj, transition_mj, awake_mj, r.take()?).breakdown())
+        })
     }
 }
 

@@ -9,7 +9,7 @@
 //! than a full-level one, and a timed-level run exactly as often as a
 //! counts-level one. Restoring a checkpoint rebuilds its span
 //! values, delivery labels and audits without a heap allocation per
-//! line.
+//! line: the heavy snapshot's restore is pinned to the count it makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -200,7 +200,14 @@ fn restoring_a_heavy_snapshot_allocates_less_than_once_per_line() {
         "the restored run recaptures the snapshot"
     );
     assert!(
-        allocs < spans + deliveries,
-        "restore allocated {allocs} times for {spans} span and {deliveries} delivery lines"
+        allocs <= RESTORE_ALLOCS,
+        "restore allocated {allocs} times for {spans} span and {deliveries} delivery lines \
+         (at most {RESTORE_ALLOCS})"
     );
 }
+
+/// What restoring the heavy snapshot allocates: about one list per
+/// audit (each audit's candidates), plus the rings, the queues and one
+/// shared string per distinct label. A reader that allocates per field
+/// or per line goes far past it.
+const RESTORE_ALLOCS: u64 = 1_218;
