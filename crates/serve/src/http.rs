@@ -212,8 +212,7 @@ impl<S: Read + Write> HttpConn<S> {
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(usize::MAX),
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 Err(RequestError::Timeout)
             }
@@ -673,10 +672,7 @@ mod tests {
         assert_eq!(first.body, b"abc");
         let second = conn.read_request().expect("second");
         assert_eq!(second.path, "/b");
-        assert!(matches!(
-            conn.read_request(),
-            Err(RequestError::Closed)
-        ));
+        assert!(matches!(conn.read_request(), Err(RequestError::Closed)));
     }
 
     #[test]
@@ -748,11 +744,16 @@ mod tests {
 
     #[test]
     fn conflicting_content_lengths_and_chunked_are_rejected() {
-        let mut conn =
-            one(b"POST /a HTTP/1.1\r\ncontent-length: 1\r\ncontent-length: 2\r\n\r\nx");
-        assert!(matches!(conn.read_request(), Err(RequestError::Malformed(_))));
+        let mut conn = one(b"POST /a HTTP/1.1\r\ncontent-length: 1\r\ncontent-length: 2\r\n\r\nx");
+        assert!(matches!(
+            conn.read_request(),
+            Err(RequestError::Malformed(_))
+        ));
         let mut conn = one(b"POST /a HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n");
-        assert!(matches!(conn.read_request(), Err(RequestError::Malformed(_))));
+        assert!(matches!(
+            conn.read_request(),
+            Err(RequestError::Malformed(_))
+        ));
     }
 
     #[test]

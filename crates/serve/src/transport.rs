@@ -149,7 +149,12 @@ impl FaultPlan {
 
     /// Wraps `inner` with this plan over `seed`, sharing `counters`
     /// across connections of one run.
-    pub fn transport<S>(self, inner: S, seed: u64, counters: Arc<FaultCounters>) -> FaultTransport<S> {
+    pub fn transport<S>(
+        self,
+        inner: S,
+        seed: u64,
+        counters: Arc<FaultCounters>,
+    ) -> FaultTransport<S> {
         FaultTransport {
             inner,
             plan: self,
@@ -179,7 +184,10 @@ impl FaultCounters {
 
     /// Total injected faults across all kinds.
     pub fn total(&self) -> u64 {
-        self.injected.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.injected
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
     }
 
     fn record(&self, kind: NetFaultKind) {
