@@ -13,8 +13,8 @@
 //!   467–889 over runs of one build, so these are crash bounds;
 //!   perfbench's medians over repeated trials, gated at 0.25, are the
 //!   measured gate;
-//! * **counter** fields (serve's `invariant_violations`,
-//!   `telemetry_dropped`) fail on any increase;
+//! * **counter** fields (serve's `invariant_violations`) fail on any
+//!   increase;
 //! * **drill** fields (serve's overload counters, stage `calls`) fail
 //!   when a nonzero value collapses to zero: the drill stopped
 //!   exercising what it drills, or the engine stopped reading its stage
@@ -837,7 +837,7 @@ mod tests {
              \"load\":{{\"sent\":1200,\"ok\":900,\"deferred\":40,\"rejected\":60,\
              \"shed\":{shed},\"timed_out\":{timed_out},\"net_errors\":7,\"client_faults\":33}},\
              \"server\":{{\"accepted\":390,\"completed\":390,\"shed\":{shed},\"drain_ms\":4,\
-             \"invariant_violations\":{violations},\"telemetry_dropped\":0,\"net_faults\":12}}}}"
+             \"invariant_violations\":{violations},\"net_faults\":12}}}}"
         )
     }
 

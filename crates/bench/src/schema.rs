@@ -123,7 +123,6 @@ pub const SCHEMAS: [Schema; 6] = [
             (Drill, &["load.deferred", "load.rejected", "load.shed"]),
             (Drill, &["server.shed"]),
             (Counter, &["server.invariant_violations"]),
-            (Counter, &["server.telemetry_dropped"]),
         ],
     },
 ];

@@ -172,7 +172,6 @@ const SERVER: &[Flag] = flags! {
     "queue-depth" N = "64": "bounded work queue; a full queue sheds with 503";
     "policy" P = "simty": "live-scheduler policy: exact|native|simty|dursim|doze";
     "state-dir" DIR: "drain checkpoints live state here; a restart resumes it";
-    "telemetry-capacity" N = "1024": "bounded telemetry bus capacity";
 };
 
 /// Every subcommand, in `standby --help` order.
@@ -224,8 +223,6 @@ pub(crate) const COMMANDS: &[Command] = commands! {
         "shards" N = "4": "supervised cells per policy";
         "seed" N = "1": "fleet seed: each device's mix and RNG seed derive from it";
         "minutes" N = "10": "simulated minutes per device";
-        "span-cap" N = "128": "per-device span-ring capacity";
-        "audit-cap" N = "64": "per-device audit-ring capacity";
         "ckpt-stride" N = "1000": "devices between mid-shard checkpoints (0: none)";
         "deadline" SECS: "per-shard watchdog deadline; an overrun is quarantined";
     }
@@ -609,7 +606,7 @@ mod tests {
             );
         }
         // The drift this table removed: sweep-beta takes no --beta, and
-        // serve-load lists --telemetry-capacity.
+        // serve-load lists the server flags it reads.
         assert!(
             parse_error(&["sweep-beta", "--beta", "0.5"])
                 == ParseArgsError::UnknownFlag {
@@ -617,8 +614,8 @@ mod tests {
                 }
         );
         assert!(
-            args(&["serve-load", "--telemetry-capacity", "8"])
-                .u64("telemetry-capacity")
+            args(&["serve-load", "--queue-depth", "8"])
+                .u64("queue-depth")
                 .unwrap()
                 == 8
         );
@@ -638,10 +635,6 @@ mod tests {
                 serve.queue_depth.to_string()
             );
             assert_eq!(default(command, "policy"), serve.policy);
-            assert_eq!(
-                default(command, "telemetry-capacity"),
-                serve.telemetry_capacity.to_string()
-            );
         }
         assert_eq!(
             default("serve", "deadline-ms"),
@@ -650,15 +643,6 @@ mod tests {
         assert_eq!(
             default("serve", "max-run-minutes"),
             serve.max_run_minutes.to_string()
-        );
-        let fleet = simty_bench::FleetConfig::new(1);
-        assert_eq!(
-            default("fleet", "span-cap"),
-            fleet.span_capacity.to_string()
-        );
-        assert_eq!(
-            default("fleet", "audit-cap"),
-            fleet.audit_capacity.to_string()
         );
     }
 

@@ -262,14 +262,10 @@ pub(crate) fn cmd_fleet(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
     let minutes = args.u64("minutes")?;
     let beta = args.f64("beta")?;
     let threads = threads(args)?;
-    let span_cap = args.u64("span-cap")?;
-    let audit_cap = args.u64("audit-cap")?;
     let stride = args.u64("ckpt-stride")?;
-    if [devices, shards, minutes, threads, span_cap, audit_cap].contains(&0) {
+    if [devices, shards, minutes, threads].contains(&0) {
         return Err(CliError::Usage(
-            "--devices, --shards, --minutes, --threads, --span-cap and --audit-cap \
-             must be positive"
-                .into(),
+            "--devices, --shards, --minutes and --threads must be positive".into(),
         ));
     }
     if shards > devices {
@@ -287,8 +283,6 @@ pub(crate) fn cmd_fleet(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
     config.seed = seed;
     config.duration = duration(minutes, SimDuration::from_mins(1), "minutes")?;
     config.beta = beta;
-    config.span_capacity = span_cap as usize;
-    config.audit_capacity = audit_cap as usize;
     config.checkpoint_stride = stride;
 
     let mut options = campaign_options(args, threads as usize);

@@ -1333,6 +1333,36 @@ mod tests {
             run(&["serve-load", "--connections", "1", "--fault", "nope"]),
             Err(CliError::Usage(_))
         ));
+
+        // A state dir resumes only under the policy of its snapshot.
+        let dir =
+            std::env::temp_dir().join(format!("simty_cli_serve_state_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state_dir = dir.to_str().unwrap();
+        let serve = |policy: &str| {
+            run(&[
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--drain-after-ms",
+                "50",
+                "--state-dir",
+                state_dir,
+                "--policy",
+                policy,
+            ])
+        };
+        let text = serve("simty").unwrap();
+        assert!(text.contains("\"checkpoint\": "), "{text}");
+        let err = serve("native").unwrap_err();
+        assert_eq!(err.exit_code(), 8);
+        let message = err.to_string();
+        assert!(
+            message.contains("`native`") && message.contains("`simty`"),
+            "{message}"
+        );
+        assert!(serve("simty").is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1812,7 +1842,6 @@ mod tests {
             vec!["fleet", "--policies", "simty,native,simty"],
             vec!["fleet", "--beta", "1.5"],
             vec!["fleet", "--minutes", "0"],
-            vec!["fleet", "--span-cap", "0"],
             vec!["fleet", "--deadline", "0"],
             vec!["fleet", "--inject-panic", "abc"],
             vec!["fleet", "--minutes", "307445734561826"],

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use simty_serve::load::{self, LoadSpec};
-use simty_serve::server::{spawn, DrainReport, ServeConfig};
+use simty_serve::server::{spawn, ServeConfig};
 use simty_serve::signal;
 use simty_serve::transport::FaultPlan;
 
@@ -35,28 +35,8 @@ fn server_config(args: &ParsedArgs, fault: &str, seed: &str) -> Result<ServeConf
         state_dir: args.get("state-dir").map(PathBuf::from),
         fault: parse_fault(args, fault)?,
         seed: args.u64(seed)?,
-        telemetry_capacity: args.u64("telemetry-capacity")? as usize,
         ..ServeConfig::default()
     })
-}
-
-fn drain_to_json(drain: &DrainReport) -> String {
-    format!(
-        "{{\"accepted\": {}, \"completed\": {}, \"shed\": {}, \"requests\": {}, \"drain_ms\": {}, \"telemetry_dropped\": {}, \"invariant_violations\": {}, \"net_faults\": {}, \"checkpoint\": {}}}",
-        drain.accepted,
-        drain.completed,
-        drain.shed,
-        drain.requests,
-        drain.drain_ms,
-        drain.telemetry_dropped,
-        drain.invariant_violations,
-        drain.net_faults,
-        drain
-            .checkpoint
-            .as_ref()
-            .map(|p| format!("\"{}\"", p.display()))
-            .unwrap_or_else(|| "null".to_owned()),
-    )
 }
 
 /// `standby serve`: run the scheduler service until SIGTERM/ctrl-c (or
@@ -74,7 +54,7 @@ pub(crate) fn cmd_serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
     let drain_after = args.u64("drain-after-ms")?;
 
     signal::install_handlers();
-    let handle = spawn(config).map_err(CliError::Serve)?;
+    let handle = spawn(config).map_err(|e| CliError::Serve(e.to_string()))?;
     writeln!(out, "listening on {}", handle.addr())?;
     out.flush()?;
 
@@ -87,7 +67,7 @@ pub(crate) fn cmd_serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
         std::thread::sleep(Duration::from_millis(25));
     }
     let drain = handle.join();
-    writeln!(out, "{}", drain_to_json(&drain))?;
+    writeln!(out, "{}", drain.to_json())?;
     if drain.invariant_violations > 0 {
         return Err(CliError::Invariants(drain.invariant_violations));
     }

@@ -172,7 +172,6 @@ const REJECTED: &[(&[&str], u8)] = &[
     (&["fleet", "--policies", "simty,simty"], 2),
     (&["fleet", "--beta", "1.5"], 2),
     (&["fleet", "--minutes", "0"], 2),
-    (&["fleet", "--span-cap", "0"], 2),
     (&["fleet", "--deadline", "0"], 2),
     (&["fleet", "--inject-panic", "abc"], 2),
     (

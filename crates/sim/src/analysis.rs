@@ -102,6 +102,8 @@ pub struct AppStats {
     pub mean_normalized_delay: f64,
     /// Maximum normalized delay.
     pub max_normalized_delay: f64,
+    /// Mean batch size at delivery.
+    pub mean_batch: f64,
     /// Mean gap between adjacent deliveries, if at least two occurred.
     pub mean_gap: Option<SimDuration>,
 }
@@ -114,12 +116,14 @@ pub fn per_app_stats(trace: &Trace) -> Vec<AppStats> {
         delay_sum: f64,
         delay_count: u64,
         delay_max: f64,
+        batch_sum: u64,
         times: Vec<SimTime>,
     }
     let mut accs: BTreeMap<String, Acc> = BTreeMap::new();
     for d in trace.deliveries() {
         let acc = accs.entry(d.label.to_string()).or_default();
         acc.deliveries += 1;
+        acc.batch_sum += d.entry_size as u64;
         acc.times.push(d.delivered_at);
         if let Some(nd) = d.normalized_delay() {
             acc.delay_sum += nd;
@@ -148,6 +152,7 @@ pub fn per_app_stats(trace: &Trace) -> Vec<AppStats> {
                     0.0
                 },
                 max_normalized_delay: acc.delay_max,
+                mean_batch: acc.batch_sum as f64 / acc.deliveries as f64,
                 mean_gap,
             }
         })
@@ -259,7 +264,7 @@ mod tests {
 
     #[test]
     fn per_app_stats_aggregate() {
-        let t = traced(&[(150, 1), (260, 1)]);
+        let t = traced(&[(150, 1), (260, 2)]);
         let stats = per_app_stats(&t);
         assert_eq!(stats.len(), 1);
         let s = &stats[0];
@@ -269,6 +274,7 @@ mod tests {
         // (the helper reuses one nominal, so the second delay is large).
         assert!(s.max_normalized_delay > s.mean_normalized_delay / 2.0);
         assert_eq!(s.mean_gap, Some(SimDuration::from_secs(110)));
+        assert_eq!(s.mean_batch, 1.5);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::analysis::per_app_stats;
 use crate::trace::Trace;
 
 /// Per-app summary used on each side of a diff.
@@ -22,41 +23,15 @@ pub struct SideStats {
 }
 
 fn side_stats(trace: &Trace) -> BTreeMap<String, SideStats> {
-    #[derive(Default)]
-    struct Acc {
-        n: u64,
-        delay_sum: f64,
-        delay_n: u64,
-        batch_sum: u64,
-    }
-    let mut accs: BTreeMap<String, Acc> = BTreeMap::new();
-    for d in trace.deliveries() {
-        let a = accs.entry(d.label.to_string()).or_default();
-        a.n += 1;
-        a.batch_sum += d.entry_size as u64;
-        if let Some(nd) = d.normalized_delay() {
-            a.delay_sum += nd;
-            a.delay_n += 1;
-        }
-    }
-    accs.into_iter()
-        .map(|(label, a)| {
-            (
-                label,
-                SideStats {
-                    deliveries: a.n,
-                    mean_delay: if a.delay_n > 0 {
-                        a.delay_sum / a.delay_n as f64
-                    } else {
-                        0.0
-                    },
-                    mean_batch: if a.n > 0 {
-                        a.batch_sum as f64 / a.n as f64
-                    } else {
-                        0.0
-                    },
-                },
-            )
+    per_app_stats(trace)
+        .into_iter()
+        .map(|s| {
+            let side = SideStats {
+                deliveries: s.deliveries,
+                mean_delay: s.mean_normalized_delay,
+                mean_batch: s.mean_batch,
+            };
+            (s.app, side)
         })
         .collect()
 }
