@@ -188,6 +188,11 @@ impl Device {
     }
 
     fn sample_monitor(&mut self, now: SimTime) {
+        // The level costs a walk of the active lock set: skip it when
+        // nothing records it.
+        if self.monitor.is_none() {
+            return;
+        }
         let level = self.current_power_mw();
         if let Some(m) = &mut self.monitor {
             m.record_level(now, level);

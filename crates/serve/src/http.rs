@@ -8,12 +8,21 @@
 //! server can answer with the right status code (or silently hang up
 //! when the wire died mid-request and no answer can reach anyone).
 //!
+//! A request is parsed in place. Each read lands in the free tail of
+//! the connection's one buffer and offers the transport at least
+//! [`MIN_READ`] bytes, so a pipelined batch of a few kilobytes arrives
+//! in one read. [`HttpConn::read_request`] returns a [`Request`] whose
+//! method, path, query, header lines and body borrow that buffer;
+//! consuming it only moves the buffer's start offset, and the unread
+//! bytes move to the front only when a read needs the room. The head is
+//! checked once, when it is complete, and a header is then looked up in
+//! place by its case-insensitive name.
+//!
 //! The parser is transport-generic — anything `Read + Write` — which is
 //! what lets the test suite drive it over in-memory scripted streams
 //! and the [`FaultTransport`](crate::transport::FaultTransport) wrapper
 //! without a socket in sight.
 
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
 use simty::obs::json_string;
@@ -39,27 +48,37 @@ impl Default for Limits {
 /// Maximum number of headers accepted in one request.
 pub const MAX_HEADERS: usize = 64;
 
-/// A parsed request.
-#[derive(Debug, Clone)]
-pub struct Request {
+/// The least free room each read offers the transport. The buffer never
+/// holds more than one request's head and body (within [`Limits`]) plus
+/// one read.
+pub const MIN_READ: usize = 16 * 1024;
+
+/// A parsed request, borrowing the connection's buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
     /// Upper-cased method (`GET`, `POST`).
-    pub method: String,
+    pub method: &'a str,
     /// The path component of the request target (before any `?`).
-    pub path: String,
+    pub path: &'a str,
     /// The raw query string (after `?`), empty when absent.
-    pub query: String,
-    /// Headers with lower-cased names, in arrival order (later
-    /// duplicates overwrite earlier ones except `content-length`,
-    /// where a disagreeing duplicate is rejected).
-    pub headers: BTreeMap<String, String>,
+    pub query: &'a str,
+    /// The header lines as they arrived, `\r\n`-separated; each one was
+    /// checked to be `name: value`.
+    header_lines: &'a str,
     /// The request body (empty unless `Content-Length` was given).
-    pub body: Vec<u8>,
+    pub body: &'a [u8],
 }
 
-impl Request {
-    /// The value of header `name` (lower-case), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.get(name).map(String::as_str)
+impl<'a> Request<'a> {
+    /// The trimmed value of header `name`, matched case-insensitively;
+    /// the last of duplicates wins (duplicate `content-length` headers
+    /// that disagree were refused by the parser).
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        crlf_lines(self.header_lines)
+            .filter_map(|line| line.split_once(':'))
+            .filter(|(n, _)| n.eq_ignore_ascii_case(name))
+            .last()
+            .map(|(_, value)| value.trim())
     }
 
     /// Whether the client asked for the connection to close after this
@@ -73,7 +92,7 @@ impl Request {
     /// The value of query parameter `key`, if present (`k=v` pairs
     /// joined by `&`; no percent-decoding — the API's identifiers are
     /// restricted to URL-safe characters by construction).
-    pub fn query_param(&self, key: &str) -> Option<&str> {
+    pub fn query_param(&self, key: &str) -> Option<&'a str> {
         self.query.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
             (k == key).then_some(v)
@@ -81,8 +100,8 @@ impl Request {
     }
 
     /// The body as UTF-8, or `None` if it is not valid UTF-8.
-    pub fn body_utf8(&self) -> Option<&str> {
-        std::str::from_utf8(&self.body).ok()
+    pub fn body_utf8(&self) -> Option<&'a str> {
+        std::str::from_utf8(self.body).ok()
     }
 }
 
@@ -159,10 +178,13 @@ impl std::fmt::Display for RequestError {
 /// reading cannot grow the output buffer without bound.
 pub const MAX_BUFFERED_OUTPUT: usize = 64 * 1024;
 
-/// One HTTP connection: a transport plus the carry-over buffer that
-/// keep-alive pipelining requires (bytes after one request's body are
-/// the next request's prefix), and an output buffer of responses not
-/// yet sent.
+/// One HTTP connection: a transport, the input buffer that keep-alive
+/// pipelining requires (bytes after one request's body are the next
+/// request's prefix), and an output buffer of responses not yet sent.
+///
+/// The input buffer's bytes `start..end` are received and not yet
+/// consumed; `end..` is room for the next read, zeroed once when the
+/// buffer grows.
 ///
 /// [`write_response`](Self::write_response) only appends to the output
 /// buffer. The buffer goes to the transport (one `write_all`, then one
@@ -181,16 +203,23 @@ pub const MAX_BUFFERED_OUTPUT: usize = 64 * 1024;
 pub struct HttpConn<S> {
     stream: S,
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// How far past `start` the head-end search has found no terminator.
+    scanned: usize,
     out: Vec<u8>,
     limits: Limits,
 }
 
 impl<S: Read + Write> HttpConn<S> {
-    /// Wraps a transport.
+    /// Wraps a transport. The input buffer is allocated by the first read.
     pub fn new(stream: S, limits: Limits) -> Self {
         HttpConn {
             stream,
-            buf: Vec::with_capacity(1024),
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            scanned: 0,
             out: Vec::new(),
             limits,
         }
@@ -201,13 +230,25 @@ impl<S: Read + Write> HttpConn<S> {
         &mut self.stream
     }
 
+    /// Sends buffered output, then reads once into the buffer's free
+    /// tail. When less than [`MIN_READ`] is free, the unconsumed bytes
+    /// first move to the front, and the buffer grows only if that still
+    /// leaves too little room.
     fn fill(&mut self) -> Result<usize, RequestError> {
         self.flush().map_err(RequestError::Io)?;
-        let mut chunk = [0u8; 2048];
-        match self.stream.read(&mut chunk) {
-            Ok(0) => Ok(0),
+        if self.buf.len() - self.end < MIN_READ {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            let want = self.end + MIN_READ;
+            if self.buf.len() < want {
+                self.buf.reserve_exact(want - self.buf.len());
+                self.buf.resize(want, 0);
+            }
+        }
+        match self.stream.read(&mut self.buf[self.end..]) {
             Ok(n) => {
-                self.buf.extend_from_slice(&chunk[..n]);
+                self.end += n;
                 Ok(n)
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(usize::MAX),
@@ -220,131 +261,51 @@ impl<S: Read + Write> HttpConn<S> {
         }
     }
 
+    /// Reads until the unconsumed bytes hold a whole head; returns its
+    /// length (before the blank line).
+    fn read_head(&mut self) -> Result<usize, RequestError> {
+        loop {
+            let pending = &self.buf[self.start..self.end];
+            if let Some(at) = find_head_end(pending, self.scanned) {
+                return Ok(at);
+            }
+            // A terminator can still start in the last three bytes.
+            self.scanned = pending.len().saturating_sub(3);
+            if pending.len() > self.limits.max_head {
+                return Err(RequestError::HeadTooLarge);
+            }
+            match self.fill()? {
+                0 if self.start == self.end => return Err(RequestError::Closed),
+                0 => return Err(RequestError::Truncated),
+                _ => {}
+            }
+        }
+    }
+
     /// Reads and parses the next request, honouring the limits.
     ///
     /// # Errors
     ///
     /// See [`RequestError`]; `Closed` means the peer finished cleanly.
-    pub fn read_request(&mut self) -> Result<Request, RequestError> {
-        // Accumulate the head up to the terminator or the cap.
-        let head_end = loop {
-            if let Some(pos) = find_head_end(&self.buf) {
-                break pos;
-            }
-            if self.buf.len() > self.limits.max_head {
-                return Err(RequestError::HeadTooLarge);
-            }
-            match self.fill()? {
-                0 if self.buf.is_empty() => return Err(RequestError::Closed),
-                0 => return Err(RequestError::Truncated),
-                _ => {}
-            }
-        };
-        if head_end > self.limits.max_head {
+    pub fn read_request(&mut self) -> Result<Request<'_>, RequestError> {
+        let head_len = self.read_head()?;
+        if head_len > self.limits.max_head {
             return Err(RequestError::HeadTooLarge);
         }
-        let head = self.buf[..head_end].to_vec();
-        let head = String::from_utf8(head)
-            .map_err(|_| RequestError::Malformed("head is not UTF-8".into()))?;
-        let body_start = head_end + 4; // past "\r\n\r\n"
-
-        let mut lines = head.split("\r\n");
-        let start = lines.next().unwrap_or_default();
-        let mut parts = start.split(' ');
-        let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(m), Some(t), Some(v)) if parts.next().is_none() && !m.is_empty() => {
-                (m.to_owned(), t.to_owned(), v.to_owned())
-            }
-            _ => {
-                return Err(RequestError::Malformed(format!(
-                    "bad request line `{}`",
-                    truncate_for_log(start)
-                )))
-            }
-        };
-        if version != "HTTP/1.1" && version != "HTTP/1.0" {
-            return Err(RequestError::Malformed(format!("bad version `{version}`")));
-        }
-        if method != "GET" && method != "POST" {
-            return Err(RequestError::MethodNotAllowed(method));
-        }
-        if !target.starts_with('/') {
-            return Err(RequestError::Malformed(format!(
-                "bad target `{}`",
-                truncate_for_log(&target)
-            )));
-        }
-
-        let mut headers = BTreeMap::new();
-        let mut count = 0usize;
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            count += 1;
-            if count > MAX_HEADERS {
-                return Err(RequestError::Malformed("too many headers".into()));
-            }
-            let (name, value) = line.split_once(':').ok_or_else(|| {
-                RequestError::Malformed(format!("bad header `{}`", truncate_for_log(line)))
-            })?;
-            if name.is_empty() || name.contains(' ') {
-                return Err(RequestError::Malformed(format!(
-                    "bad header name `{}`",
-                    truncate_for_log(name)
-                )));
-            }
-            let name = name.to_ascii_lowercase();
-            let value = value.trim().to_owned();
-            if name == "content-length" {
-                if let Some(prev) = headers.get("content-length") {
-                    if prev != &value {
-                        return Err(RequestError::Malformed(
-                            "conflicting content-length headers".into(),
-                        ));
-                    }
-                }
-            }
-            headers.insert(name, value);
-        }
-        if headers.contains_key("transfer-encoding") {
-            // Chunked bodies are out of scope for this minimal server;
-            // rejecting them outright also closes request-smuggling
-            // ambiguity between the two length mechanisms.
-            return Err(RequestError::Malformed(
-                "transfer-encoding is not supported".into(),
-            ));
-        }
-
-        let content_length = match headers.get("content-length") {
-            None => 0usize,
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| RequestError::Malformed(format!("bad content-length `{v}`")))?,
-        };
-        if content_length > self.limits.max_body {
+        let head = Head::parse(&self.buf[self.start..self.start + head_len])?;
+        if head.content_length > self.limits.max_body {
             return Err(RequestError::BodyTooLarge);
         }
-
-        while self.buf.len() < body_start + content_length {
+        let len = head_len + 4 + head.content_length; // 4: "\r\n\r\n"
+        while self.end - self.start < len {
             if self.fill()? == 0 {
                 return Err(RequestError::Truncated);
             }
         }
-        let body = self.buf[body_start..body_start + content_length].to_vec();
-        self.buf.drain(..body_start + content_length);
-
-        let (path, query) = match target.split_once('?') {
-            Some((p, q)) => (p.to_owned(), q.to_owned()),
-            None => (target, String::new()),
-        };
-        Ok(Request {
-            method,
-            path,
-            query,
-            headers,
-            body,
-        })
+        let at = self.start;
+        self.start += len;
+        self.scanned = 0;
+        head.request(&self.buf[at..self.start])
     }
 
     /// Appends `response` to the output buffer, sending the buffer if
@@ -382,8 +343,160 @@ impl<S: Read + Write> HttpConn<S> {
     }
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// A checked head, as offsets into its own bytes, so the body can be
+/// read before the [`Request`] borrows the buffer.
+struct Head {
+    /// Length of the head (before the blank line).
+    len: usize,
+    method_len: usize,
+    target_len: usize,
+    /// Where the header lines start: past the request line's `\r\n`.
+    header_lines_at: usize,
+    content_length: usize,
+}
+
+impl Head {
+    /// Checks the head `bytes` (before the blank line): request line,
+    /// version, method, target, each header line, then the body headers.
+    fn parse(bytes: &[u8]) -> Result<Head, RequestError> {
+        let text = head_text(bytes)?;
+        let mut lines = crlf_lines(text);
+        let start = lines.next().unwrap_or_default();
+        let mut parts = start.split(' ');
+        let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
+            (Some(m), Some(t), Some(v)) if parts.next().is_none() && !m.is_empty() => (m, t, v),
+            _ => {
+                return Err(RequestError::Malformed(format!(
+                    "bad request line `{}`",
+                    truncate_for_log(start)
+                )))
+            }
+        };
+        if version != "HTTP/1.1" && version != "HTTP/1.0" {
+            return Err(RequestError::Malformed(format!("bad version `{version}`")));
+        }
+        if method != "GET" && method != "POST" {
+            return Err(RequestError::MethodNotAllowed(method.to_owned()));
+        }
+        if !target.starts_with('/') {
+            return Err(RequestError::Malformed(format!(
+                "bad target `{}`",
+                truncate_for_log(target)
+            )));
+        }
+
+        let mut count = 0usize;
+        let mut content_length = None;
+        let mut chunked = false;
+        for line in lines {
+            if line.is_empty() {
+                continue;
+            }
+            count += 1;
+            if count > MAX_HEADERS {
+                return Err(RequestError::Malformed("too many headers".into()));
+            }
+            let (name, value) = line.split_once(':').ok_or_else(|| {
+                RequestError::Malformed(format!("bad header `{}`", truncate_for_log(line)))
+            })?;
+            if name.is_empty() || name.contains(' ') {
+                return Err(RequestError::Malformed(format!(
+                    "bad header name `{}`",
+                    truncate_for_log(name)
+                )));
+            }
+            if name.eq_ignore_ascii_case("content-length") {
+                let value = value.trim();
+                if content_length.is_some_and(|prev| prev != value) {
+                    return Err(RequestError::Malformed(
+                        "conflicting content-length headers".into(),
+                    ));
+                }
+                content_length = Some(value);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                chunked = true;
+            }
+        }
+        if chunked {
+            // Chunked bodies are out of scope for this minimal server;
+            // rejecting them outright also closes request-smuggling
+            // ambiguity between the two length mechanisms.
+            return Err(RequestError::Malformed(
+                "transfer-encoding is not supported".into(),
+            ));
+        }
+        let content_length = match content_length {
+            None => 0usize,
+            Some(v) => v
+                .parse::<usize>()
+                .map_err(|_| RequestError::Malformed(format!("bad content-length `{v}`")))?,
+        };
+        Ok(Head {
+            len: bytes.len(),
+            method_len: method.len(),
+            target_len: target.len(),
+            header_lines_at: start.len() + 2,
+            content_length,
+        })
+    }
+
+    /// The request over `bytes`: this head, the blank line and the body.
+    fn request(self, bytes: &[u8]) -> Result<Request<'_>, RequestError> {
+        let text = head_text(&bytes[..self.len])?;
+        let target_at = self.method_len + 1;
+        let target = &text[target_at..target_at + self.target_len];
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        let header_lines = text.get(self.header_lines_at..).unwrap_or("");
+        Ok(Request {
+            method: &text[..self.method_len],
+            path,
+            query,
+            header_lines,
+            body: &bytes[self.len + 4..],
+        })
+    }
+}
+
+/// The lines of `text` between `\r\n` separators, as
+/// `text.split("\r\n")` gives them, found by a byte search for `\n`.
+fn crlf_lines(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(text);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        let mut from = 0;
+        while let Some(i) = s[from..].find('\n') {
+            let at = from + i;
+            if at > 0 && s.as_bytes()[at - 1] == b'\r' {
+                rest = Some(&s[at + 1..]);
+                return Some(&s[..at - 1]);
+            }
+            from = at + 1;
+        }
+        rest = None;
+        Some(s)
+    })
+}
+
+fn head_text(bytes: &[u8]) -> Result<&str, RequestError> {
+    std::str::from_utf8(bytes).map_err(|_| RequestError::Malformed("head is not UTF-8".into()))
+}
+
+/// The offset of the first `\r\n\r\n` in `bytes` at or after `from`: a
+/// Horspool search, which looks at every fourth byte of a line's text.
+fn find_head_end(bytes: &[u8], from: usize) -> Option<usize> {
+    let mut at = from;
+    while at + 4 <= bytes.len() {
+        let last = bytes[at + 3];
+        if last == b'\n' && bytes[at..at + 4] == *b"\r\n\r\n" {
+            return Some(at);
+        }
+        at += match last {
+            b'\r' => 1,
+            b'\n' => 2,
+            _ => 4,
+        };
+    }
+    None
 }
 
 fn truncate_for_log(s: &str) -> String {
@@ -503,8 +616,12 @@ impl Response {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::io::Cursor;
 
     /// A transport call, as [`Scripted`] logs it.
@@ -576,7 +693,7 @@ mod tests {
     fn echo_paths(conn: &mut HttpConn<Scripted>) -> Vec<u8> {
         let mut sent = Vec::new();
         while let Ok(req) = conn.read_request() {
-            let response = Response::ok_text(req.path);
+            let response = Response::ok_text(req.path.to_owned());
             sent.extend_from_slice(&response.to_bytes());
             conn.write_response(&response).expect("write");
         }
@@ -791,12 +908,16 @@ mod tests {
         assert_eq!(err.status(), Some((408, "Request Timeout")));
     }
 
-    /// Hostile bytes, torn at arbitrary points and read as one pipelined
-    /// stream under small limits, give requests or typed errors and
-    /// never a panic. Each case strings together request-shaped parts
-    /// drawn from valid and hostile pieces, then overwrites random bytes.
-    #[test]
-    fn hostile_bytes_give_requests_or_typed_errors() {
+    /// One hostile stream: its chunks (one per read) and the limits.
+    struct Hostile {
+        chunks: Vec<Vec<u8>>,
+        limits: Limits,
+    }
+
+    /// 4 000 hostile streams, torn at arbitrary points, under small
+    /// limits. Each strings together request-shaped parts drawn from
+    /// valid and hostile pieces, then overwrites random bytes.
+    fn hostile_streams() -> Vec<Hostile> {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
@@ -817,39 +938,53 @@ mod tests {
             pieces[rng.gen_range(0..pieces.len())]
         }
         let mut rng = StdRng::seed_from_u64(0x5eed);
-        let mut outcomes = BTreeMap::new();
-        for case in 0..4_000 {
-            let mut bytes = Vec::new();
-            for _ in 0..rng.gen_range(0..4usize) {
-                bytes.extend_from_slice(pick(&mut rng, &METHODS));
-                bytes.extend_from_slice(pick(&mut rng, &TARGETS));
-                bytes.extend_from_slice(pick(&mut rng, &VERSIONS));
+        (0..4_000)
+            .map(|_| {
+                let mut bytes = Vec::new();
                 for _ in 0..rng.gen_range(0..4usize) {
-                    bytes.extend_from_slice(pick(&mut rng, &HEADERS));
+                    bytes.extend_from_slice(pick(&mut rng, &METHODS));
+                    bytes.extend_from_slice(pick(&mut rng, &TARGETS));
+                    bytes.extend_from_slice(pick(&mut rng, &VERSIONS));
+                    for _ in 0..rng.gen_range(0..4usize) {
+                        bytes.extend_from_slice(pick(&mut rng, &HEADERS));
+                    }
+                    bytes.extend_from_slice(b"\r\n");
+                    for _ in 0..rng.gen_range(0..8usize) {
+                        bytes.push(rng.next_u64() as u8);
+                    }
                 }
-                bytes.extend_from_slice(b"\r\n");
-                for _ in 0..rng.gen_range(0..8usize) {
-                    bytes.push(rng.next_u64() as u8);
+                for _ in 0..rng.gen_range(0..3usize).min(bytes.len()) {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] = rng.next_u64() as u8;
                 }
-            }
-            for _ in 0..rng.gen_range(0..3usize).min(bytes.len()) {
-                let at = rng.gen_range(0..bytes.len());
-                bytes[at] = rng.next_u64() as u8;
-            }
-            let mut chunks = Vec::new();
-            let mut rest = &bytes[..];
-            while !rest.is_empty() {
-                let (chunk, tail) = rest.split_at(rng.gen_range(1..=rest.len()));
-                chunks.push(chunk.to_vec());
-                rest = tail;
-            }
-            let limits = Limits {
-                max_head: rng.gen_range(16..128usize),
-                max_body: rng.gen_range(0..48usize),
-            };
-            let mut conn = HttpConn::new(Scripted::new(chunks), limits);
+                let mut chunks = Vec::new();
+                let mut rest = &bytes[..];
+                while !rest.is_empty() {
+                    let (chunk, tail) = rest.split_at(rng.gen_range(1..=rest.len()));
+                    chunks.push(chunk.to_vec());
+                    rest = tail;
+                }
+                let limits = Limits {
+                    max_head: rng.gen_range(16..128usize),
+                    max_body: rng.gen_range(0..48usize),
+                };
+                Hostile { chunks, limits }
+            })
+            .collect()
+    }
+
+    /// Hostile bytes, torn at arbitrary points and read as one pipelined
+    /// stream under small limits, give requests or typed errors and
+    /// never a panic.
+    #[test]
+    fn hostile_bytes_give_requests_or_typed_errors() {
+        let mut outcomes = BTreeMap::new();
+        for (case, stream) in hostile_streams().into_iter().enumerate() {
+            let limits = stream.limits;
+            let len: usize = stream.chunks.iter().map(Vec::len).sum();
+            let mut conn = HttpConn::new(Scripted::new(stream.chunks), limits);
             // Every request consumes bytes, so the stream ends in an error.
-            for _ in 0..=bytes.len() {
+            for _ in 0..=len {
                 match conn.read_request() {
                     Ok(req) => {
                         assert!(req.path.starts_with('/'), "case {case}: {req:?}");
@@ -877,6 +1012,236 @@ mod tests {
             "truncated",
         ];
         assert_eq!(reached, every, "{outcomes:?}");
+    }
+
+    /// Header names every differential comparison looks up, present or
+    /// not, beside each name the reference parsed.
+    const LOOKED_UP: [&str; 6] = [
+        "connection",
+        "content-length",
+        "content-type",
+        "host",
+        "transfer-encoding",
+        "x-absent",
+    ];
+
+    /// Reads `chunks` under `limits` with the in-place parser and the
+    /// owned reference side by side, and asserts the same sequence of
+    /// outcomes: each request's method, path, query, named header values
+    /// and body, then the same error. Returns how many requests parsed.
+    fn assert_same_outcomes(what: &str, chunks: Vec<Vec<u8>>, limits: Limits) -> usize {
+        let len: usize = chunks.iter().map(Vec::len).sum();
+        let mut reference = reference::OwnedConn::new(Scripted::new(chunks.clone()), limits);
+        let mut conn = HttpConn::new(Scripted::new(chunks), limits);
+        for parsed in 0..=len {
+            match (reference.read_request(), conn.read_request()) {
+                (Ok(want), Ok(got)) => {
+                    assert_eq!(
+                        (
+                            want.method.as_str(),
+                            want.path.as_str(),
+                            want.query.as_str()
+                        ),
+                        (got.method, got.path, got.query),
+                        "{what}: request {parsed}"
+                    );
+                    assert_eq!(want.body, got.body, "{what}: request {parsed}");
+                    let names = want.headers.keys().map(String::as_str).chain(LOOKED_UP);
+                    for name in names {
+                        assert_eq!(
+                            want.headers.get(name).map(String::as_str),
+                            got.header(name),
+                            "{what}: request {parsed}, header `{name}`"
+                        );
+                    }
+                }
+                (Err(want), Err(got)) => {
+                    assert_eq!(
+                        (want.code(), want.to_string()),
+                        (got.code(), got.to_string()),
+                        "{what}: after {parsed} requests"
+                    );
+                    return parsed;
+                }
+                (want, got) => panic!("{what}: request {parsed}: {want:?} against {got:?}"),
+            }
+        }
+        unreachable!("{what}: every request consumes bytes");
+    }
+
+    #[test]
+    fn the_in_place_parser_matches_the_owned_reference_on_hostile_streams() {
+        let mut parsed = 0;
+        for (case, stream) in hostile_streams().into_iter().enumerate() {
+            parsed += assert_same_outcomes(&format!("case {case}"), stream.chunks, stream.limits);
+        }
+        // Most streams end in an error (`hostile_bytes_give_requests_or_typed_errors`
+        // checks that each kind is reached); some parse first.
+        assert!(parsed > 0, "no request parsed");
+    }
+
+    #[test]
+    fn the_in_place_parser_matches_the_owned_reference_on_a_batch_split_anywhere() {
+        let wire = serve_live_batch();
+        // An empty chunk would read as the end of the stream.
+        for at in 1..wire.len() {
+            let chunks = vec![wire[..at].to_vec(), wire[at..].to_vec()];
+            let parsed = assert_same_outcomes(&format!("split at {at}"), chunks, Limits::default());
+            assert_eq!(parsed, 20, "split at {at}");
+        }
+    }
+
+    /// A pipelined batch shaped like the `serve-live` benchmark's: 14
+    /// registrations, 3 queries, 2 cancels and 1 clock advance, each
+    /// with the benchmark client's headers, the last asking to close.
+    fn serve_live_batch() -> Vec<u8> {
+        let post = |path: &str, body: &str, connection: &str| {
+            format!(
+                "POST {path} HTTP/1.1\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n{body}",
+                body.len()
+            )
+        };
+        // Register, Query, Cancel, Advance: the benchmark's 14/3/2/1.
+        let kinds = b"RRQRRCRRARRQRRCRRRQR";
+        let mut wire = String::new();
+        for (k, kind) in kinds.iter().enumerate() {
+            let tenant = format!("bench-{}", (k * 37) % 512);
+            let connection = if k + 1 == kinds.len() {
+                "close"
+            } else {
+                "keep-alive"
+            };
+            wire.push_str(&match kind {
+                b'R' if k % 2 == 0 => post(
+                    "/v1/register",
+                    &format!(
+                        "{{\"tenant\":\"{tenant}\",\"nominal_ms\":{},\"repeat_ms\":900000,\"beta\":0.5}}",
+                        3_600_000 + k * 1_000
+                    ),
+                    connection,
+                ),
+                b'R' => post(
+                    "/v1/register",
+                    &format!("{{\"tenant\":\"{tenant}\",\"nominal_ms\":{}}}", 60_000 + k),
+                    connection,
+                ),
+                b'Q' => format!(
+                    "GET /v1/query?tenant={tenant} HTTP/1.1\r\nconnection: {connection}\r\n\r\n"
+                ),
+                b'C' => post(
+                    "/v1/cancel",
+                    &format!("{{\"tenant\":\"{tenant}\",\"ordinal\":1099511627776}}"),
+                    connection,
+                ),
+                _ => post("/v1/advance", "{\"now_ms\":3600000}", connection),
+            });
+        }
+        wire.into_bytes()
+    }
+
+    #[test]
+    fn a_serve_live_batch_is_read_in_one_read_and_answered_in_one_write() {
+        let wire = serve_live_batch();
+        let text = String::from_utf8(wire.clone()).expect("utf8");
+        let count = |needle: &str| text.matches(needle).count();
+        assert_eq!(
+            [
+                count("POST /v1/register "),
+                count("GET /v1/query"),
+                count("POST /v1/cancel "),
+                count("POST /v1/advance ")
+            ],
+            [14, 3, 2, 1],
+            "the serve-live mix"
+        );
+        assert!(wire.len() > 2_048, "{} bytes", wire.len());
+        let mut conn = one(&wire);
+        let sent = echo_paths(&mut conn);
+        assert_eq!(
+            conn.stream_mut().log,
+            vec![
+                Call::Read(wire.len()),
+                Call::Write(sent),
+                Call::Flush,
+                Call::Read(0)
+            ]
+        );
+    }
+
+    /// `crlf_lines` splits every string over `\r`, `\n` and `a` of up
+    /// to eight bytes as `str::split("\r\n")` does.
+    #[test]
+    fn crlf_lines_split_as_str_split_does() {
+        for len in 0..=8u32 {
+            for code in 0..3usize.pow(len) {
+                let text: String = (0..len)
+                    .map(|k| ['\r', '\n', 'a'][code / 3usize.pow(k) % 3])
+                    .collect();
+                let got: Vec<&str> = crlf_lines(&text).collect();
+                let want: Vec<&str> = text.split("\r\n").collect();
+                assert_eq!(got, want, "{text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn headers_match_any_case_and_the_last_duplicate_wins() {
+        let mut conn = one(
+            b"POST /a HTTP/1.1\r\nX-Tag: one\r\nContent-Length:  2 \r\nx-tag:two\r\nCONTENT-LENGTH: 2\r\n\r\nokGET /b HTTP/1.1\r\nConnection: Close\r\n\r\n",
+        );
+        let first = conn.read_request().expect("first");
+        assert_eq!(first.header("x-tag"), Some("two"));
+        assert_eq!(first.header("X-TAG"), Some("two"));
+        assert_eq!(first.header("content-length"), Some("2"));
+        assert_eq!(first.header("x-tag:"), None);
+        assert_eq!(first.body, b"ok");
+        assert!(!first.wants_close());
+        let second = conn.read_request().expect("second");
+        assert!(second.wants_close());
+        assert_eq!(second.header("x-tag"), None);
+    }
+
+    /// Requests at the limits, pipelined and torn at assorted sizes, never
+    /// grow the buffer past one request's head and body plus one read.
+    /// The head is three bytes short of the cap: a longer one whose
+    /// terminator is torn past the cap reads as too large.
+    #[test]
+    fn the_buffer_never_outgrows_one_request_plus_one_read() {
+        let limits = Limits::default();
+        let body = vec![b'b'; limits.max_body];
+        let mut request = format!("POST /a HTTP/1.1\r\ncontent-length: {}\r\n", body.len());
+        let pad = limits.max_head - 3 - request.len() - "x-pad: ".len();
+        request.push_str(&format!("x-pad: {}\r\n\r\n", "p".repeat(pad)));
+        assert_eq!(request.len(), limits.max_head - 3 + 4);
+        let mut request = request.into_bytes();
+        request.extend_from_slice(&body);
+        let wire = request.repeat(6);
+        let bound = limits.max_head + 4 + limits.max_body + MIN_READ;
+        for size in [1, 7, 4_093, MIN_READ - 1, MIN_READ, 70_001, wire.len()] {
+            let chunks = wire.chunks(size).map(<[u8]>::to_vec).collect();
+            let mut conn = HttpConn::new(Scripted::new(chunks), limits);
+            for n in 0..6 {
+                let req = conn.read_request().expect("request at the limits");
+                assert_eq!(req.body.len(), limits.max_body, "size {size}, request {n}");
+                assert!(conn.buf.capacity() <= bound, "size {size}, request {n}");
+            }
+            assert!(matches!(conn.read_request(), Err(RequestError::Closed)));
+            assert!(conn.buf.capacity() <= bound, "size {size}");
+        }
+    }
+
+    /// A head that arrives one byte per read is searched once in all:
+    /// each read resumes the search three bytes before the end.
+    #[test]
+    fn a_torn_head_is_searched_from_where_the_last_search_stopped() {
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\n", 0), Some(14));
+        assert_eq!(find_head_end(b"\r\n\r\r\n\r\n", 0), Some(3));
+        assert_eq!(find_head_end(b"ab\r\n\r", 0), None);
+        let wire = b"GET /a HTTP/1.1\r\nhost: x\r\n\r\n";
+        let chunks = wire.iter().map(|b| vec![*b]).collect();
+        let mut conn = HttpConn::new(Scripted::new(chunks), Limits::default());
+        assert_eq!(conn.read_head().expect("head"), wire.len() - 4);
+        assert_eq!(conn.scanned, wire.len() - 4);
     }
 
     #[test]

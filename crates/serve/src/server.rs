@@ -12,13 +12,17 @@
 //! 2. a worker thread picks it up, arms the per-request deadline
 //!    (socket read timeout), optionally wraps the stream in the seeded
 //!    [`FaultTransport`](crate::transport::FaultTransport) drill, and
-//!    serves keep-alive requests until close, error, or drain. Responses
+//!    serves keep-alive requests until close, error, or drain. Each read
+//!    offers the transport at least
+//!    [`MIN_READ`](crate::http::MIN_READ) bytes, and each request is
+//!    handled as a borrowed view of the connection's buffer. Responses
 //!    collect in the connection's output buffer, which is sent before
 //!    the worker blocks on the next read, once it passes
 //!    [`MAX_BUFFERED_OUTPUT`](crate::http::MAX_BUFFERED_OUTPUT), and
 //!    when the connection closes or answers an error: a pipelined batch
-//!    that arrived in one read is answered in one write, and a client
-//!    that waits for each answer gets each one in its own write;
+//!    of up to 16 KB is read in one read and answered in one write, and
+//!    a client that waits for each answer gets each one in its own
+//!    write;
 //! 3. on drain (SIGTERM, ctrl-c, `POST /admin/drain`, or
 //!    [`ServerHandle::shutdown`]) the accept thread stops accepting and
 //!    closes the queue; workers finish **every** connection already
@@ -42,6 +46,9 @@
 //! totals are sums of the tenants' own counters, which `GET /metrics`
 //! reads under the scheduler lock: after a restart from `--state-dir`
 //! they include the restored tenants' history, as `/v1/query` does.
+//! The drill's injected faults are the [`FaultCounters`] atomics, which
+//! `GET /metrics` and the [`DrainReport`] read when they are rendered,
+//! so a fault shows while its connection is still open.
 
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -557,11 +564,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared, deadline: Duration) {
             .fault
             .transport(stream, seed, Arc::clone(&shared.fault_counters));
         serve_requests(HttpConn::new(transport, shared.limits), shared);
-        let faults = shared.fault_counters.total();
-        shared
-            .metrics
-            .lock()
-            .set_counter("serve_net_faults_total", faults);
     } else {
         serve_requests(HttpConn::new(stream, shared.limits), shared);
     }
@@ -615,8 +617,8 @@ fn serve_requests<S: Read + Write>(mut conn: HttpConn<S>, shared: &Shared) {
     }
 }
 
-fn dispatch(req: &Request, shared: &Shared) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
+fn dispatch(req: &Request<'_>, shared: &Shared) -> Response {
+    match (req.method, req.path) {
         ("GET", "/healthz") => Response::ok_json(format!(
             "{{\"ok\":true,\"draining\":{}}}",
             shared.is_draining()
@@ -637,6 +639,7 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
             metrics.set_counter("serve_register_rejected_total", totals.rejected);
             metrics.set_counter("serve_cancel_total", totals.cancelled);
             metrics.set_counter("serve_delivered_total", totals.delivered);
+            metrics.set_counter("serve_net_faults_total", shared.fault_counters.total());
             Response::ok_text(metrics.expose())
         }
         ("GET", "/v1/state") => Response::ok_text(shared.live.lock().digest()),
@@ -709,7 +712,7 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-fn parse_body(req: &Request) -> Result<JsonValue, Response> {
+fn parse_body(req: &Request<'_>) -> Result<JsonValue, Response> {
     let text = req
         .body_utf8()
         .ok_or_else(|| Response::error_json(400, "Bad Request", "bad-body", "body is not UTF-8"))?;
@@ -724,7 +727,7 @@ fn u64_field(body: &JsonValue, key: &str) -> Option<u64> {
     num_field(body, key).map(|v| v.max(0.0) as u64)
 }
 
-fn handle_register(req: &Request, shared: &Shared) -> Response {
+fn handle_register(req: &Request<'_>, shared: &Shared) -> Response {
     let body = match parse_body(req) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -787,7 +790,7 @@ fn handle_register(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-fn handle_cancel(req: &Request, shared: &Shared) -> Response {
+fn handle_cancel(req: &Request<'_>, shared: &Shared) -> Response {
     let body = match parse_body(req) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -815,7 +818,7 @@ fn handle_cancel(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-fn handle_advance(req: &Request, shared: &Shared) -> Response {
+fn handle_advance(req: &Request<'_>, shared: &Shared) -> Response {
     let body = match parse_body(req) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -832,7 +835,7 @@ fn handle_advance(req: &Request, shared: &Shared) -> Response {
     Response::ok_json(format!("{{\"delivered\":{delivered},\"now_ms\":{now_ms}}}"))
 }
 
-fn handle_run(req: &Request, shared: &Shared) -> Response {
+fn handle_run(req: &Request<'_>, shared: &Shared) -> Response {
     use simty::experiments::{RunSpec, Scenario};
 
     let body = match parse_body(req) {

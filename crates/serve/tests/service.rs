@@ -605,6 +605,45 @@ fn counter(metrics: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no counter `{name}` in {metrics}"))
 }
 
+/// `/metrics` counts a drill's faults while the faulted connection is
+/// still open: every read of this one stalls first, the `GET /metrics`
+/// it carries included.
+#[test]
+fn a_fault_shows_on_metrics_while_its_connection_is_open() {
+    let config = ServeConfig {
+        fault: FaultPlan {
+            stall_p: 1.0,
+            stall: Duration::from_millis(1),
+            ..FaultPlan::none()
+        },
+        ..ServeConfig::default()
+    };
+    let handle = spawn(config).expect("spawn");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut faults = Vec::new();
+    for _ in 0..2 {
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\n\r\n")
+            .expect("write");
+        let answer = String::from_utf8(read_one_response(&mut stream)).expect("utf8");
+        assert!(answer.contains("connection: keep-alive"), "{answer}");
+        faults.push(counter(&answer, "serve_net_faults_total"));
+    }
+    assert!(faults[0] >= 1, "{faults:?}");
+    assert!(faults[1] > faults[0], "{faults:?}");
+    drop(stream);
+    handle.shutdown();
+    let drain = handle.join();
+    assert_eq!(
+        drain.net_faults,
+        faults[1] + 1,
+        "one more read saw the close"
+    );
+}
+
 /// The register, cancel and delivery totals of `/metrics`, and the same
 /// five counters summed over `tenants`' `/v1/query` answers.
 fn totals_and_tenant_sums(addr: &str, tenants: &[&str]) -> ([u64; 5], [u64; 5]) {
