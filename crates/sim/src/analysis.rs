@@ -80,7 +80,11 @@ impl fmt::Display for BatchHistogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "batch-size histogram (alarm deliveries):")?;
         for (size, n) in &self.counts {
-            writeln!(f, "  {size:>3}: {n:>6} {}", "#".repeat((*n as usize).min(60)))?;
+            writeln!(
+                f,
+                "  {size:>3}: {n:>6} {}",
+                "#".repeat((*n as usize).min(60))
+            )?;
         }
         write!(
             f,

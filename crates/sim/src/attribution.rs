@@ -553,8 +553,20 @@ mod tests {
         let mut l = ledger();
         l.note_wake_transition();
         l.advance_to(SimTime::from_secs(1), true);
-        l.start_task(&"a".into(), HardwareSet::empty(), SimTime::from_secs(1), HardwareSet::empty(), 2);
-        l.start_task(&"b".into(), HardwareSet::empty(), SimTime::from_secs(1), HardwareSet::empty(), 2);
+        l.start_task(
+            &"a".into(),
+            HardwareSet::empty(),
+            SimTime::from_secs(1),
+            HardwareSet::empty(),
+            2,
+        );
+        l.start_task(
+            &"b".into(),
+            HardwareSet::empty(),
+            SimTime::from_secs(1),
+            HardwareSet::empty(),
+            2,
+        );
         assert!((l.per_app_mj()["a"] - 50.0).abs() < 1e-9);
         assert!((l.per_app_mj()["b"] - 50.0).abs() < 1e-9);
         assert_eq!(l.overhead_mj(), 0.0);
@@ -574,8 +586,20 @@ mod tests {
     fn drop_app_tasks_spares_the_bystander() {
         let mut l = ledger();
         l.advance_to(SimTime::from_secs(0), true);
-        l.start_task(&"offender".into(), HardwareSet::empty(), SimTime::from_secs(100), HardwareSet::empty(), 1);
-        l.start_task(&"bystander".into(), HardwareSet::empty(), SimTime::from_secs(4), HardwareSet::empty(), 1);
+        l.start_task(
+            &"offender".into(),
+            HardwareSet::empty(),
+            SimTime::from_secs(100),
+            HardwareSet::empty(),
+            1,
+        );
+        l.start_task(
+            &"bystander".into(),
+            HardwareSet::empty(),
+            SimTime::from_secs(4),
+            HardwareSet::empty(),
+            1,
+        );
         l.advance_to(SimTime::from_secs(2), true);
         l.drop_app_tasks("offender", SimTime::from_secs(2));
         l.advance_to(SimTime::from_secs(4), false);
@@ -584,7 +608,10 @@ mod tests {
         let offender = l.per_app_mj()["offender"];
         let bystander = l.per_app_mj()["bystander"];
         assert!((offender - 160.0).abs() < 1e-9, "offender = {offender}");
-        assert!((bystander - (160.0 + 320.0)).abs() < 1e-9, "bystander = {bystander}");
+        assert!(
+            (bystander - (160.0 + 320.0)).abs() < 1e-9,
+            "bystander = {bystander}"
+        );
         assert_eq!(l.interventions_per_app()["offender"], 1);
         assert!(!l.interventions_per_app().contains_key("bystander"));
     }
@@ -593,7 +620,13 @@ mod tests {
     fn ranking_is_descending() {
         let mut l = ledger();
         l.advance_to(SimTime::from_secs(0), true);
-        l.start_task(&"small".into(), HardwareSet::empty(), SimTime::from_secs(1), HardwareSet::empty(), 1);
+        l.start_task(
+            &"small".into(),
+            HardwareSet::empty(),
+            SimTime::from_secs(1),
+            HardwareSet::empty(),
+            1,
+        );
         l.advance_to(SimTime::from_secs(1), true);
         l.start_task(
             &"big".into(),

@@ -365,13 +365,8 @@ mod tests {
         let mut g = DegradationGovernor::new(small());
         g.transition(DegradationTier::Saver, SimTime::from_secs(100));
         g.transition(DegradationTier::Critical, SimTime::from_secs(300));
-        let r = DegradationGovernor::restore(
-            g.config,
-            g.tier,
-            g.tier_since,
-            g.in_saver,
-            g.in_critical,
-        );
+        let r =
+            DegradationGovernor::restore(g.config, g.tier, g.tier_since, g.in_saver, g.in_critical);
         assert_eq!(r, g);
     }
 }

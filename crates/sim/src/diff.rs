@@ -146,7 +146,11 @@ mod tests {
         alarm.mark_hardware_known();
         let mut t = Trace::new();
         for (s, size) in deliveries {
-            t.record_delivery(DeliveryRecord::observe(&alarm, SimTime::from_secs(*s), *size));
+            t.record_delivery(DeliveryRecord::observe(
+                &alarm,
+                SimTime::from_secs(*s),
+                *size,
+            ));
         }
         t
     }

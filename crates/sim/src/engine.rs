@@ -334,9 +334,7 @@ impl Simulation {
             let outcome = ctl.decide(alarm.label(), class, t);
             if self.obs.on() {
                 let key = match outcome.decision {
-                    AdmissionDecision::Admit => {
-                        "sim_admission_decisions_total{decision=\"admit\"}"
-                    }
+                    AdmissionDecision::Admit => "sim_admission_decisions_total{decision=\"admit\"}",
                     AdmissionDecision::Defer { .. } => {
                         "sim_admission_decisions_total{decision=\"defer\"}"
                     }
@@ -651,7 +649,11 @@ impl Simulation {
             // re-sync.
             self.ledger.advance_to(self.now, !self.device.is_asleep());
             let t0 = if clocked { Some(Instant::now()) } else { None };
-            let nested0 = if clocked { self.nested_stage_nanos() } else { 0 };
+            let nested0 = if clocked {
+                self.nested_stage_nanos()
+            } else {
+                0
+            };
             let mut dispatched = 0u64;
             while let Some(event) = self.events.pop_at(t) {
                 self.disarm(&event.kind, event.time);
@@ -992,7 +994,9 @@ impl Simulation {
         let restamped = self.manager.set_grace_stretch(cfg.stretch_for(target));
         if self.obs.on() {
             self.obs.metrics.inc("sim_degradation_transitions_total");
-            self.obs.metrics.set_gauge("sim_degradation_tier", target.gauge());
+            self.obs
+                .metrics
+                .set_gauge("sim_degradation_tier", target.gauge());
             self.obs.spans.record(
                 SpanKind::DegradationTransition,
                 t.as_millis(),
@@ -1171,11 +1175,8 @@ impl Simulation {
     /// stop attributing the offender, and record the intervention.
     fn force_release_app_inner(&mut self, app: &str, now: SimTime, held: SimDuration) {
         self.holds.retain(|h| *h.app != *app && h.until > now);
-        let survivors: Vec<(HardwareSet, SimTime)> = self
-            .holds
-            .iter()
-            .map(|h| (h.hardware, h.until))
-            .collect();
+        let survivors: Vec<(HardwareSet, SimTime)> =
+            self.holds.iter().map(|h| (h.hardware, h.until)).collect();
         self.device.rescope_holds(&survivors, now);
         self.ledger.drop_app_tasks(app, now);
         for slot in &mut self.activation_retries {
@@ -1229,7 +1230,8 @@ impl Simulation {
         }
         if !self.device.is_awake() {
             self.schedule_once(EventKind::WakeComplete, ready);
-            self.events.schedule(ready, EventKind::ActivationRetry { slot });
+            self.events
+                .schedule(ready, EventKind::ActivationRetry { slot });
             return;
         }
         let fails = match &mut self.faults {
@@ -1246,7 +1248,8 @@ impl Simulation {
                 let newly = self.device.run_task(s.hardware, s.until - t, t);
                 // batch size 0: the retry claims no share of the original
                 // delivery's wake transition (already attributed).
-                self.ledger.start_task(&s.app, s.hardware, s.until, newly, 0);
+                self.ledger
+                    .start_task(&s.app, s.hardware, s.until, newly, 0);
                 self.schedule_once(EventKind::TaskEnd, s.until);
                 let done = &mut self.activation_retries[slot];
                 done.done = true;
@@ -1347,7 +1350,11 @@ impl Simulation {
                 self.due_buffer = entries;
                 break;
             }
-            let t0 = if self.clocked() { Some(Instant::now()) } else { None };
+            let t0 = if self.clocked() {
+                Some(Instant::now())
+            } else {
+                None
+            };
             let batch = entries.len() as u64;
             for entry in entries.drain(..) {
                 self.trace.record_entry_delivery();
@@ -1433,7 +1440,9 @@ impl Simulation {
             Some(backoff) => {
                 // The CPU part of the task runs, but the hardware fails
                 // to power up; a retry slot takes over.
-                let _ = self.device.run_task(HardwareSet::empty(), hold_until - t, t);
+                let _ = self
+                    .device
+                    .run_task(HardwareSet::empty(), hold_until - t, t);
                 self.ledger.start_task(
                     &label,
                     HardwareSet::empty(),
@@ -1455,13 +1464,8 @@ impl Simulation {
             }
             None => {
                 let newly = self.device.run_task(alarm.hardware(), cpu_until - t, t);
-                self.ledger.start_task(
-                    &label,
-                    alarm.hardware(),
-                    hold_until,
-                    newly,
-                    entry_size,
-                );
+                self.ledger
+                    .start_task(&label, alarm.hardware(), hold_until, newly, entry_size);
                 if hold_until > cpu_until {
                     // Leak: the hardware locks outlive the task's CPU time.
                     self.device.leak_locks(alarm.hardware(), hold_until, t);
@@ -2000,8 +2004,7 @@ mod tests {
             .deliveries()
             .iter()
             .filter(|d| {
-                d.delivered_at > SimTime::from_secs(300)
-                    && d.delivered_at < SimTime::from_secs(420)
+                d.delivered_at > SimTime::from_secs(300) && d.delivered_at < SimTime::from_secs(420)
             })
             .collect();
         assert!(outage.is_empty(), "delivered during the outage: {outage:?}");
@@ -2068,7 +2071,9 @@ mod tests {
         assert_eq!(sim.overload.demotions, 1);
         let report = sim.run();
         assert_eq!(report.overload.rejected, 18);
-        assert!(report.metrics_json.contains("sim_admission_demotions_total"));
+        assert!(report
+            .metrics_json
+            .contains("sim_admission_demotions_total"));
     }
 
     #[test]
@@ -2111,7 +2116,8 @@ mod tests {
                 });
             }
             let mut sim = Simulation::new(Box::new(SimtyPolicy::new()), config);
-            sim.register(wifi_alarm("clock", 60, 120, 0.0, 0.9)).unwrap();
+            sim.register(wifi_alarm("clock", 60, 120, 0.0, 0.9))
+                .unwrap();
             sim.register(deferrable_alarm("sync", 90, 60)).unwrap();
             sim
         };
@@ -2123,7 +2129,11 @@ mod tests {
         let report = sim.run();
         assert_eq!(sim.degradation_tier(), Some(DegradationTier::Critical));
         assert_eq!(report.overload.final_tier, "critical");
-        assert!(report.overload.tier_changes >= 2, "{}", report.overload.tier_changes);
+        assert!(
+            report.overload.tier_changes >= 2,
+            "{}",
+            report.overload.tier_changes
+        );
         assert!(report.overload.time_in_saver_ms > 0);
         assert!(report.overload.time_in_critical_ms > 0);
         // Critical stretches imperceptible grace to 2.5x by default.
@@ -2145,7 +2155,8 @@ mod tests {
                 ..GovernorConfig::default()
             });
         let mut sim = Simulation::new(Box::new(NativePolicy::new()), config);
-        sim.register(wifi_alarm("clock", 60, 120, 0.0, 0.9)).unwrap();
+        sim.register(wifi_alarm("clock", 60, 120, 0.0, 0.9))
+            .unwrap();
         // A 1 mJ battery is flat by the first governor tick.
         sim.run_until(SimTime::from_secs(61));
         assert_eq!(sim.degradation_tier(), Some(DegradationTier::Critical));
@@ -2155,7 +2166,8 @@ mod tests {
         }
         assert_eq!(sim.overload.shed, 1);
         // Perceptible registrations are never shed.
-        sim.register(wifi_alarm("urgent", 120, 300, 0.0, 0.5)).unwrap();
+        sim.register(wifi_alarm("urgent", 120, 300, 0.0, 0.5))
+            .unwrap();
         let report = sim.run();
         assert_eq!(report.overload.shed, 1);
         assert_eq!(report.overload.final_tier, "critical");
@@ -2227,8 +2239,7 @@ mod tests {
         let checkpoints = straight.checkpoints().to_vec();
         assert!(!checkpoints.is_empty());
         for (i, ckpt) in checkpoints.iter().enumerate() {
-            let mut resumed =
-                Simulation::restore(Box::new(SimtyPolicy::new()), ckpt).unwrap();
+            let mut resumed = Simulation::restore(Box::new(SimtyPolicy::new()), ckpt).unwrap();
             resumed.run();
             assert_eq!(fingerprint(&resumed), expected, "checkpoint {i} diverged");
         }
@@ -2244,7 +2255,9 @@ mod tests {
         // healthy batteries, all under strict invariants.
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 33
         };
         for trial in 0..6u64 {
@@ -2291,7 +2304,10 @@ mod tests {
             );
             // Strict invariants: any perceptible window miss would have
             // panicked; the report must agree.
-            assert_eq!(report.resilience.perceptible_window_misses, 0, "trial {trial}");
+            assert_eq!(
+                report.resilience.perceptible_window_misses, 0,
+                "trial {trial}"
+            );
         }
     }
 }

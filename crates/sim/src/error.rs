@@ -29,9 +29,7 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::ReportBeforeRun => {
-                f.write_str("report requested before the simulation ran")
-            }
+            SimError::ReportBeforeRun => f.write_str("report requested before the simulation ran"),
             SimError::Io(e) => write!(f, "i/o error: {e}"),
             SimError::ParseTrace(e) => write!(f, "{e}"),
             SimError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),

@@ -111,8 +111,7 @@ pub fn estimate(alarms: &[Alarm], duration: SimDuration, model: &PowerModel) -> 
             .max()
             .unwrap_or(SimDuration::ZERO);
         best += *activations as f64
-            * (profile.activation_energy_mj
-                + profile.active_power_mw * longest_task.as_secs_f64());
+            * (profile.activation_energy_mj + profile.active_power_mw * longest_task.as_secs_f64());
     }
     // CPU: wakeups at the single most demanding alarm's rate, each awake
     // for the longest task + latency + linger.
@@ -129,7 +128,8 @@ pub fn estimate(alarms: &[Alarm], duration: SimDuration, model: &PowerModel) -> 
     let awake_span = model.wake_latency.as_secs_f64()
         + longest_task.as_secs_f64()
         + model.sleep_linger.as_secs_f64();
-    best += min_wakeups * (model.wake_transition_energy_mj + model.awake_base_power_mw * awake_span);
+    best +=
+        min_wakeups * (model.wake_transition_energy_mj + model.awake_base_power_mw * awake_span);
 
     EnergyEstimate {
         sleep_mj,
@@ -160,7 +160,11 @@ mod tests {
     fn single_alarm_unaligned_matches_closed_form() {
         let model = PowerModel::nexus5();
         let alarm = wifi_alarm(600, 600);
-        let e = estimate(std::slice::from_ref(&alarm), SimDuration::from_hours(1), &model);
+        let e = estimate(
+            std::slice::from_ref(&alarm),
+            SimDuration::from_hours(1),
+            &model,
+        );
         let per_delivery =
             model.solo_delivery_energy_mj(alarm.hardware(), SimDuration::from_secs(3));
         assert!((e.unaligned_awake_mj - 6.0 * per_delivery).abs() < 1e-9);
@@ -169,7 +173,11 @@ mod tests {
 
     #[test]
     fn best_case_is_below_unaligned_for_alignable_workloads() {
-        let alarms = vec![wifi_alarm(300, 300), wifi_alarm(400, 300), wifi_alarm(500, 300)];
+        let alarms = vec![
+            wifi_alarm(300, 300),
+            wifi_alarm(400, 300),
+            wifi_alarm(500, 300),
+        ];
         let e = estimate(&alarms, SimDuration::from_hours(3), &PowerModel::nexus5());
         assert!(e.best_case_awake_mj < e.unaligned_awake_mj);
         assert!(e.max_saving() > 0.0 && e.max_saving() < 1.0);
@@ -182,7 +190,11 @@ mod tests {
             .task_duration(SimDuration::ZERO)
             .build()
             .unwrap();
-        let e = estimate(&[one_shot], SimDuration::from_hours(1), &PowerModel::nexus5());
+        let e = estimate(
+            &[one_shot],
+            SimDuration::from_hours(1),
+            &PowerModel::nexus5(),
+        );
         assert!((e.unaligned_awake_mj - 180.0).abs() < 1e-9);
     }
 

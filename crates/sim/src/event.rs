@@ -301,7 +301,10 @@ impl EventQueue {
             }
             let cur = ((self.elapsed >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as u32;
             let ahead = lv.occupied >> cur;
-            debug_assert!(ahead != 0, "occupied slot behind the cursor on level {level}");
+            debug_assert!(
+                ahead != 0,
+                "occupied slot behind the cursor on level {level}"
+            );
             let slot = if ahead != 0 {
                 cur + ahead.trailing_zeros()
             } else {
@@ -682,7 +685,10 @@ mod tests {
         assert_eq!(q.pop_at(t).unwrap().kind, EventKind::WakeComplete);
         assert_eq!(q.pop_at(t), None);
         assert_eq!(q.next_due(SimTime::from_secs(9)), None);
-        assert_eq!(q.next_due(SimTime::from_secs(10)), Some(SimTime::from_secs(10)));
+        assert_eq!(
+            q.next_due(SimTime::from_secs(10)),
+            Some(SimTime::from_secs(10))
+        );
     }
 
     #[test]

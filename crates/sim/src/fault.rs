@@ -109,7 +109,10 @@ pub struct FaultPlan {
 }
 
 fn assert_probability(p: f64, what: &str) {
-    assert!((0.0..=1.0).contains(&p), "{what} probability {p} out of [0, 1]");
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "{what} probability {p} out of [0, 1]"
+    );
 }
 
 /// SplitMix64 finalizer: the pure hash behind stateless draws (RTC
@@ -262,9 +265,8 @@ impl FaultPlan {
     pub fn storm_arrivals(&self) -> Vec<SimTime> {
         let mut times = Vec::new();
         for (i, storm) in self.storms.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(
-                self.seed ^ mix64(0x5707_u64.wrapping_add(i as u64)),
-            );
+            let mut rng =
+                StdRng::seed_from_u64(self.seed ^ mix64(0x5707_u64.wrapping_add(i as u64)));
             let p = (1.0 / storm.mean_interval.as_secs_f64()).min(1.0);
             let start_s = storm.start.as_millis().div_ceil(1_000);
             let end_s = (storm.start + storm.duration).as_millis() / 1_000;
@@ -523,7 +525,10 @@ mod tests {
     fn default_plan_injects_nothing() {
         let mut s = FaultState::new(FaultPlan::new(7));
         assert_eq!(s.jitter_for(SimTime::from_secs(100)), SimDuration::ZERO);
-        assert_eq!(s.drop_fire(SimTime::from_secs(100), SimTime::from_secs(100)), None);
+        assert_eq!(
+            s.drop_fire(SimTime::from_secs(100), SimTime::from_secs(100)),
+            None
+        );
         assert_eq!(s.overrun(), SimDuration::ZERO);
         assert_eq!(s.leak(), SimDuration::ZERO);
         assert_eq!(s.activation_fails(0), None);
@@ -577,7 +582,7 @@ mod tests {
         assert_eq!(b0, SimDuration::from_millis(250));
         assert_eq!(b1, SimDuration::from_millis(500));
         assert_eq!(b3, SimDuration::from_secs(2)); // capped
-        // Forced success at the attempt cap.
+                                                   // Forced success at the attempt cap.
         assert_eq!(s.activation_fails(4), None);
     }
 
@@ -596,8 +601,9 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert!(!a.is_empty());
-        assert!(a.iter().all(|t| *t >= SimTime::from_secs(100)
-            && *t <= SimTime::from_secs(400)));
+        assert!(a
+            .iter()
+            .all(|t| *t >= SimTime::from_secs(100) && *t <= SimTime::from_secs(400)));
     }
 
     #[test]

@@ -175,7 +175,10 @@ impl InvariantMonitor {
         for t in delivery_times {
             if let Some(p) = prev {
                 if t < p {
-                    self.record(InvariantViolation::QueueOrderBroken { earlier: p, later: t });
+                    self.record(InvariantViolation::QueueOrderBroken {
+                        earlier: p,
+                        later: t,
+                    });
                     return;
                 }
             }

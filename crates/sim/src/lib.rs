@@ -44,9 +44,9 @@ pub mod codec;
 pub mod config;
 pub mod degrade;
 pub mod diff;
+pub mod engine;
 pub mod error;
 pub mod estimate;
-pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod invariant;
@@ -68,8 +68,8 @@ pub use error::SimError;
 pub use fault::{FaultPlan, RebootPlan};
 pub use invariant::{InvariantMonitor, InvariantViolation};
 pub use metrics::{DelayStats, OverloadStats, ResilienceStats, SimReport, WakeupRow};
-pub use overload::{RegistrationStormPlan, StormBurst};
 pub use obs::{ObsLayer, ObsLevel};
+pub use overload::{RegistrationStormPlan, StormBurst};
 pub use trace::{DeliveryRecord, InterventionKind, InterventionRecord, Trace};
 pub use vfs::{FaultKind, FaultVfs, RealVfs, RecordingVfs, Vfs};
 pub use watchdog::OnlineWatchdogConfig;

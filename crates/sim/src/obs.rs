@@ -213,8 +213,7 @@ struct HotHandles {
 impl HotHandles {
     fn resolve(metrics: &mut MetricsRegistry, policy: &str) -> Self {
         HotHandles {
-            wakeups: metrics
-                .counter_handle(&format!("sim_wakeups_total{{policy=\"{policy}\"}}")),
+            wakeups: metrics.counter_handle(&format!("sim_wakeups_total{{policy=\"{policy}\"}}")),
             entry_deliveries: metrics.counter_handle("sim_entry_deliveries_total"),
             alarm_deliveries: metrics.counter_handle("sim_alarm_deliveries_total"),
             queue_depth: metrics.gauge_handle("sim_wakeup_queue_depth"),
@@ -250,7 +249,10 @@ fn register_families(metrics: &mut MetricsRegistry, policy: &str) {
         "sim_watchdog_recoveries_total",
         "Apps recovered from quarantine after clean probation.",
     );
-    metrics.describe("sim_checkpoints_total", "Crash-consistent checkpoints captured.");
+    metrics.describe(
+        "sim_checkpoints_total",
+        "Crash-consistent checkpoints captured.",
+    );
     metrics.describe(
         "sim_component_active_ms_total",
         "Milliseconds each hardware component was held by delivered tasks.",
@@ -314,14 +316,8 @@ fn register_families(metrics: &mut MetricsRegistry, policy: &str) {
     metrics.set_gauge("sim_quarantined_apps", 0.0);
     metrics.set_gauge("sim_degradation_tier", 0.0);
     metrics.set_gauge("sim_battery_soc_milli", 1_000.0);
-    metrics.register_histogram(
-        "sim_entry_size",
-        vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-    );
-    metrics.register_histogram(
-        "sim_normalized_delay",
-        vec![0.05, 0.1, 0.2, 0.4, 0.8, 1.6],
-    );
+    metrics.register_histogram("sim_entry_size", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0]);
+    metrics.register_histogram("sim_normalized_delay", vec![0.05, 0.1, 0.2, 0.4, 0.8, 1.6]);
     metrics.register_histogram(
         "sim_task_hold_ms",
         vec![10.0, 100.0, 1_000.0, 10_000.0, 60_000.0, 300_000.0],
@@ -344,7 +340,10 @@ impl ObsLayer {
     ///
     /// Panics if either capacity is zero.
     pub fn new(level: ObsLevel, policy: &str, audit_capacity: usize, span_capacity: usize) -> Self {
-        assert!(audit_capacity > 0, "the audit ring needs room for one decision");
+        assert!(
+            audit_capacity > 0,
+            "the audit ring needs room for one decision"
+        );
         assert!(span_capacity > 0, "the span ring needs room for one span");
         let mut metrics = MetricsRegistry::new();
         let hot = if level == ObsLevel::Off {
@@ -519,7 +518,8 @@ impl ObsLayer {
             return;
         }
         self.metrics.inc_counter(self.hot.entry_deliveries);
-        self.metrics.observe_value(self.hot.entry_size, entry_size as f64);
+        self.metrics
+            .observe_value(self.hot.entry_size, entry_size as f64);
     }
 
     /// One alarm was delivered: counts it and records its normalized
@@ -532,7 +532,8 @@ impl ObsLayer {
         if let Some(nd) = normalized_delay {
             self.metrics.observe_value(self.hot.normalized_delay, nd);
         }
-        self.metrics.observe_value(self.hot.task_hold_ms, hold_ms as f64);
+        self.metrics
+            .observe_value(self.hot.task_hold_ms, hold_ms as f64);
     }
 
     /// Records the wakeup-queue depth after a delivery round.
@@ -540,7 +541,8 @@ impl ObsLayer {
         if !self.on() {
             return;
         }
-        self.metrics.set_gauge_value(self.hot.queue_depth, depth as f64);
+        self.metrics
+            .set_gauge_value(self.hot.queue_depth, depth as f64);
     }
 
     /// The device went back to sleep (or lost power) at `t`: closes the
@@ -743,7 +745,10 @@ mod tests {
             "sim_normalized_delay",
             "sim_wakeup_queue_depth",
         ] {
-            assert!(text.contains(&format!("# HELP {family} ")), "missing {family}");
+            assert!(
+                text.contains(&format!("# HELP {family} ")),
+                "missing {family}"
+            );
         }
         assert!(obs.metrics_json().starts_with('{'));
     }

@@ -456,7 +456,10 @@ mod tests {
 
     #[test]
     fn one_shot_has_no_normalized_delay() {
-        let one_shot = Alarm::builder("o").nominal(SimTime::from_secs(5)).build().unwrap();
+        let one_shot = Alarm::builder("o")
+            .nominal(SimTime::from_secs(5))
+            .build()
+            .unwrap();
         let r = DeliveryRecord::observe(&one_shot, SimTime::from_secs(6), 1);
         assert_eq!(r.normalized_delay(), None);
         assert!(r.perceptible);
@@ -545,8 +548,7 @@ mod tests {
         let err = Trace::read_csv("header\nnot,enough,columns\n").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("line 2"));
-        let err =
-            Trace::read_csv("h\nx,app,1,2,3,4,5,none,true,1,500\n").unwrap_err();
+        let err = Trace::read_csv("h\nx,app,1,2,3,4,5,none,true,1,500\n").unwrap_err();
         assert!(err.message.contains("alarm id"));
     }
 
@@ -568,13 +570,31 @@ mod tests {
     fn csv_read_rejects_bad_fields_in_every_numeric_column() {
         let bad_rows = [
             ("h\n1,app,zap,2000,3000,1500,0,none,true,1,500", "nominal"),
-            ("h\n1,app,1000,zap,3000,1500,0,none,true,1,500", "window end"),
+            (
+                "h\n1,app,1000,zap,3000,1500,0,none,true,1,500",
+                "window end",
+            ),
             ("h\n1,app,1000,2000,zap,1500,0,none,true,1,500", "grace end"),
-            ("h\n1,app,1000,2000,3000,zap,0,none,true,1,500", "delivery time"),
-            ("h\n1,app,1000,2000,3000,1500,zap,none,true,1,500", "repeat interval"),
-            ("h\n1,app,1000,2000,3000,1500,0,none,maybe,1,500", "perceptible"),
-            ("h\n1,app,1000,2000,3000,1500,0,none,true,zap,500", "entry size"),
-            ("h\n1,app,1000,2000,3000,1500,0,none,true,1,zap", "task duration"),
+            (
+                "h\n1,app,1000,2000,3000,zap,0,none,true,1,500",
+                "delivery time",
+            ),
+            (
+                "h\n1,app,1000,2000,3000,1500,zap,none,true,1,500",
+                "repeat interval",
+            ),
+            (
+                "h\n1,app,1000,2000,3000,1500,0,none,maybe,1,500",
+                "perceptible",
+            ),
+            (
+                "h\n1,app,1000,2000,3000,1500,0,none,true,zap,500",
+                "entry size",
+            ),
+            (
+                "h\n1,app,1000,2000,3000,1500,0,none,true,1,zap",
+                "task duration",
+            ),
         ];
         for (text, what) in bad_rows {
             let err = Trace::read_csv(text).unwrap_err();

@@ -131,7 +131,10 @@ fn real_sync_file(path: &Path) -> io::Result<()> {
 
 fn real_append(path: &Path, bytes: &[u8]) -> io::Result<()> {
     use std::io::Write as _;
-    let mut file = fs::OpenOptions::new().create(true).append(true).open(path)?;
+    let mut file = fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
     file.write_all(bytes)
 }
 
@@ -489,9 +492,10 @@ impl RecordingVfs {
     }
 
     fn log(&self, op: &str, path: &Path) {
-        let name = path
-            .file_name()
-            .map_or_else(|| path.display().to_string(), |n| n.to_string_lossy().into_owned());
+        let name = path.file_name().map_or_else(
+            || path.display().to_string(),
+            |n| n.to_string_lossy().into_owned(),
+        );
         self.ops
             .lock()
             .expect("recording vfs ops")
@@ -600,7 +604,10 @@ mod tests {
         let err = vfs.append(&path, b"torn-record\n").unwrap_err();
         assert!(err.to_string().contains("ENOSPC"), "{err}");
         let on_disk = fs::read(&path).unwrap();
-        assert!(on_disk.starts_with(b"durable\n"), "durable prefix disturbed");
+        assert!(
+            on_disk.starts_with(b"durable\n"),
+            "durable prefix disturbed"
+        );
         assert!(on_disk.len() < b"durable\ntorn-record\n".len());
         // Truncating back to the durable prefix recovers cleanly.
         vfs.truncate(&path, 8).unwrap();
@@ -616,7 +623,10 @@ mod tests {
         vfs.write_file(&path, b"0123456789").unwrap();
         let err = vfs.sync_file(&path).unwrap_err();
         assert!(err.to_string().contains("EIO"), "{err}");
-        assert!(fs::read(&path).unwrap().len() < 10, "tail survived the failed fsync");
+        assert!(
+            fs::read(&path).unwrap().len() < 10,
+            "tail survived the failed fsync"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -639,7 +649,10 @@ mod tests {
                 (s, d) => panic!("unexpected tear state: src={s} dst={d}"),
             }
         }
-        assert!(src_stayed > 0 && entry_lost > 0, "{src_stayed}/{entry_lost}");
+        assert!(
+            src_stayed > 0 && entry_lost > 0,
+            "{src_stayed}/{entry_lost}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -184,7 +184,9 @@ pub fn scan(trace: &Trace, span: SimDuration, policy: WatchdogPolicy) -> Watchdo
     let mut worst: BTreeMap<String, (SimDuration, SimTime)> = BTreeMap::new();
     for d in trace.deliveries() {
         let hold = d.task_duration;
-        *totals.entry(d.label.to_string()).or_insert(SimDuration::ZERO) += hold;
+        *totals
+            .entry(d.label.to_string())
+            .or_insert(SimDuration::ZERO) += hold;
         let w = worst
             .entry(d.label.to_string())
             .or_insert((SimDuration::ZERO, d.delivered_at));
@@ -200,7 +202,13 @@ pub fn scan(trace: &Trace, span: SimDuration, policy: WatchdogPolicy) -> Watchdo
         if let Some((hold, at)) = worst.get(app) {
             if *hold > policy.max_task_hold {
                 let severity = hold.as_secs_f64() / policy.max_task_hold.as_secs_f64();
-                candidates.push((severity, Anomaly::LongHold { hold: *hold, at: *at }));
+                candidates.push((
+                    severity,
+                    Anomaly::LongHold {
+                        hold: *hold,
+                        at: *at,
+                    },
+                ));
             }
         }
         let duty = total.as_secs_f64() / span.as_secs_f64();
