@@ -10,14 +10,15 @@
 //! whose window closes early thanks to the delivery-time early-exit.
 //! The join and lookup cases run beside the pre-rotation queue
 //! ([`oracle::ShiftingAlarmQueue`]) to show what rotation and the id
-//! high-water mark save.
+//! high-water mark save. The simulator's event queue runs at the depths
+//! the engine and a registration storm give it.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use simty::core::entry::{DeliveryDiscipline, QueueEntry};
 use simty::core::queue::{oracle::ShiftingAlarmQueue, AlarmQueue};
 use simty::prelude::*;
-use simty::sim::event::{oracle::HeapEventQueue, EventKind, EventQueue};
+use simty::sim::event::{EventKind, EventQueue};
 
 const DEPTHS: [usize; 4] = [10, 100, 1_000, 10_000];
 
@@ -198,8 +199,7 @@ fn bench_simty_place(c: &mut Criterion) {
     group.finish();
 }
 
-/// Deterministic pseudo-random spread of event times across ~18 hours,
-/// hitting several wheel levels (sub-second to multi-hour gaps).
+/// Deterministic pseudo-random spread of event times across ~18 hours.
 fn spread_times(n: usize) -> Vec<SimTime> {
     let mut x: u64 = 0x9e3779b97f4a7c15;
     (0..n)
@@ -212,92 +212,39 @@ fn spread_times(n: usize) -> Vec<SimTime> {
         .collect()
 }
 
-/// Benchmarks one event-queue implementation in *steady state*: the
-/// queue is constructed once and kept warm across iterations, the way
-/// the engine holds one queue for a whole run, so the wheel's slab and
-/// free-list reuse (and the heap's retained capacity) are what's
-/// measured — not construction. `insert` times scheduling `n`
-/// spread-out events (the drain back to empty stays off the clock),
-/// `pop` times the drain (the refill stays off the clock), and
-/// `push_storm` times a full schedule+drain cycle of `n` events at the
-/// *same* instant — the same-instant batch the engine's delivery loop
-/// feeds on, where the wheel must preserve FIFO `seq` order.
-macro_rules! bench_event_queue {
-    ($group:expr, $name:literal, $queue:ty, $n:expr, $times:expr) => {{
-        $group.bench_with_input(
-            BenchmarkId::new(concat!($name, "_insert"), $n),
-            &$n,
-            |b, _| {
-                b.iter_custom(|iters| {
-                    let mut q = <$queue>::new();
-                    let mut total = std::time::Duration::ZERO;
-                    for _ in 0..iters {
-                        let start = std::time::Instant::now();
-                        for &t in $times {
-                            q.schedule(t, EventKind::RtcAlarm);
-                        }
-                        total += start.elapsed();
-                        while q.pop().is_some() {}
-                    }
-                    total
-                });
-            },
-        );
-        $group.bench_with_input(BenchmarkId::new(concat!($name, "_pop"), $n), &$n, |b, _| {
-            b.iter_custom(|iters| {
-                let mut q = <$queue>::new();
-                let mut total = std::time::Duration::ZERO;
-                for _ in 0..iters {
-                    for &t in $times {
-                        q.schedule(t, EventKind::RtcAlarm);
-                    }
-                    let start = std::time::Instant::now();
-                    while let Some(e) = q.pop() {
-                        std::hint::black_box(e.seq);
-                    }
-                    total += start.elapsed();
-                }
-                total
-            });
-        });
-        $group.bench_with_input(
-            BenchmarkId::new(concat!($name, "_push_storm"), $n),
-            &$n,
-            |b, _| {
-                b.iter_custom(|iters| {
-                    let mut q = <$queue>::new();
-                    let t = SimTime::from_secs(1);
-                    let mut total = std::time::Duration::ZERO;
-                    for _ in 0..iters {
-                        let start = std::time::Instant::now();
-                        for _ in 0..$n {
-                            q.schedule(t, EventKind::RtcAlarm);
-                        }
-                        while let Some(e) = q.pop() {
-                            std::hint::black_box(e.seq);
-                        }
-                        total += start.elapsed();
-                    }
-                    total
-                });
-            },
-        );
-    }};
-}
-
-/// Head-to-head of the engine's hierarchical timer wheel
-/// ([`EventQueue`]) against the retired `BinaryHeap` implementation
-/// (kept as [`oracle::HeapEventQueue`] for differential testing). The
-/// wheel's wins should be largest on `push_storm` (same-instant FIFO is
-/// an O(1) append/drain for the wheel, a heap sift per event for the
-/// oracle) and on `pop` at depth (no log-n sift-down per pop).
-fn bench_event_queues(c: &mut Criterion) {
+/// The engine's event queue at the depth the engine keeps (the paper's
+/// 3 h runs never hold more than 8 pending events) and at a storm cell's
+/// (4 bursts of 59 registrations, scheduled up front). `hold` pops the
+/// head and schedules a replacement further out, the engine's steady
+/// state on a queue it keeps for the whole run; `fill_drain` schedules
+/// `n` spread-out events on a new queue and drains it.
+fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(10);
-    for n in DEPTHS {
+    for n in [8, 4 * 59] {
         let times = spread_times(n);
-        bench_event_queue!(group, "wheel", EventQueue, n, &times);
-        bench_event_queue!(group, "heap", HeapEventQueue, n, &times);
+        group.bench_with_input(BenchmarkId::new("hold", n), &n, |b, _| {
+            let mut q = EventQueue::new();
+            for &t in &times {
+                q.schedule(t, EventKind::RtcAlarm);
+            }
+            b.iter(|| {
+                let e = q.pop().expect("the queue holds n events");
+                let gap = SimDuration::from_millis(1 + e.seq.wrapping_mul(7_919) % 600_000);
+                q.schedule(e.time + gap, e.kind);
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("fill_drain", n), &n, |b, _| {
+            b.iter(|| {
+                let mut q = EventQueue::new();
+                for &t in &times {
+                    q.schedule(t, EventKind::RtcAlarm);
+                }
+                while let Some(e) = q.pop() {
+                    std::hint::black_box(e.seq);
+                }
+            });
+        });
     }
     group.finish();
 }
@@ -308,6 +255,6 @@ criterion_group!(
     bench_join_moves,
     bench_position_of_miss,
     bench_simty_place,
-    bench_event_queues
+    bench_event_queue
 );
 criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! The engine's stage profile stays spread over its stages. On NATIVE
 //! and SIMTY runs of the light and heavy scenarios (one seed, one hour,
 //! the stage clocks on), event dispatch takes at most 90 % of the stage
-//! time; an engine whose dispatch swallowed queue search and delivery,
-//! as before the timer wheel, would take nearly all of it.
+//! time; an engine that timed each whole batch as dispatch, queue search
+//! and delivery included, would take nearly all of it.
 //!
 //! Stage times are wall clock, so the share is measured in an optimized
 //! build too: CI runs this file in its release step.

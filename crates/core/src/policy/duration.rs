@@ -3,7 +3,6 @@
 use crate::alarm::Alarm;
 use crate::audit::{CandidateAudit, CandidateVerdict};
 use crate::entry::{DeliveryDiscipline, QueueEntry};
-use crate::hardware::HardwareSet;
 use crate::policy::{AlignmentPolicy, Placement, SimtyPolicy};
 use crate::queue::AlarmQueue;
 use crate::similarity::{HardwareGranularity, Preferability, TimeSimilarity};
@@ -41,14 +40,12 @@ use crate::time::SimDuration;
 #[derive(Debug, Clone, Copy)]
 pub struct DurationSimilarityPolicy {
     granularity: HardwareGranularity,
-    energy_hungry: HardwareSet,
 }
 
 impl Default for DurationSimilarityPolicy {
     fn default() -> Self {
         DurationSimilarityPolicy {
             granularity: HardwareGranularity::Three,
-            energy_hungry: HardwareGranularity::default_energy_hungry(),
         }
     }
 }
@@ -135,9 +132,11 @@ impl DurationSimilarityPolicy {
                 continue;
             }
             debug_assert_ne!(time, TimeSimilarity::Low);
-            let hw_rank = self
-                .granularity
-                .rank(alarm_hw, entry.hardware(), self.energy_hungry);
+            let hw_rank = self.granularity.rank(
+                alarm_hw,
+                entry.hardware(),
+                HardwareGranularity::default_energy_hungry(),
+            );
             let dur_rank =
                 Self::duration_rank(alarm.task_duration(), Self::entry_mean_duration(entry));
             let key = (hw_rank, dur_rank, time.rank());

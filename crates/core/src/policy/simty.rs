@@ -3,7 +3,6 @@
 use crate::alarm::Alarm;
 use crate::audit::{CandidateAudit, CandidateVerdict};
 use crate::entry::DeliveryDiscipline;
-use crate::hardware::HardwareSet;
 use crate::policy::{AlignmentPolicy, Placement};
 use crate::queue::AlarmQueue;
 use crate::similarity::{HardwareGranularity, Preferability, TimeSimilarity};
@@ -40,14 +39,12 @@ use crate::similarity::{HardwareGranularity, Preferability, TimeSimilarity};
 #[derive(Debug, Clone, Copy)]
 pub struct SimtyPolicy {
     granularity: HardwareGranularity,
-    energy_hungry: HardwareSet,
 }
 
 impl Default for SimtyPolicy {
     fn default() -> Self {
         SimtyPolicy {
             granularity: HardwareGranularity::Three,
-            energy_hungry: HardwareGranularity::default_energy_hungry(),
         }
     }
 }
@@ -61,17 +58,7 @@ impl SimtyPolicy {
     /// Creates the policy with an alternative hardware-similarity
     /// granularity (§3.1.1 sketches 2- and 4-level variants).
     pub fn with_granularity(granularity: HardwareGranularity) -> Self {
-        SimtyPolicy {
-            granularity,
-            ..SimtyPolicy::default()
-        }
-    }
-
-    /// Overrides which components the 4-level scheme treats as energy
-    /// hungry.
-    pub fn with_energy_hungry(mut self, energy_hungry: HardwareSet) -> Self {
-        self.energy_hungry = energy_hungry;
-        self
+        SimtyPolicy { granularity }
     }
 
     /// The configured hardware-similarity granularity.
@@ -155,9 +142,11 @@ impl SimtyPolicy {
                 }
                 continue;
             }
-            let hw_rank = self
-                .granularity
-                .rank(alarm_hw, entry.hardware(), self.energy_hungry);
+            let hw_rank = self.granularity.rank(
+                alarm_hw,
+                entry.hardware(),
+                HardwareGranularity::default_energy_hungry(),
+            );
             let pref = Preferability::from_ranks(hw_rank, time);
             if let Some(a) = audit.as_deref_mut() {
                 // Provisionally outranked; the winner is corrected below.
@@ -214,7 +203,7 @@ impl AlignmentPolicy for SimtyPolicy {
 mod tests {
     use super::*;
     use crate::entry::QueueEntry;
-    use crate::hardware::HardwareComponent;
+    use crate::hardware::{HardwareComponent, HardwareSet};
     use crate::time::{SimDuration, SimTime};
 
     fn alarm_with(

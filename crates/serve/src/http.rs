@@ -271,7 +271,8 @@ impl<S: Read + Write> HttpConn<S> {
             }
             // A terminator can still start in the last three bytes.
             self.scanned = pending.len().saturating_sub(3);
-            if pending.len() > self.limits.max_head {
+            // A head of `max_head` bytes ends `max_head + 4` bytes in.
+            if pending.len() >= self.limits.max_head + 4 {
                 return Err(RequestError::HeadTooLarge);
             }
             match self.fill()? {
@@ -1014,6 +1015,50 @@ mod tests {
         assert_eq!(reached, every, "{outcomes:?}");
     }
 
+    /// Each outcome of reading `chunks` under `limits` to the end: every
+    /// request's method, path, query and body, then the error.
+    fn verdicts(chunks: Vec<Vec<u8>>, limits: Limits) -> Vec<String> {
+        let mut conn = HttpConn::new(Scripted::new(chunks), limits);
+        let mut verdicts = Vec::new();
+        loop {
+            match conn.read_request() {
+                Ok(req) => verdicts.push(format!(
+                    "{} {} {} {:?}",
+                    req.method, req.path, req.query, req.body
+                )),
+                Err(e) => {
+                    verdicts.push(format!("{} {e}", e.code()));
+                    return verdicts;
+                }
+            }
+        }
+    }
+
+    /// Where the reads end changes no verdict: every hostile stream, and
+    /// a head of exactly `max_head` bytes, give the same requests and the
+    /// same error read whole and read one byte at a time.
+    #[test]
+    fn verdicts_do_not_depend_on_where_reads_end() {
+        let limits = Limits::default();
+        let mut head = "GET /a HTTP/1.1\r\nx-pad: ".to_owned();
+        head.push_str(&"p".repeat(limits.max_head - head.len()));
+        assert_eq!(head.len(), limits.max_head);
+        let exact = Hostile {
+            chunks: vec![format!("{head}\r\n\r\n").into_bytes()],
+            limits,
+        };
+        let streams: Vec<Hostile> = hostile_streams().into_iter().chain([exact]).collect();
+        for (case, stream) in streams.iter().enumerate() {
+            let bytes = stream.chunks.concat();
+            let whole = verdicts(vec![bytes.clone()], stream.limits);
+            let bytewise = verdicts(bytes.iter().map(|&b| vec![b]).collect(), stream.limits);
+            assert_eq!(whole, bytewise, "case {case}");
+        }
+        let exact = streams.last().expect("the exact head");
+        let parsed = verdicts(exact.chunks.clone(), limits);
+        assert_eq!(parsed[0], "GET /a  []", "a head of max_head bytes parses");
+    }
+
     /// Header names every differential comparison looks up, present or
     /// not, beside each name the reference parsed.
     const LOOKED_UP: [&str; 6] = [
@@ -1203,16 +1248,14 @@ mod tests {
 
     /// Requests at the limits, pipelined and torn at assorted sizes, never
     /// grow the buffer past one request's head and body plus one read.
-    /// The head is three bytes short of the cap: a longer one whose
-    /// terminator is torn past the cap reads as too large.
     #[test]
     fn the_buffer_never_outgrows_one_request_plus_one_read() {
         let limits = Limits::default();
         let body = vec![b'b'; limits.max_body];
         let mut request = format!("POST /a HTTP/1.1\r\ncontent-length: {}\r\n", body.len());
-        let pad = limits.max_head - 3 - request.len() - "x-pad: ".len();
+        let pad = limits.max_head - request.len() - "x-pad: ".len();
         request.push_str(&format!("x-pad: {}\r\n\r\n", "p".repeat(pad)));
-        assert_eq!(request.len(), limits.max_head - 3 + 4);
+        assert_eq!(request.len(), limits.max_head + 4);
         let mut request = request.into_bytes();
         request.extend_from_slice(&body);
         let wire = request.repeat(6);

@@ -61,7 +61,7 @@ impl<S: Read> OwnedConn<S> {
             if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
                 break pos;
             }
-            if self.buf.len() > self.limits.max_head {
+            if self.buf.len() >= self.limits.max_head + 4 {
                 return Err(RequestError::HeadTooLarge);
             }
             match self.fill()? {

@@ -87,7 +87,7 @@
 //!   each audit's candidates are moved into a list of their exact size.
 //!
 //! Restoring a SIMTY heavy snapshot 2.5 h into its run (2 048 span and
-//! 988 delivery lines) allocates 1 218 times, where it allocated about
+//! 988 delivery lines) allocates 1 215 times, where it allocated about
 //! 25 000 times when every line built owned strings
 //! (`tests/alloc_profile.rs` pins the count), and takes less time than
 //! re-running the simulation from t = 0 (EXPERIMENTS.md, "Restore

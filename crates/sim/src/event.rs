@@ -1,30 +1,17 @@
 //! The simulator's event queue.
 //!
-//! A hierarchical timer wheel keyed on sim-time milliseconds with a
-//! deterministic tie-break: events at the same instant fire in the order
-//! they were scheduled (a monotone sequence number), so simulation runs
-//! replay bit-for-bit. The wheel replaced the original binary heap (kept
-//! in [`oracle`] as the differential-testing reference): pushes and pops
-//! are O(1) amortized instead of O(log n), payloads live in an
-//! index-addressed arena with free-list reuse so the steady-state hot
-//! loop performs zero per-event heap allocation, and a whole same-instant
-//! batch is drained with one slot scan.
-//!
-//! # Wheel geometry
-//!
-//! Eleven levels of 64 slots, six bits of the tick per level, cover the
-//! full `u64` millisecond range with no overflow list. An event's level
-//! is the highest six-bit group in which its tick differs from the
-//! wheel's `elapsed` cursor (the XOR trick used by kernel-style wheels):
-//! level 0 holds events within the cursor's current 64 ms window at
-//! exact-tick resolution, and a level-`l` slot spans `64^l` ms. Because
-//! the engine never schedules into the past, every occupied slot sits at
-//! or after the cursor on its level, so finding the next event is a
-//! couple of bitmap scans. Popping a level-`l > 0` slot re-files its
-//! events at a strictly lower level (their high groups now match the
-//! cursor), so each event cascades at most ten times over its lifetime.
+//! A binary heap ordered on `(time, seq)`: events at the same instant
+//! fire in the order they were scheduled (a monotone sequence number), so
+//! simulation runs replay bit-for-bit. The engine plays Fig. 1's RTC: it
+//! wakes at the queue head, delivers and sleeps (§2.1), so the queue stays
+//! shallow (the paper's 3 h runs never hold more than 8 pending events)
+//! and a heap's O(log n) push and pop cost next to nothing. The engine
+//! drains one instant at a time: [`EventQueue::next_due`] names the next
+//! instant, and [`EventQueue::pop_at`] pops its events until none is left,
+//! including those the handlers schedule at that same instant.
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use simty_core::alarm::AlarmId;
 use simty_core::time::{SimDuration, SimTime};
@@ -138,49 +125,10 @@ impl PartialOrd for Event {
     }
 }
 
-/// Bits of the tick consumed per wheel level.
-const LEVEL_BITS: u32 = 6;
-/// Slots per level (`2^LEVEL_BITS`).
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Levels needed to cover all 64 tick bits (`ceil(64 / LEVEL_BITS)`).
-const LEVELS: usize = 11;
-/// Null link in the arena's intrusive lists.
-const NIL: u32 = u32::MAX;
-
-/// One wheel level: an occupancy bitmap plus intrusive singly-linked
-/// lists (head/tail per slot) threaded through the arena.
-struct Level {
-    occupied: u64,
-    head: [u32; SLOTS],
-    tail: [u32; SLOTS],
-}
-
-impl Level {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            head: [NIL; SLOTS],
-            tail: [NIL; SLOTS],
-        }
-    }
-}
-
-/// Arena slot: an event payload plus its intrusive list link. Free slots
-/// are chained through `next` from the queue's `free_head`.
-struct ArenaSlot {
-    time_ms: u64,
-    seq: u64,
-    next: u32,
-    kind: EventKind,
-}
-
 /// A time-ordered event queue with stable ties.
 ///
-/// Scheduling into the past is not supported: the engine only ever
-/// schedules at or after the instant it is currently processing. A
-/// too-early time is filed at the wheel's current cursor (it still fires,
-/// carrying its original `time`, but no earlier than already-popped
-/// events); debug builds assert instead.
+/// Scheduling before the instant being processed (the time of the last
+/// popped event) is a bug in the caller: debug builds assert.
 ///
 /// # Examples
 ///
@@ -193,25 +141,12 @@ struct ArenaSlot {
 /// q.schedule(SimTime::from_secs(1), EventKind::RtcAlarm);
 /// assert_eq!(q.pop().unwrap().kind, EventKind::RtcAlarm);
 /// ```
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    levels: Vec<Level>,
-    arena: Vec<ArenaSlot>,
-    free_head: u32,
-    /// The wheel cursor: the last tick progress reached (monotone).
-    elapsed: u64,
-    /// The same-instant batch currently being served: `(seq, arena index)`
-    /// in ascending `seq` order, consumed from `batch_pos`.
-    batch: Vec<(u64, u32)>,
-    batch_pos: usize,
-    batch_time: u64,
-    len: usize,
+    heap: BinaryHeap<Event>,
     next_seq: u64,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::with_capacity(0)
-    }
+    /// The time of the last popped event.
+    now: SimTime,
 }
 
 impl EventQueue {
@@ -220,243 +155,50 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Creates an empty queue with arena room for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            arena: Vec::with_capacity(capacity),
-            free_head: NIL,
-            elapsed: 0,
-            batch: Vec::new(),
-            batch_pos: 0,
-            batch_time: 0,
-            len: 0,
-            next_seq: 0,
-        }
-    }
-
     /// Schedules `kind` at `time`.
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
+        debug_assert!(time >= self.now, "scheduled into the past: {time:?}");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(time.as_millis(), seq, kind);
-    }
-
-    fn insert(&mut self, time_ms: u64, seq: u64, kind: EventKind) {
-        debug_assert!(
-            time_ms >= self.elapsed,
-            "scheduled into the past: t={time_ms} < elapsed={}",
-            self.elapsed
-        );
-        let idx = match self.free_head {
-            NIL => {
-                let idx = self.arena.len() as u32;
-                self.arena.push(ArenaSlot {
-                    time_ms,
-                    seq,
-                    next: NIL,
-                    kind,
-                });
-                idx
-            }
-            idx => {
-                let slot = &mut self.arena[idx as usize];
-                self.free_head = slot.next;
-                slot.time_ms = time_ms;
-                slot.seq = seq;
-                slot.next = NIL;
-                slot.kind = kind;
-                idx
-            }
-        };
-        self.len += 1;
-        self.place(idx);
-    }
-
-    /// Files arena slot `idx` into the wheel at its natural level/slot
-    /// relative to the current cursor, appending to the slot list (so
-    /// direct schedules stay in `seq` order within a slot).
-    fn place(&mut self, idx: u32) {
-        let tick = self.arena[idx as usize].time_ms.max(self.elapsed);
-        let level = level_for(self.elapsed, tick);
-        let slot = ((tick >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.arena[idx as usize].next = NIL;
-        let lv = &mut self.levels[level];
-        if lv.head[slot] == NIL {
-            lv.head[slot] = idx;
-        } else {
-            let tail = lv.tail[slot];
-            self.arena[tail as usize].next = idx;
-        }
-        self.levels[level].tail[slot] = idx;
-        self.levels[level].occupied |= 1 << slot;
-    }
-
-    /// The lowest occupied level and its first occupied slot at/after the
-    /// cursor, or `None` when the wheel is empty.
-    fn earliest_slot(&self) -> Option<(usize, usize)> {
-        for (level, lv) in self.levels.iter().enumerate() {
-            if lv.occupied == 0 {
-                continue;
-            }
-            let cur = ((self.elapsed >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as u32;
-            let ahead = lv.occupied >> cur;
-            debug_assert!(
-                ahead != 0,
-                "occupied slot behind the cursor on level {level}"
-            );
-            let slot = if ahead != 0 {
-                cur + ahead.trailing_zeros()
-            } else {
-                lv.occupied.trailing_zeros()
-            };
-            return Some((level, slot as usize));
-        }
-        None
-    }
-
-    /// The earliest tick a level-`level` slot `slot` can hold: the cursor
-    /// with the level's group replaced by `slot` and all lower groups
-    /// zeroed.
-    fn slot_deadline(&self, level: usize, slot: usize) -> u64 {
-        let shift = LEVEL_BITS * level as u32;
-        let above = shift + LEVEL_BITS;
-        let high = if above >= 64 {
-            0
-        } else {
-            (self.elapsed >> above) << above
-        };
-        high | ((slot as u64) << shift)
-    }
-
-    /// Detaches and returns the head of a slot's list.
-    fn take_slot(&mut self, level: usize, slot: usize) -> u32 {
-        let lv = &mut self.levels[level];
-        let head = lv.head[slot];
-        lv.head[slot] = NIL;
-        lv.tail[slot] = NIL;
-        lv.occupied &= !(1u64 << slot);
-        head
-    }
-
-    /// Ensures the batch holds the next unconsumed event and that it
-    /// fires at or before `bound` (milliseconds), cascading higher-level
-    /// slots as needed. The cursor never advances past `bound`, so a
-    /// caller that stops at `bound` can still schedule anywhere at or
-    /// after it.
-    fn advance(&mut self, bound_ms: u64) -> bool {
-        loop {
-            if self.batch_pos < self.batch.len() {
-                return self.batch_time <= bound_ms;
-            }
-            self.batch.clear();
-            self.batch_pos = 0;
-            let Some((level, slot)) = self.earliest_slot() else {
-                return false;
-            };
-            let deadline = self.slot_deadline(level, slot);
-            if deadline > bound_ms {
-                return false;
-            }
-            self.elapsed = self.elapsed.max(deadline);
-            let mut walk = self.take_slot(level, slot);
-            if level == 0 {
-                // The whole same-instant batch, sorted by seq: cascaded
-                // arrivals interleave with direct schedules, so the list
-                // is not always in order (it usually is, and the sort is
-                // over a handful of entries).
-                self.batch_time = deadline;
-                while walk != NIL {
-                    let s = &self.arena[walk as usize];
-                    self.batch.push((s.seq, walk));
-                    walk = s.next;
-                }
-                self.batch.sort_unstable();
-            } else {
-                // Cascade: every event re-files at a strictly lower level
-                // now that its high groups match the cursor.
-                while walk != NIL {
-                    let next = self.arena[walk as usize].next;
-                    self.place(walk);
-                    walk = next;
-                }
-            }
-        }
-    }
-
-    /// Pops the batch's current entry and recycles its arena slot.
-    fn take_from_batch(&mut self) -> Event {
-        let (seq, idx) = self.batch[self.batch_pos];
-        self.batch_pos += 1;
-        let slot = &mut self.arena[idx as usize];
-        let kind = std::mem::replace(&mut slot.kind, EventKind::RtcAlarm);
-        let time = SimTime::from_millis(slot.time_ms);
-        slot.next = self.free_head;
-        self.free_head = idx;
-        self.len -= 1;
-        Event { time, seq, kind }
+        self.heap.push(Event { time, seq, kind });
     }
 
     /// The time of the earliest pending event.
     pub fn next_time(&self) -> Option<SimTime> {
-        if self.batch_pos < self.batch.len() {
-            return Some(SimTime::from_millis(self.batch_time));
-        }
-        let (level, slot) = self.earliest_slot()?;
-        if level == 0 {
-            return Some(SimTime::from_millis(self.slot_deadline(level, slot)));
-        }
-        // A level > 0 slot spans a range; its earliest event is the list
-        // minimum (all lower levels are empty, so nothing fires sooner).
-        let mut walk = self.levels[level].head[slot];
-        let mut min = u64::MAX;
-        while walk != NIL {
-            let s = &self.arena[walk as usize];
-            min = min.min(s.time_ms);
-            walk = s.next;
-        }
-        Some(SimTime::from_millis(min))
+        self.heap.peek().map(|e| e.time)
     }
 
     /// The time of the earliest pending event, if it fires at or before
-    /// `bound` — the mutating fast path of the engine loop: the wheel may
-    /// cascade internally, but its cursor never passes `bound`.
-    pub fn next_due(&mut self, bound: SimTime) -> Option<SimTime> {
-        if self.advance(bound.as_millis()) {
-            Some(SimTime::from_millis(self.batch_time))
-        } else {
-            None
-        }
+    /// `bound`.
+    pub fn next_due(&self, bound: SimTime) -> Option<SimTime> {
+        self.next_time().filter(|&t| t <= bound)
     }
 
     /// Pops the next event only if it fires exactly at `t` — the engine's
     /// same-instant drain: events scheduled at `t` while handling `t` are
     /// picked up in the same batch.
     pub fn pop_at(&mut self, t: SimTime) -> Option<Event> {
-        let t_ms = t.as_millis();
-        if !self.advance(t_ms) || self.batch_time != t_ms {
+        if self.next_time()? != t {
             return None;
         }
-        Some(self.take_from_batch())
+        self.pop()
     }
 
     /// Pops the earliest pending event.
     pub fn pop(&mut self) -> Option<Event> {
-        if self.advance(u64::MAX) {
-            Some(self.take_from_batch())
-        } else {
-            None
-        }
+        let event = self.heap.pop()?;
+        self.now = event.time;
+        Some(event)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// The pending events in deterministic `(time, seq)` order plus the
@@ -464,145 +206,30 @@ impl EventQueue {
     /// preserved so a restored queue breaks ties exactly like the
     /// original.
     pub fn snapshot(&self) -> (Vec<Event>, u64) {
-        let mut events = Vec::with_capacity(self.len);
-        for lv in &self.levels {
-            let mut occ = lv.occupied;
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let mut walk = lv.head[slot];
-                while walk != NIL {
-                    let s = &self.arena[walk as usize];
-                    events.push(Event {
-                        time: SimTime::from_millis(s.time_ms),
-                        seq: s.seq,
-                        kind: s.kind.clone(),
-                    });
-                    walk = s.next;
-                }
-            }
-        }
-        for &(seq, idx) in &self.batch[self.batch_pos..] {
-            let s = &self.arena[idx as usize];
-            events.push(Event {
-                time: SimTime::from_millis(s.time_ms),
-                seq,
-                kind: s.kind.clone(),
-            });
-        }
-        events.sort_by(|a, b| a.time.cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
+        let mut events: Vec<Event> = self.heap.iter().cloned().collect();
+        events.sort_unstable_by_key(|e| (e.time, e.seq));
         (events, self.next_seq)
     }
 
     /// Rebuilds a queue from a [`snapshot`](Self::snapshot) in one O(n)
-    /// bulk load (no per-event re-heapification). Events keep their
+    /// heapify that keeps the list's allocation. Events keep their
     /// recorded sequence numbers; `next_seq` must be at least one past
     /// the largest of them.
     pub fn restore(events: Vec<Event>, next_seq: u64) -> Self {
         debug_assert!(events.iter().all(|e| e.seq < next_seq));
-        let mut q = EventQueue::with_capacity(events.len());
-        for e in events {
-            q.insert(e.time.as_millis(), e.seq, e.kind);
-        }
-        q.next_seq = next_seq;
-        q
-    }
-}
-
-impl std::fmt::Debug for EventQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("len", &self.len)
-            .field("elapsed", &self.elapsed)
-            .field("next_seq", &self.next_seq)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The wheel level for an event at `tick` relative to cursor `elapsed`:
-/// the highest six-bit group in which they differ (level 0 when they
-/// differ only within the lowest group, or not at all).
-fn level_for(elapsed: u64, tick: u64) -> usize {
-    let masked = (elapsed ^ tick) | (SLOTS as u64 - 1);
-    let significant = 63 - masked.leading_zeros();
-    (significant / LEVEL_BITS) as usize
-}
-
-/// The original binary-heap event queue, retained verbatim as the
-/// reference implementation: the differential property tests drain
-/// random schedules through both queues and assert identical
-/// `(time, seq, kind)` orders, and the event-queue microbenchmarks use
-/// it as the baseline. The engine itself never constructs one.
-pub mod oracle {
-    use std::collections::BinaryHeap;
-
-    use simty_core::time::SimTime;
-
-    use super::{Event, EventKind};
-
-    /// A time-ordered event queue with stable ties, backed by a binary
-    /// heap (the pre-wheel implementation).
-    #[derive(Debug, Default)]
-    pub struct HeapEventQueue {
-        heap: BinaryHeap<Event>,
-        next_seq: u64,
-    }
-
-    impl HeapEventQueue {
-        /// Creates an empty queue.
-        pub fn new() -> Self {
-            HeapEventQueue::default()
-        }
-
-        /// Schedules `kind` at `time`.
-        pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Event { time, seq, kind });
-        }
-
-        /// The time of the earliest pending event.
-        pub fn next_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|e| e.time)
-        }
-
-        /// Pops the earliest pending event.
-        pub fn pop(&mut self) -> Option<Event> {
-            self.heap.pop()
-        }
-
-        /// Number of pending events.
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// Whether no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-
-        /// The pending events in deterministic `(time, seq)` order plus
-        /// the next sequence number.
-        pub fn snapshot(&self) -> (Vec<Event>, u64) {
-            let mut events: Vec<Event> = self.heap.iter().cloned().collect();
-            events.sort_by(|a, b| a.time.cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
-            (events, self.next_seq)
-        }
-
-        /// Rebuilds a queue from a [`snapshot`](Self::snapshot).
-        pub fn restore(events: Vec<Event>, next_seq: u64) -> Self {
-            debug_assert!(events.iter().all(|e| e.seq < next_seq));
-            HeapEventQueue {
-                heap: events.into_iter().collect(),
-                next_seq,
-            }
+        EventQueue {
+            heap: BinaryHeap::from(events),
+            next_seq,
+            now: SimTime::ZERO,
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::oracle::HeapEventQueue;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
     use super::*;
 
     #[test]
@@ -662,7 +289,7 @@ mod tests {
     #[test]
     fn next_time_sees_through_high_levels() {
         let mut q = EventQueue::new();
-        // Far enough out to land on an upper wheel level from cursor 0.
+        // Scheduled out of order, more than 16 minutes out.
         let far = SimTime::from_millis(1_000_003);
         let farther = SimTime::from_millis(1_000_900);
         q.schedule(farther, EventKind::TaskEnd);
@@ -696,26 +323,46 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(100), EventKind::RtcAlarm);
         assert_eq!(q.next_due(SimTime::from_secs(50)), None);
-        // The cursor stopped at/before the bound: scheduling between the
-        // bound and the pending event must still fire in time order.
+        // Scheduling between the bound and the pending event still fires
+        // in time order.
         q.schedule(SimTime::from_secs(60), EventKind::TrySleep);
         assert_eq!(q.pop().unwrap().kind, EventKind::TrySleep);
         assert_eq!(q.pop().unwrap().kind, EventKind::RtcAlarm);
     }
 
-    #[test]
-    fn arena_recycles_slots_steady_state() {
-        let mut q = EventQueue::new();
-        for i in 0..1_000u64 {
-            q.schedule(SimTime::from_millis(i), EventKind::RtcAlarm);
-            q.schedule(SimTime::from_millis(i + 1), EventKind::TaskEnd);
-            q.pop();
-            q.pop();
-        }
-        // Two slots in flight at a time: the arena never grew past the
-        // high-water mark of concurrently pending events.
-        assert!(q.arena.len() <= 4, "arena grew to {}", q.arena.len());
-        assert!(q.is_empty());
+    /// One step of a model-based script.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Schedule at `ahead` ms past the instant last popped, or
+        /// `ahead` ms short of the end of time (but not before that
+        /// instant) when `far`.
+        Schedule { ahead: u64, far: bool, code: u64 },
+        /// Pop the earliest event.
+        Pop,
+        /// Drain the next instant as the engine does, scheduling `joins`
+        /// more events at that instant after its first pop.
+        Drain { joins: u64 },
+        /// Capture the queue and rebuild it from the capture.
+        Checkpoint,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        // Mostly schedules a few ms ahead, so ties abound.
+        (0u64..12, 0u64..4, any::<u64>()).prop_map(|(pick, ahead, code)| match pick {
+            0..=4 => Op::Schedule {
+                ahead,
+                far: false,
+                code,
+            },
+            5 => Op::Schedule {
+                ahead: code % 5_000_000,
+                far: code % 3 == 0,
+                code,
+            },
+            6..=8 => Op::Pop,
+            9 | 10 => Op::Drain { joins: ahead },
+            _ => Op::Checkpoint,
+        })
     }
 
     fn kind_for(code: u64) -> EventKind {
@@ -734,90 +381,153 @@ mod tests {
         }
     }
 
-    fn key(e: &Event) -> (u64, u64, EventKind) {
-        (e.time.as_millis(), e.seq, e.kind.clone())
+    /// How often a script reached each case the queue must get right.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Pops that had another event pending at the same instant.
+        ties: u64,
+        /// Events scheduled at the instant being drained.
+        joins: u64,
+        /// Checkpoint round trips with events pending.
+        restores: u64,
+        /// Pops of events more than a day past the one before.
+        far: u64,
     }
 
-    /// Differential oracle check: a deterministic pseudo-random schedule
-    /// of interleaved pushes, pops, and mid-stream snapshot/restores must
-    /// drain identically through the wheel and the reference heap.
-    fn differential_case(case_seed: u64, ops: usize) {
-        let mut rng = case_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut step = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        // The engine never schedules before the instant it is processing.
-        let mut low = 0u64;
-        for _ in 0..ops {
-            match step() % 10 {
-                // Heavily tie-biased pushes: deltas 0..4 from the floor,
-                // with occasional far-future jumps across wheel levels.
-                0..=5 => {
-                    let t = if step() % 17 == 0 {
-                        low + (step() % 5_000_000)
+    /// The queue beside a reference that keeps its events in a list and
+    /// finds the minimum by a linear scan.
+    struct Script {
+        queue: EventQueue,
+        model: Vec<Event>,
+        next_seq: u64,
+        now: u64,
+        coverage: Coverage,
+    }
+
+    impl Script {
+        fn schedule(&mut self, time: SimTime, kind: EventKind) {
+            self.queue.schedule(time, kind.clone());
+            self.model.push(Event {
+                time,
+                seq: self.next_seq,
+                kind,
+            });
+            self.next_seq += 1;
+        }
+
+        /// Pops from both sides (only at `at` when given) and checks that
+        /// the queue returned the model's minimum by `(time, seq)`.
+        fn pop(&mut self, at: Option<SimTime>) -> Result<Option<Event>, TestCaseError> {
+            let min =
+                (0..self.model.len()).min_by_key(|&i| (self.model[i].time, self.model[i].seq));
+            let want = min
+                .filter(|&i| at.is_none_or(|t| self.model[i].time == t))
+                .map(|i| self.model.swap_remove(i));
+            let got = match at {
+                Some(t) => self.queue.pop_at(t),
+                None => self.queue.pop(),
+            };
+            prop_assert_eq!(&got, &want);
+            if let Some(e) = &want {
+                if self.model.iter().any(|m| m.time == e.time) {
+                    self.coverage.ties += 1;
+                }
+                if e.time.as_millis() - self.now > 86_400_000 {
+                    self.coverage.far += 1;
+                }
+                self.now = e.time.as_millis();
+            }
+            Ok(want)
+        }
+
+        fn step(&mut self, op: &Op) -> Result<(), TestCaseError> {
+            match *op {
+                Op::Schedule { ahead, far, code } => {
+                    let ms = if far {
+                        self.now.max(u64::MAX - ahead)
                     } else {
-                        low + step() % 4
+                        self.now.saturating_add(ahead)
                     };
-                    let kind = kind_for(step());
-                    wheel.schedule(SimTime::from_millis(t), kind.clone());
-                    heap.schedule(SimTime::from_millis(t), kind);
+                    self.schedule(SimTime::from_millis(ms), kind_for(code));
                 }
-                6..=8 => {
-                    let a = wheel.pop();
-                    let b = heap.pop();
-                    assert_eq!(
-                        a.as_ref().map(key),
-                        b.as_ref().map(key),
-                        "wheel and heap diverged (seed {case_seed})"
-                    );
-                    if let Some(e) = a {
-                        low = low.max(e.time.as_millis());
+                Op::Pop => {
+                    self.pop(None)?;
+                }
+                Op::Drain { joins } => {
+                    let next = self.model.iter().map(|e| e.time).min();
+                    prop_assert_eq!(self.queue.next_due(SimTime::from_millis(u64::MAX)), next);
+                    let Some(t) = next else {
+                        return Ok(());
+                    };
+                    if let Some(before) = t.as_millis().checked_sub(1) {
+                        prop_assert_eq!(self.queue.next_due(SimTime::from_millis(before)), None);
                     }
+                    let mut popped = 0;
+                    while let Some(event) = self.pop(Some(t))? {
+                        prop_assert_eq!(event.time, t);
+                        if popped == 0 {
+                            for k in 0..joins {
+                                self.schedule(t, kind_for(event.seq + k));
+                                self.coverage.joins += 1;
+                            }
+                        }
+                        popped += 1;
+                    }
+                    prop_assert!(self.model.iter().all(|e| e.time > t));
                 }
-                _ => {
-                    // Mid-stream checkpoint round-trip, both directions:
-                    // each queue restores from the *other's* snapshot.
-                    let (we, wn) = wheel.snapshot();
-                    let (he, hn) = heap.snapshot();
-                    assert_eq!(wn, hn);
-                    assert_eq!(
-                        we.iter().map(key).collect::<Vec<_>>(),
-                        he.iter().map(key).collect::<Vec<_>>()
-                    );
-                    wheel = EventQueue::restore(he, hn);
-                    heap = HeapEventQueue::restore(we, wn);
+                Op::Checkpoint => {
+                    let (events, next_seq) = self.queue.snapshot();
+                    let mut want = self.model.clone();
+                    want.sort_by_key(|e| (e.time, e.seq));
+                    prop_assert_eq!(&events, &want);
+                    prop_assert_eq!(next_seq, self.next_seq);
+                    if !events.is_empty() {
+                        self.coverage.restores += 1;
+                    }
+                    self.queue = EventQueue::restore(events, next_seq);
                 }
             }
-            assert_eq!(wheel.len(), heap.len());
-            assert_eq!(wheel.next_time(), heap.next_time());
-        }
-        // Full drain must agree to the last event.
-        loop {
-            let a = wheel.pop();
-            let b = heap.pop();
-            assert_eq!(a.as_ref().map(key), b.as_ref().map(key));
-            if a.is_none() {
-                break;
-            }
+            prop_assert_eq!(self.queue.len(), self.model.len());
+            prop_assert_eq!(self.queue.is_empty(), self.model.is_empty());
+            Ok(())
         }
     }
 
+    /// Random scripts of schedules, pops, engine-style drains and
+    /// checkpoint round trips: every pop returns the pending minimum by
+    /// `(time, seq)`, every capture lists the pending events in that
+    /// order with the next sequence number, and the scripts reach
+    /// same-instant ties, events joining the instant being drained,
+    /// round trips mid-stream and far-future times.
     #[test]
-    fn wheel_matches_heap_oracle_on_random_schedules() {
-        for seed in 0..200 {
-            differential_case(seed, 300);
+    fn every_pop_is_the_pending_minimum_by_time_then_seq() {
+        let strategy = prop::collection::vec(arb_op(), 1..300);
+        let mut total = Coverage::default();
+        for case in 0..256 {
+            let ops = strategy.new_value(&mut TestRng::for_case(case));
+            let mut script = Script {
+                queue: EventQueue::new(),
+                model: Vec::new(),
+                next_seq: 0,
+                now: 0,
+                coverage: Coverage::default(),
+            };
+            for (n, op) in ops.iter().enumerate() {
+                if let Err(e) = script.step(op) {
+                    panic!("case {case}, step {n} ({op:?}): {e}");
+                }
+            }
+            // Drain to the end: nothing is left behind or out of order.
+            while script.pop(None).expect("drain").is_some() {}
+            let c = script.coverage;
+            total.ties += c.ties;
+            total.joins += c.joins;
+            total.restores += c.restores;
+            total.far += c.far;
         }
-    }
-
-    #[test]
-    fn wheel_matches_heap_oracle_on_long_horizons() {
-        for seed in 200..220 {
-            differential_case(seed, 2_000);
-        }
+        assert!(total.ties > 1_000, "{total:?}");
+        assert!(total.joins > 1_000, "{total:?}");
+        assert!(total.restores > 1_000, "{total:?}");
+        assert!(total.far > 100, "{total:?}");
     }
 }
