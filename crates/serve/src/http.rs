@@ -1043,20 +1043,19 @@ mod tests {
         let mut head = "GET /a HTTP/1.1\r\nx-pad: ".to_owned();
         head.push_str(&"p".repeat(limits.max_head - head.len()));
         assert_eq!(head.len(), limits.max_head);
+        let exact = format!("{head}\r\n\r\n").into_bytes();
+        let parsed = verdicts(vec![exact.clone()], limits);
+        assert_eq!(parsed[0], "GET /a  []", "a head of max_head bytes parses");
         let exact = Hostile {
-            chunks: vec![format!("{head}\r\n\r\n").into_bytes()],
+            chunks: vec![exact],
             limits,
         };
-        let streams: Vec<Hostile> = hostile_streams().into_iter().chain([exact]).collect();
-        for (case, stream) in streams.iter().enumerate() {
+        for (case, stream) in hostile_streams().into_iter().chain([exact]).enumerate() {
             let bytes = stream.chunks.concat();
             let whole = verdicts(vec![bytes.clone()], stream.limits);
             let bytewise = verdicts(bytes.iter().map(|&b| vec![b]).collect(), stream.limits);
             assert_eq!(whole, bytewise, "case {case}");
         }
-        let exact = streams.last().expect("the exact head");
-        let parsed = verdicts(exact.chunks.clone(), limits);
-        assert_eq!(parsed[0], "GET /a  []", "a head of max_head bytes parses");
     }
 
     /// Header names every differential comparison looks up, present or

@@ -440,6 +440,28 @@ mod tests {
             Ok(want)
         }
 
+        /// Drains instant `t` as the engine does: `pop_at` until it
+        /// returns nothing, with `joins` events scheduled at `t` after
+        /// the first pop.
+        fn drain(&mut self, t: SimTime, joins: u64) -> Result<(), TestCaseError> {
+            if let Some(before) = t.as_millis().checked_sub(1) {
+                prop_assert_eq!(self.queue.next_due(SimTime::from_millis(before)), None);
+            }
+            let mut first = true;
+            while let Some(event) = self.pop(Some(t))? {
+                prop_assert_eq!(event.time, t);
+                if first {
+                    for k in 0..joins {
+                        self.schedule(t, kind_for(event.seq + k));
+                        self.coverage.joins += 1;
+                    }
+                    first = false;
+                }
+            }
+            prop_assert!(self.model.iter().all(|e| e.time > t));
+            Ok(())
+        }
+
         fn step(&mut self, op: &Op) -> Result<(), TestCaseError> {
             match *op {
                 Op::Schedule { ahead, far, code } => {
@@ -456,24 +478,9 @@ mod tests {
                 Op::Drain { joins } => {
                     let next = self.model.iter().map(|e| e.time).min();
                     prop_assert_eq!(self.queue.next_due(SimTime::from_millis(u64::MAX)), next);
-                    let Some(t) = next else {
-                        return Ok(());
-                    };
-                    if let Some(before) = t.as_millis().checked_sub(1) {
-                        prop_assert_eq!(self.queue.next_due(SimTime::from_millis(before)), None);
+                    if let Some(t) = next {
+                        self.drain(t, joins)?;
                     }
-                    let mut popped = 0;
-                    while let Some(event) = self.pop(Some(t))? {
-                        prop_assert_eq!(event.time, t);
-                        if popped == 0 {
-                            for k in 0..joins {
-                                self.schedule(t, kind_for(event.seq + k));
-                                self.coverage.joins += 1;
-                            }
-                        }
-                        popped += 1;
-                    }
-                    prop_assert!(self.model.iter().all(|e| e.time > t));
                 }
                 Op::Checkpoint => {
                     let (events, next_seq) = self.queue.snapshot();
