@@ -195,10 +195,7 @@ mod tests {
             .iter()
             .filter(|a| a.hardware == HardwareComponent::Wifi.into())
             .count();
-        let notify = apps
-            .iter()
-            .filter(|a| a.hardware.is_perceptible())
-            .count();
+        let notify = apps.iter().filter(|a| a.hardware.is_perceptible()).count();
         assert_eq!(wifi, 11);
         assert_eq!(notify, 1);
     }
@@ -206,9 +203,7 @@ mod tests {
     #[test]
     fn heavy_workload_hardware_mix() {
         let apps = heavy_workload_apps();
-        let count = |c: HardwareComponent| {
-            apps.iter().filter(|a| a.hardware.contains(c)).count()
-        };
+        let count = |c: HardwareComponent| apps.iter().filter(|a| a.hardware.contains(c)).count();
         assert_eq!(count(HardwareComponent::Wifi), 11);
         assert_eq!(count(HardwareComponent::Wps), 3);
         assert_eq!(count(HardwareComponent::Accelerometer), 2);
@@ -251,7 +246,11 @@ mod tests {
         // 60/30/10 within a loose tolerance.
         assert!((5_400..=6_600).contains(&counts[0]), "light: {}", counts[0]);
         assert!((2_400..=3_600).contains(&counts[1]), "heavy: {}", counts[1]);
-        assert!((700..=1_300).contains(&counts[2]), "synthetic: {}", counts[2]);
+        assert!(
+            (700..=1_300).contains(&counts[2]),
+            "synthetic: {}",
+            counts[2]
+        );
         // A different fleet seed reshuffles assignments.
         assert!((0..100u64).any(|d| catalog.sample(1, d) != catalog.sample(2, d)));
     }

@@ -113,8 +113,7 @@ impl PushPlan {
         );
         let mut out = Vec::with_capacity(self.subscriptions.len());
         for (i, sub) in self.subscriptions.iter().enumerate() {
-            let mut rng =
-                StdRng::seed_from_u64(self.seed.wrapping_add(0x9e37 * (i as u64 + 1)));
+            let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x9e37 * (i as u64 + 1)));
             let p = (1.0 / sub.mean_interval.as_secs_f64()).min(1.0);
             let mut times = Vec::new();
             for s in 1..=total_secs {

@@ -240,13 +240,16 @@ impl AdmissionController {
     /// a dry bucket rejects immediately.
     pub fn decide(&mut self, app: &str, class: AppClass, now: SimTime) -> Admission {
         let config = self.config;
-        let state = self.apps.entry(app.to_owned()).or_insert_with(|| AppAdmission {
-            perceptible: TokenBucket::full(config.perceptible, now),
-            deferrable: TokenBucket::full(config.deferrable, now),
-            defer_horizon: SimTime::ZERO,
-            rejections: 0,
-            demoted: false,
-        });
+        let state = self
+            .apps
+            .entry(app.to_owned())
+            .or_insert_with(|| AppAdmission {
+                perceptible: TokenBucket::full(config.perceptible, now),
+                deferrable: TokenBucket::full(config.deferrable, now),
+                defer_horizon: SimTime::ZERO,
+                rejections: 0,
+                demoted: false,
+            });
         let quota = match class {
             AppClass::Perceptible => config.perceptible,
             AppClass::Deferrable => config.deferrable,
@@ -360,12 +363,16 @@ mod tests {
         let a = ctl.decide("mail", AppClass::Deferrable, t);
         assert_eq!(
             a.decision,
-            AdmissionDecision::Defer { until: SimTime::from_secs(70) }
+            AdmissionDecision::Defer {
+                until: SimTime::from_secs(70)
+            }
         );
         let a = ctl.decide("mail", AppClass::Deferrable, t);
         assert_eq!(
             a.decision,
-            AdmissionDecision::Defer { until: SimTime::from_secs(130) }
+            AdmissionDecision::Defer {
+                until: SimTime::from_secs(130)
+            }
         );
         // ...then the horizon is exhausted and rejection starts.
         let a = ctl.decide("mail", AppClass::Deferrable, t);
@@ -384,7 +391,9 @@ mod tests {
         let a = ctl.decide("ring", AppClass::Perceptible, t);
         assert_eq!(
             a.decision,
-            AdmissionDecision::Reject { retry_after: SimDuration::from_secs(30) }
+            AdmissionDecision::Reject {
+                retry_after: SimDuration::from_secs(30)
+            }
         );
     }
 
@@ -468,7 +477,7 @@ mod tests {
         }
         ctl.decide("a", AppClass::Perceptible, t); // reject 1
         ctl.decide("a", AppClass::Perceptible, t); // reject 2
-        // A token arrives; the streak resets before demotion at 3.
+                                                   // A token arrives; the streak resets before demotion at 3.
         let a = ctl.decide("a", AppClass::Perceptible, SimTime::from_secs(30));
         assert_eq!(a.decision, AdmissionDecision::Admit);
         ctl.decide("a", AppClass::Perceptible, SimTime::from_secs(30)); // reject 1
@@ -501,10 +510,8 @@ mod tests {
         }
         assert!(ctl.is_demoted("storm"));
         assert!(!ctl.is_demoted("bystander"));
-        let snapshot: Vec<(String, AppAdmission)> = ctl
-            .apps()
-            .map(|(k, v)| (k.to_owned(), *v))
-            .collect();
+        let snapshot: Vec<(String, AppAdmission)> =
+            ctl.apps().map(|(k, v)| (k.to_owned(), *v)).collect();
         let restored = AdmissionController::restore(*ctl.config(), snapshot);
         assert_eq!(restored, ctl);
         assert!(restored.is_demoted("storm"));

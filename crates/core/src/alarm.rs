@@ -30,8 +30,8 @@
 //! ```
 
 use std::fmt;
-use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::error::BuildAlarmError;
 use crate::hardware::HardwareSet;
@@ -667,7 +667,10 @@ mod tests {
             .grace_fraction(0.5)
             .build()
             .unwrap_err();
-        assert!(matches!(err, BuildAlarmError::GraceShorterThanWindow { .. }));
+        assert!(matches!(
+            err,
+            BuildAlarmError::GraceShorterThanWindow { .. }
+        ));
     }
 
     #[test]
@@ -691,7 +694,10 @@ mod tests {
 
     #[test]
     fn build_rejects_fraction_on_one_shot() {
-        let err = Alarm::builder("bad").window_fraction(0.5).build().unwrap_err();
+        let err = Alarm::builder("bad")
+            .window_fraction(0.5)
+            .build()
+            .unwrap_err();
         assert!(matches!(err, BuildAlarmError::FractionWithoutRepeat { .. }));
     }
 
@@ -809,6 +815,9 @@ mod tests {
         let mut a = wifi_alarm(0.25, 0.5);
         a.set_quarantined(true); // quarantine demotes to imperceptible
         a.set_grace_stretch(2_000);
-        assert_eq!(a.grace(), SimDuration::from_secs(100).min(SimDuration::from_millis(99_999)));
+        assert_eq!(
+            a.grace(),
+            SimDuration::from_secs(100).min(SimDuration::from_millis(99_999))
+        );
     }
 }

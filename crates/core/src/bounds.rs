@@ -209,12 +209,7 @@ mod tests {
         let _ = DeliveryBounds::new(Repeat::Static(SimDuration::from_secs(1)), 1.0);
     }
 
-    fn alarm_for_bounds(
-        hw: HardwareComponent,
-        interval_s: u64,
-        dynamic: bool,
-        beta: f64,
-    ) -> Alarm {
+    fn alarm_for_bounds(hw: HardwareComponent, interval_s: u64, dynamic: bool, beta: f64) -> Alarm {
         let b = Alarm::builder("lb")
             .nominal(SimTime::from_secs(interval_s))
             .window_fraction(0.0)

@@ -207,12 +207,7 @@ impl QueueEntry {
                 base,
                 max_quantum,
                 windows_per_level,
-            } => escalating_window_after(
-                self.latest_nominal,
-                base,
-                max_quantum,
-                windows_per_level,
-            ),
+            } => escalating_window_after(self.latest_nominal, base, max_quantum, windows_per_level),
         }
     }
 
@@ -342,11 +337,17 @@ mod tests {
         e.push(b);
         assert_eq!(
             e.window(),
-            Some(Interval::new(SimTime::from_secs(200), SimTime::from_secs(250)))
+            Some(Interval::new(
+                SimTime::from_secs(200),
+                SimTime::from_secs(250)
+            ))
         );
         assert_eq!(
             e.grace(),
-            Some(Interval::new(SimTime::from_secs(200), SimTime::from_secs(292)))
+            Some(Interval::new(
+                SimTime::from_secs(200),
+                SimTime::from_secs(292)
+            ))
         );
         assert_eq!(e.hardware(), HardwareComponent::Wifi.into());
         assert!(!e.is_perceptible());

@@ -59,14 +59,12 @@ impl fmt::Display for BuildAlarmError {
             BuildAlarmError::ZeroRepeatInterval => {
                 f.write_str("repeating interval must be positive; use a one-shot alarm instead")
             }
-            BuildAlarmError::FractionWithoutRepeat { fraction } => write!(
-                f,
-                "interval fraction {fraction} requires a repeating alarm"
-            ),
-            BuildAlarmError::FractionOutOfRange { fraction } => write!(
-                f,
-                "interval fraction {fraction} is outside [0, 1)"
-            ),
+            BuildAlarmError::FractionWithoutRepeat { fraction } => {
+                write!(f, "interval fraction {fraction} requires a repeating alarm")
+            }
+            BuildAlarmError::FractionOutOfRange { fraction } => {
+                write!(f, "interval fraction {fraction} is outside [0, 1)")
+            }
         }
     }
 }
@@ -203,7 +201,9 @@ mod tests {
             "grace interval 5s is shorter than window interval 10s"
         );
         let e = BuildAlarmError::ZeroRepeatInterval;
-        assert!(e.to_string().starts_with("repeating interval must be positive"));
+        assert!(e
+            .to_string()
+            .starts_with("repeating interval must be positive"));
     }
 
     #[test]

@@ -211,7 +211,9 @@ impl HardwareSet {
 
     /// Whether the set wakelocks any user-perceptible component.
     pub fn is_perceptible(self) -> bool {
-        !self.intersection(HardwareSet::perceptible_mask()).is_empty()
+        !self
+            .intersection(HardwareSet::perceptible_mask())
+            .is_empty()
     }
 
     /// Iterates over the components in the set in declaration order.
@@ -391,7 +393,10 @@ mod tests {
     fn iteration_order_is_stable() {
         let s = HardwareComponent::Vibrator | HardwareComponent::Wifi;
         let got: Vec<_> = s.iter().collect();
-        assert_eq!(got, vec![HardwareComponent::Wifi, HardwareComponent::Vibrator]);
+        assert_eq!(
+            got,
+            vec![HardwareComponent::Wifi, HardwareComponent::Vibrator]
+        );
         assert_eq!(s.iter().len(), 2);
     }
 

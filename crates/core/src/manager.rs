@@ -458,7 +458,11 @@ impl AlarmManager {
     ///
     /// Panics if the computed next nominal time is in the past, which the
     /// `grace < repeat` alarm invariant rules out.
-    pub fn complete_delivery(&mut self, mut alarm: Alarm, delivered_at: SimTime) -> Option<AlarmId> {
+    pub fn complete_delivery(
+        &mut self,
+        mut alarm: Alarm,
+        delivered_at: SimTime,
+    ) -> Option<AlarmId> {
         self.advance_clock(delivered_at);
         alarm.mark_hardware_known();
         if !alarm.advance_after_delivery(delivered_at) {
@@ -833,9 +837,12 @@ mod tests {
             let mut plain = AlarmManager::new(Box::new(SimtyPolicy::new()));
             let mut subject = AlarmManager::new(Box::new(SimtyPolicy::new()));
             subject.set_audit_level(level);
-            for (label, nominal, repeat) in
-                [("a", 100, 600), ("b", 150, 600), ("c", 500, 900), ("d", 160, 600)]
-            {
+            for (label, nominal, repeat) in [
+                ("a", 100, 600),
+                ("b", 150, 600),
+                ("c", 500, 900),
+                ("d", 160, 600),
+            ] {
                 plain.register(mk(label, nominal, repeat)).unwrap();
                 subject.register(mk(label, nominal, repeat)).unwrap();
             }
@@ -846,7 +853,10 @@ mod tests {
                     .map(|e| {
                         (
                             e.delivery_time(),
-                            e.alarms().iter().map(|a| a.label().to_owned()).collect::<Vec<_>>(),
+                            e.alarms()
+                                .iter()
+                                .map(|a| a.label().to_owned())
+                                .collect::<Vec<_>>(),
                         )
                     })
                     .collect::<Vec<_>>()
@@ -857,12 +867,7 @@ mod tests {
 
     /// A degenerate alarm, buildable only through the trusted
     /// [`Alarm::restore`] path (the builder rejects these shapes).
-    fn restored_alarm(
-        nominal_s: u64,
-        window_s: u64,
-        grace_s: u64,
-        repeat_s: u64,
-    ) -> Alarm {
+    fn restored_alarm(nominal_s: u64, window_s: u64, grace_s: u64, repeat_s: u64) -> Alarm {
         use crate::alarm::{Repeat, GRACE_STRETCH_UNIT};
         Alarm::restore(
             AlarmId::fresh(),
@@ -921,7 +926,10 @@ mod tests {
     fn register_rejects_grace_at_or_above_repeat() {
         let mut m = AlarmManager::new(Box::new(SimtyPolicy::new()));
         let err = m.register(restored_alarm(100, 50, 100, 100)).unwrap_err();
-        assert!(matches!(err, RegisterAlarmError::GraceNotBelowRepeat { .. }));
+        assert!(matches!(
+            err,
+            RegisterAlarmError::GraceNotBelowRepeat { .. }
+        ));
         assert_eq!(m.alarm_count(), 0);
     }
 

@@ -203,9 +203,7 @@ impl AlarmQueue {
     /// round; reusing one buffer there avoids a `Vec` allocation per
     /// round (most rounds pop zero or one entry).
     pub fn pop_due_into(&mut self, now: SimTime, out: &mut Vec<QueueEntry>) {
-        let cut = self
-            .entries
-            .partition_point(|e| e.delivery_time() <= now);
+        let cut = self.entries.partition_point(|e| e.delivery_time() <= now);
         out.extend(self.entries.drain(..cut));
     }
 
@@ -345,7 +343,10 @@ mod tests {
         for t in [300, 100, 200] {
             q.insert_new_entry(alarm_at("a", t), DeliveryDiscipline::Window);
         }
-        let times: Vec<_> = q.iter().map(|e| e.delivery_time().as_millis() / 1000).collect();
+        let times: Vec<_> = q
+            .iter()
+            .map(|e| e.delivery_time().as_millis() / 1000)
+            .collect();
         assert_eq!(times, vec![100, 200, 300]);
     }
 

@@ -461,7 +461,10 @@ mod tests {
         let repeat = SimDuration::from_secs(200);
         assert_eq!(repeat.mul_f64(0.75), SimDuration::from_secs(150));
         // Rounding, not truncation.
-        assert_eq!(SimDuration::from_millis(3).mul_f64(0.5), SimDuration::from_millis(2));
+        assert_eq!(
+            SimDuration::from_millis(3).mul_f64(0.5),
+            SimDuration::from_millis(2)
+        );
     }
 
     #[test]
@@ -497,7 +500,10 @@ mod tests {
         let a = Interval::new(SimTime::from_secs(0), SimTime::from_secs(10));
         let b = Interval::new(SimTime::from_secs(5), SimTime::from_secs(20));
         let i = a.intersection(b).unwrap();
-        assert_eq!(i, Interval::new(SimTime::from_secs(5), SimTime::from_secs(10)));
+        assert_eq!(
+            i,
+            Interval::new(SimTime::from_secs(5), SimTime::from_secs(10))
+        );
         let c = Interval::point(SimTime::from_secs(30));
         assert_eq!(a.intersection(c), None);
     }

@@ -73,7 +73,10 @@ impl Battery {
     ///
     /// Panics if either power is not positive.
     pub fn standby_extension(&self, baseline_mw: f64, improved_mw: f64) -> f64 {
-        assert!(baseline_mw > 0.0 && improved_mw > 0.0, "powers must be positive");
+        assert!(
+            baseline_mw > 0.0 && improved_mw > 0.0,
+            "powers must be positive"
+        );
         baseline_mw / improved_mw - 1.0
     }
 }

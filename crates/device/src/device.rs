@@ -272,7 +272,8 @@ impl Device {
         match self.state {
             DevicePowerState::Asleep => self.meter.accrue_sleep(&self.model, dt),
             DevicePowerState::Waking { .. } | DevicePowerState::Awake => {
-                self.meter.accrue_awake(&self.model, self.locks.active(), dt);
+                self.meter
+                    .accrue_awake(&self.model, self.locks.active(), dt);
                 self.awake_time += dt;
             }
         }
@@ -321,7 +322,12 @@ impl Device {
     ///
     /// Panics if the device is not awake — alarms are only delivered to
     /// an awake device.
-    pub fn run_task(&mut self, set: HardwareSet, duration: SimDuration, now: SimTime) -> HardwareSet {
+    pub fn run_task(
+        &mut self,
+        set: HardwareSet,
+        duration: SimDuration,
+        now: SimTime,
+    ) -> HardwareSet {
         self.advance_to(now);
         assert!(
             self.is_awake(),
@@ -548,7 +554,11 @@ mod tests {
             let mut d = device();
             let ready = d.request_wake(SimTime::from_secs(10));
             d.complete_wake(ready);
-            d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(3), ready);
+            d.run_task(
+                HardwareComponent::Wifi.into(),
+                SimDuration::from_secs(3),
+                ready,
+            );
             d.release_expired(d.next_internal_event().unwrap());
             assert!(d.try_sleep(d.earliest_sleep_time().unwrap()));
             d.energy().awake_related_mj()
@@ -557,8 +567,16 @@ mod tests {
             let mut d = device();
             let ready = d.request_wake(SimTime::from_secs(10));
             d.complete_wake(ready);
-            d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(3), ready);
-            d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(3), ready);
+            d.run_task(
+                HardwareComponent::Wifi.into(),
+                SimDuration::from_secs(3),
+                ready,
+            );
+            d.run_task(
+                HardwareComponent::Wifi.into(),
+                SimDuration::from_secs(3),
+                ready,
+            );
             d.release_expired(d.next_internal_event().unwrap());
             assert!(d.try_sleep(d.earliest_sleep_time().unwrap()));
             d.energy().awake_related_mj()
@@ -608,7 +626,11 @@ mod tests {
     #[should_panic(expected = "not awake")]
     fn task_delivery_requires_awake_device() {
         let mut d = device();
-        d.run_task(HardwareSet::empty(), SimDuration::from_secs(1), SimTime::ZERO);
+        d.run_task(
+            HardwareSet::empty(),
+            SimDuration::from_secs(1),
+            SimTime::ZERO,
+        );
     }
 
     #[test]
@@ -624,7 +646,11 @@ mod tests {
         let mut d = device();
         let ready = d.request_wake(SimTime::from_secs(10));
         d.complete_wake(ready);
-        d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(3), ready);
+        d.run_task(
+            HardwareComponent::Wifi.into(),
+            SimDuration::from_secs(3),
+            ready,
+        );
         d.run_task(
             HardwareComponent::Wifi.into(),
             SimDuration::from_secs(5),
@@ -643,7 +669,11 @@ mod tests {
         let mut d = device();
         let ready = d.request_wake(SimTime::from_secs(10));
         d.complete_wake(ready);
-        d.run_task(HardwareComponent::Gps.into(), SimDuration::from_secs(30), ready);
+        d.run_task(
+            HardwareComponent::Gps.into(),
+            SimDuration::from_secs(30),
+            ready,
+        );
         let released = d.force_release_all(ready + SimDuration::from_secs(1));
         assert_eq!(released, HardwareComponent::Gps.into());
         assert!(d.earliest_sleep_time().is_some());
@@ -655,8 +685,16 @@ mod tests {
         let ready = d.request_wake(SimTime::from_secs(10));
         d.complete_wake(ready);
         // Offender holds GPS for 600 s; a bystander holds Wi-Fi for 5 s.
-        d.run_task(HardwareComponent::Gps.into(), SimDuration::from_secs(600), ready);
-        d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(5), ready);
+        d.run_task(
+            HardwareComponent::Gps.into(),
+            SimDuration::from_secs(600),
+            ready,
+        );
+        d.run_task(
+            HardwareComponent::Wifi.into(),
+            SimDuration::from_secs(5),
+            ready,
+        );
         let now = ready + SimDuration::from_secs(1);
         let survivor = (
             HardwareSet::from(HardwareComponent::Wifi),
@@ -679,8 +717,16 @@ mod tests {
         let ready = d.request_wake(SimTime::from_secs(10));
         d.complete_wake(ready);
         // Both tasks hold Wi-Fi; the offender's claim reaches 600 s.
-        d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(600), ready);
-        d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(5), ready);
+        d.run_task(
+            HardwareComponent::Wifi.into(),
+            SimDuration::from_secs(600),
+            ready,
+        );
+        d.run_task(
+            HardwareComponent::Wifi.into(),
+            SimDuration::from_secs(5),
+            ready,
+        );
         let survivor = (
             HardwareSet::from(HardwareComponent::Wifi),
             ready + SimDuration::from_secs(5),
@@ -697,7 +743,11 @@ mod tests {
         let mut d = device();
         let ready = d.request_wake(SimTime::from_secs(10));
         d.complete_wake(ready);
-        d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(2), ready);
+        d.run_task(
+            HardwareComponent::Wifi.into(),
+            SimDuration::from_secs(2),
+            ready,
+        );
         d.leak_locks(
             HardwareComponent::Wifi.into(),
             ready + SimDuration::from_secs(30),
@@ -705,7 +755,9 @@ mod tests {
         );
         // One activation only — the leak extends the existing lock.
         assert_eq!(d.activation_count(HardwareComponent::Wifi), 1);
-        assert!(d.release_expired(ready + SimDuration::from_secs(2)).is_empty());
+        assert!(d
+            .release_expired(ready + SimDuration::from_secs(2))
+            .is_empty());
         // The device cannot sleep while the leak persists.
         assert_eq!(d.earliest_sleep_time(), None);
         let released = d.release_expired(ready + SimDuration::from_secs(30));
@@ -719,7 +771,11 @@ mod tests {
         // A full cycle with a Wi-Fi task.
         let ready = d.request_wake(SimTime::from_secs(30));
         d.complete_wake(ready);
-        d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(3), ready);
+        d.run_task(
+            HardwareComponent::Wifi.into(),
+            SimDuration::from_secs(3),
+            ready,
+        );
         let end = d.next_internal_event().unwrap();
         d.release_expired(end);
         assert!(d.try_sleep(d.earliest_sleep_time().unwrap()));
@@ -740,7 +796,11 @@ mod tests {
         d.attach_monitor();
         let ready = d.request_wake(SimTime::from_secs(1));
         d.complete_wake(ready);
-        d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(1), ready);
+        d.run_task(
+            HardwareComponent::Wifi.into(),
+            SimDuration::from_secs(1),
+            ready,
+        );
         let impulses = d.monitor().unwrap().impulses();
         assert_eq!(impulses.len(), 2);
         assert!((impulses[0].1 - 100.0).abs() < 1e-9); // wake transition
@@ -752,7 +812,11 @@ mod tests {
         let mut d = device();
         let ready = d.request_wake(SimTime::from_secs(10));
         d.complete_wake(ready);
-        d.run_task(HardwareComponent::Wifi.into(), SimDuration::from_secs(3), ready);
+        d.run_task(
+            HardwareComponent::Wifi.into(),
+            SimDuration::from_secs(3),
+            ready,
+        );
         let mut r = Device::restore(PowerModel::nexus5(), d.snapshot());
         let end = d.next_internal_event().unwrap();
         assert_eq!(r.next_internal_event(), Some(end));
@@ -774,7 +838,11 @@ mod tests {
         let mut d = device();
         let ready = d.request_wake(SimTime::from_secs(10));
         d.complete_wake(ready);
-        d.run_task(HardwareComponent::Gps.into(), SimDuration::from_secs(600), ready);
+        d.run_task(
+            HardwareComponent::Gps.into(),
+            SimDuration::from_secs(600),
+            ready,
+        );
         let released = d.reboot(ready + SimDuration::from_secs(1));
         assert_eq!(released, HardwareComponent::Gps.into());
         assert!(d.is_asleep());

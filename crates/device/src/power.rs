@@ -125,9 +125,8 @@ impl PowerModel {
         set: simty_core::hardware::HardwareSet,
         task: SimDuration,
     ) -> f64 {
-        let awake = self.wake_latency.as_secs_f64()
-            + task.as_secs_f64()
-            + self.sleep_linger.as_secs_f64();
+        let awake =
+            self.wake_latency.as_secs_f64() + task.as_secs_f64() + self.sleep_linger.as_secs_f64();
         let mut total = self.wake_transition_energy_mj + self.awake_base_power_mw * awake;
         for c in set {
             let p = self.component(c);

@@ -45,9 +45,7 @@ pub mod span;
 pub mod telemetry;
 pub mod traceviz;
 
-pub use metrics::{
-    CounterHandle, GaugeHandle, Histogram, HistogramHandle, MetricsRegistry,
-};
+pub use metrics::{CounterHandle, GaugeHandle, Histogram, HistogramHandle, MetricsRegistry};
 pub use profile::{Stage, StageProfile};
 pub use quantile::QuantileSummary;
 pub use span::{AttrValue, Span, SpanCollector, SpanKind};

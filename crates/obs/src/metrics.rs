@@ -765,12 +765,8 @@ h_max 2
     fn parts_round_trip() {
         let mut h = Histogram::new(vec![1.0, 2.0]);
         h.observe(1.5);
-        let rebuilt = Histogram::from_parts(
-            h.bounds().to_vec(),
-            h.counts().to_vec(),
-            h.sum(),
-            h.count(),
-        );
+        let rebuilt =
+            Histogram::from_parts(h.bounds().to_vec(), h.counts().to_vec(), h.sum(), h.count());
         assert_eq!(rebuilt, h);
     }
 }

@@ -425,8 +425,18 @@ mod tests {
             cell_wall_ms: 1.0,
         };
         assert_eq!(poisoned.level(), "warn");
-        assert_eq!(EventKind::JournalWrite { index: 1, ok: false }.level(), "warn");
-        assert_eq!(EventKind::JournalWrite { index: 1, ok: true }.level(), "info");
+        assert_eq!(
+            EventKind::JournalWrite {
+                index: 1,
+                ok: false
+            }
+            .level(),
+            "warn"
+        );
+        assert_eq!(
+            EventKind::JournalWrite { index: 1, ok: true }.level(),
+            "info"
+        );
         assert_eq!(
             EventKind::Warn {
                 message: "m".into()

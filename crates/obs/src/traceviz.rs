@@ -141,7 +141,10 @@ mod tests {
             SpanKind::PolicyPlace,
             120,
             120,
-            [("app", AttrValue::Static("mail")), ("alarm", AttrValue::U64(7))],
+            [
+                ("app", AttrValue::Static("mail")),
+                ("alarm", AttrValue::U64(7)),
+            ],
         );
         c
     }

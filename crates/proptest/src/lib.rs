@@ -73,9 +73,7 @@ pub mod test_runner {
         /// The fixed stream for case `case` (stable across runs).
         pub fn for_case(case: u32) -> Self {
             TestRng {
-                state: (case as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ 0x5851_F42D_4C95_7F2D,
+                state: (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5851_F42D_4C95_7F2D,
             }
         }
 
@@ -398,12 +396,10 @@ macro_rules! prop_assert_ne {
         let left = $left;
         let right = $right;
         if left == right {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
-                format!(
-                    "assertion failed: `left != right`\n  both: {:?}",
-                    left
-                ),
-            ));
+            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(format!(
+                "assertion failed: `left != right`\n  both: {:?}",
+                left
+            )));
         }
     }};
 }
