@@ -1067,6 +1067,25 @@ mod tests {
     }
 
     #[test]
+    fn explain_audits_native_candidates() {
+        let text = run(&[
+            "explain",
+            "--policy",
+            "native",
+            "--scenario",
+            "light",
+            "--hours",
+            "1",
+        ])
+        .unwrap();
+        assert!(text.contains("placement decisions under NATIVE"));
+        // NATIVE's winner is the first window-overlapping entry: its row
+        // shows high time similarity and no Table 1 ranks.
+        assert!(text.lines().any(|line| line.starts_with("    entry #")
+            && line.ends_with(": time=high hw_rank=- table1_rank=- -> won")));
+    }
+
+    #[test]
     fn explain_jsonl_is_machine_readable() {
         let text = run(&[
             "explain",

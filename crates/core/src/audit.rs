@@ -59,7 +59,8 @@ pub struct CandidateAudit {
     pub time: TimeSimilarity,
     /// Hardware-similarity rank (0 = most similar), when the search
     /// phase reached the ranking step; `None` for candidates rejected
-    /// before ranking.
+    /// before ranking, and for every NATIVE candidate (NATIVE ranks
+    /// nothing: the first window-overlapping entry wins).
     pub hw_rank: Option<u8>,
     /// The Table 1 preferability derived from the ranks, when ranked.
     pub preferability: Option<Preferability>,

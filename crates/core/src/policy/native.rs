@@ -1,9 +1,11 @@
 //! Android's native window-overlap alignment policy (§2.1).
 
 use crate::alarm::Alarm;
+use crate::audit::CandidateAudit;
 use crate::entry::DeliveryDiscipline;
-use crate::policy::{AlignmentPolicy, Placement};
+use crate::policy::{search, AlignmentPolicy, Placement};
 use crate::queue::AlarmQueue;
+use crate::similarity::TimeSimilarity;
 
 /// The alignment policy Android employs since version 4.4.
 ///
@@ -49,6 +51,26 @@ impl NativePolicy {
     pub fn without_realignment() -> Self {
         NativePolicy { realign: false }
     }
+
+    /// Both placement entry points share this search. Window overlap is
+    /// exactly high time similarity, and nothing delivering after the
+    /// alarm's window ends can overlap it. Every overlapping entry ranks
+    /// alike, so the first one found wins.
+    fn placement(
+        &self,
+        queue: &AlarmQueue,
+        alarm: &Alarm,
+        audit: Option<&mut Vec<CandidateAudit>>,
+    ) -> Placement {
+        search(
+            queue,
+            alarm,
+            Some(alarm.window_interval().end()),
+            |_, time| time == TimeSimilarity::High,
+            |_, _| ((), None),
+            audit,
+        )
+    }
 }
 
 impl AlignmentPolicy for NativePolicy {
@@ -57,25 +79,16 @@ impl AlignmentPolicy for NativePolicy {
     }
 
     fn place(&self, queue: &AlarmQueue, alarm: &Alarm) -> Placement {
-        let window = alarm.window_interval();
-        for (idx, entry) in queue.iter().enumerate() {
-            // A Window-discipline entry's window intersection starts at
-            // its delivery time; the queue is delivery-ordered, so once
-            // an entry's delivery time passes the candidate window's end,
-            // no entry at or after it can overlap.
-            if entry.delivery_time() > window.end()
-                && matches!(
-                    entry.discipline(),
-                    DeliveryDiscipline::Window | DeliveryDiscipline::PerceptibilityAware
-                )
-            {
-                break;
-            }
-            if entry.window().is_some_and(|w| w.overlaps(window)) {
-                return Placement::Existing(idx);
-            }
-        }
-        Placement::NewEntry
+        self.placement(queue, alarm, None)
+    }
+
+    fn place_audited(
+        &self,
+        queue: &AlarmQueue,
+        alarm: &Alarm,
+        audit: &mut Vec<CandidateAudit>,
+    ) -> Placement {
+        self.placement(queue, alarm, Some(audit))
     }
 
     fn discipline(&self) -> DeliveryDiscipline {

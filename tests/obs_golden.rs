@@ -8,7 +8,12 @@
 //! cheaper instrumentation path still writes the same bytes. The
 //! checkpoint digests were re-pinned when the envelope moved to
 //! `simty-checkpoint/v2`, whose bodies were checked equal to the v1
-//! captures' byte for byte. Two sets of runs cover both ring regimes:
+//! captures' byte for byte. NATIVE's span, audit and checkpoint digests
+//! were re-pinned when NATIVE moved onto the shared placement search and
+//! began auditing its candidates: the `policy_place` span's `candidates`
+//! count, the audit rows and the persisted audits now hold them, while
+//! its report and exposition digests stayed put. Two sets of runs cover
+//! both ring regimes:
 //!
 //! * SIMTY and NATIVE heavy 3 h runs, seed 1, default ring capacities
 //!   (the audit ring never fills);
@@ -46,10 +51,10 @@ const HEAVY: [(PolicyKind, [u64; 5]); 2] = [
         PolicyKind::Native,
         [
             0x5fef73886f13f4b0,
-            0xff04658a9189b3de,
-            0x0d747972b20c2e2e,
+            0x8cc19501486381e7,
+            0x38119df80dc55dba,
             0xd3b9ec293e78a06e,
-            0xe04662cb72fb188a,
+            0x3d6f3e6fd71479ec,
         ],
     ),
 ];
@@ -71,10 +76,10 @@ const FLEET: [(PolicyKind, [u64; 5]); 2] = [
         PolicyKind::Native,
         [
             0x858629e2de336cde,
-            0xa9270d5903a86e4a,
-            0x3d1b75ce9f2920e7,
+            0x1f8ce209537c012e,
+            0xe131a1d4fe6b2ab9,
             0xd254eddfa08a201d,
-            0x86fc68375dc8b394,
+            0x005e9cd1d6fb8cfd,
         ],
     ),
 ];
