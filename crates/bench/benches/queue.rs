@@ -1,17 +1,18 @@
 //! Criterion micro-benchmarks of the hot paths every registration
 //! exercises: `AlarmQueue::insert_entry` (binary-search insert into the
 //! delivery-ordered queue), `add_to_entry` (joining an entry that then
-//! moves), `position_of` on a fresh id, and the SIMTY search/selection
+//! moves), `position_of` on a fresh id, `pop_due_into` (the delivery
+//! loop's pop of the due front entries), and the SIMTY search/selection
 //! scan (`SimtyPolicy::place`), at queue depths 10 / 100 / 1 000 / 10 000.
 //!
 //! `insert_entry` should scale sublinearly in the queue depth (the
 //! `partition_point` search is O(log n); the `Vec` shift dominates only
 //! at the deepest sizes), and `place` should stay flat for candidates
 //! whose window closes early thanks to the delivery-time early-exit.
-//! The join and lookup cases run beside the pre-rotation queue
-//! ([`oracle::ShiftingAlarmQueue`]) to show what rotation and the id
-//! high-water mark save. The simulator's event queue runs at the depths
-//! the engine and a registration storm give it.
+//! The join, lookup and pop cases run beside the pre-rotation queue
+//! ([`oracle::ShiftingAlarmQueue`]) to show what rotation, the id
+//! high-water mark and the ring save. The simulator's event queue runs
+//! at the depths the engine and a registration storm give it.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
@@ -178,6 +179,46 @@ fn bench_position_of_miss(c: &mut Criterion) {
     group.finish();
 }
 
+/// `pop_due_into` taking the `k` due front entries of an `n`-entry
+/// queue, the delivery loop's pop. The ring's head steps past the `k`
+/// entries and nothing else moves; the shifting reference moves the
+/// `n - k` entries behind them to the front.
+fn bench_pop_due(c: &mut Criterion) {
+    let mut group = c.benchmark_group("queue_pop_due");
+    group.sample_size(10);
+    for n in DEPTHS {
+        let rotating = preloaded_queue(n);
+        let shifting = shifting_copy(&rotating);
+        for k in [1, 4] {
+            // Entry `i` delivers at 60 + 30 i s.
+            let now = SimTime::from_secs(60 + 30 * (k as u64 - 1));
+            group.bench_with_input(BenchmarkId::new(format!("rotating_k{k}"), n), &n, |b, _| {
+                b.iter_batched(
+                    || (rotating.clone(), Vec::with_capacity(k)),
+                    |(mut queue, mut due)| {
+                        queue.pop_due_into(now, &mut due);
+                        assert_eq!(due.len(), k);
+                        (queue, due)
+                    },
+                    BatchSize::SmallInput,
+                );
+            });
+            group.bench_with_input(BenchmarkId::new(format!("shifting_k{k}"), n), &n, |b, _| {
+                b.iter_batched(
+                    || (shifting.clone(), Vec::with_capacity(k)),
+                    |(mut queue, mut due)| {
+                        queue.pop_due_into(now, &mut due);
+                        assert_eq!(due.len(), k);
+                        (queue, due)
+                    },
+                    BatchSize::SmallInput,
+                );
+            });
+        }
+    }
+    group.finish();
+}
+
 /// The `head` case's candidate window closes near the front of the
 /// delivery-ordered queue, so the cutoff early-exit stops the scan after
 /// a handful of entries — near-flat in depth. The `mid` case scans half
@@ -254,6 +295,7 @@ criterion_group!(
     bench_insert_entry,
     bench_join_moves,
     bench_position_of_miss,
+    bench_pop_due,
     bench_simty_place,
     bench_event_queue
 );

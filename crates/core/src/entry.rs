@@ -114,8 +114,14 @@ pub struct QueueEntry {
 impl QueueEntry {
     /// Creates an entry containing a single alarm.
     pub fn new(alarm: Alarm, discipline: DeliveryDiscipline) -> Self {
+        QueueEntry::from_alarms(vec![alarm], discipline)
+    }
+
+    /// Creates an entry holding `alarms`, which must not be empty: the
+    /// queue passes a recycled buffer holding one alarm.
+    pub(crate) fn from_alarms(alarms: Vec<Alarm>, discipline: DeliveryDiscipline) -> Self {
         let mut entry = QueueEntry {
-            alarms: vec![alarm],
+            alarms,
             window: None,
             grace: None,
             hardware: HardwareSet::empty(),

@@ -441,6 +441,13 @@ impl AlarmManager {
         self.non_wakeup.pop_due_into(now, out);
     }
 
+    /// Hands back a delivered entry's member buffer, emptied or not, to
+    /// the queue of `kind`, whose next new entry reuses it (see
+    /// [`AlarmQueue::recycle`]).
+    pub fn recycle(&mut self, kind: AlarmKind, buffer: Vec<Alarm>) {
+        self.queue_mut(kind).recycle(buffer);
+    }
+
     /// Finishes a delivery: records the alarm's hardware usage as known
     /// (footnote 4) and, for repeating alarms, reinserts the alarm with
     /// its next nominal delivery time. Returns the id if it was
@@ -519,7 +526,7 @@ impl AlarmManager {
                 let mut candidates = self
                     .spare_candidates
                     .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(4));
+                    .unwrap_or_else(|| Vec::with_capacity(8));
                 let placement = self.policy.place_audited(queue, &alarm, &mut candidates);
                 sink.push(PlacementAudit {
                     at: self.now,

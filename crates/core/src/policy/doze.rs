@@ -85,7 +85,7 @@ impl AlignmentPolicy for DozePolicy {
         search(
             queue,
             alarm,
-            None,
+            Some(target),
             |entry, _| entry.delivery_time() == target,
             |_, _| ((), None),
             None,

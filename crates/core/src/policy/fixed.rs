@@ -1,7 +1,7 @@
 //! The fixed-interval alignment baseline from the paper's related work.
 
 use crate::alarm::Alarm;
-use crate::entry::DeliveryDiscipline;
+use crate::entry::{DeliveryDiscipline, QueueEntry};
 use crate::policy::{search, AlignmentPolicy, Placement};
 use crate::queue::AlarmQueue;
 use crate::time::{SimDuration, SimTime};
@@ -62,6 +62,30 @@ impl FixedIntervalPolicy {
         let q = self.quantum.as_millis();
         SimTime::from_millis(t.as_millis().div_ceil(q) * q)
     }
+
+    /// [`place`](AlignmentPolicy::place), showing `visit` every entry the
+    /// search phase's filter weighs. Entries deliver only on grid points
+    /// and the queue is delivery-ordered, so the scan stops at the first
+    /// entry past the alarm's grid point.
+    fn place_visiting(
+        &self,
+        queue: &AlarmQueue,
+        alarm: &Alarm,
+        visit: impl Fn(&QueueEntry),
+    ) -> Placement {
+        let target = self.grid_point(alarm.nominal());
+        search(
+            queue,
+            alarm,
+            Some(target),
+            |entry, _| {
+                visit(entry);
+                entry.delivery_time() == target
+            },
+            |_, _| ((), None),
+            None,
+        )
+    }
 }
 
 impl AlignmentPolicy for FixedIntervalPolicy {
@@ -70,15 +94,7 @@ impl AlignmentPolicy for FixedIntervalPolicy {
     }
 
     fn place(&self, queue: &AlarmQueue, alarm: &Alarm) -> Placement {
-        let target = self.grid_point(alarm.nominal());
-        search(
-            queue,
-            alarm,
-            None,
-            |entry, _| entry.delivery_time() == target,
-            |_, _| ((), None),
-            None,
-        )
+        self.place_visiting(queue, alarm, |_| ())
     }
 
     fn discipline(&self) -> DeliveryDiscipline {
@@ -90,8 +106,9 @@ impl AlignmentPolicy for FixedIntervalPolicy {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
-    use crate::entry::QueueEntry;
     use crate::hardware::HardwareComponent;
 
     fn alarm(nominal_s: u64) -> Alarm {
@@ -126,6 +143,28 @@ mod tests {
         assert_eq!(p.place(&q, &alarm(45)), Placement::Existing(0));
         // Nominal 70 -> grid point 120 -> new entry.
         assert_eq!(p.place(&q, &alarm(70)), Placement::NewEntry);
+    }
+
+    #[test]
+    fn the_search_stops_at_the_first_entry_past_the_grid_point() {
+        let p = FixedIntervalPolicy::new(SimDuration::from_secs(60));
+        let mut q = AlarmQueue::new();
+        // One entry on each grid point from 60 s to 600 s but 300 s.
+        for minute in (1..=10).filter(|&m| m != 5) {
+            q.insert_new_entry(alarm(minute * 60 - 30), p.discipline());
+        }
+        let visits = Cell::new(0);
+        let count = |_: &QueueEntry| visits.set(visits.get() + 1);
+        // Grid point 300 s: the four entries before it are weighed, and
+        // the one at 360 s ends the scan; the five past it are not.
+        let placement = p.place_visiting(&q, &alarm(270), count);
+        assert_eq!((placement, visits.replace(0)), (Placement::NewEntry, 4));
+        // Grid point 180 s: the first entry on it wins outright.
+        let placement = p.place_visiting(&q, &alarm(150), count);
+        assert_eq!((placement, visits.replace(0)), (Placement::Existing(2), 3));
+        // Grid point 660 s, past every entry: all nine are weighed.
+        let placement = p.place_visiting(&q, &alarm(601), count);
+        assert_eq!((placement, visits.replace(0)), (Placement::NewEntry, 9));
     }
 
     #[test]

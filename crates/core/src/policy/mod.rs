@@ -24,7 +24,7 @@
 //! overlap and takes the first entry found; SIMTY filters on time
 //! similarity and perceptibility and ranks by Table 1; DURSIM adds task
 //! duration to SIMTY's key; FIXED and DOZE take the first entry on their
-//! grid point.
+//! grid point, and stop at the first one past it.
 //!
 //! Custom policies implement [`AlignmentPolicy`]; the trait is
 //! object-safe, and the [`AlarmManager`](crate::manager::AlarmManager)
@@ -145,12 +145,17 @@ pub trait AlignmentPolicy: fmt::Debug + Send + Sync {
 /// the applicable entry with the smallest key (§3.2.1).
 ///
 /// Entries are weighed in delivery order. `cutoff`, when set, ends the
-/// scan at the first `Window` or `PerceptibilityAware` entry that
-/// delivers after it. Every member's intervals start at its nominal, so
-/// such an entry's window and grace intersections start at its latest
-/// nominal, which is its delivery time; the queue is delivery-ordered,
-/// so neither it nor any later entry can overlap an alarm interval
-/// ending at `cutoff`. `applicable` is the search phase's filter, given the
+/// scan at the first entry that delivers after it; the caller vouches
+/// that no such entry can be applicable. The queue is delivery-ordered
+/// and a manager's queue is discipline-homogeneous (entries are only
+/// created with its policy's discipline), so every later entry is past
+/// the cutoff too. Under `Window` and `PerceptibilityAware`, every
+/// member's intervals start at its nominal, so an entry's window and
+/// grace intersections start at its latest nominal, which is its
+/// delivery time: no entry past an alarm interval's end can overlap it.
+/// Under FIXED's and DOZE's grids an entry joins only at its own grid
+/// point, so none past the alarm's point can. `applicable` is the search
+/// phase's filter, given the
 /// entry and its [`TimeSimilarity`] to the alarm. `rank` gives each
 /// applicable entry its selection key, and the hardware-similarity rank
 /// its audit row shows, if the policy has one. A strictly smaller key is
@@ -182,19 +187,7 @@ pub(crate) fn search<K: Ord>(
             preferability: hw_rank.map(|hw| Preferability::from_ranks(hw, time)),
             verdict,
         };
-        if cutoff.is_some_and(|c| entry.delivery_time() > c)
-            && matches!(
-                entry.discipline(),
-                DeliveryDiscipline::Window | DeliveryDiscipline::PerceptibilityAware
-            )
-        {
-            // A manager's queue is discipline-homogeneous (entries are
-            // only created with its policy's discipline), so everything
-            // after this point is past the cutoff too.
-            debug_assert!(queue.iter().skip(idx).all(|e| matches!(
-                e.discipline(),
-                DeliveryDiscipline::Window | DeliveryDiscipline::PerceptibilityAware
-            )));
+        if cutoff.is_some_and(|c| entry.delivery_time() > c) {
             if let Some(a) = audit.as_deref_mut() {
                 let time = entry.time_similarity_to(alarm);
                 a.push(row(time, None, CandidateVerdict::PastCutoff));

@@ -6,9 +6,15 @@
 //! entries from the front.
 //!
 //! Every delivery of a repeating alarm re-places it (§2.1, §3.2.1), and
-//! most re-placements join an existing entry, so two operations carry the
-//! queue's cost:
+//! most re-placements join an existing entry, so the queue's cost sits in
+//! a few operations:
 //!
+//! * **Storage and pop.** The entries live in a `VecDeque` that is kept
+//!   contiguous, so [`AlarmQueue::entries`] is one slice in delivery
+//!   order. Popping the `k` due entries ([`AlarmQueue::pop_due_into`])
+//!   moves only those `k`; the entries behind them stay where they are.
+//!   An insert that wraps the ring re-joins it at once, after growing
+//!   the buffer to twice the queue's length, so wraps stay rare.
 //! * **Reposition.** An entry whose membership changed
 //!   ([`AlarmQueue::add_to_entry`], [`AlarmQueue::remove_alarm`]) is
 //!   rotated from its old slot to its new one, so only the entries it
@@ -21,11 +27,19 @@
 //!   id above it, which is every freshly minted id a registration looks
 //!   up. Entries enter only through `insert_entry` and `add_to_entry`
 //!   (checkpoint restore included), and both raise the mark.
+//! * **Buffer reuse.** A delivered entry's emptied member list comes back
+//!   through [`AlarmQueue::recycle`] (and an entry that loses its last
+//!   member through `remove_alarm`), and
+//!   [`AlarmQueue::insert_new_entry`] takes one of these spares before it
+//!   allocates, so a steady-state delivery allocates nothing. A fresh
+//!   entry still gets a one-alarm buffer. The spares are capacity only:
+//!   never persisted, cloned, compared or printed.
 //!
-//! The pre-rotation queue, which removed and re-inserted the whole entry
-//! and scanned every entry for every lookup, is kept in [`oracle`] as the
-//! differential-testing reference.
+//! The pre-rotation queue, which removed and re-inserted the whole entry,
+//! scanned every entry for every lookup and shifted the whole queue on a
+//! pop, is kept in [`oracle`] as the differential-testing reference.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::alarm::{Alarm, AlarmId};
@@ -57,12 +71,16 @@ use crate::time::SimTime;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Default)]
 pub struct AlarmQueue {
-    entries: Vec<QueueEntry>,
+    /// The entries in delivery order, always contiguous (see
+    /// [`keep_contiguous`](Self::keep_contiguous)).
+    entries: VecDeque<QueueEntry>,
     /// The highest alarm id ever queued (`None` before the first entry);
     /// no entry holds an id above it.
     max_id: Option<AlarmId>,
+    /// Emptied member buffers, taken by the next new entries.
+    spare: Vec<Vec<Alarm>>,
 }
 
 impl AlarmQueue {
@@ -73,7 +91,9 @@ impl AlarmQueue {
 
     /// The entries in increasing delivery-time order.
     pub fn entries(&self) -> &[QueueEntry] {
-        &self.entries
+        let (entries, wrapped) = self.entries.as_slices();
+        debug_assert!(wrapped.is_empty(), "the queue's ring is wrapped");
+        entries
     }
 
     /// Number of entries (batches).
@@ -93,7 +113,7 @@ impl AlarmQueue {
 
     /// The delivery time of the front entry.
     pub fn next_delivery_time(&self) -> Option<SimTime> {
-        self.entries.first().map(QueueEntry::delivery_time)
+        self.entries.front().map(QueueEntry::delivery_time)
     }
 
     /// Whether any entry contains the alarm.
@@ -108,7 +128,7 @@ impl AlarmQueue {
         if self.max_id.is_none_or(|max| id > max) {
             return None;
         }
-        self.entries.iter().position(|e| e.contains(id))
+        self.entries().iter().position(|e| e.contains(id))
     }
 
     /// Raises the id high-water mark to cover `id`.
@@ -117,9 +137,27 @@ impl AlarmQueue {
     }
 
     /// Wraps `alarm` in a fresh entry and inserts it in delivery-time
-    /// order.
+    /// order. The entry takes a [recycled](Self::recycle) buffer if the
+    /// queue holds one, and allocates a one-alarm buffer otherwise.
     pub fn insert_new_entry(&mut self, alarm: Alarm, discipline: DeliveryDiscipline) {
-        self.insert_entry(QueueEntry::new(alarm, discipline));
+        let entry = match self.spare.pop() {
+            Some(mut buffer) => {
+                buffer.push(alarm);
+                QueueEntry::from_alarms(buffer, discipline)
+            }
+            None => QueueEntry::new(alarm, discipline),
+        };
+        self.insert_entry(entry);
+    }
+
+    /// Keeps `buffer`, a delivered entry's member list, for a later
+    /// [`insert_new_entry`](Self::insert_new_entry). Its alarms are
+    /// dropped; a buffer that never allocated is not kept.
+    pub fn recycle(&mut self, mut buffer: Vec<Alarm>) {
+        if buffer.capacity() > 0 {
+            buffer.clear();
+            self.spare.push(buffer);
+        }
     }
 
     /// Reserves capacity for at least `additional` more entries, so a
@@ -135,8 +173,25 @@ impl AlarmQueue {
             self.note_id(alarm.id());
         }
         let t = entry.delivery_time();
-        let pos = self.entries.partition_point(|e| e.delivery_time() <= t);
+        let pos = self.entries().partition_point(|e| e.delivery_time() <= t);
         self.entries.insert(pos, entry);
+        self.keep_contiguous();
+    }
+
+    /// Re-joins the ring after an insert wrapped it, so
+    /// [`entries`](Self::entries) stays one slice. The buffer first grows
+    /// to twice the queue's length, so the live range drifts that far
+    /// before the next wrap: re-joining moves every entry, and it stays
+    /// rare next to the pops it saves a shift on.
+    fn keep_contiguous(&mut self) {
+        if self.entries.as_slices().1.is_empty() {
+            return;
+        }
+        let len = self.entries.len();
+        if self.entries.capacity() < 2 * len {
+            self.entries.reserve(len);
+        }
+        self.entries.make_contiguous();
     }
 
     /// Adds `alarm` to the entry at `index`, repositioning the entry since
@@ -152,12 +207,14 @@ impl AlarmQueue {
     }
 
     /// Removes the alarm with `id` from whichever entry holds it; drops
-    /// the entry if it becomes empty, repositions it otherwise.
+    /// the entry (recycling its buffer) if it becomes empty, repositions
+    /// it otherwise.
     pub fn remove_alarm(&mut self, id: AlarmId) -> Option<Alarm> {
         let idx = self.position_of(id)?;
         let alarm = self.entries[idx].remove(id);
         if self.entries[idx].is_empty() {
-            self.entries.remove(idx);
+            let emptied = self.take_entry(idx);
+            self.recycle(emptied.into_alarms());
         } else {
             self.reposition(idx);
         }
@@ -169,14 +226,15 @@ impl AlarmQueue {
     /// among the other entries (after every one delivering at or before
     /// it), shifting only the entries in between.
     fn reposition(&mut self, index: usize) {
-        let t = self.entries[index].delivery_time();
-        let (before, after) = self.entries.split_at(index);
+        let entries = self.entries.make_contiguous();
+        let t = entries[index].delivery_time();
+        let (before, after) = entries.split_at(index);
         if before.last().is_some_and(|e| e.delivery_time() > t) {
             let to = before.partition_point(|e| e.delivery_time() <= t);
-            self.entries[to..=index].rotate_right(1);
+            entries[to..=index].rotate_right(1);
         } else {
             let to = index + after[1..].partition_point(|e| e.delivery_time() <= t);
-            self.entries[index..=to].rotate_left(1);
+            entries[index..=to].rotate_left(1);
         }
     }
 
@@ -187,7 +245,11 @@ impl AlarmQueue {
     ///
     /// Panics if `index` is out of bounds.
     pub fn take_entry(&mut self, index: usize) -> QueueEntry {
-        self.entries.remove(index)
+        // Removal shifts the shorter side toward the gap, which keeps the
+        // ring contiguous.
+        self.entries
+            .remove(index)
+            .expect("take_entry index out of bounds")
     }
 
     /// Removes and returns every entry whose delivery time is at or before
@@ -201,15 +263,37 @@ impl AlarmQueue {
     /// Like [`pop_due`](Self::pop_due), but appends into a caller-owned
     /// buffer. The simulator's delivery loop calls this every wakeup
     /// round; reusing one buffer there avoids a `Vec` allocation per
-    /// round (most rounds pop zero or one entry).
+    /// round (most rounds pop zero or one entry). Only the popped entries
+    /// move: the ring's head advances past them.
     pub fn pop_due_into(&mut self, now: SimTime, out: &mut Vec<QueueEntry>) {
-        let cut = self.entries.partition_point(|e| e.delivery_time() <= now);
+        let cut = self.entries().partition_point(|e| e.delivery_time() <= now);
         out.extend(self.entries.drain(..cut));
     }
 
     /// Iterates over the entries in delivery order.
     pub fn iter(&self) -> std::slice::Iter<'_, QueueEntry> {
-        self.entries.iter()
+        self.entries().iter()
+    }
+}
+
+impl Clone for AlarmQueue {
+    /// Clones the entries and the high-water mark; the clone starts
+    /// without spare buffers.
+    fn clone(&self) -> Self {
+        AlarmQueue {
+            entries: self.entries.clone(),
+            max_id: self.max_id,
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl fmt::Debug for AlarmQueue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AlarmQueue")
+            .field("entries", &self.entries())
+            .field("max_id", &self.max_id)
+            .finish_non_exhaustive()
     }
 }
 
@@ -218,27 +302,28 @@ impl<'a> IntoIterator for &'a AlarmQueue {
     type IntoIter = std::slice::Iter<'a, QueueEntry>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter()
+        self.iter()
     }
 }
 
 impl fmt::Display for AlarmQueue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "queue with {} entr(ies):", self.entries.len())?;
-        for e in &self.entries {
+        for e in self.iter() {
             writeln!(f, "  {e}")?;
         }
         Ok(())
     }
 }
 
-/// The queue as it was before repositioning by rotation and the id
-/// high-water mark: a membership change removes the entry and
-/// re-inserts it (shifting the queue's tail twice), and every lookup
-/// scans all entries. The differential test drives random operation
-/// sequences through both queues and asserts identical entry orders,
-/// members and lookups, and the queue microbenchmarks use it as the
-/// baseline. The manager itself never constructs one.
+/// The queue as it was before repositioning by rotation, the id
+/// high-water mark and the ring: a membership change removes the entry
+/// and re-inserts it (shifting the queue's tail twice), every lookup
+/// scans all entries, and a pop shifts every entry behind the popped
+/// ones. The differential test drives random operation sequences
+/// through both queues and asserts identical entry orders, members and
+/// lookups, and the queue microbenchmarks use it as the baseline. The
+/// manager itself never constructs one.
 pub mod oracle {
     use crate::alarm::{Alarm, AlarmId};
     use crate::entry::QueueEntry;
@@ -410,6 +495,86 @@ mod tests {
         assert_eq!(q.alarm_count(), 2);
         assert_eq!(q.position_of(id), Some(0));
         assert_eq!((&q).into_iter().count(), 2);
+    }
+
+    #[test]
+    fn a_new_entry_reuses_a_recycled_buffer() {
+        let mut q = AlarmQueue::new();
+        q.insert_new_entry(alarm_at("a", 100), DeliveryDiscipline::Window);
+        q.add_to_entry(0, alarm_at("b", 100));
+        let delivered = q.pop_due(SimTime::from_secs(100)).pop().unwrap();
+        let buffer = delivered.into_alarms();
+        let (ptr, capacity) = (buffer.as_ptr(), buffer.capacity());
+        q.recycle(buffer);
+        q.insert_new_entry(alarm_at("c", 200), DeliveryDiscipline::Window);
+        assert_eq!(q.entries()[0].alarms().as_ptr(), ptr);
+        // With no spare left, a fresh entry holds exactly one alarm.
+        q.insert_new_entry(alarm_at("d", 300), DeliveryDiscipline::Window);
+        let mut popped = q.pop_due(SimTime::from_secs(300)).into_iter();
+        let reused = popped.next().unwrap().into_alarms();
+        assert_eq!((reused.as_ptr(), reused.capacity()), (ptr, capacity));
+        assert_eq!(popped.next().unwrap().into_alarms().capacity(), 1);
+        // An entry that loses its last member leaves its buffer behind.
+        let e = alarm_at("e", 400);
+        let id = e.id();
+        q.insert_new_entry(e, DeliveryDiscipline::Window);
+        let ptr = q.entries()[0].alarms().as_ptr();
+        q.remove_alarm(id);
+        q.insert_new_entry(alarm_at("f", 500), DeliveryDiscipline::Window);
+        assert_eq!(q.entries()[0].alarms().as_ptr(), ptr);
+        // A clone starts without spares.
+        q.recycle(
+            q.clone()
+                .pop_due(SimTime::from_secs(500))
+                .pop()
+                .unwrap()
+                .into_alarms(),
+        );
+        assert_eq!((q.spare.len(), q.clone().spare.len()), (1, 0));
+    }
+
+    #[test]
+    fn a_drifting_ring_stays_one_slice_in_delivery_order() {
+        // Pop the front entry and insert one at the back, over and over:
+        // the live range drifts through the ring buffer and wraps.
+        let mut q = AlarmQueue::new();
+        let mut reference = ShiftingAlarmQueue::new();
+        for t in 0..6u64 {
+            let entry = QueueEntry::new(alarm_at("a", 100 * t), DeliveryDiscipline::Window);
+            reference.insert_entry(entry.clone());
+            q.insert_entry(entry);
+        }
+        let mut rejoined = 0;
+        for round in 6..200u64 {
+            let now = SimTime::from_secs(100 * (round - 6));
+            let (mut fast, mut slow) = (Vec::new(), Vec::new());
+            q.pop_due_into(now, &mut fast);
+            reference.pop_due_into(now, &mut slow);
+            let popped = |e: &[QueueEntry]| e.iter().map(members).collect::<Vec<_>>();
+            assert_eq!(popped(&fast), popped(&slow));
+            // Every third insert lands mid-queue, so both sides shift.
+            let t = if round % 3 == 0 {
+                100 * round - 250
+            } else {
+                100 * round
+            };
+            let entry = QueueEntry::new(alarm_at("a", t), DeliveryDiscipline::Window);
+            reference.insert_entry(entry.clone());
+            let head = |q: &AlarmQueue| q.entries.as_slices().0.as_ptr() as usize;
+            let before = head(&q);
+            q.insert_entry(entry);
+            assert!(q.entries.as_slices().1.is_empty());
+            // An insert shifts the front back by one entry at most; a
+            // re-join moves it further.
+            rejoined += usize::from(before.abs_diff(head(&q)) > size_of::<QueueEntry>());
+            assert_eq!(popped(q.entries()), popped(reference.entries()));
+        }
+        assert!(rejoined > 0, "the ring never wrapped");
+        assert!(
+            q.entries.capacity() <= 4 * q.len(),
+            "{}",
+            q.entries.capacity()
+        );
     }
 
     /// One step of a differential script.

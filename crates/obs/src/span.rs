@@ -306,7 +306,7 @@ impl Span {
 /// use simty_obs::{SpanCollector, SpanKind};
 ///
 /// let mut spans = SpanCollector::new(128);
-/// spans.record(SpanKind::TaskRun, 60_000, 62_000, [("app", "Facebook".into())]);
+/// spans.record(SpanKind::TaskRun, 60_000, 62_000, || [("app", "Facebook".into())]);
 /// assert_eq!(spans.len(), 1);
 /// assert!(spans.to_jsonl().contains("\"kind\":\"task_run\""));
 /// ```
@@ -374,16 +374,22 @@ impl SpanCollector {
     }
 
     /// Records a span, returning its sequence number. Evicts the oldest
-    /// span when the ring is full. `attrs` follow `kind`'s schema (see
-    /// [`Span::new`]); pass an array, so recording allocates nothing once
-    /// the ring has grown to capacity.
-    pub fn record(
+    /// span when the ring is full. `attrs` builds the attributes, which
+    /// follow `kind`'s schema (see [`Span::new`]); have it return an
+    /// array, so recording allocates nothing once the ring has grown to
+    /// capacity. A [`counting`](Self::counting) collector never calls
+    /// it, so a span it only counts builds no attribute value: no label
+    /// refcount moves, no number is converted.
+    pub fn record<A>(
         &mut self,
         kind: SpanKind,
         start_ms: u64,
         end_ms: u64,
-        attrs: impl IntoIterator<Item = (&'static str, AttrValue)>,
-    ) -> u64 {
+        attrs: impl FnOnce() -> A,
+    ) -> u64
+    where
+        A: IntoIterator<Item = (&'static str, AttrValue)>,
+    {
         debug_assert!(start_ms <= end_ms, "span ends before it starts");
         let seq = self.next_seq;
         if self.counting {
@@ -396,7 +402,7 @@ impl SpanCollector {
             self.dropped += 1;
         }
         self.spans
-            .push_back(Span::new(seq, kind, start_ms, end_ms, attrs));
+            .push_back(Span::new(seq, kind, start_ms, end_ms, attrs()));
         seq
     }
 
@@ -480,7 +486,7 @@ mod tests {
     }
 
     fn span_at(c: &mut SpanCollector, ms: u64) -> u64 {
-        c.record(SpanKind::TaskRun, ms, ms + 10, [])
+        c.record(SpanKind::TaskRun, ms, ms + 10, || [])
     }
 
     #[test]
@@ -535,18 +541,30 @@ mod tests {
     }
 
     #[test]
+    fn a_counting_collector_builds_no_attributes() {
+        let label: Arc<str> = "app".into();
+        let mut counts = SpanCollector::counting(4, 0);
+        counts.record(SpanKind::TaskRun, 0, 10, || -> [_; 1] {
+            panic!("a counting collector built {label}'s attributes")
+        });
+        assert_eq!((counts.next_seq(), Arc::strong_count(&label)), (1, 1));
+        let mut ring = SpanCollector::new(4);
+        ring.record(SpanKind::TaskRun, 0, 10, || {
+            [("app", AttrValue::from(Arc::clone(&label)))]
+        });
+        assert_eq!(Arc::strong_count(&label), 2);
+    }
+
+    #[test]
     fn jsonl_is_one_object_per_line() {
         let mut c = SpanCollector::new(4);
-        c.record(
-            SpanKind::PolicyPlace,
-            60_000,
-            60_000,
+        c.record(SpanKind::PolicyPlace, 60_000, 60_000, || {
             [
                 ("app", "a\"b".to_string().into()),
                 ("alarm", 7u64.into()),
                 ("placement", AttrValue::Indexed("existing:", 2)),
-            ],
-        );
+            ]
+        });
         span_at(&mut c, 70_000);
         let jsonl = c.to_jsonl();
         assert_eq!(jsonl.lines().count(), 2);

@@ -136,16 +136,13 @@ mod tests {
 
     fn sample_spans() -> SpanCollector {
         let mut c = SpanCollector::new(8);
-        c.record(SpanKind::WakeCycle, 100, 150, []);
-        c.record(
-            SpanKind::PolicyPlace,
-            120,
-            120,
+        c.record(SpanKind::WakeCycle, 100, 150, || []);
+        c.record(SpanKind::PolicyPlace, 120, 120, || {
             [
                 ("app", AttrValue::Static("mail")),
                 ("alarm", AttrValue::U64(7)),
-            ],
-        );
+            ]
+        });
         c
     }
 

@@ -925,7 +925,7 @@ impl Section for EventQueue {
         let (events, next_seq) = sim.events.snapshot();
         put(out, "next_seq", &next_seq);
         put_list(out, "events", "ev", events.iter());
-        let mut armed: Vec<(u8, u64)> = sim.armed.iter().copied().collect();
+        let mut armed = sim.armed.clone();
         armed.sort_unstable();
         put_list(out, "armed", "arm", armed.iter());
     }
@@ -933,7 +933,11 @@ impl Section for EventQueue {
     fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
         let next_seq = p.take("next_seq")?;
         sim.events = EventQueue::restore(p.list("events", "ev")?, next_seq);
-        sim.armed = p.list::<(u8, u64)>("armed", "arm")?.into_iter().collect();
+        // A set: a body listing a key twice restores it once.
+        let mut armed: Vec<(u8, u64)> = p.list("armed", "arm")?;
+        armed.sort_unstable();
+        armed.dedup();
+        sim.armed = armed;
         Ok(())
     }
 }

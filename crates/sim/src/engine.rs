@@ -17,8 +17,7 @@
 //! the power button) can be injected.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,36 +47,13 @@ use crate::overload::{RegistrationStormPlan, StormBurst};
 use crate::trace::{DeliveryRecord, InterventionKind, InterventionRecord, Trace};
 use crate::watchdog::OnlineWatchdogConfig;
 
-/// A tiny multiplicative hasher for the `(tag, millisecond)` armed-event
-/// dedup keys: the default SipHash dominates the per-event cost of this
-/// set, and HashDoS resistance buys nothing against simulator-generated
-/// keys. Iteration order is never observed (checkpoint capture sorts).
-#[derive(Default)]
-pub(crate) struct ArmedKeyHasher(u64);
-
-impl Hasher for ArmedKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.0 = (self.0 ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 32;
-    }
-}
-
-/// The armed-event dedup set (see [`ArmedKeyHasher`]).
-pub(crate) type ArmedSet = HashSet<(u8, u64), BuildHasherDefault<ArmedKeyHasher>>;
+/// The armed-event dedup set: one `(tag, millisecond)` key per pending
+/// deduplicated event (see `Simulation::schedule_once`), searched
+/// linearly. It stays small (at most 65 keys over CI's grids, in
+/// `standby repro`), so a scan of one short array beats hashing every
+/// insert and remove. Its order is never observed: checkpoint capture
+/// sorts it.
+pub(crate) type ArmedSet = Vec<(u8, u64)>;
 
 /// One outstanding task hold: who is keeping which hardware until when.
 /// The engine tracks these so the online watchdog (and the targeted
@@ -362,10 +338,12 @@ impl Simulation {
                         SpanKind::WatchdogIntervention,
                         t.as_millis(),
                         t.as_millis(),
-                        [
-                            ("app", app.to_string().into()),
-                            ("kind", "admission_demotion".into()),
-                        ],
+                        || {
+                            [
+                                ("app", app.to_string().into()),
+                                ("kind", "admission_demotion".into()),
+                            ]
+                        },
                     );
                 }
                 self.trace.record_intervention(InterventionRecord {
@@ -939,7 +917,7 @@ impl Simulation {
                         SpanKind::CheckpointWrite,
                         t.as_millis(),
                         t.as_millis(),
-                        [],
+                        || [],
                     );
                 }
                 if self.clocked() {
@@ -1001,12 +979,14 @@ impl Simulation {
                 SpanKind::DegradationTransition,
                 t.as_millis(),
                 t.as_millis(),
-                [
-                    ("from", from.name().to_owned().into()),
-                    ("to", target.name().to_owned().into()),
-                    ("soc_milli", soc.to_string().into()),
-                    ("restamped", restamped.to_string().into()),
-                ],
+                || {
+                    [
+                        ("from", from.name().to_owned().into()),
+                        ("to", target.name().to_owned().into()),
+                        ("soc_milli", soc.to_string().into()),
+                        ("restamped", restamped.to_string().into()),
+                    ]
+                },
             );
         }
         // Restamping re-placed every queued imperceptible alarm; the
@@ -1152,10 +1132,12 @@ impl Simulation {
                         SpanKind::WatchdogIntervention,
                         t.as_millis(),
                         t.as_millis(),
-                        [
-                            ("app", app.to_string().into()),
-                            ("kind", "quarantine".into()),
-                        ],
+                        || {
+                            [
+                                ("app", app.to_string().into()),
+                                ("kind", "quarantine".into()),
+                            ]
+                        },
                     );
                 }
                 self.trace.record_intervention(InterventionRecord {
@@ -1190,10 +1172,12 @@ impl Simulation {
                 SpanKind::WatchdogIntervention,
                 (now - held).as_millis(),
                 now.as_millis(),
-                [
-                    ("app", app.to_owned().into()),
-                    ("kind", "forced_release".into()),
-                ],
+                || {
+                    [
+                        ("app", app.to_owned().into()),
+                        ("kind", "forced_release".into()),
+                    ]
+                },
             );
         }
         self.trace.record_intervention(InterventionRecord {
@@ -1358,12 +1342,15 @@ impl Simulation {
             let batch = entries.len() as u64;
             for entry in entries.drain(..) {
                 self.trace.record_entry_delivery();
-                let alarms = entry.into_alarms();
+                let mut alarms = entry.into_alarms();
                 let entry_size = alarms.len();
+                let kind = alarms[0].kind();
                 self.obs.entry_delivered(entry_size);
-                for alarm in alarms {
+                for alarm in alarms.drain(..) {
                     self.deliver_alarm(alarm, t, entry_size);
                 }
+                // The emptied buffer hosts a later new entry.
+                self.manager.recycle(kind, alarms);
             }
             if let Some(t0) = t0 {
                 self.stages.add_batch(Stage::Delivery, t0.elapsed(), batch);
@@ -1428,10 +1415,12 @@ impl Simulation {
                 SpanKind::TaskRun,
                 t.as_millis(),
                 hold_until.as_millis(),
-                [
-                    ("app", Arc::clone(&label).into()),
-                    ("entry_size", entry_size.into()),
-                ],
+                || {
+                    [
+                        ("app", Arc::clone(&label).into()),
+                        ("entry_size", entry_size.into()),
+                    ]
+                },
             );
         }
         self.trace.record_delivery(rec);
@@ -1512,13 +1501,18 @@ impl Simulation {
     }
 
     fn schedule_once(&mut self, kind: EventKind, t: SimTime) {
-        if self.armed.insert((Self::tag(&kind), t.as_millis())) {
+        let key = (Self::tag(&kind), t.as_millis());
+        if !self.armed.contains(&key) {
+            self.armed.push(key);
             self.events.schedule(t, kind);
         }
     }
 
     fn disarm(&mut self, kind: &EventKind, t: SimTime) {
-        self.armed.remove(&(Self::tag(kind), t.as_millis()));
+        let key = (Self::tag(kind), t.as_millis());
+        if let Some(i) = self.armed.iter().position(|&k| k == key) {
+            self.armed.swap_remove(i);
+        }
     }
 
     fn tag(kind: &EventKind) -> u8 {

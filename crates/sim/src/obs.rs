@@ -459,17 +459,14 @@ impl ObsLayer {
         self.metrics.inc_counter(handle);
         let ordinal = self.alias(audit.alarm_id);
         let at = audit.at.as_millis();
-        self.spans.record(
-            SpanKind::PolicyPlace,
-            at,
-            at,
+        self.spans.record(SpanKind::PolicyPlace, at, at, || {
             [
                 ("app", Arc::clone(&audit.app).into()),
                 ("alarm", ordinal.into()),
                 ("placement", placement),
                 ("candidates", audit.candidates.len().into()),
-            ],
-        );
+            ]
+        });
         let evicted = if self.audits.len() == self.audit_capacity {
             self.audit_dropped += 1;
             self.audits.pop_front()
@@ -550,7 +547,7 @@ impl ObsLayer {
     pub(crate) fn wake_ended(&mut self, t: SimTime) {
         if let Some(start) = self.wake_open.take() {
             self.spans
-                .record(SpanKind::WakeCycle, start.as_millis(), t.as_millis(), []);
+                .record(SpanKind::WakeCycle, start.as_millis(), t.as_millis(), || []);
         }
     }
 

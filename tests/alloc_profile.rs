@@ -7,7 +7,9 @@
 //! about as often as its uninstrumented twin's. A counts-level run,
 //! which builds no span or audit at all, must allocate no more often
 //! than a full-level one, and a timed-level run exactly as often as a
-//! counts-level one. Restoring a checkpoint rebuilds its span
+//! counts-level one. An uninstrumented run's second half allocates
+//! nothing per delivery: a delivered entry's member buffer hosts a later
+//! new entry. Restoring a checkpoint rebuilds its span
 //! values, delivery labels and audits without a heap allocation per
 //! line: the heavy snapshot's restore is pinned to the count it makes.
 
@@ -161,6 +163,25 @@ fn a_counts_level_run_allocates_no_more_than_a_full_one() {
 }
 
 #[test]
+fn a_steady_state_run_allocates_nothing_per_delivery() {
+    let end = SimTime::ZERO + DURATION;
+    let mut sim = half_run(ObsLevel::Off);
+    let before = sim.trace().deliveries().len();
+    let allocs = allocations(|| sim.run_until(end));
+    let deliveries = sim.trace().deliveries().len() - before;
+    eprintln!("second half: {allocs} allocations for {deliveries} deliveries");
+    assert!(
+        deliveries > 500,
+        "a heavy second half: {deliveries} deliveries"
+    );
+    assert!(
+        allocs <= STEADY_ALLOCS,
+        "the second half allocated {allocs} times for {deliveries} deliveries \
+         (at most {STEADY_ALLOCS})"
+    );
+}
+
+#[test]
 fn restoring_a_heavy_snapshot_allocates_less_than_once_per_line() {
     let workload = WorkloadBuilder::heavy()
         .with_seed(1)
@@ -213,3 +234,12 @@ fn restoring_a_heavy_snapshot_allocates_less_than_once_per_line() {
 /// adds no allocation of its own. A reader that allocates per field or
 /// per line goes far past it.
 const RESTORE_ALLOCS: u64 = 1_215;
+
+/// What the second half of the Off-level heavy SIMTY run allocates, in
+/// debug and release builds alike: mostly the first join of an entry
+/// whose recycled buffer held one alarm (a fresh entry's buffer holds
+/// exactly one, and a join grows it once), plus a few growth steps of
+/// the run's lists. A delivered entry's buffer hosts a later new entry,
+/// so re-placing a repeating alarm allocates nothing itself; a build
+/// that allocates a buffer per new entry makes 262.
+const STEADY_ALLOCS: u64 = 28;
