@@ -243,7 +243,7 @@ pub(crate) const COMMANDS: &[Command] = commands! {
         "deadline-ms" N = "2000": "per-request deadline (slowloris gets 408)";
         "fault" PROFILE = "none": "network-fault drill: none|torn-read|short-write|stall|disconnect|mixed";
         "seed" N = "1": "fault-drill seed";
-        "max-run-minutes" N = "1440": "cap on POST /run simulated minutes";
+        "max-run-minutes" N = "1440": "cap on POST /run simulated minutes, and on how far past the live clock a now_ms may reach";
         "drain-after-ms" N = "0": "drain after N ms (0: run until SIGTERM)";
     }
     "serve-load" cmd_serve_load [SERVER]: "seeded open-loop load generator for serve" {

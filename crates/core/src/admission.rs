@@ -41,6 +41,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::alarm::Alarm;
+use crate::manager::AlarmManager;
 use crate::time::{SimDuration, SimTime};
 
 /// The admission class of a registration.
@@ -296,6 +298,36 @@ impl AdmissionController {
             demoted: state.demoted,
             newly_demoted,
         }
+    }
+
+    /// The registration front door: decides `alarm` at `now` under the
+    /// class its perceptibility gives it, and applies the decision. A
+    /// decision that demotes the app quarantines its queued alarms in
+    /// `manager` and this one; a deferral moves the nominal time to the
+    /// deferral horizon when that is later. The caller counts the outcome
+    /// and, on a rejection, drops the alarm.
+    pub fn admit(
+        &mut self,
+        alarm: &mut Alarm,
+        manager: &mut AlarmManager,
+        now: SimTime,
+    ) -> Admission {
+        let class = if alarm.is_perceptible() {
+            AppClass::Perceptible
+        } else {
+            AppClass::Deferrable
+        };
+        let outcome = self.decide(alarm.label(), class, now);
+        if outcome.newly_demoted {
+            manager.set_app_quarantined(alarm.label(), true);
+            alarm.set_quarantined(true);
+        }
+        if let AdmissionDecision::Defer { until } = outcome.decision {
+            if until > alarm.nominal() {
+                alarm.reschedule(until);
+            }
+        }
+        outcome
     }
 
     /// Whether `app` has been demoted (sticky).

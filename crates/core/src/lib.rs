@@ -48,7 +48,9 @@
 //!
 //! // The real-time clock would fire here:
 //! let t = manager.next_wakeup_time().expect("an alarm is queued");
-//! for entry in manager.pop_due_wakeup(t) {
+//! let mut due = Vec::new();
+//! manager.pop_due_into(t, &mut due);
+//! for entry in due {
 //!     for alarm in entry.into_alarms() {
 //!         manager.complete_delivery(alarm, t); // reinserts repeating alarms
 //!     }

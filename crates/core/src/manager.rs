@@ -410,34 +410,15 @@ impl AlarmManager {
         self.wakeup.next_delivery_time()
     }
 
-    /// Pops every wakeup entry due at or before `now`, advancing the
-    /// clock. The caller (the device/simulator) is responsible for
-    /// actually delivering them and then calling
-    /// [`complete_delivery`](Self::complete_delivery) per alarm.
-    pub fn pop_due_wakeup(&mut self, now: SimTime) -> Vec<QueueEntry> {
-        self.advance_clock(now);
-        self.wakeup.pop_due(now)
-    }
-
-    /// Buffer-reusing variant of [`pop_due_wakeup`](Self::pop_due_wakeup):
-    /// appends due entries into `out` instead of allocating a `Vec` per
-    /// call (the simulator calls this every delivery round).
-    pub fn pop_due_wakeup_into(&mut self, now: SimTime, out: &mut Vec<QueueEntry>) {
+    /// Pops every entry due at or before `now` into `out`, wakeup entries
+    /// first, then non-wakeup ones, and advances the clock to `now`. Call
+    /// it at a wake: non-wakeup alarms must not awaken the device, so
+    /// they wait for the next one (§2.1). The caller delivers the entries
+    /// and then calls [`complete_delivery`](Self::complete_delivery) per
+    /// alarm and [`recycle`](Self::recycle) per emptied buffer.
+    pub fn pop_due_into(&mut self, now: SimTime, out: &mut Vec<QueueEntry>) {
         self.advance_clock(now);
         self.wakeup.pop_due_into(now, out);
-    }
-
-    /// Pops every non-wakeup entry due at or before `now`. Only call while
-    /// the device is awake — non-wakeup alarms must not awaken it (§2.1).
-    pub fn pop_due_non_wakeup(&mut self, now: SimTime) -> Vec<QueueEntry> {
-        self.advance_clock(now);
-        self.non_wakeup.pop_due(now)
-    }
-
-    /// Buffer-reusing variant of
-    /// [`pop_due_non_wakeup`](Self::pop_due_non_wakeup).
-    pub fn pop_due_non_wakeup_into(&mut self, now: SimTime, out: &mut Vec<QueueEntry>) {
-        self.advance_clock(now);
         self.non_wakeup.pop_due_into(now, out);
     }
 
@@ -454,9 +435,8 @@ impl AlarmManager {
     /// reinserted, `None` for one-shot alarms.
     ///
     /// The alarm must have come out of
-    /// [`pop_due_wakeup`](Self::pop_due_wakeup) /
-    /// [`pop_due_non_wakeup`](Self::pop_due_non_wakeup) (or their `_into`
-    /// variants), so no stale copy of it is queued: unlike
+    /// [`pop_due_into`](Self::pop_due_into), so no stale copy of it is
+    /// queued: unlike
     /// [`register`](Self::register), the reinsertion validates, stamps
     /// the grace stretch and places the alarm without searching the queue
     /// for one. Debug builds check this precondition.
@@ -617,7 +597,8 @@ mod tests {
     fn pop_due_and_complete_delivery_reinserts_repeating() {
         let mut m = AlarmManager::new(Box::new(NativePolicy::new()));
         m.register(wifi_alarm("a", 100, 600, 0.0)).unwrap();
-        let due = m.pop_due_wakeup(SimTime::from_secs(100));
+        let mut due = Vec::new();
+        m.pop_due_into(SimTime::from_secs(100), &mut due);
         assert_eq!(due.len(), 1);
         assert_eq!(m.alarm_count(), 0);
         for entry in due {
@@ -644,8 +625,9 @@ mod tests {
     fn hardware_becomes_known_after_delivery() {
         let mut m = AlarmManager::new(Box::new(SimtyPolicy::new()));
         m.register(wifi_alarm("a", 100, 600, 0.75)).unwrap();
-        let due = m.pop_due_wakeup(SimTime::from_secs(100));
-        let alarm = due.into_iter().next().unwrap().into_alarms().pop().unwrap();
+        let mut due = Vec::new();
+        m.pop_due_into(SimTime::from_secs(100), &mut due);
+        let alarm = due.pop().unwrap().into_alarms().pop().unwrap();
         assert!(!alarm.is_hardware_known());
         m.complete_delivery(alarm, SimTime::from_secs(100));
         let requeued = &m.wakeup_queue().entries()[0].alarms()[0];
@@ -661,14 +643,9 @@ mod tests {
             .build()
             .unwrap();
         m.register(one_shot).unwrap();
-        let alarm = m
-            .pop_due_wakeup(SimTime::from_secs(10))
-            .into_iter()
-            .next()
-            .unwrap()
-            .into_alarms()
-            .pop()
-            .unwrap();
+        let mut due = Vec::new();
+        m.pop_due_into(SimTime::from_secs(10), &mut due);
+        let alarm = due.pop().unwrap().into_alarms().pop().unwrap();
         assert_eq!(m.complete_delivery(alarm, SimTime::from_secs(10)), None);
         assert_eq!(m.alarm_count(), 0);
     }
@@ -725,8 +702,10 @@ mod tests {
         assert_eq!(m.non_wakeup_queue().alarm_count(), 1);
         // Non-wakeup alarms never drive the RTC.
         assert_eq!(m.next_wakeup_time(), Some(SimTime::from_secs(100)));
-        let due = m.pop_due_non_wakeup(SimTime::from_secs(150));
-        assert_eq!(due.len(), 1);
+        let mut due = Vec::new();
+        m.pop_due_into(SimTime::from_secs(150), &mut due);
+        let kinds: Vec<AlarmKind> = due.iter().map(|e| e.alarms()[0].kind()).collect();
+        assert_eq!(kinds, [AlarmKind::Wakeup, AlarmKind::NonWakeup]);
     }
 
     #[test]

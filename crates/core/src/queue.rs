@@ -32,8 +32,9 @@
 //!   member through `remove_alarm`), and
 //!   [`AlarmQueue::insert_new_entry`] takes one of these spares before it
 //!   allocates, so a steady-state delivery allocates nothing. A fresh
-//!   entry still gets a one-alarm buffer. The spares are capacity only:
-//!   never persisted, cloned, compared or printed.
+//!   entry still gets a one-alarm buffer, and a buffer that grew past
+//!   [`MAX_SPARE_CAPACITY`] is freed rather than kept. The spares are
+//!   capacity only: never persisted, cloned, compared or printed.
 //!
 //! The pre-rotation queue, which removed and re-inserted the whole entry,
 //! scanned every entry for every lookup and shifted the whole queue on a
@@ -45,6 +46,9 @@ use std::fmt;
 use crate::alarm::{Alarm, AlarmId};
 use crate::entry::{DeliveryDiscipline, QueueEntry};
 use crate::time::SimTime;
+
+/// The largest member-buffer capacity [`AlarmQueue::recycle`] keeps.
+pub const MAX_SPARE_CAPACITY: usize = 16;
 
 /// A delivery-time-ordered queue of [`QueueEntry`] batches.
 ///
@@ -152,9 +156,11 @@ impl AlarmQueue {
 
     /// Keeps `buffer`, a delivered entry's member list, for a later
     /// [`insert_new_entry`](Self::insert_new_entry). Its alarms are
-    /// dropped; a buffer that never allocated is not kept.
+    /// dropped. A buffer that never allocated is not kept, and neither is
+    /// one above [`MAX_SPARE_CAPACITY`]: a spare keeps the capacity of the
+    /// largest entry it held and would hand it to a one-alarm entry.
     pub fn recycle(&mut self, mut buffer: Vec<Alarm>) {
-        if buffer.capacity() > 0 {
+        if (1..=MAX_SPARE_CAPACITY).contains(&buffer.capacity()) {
             buffer.clear();
             self.spare.push(buffer);
         }
@@ -531,6 +537,27 @@ mod tests {
                 .into_alarms(),
         );
         assert_eq!((q.spare.len(), q.clone().spare.len()), (1, 0));
+    }
+
+    #[test]
+    fn a_buffer_over_the_cap_is_dropped_not_kept() {
+        let mut q = AlarmQueue::new();
+        let mut big = Vec::with_capacity(MAX_SPARE_CAPACITY + 1);
+        big.push(alarm_at("a", 100));
+        q.recycle(big);
+        q.recycle(Vec::with_capacity(MAX_SPARE_CAPACITY));
+        assert_eq!(q.spare.len(), 1, "only the buffer at the cap is kept");
+        // A one-alarm entry takes the kept spare, then a fresh buffer; it
+        // never inherits a capacity above the cap.
+        for t in [200, 300] {
+            q.insert_new_entry(alarm_at("b", t), DeliveryDiscipline::Window);
+        }
+        let popped = q.pop_due(SimTime::from_secs(300));
+        let capacities: Vec<usize> = popped
+            .into_iter()
+            .map(|e| e.into_alarms().capacity())
+            .collect();
+        assert_eq!(capacities, [MAX_SPARE_CAPACITY, 1]);
     }
 
     #[test]

@@ -1,12 +1,25 @@
 //! The live multi-tenant scheduler behind `standby serve`'s alarm API.
 //!
 //! Each tenant (an app, keyed by a URL-safe name) registers, cancels,
-//! and queries alarms against one shared [`AlarmManager`], with the
-//! [`AdmissionController`] in front as *real* request-level rate
+//! and queries alarms against one shared [`AlarmManager`]. A registration
+//! goes through the simulator's front door,
+//! [`AdmissionController::admit`], as *real* request-level rate
 //! limiting: a `Reject` becomes `429 Too Many Requests` with a
-//! `Retry-After` derived from the typed `retry_after`, a `Defer`
-//! postpones the nominal time, and demotion quarantines the tenant's
-//! alarms exactly as it does inside the simulator.
+//! `Retry-After` derived from the typed `retry_after`, and demotion
+//! quarantines the tenant's alarms exactly as it does inside the
+//! simulator. Serve defers nothing: a client-declared hardware set does
+//! not count as known, so every fresh alarm is perceptible, and the
+//! perceptible class is never deferred.
+//!
+//! Delivery follows the simulator's rule too (§2.1).
+//! [`LiveScheduler::advance`] wakes at every wakeup-queue head up to the
+//! new clock, delivers each instance of a repeating alarm at its own
+//! wake, and holds a due non-wakeup alarm until the next wake, so one far
+//! advance delivers what many short ones do. A registration's `now_ms`
+//! advances the same way first. The device it models has no wake latency
+//! and no task time: `task_ms` is carried, never run. The `live_oracle`
+//! tests drive one script through this scheduler and through the
+//! simulator and compare what each delivered.
 //!
 //! Two serialized views exist:
 //!
@@ -30,7 +43,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use simty::core::{AdmissionConfig, AdmissionController, AdmissionDecision, AppClass};
+use simty::core::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use simty::experiments::PolicyKind;
 use simty::prelude::{
     Alarm, AlarmId, AlarmKind, AlarmManager, HardwareSet, QueueEntry, SimDuration, SimTime,
@@ -95,8 +108,8 @@ pub struct RegisterRequest {
     pub hardware_bits: u16,
     /// Post-delivery task duration.
     pub task_ms: u64,
-    /// Advance the scheduler clock to this time first (monotone; a
-    /// lagging value is ignored).
+    /// Advance the scheduler to this time first, delivering what falls
+    /// due (see [`LiveScheduler::advance`]; a lagging value is ignored).
     pub now_ms: Option<u64>,
 }
 
@@ -205,6 +218,8 @@ pub struct LiveScheduler {
     /// Raw alarm id → tenant-local ordinal; the tenant is the alarm's
     /// own label.
     index: BTreeMap<u64, u64>,
+    /// The entries one delivery round pops, kept across rounds and calls.
+    due: Vec<QueueEntry>,
 }
 
 impl LiveScheduler {
@@ -232,6 +247,7 @@ impl LiveScheduler {
             admission: AdmissionController::new(config),
             tenants: BTreeMap::new(),
             index: BTreeMap::new(),
+            due: Vec::new(),
         })
     }
 
@@ -260,16 +276,6 @@ impl LiveScheduler {
         self.manager.next_wakeup_time().map(SimTime::as_millis)
     }
 
-    fn advance_to(&mut self, now_ms: Option<u64>) -> SimTime {
-        if let Some(ms) = now_ms {
-            let t = SimTime::from_millis(ms);
-            if t > self.manager.now() {
-                self.manager.advance_clock(t);
-            }
-        }
-        self.manager.now()
-    }
-
     /// The tenant's state, created on its first appearance (the only
     /// time its name is copied).
     fn tenant_mut(&mut self, name: &str) -> &mut Tenant {
@@ -287,7 +293,10 @@ impl LiveScheduler {
                 detail: format!("tenant must be 1..={MAX_TENANT_LEN} chars of [A-Za-z0-9_.-]"),
             };
         }
-        let now = self.advance_to(req.now_ms);
+        if let Some(ms) = req.now_ms {
+            self.advance(ms);
+        }
+        let now = self.manager.now();
 
         let mut builder = Alarm::builder(req.tenant.as_str())
             .nominal(SimTime::from_millis(req.nominal_ms))
@@ -323,18 +332,12 @@ impl LiveScheduler {
             }
         };
 
-        let class = if alarm.is_perceptible() {
-            AppClass::Perceptible
-        } else {
-            AppClass::Deferrable
-        };
-        let admission = self.admission.decide(&req.tenant, class, now);
-        if admission.newly_demoted {
-            self.manager.set_app_quarantined(&req.tenant, true);
-        }
-        if admission.demoted {
+        // Demotion is a sticky quarantine: a demoted tenant's later alarms
+        // arrive quarantined, and admission classes them so.
+        if self.admission.is_demoted(&req.tenant) {
             alarm.set_quarantined(true);
         }
+        let admission = self.admission.admit(&mut alarm, &mut self.manager, now);
         let deferred_to_ms = match admission.decision {
             AdmissionDecision::Reject { retry_after } => {
                 self.tenant_mut(&req.tenant).rejected += 1;
@@ -342,11 +345,8 @@ impl LiveScheduler {
                     retry_after_ms: retry_after.as_millis(),
                 };
             }
-            AdmissionDecision::Defer { until } if until > alarm.nominal() => {
-                alarm.reschedule(until);
-                Some(until.as_millis())
-            }
-            AdmissionDecision::Defer { .. } | AdmissionDecision::Admit => None,
+            AdmissionDecision::Defer { .. } => Some(alarm.nominal().as_millis()),
+            AdmissionDecision::Admit => None,
         };
 
         let id = match self.manager.register(alarm) {
@@ -392,38 +392,66 @@ impl LiveScheduler {
         cancelled
     }
 
-    /// Advances the clock and delivers everything due at or before it.
+    /// Advances the clock to `now_ms`, delivering by the simulator's
+    /// rule: the scheduler wakes at each wakeup-queue head due at or
+    /// before `now_ms`, and each wake delivers every wakeup and
+    /// non-wakeup entry due by then. A non-wakeup alarm waits for the
+    /// next wake, and each instance of a repeating alarm is delivered at
+    /// its own wake, so one far advance delivers what many short ones
+    /// would. A lagging `now_ms` delivers nothing and leaves the clock.
     /// Returns the number of alarms delivered.
     pub fn advance(&mut self, now_ms: u64) -> u64 {
-        let now = self.advance_to(Some(now_ms));
-        let mut delivered = 0u64;
-        let due: Vec<QueueEntry> = self
-            .manager
-            .pop_due_wakeup(now)
-            .into_iter()
-            .chain(self.manager.pop_due_non_wakeup(now))
-            .collect();
-        for entry in due {
-            for alarm in entry.into_alarms() {
-                let raw = alarm.id().as_u64();
-                let mut state = if self.index.contains_key(&raw) {
-                    self.tenants.get_mut(alarm.label())
-                } else {
-                    None
-                };
-                if let Some(state) = &mut state {
-                    state.delivered += 1;
+        let end = SimTime::from_millis(now_ms);
+        let mut delivered = 0;
+        while let Some(wake) = self.manager.next_wakeup_time().filter(|&t| t <= end) {
+            delivered += self.deliver_due(wake.max(self.manager.now()));
+        }
+        self.manager.advance_clock(end);
+        delivered
+    }
+
+    /// One wake at `t`: pops and completes what is due, as the engine's
+    /// `deliver_due` does, for up to 64 rounds while completions leave
+    /// entries due at `t`.
+    fn deliver_due(&mut self, t: SimTime) -> u64 {
+        let mut delivered = 0;
+        let mut entries = std::mem::take(&mut self.due);
+        for _round in 0..64 {
+            self.manager.pop_due_into(t, &mut entries);
+            if entries.is_empty() {
+                break;
+            }
+            for entry in entries.drain(..) {
+                let mut alarms = entry.into_alarms();
+                let kind = alarms[0].kind();
+                delivered += alarms.len() as u64;
+                for alarm in alarms.drain(..) {
+                    self.complete(alarm, t);
                 }
-                delivered += 1;
-                if self.manager.complete_delivery(alarm, now).is_none() {
-                    // One-shot: the alarm is gone for good.
-                    if let (Some(ordinal), Some(state)) = (self.index.remove(&raw), state) {
-                        state.alarms.remove(&ordinal);
-                    }
-                }
+                self.manager.recycle(kind, alarms);
             }
         }
+        self.due = entries;
         delivered
+    }
+
+    /// Counts one delivery to the alarm's tenant and re-queues a
+    /// repeating alarm; a one-shot one leaves its tenant's map.
+    fn complete(&mut self, alarm: Alarm, t: SimTime) {
+        let raw = alarm.id().as_u64();
+        let mut state = if self.index.contains_key(&raw) {
+            self.tenants.get_mut(alarm.label())
+        } else {
+            None
+        };
+        if let Some(state) = &mut state {
+            state.delivered += 1;
+        }
+        if self.manager.complete_delivery(alarm, t).is_none() {
+            if let (Some(ordinal), Some(state)) = (self.index.remove(&raw), state) {
+                state.alarms.remove(&ordinal);
+            }
+        }
     }
 
     /// A tenant's counters and live alarms, ordinal-ordered.
@@ -667,6 +695,7 @@ impl LiveScheduler {
             admission: AdmissionController::restore(config, apps),
             tenants,
             index,
+            due: Vec::new(),
         })
     }
 }

@@ -71,6 +71,14 @@ use crate::transport::{FaultCounters, FaultPlan};
 /// The checkpoint policy tag live-scheduler snapshots are filed under.
 pub const CHECKPOINT_POLICY: &str = "serve-live";
 
+/// The largest time a request may carry, in milliseconds: 2^53, the
+/// largest integer a JSON number carries exactly.
+const MAX_TIME_MS: u64 = 1 << 53;
+
+/// The shortest repeating interval `POST /v1/register` accepts: Table 3's
+/// shortest ReIn and Android's floor for repeating alarms.
+const MIN_REPEAT_MS: u64 = 60_000;
+
 /// How often [`ServerHandle::join`] on an un-drained server looks for
 /// the signal flag, which nothing can wake it for.
 const TRIGGER_POLL: Duration = Duration::from_millis(25);
@@ -107,7 +115,8 @@ pub struct ServeConfig {
     pub fault: FaultPlan,
     /// Seed for the fault drill's per-connection schedules.
     pub seed: u64,
-    /// Cap on `POST /run` simulated duration, in minutes.
+    /// Cap on `POST /run` simulated duration, in minutes, and on how far
+    /// past the live scheduler's clock a request's `now_ms` may reach.
     pub max_run_minutes: u64,
 }
 
@@ -652,12 +661,7 @@ fn dispatch(req: &Request<'_>, shared: &Shared) -> Response {
         }
         ("GET", "/v1/query") => {
             let Some(tenant) = req.query_param("tenant") else {
-                return Response::error_json(
-                    400,
-                    "Bad Request",
-                    "missing-tenant",
-                    "query needs ?tenant=<name>",
-                );
+                return bad_request("missing-tenant", "query needs ?tenant=<name>");
             };
             match shared.live.lock().query(tenant) {
                 None => Response::error_json(
@@ -695,10 +699,10 @@ fn dispatch(req: &Request<'_>, shared: &Shared) -> Response {
                 }
             }
         }
-        ("POST", "/v1/register") => handle_register(req, shared),
-        ("POST", "/v1/cancel") => handle_cancel(req, shared),
-        ("POST", "/v1/advance") => handle_advance(req, shared),
-        ("POST", "/run") => handle_run(req, shared),
+        ("POST", "/v1/register") => handle_register(req, shared).unwrap_or_else(|e| e),
+        ("POST", "/v1/cancel") => handle_cancel(req, shared).unwrap_or_else(|e| e),
+        ("POST", "/v1/advance") => handle_advance(req, shared).unwrap_or_else(|e| e),
+        ("POST", "/run") => handle_run(req, shared).unwrap_or_else(|e| e),
         ("POST", "/admin/drain") => {
             shared.drain_and_wake();
             Response::ok_json("{\"draining\":true}".to_owned()).with_close()
@@ -715,8 +719,8 @@ fn dispatch(req: &Request<'_>, shared: &Shared) -> Response {
 fn parse_body(req: &Request<'_>) -> Result<JsonValue, Response> {
     let text = req
         .body_utf8()
-        .ok_or_else(|| Response::error_json(400, "Bad Request", "bad-body", "body is not UTF-8"))?;
-    JsonValue::parse(text).map_err(|e| Response::error_json(400, "Bad Request", "bad-json", &e))
+        .ok_or_else(|| bad_request("bad-body", "body is not UTF-8"))?;
+    JsonValue::parse(text).map_err(|e| bad_request("bad-json", &e))
 }
 
 fn num_field(body: &JsonValue, key: &str) -> Option<f64> {
@@ -727,48 +731,17 @@ fn u64_field(body: &JsonValue, key: &str) -> Option<u64> {
     num_field(body, key).map(|v| v.max(0.0) as u64)
 }
 
-fn handle_register(req: &Request<'_>, shared: &Shared) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
+/// The `POST` handlers answer a request they refuse with `Err`.
+type Handled = Result<Response, Response>;
+
+fn handle_register(req: &Request<'_>, shared: &Shared) -> Handled {
+    let request = register_request(&parse_body(req)?)?;
+    let outcome = {
+        let mut live = shared.live.lock();
+        check_horizon(&live, request.now_ms, shared.max_run_minutes)?;
+        live.register(&request)
     };
-    let Some(tenant) = body.get("tenant").and_then(JsonValue::as_str) else {
-        return Response::error_json(400, "Bad Request", "missing-tenant", "body needs `tenant`");
-    };
-    let Some(nominal_ms) = u64_field(&body, "nominal_ms") else {
-        return Response::error_json(
-            400,
-            "Bad Request",
-            "missing-nominal",
-            "body needs numeric `nominal_ms`",
-        );
-    };
-    let request = RegisterRequest {
-        tenant: tenant.to_owned(),
-        nominal_ms,
-        repeat_ms: u64_field(&body, "repeat_ms"),
-        repeat_dynamic: body
-            .get("repeat")
-            .and_then(JsonValue::as_str)
-            .map(|s| s == "dynamic")
-            .unwrap_or(false),
-        window_ms: u64_field(&body, "window_ms"),
-        alpha: num_field(&body, "alpha"),
-        grace_ms: u64_field(&body, "grace_ms"),
-        beta: num_field(&body, "beta"),
-        non_wakeup: body
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .map(|s| s == "non-wakeup")
-            .unwrap_or(false),
-        hardware_bits: u64_field(&body, "hardware")
-            .unwrap_or(0)
-            .min(u64::from(u16::MAX)) as u16,
-        task_ms: u64_field(&body, "task_ms").unwrap_or(0),
-        now_ms: u64_field(&body, "now_ms"),
-    };
-    let outcome = shared.live.lock().register(&request);
-    match outcome {
+    Ok(match outcome {
         RegisterOutcome::Admitted {
             ordinal,
             id,
@@ -784,107 +757,151 @@ fn handle_register(req: &Request<'_>, shared: &Shared) -> Response {
             &format!("admission rejected the registration; retry in {retry_after_ms} ms"),
         )
         .with_retry_after_secs(retry_after_ms.div_ceil(1_000)),
-        RegisterOutcome::Invalid { code, detail } => {
-            Response::error_json(400, "Bad Request", code, &detail)
-        }
+        RegisterOutcome::Invalid { code, detail } => bad_request(code, &detail),
+    })
+}
+
+/// A `POST /v1/register` body's fields, each time field at most 2^53 ms
+/// and a repeating interval at least [`MIN_REPEAT_MS`].
+fn register_request(body: &JsonValue) -> Result<RegisterRequest, Response> {
+    let tenant = body.get("tenant").and_then(JsonValue::as_str);
+    let tenant = tenant.ok_or_else(|| bad_request("missing-tenant", "body needs `tenant`"))?;
+    let nominal_ms = time_field(body, "nominal_ms")?
+        .ok_or_else(|| bad_request("missing-nominal", "body needs numeric `nominal_ms`"))?;
+    let repeat_ms = time_field(body, "repeat_ms")?;
+    if repeat_ms.is_some_and(|ms| ms < MIN_REPEAT_MS) {
+        return Err(bad_request(
+            "repeat-too-short",
+            &format!("`repeat_ms` must be at least {MIN_REPEAT_MS}"),
+        ));
+    }
+    let token = |key| body.get(key).and_then(JsonValue::as_str);
+    Ok(RegisterRequest {
+        tenant: tenant.to_owned(),
+        nominal_ms,
+        repeat_ms,
+        repeat_dynamic: token("repeat") == Some("dynamic"),
+        window_ms: time_field(body, "window_ms")?,
+        alpha: num_field(body, "alpha"),
+        grace_ms: time_field(body, "grace_ms")?,
+        beta: num_field(body, "beta"),
+        non_wakeup: token("kind") == Some("non-wakeup"),
+        hardware_bits: u64_field(body, "hardware")
+            .unwrap_or(0)
+            .min(u64::from(u16::MAX)) as u16,
+        task_ms: time_field(body, "task_ms")?.unwrap_or(0),
+        now_ms: time_field(body, "now_ms")?,
+    })
+}
+
+/// A time field in milliseconds, `None` when absent: a typed 400 above
+/// [`MAX_TIME_MS`], where a JSON number stops carrying every integer.
+fn time_field(body: &JsonValue, key: &str) -> Result<Option<u64>, Response> {
+    match u64_field(body, key) {
+        Some(ms) if ms > MAX_TIME_MS => Err(bad_request(
+            "time-out-of-range",
+            &format!("`{key}` must be at most {MAX_TIME_MS} ms"),
+        )),
+        ms => Ok(ms),
     }
 }
 
-fn handle_cancel(req: &Request<'_>, shared: &Shared) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+/// Refuses a `now_ms` more than `--max-run-minutes` past the scheduler
+/// clock: an advance delivers every instance it passes, so its work
+/// grows with the span it covers.
+fn check_horizon(live: &LiveScheduler, now_ms: Option<u64>, minutes: u64) -> Result<(), Response> {
+    let clock = live.now().as_millis();
+    let limit = clock.saturating_add(minutes.saturating_mul(60_000));
+    match now_ms {
+        Some(ms) if ms > limit => Err(bad_request(
+            "advance-too-far",
+            &format!("`now_ms` may be at most {minutes} minutes past the clock: {limit}"),
+        )),
+        _ => Ok(()),
+    }
+}
+
+fn bad_request(code: &str, detail: &str) -> Response {
+    Response::error_json(400, "Bad Request", code, detail)
+}
+
+fn handle_cancel(req: &Request<'_>, shared: &Shared) -> Handled {
+    let body = parse_body(req)?;
     let (Some(tenant), Some(ordinal)) = (
         body.get("tenant").and_then(JsonValue::as_str),
         u64_field(&body, "ordinal"),
     ) else {
-        return Response::error_json(
-            400,
-            "Bad Request",
+        return Err(bad_request(
             "missing-fields",
             "body needs `tenant` and numeric `ordinal`",
-        );
+        ));
     };
     if shared.live.lock().cancel(tenant, ordinal) {
-        Response::ok_json("{\"cancelled\":true}".to_owned())
+        Ok(Response::ok_json("{\"cancelled\":true}".to_owned()))
     } else {
-        Response::error_json(
+        Err(Response::error_json(
             404,
             "Not Found",
             "no-such-alarm",
             &format!("tenant `{tenant}` has no live alarm with ordinal {ordinal}"),
-        )
+        ))
     }
 }
 
-fn handle_advance(req: &Request<'_>, shared: &Shared) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
+fn handle_advance(req: &Request<'_>, shared: &Shared) -> Handled {
+    let now_ms = time_field(&parse_body(req)?, "now_ms")?
+        .ok_or_else(|| bad_request("missing-now", "body needs numeric `now_ms`"))?;
+    let delivered = {
+        let mut live = shared.live.lock();
+        check_horizon(&live, Some(now_ms), shared.max_run_minutes)?;
+        live.advance(now_ms)
     };
-    let Some(now_ms) = u64_field(&body, "now_ms") else {
-        return Response::error_json(
-            400,
-            "Bad Request",
-            "missing-now",
-            "body needs numeric `now_ms`",
-        );
-    };
-    let delivered = shared.live.lock().advance(now_ms);
-    Response::ok_json(format!("{{\"delivered\":{delivered},\"now_ms\":{now_ms}}}"))
+    Ok(Response::ok_json(format!(
+        "{{\"delivered\":{delivered},\"now_ms\":{now_ms}}}"
+    )))
 }
 
-fn handle_run(req: &Request<'_>, shared: &Shared) -> Response {
+fn handle_run(req: &Request<'_>, shared: &Shared) -> Handled {
     use simty::experiments::{RunSpec, Scenario};
 
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+    let body = parse_body(req)?;
     let policy_token = body
         .get("policy")
         .and_then(JsonValue::as_str)
         .unwrap_or("simty");
     let Some(policy) = crate::live::parse_policy_token(policy_token) else {
-        return Response::error_json(
-            400,
-            "Bad Request",
+        return Err(bad_request(
             "bad-policy",
             &format!("unknown policy `{policy_token}`"),
-        );
+        ));
     };
     let scenario = match body.get("scenario").and_then(JsonValue::as_str) {
         None | Some("light") => Scenario::Light,
         Some("heavy") => Scenario::Heavy,
         Some(other) => {
-            return Response::error_json(
-                400,
-                "Bad Request",
+            return Err(bad_request(
                 "bad-scenario",
                 &format!("unknown scenario `{other}` (light|heavy)"),
-            )
+            ))
         }
     };
     let seed = u64_field(&body, "seed").unwrap_or(1);
     let minutes = u64_field(&body, "minutes").unwrap_or(60);
     if minutes == 0 || minutes > shared.max_run_minutes {
-        return Response::error_json(
-            400,
-            "Bad Request",
+        return Err(bad_request(
             "bad-duration",
             &format!("minutes must be in 1..={}", shared.max_run_minutes),
-        );
+        ));
     }
     let mut spec =
         RunSpec::paper(policy, scenario, seed).with_duration(SimDuration::from_mins(minutes));
     if let Some(beta) = num_field(&body, "beta") {
         if !(0.0..1.0).contains(&beta) {
-            return Response::error_json(400, "Bad Request", "bad-beta", "beta must be in [0, 1)");
+            return Err(bad_request("bad-beta", "beta must be in [0, 1)"));
         }
         spec = spec.with_beta(beta);
     }
     spec.no_obs = true;
     let report = spec.run();
-    Response::ok_json(simty::sim::json::report_to_json(&report))
+    Ok(Response::ok_json(simty::sim::json::report_to_json(&report)))
 }

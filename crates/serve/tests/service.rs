@@ -257,6 +257,94 @@ fn oversized_and_malformed_requests_get_typed_errors() {
     assert_eq!(drain.invariant_violations, 0);
 }
 
+/// Time fields past what a JSON number carries exactly, a clock jump past
+/// `--max-run-minutes`, and a repeat below a minute each get a typed 400
+/// before the scheduler sees them: a saturated `now_ms` would spin the
+/// delivery loop under the scheduler lock, and a saturated window, grace
+/// or nominal would overflow the alarm's time arithmetic.
+#[test]
+fn hostile_time_fields_get_typed_400s() {
+    let handle = spawn(ServeConfig::default()).expect("spawn");
+    let addr = handle.addr().to_string();
+    let live = post(
+        &addr,
+        "/v1/register",
+        "{\"tenant\":\"mail\",\"nominal_ms\":60000,\"repeat_ms\":60000}",
+    );
+    assert_eq!(status_of(&live), 200, "{live}");
+
+    let reg = |extra: &str| format!("{{\"tenant\":\"mail\",\"nominal_ms\":120000{extra}}}");
+    let day_ms = 24 * 60 * 60_000;
+    let cases = [
+        (
+            "/v1/advance",
+            "{\"now_ms\":1e30}".to_owned(),
+            "time-out-of-range",
+        ),
+        (
+            "/v1/advance",
+            "{\"now_ms\":1e16}".to_owned(),
+            "time-out-of-range",
+        ),
+        (
+            "/v1/advance",
+            format!("{{\"now_ms\":{}}}", day_ms + 1),
+            "advance-too-far",
+        ),
+        ("/v1/register", reg(",\"now_ms\":1e30"), "time-out-of-range"),
+        (
+            "/v1/register",
+            reg(&format!(",\"now_ms\":{}", day_ms + 1)),
+            "advance-too-far",
+        ),
+        (
+            "/v1/register",
+            reg(",\"repeat_ms\":600000,\"window_ms\":18446744073709551615"),
+            "time-out-of-range",
+        ),
+        (
+            "/v1/register",
+            reg(",\"repeat_ms\":600000,\"grace_ms\":18446744073709551615"),
+            "time-out-of-range",
+        ),
+        (
+            "/v1/register",
+            "{\"tenant\":\"mail\",\"nominal_ms\":18446744073709551000,\"repeat_ms\":600000}"
+                .to_owned(),
+            "time-out-of-range",
+        ),
+        (
+            "/v1/register",
+            reg(",\"repeat_ms\":1e30"),
+            "time-out-of-range",
+        ),
+        (
+            "/v1/register",
+            reg(",\"task_ms\":1e30"),
+            "time-out-of-range",
+        ),
+        (
+            "/v1/register",
+            reg(",\"repeat_ms\":59999"),
+            "repeat-too-short",
+        ),
+        ("/v1/register", reg(",\"repeat_ms\":0"), "repeat-too-short"),
+    ];
+    for (path, body, code) in cases {
+        let response = post(&addr, path, &body);
+        assert_eq!(status_of(&response), 400, "{path} {body}: {response}");
+        assert!(response.contains(code), "{path} {body}: {response}");
+        assert_eq!(status_of(&get(&addr, "/healthz")), 200, "after {body}");
+    }
+    // At the limit the clock moves a day and delivers every instance.
+    let day = post(&addr, "/v1/advance", &format!("{{\"now_ms\":{day_ms}}}"));
+    assert!(day.contains("\"delivered\":1440"), "{day}");
+
+    handle.shutdown();
+    let drain = handle.join();
+    assert_eq!(drain.invariant_violations, 0);
+}
+
 #[test]
 fn drain_finishes_in_flight_and_restart_resumes_byte_identically() {
     drain_and_restart("serve-drain", |_| {});

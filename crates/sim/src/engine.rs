@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use simty_core::admission::{AdmissionController, AdmissionDecision, AppClass};
+use simty_core::admission::{AdmissionController, AdmissionDecision};
 use simty_core::alarm::{Alarm, AlarmId, AlarmKind};
 use simty_core::audit::AuditLevel;
 use simty_core::entry::QueueEntry;
@@ -301,13 +301,8 @@ impl Simulation {
             }
         }
         if let Some(ctl) = &mut self.admission {
-            let class = if alarm.is_perceptible() {
-                AppClass::Perceptible
-            } else {
-                AppClass::Deferrable
-            };
             let t = self.now;
-            let outcome = ctl.decide(alarm.label(), class, t);
+            let outcome = ctl.admit(&mut alarm, &mut self.manager, t);
             if self.obs.on() {
                 let key = match outcome.decision {
                     AdmissionDecision::Admit => "sim_admission_decisions_total{decision=\"admit\"}",
@@ -323,11 +318,10 @@ impl Simulation {
             if outcome.newly_demoted {
                 // A storm offender crossed the demotion threshold: it
                 // joins the same quarantine ledger the watchdog uses, so
-                // the sentence is sticky across cancel/re-register and
-                // the demoted app's alarms turn imperceptible.
+                // the sentence is sticky across cancel/re-register.
+                // `admit` has already quarantined its alarms.
                 self.overload.demotions += 1;
                 let app = alarm.label().to_owned();
-                self.manager.set_app_quarantined(&app, true);
                 self.quarantined.insert(app.to_string(), (t, 0));
                 if self.obs.on() {
                     self.obs.metrics.inc("sim_admission_demotions_total");
@@ -352,16 +346,10 @@ impl Simulation {
                     kind: InterventionKind::Quarantine,
                     overhead_mj: 0.0,
                 });
-                alarm.set_quarantined(true);
             }
             match outcome.decision {
                 AdmissionDecision::Admit => self.overload.admitted += 1,
-                AdmissionDecision::Defer { until } => {
-                    self.overload.deferred += 1;
-                    if until > alarm.nominal() {
-                        alarm.reschedule(until);
-                    }
-                }
+                AdmissionDecision::Defer { .. } => self.overload.deferred += 1,
                 AdmissionDecision::Reject { retry_after } => {
                     self.overload.rejected += 1;
                     return Err(RegisterAlarmError::QuotaExceeded {
@@ -1323,12 +1311,10 @@ impl Simulation {
             entries.clear();
             if self.clocked() {
                 let t0 = Instant::now();
-                self.manager.pop_due_wakeup_into(t, &mut entries);
-                self.manager.pop_due_non_wakeup_into(t, &mut entries);
+                self.manager.pop_due_into(t, &mut entries);
                 self.stages.add(Stage::QueueSearch, t0.elapsed());
             } else {
-                self.manager.pop_due_wakeup_into(t, &mut entries);
-                self.manager.pop_due_non_wakeup_into(t, &mut entries);
+                self.manager.pop_due_into(t, &mut entries);
             }
             if entries.is_empty() {
                 self.due_buffer = entries;

@@ -427,10 +427,9 @@ proptest! {
                 }
                 RequeueOp::Deliver(dt) => {
                     now += SimDuration::from_secs(dt);
-                    let mut due = fast.pop_due_wakeup(now);
-                    due.extend(fast.pop_due_non_wakeup(now));
-                    let mut due_ref = reference.pop_due_wakeup(now);
-                    due_ref.extend(reference.pop_due_non_wakeup(now));
+                    let (mut due, mut due_ref) = (Vec::new(), Vec::new());
+                    fast.pop_due_into(now, &mut due);
+                    reference.pop_due_into(now, &mut due_ref);
                     let ids = |d: &[QueueEntry]| -> Vec<AlarmId> {
                         d.iter().flat_map(|e| e.alarms().iter().map(Alarm::id)).collect()
                     };
