@@ -1381,6 +1381,24 @@ mod tests {
             "{message}"
         );
         assert!(serve("simty").is_ok());
+        // An earlier build's `serve-live/v1` payload is refused, naming
+        // both layouts.
+        let v1 = "serve-live/v1\npolicy=simty\nclock=0\nconfig=30000,16,60000,8,4,8\n\
+                  tenants=0\nadmissions=0\nwakeup=0\nnonwakeup=0\nend\n";
+        let marker = simty::sim::Checkpoint::marker(
+            simty::prelude::SimTime::from_millis(1),
+            simty_serve::server::CHECKPOINT_POLICY,
+            v1,
+        );
+        let mut store = simty::sim::CheckpointStore::open(&dir).unwrap();
+        store.save(&marker).unwrap();
+        let err = serve("simty").unwrap_err();
+        assert_eq!(err.exit_code(), 8);
+        let message = err.to_string();
+        assert!(
+            message.contains("`serve-live/v1`") && message.contains("`serve-live/v2`"),
+            "{message}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

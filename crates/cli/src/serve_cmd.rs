@@ -41,7 +41,8 @@ fn server_config(args: &ParsedArgs, fault: &str, seed: &str) -> Result<ServeConf
 
 /// `standby serve`: run the scheduler service until SIGTERM/ctrl-c (or
 /// `--drain-after-ms` for scripted runs), then drain gracefully and
-/// print the drain report.
+/// print the drain report; a drain checkpoint that cannot be saved exits 8
+/// after the report.
 pub(crate) fn cmd_serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let deadline = Duration::from_millis(args.u64("deadline-ms")?);
     let server = server_config(args, "fault", "seed")?;
@@ -70,6 +71,9 @@ pub(crate) fn cmd_serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), Cl
     writeln!(out, "{}", drain.to_json())?;
     if drain.invariant_violations > 0 {
         return Err(CliError::Invariants(drain.invariant_violations));
+    }
+    if let Some(e) = drain.checkpoint_error {
+        return Err(CliError::Serve(format!("drain checkpoint: {e}")));
     }
     Ok(())
 }

@@ -75,38 +75,28 @@ impl AlarmManager {
         }
     }
 
-    /// Rebuilds a manager from persisted state (checkpoint restore).
+    /// Replaces both queues, the clock and the degradation grace
+    /// multiplier with persisted ones, keeping the policy (checkpoint
+    /// restore).
     ///
     /// The queues must have been captured from a live manager governed by
     /// an identical policy: restore bypasses [`register`](Self::register)
     /// because mid-flight state is not re-registrable — entries already
     /// reflect the policy's historical placement decisions, and alarms may
-    /// carry nominal times at (or, transiently, before) `now`.
-    pub fn restore(
-        policy: Box<dyn AlignmentPolicy>,
+    /// carry nominal times at (or, transiently, before) `now`. Likewise
+    /// the stretch re-places nothing: restored alarms already carry their
+    /// historical stamps. Use [`set_grace_stretch`](Self::set_grace_stretch)
+    /// everywhere else.
+    pub fn restore_state(
+        &mut self,
         wakeup: AlarmQueue,
         non_wakeup: AlarmQueue,
         now: SimTime,
-    ) -> Self {
-        let mut manager = AlarmManager::new(policy);
-        manager.restore_queues(wakeup, non_wakeup, now);
-        manager
-    }
-
-    /// Replaces both queues and the clock with persisted ones, keeping
-    /// the policy (checkpoint restore; see [`restore`](Self::restore)).
-    pub fn restore_queues(&mut self, wakeup: AlarmQueue, non_wakeup: AlarmQueue, now: SimTime) {
+        stretch_milli: u32,
+    ) {
         self.wakeup = wakeup;
         self.non_wakeup = non_wakeup;
         self.now = now;
-    }
-
-    /// Restores the degradation grace multiplier without re-placing any
-    /// queued entries (checkpoint restore only: restored alarms already
-    /// carry their historical stamps, and re-running placement here would
-    /// diverge from the original run). Use
-    /// [`set_grace_stretch`](Self::set_grace_stretch) everywhere else.
-    pub fn restore_grace_stretch(&mut self, stretch_milli: u32) {
         self.grace_stretch = stretch_milli.max(GRACE_STRETCH_UNIT);
     }
 
@@ -201,6 +191,14 @@ impl AlarmManager {
     /// The non-wakeup-alarm queue (inspection only).
     pub fn non_wakeup_queue(&self) -> &AlarmQueue {
         &self.non_wakeup
+    }
+
+    /// Every registered alarm, the wakeup queue's first, in queue order.
+    pub fn alarms(&self) -> impl Iterator<Item = &Alarm> {
+        [&self.wakeup, &self.non_wakeup]
+            .into_iter()
+            .flat_map(|q| q.entries())
+            .flat_map(QueueEntry::alarms)
     }
 
     /// Total number of registered alarms across both queues.

@@ -23,38 +23,60 @@
 //!
 //! Two serialized views exist:
 //!
-//! * [`LiveScheduler::digest`] — the canonical *tenant-visible* state:
-//!   per-tenant alarms keyed by tenant-local ordinals (never raw
-//!   [`AlarmId`]s, which depend on global allocation order), plus
-//!   admission-bucket state. Per-tenant traffic is deterministic, so
-//!   the digest is byte-identical across runs regardless of how
-//!   concurrent tenants interleave — and across a snapshot/restore.
-//! * [`LiveScheduler::snapshot_payload`] — full fidelity (queue entry
-//!   grouping, raw ids, counters) for graceful-shutdown checkpoints;
-//!   [`LiveScheduler::restore_payload`] rebuilds a scheduler whose
-//!   next snapshot is byte-identical to the one it was restored from.
+//! * [`LiveScheduler::digest`] (`serve-live-digest/v2`) — the canonical
+//!   *tenant-visible* state: per-tenant alarms keyed by tenant-local
+//!   ordinals (never raw [`AlarmId`]s, which depend on global allocation
+//!   order), plus admission-bucket state. Per-tenant traffic is
+//!   deterministic, so the digest is byte-identical across runs
+//!   regardless of how concurrent tenants interleave — and across a
+//!   snapshot/restore.
+//! * [`LiveScheduler::snapshot_payload`] (`serve-live/v2`) — full
+//!   fidelity (queue entry grouping, raw ids, counters) for
+//!   graceful-shutdown checkpoints; [`LiveScheduler::restore_payload`]
+//!   rebuilds a scheduler whose next snapshot is byte-identical to the
+//!   one it was restored from.
 //!
-//! Both views are written and read with the alarm, queue and admission
-//! codec in [`simty::sim::codec`], the one the simulator's checkpoints
-//! use. Only the magic lines, the `end` terminator, and the
-//! [`is_valid_tenant`] check on tenant names and alarm labels are this
-//! module's own.
+//! The scheduler state both views share with the simulator is written
+//! and read by the simulator checkpoint's own functions in
+//! [`simty::sim::checkpoint`], so it has one layout:
+//!
+//! * the alarm-id watermark (`max_alarm_id=`, snapshot only):
+//!   [`put_max_alarm_id`] / [`take_max_alarm_id`];
+//! * the alarm manager's clock, grace stretch and both queues
+//!   (`mgr_clock=`, `mgr_stretch=`, `wakeup_entries=`,
+//!   `non_wakeup_entries=`, snapshot only): [`put_manager`] /
+//!   [`take_manager`];
+//! * the admission controller's per-app buckets (`adm=`, `aa=`, both
+//!   views): [`put_admission`] / [`take_admission`].
+//!
+//! The rest is this module's own: the magic lines, the policy token, the
+//! admission-config line, the tenant counters and ordinal maps, the
+//! digest's `clock=`, `tenant=` and ordinal-keyed `alarm=` lines, the
+//! `end` terminator, and the [`is_valid_tenant`] check on restored
+//! tenant names, queued alarm labels and admission app names. An earlier build's
+//! `serve-live/v1` snapshot, which wrote the shared state under keys of
+//! its own, is not read: `standby serve` refuses it at start
+//! ([`SpawnError::SnapshotLayout`](crate::server::SpawnError::SnapshotLayout)).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use simty::core::error::RegisterAlarmError;
 use simty::core::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use simty::experiments::PolicyKind;
 use simty::prelude::{
     Alarm, AlarmId, AlarmKind, AlarmManager, HardwareSet, QueueEntry, SimDuration, SimTime,
 };
-use simty::sim::codec::{line, put, put_alarm_attrs, write_queue, Cursor, Parser};
+use simty::sim::checkpoint::{
+    put_admission, put_manager, put_max_alarm_id, take_admission, take_manager, take_max_alarm_id,
+};
+use simty::sim::codec::{line, put, put_alarm_attrs, Parser};
 use simty::sim::CheckpointError;
 
 /// Magic first line of a full snapshot payload.
-pub const SNAPSHOT_MAGIC: &str = "serve-live/v1";
+pub const SNAPSHOT_MAGIC: &str = "serve-live/v2";
 /// Magic first line of a tenant-visible digest.
-pub const DIGEST_MAGIC: &str = "serve-live-digest/v1";
+pub const DIGEST_MAGIC: &str = "serve-live-digest/v2";
 
 /// Maximum length of a tenant name.
 pub const MAX_TENANT_LEN: usize = 64;
@@ -286,18 +308,17 @@ impl LiveScheduler {
     }
 
     /// Registers an alarm for a tenant, running admission first.
+    ///
+    /// A request refused with [`RegisterOutcome::Invalid`] changes
+    /// nothing: the tenant, the alarm's shape and its nominal time against
+    /// the clock the request's `now_ms` would set are checked before the
+    /// advance. A [`RegisterOutcome::Rejected`] one advances first, as the
+    /// simulator's admission does.
     pub fn register(&mut self, req: &RegisterRequest) -> RegisterOutcome {
         if !is_valid_tenant(&req.tenant) {
-            return RegisterOutcome::Invalid {
-                code: "bad-tenant",
-                detail: format!("tenant must be 1..={MAX_TENANT_LEN} chars of [A-Za-z0-9_.-]"),
-            };
+            let detail = format!("tenant must be 1..={MAX_TENANT_LEN} chars of [A-Za-z0-9_.-]");
+            return invalid("bad-tenant", detail);
         }
-        if let Some(ms) = req.now_ms {
-            self.advance(ms);
-        }
-        let now = self.manager.now();
-
         let mut builder = Alarm::builder(req.tenant.as_str())
             .nominal(SimTime::from_millis(req.nominal_ms))
             .task_duration(SimDuration::from_millis(req.task_ms))
@@ -324,13 +345,23 @@ impl LiveScheduler {
         }
         let mut alarm = match builder.build() {
             Ok(alarm) => alarm,
-            Err(e) => {
-                return RegisterOutcome::Invalid {
-                    code: "bad-alarm-shape",
-                    detail: e.to_string(),
-                }
-            }
+            Err(e) => return invalid("bad-alarm-shape", e),
         };
+
+        // A refusal moves nothing: the clock advances only for an alarm
+        // the manager can take at the new clock.
+        let asked = SimTime::from_millis(req.now_ms.unwrap_or(0));
+        let now = asked.max(self.manager.now());
+        if alarm.nominal() < now {
+            let id = alarm.id();
+            return invalid(
+                "rejected-by-manager",
+                RegisterAlarmError::NominalInPast { id },
+            );
+        }
+        if let Some(ms) = req.now_ms {
+            self.advance(ms);
+        }
 
         // Demotion is a sticky quarantine: a demoted tenant's later alarms
         // arrive quarantined, and admission classes them so.
@@ -351,12 +382,7 @@ impl LiveScheduler {
 
         let id = match self.manager.register(alarm) {
             Ok(id) => id,
-            Err(e) => {
-                return RegisterOutcome::Invalid {
-                    code: "rejected-by-manager",
-                    detail: e.to_string(),
-                }
-            }
+            Err(e) => return invalid("rejected-by-manager", e),
         };
         let tenant = self.tenant_mut(&req.tenant);
         let ordinal = tenant.next_ordinal;
@@ -548,7 +574,9 @@ impl LiveScheduler {
 
     /// The canonical tenant-visible state (see the module docs).
     pub fn digest(&self) -> String {
-        let mut out = self.head(DIGEST_MAGIC, 1024);
+        let mut out = String::with_capacity(1024);
+        let _ = writeln!(out, "{DIGEST_MAGIC}\npolicy={}", self.policy_token);
+        put(&mut out, "clock", &self.manager.now());
         let _ = writeln!(out, "tenants={}", self.tenants.len());
         for (name, state) in &self.tenants {
             let _ = writeln!(
@@ -571,7 +599,7 @@ impl LiveScheduler {
                 }
             }
         }
-        self.write_admissions(&mut out);
+        put_admission(&mut out, Some(&self.admission));
         out.push_str("end\n");
         out
     }
@@ -580,8 +608,11 @@ impl LiveScheduler {
     /// checkpoint (carried inside a
     /// [`Checkpoint::marker`](simty::sim::Checkpoint::marker) payload).
     pub fn snapshot_payload(&self) -> String {
-        let mut out = self.head(SNAPSHOT_MAGIC, 4 * 1024);
+        let mut out = String::with_capacity(4 * 1024);
+        let _ = writeln!(out, "{SNAPSHOT_MAGIC}\npolicy={}", self.policy_token);
+        put_max_alarm_id(&mut out, self.manager.alarms().map(Alarm::id));
         put(&mut out, "config", self.admission.config());
+        put_manager(&mut out, &self.manager);
         put(&mut out, "tenants", &self.tenants.len());
         for (name, state) in &self.tenants {
             line(&mut out, "tenant", |w| {
@@ -593,27 +624,9 @@ impl LiveScheduler {
                 put(&mut out, "map", &(ordinal, id));
             }
         }
-        put(&mut out, "admissions", &self.admission.app_count());
-        self.write_admissions(&mut out);
-        write_queue(&mut out, "wakeup", self.manager.wakeup_queue());
-        write_queue(&mut out, "nonwakeup", self.manager.non_wakeup_queue());
+        put_admission(&mut out, Some(&self.admission));
         out.push_str("end\n");
         out
-    }
-
-    /// The magic, policy and clock lines both views open with.
-    fn head(&self, magic: &str, capacity: usize) -> String {
-        let mut out = String::with_capacity(capacity);
-        let now = self.manager.now().as_millis();
-        let _ = writeln!(out, "{magic}\npolicy={}\nclock={now}", self.policy_token);
-        out
-    }
-
-    /// One `admission=` line per tenant with bucket state, in name order.
-    fn write_admissions(&self, out: &mut String) {
-        for (name, app) in self.admission.apps() {
-            line(out, "admission", |w| w.raw(name).f(app));
-        }
     }
 
     /// Rebuilds a scheduler from [`snapshot_payload`](Self::snapshot_payload)
@@ -634,15 +647,17 @@ impl LiveScheduler {
         let policy_token = p.kv("policy")?.to_owned();
         let kind = parse_policy_token(&policy_token)
             .ok_or_else(|| p.err(format!("unknown serve policy `{policy_token}`")))?;
-        let clock = p.take("clock")?;
+        take_max_alarm_id(p)?;
         let config = p.take("config")?;
+        let mut manager = AlarmManager::new(kind.build());
+        take_manager(p, &mut manager)?;
 
         let tenant_count = p.count("tenants")?;
         let mut tenants = BTreeMap::new();
         let mut index = BTreeMap::new();
         for _ in 0..tenant_count {
             let mut r = p.rec("tenant", 8)?;
-            let name = tenant(&mut r)?;
+            let name = r.raw()?;
             let mut state = Tenant {
                 next_ordinal: r.take()?,
                 alarms: BTreeMap::new(),
@@ -660,39 +675,22 @@ impl LiveScheduler {
             tenants.insert(name.to_owned(), state);
         }
 
-        let app_count = p.count("admissions")?;
-        let mut apps = Vec::with_capacity(app_count);
-        for _ in 0..app_count {
-            let mut r = p.rec("admission", 8)?;
-            let name = tenant(&mut r)?;
-            apps.push((name.to_owned(), r.take()?));
-        }
-
-        let wakeup = p.queue("wakeup")?;
-        let non_wakeup = p.queue("nonwakeup")?;
+        let admission = take_admission(p, Some(config))?
+            .ok_or_else(|| p.err("serve admission state cannot be `none`"))?;
         if p.line() != Some("end") {
             return Err(p.err("missing `end` terminator"));
         }
-        let mut max_id = 0;
-        for alarm in [&wakeup, &non_wakeup]
-            .into_iter()
-            .flat_map(|q| q.entries())
-            .flat_map(QueueEntry::alarms)
-        {
-            if !is_valid_tenant(alarm.label()) {
-                return Err(p.err(format!("bad tenant name `{}`", alarm.label())));
-            }
-            max_id = max_id.max(alarm.id().as_u64());
+        let queued = manager.alarms().map(Alarm::label);
+        let apps = admission.apps().map(|(app, _)| app);
+        let names = tenants.keys().map(String::as_str).chain(apps);
+        if let Some(bad) = names.chain(queued).find(|s| !is_valid_tenant(s)) {
+            return Err(p.err(format!("bad tenant name `{bad}`")));
         }
-        if max_id == u64::MAX {
-            return Err(p.err(format!("alarm id {max_id} leaves no alarm id to mint")));
-        }
-        AlarmId::reserve_through(max_id);
 
         Ok(LiveScheduler {
             policy_token,
-            manager: AlarmManager::restore(kind.build(), wakeup, non_wakeup, clock),
-            admission: AdmissionController::restore(config, apps),
+            manager,
+            admission,
             tenants,
             index,
             due: Vec::new(),
@@ -700,20 +698,20 @@ impl LiveScheduler {
     }
 }
 
-/// The cursor's next field, which must be a valid tenant name (see
-/// [`is_valid_tenant`]).
-fn tenant<'a>(r: &mut Cursor<'_, 'a>) -> Result<&'a str, CheckpointError> {
-    let name = r.raw()?;
-    if is_valid_tenant(name) {
-        Ok(name)
-    } else {
-        Err(r.err(format!("bad tenant name `{name}`")))
-    }
+/// A [`RegisterOutcome::Invalid`] with `code` and `detail`'s message.
+fn invalid(code: &'static str, detail: impl ToString) -> RegisterOutcome {
+    let detail = detail.to_string();
+    RegisterOutcome::Invalid { code, detail }
 }
+
+#[cfg(test)]
+#[path = "../tests/common/session.rs"]
+mod session;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestRng;
 
     fn repeating(tenant: &str, nominal_ms: u64, repeat_ms: u64) -> RegisterRequest {
         let mut req = RegisterRequest::simple(tenant, nominal_ms);
@@ -740,9 +738,13 @@ mod tests {
         assert!(live.verify().is_empty());
     }
 
+    /// A refused registration changes nothing: not the clock, the
+    /// deliveries, the admission buckets nor the digest.
     #[test]
     fn invalid_shapes_and_tenants_are_typed_errors() {
         let mut live = LiveScheduler::new("simty").expect("scheduler");
+        live.register(&RegisterRequest::simple("a", 2_000));
+        let before = live.digest();
         let bad_tenant = live.register(&RegisterRequest::simple("no spaces", 1_000));
         assert!(matches!(
             bad_tenant,
@@ -751,8 +753,10 @@ mod tests {
                 ..
             }
         ));
+        assert_eq!(live.digest(), before, "bad tenant");
         let mut zero_repeat = RegisterRequest::simple("a", 1_000);
         zero_repeat.repeat_ms = Some(0);
+        zero_repeat.now_ms = Some(5_000);
         assert!(matches!(
             live.register(&zero_repeat),
             RegisterOutcome::Invalid {
@@ -760,6 +764,7 @@ mod tests {
                 ..
             }
         ));
+        assert_eq!(live.digest(), before, "bad alarm shape");
         let mut stale = RegisterRequest::simple("a", 1_000);
         stale.now_ms = Some(5_000);
         assert!(matches!(
@@ -769,6 +774,7 @@ mod tests {
                 ..
             }
         ));
+        assert_eq!(live.digest(), before, "nominal behind the request's clock");
     }
 
     #[test]
@@ -860,9 +866,9 @@ mod tests {
         // a `tenant=` line and the alarm count of an `entry=` line.
         let counted = [
             ("tenants", 0),
-            ("admissions", 0),
-            ("wakeup", 0),
-            ("nonwakeup", 0),
+            ("adm", 0),
+            ("wakeup_entries", 0),
+            ("non_wakeup_entries", 0),
             ("tenant", 7),
             ("entry", 1),
         ];
@@ -891,17 +897,160 @@ mod tests {
         let payload = live.snapshot_payload();
         let truncated = &payload[..payload.len() / 2];
         assert!(LiveScheduler::restore_payload(truncated).is_err());
-        // An alarm id past which no fresh id is left to mint.
+        // An alarm id past which no fresh id is left to mint, queued or
+        // as the watermark.
         let mut live = LiveScheduler::new("simty").expect("scheduler");
         live.register(&repeating("app", 60_000, 600_000));
         let payload = live.snapshot_payload();
-        let line = payload
-            .lines()
-            .find(|l| l.starts_with("alarm="))
-            .expect("an alarm");
-        let id = line["alarm=".len()..].split(',').next().expect("an id");
-        let hostile = line.replacen(id, &u64::MAX.to_string(), 1);
-        let err = LiveScheduler::restore_payload(&payload.replacen(line, &hostile, 1)).unwrap_err();
-        assert!(err.contains("no alarm id to mint"), "{err}");
+        for key in ["alarm=", "max_alarm_id="] {
+            let line = payload.lines().find(|l| l.starts_with(key)).expect(key);
+            let id = line[key.len()..].split(',').next().expect("an id");
+            let hostile = line.replacen(id, &u64::MAX.to_string(), 1);
+            let err =
+                LiveScheduler::restore_payload(&payload.replacen(line, &hostile, 1)).unwrap_err();
+            assert!(err.contains("no alarm id to mint"), "{key}: {err}");
+        }
+    }
+
+    /// A watermark below a queued alarm id cannot let a fresh id collide
+    /// with the queued one: restore reserves every queued id too.
+    #[test]
+    fn a_queued_id_above_the_watermark_is_never_minted() {
+        let mut live = LiveScheduler::new("simty").expect("scheduler");
+        let RegisterOutcome::Admitted { id, .. } =
+            live.register(&repeating("app", 60_000, 600_000))
+        else {
+            panic!("admitted");
+        };
+        let queued = 1u64 << 40;
+        let payload = live.snapshot_payload();
+        let edits = [
+            (
+                format!("max_alarm_id={id}\n"),
+                "max_alarm_id=0\n".to_owned(),
+            ),
+            (format!("alarm={id},"), format!("alarm={queued},")),
+            (format!("map=0,{id}\n"), format!("map=0,{queued}\n")),
+        ];
+        let mut hostile = payload.clone();
+        for (from, to) in &edits {
+            assert!(hostile.contains(from.as_str()), "{from}");
+            hostile = hostile.replacen(from.as_str(), to, 1);
+        }
+        let mut restored = LiveScheduler::restore_payload(&hostile).expect("restores");
+        let RegisterOutcome::Admitted { id: fresh, .. } =
+            restored.register(&RegisterRequest::simple("app", 120_000))
+        else {
+            panic!("admitted");
+        };
+        assert!(fresh > queued, "fresh id {fresh}, queued id {queued}");
+        assert!(restored.verify().is_empty(), "{:?}", restored.verify());
+    }
+
+    /// The bytes a mutant's one edit writes: digits, separators, line
+    /// ends, an escape and tag letters.
+    const EDIT_BYTES: &[u8] = b"0123456789,=:%-\n\rnoswx";
+
+    /// What a mutant writes in place of a digit run.
+    const HOSTILE_DIGITS: [&str; 7] = [
+        "",
+        "-1",
+        "+5",
+        "007",
+        "4294967296",
+        "18446744073709551615",
+        "99999999999999999999",
+    ];
+
+    /// `payload` with one edit: a byte replaced, removed or inserted, a
+    /// digit run replaced, or a line duplicated, removed or swapped with
+    /// the next.
+    fn one_edit(payload: &str, rng: &mut TestRng) -> String {
+        let mut bytes = payload.as_bytes().to_vec();
+        let len = bytes.len();
+        let at = rng.below(len as u64) as usize;
+        let edit_byte = EDIT_BYTES[rng.below(EDIT_BYTES.len() as u64) as usize];
+        let line_end = |from: usize, bytes: &[u8]| {
+            bytes[from..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |i| from + i + 1)
+        };
+        let start = bytes[..at]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        let end = line_end(at, &bytes);
+        match rng.below(7) {
+            0 => bytes[at] = edit_byte,
+            1 => {
+                bytes.remove(at);
+            }
+            2 => bytes.insert(at, edit_byte),
+            3 => {
+                let from = (at..len)
+                    .chain(0..at)
+                    .find(|&i| bytes[i].is_ascii_digit())
+                    .expect("the payload holds digits");
+                let to = (from..len)
+                    .find(|&i| !bytes[i].is_ascii_digit())
+                    .unwrap_or(len);
+                let hostile = HOSTILE_DIGITS[rng.below(HOSTILE_DIGITS.len() as u64) as usize];
+                bytes.splice(from..to, hostile.bytes());
+            }
+            4 => {
+                let line = bytes[start..end].to_vec();
+                bytes.splice(start..start, line);
+            }
+            5 => {
+                bytes.drain(start..end);
+            }
+            _ => {
+                let next_end = line_end(end, &bytes);
+                bytes[start..next_end].rotate_left(end - start);
+            }
+        }
+        String::from_utf8(bytes).expect("ASCII edits of an ASCII payload")
+    }
+
+    /// Hostile bytes: 768 seeded one-edit mutants of the `live_golden`
+    /// session's snapshot, under each of its policies, restore or fail
+    /// with a typed error, and none panics. A restored mutant is also
+    /// snapshotted, digested and verified.
+    #[test]
+    fn hostile_snapshots_restore_or_fail_typed() {
+        let payloads: Vec<String> = ["simty", "native", "doze"]
+            .into_iter()
+            .map(|policy| {
+                let (live, seen) = session::session(policy);
+                assert!(seen.rejected > 0 && seen.delivered > 0);
+                live.snapshot_payload()
+            })
+            .collect();
+        let (mut restored, mut refused, mut panicked) = (0, 0, Vec::new());
+        for case in 0..768 {
+            let mut rng = TestRng::for_case(case);
+            let payload = &payloads[case as usize % payloads.len()];
+            let mutant = one_edit(payload, &mut rng);
+            let outcome = std::panic::catch_unwind(|| {
+                LiveScheduler::restore_payload(&mutant).map(|live| {
+                    let _ = (live.snapshot_payload(), live.digest(), live.verify());
+                })
+            });
+            match outcome {
+                Ok(Ok(())) => restored += 1,
+                Ok(Err(_)) => refused += 1,
+                Err(_) => panicked.push(mutant),
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "mutants panicked:\n{}",
+            panicked.join("\n---\n")
+        );
+        assert!(
+            restored > 0 && refused > 0,
+            "{restored} restored, {refused} refused"
+        );
     }
 }

@@ -64,7 +64,7 @@ use simty::prelude::{Checkpoint, CheckpointError, CheckpointStore, SimDuration};
 use simty_bench::JsonValue;
 
 use crate::http::{HttpConn, Limits, Request, RequestError, Response};
-use crate::live::{LiveScheduler, RegisterOutcome, RegisterRequest};
+use crate::live::{LiveScheduler, RegisterOutcome, RegisterRequest, SNAPSHOT_MAGIC};
 use crate::signal;
 use crate::transport::{FaultCounters, FaultPlan};
 
@@ -141,7 +141,7 @@ impl Default for ServeConfig {
 /// registry's `serve_shed_total` and `serve_requests_total`;
 /// [`to_json`](Self::to_json) is the one JSON form, printed by
 /// `standby serve` and embedded in the `simty-serve/v1` document.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DrainReport {
     /// Connections accepted into the work queue.
     pub accepted: u64,
@@ -155,8 +155,12 @@ pub struct DrainReport {
     pub drain_ms: u64,
     /// Internal-consistency violations found at drain (must be 0).
     pub invariant_violations: u64,
-    /// Path of the final state checkpoint, when a state dir is set.
+    /// Path of the final state checkpoint, when a state dir is set and
+    /// the save succeeded.
     pub checkpoint: Option<PathBuf>,
+    /// Why the final state checkpoint could not be saved, when it could
+    /// not.
+    pub checkpoint_error: Option<CheckpointError>,
     /// Network faults injected by the server-side drill.
     pub net_faults: u64,
 }
@@ -164,7 +168,7 @@ pub struct DrainReport {
 impl DrainReport {
     /// The report as one JSON object, in the `simty-serve/v1` document's
     /// `server` key order. `checkpoint` follows only when the drain
-    /// wrote one.
+    /// wrote one, and `checkpoint_error` only when its save failed.
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"accepted\": {}, \"completed\": {}, \"requests\": {}, \"shed\": {}, \"drain_ms\": {}, \"invariant_violations\": {}, \"net_faults\": {}",
@@ -179,6 +183,10 @@ impl DrainReport {
         if let Some(path) = &self.checkpoint {
             out.push_str(", \"checkpoint\": ");
             out.push_str(&json_string(&path.to_string_lossy()));
+        }
+        if let Some(e) = &self.checkpoint_error {
+            out.push_str(", \"checkpoint_error\": ");
+            out.push_str(&json_string(&e.to_string()));
         }
         out.push('}');
         out
@@ -197,6 +205,13 @@ pub enum SpawnError {
         /// The policy the snapshot was taken under.
         snapshot: String,
     },
+    /// The state dir's snapshot is in a layout this build does not read:
+    /// `found` is its first line, where this build reads only
+    /// [`SNAPSHOT_MAGIC`].
+    SnapshotLayout {
+        /// The snapshot's layout line.
+        found: String,
+    },
     /// A bind failure, an unusable state dir or checkpoint, or a bad
     /// policy token.
     Setup(String),
@@ -212,6 +227,11 @@ impl std::fmt::Display for SpawnError {
                 f,
                 "state dir holds a snapshot taken under policy `{snapshot}`, \
                  but policy `{requested}` was asked for"
+            ),
+            SpawnError::SnapshotLayout { found } => write!(
+                f,
+                "state dir holds a `{found}` snapshot, but this build reads only \
+                 `{SNAPSHOT_MAGIC}`; move the state dir aside to start fresh"
             ),
             SpawnError::Setup(message) => f.write_str(message),
         }
@@ -306,7 +326,8 @@ impl ServerHandle {
     }
 
     /// Waits for the drain to finish: joins every thread, snapshots the
-    /// live scheduler through the checkpoint store, and reports.
+    /// live scheduler through the checkpoint store, and reports. A failed
+    /// save is the report's [`checkpoint_error`](DrainReport::checkpoint_error).
     ///
     /// Call [`shutdown`](Self::shutdown) first (or send the process a
     /// SIGTERM) — joining an un-drained server blocks until one of the
@@ -333,11 +354,16 @@ impl ServerHandle {
         let shared = &self.shared;
         let live = shared.live.lock();
         let invariant_violations = live.verify().len() as u64;
-        let checkpoint = self.store.as_mut().map(|store| {
+        let saved = self.store.as_mut().map(|store| {
             let ckpt = Checkpoint::marker(live.now(), CHECKPOINT_POLICY, &live.snapshot_payload());
-            store.save(&ckpt).expect("save drain checkpoint")
+            store.save(&ckpt)
         });
         drop(live);
+        let (checkpoint, checkpoint_error) = match saved {
+            Some(Ok(path)) => (Some(path), None),
+            Some(Err(e)) => (None, Some(e)),
+            None => (None, None),
+        };
 
         let metrics = shared.metrics.lock();
         DrainReport {
@@ -348,6 +374,7 @@ impl ServerHandle {
             drain_ms,
             invariant_violations,
             checkpoint,
+            checkpoint_error,
             net_faults: shared.fault_counters.total(),
         }
     }
@@ -360,9 +387,10 @@ impl ServerHandle {
 /// # Errors
 ///
 /// Propagates store errors, a checkpoint that is not a `serve-live`
-/// marker, malformed payloads, and a snapshot taken under another
-/// policy than `config.policy` — a corrupt *latest* file alone is not
-/// fatal (`load_latest_good` falls back past it).
+/// marker, a snapshot in another layout than [`SNAPSHOT_MAGIC`] (an
+/// earlier build's `serve-live/v1`), malformed payloads, and a snapshot
+/// taken under another policy than `config.policy` — a corrupt *latest*
+/// file alone is not fatal (`load_latest_good` falls back past it).
 fn initial_scheduler(
     config: &ServeConfig,
     store: Option<&CheckpointStore>,
@@ -385,6 +413,12 @@ fn initial_scheduler(
     let payload = ckpt
         .marker_payload()
         .ok_or_else(|| SpawnError::Setup("serve-live checkpoint has no payload".to_owned()))?;
+    let layout = payload.lines().next().unwrap_or_default();
+    if layout != SNAPSHOT_MAGIC && layout.starts_with("serve-live/") {
+        return Err(SpawnError::SnapshotLayout {
+            found: layout.to_owned(),
+        });
+    }
     let live = LiveScheduler::restore_payload(&payload).map_err(SpawnError::Setup)?;
     if live.policy_token() != config.policy {
         return Err(SpawnError::PolicyMismatch {

@@ -8,8 +8,9 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
+use simty::prelude::{Checkpoint, CheckpointError, CheckpointStore, SimTime};
 use simty_serve::load::{self, LoadSpec};
-use simty_serve::server::{spawn, ServeConfig, SpawnError};
+use simty_serve::server::{spawn, ServeConfig, SpawnError, CHECKPOINT_POLICY};
 use simty_serve::transport::FaultPlan;
 
 /// Sends one raw HTTP exchange over a fresh connection and returns the
@@ -350,8 +351,11 @@ fn drain_finishes_in_flight_and_restart_resumes_byte_identically() {
     drain_and_restart("serve-drain", |_| {});
 }
 
-/// A state dir an earlier build drained into: the drain checkpoint,
-/// re-sealed as `simty-checkpoint/v1`, resumes just the same.
+/// This build's drain checkpoint, re-sealed in the `simty-checkpoint/v1`
+/// envelope an earlier build wrote, resumes just the same. Only the
+/// envelope is an earlier build's: an earlier build's `serve-live/v1`
+/// payload is refused (see
+/// `a_restart_refuses_an_earlier_builds_serve_live_v1_payload`).
 #[test]
 fn a_restart_resumes_a_drain_checkpoint_sealed_as_v1() {
     drain_and_restart("serve-drain-v1", |path| {
@@ -389,8 +393,30 @@ fn drain_and_restart(tag: &str, edit: impl Fn(&std::path::Path)) {
         assert_eq!(status_of(&resp), 200, "register {i}: {resp}");
     }
     post(&addr, "/v1/cancel", "{\"tenant\":\"app\",\"ordinal\":1}");
+    // A non-wakeup alarm, and a storm tenant that drains its bucket, is
+    // rejected and is demoted: the snapshot then carries both queues and
+    // admission state beyond fresh buckets.
+    let clock =
+        "{\"tenant\":\"clock\",\"nominal_ms\":70000,\"repeat_ms\":600000,\"kind\":\"non-wakeup\"}";
+    assert_eq!(status_of(&post(&addr, "/v1/register", clock)), 200);
+    let statuses: Vec<u16> = (0..40)
+        .map(|k| {
+            status_of(&post(
+                &addr,
+                "/v1/register",
+                &register_body("storm", 62_000 + k),
+            ))
+        })
+        .collect();
+    assert!(
+        statuses.contains(&429),
+        "the storm is rejected: {statuses:?}"
+    );
+    let storm = get(&addr, "/v1/query?tenant=storm");
+    assert!(storm.contains("\"demoted\":true"), "{storm}");
     post(&addr, "/v1/advance", "{\"now_ms\":61000}");
     let digest = get(&addr, "/v1/state");
+    assert!(digest.contains(",demoted=1,"), "{digest}");
 
     handle.shutdown();
     let drain = handle.join();
@@ -424,6 +450,72 @@ fn drain_and_restart(tag: &str, edit: impl Fn(&std::path::Path)) {
     restarted.shutdown();
     assert_eq!(restarted.join().invariant_violations, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A state dir holding an earlier build's `serve-live/v1` payload (the
+/// layout below, with its own clock, queue and admission keys) is
+/// refused at start with a typed error that names both layouts.
+#[test]
+fn a_restart_refuses_an_earlier_builds_serve_live_v1_payload() {
+    let dir = std::env::temp_dir().join(format!("serve-v1-payload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let v1 = "serve-live/v1\npolicy=simty\nclock=1000\nconfig=30000,16,60000,8,4,8\n\
+              tenants=1\ntenant=app,1,1,0,0,0,0,1\nmap=0,1\nadmissions=1\n\
+              admission=app,15,0,8,0,0,0,0\nwakeup=1\nentry=perc,1\n\
+              alarm=1,app,60000,0,300000,s:600000,w,0,0,0,0,1000\nnonwakeup=0\nend\n";
+    let mut store = CheckpointStore::open(&dir).expect("store");
+    let marker = Checkpoint::marker(SimTime::from_millis(1_000), CHECKPOINT_POLICY, v1);
+    store.save(&marker).expect("save");
+    let config = ServeConfig {
+        state_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let Err(err) = spawn(config) else {
+        panic!("a v1 payload is refused");
+    };
+    assert_eq!(
+        err,
+        SpawnError::SnapshotLayout {
+            found: "serve-live/v1".to_owned()
+        }
+    );
+    let message = err.to_string();
+    assert!(
+        message.contains("`serve-live/v1`") && message.contains("`serve-live/v2`"),
+        "{message}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A drain whose checkpoint cannot be saved reports the error instead of
+/// panicking: here the state dir became a regular file while serving.
+#[test]
+fn a_failed_drain_save_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("serve-save-fails-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = spawn(ServeConfig {
+        state_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("spawn");
+    let addr = handle.addr().to_string();
+    let resp = post(&addr, "/v1/register", &register_body("app", 60_000));
+    assert_eq!(status_of(&resp), 200, "{resp}");
+    std::fs::remove_dir_all(&dir).expect("remove the state dir");
+    std::fs::write(&dir, "not a directory").expect("a file in its place");
+
+    handle.shutdown();
+    let drain = handle.join();
+    assert_eq!(drain.accepted, drain.completed, "zero dropped in-flight");
+    assert!(drain.checkpoint.is_none());
+    let err = drain.checkpoint_error.as_ref().expect("the save failed");
+    assert!(matches!(err, CheckpointError::Io(_)), "{err:?}");
+    assert!(
+        drain.to_json().contains("\"checkpoint_error\": "),
+        "{}",
+        drain.to_json()
+    );
+    let _ = std::fs::remove_file(&dir);
 }
 
 /// The 20 requests of one pipelined batch: registrations for three

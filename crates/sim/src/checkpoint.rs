@@ -62,6 +62,15 @@
 //! [`Parser::take_opt`], and treated as the default when absent, as
 //! `span_capacity=` and `obs=` are.
 //!
+//! Three sections are functions of their component rather than of the
+//! [`Simulation`], because the live scheduler's `serve-live/v2` drain
+//! snapshot (in `simty-serve`) writes and reads the same state with
+//! them: [`put_manager`] / [`take_manager`] (the alarm manager),
+//! [`put_admission`] / [`take_admission`] (the admission controller's
+//! per-app buckets) and [`put_max_alarm_id`] / [`take_max_alarm_id`]
+//! (the alarm-id watermark). A change to one of them changes both
+//! formats, and the live scheduler's goldens pin the second.
+//!
 //! # Restore
 //!
 //! [`Simulation::restore`] builds a bare simulation and lets each
@@ -105,8 +114,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use simty_core::admission::{AdmissionController, AppAdmission};
-use simty_core::alarm::AlarmId;
+use simty_core::admission::{AdmissionConfig, AdmissionController, AppAdmission};
+use simty_core::alarm::{Alarm, AlarmId};
 use simty_core::audit::{CandidateAudit, CandidateVerdict, PlacementAudit};
 use simty_core::hardware::{HardwareComponent, HardwareSet};
 use simty_core::manager::AlarmManager;
@@ -686,6 +695,85 @@ fn take_present<'a, T>(
     }
 }
 
+/// Writes the alarm-id watermark, `max_alarm_id=`: the largest of
+/// `ids`, or 0.
+pub fn put_max_alarm_id(out: &mut String, ids: impl Iterator<Item = AlarmId>) {
+    let max_id = ids.map(AlarmId::as_u64).max().unwrap_or(0);
+    put(out, "max_alarm_id", &max_id);
+}
+
+/// Reads the watermark [`put_max_alarm_id`] wrote and reserves every id
+/// through it, so a fresh id cannot collide with a restored one. A
+/// watermark of `u64::MAX` leaves no id to mint and is refused.
+pub fn take_max_alarm_id(p: &mut Parser<'_>) -> Result<(), CheckpointError> {
+    let max_id = p.take("max_alarm_id")?;
+    reserve_ids(p, "max_alarm_id", max_id)
+}
+
+/// Reserves every alarm id through `max_id`, so a fresh id cannot collide
+/// with a restored one; `u64::MAX` leaves no id to mint and is refused.
+fn reserve_ids(p: &Parser<'_>, what: &str, max_id: u64) -> Result<(), CheckpointError> {
+    if max_id == u64::MAX {
+        return Err(p.err(format!("{what} {max_id} leaves no alarm id to mint")));
+    }
+    AlarmId::reserve_through(max_id);
+    Ok(())
+}
+
+/// Writes the alarm manager's clock, grace stretch and both queues.
+pub fn put_manager(out: &mut String, manager: &AlarmManager) {
+    put(out, "mgr_clock", &manager.now());
+    put(out, "mgr_stretch", &manager.grace_stretch());
+    write_queue(out, "wakeup_entries", manager.wakeup_queue());
+    write_queue(out, "non_wakeup_entries", manager.non_wakeup_queue());
+}
+
+/// Reads what [`put_manager`] wrote into `manager`, which keeps its
+/// policy and audit level, and reserves every queued alarm id, which a
+/// hostile watermark may not cover.
+pub fn take_manager(p: &mut Parser<'_>, manager: &mut AlarmManager) -> Result<(), CheckpointError> {
+    let clock = p.take("mgr_clock")?;
+    let stretch = p.take("mgr_stretch")?;
+    let wakeup = p.queue("wakeup_entries")?;
+    let non_wakeup = p.queue("non_wakeup_entries")?;
+    manager.restore_state(wakeup, non_wakeup, clock, stretch);
+    let max_queued = manager.alarms().map(|a| a.id().as_u64()).max();
+    reserve_ids(p, "queued alarm id", max_queued.unwrap_or(0))
+}
+
+/// Writes the admission controller's per-app bucket state, `adm=` and
+/// one `aa=` line per app in app order with the escaped app label last,
+/// or `adm=none` without a controller.
+pub fn put_admission(out: &mut String, admission: Option<&AdmissionController>) {
+    let Some(ctl) = admission else {
+        return line(out, "adm", |w| w.raw("none"));
+    };
+    put(out, "adm", &ctl.app_count());
+    for (app, st) in ctl.apps() {
+        line(out, "aa", |w| w.f(st).esc(app));
+    }
+}
+
+/// Reads what [`put_admission`] wrote, restoring the controller under
+/// `config`; per-app state without a config is refused.
+pub fn take_admission(
+    p: &mut Parser<'_>,
+    config: Option<AdmissionConfig>,
+) -> Result<Option<AdmissionController>, CheckpointError> {
+    let v = p.kv("adm")?;
+    if v == "none" {
+        return Ok(None);
+    }
+    let config = config.ok_or_else(|| p.err("admission state without admission config"))?;
+    let n = p.count_of(v)?;
+    let mut apps = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (st, app) = p.take::<(AppAdmission, String)>("aa")?;
+        apps.push((app, st));
+    }
+    Ok(Some(AdmissionController::restore(config, apps)))
+}
+
 /// Identity: the capture instant, the policy, and the alarm-id
 /// watermark restore reserves past.
 impl Section for Checkpoint {
@@ -693,34 +781,24 @@ impl Section for Checkpoint {
         put(out, "at", &sim.now);
         line(out, "policy", |w| w.esc(sim.manager.policy_name()));
         // The largest alarm id anywhere in the captured state.
-        let queues = [sim.manager.wakeup_queue(), sim.manager.non_wakeup_queue()];
-        let queued = queues
-            .into_iter()
-            .flat_map(|q| q.entries())
-            .flat_map(|e| e.alarms());
-        let alarms = queued
-            .chain(sim.crash_stash.values().flatten())
-            .map(|a| a.id());
+        let alarms = sim
+            .manager
+            .alarms()
+            .chain(sim.crash_stash.values().flatten());
         let delivered = sim.trace.deliveries.iter().map(|d| d.alarm_id);
         let (events, _) = sim.events.snapshot();
         let reregistered = events.iter().filter_map(|ev| match ev.kind {
             EventKind::Reregister { id } => Some(id),
             _ => None,
         });
-        let ids = alarms.chain(delivered).chain(reregistered);
-        let max_id = ids.map(AlarmId::as_u64).max().unwrap_or(0);
-        put(out, "max_alarm_id", &max_id);
+        let ids = alarms.map(Alarm::id).chain(delivered).chain(reregistered);
+        put_max_alarm_id(out, ids);
     }
 
     fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
         sim.now = p.take("at")?;
         p.kv("policy")?;
-        let max_id: u64 = p.take("max_alarm_id")?;
-        if max_id == u64::MAX {
-            return Err(p.err(format!("max_alarm_id {max_id} leaves no alarm id to mint")));
-        }
-        AlarmId::reserve_through(max_id);
-        Ok(())
+        take_max_alarm_id(p)
     }
 }
 
@@ -819,21 +897,12 @@ impl Section for PowerModel {
 /// The alarm manager: its clock, grace stretch and both queues.
 impl Section for AlarmManager {
     fn put(sim: &Simulation, out: &mut String) {
-        put(out, "mgr_clock", &sim.manager.now());
-        put(out, "mgr_stretch", &sim.manager.grace_stretch());
-        write_queue(out, "wakeup_entries", sim.manager.wakeup_queue());
-        write_queue(out, "non_wakeup_entries", sim.manager.non_wakeup_queue());
+        put_manager(out, &sim.manager);
     }
 
     fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
-        let clock = p.take("mgr_clock")?;
-        let stretch = p.take("mgr_stretch")?;
-        let wakeup = p.queue("wakeup_entries")?;
-        let non_wakeup = p.queue("non_wakeup_entries")?;
-        let manager = &mut sim.manager;
-        manager.restore_queues(wakeup, non_wakeup, clock);
-        manager.restore_grace_stretch(stretch);
-        manager.set_audit_level(sim.config.obs.audit_level());
+        take_manager(p, &mut sim.manager)?;
+        sim.manager.set_audit_level(sim.config.obs.audit_level());
         Ok(())
     }
 }
@@ -1227,36 +1296,15 @@ impl Section for EngineState {
     }
 }
 
-/// The admission controller's per-app bucket state, in app order; the
-/// escaped app label goes last.
+/// The admission controller's per-app bucket state (its config is the
+/// config's).
 impl Section for AdmissionController {
     fn put(sim: &Simulation, out: &mut String) {
-        let Some(ctl) = &sim.admission else {
-            return line(out, "adm", |w| w.raw("none"));
-        };
-        put(out, "adm", &ctl.app_count());
-        for (app, st) in ctl.apps() {
-            line(out, "aa", |w| w.f(st).esc(app));
-        }
+        put_admission(out, sim.admission.as_ref());
     }
 
     fn take(sim: &mut Simulation, p: &mut Parser<'_>) -> Result<(), CheckpointError> {
-        let v = p.kv("adm")?;
-        sim.admission = if v == "none" {
-            None
-        } else {
-            let config = sim
-                .config
-                .admission
-                .ok_or_else(|| p.err("admission state without admission config"))?;
-            let n = p.count_of(v)?;
-            let mut apps = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (st, app) = p.take::<(AppAdmission, String)>("aa")?;
-                apps.push((app, st));
-            }
-            Some(AdmissionController::restore(config, apps))
-        };
+        sim.admission = take_admission(p, sim.config.admission)?;
         Ok(())
     }
 }

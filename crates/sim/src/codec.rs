@@ -3,8 +3,8 @@
 //! Four formats speak the same dialect: the `simty-checkpoint/v2`
 //! snapshot ([`crate::checkpoint`]), the `simty-campaign/v1` journal (in
 //! `simty-bench`), the [`SimReport`](crate::metrics::SimReport) record
-//! codec, and the live scheduler's `serve-live/v1` drain snapshot and
-//! `serve-live-digest/v1` state digest (in `simty-serve`). The dialect is
+//! codec, and the live scheduler's `serve-live/v2` drain snapshot and
+//! `serve-live-digest/v2` state digest (in `simty-serve`). The dialect is
 //! line-oriented `key=value` text, comma-separated fields, reserved
 //! characters percent-escaped, and `f64`s persisted as their exact
 //! 16-hex-digit bit patterns.
@@ -43,7 +43,9 @@
 //!
 //! The alarm ([`Alarm`]), queue-block ([`write_queue`],
 //! [`Parser::queue`]), discipline and admission codecs live here because
-//! the checkpoint and the live snapshot share them.
+//! the checkpoint and the live snapshot share them; the whole sections
+//! both write (the manager, the admission state and the alarm-id
+//! watermark) are functions of [`crate::checkpoint`].
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -1070,7 +1072,9 @@ pub fn put_alarm_attrs(w: &mut Put<'_>, a: &Alarm) {
 }
 
 /// An `alarm=` line's value: id, escaped label, then
-/// [`put_alarm_attrs`].
+/// [`put_alarm_attrs`]. An alarm whose window or grace interval would end
+/// past the last representable time is refused: no queue entry could
+/// compute it.
 impl Field for Alarm {
     const ARITY: usize = 12;
     fn put(&self, w: &mut Put<'_>) {
@@ -1078,7 +1082,7 @@ impl Field for Alarm {
         put_alarm_attrs(w, self);
     }
     fn take(r: &mut Cursor<'_, '_>) -> Result<Self, CheckpointError> {
-        Ok(Alarm::restore(
+        let alarm = Alarm::restore(
             r.take()?,
             r.take()?,
             r.take()?,
@@ -1091,7 +1095,12 @@ impl Field for Alarm {
             r.take()?,
             r.take()?,
             r.take()?,
-        ))
+        );
+        let reach = alarm.window().max(alarm.grace()).as_millis();
+        match alarm.nominal().as_millis().checked_add(reach) {
+            Some(_) => Ok(alarm),
+            None => Err(r.err("alarm reaches past the last representable time")),
+        }
     }
 }
 
